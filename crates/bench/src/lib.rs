@@ -186,14 +186,14 @@ impl FigureRow {
         "figure,app,cluster,protocol,nodes,exec_seconds,digest,locality_checks,page_faults,\
          mprotect_calls,page_loads,diff_messages,bytes_moved,remote_monitor_acquires,\
          barrier_waits,batched_fetches,pages_prefetched,protocol_switches,batched_flushes,\
-         pages_migrated,fetch_overlap_cycles_hidden,serving_ops,serving_ops_per_s,\
-         serving_p99_us"
+         pages_migrated,fetch_overlap_cycles_hidden,pages_revalidated,serving_ops,\
+         serving_ops_per_s,serving_p99_us"
     }
 
     /// Serialise as one CSV line.
     pub fn to_csv(&self) -> String {
         format!(
-            "{},{},{},{},{},{:.6},{:.6},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.3},{:.3}",
+            "{},{},{},{},{},{:.6},{:.6},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.3},{:.3}",
             self.figure,
             self.app,
             self.cluster,
@@ -215,6 +215,7 @@ impl FigureRow {
             self.stats.batched_flushes,
             self.stats.pages_migrated,
             self.stats.fetch_overlap_cycles_hidden,
+            self.stats.pages_revalidated,
             self.stats.serving_ops,
             self.serving_ops_per_s(),
             self.serving_p99_us,

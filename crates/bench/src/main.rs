@@ -322,18 +322,29 @@ fn print_serving_figure(scale: Scale) -> Vec<FigureRow> {
         hyperion_bench::ADAPTIVE_NODES
     );
     println!(
-        "{:<10} {:<14} {:>12} {:>12} {:>12} {:>12} {:>7} {:>8}",
-        "App", "variant", "exec (s)", "ops", "ops/s", "p99 (us)", "hints", "wasted"
+        "{:<10} {:<14} {:>12} {:>12} {:>12} {:>12} {:>11} {:>12} {:>7} {:>8}",
+        "App",
+        "variant",
+        "exec (s)",
+        "ops",
+        "ops/s",
+        "p99 (us)",
+        "page_loads",
+        "revalidated",
+        "hints",
+        "wasted"
     );
     for r in &rows {
         println!(
-            "{:<10} {:<14} {:>12.4} {:>12} {:>12.0} {:>12.1} {:>7} {:>8}",
+            "{:<10} {:<14} {:>12.4} {:>12} {:>12.0} {:>12.1} {:>11} {:>12} {:>7} {:>8}",
             r.app.to_string(),
             r.protocol_label(),
             r.seconds,
             r.stats.serving_ops,
             r.serving_ops_per_s(),
             r.serving_p99_us,
+            r.stats.page_loads,
+            r.stats.pages_revalidated,
             r.stats.hints_sent,
             r.stats.hinted_fetches_wasted,
         );

@@ -51,6 +51,9 @@ pub struct ReportRow {
     pub exec_seconds: f64,
     /// Cluster-wide pages fetched from remote homes.
     pub page_loads: u64,
+    /// Informational: the subset of `page_loads` the home answered "not
+    /// modified" (retained copy re-opened, no page bytes moved).
+    pub pages_revalidated: u64,
     /// Cluster-wide pages dropped by cache invalidations.
     pub pages_invalidated: u64,
     /// Cluster-wide cache-invalidation episodes (work-normalisation base).
@@ -128,6 +131,7 @@ impl From<&FigureRow> for ReportRow {
             nodes: row.nodes as u64,
             exec_seconds: row.seconds,
             page_loads: row.stats.page_loads,
+            pages_revalidated: row.stats.pages_revalidated,
             pages_invalidated: row.stats.pages_invalidated,
             cache_invalidations: row.stats.cache_invalidations,
             monitor_enters: row.stats.monitor_enters,
@@ -179,6 +183,7 @@ pub fn envelope(runs: &[Vec<FigureRow>]) -> Vec<ReportRow> {
             assert_eq!(acc.key(), next.key(), "sweep order must be stable");
             acc.exec_seconds = acc.exec_seconds.max(next.exec_seconds);
             acc.page_loads = acc.page_loads.max(next.page_loads);
+            acc.pages_revalidated = acc.pages_revalidated.max(next.pages_revalidated);
             acc.pages_invalidated = acc.pages_invalidated.max(next.pages_invalidated);
             acc.cache_invalidations = acc.cache_invalidations.max(next.cache_invalidations);
             acc.monitor_enters = acc.monitor_enters.max(next.monitor_enters);
@@ -225,7 +230,8 @@ pub fn report_to_json(run: &str, scale: &str, rows: &[ReportRow]) -> String {
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"app\": {}, \"protocol\": {}, \"cluster\": {}, \"nodes\": {}, \
-             \"exec_seconds\": {:.9}, \"page_loads\": {}, \"pages_invalidated\": {}, \
+             \"exec_seconds\": {:.9}, \"page_loads\": {}, \"pages_revalidated\": {}, \
+             \"pages_invalidated\": {}, \
              \"cache_invalidations\": {}, \"monitor_enters\": {}, \
              \"loads_per_epoch\": {:.6}, \"invalidated_per_epoch\": {:.6}, \
              \"page_faults\": {}, \"locality_checks\": {}, \"mprotect_calls\": {}, \
@@ -242,6 +248,7 @@ pub fn report_to_json(run: &str, scale: &str, rows: &[ReportRow]) -> String {
             r.nodes,
             r.exec_seconds,
             r.page_loads,
+            r.pages_revalidated,
             r.pages_invalidated,
             r.cache_invalidations,
             r.monitor_enters,
@@ -325,6 +332,7 @@ pub fn parse_report(json: &str) -> Result<Vec<ReportRow>, String> {
                     .and_then(Json::as_f64)
                     .ok_or("row missing \"exec_seconds\"")?,
                 page_loads,
+                pages_revalidated: counter("pages_revalidated").unwrap_or(0),
                 pages_invalidated,
                 cache_invalidations,
                 monitor_enters: counter("monitor_enters").unwrap_or(0),
@@ -549,8 +557,8 @@ pub fn markdown_summary(
         (ops, p99)
     };
     out.push_str(
-        "| app | protocol | nodes | exec (s) | Δ exec | page loads | Δ loads | Δ loads/epoch | ops/s | p99 (µs) | status |\n\
-         |---|---|---|---|---|---|---|---|---|---|---|\n",
+        "| app | protocol | nodes | exec (s) | Δ exec | page loads | revalidated | Δ loads | Δ loads/epoch | ops/s | p99 (µs) | status |\n\
+         |---|---|---|---|---|---|---|---|---|---|---|---|\n",
     );
     for row in current {
         let key = row.key();
@@ -569,13 +577,14 @@ pub fn markdown_summary(
         let (ops_cell, p99_cell) = serving(row, base.get(&key));
         match base.get(&key) {
             Some(b) => out.push_str(&format!(
-                "| {} | {} | {} | {:.4} | {} | {} | {} | {} | {} | {} | {} |\n",
+                "| {} | {} | {} | {:.4} | {} | {} | {} | {} | {} | {} | {} | {} |\n",
                 row.app,
                 row.protocol,
                 row.nodes,
                 row.exec_seconds,
                 delta(b.exec_seconds, row.exec_seconds),
                 row.page_loads,
+                row.pages_revalidated,
                 delta(b.page_loads as f64, row.page_loads as f64),
                 delta(b.loads_per_epoch, row.loads_per_epoch),
                 ops_cell,
@@ -583,12 +592,13 @@ pub fn markdown_summary(
                 status
             )),
             None => out.push_str(&format!(
-                "| {} | {} | {} | {:.4} | — | {} | — | — | {} | {} | {} |\n",
+                "| {} | {} | {} | {:.4} | — | {} | {} | — | — | {} | {} | {} |\n",
                 row.app,
                 row.protocol,
                 row.nodes,
                 row.exec_seconds,
                 row.page_loads,
+                row.pages_revalidated,
                 ops_cell,
                 p99_cell,
                 status
@@ -1057,6 +1067,7 @@ mod tests {
             nodes: 2,
             exec_seconds: 1.0,
             page_loads: 1,
+            pages_revalidated: 0,
             pages_invalidated: 1,
             cache_invalidations: 1,
             monitor_enters: 1,

@@ -9,9 +9,9 @@
 //! forwards it:
 //!
 //! * **Page fetches** — the leader keeps a per-page *version cache* (the
-//!   page version at its last upstream fetch).  If the page has not changed
-//!   since, the leader's copy is still byte-identical to the home's and the
-//!   request is **combined**: served at leader-copy cost with no home RPC
+//!   home frame's stamp at its last upstream fetch, see [`crate::page`]).
+//!   If the page has not changed since, the leader's copy is still
+//!   byte-identical to the home's and the request is **combined**: served at leader-copy cost with no home RPC
 //!   ([`combined_fetches`]).  Otherwise the relay opens a fresh upstream
 //!   cycle: the full member→leader→home round trip is charged and the
 //!   home's `rpc_served` arrival is recorded ([`group_relay_cycles`]).
@@ -49,15 +49,13 @@ use std::sync::{Arc, Weak};
 
 use hyperion_model::{CpuModel, DsmCostModel, NetworkModel, NodeStats, ThreadClock, VTime};
 use hyperion_pm2::comm::MSG_HEADER_BYTES;
-use hyperion_pm2::{
-    Cluster, Node, NodeId, PageId, RpcHandler, RpcReply, ServiceId, SLOTS_PER_PAGE,
-};
+use hyperion_pm2::{Cluster, Node, NodeId, RpcHandler, RpcReply, ServiceId};
 use parking_lot::Mutex;
 
-use crate::diff::{decode_page_fetch_request, encode_migration_grant};
+use crate::diff::{decode_fetch_request, WireError};
 use crate::engine::DsmSystem;
 use crate::policy::{MigrationPolicy, PolicySet, Predictor, ReplicationPolicy};
-use crate::services::{apply_diff_message, copy_home_pages};
+use crate::services::{apply_diff_message, serve_fetch};
 use crate::table::DsmStore;
 
 /// Relay envelope kind: a wrapped page-fetch request.
@@ -76,10 +74,12 @@ pub(crate) fn encode_relay(kind: u8, home: NodeId, inner: &[u8]) -> Vec<u8> {
 }
 
 /// Split a relay envelope back into `(kind, home, inner)`.
-fn decode_relay(payload: &[u8]) -> (u8, NodeId, &[u8]) {
-    assert!(payload.len() >= 5, "malformed relay envelope");
+fn decode_relay(payload: &[u8]) -> Result<(u8, NodeId, &[u8]), WireError> {
+    if payload.len() < 5 {
+        return Err(WireError::Truncated("relay envelope"));
+    }
     let home = u32::from_le_bytes(payload[1..5].try_into().expect("relay home id"));
-    (payload[0], NodeId(home), &payload[5..])
+    Ok((payload[0], NodeId(home), &payload[5..]))
 }
 
 /// The leader-side relay service.  One instance serves every group: state
@@ -149,36 +149,34 @@ impl GroupRelayService {
     }
 
     /// Serve a relayed page fetch (see the module docs for the pricing).
-    fn relay_fetch(&self, leader: &Node, home: NodeId, caller: NodeId, inner: &[u8]) -> RpcReply {
-        let (first, count, _hints_ok) = decode_page_fetch_request(inner);
-        // Bytes and directory bookkeeping come from the authoritative home
+    fn relay_fetch(
+        &self,
+        leader: &Node,
+        home: NodeId,
+        caller: NodeId,
+        inner: &[u8],
+    ) -> Result<RpcReply, WireError> {
+        let request = decode_fetch_request(inner)?;
+        // Answers and directory bookkeeping come from the authoritative home
         // frames exactly as on the direct path (hint runs are not relayed:
         // hints are advisory and the reply stays decodable without them).
-        let (bytes, _obs) = copy_home_pages(
+        let served = serve_fetch(
             &self.store,
             self.predictor.as_ref(),
             self.replication.as_ref(),
             home,
             caller,
-            first,
-            count,
-        );
-        let copy_cost = self.cpu.cycles(
-            self.dsm.page_copy_cycles_per_slot * (SLOTS_PER_PAGE * count as usize) as f64
-                + self.dsm.batch_page_cycles * (count - 1) as f64,
-        );
+            &request,
+        )?;
+        let copy_cost = served.service(&self.cpu, &self.dsm, 0);
         let combined = {
             let mut cache = self.fetch_cache.lock();
-            let fresh_needed = (0..count as u64).any(|k| {
-                let page = first.0 + k;
-                cache.get(&(leader.id().0, page)).copied()
-                    != Some(self.store.page_version(PageId(page)))
-            });
+            let pages = (request.first.0..).zip(&served.stamps);
+            let fresh_needed = pages
+                .clone()
+                .any(|(page, stamp)| cache.get(&(leader.id().0, page)) != Some(stamp));
             if fresh_needed {
-                for k in 0..count as u64 {
-                    let page = first.0 + k;
-                    cache.insert((leader.id().0, page), self.store.page_version(PageId(page)));
-                }
+                cache.extend(pages.map(|(page, &stamp)| ((leader.id().0, page), stamp)));
             }
             !fresh_needed
         };
@@ -186,28 +184,25 @@ impl GroupRelayService {
             // The leader's copy is still current: no upstream traffic, the
             // member pays one member→leader round trip plus the copy.
             NodeStats::bump(&leader.stats.combined_fetches);
-            return RpcReply::with_data(bytes, copy_cost);
+            return Ok(RpcReply::with_data(served.reply, copy_cost));
         }
         NodeStats::bump(&leader.stats.group_relay_cycles);
         self.bump_home_served(home);
-        let service =
-            copy_cost + self.upstream_cost(inner.len() as u64, bytes.len() as u64, copy_cost);
-        RpcReply::with_data(bytes, service)
+        let upstream = self.upstream_cost(inner.len() as u64, served.reply.len() as u64, copy_cost);
+        Ok(RpcReply::with_data(served.reply, copy_cost + upstream))
     }
 
     /// Apply a relayed diff batch (see the module docs for the pricing).
-    fn relay_diff(&self, leader: &Node, home: NodeId, caller: NodeId, inner: &[u8]) -> RpcReply {
-        let group_size = self.store.topology().group_size().max(1) as u64;
-        let fresh = {
-            let mut cycles = self.diff_cycles.lock();
-            let n = cycles.entry((leader.id().0, home.0)).or_insert(0);
-            let fresh = *n % group_size == 0;
-            *n += 1;
-            fresh
-        };
+    fn relay_diff(
+        &self,
+        leader: &Node,
+        home: NodeId,
+        caller: NodeId,
+        inner: &[u8],
+    ) -> Result<RpcReply, WireError> {
         // Diffs mutate the home: apply immediately and exactly once, through
         // the same helper as the direct path (migration grants, quorum
-        // writes and version bumps included).  Combining never defers the
+        // writes and version stamps included).  Combining never defers the
         // memory effect — it only re-prices the fan-in.
         let out = apply_diff_message(
             &self.store,
@@ -216,39 +211,38 @@ impl GroupRelayService {
             home,
             caller,
             inner,
-        );
-        let apply_cost = self.cpu.cycles(
-            self.dsm.diff_apply_cycles_per_slot * (out.slots + out.quorum_slots) as f64
-                + self.dsm.batch_flush_cycles * (out.batches.max(1) - 1) as f64,
-        );
-        let reply_bytes = match &out.grant {
-            Some((page, snapshot)) => encode_migration_grant(*page, snapshot),
-            None => Vec::new(),
+        )?;
+        let group_size = self.store.topology().group_size().max(1) as u64;
+        let fresh = {
+            let mut cycles = self.diff_cycles.lock();
+            let n = cycles.entry((leader.id().0, home.0)).or_insert(0);
+            let fresh = *n % group_size == 0;
+            *n += 1;
+            fresh
         };
+        let apply_cost = out.service(&self.cpu, &self.dsm);
+        let reply = out.reply();
         let service = if fresh {
             NodeStats::bump(&leader.stats.group_relay_cycles);
             self.bump_home_served(home);
-            self.upstream_cost(inner.len() as u64, reply_bytes.len() as u64, apply_cost)
+            self.upstream_cost(inner.len() as u64, reply.len() as u64, apply_cost)
         } else {
             NodeStats::bump(&leader.stats.combined_diff_batches);
             apply_cost
         };
-        if reply_bytes.is_empty() {
-            RpcReply::ack(service)
-        } else {
-            RpcReply::with_data(reply_bytes, service)
-        }
+        Ok(RpcReply::with_data(reply, service))
     }
 }
 
 impl RpcHandler for GroupRelayService {
     fn handle(&self, target: &Node, caller: NodeId, payload: &[u8]) -> RpcReply {
-        let (kind, home, inner) = decode_relay(payload);
-        match kind {
-            RELAY_FETCH => self.relay_fetch(target, home, caller, inner),
-            RELAY_DIFF => self.relay_diff(target, home, caller, inner),
-            other => panic!("unknown relay kind {other}"),
-        }
+        decode_relay(payload)
+            .and_then(|(kind, home, inner)| match kind {
+                RELAY_FETCH => self.relay_fetch(target, home, caller, inner),
+                RELAY_DIFF => self.relay_diff(target, home, caller, inner),
+                _ => Err(WireError::Invalid("relay kind")),
+            })
+            .unwrap_or_else(|e| RpcReply::malformed(format!("{} request: {e}", self.name())))
     }
 
     fn name(&self) -> &'static str {
@@ -309,15 +303,17 @@ mod tests {
     fn relay_envelope_round_trips() {
         let inner = vec![1u8, 2, 3, 4, 5, 6];
         let wire = encode_relay(RELAY_DIFF, NodeId(300), &inner);
-        let (kind, home, body) = decode_relay(&wire);
+        let (kind, home, body) = decode_relay(&wire).unwrap();
         assert_eq!(kind, RELAY_DIFF);
         assert_eq!(home, NodeId(300));
         assert_eq!(body, &inner[..]);
     }
 
     #[test]
-    #[should_panic(expected = "malformed relay envelope")]
-    fn truncated_relay_envelope_is_rejected() {
-        let _ = decode_relay(&[RELAY_FETCH, 0, 0]);
+    fn truncated_relay_envelope_is_an_error() {
+        assert_eq!(
+            decode_relay(&[RELAY_FETCH, 0, 0]),
+            Err(WireError::Truncated("relay envelope"))
+        );
     }
 }

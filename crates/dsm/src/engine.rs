@@ -44,7 +44,7 @@ use hyperion_model::{NodeStats, ThreadClock};
 use hyperion_pm2::{Cluster, GlobalAddr, Node, NodeId, PageId, ServiceId, SLOTS_PER_PAGE};
 
 use crate::config::{AdaptiveParams, DeferredFlush, Locality, ProtocolKind, TransportConfig};
-use crate::diff::{decode_migration_grant, encode_diff, encode_diff_batch, DiffEntry, HintRun};
+use crate::diff::{decode_diff_reply, encode_diff, encode_diff_batch, DiffEntry, HintRun};
 use crate::page::PageFrame;
 use crate::policy::{resolve_marks, AccessAction, PolicySet, PolicySpec};
 use crate::services::{DiffApplyService, PageFetchService};
@@ -647,6 +647,9 @@ impl DsmSystem {
             {
                 j += 1;
             }
+            // Stamp first, slots second: what write-ack forwarding below
+            // steps from is the copy the collected values were part of.
+            let retained: Vec<u64> = dirty[i..j].iter().map(|(_, f)| f.version()).collect();
             let per_page: Vec<Vec<DiffEntry>> =
                 dirty[i..j].iter().map(|(_, f)| f.take_dirty()).collect();
             let slots: usize = per_page.iter().map(Vec::len).sum();
@@ -698,7 +701,23 @@ impl DsmSystem {
             } else {
                 clock.merge(completion);
             }
-            if decode_migration_grant(&reply).is_some() {
+            let (versions, grant) = decode_diff_reply(&reply, pages)
+                .map_err(|why| self.malformed_reply(node, first, self.diff_apply, why))?;
+            // Write-ack forwarding: a copy that was current before this
+            // node's own diff is current after it, at the acknowledged
+            // stamp — the writer need not refetch the page it just wrote.
+            // (Sound under deferred completion too: the writer could have
+            // predicted "retained + 1"; the ack only confirms it.)  Only a
+            // page this message actually wrote qualifies: for a rider whose
+            // dirty slots another thread of this node flushed first, the
+            // step to the home's stamp may be somebody else's write.
+            for (k, post) in versions.into_iter().enumerate() {
+                let frame = &dirty[i + k].1;
+                if !per_page[k].is_empty() && !frame.is_home() {
+                    frame.forward_version(retained[k], post);
+                }
+            }
+            if grant.is_some() {
                 // The home handler promoted this node's frame already; the
                 // grant reply is the accounting record of the hand-over.
                 NodeStats::bump(&node_ref.stats.pages_migrated);
@@ -728,5 +747,66 @@ impl std::fmt::Debug for DsmSystem {
             .field("nodes", &self.cluster.num_nodes())
             .field("pages", &self.store.allocator().num_pages())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hyperion_model::myrinet_200;
+    use hyperion_pm2::IsoAllocator;
+
+    /// Litmus for write-ack forwarding with two flushing threads on one
+    /// node.  Thread T1 collected dirty pages P and Q; thread T2 of the same
+    /// node flushed P first; a foreign node then wrote P; T1's batch now
+    /// carries P with no entries.  The acknowledgement must not forward the
+    /// node's copy of P over the foreign write: the next acquire has to
+    /// fetch the page and see it.
+    #[test]
+    fn litmus_an_empty_rider_is_never_forwarded_over_a_foreign_diff() {
+        for kind in ProtocolKind::all_extended() {
+            let cluster = Cluster::new(myrinet_200().machine, 3);
+            let alloc = Arc::new(IsoAllocator::new(3));
+            let store = DsmStore::new(Arc::clone(&alloc), 3);
+            let dsm = DsmSystem::new(Arc::clone(&cluster), store, kind);
+            let p = alloc.alloc_page_aligned(2 * SLOTS_PER_PAGE, NodeId(0));
+            let q = p.offset(SLOTS_PER_PAGE as u64);
+            let (n, w) = (NodeId(1), NodeId(2));
+            let (mut t1, mut t2, mut tw) =
+                (ThreadClock::new(), ThreadClock::new(), ThreadClock::new());
+
+            // T1 wrote P and Q and is about to release: its dirty list.
+            dsm.put(n, &mut t1, p, 1);
+            dsm.put(n, &mut t1, q, 1);
+            let dirty = dsm.collect_dirty(n);
+            assert_eq!(dirty.len(), 2, "{kind:?}");
+            // T2 gets there first; T1 meanwhile dirtied Q again.
+            dsm.update_main_memory(n, &mut t2);
+            dsm.put(n, &mut t1, q.offset(1), 2);
+            let retained = dirty[0].1.version();
+            // A foreign writer moves P's home stamp once more.
+            dsm.put(w, &mut tw, p.offset(1), 77);
+            dsm.update_main_memory(w, &mut tw);
+
+            // T1's batch: [P: nothing, Q: one slot].
+            let before = cluster.node_stats(n).batched_flushes;
+            let flushed = dsm.flush_frames(n, cluster.node(n), &mut t1, &dirty);
+            dsm.unwrap_rpc(flushed);
+            assert_eq!(cluster.node_stats(n).batched_flushes, before + 1);
+            assert_eq!(dirty[0].1.version(), retained, "{kind:?}: P not forwarded");
+
+            let loads = cluster.node_stats(n).pages_revalidated;
+            dsm.invalidate_cache(n, &mut t1);
+            assert_eq!(dsm.get(n, &mut t1, p.offset(1)), 77, "{kind:?}");
+            assert_eq!(dsm.get(n, &mut t1, p), 1, "{kind:?}");
+            assert_eq!(cluster.node_stats(n).pages_revalidated, loads, "{kind:?}");
+            // Q was written by this node alone and stays current.
+            assert_eq!(dsm.get(n, &mut t1, q.offset(1)), 2, "{kind:?}");
+            assert_eq!(
+                cluster.node_stats(n).pages_revalidated,
+                loads + 1,
+                "{kind:?}: Q forwarded"
+            );
+        }
     }
 }

@@ -2,6 +2,11 @@
 //! single-page and batched fetch paths, hint-to-ticket conversion and
 //! in-flight transaction completion.
 //!
+//! Every fetch is conditional (see [`crate::page`], "Page versions"): all
+//! three paths go through [`DsmSystem::fetch_run`], which names the version
+//! each frame retains and either re-opens the retained copy or installs the
+//! shipped one.
+//!
 //! This is a second `impl DsmSystem` block (split out of `engine.rs` to
 //! keep the engine readable): everything here is mechanism — RPC framing,
 //! fetch-lock order, ticket bookkeeping — parameterised by the policy
@@ -16,16 +21,92 @@ use std::sync::Arc;
 use hyperion_model::{NodeStats, ThreadClock, VTime};
 use hyperion_pm2::{Node, NodeId, PageId};
 
-use crate::diff::{
-    encode_page_batch_request, encode_page_request, encode_page_request_nohint, split_fetch_reply,
-    HintRun,
-};
+use crate::diff::{decode_fetch_reply, encode_fetch_request, HintRun, PageReply, WireError};
 use crate::engine::DsmSystem;
 use crate::page::PageFrame;
 use crate::recover::RpcFailure;
-use crate::services::PAGE_BYTES;
 
 impl DsmSystem {
+    /// One conditional fetch RPC for the contiguous run of pages starting at
+    /// `first`, whose frames on this node are `frames` (the caller holds
+    /// their fetch locks).  Each frame either has its retained copy
+    /// re-opened ("not modified") or a fresh copy installed.  Returns the
+    /// hints the reply carried and the instant the reply arrives.
+    fn fetch_run(
+        &self,
+        node: NodeId,
+        node_ref: &Node,
+        clock: &mut ThreadClock,
+        first: PageId,
+        frames: &[&PageFrame],
+        hints_ok: bool,
+    ) -> Result<(Vec<HintRun>, VTime), RpcFailure> {
+        let retained: Vec<u64> = frames.iter().map(|f| f.version()).collect();
+        let payload = encode_fetch_request(first, &retained, hints_ok);
+        let (bytes, completion) =
+            self.rpc_to_home(clock, node, node_ref, first, self.page_fetch, &payload)?;
+        let malformed = |why| self.malformed_reply(node, first, self.page_fetch, why);
+        let (pages, hints) = decode_fetch_reply(&bytes, frames.len()).map_err(malformed)?;
+        let mut revalidated = 0u64;
+        for (k, (frame, reply)) in frames.iter().zip(pages).enumerate() {
+            if frame.is_home() {
+                // A concurrent migration grant promoted this frame to home
+                // while the fetch was in flight: it already holds the
+                // authoritative copy, and installing the (pre-migration)
+                // snapshot would erase newer home writes.  The round trip
+                // stays charged — it really happened.
+                continue;
+            }
+            match reply {
+                PageReply::NotModified(v) if v == retained[k] && v != 0 => {
+                    #[cfg(debug_assertions)]
+                    self.assert_retained_copy_current(PageId(first.0 + k as u64), frame, v);
+                    frame.reopen();
+                    revalidated += 1;
+                }
+                PageReply::NotModified(_) => {
+                    return Err(malformed(WireError::Invalid("not-modified version")))
+                }
+                PageReply::Full(v, data) => frame.install_copy(data, v),
+            }
+        }
+        if revalidated > 0 {
+            NodeStats::bump_by(&node_ref.stats.pages_revalidated, revalidated);
+        }
+        Ok((hints, completion))
+    }
+
+    /// The independent check behind every "not modified" answer (debug
+    /// builds): the retained bytes must equal the home's, slot for slot,
+    /// unless the home stamp has moved since it answered — then a write is
+    /// racing with this fetch without a happens-before edge, a Java-level
+    /// data race a refetch could equally have missed.  Anything else is a
+    /// stale copy being re-opened.
+    #[cfg(debug_assertions)]
+    fn assert_retained_copy_current(&self, page: PageId, frame: &PageFrame, version: u64) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
+        loop {
+            let home = self.store.home_of(page);
+            // Compare first, stamp second: a home write is data first, flag
+            // second, so a difference seen here reaches the stamp shortly.
+            let (differing, stamp) = self.store.with_frame(home, page, |h| {
+                let slot = (0..hyperion_pm2::SLOTS_PER_PAGE)
+                    .find(|&s| !frame.slot_is_dirty(s) && frame.load_slot(s) != h.load_slot(s));
+                (slot, h.stamp())
+            });
+            let Some(slot) = differing else { return };
+            if stamp != version || frame.version() != version || frame.is_home() {
+                return;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "stale copy revalidated: {page:?} slot {slot} differs from home {home} \
+                 although both are at version {version}"
+            );
+            std::thread::yield_now();
+        }
+    }
+
     /// Bring a page into the local cache from its home node.
     ///
     /// `demand` distinguishes a fetch triggered by an access (the access is
@@ -52,25 +133,18 @@ impl DsmSystem {
             return Ok(());
         }
         NodeStats::bump(&node_ref.stats.page_loads);
-        let payload = encode_page_request(page);
         let machine = self.cluster.machine();
-        let (bytes, mut completion) =
-            self.rpc_to_home(clock, node, node_ref, page, self.page_fetch, &payload)?;
+        let (hints, mut completion) =
+            self.fetch_run(node, node_ref, clock, page, &[frame], true)?;
         // Hidden latency is measured from the end of the issue path: that is
         // the instant a blocking transport would have started stalling.
         let issue = clock.now();
-        let (data, hints) = split_fetch_reply(&bytes, 1);
         if frame.is_home() {
-            // A concurrent migration grant promoted this frame to home while
-            // the fetch was in flight: the frame already holds the
-            // authoritative copy, so installing the (pre-migration) snapshot
-            // would erase newer home writes.  Keep the round trip charged —
-            // it really happened — and drop the stale bytes.
+            // Promoted mid-fetch (see `fetch_run`): nothing to open.
             drop(guard);
             clock.merge(completion);
             return Ok(());
         }
-        frame.install_copy(data);
 
         if unprotect_after {
             NodeStats::bump(&node_ref.stats.mprotect_calls);
@@ -151,9 +225,8 @@ impl DsmSystem {
                     continue;
                 }
                 let unprotect = self.policies.detection.unprotect_on_install(&frame);
-                let payload = encode_page_request_nohint(page);
-                let Ok((bytes, mut completion)) =
-                    self.rpc_to_home(clock, node, node_ref, page, self.page_fetch, &payload)
+                let Ok((_, mut completion)) =
+                    self.fetch_run(node, node_ref, clock, page, &[&frame], false)
                 else {
                     // Hint conversion is an optimisation, so it degrades
                     // gracefully: a hint the transport cannot serve is simply
@@ -167,14 +240,12 @@ impl DsmSystem {
                 issued_now += 1;
                 let issue = clock.now();
                 if frame.is_home() {
-                    // Concurrent migration promoted the frame (see
-                    // `fetch_page`): charge the round trip, drop the bytes.
+                    // Promoted mid-fetch (see `fetch_run`): charge the round
+                    // trip, open nothing.
                     drop(guard);
                     clock.merge(completion);
                     continue;
                 }
-                let (data, _) = split_fetch_reply(&bytes, 1);
-                frame.install_copy(data);
                 if unprotect {
                     NodeStats::bump(&node_ref.stats.mprotect_calls);
                     completion += machine.dsm.mprotect_call;
@@ -299,38 +370,30 @@ impl DsmSystem {
 
         let machine = self.cluster.machine();
         NodeStats::bump_by(&node_ref.stats.page_loads, count as u64);
-        let payload = if count == 1 {
-            encode_page_request(page)
-        } else {
+        if count > 1 {
             NodeStats::bump(&node_ref.stats.batched_fetches);
             NodeStats::bump_by(&node_ref.stats.pages_prefetched, (count - 1) as u64);
             clock.advance(machine.batch_request_overhead((count - 1) as u64));
-            encode_page_batch_request(page, count as u32)
-        };
-        let (bytes, wire_completion) =
-            self.rpc_to_home(clock, node, node_ref, page, self.page_fetch, &payload)?;
-        let issue = clock.now();
-        let (data, hints) = split_fetch_reply(&bytes, count);
-        // A concurrent migration grant may have promoted any frame of the
-        // run to home while the fetch was in flight; such a frame already
-        // holds the authoritative copy and must not be overwritten with the
-        // pre-migration snapshot (see `fetch_page`).
-        let promoted = frame.is_home();
-        if !promoted {
-            frame.install_copy(&data[0..PAGE_BYTES]);
         }
-        // Installing a rider that was protection-detected clears its access
+        let run: Vec<&PageFrame> = std::iter::once(frame)
+            .chain(candidates.iter().take(batch).map(|(qf, _)| &**qf))
+            .collect();
+        let (hints, wire_completion) = self.fetch_run(node, node_ref, clock, page, &run, true)?;
+        let issue = clock.now();
+        // A frame of the run promoted to home mid-fetch was left alone by
+        // `fetch_run` and takes no ticket below.
+        let promoted = frame.is_home();
+        // Opening a rider that was protection-detected clears its access
         // protection, which costs an mprotect just as the demanded page's
         // fault path does — without it java_ad's modeled cost would be
         // understated for exactly the pages the prefetcher targets.
         let mut riders_protected = false;
         let mut speculative_riders = 0u64;
-        for (i, (qf, speculative)) in candidates.iter().take(batch).enumerate() {
+        for (qf, speculative) in candidates.iter().take(batch) {
             if qf.is_home() {
                 continue;
             }
             riders_protected |= qf.ad_mode() == crate::page::AdMode::Protect;
-            qf.install_copy(&data[(i + 1) * PAGE_BYTES..(i + 2) * PAGE_BYTES]);
             if *speculative {
                 qf.ad_mark_prefetched();
                 speculative_riders += 1;

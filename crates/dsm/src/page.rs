@@ -9,6 +9,36 @@
 //! on the modelled x86 machines these are plain loads and stores, and using
 //! atomics keeps the reproduction free of undefined behaviour even when an
 //! application contains a (Java-level) data race.
+//!
+//! ## Page versions
+//!
+//! Every frame carries one `version` word.  On the **home** frame it is the
+//! page's *change stamp*: it starts at 1 and moves whenever the home bytes
+//! may have changed — a diff was applied ([`PageFrame::bump_version`]), the
+//! home itself wrote since the last stamp (folded in lazily by
+//! [`PageFrame::stamp`]), or the page was re-homed (the new home starts far
+//! above anything the old one can hand out).  On a **cached** frame it
+//! is the stamp of the copy the frame retains (0 = none); the bytes stay in
+//! the frame across [`PageFrame::invalidate`], so a later fetch only has to
+//! ask the home "still at this stamp?" and, if so, re-open them.
+//!
+//! Why stamp equality implies the retained bytes are what a refetch would
+//! return (the JMM argument):
+//!
+//! * Writers store data first and stamp second (`Release`); the fetch
+//!   handler reads the stamp first (`Acquire`) and snapshots second.  A
+//!   copy can therefore carry a stamp *older* than its bytes — the next
+//!   fetch then mismatches and ships the page, which is merely
+//!   conservative — but never a stamp *newer* than its bytes.
+//! * A write that happens-before an acquire has reached the home, stamp
+//!   included, by the time that acquire's fetches run: a release flushes
+//!   its diffs synchronously, and a home-local write sets its flag before
+//!   the writing thread can release anything.
+//! * Stamps only grow, across re-homing too, so a stamp never comes back.
+//!
+//! A write still racing with the fetch (no happens-before edge) may be
+//! missed by a "not modified" answer exactly as it may be missed by a
+//! snapshot taken an instant earlier: a Java-level data race, not staleness.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -18,6 +48,13 @@ use parking_lot::Mutex;
 
 /// Number of 64-bit words in the per-page dirty bitmap.
 pub const DIRTY_WORDS: usize = SLOTS_PER_PAGE / 64;
+
+/// `PageFrame::home_wrote`: no home write since the last stamp.
+const HOME_CLEAN: u8 = 0;
+/// `PageFrame::home_wrote`: the home wrote the page since the last stamp.
+const HOME_WROTE: u8 = 1;
+/// `PageFrame::home_wrote`: a handler is folding the write into the stamp.
+const HOME_FOLDING: u8 = 2;
 
 /// Which access-detection technique a `java_ad` frame currently uses.
 ///
@@ -121,6 +158,9 @@ pub struct PageFrame {
     protected: AtomicBool,
     /// Lazily allocated backing store.
     data: OnceLock<PageData>,
+    /// Home frame: the page's change stamp.  Cached frame: the stamp of the
+    /// retained copy, 0 = none.  See the module docs ("Page versions").
+    version: AtomicU64,
     /// Dirty bitmap: one bit per slot modified since the last flush.
     dirty: [AtomicU64; DIRTY_WORDS],
     /// Serialises page fetches for this frame so concurrent faulting threads
@@ -194,11 +234,17 @@ pub struct PageFrame {
     /// grant; doubled after each migration of this page so a ping-ponging
     /// page migrates geometrically less often.
     mig_required: AtomicU64,
-    /// Home migration (home frames only): the home node itself wrote this
-    /// page since the migration vote last looked.  Home writes produce no
+    /// Home frames only: [`HOME_WROTE`] once the home node itself wrote this
+    /// page since `version` was last stamped.  Home writes are the access
+    /// hit path, so they only set this flag (a plain store);
+    /// [`PageFrame::stamp`] folds it into `version` where the home serves a
+    /// fetch or applies a diff.
+    home_wrote: AtomicU8,
+    /// Home migration (home frames only): a home write was folded into the
+    /// stamp since the migration vote last looked.  Home writes produce no
     /// diffs, so without this flag the vote would migrate pages away from
     /// homes that are in fact their busiest writers.
-    home_wrote: AtomicBool,
+    mig_home_wrote: AtomicBool,
 }
 
 impl PageFrame {
@@ -208,6 +254,7 @@ impl PageFrame {
             present: AtomicBool::new(present),
             protected: AtomicBool::new(protected),
             data: OnceLock::new(),
+            version: AtomicU64::new(u64::from(home)),
             dirty: std::array::from_fn(|_| AtomicU64::new(0)),
             fetch_lock: Mutex::new(()),
             ad_mode: AtomicU8::new(AdMode::Check.as_u8()),
@@ -230,7 +277,8 @@ impl PageFrame {
             mig_candidate: AtomicU64::new(0),
             mig_count: AtomicU64::new(0),
             mig_required: AtomicU64::new(0),
-            home_wrote: AtomicBool::new(false),
+            home_wrote: AtomicU8::new(HOME_CLEAN),
+            mig_home_wrote: AtomicBool::new(false),
         }
     }
 
@@ -251,13 +299,6 @@ impl PageFrame {
     #[inline]
     pub fn is_home(&self) -> bool {
         self.home.load(Ordering::Acquire)
-    }
-
-    /// Flip the home flag of this frame (home migration).  Only the
-    /// migration path in the protocol engine may call this, and only while
-    /// the `DsmStore`'s home overlay is updated in the same step.
-    pub fn set_home(&self, home: bool) {
-        self.home.store(home, Ordering::Release);
     }
 
     /// True if the node holds a valid copy.
@@ -283,12 +324,104 @@ impl PageFrame {
         &self.fetch_lock
     }
 
-    /// Install a fresh copy of the page (after a fetch from the home node)
-    /// and mark it present and unprotected.
-    pub fn install_copy(&self, bytes: &[u8]) {
+    /// Install a fresh copy of the page (after a fetch from the home node),
+    /// remember the home stamp `version` it was snapshotted under, and mark
+    /// it present and unprotected.
+    pub fn install_copy(&self, bytes: &[u8], version: u64) {
         self.data().fill_from_bytes(bytes);
+        self.version.store(version, Ordering::Release);
+        self.reopen();
+    }
+
+    /// Re-open the retained copy after the home answered "not modified":
+    /// present and unprotected again, bytes and stamp untouched.
+    pub fn reopen(&self) {
         self.protected.store(false, Ordering::Release);
         self.present.store(true, Ordering::Release);
+    }
+
+    /// The frame's version word as last written: the retained copy's stamp
+    /// on a cached frame (0 = none), the last folded stamp on a home frame.
+    #[inline]
+    pub fn version(&self) -> u64 {
+        self.version.load(Ordering::Acquire)
+    }
+
+    /// Home side: the page's current change stamp, after folding in any
+    /// home-local write since the last call.  Callers read the stamp
+    /// *before* they snapshot the page (see the module docs).
+    ///
+    /// The fold is claimed by moving the flag `WROTE → FOLDING` and ends
+    /// with `FOLDING → CLEAN` after the stamp moved; a handler that finds
+    /// the flag `FOLDING` waits the two instructions out.  What callers
+    /// rely on, per home write: the snapshot taken after this call either
+    /// has the write's data in view, or the stamp has yet to move past the
+    /// value returned (so the copy handed out mismatches next time).
+    ///
+    /// That is weaker than "`CLEAN` ⇒ every flagged write is in the stamp",
+    /// which does not hold: the closing exchange can clear a *later*
+    /// folder's claim (A claims, a home write re-flags, B claims, A closes
+    /// B's `FOLDING`), so a third handler may see `CLEAN` one step before
+    /// B's increment.  Benign: A's close and the third handler's load both
+    /// acquire B's claim, which acquired the write's flag store, so every
+    /// copy stamped with the pre-increment value was snapshotted with that
+    /// write's data visible; B's increment is one conservative step extra.
+    pub fn stamp(&self) -> u64 {
+        loop {
+            match self.home_wrote.load(Ordering::Acquire) {
+                HOME_CLEAN => return self.version.load(Ordering::Acquire),
+                HOME_WROTE => {
+                    if self
+                        .home_wrote
+                        .compare_exchange(
+                            HOME_WROTE,
+                            HOME_FOLDING,
+                            Ordering::AcqRel,
+                            Ordering::Relaxed,
+                        )
+                        .is_err()
+                    {
+                        continue;
+                    }
+                    self.mig_home_wrote.store(true, Ordering::Relaxed);
+                    let stamp = self.version.fetch_add(1, Ordering::AcqRel) + 1;
+                    // A home write that landed meanwhile marked the page
+                    // again; the failed exchange leaves its mark standing.
+                    let _ = self.home_wrote.compare_exchange(
+                        HOME_FOLDING,
+                        HOME_CLEAN,
+                        Ordering::AcqRel,
+                        Ordering::Relaxed,
+                    );
+                    return stamp;
+                }
+                _ => std::thread::yield_now(),
+            }
+        }
+    }
+
+    /// Home side: move the stamp after a diff's slots have been stored, and
+    /// return the new stamp (what the diff acknowledgement carries).
+    pub fn bump_version(&self) -> u64 {
+        self.stamp();
+        self.version.fetch_add(1, Ordering::AcqRel) + 1
+    }
+
+    /// Requester side, write-ack forwarding: this node's diff moved the
+    /// home stamp to `post`, and `retained` was this frame's stamp when the
+    /// diff's slots were collected.  If `post` is exactly one step past it,
+    /// nobody else changed the page in between and the copy — which held
+    /// the flushed values all along — is current at `post`.
+    ///
+    /// The stamp must also *still* be `retained`: another thread of this
+    /// node that re-installed the page while the diff was in flight took a
+    /// snapshot without the diff's values, and moved the stamp doing so.
+    pub fn forward_version(&self, retained: u64, post: u64) {
+        if retained != 0 && post == retained + 1 {
+            let _ =
+                self.version
+                    .compare_exchange(retained, post, Ordering::AcqRel, Ordering::Relaxed);
+        }
     }
 
     /// Drop the cached copy: `invalidateCache` for this frame.  For the
@@ -321,14 +454,17 @@ impl PageFrame {
         if !self.is_home() {
             self.dirty[slot / 64].fetch_or(1u64 << (slot % 64), Ordering::Relaxed);
         } else {
-            self.home_wrote.store(true, Ordering::Relaxed);
+            // Data first, flag second (`Release`): whoever folds the flag
+            // into the stamp has the data in view (module docs).
+            self.home_wrote.store(HOME_WROTE, Ordering::Release);
         }
     }
 
     /// Apply one slot of a *remote* node's diff to this (home) frame.
     /// Unlike [`PageFrame::store_slot`] this neither records a dirty bit
     /// nor counts as a home write for the migration vote — it is the remote
-    /// writer's store, merely landing here.
+    /// writer's store, merely landing here.  The caller stamps the page
+    /// with [`PageFrame::bump_version`] once all slots of the diff are in.
     #[inline]
     pub fn apply_diff_slot(&self, slot: usize, value: u64) {
         self.data().store(slot, value);
@@ -337,6 +473,13 @@ impl PageFrame {
     /// True if any slot has been modified since the last flush.
     pub fn has_dirty_slots(&self) -> bool {
         self.dirty.iter().any(|w| w.load(Ordering::Relaxed) != 0)
+    }
+
+    /// True if `slot` has been modified since the last flush (the
+    /// revalidation oracle skips such slots: the local value is newer).
+    #[cfg(debug_assertions)]
+    pub fn slot_is_dirty(&self, slot: usize) -> bool {
+        self.dirty[slot / 64].load(Ordering::Relaxed) & (1u64 << (slot % 64)) != 0
     }
 
     // ----- java_ad per-page state machine -----------------------------------
@@ -562,7 +705,8 @@ impl PageFrame {
     /// to reach `required_base`, doubled once per previous migration of this
     /// page (exponential back-off against ping-ponging homes).
     pub fn mig_observe_writer(&self, writer: u64, required_base: u64) -> bool {
-        if self.home_wrote.swap(false, Ordering::Relaxed) {
+        self.stamp();
+        if self.mig_home_wrote.swap(false, Ordering::Relaxed) {
             // The home wrote the page itself since the vote last looked: it
             // is an active writer whose accesses are already free, so no
             // remote writer can *dominate* right now.  Reset the vote — a
@@ -612,13 +756,16 @@ impl PageFrame {
     }
 
     /// Promote this frame to be the page's home, merging the previous home's
-    /// authoritative snapshot into it.
+    /// authoritative snapshot into it.  `version` is the stamp the page
+    /// starts its life here with: the caller passes one far above the
+    /// previous home's, so no copy fetched before the hand-over can
+    /// validate against the new home.
     ///
     /// Slots this node has modified since its last flush (still marked
     /// dirty) keep their local — newer — values; every other slot takes the
     /// snapshot value.  The dirty bitmap is cleared afterwards: a home frame
     /// never flushes, its writes *are* main memory.
-    pub fn promote_to_home(&self, snapshot: &[u8]) {
+    pub fn promote_to_home(&self, snapshot: &[u8], version: u64) {
         assert_eq!(
             snapshot.len(),
             SLOTS_PER_PAGE * 8,
@@ -639,6 +786,7 @@ impl PageFrame {
         for word in &self.dirty {
             word.store(0, Ordering::Relaxed);
         }
+        self.version.store(version, Ordering::Release);
         self.inflight_completion_ps.store(0, Ordering::Release);
         self.inflight_hinted.store(false, Ordering::Relaxed);
         self.protected.store(false, Ordering::Release);
@@ -647,7 +795,8 @@ impl PageFrame {
 
     /// Demote this (former home) frame to an ordinary cached copy.  The data
     /// stays valid — it was main memory an instant ago — so the node keeps
-    /// reading it for free until its next cache invalidation.
+    /// reading it for free until its next cache invalidation.  Its version
+    /// word keeps the old stamp, which the new home starts above.
     pub fn demote_from_home(&self) {
         self.home.store(false, Ordering::Release);
         self.protected.store(false, Ordering::Release);
@@ -719,22 +868,85 @@ mod tests {
         let remote = PageFrame::new_remote();
         let src = PageData::zeroed();
         src.store(3, 77);
-        remote.install_copy(&src.snapshot_bytes());
+        remote.install_copy(&src.snapshot_bytes(), 7);
         assert!(remote.is_present());
         assert!(!remote.is_protected());
         assert_eq!(remote.load_slot(3), 77);
+        assert_eq!(remote.version(), 7);
+    }
+
+    #[test]
+    fn invalidation_retains_bytes_and_stamp_and_reopen_restores_access() {
+        let remote = PageFrame::new_remote();
+        assert_eq!(remote.version(), 0, "no copy retained yet");
+        let src = PageData::zeroed();
+        src.store(9, 1234);
+        remote.install_copy(&src.snapshot_bytes(), 5);
+        remote.invalidate(true);
+        assert!(!remote.is_present());
+        assert_eq!(remote.version(), 5);
+        remote.reopen();
+        assert!(remote.is_present() && !remote.is_protected());
+        assert_eq!(remote.load_slot(9), 1234);
+    }
+
+    #[test]
+    fn home_stamp_folds_home_writes_lazily_and_moves_on_diffs() {
+        let home = PageFrame::new_home();
+        assert_eq!(home.stamp(), 1, "home stamps start above the cached 0");
+        // Any number of home writes fold into one step at the next stamp.
+        home.store_slot(1, 10);
+        home.store_slot(2, 20);
+        assert_eq!(home.version(), 1, "the hit path does not touch the stamp");
+        assert_eq!(home.stamp(), 2);
+        assert_eq!(home.stamp(), 2, "nothing pending");
+        // A diff moves it by exactly one; a pending home write adds its own.
+        home.apply_diff_slot(3, 30);
+        assert_eq!(home.bump_version(), 3);
+        home.store_slot(4, 40);
+        home.apply_diff_slot(5, 50);
+        assert_eq!(home.bump_version(), 5);
+    }
+
+    #[test]
+    fn migration_vote_still_sees_a_home_write_the_stamp_folded_first() {
+        let home = PageFrame::new_home();
+        assert!(!home.mig_observe_writer(1, 2));
+        home.store_slot(0, 1);
+        // A fetch is served in between and folds the flag into the stamp...
+        assert_eq!(home.stamp(), 2);
+        // ...the vote must still reset instead of granting.
+        assert!(!home.mig_observe_writer(1, 2));
+        assert!(!home.mig_observe_writer(1, 2), "count restarted at 1");
+        assert!(home.mig_observe_writer(1, 2));
+    }
+
+    #[test]
+    fn write_ack_forwards_the_stamp_only_one_step_past_the_retained_copy() {
+        let remote = PageFrame::new_remote();
+        remote.install_copy(&PageData::zeroed().snapshot_bytes(), 4);
+        remote.forward_version(4, 6); // someone else wrote in between
+        assert_eq!(remote.version(), 4);
+        remote.forward_version(3, 5); // re-installed at 4 with the diff in flight
+        assert_eq!(remote.version(), 4);
+        remote.forward_version(4, 5); // only this node's diff
+        assert_eq!(remote.version(), 5);
+        // A frame without a retained copy never acquires a stamp this way.
+        let empty = PageFrame::new_remote();
+        empty.forward_version(0, 1);
+        assert_eq!(empty.version(), 0);
     }
 
     #[test]
     fn invalidate_with_and_without_reprotection() {
         let remote = PageFrame::new_remote();
-        remote.install_copy(&PageData::zeroed().snapshot_bytes());
+        remote.install_copy(&PageData::zeroed().snapshot_bytes(), 1);
 
         remote.invalidate(false); // java_ic style
         assert!(!remote.is_present());
         assert!(!remote.is_protected());
 
-        remote.install_copy(&PageData::zeroed().snapshot_bytes());
+        remote.install_copy(&PageData::zeroed().snapshot_bytes(), 1);
         remote.invalidate(true); // java_pf style
         assert!(!remote.is_present());
         assert!(remote.is_protected());

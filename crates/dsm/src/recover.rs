@@ -27,21 +27,25 @@
 //! computing).  The first survivor whose RPC fails with `NodeDown` takes the
 //! store's recovery lock and, for every page the dead node homed:
 //!
-//! 1. demotes the dead node's frame (later writes by its still-running
-//!    threads become ordinary dirty bits that flush to the new home);
-//! 2. snapshots that frame — the authoritative copy, standing in for the
-//!    stable storage a production home would recover from;
-//! 3. elects the new home: the replica holder with the newest quorum-write
+//! 1. elects the new home: the replica holder with the newest quorum-write
 //!    version ([`crate::table::DsmStore::newest_live_replica`]), falling
 //!    back to the lowest-id live node when the page was never replicated;
-//! 4. promotes the winner's frame from the snapshot (local writes the
-//!    winner had pending survive — same merge rule as home migration),
-//!    re-routes `home_of`, and charges the re-sync: `resync_page_cycles`
-//!    plus one page transfer on the wire, all visible in `pages_resynced`.
+//! 2. re-homes the page exactly as a migration grant does
+//!    (`DsmStore::rehome`): the dead node's frame is demoted
+//!    (later writes by its still-running threads become ordinary dirty bits
+//!    that flush to the new home) and snapshotted — the authoritative copy,
+//!    standing in for the stable storage a production home would recover
+//!    from — and the winner's frame is promoted from the snapshot (local
+//!    writes the winner had pending survive) under a stamp no older copy
+//!    can validate against;
+//! 3. charges the re-sync: `resync_page_cycles` plus one page transfer on
+//!    the wire, all visible in `pages_resynced`.
 //!
 //! Recovery is idempotent and serialised: exactly one observer performs it
-//! (`mark_failed` returns true once); concurrent observers block on the
-//! recovery lock and then simply re-route.
+//! (`mark_failed` returns true once), holding the store's home-assignment
+//! lock exclusively — so no in-flight diff can land on a dead home's frame
+//! after it was snapshotted — while concurrent observers block on that lock
+//! and then simply re-route.
 
 use hyperion_model::{NodeStats, ThreadClock, VTime};
 use hyperion_pm2::{Node, NodeId, PageId, ServiceId, TransportError, PAGE_BYTES};
@@ -94,6 +98,26 @@ impl DsmSystem {
     #[track_caller]
     pub(crate) fn unwrap_rpc<T>(&self, result: Result<T, RpcFailure>) -> T {
         result.unwrap_or_else(|failure| panic!("unrecoverable DSM failure: {failure}"))
+    }
+
+    /// The failure of an RPC whose reply arrived but could not be decoded.
+    /// Re-sending cannot help, so it is reported like any other
+    /// non-retryable transport error of the call anchored at `anchor`.
+    pub(crate) fn malformed_reply(
+        &self,
+        from: NodeId,
+        anchor: PageId,
+        service: ServiceId,
+        why: crate::diff::WireError,
+    ) -> RpcFailure {
+        let service = self.cluster.service_name(service);
+        RpcFailure {
+            service,
+            from,
+            to: self.store.home_of(anchor),
+            attempts: 1,
+            error: TransportError::MalformedFrame(format!("{service} reply: {why}")),
+        }
     }
 
     /// Issue one RPC under the retry schedule of
@@ -204,7 +228,9 @@ impl DsmSystem {
     /// the module docs for the walkthrough.  Idempotent — only the first
     /// observer does the work; the observer's clock is charged the re-sync.
     pub(crate) fn recover_node(&self, node_ref: &Node, clock: &mut ThreadClock, peer: NodeId) {
-        let _guard = self.store.recovery_guard();
+        // Exclusive for the whole node: no diff lands on a home frame
+        // while the dead node's pages change hands.
+        let exclusive = self.store.lock_homes();
         if !self.store.mark_failed(peer) {
             // An earlier observer already re-homed everything; the caller
             // just re-routes.
@@ -218,21 +244,16 @@ impl DsmSystem {
             if self.store.home_of(page) != peer {
                 continue;
             }
-            // Demote first: writes the dead node's own threads issue from
-            // here on are dirty-tracked and flush to the new home normally.
-            self.store.with_frame(peer, page, |f| f.demote_from_home());
-            let snapshot = self
-                .store
-                .with_frame(peer, page, |f| f.data().snapshot_bytes());
+            // The dead node's frame is the authoritative copy, standing in
+            // for the stable storage a production home would recover from.
             let winner = self
                 .store
                 .newest_live_replica(page)
                 .unwrap_or_else(|| self.store.first_live_node());
-            self.store
-                .with_frame(winner, page, |f| f.promote_to_home(&snapshot));
-            self.store.set_home(page, winner);
+            self.store.rehome(&exclusive, page, winner);
             resynced += 1;
         }
+        drop(exclusive);
         if resynced > 0 {
             NodeStats::bump_by(&node_ref.stats.pages_resynced, resynced);
             clock.advance(

@@ -10,39 +10,78 @@
 
 use std::sync::Arc;
 
-use hyperion_model::{CpuModel, DsmCostModel, NodeStats};
+use hyperion_model::{CpuModel, DsmCostModel, NodeStats, VTime};
 use hyperion_pm2::{Node, NodeId, PageId, RpcHandler, RpcReply, SLOTS_PER_PAGE};
 
-use crate::diff::{decode_diff_message, decode_page_fetch_request, encode_migration_grant};
+use crate::diff::{
+    append_fetch_hints, decode_diff_message, decode_fetch_request, encode_diff_reply,
+    push_page_reply, FetchRequest, PageReply, WireError,
+};
 use crate::policy::{FetchObservation, MigrationPolicy, Predictor, ReplicationPolicy};
 use crate::table::DsmStore;
 
-/// Bytes of one page on the wire.
-pub(crate) const PAGE_BYTES: usize = SLOTS_PER_PAGE * 8;
+/// What serving one fetch request produced.
+pub(crate) struct FetchServed {
+    /// The encoded page answers (no hint trailer yet).
+    pub(crate) reply: Vec<u8>,
+    /// The home stamp each page was answered under, in request order.
+    pub(crate) stamps: Vec<u64>,
+    /// Pages actually shipped (the others were answered "not modified");
+    /// only these cost page-copy cycles and page bytes on the wire.
+    pub(crate) shipped: usize,
+    /// The predictor's observation of this fetch, if it keeps a directory.
+    pub(crate) obs: Option<FetchObservation>,
+}
 
-/// Copy the span `[first, first + count)` out of the authoritative home
-/// frames, running the predictor's per-page bookkeeping and the
-/// replication policy's read-replica registration exactly as the direct
-/// fetch path does.  Shared between [`PageFetchService`] and the group
-/// relay so a fetch served through a leader is byte-identical to one
-/// served directly.
-pub(crate) fn copy_home_pages(
+impl FetchServed {
+    /// The home-side service time of this fetch: copy cycles for the pages
+    /// shipped, per-page batching overhead, and `hint_entries` hint entries.
+    pub(crate) fn service(&self, cpu: &CpuModel, dsm: &DsmCostModel, hint_entries: usize) -> VTime {
+        cpu.cycles(
+            dsm.page_copy_cycles_per_slot * (SLOTS_PER_PAGE * self.shipped) as f64
+                + dsm.batch_page_cycles * (self.stamps.len() - 1) as f64
+                + dsm.hint_entry_cycles * hint_entries as f64,
+        )
+    }
+}
+
+/// Answer `request` out of the authoritative home frames: per page, "not
+/// modified" if the requester's retained version is the home's current
+/// stamp, else the page.  Runs the predictor's per-page bookkeeping and the
+/// replication policy's read-replica registration for every page either
+/// way (a revalidated copy is as current as a shipped one).  Shared between
+/// [`PageFetchService`] and the group relay so a fetch served through a
+/// leader is byte-identical to one served directly.
+pub(crate) fn serve_fetch(
     store: &DsmStore,
     predictor: &dyn Predictor,
     replication: &dyn ReplicationPolicy,
     home: NodeId,
     caller: NodeId,
-    first: PageId,
-    count: u32,
-) -> (Vec<u8>, Option<FetchObservation>) {
-    let mut bytes = Vec::with_capacity(PAGE_BYTES * count as usize);
-    // Directory bookkeeping exists only when the predictor opts in: a
-    // `NoopPredictor` declines the observation, and the fetch handler
-    // does exactly what the plain split-transaction transport did (no
-    // stamps, no history writes).
-    let obs = predictor.observe_fetch(store, home, caller, first, count);
-    for k in 0..count as u64 {
-        let page = PageId(first.0 + k);
+    request: &FetchRequest,
+) -> Result<FetchServed, WireError> {
+    let FetchRequest {
+        first, versions, ..
+    } = request;
+    let count = versions.len();
+    let in_range = (first.0 as usize)
+        .checked_add(count)
+        .is_some_and(|end| end <= store.allocator().num_pages());
+    if !in_range {
+        return Err(WireError::Invalid("fetch request page range"));
+    }
+    let mut served = FetchServed {
+        reply: Vec::with_capacity(count * 9),
+        stamps: Vec::with_capacity(count),
+        shipped: 0,
+        // Directory bookkeeping exists only when the predictor opts in: a
+        // `NoopPredictor` declines the observation, and the fetch handler
+        // does exactly what the plain split-transaction transport did (no
+        // stamps, no history writes).
+        obs: predictor.observe_fetch(store, home, caller, *first, count as u32),
+    };
+    for (k, &retained) in versions.iter().enumerate() {
+        let page = PageId(first.0 + k as u64);
         // Serve the *current* home's copy: normally that is the node the
         // request was addressed to, but a concurrent home migration may
         // have moved the page after the caller looked its home up, in
@@ -53,33 +92,62 @@ pub(crate) fn copy_home_pages(
             home_now == home || store.page_migrated(page),
             "page fetch sent to a node that is not the page's home"
         );
-        bytes.extend_from_slice(&store.with_frame(home_now, page, |f| {
-            if let Some(o) = &obs {
+        store.with_frame(home_now, page, |f| {
+            if let Some(o) = &served.obs {
                 predictor.record_served_page(f, caller, o);
             }
-            f.data().snapshot_bytes()
-        }));
+            // Stamp first, snapshot second: the copy may end up stamped
+            // older than its bytes, never newer (see `crate::page`).
+            let stamp = f.stamp();
+            debug_assert_ne!(stamp, 0, "home stamps start at 1");
+            served.stamps.push(stamp);
+            if retained == stamp {
+                push_page_reply(&mut served.reply, PageReply::NotModified(stamp));
+            } else {
+                served.shipped += 1;
+                let bytes = f.data().snapshot_bytes();
+                push_page_reply(&mut served.reply, PageReply::Full(stamp, &bytes));
+            }
+        });
         if replication.replicates() {
             // The served copy doubles as a read replica: the caller is
             // now a candidate home should this node fail.
             replication.on_page_served(store, page, caller);
         }
     }
-    (bytes, obs)
+    Ok(served)
 }
 
 /// What applying one diff message to the home frames produced: the slot
-/// counts that price the service time and the at-most-one migration grant.
+/// counts that price the service time, the acknowledgement's versions and
+/// the at-most-one migration grant.
 pub(crate) struct DiffOutcome {
     /// Diff slots applied across all pages of the message.
     pub(crate) slots: usize,
     /// Extra (holder, slot) pairs shipped by quorum replica writes.
     pub(crate) quorum_slots: usize,
-    /// Number of per-page diff batches in the message.
-    pub(crate) batches: usize,
+    /// Post-apply home stamp of every page of the message, in order (0 for
+    /// a page that carried no entries).
+    pub(crate) versions: Vec<u64>,
     /// Home hand-over granted to the writer, with the page snapshot the
     /// grant reply ships.
     pub(crate) grant: Option<(PageId, Vec<u8>)>,
+}
+
+impl DiffOutcome {
+    /// The home-side service time of this apply.
+    pub(crate) fn service(&self, cpu: &CpuModel, dsm: &DsmCostModel) -> VTime {
+        cpu.cycles(
+            dsm.diff_apply_cycles_per_slot * (self.slots + self.quorum_slots) as f64
+                + dsm.batch_flush_cycles * (self.versions.len() - 1) as f64,
+        )
+    }
+
+    /// The acknowledgement: post-apply versions plus the grant, if any.
+    pub(crate) fn reply(&self) -> Vec<u8> {
+        let grant = self.grant.as_ref().map(|(page, snap)| (*page, &snap[..]));
+        encode_diff_reply(&self.versions, grant)
+    }
 }
 
 /// Apply one encoded diff message to the authoritative home frames on
@@ -95,53 +163,65 @@ pub(crate) fn apply_diff_message(
     nominal_home: NodeId,
     caller: NodeId,
     payload: &[u8],
-) -> DiffOutcome {
-    let diffs = decode_diff_message(payload);
+) -> Result<DiffOutcome, WireError> {
+    let diffs = decode_diff_message(payload)?;
+    let num_pages = store.allocator().num_pages() as u64;
+    if diffs.iter().any(|(page, _)| page.0 >= num_pages) {
+        return Err(WireError::Invalid("diff page range"));
+    }
     let mut out = DiffOutcome {
         slots: 0,
         quorum_slots: 0,
-        batches: diffs.len(),
+        versions: Vec::with_capacity(diffs.len()),
         grant: None,
     };
     for (page, entries) in &diffs {
         out.slots += entries.len();
-        // Apply to the *current* home frame (see `copy_home_pages` on why
-        // this may differ from the addressed node under concurrent
-        // migration).
+        // Slots land and the stamp moves with the page's home pinned: a
+        // re-homing (migration below, recovery) snapshots the old home
+        // under the exclusive side of the same lock, so no diff can land
+        // on a frame after it stopped being main memory.
+        let pinned = store.pin_homes();
+        // Apply to the *current* home frame (see `serve_fetch` on why this
+        // may differ from the addressed node under concurrent migration).
         let home_now = store.home_of(*page);
         debug_assert!(
             home_now == nominal_home || store.page_migrated(*page),
             "diff sent to a node that is not the page's home"
         );
-        let migrate = store.with_frame(home_now, *page, |f| {
-            debug_assert!(f.is_home() || store.page_migrated(*page));
+        let (post, migrate) = store.with_frame(home_now, *page, |f| {
             for &(slot, value) in entries {
                 f.apply_diff_slot(slot as usize, value);
             }
+            // Data first, stamp second (see `crate::page`).  A page that
+            // rode along with nothing to apply leaves its stamp alone and
+            // is acknowledged with 0: the current stamp is other writers'
+            // work, and a writer told of it would take their step for its
+            // own (write-ack forwarding) without holding their data.
+            let post = if entries.is_empty() {
+                0
+            } else {
+                f.bump_version()
+            };
             // Migration decision: one grant per message at most (the
             // `grant.is_none()` guard runs first so a policy's vote
             // state is untouched once this message granted).
-            out.grant.is_none() && migration.should_migrate(f, caller, home_now)
+            let migrate = out.grant.is_none() && migration.should_migrate(f, caller, home_now);
+            (post, migrate)
         });
-        // The page's bytes changed: stale leader-cached copies must not be
-        // treated as current by the fetch-combining version check.
-        store.note_page_changed(*page);
+        drop(pinned);
+        out.versions.push(post);
         if migrate {
             // Execute the hand-over while still inside the handler so no
             // fetch can observe a half-migrated page: promote the
             // writer's frame from the authoritative snapshot (keeping
             // any newer local writes it has pending), then re-route the
             // home and demote the old home to an ordinary cached copy.
-            let (snapshot, back_off) = store.with_frame(home_now, *page, |f| {
-                (f.data().snapshot_bytes(), f.mig_required())
-            });
-            store.with_frame(caller, *page, |f| {
-                f.promote_to_home(&snapshot);
-                f.mig_inherit_required(back_off);
-            });
-            store.set_home(*page, caller);
-            store.with_frame(home_now, *page, |f| f.demote_from_home());
-            out.grant = Some((*page, snapshot));
+            let exclusive = store.lock_homes();
+            // Unless a recovery re-homed the page in the unlocked instant.
+            if store.home_of(*page) == home_now {
+                out.grant = Some((*page, store.rehome(&exclusive, *page, caller)));
+            }
         }
         if replication.replicates() {
             // Quorum write: advance the page's replica version and ship
@@ -151,12 +231,12 @@ pub(crate) fn apply_diff_message(
             out.quorum_slots += members * entries.len();
         }
     }
-    out
+    Ok(out)
 }
 
-/// RPC service: ship a copy of a home page to a requesting node and, when
-/// the predictor asks for it, piggyback "a neighbour also fetched p..p+k"
-/// hints derived from the home's per-page fetch history.
+/// RPC service: answer a conditional page fetch and, when the predictor
+/// asks for it, piggyback "a neighbour also fetched p..p+k" hints derived
+/// from the home's per-page fetch history.
 pub(crate) struct PageFetchService {
     pub(crate) store: Arc<DsmStore>,
     pub(crate) cpu: CpuModel,
@@ -165,38 +245,39 @@ pub(crate) struct PageFetchService {
     pub(crate) replication: Arc<dyn ReplicationPolicy>,
 }
 
-impl RpcHandler for PageFetchService {
-    fn handle(&self, target: &Node, caller: NodeId, payload: &[u8]) -> RpcReply {
-        let (first, count, hints_ok) = decode_page_fetch_request(payload);
+impl PageFetchService {
+    fn serve(&self, target: &Node, caller: NodeId, payload: &[u8]) -> Result<RpcReply, WireError> {
+        let request = decode_fetch_request(payload)?;
         let home = target.id();
-        let (mut bytes, obs) = copy_home_pages(
+        let mut served = serve_fetch(
             &self.store,
             self.predictor.as_ref(),
             self.replication.as_ref(),
             home,
             caller,
-            first,
-            count,
-        );
-        let mut hint_entries = 0u16;
-        if hints_ok {
-            if let Some(o) = &obs {
-                if let Some((start, run)) =
-                    self.predictor
-                        .predict(&self.store, home, caller, first, count, o)
-                {
-                    crate::diff::append_fetch_hints(&mut bytes, &[(start, run)]);
-                    hint_entries = 1;
-                    NodeStats::bump_by(&target.stats.hints_sent, run as u64);
-                }
+            &request,
+        )?;
+        let mut hint_entries = 0;
+        if let (true, Some(o)) = (request.hints_ok, &served.obs) {
+            let count = request.versions.len() as u32;
+            if let Some((start, run)) =
+                self.predictor
+                    .predict(&self.store, home, caller, request.first, count, o)
+            {
+                append_fetch_hints(&mut served.reply, &[(start, run)]);
+                hint_entries = 1;
+                NodeStats::bump_by(&target.stats.hints_sent, run as u64);
             }
         }
-        let service = self.cpu.cycles(
-            self.dsm.page_copy_cycles_per_slot * (SLOTS_PER_PAGE * count as usize) as f64
-                + self.dsm.batch_page_cycles * (count - 1) as f64
-                + self.dsm.hint_entry_cycles * hint_entries as f64,
-        );
-        RpcReply::with_data(bytes, service)
+        let service = served.service(&self.cpu, &self.dsm, hint_entries);
+        Ok(RpcReply::with_data(served.reply, service))
+    }
+}
+
+impl RpcHandler for PageFetchService {
+    fn handle(&self, target: &Node, caller: NodeId, payload: &[u8]) -> RpcReply {
+        self.serve(target, caller, payload)
+            .unwrap_or_else(|e| RpcReply::malformed(format!("{} request: {e}", self.name())))
     }
 
     fn name(&self) -> &'static str {
@@ -205,8 +286,9 @@ impl RpcHandler for PageFetchService {
 }
 
 /// RPC service: apply one or more field-granularity diffs to home pages,
-/// and — when the migration policy says so — hand the home of a
-/// write-shared page over to the writer that dominates its diff traffic.
+/// acknowledge with the pages' new versions, and — when the migration
+/// policy says so — hand the home of a write-shared page over to the
+/// writer that dominates its diff traffic.
 pub(crate) struct DiffApplyService {
     pub(crate) store: Arc<DsmStore>,
     pub(crate) cpu: CpuModel,
@@ -217,29 +299,88 @@ pub(crate) struct DiffApplyService {
 
 impl RpcHandler for DiffApplyService {
     fn handle(&self, target: &Node, caller: NodeId, payload: &[u8]) -> RpcReply {
-        let out = apply_diff_message(
+        match apply_diff_message(
             &self.store,
             self.migration.as_ref(),
             self.replication.as_ref(),
             target.id(),
             caller,
             payload,
-        );
-        let service = self.cpu.cycles(
-            self.dsm.diff_apply_cycles_per_slot * (out.slots + out.quorum_slots) as f64
-                + self.dsm.batch_flush_cycles * (out.batches - 1) as f64,
-        );
-        match out.grant {
-            // The grant reply carries the page snapshot so shipping the
-            // authoritative copy to the new home is charged on the wire.
-            Some((page, snapshot)) => {
-                RpcReply::with_data(encode_migration_grant(page, &snapshot), service)
-            }
-            None => RpcReply::ack(service),
+        ) {
+            Ok(out) => RpcReply::with_data(out.reply(), out.service(&self.cpu, &self.dsm)),
+            Err(e) => RpcReply::malformed(format!("{} request: {e}", self.name())),
         }
     }
 
     fn name(&self) -> &'static str {
         "dsm.diff_apply"
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use hyperion_model::{myrinet_200, ThreadClock};
+    use hyperion_pm2::{Cluster, IsoAllocator, NodeId, Topology, TransportBackend, TransportError};
+
+    use crate::combine::{encode_relay, RELAY_FETCH};
+    use crate::diff::{encode_diff, encode_fetch_request};
+    use crate::{DsmStore, DsmSystem, ProtocolKind};
+
+    /// Garbage sent to any of the three DSM services comes back as a typed
+    /// `MalformedFrame` at the caller — over the inline Sim transport and
+    /// over real sockets alike — and the node keeps serving afterwards.
+    #[test]
+    fn malformed_requests_get_an_error_reply_not_a_dead_server() {
+        for backend in [TransportBackend::Sim, TransportBackend::UnixSocket] {
+            let cluster = Cluster::for_backend(myrinet_200().machine, 4, backend);
+            let alloc = Arc::new(IsoAllocator::new(4));
+            let topology = Topology::grouped(4, 2).expect("4 nodes in groups of 2");
+            let store = DsmStore::with_topology(Arc::clone(&alloc), topology);
+            let dsm = DsmSystem::new(Arc::clone(&cluster), store, ProtocolKind::JavaPf);
+            let addr = alloc.alloc(8, NodeId(0));
+            let page = addr.page();
+            let unallocated = hyperion_pm2::PageId(1 << 30);
+
+            let mut clock = ThreadClock::new();
+            let mut call = |service, payload: &[u8]| {
+                cluster.rpc(&mut clock, NodeId(1), NodeId(0), service, payload)
+            };
+            let fetch = encode_fetch_request(page, &[0], true);
+            let bad: Vec<(_, Vec<u8>)> = vec![
+                (dsm.page_fetch, vec![1, 2, 3]),
+                (dsm.page_fetch, fetch[..fetch.len() - 1].to_vec()),
+                (
+                    dsm.page_fetch,
+                    encode_fetch_request(unallocated, &[0], true),
+                ),
+                (dsm.diff_apply, vec![0xFF; 7]),
+                (dsm.diff_apply, encode_diff(unallocated, &[(0, 1)])),
+                (dsm.group_relay, vec![RELAY_FETCH, 0]),
+                (dsm.group_relay, encode_relay(9, NodeId(0), &fetch)),
+                (
+                    dsm.group_relay,
+                    encode_relay(RELAY_FETCH, NodeId(0), &[7; 5]),
+                ),
+            ];
+            for (service, payload) in &bad {
+                match call(*service, payload) {
+                    Err(TransportError::MalformedFrame(why)) => {
+                        assert!(why.contains("request"), "{backend}: {why}")
+                    }
+                    other => panic!("{backend}: {payload:?} answered {other:?}"),
+                }
+            }
+            // Still alive, still correct.
+            let reply = call(dsm.page_fetch, &fetch).expect("well-formed fetch");
+            assert_eq!(reply.len(), 9 + hyperion_pm2::PAGE_BYTES, "{backend}");
+            // And the requester side rejects a reply it cannot decode with
+            // the same typed error instead of panicking.
+            let why = crate::diff::decode_fetch_reply(&reply[..100], 1).unwrap_err();
+            let failure = dsm.malformed_reply(NodeId(1), page, dsm.page_fetch, why);
+            assert!(matches!(failure.error, TransportError::MalformedFrame(_)));
+            assert!(failure.to_string().contains("dsm.page_fetch reply"));
+        }
     }
 }

@@ -6,13 +6,20 @@
 //! pages are allocated.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use hyperion_pm2::{IsoAllocator, NodeId, PageId, Topology};
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::page::PageFrame;
+
+/// How far a re-homing lifts a page's stamp.  Within one home's tenure the
+/// stamp moves by single steps; the fetch handler is not serialised with
+/// re-homing, so a straggling step on the *demoted* frame (a `put` that
+/// raced with the demotion, folded by a fetch that resolved the old home an
+/// instant earlier) may still be handed out — but it can never climb a
+/// whole stride into the new home's range.
+const REHOME_STRIDE: u64 = 1 << 32;
 
 /// Replication metadata of one page: which nodes hold read replicas and how
 /// current each holder is.
@@ -88,11 +95,6 @@ pub struct DsmStore {
     /// `homes × groups` instead of `homes × nodes`; under the flat
     /// topology the two coincide exactly.
     last_fetch: Vec<std::sync::atomic::AtomicU64>,
-    /// Per-page change counters, maintained only under a grouped topology:
-    /// bumped on every diff application and home change so a group
-    /// leader's relay cache can tell "unchanged since my last upstream
-    /// fetch" apart from stale.  Empty (and never consulted) when flat.
-    page_versions: RwLock<HashMap<u64, Arc<AtomicU64>>>,
     /// Groups whose leader has failed: their members stop relaying and fall
     /// back to direct home RPCs (combining degrades, correctness does not).
     degraded_groups: RwLock<HashSet<usize>>,
@@ -106,10 +108,14 @@ pub struct DsmStore {
     /// Entry count of `failed`, readable without the lock so the
     /// failure-free common case stays a plain load.
     num_failed: std::sync::atomic::AtomicUsize,
-    /// Serialises node recovery: the first thread to observe a dead peer
-    /// re-homes every page it served; concurrent observers wait here and
-    /// then see the already-recovered routing.
-    recovery: Mutex<()>,
+    /// Guards every page's home assignment.  The diff-apply handler holds
+    /// it shared while it writes a home frame; a re-homing (a
+    /// migration grant, or the recovery of a dead node's pages — which
+    /// keeps it for the whole node, so concurrent observers of the same
+    /// death wait here and then see the recovered routing) holds it
+    /// exclusively.  No diff can therefore land on a frame after it was
+    /// snapshotted for its successor.
+    homes: RwLock<()>,
 }
 
 impl DsmStore {
@@ -137,13 +143,12 @@ impl DsmStore {
             last_fetch: (0..num_nodes * dir_keys)
                 .map(|_| std::sync::atomic::AtomicU64::new(0))
                 .collect(),
-            page_versions: RwLock::new(HashMap::new()),
             degraded_groups: RwLock::new(HashSet::new()),
             num_degraded: std::sync::atomic::AtomicUsize::new(0),
             replicas: RwLock::new(HashMap::new()),
             failed: RwLock::new(HashSet::new()),
             num_failed: std::sync::atomic::AtomicUsize::new(0),
-            recovery: Mutex::new(()),
+            homes: RwLock::new(()),
         })
     }
 
@@ -195,43 +200,47 @@ impl DsmStore {
         self.allocator.home_of(page)
     }
 
-    /// Re-home `page` on `node` (home migration).  The caller is responsible
-    /// for flipping the two affected frames' home flags in the same step.
-    pub fn set_home(&self, page: PageId, node: NodeId) {
+    /// Hold every page's home in place while the diff-apply handler writes
+    /// a home frame (shared side of the home-assignment lock).
+    pub(crate) fn pin_homes(&self) -> RwLockReadGuard<'_, ()> {
+        self.homes.read()
+    }
+
+    /// Take the home-assignment lock exclusively; [`DsmStore::rehome`]
+    /// wants the guard as proof.
+    pub(crate) fn lock_homes(&self) -> RwLockWriteGuard<'_, ()> {
+        self.homes.write()
+    }
+
+    /// Move `page`'s home to node `to` and return the authoritative
+    /// snapshot the new home started from (a migration grant ships it).
+    ///
+    /// The old home is demoted first, so writes its own threads issue from
+    /// here on are dirty-tracked and flush to the new home like any other
+    /// node's.  `to`'s frame is promoted from the snapshot (local writes it
+    /// has pending survive) a whole [`REHOME_STRIDE`] above the old home's
+    /// stamp, so no copy fetched before the move validates against the new
+    /// home, and the page's migration back-off travels with it.
+    pub(crate) fn rehome(
+        &self,
+        _exclusive: &RwLockWriteGuard<'_, ()>,
+        page: PageId,
+        to: NodeId,
+    ) -> Vec<u8> {
+        let from = self.home_of(page);
+        let (snapshot, stamp, back_off) = self.with_frame(from, page, |f| {
+            f.demote_from_home();
+            (f.data().snapshot_bytes(), f.stamp(), f.mig_required())
+        });
+        self.with_frame(to, page, |f| {
+            f.promote_to_home(&snapshot, stamp + REHOME_STRIDE);
+            f.mig_inherit_required(back_off);
+        });
         let mut overrides = self.home_overrides.write();
-        overrides.insert(page.0, node);
+        overrides.insert(page.0, to);
         self.num_overrides
             .store(overrides.len(), std::sync::atomic::Ordering::Release);
-        drop(overrides);
-        // A home change invalidates any relay-cache copy of the page.
-        self.note_page_changed(page);
-    }
-
-    /// Bump `page`'s change counter (grouped topologies only; a no-op when
-    /// flat).  Called on every diff application and home change so group
-    /// leaders' relay caches can detect staleness.
-    pub fn note_page_changed(&self, page: PageId) {
-        if !self.topology.is_grouped() {
-            return;
-        }
-        if let Some(v) = self.page_versions.read().get(&page.0) {
-            v.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        self.page_versions
-            .write()
-            .entry(page.0)
-            .or_default()
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// `page`'s current change counter (0 until the first change; always 0
-    /// under the flat topology, which never consults it).
-    pub fn page_version(&self, page: PageId) -> u64 {
-        self.page_versions
-            .read()
-            .get(&page.0)
-            .map_or(0, |v| v.load(Ordering::Relaxed))
+        snapshot
     }
 
     /// Mark `group`'s combining degraded (its leader died): members fall
@@ -417,12 +426,6 @@ impl DsmStore {
             .expect("at least one live node")
     }
 
-    /// Take the cluster-wide recovery lock: the holder is the one thread
-    /// re-homing a dead node's pages.
-    pub fn recovery_guard(&self) -> MutexGuard<'_, ()> {
-        self.recovery.lock()
-    }
-
     fn grow_table(&self, node: NodeId, page: PageId) {
         let allocated = self.allocator.num_pages();
         assert!(
@@ -501,7 +504,7 @@ mod tests {
         let (alloc, store) = store(2);
         let a = alloc.alloc(4, NodeId(0));
         let frame = store.frame(NodeId(1), a.page());
-        frame.install_copy(&crate::page::PageData::zeroed().snapshot_bytes());
+        frame.install_copy(&crate::page::PageData::zeroed().snapshot_bytes(), 1);
         assert!(store.with_frame(NodeId(1), a.page(), |f| f.is_present()));
     }
 
@@ -552,7 +555,7 @@ mod tests {
     }
 
     #[test]
-    fn grouped_store_keys_directory_by_group_and_tracks_versions() {
+    fn grouped_store_keys_directory_by_group() {
         let alloc = Arc::new(IsoAllocator::new(4));
         let topo = Topology::grouped(4, 2).unwrap();
         let store = DsmStore::with_topology(Arc::clone(&alloc), topo);
@@ -569,14 +572,6 @@ mod tests {
             page.0 + 1
         );
 
-        // Change counters move on diffs/home changes only when grouped.
-        assert_eq!(store.page_version(page), 0);
-        store.note_page_changed(page);
-        store.note_page_changed(page);
-        assert_eq!(store.page_version(page), 2);
-        store.set_home(page, NodeId(1));
-        assert_eq!(store.page_version(page), 3);
-
         // Degraded-group flags.
         assert!(!store.group_degraded(1));
         store.mark_group_degraded(1);
@@ -585,15 +580,63 @@ mod tests {
     }
 
     #[test]
-    fn flat_store_never_tracks_page_versions() {
-        let (alloc, store) = store(2);
-        let page = alloc.alloc(4, NodeId(0)).page();
+    fn flat_dir_keys_coincide_with_node_indices() {
+        let (_alloc, store) = store(2);
         assert!(!store.topology().is_grouped());
-        store.note_page_changed(page);
-        assert_eq!(store.page_version(page), 0);
-        // Flat dir keys coincide with node indices.
         assert_eq!(store.dir_key(NodeId(1)), 1);
         assert_eq!(store.dir_tag(NodeId(1)), 2);
+    }
+
+    #[test]
+    fn rehoming_moves_the_home_and_outdates_every_stamp() {
+        let (alloc, store) = store(3);
+        let addr = alloc.alloc(4, NodeId(0));
+        let page = addr.page();
+        let old = store.frame(NodeId(0), page);
+        old.store_slot(3, 33);
+        // Node 2 holds a pending local write the promotion must keep.
+        let new = store.frame(NodeId(2), page);
+        new.store_slot(5, 55);
+        let handed_out = old.stamp();
+
+        let snapshot = store.rehome(&store.lock_homes(), page, NodeId(2));
+        assert_eq!(snapshot.len(), hyperion_pm2::PAGE_BYTES);
+        assert_eq!(store.home_of(page), NodeId(2));
+        assert!(store.page_migrated(page));
+        assert!(!old.is_home() && old.is_present());
+        assert!(new.is_home() && !new.has_dirty_slots());
+        assert_eq!((new.load_slot(3), new.load_slot(5)), (33, 55));
+        assert!(new.stamp() > handed_out, "no older copy can validate");
+    }
+
+    #[test]
+    fn a_pinned_handler_holds_recovery_off_until_its_diff_has_landed() {
+        // The chaos-suite deadlock: a diff landed on a dead home's frame
+        // after recovery had snapshotted it, the update (a barrier's
+        // generation word) was lost and its waiters slept forever.
+        let (alloc, store) = store(2);
+        let addr = alloc.alloc(4, NodeId(0));
+        let page = addr.page();
+        let home = store.frame(NodeId(0), page);
+        let rehomed = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let pinned = store.pin_homes();
+            let recovery = s.spawn(|| {
+                store.rehome(&store.lock_homes(), page, NodeId(1));
+                rehomed.store(true, std::sync::atomic::Ordering::SeqCst);
+            });
+            // However long the handler takes, the re-homing waits for it.
+            for _ in 0..1_000 {
+                std::thread::yield_now();
+            }
+            assert!(!rehomed.load(std::sync::atomic::Ordering::SeqCst));
+            home.apply_diff_slot(addr.slot(), 99);
+            home.bump_version();
+            drop(pinned);
+            recovery.join().expect("recovery thread");
+        });
+        let new_home = store.frame(NodeId(1), page);
+        assert_eq!(new_home.load_slot(addr.slot()), 99, "diff in the snapshot");
     }
 
     #[test]

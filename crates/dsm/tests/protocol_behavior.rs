@@ -1264,3 +1264,314 @@ fn deferred_flush_issue_path_is_cheaper_than_blocking() {
         "deferred release must not stall: {t_deferred} vs {t_blocking}"
     );
 }
+
+// ----- page versions & conditional fetch: litmus tests ----------------------
+//
+// Each runs under java_ic, java_pf and java_ad.  `acquire` / `release` are
+// the DSM halves of a monitor entry / exit.  In debug builds every "not
+// modified" answer below is additionally checked slot-for-slot against the
+// home frame by the engine's own oracle.
+
+fn acquire(f: &Fixture, node: u32, clock: &mut ThreadClock) {
+    f.dsm.invalidate_cache(NodeId(node), clock);
+}
+
+fn release(f: &Fixture, node: u32, clock: &mut ThreadClock) {
+    f.dsm.update_main_memory(NodeId(node), clock);
+}
+
+/// `(page_loads, pages_revalidated, bytes_received)` of `node`.
+fn fetch_counters(f: &Fixture, node: u32) -> (u64, u64, u64) {
+    let s = f.cluster.node_stats(NodeId(node));
+    (s.page_loads, s.pages_revalidated, s.bytes_received)
+}
+
+#[test]
+fn litmus_remote_write_under_a_monitor_ships_the_page_to_the_next_acquirer() {
+    for kind in ProtocolKind::all_extended() {
+        let f = fixture(3, kind);
+        let addr = f.alloc.alloc(8, NodeId(0));
+        let (mut w, mut r) = (ThreadClock::new(), ThreadClock::new());
+        assert_eq!(f.dsm.get(NodeId(2), &mut r, addr), 0);
+
+        // Writer (node 1): acquire M, write, release M.
+        acquire(&f, 1, &mut w);
+        f.dsm.put(NodeId(1), &mut w, addr, 41);
+        release(&f, 1, &mut w);
+
+        // Reader (node 2) acquires M afterwards: its retained copy predates
+        // the diff, so the home ships the page and the new value is seen.
+        let before = fetch_counters(&f, 2);
+        acquire(&f, 2, &mut r);
+        assert_eq!(f.dsm.get(NodeId(2), &mut r, addr), 41, "{kind:?}");
+        let after = fetch_counters(&f, 2);
+        assert_eq!(after.0, before.0 + 1, "{kind:?}: one fetch");
+        assert_eq!(after.1, before.1, "{kind:?}: not a revalidation");
+        assert!(
+            after.2 - before.2 > 4096,
+            "{kind:?}: the page crossed the wire"
+        );
+    }
+}
+
+#[test]
+fn litmus_home_write_without_a_diff_reaches_the_holders_next_acquire() {
+    for kind in ProtocolKind::all_extended() {
+        let f = fixture(2, kind);
+        let addr = f.alloc.alloc(8, NodeId(0));
+        let (mut h, mut r) = (ThreadClock::new(), ThreadClock::new());
+        f.dsm.put(NodeId(0), &mut h, addr, 1);
+        assert_eq!(f.dsm.get(NodeId(1), &mut r, addr), 1);
+
+        // The home writes in place — no diff, no RPC, nothing but the flag
+        // the next fetch folds into the stamp.
+        f.dsm.put(NodeId(0), &mut h, addr, 2);
+        acquire(&f, 1, &mut r);
+        assert_eq!(f.dsm.get(NodeId(1), &mut r, addr), 2, "{kind:?}");
+        assert_eq!(fetch_counters(&f, 1).1, 0, "{kind:?}: page was shipped");
+
+        // Nothing changed since: the next acquire revalidates.
+        acquire(&f, 1, &mut r);
+        assert_eq!(f.dsm.get(NodeId(1), &mut r, addr), 2, "{kind:?}");
+        assert_eq!(fetch_counters(&f, 1).1, 1, "{kind:?}");
+    }
+}
+
+#[test]
+fn litmus_unchanged_page_is_revalidated_without_moving_page_bytes() {
+    for kind in ProtocolKind::all_extended() {
+        let f = fixture(2, kind);
+        let addr = f.alloc.alloc(8, NodeId(0));
+        let mut h = ThreadClock::new();
+        for slot in 0..8 {
+            f.dsm.put(NodeId(0), &mut h, addr.offset(slot), 100 + slot);
+        }
+        let mut r = ThreadClock::new();
+        assert_eq!(f.dsm.get(NodeId(1), &mut r, addr), 100);
+        let miss_cost = r.now();
+
+        let before = fetch_counters(&f, 1);
+        let home_before = f.cluster.node_stats(NodeId(0)).bytes_sent;
+        acquire(&f, 1, &mut r);
+        let start = r.now();
+        for slot in 0..8 {
+            let v = f.dsm.get(NodeId(1), &mut r, addr.offset(slot));
+            assert_eq!(v, 100 + slot, "{kind:?}: retained data intact");
+        }
+        let after = fetch_counters(&f, 1);
+        assert_eq!(after.0, before.0 + 1, "{kind:?}: still one fetch RPC");
+        assert_eq!(after.1, before.1 + 1, "{kind:?}: exactly one revalidation");
+        // Header + tag + version: no page bytes in either direction.
+        assert!(
+            after.2 - before.2 < 128,
+            "{kind:?}: {} B",
+            after.2 - before.2
+        );
+        assert!(f.cluster.node_stats(NodeId(0)).bytes_sent - home_before < 128);
+        // Cheaper than the first miss by the page transfer and the copy,
+        // but still a round trip (and, under pf, a fault and an mprotect).
+        let revalidation_cost = r.now() - start;
+        assert!(revalidation_cost < miss_cost, "{kind:?}");
+        assert!(
+            revalidation_cost > VTime::from_us(20),
+            "{kind:?}: no free lunch"
+        );
+    }
+}
+
+#[test]
+fn litmus_sole_writer_keeps_its_copy_until_someone_else_writes() {
+    for kind in ProtocolKind::all_extended() {
+        let f = fixture(3, kind);
+        let addr = f.alloc.alloc(8, NodeId(0));
+        let (mut h, mut w, mut o) = (ThreadClock::new(), ThreadClock::new(), ThreadClock::new());
+
+        // Sole writer: the diff acknowledgement forwards the new stamp, so
+        // the copy that already holds the written value stays current.
+        f.dsm.put(NodeId(1), &mut w, addr, 1);
+        release(&f, 1, &mut w);
+        acquire(&f, 1, &mut w);
+        assert_eq!(f.dsm.get(NodeId(1), &mut w, addr), 1, "{kind:?}");
+        assert_eq!(
+            fetch_counters(&f, 1).1,
+            1,
+            "{kind:?}: kept across own release"
+        );
+
+        // A foreign diff lands between the writer's fetch and its release:
+        // the acknowledged stamp is two steps on, the copy is not forwarded.
+        f.dsm.put(NodeId(1), &mut w, addr, 2);
+        f.dsm.put(NodeId(2), &mut o, addr.offset(1), 77);
+        release(&f, 2, &mut o);
+        release(&f, 1, &mut w);
+        acquire(&f, 1, &mut w);
+        assert_eq!(f.dsm.get(NodeId(1), &mut w, addr.offset(1)), 77, "{kind:?}");
+        assert_eq!(f.dsm.get(NodeId(1), &mut w, addr), 2, "{kind:?}");
+        assert_eq!(
+            fetch_counters(&f, 1).1,
+            1,
+            "{kind:?}: foreign diff forces a refetch"
+        );
+
+        // Same with a home write in between.
+        f.dsm.put(NodeId(1), &mut w, addr, 3);
+        f.dsm.put(NodeId(0), &mut h, addr.offset(2), 88);
+        release(&f, 1, &mut w);
+        acquire(&f, 1, &mut w);
+        assert_eq!(f.dsm.get(NodeId(1), &mut w, addr.offset(2)), 88, "{kind:?}");
+        assert_eq!(
+            fetch_counters(&f, 1).1,
+            1,
+            "{kind:?}: home write forces a refetch"
+        );
+
+        // And with nobody interfering the writer is current again.
+        f.dsm.put(NodeId(1), &mut w, addr, 4);
+        release(&f, 1, &mut w);
+        acquire(&f, 1, &mut w);
+        assert_eq!(f.dsm.get(NodeId(1), &mut w, addr), 4, "{kind:?}");
+        assert_eq!(fetch_counters(&f, 1).1, 2, "{kind:?}");
+    }
+}
+
+#[test]
+fn litmus_no_retained_copy_validates_against_a_migrated_home() {
+    for kind in ProtocolKind::all_extended() {
+        let transport = TransportConfig {
+            home_migration: true,
+            migration_streak: 3,
+            ..TransportConfig::default()
+        };
+        let f = fixture_with(3, kind, &AdaptiveParams::default(), &transport);
+        let addr = f.alloc.alloc(8, NodeId(0));
+        let (mut w, mut r) = (ThreadClock::new(), ThreadClock::new());
+        // Node 2 holds a copy fetched from the original home.
+        assert_eq!(f.dsm.get(NodeId(2), &mut r, addr), 0);
+
+        // Node 1 dominates the diff traffic and wins the home.
+        for i in 0..3u64 {
+            f.dsm.put(NodeId(1), &mut w, addr.offset(1), i);
+            release(&f, 1, &mut w);
+        }
+        assert_eq!(f.dsm.store().home_of(addr.page()), NodeId(1), "{kind:?}");
+
+        // Neither node 2's copy nor the demoted old home's validates against
+        // the new home: both get the page.
+        for node in [2, 0] {
+            acquire(&f, node, &mut r);
+            assert_eq!(
+                f.dsm.get(NodeId(node), &mut r, addr.offset(1)),
+                2,
+                "{kind:?}"
+            );
+            assert_eq!(fetch_counters(&f, node).1, 0, "{kind:?}: node {node}");
+        }
+        // Once re-fetched from the new home, a copy revalidates as usual.
+        acquire(&f, 2, &mut r);
+        assert_eq!(f.dsm.get(NodeId(2), &mut r, addr.offset(1)), 2, "{kind:?}");
+        assert_eq!(fetch_counters(&f, 2).1, 1, "{kind:?}");
+    }
+}
+
+#[test]
+fn litmus_no_retained_copy_validates_against_a_re_elected_home() {
+    use hyperion_pm2::{FaultKill, FaultSpec, TransportBackend};
+    for kind in ProtocolKind::all_extended() {
+        let spec = FaultSpec {
+            seed: 3,
+            kill: Some(FaultKill {
+                node: 0,
+                at: VTime::from_us(2_000),
+            }),
+            ..FaultSpec::default()
+        };
+        let cluster = Cluster::for_backend_with_faults(
+            myrinet_200().machine,
+            3,
+            TransportBackend::Sim,
+            Some(spec),
+        );
+        let alloc = Arc::new(IsoAllocator::new(3));
+        let store = DsmStore::new(Arc::clone(&alloc), 3);
+        let transport = TransportConfig {
+            fault: Some(spec),
+            ..TransportConfig::default()
+        };
+        let dsm = DsmSystem::with_config(
+            Arc::clone(&cluster),
+            store,
+            kind,
+            &AdaptiveParams::default(),
+            &transport,
+        );
+        let addr = alloc.alloc(8, NodeId(0));
+        let (mut h, mut r) = (ThreadClock::new(), ThreadClock::new());
+        dsm.put(NodeId(0), &mut h, addr, 5);
+        // Node 2 fetches and revalidates once while the home is alive.
+        assert_eq!(dsm.get(NodeId(2), &mut r, addr), 5);
+        dsm.invalidate_cache(NodeId(2), &mut r);
+        assert_eq!(dsm.get(NodeId(2), &mut r, addr), 5);
+        assert_eq!(cluster.node_stats(NodeId(2)).pages_revalidated, 1);
+        assert!(r.now() < VTime::from_us(2_000), "workload outran the kill");
+
+        // After the kill the page is re-homed on the lowest live node; the
+        // copy node 2 retains from the dead home must not validate there.
+        r.advance(VTime::from_us(3_000));
+        dsm.invalidate_cache(NodeId(2), &mut r);
+        assert_eq!(dsm.get(NodeId(2), &mut r, addr), 5, "{kind:?}");
+        assert_eq!(dsm.store().home_of(addr.page()), NodeId(1), "{kind:?}");
+        let s = cluster.node_stats(NodeId(2));
+        assert_eq!((s.nodes_failed, s.pages_revalidated), (1, 1), "{kind:?}");
+        // Re-fetched from the new home, it revalidates again.
+        dsm.invalidate_cache(NodeId(2), &mut r);
+        assert_eq!(dsm.get(NodeId(2), &mut r, addr), 5, "{kind:?}");
+        assert_eq!(cluster.node_stats(NodeId(2)).pages_revalidated, 2);
+    }
+}
+
+#[test]
+fn litmus_abandoned_tickets_reissue_conditionally_and_stay_correct() {
+    for kind in ProtocolKind::all_extended() {
+        let f = directory_fixture(3, kind);
+        let addr = f.alloc.alloc_page_aligned(SLOTS_PER_PAGE * 2, NodeId(2));
+        let second = addr.offset(SLOTS_PER_PAGE as u64);
+        let mut h = ThreadClock::new();
+        f.dsm.put(NodeId(2), &mut h, second, 77);
+
+        // Teach the directory the pattern, give node 1 hint credit, and
+        // let node 1's demand miss convert the hint into a ticket.
+        let mut c0 = ThreadClock::new();
+        let _ = f.dsm.get(NodeId(0), &mut c0, addr);
+        let _ = f.dsm.get(NodeId(0), &mut c0, second);
+        NodeStats::bump_by(&f.cluster.node(NodeId(1)).stats.hinted_fetches_issued, 64);
+        let mut c1 = ThreadClock::new();
+        let _ = f.dsm.get(NodeId(1), &mut c1, addr);
+        let frame = f.dsm.store().frame(NodeId(1), second.page());
+        assert!(frame.inflight_is_hinted(), "{kind:?}");
+
+        // Abandoned at the acquire and re-armed on the spot.  The abandoned
+        // copy's stamp is still good, so the re-issue is a revalidation.
+        acquire(&f, 1, &mut c1);
+        let s1 = f.cluster.node_stats(NodeId(1));
+        assert_eq!(s1.hinted_fetches_reissued, 1, "{kind:?}");
+        assert_eq!(s1.pages_revalidated, 1, "{kind:?}");
+        assert!(frame.inflight_is_hinted(), "{kind:?}: ticket re-armed");
+
+        // The home writes, the ticket is abandoned again: this re-issue
+        // ships the page, and the demand access that completes it sees the
+        // new value.
+        f.dsm.put(NodeId(2), &mut h, second, 78);
+        acquire(&f, 1, &mut c1);
+        let s1 = f.cluster.node_stats(NodeId(1));
+        assert_eq!(s1.hinted_fetches_reissued, 2, "{kind:?}");
+        assert_eq!(s1.pages_revalidated, 1, "{kind:?}: home write ⇒ full page");
+        let loads = s1.page_loads;
+        assert_eq!(f.dsm.get(NodeId(1), &mut c1, second), 78, "{kind:?}");
+        let s1 = f.cluster.node_stats(NodeId(1));
+        assert_eq!(
+            s1.page_loads, loads,
+            "{kind:?}: completed the in-flight RPC"
+        );
+        assert_eq!(s1.hinted_fetches_completed, 1, "{kind:?}");
+    }
+}

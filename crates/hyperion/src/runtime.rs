@@ -738,8 +738,8 @@ impl RunReport {
     pub fn summary(&self) -> String {
         let t = self.total_stats();
         format!(
-            "{} on {} × {} nodes: {}\n  checks={} faults={} mprotect={} page_loads={} diffs={} \
-             bytes={} monitors={}/{}",
+            "{} on {} × {} nodes: {}\n  checks={} faults={} mprotect={} page_loads={} \
+             (revalidated={}) diffs={} bytes={} monitors={}/{}",
             self.protocol.name(),
             self.cluster_label,
             self.nodes,
@@ -748,6 +748,7 @@ impl RunReport {
             t.page_faults,
             t.mprotect_calls,
             t.page_loads,
+            t.pages_revalidated,
             t.diff_messages,
             t.bytes_moved(),
             t.monitor_enters,

@@ -153,6 +153,8 @@ define_stats! {
     combined_diff_batches,
     /// Fresh upstream relay cycles this node (as group leader) opened towards homes on behalf of its group members.
     group_relay_cycles,
+    /// Page fetches (a subset of `page_loads`) the home answered "not modified": the retained copy was re-opened and no page bytes moved.
+    pages_revalidated,
 }
 
 impl NodeStats {
@@ -380,7 +382,7 @@ mod tests {
         ] {
             assert!(names.contains(&expected), "missing {expected}");
         }
-        assert_eq!(names.len(), 48);
+        assert_eq!(names.len(), 49);
         for added in [
             "batched_flushes",
             "rpc_retries",
@@ -403,6 +405,7 @@ mod tests {
             "combined_fetches",
             "combined_diff_batches",
             "group_relay_cycles",
+            "pages_revalidated",
         ] {
             assert!(names.contains(&added), "missing {added}");
         }

@@ -42,20 +42,34 @@ pub struct RpcReply {
     /// top of the machine model's fixed per-request protocol cost (e.g. the
     /// time to copy a page or apply a diff).
     pub service: VTime,
+    /// Set when the handler could not decode the request: every transport
+    /// turns this into [`crate::TransportError::MalformedFrame`] at the
+    /// caller instead of delivering `data`.
+    pub error: Option<String>,
 }
 
 impl RpcReply {
     /// An empty acknowledgement with a given service time.
     pub fn ack(service: VTime) -> Self {
-        RpcReply {
-            data: Vec::new(),
-            service,
-        }
+        RpcReply::with_data(Vec::new(), service)
     }
 
     /// A reply carrying `data`, with a given service time.
     pub fn with_data(data: Vec<u8>, service: VTime) -> Self {
-        RpcReply { data, service }
+        RpcReply {
+            data,
+            service,
+            error: None,
+        }
+    }
+
+    /// The answer to a request the handler could not decode.  Nothing was
+    /// executed on the target node, so no service time is charged.
+    pub fn malformed(why: impl Into<String>) -> Self {
+        RpcReply {
+            error: Some(why.into()),
+            ..RpcReply::default()
+        }
     }
 }
 

@@ -69,7 +69,7 @@ use hyperion_model::{ThreadClock, VTime, WireServiceSnapshot, WireStats};
 use parking_lot::Mutex;
 
 use crate::cluster::Cluster;
-use crate::comm::ServiceId;
+use crate::comm::{RpcReply, ServiceId};
 use crate::fault::RetryPolicy;
 use crate::node::NodeId;
 use crate::transport::{charge_round_trip, Transport, TransportBackend, TransportError};
@@ -577,6 +577,9 @@ fn dispatch(cluster: &Weak<Cluster>, node: u32, header: FrameHeader, payload: &[
         handler.handle(target, caller, payload)
     }));
     match result {
+        Ok(RpcReply {
+            error: Some(why), ..
+        }) => encode_error_frame(header, ERR_MALFORMED, 0, &why),
         Ok(reply) => encode_frame(
             FrameHeader {
                 kind: FrameKind::Reply,

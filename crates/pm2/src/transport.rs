@@ -308,6 +308,9 @@ impl Transport for SimTransport {
         // The handler runs on the target node's state regardless of where
         // the calling OS thread happens to be executing.
         let reply = handler.handle(cluster.node(to), from, payload);
+        if let Some(why) = reply.error {
+            return Err(TransportError::MalformedFrame(why));
+        }
         let trip = charge_round_trip(
             cluster,
             clock,

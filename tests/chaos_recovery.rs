@@ -48,6 +48,32 @@ fn all_benchmarks() -> Vec<Box<dyn Benchmark>> {
     ]
 }
 
+/// Host-time limit of one app run (they take well under a second): a run
+/// still going after this long is deadlocked, not slow.
+const WATCHDOG: std::time::Duration = std::time::Duration::from_secs(120);
+
+/// Run `body` on a thread of its own under the [`WATCHDOG`] limit.  A hang
+/// cannot be unwound (its threads are parked for good), so on expiry the
+/// whole test process exits with the replayable `label` instead of sitting
+/// in CI until the job times out.
+fn watchdog<T: Send>(label: &str, body: impl FnOnce() -> T + Send) -> T {
+    std::thread::scope(|scope| {
+        let (done, finished) = std::sync::mpsc::channel();
+        let run = scope.spawn(move || {
+            let out = body();
+            let _ = done.send(());
+            out
+        });
+        if finished.recv_timeout(WATCHDOG) == Err(std::sync::mpsc::RecvTimeoutError::Timeout) {
+            eprintln!("chaos watchdog: {label} still running after {WATCHDOG:?} — deadlocked");
+            std::process::exit(101);
+        }
+        // Finished, or panicked (sender dropped): hand the outcome on.
+        run.join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    })
+}
+
 fn execute(
     bench: &dyn Benchmark,
     protocol: ProtocolKind,
@@ -60,7 +86,11 @@ fn execute(
         .transport(transport.clone())
         .build()
         .expect("valid chaos configuration");
-    bench.execute(config)
+    let label = match &transport.fault {
+        Some(spec) => format!("{} under {} with `{spec}`", bench.name(), protocol.name()),
+        None => format!("{} under {} fault-free", bench.name(), protocol.name()),
+    };
+    watchdog(&label, || bench.execute(config))
 }
 
 /// A random — but valid — fault schedule: moderate drop/dup/panic rates, a

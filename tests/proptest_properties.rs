@@ -638,15 +638,18 @@ fn block_range_tiles_any_size() {
 }
 
 /// Every byte-precise wire form in `dsm::diff` survives an encode → decode
-/// round trip: single and batched page-fetch requests (including the
-/// hint-suppression tag bit), single and batched field-granularity diffs.
+/// round trip — the one conditional fetch request (single, batched,
+/// hint-suppressed, retained versions zero and non-zero), single and
+/// batched field-granularity diffs, and the versioned diff acknowledgement
+/// with and without a migration grant — and every truncation of every form
+/// decodes to an error, never a panic.
 #[test]
 fn diff_wire_encodings_round_trip() {
     use hyperion_workspace::dsm::diff::{
-        decode_diff_message, decode_page_fetch_request, encode_diff, encode_diff_batch,
-        encode_page_batch_request, encode_page_request, encode_page_request_nohint, DiffEntry,
+        decode_diff_message, decode_diff_reply, decode_fetch_request, encode_diff,
+        encode_diff_batch, encode_diff_reply, encode_fetch_request, DiffEntry,
     };
-    use hyperion_workspace::pm2::SLOTS_PER_PAGE;
+    use hyperion_workspace::pm2::{PAGE_BYTES, SLOTS_PER_PAGE};
 
     // Real page numbers never use the top bit (it is the batch / no-hint
     // tag), so the generator stays below it.
@@ -662,34 +665,51 @@ fn diff_wire_encodings_round_trip() {
             })
             .collect()
     };
+    // Every strict prefix of a well-formed payload must be rejected.
+    fn prefixes_fail<T>(seed: u64, what: &str, wire: &[u8], decode: impl Fn(&[u8]) -> Option<T>) {
+        for cut in 0..wire.len() {
+            assert!(
+                decode(&wire[..cut]).is_none(),
+                "seed {seed}: {what} truncated to {cut} of {} bytes decoded",
+                wire.len()
+            );
+        }
+    }
 
     property(64, |seed, rng| {
-        // Page-fetch requests, all three encoders, one decoder.
+        // The one fetch request form: 1..64 pages, each retained version
+        // either "none" (0) or a real stamp, hints allowed or suppressed.
         let page = random_page(rng);
+        let versions: Vec<u64> = (0..rng.gen_range(1usize..64))
+            .map(|_| {
+                if rng.gen_range(0u32..3) == 0 {
+                    0
+                } else {
+                    rng.gen_range(1u64..u64::MAX)
+                }
+            })
+            .collect();
+        let hints_ok = rng.gen_range(0u32..2) == 0;
+        let wire = encode_fetch_request(page, &versions, hints_ok);
+        let request = decode_fetch_request(&wire).expect("well-formed request");
         assert_eq!(
-            decode_page_fetch_request(&encode_page_request(page)),
-            (page, 1, true),
+            (request.first, request.hints_ok, &request.versions),
+            (page, hints_ok, &versions),
             "seed {seed}"
         );
-        assert_eq!(
-            decode_page_fetch_request(&encode_page_request_nohint(page)),
-            (page, 1, false),
-            "seed {seed}"
-        );
-        let count = rng.gen_range(1u32..64);
-        assert_eq!(
-            decode_page_fetch_request(&encode_page_batch_request(page, count)),
-            (page, count, true),
-            "seed {seed}"
-        );
+        prefixes_fail(seed, "fetch request", &wire, |b| {
+            decode_fetch_request(b).ok()
+        });
 
         // Single diff.
         let entries = random_entries(rng, 40);
+        let wire = encode_diff(page, &entries);
         assert_eq!(
-            decode_diff_message(&encode_diff(page, &entries)),
-            vec![(page, entries)],
+            decode_diff_message(&wire),
+            Ok(vec![(page, entries)]),
             "seed {seed}"
         );
+        prefixes_fail(seed, "diff", &wire, |b| decode_diff_message(b).ok());
 
         // Batched diff over contiguous pages.
         let first = random_page(rng);
@@ -701,26 +721,57 @@ fn diff_wire_encodings_round_trip() {
             .enumerate()
             .map(|(k, e)| (PageId(first.0 + k as u64), e.clone()))
             .collect();
+        let wire = encode_diff_batch(first, &pages);
+        assert_eq!(decode_diff_message(&wire), Ok(expected), "seed {seed}");
+        prefixes_fail(seed, "batched diff", &wire, |b| decode_diff_message(b).ok());
+
+        // The acknowledgement: one post-apply version per page, optionally
+        // followed by a migration grant.
+        let acked: Vec<u64> = pages
+            .iter()
+            .map(|_| rng.gen_range(2u64..u64::MAX))
+            .collect();
+        let snapshot = vec![seed as u8; PAGE_BYTES];
+        let grant = (rng.gen_range(0u32..2) == 0).then_some((first, &snapshot[..]));
+        let wire = encode_diff_reply(&acked, grant);
         assert_eq!(
-            decode_diff_message(&encode_diff_batch(first, &pages)),
-            expected,
+            decode_diff_reply(&wire, acked.len()),
+            Ok((acked.clone(), grant.map(|(p, _)| p))),
             "seed {seed}"
         );
+        // A prefix that happens to end on the version/grant boundary is the
+        // (well-formed) grant-less acknowledgement; every other one fails.
+        for cut in (0..wire.len()).filter(|&cut| cut != acked.len() * 8) {
+            assert!(
+                decode_diff_reply(&wire[..cut], acked.len()).is_err(),
+                "seed {seed}"
+            );
+        }
     });
 }
 
-/// The prefetch-directory hint trailer piggybacked on page-fetch replies
-/// parses back to exactly the page data and hint runs that went in, for
-/// arbitrary reply sizes and hint sets (including none).
+/// Page-fetch replies — any mix of "not modified" and shipped pages, with
+/// or without the prefetch-directory hint trailer — parse back to exactly
+/// what went in; truncated and garbage replies are errors, never panics.
 #[test]
-fn fetch_reply_hint_trailers_round_trip() {
-    use hyperion_workspace::dsm::diff::{append_fetch_hints, split_fetch_reply, HintRun};
-    use hyperion_workspace::pm2::SLOTS_PER_PAGE;
+fn fetch_reply_forms_round_trip_and_reject_garbage() {
+    use hyperion_workspace::dsm::diff::{
+        append_fetch_hints, decode_fetch_reply, push_page_reply, HintRun, PageReply,
+    };
+    use hyperion_workspace::pm2::PAGE_BYTES;
 
     property(64, |seed, rng| {
-        let pages = rng.gen_range(1usize..4);
-        let data: Vec<u8> = (0..pages * SLOTS_PER_PAGE * 8)
-            .map(|_| rng.gen_range(0u8..u8::MAX))
+        // `None` = not modified, `Some(bytes)` = a shipped page.
+        let pages: Vec<(u64, Option<Vec<u8>>)> = (0..rng.gen_range(1usize..4))
+            .map(|_| {
+                let version = rng.gen_range(1u64..u64::MAX);
+                let data = (rng.gen_range(0u32..2) == 0).then(|| {
+                    (0..PAGE_BYTES)
+                        .map(|_| rng.gen_range(0u8..u8::MAX))
+                        .collect()
+                });
+                (version, data)
+            })
             .collect();
         let hints: Vec<HintRun> = (0..rng.gen_range(0usize..8))
             .map(|_| {
@@ -730,17 +781,42 @@ fn fetch_reply_hint_trailers_round_trip() {
                 )
             })
             .collect();
+        let expected: Vec<PageReply<'_>> = pages
+            .iter()
+            .map(|(version, data)| match data {
+                None => PageReply::NotModified(*version),
+                Some(bytes) => PageReply::Full(*version, bytes),
+            })
+            .collect();
 
-        let mut reply = data.clone();
+        let mut reply = Vec::new();
+        for page in &expected {
+            push_page_reply(&mut reply, *page);
+        }
+        let without_hints = reply.len();
         append_fetch_hints(&mut reply, &hints);
         if hints.is_empty() {
-            // No trailer is appended for an empty hint set: the reply stays
-            // byte-identical to the raw page data.
-            assert_eq!(reply, data, "seed {seed}");
+            assert_eq!(reply.len(), without_hints, "seed {seed}: empty trailer");
         }
-        let (got_data, got_hints) = split_fetch_reply(&reply, pages);
-        assert_eq!(got_data, &data[..], "seed {seed}: page data corrupted");
+        let (got_pages, got_hints) =
+            decode_fetch_reply(&reply, pages.len()).expect("well-formed reply");
+        assert_eq!(got_pages, expected, "seed {seed}: page answers corrupted");
         assert_eq!(got_hints, hints, "seed {seed}: hint runs corrupted");
+
+        // Truncations: the only prefix that is itself well-formed is the
+        // reply without its hint trailer.
+        for cut in (0..reply.len()).filter(|&cut| cut != without_hints) {
+            assert!(
+                decode_fetch_reply(&reply[..cut], pages.len()).is_err(),
+                "seed {seed}: reply truncated to {cut} bytes decoded"
+            );
+        }
+        // Garbage of the same length never panics the decoder.
+        let garbage: Vec<u8> = (0..reply.len().min(64))
+            .map(|_| rng.gen_range(0u8..u8::MAX))
+            .collect();
+        let _ = decode_fetch_reply(&garbage, pages.len());
+        assert!(decode_fetch_reply(&reply, pages.len() + 1).is_err());
     });
 }
 
