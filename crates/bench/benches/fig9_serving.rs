@@ -19,6 +19,12 @@
 //!   predictor (hot keys recur, but in no stable order), and the
 //!   cluster-wide hint-waste bound of figure 8 — wasted hints within 1/8
 //!   of hints sent — must hold here too.
+//! * **Home queue wait**: on the 4-node KV rows no home may keep requests
+//!   waiting for more than 5 % of the modeled time.  The homes are a few
+//!   per cent busy there, so a larger share means requests queue behind
+//!   bookings that lie in their virtual future — the service clock is
+//!   serving in host order again.  The table (with each row's busiest-home
+//!   utilisation) also goes to the CI step summary.
 //! * **PageRank page loads**: the adaptive protocol's page loads on the
 //!   irregular graph traffic must stay within 25% of the `java_pf`
 //!   reference — switching detection modes must not thrash the cache.
@@ -26,7 +32,12 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hyperion::prelude::*;
 use hyperion_apps::common::{protocols_under_test, BenchmarkName};
+use hyperion_bench::report::append_step_summary;
 use hyperion_bench::{run_point, serving_directory_point, FigureRow, Scale, ADAPTIVE_NODES};
+
+/// Largest share of the modeled time any home may keep requests queued on
+/// the KV rows.
+const KV_QUEUE_WAIT_BOUND: f64 = 0.05;
 
 fn bench_fig9(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig9_serving");
@@ -77,6 +88,12 @@ fn verify_serving_invariants(_c: &mut Criterion) {
         "== fig9 verification: serving workloads (Zipf KV store, PageRank), quick scale, \
          {ADAPTIVE_NODES} nodes =="
     );
+    let mut home_load = format!(
+        "## fig9: home load on the {ADAPTIVE_NODES}-node KV rows\n\n\
+         | protocol | exec (s) | busiest home busy | peak home queue wait (bound {:.0} %) |\n\
+         |---|---|---|---|\n",
+        KV_QUEUE_WAIT_BOUND * 100.0
+    );
     for app in BenchmarkName::serving() {
         let rows = protocol_rows(app);
         let (ic, pf, ad) = (&rows[0], &rows[1], &rows[2]);
@@ -93,6 +110,24 @@ fn verify_serving_invariants(_c: &mut Criterion) {
             );
             assert!(row.stats.serving_ops > 0, "{app}: no serving ops recorded");
             assert!(row.serving_p99_us > 0.0, "{app}: no p99 recorded");
+            if app == BenchmarkName::KvStore {
+                home_load.push_str(&format!(
+                    "| {} | {:.4} | {:.2} % | {:.2} % |\n",
+                    row.protocol_label(),
+                    row.seconds,
+                    row.peak_home_util * 100.0,
+                    row.peak_home_queue_wait * 100.0,
+                ));
+                assert!(
+                    row.peak_home_queue_wait <= KV_QUEUE_WAIT_BOUND,
+                    "KVStore {}: requests waited {:.2} % of the modeled time at a home that \
+                     was {:.2} % busy (bound {:.0} %)",
+                    row.protocol_label(),
+                    row.peak_home_queue_wait * 100.0,
+                    row.peak_home_util * 100.0,
+                    KV_QUEUE_WAIT_BOUND * 100.0,
+                );
+            }
         }
         assert_same_digest(ic, pf);
         assert_same_digest(ic, ad);
@@ -169,6 +204,8 @@ fn verify_serving_invariants(_c: &mut Criterion) {
     );
     println!("  KVStore+dir hint waste: {wasted}/{sent} sent (bound: 1/8)");
     println!();
+    println!("{home_load}");
+    append_step_summary(&home_load);
 }
 
 criterion_group!(benches, bench_fig9, verify_serving_invariants);

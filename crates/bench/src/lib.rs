@@ -160,6 +160,14 @@ pub struct FigureRow {
     /// (`fig10_scaling`) compares this across topologies; `stats` only
     /// carries the cluster-wide totals.
     pub peak_rpc_served: u64,
+    /// Utilisation of the busiest home: service time remote requests booked
+    /// on its protocol processor over the run's modeled time
+    /// ([`RunReport::home_utilisation`]).
+    pub peak_home_util: f64,
+    /// Largest queue-wait share of any home: time requests waited there
+    /// between arrival and service over the run's modeled time
+    /// ([`RunReport::home_queue_wait_share`]).
+    pub peak_home_queue_wait: f64,
 }
 
 impl FigureRow {
@@ -187,13 +195,13 @@ impl FigureRow {
          mprotect_calls,page_loads,diff_messages,bytes_moved,remote_monitor_acquires,\
          barrier_waits,batched_fetches,pages_prefetched,protocol_switches,batched_flushes,\
          pages_migrated,fetch_overlap_cycles_hidden,pages_revalidated,serving_ops,\
-         serving_ops_per_s,serving_p99_us"
+         serving_ops_per_s,serving_p99_us,peak_home_util,peak_home_queue_wait"
     }
 
     /// Serialise as one CSV line.
     pub fn to_csv(&self) -> String {
         format!(
-            "{},{},{},{},{},{:.6},{:.6},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.3},{:.3}",
+            "{},{},{},{},{},{:.6},{:.6},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.3},{:.3},{:.6},{:.6}",
             self.figure,
             self.app,
             self.cluster,
@@ -219,6 +227,8 @@ impl FigureRow {
             self.stats.serving_ops,
             self.serving_ops_per_s(),
             self.serving_p99_us,
+            self.peak_home_util,
+            self.peak_home_queue_wait,
         )
     }
 }
@@ -322,6 +332,9 @@ fn run_figure_point(
         .map(|s| s.rpc_served)
         .max()
         .unwrap_or(0);
+    let peak = |shares: Vec<f64>| shares.into_iter().fold(0.0, f64::max);
+    let peak_home_util = peak(report.home_utilisation());
+    let peak_home_queue_wait = peak(report.home_queue_wait_share());
     FigureRow {
         figure: name.figure(),
         app: name,
@@ -336,6 +349,8 @@ fn run_figure_point(
         wire: report.wire,
         serving_p99_us: report.serving_p99.as_ps() as f64 / 1e6,
         peak_rpc_served,
+        peak_home_util,
+        peak_home_queue_wait,
     }
 }
 
@@ -1213,12 +1228,12 @@ mod tests {
         assert!(row.stats.serving_ops > 0);
         assert!(row.serving_ops_per_s() > 0.0);
         assert!(row.serving_p99_us > 0.0);
-        // The serving columns ride at the end of the CSV row.
+        // The serving and home-load columns ride at the end of the CSV row.
         assert_eq!(
             row.to_csv().matches(',').count(),
             FigureRow::csv_header().matches(',').count()
         );
-        assert!(FigureRow::csv_header().ends_with("serving_p99_us"));
+        assert!(FigureRow::csv_header().ends_with("peak_home_queue_wait"));
 
         // Batch kernels record no serving operations.
         let pi = run_point(

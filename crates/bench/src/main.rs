@@ -322,7 +322,7 @@ fn print_serving_figure(scale: Scale) -> Vec<FigureRow> {
         hyperion_bench::ADAPTIVE_NODES
     );
     println!(
-        "{:<10} {:<14} {:>12} {:>12} {:>12} {:>12} {:>11} {:>12} {:>7} {:>8}",
+        "{:<10} {:<14} {:>12} {:>12} {:>12} {:>12} {:>11} {:>12} {:>7} {:>8} {:>10} {:>10}",
         "App",
         "variant",
         "exec (s)",
@@ -332,11 +332,13 @@ fn print_serving_figure(scale: Scale) -> Vec<FigureRow> {
         "page_loads",
         "revalidated",
         "hints",
-        "wasted"
+        "wasted",
+        "home busy",
+        "queue wait"
     );
     for r in &rows {
         println!(
-            "{:<10} {:<14} {:>12.4} {:>12} {:>12.0} {:>12.1} {:>11} {:>12} {:>7} {:>8}",
+            "{:<10} {:<14} {:>12.4} {:>12} {:>12.0} {:>12.1} {:>11} {:>12} {:>7} {:>8} {:>9.2}% {:>9.2}%",
             r.app.to_string(),
             r.protocol_label(),
             r.seconds,
@@ -347,6 +349,8 @@ fn print_serving_figure(scale: Scale) -> Vec<FigureRow> {
             r.stats.pages_revalidated,
             r.stats.hints_sent,
             r.stats.hinted_fetches_wasted,
+            r.peak_home_util * 100.0,
+            r.peak_home_queue_wait * 100.0,
         );
     }
     println!();
@@ -440,18 +444,7 @@ fn run_bench_report(opts: &Options) -> bool {
     // step summary (or an explicit --summary path), not just an opaque
     // pass/fail exit code.
     let summary = report::markdown_summary(&rows, &baseline, &regressions);
-    if let Ok(path) = std::env::var("GITHUB_STEP_SUMMARY") {
-        if !path.is_empty() {
-            use std::io::Write as _;
-            if let Ok(mut f) = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path)
-            {
-                let _ = f.write_all(summary.as_bytes());
-            }
-        }
-    }
+    report::append_step_summary(&summary);
     if regressions.is_empty() {
         println!(
             "baseline gate: {} rows within {:.0}% of {baseline_path}",

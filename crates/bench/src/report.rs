@@ -107,6 +107,12 @@ pub struct ReportRow {
     /// Modeled p99 latency of one serving operation in microseconds.
     /// Tracked lower-is-better like the other time metrics.
     pub serving_p99_us: f64,
+    /// Informational: utilisation of the busiest home (service time booked
+    /// by remote requests over modeled time).
+    pub peak_home_util: f64,
+    /// Informational: largest per-home queue-wait share (time requests
+    /// waited for service over modeled time).
+    pub peak_home_queue_wait: f64,
 }
 
 /// Loads (or similar counters) per epoch, with an epoch-free run counting
@@ -158,6 +164,8 @@ impl From<&FigureRow> for ReportRow {
             serving_ops: row.stats.serving_ops,
             serving_ops_per_s: row.serving_ops_per_s(),
             serving_p99_us: row.serving_p99_us,
+            peak_home_util: row.peak_home_util,
+            peak_home_queue_wait: row.peak_home_queue_wait,
         }
     }
 }
@@ -215,6 +223,8 @@ pub fn envelope(runs: &[Vec<FigureRow>]) -> Vec<ReportRow> {
             // keeps the *minimum* observed rate (the floor the gate holds).
             acc.serving_ops_per_s = acc.serving_ops_per_s.min(next.serving_ops_per_s);
             acc.serving_p99_us = acc.serving_p99_us.max(next.serving_p99_us);
+            acc.peak_home_util = acc.peak_home_util.max(next.peak_home_util);
+            acc.peak_home_queue_wait = acc.peak_home_queue_wait.max(next.peak_home_queue_wait);
         }
     }
     out
@@ -241,7 +251,8 @@ pub fn report_to_json(run: &str, scale: &str, rows: &[ReportRow]) -> String {
              \"hinted_fetches_issued\": {}, \"hinted_fetches_completed\": {}, \
              \"hinted_fetches_wasted\": {}, \"deferred_flushes\": {}, \
              \"flush_overlap_cycles_hidden\": {}, \"serving_ops\": {}, \
-             \"serving_ops_per_s\": {:.3}, \"serving_p99_us\": {:.3}}}{}\n",
+             \"serving_ops_per_s\": {:.3}, \"serving_p99_us\": {:.3}, \
+             \"peak_home_util\": {:.6}, \"peak_home_queue_wait\": {:.6}}}{}\n",
             quote(&r.app),
             quote(&r.protocol),
             quote(&r.cluster),
@@ -272,6 +283,8 @@ pub fn report_to_json(run: &str, scale: &str, rows: &[ReportRow]) -> String {
             r.serving_ops,
             r.serving_ops_per_s,
             r.serving_p99_us,
+            r.peak_home_util,
+            r.peak_home_queue_wait,
             if i + 1 == rows.len() { "" } else { "," },
         ));
     }
@@ -305,6 +318,7 @@ pub fn parse_report(json: &str) -> Result<Vec<ReportRow>, String> {
     rows.iter()
         .map(|row| {
             let counter = |key: &str| row.get(key).and_then(Json::as_f64).map(|v| v as u64);
+            let share = |key: &str| row.get(key).and_then(Json::as_f64).unwrap_or(0.0);
             let page_loads = counter("page_loads").ok_or("row missing \"page_loads\"")?;
             let pages_invalidated =
                 counter("pages_invalidated").ok_or("row missing \"pages_invalidated\"")?;
@@ -362,14 +376,10 @@ pub fn parse_report(json: &str) -> Result<Vec<ReportRow>, String> {
                 deferred_flushes: counter("deferred_flushes").unwrap_or(0),
                 flush_overlap_cycles_hidden: counter("flush_overlap_cycles_hidden").unwrap_or(0),
                 serving_ops: counter("serving_ops").unwrap_or(0),
-                serving_ops_per_s: row
-                    .get("serving_ops_per_s")
-                    .and_then(Json::as_f64)
-                    .unwrap_or(0.0),
-                serving_p99_us: row
-                    .get("serving_p99_us")
-                    .and_then(Json::as_f64)
-                    .unwrap_or(0.0),
+                serving_ops_per_s: share("serving_ops_per_s"),
+                serving_p99_us: share("serving_p99_us"),
+                peak_home_util: share("peak_home_util"),
+                peak_home_queue_wait: share("peak_home_queue_wait"),
             })
         })
         .collect()
@@ -495,6 +505,23 @@ pub fn compare_to_baseline(
         }
     }
     regressions
+}
+
+/// Append `markdown` to the CI job's step summary, so a gate shows its
+/// numbers on the run page instead of only an exit code.  Does nothing
+/// outside GitHub Actions (`$GITHUB_STEP_SUMMARY` unset or empty).
+pub fn append_step_summary(markdown: &str) {
+    use std::io::Write as _;
+    let Some(path) = std::env::var_os("GITHUB_STEP_SUMMARY").filter(|p| !p.is_empty()) else {
+        return;
+    };
+    if let Ok(mut f) = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)
+    {
+        let _ = f.write_all(markdown.as_bytes());
+    }
 }
 
 /// Render a measured sweep against its baseline as a GitHub-flavoured
@@ -1091,6 +1118,8 @@ mod tests {
             serving_ops: 0,
             serving_ops_per_s: 0.0,
             serving_p99_us: 0.0,
+            peak_home_util: 0.0,
+            peak_home_queue_wait: 0.0,
         });
         let findings = compare_to_baseline(&rows, &baseline, DEFAULT_TOLERANCE);
         assert!(findings.iter().any(|f| f.contains("not measured")));

@@ -494,9 +494,10 @@ pub(crate) struct RuntimeShared {
     pub(crate) active_children: AtomicUsize,
     pub(crate) progress: ProgressTable,
     /// Modeled per-operation latencies (picoseconds) recorded by
-    /// [`ThreadCtx::record_serving_op`]; folded into the report's tail
-    /// percentiles when the run ends.
-    pub(crate) serving_latencies: parking_lot::Mutex<Vec<u64>>,
+    /// [`ThreadCtx::record_serving_op`]: each thread hands over its whole
+    /// sample as it ends; folded into the report's tail percentile when the
+    /// run ends.
+    pub(crate) serving_latencies: parking_lot::Mutex<Vec<Vec<u64>>>,
 }
 
 /// The distributed JVM image for one experiment run.
@@ -595,6 +596,7 @@ impl HyperionRuntime {
             thread: tid,
             node: main_node,
             clock: ThreadClock::new(),
+            serving_latencies: Vec::new(),
         };
 
         let result = main(&mut ctx);
@@ -609,6 +611,7 @@ impl HyperionRuntime {
         }
         shared.registry.mark_terminated(tid);
         shared.finish.record(ctx.clock.now());
+        ctx.merge_serving_latencies();
 
         let node_stats = shared.cluster.all_stats();
         // Wire traffic exists only on socket backends; `SimTransport`
@@ -628,19 +631,7 @@ impl HyperionRuntime {
                 (name.to_string(), snap)
             })
             .collect();
-        // Exact tail percentile over every serving operation the program
-        // recorded: sort once at run end rather than maintaining a digest
-        // structure — op counts are bounded by the workload parameters.
-        let serving_p99 = {
-            let mut latencies = shared.serving_latencies.lock();
-            if latencies.is_empty() {
-                VTime::ZERO
-            } else {
-                latencies.sort_unstable();
-                let rank = (latencies.len() as f64 * 0.99).ceil() as usize;
-                VTime::from_ps(latencies[rank.clamp(1, latencies.len()) - 1])
-            }
-        };
+        let serving_p99 = serving_p99(&mut shared.serving_latencies.lock());
         let report = RunReport {
             protocol: shared.config.protocol,
             cluster_label: shared.config.cluster.label().to_string(),
@@ -655,6 +646,25 @@ impl HyperionRuntime {
         };
         RunOutcome { result, report }
     }
+}
+
+/// Exact 99th percentile (rank `ceil(0.99 n)`) over every serving operation
+/// the program recorded.  The per-thread samples are sorted where they are
+/// and only the top 1 % is merged — op counts are bounded by the workload
+/// parameters, and the samples are never copied into one array.
+fn serving_p99(samples: &mut [Vec<u64>]) -> VTime {
+    let n: usize = samples.iter().map(Vec::len).sum();
+    let rank = (n as f64 * 0.99).ceil() as usize;
+    samples.iter_mut().for_each(|s| s.sort_unstable());
+    let mut largest = 0;
+    for _ in rank.max(1)..=n {
+        let sample = samples
+            .iter_mut()
+            .max_by_key(|s| s.last().copied())
+            .expect("n > 0: some thread recorded an operation");
+        largest = sample.pop().expect("the fullest tail is not empty");
+    }
+    VTime::from_ps(largest)
 }
 
 impl std::fmt::Debug for HyperionRuntime {
@@ -734,12 +744,46 @@ impl RunReport {
         }
     }
 
+    /// Each home's utilisation: the service time remote requests booked on
+    /// its protocol processor as a share of the run's modeled time, indexed
+    /// by node id.
+    pub fn home_utilisation(&self) -> Vec<f64> {
+        self.share_of_exec(|s| s.rpc_service_ps)
+    }
+
+    /// Each home's queue-wait share: the time remote requests spent between
+    /// arriving at the home and starting service, summed over all callers,
+    /// as a share of the run's modeled time (the mean number of requests
+    /// queued there), indexed by node id.
+    pub fn home_queue_wait_share(&self) -> Vec<f64> {
+        self.share_of_exec(|s| s.rpc_queue_wait_ps)
+    }
+
+    fn share_of_exec(&self, ps: impl Fn(&StatsSnapshot) -> u64) -> Vec<f64> {
+        let exec = self.execution_time.as_ps().max(1) as f64;
+        self.node_stats
+            .iter()
+            .map(|s| ps(s) as f64 / exec)
+            .collect()
+    }
+
     /// A short multi-line human-readable summary.
     pub fn summary(&self) -> String {
         let t = self.total_stats();
+        // Per home on small clusters, the busiest home otherwise.
+        let percents = |shares: Vec<f64>| {
+            if shares.len() <= 8 {
+                let each: Vec<String> =
+                    shares.iter().map(|s| format!("{:.2}", s * 100.0)).collect();
+                format!("[{}]%", each.join(" "))
+            } else {
+                let peak = shares.iter().copied().fold(0.0, f64::max);
+                format!("peak {:.2}%", peak * 100.0)
+            }
+        };
         format!(
             "{} on {} × {} nodes: {}\n  checks={} faults={} mprotect={} page_loads={} \
-             (revalidated={}) diffs={} bytes={} monitors={}/{}",
+             (revalidated={}) diffs={} bytes={} monitors={}/{}\n  home busy={} queue wait={}",
             self.protocol.name(),
             self.cluster_label,
             self.nodes,
@@ -753,6 +797,8 @@ impl RunReport {
             t.bytes_moved(),
             t.monitor_enters,
             t.monitor_exits,
+            percents(self.home_utilisation()),
+            percents(self.home_queue_wait_share()),
         )
     }
 }
@@ -769,6 +815,9 @@ pub struct ThreadCtx {
     pub(crate) thread: ThreadId,
     pub(crate) node: NodeId,
     pub(crate) clock: ThreadClock,
+    /// Latencies this thread recorded via [`ThreadCtx::record_serving_op`],
+    /// handed to the run-wide sample once, when the thread ends.
+    serving_latencies: Vec<u64>,
 }
 
 impl ThreadCtx {
@@ -952,7 +1001,15 @@ impl ThreadCtx {
         let stats = &self.shared.cluster.node(self.node).stats;
         NodeStats::bump(&stats.serving_ops);
         NodeStats::bump_by(&stats.serving_op_ps_total, latency.as_ps());
-        self.shared.serving_latencies.lock().push(latency.as_ps());
+        self.serving_latencies.push(latency.as_ps());
+    }
+
+    /// Hand this thread's recorded latencies to the run-wide sample.
+    fn merge_serving_latencies(&mut self) {
+        if !self.serving_latencies.is_empty() {
+            let sample = std::mem::take(&mut self.serving_latencies);
+            self.shared.serving_latencies.lock().push(sample);
+        }
     }
 
     // ----- raw DSM access (Table 2 primitives) ------------------------------
@@ -1109,12 +1166,14 @@ impl ThreadCtx {
                     thread: tid,
                     node,
                     clock: ThreadClock::starting_at(start),
+                    serving_latencies: Vec::new(),
                 };
                 body(&mut ctx);
                 // Thread termination is a release point: the child's writes
                 // must reach main memory so a joining thread can observe them.
                 shared.dsm.update_main_memory(node, &mut ctx.clock);
                 let end = ctx.clock.now();
+                ctx.merge_serving_latencies();
                 shared.registry.mark_terminated(tid);
                 shared.finish.record(end);
                 shared.progress.set_inactive(tid);
@@ -1195,6 +1254,29 @@ mod tests {
 
     fn config(nodes: usize, protocol: ProtocolKind) -> HyperionConfig {
         HyperionConfig::new(myrinet_200(), nodes, protocol)
+    }
+
+    #[test]
+    fn serving_p99_over_thread_samples_is_the_rank_of_the_flat_sample() {
+        assert_eq!(serving_p99(&mut []), VTime::ZERO);
+        assert_eq!(serving_p99(&mut [vec![7]]), VTime::from_ps(7));
+        // Uneven per-thread samples with ties across threads.
+        let mut x = 0x9E37_79B9u64;
+        let mut samples: Vec<Vec<u64>> = [1usize, 250, 0, 999, 37]
+            .iter()
+            .map(|&len| {
+                (0..len)
+                    .map(|_| {
+                        x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                        (x >> 33) % 500
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut flat: Vec<u64> = samples.iter().flatten().copied().collect();
+        flat.sort_unstable();
+        let rank = (flat.len() as f64 * 0.99).ceil() as usize;
+        assert_eq!(serving_p99(&mut samples), VTime::from_ps(flat[rank - 1]));
     }
 
     #[test]

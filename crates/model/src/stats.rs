@@ -155,6 +155,10 @@ define_stats! {
     group_relay_cycles,
     /// Page fetches (a subset of `page_loads`) the home answered "not modified": the retained copy was re-opened and no page bytes moved.
     pages_revalidated,
+    /// Service time booked on this node's protocol processor by remote requests, in picoseconds (busy time; divide by the run's execution time for the home's utilisation).
+    rpc_service_ps,
+    /// Time remote requests waited at this node between arrival and start of service, in picoseconds.
+    rpc_queue_wait_ps,
 }
 
 impl NodeStats {
@@ -382,7 +386,7 @@ mod tests {
         ] {
             assert!(names.contains(&expected), "missing {expected}");
         }
-        assert_eq!(names.len(), 49);
+        assert_eq!(names.len(), 51);
         for added in [
             "batched_flushes",
             "rpc_retries",
@@ -406,6 +410,8 @@ mod tests {
             "combined_diff_batches",
             "group_relay_cycles",
             "pages_revalidated",
+            "rpc_service_ps",
+            "rpc_queue_wait_ps",
         ] {
             assert!(names.contains(&added), "missing {added}");
         }

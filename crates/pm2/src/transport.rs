@@ -270,8 +270,14 @@ pub(crate) fn charge_round_trip(
     clock.advance(request_cpu + net.send_overhead);
     let arrival = clock.now() + net.latency + net.transfer(req_bytes);
 
-    // 3. service at the home node (serialised).
-    let done = to_node.server.serve(arrival, server_cpu + service_time);
+    // 3. service at the home node (serialised), attributed to the home.
+    let service = server_cpu + service_time;
+    let done = to_node.server.serve(arrival, service);
+    NodeStats::bump_by(&to_node.stats.rpc_service_ps, service.as_ps());
+    NodeStats::bump_by(
+        &to_node.stats.rpc_queue_wait_ps,
+        (done - service - arrival).as_ps(),
+    );
 
     // 4. + 5. reply crosses the wire and is absorbed by the caller.
     let completion = done + net.latency + net.transfer(reply_bytes) + net.recv_overhead;
