@@ -25,6 +25,11 @@
 //!   bookings that lie in their virtual future — the service clock is
 //!   serving in host order again.  The table (with each row's busiest-home
 //!   utilisation) also goes to the CI step summary.
+//! * **Validation riders**: on each of the three 4-node KV rows pages must
+//!   have been opened on a rider's confirmation (`rider_opens > 0`) — the
+//!   hot pages of a Zipf store are exactly what an acquire drops and the
+//!   next few reads touch again.  Riders sent / opened ride in the same
+//!   table.
 //! * **PageRank page loads**: the adaptive protocol's page loads on the
 //!   irregular graph traffic must stay within 25% of the `java_pf`
 //!   reference — switching detection modes must not thrash the cache.
@@ -90,8 +95,9 @@ fn verify_serving_invariants(_c: &mut Criterion) {
     );
     let mut home_load = format!(
         "## fig9: home load on the {ADAPTIVE_NODES}-node KV rows\n\n\
-         | protocol | exec (s) | busiest home busy | peak home queue wait (bound {:.0} %) |\n\
-         |---|---|---|---|\n",
+         | protocol | exec (s) | busiest home busy | peak home queue wait (bound {:.0} %) \
+         | riders sent | opened without an RPC |\n\
+         |---|---|---|---|---|---|\n",
         KV_QUEUE_WAIT_BOUND * 100.0
     );
     for app in BenchmarkName::serving() {
@@ -112,12 +118,20 @@ fn verify_serving_invariants(_c: &mut Criterion) {
             assert!(row.serving_p99_us > 0.0, "{app}: no p99 recorded");
             if app == BenchmarkName::KvStore {
                 home_load.push_str(&format!(
-                    "| {} | {:.4} | {:.2} % | {:.2} % |\n",
+                    "| {} | {:.4} | {:.2} % | {:.2} % | {} | {} |\n",
                     row.protocol_label(),
                     row.seconds,
                     row.peak_home_util * 100.0,
                     row.peak_home_queue_wait * 100.0,
+                    row.stats.validation_riders,
+                    row.stats.rider_opens,
                 ));
+                assert!(
+                    row.stats.rider_opens > 0,
+                    "KVStore {}: {} validation riders sent, none ever opened a page",
+                    row.protocol_label(),
+                    row.stats.validation_riders,
+                );
                 assert!(
                     row.peak_home_queue_wait <= KV_QUEUE_WAIT_BOUND,
                     "KVStore {}: requests waited {:.2} % of the modeled time at a home that \

@@ -195,13 +195,14 @@ impl FigureRow {
          mprotect_calls,page_loads,diff_messages,bytes_moved,remote_monitor_acquires,\
          barrier_waits,batched_fetches,pages_prefetched,protocol_switches,batched_flushes,\
          pages_migrated,fetch_overlap_cycles_hidden,pages_revalidated,serving_ops,\
-         serving_ops_per_s,serving_p99_us,peak_home_util,peak_home_queue_wait"
+         serving_ops_per_s,serving_p99_us,peak_home_util,peak_home_queue_wait,\
+         validation_riders,rider_opens"
     }
 
     /// Serialise as one CSV line.
     pub fn to_csv(&self) -> String {
         format!(
-            "{},{},{},{},{},{:.6},{:.6},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.3},{:.3},{:.6},{:.6}",
+            "{},{},{},{},{},{:.6},{:.6},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.3},{:.3},{:.6},{:.6},{},{}",
             self.figure,
             self.app,
             self.cluster,
@@ -229,6 +230,8 @@ impl FigureRow {
             self.serving_p99_us,
             self.peak_home_util,
             self.peak_home_queue_wait,
+            self.stats.validation_riders,
+            self.stats.rider_opens,
         )
     }
 }
@@ -1228,12 +1231,13 @@ mod tests {
         assert!(row.stats.serving_ops > 0);
         assert!(row.serving_ops_per_s() > 0.0);
         assert!(row.serving_p99_us > 0.0);
-        // The serving and home-load columns ride at the end of the CSV row.
+        // The serving, home-load and rider columns ride at the end of the CSV
+        // row.
         assert_eq!(
             row.to_csv().matches(',').count(),
             FigureRow::csv_header().matches(',').count()
         );
-        assert!(FigureRow::csv_header().ends_with("peak_home_queue_wait"));
+        assert!(FigureRow::csv_header().ends_with("validation_riders,rider_opens"));
 
         // Batch kernels record no serving operations.
         let pi = run_point(

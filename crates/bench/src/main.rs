@@ -322,7 +322,7 @@ fn print_serving_figure(scale: Scale) -> Vec<FigureRow> {
         hyperion_bench::ADAPTIVE_NODES
     );
     println!(
-        "{:<10} {:<14} {:>12} {:>12} {:>12} {:>12} {:>11} {:>12} {:>7} {:>8} {:>10} {:>10}",
+        "{:<10} {:<14} {:>12} {:>12} {:>12} {:>12} {:>11} {:>12} {:>8} {:>8} {:>7} {:>8} {:>10} {:>10}",
         "App",
         "variant",
         "exec (s)",
@@ -331,6 +331,8 @@ fn print_serving_figure(scale: Scale) -> Vec<FigureRow> {
         "p99 (us)",
         "page_loads",
         "revalidated",
+        "riders",
+        "opened",
         "hints",
         "wasted",
         "home busy",
@@ -338,7 +340,7 @@ fn print_serving_figure(scale: Scale) -> Vec<FigureRow> {
     );
     for r in &rows {
         println!(
-            "{:<10} {:<14} {:>12.4} {:>12} {:>12.0} {:>12.1} {:>11} {:>12} {:>7} {:>8} {:>9.2}% {:>9.2}%",
+            "{:<10} {:<14} {:>12.4} {:>12} {:>12.0} {:>12.1} {:>11} {:>12} {:>8} {:>8} {:>7} {:>8} {:>9.2}% {:>9.2}%",
             r.app.to_string(),
             r.protocol_label(),
             r.seconds,
@@ -347,6 +349,8 @@ fn print_serving_figure(scale: Scale) -> Vec<FigureRow> {
             r.serving_p99_us,
             r.stats.page_loads,
             r.stats.pages_revalidated,
+            r.stats.validation_riders,
+            r.stats.rider_opens,
             r.stats.hints_sent,
             r.stats.hinted_fetches_wasted,
             r.peak_home_util * 100.0,

@@ -54,6 +54,10 @@ pub struct ReportRow {
     /// Informational: the subset of `page_loads` the home answered "not
     /// modified" (retained copy re-opened, no page bytes moved).
     pub pages_revalidated: u64,
+    /// Informational: validation riders sent along with fetches.
+    pub validation_riders: u64,
+    /// Informational: validated pages opened on first touch without an RPC.
+    pub rider_opens: u64,
     /// Cluster-wide pages dropped by cache invalidations.
     pub pages_invalidated: u64,
     /// Cluster-wide cache-invalidation episodes (work-normalisation base).
@@ -138,6 +142,8 @@ impl From<&FigureRow> for ReportRow {
             exec_seconds: row.seconds,
             page_loads: row.stats.page_loads,
             pages_revalidated: row.stats.pages_revalidated,
+            validation_riders: row.stats.validation_riders,
+            rider_opens: row.stats.rider_opens,
             pages_invalidated: row.stats.pages_invalidated,
             cache_invalidations: row.stats.cache_invalidations,
             monitor_enters: row.stats.monitor_enters,
@@ -192,6 +198,8 @@ pub fn envelope(runs: &[Vec<FigureRow>]) -> Vec<ReportRow> {
             acc.exec_seconds = acc.exec_seconds.max(next.exec_seconds);
             acc.page_loads = acc.page_loads.max(next.page_loads);
             acc.pages_revalidated = acc.pages_revalidated.max(next.pages_revalidated);
+            acc.validation_riders = acc.validation_riders.max(next.validation_riders);
+            acc.rider_opens = acc.rider_opens.max(next.rider_opens);
             acc.pages_invalidated = acc.pages_invalidated.max(next.pages_invalidated);
             acc.cache_invalidations = acc.cache_invalidations.max(next.cache_invalidations);
             acc.monitor_enters = acc.monitor_enters.max(next.monitor_enters);
@@ -241,6 +249,7 @@ pub fn report_to_json(run: &str, scale: &str, rows: &[ReportRow]) -> String {
         out.push_str(&format!(
             "    {{\"app\": {}, \"protocol\": {}, \"cluster\": {}, \"nodes\": {}, \
              \"exec_seconds\": {:.9}, \"page_loads\": {}, \"pages_revalidated\": {}, \
+             \"validation_riders\": {}, \"rider_opens\": {}, \
              \"pages_invalidated\": {}, \
              \"cache_invalidations\": {}, \"monitor_enters\": {}, \
              \"loads_per_epoch\": {:.6}, \"invalidated_per_epoch\": {:.6}, \
@@ -260,6 +269,8 @@ pub fn report_to_json(run: &str, scale: &str, rows: &[ReportRow]) -> String {
             r.exec_seconds,
             r.page_loads,
             r.pages_revalidated,
+            r.validation_riders,
+            r.rider_opens,
             r.pages_invalidated,
             r.cache_invalidations,
             r.monitor_enters,
@@ -347,6 +358,8 @@ pub fn parse_report(json: &str) -> Result<Vec<ReportRow>, String> {
                     .ok_or("row missing \"exec_seconds\"")?,
                 page_loads,
                 pages_revalidated: counter("pages_revalidated").unwrap_or(0),
+                validation_riders: counter("validation_riders").unwrap_or(0),
+                rider_opens: counter("rider_opens").unwrap_or(0),
                 pages_invalidated,
                 cache_invalidations,
                 monitor_enters: counter("monitor_enters").unwrap_or(0),
@@ -584,8 +597,8 @@ pub fn markdown_summary(
         (ops, p99)
     };
     out.push_str(
-        "| app | protocol | nodes | exec (s) | Δ exec | page loads | revalidated | Δ loads | Δ loads/epoch | ops/s | p99 (µs) | status |\n\
-         |---|---|---|---|---|---|---|---|---|---|---|---|\n",
+        "| app | protocol | nodes | exec (s) | Δ exec | page loads | revalidated | riders (opened) | Δ loads | Δ loads/epoch | ops/s | p99 (µs) | status |\n\
+         |---|---|---|---|---|---|---|---|---|---|---|---|---|\n",
     );
     for row in current {
         let key = row.key();
@@ -604,7 +617,7 @@ pub fn markdown_summary(
         let (ops_cell, p99_cell) = serving(row, base.get(&key));
         match base.get(&key) {
             Some(b) => out.push_str(&format!(
-                "| {} | {} | {} | {:.4} | {} | {} | {} | {} | {} | {} | {} | {} |\n",
+                "| {} | {} | {} | {:.4} | {} | {} | {} | {} ({}) | {} | {} | {} | {} | {} |\n",
                 row.app,
                 row.protocol,
                 row.nodes,
@@ -612,6 +625,8 @@ pub fn markdown_summary(
                 delta(b.exec_seconds, row.exec_seconds),
                 row.page_loads,
                 row.pages_revalidated,
+                row.validation_riders,
+                row.rider_opens,
                 delta(b.page_loads as f64, row.page_loads as f64),
                 delta(b.loads_per_epoch, row.loads_per_epoch),
                 ops_cell,
@@ -619,13 +634,15 @@ pub fn markdown_summary(
                 status
             )),
             None => out.push_str(&format!(
-                "| {} | {} | {} | {:.4} | — | {} | {} | — | — | {} | {} | {} |\n",
+                "| {} | {} | {} | {:.4} | — | {} | {} | {} ({}) | — | — | {} | {} | {} |\n",
                 row.app,
                 row.protocol,
                 row.nodes,
                 row.exec_seconds,
                 row.page_loads,
                 row.pages_revalidated,
+                row.validation_riders,
+                row.rider_opens,
                 ops_cell,
                 p99_cell,
                 status
@@ -1095,6 +1112,8 @@ mod tests {
             exec_seconds: 1.0,
             page_loads: 1,
             pages_revalidated: 0,
+            validation_riders: 0,
+            rider_opens: 0,
             pages_invalidated: 1,
             cache_invalidations: 1,
             monitor_enters: 1,

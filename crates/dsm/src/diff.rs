@@ -1,31 +1,29 @@
-//! Wire encoding of page fetches and field-granularity diffs.
+//! Wire encoding of field-granularity diffs, and what every wire decoder
+//! of this crate shares: [`WireError`] and the bounds-checked reader.
 //!
 //! `updateMainMemory` ships only the modified 8-byte slots of each cached
 //! page back to the page's home node (the paper's "object-field granularity",
 //! §3.1), so two nodes writing different fields of the same page never
 //! overwrite each other's updates (no false sharing at flush time).
-//!
-//! Every page fetch is *conditional*: the request names, per page, the
-//! version of the copy the requester retains (0 = none), and the home
-//! answers per page either "not modified" or the page with its version.
-//! Diff acknowledgements return each page's post-apply version.  All
-//! decoders return a [`WireError`] on malformed input; none panics.
+//! Diff acknowledgements return each page's post-apply version.  The page
+//! fetch messages are `fetch_wire.rs`'s, re-exported here.
+//! All decoders return a [`WireError`] on malformed input; none panics.
 //!
 //! | message | layout (little-endian) |
 //! |---|---|
-//! | fetch request | `first page u64` (bit 63 = no hints) · `count u32` · `count × retained version u64` |
-//! | fetch reply | per page `0u8 · version u64` (not modified) or `1u8 · version u64 · 4096 B`; then optionally `n u16 · n × (first page u64 · run u16)` hints |
 //! | diff | `page u64 · n u32 · n × (slot u16 · value u64)`; batched: `first page u64` (bit 63 set) · `pages u32` · per page `n u32 · entries` |
 //! | diff reply | `pages × post-apply version u64` (0 = the page carried no entries), then optionally a migration grant `page u64 · 4096 B` |
 
 use hyperion_pm2::{PageId, PAGE_BYTES, SLOTS_PER_PAGE};
 
+pub use crate::fetch_wire::{
+    append_fetch_hints, decode_fetch_reply, decode_fetch_request, encode_fetch_request,
+    push_page_reply, push_rider_answers, FetchReply, FetchRequest, HintRun, PageReply, Rider,
+    MAX_RIDERS,
+};
+
 /// One modified slot: `(slot index within the page, new value)`.
 pub type DiffEntry = (u16, u64);
-
-/// One prefetch-directory hint: a run of `1`-or-more contiguous pages
-/// (starting at the id) the home predicts the requester will touch soon.
-pub type HintRun = (PageId, u16);
 
 /// Why a payload could not be decoded.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -54,10 +52,10 @@ impl std::error::Error for WireError {}
 pub type Wire<T> = Result<T, WireError>;
 
 /// A forward-only cursor over a payload; every read is bounds-checked.
-struct Reader<'a>(&'a [u8]);
+pub(crate) struct Reader<'a>(pub(crate) &'a [u8]);
 
 impl<'a> Reader<'a> {
-    fn bytes(&mut self, n: usize, what: &'static str) -> Wire<&'a [u8]> {
+    pub(crate) fn bytes(&mut self, n: usize, what: &'static str) -> Wire<&'a [u8]> {
         if self.0.len() < n {
             return Err(WireError::Truncated(what));
         }
@@ -67,20 +65,20 @@ impl<'a> Reader<'a> {
     }
 
     /// The next `N` bytes, for `from_le_bytes`.
-    fn le<const N: usize>(&mut self, what: &'static str) -> Wire<[u8; N]> {
+    pub(crate) fn le<const N: usize>(&mut self, what: &'static str) -> Wire<[u8; N]> {
         Ok(self.bytes(N, what)?.try_into().expect("N bytes taken"))
     }
 
     /// `n` items of `each` bytes must still fit: bounds a count read from
     /// the wire before anything is allocated for it.
-    fn fits(&self, n: usize, each: usize, what: &'static str) -> Wire<()> {
+    pub(crate) fn fits(&self, n: usize, each: usize, what: &'static str) -> Wire<()> {
         match n.checked_mul(each) {
             Some(need) if need <= self.0.len() => Ok(()),
             _ => Err(WireError::Truncated(what)),
         }
     }
 
-    fn finish(self, what: &'static str) -> Wire<()> {
+    pub(crate) fn finish(self, what: &'static str) -> Wire<()> {
         if self.0.is_empty() {
             Ok(())
         } else {
@@ -92,123 +90,7 @@ impl<'a> Reader<'a> {
 /// Tag bit on the leading page id of a fetch request (*hint-suppressed*: no
 /// prefetch-directory hints on the reply, so a hint never recurses into a
 /// chain of hints) and of a batched diff.  Real page numbers never use it.
-const TOP_BIT: u64 = 1 << 63;
-
-/// A decoded page-fetch request for `versions.len()` contiguous pages.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FetchRequest {
-    /// The first requested page.
-    pub first: PageId,
-    /// Whether the home may piggyback prefetch-directory hints on the reply.
-    pub hints_ok: bool,
-    /// Per page, the version of the copy the requester retains (0 = none).
-    pub versions: Vec<u64>,
-}
-
-/// Encode a fetch request for the `versions.len()` contiguous pages starting
-/// at `first`, all homed on the target node.
-///
-/// # Panics
-/// Panics if `versions` is empty.
-pub fn encode_fetch_request(first: PageId, versions: &[u64], hints_ok: bool) -> Vec<u8> {
-    assert!(!versions.is_empty(), "a fetch requests at least one page");
-    let mut out = Vec::with_capacity(12 + versions.len() * 8);
-    let tag = if hints_ok { 0 } else { TOP_BIT };
-    out.extend_from_slice(&(first.0 | tag).to_le_bytes());
-    out.extend_from_slice(&(versions.len() as u32).to_le_bytes());
-    for v in versions {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-/// Decode a fetch request produced by [`encode_fetch_request`].
-pub fn decode_fetch_request(payload: &[u8]) -> Wire<FetchRequest> {
-    let mut r = Reader(payload);
-    let head = u64::from_le_bytes(r.le("fetch request page id")?);
-    let count = u32::from_le_bytes(r.le("fetch request page count")?) as usize;
-    if count == 0 {
-        return Err(WireError::Invalid("fetch request for zero pages"));
-    }
-    r.fits(count, 8, "fetch request versions")?;
-    let versions = (0..count)
-        .map(|_| r.le("fetch request versions").map(u64::from_le_bytes))
-        .collect::<Result<_, _>>()?;
-    r.finish("fetch request")?;
-    Ok(FetchRequest {
-        first: PageId(head & !TOP_BIT),
-        hints_ok: head & TOP_BIT == 0,
-        versions,
-    })
-}
-
-/// The home's answer for one page of a fetch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PageReply<'a> {
-    /// The home copy is still at the version the requester retains.
-    NotModified(u64),
-    /// The page (`PAGE_BYTES` long) and the version it was snapshotted under.
-    Full(u64, &'a [u8]),
-}
-
-/// Append one page's answer to a fetch reply (panics if a shipped page's
-/// data is not exactly one page long).
-pub fn push_page_reply(reply: &mut Vec<u8>, page: PageReply<'_>) {
-    let (tag, version, data) = match page {
-        PageReply::NotModified(version) => (0u8, version, &[][..]),
-        PageReply::Full(version, data) => (1u8, version, data),
-    };
-    assert!(tag == 0 || data.len() == PAGE_BYTES, "not one page long");
-    reply.push(tag);
-    reply.extend_from_slice(&version.to_le_bytes());
-    reply.extend_from_slice(data);
-}
-
-/// Append the prefetch-directory hint trailer to a fetch reply whose page
-/// answers are complete: nothing for no hints; panics on a zero-page run.
-pub fn append_fetch_hints(reply: &mut Vec<u8>, hints: &[HintRun]) {
-    if hints.is_empty() {
-        return;
-    }
-    reply.extend_from_slice(&(hints.len() as u16).to_le_bytes());
-    for (first, run) in hints {
-        assert!(*run > 0, "a hint run covers at least one page");
-        reply.extend_from_slice(&first.0.to_le_bytes());
-        reply.extend_from_slice(&run.to_le_bytes());
-    }
-}
-
-/// Decode the reply to a fetch of `pages` pages: one [`PageReply`] per page,
-/// then the hint runs (empty when the home sent none).
-pub fn decode_fetch_reply(reply: &[u8], pages: usize) -> Wire<(Vec<PageReply<'_>>, Vec<HintRun>)> {
-    let mut r = Reader(reply);
-    r.fits(pages, 9, "fetch reply pages")?;
-    let mut out = Vec::with_capacity(pages);
-    for _ in 0..pages {
-        let tag = u8::from_le_bytes(r.le("fetch reply page tag")?);
-        let version = u64::from_le_bytes(r.le("fetch reply page version")?);
-        out.push(match tag {
-            0 => PageReply::NotModified(version),
-            1 => PageReply::Full(version, r.bytes(PAGE_BYTES, "fetch reply page data")?),
-            _ => return Err(WireError::Invalid("fetch reply page tag")),
-        });
-    }
-    let mut hints = Vec::new();
-    if !r.0.is_empty() {
-        let n = u16::from_le_bytes(r.le("hint count")?) as usize;
-        r.fits(n, 10, "hint entries")?;
-        for _ in 0..n {
-            let first = PageId(u64::from_le_bytes(r.le("hint entries")?));
-            let run = u16::from_le_bytes(r.le("hint entries")?);
-            if run == 0 {
-                return Err(WireError::Invalid("hint run of zero pages"));
-            }
-            hints.push((first, run));
-        }
-    }
-    r.finish("fetch reply")?;
-    Ok((out, hints))
-}
+pub(crate) const TOP_BIT: u64 = 1 << 63;
 
 fn push_entries(out: &mut Vec<u8>, entries: &[DiffEntry]) {
     out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
@@ -332,66 +214,6 @@ pub fn decode_diff_reply(reply: &[u8], pages: usize) -> Wire<(Vec<u64>, Option<P
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fetch_request_round_trips_in_every_shape() {
-        for (versions, hints_ok) in [(vec![0u64], true), (vec![7], false), (vec![0, 9, 3], true)] {
-            let enc = encode_fetch_request(PageId(11), &versions, hints_ok);
-            assert_eq!(enc.len(), 12 + 8 * versions.len());
-            let dec = decode_fetch_request(&enc).unwrap();
-            assert_eq!((dec.first, dec.hints_ok), (PageId(11), hints_ok));
-            assert_eq!(dec.versions, versions);
-        }
-    }
-
-    #[test]
-    fn malformed_fetch_requests_are_errors_not_panics() {
-        let err = |bytes: &[u8]| decode_fetch_request(bytes).unwrap_err();
-        let enc = encode_fetch_request(PageId(1), &[4, 5], true);
-        assert!(matches!(err(&enc[..19]), WireError::Truncated(_)));
-        assert!(matches!(
-            err(&[&enc[..], &[0]].concat()),
-            WireError::TrailingBytes(_)
-        ));
-        assert!(matches!(err(&[1, 2, 3]), WireError::Truncated(_)));
-        // A zero count, and one far beyond the payload (rejected before
-        // anything is allocated for it).
-        for count in [[0u8; 4], [0xFF; 4]] {
-            let mut bad = enc.clone();
-            bad[8..12].copy_from_slice(&count);
-            assert!(decode_fetch_request(&bad).is_err());
-        }
-    }
-
-    #[test]
-    fn fetch_reply_round_trips_mixed_pages_and_hints() {
-        let page = vec![7u8; PAGE_BYTES];
-        let mut reply = Vec::new();
-        push_page_reply(&mut reply, PageReply::NotModified(4));
-        push_page_reply(&mut reply, PageReply::Full(9, &page));
-        append_fetch_hints(&mut reply, &[]);
-        assert_eq!(reply.len(), 9 + 9 + PAGE_BYTES, "no hints, no trailer");
-        let expected = vec![PageReply::NotModified(4), PageReply::Full(9, &page)];
-        assert_eq!(decode_fetch_reply(&reply, 2), Ok((expected, vec![])));
-
-        append_fetch_hints(&mut reply, &[(PageId(40), 3), (PageId(90), 1)]);
-        let (pages, hints) = decode_fetch_reply(&reply, 2).unwrap();
-        assert_eq!(pages.len(), 2);
-        assert_eq!(hints, vec![(PageId(40), 3), (PageId(90), 1)]);
-
-        // Wrong page count, truncation and a bad tag are all errors.
-        assert!(decode_fetch_reply(&reply, 3).is_err());
-        assert!(decode_fetch_reply(&reply[..reply.len() - 1], 2).is_err());
-        reply[0] = 9;
-        let err = decode_fetch_reply(&reply, 2).unwrap_err();
-        assert_eq!(err, WireError::Invalid("fetch reply page tag"));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one page")]
-    fn zero_length_hint_run_is_never_encoded() {
-        append_fetch_hints(&mut Vec::new(), &[(PageId(1), 0)]);
-    }
 
     #[test]
     fn diff_round_trips_single_and_batched() {

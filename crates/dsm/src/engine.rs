@@ -47,6 +47,7 @@ use crate::config::{AdaptiveParams, DeferredFlush, Locality, ProtocolKind, Trans
 use crate::diff::{decode_diff_reply, encode_diff, encode_diff_batch, DiffEntry, HintRun};
 use crate::page::PageFrame;
 use crate::policy::{resolve_marks, AccessAction, PolicySet, PolicySpec};
+use crate::riders::{rider_worth, NodeFetchState};
 use crate::services::{DiffApplyService, PageFetchService};
 use crate::table::DsmStore;
 
@@ -61,6 +62,11 @@ pub struct DsmSystem {
     pub(crate) configured_marks: (u64, u64),
     pub(crate) policies: PolicySet,
     pub(crate) transport: TransportConfig,
+    /// Per node: what the fetch mechanics remember between fetches (recent
+    /// pages per home, windowed accuracy gates; see `riders.rs`).
+    pub(crate) fetch_state: Vec<NodeFetchState>,
+    /// Riders one saved round trip pays for on this cluster's machine.
+    pub(crate) rider_worth: u64,
     pub(crate) page_fetch: ServiceId,
     pub(crate) diff_apply: ServiceId,
     pub(crate) group_relay: ServiceId,
@@ -138,6 +144,8 @@ impl DsmSystem {
         let group_relay = cluster.register_service(Arc::new(
             crate::combine::GroupRelayService::new(Arc::clone(&store), &cluster, &policies),
         ));
+        let nodes = cluster.num_nodes();
+        let rider_worth = rider_worth(cluster.machine());
         Arc::new(DsmSystem {
             cluster,
             store,
@@ -145,6 +153,8 @@ impl DsmSystem {
             configured_marks,
             policies,
             transport: transport.clone(),
+            fetch_state: (0..nodes).map(|_| NodeFetchState::new(nodes)).collect(),
+            rider_worth,
             page_fetch,
             diff_apply,
             group_relay,
@@ -387,6 +397,8 @@ impl DsmSystem {
     pub fn invalidate_cache(&self, node: NodeId, clock: &mut ThreadClock) {
         let node_ref = self.cluster.node(node);
         NodeStats::bump(&node_ref.stats.cache_invalidations);
+        let fetch_state = &self.fetch_state[node.index()];
+        fetch_state.begin_invalidate();
 
         let detection = &self.policies.detection;
         let mut cached: Vec<(PageId, Arc<PageFrame>)> = Vec::new();
@@ -415,6 +427,7 @@ impl DsmSystem {
         }
         if wasted > 0 {
             NodeStats::bump_by(&node_ref.stats.pages_prefetch_wasted, wasted);
+            fetch_state.speculation.outcome(wasted);
         }
         detection.after_invalidate(node, &node_ref.stats);
         if cached.is_empty() {
@@ -444,7 +457,7 @@ impl DsmSystem {
             let reprotect = detection.reprotect_on_invalidate(frame);
             reprotected |= reprotect;
             // A hinted ticket still pending here means the predicted demand
-            // miss never came: the hint was wasted.  The counter feeds the
+            // miss never came: the hint was wasted.  The count feeds the
             // requester-side throttle in `issue_hint_fetches`, and the page
             // is remembered so the ticket can be re-armed below.
             if frame.inflight_is_hinted() {
@@ -455,6 +468,7 @@ impl DsmSystem {
         }
         if hint_waste > 0 {
             NodeStats::bump_by(&node_ref.stats.hinted_fetches_wasted, hint_waste);
+            fetch_state.hints.outcome(hint_waste);
         }
 
         let n = cached.len() as u64;
@@ -795,18 +809,20 @@ mod tests {
             assert_eq!(cluster.node_stats(n).batched_flushes, before + 1);
             assert_eq!(dirty[0].1.version(), retained, "{kind:?}: P not forwarded");
 
-            let loads = cluster.node_stats(n).pages_revalidated;
+            // Copies the home confirmed instead of shipping: by the page's
+            // own fetch, or by a rider on its neighbour's.
+            let confirmed = || {
+                let s = cluster.node_stats(n);
+                s.pages_revalidated + s.rider_opens
+            };
+            let before = confirmed();
             dsm.invalidate_cache(n, &mut t1);
             assert_eq!(dsm.get(n, &mut t1, p.offset(1)), 77, "{kind:?}");
             assert_eq!(dsm.get(n, &mut t1, p), 1, "{kind:?}");
-            assert_eq!(cluster.node_stats(n).pages_revalidated, loads, "{kind:?}");
+            assert_eq!(confirmed(), before, "{kind:?}");
             // Q was written by this node alone and stays current.
             assert_eq!(dsm.get(n, &mut t1, q.offset(1)), 2, "{kind:?}");
-            assert_eq!(
-                cluster.node_stats(n).pages_revalidated,
-                loads + 1,
-                "{kind:?}: Q forwarded"
-            );
+            assert_eq!(confirmed(), before + 1, "{kind:?}: Q forwarded");
         }
     }
 }

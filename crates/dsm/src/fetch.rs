@@ -5,7 +5,8 @@
 //! Every fetch is conditional (see [`crate::page`], "Page versions"): all
 //! three paths go through [`DsmSystem::fetch_run`], which names the version
 //! each frame retains and either re-opens the retained copy or installs the
-//! shipped one.
+//! shipped one — and lets the recent pages of the same home ride along to
+//! be validated on the way (`riders.rs`).
 //!
 //! This is a second `impl DsmSystem` block (split out of `engine.rs` to
 //! keep the engine readable): everything here is mechanism — RPC framing,
@@ -15,7 +16,6 @@
 //! [`crate::policy::Predictor::converts_hints`]) that the engine already
 //! resolved.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use hyperion_model::{NodeStats, ThreadClock, VTime};
@@ -27,28 +27,34 @@ use crate::page::PageFrame;
 use crate::recover::RpcFailure;
 
 impl DsmSystem {
-    /// One conditional fetch RPC for the contiguous run of pages starting at
-    /// `first`, whose frames on this node are `frames` (the caller holds
-    /// their fetch locks).  Each frame either has its retained copy
-    /// re-opened ("not modified") or a fresh copy installed.  Returns the
-    /// hints the reply carried and the instant the reply arrives.
+    /// One conditional fetch RPC to `home` for the contiguous run of its pages
+    /// starting at `first`, whose frames on this node are `frames` (the
+    /// caller holds their fetch locks).  Each frame either has its retained
+    /// copy re-opened ("not modified") or a fresh copy installed.  Returns
+    /// the hints the reply carried and the instant the reply arrives.
     fn fetch_run(
         &self,
-        node: NodeId,
         node_ref: &Node,
         clock: &mut ThreadClock,
+        home: NodeId,
         first: PageId,
         frames: &[&PageFrame],
         hints_ok: bool,
     ) -> Result<(Vec<HintRun>, VTime), RpcFailure> {
+        let node = node_ref.id();
         let retained: Vec<u64> = frames.iter().map(|f| f.version()).collect();
-        let payload = encode_fetch_request(first, &retained, hints_ok);
+        let epoch = self.fetch_epoch(node);
+        let asked = self.pick_riders(node, home, first, frames.len(), epoch);
+        self.charge_riders(node_ref, clock, asked.len() as u64);
+        let payload = encode_fetch_request(first, &retained, &asked, hints_ok);
         let (bytes, completion) =
             self.rpc_to_home(clock, node, node_ref, first, self.page_fetch, &payload)?;
         let malformed = |why| self.malformed_reply(node, first, self.page_fetch, why);
-        let (pages, hints) = decode_fetch_reply(&bytes, frames.len()).map_err(malformed)?;
+        let reply = decode_fetch_reply(&bytes, frames.len(), asked.len()).map_err(malformed)?;
+        self.settle_riders(node, home, &asked, reply.unchanged, epoch, completion);
+        let hints = reply.hints;
         let mut revalidated = 0u64;
-        for (k, (frame, reply)) in frames.iter().zip(pages).enumerate() {
+        for (k, (frame, reply)) in frames.iter().zip(reply.pages).enumerate() {
             if frame.is_home() {
                 // A concurrent migration grant promoted this frame to home
                 // while the fetch was in flight: it already holds the
@@ -76,37 +82,6 @@ impl DsmSystem {
         Ok((hints, completion))
     }
 
-    /// The independent check behind every "not modified" answer (debug
-    /// builds): the retained bytes must equal the home's, slot for slot,
-    /// unless the home stamp has moved since it answered — then a write is
-    /// racing with this fetch without a happens-before edge, a Java-level
-    /// data race a refetch could equally have missed.  Anything else is a
-    /// stale copy being re-opened.
-    #[cfg(debug_assertions)]
-    fn assert_retained_copy_current(&self, page: PageId, frame: &PageFrame, version: u64) {
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
-        loop {
-            let home = self.store.home_of(page);
-            // Compare first, stamp second: a home write is data first, flag
-            // second, so a difference seen here reaches the stamp shortly.
-            let (differing, stamp) = self.store.with_frame(home, page, |h| {
-                let slot = (0..hyperion_pm2::SLOTS_PER_PAGE)
-                    .find(|&s| !frame.slot_is_dirty(s) && frame.load_slot(s) != h.load_slot(s));
-                (slot, h.stamp())
-            });
-            let Some(slot) = differing else { return };
-            if stamp != version || frame.version() != version || frame.is_home() {
-                return;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "stale copy revalidated: {page:?} slot {slot} differs from home {home} \
-                 although both are at version {version}"
-            );
-            std::thread::yield_now();
-        }
-    }
-
     /// Bring a page into the local cache from its home node.
     ///
     /// `demand` distinguishes a fetch triggered by an access (the access is
@@ -132,10 +107,18 @@ impl DsmSystem {
             drop(guard);
             return Ok(());
         }
+        let home = self.store.home_of(page);
+        if self.open_confirmed(node_ref, clock, home, page, frame, unprotect_after) {
+            drop(guard);
+            return Ok(());
+        }
         NodeStats::bump(&node_ref.stats.page_loads);
         let machine = self.cluster.machine();
         let (hints, mut completion) =
-            self.fetch_run(node, node_ref, clock, page, &[frame], true)?;
+            self.fetch_run(node_ref, clock, home, page, &[frame], true)?;
+        if demand {
+            self.note_miss(node, home, page);
+        }
         // Hidden latency is measured from the end of the issue path: that is
         // the instant a blocking transport would have started stalling.
         let issue = clock.now();
@@ -173,11 +156,14 @@ impl DsmSystem {
     /// absent hinted page, so the later demand miss completes an RPC that is
     /// already in flight instead of paying a fresh round trip.
     ///
-    /// Hint conversion is throttled by its own measured accuracy — once more
-    /// than 1/16 of the node's hint-driven fetches turn out wasted
-    /// (invalidated untouched), further hints are ignored until the accuracy
-    /// recovers — and hint-issued requests are tagged so their replies never
-    /// carry further hints (no cascades).
+    /// Hint conversion is throttled by its own measured accuracy — while more
+    /// than 1/16 of the node's recent hint-driven fetches turned out wasted
+    /// (invalidated untouched), further hints are ignored; the record is
+    /// windowed ([`crate::gate::Windowed`]), so a node whose hints went
+    /// wrong probes again once it has faded, and a node with fewer than 8
+    /// conversions on record (a newcomer, or one probing again) converts at
+    /// most two pages per reply — and hint-issued requests are tagged so
+    /// their replies never carry further hints (no cascades).
     ///
     /// Returns the number of overlapped fetches actually issued (pages that
     /// were present, home, contended or throttled issue nothing).
@@ -197,18 +183,20 @@ impl DsmSystem {
         }
         let machine = self.cluster.machine();
         let num_pages = self.store.allocator().num_pages();
+        let gate = &self.fetch_state[node.index()].hints;
         for &(first, run) in hints {
             for k in 0..run as u64 {
                 let page = PageId(first.0 + k);
                 if page.index() >= num_pages {
                     break;
                 }
-                let issued = node_ref.stats.hinted_fetches_issued.load(Ordering::Relaxed);
-                let wasted = node_ref.stats.hinted_fetches_wasted.load(Ordering::Relaxed);
                 // The low floor makes the throttle bite after a single early
                 // waste: a node must prove hint accuracy on a healthy issued
-                // count before any further misprediction is tolerated.
-                if wasted.saturating_mul(16) > issued.max(8) {
+                // count before any further misprediction is tolerated, and
+                // until it has, it takes a pair of tickets per reply — a
+                // first wrong run (or a re-probe's) costs two fetches, not a
+                // window of them.
+                if !gate.wastes_little(8) || (issued_now >= 2 && !gate.proven(8)) {
                     return issued_now;
                 }
                 let frame = self.store.frame(node, page);
@@ -225,8 +213,9 @@ impl DsmSystem {
                     continue;
                 }
                 let unprotect = self.policies.detection.unprotect_on_install(&frame);
+                let home = self.store.home_of(page);
                 let Ok((_, mut completion)) =
-                    self.fetch_run(node, node_ref, clock, page, &[&frame], false)
+                    self.fetch_run(node_ref, clock, home, page, &[&frame], false)
                 else {
                     // Hint conversion is an optimisation, so it degrades
                     // gracefully: a hint the transport cannot serve is simply
@@ -237,6 +226,7 @@ impl DsmSystem {
                 };
                 NodeStats::bump(&node_ref.stats.page_loads);
                 NodeStats::bump(&node_ref.stats.hinted_fetches_issued);
+                gate.tried(1);
                 issued_now += 1;
                 let issue = clock.now();
                 if frame.is_home() {
@@ -317,21 +307,21 @@ impl DsmSystem {
             return Ok(());
         }
         let home = self.store.home_of(page);
+        if self.open_confirmed(node_ref, clock, home, page, frame, unprotect_after) {
+            drop(guard);
+            return Ok(());
+        }
         let max_batch = self.policies.detection.fetch_batching().unwrap_or(1);
 
-        // Speculation is throttled by its own measured accuracy: once more
-        // than 1/16 of the node's *speculative* prefetches turn out wasted
-        // (invalidated untouched), only pages certain to be accessed may
-        // ride along.  Certain (bulk-covered) riders are deliberately not in
-        // the denominator — they can never be wasted and would otherwise
+        // Speculation is throttled by its own measured accuracy: while more
+        // than 1/16 of the node's recent *speculative* prefetches turned out
+        // wasted (invalidated untouched), only pages certain to be accessed
+        // may ride along.  Certain (bulk-covered) riders are deliberately not
+        // in the denominator — they can never be wasted and would otherwise
         // dilute the bound.  This keeps a mispredicting workload (e.g.
         // dynamic work reassignment) from inflating page traffic noticeably.
-        let speculated = node_ref
-            .stats
-            .pages_prefetch_speculative
-            .load(Ordering::Relaxed);
-        let waste = node_ref.stats.pages_prefetch_wasted.load(Ordering::Relaxed);
-        let may_speculate = speculate && waste.saturating_mul(16) <= speculated.max(16);
+        let gate = &self.fetch_state[node.index()].speculation;
+        let may_speculate = speculate && gate.wastes_little(16);
 
         // Candidate phase: grow the contiguous window page by page.
         let num_pages = self.store.allocator().num_pages();
@@ -378,7 +368,10 @@ impl DsmSystem {
         let run: Vec<&PageFrame> = std::iter::once(frame)
             .chain(candidates.iter().take(batch).map(|(qf, _)| &**qf))
             .collect();
-        let (hints, wire_completion) = self.fetch_run(node, node_ref, clock, page, &run, true)?;
+        let (hints, wire_completion) = self.fetch_run(node_ref, clock, home, page, &run, true)?;
+        if demand {
+            self.note_miss(node, home, page);
+        }
         let issue = clock.now();
         // A frame of the run promoted to home mid-fetch was left alone by
         // `fetch_run` and takes no ticket below.
@@ -404,6 +397,7 @@ impl DsmSystem {
                 &node_ref.stats.pages_prefetch_speculative,
                 speculative_riders,
             );
+            gate.tried(speculative_riders);
         }
 
         let needs_mprotect = unprotect_after || riders_protected;

@@ -1,0 +1,341 @@
+//! Wire encoding of page fetches: the one conditional request form and the
+//! one reply form, with the validation riders and prefetch-directory hints
+//! that ride on them (errors and the bounds-checked reader are
+//! [`crate::diff`]'s, which re-exports everything public here).
+//!
+//! Every page fetch is *conditional*: the request names, per page, the
+//! version of the copy the requester retains (0 = none), and the home
+//! answers per page either "not modified" or the page with its version.
+//! A request may also carry *validation riders* ([`Rider`]): other pages of
+//! the same home the requester retains, answered with one bit each and no
+//! bytes.
+//!
+//! | message | layout (little-endian) |
+//! |---|---|
+//! | fetch request | `first page u64` (bit 63 = no hints) · `count u32` · `count × retained version u64`; then optionally `r u16 · r × (page u64 · retained version u64)` riders |
+//! | fetch reply | per page `0u8 · version u64` (not modified) or `1u8 · version u64 · 4096 B`; then `⌈r/8⌉` bytes of rider answers (bit set = unchanged); then optionally `n u16 · n × (first page u64 · run u16)` hints |
+
+use hyperion_pm2::{PageId, PAGE_BYTES};
+
+use crate::diff::{Reader, Wire, WireError, TOP_BIT};
+
+/// One prefetch-directory hint: a run of `1`-or-more contiguous pages
+/// (starting at the id) the home predicts the requester will touch soon.
+pub type HintRun = (PageId, u16);
+
+/// One validation rider: a page of the target home the requester retains a
+/// copy of, and the stamp of that copy.
+pub type Rider = (PageId, u64);
+
+/// Most riders one fetch request may carry, and the length of the recency
+/// list they are drawn from.  Fixed, not configurable: from 8 entries on
+/// `kv_read`'s modeled time is within 1 % of the best any length reaches
+/// (10.40 s at 4, 10.08 at 6, 9.90 at 8, 9.83 at 12, 9.86 at 16), while
+/// bytes moved and the p99 keep growing (`BENCH_16.json`, `plateau`).
+pub const MAX_RIDERS: usize = 8;
+
+/// A decoded page-fetch request for `versions.len()` contiguous pages.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct FetchRequest {
+    /// The first requested page.
+    pub first: PageId,
+    /// Whether the home may piggyback prefetch-directory hints on the reply.
+    pub hints_ok: bool,
+    /// Per page, the version of the copy the requester retains (0 = none).
+    pub versions: Vec<u64>,
+    /// Validation riders, at most [`MAX_RIDERS`].
+    pub riders: Vec<Rider>,
+}
+
+/// Encode a fetch request for the `versions.len()` contiguous pages starting
+/// at `first`, all homed on the target node, with `riders` riding along.
+///
+/// # Panics
+/// Panics if `versions` is empty.
+pub fn encode_fetch_request(
+    first: PageId,
+    versions: &[u64],
+    riders: &[Rider],
+    hints_ok: bool,
+) -> Vec<u8> {
+    assert!(!versions.is_empty(), "a fetch requests at least one page");
+    let mut out = Vec::with_capacity(14 + versions.len() * 8 + riders.len() * 16);
+    let tag = if hints_ok { 0 } else { TOP_BIT };
+    out.extend_from_slice(&(first.0 | tag).to_le_bytes());
+    out.extend_from_slice(&(versions.len() as u32).to_le_bytes());
+    for v in versions {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+    push_riders(&mut out, riders);
+    out
+}
+
+/// Decode a fetch request produced by [`encode_fetch_request`].
+pub fn decode_fetch_request(payload: &[u8]) -> Wire<FetchRequest> {
+    let mut r = Reader(payload);
+    let head = u64::from_le_bytes(r.le("fetch request page id")?);
+    let count = u32::from_le_bytes(r.le("fetch request page count")?) as usize;
+    if count == 0 {
+        return Err(WireError::Invalid("fetch request for zero pages"));
+    }
+    r.fits(count, 8, "fetch request versions")?;
+    let versions = (0..count)
+        .map(|_| r.le("fetch request versions").map(u64::from_le_bytes))
+        .collect::<Result<_, _>>()?;
+    let riders = read_riders(&mut r)?;
+    r.finish("fetch request")?;
+    Ok(FetchRequest {
+        first: PageId(head & !TOP_BIT),
+        hints_ok: head & TOP_BIT == 0,
+        versions,
+        riders,
+    })
+}
+
+/// Append the rider trailer of a fetch request (nothing for no riders).
+fn push_riders(out: &mut Vec<u8>, riders: &[Rider]) {
+    if riders.is_empty() {
+        return;
+    }
+    let count = u16::try_from(riders.len()).expect("rider count fits the wire");
+    out.extend_from_slice(&count.to_le_bytes());
+    for (page, version) in riders {
+        out.extend_from_slice(&page.0.to_le_bytes());
+        out.extend_from_slice(&version.to_le_bytes());
+    }
+}
+
+/// Read the rider trailer of a fetch request: whatever follows the
+/// retained versions.  The count is bounded before anything is allocated.
+fn read_riders(r: &mut Reader<'_>) -> Wire<Vec<Rider>> {
+    if r.0.is_empty() {
+        return Ok(Vec::new());
+    }
+    let n = u16::from_le_bytes(r.le("rider count")?) as usize;
+    if n == 0 || n > MAX_RIDERS {
+        return Err(WireError::Invalid("rider count"));
+    }
+    r.fits(n, 16, "riders")?;
+    (0..n)
+        .map(|_| {
+            let page = PageId(u64::from_le_bytes(r.le("riders")?));
+            Ok((page, u64::from_le_bytes(r.le("riders")?)))
+        })
+        .collect()
+}
+
+/// The home's answer for one page of a fetch.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PageReply<'a> {
+    /// The home copy is still at the version the requester retains.
+    NotModified(u64),
+    /// The page (`PAGE_BYTES` long) and the version it was snapshotted under.
+    Full(u64, &'a [u8]),
+}
+
+/// Append one page's answer to a fetch reply (panics if a shipped page's
+/// data is not exactly one page long).
+pub fn push_page_reply(reply: &mut Vec<u8>, page: PageReply<'_>) {
+    let (tag, version, data) = match page {
+        PageReply::NotModified(version) => (0u8, version, &[][..]),
+        PageReply::Full(version, data) => (1u8, version, data),
+    };
+    assert!(tag == 0 || data.len() == PAGE_BYTES, "not one page long");
+    reply.push(tag);
+    reply.extend_from_slice(&version.to_le_bytes());
+    reply.extend_from_slice(data);
+}
+
+/// Append the prefetch-directory hint trailer to a fetch reply whose other
+/// answers are complete: nothing for no hints; panics on a zero-page run.
+pub fn append_fetch_hints(reply: &mut Vec<u8>, hints: &[HintRun]) {
+    if hints.is_empty() {
+        return;
+    }
+    reply.extend_from_slice(&(hints.len() as u16).to_le_bytes());
+    for (first, run) in hints {
+        assert!(*run > 0, "a hint run covers at least one page");
+        reply.extend_from_slice(&first.0.to_le_bytes());
+        reply.extend_from_slice(&run.to_le_bytes());
+    }
+}
+
+/// A decoded fetch reply.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct FetchReply<'a> {
+    /// One answer per requested page, in request order.
+    pub pages: Vec<PageReply<'a>>,
+    /// Bit `k` set = rider `k` of the request is unchanged at its home.
+    pub unchanged: u64,
+    /// The hint runs (empty when the home sent none).
+    pub hints: Vec<HintRun>,
+}
+
+/// Decode the reply to a fetch of `count` pages carrying `riders` riders.
+pub fn decode_fetch_reply(reply: &[u8], count: usize, riders: usize) -> Wire<FetchReply<'_>> {
+    let mut r = Reader(reply);
+    r.fits(count, 9, "fetch reply pages")?;
+    let mut pages = Vec::with_capacity(count);
+    for _ in 0..count {
+        let tag = u8::from_le_bytes(r.le("fetch reply page tag")?);
+        let version = u64::from_le_bytes(r.le("fetch reply page version")?);
+        pages.push(match tag {
+            0 => PageReply::NotModified(version),
+            1 => PageReply::Full(version, r.bytes(PAGE_BYTES, "fetch reply page data")?),
+            _ => return Err(WireError::Invalid("fetch reply page tag")),
+        });
+    }
+    let unchanged = read_rider_answers(&mut r, riders)?;
+    let mut hints = Vec::new();
+    if !r.0.is_empty() {
+        let n = u16::from_le_bytes(r.le("hint count")?) as usize;
+        r.fits(n, 10, "hint entries")?;
+        for _ in 0..n {
+            let first = PageId(u64::from_le_bytes(r.le("hint entries")?));
+            let run = u16::from_le_bytes(r.le("hint entries")?);
+            if run == 0 {
+                return Err(WireError::Invalid("hint run of zero pages"));
+            }
+            hints.push((first, run));
+        }
+    }
+    r.finish("fetch reply")?;
+    Ok(FetchReply {
+        pages,
+        unchanged,
+        hints,
+    })
+}
+
+/// Append the answers to a request's `riders` riders to a fetch reply,
+/// after the page answers and before any hints: bit `k` of `unchanged` set
+/// = rider `k` is still at the stamp the requester named.  Nothing for no
+/// riders.
+///
+/// # Panics
+/// Panics if `riders` exceeds [`MAX_RIDERS`] or a bit beyond it is set.
+pub fn push_rider_answers(reply: &mut Vec<u8>, unchanged: u64, riders: usize) {
+    assert!(riders <= MAX_RIDERS && unchanged >> riders == 0);
+    reply.extend_from_slice(&unchanged.to_le_bytes()[..riders.div_ceil(8)]);
+}
+
+/// Read the answers to `riders` riders off a fetch reply.
+fn read_rider_answers(r: &mut Reader<'_>, riders: usize) -> Wire<u64> {
+    if riders > MAX_RIDERS {
+        return Err(WireError::Invalid("rider count"));
+    }
+    let mut unchanged = [0u8; 8];
+    let answers = r.bytes(riders.div_ceil(8), "rider answers")?;
+    unchanged[..answers.len()].copy_from_slice(answers);
+    let unchanged = u64::from_le_bytes(unchanged);
+    if unchanged >> riders != 0 {
+        return Err(WireError::Invalid("rider answers"));
+    }
+    Ok(unchanged)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fetch_reply_round_trips_mixed_pages_and_hints() {
+        let page = vec![7u8; PAGE_BYTES];
+        let mut reply = Vec::new();
+        push_page_reply(&mut reply, PageReply::NotModified(4));
+        push_page_reply(&mut reply, PageReply::Full(9, &page));
+        append_fetch_hints(&mut reply, &[]);
+        assert_eq!(reply.len(), 9 + 9 + PAGE_BYTES, "no hints, no trailer");
+        let pages = vec![PageReply::NotModified(4), PageReply::Full(9, &page)];
+        let decoded = decode_fetch_reply(&reply, 2, 0).unwrap();
+        assert_eq!((&decoded.pages, decoded.unchanged), (&pages, 0));
+        assert!(decoded.hints.is_empty());
+
+        append_fetch_hints(&mut reply, &[(PageId(40), 3), (PageId(90), 1)]);
+        let decoded = decode_fetch_reply(&reply, 2, 0).unwrap();
+        assert_eq!(decoded.pages, pages);
+        assert_eq!(decoded.hints, vec![(PageId(40), 3), (PageId(90), 1)]);
+
+        // Wrong page count, truncation and a bad tag are all errors.
+        assert!(decode_fetch_reply(&reply, 3, 0).is_err());
+        assert!(decode_fetch_reply(&reply[..reply.len() - 1], 2, 0).is_err());
+        reply[0] = 9;
+        let err = decode_fetch_reply(&reply, 2, 0).unwrap_err();
+        assert_eq!(err, WireError::Invalid("fetch reply page tag"));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one page")]
+    fn zero_length_hint_run_is_never_encoded() {
+        append_fetch_hints(&mut Vec::new(), &[(PageId(1), 0)]);
+    }
+
+    #[test]
+    fn fetch_request_round_trips_in_every_shape() {
+        let riders: Vec<Rider> = (0..MAX_RIDERS as u64)
+            .map(|k| (PageId(90 + k), k))
+            .collect();
+        for (versions, hints_ok, r) in [
+            (vec![0u64], true, 0),
+            (vec![7], false, 1),
+            (vec![0, 9, 3], true, MAX_RIDERS),
+        ] {
+            let enc = encode_fetch_request(PageId(11), &versions, &riders[..r], hints_ok);
+            let trailer = if r == 0 { 0 } else { 2 + 16 * r };
+            assert_eq!(enc.len(), 12 + 8 * versions.len() + trailer);
+            let dec = decode_fetch_request(&enc).unwrap();
+            assert_eq!((dec.first, dec.hints_ok), (PageId(11), hints_ok));
+            assert_eq!((dec.versions, &dec.riders[..]), (versions, &riders[..r]));
+        }
+    }
+
+    #[test]
+    fn malformed_fetch_requests_are_errors_not_panics() {
+        let err = |bytes: &[u8]| decode_fetch_request(bytes).unwrap_err();
+        let enc = encode_fetch_request(PageId(1), &[4, 5], &[(PageId(2), 6)], true);
+        assert_eq!(enc.len(), 28 + 18);
+        assert!(matches!(err(&enc[..19]), WireError::Truncated(_)));
+        assert!(matches!(err(&enc[..29]), WireError::Truncated(_)));
+        assert!(matches!(err(&enc[..45]), WireError::Truncated(_)));
+        assert!(matches!(
+            err(&[&enc[..], &[0]].concat()),
+            WireError::TrailingBytes(_)
+        ));
+        assert!(matches!(err(&[1, 2, 3]), WireError::Truncated(_)));
+        // A zero page count, and one far beyond the payload (rejected
+        // before anything is allocated for it).
+        for count in [[0u8; 4], [0xFF; 4]] {
+            let mut bad = enc.clone();
+            bad[8..12].copy_from_slice(&count);
+            assert!(decode_fetch_request(&bad).is_err());
+        }
+        // The same for riders: none announced, one over the cap (with its
+        // bytes present), and a count the payload cannot hold.
+        let over: Vec<Rider> = (0..=MAX_RIDERS as u64).map(|k| (PageId(k), 1)).collect();
+        let long = encode_fetch_request(PageId(1), &[4], &over, true);
+        assert_eq!(err(&long), WireError::Invalid("rider count"));
+        for count in [0u16, u16::MAX] {
+            let mut bad = enc.clone();
+            bad[28..30].copy_from_slice(&count.to_le_bytes());
+            assert_eq!(err(&bad), WireError::Invalid("rider count"));
+        }
+    }
+
+    #[test]
+    fn rider_answers_sit_between_the_pages_and_the_hints() {
+        let mut reply = Vec::new();
+        push_page_reply(&mut reply, PageReply::NotModified(4));
+        push_rider_answers(&mut reply, 0, 0);
+        assert_eq!(reply.len(), 9, "no riders, no answers");
+        push_rider_answers(&mut reply, 0b101, 3);
+        append_fetch_hints(&mut reply, &[(PageId(40), 3)]);
+        let decoded = decode_fetch_reply(&reply, 1, 3).unwrap();
+        assert_eq!((decoded.unchanged, decoded.hints.len()), (0b101, 1));
+        // A reply decoded against the wrong rider count is an error, as is
+        // an answer for a rider that never left.
+        assert!(decode_fetch_reply(&reply, 1, 0).is_err());
+        assert!(decode_fetch_reply(&reply, 1, MAX_RIDERS + 1).is_err());
+        assert!(decode_fetch_reply(&reply, 1, 2).is_err());
+        assert!(decode_fetch_reply(&reply[..9], 1, 3).is_err());
+    }
+}

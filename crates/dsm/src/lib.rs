@@ -21,15 +21,18 @@
 //!
 //! * [`page`] — page frames, presence/protection bits, dirty-slot bitmaps;
 //! * [`table`] — per-node frame tables and the cluster-wide [`DsmStore`];
-//! * [`diff`] — wire encoding of page fetches and field-granularity diffs;
+//! * [`diff`] — wire encoding of field-granularity diffs and (from
+//!   `fetch_wire`) of page fetches;
 //! * [`config`] — protocol / transport configuration data;
 //! * [`policy`] — the pluggable policy traits ([`policy::DetectionPolicy`],
 //!   [`policy::Predictor`], [`policy::MigrationPolicy`],
 //!   [`policy::FlushPolicy`], [`policy::ReplicationPolicy`]) and their
 //!   default implementations;
 //! * [`engine`] — the [`DsmSystem`] protocol engine (with its fetch
-//!   mechanics in `fetch` and its RPC services in `services`), which calls
-//!   through the policy traits at every decision point;
+//!   mechanics in `fetch`, the validation riders those fetches carry in
+//!   `riders`, the accuracy gate both throttle themselves on in `gate`, and
+//!   its RPC services in `services`), which calls through the
+//!   policy traits at every decision point;
 //! * [`recover`] — the fault plane's DSM side: bounded retry with
 //!   exponential backoff on the RPC path and node-failure recovery
 //!   (re-electing homes for a dead node's pages from the replication
@@ -47,9 +50,14 @@ pub mod config;
 pub mod diff;
 pub mod engine;
 mod fetch;
+mod fetch_wire;
+mod gate;
+#[cfg(debug_assertions)]
+mod oracle;
 pub mod page;
 pub mod policy;
 pub mod recover;
+mod riders;
 mod services;
 pub mod table;
 

@@ -39,6 +39,13 @@
 //! A write still racing with the fetch (no happens-before edge) may be
 //! missed by a "not modified" answer exactly as it may be missed by a
 //! snapshot taken an instant earlier: a Java-level data race, not staleness.
+//!
+//! The one invariant all of this serves: **a non-home frame is `present`
+//! only if, since this node's last `invalidateCache`, its home shipped it
+//! or confirmed its retained stamp.**  The confirmation is either the
+//! answer to a fetch of the page itself or one bit on a fetch of a
+//! neighbour (a *validation rider*, see `riders.rs`); both end in
+//! [`PageFrame::reopen`], the second only once the page is touched.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::OnceLock;

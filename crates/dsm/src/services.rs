@@ -15,31 +15,34 @@ use hyperion_pm2::{Node, NodeId, PageId, RpcHandler, RpcReply, SLOTS_PER_PAGE};
 
 use crate::diff::{
     append_fetch_hints, decode_diff_message, decode_fetch_request, encode_diff_reply,
-    push_page_reply, FetchRequest, PageReply, WireError,
+    push_page_reply, push_rider_answers, FetchRequest, PageReply, WireError,
 };
 use crate::policy::{FetchObservation, MigrationPolicy, Predictor, ReplicationPolicy};
 use crate::table::DsmStore;
 
 /// What serving one fetch request produced.
 pub(crate) struct FetchServed {
-    /// The encoded page answers (no hint trailer yet).
+    /// The encoded page and rider answers (no hint trailer yet).
     pub(crate) reply: Vec<u8>,
     /// The home stamp each page was answered under, in request order.
     pub(crate) stamps: Vec<u64>,
     /// Pages actually shipped (the others were answered "not modified");
     /// only these cost page-copy cycles and page bytes on the wire.
     pub(crate) shipped: usize,
+    /// Validation riders answered (a stamp comparison each, no bytes).
+    pub(crate) riders: usize,
     /// The predictor's observation of this fetch, if it keeps a directory.
     pub(crate) obs: Option<FetchObservation>,
 }
 
 impl FetchServed {
     /// The home-side service time of this fetch: copy cycles for the pages
-    /// shipped, per-page batching overhead, and `hint_entries` hint entries.
+    /// shipped, per-page batching overhead for every page beyond the first
+    /// (riders included), and `hint_entries` hint entries.
     pub(crate) fn service(&self, cpu: &CpuModel, dsm: &DsmCostModel, hint_entries: usize) -> VTime {
         cpu.cycles(
             dsm.page_copy_cycles_per_slot * (SLOTS_PER_PAGE * self.shipped) as f64
-                + dsm.batch_page_cycles * (self.stamps.len() - 1) as f64
+                + dsm.batch_page_cycles * (self.stamps.len() - 1 + self.riders) as f64
                 + dsm.hint_entry_cycles * hint_entries as f64,
         )
     }
@@ -49,9 +52,12 @@ impl FetchServed {
 /// modified" if the requester's retained version is the home's current
 /// stamp, else the page.  Runs the predictor's per-page bookkeeping and the
 /// replication policy's read-replica registration for every page either
-/// way (a revalidated copy is as current as a shipped one).  Shared between
-/// [`PageFetchService`] and the group relay so a fetch served through a
-/// leader is byte-identical to one served directly.
+/// way (a revalidated copy is as current as a shipped one).  The request's
+/// validation riders get the same stamp comparison and one bit each; they
+/// are not accesses, so neither the predictor nor the replica directory
+/// hears of them.  Shared between [`PageFetchService`] and the group relay
+/// so a fetch served through a leader is byte-identical to one served
+/// directly.
 pub(crate) fn serve_fetch(
     store: &DsmStore,
     predictor: &dyn Predictor,
@@ -61,19 +67,27 @@ pub(crate) fn serve_fetch(
     request: &FetchRequest,
 ) -> Result<FetchServed, WireError> {
     let FetchRequest {
-        first, versions, ..
+        first,
+        versions,
+        riders,
+        ..
     } = request;
     let count = versions.len();
+    let num_pages = store.allocator().num_pages();
     let in_range = (first.0 as usize)
         .checked_add(count)
-        .is_some_and(|end| end <= store.allocator().num_pages());
+        .is_some_and(|end| end <= num_pages);
     if !in_range {
         return Err(WireError::Invalid("fetch request page range"));
     }
+    if riders.iter().any(|(page, _)| page.0 >= num_pages as u64) {
+        return Err(WireError::Invalid("rider page range"));
+    }
     let mut served = FetchServed {
-        reply: Vec::with_capacity(count * 9),
+        reply: Vec::with_capacity(count * 9 + 1),
         stamps: Vec::with_capacity(count),
         shipped: 0,
+        riders: riders.len(),
         // Directory bookkeeping exists only when the predictor opts in: a
         // `NoopPredictor` declines the observation, and the fetch handler
         // does exactly what the plain split-transaction transport did (no
@@ -115,6 +129,16 @@ pub(crate) fn serve_fetch(
             replication.on_page_served(store, page, caller);
         }
     }
+    let mut unchanged = 0u64;
+    for (k, &(page, retained)) in riders.iter().enumerate() {
+        // A page this node is not the home of (it moved since the requester
+        // looked, or the request is garbage) is simply not confirmed; nor
+        // is a copy stamped 0, which is no copy.
+        let confirmed =
+            retained != 0 && store.with_frame(home, page, |f| f.is_home() && f.stamp() == retained);
+        unchanged |= u64::from(confirmed) << k;
+    }
+    push_rider_answers(&mut served.reply, unchanged, riders.len());
     Ok(served)
 }
 
@@ -347,13 +371,25 @@ mod tests {
             let mut call = |service, payload: &[u8]| {
                 cluster.rpc(&mut clock, NodeId(1), NodeId(0), service, payload)
             };
-            let fetch = encode_fetch_request(page, &[0], true);
+            let fetch = encode_fetch_request(page, &[0], &[], true);
+            let rider_out_of_range = [(unallocated, 3)];
+            let mut too_many_riders = encode_fetch_request(page, &[0], &[(page, 1)], true);
+            too_many_riders[20] = crate::diff::MAX_RIDERS as u8 + 1;
             let bad: Vec<(_, Vec<u8>)> = vec![
                 (dsm.page_fetch, vec![1, 2, 3]),
                 (dsm.page_fetch, fetch[..fetch.len() - 1].to_vec()),
                 (
                     dsm.page_fetch,
-                    encode_fetch_request(unallocated, &[0], true),
+                    encode_fetch_request(unallocated, &[0], &[], true),
+                ),
+                (
+                    dsm.page_fetch,
+                    encode_fetch_request(page, &[0], &rider_out_of_range, true),
+                ),
+                (dsm.page_fetch, too_many_riders.clone()),
+                (
+                    dsm.group_relay,
+                    encode_relay(RELAY_FETCH, NodeId(0), &too_many_riders),
                 ),
                 (dsm.diff_apply, vec![0xFF; 7]),
                 (dsm.diff_apply, encode_diff(unallocated, &[(0, 1)])),
@@ -375,9 +411,28 @@ mod tests {
             // Still alive, still correct.
             let reply = call(dsm.page_fetch, &fetch).expect("well-formed fetch");
             assert_eq!(reply.len(), 9 + hyperion_pm2::PAGE_BYTES, "{backend}");
+            // Riders are answered one bit each, directly and through the
+            // relay: the page itself at the stamp just handed out is
+            // unchanged; at another stamp, or homed elsewhere, it is not —
+            // a wrong guess about the home is no error.
+            let stamp = u64::from_le_bytes(reply[1..9].try_into().expect("stamp"));
+            let elsewhere = alloc.alloc(8, NodeId(1)).page();
+            let riders = [(page, stamp), (page, stamp + 1), (elsewhere, 1)];
+            let asking = encode_fetch_request(page, &[stamp], &riders, true);
+            for (service, payload) in [
+                (dsm.page_fetch, asking.clone()),
+                (
+                    dsm.group_relay,
+                    encode_relay(RELAY_FETCH, NodeId(0), &asking),
+                ),
+            ] {
+                let reply = call(service, &payload).expect("well-formed riders");
+                let reply = crate::diff::decode_fetch_reply(&reply, 1, 3).expect("decodes");
+                assert_eq!(reply.unchanged, 0b001, "{backend}");
+            }
             // And the requester side rejects a reply it cannot decode with
             // the same typed error instead of panicking.
-            let why = crate::diff::decode_fetch_reply(&reply[..100], 1).unwrap_err();
+            let why = crate::diff::decode_fetch_reply(&reply[..100], 1, 0).unwrap_err();
             let failure = dsm.malformed_reply(NodeId(1), page, dsm.page_fetch, why);
             assert!(matches!(failure.error, TransportError::MalformedFrame(_)));
             assert!(failure.to_string().contains("dsm.page_fetch reply"));

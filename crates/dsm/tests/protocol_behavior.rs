@@ -6,8 +6,8 @@
 use std::sync::Arc;
 
 use hyperion_dsm::{AdaptiveParams, DsmStore, DsmSystem, Locality, ProtocolKind, TransportConfig};
-use hyperion_model::{myrinet_200, NodeStats, ThreadClock, VTime};
-use hyperion_pm2::{Cluster, IsoAllocator, NodeId, SLOTS_PER_PAGE};
+use hyperion_model::{myrinet_200, ThreadClock, VTime};
+use hyperion_pm2::{Cluster, GlobalAddr, IsoAllocator, NodeId, SLOTS_PER_PAGE};
 
 struct Fixture {
     cluster: Arc<Cluster>,
@@ -517,14 +517,16 @@ fn adaptive_history_prefetch_needs_a_stable_streak() {
     let mut clock = ThreadClock::new();
 
     // Three epochs of scalar access to both pages: no prefetch yet (the
-    // streak is built from *completed* epochs), each page loads alone.
+    // streak is built from *completed* epochs), each page loads alone —
+    // from the second epoch on the second page is validated by a rider on
+    // the first one's fetch and opened without a load of its own.
     for _ in 0..3 {
         let _ = f.dsm.get(NodeId(0), &mut clock, addr);
         let _ = f.dsm.get(NodeId(0), &mut clock, second);
         f.dsm.invalidate_cache(NodeId(0), &mut clock);
     }
     let s = f.cluster.node_stats(NodeId(0));
-    assert_eq!(s.page_loads, 6);
+    assert_eq!((s.page_loads, s.rider_opens), (4, 2));
     assert_eq!(s.batched_fetches, 0);
 
     // Fourth epoch: both pages now have a streak of 3, so the miss on
@@ -533,7 +535,7 @@ fn adaptive_history_prefetch_needs_a_stable_streak() {
     let s = f.cluster.node_stats(NodeId(0));
     assert_eq!(s.batched_fetches, 1);
     assert_eq!(s.pages_prefetched, 1);
-    assert_eq!(s.page_loads, 8);
+    assert_eq!(s.page_loads, 6);
     // The prefetched neighbour is served without any further load.
     let loads_before = s.page_loads;
     let _ = f.dsm.get(NodeId(0), &mut clock, second);
@@ -965,6 +967,24 @@ fn directory_fixture(nodes: usize, kind: ProtocolKind) -> Fixture {
     )
 }
 
+/// Let `node` earn a healthy hint-accuracy record the way a program would:
+/// it scans a fresh region homed on `home` front to back, so every fetch the
+/// stride hints put in flight is completed by a real use.  Returns how many
+/// hinted fetches that completed.
+fn earn_hint_credit(f: &Fixture, node: NodeId, home: NodeId, clock: &mut ThreadClock) -> u64 {
+    let pages = 48;
+    let region = f.alloc.alloc_page_aligned(SLOTS_PER_PAGE * pages, home);
+    for k in 0..pages {
+        let _ = f
+            .dsm
+            .get(node, clock, region.offset((SLOTS_PER_PAGE * k) as u64));
+    }
+    let s = f.cluster.node_stats(node);
+    assert!(s.hinted_fetches_issued >= 36 && s.hinted_fetches_wasted == 0);
+    assert_eq!(s.hinted_fetches_completed, s.hinted_fetches_issued);
+    s.hinted_fetches_completed
+}
+
 #[test]
 fn neighbour_fetch_piggybacks_a_hint_that_becomes_a_ticket() {
     let f = directory_fixture(3, ProtocolKind::JavaPf);
@@ -1038,6 +1058,9 @@ fn learned_successor_pairs_hint_non_contiguous_pages() {
     f.dsm.invalidate_cache(NodeId(0), &mut clock);
     let before = f.cluster.node_stats(NodeId(0));
     assert_eq!(before.hinted_fetches_issued, 0, "no hints while learning");
+    // The home changes the third page, so the copy node 0 retains cannot be
+    // validated by a rider on the first page's fetch: it has to be shipped.
+    f.dsm.put(NodeId(1), &mut ThreadClock::new(), third, 5);
 
     // Second epoch: the miss on the first page is answered with a hint
     // for its learned (non-contiguous) successor, which the node puts
@@ -1094,11 +1117,11 @@ fn abandoned_hint_tickets_are_reissued_at_the_next_acquire() {
 
     // Give node 1 a healthy accuracy history so the single waste booked
     // below does not trip the conversion throttle.
-    NodeStats::bump_by(&f.cluster.node(NodeId(1)).stats.hinted_fetches_issued, 64);
+    let mut c1 = ThreadClock::new();
+    let credit = earn_hint_credit(&f, NodeId(1), NodeId(0), &mut c1);
 
     // Node 1 demand-misses the first page and converts the piggybacked
     // hint into an in-flight ticket for the second.
-    let mut c1 = ThreadClock::new();
     let _ = f.dsm.get(NodeId(1), &mut c1, addr);
     let frame = f.dsm.store().frame(NodeId(1), second.page());
     assert!(frame.inflight_is_hinted());
@@ -1120,7 +1143,7 @@ fn abandoned_hint_tickets_are_reissued_at_the_next_acquire() {
     assert_eq!(f.dsm.get(NodeId(1), &mut c1, second), 77);
     let s1 = f.cluster.node_stats(NodeId(1));
     assert_eq!(s1.page_loads, loads_before + 1);
-    assert_eq!(s1.hinted_fetches_completed, 1);
+    assert_eq!(s1.hinted_fetches_completed, credit + 1);
     assert!(!frame.has_inflight());
 }
 
@@ -1543,8 +1566,9 @@ fn litmus_abandoned_tickets_reissue_conditionally_and_stay_correct() {
         let mut c0 = ThreadClock::new();
         let _ = f.dsm.get(NodeId(0), &mut c0, addr);
         let _ = f.dsm.get(NodeId(0), &mut c0, second);
-        NodeStats::bump_by(&f.cluster.node(NodeId(1)).stats.hinted_fetches_issued, 64);
         let mut c1 = ThreadClock::new();
+        let credit = earn_hint_credit(&f, NodeId(1), NodeId(0), &mut c1);
+        let revalidated = f.cluster.node_stats(NodeId(1)).pages_revalidated;
         let _ = f.dsm.get(NodeId(1), &mut c1, addr);
         let frame = f.dsm.store().frame(NodeId(1), second.page());
         assert!(frame.inflight_is_hinted(), "{kind:?}");
@@ -1554,7 +1578,7 @@ fn litmus_abandoned_tickets_reissue_conditionally_and_stay_correct() {
         acquire(&f, 1, &mut c1);
         let s1 = f.cluster.node_stats(NodeId(1));
         assert_eq!(s1.hinted_fetches_reissued, 1, "{kind:?}");
-        assert_eq!(s1.pages_revalidated, 1, "{kind:?}");
+        assert_eq!(s1.pages_revalidated, revalidated + 1, "{kind:?}");
         assert!(frame.inflight_is_hinted(), "{kind:?}: ticket re-armed");
 
         // The home writes, the ticket is abandoned again: this re-issue
@@ -1564,7 +1588,11 @@ fn litmus_abandoned_tickets_reissue_conditionally_and_stay_correct() {
         acquire(&f, 1, &mut c1);
         let s1 = f.cluster.node_stats(NodeId(1));
         assert_eq!(s1.hinted_fetches_reissued, 2, "{kind:?}");
-        assert_eq!(s1.pages_revalidated, 1, "{kind:?}: home write ⇒ full page");
+        assert_eq!(
+            s1.pages_revalidated,
+            revalidated + 1,
+            "{kind:?}: home write ⇒ full page"
+        );
         let loads = s1.page_loads;
         assert_eq!(f.dsm.get(NodeId(1), &mut c1, second), 78, "{kind:?}");
         let s1 = f.cluster.node_stats(NodeId(1));
@@ -1572,6 +1600,236 @@ fn litmus_abandoned_tickets_reissue_conditionally_and_stay_correct() {
             s1.page_loads, loads,
             "{kind:?}: completed the in-flight RPC"
         );
-        assert_eq!(s1.hinted_fetches_completed, 1, "{kind:?}");
+        assert_eq!(s1.hinted_fetches_completed, credit + 1, "{kind:?}");
+    }
+}
+
+// ----- validation riders ---------------------------------------------------
+
+/// Two pages `(a, b)` of home 0, both written there and both fetched once by
+/// `node`, which has acquired since: `a`'s next fetch carries `b` as a rider.
+fn two_retained_pages(f: &Fixture, node: u32, r: &mut ThreadClock) -> (GlobalAddr, GlobalAddr) {
+    let a = f.alloc.alloc_page_aligned(2 * SLOTS_PER_PAGE, NodeId(0));
+    let b = a.offset(SLOTS_PER_PAGE as u64);
+    let mut h = ThreadClock::new();
+    f.dsm.put(NodeId(0), &mut h, a, 10);
+    f.dsm.put(NodeId(0), &mut h, b, 20);
+    assert_eq!(f.dsm.get(NodeId(node), r, a), 10);
+    assert_eq!(f.dsm.get(NodeId(node), r, b), 20);
+    acquire(f, node, r);
+    (a, b)
+}
+
+/// `(page_loads, rpc_requests, validation_riders, rider_opens)` of `node`.
+fn rider_counters(f: &Fixture, node: u32) -> (u64, u64, u64, u64) {
+    let s = f.cluster.node_stats(NodeId(node));
+    (
+        s.page_loads,
+        s.rpc_requests,
+        s.validation_riders,
+        s.rider_opens,
+    )
+}
+
+#[test]
+fn litmus_a_confirmed_rider_opens_without_an_rpc_but_pays_detection() {
+    for kind in ProtocolKind::all_extended() {
+        let f = fixture(2, kind);
+        let mut r = ThreadClock::new();
+        let (a, b) = two_retained_pages(&f, 1, &mut r);
+        let (loads, rpcs, riders, opens) = rider_counters(&f, 1);
+
+        // The fetch of `a` asks about `b` on the way.
+        assert_eq!(f.dsm.get(NodeId(1), &mut r, a), 10, "{kind:?}");
+        assert_eq!(
+            rider_counters(&f, 1),
+            (loads + 1, rpcs + 1, riders + 1, opens),
+            "{kind:?}"
+        );
+        assert!(!f.dsm.is_cached(NodeId(1), b.page()), "{kind:?}: not yet");
+
+        // Touching `b` costs what detection costs and nothing else.
+        let before = f.cluster.node_stats(NodeId(1));
+        let start = r.now();
+        assert_eq!(f.dsm.get(NodeId(1), &mut r, b), 20, "{kind:?}");
+        let after = f.cluster.node_stats(NodeId(1));
+        assert_eq!(
+            rider_counters(&f, 1),
+            (loads + 1, rpcs + 1, riders + 1, opens + 1),
+            "{kind:?}"
+        );
+        assert_eq!(after.bytes_moved(), before.bytes_moved(), "{kind:?}");
+        let machine = myrinet_200().machine;
+        let detection = if kind == ProtocolKind::JavaPf {
+            assert_eq!(after.page_faults, before.page_faults + 1);
+            assert_eq!(after.mprotect_calls, before.mprotect_calls + 1);
+            machine.dsm.page_fault + machine.dsm.mprotect_call
+        } else {
+            // `java_ic`, and `java_ad` on a page still in check mode.
+            assert_eq!(after.locality_checks, before.locality_checks + 1);
+            assert_eq!(after.mprotect_calls, before.mprotect_calls);
+            machine.cpu.locality_check()
+        };
+        assert_eq!(r.now() - start, detection, "{kind:?}");
+        // Open for good: further accesses are plain hits.
+        assert!(f.dsm.is_cached(NodeId(1), b.page()), "{kind:?}");
+        assert_eq!(f.dsm.get(NodeId(1), &mut r, b.offset(1)), 0, "{kind:?}");
+        assert_eq!(rider_counters(&f, 1).3, opens + 1, "{kind:?}");
+    }
+}
+
+#[test]
+fn litmus_a_changed_rider_is_not_confirmed_and_its_touch_ships_the_page() {
+    // The page changes by a remote diff, or by a home-local `put` (which
+    // only sets the flag the next stamp comparison folds in).
+    for kind in ProtocolKind::all_extended() {
+        for remote_diff in [true, false] {
+            let f = fixture(3, kind);
+            let mut r = ThreadClock::new();
+            let (a, b) = two_retained_pages(&f, 1, &mut r);
+            let mut w = ThreadClock::new();
+            if remote_diff {
+                f.dsm.put(NodeId(2), &mut w, b, 21);
+                release(&f, 2, &mut w);
+            } else {
+                f.dsm.put(NodeId(0), &mut w, b, 21);
+            }
+            // The writer released (or is the home) before this acquire.
+            acquire(&f, 1, &mut r);
+            let (loads, _, riders, opens) = rider_counters(&f, 1);
+            assert_eq!(f.dsm.get(NodeId(1), &mut r, a), 10, "{kind:?}");
+            assert_eq!(rider_counters(&f, 1).2, riders + 1, "{kind:?}: b rode");
+
+            let received = f.cluster.node_stats(NodeId(1)).bytes_received;
+            assert_eq!(
+                f.dsm.get(NodeId(1), &mut r, b),
+                21,
+                "{kind:?}/{remote_diff}"
+            );
+            let s = f.cluster.node_stats(NodeId(1));
+            assert_eq!(
+                (s.page_loads, s.rider_opens),
+                (loads + 2, opens),
+                "{kind:?}"
+            );
+            assert!(s.bytes_received - received > 4096, "{kind:?}: page shipped");
+
+            // Fetched afresh, it is listed again and confirmed next time.
+            acquire(&f, 1, &mut r);
+            assert_eq!(f.dsm.get(NodeId(1), &mut r, a), 10, "{kind:?}");
+            assert_eq!(f.dsm.get(NodeId(1), &mut r, b), 21, "{kind:?}");
+            assert_eq!(rider_counters(&f, 1).3, opens + 1, "{kind:?}");
+        }
+    }
+}
+
+#[test]
+fn litmus_an_acquire_outdates_a_confirmation_nobody_used() {
+    for kind in ProtocolKind::all_extended() {
+        let f = fixture(3, kind);
+        let mut r = ThreadClock::new();
+        let (a, b) = two_retained_pages(&f, 1, &mut r);
+        assert_eq!(f.dsm.get(NodeId(1), &mut r, a), 10, "{kind:?}");
+        let (loads, _, _, opens) = rider_counters(&f, 1);
+
+        // Node 2 writes `b` and releases; node 1 then acquires.  What the
+        // home confirmed before that acquire says nothing about the write.
+        let mut w = ThreadClock::new();
+        f.dsm.put(NodeId(2), &mut w, b, 22);
+        release(&f, 2, &mut w);
+        acquire(&f, 1, &mut r);
+        assert_eq!(f.dsm.get(NodeId(1), &mut r, b), 22, "{kind:?}");
+        let (loads_now, _, _, opens_now) = rider_counters(&f, 1);
+        assert_eq!((loads_now, opens_now), (loads + 1, opens), "{kind:?}");
+    }
+}
+
+#[test]
+fn litmus_a_rider_never_validates_against_a_migrated_home() {
+    for kind in ProtocolKind::all_extended() {
+        let transport = TransportConfig {
+            home_migration: true,
+            migration_streak: 3,
+            ..TransportConfig::default()
+        };
+        let f = fixture_with(3, kind, &AdaptiveParams::default(), &transport);
+        let mut r = ThreadClock::new();
+        // Node 1 retains `a` and `b`, both listed under home 0.
+        let (a, b) = two_retained_pages(&f, 1, &mut r);
+
+        // Node 2 dominates the diff traffic on `b` and wins its home (the
+        // first diff only clears the home's own write from the vote).
+        let mut w = ThreadClock::new();
+        for i in 0..4u64 {
+            f.dsm.put(NodeId(2), &mut w, b.offset(1), i);
+            release(&f, 2, &mut w);
+        }
+        assert_eq!(f.dsm.store().home_of(b.page()), NodeId(2), "{kind:?}");
+
+        // `b` still rides to its old home, which no longer vouches for it.
+        acquire(&f, 1, &mut r);
+        let (_, _, riders, opens) = rider_counters(&f, 1);
+        assert_eq!(f.dsm.get(NodeId(1), &mut r, a), 10, "{kind:?}");
+        assert_eq!(rider_counters(&f, 1).2, riders + 1, "{kind:?}");
+        assert_eq!(f.dsm.get(NodeId(1), &mut r, b.offset(1)), 3, "{kind:?}");
+        assert_eq!(rider_counters(&f, 1).3, opens, "{kind:?}: shipped instead");
+    }
+}
+
+#[test]
+fn litmus_a_rider_never_validates_against_a_re_elected_home() {
+    use hyperion_pm2::{FaultKill, FaultSpec, TransportBackend};
+    for kind in ProtocolKind::all_extended() {
+        let spec = FaultSpec {
+            seed: 3,
+            kill: Some(FaultKill {
+                node: 0,
+                at: VTime::from_us(2_000),
+            }),
+            ..FaultSpec::default()
+        };
+        let cluster = Cluster::for_backend_with_faults(
+            myrinet_200().machine,
+            3,
+            TransportBackend::Sim,
+            Some(spec),
+        );
+        let alloc = Arc::new(IsoAllocator::new(3));
+        let store = DsmStore::new(Arc::clone(&alloc), 3);
+        let transport = TransportConfig {
+            fault: Some(spec),
+            ..TransportConfig::default()
+        };
+        let dsm = DsmSystem::with_config(
+            Arc::clone(&cluster),
+            store,
+            kind,
+            &AdaptiveParams::default(),
+            &transport,
+        );
+        let f = Fixture {
+            cluster,
+            alloc,
+            dsm,
+        };
+        // Node 1 is the lowest live node once node 0 is dead, so node 2
+        // does the asking.
+        let mut r = ThreadClock::new();
+        let (a, b) = two_retained_pages(&f, 2, &mut r);
+        assert!(r.now() < VTime::from_us(2_000), "workload outran the kill");
+
+        // After the kill both pages are re-homed on node 1, a whole stride
+        // above any stamp the dead home handed out.  The fetch of `a` finds
+        // the home dead, recovers and is re-sent to node 1 as it left:
+        // with `b` riding at its old stamp.
+        r.advance(VTime::from_us(3_000));
+        acquire(&f, 2, &mut r);
+        let (_, _, riders, opens) = rider_counters(&f, 2);
+        assert_eq!(f.dsm.get(NodeId(2), &mut r, a), 10, "{kind:?}");
+        assert_eq!(f.dsm.store().home_of(b.page()), NodeId(1), "{kind:?}");
+        assert_eq!(rider_counters(&f, 2).2, riders + 1, "{kind:?}: b rode");
+        assert_eq!(f.dsm.get(NodeId(2), &mut r, b), 20, "{kind:?}");
+        let s = f.cluster.node_stats(NodeId(2));
+        assert_eq!((s.nodes_failed, s.rider_opens), (1, opens), "{kind:?}");
     }
 }

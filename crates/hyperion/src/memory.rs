@@ -11,8 +11,8 @@
 //! Application code normally uses the typed object layer
 //! ([`crate::object`]) and the monitors ([`crate::monitor`]) — which call
 //! these primitives internally — but the raw surface is exposed both for
-//! completeness and for the micro-benchmarks that measure each primitive in
-//! isolation (`benches/primitives.rs`).
+//! completeness and for the probes that measure each primitive in isolation
+//! (`benchmark/src/probes.rs`).
 
 use hyperion_pm2::GlobalAddr;
 

@@ -783,7 +783,8 @@ impl RunReport {
         };
         format!(
             "{} on {} × {} nodes: {}\n  checks={} faults={} mprotect={} page_loads={} \
-             (revalidated={}) diffs={} bytes={} monitors={}/{}\n  home busy={} queue wait={}",
+             (revalidated={}) riders={} (opened={}) diffs={} bytes={} monitors={}/{}\n  \
+             home busy={} queue wait={}",
             self.protocol.name(),
             self.cluster_label,
             self.nodes,
@@ -793,6 +794,8 @@ impl RunReport {
             t.mprotect_calls,
             t.page_loads,
             t.pages_revalidated,
+            t.validation_riders,
+            t.rider_opens,
             t.diff_messages,
             t.bytes_moved(),
             t.monitor_enters,

@@ -159,6 +159,10 @@ define_stats! {
     rpc_service_ps,
     /// Time remote requests waited at this node between arrival and start of service, in picoseconds.
     rpc_queue_wait_ps,
+    /// Validation riders this node sent: `(page, retained stamp)` pairs that rode a fetch to the same home and were answered with one bit each.
+    validation_riders,
+    /// Pages a rider had validated that were then opened on their first touch without an RPC (detection is still paid).
+    rider_opens,
 }
 
 impl NodeStats {
@@ -386,7 +390,7 @@ mod tests {
         ] {
             assert!(names.contains(&expected), "missing {expected}");
         }
-        assert_eq!(names.len(), 51);
+        assert_eq!(names.len(), 53);
         for added in [
             "batched_flushes",
             "rpc_retries",
@@ -412,6 +416,8 @@ mod tests {
             "pages_revalidated",
             "rpc_service_ps",
             "rpc_queue_wait_ps",
+            "validation_riders",
+            "rider_opens",
         ] {
             assert!(names.contains(&added), "missing {added}");
         }

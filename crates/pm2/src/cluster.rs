@@ -367,6 +367,10 @@ mod tests {
             + m.net.send_overhead
             + m.net.recv_overhead;
         assert!(clock.now() >= lower, "{} < {}", clock.now(), lower);
+        // Exactly: the home was idle, so the caller stalled for the priced
+        // round trip and nothing else.
+        let priced = crate::idle_round_trip(m, 16, 4096, VTime::from_us(5));
+        assert_eq!(clock.now(), priced);
 
         let s0 = c.node_stats(NodeId(0));
         let s1 = c.node_stats(NodeId(1));

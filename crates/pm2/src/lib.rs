@@ -55,4 +55,4 @@ pub use node::{Node, NodeId};
 pub use socket::SocketTransport;
 pub use threads::{ThreadId, ThreadRegistry};
 pub use topology::Topology;
-pub use transport::{SimTransport, Transport, TransportBackend, TransportError};
+pub use transport::{idle_round_trip, SimTransport, Transport, TransportBackend, TransportError};

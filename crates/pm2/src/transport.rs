@@ -24,7 +24,7 @@
 
 use std::sync::Arc;
 
-use hyperion_model::{NodeStats, ThreadClock, VTime, WireServiceSnapshot};
+use hyperion_model::{MachineModel, NodeStats, ThreadClock, VTime, WireServiceSnapshot};
 
 use crate::cluster::Cluster;
 use crate::comm::{ServiceId, MSG_HEADER_BYTES};
@@ -217,14 +217,57 @@ pub(crate) struct RoundTrip {
     pub modeled: VTime,
 }
 
+/// The fixed parts of one remote RPC round trip on `machine`, in the order a
+/// caller lives through them.  The one place the paper's RPC cost model is
+/// spelled out: [`charge_round_trip`] charges exactly these around the
+/// home's service clock, and [`idle_round_trip`] sums them.
+struct RoundTripLegs {
+    /// Caller-side protocol software and send overhead.
+    issue: VTime,
+    /// The request's flight to the home.
+    outbound: VTime,
+    /// Home-side protocol software, before the handler's own service time.
+    server_cpu: VTime,
+    /// The reply's flight back and its absorption by the caller.
+    inbound: VTime,
+}
+
+impl RoundTripLegs {
+    fn of(machine: &MachineModel, request_len: usize, reply_len: usize) -> Self {
+        let (cpu, net, dsm) = (&machine.cpu, &machine.net, &machine.dsm);
+        let req_bytes = MSG_HEADER_BYTES + request_len as u64;
+        let reply_bytes = MSG_HEADER_BYTES + reply_len as u64;
+        RoundTripLegs {
+            issue: cpu.cycles(dsm.protocol_request_cycles) + net.send_overhead,
+            outbound: net.latency + net.transfer(req_bytes),
+            server_cpu: cpu.cycles(dsm.protocol_server_cycles),
+            inbound: net.latency + net.transfer(reply_bytes) + net.recv_overhead,
+        }
+    }
+}
+
+/// How long a blocking caller stalls for one RPC to another node whose
+/// service clock is idle: what [`Cluster::rpc`] charges for `request_len`
+/// payload bytes out, `reply_len` back and `service_time` in the handler
+/// when nothing queues.  For break-even arguments that weigh a mechanism
+/// against the round trip it saves.
+pub fn idle_round_trip(
+    machine: &MachineModel,
+    request_len: usize,
+    reply_len: usize,
+    service_time: VTime,
+) -> VTime {
+    let legs = RoundTripLegs::of(machine, request_len, reply_len);
+    legs.issue + legs.outbound + legs.server_cpu + service_time + legs.inbound
+}
+
 /// Charge the modeled cost of one RPC round trip to the caller's clock and
 /// the two nodes' statistics, and serialise the request through the target
 /// node's service clock.
 ///
-/// This is the single place the paper's RPC cost model lives; both the
-/// simulated and the socket transport call it with identical arguments
-/// (payload length, reply length, handler-reported service time), which is
-/// what keeps the two backends' virtual-time results identical by
+/// Both the simulated and the socket transport call it with identical
+/// arguments (payload length, reply length, handler-reported service time),
+/// which is what keeps the two backends' virtual-time results identical by
 /// construction.
 pub(crate) fn charge_round_trip(
     cluster: &Cluster,
@@ -236,21 +279,19 @@ pub(crate) fn charge_round_trip(
     service_time: VTime,
 ) -> RoundTrip {
     let machine = cluster.machine();
-    let cpu = &machine.cpu;
-    let net = &machine.net;
-    let dsm = &machine.dsm;
     let from_node = cluster.node(from);
     let to_node = cluster.node(to);
 
     NodeStats::bump(&from_node.stats.rpc_requests);
     NodeStats::bump(&to_node.stats.rpc_served);
 
-    let request_cpu = cpu.cycles(dsm.protocol_request_cycles);
-    let server_cpu = cpu.cycles(dsm.protocol_server_cycles);
     let start = clock.now();
 
     if from == to {
         // Local invocation: protocol software only, nothing to overlap.
+        let (cpu, dsm) = (&machine.cpu, &machine.dsm);
+        let request_cpu = cpu.cycles(dsm.protocol_request_cycles);
+        let server_cpu = cpu.cycles(dsm.protocol_server_cycles);
         clock.advance(request_cpu + server_cpu + service_time);
         return RoundTrip {
             completion: clock.now(),
@@ -258,6 +299,7 @@ pub(crate) fn charge_round_trip(
         };
     }
 
+    let legs = RoundTripLegs::of(machine, request_len, reply_len);
     let req_bytes = MSG_HEADER_BYTES + request_len as u64;
     let reply_bytes = MSG_HEADER_BYTES + reply_len as u64;
 
@@ -267,11 +309,11 @@ pub(crate) fn charge_round_trip(
     NodeStats::bump_by(&from_node.stats.bytes_received, reply_bytes);
 
     // 1. + 2. request leaves the caller and crosses the wire.
-    clock.advance(request_cpu + net.send_overhead);
-    let arrival = clock.now() + net.latency + net.transfer(req_bytes);
+    clock.advance(legs.issue);
+    let arrival = clock.now() + legs.outbound;
 
     // 3. service at the home node (serialised), attributed to the home.
-    let service = server_cpu + service_time;
+    let service = legs.server_cpu + service_time;
     let done = to_node.server.serve(arrival, service);
     NodeStats::bump_by(&to_node.stats.rpc_service_ps, service.as_ps());
     NodeStats::bump_by(
@@ -280,7 +322,7 @@ pub(crate) fn charge_round_trip(
     );
 
     // 4. + 5. reply crosses the wire and is absorbed by the caller.
-    let completion = done + net.latency + net.transfer(reply_bytes) + net.recv_overhead;
+    let completion = done + legs.inbound;
 
     RoundTrip {
         completion,

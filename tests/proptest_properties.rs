@@ -639,7 +639,8 @@ fn block_range_tiles_any_size() {
 
 /// Every byte-precise wire form in `dsm::diff` survives an encode → decode
 /// round trip — the one conditional fetch request (single, batched,
-/// hint-suppressed, retained versions zero and non-zero), single and
+/// hint-suppressed, retained versions zero and non-zero, with none, one or
+/// many validation riders; longer rider lists are rejected), single and
 /// batched field-granularity diffs, and the versioned diff acknowledgement
 /// with and without a migration grant — and every truncation of every form
 /// decodes to an error, never a panic.
@@ -647,7 +648,7 @@ fn block_range_tiles_any_size() {
 fn diff_wire_encodings_round_trip() {
     use hyperion_workspace::dsm::diff::{
         decode_diff_message, decode_diff_reply, decode_fetch_request, encode_diff,
-        encode_diff_batch, encode_diff_reply, encode_fetch_request, DiffEntry,
+        encode_diff_batch, encode_diff_reply, encode_fetch_request, DiffEntry, Rider, MAX_RIDERS,
     };
     use hyperion_workspace::pm2::{PAGE_BYTES, SLOTS_PER_PAGE};
 
@@ -690,16 +691,43 @@ fn diff_wire_encodings_round_trip() {
             })
             .collect();
         let hints_ok = rng.gen_range(0u32..2) == 0;
-        let wire = encode_fetch_request(page, &versions, hints_ok);
+        // No rider in about a third of the cases, else 1..=MAX_RIDERS of
+        // them, anywhere in the page-id space (the codec looks none up).
+        let riders: Vec<Rider> = (0..rng
+            .gen_range(0..MAX_RIDERS * 3 / 2 + 1)
+            .saturating_sub(MAX_RIDERS / 2))
+            .map(|_| (random_page(rng), rng.gen_range(0u64..u64::MAX)))
+            .collect();
+        let wire = encode_fetch_request(page, &versions, &riders, hints_ok);
         let request = decode_fetch_request(&wire).expect("well-formed request");
         assert_eq!(
             (request.first, request.hints_ok, &request.versions),
             (page, hints_ok, &versions),
             "seed {seed}"
         );
-        prefixes_fail(seed, "fetch request", &wire, |b| {
-            decode_fetch_request(b).ok()
-        });
+        assert_eq!(request.riders, riders, "seed {seed}");
+        // The only well-formed strict prefix is the request without its
+        // rider trailer.
+        let without_riders = 12 + 8 * versions.len();
+        for cut in (0..wire.len()).filter(|&cut| cut != without_riders) {
+            assert!(
+                decode_fetch_request(&wire[..cut]).is_err(),
+                "seed {seed}: fetch request truncated to {cut} of {} bytes decoded",
+                wire.len()
+            );
+        }
+        // A list longer than the cap is refused whatever its length says,
+        // before anything is allocated for it; so is an empty trailer.
+        let too_many: Vec<Rider> = (0..rng.gen_range(MAX_RIDERS + 1..4 * MAX_RIDERS))
+            .map(|k| (PageId(k as u64), 1))
+            .collect();
+        let long = encode_fetch_request(page, &versions, &too_many, hints_ok);
+        assert!(decode_fetch_request(&long).is_err(), "seed {seed}");
+        for count in [0u16, MAX_RIDERS as u16 + 1, u16::MAX] {
+            let mut bad = encode_fetch_request(page, &versions, &[(page, 1)], hints_ok);
+            bad[without_riders..without_riders + 2].copy_from_slice(&count.to_le_bytes());
+            assert!(decode_fetch_request(&bad).is_err(), "seed {seed}: {count}");
+        }
 
         // Single diff.
         let entries = random_entries(rng, 40);
@@ -751,12 +779,14 @@ fn diff_wire_encodings_round_trip() {
 }
 
 /// Page-fetch replies — any mix of "not modified" and shipped pages, with
-/// or without the prefetch-directory hint trailer — parse back to exactly
-/// what went in; truncated and garbage replies are errors, never panics.
+/// or without rider answers and the prefetch-directory hint trailer —
+/// parse back to exactly what went in; truncated and garbage replies are
+/// errors, never panics.
 #[test]
 fn fetch_reply_forms_round_trip_and_reject_garbage() {
     use hyperion_workspace::dsm::diff::{
-        append_fetch_hints, decode_fetch_reply, push_page_reply, HintRun, PageReply,
+        append_fetch_hints, decode_fetch_reply, push_page_reply, push_rider_answers, HintRun,
+        PageReply, MAX_RIDERS,
     };
     use hyperion_workspace::pm2::PAGE_BYTES;
 
@@ -789,34 +819,55 @@ fn fetch_reply_forms_round_trip_and_reject_garbage() {
             })
             .collect();
 
+        let riders = rng.gen_range(0..MAX_RIDERS + 1);
+        let unchanged = rng.gen_range(0u64..1 << riders);
+
         let mut reply = Vec::new();
         for page in &expected {
             push_page_reply(&mut reply, *page);
         }
+        let without_riders = reply.len();
+        push_rider_answers(&mut reply, unchanged, riders);
+        assert_eq!(
+            reply.len(),
+            without_riders + riders.div_ceil(8),
+            "seed {seed}"
+        );
         let without_hints = reply.len();
         append_fetch_hints(&mut reply, &hints);
         if hints.is_empty() {
             assert_eq!(reply.len(), without_hints, "seed {seed}: empty trailer");
         }
-        let (got_pages, got_hints) =
-            decode_fetch_reply(&reply, pages.len()).expect("well-formed reply");
-        assert_eq!(got_pages, expected, "seed {seed}: page answers corrupted");
-        assert_eq!(got_hints, hints, "seed {seed}: hint runs corrupted");
+        let got = decode_fetch_reply(&reply, pages.len(), riders).expect("well-formed reply");
+        assert_eq!(got.pages, expected, "seed {seed}: page answers corrupted");
+        assert_eq!(
+            got.unchanged, unchanged,
+            "seed {seed}: rider answers corrupted"
+        );
+        assert_eq!(got.hints, hints, "seed {seed}: hint runs corrupted");
 
         // Truncations: the only prefix that is itself well-formed is the
         // reply without its hint trailer.
         for cut in (0..reply.len()).filter(|&cut| cut != without_hints) {
             assert!(
-                decode_fetch_reply(&reply[..cut], pages.len()).is_err(),
+                decode_fetch_reply(&reply[..cut], pages.len(), riders).is_err(),
                 "seed {seed}: reply truncated to {cut} bytes decoded"
             );
         }
+        // An answer for a rider that was never sent, and a rider count no
+        // request can carry, are errors.
+        if riders > 0 && riders % 8 != 0 {
+            let mut stray = reply.clone();
+            stray[without_riders + riders / 8] |= 1 << (riders % 8);
+            assert!(decode_fetch_reply(&stray, pages.len(), riders).is_err());
+        }
+        assert!(decode_fetch_reply(&reply, pages.len(), MAX_RIDERS + 1).is_err());
         // Garbage of the same length never panics the decoder.
         let garbage: Vec<u8> = (0..reply.len().min(64))
             .map(|_| rng.gen_range(0u8..u8::MAX))
             .collect();
-        let _ = decode_fetch_reply(&garbage, pages.len());
-        assert!(decode_fetch_reply(&reply, pages.len() + 1).is_err());
+        let _ = decode_fetch_reply(&garbage, pages.len(), riders);
+        assert!(decode_fetch_reply(&reply, pages.len() + 1, riders).is_err());
     });
 }
 

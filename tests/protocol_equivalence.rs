@@ -717,3 +717,56 @@ fn noop_policies_preserve_every_app_digest() {
         }
     }
 }
+
+#[test]
+fn validation_riders_keep_the_ledger_and_agree_across_backends() {
+    // The rider ledger on quick KV under `java_pf`, one client per node and
+    // the default transport, over the simulator and over Unix sockets:
+    // every fault ends in an RPC or in a rider's confirmation being used,
+    // never in neither, and the confirmations save real fetches.
+    let kv = kvstore::KvStoreParams::quick();
+    let mut digests = Vec::new();
+    for backend in [TransportBackend::Sim, TransportBackend::UnixSocket] {
+        let transport = TransportConfig {
+            backend,
+            ..TransportConfig::default()
+        };
+        let (digest, report) = execute_with(&kv, ProtocolKind::JavaPf, &transport);
+        let t = report.total_stats();
+        assert_eq!(
+            t.page_faults,
+            t.page_loads + t.rider_opens,
+            "{backend:?}: a fault ended in neither a fetch nor an open"
+        );
+        assert!(t.rider_opens > 0, "{backend:?}: no rider was ever used");
+        assert!(t.page_loads < t.page_faults, "{backend:?}");
+        assert!(t.validation_riders >= t.rider_opens, "{backend:?}");
+        digests.push(digest);
+    }
+    assert_eq!(digests[0], digests[1], "transport changed the KV digest");
+
+    // KV's clients interleave as the host schedules them, so which pages a
+    // home finds changed differs from run to run on either backend.  With
+    // one thread the event sequence is fixed, and the two backends must
+    // agree on the modeled time and on every counter, riders included.
+    for protocol in ProtocolKind::all_extended() {
+        let run = |backend| {
+            let transport = TransportConfig {
+                backend,
+                ..TransportConfig::default()
+            };
+            deterministic_workload(protocol, &transport, None)
+        };
+        let (sim_result, sim) = run(TransportBackend::Sim);
+        let (unix_result, unix) = run(TransportBackend::UnixSocket);
+        assert_eq!(sim_result, unix_result, "{protocol:?}");
+        assert_eq!(sim.execution_time, unix.execution_time, "{protocol:?}");
+        assert_eq!(sim.node_stats, unix.node_stats, "{protocol:?}");
+        let t = sim.total_stats();
+        assert!(
+            t.rider_opens > 0 && t.validation_riders >= t.rider_opens,
+            "{protocol:?}: the workload never used a rider ({} sent)",
+            t.validation_riders
+        );
+    }
+}
