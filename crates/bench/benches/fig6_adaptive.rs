@@ -37,14 +37,15 @@ fn bench_fig6(c: &mut Criterion) {
 /// The modeled-result gate: same answers, and `java_ad` page loads bounded
 /// by the worse of the paper's two protocols on every app.
 ///
+/// One strict round per app and, on a miss, five fresh rounds in aggregate.
 /// The dynamically scheduled apps (TSP's branch-and-bound, Barnes-Hut's
-/// chunk counter) explore a schedule-dependent amount of work, so their
-/// absolute page-load counts vary between runs *for every protocol* — a
-/// single draw of `ad` against a single draw of `max(ic, pf)` is a coin
-/// flip even when the adaptive protocol adds zero traffic of its own.  The
-/// gate therefore starts with one strict round and, only if that round
-/// fails, re-assesses over three fresh rounds in aggregate: total `ad`
-/// loads must stay within the total per-round worse of ic/pf.
+/// chunk counter) used to explore a host-schedule-dependent amount of work,
+/// which made a single draw a coin flip and bought them an extra retry; with
+/// their queues and counters granted in virtual-time order their strict
+/// round held in 60 of 60 runs and the retry is gone.  The aggregate stays
+/// for ASP: its loads still differ by ±1 of 388 between runs (the pivot row
+/// races its page-mate's flush, see `tests/repeatability.rs`) and the strict
+/// round missed in 2 of 60.
 fn verify_adaptive_invariants(_c: &mut Criterion) {
     println!();
     println!(
@@ -87,22 +88,8 @@ fn verify_adaptive_invariants(_c: &mut Criterion) {
         if ad.stats.page_loads <= worst {
             continue;
         }
-        // Schedule-chaotic apps get one fresh strict retry before the
-        // (three times slower) aggregate fallback: a single adverse draw of
-        // `ad` against a single lucky draw of `worse(ic, pf)` is ordinary
-        // scheduling noise, not a signal worth three more rounds.
-        if matches!(app, BenchmarkName::Tsp | BenchmarkName::Barnes) {
-            let (ic2, pf2, ad2) = round();
-            if ad2.stats.page_loads <= ic2.stats.page_loads.max(pf2.stats.page_loads) {
-                println!("  {app}: strict round missed; retry passed");
-                continue;
-            }
-        }
-        // Scheduling-noise fallback: aggregate five fresh rounds.  Per-round
-        // load counts jitter by a page or two under *every* protocol (the
-        // speculative-batch draw depends on arrival order), so the aggregate
-        // tolerates one load of jitter per round — systematic inflation
-        // still fails by a margin.
+        // Aggregate five fresh rounds, tolerating one load of jitter per
+        // round — systematic inflation still fails by a margin.
         const ROUNDS: u64 = 5;
         let mut ad_total = 0u64;
         let mut worst_total = 0u64;

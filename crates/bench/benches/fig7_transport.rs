@@ -10,25 +10,23 @@
 //!   hide a non-zero amount of round-trip latency, keep page traffic
 //!   identical and compute the same answer.
 //! * **Migration** (TSP, Barnes-Hut under `java_ad`): home migration must
-//!   strictly reduce the diff RPCs of the write-shared central structures
-//!   (work queue head, best bound, chunk counters) and compute the same
-//!   answer.
+//!   compute the same answer; the pair's diff RPCs and migrated pages are
+//!   printed, not gated (see the comment at the `"migration"` arm).
 //! * The `java_ad` page-load bound of the fig6 gate must keep holding with
 //!   the overlapped transport enabled.
 //!
-//! The dynamically scheduled apps (and, at quick scale, the barrier apps'
-//! server-contention ordering) are schedule-noisy, so each pair is gated
-//! with one strict round first and re-assessed in aggregate over five fresh
-//! rounds when the strict round misses — a transport that systematically
-//! lost time or traffic still fails.
+//! The wall-time legs are gated on one strict round: the 12- and 20-round
+//! aggregates they carried while monitor hand-off, barrier release and the
+//! work queues followed host order were run 20 times on the virtual-time
+//! order and never tripped, so they are gone.  What still trips (ASP's
+//! ±1–2 page loads) keeps its slack, with the observed miss rate in its
+//! comment.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hyperion::prelude::*;
 use hyperion::TransportConfig;
 use hyperion_apps::common::BenchmarkName;
-use hyperion_bench::{
-    run_point_configured, sweep_transport, transport_pair, Scale, TransportPair, ADAPTIVE_NODES,
-};
+use hyperion_bench::{run_point_configured, sweep_transport, Scale, ADAPTIVE_NODES};
 
 fn bench_fig7(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig7_transport");
@@ -83,11 +81,6 @@ fn bench_fig7(c: &mut Criterion) {
     group.finish();
 }
 
-/// One fresh draw of the pair behind `pair` (same app/protocol/transport).
-fn redraw(pair: &TransportPair) -> TransportPair {
-    transport_pair(pair.baseline.app, Scale::Quick).expect("pair app is in the transport sweep")
-}
-
 fn verify_transport_invariants(_c: &mut Criterion) {
     println!();
     println!(
@@ -127,9 +120,11 @@ fn verify_transport_invariants(_c: &mut Criterion) {
                     base.app
                 );
                 // Overlap defers when latency is charged, not what is
-                // fetched; page traffic stays equal up to the per-barrier
-                // wake-order noise every transport shows (the thread that
-                // arrives last skips one barrier-state re-fetch).
+                // fetched; page traffic stays equal up to a slack of 5 % + one
+                // load per node.  Still needed: Jacobi's loads were equal in
+                // 20 of 20 runs on the virtual-time order, ASP's differed by
+                // 1–2 of 388 in 5 of 20 (its pivot row races its page-mate's
+                // flush — `tests/repeatability.rs` names the counter).
                 let slack = base.stats.page_loads / 20 + ADAPTIVE_NODES as u64;
                 assert!(
                     on.stats.page_loads.abs_diff(base.stats.page_loads) <= slack,
@@ -138,76 +133,32 @@ fn verify_transport_invariants(_c: &mut Criterion) {
                     on.stats.page_loads,
                     base.stats.page_loads
                 );
-                // Wall time: strict round, then a deep aggregate (each
-                // quick-scale round costs milliseconds).  Jacobi's overlap
-                // effect is ~15–20% per round; ASP's honest window (the
-                // leading pivot-free work of each Floyd iteration plus the
-                // pipelined digest) is ~1% but highly consistent, so it
-                // needs the deeper aggregate to clear the per-round
-                // barrier-contention jitter.
-                if on.seconds < base.seconds {
-                    continue;
-                }
-                let rounds = if base.app == BenchmarkName::Asp {
-                    20
-                } else {
-                    12
-                };
-                let (mut base_total, mut on_total) = (base.seconds, on.seconds);
-                for _ in 0..rounds {
-                    let fresh = redraw(&pair);
-                    base_total += fresh.baseline.seconds;
-                    on_total += fresh.enabled.seconds;
-                }
-                println!(
-                    "  {}: strict round missed; aggregate of {}: {on_total:.4}s vs {base_total:.4}s",
-                    base.app,
-                    rounds + 1
-                );
+                // Wall time, one strict round.  Jacobi's overlap effect is
+                // ~15–20 %; ASP's honest window (the leading pivot-free work
+                // of each Floyd iteration plus the pipelined digest) is ~1 %.
+                // The 12- and 20-round aggregates that used to clear the
+                // barrier-contention jitter never ran in 20 of 20 runs.
                 assert!(
-                    on_total < base_total,
+                    on.seconds < base.seconds,
                     "{}: overlapped transport did not reduce modeled wall time \
-                     ({on_total:.4}s >= {base_total:.4}s aggregated over {} rounds)",
+                     ({:.6}s >= {:.6}s)",
                     base.app,
-                    rounds + 1
+                    on.seconds,
+                    base.seconds
                 );
             }
             "migration" => {
-                if on.stats.pages_migrated > 0 && on.stats.diff_messages < base.stats.diff_messages
-                {
-                    continue;
-                }
-                // TSP and Barnes-Hut are schedule-chaotic: one fresh strict
-                // retry before the aggregate fallback.
-                let retry = redraw(&pair);
-                if retry.enabled.stats.pages_migrated > 0
-                    && retry.enabled.stats.diff_messages < retry.baseline.stats.diff_messages
-                {
-                    println!("  {}: strict round missed; retry passed", base.app);
-                    continue;
-                }
-                let (mut base_total, mut on_total, mut migrated) = (
-                    base.stats.diff_messages,
-                    on.stats.diff_messages,
-                    on.stats.pages_migrated,
-                );
-                for _ in 0..5 {
-                    let fresh = redraw(&pair);
-                    base_total += fresh.baseline.stats.diff_messages;
-                    on_total += fresh.enabled.stats.diff_messages;
-                    migrated += fresh.enabled.stats.pages_migrated;
-                }
-                println!(
-                    "  {}: strict round missed; aggregate of 6: {on_total} vs {base_total} diffs",
-                    base.app
-                );
-                assert!(migrated > 0, "{}: home migration never fired", base.app);
-                assert!(
-                    on_total < base_total,
-                    "{}: home migration did not reduce diff RPCs \
-                     ({on_total} >= {base_total} aggregated over 6 rounds)",
-                    base.app
-                );
+                // Digest identity (above) and the printed pair only.  The
+                // gate used to demand "migration fired and diff RPCs fell";
+                // that held because a worker the host ran first drained the
+                // queue several times in a row and so dominated its pages.
+                // With dequeues granted in virtual-time order no worker
+                // dominates: in 20 runs TSP sent 38–39 diffs either way with
+                // 0 pages migrated every time, Barnes-Hut 104–117 diffs
+                // *with* migration (1–2 pages moved) against 108–109
+                // without — fewer in 9 runs, more in 11.  The inequality went
+                // with its premise (ROADMAP item 5b lists home migration
+                // first among the mechanisms to keep or cut).
             }
             other => panic!("unknown mechanism {other}"),
         }
@@ -215,10 +166,10 @@ fn verify_transport_invariants(_c: &mut Criterion) {
 
     // The fig6 acceptance bound must survive the new transport: java_ad's
     // page loads stay within the worse of the paper's two protocols when
-    // every latency-hiding mechanism is on.  Absolute load counts carry the
-    // same ±few-page barrier-wake noise as everywhere else, so the bound
-    // uses the fig6 pattern: strict round first, aggregate of three on a
-    // miss.
+    // every latency-hiding mechanism is on.  Strict round first, aggregate
+    // of three on a miss — the fallback stays: on the virtual-time order the
+    // strict round missed in 1 of 40 runs (ASP, 389 loads against 388: the
+    // pivot-row race named in `tests/repeatability.rs`), Jacobi never.
     let overlapped = TransportConfig::latency_hiding();
     for app in [BenchmarkName::Jacobi, BenchmarkName::Asp] {
         let run = |protocol| {
@@ -258,8 +209,8 @@ fn verify_transport_invariants(_c: &mut Criterion) {
              aggregate of 3: {ad_total} vs {worst_total}"
         );
         // The strict keeper of this bound is the fig6 gate (default
-        // transport); here a few pages of slack absorb the ±1-page
-        // barrier-wake noise that `worse(two draws)` vs a third draw shows.
+        // transport); here a few pages of slack absorb the ±1-page noise
+        // that `worse(two draws)` vs a third draw shows.
         assert!(
             ad_total <= worst_total + 8,
             "{app}: java_ad page loads {ad_total} exceed worse(ic, pf) {worst_total} \

@@ -5,7 +5,7 @@
 //! a verification pass over the modeled results; a violation panics, so
 //! `cargo bench` doubles as a gate:
 //!
-//! * **Directory** (Jacobi, ASP under `java_pf`, unpaced): the directory
+//! * **Directory** (Jacobi, ASP under `java_pf`): the directory
 //!   transport (hints + deferred release, ASP's pivot loop issuing its
 //!   fetch a statement-window early) must strictly reduce modeled wall
 //!   time against the plain overlapped transport, send hints, and compute
@@ -15,10 +15,12 @@
 //!   flush latency is charged (from the release to the next acquire of the
 //!   same monitor), so it must never increase modeled wall time.
 //!
-//! The schedule-chaotic apps (TSP, Barnes-Hut) are retried once before the
-//! aggregate fallback: their per-round wall times vary by tens of percent
-//! under every transport, so a single adverse draw is re-drawn before the
-//! deeper (and slower) aggregate comparison runs.
+//! Each leg is one strict round with an aggregate of fresh rounds on a
+//! miss.  The fallbacks were run 20 times on the virtual-time monitor order:
+//! the extra retry and the 1.5× ceiling TSP and Barnes-Hut had never
+//! tripped and are gone; the aggregates still run (miss rates in their
+//! comments), and the ASP directory leg has turned from a noisy win into a
+//! near-exact tie that fails more often than not.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hyperion::prelude::*;
@@ -140,16 +142,23 @@ fn verify_directory_invariants(_c: &mut Criterion) {
                     base.app
                 );
                 assert_eq!(base.stats.hints_sent, 0, "baseline must not hint");
-                // Wall time: strict round first, then an aggregate re-draw
-                // (the directory effect on the already-overlapped baseline
-                // is a few percent, within per-round barrier-order jitter).
+                // Wall time: strict round first, then an aggregate re-draw.
+                // Observed over 20 runs on the virtual-time order — Jacobi:
+                // strict round missed 4 times, aggregate passed 4 of 4
+                // (0.1252 s vs 0.1253 s over 25 rounds); ASP: strict round
+                // missed 16 times and the aggregate then *failed* 13 times,
+                // by 0.0002–0.0005 s in 0.6735 s.  Host order used to spread
+                // ASP's rounds over 0.036–0.043 s and hid ~100 k cycles of
+                // flush latency per run behind barrier drift; in order the
+                // rounds are 0.0320–0.0321 s, 5 880 cycles are hidden, and
+                // what is left of the directory's effect on ASP at quick
+                // scale is a tie.  The inequality is not weakened to make
+                // that pass (it failed every second run before, for noise);
+                // ROADMAP item 5b lists directory hints among the mechanisms
+                // to keep or cut with these numbers.
                 if on.seconds < base.seconds {
                     continue;
                 }
-                // Each quick-scale round costs milliseconds; the directory
-                // effect on the already-overlapped baseline is 1–3%, so the
-                // fallback needs depth to clear the per-round barrier-order
-                // jitter (Jacobi's shorter rounds need more of them).
                 let rounds = if base.app == BenchmarkName::Asp {
                     20
                 } else {
@@ -179,26 +188,18 @@ fn verify_directory_invariants(_c: &mut Criterion) {
             "deferred" => {
                 // Deferring only moves when flush latency is charged: wall
                 // time must never grow (tiny epsilon for rounding).
-                let chaotic = matches!(base.app, BenchmarkName::Tsp | BenchmarkName::Barnes);
                 if on.seconds <= base.seconds * 1.001 {
                     continue;
                 }
-                if chaotic {
-                    // Schedule-chaotic: one fresh re-draw before the deeper
-                    // aggregate — a single adverse draw is ordinary noise.
-                    let retry = redraw(&pair);
-                    assert_same_digest(&retry);
-                    if retry.enabled.seconds <= retry.baseline.seconds * 1.001 {
-                        println!("  {}: strict round missed; retry passed", base.app);
-                        continue;
-                    }
-                }
-                // Non-chaotic rounds cost low milliseconds each, and the
-                // deferred effect there is below the per-round barrier-order
-                // jitter (~1%), so the fallback needs depth for the noise to
-                // average out.
+                // The deferred effect is below the residual per-round jitter
+                // (~1 %), so a missed strict round is re-assessed over ten
+                // rounds in aggregate.  Observed over 20 runs on the
+                // virtual-time order: ASP's strict round missed 3 times and
+                // the aggregate passed each time; no other app missed, so
+                // the extra retry and the 1.5× ceiling TSP and Barnes-Hut
+                // used to get are gone and every app holds the tight bound.
                 let (mut base_total, mut on_total) = (base.seconds, on.seconds);
-                let rounds = if chaotic { 5 } else { 9 };
+                let rounds = 9;
                 for _ in 0..rounds {
                     let fresh = redraw(&pair);
                     base_total += fresh.baseline.seconds;
@@ -209,17 +210,8 @@ fn verify_directory_invariants(_c: &mut Criterion) {
                     base.app,
                     rounds + 1
                 );
-                // The chaotic apps explore a schedule-dependent amount of
-                // work: their per-round times vary by tens of percent under
-                // *every* transport (the committed baseline gives them a 3×
-                // ceiling for the same reason), so the deferred bound is a
-                // blow-up ceiling there and stays tight only for the
-                // statically divided apps, where "never slower" is actually
-                // measurable — up to the residual barrier-order jitter the
-                // aggregate cannot fully average out.
-                let slack = if chaotic { 1.5 } else { 1.005 };
                 assert!(
-                    on_total <= base_total * slack,
+                    on_total <= base_total * 1.005,
                     "{}: deferred flushing increased modeled wall time \
                      ({on_total:.4}s > {base_total:.4}s aggregated over {} rounds)",
                     base.app,

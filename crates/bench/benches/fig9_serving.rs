@@ -11,9 +11,7 @@
 //! * **KV throughput**: `java_ad` must serve at least as many operations
 //!   per virtual second as the *worse* of the two fixed protocols — the
 //!   adaptive protocol may split the difference, but it must not lose to
-//!   both.  Strict round first, then an aggregate of fresh rounds
-//!   (throughput inherits the per-round barrier-order jitter of the wall
-//!   times it is derived from).
+//!   both.  One strict round.
 //! * **Hint economics**: under the prefetch-directory transport the
 //!   Zipf-skewed KV traffic is the adversarial input for a successor-pair
 //!   predictor (hot keys recur, but in no stable order), and the
@@ -29,7 +27,9 @@
 //!   have been opened on a rider's confirmation (`rider_opens > 0`) — the
 //!   hot pages of a Zipf store are exactly what an acquire drops and the
 //!   next few reads touch again.  Riders sent / opened ride in the same
-//!   table.
+//!   table, and so does the time the clients' monitor acquisitions were
+//!   moved forward to a previous holder's release (`monitor_wait_ps`); no
+//!   acquire may have left the virtual-time order (`order_escapes == 0`).
 //! * **PageRank page loads**: the adaptive protocol's page loads on the
 //!   irregular graph traffic must stay within 25% of the `java_pf`
 //!   reference — switching detection modes must not thrash the cache.
@@ -96,8 +96,8 @@ fn verify_serving_invariants(_c: &mut Criterion) {
     let mut home_load = format!(
         "## fig9: home load on the {ADAPTIVE_NODES}-node KV rows\n\n\
          | protocol | exec (s) | busiest home busy | peak home queue wait (bound {:.0} %) \
-         | riders sent | opened without an RPC |\n\
-         |---|---|---|---|---|---|\n",
+         | riders sent | opened without an RPC | monitor wait (ms, all clients) |\n\
+         |---|---|---|---|---|---|---|\n",
         KV_QUEUE_WAIT_BOUND * 100.0
     );
     for app in BenchmarkName::serving() {
@@ -118,14 +118,21 @@ fn verify_serving_invariants(_c: &mut Criterion) {
             assert!(row.serving_p99_us > 0.0, "{app}: no p99 recorded");
             if app == BenchmarkName::KvStore {
                 home_load.push_str(&format!(
-                    "| {} | {:.4} | {:.2} % | {:.2} % | {} | {} |\n",
+                    "| {} | {:.4} | {:.2} % | {:.2} % | {} | {} | {:.3} |\n",
                     row.protocol_label(),
                     row.seconds,
                     row.peak_home_util * 100.0,
                     row.peak_home_queue_wait * 100.0,
                     row.stats.validation_riders,
                     row.stats.rider_opens,
+                    row.stats.monitor_wait_ps as f64 / 1e9,
                 ));
+                assert_eq!(
+                    row.stats.order_escapes,
+                    0,
+                    "KVStore {}: an acquire left the virtual-time order",
+                    row.protocol_label()
+                );
                 assert!(
                     row.stats.rider_opens > 0,
                     "KVStore {}: {} validation riders sent, none ever opened a page",
@@ -149,35 +156,15 @@ fn verify_serving_invariants(_c: &mut Criterion) {
         match app {
             BenchmarkName::KvStore => {
                 // Throughput: java_ad must not lose to *both* fixed
-                // protocols.  Strict round first, then aggregate ops over
-                // aggregate virtual time across fresh rounds.
+                // protocols.  One strict round: the aggregate of four fresh
+                // rounds that used to absorb barrier-order jitter never ran
+                // in 20 of 20 runs on the virtual-time monitor order.
                 let worse = ic.serving_ops_per_s().min(pf.serving_ops_per_s());
-                if ad.serving_ops_per_s() >= worse {
-                    continue;
-                }
-                let mut totals = [
-                    (ic.stats.serving_ops, ic.seconds),
-                    (pf.stats.serving_ops, pf.seconds),
-                    (ad.stats.serving_ops, ad.seconds),
-                ];
-                for _ in 0..3 {
-                    let fresh = protocol_rows(app);
-                    for (acc, row) in totals.iter_mut().zip(&fresh) {
-                        acc.0 += row.stats.serving_ops;
-                        acc.1 += row.seconds;
-                    }
-                }
-                let rate = |(ops, secs): (u64, f64)| ops as f64 / secs;
-                let worse_total = rate(totals[0]).min(rate(totals[1]));
-                let ad_total = rate(totals[2]);
-                println!(
-                    "  KVStore: strict round missed; aggregate of 4: \
-                     java_ad {ad_total:.0} ops/s vs worse fixed {worse_total:.0} ops/s"
-                );
                 assert!(
-                    ad_total >= worse_total,
-                    "KVStore: java_ad throughput {ad_total:.0} ops/s fell below the worse \
-                     fixed protocol's {worse_total:.0} ops/s aggregated over 4 rounds"
+                    ad.serving_ops_per_s() >= worse,
+                    "KVStore: java_ad throughput {:.0} ops/s fell below the worse fixed \
+                     protocol's {worse:.0} ops/s",
+                    ad.serving_ops_per_s()
                 );
             }
             BenchmarkName::PageRank => {

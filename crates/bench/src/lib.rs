@@ -196,13 +196,13 @@ impl FigureRow {
          barrier_waits,batched_fetches,pages_prefetched,protocol_switches,batched_flushes,\
          pages_migrated,fetch_overlap_cycles_hidden,pages_revalidated,serving_ops,\
          serving_ops_per_s,serving_p99_us,peak_home_util,peak_home_queue_wait,\
-         validation_riders,rider_opens"
+         validation_riders,rider_opens,monitor_wait_ps,order_escapes"
     }
 
     /// Serialise as one CSV line.
     pub fn to_csv(&self) -> String {
         format!(
-            "{},{},{},{},{},{:.6},{:.6},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.3},{:.3},{:.6},{:.6},{},{}",
+            "{},{},{},{},{},{:.6},{:.6},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.3},{:.3},{:.6},{:.6},{},{},{},{}",
             self.figure,
             self.app,
             self.cluster,
@@ -232,6 +232,8 @@ impl FigureRow {
             self.peak_home_queue_wait,
             self.stats.validation_riders,
             self.stats.rider_opens,
+            self.stats.monitor_wait_ps,
+            self.stats.order_escapes,
         )
     }
 }
@@ -284,8 +286,9 @@ fn plus(name: &str) -> String {
 }
 
 /// The fully configurable run point: explicit adaptive parameters *and*
-/// transport configuration, labelled with a variant suffix — the entry
-/// point of the figure-7 transport comparison.
+/// transport configuration, labelled with a variant suffix.  The one place a
+/// figure data point is actually executed: builds the configuration, runs
+/// the benchmark and wraps the result.
 #[allow(clippy::too_many_arguments)]
 pub fn run_point_configured(
     name: BenchmarkName,
@@ -297,37 +300,15 @@ pub fn run_point_configured(
     transport: &TransportConfig,
     variant: String,
 ) -> FigureRow {
-    run_figure_point(
-        name, scale, cluster, protocol, nodes, adaptive, transport, variant, false,
-    )
-}
-
-/// The one place a figure data point is actually executed: builds the
-/// configuration (optionally unpaced), runs the benchmark and wraps the
-/// result.
-#[allow(clippy::too_many_arguments)]
-fn run_figure_point(
-    name: BenchmarkName,
-    scale: Scale,
-    cluster: &ClusterSpec,
-    protocol: ProtocolKind,
-    nodes: usize,
-    adaptive: &AdaptiveParams,
-    transport: &TransportConfig,
-    variant: String,
-    unpaced: bool,
-) -> FigureRow {
     let bench = benchmark_at(name, scale);
-    let mut builder = HyperionConfig::builder()
+    let config = HyperionConfig::builder()
         .cluster(cluster.clone())
         .nodes(nodes)
         .protocol(protocol)
         .adaptive(adaptive.clone())
-        .transport(transport.clone());
-    if unpaced {
-        builder = builder.pacing_window(None);
-    }
-    let config = builder.build().expect("valid figure configuration");
+        .transport(transport.clone())
+        .build()
+        .expect("valid figure configuration");
     let (digest, report) = bench.execute(config);
     let peak_rpc_served = report
         .node_stats
@@ -419,9 +400,7 @@ pub struct TransportPair {
 /// *Overlap* pairs run the barrier apps (Jacobi, ASP) under `java_pf` with
 /// blocking vs overlapped fetches — the prefetch windows the kernels open
 /// right after each acquire only pay off when the transport can split the
-/// transaction.  These pairs run unpaced: both apps divide their work
-/// statically, so conservative pacing only adds host-scheduling noise to
-/// the modeled times the delta is measured against.  *Migration* pairs run
+/// transaction.  *Migration* pairs run
 /// the central-structure apps (TSP, Barnes-Hut) under `java_ad` with home
 /// migration off vs on — the write-shared pages behind the work queue, the
 /// best bound and the chunk counters are exactly the diff traffic
@@ -452,7 +431,7 @@ pub fn transport_pair(app: BenchmarkName, scale: Scale) -> Option<TransportPair>
             // Overlap is an engine mechanism; its label comes from the
             // transport's overlap mode rather than a policy name.
             let point = |transport: &TransportConfig| {
-                let mut row = run_figure_point(
+                let mut row = run_point_configured(
                     app,
                     scale,
                     &cluster,
@@ -461,7 +440,6 @@ pub fn transport_pair(app: BenchmarkName, scale: Scale) -> Option<TransportPair>
                     &ad,
                     transport,
                     plus(transport.overlap_name()),
-                    true,
                 );
                 row.figure = TRANSPORT_FIGURE;
                 row
@@ -480,7 +458,7 @@ pub fn transport_pair(app: BenchmarkName, scale: Scale) -> Option<TransportPair>
             // The label tracks what the selected migration policy calls
             // itself ("nomig" / "mig").
             let point = |transport: &TransportConfig| {
-                let mut row = run_figure_point(
+                let mut row = run_point_configured(
                     app,
                     scale,
                     &cluster,
@@ -489,7 +467,6 @@ pub fn transport_pair(app: BenchmarkName, scale: Scale) -> Option<TransportPair>
                     &ad,
                     transport,
                     plus(transport.migration_spec().name()),
-                    false,
                 );
                 row.figure = TRANSPORT_FIGURE;
                 row
@@ -530,8 +507,8 @@ pub struct DirectoryPair {
 /// split-transaction transport of figure 7, on the Myrinet cluster at
 /// [`ADAPTIVE_NODES`] nodes.
 ///
-/// *Directory* pairs run the barrier apps (Jacobi, ASP) under `java_pf`,
-/// unpaced (both divide work statically): the baseline is figure 7's
+/// *Directory* pairs run the barrier apps (Jacobi, ASP) under `java_pf`:
+/// the baseline is figure 7's
 /// overlapped transport, the enabled side adds the cluster-wide prefetch
 /// directory and deferred release flushing
 /// ([`hyperion::TransportConfig::directory`]) — hinted demand misses
@@ -565,7 +542,7 @@ pub fn directory_pair(app: BenchmarkName, scale: Scale) -> Option<DirectoryPair>
     // The baseline is labelled by its overlap mode, the enabled side by
     // what the selected predictor calls itself ("dir").
     let point = |transport: &TransportConfig, variant: String| {
-        let mut row = run_figure_point(
+        let mut row = run_point_configured(
             app,
             scale,
             &cluster,
@@ -574,7 +551,6 @@ pub fn directory_pair(app: BenchmarkName, scale: Scale) -> Option<DirectoryPair>
             &ad,
             transport,
             variant,
-            true,
         );
         row.figure = DIRECTORY_FIGURE;
         row
@@ -595,17 +571,10 @@ pub fn directory_pair(app: BenchmarkName, scale: Scale) -> Option<DirectoryPair>
 pub fn deferred_pair(app: BenchmarkName, scale: Scale) -> DirectoryPair {
     let cluster = myrinet_200();
     let ad = AdaptiveParams::default();
-    // The statically divided apps are compared unpaced (pacing only adds
-    // host-scheduling noise); the dynamically scheduled ones keep pacing so
-    // virtual time, not the host scheduler, divides their work.
-    let unpaced = matches!(
-        app,
-        BenchmarkName::Pi | BenchmarkName::Jacobi | BenchmarkName::Asp
-    );
     // The label tracks what the selected flush policy calls itself
     // ("sync" / "dfl").
     let point = |transport: &TransportConfig| {
-        let mut row = run_figure_point(
+        let mut row = run_point_configured(
             app,
             scale,
             &cluster,
@@ -614,7 +583,6 @@ pub fn deferred_pair(app: BenchmarkName, scale: Scale) -> DirectoryPair {
             &ad,
             transport,
             plus(transport.flush_spec().name()),
-            unpaced,
         );
         row.figure = DIRECTORY_FIGURE;
         row
@@ -692,12 +660,11 @@ pub fn sweep_serving(scale: Scale) -> Vec<FigureRow> {
 /// hint-waste gate inspects.  Zipf-skewed traffic is the adversarial input
 /// for a successor-pair predictor (hot keys recur, but in no stable order),
 /// so the cluster-wide hint-waste bound must hold here and not just on the
-/// strided kernels of figure 8.  Runs unpaced like the other statically
-/// divided directory points.
+/// strided kernels of figure 8.
 pub fn serving_directory_point(name: BenchmarkName, scale: Scale) -> FigureRow {
     let cluster = myrinet_200();
     let directory = TransportConfig::directory();
-    let mut row = run_figure_point(
+    let mut row = run_point_configured(
         name,
         scale,
         &cluster,
@@ -706,7 +673,6 @@ pub fn serving_directory_point(name: BenchmarkName, scale: Scale) -> FigureRow {
         &AdaptiveParams::default(),
         &directory,
         plus(directory.predictor_spec().name()),
-        true,
     );
     row.figure = SERVING_FIGURE;
     row
@@ -764,8 +730,7 @@ impl ScalingPair {
 /// run twice — flat and grouped.  Rows carry `loads/epoch` in their stats
 /// and ops/s for the serving app; [`FigureRow::peak_rpc_served`] holds the
 /// hot-home arrival count the `fig10_scaling` gate compares across
-/// topologies.  Runs unpaced: both apps are statically partitioned at these
-/// scales and pacing only injects host-scheduling noise.
+/// topologies.
 pub fn sweep_scaling(scale: Scale) -> Vec<ScalingPair> {
     let base = myrinet_200();
     let mut pairs = Vec::new();
@@ -777,7 +742,7 @@ pub fn sweep_scaling(scale: Scale) -> Vec<ScalingPair> {
                 group_size,
                 ..TransportConfig::default()
             };
-            let mut flat = run_figure_point(
+            let mut flat = run_point_configured(
                 name,
                 scale,
                 &cluster,
@@ -786,10 +751,9 @@ pub fn sweep_scaling(scale: Scale) -> Vec<ScalingPair> {
                 &AdaptiveParams::default(),
                 &TransportConfig::default(),
                 String::new(),
-                true,
             );
             flat.figure = SCALING_FIGURE;
-            let mut grouped = run_figure_point(
+            let mut grouped = run_point_configured(
                 name,
                 scale,
                 &cluster,
@@ -798,7 +762,6 @@ pub fn sweep_scaling(scale: Scale) -> Vec<ScalingPair> {
                 &AdaptiveParams::default(),
                 &grouped_transport,
                 plus(&format!("g{group_size}")),
-                true,
             );
             grouped.figure = SCALING_FIGURE;
             pairs.push(ScalingPair {
@@ -835,7 +798,7 @@ pub fn sweep_modeled_vs_measured(scale: Scale, backend: TransportBackend) -> Vec
     let mut rows = Vec::new();
     for name in BenchmarkName::all() {
         for protocol in protocols_under_test() {
-            let mut row = run_figure_point(
+            let mut row = run_point_configured(
                 name,
                 scale,
                 &cluster,
@@ -844,7 +807,6 @@ pub fn sweep_modeled_vs_measured(scale: Scale, backend: TransportBackend) -> Vec
                 &AdaptiveParams::default(),
                 &transport,
                 String::new(),
-                false,
             );
             row.figure = WIRE_FIGURE;
             rows.push(row);
@@ -914,7 +876,7 @@ pub fn sweep_chaos(scale: Scale, spec: FaultSpec, backend: TransportBackend) -> 
                 String::new(),
             );
             baseline.figure = CHAOS_FIGURE;
-            let mut faulted = run_figure_point(
+            let mut faulted = run_point_configured(
                 name,
                 scale,
                 &cluster,
@@ -923,7 +885,6 @@ pub fn sweep_chaos(scale: Scale, spec: FaultSpec, backend: TransportBackend) -> 
                 &AdaptiveParams::default(),
                 &transport,
                 plus("chaos"),
-                false,
             );
             faulted.figure = CHAOS_FIGURE;
             pairs.push(ChaosPair { baseline, faulted });
@@ -1231,13 +1192,14 @@ mod tests {
         assert!(row.stats.serving_ops > 0);
         assert!(row.serving_ops_per_s() > 0.0);
         assert!(row.serving_p99_us > 0.0);
-        // The serving, home-load and rider columns ride at the end of the CSV
-        // row.
+        // The serving, home-load, rider and monitor-order columns ride at the
+        // end of the CSV row.
         assert_eq!(
             row.to_csv().matches(',').count(),
             FigureRow::csv_header().matches(',').count()
         );
-        assert!(FigureRow::csv_header().ends_with("validation_riders,rider_opens"));
+        assert!(FigureRow::csv_header()
+            .ends_with("validation_riders,rider_opens,monitor_wait_ps,order_escapes"));
 
         // Batch kernels record no serving operations.
         let pi = run_point(

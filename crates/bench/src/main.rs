@@ -322,7 +322,7 @@ fn print_serving_figure(scale: Scale) -> Vec<FigureRow> {
         hyperion_bench::ADAPTIVE_NODES
     );
     println!(
-        "{:<10} {:<14} {:>12} {:>12} {:>12} {:>12} {:>11} {:>12} {:>8} {:>8} {:>7} {:>8} {:>10} {:>10}",
+        "{:<10} {:<14} {:>12} {:>12} {:>12} {:>12} {:>11} {:>12} {:>8} {:>8} {:>7} {:>8} {:>10} {:>10} {:>14}",
         "App",
         "variant",
         "exec (s)",
@@ -336,11 +336,12 @@ fn print_serving_figure(scale: Scale) -> Vec<FigureRow> {
         "hints",
         "wasted",
         "home busy",
-        "queue wait"
+        "queue wait",
+        "mon wait (ms)"
     );
     for r in &rows {
         println!(
-            "{:<10} {:<14} {:>12.4} {:>12} {:>12.0} {:>12.1} {:>11} {:>12} {:>8} {:>8} {:>7} {:>8} {:>9.2}% {:>9.2}%",
+            "{:<10} {:<14} {:>12.4} {:>12} {:>12.0} {:>12.1} {:>11} {:>12} {:>8} {:>8} {:>7} {:>8} {:>9.2}% {:>9.2}% {:>14.3}",
             r.app.to_string(),
             r.protocol_label(),
             r.seconds,
@@ -355,6 +356,7 @@ fn print_serving_figure(scale: Scale) -> Vec<FigureRow> {
             r.stats.hinted_fetches_wasted,
             r.peak_home_util * 100.0,
             r.peak_home_queue_wait * 100.0,
+            r.stats.monitor_wait_ps as f64 / 1e9,
         );
     }
     println!();

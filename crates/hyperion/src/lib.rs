@@ -22,7 +22,8 @@
 //! * [`object`] — typed shared objects, arrays, Java-style 2-D arrays and
 //!   the locality-aware view/bulk-transfer layer.
 //! * [`layout`] — typed field layouts ([`object_layout!`], [`HStruct`]).
-//! * [`monitor`] — Java monitors with acquire/release consistency actions.
+//! * [`monitor`] — Java monitors with acquire/release consistency actions,
+//!   granted in virtual-time order.
 //! * [`jmm`] — the acquire/release actions themselves.
 //! * [`memory`] — the raw Table 2 primitives (`get`, `put`, `loadIntoCache`,
 //!   `invalidateCache`, `updateMainMemory`).
@@ -64,6 +65,7 @@ pub mod layout;
 pub mod memory;
 pub mod monitor;
 pub mod object;
+mod order;
 pub mod runtime;
 pub mod thread;
 

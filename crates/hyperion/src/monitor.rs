@@ -12,29 +12,61 @@
 //!   (flush field-granularity diffs), as described in §3.1.  Under `java_pf`
 //!   the entry-side invalidation additionally re-protects the cached pages,
 //!   which is where the protocol's `mprotect` traffic comes from.
-//! * **Virtual-time ordering** — the monitor carries the virtual release
-//!   time of its previous holder; a thread entering the monitor can never be
-//!   earlier than that, so critical sections are serialised in virtual time
-//!   just as they are in real time.
+//! * **Virtual-time ordering** — *a monitor is granted in increasing
+//!   (arrival, thread id), so a clock is moved to a previous release only
+//!   when the two sections really overlap in virtual time.*  The arrival is
+//!   the thread's clock once the acquire round trip is paid.  `enter` and
+//!   the re-acquire after a `wait` share one ordered-acquire step: the
+//!   thread is admitted only when no runnable thread can still arrive with a
+//!   smaller key (the crate's `order` module); if the monitor is held it
+//!   parks, and the release hands the monitor directly to the smallest
+//!   parked key instead of to whichever OS thread the host wakes first.  Every
+//!   release → acquire edge still moves the acquirer's clock to at least the
+//!   release, so critical sections are serialised in virtual time just as
+//!   they are in real time — in an order that is a function of virtual time
+//!   alone.
 //!
 //! A monitor lives on a home node (the home of the Java object it guards);
 //! acquiring it from another node pays a control-message round trip.
 
 use std::sync::Arc;
+use std::thread::Thread;
 
 use hyperion_model::{NodeStats, VTime};
-use hyperion_pm2::NodeId;
-use parking_lot::{Condvar, Mutex};
+use hyperion_pm2::{NodeId, ThreadId};
+use parking_lot::Mutex;
 
 use crate::jmm;
+use crate::order::{Key, Slot};
 use crate::runtime::ThreadCtx;
+
+/// A thread admitted while the monitor was held, asleep until a release
+/// hands the monitor to it.
+#[derive(Debug)]
+struct Parked {
+    key: Key,
+    slot: Arc<Slot>,
+    os: Thread,
+}
+
+/// A thread in `Object.wait`.
+#[derive(Debug)]
+struct Waiting {
+    thread: ThreadId,
+    /// The waiter's clock when it started to wait.
+    since: VTime,
+    /// Virtual time of the `notifyAll` that woke it, once one has.
+    notified: Option<VTime>,
+    slot: Arc<Slot>,
+    os: Thread,
+}
 
 #[derive(Debug)]
 struct MonitorState {
-    held: bool,
+    holder: Option<ThreadId>,
     last_release: VTime,
-    notify_epoch: u64,
-    notify_time: VTime,
+    parked: Vec<Parked>,
+    waiting: Vec<Waiting>,
     /// Deferred release flushing: per-home `(issue, completion)` watermarks
     /// of flush RPCs handed off by previous releases of this monitor and
     /// not yet absorbed by an acquire.  Kept per home so one slow home's
@@ -64,6 +96,37 @@ impl MonitorState {
             }
         }
     }
+
+    /// Give the monitor up (the holder `ctx`'s `exit` or `wait`): record
+    /// the release and hand the monitor directly to the smallest parked key,
+    /// publishing that thread's new clock on its behalf — it is runnable
+    /// from here on, whenever the host gets round to it.  Returns the thread
+    /// to wake.
+    fn release(
+        &mut self,
+        ctx: &ThreadCtx,
+        deferred: Option<hyperion_dsm::DeferredFlush>,
+    ) -> Option<Thread> {
+        self.last_release = self.last_release.max(ctx.now());
+        if let Some(d) = deferred {
+            self.push_deferred(d);
+        }
+        let next = (0..self.parked.len())
+            .min_by_key(|&i| self.parked[i].key)
+            .map(|i| self.parked.swap_remove(i));
+        self.holder = next.as_ref().map(|p| p.key.1);
+        let next = next?;
+        let granted = next.key.0.max(self.last_release.as_ps());
+        ctx.shared.order.wake(&next.slot, granted);
+        Some(next.os)
+    }
+}
+
+/// Charge the local bookkeeping of one monitor operation.
+fn charge_monitor_local(ctx: &mut ThreadCtx) {
+    let machine = ctx.machine();
+    let local = machine.cpu.cycles(machine.dsm.monitor_local_cycles);
+    ctx.charge(local);
 }
 
 /// Merge the pending deferred-flush completions into the acquiring thread's
@@ -98,7 +161,6 @@ fn absorb_deferred(ctx: &mut ThreadCtx, marks: Vec<hyperion_dsm::HomeFlushMark>)
 struct MonitorInner {
     home: NodeId,
     state: Mutex<MonitorState>,
-    cv: Condvar,
 }
 
 /// A Java monitor (the lock + wait-set associated with a Java object).
@@ -116,13 +178,12 @@ impl HMonitor {
             inner: Arc::new(MonitorInner {
                 home,
                 state: Mutex::new(MonitorState {
-                    held: false,
+                    holder: None,
                     last_release: VTime::ZERO,
-                    notify_epoch: 0,
-                    notify_time: VTime::ZERO,
+                    parked: Vec::new(),
+                    waiting: Vec::new(),
                     deferred: Vec::new(),
                 }),
-                cv: Condvar::new(),
             }),
         }
     }
@@ -135,12 +196,6 @@ impl HMonitor {
     /// Enter the monitor (`monitorenter`): acquire the lock, then perform the
     /// JMM acquire action.
     pub fn enter(&self, ctx: &mut ThreadCtx) {
-        // Conservative pacing: do not let this thread race (in host time)
-        // past the slowest active thread, otherwise the host scheduler — not
-        // virtual time — would decide who wins contended acquisitions such
-        // as the TSP work queue or the Barnes-Hut chunk counter.
-        ctx.pace();
-        let machine = ctx.machine().clone();
         let node_ref = ctx.shared.cluster.node(ctx.node());
         NodeStats::bump(&node_ref.stats.monitor_enters);
 
@@ -148,27 +203,56 @@ impl HMonitor {
             // Lock acquisition request travels to the monitor's home node and
             // the grant travels back.
             NodeStats::bump(&node_ref.stats.remote_monitor_acquires);
+            let machine = ctx.machine();
             let round_trip = ctx.shared.cluster.control_message_cost().times(2)
                 + machine.cpu.cycles(machine.dsm.protocol_server_cycles);
             ctx.charge(round_trip);
         }
+        self.acquire(ctx);
+    }
 
-        {
+    /// The ordered acquire shared by `enter` and the re-acquire after a
+    /// `wait`: take the monitor in `(arrival, thread id)` order — the
+    /// arrival being the caller's clock now — then perform the JMM acquire
+    /// action.
+    fn acquire(&self, ctx: &mut ThreadCtx) {
+        // Host time only: nobody who can still arrive earlier is behind us.
+        let key = ctx.admit();
+        let me = ctx.thread_id();
+        let (release, pending) = {
             let mut st = self.inner.state.lock();
-            while st.held {
-                self.inner.cv.wait(&mut st);
+            assert!(st.holder != Some(me), "monitors are not re-entrant");
+            if st.holder.is_none() {
+                st.holder = Some(me);
+            } else {
+                // Behind the holder: bounded below by its release, so no
+                // constraint on anybody until the release publishes for us.
+                st.parked.push(Parked {
+                    key,
+                    slot: Arc::clone(&ctx.slot),
+                    os: std::thread::current(),
+                });
+                ctx.slot.park();
+                while st.holder != Some(me) {
+                    drop(st);
+                    std::thread::park();
+                    st = self.inner.state.lock();
+                }
             }
-            st.held = true;
-            let release = st.last_release;
             // Deferred release flushing: a flush handed off by a previous
             // release of *this* monitor must complete no later than this
             // acquire — merge its completions here, charging the residual.
-            let pending = st.take_deferred();
-            drop(st);
-            ctx.clock_mut().merge(release);
-            absorb_deferred(ctx, pending);
+            (st.last_release, st.take_deferred())
+        };
+        let waited = release.saturating_sub(ctx.now());
+        if waited > VTime::ZERO {
+            let node_ref = ctx.shared.cluster.node(ctx.node());
+            NodeStats::bump_by(&node_ref.stats.monitor_wait_ps, waited.as_ps());
         }
-        ctx.charge(machine.cpu.cycles(machine.dsm.monitor_local_cycles));
+        ctx.clock_mut().merge(release);
+        absorb_deferred(ctx, pending);
+        charge_monitor_local(ctx);
+        ctx.publish_progress();
 
         jmm::acquire(ctx);
     }
@@ -183,21 +267,23 @@ impl HMonitor {
     /// hide.
     pub fn exit(&self, ctx: &mut ThreadCtx) {
         let deferred = jmm::release_deferred(ctx);
-        let machine = ctx.machine().clone();
-        ctx.charge(machine.cpu.cycles(machine.dsm.monitor_local_cycles));
+        charge_monitor_local(ctx);
 
         let node_ref = ctx.shared.cluster.node(ctx.node());
         NodeStats::bump(&node_ref.stats.monitor_exits);
 
-        let mut st = self.inner.state.lock();
-        assert!(st.held, "exit of a monitor that is not held");
-        st.held = false;
-        st.last_release = st.last_release.max(ctx.now());
-        if let Some(d) = deferred {
-            st.push_deferred(d);
+        let next = {
+            let mut st = self.inner.state.lock();
+            assert!(
+                st.holder == Some(ctx.thread_id()),
+                "exit of a monitor that is not held"
+            );
+            st.release(ctx, deferred)
+        };
+        ctx.publish_progress();
+        if let Some(os) = next {
+            os.unpark();
         }
-        drop(st);
-        self.inner.cv.notify_all();
     }
 
     /// Execute `body` inside the monitor (a `synchronized` block).
@@ -219,56 +305,62 @@ impl HMonitor {
         // notify us.  Like `exit`, the flush may be deferred onto this
         // monitor — the thread that acquires it next absorbs the completion.
         let deferred = jmm::release_deferred(ctx);
-        let machine = ctx.machine().clone();
-        // Waiting on a notification places no pacing constraint on others.
-        ctx.mark_blocked();
+        let me = ctx.thread_id();
 
-        let (release_seen, notify_seen, pending) = {
+        let next = {
             let mut st = self.inner.state.lock();
-            assert!(st.held, "wait on a monitor that is not held");
-            st.held = false;
-            st.last_release = st.last_release.max(ctx.now());
-            if let Some(d) = deferred {
-                st.push_deferred(d);
-            }
-            let my_epoch = st.notify_epoch;
-            self.inner.cv.notify_all();
-
-            // Wait for a notification...
-            while st.notify_epoch == my_epoch {
-                self.inner.cv.wait(&mut st);
-            }
-            let notify_seen = st.notify_time;
-            // ...then re-acquire the lock.
-            while st.held {
-                self.inner.cv.wait(&mut st);
-            }
-            st.held = true;
-            // Re-acquisition is an acquire of this monitor: any flush still
-            // deferred on it (possibly our own) completes here.
-            (st.last_release, notify_seen, st.take_deferred())
+            assert!(st.holder == Some(me), "wait on a monitor that is not held");
+            st.waiting.push(Waiting {
+                thread: me,
+                since: ctx.now(),
+                notified: None,
+                slot: Arc::clone(&ctx.slot),
+                os: std::thread::current(),
+            });
+            let next = st.release(ctx, deferred);
+            // Waiting for a notification: bounded below by the notifier,
+            // who publishes for us.
+            ctx.slot.park();
+            next
         };
-        ctx.clock_mut().merge(release_seen);
-        ctx.clock_mut().merge(notify_seen);
-        absorb_deferred(ctx, pending);
-        ctx.charge(machine.cpu.cycles(machine.dsm.monitor_local_cycles));
-        ctx.publish_progress();
+        if let Some(os) = next {
+            os.unpark();
+        }
 
-        // Re-acquisition is an acquire action.
-        jmm::acquire(ctx);
+        let notified = loop {
+            let mut st = self.inner.state.lock();
+            let woken = st
+                .waiting
+                .iter()
+                .position(|w| w.thread == me && w.notified.is_some());
+            if let Some(i) = woken {
+                break st.waiting.swap_remove(i).notified.expect("checked above");
+            }
+            drop(st);
+            std::thread::park();
+        };
+        // ...then re-acquire the lock, in order, arriving at the notify.
+        ctx.clock_mut().merge(notified);
+        self.acquire(ctx);
     }
 
     /// `Object.notifyAll()`: wake every thread waiting on this monitor.  The
     /// caller must hold the monitor.
     pub fn notify_all(&self, ctx: &mut ThreadCtx) {
-        let machine = ctx.machine().clone();
-        ctx.charge(machine.cpu.cycles(machine.dsm.monitor_local_cycles));
+        charge_monitor_local(ctx);
+        let now = ctx.now();
         let mut st = self.inner.state.lock();
-        assert!(st.held, "notify on a monitor that is not held");
-        st.notify_epoch += 1;
-        st.notify_time = st.notify_time.max(ctx.now());
-        drop(st);
-        self.inner.cv.notify_all();
+        assert!(
+            st.holder == Some(ctx.thread_id()),
+            "notify on a monitor that is not held"
+        );
+        for w in st.waiting.iter_mut().filter(|w| w.notified.is_none()) {
+            w.notified = Some(now);
+            // Runnable again, arriving no earlier than this notify: publish
+            // for the waiter before the host has woken it.
+            ctx.shared.order.wake(&w.slot, w.since.max(now).as_ps());
+            w.os.unpark();
+        }
     }
 
     /// Virtual time of the most recent release (diagnostics / tests).
@@ -353,6 +445,53 @@ mod tests {
         // least 20ms.
         assert!(out.result >= VTime::from_ms(20));
         assert!(out.report.execution_time >= VTime::from_ms(20));
+    }
+
+    #[test]
+    fn monitor_wait_is_zero_alone_and_exactly_the_overlap_when_sections_collide() {
+        // One thread never waits for a previous holder, local monitor or
+        // remote.
+        let out = runtime(2, ProtocolKind::JavaPf).run(|ctx| {
+            for home in [NodeId(0), NodeId(1)] {
+                let monitor = ctx.new_monitor(home);
+                for _ in 0..5 {
+                    monitor.synchronized(ctx, |ctx| ctx.charge(VTime::from_ms(1)));
+                }
+            }
+        });
+        assert_eq!(out.report.total_stats().monitor_wait_ps, 0);
+
+        // Two 10 ms sections, the second arriving 4 ms into the first: the
+        // second thread is moved forward by what is left of the first
+        // section, and that is all the waiting there is.
+        let out = runtime(1, ProtocolKind::JavaPf).run(|ctx| {
+            let monitor = ctx.new_monitor(NodeId(0));
+            let times = Arc::new(std::sync::Mutex::new(Vec::new()));
+            let handles: Vec<_> = [VTime::from_ms(20), VTime::from_ms(24)]
+                .into_iter()
+                .map(|arrival| {
+                    let (m, times) = (monitor.clone(), Arc::clone(&times));
+                    ctx.spawn_on(NodeId(0), move |t| {
+                        t.observe(arrival);
+                        m.synchronized(t, |t| t.charge(VTime::from_ms(10)));
+                        times.lock().unwrap().push((arrival, t.now()));
+                    })
+                })
+                .collect();
+            for h in handles {
+                ctx.join(h);
+            }
+            let times = times.lock().unwrap().clone();
+            times
+        });
+        let (_, first_release) = out.result[0];
+        let (second_arrival, _) = out.result[1];
+        assert_eq!(second_arrival, VTime::from_ms(24));
+        let overlap = first_release - second_arrival;
+        assert!(overlap > VTime::from_ms(6) && overlap < VTime::from_ms(7));
+        let stats = out.report.total_stats();
+        assert_eq!(stats.monitor_wait_ps, overlap.as_ps());
+        assert_eq!(stats.order_escapes, 0);
     }
 
     #[test]

@@ -26,6 +26,7 @@ use hyperion_pm2::{
     Cluster, GlobalAddr, IsoAllocator, NodeId, ThreadId, ThreadRegistry, TransportBackend,
 };
 
+use crate::order::{Key, OrderTable, Slot};
 use crate::thread::{HThreadHandle, LoadBalancer};
 
 /// Configuration of a Hyperion execution.
@@ -55,21 +56,10 @@ pub struct HyperionConfig {
     /// application thread per node", §4.3); larger values exercise the
     /// computation/communication-overlap extension.
     pub threads_per_node: usize,
-    /// Conservative virtual-time pacing window.
-    ///
-    /// Threads are real OS threads but time is virtual, so without pacing the
-    /// host scheduler — not the modelled cluster — would decide how work from
-    /// dynamically balanced queues (TSP, Barnes-Hut) is divided.  At every
-    /// monitor acquisition a thread whose virtual clock is more than this
-    /// window ahead of the slowest runnable thread yields the host CPU until
-    /// the laggards catch up.  `None` disables pacing (fine for programs with
-    /// static work division).
-    pub pacing_window: Option<VTime>,
 }
 
 impl HyperionConfig {
-    /// A configuration with one application thread per node and the default
-    /// pacing window.
+    /// A configuration with one application thread per node.
     ///
     /// Equivalent to
     /// `HyperionConfig::builder().cluster(..).nodes(..).protocol(..).build()`
@@ -84,7 +74,6 @@ impl HyperionConfig {
             transport: TransportConfig::default(),
             policies: None,
             threads_per_node: 1,
-            pacing_window: Some(VTime::from_us(500)),
         }
     }
 
@@ -114,12 +103,6 @@ impl HyperionConfig {
     /// Builder-style override of [`HyperionConfig::threads_per_node`].
     pub fn with_threads_per_node(mut self, threads: usize) -> Self {
         self.threads_per_node = threads;
-        self
-    }
-
-    /// Builder-style override of [`HyperionConfig::pacing_window`].
-    pub fn with_pacing_window(mut self, window: Option<VTime>) -> Self {
-        self.pacing_window = window;
         self
     }
 
@@ -243,7 +226,6 @@ pub struct ConfigBuilder {
     transport: Option<TransportConfig>,
     policies: Option<PolicySpec>,
     threads_per_node: Option<usize>,
-    pacing_window: Option<Option<VTime>>,
 }
 
 impl ConfigBuilder {
@@ -296,13 +278,6 @@ impl ConfigBuilder {
         self
     }
 
-    /// Conservative virtual-time pacing window; `None` disables pacing.
-    /// Defaults to the 500 µs window of [`HyperionConfig::new`].
-    pub fn pacing_window(mut self, window: Option<VTime>) -> Self {
-        self.pacing_window = Some(window);
-        self
-    }
-
     /// Assemble and validate the configuration.
     ///
     /// Fails with [`ConfigError::MissingField`] if `cluster`, `nodes` or
@@ -325,9 +300,6 @@ impl ConfigBuilder {
         }
         if let Some(threads) = self.threads_per_node {
             config.threads_per_node = threads;
-        }
-        if let Some(window) = self.pacing_window {
-            config.pacing_window = window;
         }
         config.validate()?;
         Ok(config)
@@ -436,52 +408,6 @@ impl std::error::Error for ConfigError {
     }
 }
 
-/// Published virtual-time progress of every thread, used by the conservative
-/// pacing scheme (see [`HyperionConfig::pacing_window`]).  A slot holding
-/// [`ProgressTable::INACTIVE`] means the thread is terminated or blocked on
-/// another thread and therefore places no constraint on the others.
-#[derive(Default)]
-pub(crate) struct ProgressTable {
-    slots: parking_lot::RwLock<Vec<Arc<std::sync::atomic::AtomicU64>>>,
-}
-
-impl ProgressTable {
-    pub(crate) const INACTIVE: u64 = u64::MAX;
-
-    fn slot(&self, thread: ThreadId) -> Arc<std::sync::atomic::AtomicU64> {
-        let idx = thread.0 as usize;
-        {
-            let slots = self.slots.read();
-            if let Some(s) = slots.get(idx) {
-                return Arc::clone(s);
-            }
-        }
-        let mut slots = self.slots.write();
-        while slots.len() <= idx {
-            slots.push(Arc::new(std::sync::atomic::AtomicU64::new(Self::INACTIVE)));
-        }
-        Arc::clone(&slots[idx])
-    }
-
-    pub(crate) fn publish(&self, thread: ThreadId, now_ps: u64) {
-        self.slot(thread).store(now_ps, Ordering::Relaxed);
-    }
-
-    pub(crate) fn set_inactive(&self, thread: ThreadId) {
-        self.slot(thread).store(Self::INACTIVE, Ordering::Relaxed);
-    }
-
-    /// Smallest published time over all active threads, if any.
-    pub(crate) fn min_active(&self) -> Option<u64> {
-        let slots = self.slots.read();
-        slots
-            .iter()
-            .map(|s| s.load(Ordering::Relaxed))
-            .filter(|&v| v != Self::INACTIVE)
-            .min()
-    }
-}
-
 /// The state shared by every thread of a run (the "single JVM image").
 pub(crate) struct RuntimeShared {
     pub(crate) config: HyperionConfig,
@@ -492,7 +418,9 @@ pub(crate) struct RuntimeShared {
     pub(crate) balancer: LoadBalancer,
     pub(crate) finish: TimeWatermark,
     pub(crate) active_children: AtomicUsize,
-    pub(crate) progress: ProgressTable,
+    /// Published progress of every thread: the virtual-time grant order of
+    /// the monitors (see [`crate::order`]).
+    pub(crate) order: OrderTable,
     /// Modeled per-operation latencies (picoseconds) recorded by
     /// [`ThreadCtx::record_serving_op`]: each thread hands over its whole
     /// sample as it ends; folded into the report's tail percentile when the
@@ -544,7 +472,7 @@ impl HyperionRuntime {
                 balancer,
                 finish: TimeWatermark::new(),
                 active_children: AtomicUsize::new(0),
-                progress: ProgressTable::default(),
+                order: OrderTable::default(),
                 serving_latencies: parking_lot::Mutex::new(Vec::new()),
             }),
         })
@@ -590,14 +518,8 @@ impl HyperionRuntime {
         let main_node = NodeId(0);
         let tid = shared.registry.register(main_node);
         NodeStats::bump(&shared.cluster.node(main_node).stats.threads_spawned);
-        shared.progress.publish(tid, 0);
-        let mut ctx = ThreadCtx {
-            shared: Arc::clone(shared),
-            thread: tid,
-            node: main_node,
-            clock: ThreadClock::new(),
-            serving_latencies: Vec::new(),
-        };
+        let slot = shared.order.register(tid, 0);
+        let mut ctx = ThreadCtx::new(Arc::clone(shared), tid, main_node, VTime::ZERO, slot);
 
         let result = main(&mut ctx);
         // Program termination is a release point.
@@ -605,7 +527,7 @@ impl HyperionRuntime {
 
         // Wait (in real time) for threads the program did not join; their
         // final virtual times are already folded into the finish watermark.
-        shared.progress.set_inactive(tid);
+        ctx.slot.park();
         while shared.active_children.load(Ordering::Acquire) > 0 {
             std::thread::yield_now();
         }
@@ -784,7 +706,7 @@ impl RunReport {
         format!(
             "{} on {} × {} nodes: {}\n  checks={} faults={} mprotect={} page_loads={} \
              (revalidated={}) riders={} (opened={}) diffs={} bytes={} monitors={}/{}\n  \
-             home busy={} queue wait={}",
+             home busy={} queue wait={} monitor wait={} (order escapes={})",
             self.protocol.name(),
             self.cluster_label,
             self.nodes,
@@ -802,6 +724,8 @@ impl RunReport {
             t.monitor_exits,
             percents(self.home_utilisation()),
             percents(self.home_queue_wait_share()),
+            VTime::from_ps(t.monitor_wait_ps),
+            t.order_escapes,
         )
     }
 }
@@ -821,9 +745,47 @@ pub struct ThreadCtx {
     /// Latencies this thread recorded via [`ThreadCtx::record_serving_op`],
     /// handed to the run-wide sample once, when the thread ends.
     serving_latencies: Vec<u64>,
+    /// This thread's place in the virtual-time grant order, cached so a
+    /// publication is one atomic store.
+    pub(crate) slot: Arc<Slot>,
+    /// Clock movement after which the access wrappers publish again: one
+    /// control message, i.e. the thread has absorbed a remote operation.
+    publish_step_ps: u64,
+    /// The clock value (ps) from which the next such publication is due.
+    publish_due_ps: u64,
+}
+
+impl Drop for ThreadCtx {
+    /// Thread end, normal or by panic: leave the grant order, handing this
+    /// thread's place to a joiner that is already waiting for it.
+    fn drop(&mut self) {
+        self.shared
+            .order
+            .retire(&self.slot, self.clock.now().as_ps());
+    }
 }
 
 impl ThreadCtx {
+    fn new(
+        shared: Arc<RuntimeShared>,
+        thread: ThreadId,
+        node: NodeId,
+        start: VTime,
+        slot: Arc<Slot>,
+    ) -> Self {
+        let publish_step_ps = shared.cluster.control_message_cost().as_ps();
+        ThreadCtx {
+            shared,
+            thread,
+            node,
+            clock: ThreadClock::starting_at(start),
+            serving_latencies: Vec::new(),
+            slot,
+            publish_step_ps,
+            publish_due_ps: start.as_ps() + publish_step_ps,
+        }
+    }
+
     /// The node this thread runs on.
     #[inline]
     pub fn node(&self) -> NodeId {
@@ -904,54 +866,35 @@ impl ThreadCtx {
         self.clock.merge(t);
     }
 
-    /// Publish this thread's current virtual time to the pacing table.
-    pub(crate) fn publish_progress(&self) {
-        self.shared
-            .progress
-            .publish(self.thread, self.clock.now().as_ps());
+    /// Publish this thread's clock as the lower bound of its next place in
+    /// the grant order (see [`crate::order`]); returns the published value.
+    pub(crate) fn publish_progress(&mut self) -> u64 {
+        let now_ps = self.clock.now().as_ps();
+        self.publish_due_ps = now_ps + self.publish_step_ps;
+        self.slot.publish(now_ps);
+        now_ps
     }
 
-    /// Mark this thread as blocked (it places no pacing constraint on the
-    /// other threads until it publishes progress again).
-    pub(crate) fn mark_blocked(&self) {
-        self.shared.progress.set_inactive(self.thread);
-    }
-
-    /// Conservative virtual-time pacing (see
-    /// [`HyperionConfig::pacing_window`]): if this thread has run more than
-    /// the pacing window ahead of the slowest active thread, yield the host
-    /// CPU until the laggards catch up.  Called by the monitor on every
-    /// acquisition — the points where real-time scheduling would otherwise
-    /// decide how dynamically balanced work is divided.
-    ///
-    /// The wait is bounded (≈100 ms of host time) so a mis-used nested
-    /// monitor can degrade pacing but never deadlock the run.
-    pub(crate) fn pace(&mut self) {
-        let Some(window) = self.shared.config.pacing_window else {
-            return;
-        };
-        self.publish_progress();
-        let my = self.clock.now().as_ps();
-        let limit = window.as_ps();
-        let deadline = std::time::Instant::now() + std::time::Duration::from_millis(100);
-        let mut spins = 0u32;
-        loop {
-            match self.shared.progress.min_active() {
-                None => break,
-                Some(min) if my <= min.saturating_add(limit) => break,
-                Some(_) => {}
-            }
-            if std::time::Instant::now() >= deadline {
-                break;
-            }
-            spins += 1;
-            if spins % 64 == 0 {
-                // Give the host CPU to the laggards outright now and then.
-                std::thread::sleep(std::time::Duration::from_micros(50));
-            } else {
-                std::thread::yield_now();
-            }
+    /// Publish once the clock has moved a control message past the last
+    /// publication: a thread that only reads still lets the writers it would
+    /// otherwise hold back in [`ThreadCtx::admit`] go on.  Called by the
+    /// access wrappers, so it is one compare on the hit path.
+    #[inline]
+    fn publish_if_due(&mut self) {
+        if self.clock.now().as_ps() >= self.publish_due_ps {
+            self.publish_progress();
         }
+    }
+
+    /// The admission step of an ordered acquire: publish this thread's
+    /// arrival as its key and wait (in host time only) until no runnable
+    /// thread can still arrive before it.  Returns the key.
+    pub(crate) fn admit(&mut self) -> Key {
+        let key = (self.publish_progress(), self.thread);
+        if !self.shared.order.admit(key) {
+            NodeStats::bump(&self.shared.cluster.node(self.node).stats.order_escapes);
+        }
+        key
     }
 
     // ----- compute charging -------------------------------------------------
@@ -1020,13 +963,16 @@ impl ThreadCtx {
     /// Read an 8-byte slot through the DSM (`get` of Table 2).
     #[inline]
     pub fn get_slot(&mut self, addr: GlobalAddr) -> u64 {
-        self.shared.dsm.get(self.node, &mut self.clock, addr)
+        let value = self.shared.dsm.get(self.node, &mut self.clock, addr);
+        self.publish_if_due();
+        value
     }
 
     /// Write an 8-byte slot through the DSM (`put` of Table 2).
     #[inline]
     pub fn put_slot(&mut self, addr: GlobalAddr, value: u64) {
         self.shared.dsm.put(self.node, &mut self.clock, addr, value);
+        self.publish_if_due();
     }
 
     /// Explicitly prefetch the page containing `addr` (`loadIntoCache`).
@@ -1034,6 +980,7 @@ impl ThreadCtx {
         self.shared
             .dsm
             .load_into_cache(self.node, &mut self.clock, addr.page());
+        self.publish_if_due();
     }
 
     /// Prefetch every page of the `slots` consecutive slots starting at
@@ -1055,6 +1002,7 @@ impl ThreadCtx {
         self.shared
             .dsm
             .prefetch_span(self.node, &mut self.clock, first, last.0 - first.0 + 1);
+        self.publish_if_due();
     }
 
     /// Classify the locality of `addr` as seen from this thread's node.
@@ -1086,6 +1034,7 @@ impl ThreadCtx {
         self.shared
             .dsm
             .read_slice(self.node, &mut self.clock, addr, out);
+        self.publish_if_due();
     }
 
     /// Bulk write of `values` to consecutive slots starting at `addr`,
@@ -1095,6 +1044,7 @@ impl ThreadCtx {
         self.shared
             .dsm
             .write_slice(self.node, &mut self.clock, addr, values);
+        self.publish_if_due();
     }
 
     /// Allocate `slots` contiguous 8-byte slots homed on `home`.
@@ -1156,21 +1106,18 @@ impl ThreadCtx {
         let tid = self.shared.registry.register(node);
         NodeStats::bump(&self.shared.cluster.node(node).stats.threads_spawned);
         self.shared.active_children.fetch_add(1, Ordering::AcqRel);
-        // Publish the child's starting time before the OS thread exists so
-        // threads that are already running cannot race past it unpaced.
-        self.shared.progress.publish(tid, start.as_ps());
+        // The child joins the grant order at its starting time before the OS
+        // thread exists, so threads that are already running cannot be
+        // admitted past it; the parent's own clock has moved too.
+        let slot = self.shared.order.register(tid, start.as_ps());
+        self.publish_progress();
 
         let shared = Arc::clone(&self.shared);
+        let child_slot = Arc::clone(&slot);
         let os_handle = std::thread::Builder::new()
             .name(format!("hyperion-{}", tid))
             .spawn(move || {
-                let mut ctx = ThreadCtx {
-                    shared: Arc::clone(&shared),
-                    thread: tid,
-                    node,
-                    clock: ThreadClock::starting_at(start),
-                    serving_latencies: Vec::new(),
-                };
+                let mut ctx = ThreadCtx::new(Arc::clone(&shared), tid, node, start, child_slot);
                 body(&mut ctx);
                 // Thread termination is a release point: the child's writes
                 // must reach main memory so a joining thread can observe them.
@@ -1179,29 +1126,27 @@ impl ThreadCtx {
                 ctx.merge_serving_latencies();
                 shared.registry.mark_terminated(tid);
                 shared.finish.record(end);
-                shared.progress.set_inactive(tid);
                 shared.active_children.fetch_sub(1, Ordering::AcqRel);
                 end
             })
             .expect("failed to spawn OS thread for Hyperion thread");
 
-        HThreadHandle::new(tid, node, os_handle)
+        HThreadHandle::new(tid, node, os_handle, slot)
     }
 
     /// Join a Hyperion thread: blocks (in real time) until the thread has
     /// finished and merges its final virtual time into this thread's clock.
     pub fn join(&mut self, handle: HThreadHandle) -> VTime {
-        let machine = self.shared.cluster.machine();
-        // While blocked on the child this thread places no pacing constraint
-        // on the others.
-        self.shared.progress.set_inactive(self.thread);
+        // While blocked on the child this thread constrains nobody's place
+        // in the grant order: it cannot act before the child has ended, and
+        // the ending child publishes for it.
+        self.slot.park_behind(handle.slot());
         let end = handle.into_end_time();
-        self.shared
-            .progress
-            .publish(self.thread, self.clock.now().as_ps());
+        let machine = self.shared.cluster.machine();
         self.clock.merge(end);
         self.clock
             .advance(machine.cpu.cycles(machine.dsm.monitor_local_cycles));
+        self.publish_progress();
         // `Thread.join()` is an acquire point: invalidate this node's cache
         // so reads after the join observe everything the joined thread wrote.
         self.shared.dsm.invalidate_cache(self.node, &mut self.clock);
@@ -1321,18 +1266,15 @@ mod tests {
         assert_eq!(built.nodes, legacy.nodes);
         assert_eq!(built.protocol, legacy.protocol);
         assert_eq!(built.threads_per_node, legacy.threads_per_node);
-        assert_eq!(built.pacing_window, legacy.pacing_window);
 
         let custom = HyperionConfig::builder()
             .cluster(myrinet_200())
             .nodes(2)
             .protocol(ProtocolKind::JavaIc)
             .threads_per_node(3)
-            .pacing_window(None)
             .build()
             .unwrap();
         assert_eq!(custom.total_app_threads(), 6);
-        assert_eq!(custom.pacing_window, None);
     }
 
     #[test]

@@ -7,9 +7,12 @@
 //! handle returned there is an [`HThreadHandle`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use hyperion_model::VTime;
 use hyperion_pm2::{NodeId, ThreadId};
+
+use crate::order::Slot;
 
 /// Round-robin placement of newly created threads over the run's nodes.
 #[derive(Debug)]
@@ -58,6 +61,7 @@ pub struct HThreadHandle {
     thread: ThreadId,
     node: NodeId,
     os_handle: std::thread::JoinHandle<VTime>,
+    slot: Arc<Slot>,
 }
 
 impl HThreadHandle {
@@ -65,12 +69,19 @@ impl HThreadHandle {
         thread: ThreadId,
         node: NodeId,
         os_handle: std::thread::JoinHandle<VTime>,
+        slot: Arc<Slot>,
     ) -> Self {
         HThreadHandle {
             thread,
             node,
             os_handle,
+            slot,
         }
+    }
+
+    /// The thread's place in the virtual-time grant order.
+    pub(crate) fn slot(&self) -> &Slot {
+        &self.slot
     }
 
     /// Id of the thread this handle refers to.

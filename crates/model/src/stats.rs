@@ -163,6 +163,10 @@ define_stats! {
     validation_riders,
     /// Pages a rider had validated that were then opened on their first touch without an RPC (detection is still paid).
     rider_opens,
+    /// Picoseconds by which monitor `enter` / re-acquire moved threads of this node forward to a previous holder's release (two critical sections that overlapped in virtual time).
+    monitor_wait_ps,
+    /// Ordered acquires by threads of this node that gave up waiting for a virtually earlier thread (the admission step's deadlock fuse) and went ahead out of order.
+    order_escapes,
 }
 
 impl NodeStats {
@@ -390,7 +394,7 @@ mod tests {
         ] {
             assert!(names.contains(&expected), "missing {expected}");
         }
-        assert_eq!(names.len(), 53);
+        assert_eq!(names.len(), 55);
         for added in [
             "batched_flushes",
             "rpc_retries",
@@ -418,6 +422,8 @@ mod tests {
             "rpc_queue_wait_ps",
             "validation_riders",
             "rider_opens",
+            "monitor_wait_ps",
+            "order_escapes",
         ] {
             assert!(names.contains(&added), "missing {added}");
         }

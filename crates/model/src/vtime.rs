@@ -294,8 +294,9 @@ pub struct ServerClock {
 
 /// Busy intervals a calendar keeps apart.  Only requests that arrive *before*
 /// the newest bookings need the older gaps, and closed-loop clients stay
-/// within a few milliseconds of each other (the pacing window), i.e. a few
-/// dozen round trips: `kv_read` modeled time is 10.82 / 10.77 / 10.78 s at
+/// within a few dozen round trips of each other (they meet at a monitor
+/// every few operations, and monitors are granted in virtual-time order):
+/// `kv_read` modeled time is 10.82 / 10.77 / 10.78 s at
 /// 16 / 64 / 1024 (16.0 s at 4), so past the plateau this is a constant, not
 /// a tuning knob.
 const CALENDAR_CAPACITY: usize = 64;

@@ -204,21 +204,6 @@ fn multiple_threads_per_node_still_compute_the_right_answer() {
 }
 
 #[test]
-fn pacing_can_be_disabled_without_affecting_correctness() {
-    let params = tsp::TspParams::quick();
-    let expected = tsp::sequential(&params);
-    let config = HyperionConfig::builder()
-        .cluster(myrinet_200())
-        .nodes(3)
-        .protocol(ProtocolKind::JavaIc)
-        .pacing_window(None)
-        .build()
-        .expect("valid test configuration");
-    let out = tsp::run(config, &params);
-    assert_eq!(out.result.best_tour, expected);
-}
-
-#[test]
 fn run_report_summary_mentions_the_protocol_and_cluster() {
     let sci_config = HyperionConfig::builder()
         .cluster(sci_450())

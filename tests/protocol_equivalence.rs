@@ -105,25 +105,6 @@ fn execute_with_policies(
     bench.execute(config)
 }
 
-/// Like [`execute_with`] but with conservative pacing disabled — used for
-/// wall-time comparisons of the statically partitioned apps, where pacing
-/// only injects host-scheduling noise into the modeled times.
-fn execute_unpaced(
-    bench: &dyn Benchmark,
-    protocol: ProtocolKind,
-    transport: &TransportConfig,
-) -> (f64, RunReport) {
-    let config = HyperionConfig::builder()
-        .cluster(myrinet_200())
-        .nodes(NODES)
-        .protocol(protocol)
-        .transport(transport.clone())
-        .pacing_window(None)
-        .build()
-        .expect("valid test configuration");
-    bench.execute(config)
-}
-
 #[test]
 fn all_three_protocols_compute_identical_results() {
     for bench in all_benchmarks() {
@@ -299,8 +280,7 @@ fn overlapped_transport_never_costs_wall_time_over_blocking() {
     //   zero split transactions.  (A raw time comparison would only compare
     //   two draws of their schedule-chaotic exploration.)
     // * Jacobi and ASP do open windows; their modeled times are compared
-    //   directly, unpaced (they divide work statically, so pacing only adds
-    //   host-scheduling noise), strictly first and in aggregate on a miss.
+    //   directly, strictly first and in aggregate on a miss.
     let overlapped = TransportConfig {
         overlapped_fetches: true,
         ..TransportConfig::default()
@@ -324,12 +304,12 @@ fn overlapped_transport_never_costs_wall_time_over_blocking() {
         Box::new(asp::AspParams::quick()),
     ] {
         let round = || {
-            let (_, blocking) = execute_unpaced(
+            let (_, blocking) = execute_with(
                 bench.as_ref(),
                 ProtocolKind::JavaPf,
                 &TransportConfig::default(),
             );
-            let (_, split) = execute_unpaced(bench.as_ref(), ProtocolKind::JavaPf, &overlapped);
+            let (_, split) = execute_with(bench.as_ref(), ProtocolKind::JavaPf, &overlapped);
             (
                 blocking.execution_time.as_secs_f64(),
                 split.execution_time.as_secs_f64(),

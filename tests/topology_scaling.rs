@@ -44,7 +44,6 @@ fn execute(
         .nodes(nodes)
         .protocol(protocol)
         .transport(transport.clone())
-        .pacing_window(None)
         .build()
         .expect("valid scaling configuration");
     bench.execute(config)
