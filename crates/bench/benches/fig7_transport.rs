@@ -9,9 +9,6 @@
 //!   strictly reduce the modeled wall time against the blocking transport,
 //!   hide a non-zero amount of round-trip latency, keep page traffic
 //!   identical and compute the same answer.
-//! * **Migration** (TSP, Barnes-Hut under `java_ad`): home migration must
-//!   compute the same answer; the pair's diff RPCs and migrated pages are
-//!   printed, not gated (see the comment at the `"migration"` arm).
 //! * The `java_ad` page-load bound of the fig6 gate must keep holding with
 //!   the overlapped transport enabled.
 //!
@@ -32,42 +29,21 @@ fn bench_fig7(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig7_transport");
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(2));
-    for (app, protocol, transport, label) in [
-        (
-            BenchmarkName::Jacobi,
-            ProtocolKind::JavaPf,
-            TransportConfig::blocking(),
-            "blocking",
-        ),
-        (
-            BenchmarkName::Jacobi,
-            ProtocolKind::JavaPf,
-            TransportConfig {
-                overlapped_fetches: true,
-                ..TransportConfig::default()
-            },
-            "overlapped",
-        ),
-        (
-            BenchmarkName::Tsp,
-            ProtocolKind::JavaAd,
-            TransportConfig {
-                home_migration: true,
-                ..TransportConfig::default()
-            },
-            "migration",
-        ),
+    let app = BenchmarkName::Jacobi;
+    for (transport, label) in [
+        (TransportConfig::blocking(), "blocking"),
+        (TransportConfig::latency_hiding(), "overlapped"),
     ] {
         group.bench_with_input(
             BenchmarkId::new(app.to_string(), label),
-            &(protocol, transport),
-            |b, (protocol, transport)| {
+            &transport,
+            |b, transport| {
                 b.iter(|| {
                     run_point_configured(
                         app,
                         Scale::Quick,
                         &myrinet_200(),
-                        *protocol,
+                        ProtocolKind::JavaPf,
                         ADAPTIVE_NODES,
                         &AdaptiveParams::default(),
                         transport,
@@ -91,7 +67,7 @@ fn verify_transport_invariants(_c: &mut Criterion) {
         let base = &pair.baseline;
         let on = &pair.enabled;
         println!(
-            "{:<12} {:<10} {}: {:.4}s/{} diffs  ->  {}: {:.4}s/{} diffs (hidden {} cy, migrated {})",
+            "{:<12} {:<10} {}: {:.4}s/{} diffs  ->  {}: {:.4}s/{} diffs (hidden {} cy)",
             base.app.to_string(),
             pair.mechanism,
             base.protocol_label(),
@@ -101,7 +77,6 @@ fn verify_transport_invariants(_c: &mut Criterion) {
             on.seconds,
             on.stats.diff_messages,
             on.stats.fetch_overlap_cycles_hidden,
-            on.stats.pages_migrated,
         );
         let tolerance = base.digest.abs().max(1.0) * 1e-9;
         assert!(
@@ -111,62 +86,44 @@ fn verify_transport_invariants(_c: &mut Criterion) {
             base.digest,
             on.digest
         );
-        match pair.mechanism {
-            "overlap" => {
-                // Deterministic invariants of the split transport.
-                assert!(
-                    on.stats.fetch_overlap_cycles_hidden > 0,
-                    "{}: overlapped transport hid no latency",
-                    base.app
-                );
-                // Overlap defers when latency is charged, not what is
-                // fetched; page traffic stays equal up to a slack of 5 % + one
-                // load per node.  Still needed: Jacobi's loads were equal in
-                // 20 of 20 runs on the virtual-time order, ASP's differed by
-                // 1–2 of 388 in 5 of 20 (its pivot row races its page-mate's
-                // flush — `tests/repeatability.rs` names the counter).
-                let slack = base.stats.page_loads / 20 + ADAPTIVE_NODES as u64;
-                assert!(
-                    on.stats.page_loads.abs_diff(base.stats.page_loads) <= slack,
-                    "{}: overlap changed page traffic: {} vs {}",
-                    base.app,
-                    on.stats.page_loads,
-                    base.stats.page_loads
-                );
-                // Wall time, one strict round.  Jacobi's overlap effect is
-                // ~15–20 %; ASP's honest window (the leading pivot-free work
-                // of each Floyd iteration plus the pipelined digest) is ~1 %.
-                // The 12- and 20-round aggregates that used to clear the
-                // barrier-contention jitter never ran in 20 of 20 runs.
-                assert!(
-                    on.seconds < base.seconds,
-                    "{}: overlapped transport did not reduce modeled wall time \
-                     ({:.6}s >= {:.6}s)",
-                    base.app,
-                    on.seconds,
-                    base.seconds
-                );
-            }
-            "migration" => {
-                // Digest identity (above) and the printed pair only.  The
-                // gate used to demand "migration fired and diff RPCs fell";
-                // that held because a worker the host ran first drained the
-                // queue several times in a row and so dominated its pages.
-                // With dequeues granted in virtual-time order no worker
-                // dominates: in 20 runs TSP sent 38–39 diffs either way with
-                // 0 pages migrated every time, Barnes-Hut 104–117 diffs
-                // *with* migration (1–2 pages moved) against 108–109
-                // without — fewer in 9 runs, more in 11.  The inequality went
-                // with its premise (ROADMAP item 5b lists home migration
-                // first among the mechanisms to keep or cut).
-            }
-            other => panic!("unknown mechanism {other}"),
-        }
+        // Deterministic invariants of the split transport.
+        assert!(
+            on.stats.fetch_overlap_cycles_hidden > 0,
+            "{}: overlapped transport hid no latency",
+            base.app
+        );
+        // Overlap defers when latency is charged, not what is fetched; page
+        // traffic stays equal up to a slack of 5 % + one load per node.
+        // Still needed: Jacobi's loads were equal in 20 of 20 runs on the
+        // virtual-time order, ASP's differed by 1–2 of 388 in 5 of 20 (its
+        // pivot row races its page-mate's flush — `tests/repeatability.rs`
+        // names the counter).
+        let slack = base.stats.page_loads / 20 + ADAPTIVE_NODES as u64;
+        assert!(
+            on.stats.page_loads.abs_diff(base.stats.page_loads) <= slack,
+            "{}: overlap changed page traffic: {} vs {}",
+            base.app,
+            on.stats.page_loads,
+            base.stats.page_loads
+        );
+        // Wall time, one strict round.  Jacobi's overlap effect is ~15–20 %;
+        // ASP's honest window (the leading pivot-free work of each Floyd
+        // iteration plus the pipelined digest) is ~1 %.  The 12- and
+        // 20-round aggregates that used to clear the barrier-contention
+        // jitter never ran in 20 of 20 runs.
+        assert!(
+            on.seconds < base.seconds,
+            "{}: overlapped transport did not reduce modeled wall time \
+             ({:.6}s >= {:.6}s)",
+            base.app,
+            on.seconds,
+            base.seconds
+        );
     }
 
     // The fig6 acceptance bound must survive the new transport: java_ad's
-    // page loads stay within the worse of the paper's two protocols when
-    // every latency-hiding mechanism is on.  Strict round first, aggregate
+    // page loads stay within the worse of the paper's two protocols with
+    // overlapped fetches on.  Strict round first, aggregate
     // of three on a miss — the fallback stays: on the virtual-time order the
     // strict round missed in 1 of 40 runs (ASP, 389 loads against 388: the
     // pivot-row race named in `tests/repeatability.rs`), Jacobi never.

@@ -128,11 +128,9 @@ pub struct FigureRow {
     pub protocol: ProtocolKind,
     /// Transport-variant suffix distinguishing rows that share a protocol
     /// but run under different transport configurations: `""` for the
-    /// default, otherwise `"+"` plus the name the relevant policy (or
-    /// overlap mode) reports — `"+block"`/`"+ov"` from
-    /// [`TransportConfig::overlap_name`], `"+nomig"`/`"+mig"` from the
-    /// migration policy, `"+dir"` from the predictor, `"+sync"`/`"+dfl"`
-    /// from the flush policy.
+    /// default, otherwise `"+block"`/`"+ov"` for the fetch-overlap mode
+    /// ([`TransportConfig::overlap_name`]), `"+dir"` for the prefetch
+    /// directory, `"+sync"`/`"+dfl"` for the release-flush mode.
     pub variant: String,
     /// Number of nodes.
     pub nodes: usize,
@@ -194,7 +192,7 @@ impl FigureRow {
         "figure,app,cluster,protocol,nodes,exec_seconds,digest,locality_checks,page_faults,\
          mprotect_calls,page_loads,diff_messages,bytes_moved,remote_monitor_acquires,\
          barrier_waits,batched_fetches,pages_prefetched,protocol_switches,batched_flushes,\
-         pages_migrated,fetch_overlap_cycles_hidden,pages_revalidated,serving_ops,\
+         fetch_overlap_cycles_hidden,pages_revalidated,serving_ops,\
          serving_ops_per_s,serving_p99_us,peak_home_util,peak_home_queue_wait,\
          validation_riders,rider_opens,monitor_wait_ps,order_escapes"
     }
@@ -202,7 +200,7 @@ impl FigureRow {
     /// Serialise as one CSV line.
     pub fn to_csv(&self) -> String {
         format!(
-            "{},{},{},{},{},{:.6},{:.6},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.3},{:.3},{:.6},{:.6},{},{},{},{}",
+            "{},{},{},{},{},{:.6},{:.6},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.3},{:.3},{:.6},{:.6},{},{},{},{}",
             self.figure,
             self.app,
             self.cluster,
@@ -222,7 +220,6 @@ impl FigureRow {
             self.stats.pages_prefetched,
             self.stats.protocol_switches,
             self.stats.batched_flushes,
-            self.stats.pages_migrated,
             self.stats.fetch_overlap_cycles_hidden,
             self.stats.pages_revalidated,
             self.stats.serving_ops,
@@ -278,9 +275,7 @@ pub fn run_point_with(
     )
 }
 
-/// `"+<name>"` variant suffix from a policy (or overlap-mode) name, so the
-/// figure labels track whatever the selected policy calls itself instead of
-/// hard-coded strings.
+/// `"+<name>"` variant suffix.
 fn plus(name: &str) -> String {
     format!("+{name}")
 }
@@ -378,229 +373,155 @@ pub fn sweep_adaptive(scale: Scale) -> Vec<FigureRow> {
 }
 
 /// The figure number used for the transport comparison (overlapped vs
-/// blocking fetches, home migration on vs off).
+/// blocking fetches).
 pub const TRANSPORT_FIGURE: usize = 7;
 
-/// One paired comparison of the figure-7 transport sweep: the same
-/// (app, protocol, nodes) point under a baseline and a latency-hiding
-/// transport configuration.
+/// One paired comparison of the figure-7 and figure-8 sweeps: the same
+/// (app, protocol, nodes) point with one transport mechanism off and on.
 #[derive(Clone, Debug)]
 pub struct TransportPair {
-    /// What the pair demonstrates (`"overlap"` or `"migration"`).
+    /// What the pair demonstrates: `"overlap"` (figure 7); `"deferred"`,
+    /// `"ov+deferred"` or `"hints"` (figure 8).
     pub mechanism: &'static str,
     /// The point with the mechanism disabled.
     pub baseline: FigureRow,
     /// The point with the mechanism enabled.
     pub enabled: FigureRow,
+}
+
+/// One `java_pf` point of a transport figure on the Myrinet cluster at
+/// [`ADAPTIVE_NODES`] nodes.
+fn transport_point(
+    figure: usize,
+    app: BenchmarkName,
+    scale: Scale,
+    transport: &TransportConfig,
+    variant: &str,
+) -> FigureRow {
+    let mut row = run_point_configured(
+        app,
+        scale,
+        &myrinet_200(),
+        ProtocolKind::JavaPf,
+        ADAPTIVE_NODES,
+        &AdaptiveParams::default(),
+        transport,
+        variant.to_string(),
+    );
+    row.figure = figure;
+    row
 }
 
 /// Figure 7 (extension): the split-transaction transport against the
-/// blocking transport on the Myrinet cluster at [`ADAPTIVE_NODES`] nodes.
-///
-/// *Overlap* pairs run the barrier apps (Jacobi, ASP) under `java_pf` with
-/// blocking vs overlapped fetches — the prefetch windows the kernels open
-/// right after each acquire only pay off when the transport can split the
-/// transaction.  *Migration* pairs run
-/// the central-structure apps (TSP, Barnes-Hut) under `java_ad` with home
-/// migration off vs on — the write-shared pages behind the work queue, the
-/// best bound and the chunk counters are exactly the diff traffic
-/// migration eliminates.  The dominance streak is matched to each app's
-/// write-burst depth: a TSP worker that drains the queue dequeues many
-/// times in a row (streak 3), while the Barnes-Hut chunk counter hands out
-/// two-body chunks, so its bursts are only a couple of diffs deep
-/// (streak 2).
+/// blocking transport on the Myrinet cluster at [`ADAPTIVE_NODES`] nodes:
+/// the barrier apps (Jacobi, ASP) under `java_pf` with blocking vs
+/// overlapped fetches — the prefetch windows the kernels open right after
+/// each acquire only pay off when the transport can split the transaction.
 pub fn sweep_transport(scale: Scale) -> Vec<TransportPair> {
-    [
-        BenchmarkName::Jacobi,
-        BenchmarkName::Asp,
-        BenchmarkName::Tsp,
-        BenchmarkName::Barnes,
-    ]
-    .into_iter()
-    .filter_map(|app| transport_pair(app, scale))
-    .collect()
+    [BenchmarkName::Jacobi, BenchmarkName::Asp]
+        .into_iter()
+        .map(|app| transport_pair(app, scale))
+        .collect()
 }
 
-/// Build one figure-7 pair for `app` (see [`sweep_transport`]); `None` for
-/// apps outside the transport comparison.
-pub fn transport_pair(app: BenchmarkName, scale: Scale) -> Option<TransportPair> {
-    let cluster = myrinet_200();
-    let ad = AdaptiveParams::default();
-    match app {
-        BenchmarkName::Jacobi | BenchmarkName::Asp => {
-            // Overlap is an engine mechanism; its label comes from the
-            // transport's overlap mode rather than a policy name.
-            let point = |transport: &TransportConfig| {
-                let mut row = run_point_configured(
-                    app,
-                    scale,
-                    &cluster,
-                    ProtocolKind::JavaPf,
-                    ADAPTIVE_NODES,
-                    &ad,
-                    transport,
-                    plus(transport.overlap_name()),
-                );
-                row.figure = TRANSPORT_FIGURE;
-                row
-            };
-            Some(TransportPair {
-                mechanism: "overlap",
-                baseline: point(&TransportConfig::blocking()),
-                enabled: point(&TransportConfig {
-                    overlapped_fetches: true,
-                    ..TransportConfig::default()
-                }),
-            })
-        }
-        BenchmarkName::Tsp | BenchmarkName::Barnes => {
-            let streak = if app == BenchmarkName::Tsp { 3 } else { 2 };
-            // The label tracks what the selected migration policy calls
-            // itself ("nomig" / "mig").
-            let point = |transport: &TransportConfig| {
-                let mut row = run_point_configured(
-                    app,
-                    scale,
-                    &cluster,
-                    ProtocolKind::JavaAd,
-                    ADAPTIVE_NODES,
-                    &ad,
-                    transport,
-                    plus(transport.migration_spec().name()),
-                );
-                row.figure = TRANSPORT_FIGURE;
-                row
-            };
-            Some(TransportPair {
-                mechanism: "migration",
-                baseline: point(&TransportConfig::default()),
-                enabled: point(&TransportConfig {
-                    home_migration: true,
-                    migration_streak: streak,
-                    ..TransportConfig::default()
-                }),
-            })
-        }
-        BenchmarkName::Pi | BenchmarkName::KvStore | BenchmarkName::PageRank => None,
+/// Build one figure-7 pair for `app` (see [`sweep_transport`]).
+fn transport_pair(app: BenchmarkName, scale: Scale) -> TransportPair {
+    // Overlap is an engine mechanism; its label comes from the transport's
+    // overlap mode.
+    let point = |transport: &TransportConfig| {
+        let variant = plus(transport.overlap_name());
+        transport_point(TRANSPORT_FIGURE, app, scale, transport, &variant)
+    };
+    TransportPair {
+        mechanism: "overlap",
+        baseline: point(&TransportConfig::blocking()),
+        enabled: point(&TransportConfig::latency_hiding()),
     }
 }
 
-/// The figure number used for the prefetch-directory comparison (hinted
-/// overlapped demand misses + deferred release flushing vs the plain
+/// The figure number used for the prefetch-directory comparison (deferred
+/// release flushing and hinted overlapped demand misses on top of the plain
 /// split-transaction transport).
 pub const DIRECTORY_FIGURE: usize = 8;
 
-/// One paired comparison of the figure-8 directory sweep: the same
-/// (app, protocol, nodes) point under a baseline and a prefetch-directory /
-/// deferred-flush transport configuration.
-#[derive(Clone, Debug)]
-pub struct DirectoryPair {
-    /// What the pair demonstrates (`"directory"` or `"deferred"`).
-    pub mechanism: &'static str,
-    /// The point with the mechanism disabled.
-    pub baseline: FigureRow,
-    /// The point with the mechanism enabled.
-    pub enabled: FigureRow,
-}
-
-/// Figure 8 (extension): the prefetch-directory transport against the
-/// split-transaction transport of figure 7, on the Myrinet cluster at
-/// [`ADAPTIVE_NODES`] nodes.
+/// Figure 8 (extension): what the prefetch-directory transport
+/// ([`hyperion::TransportConfig::directory`]) adds to figure 7's overlapped
+/// transport, one mechanism at a time, on the Myrinet cluster at
+/// [`ADAPTIVE_NODES`] nodes under `java_pf`.
 ///
-/// *Directory* pairs run the barrier apps (Jacobi, ASP) under `java_pf`:
-/// the baseline is figure 7's
-/// overlapped transport, the enabled side adds the cluster-wide prefetch
-/// directory and deferred release flushing
-/// ([`hyperion::TransportConfig::directory`]) — hinted demand misses
-/// complete already in-flight RPCs, ASP's pivot loop issues its fetch a
-/// statement-window early, and per-barrier release flushes complete at the
-/// next acquire instead of stalling the releaser.  *Deferred* pairs isolate
-/// deferred flushing alone (default transport vs default + deferred) on all
-/// five apps — the mechanism only moves when latency is charged, so it must
-/// never make an app slower.
-pub fn sweep_directory(scale: Scale) -> Vec<DirectoryPair> {
-    let mut pairs: Vec<DirectoryPair> = [BenchmarkName::Jacobi, BenchmarkName::Asp]
-        .into_iter()
-        .filter_map(|app| directory_pair(app, scale))
-        .collect();
+/// On the barrier apps (Jacobi, ASP) an *ov+deferred* pair adds deferred
+/// release flushing to the overlapped transport — per-barrier release
+/// flushes complete at the next acquire instead of stalling the releaser —
+/// and a *hints* pair adds the cluster-wide prefetch directory to that:
+/// hinted demand misses complete already in-flight RPCs, and ASP's pivot
+/// loop issues its fetch a statement-window early.  *Deferred* pairs
+/// isolate deferred flushing on the default transport on all five apps —
+/// the mechanism only moves when latency is charged, so it must never make
+/// an app slower.
+pub fn sweep_directory(scale: Scale) -> Vec<TransportPair> {
+    let mut pairs = Vec::new();
+    for app in [BenchmarkName::Jacobi, BenchmarkName::Asp] {
+        pairs.push(deferred_pair(app, scale, true));
+        pairs.push(hints_pair(app, scale));
+    }
     pairs.extend(
         BenchmarkName::all()
             .into_iter()
-            .map(|app| deferred_pair(app, scale)),
+            .map(|app| deferred_pair(app, scale, false)),
     );
     pairs
 }
 
-/// Build one figure-8 *directory* pair for `app` (see [`sweep_directory`]);
-/// `None` for apps outside the directory comparison.
-pub fn directory_pair(app: BenchmarkName, scale: Scale) -> Option<DirectoryPair> {
-    if !matches!(app, BenchmarkName::Jacobi | BenchmarkName::Asp) {
-        return None;
-    }
-    let cluster = myrinet_200();
-    let ad = AdaptiveParams::default();
-    // The baseline is labelled by its overlap mode, the enabled side by
-    // what the selected predictor calls itself ("dir").
-    let point = |transport: &TransportConfig, variant: String| {
-        let mut row = run_point_configured(
+/// Build one figure-8 *hints* pair for `app` (see [`sweep_directory`]):
+/// overlapped fetches with deferred flushing, without and with the
+/// prefetch directory.
+fn hints_pair(app: BenchmarkName, scale: Scale) -> TransportPair {
+    let baseline = TransportConfig {
+        deferred_flush: true,
+        ..TransportConfig::latency_hiding()
+    };
+    TransportPair {
+        mechanism: "hints",
+        baseline: transport_point(DIRECTORY_FIGURE, app, scale, &baseline, "+ov+dfl"),
+        enabled: transport_point(
+            DIRECTORY_FIGURE,
             app,
             scale,
-            &cluster,
-            ProtocolKind::JavaPf,
-            ADAPTIVE_NODES,
-            &ad,
-            transport,
-            variant,
-        );
-        row.figure = DIRECTORY_FIGURE;
-        row
-    };
-    let baseline_transport = TransportConfig {
-        overlapped_fetches: true,
-        ..TransportConfig::default()
-    };
-    let directory = TransportConfig::directory();
-    Some(DirectoryPair {
-        mechanism: "directory",
-        baseline: point(&baseline_transport, plus(baseline_transport.overlap_name())),
-        enabled: point(&directory, plus(directory.predictor_spec().name())),
-    })
+            &TransportConfig::directory(),
+            "+dir",
+        ),
+    }
 }
 
-/// Build one figure-8 *deferred* pair for `app` (see [`sweep_directory`]).
-pub fn deferred_pair(app: BenchmarkName, scale: Scale) -> DirectoryPair {
-    let cluster = myrinet_200();
-    let ad = AdaptiveParams::default();
-    // The label tracks what the selected flush policy calls itself
-    // ("sync" / "dfl").
-    let point = |transport: &TransportConfig| {
-        let mut row = run_point_configured(
-            app,
-            scale,
-            &cluster,
-            ProtocolKind::JavaPf,
-            ADAPTIVE_NODES,
-            &ad,
-            transport,
-            plus(transport.flush_spec().name()),
-        );
-        row.figure = DIRECTORY_FIGURE;
-        row
+/// Build one figure-8 deferred-flush pair for `app` (see
+/// [`sweep_directory`]): the default transport (`"deferred"`) or, with
+/// `overlapped_fetches`, figure 7's overlapped one (`"ov+deferred"`),
+/// without and with deferred release flushing.
+pub fn deferred_pair(app: BenchmarkName, scale: Scale, overlapped_fetches: bool) -> TransportPair {
+    let baseline = TransportConfig {
+        overlapped_fetches,
+        ..TransportConfig::default()
     };
-    DirectoryPair {
-        mechanism: "deferred",
-        baseline: point(&TransportConfig::default()),
-        enabled: point(&TransportConfig {
-            deferred_flush: true,
-            ..TransportConfig::default()
-        }),
+    let enabled = TransportConfig {
+        deferred_flush: true,
+        ..baseline.clone()
+    };
+    let (mechanism, off, on) = if overlapped_fetches {
+        ("ov+deferred", "+ov", "+ov+dfl")
+    } else {
+        ("deferred", "+sync", "+dfl")
+    };
+    TransportPair {
+        mechanism,
+        baseline: transport_point(DIRECTORY_FIGURE, app, scale, &baseline, off),
+        enabled: transport_point(DIRECTORY_FIGURE, app, scale, &enabled, on),
     }
 }
 
 /// The CI-tracked sweep behind `BENCH_<run>.json`: all five apps under all
 /// three protocols on the Myrinet cluster at [`ADAPTIVE_NODES`] nodes, plus
-/// the figure-7 transport-variant rows (overlapped fetches on Jacobi/ASP,
-/// home migration on TSP/Barnes), the figure-8 directory/deferred rows and
+/// the figure-7 transport-variant rows (overlapped fetches on Jacobi/ASP),
+/// the figure-8 directory/deferred rows and
 /// the figure-9 serving rows (KV store and PageRank under all three
 /// protocols, with throughput and modeled p99), so their deltas are tracked
 /// by the baseline gate too.
@@ -618,11 +539,14 @@ pub fn bench_report_rows(scale: Scale) -> Vec<FigureRow> {
         rows.push(pair.baseline);
         rows.push(pair.enabled);
     }
-    // Figure-8 rows: only the *enabled* sides are added — the directory
-    // baseline duplicates figure 7's `+ov` row and the deferred baseline
-    // duplicates the plain `java_pf` row, and report keys must stay unique.
+    // Figure-8 rows: only the `+dir` and `+dfl` *enabled* sides are added —
+    // the deferred baseline duplicates the plain `java_pf` row, the
+    // `+ov` / `+ov+dfl` steps towards the directory are the bench gate's
+    // decomposition, and report keys must stay unique.
     for pair in sweep_directory(scale) {
-        rows.push(pair.enabled);
+        if pair.mechanism != "ov+deferred" {
+            rows.push(pair.enabled);
+        }
     }
     rows.extend(sweep_serving(scale));
     rows
@@ -662,20 +586,13 @@ pub fn sweep_serving(scale: Scale) -> Vec<FigureRow> {
 /// so the cluster-wide hint-waste bound must hold here and not just on the
 /// strided kernels of figure 8.
 pub fn serving_directory_point(name: BenchmarkName, scale: Scale) -> FigureRow {
-    let cluster = myrinet_200();
-    let directory = TransportConfig::directory();
-    let mut row = run_point_configured(
+    transport_point(
+        SERVING_FIGURE,
         name,
         scale,
-        &cluster,
-        ProtocolKind::JavaPf,
-        ADAPTIVE_NODES,
-        &AdaptiveParams::default(),
-        &directory,
-        plus(directory.predictor_spec().name()),
-    );
-    row.figure = SERVING_FIGURE;
-    row
+        &TransportConfig::directory(),
+        "+dir",
+    )
 }
 
 /// The figure number used for the scaling-curve report: node counts 4 → 64

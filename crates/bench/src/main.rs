@@ -234,8 +234,7 @@ fn print_adaptive_figure(scale: Scale) -> Vec<FigureRow> {
 }
 
 /// Figure 7: the split-transaction transport against the blocking one —
-/// overlapped fetches on the barrier apps, home migration on the
-/// central-structure apps.
+/// overlapped fetches on the barrier apps.
 fn print_transport_figure(scale: Scale) -> Vec<FigureRow> {
     let pairs = sweep_transport(scale);
     println!(
@@ -243,21 +242,20 @@ fn print_transport_figure(scale: Scale) -> Vec<FigureRow> {
         hyperion_bench::ADAPTIVE_NODES
     );
     println!(
-        "{:<12} {:<10} {:<14} {:>12} {:>10} {:>10} {:>9} {:>14}",
-        "App", "mechanism", "variant", "exec (s)", "diffs", "batched", "migrated", "hidden cycles"
+        "{:<12} {:<10} {:<14} {:>12} {:>10} {:>10} {:>14}",
+        "App", "mechanism", "variant", "exec (s)", "diffs", "batched", "hidden cycles"
     );
     let mut rows = Vec::new();
     for pair in pairs {
         for r in [&pair.baseline, &pair.enabled] {
             println!(
-                "{:<12} {:<10} {:<14} {:>12.4} {:>10} {:>10} {:>9} {:>14}",
+                "{:<12} {:<10} {:<14} {:>12.4} {:>10} {:>10} {:>14}",
                 r.app.to_string(),
                 pair.mechanism,
                 r.protocol_label(),
                 r.seconds,
                 r.stats.diff_messages,
                 r.stats.batched_flushes,
-                r.stats.pages_migrated,
                 r.stats.fetch_overlap_cycles_hidden,
             );
         }
@@ -268,9 +266,9 @@ fn print_transport_figure(scale: Scale) -> Vec<FigureRow> {
     rows
 }
 
-/// Figure 8: the prefetch-directory transport (cluster-wide hints +
-/// deferred release flushing) against figure 7's split-transaction
-/// transport, plus the deferred-only comparison on all five apps.
+/// Figure 8: what the prefetch-directory transport adds to figure 7's
+/// split-transaction transport — deferred release flushing, then
+/// cluster-wide hints — plus the deferred-only comparison on all five apps.
 fn print_directory_figure(scale: Scale) -> Vec<FigureRow> {
     let pairs = sweep_directory(scale);
     println!(
@@ -278,7 +276,7 @@ fn print_directory_figure(scale: Scale) -> Vec<FigureRow> {
         hyperion_bench::ADAPTIVE_NODES
     );
     println!(
-        "{:<12} {:<10} {:<14} {:>12} {:>7} {:>9} {:>8} {:>9} {:>14}",
+        "{:<12} {:<11} {:<14} {:>12} {:>7} {:>9} {:>8} {:>9} {:>14}",
         "App",
         "mechanism",
         "variant",
@@ -293,7 +291,7 @@ fn print_directory_figure(scale: Scale) -> Vec<FigureRow> {
     for pair in pairs {
         for r in [&pair.baseline, &pair.enabled] {
             println!(
-                "{:<12} {:<10} {:<14} {:>12.4} {:>7} {:>9} {:>8} {:>9} {:>14}",
+                "{:<12} {:<11} {:<14} {:>12.4} {:>7} {:>9} {:>8} {:>9} {:>14}",
                 r.app.to_string(),
                 pair.mechanism,
                 r.protocol_label(),

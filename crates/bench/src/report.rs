@@ -74,8 +74,6 @@ pub struct ReportRow {
     pub diff_messages: u64,
     /// Informational: multi-page diff RPCs (batched flushing).
     pub batched_flushes: u64,
-    /// Informational: pages whose home migrated to a dominant writer.
-    pub pages_migrated: u64,
     /// Informational: fetch latency cycles hidden by overlapped transport.
     pub fetch_overlap_cycles_hidden: u64,
     /// Informational: pages hinted by home nodes on fetch replies.
@@ -154,7 +152,6 @@ impl From<&FigureRow> for ReportRow {
             protocol_switches: row.stats.protocol_switches,
             diff_messages: row.stats.diff_messages,
             batched_flushes: row.stats.batched_flushes,
-            pages_migrated: row.stats.pages_migrated,
             fetch_overlap_cycles_hidden: row.stats.fetch_overlap_cycles_hidden,
             hints_sent: row.stats.hints_sent,
             hinted_fetches_issued: row.stats.hinted_fetches_issued,
@@ -209,7 +206,6 @@ pub fn envelope(runs: &[Vec<FigureRow>]) -> Vec<ReportRow> {
             acc.protocol_switches = acc.protocol_switches.max(next.protocol_switches);
             acc.diff_messages = acc.diff_messages.max(next.diff_messages);
             acc.batched_flushes = acc.batched_flushes.max(next.batched_flushes);
-            acc.pages_migrated = acc.pages_migrated.max(next.pages_migrated);
             acc.fetch_overlap_cycles_hidden = acc
                 .fetch_overlap_cycles_hidden
                 .max(next.fetch_overlap_cycles_hidden);
@@ -254,7 +250,7 @@ pub fn report_to_json(run: &str, scale: &str, rows: &[ReportRow]) -> String {
              \"loads_per_epoch\": {:.6}, \"invalidated_per_epoch\": {:.6}, \
              \"page_faults\": {}, \"locality_checks\": {}, \"mprotect_calls\": {}, \
              \"batched_fetches\": {}, \"protocol_switches\": {}, \"diff_messages\": {}, \
-             \"batched_flushes\": {}, \"pages_migrated\": {}, \
+             \"batched_flushes\": {}, \
              \"fetch_overlap_cycles_hidden\": {}, \"hints_sent\": {}, \
              \"hinted_fetches_issued\": {}, \"hinted_fetches_completed\": {}, \
              \"hinted_fetches_wasted\": {}, \"deferred_flushes\": {}, \
@@ -283,7 +279,6 @@ pub fn report_to_json(run: &str, scale: &str, rows: &[ReportRow]) -> String {
             r.protocol_switches,
             r.diff_messages,
             r.batched_flushes,
-            r.pages_migrated,
             r.fetch_overlap_cycles_hidden,
             r.hints_sent,
             r.hinted_fetches_issued,
@@ -382,7 +377,6 @@ pub fn parse_report(json: &str) -> Result<Vec<ReportRow>, String> {
                 protocol_switches: counter("protocol_switches").unwrap_or(0),
                 diff_messages: counter("diff_messages").unwrap_or(0),
                 batched_flushes: counter("batched_flushes").unwrap_or(0),
-                pages_migrated: counter("pages_migrated").unwrap_or(0),
                 fetch_overlap_cycles_hidden: counter("fetch_overlap_cycles_hidden").unwrap_or(0),
                 hints_sent: counter("hints_sent").unwrap_or(0),
                 hinted_fetches_issued: counter("hinted_fetches_issued").unwrap_or(0),
@@ -1107,7 +1101,6 @@ mod tests {
             protocol_switches: 0,
             diff_messages: 0,
             batched_flushes: 0,
-            pages_migrated: 0,
             fetch_overlap_cycles_hidden: 0,
             hints_sent: 0,
             hinted_fetches_issued: 0,

@@ -1,8 +1,8 @@
 //! The two-level home hierarchy's relay layer: group leaders coalesce
 //! their members' cross-group page fetches and diff batches.
 //!
-//! Under a grouped [`crate::policy::TopologySpec`] the cluster is
-//! partitioned into node groups of equal size and each group's
+//! With [`crate::TransportConfig::group_size`] at 2 or more the cluster is
+//! partitioned into node groups of that size and each group's
 //! lowest-numbered node acts as its *leader*.  A member whose protocol RPC
 //! targets a home *outside its own group* sends the request to its leader
 //! instead, wrapped in a one-byte-kind relay envelope; the leader serves or
@@ -54,7 +54,7 @@ use parking_lot::Mutex;
 
 use crate::diff::{decode_fetch_request, WireError};
 use crate::engine::DsmSystem;
-use crate::policy::{MigrationPolicy, PolicySet, Predictor, ReplicationPolicy};
+use crate::policy::{PolicySet, Predictor, ReplicationPolicy};
 use crate::services::{apply_diff_message, serve_fetch};
 use crate::table::DsmStore;
 
@@ -94,7 +94,6 @@ pub(crate) struct GroupRelayService {
     pub(crate) cpu: CpuModel,
     pub(crate) dsm: DsmCostModel,
     pub(crate) net: NetworkModel,
-    pub(crate) migration: Arc<dyn MigrationPolicy>,
     pub(crate) replication: Arc<dyn ReplicationPolicy>,
     pub(crate) predictor: Arc<dyn Predictor>,
     /// `(leader, page) -> page version at the last fresh upstream fetch`.
@@ -114,7 +113,6 @@ impl GroupRelayService {
             cpu: machine.cpu.clone(),
             dsm: machine.dsm.clone(),
             net: machine.net.clone(),
-            migration: Arc::clone(&policies.migration),
             replication: Arc::clone(&policies.replication),
             predictor: Arc::clone(&policies.predictor),
             fetch_cache: Mutex::new(HashMap::new()),
@@ -193,25 +191,12 @@ impl GroupRelayService {
     }
 
     /// Apply a relayed diff batch (see the module docs for the pricing).
-    fn relay_diff(
-        &self,
-        leader: &Node,
-        home: NodeId,
-        caller: NodeId,
-        inner: &[u8],
-    ) -> Result<RpcReply, WireError> {
+    fn relay_diff(&self, leader: &Node, home: NodeId, inner: &[u8]) -> Result<RpcReply, WireError> {
         // Diffs mutate the home: apply immediately and exactly once, through
-        // the same helper as the direct path (migration grants, quorum
-        // writes and version stamps included).  Combining never defers the
-        // memory effect — it only re-prices the fan-in.
-        let out = apply_diff_message(
-            &self.store,
-            self.migration.as_ref(),
-            self.replication.as_ref(),
-            home,
-            caller,
-            inner,
-        )?;
+        // the same helper as the direct path (quorum writes and version
+        // stamps included).  Combining never defers the memory effect — it
+        // only re-prices the fan-in.
+        let out = apply_diff_message(&self.store, self.replication.as_ref(), home, inner)?;
         let group_size = self.store.topology().group_size().max(1) as u64;
         let fresh = {
             let mut cycles = self.diff_cycles.lock();
@@ -239,7 +224,7 @@ impl RpcHandler for GroupRelayService {
         decode_relay(payload)
             .and_then(|(kind, home, inner)| match kind {
                 RELAY_FETCH => self.relay_fetch(target, home, caller, inner),
-                RELAY_DIFF => self.relay_diff(target, home, caller, inner),
+                RELAY_DIFF => self.relay_diff(target, home, inner),
                 _ => Err(WireError::Invalid("relay kind")),
             })
             .unwrap_or_else(|e| RpcReply::malformed(format!("{} request: {e}", self.name())))

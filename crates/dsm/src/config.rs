@@ -1,17 +1,13 @@
 //! Protocol, adaptive-parameter and transport configuration types.
 //!
-//! These are plain data: choosing a [`ProtocolKind`] and flipping
-//! [`TransportConfig`] flags describes *what* a run wants, and the
-//! [`crate::policy`] module turns that description into the policy objects
-//! the engine actually consults (see [`crate::policy::PolicySpec`] for the
-//! typed surface and [`TransportConfig::policy_spec`] for the bridge).
+//! This is where a run is described, and the only place: a
+//! [`ProtocolKind`], its [`AdaptiveParams`] and a [`TransportConfig`] are
+//! plain data.  [`crate::policy`] checks the description
+//! ([`TransportConfig::validate`]) and turns it into the policy objects the
+//! engine consults ([`crate::policy::PolicySet::build`]).
 
 use hyperion_model::VTime;
 use hyperion_pm2::{FaultSpec, NodeId, RetryPolicy, TransportBackend};
-
-use crate::policy::{
-    FlushSpec, MigrationSpec, PolicySpec, PredictorSpec, ReplicationSpec, TopologySpec,
-};
 
 /// Which access-detection technique a run uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -79,13 +75,6 @@ pub struct AdaptiveParams {
     /// Consecutive re-accessed epochs a page needs before history-driven
     /// prefetching may pull it into a neighbour's batch.
     pub min_prefetch_streak: u64,
-    /// Adapt the `hi`/`lo` thresholds online, per node, from the measured
-    /// switch and waste counters: a node whose pages flap between the two
-    /// techniques widens its own hysteresis band (up to 8× the configured
-    /// multiples), and a node that has stopped mispredicting relaxes back
-    /// towards them.  Off by default — the static thresholds are what the
-    /// ablation benchmarks sweep.
-    pub online_thresholds: bool,
 }
 
 impl Default for AdaptiveParams {
@@ -95,24 +84,17 @@ impl Default for AdaptiveParams {
             lo_multiple: 0.5,
             max_batch_pages: 8,
             min_prefetch_streak: 3,
-            online_thresholds: false,
         }
     }
 }
 
-/// Configuration of the split-transaction transport layer: how the wire
-/// path overlaps with compute and how write-shared pages are re-homed.
+/// Configuration of the transport layer: how the wire path overlaps with
+/// compute, which backend carries it, and the fault, replication and
+/// topology settings around it.
 ///
-/// All three mechanisms are semantics-preserving — they change when latency
-/// is charged and how many RPCs carry the same bytes, never what a program
-/// computes — so they apply to every protocol.
-///
-/// The boolean mechanism flags (`home_migration`, `prefetch_hints`,
-/// `deferred_flush`) are the **legacy data-level surface**: they predate the
-/// policy layer and are kept working so apps, bench harness and committed
-/// baselines do not churn.  New code should select policies through
-/// [`crate::policy::PolicySpec`] (see [`TransportConfig::policy_spec`]); the
-/// engine itself only ever sees policy objects, built from either surface.
+/// Every mechanism is semantics-preserving — it changes when latency is
+/// charged and how many RPCs carry the same bytes, never what a program
+/// computes — so all of them apply to every protocol.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TransportConfig {
     /// Overlapped page fetches: an explicit prefetch (`loadIntoCache`) and
@@ -124,34 +106,23 @@ pub struct TransportConfig {
     /// Largest number of contiguous same-home dirty pages one diff-flush
     /// RPC may carry at `updateMainMemory`; 1 disables batched flushing.
     pub max_flush_batch_pages: usize,
-    /// Legacy flag form of [`crate::policy::MigrationSpec::MajorityVote`]:
-    /// migrate a page's home to the writer that dominates its release-time
-    /// diff traffic, turning that writer's per-release diff RPC into plain
-    /// local stores.  Off by default.
-    pub home_migration: bool,
-    /// Majority count (Boyer–Moore vote over incoming diffs) a non-home
-    /// writer must reach before the home migrates to it.  Doubled per page
-    /// after each migration, so ping-ponging homes back off geometrically.
-    pub migration_streak: u32,
-    /// Legacy flag form of [`crate::policy::PredictorSpec::Directory`]:
-    /// cluster-wide prefetch directory — each home keeps a small per-page
-    /// fetch history and piggybacks "a neighbour also fetched p..p+k" hints
-    /// on fetch replies; requesters convert hints into split-transaction
-    /// tickets, so a later demand miss on a hinted page completes an
-    /// already in-flight RPC instead of issuing one.  Requires
+    /// Cluster-wide prefetch directory
+    /// ([`crate::policy::DirectoryPredictor`]): each home keeps a small
+    /// per-page fetch history and piggybacks "a neighbour also fetched
+    /// p..p+k" hints on fetch replies; requesters convert hints into
+    /// split-transaction tickets, so a later demand miss on a hinted page
+    /// completes an already in-flight RPC instead of issuing one.  Requires
     /// [`TransportConfig::overlapped_fetches`]; off by default.
     pub prefetch_hints: bool,
-    /// Largest number of contiguous pages one reply's hint run may name.
-    pub hint_window: usize,
-    /// Legacy flag form of [`crate::policy::FlushSpec::Deferred`]: deferred
-    /// release flushing — `updateMainMemory` at a monitor exit hands its
-    /// coalesced diff batches to a per-monitor deferred-flush queue as split
-    /// transactions; the flush only has to complete before the *next acquire
-    /// of the same monitor*, which is where the residual latency is charged
-    /// (the JMM's release/acquire edge is exactly per-monitor, so deferring
-    /// to the hand-off preserves happens-before).  Release points with
-    /// thread-level edges (`Thread.start`, `join`, migration, program exit)
-    /// always flush blocking.  Off by default.
+    /// Deferred release flushing ([`crate::policy::DeferredFlush`]):
+    /// `updateMainMemory` at a monitor exit hands its coalesced diff
+    /// batches to a per-monitor deferred-flush queue as split transactions;
+    /// the flush only has to complete before the *next acquire of the same
+    /// monitor*, which is where the residual latency is charged (the JMM's
+    /// release/acquire edge is exactly per-monitor, so deferring to the
+    /// hand-off preserves happens-before).  Release points with
+    /// thread-level edges (`Thread.start`, `join`, thread migration,
+    /// program exit) always flush blocking.  Off by default.
     pub deferred_flush: bool,
     /// Which [`hyperion_pm2::Transport`] implementation carries the RPCs:
     /// the in-process cost model (default) or a real Unix-domain/TCP
@@ -169,17 +140,15 @@ pub struct TransportConfig {
     /// [`hyperion_pm2::FaultyTransport`] wrapped around the chosen backend;
     /// `None` (default) leaves the transport untouched.
     pub fault: Option<FaultSpec>,
-    /// Number of replicated read-homes kept per page and the write quorum a
-    /// diff must reach, i.e. the legacy flag form of
-    /// [`crate::policy::ReplicationSpec::Quorum`].  `None` (default) is the
-    /// Noop policy: no replicas, byte-identical behaviour.
+    /// `(r, w)`: number of replicated read-homes kept per page and the
+    /// write quorum a diff must reach, home included
+    /// ([`crate::policy::QuorumReplication`]; `1 <= w <= r + 1`).  `None`
+    /// (default) keeps no replicas.
     pub replication: Option<(usize, usize)>,
-    /// Nodes per group of the two-level home hierarchy, i.e. the legacy
-    /// flag form of [`crate::policy::TopologySpec::Grouped`].  `1` (default)
-    /// is the flat topology: every node is its own self-led group, no relay
-    /// or combining ever happens, and behaviour is byte-identical to the
-    /// pre-topology engine.  With `group_size >= 2` (must divide the node
-    /// count) each group's leader coalesces its members' cross-group
+    /// Nodes per group of the two-level home hierarchy.  `1` (default) is
+    /// the flat topology: every node is its own self-led group and no relay
+    /// or combining ever happens.  With `group_size >= 2` (must divide the
+    /// node count) each group's leader coalesces its members' cross-group
     /// fetch/diff traffic into upstream relay RPCs (see `dsm::combine`).
     pub group_size: usize,
 }
@@ -189,10 +158,7 @@ impl Default for TransportConfig {
         TransportConfig {
             overlapped_fetches: false,
             max_flush_batch_pages: 8,
-            home_migration: false,
-            migration_streak: 3,
             prefetch_hints: false,
-            hint_window: 4,
             deferred_flush: false,
             backend: TransportBackend::Sim,
             retry: RetryPolicy::default(),
@@ -205,7 +171,7 @@ impl Default for TransportConfig {
 
 impl TransportConfig {
     /// The paper's blocking transport: no overlap, no flush batching, no
-    /// home migration, no prefetch directory, no deferred flushing.
+    /// prefetch directory, no deferred flushing.
     pub fn blocking() -> Self {
         TransportConfig {
             overlapped_fetches: false,
@@ -214,20 +180,18 @@ impl TransportConfig {
         }
     }
 
-    /// The latency-hiding transport of the split-transaction PR: overlapped
-    /// fetches, batched flushing and home migration (the prefetch directory
-    /// and deferred flushing stay off — see [`TransportConfig::directory`]).
+    /// The latency-hiding transport: overlapped fetches on top of the
+    /// default's batched flushing (the prefetch directory and deferred
+    /// flushing stay off — see [`TransportConfig::directory`]).
     pub fn latency_hiding() -> Self {
         TransportConfig {
             overlapped_fetches: true,
-            home_migration: true,
             ..TransportConfig::default()
         }
     }
 
     /// The prefetch-directory transport: overlapped fetches plus
-    /// cluster-wide hints and deferred release flushing (home migration is
-    /// left off so directory effects are measured in isolation).
+    /// cluster-wide hints and deferred release flushing.
     pub fn directory() -> Self {
         TransportConfig {
             overlapped_fetches: true,
@@ -248,70 +212,6 @@ impl TransportConfig {
         } else {
             "block"
         }
-    }
-
-    /// The [`PredictorSpec`] these flags describe.
-    pub fn predictor_spec(&self) -> PredictorSpec {
-        if self.prefetch_hints {
-            PredictorSpec::Directory {
-                hint_window: self.hint_window,
-            }
-        } else {
-            PredictorSpec::Noop
-        }
-    }
-
-    /// The [`MigrationSpec`] these flags describe.
-    pub fn migration_spec(&self) -> MigrationSpec {
-        if self.home_migration {
-            MigrationSpec::MajorityVote {
-                streak: self.migration_streak,
-            }
-        } else {
-            MigrationSpec::Noop
-        }
-    }
-
-    /// The [`FlushSpec`] these flags describe.
-    pub fn flush_spec(&self) -> FlushSpec {
-        if self.deferred_flush {
-            FlushSpec::Deferred {
-                max_pages: self.max_flush_batch_pages,
-            }
-        } else {
-            FlushSpec::Batched {
-                max_pages: self.max_flush_batch_pages,
-            }
-        }
-    }
-
-    /// The [`TopologySpec`] these flags describe.
-    pub fn topology_spec(&self) -> TopologySpec {
-        if self.group_size > 1 {
-            TopologySpec::Grouped {
-                group_size: self.group_size,
-            }
-        } else {
-            TopologySpec::Flat
-        }
-    }
-
-    /// The [`ReplicationSpec`] these flags describe.
-    pub fn replication_spec(&self) -> ReplicationSpec {
-        match self.replication {
-            Some((read_replicas, write_quorum)) => ReplicationSpec::Quorum {
-                read_replicas,
-                write_quorum,
-            },
-            None => ReplicationSpec::Noop,
-        }
-    }
-
-    /// The full [`PolicySpec`] these flags (plus a protocol choice and its
-    /// adaptive parameters) describe — the bridge from the legacy flag
-    /// surface to the typed policy surface.
-    pub fn policy_spec(&self, kind: ProtocolKind, params: &AdaptiveParams) -> PolicySpec {
-        PolicySpec::from_config(kind, params, self)
     }
 }
 
@@ -346,26 +246,8 @@ pub struct DeferredFlush {
     /// Virtual time at which the last flush RPC completes; the next acquire
     /// of the same monitor can not happen before this.
     pub completion: VTime,
-    /// Per-home issue/completion watermarks (empty only for legacy
-    /// constructors; [`DeferredFlush::aggregate`] synthesises one mark).
+    /// Per-home issue/completion watermarks.
     pub homes: Vec<HomeFlushMark>,
-}
-
-impl DeferredFlush {
-    /// A single-watermark record (one synthetic mark covering every home) —
-    /// the pre-per-home behaviour, kept for call sites that have no
-    /// per-home breakdown.
-    pub fn aggregate(issue: VTime, completion: VTime) -> DeferredFlush {
-        DeferredFlush {
-            issue,
-            completion,
-            homes: vec![HomeFlushMark {
-                home: NodeId(0),
-                issue,
-                completion,
-            }],
-        }
-    }
 }
 
 /// Where the page behind an address currently lives, relative to an

@@ -12,9 +12,9 @@
 //! | message | layout (little-endian) |
 //! |---|---|
 //! | diff | `page u64 · n u32 · n × (slot u16 · value u64)`; batched: `first page u64` (bit 63 set) · `pages u32` · per page `n u32 · entries` |
-//! | diff reply | `pages × post-apply version u64` (0 = the page carried no entries), then optionally a migration grant `page u64 · 4096 B` |
+//! | diff reply | `pages × post-apply version u64` (0 = the page carried no entries) |
 
-use hyperion_pm2::{PageId, PAGE_BYTES, SLOTS_PER_PAGE};
+use hyperion_pm2::{PageId, SLOTS_PER_PAGE};
 
 pub use crate::fetch_wire::{
     append_fetch_hints, decode_fetch_reply, decode_fetch_request, encode_fetch_request,
@@ -178,37 +178,21 @@ pub fn decode_diff_message(payload: &[u8]) -> Wire<Vec<(PageId, Vec<DiffEntry>)>
 
 /// Encode a diff-apply reply: the post-apply version of every page of the
 /// message, in message order (0 for a page that carried no entries: none
-/// of the writer's stamps to acknowledge), and — when the apply handed a
-/// page's home to the writer — the migration grant: the migrating page's
-/// id followed by the authoritative snapshot the new home starts from
-/// (shipped so the hand-over is charged on the wire).
-pub fn encode_diff_reply(versions: &[u64], grant: Option<(PageId, &[u8])>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(versions.len() * 8);
-    for v in versions {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    if let Some((page, snapshot)) = grant {
-        out.extend_from_slice(&page.0.to_le_bytes());
-        out.extend_from_slice(snapshot);
-    }
-    out
+/// of the writer's stamps to acknowledge).
+pub fn encode_diff_reply(versions: &[u64]) -> Vec<u8> {
+    versions.iter().flat_map(|v| v.to_le_bytes()).collect()
 }
 
 /// Decode the reply to a diff message of `pages` pages: the post-apply
-/// versions and the migrating page's id if a grant rode along.
-pub fn decode_diff_reply(reply: &[u8], pages: usize) -> Wire<(Vec<u64>, Option<PageId>)> {
+/// versions, and nothing after them.
+pub fn decode_diff_reply(reply: &[u8], pages: usize) -> Wire<Vec<u64>> {
     let mut r = Reader(reply);
     r.fits(pages, 8, "diff reply versions")?;
     let versions = (0..pages)
         .map(|_| r.le("diff reply versions").map(u64::from_le_bytes))
         .collect::<Result<_, _>>()?;
-    let mut grant = None;
-    if !r.0.is_empty() {
-        grant = Some(PageId(u64::from_le_bytes(r.le("grant page id")?)));
-        r.bytes(PAGE_BYTES, "grant snapshot")?;
-    }
     r.finish("diff reply")?;
-    Ok((versions, grant))
+    Ok(versions)
 }
 
 #[cfg(test)]
@@ -252,19 +236,22 @@ mod tests {
     }
 
     #[test]
-    fn diff_reply_carries_versions_and_an_optional_grant() {
-        let plain = encode_diff_reply(&[5, 6], None);
+    fn diff_reply_carries_versions_and_nothing_after_them() {
+        let plain = encode_diff_reply(&[5, 6]);
         assert_eq!(plain.len(), 16);
-        assert_eq!(decode_diff_reply(&plain, 2).unwrap(), (vec![5, 6], None));
-        let snapshot = vec![3u8; PAGE_BYTES];
-        let grant = encode_diff_reply(&[8], Some((PageId(12), &snapshot)));
-        assert_eq!(grant.len(), 8 + 8 + PAGE_BYTES);
-        assert_eq!(
-            decode_diff_reply(&grant, 1),
-            Ok((vec![8], Some(PageId(12))))
-        );
-        assert!(decode_diff_reply(&plain, 3).is_err());
-        assert!(decode_diff_reply(&grant[..grant.len() - 1], 1).is_err());
-        assert!(decode_diff_reply(&[], 1).is_err());
+        assert_eq!(decode_diff_reply(&plain, 2), Ok(vec![5, 6]));
+        assert_eq!(decode_diff_reply(&[], 0), Ok(vec![]));
+        // Bytes after the last version mean nothing, whatever their shape
+        // (a page id and a page of bytes here).
+        let mut trailer = encode_diff_reply(&[8]);
+        trailer.extend_from_slice(&12u64.to_le_bytes());
+        trailer.extend_from_slice(&[3u8; hyperion_pm2::PAGE_BYTES]);
+        let trailing = WireError::TrailingBytes("diff reply");
+        assert_eq!(decode_diff_reply(&trailer, 1), Err(trailing));
+        assert_eq!(decode_diff_reply(&plain, 1), Err(trailing));
+        let truncated = WireError::Truncated("diff reply versions");
+        assert_eq!(decode_diff_reply(&plain, 3), Err(truncated));
+        assert_eq!(decode_diff_reply(&plain[..15], 2), Err(truncated));
+        assert_eq!(decode_diff_reply(&[], 1), Err(truncated));
     }
 }

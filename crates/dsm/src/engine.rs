@@ -46,7 +46,7 @@ use hyperion_pm2::{Cluster, GlobalAddr, Node, NodeId, PageId, ServiceId, SLOTS_P
 use crate::config::{AdaptiveParams, DeferredFlush, Locality, ProtocolKind, TransportConfig};
 use crate::diff::{decode_diff_reply, encode_diff, encode_diff_batch, DiffEntry, HintRun};
 use crate::page::PageFrame;
-use crate::policy::{resolve_marks, AccessAction, PolicySet, PolicySpec};
+use crate::policy::{resolve_marks, AccessAction, PolicySet};
 use crate::riders::{rider_worth, NodeFetchState};
 use crate::services::{DiffApplyService, PageFetchService};
 use crate::table::DsmStore;
@@ -75,27 +75,24 @@ pub struct DsmSystem {
 impl DsmSystem {
     /// Build a DSM system over an existing cluster and store, registering the
     /// page-fetch and diff-apply services with the communication subsystem.
-    /// `java_ad` runs with the default [`AdaptiveParams`]; use
-    /// [`DsmSystem::with_params`] to tune it.
+    /// `java_ad` runs with the default [`AdaptiveParams`] and the transport
+    /// is the default one; [`DsmSystem::with_config`] sets both.
     pub fn new(cluster: Arc<Cluster>, store: Arc<DsmStore>, kind: ProtocolKind) -> Arc<Self> {
-        Self::with_params(cluster, store, kind, &AdaptiveParams::default())
+        Self::with_config(
+            cluster,
+            store,
+            kind,
+            &AdaptiveParams::default(),
+            &TransportConfig::default(),
+        )
     }
 
     /// Build a DSM system with explicit adaptive-protocol parameters (they
     /// are resolved against the cluster's machine model and ignored by
-    /// `java_ic` / `java_pf`) and the default transport.
-    pub fn with_params(
-        cluster: Arc<Cluster>,
-        store: Arc<DsmStore>,
-        kind: ProtocolKind,
-        params: &AdaptiveParams,
-    ) -> Arc<Self> {
-        Self::with_config(cluster, store, kind, params, &TransportConfig::default())
-    }
-
-    /// Build a DSM system with explicit adaptive-protocol parameters and an
-    /// explicit transport configuration (the legacy flag surface: the flags
-    /// are mapped onto default policy objects via [`PolicySpec::from_config`]).
+    /// `java_ic` / `java_pf`) and an explicit transport configuration.  The
+    /// policy objects are built from that description
+    /// ([`PolicySet::build`]); the node-group shape is the `store`'s
+    /// ([`TransportConfig::topology`]).
     pub fn with_config(
         cluster: Arc<Cluster>,
         store: Arc<DsmStore>,
@@ -103,24 +100,7 @@ impl DsmSystem {
         params: &AdaptiveParams,
         transport: &TransportConfig,
     ) -> Arc<Self> {
-        let policies = PolicySpec::from_config(kind, params, transport)
-            .build(cluster.machine(), cluster.num_nodes());
-        Self::with_policies(cluster, store, kind, params, transport, policies)
-    }
-
-    /// Build a DSM system from explicit policy objects — the typed surface
-    /// behind [`DsmSystem::with_config`].  `params` is still taken for the
-    /// configured-threshold accessors (sweeps query them regardless of the
-    /// detection policy in use); `transport` supplies the engine-level
-    /// mechanism switches (fetch overlap, backend) that are not policies.
-    pub fn with_policies(
-        cluster: Arc<Cluster>,
-        store: Arc<DsmStore>,
-        kind: ProtocolKind,
-        params: &AdaptiveParams,
-        transport: &TransportConfig,
-        policies: PolicySet,
-    ) -> Arc<Self> {
+        let policies = PolicySet::build(kind, params, transport, cluster.machine());
         let cpu = cluster.machine().cpu.clone();
         let dsm = cluster.machine().dsm.clone();
         let configured_marks = resolve_marks(params, cluster.machine().adaptive_break_even());
@@ -135,7 +115,6 @@ impl DsmSystem {
             store: Arc::clone(&store),
             cpu,
             dsm,
-            migration: Arc::clone(&policies.migration),
             replication: Arc::clone(&policies.replication),
         }));
         // Registered unconditionally so the service table is identical under
@@ -175,20 +154,8 @@ impl DsmSystem {
 
     /// The resolved `java_ad` switching thresholds `(hi, lo)` in absolute
     /// accesses-per-epoch (for tests, tools and the ablation benchmarks).
-    /// These are the *configured* marks; with online tuning a node's current
-    /// marks may differ — see [`DsmSystem::adaptive_thresholds_on`].
     pub fn adaptive_thresholds(&self) -> (u64, u64) {
         self.configured_marks
-    }
-
-    /// The `hi`/`lo` marks node `node` currently switches on (equal to
-    /// [`DsmSystem::adaptive_thresholds`] unless online tuning has moved
-    /// them).
-    pub fn adaptive_thresholds_on(&self, node: NodeId) -> (u64, u64) {
-        self.policies
-            .detection
-            .thresholds_on(node)
-            .unwrap_or(self.configured_marks)
     }
 
     /// The transport configuration of this system.
@@ -408,7 +375,7 @@ impl DsmSystem {
             if frame.is_home() {
                 return;
             }
-            let outcome = detection.on_epoch_close(node, frame);
+            let outcome = detection.on_epoch_close(frame);
             if outcome.switched {
                 switches += 1;
             }
@@ -429,7 +396,6 @@ impl DsmSystem {
             NodeStats::bump_by(&node_ref.stats.pages_prefetch_wasted, wasted);
             fetch_state.speculation.outcome(wasted);
         }
-        detection.after_invalidate(node, &node_ref.stats);
         if cached.is_empty() {
             return;
         }
@@ -443,8 +409,9 @@ impl DsmSystem {
             .collect();
         let flushed = self.flush_frames(node, node_ref, clock, &dirty);
         self.unwrap_rpc(flushed);
-        // A migration grant may have promoted one of these frames to home
-        // mid-invalidation; re-filter so the new main-memory copy survives.
+        // A flush that found its home dead ran the recovery, which may have
+        // promoted one of these frames to home mid-invalidation; re-filter
+        // so the new main-memory copy survives.
         cached.retain(|(_, frame)| !frame.is_home());
         if cached.is_empty() {
             return;
@@ -715,7 +682,7 @@ impl DsmSystem {
             } else {
                 clock.merge(completion);
             }
-            let (versions, grant) = decode_diff_reply(&reply, pages)
+            let versions = decode_diff_reply(&reply, pages)
                 .map_err(|why| self.malformed_reply(node, first, self.diff_apply, why))?;
             // Write-ack forwarding: a copy that was current before this
             // node's own diff is current after it, at the acknowledged
@@ -730,11 +697,6 @@ impl DsmSystem {
                 if !per_page[k].is_empty() && !frame.is_home() {
                     frame.forward_version(retained[k], post);
                 }
-            }
-            if grant.is_some() {
-                // The home handler promoted this node's frame already; the
-                // grant reply is the accounting record of the hand-over.
-                NodeStats::bump(&node_ref.stats.pages_migrated);
             }
             i = j;
         }

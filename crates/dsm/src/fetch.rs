@@ -56,9 +56,9 @@ impl DsmSystem {
         let mut revalidated = 0u64;
         for (k, (frame, reply)) in frames.iter().zip(reply.pages).enumerate() {
             if frame.is_home() {
-                // A concurrent migration grant promoted this frame to home
-                // while the fetch was in flight: it already holds the
-                // authoritative copy, and installing the (pre-migration)
+                // A concurrent recovery promoted this frame to home while
+                // the fetch was in flight: it already holds the
+                // authoritative copy, and installing the (pre-recovery)
                 // snapshot would erase newer home writes.  The round trip
                 // stays charged — it really happened.
                 continue;

@@ -23,11 +23,12 @@
 //! * [`table`] — per-node frame tables and the cluster-wide [`DsmStore`];
 //! * [`diff`] — wire encoding of field-granularity diffs and (from
 //!   `fetch_wire`) of page fetches;
-//! * [`config`] — protocol / transport configuration data;
+//! * [`config`] — protocol / transport configuration data: the one place
+//!   a run is described;
 //! * [`policy`] — the pluggable policy traits ([`policy::DetectionPolicy`],
-//!   [`policy::Predictor`], [`policy::MigrationPolicy`],
-//!   [`policy::FlushPolicy`], [`policy::ReplicationPolicy`]) and their
-//!   default implementations;
+//!   [`policy::Predictor`], [`policy::FlushPolicy`],
+//!   [`policy::ReplicationPolicy`]), their implementations, and the
+//!   validation and construction of a run's description;
 //! * [`engine`] — the [`DsmSystem`] protocol engine (with its fetch
 //!   mechanics in `fetch`, the validation riders those fetches carry in
 //!   `riders`, the accuracy gate both throttle themselves on in `gate`, and
@@ -37,10 +38,10 @@
 //!   exponential backoff on the RPC path and node-failure recovery
 //!   (re-electing homes for a dead node's pages from the replication
 //!   directory);
-//! * `combine` — the two-level home hierarchy's relay layer: under a
-//!   grouped [`policy::TopologySpec`] each group's leader coalesces its
-//!   members' cross-group page fetches and diff batches into upstream
-//!   relay RPCs (inert under the flat default).
+//! * `combine` — the two-level home hierarchy's relay layer: with
+//!   [`TransportConfig::group_size`] at 2 or more each group's leader
+//!   coalesces its members' cross-group page fetches and diff batches into
+//!   upstream relay RPCs (inert under the flat default).
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -70,6 +71,6 @@ pub use page::{AdMode, PageData, PageFrame};
 // `policy` is deliberately not wildcard re-exported at the crate root: the
 // deferred-flush *policy* (`policy::DeferredFlush`) would collide with the
 // deferred-flush *record* (`DeferredFlush`) above.  Use `policy::...` paths.
-pub use policy::{PolicyError, PolicySet, PolicySpec, TopologySpec};
+pub use policy::{PolicyError, PolicySet};
 pub use recover::RpcFailure;
 pub use table::DsmStore;

@@ -156,7 +156,7 @@ impl PageData {
 #[derive(Debug)]
 pub struct PageFrame {
     /// True if this node is the page's home (the reference copy).  Atomic
-    /// because home migration may promote/demote a frame mid-run.
+    /// because node-failure recovery may promote/demote a frame mid-run.
     home: AtomicBool,
     /// True if the node currently holds a valid copy of the page.
     present: AtomicBool,
@@ -232,26 +232,12 @@ pub struct PageFrame {
     /// repeats.  First-time learning and stable re-fetch sequences never
     /// trip this, so the strided apps keep hinting from their first epoch.
     dir_next_flip_seq: AtomicU64,
-    /// Home migration (home frames only): Boyer–Moore majority candidate for
-    /// the dominant diff writer, stored as `writer + 1` (0 = none).
-    mig_candidate: AtomicU64,
-    /// Home migration: the candidate's current majority count.
-    mig_count: AtomicU64,
-    /// Home migration: consecutive-dominance count required before the next
-    /// grant; doubled after each migration of this page so a ping-ponging
-    /// page migrates geometrically less often.
-    mig_required: AtomicU64,
     /// Home frames only: [`HOME_WROTE`] once the home node itself wrote this
     /// page since `version` was last stamped.  Home writes are the access
     /// hit path, so they only set this flag (a plain store);
     /// [`PageFrame::stamp`] folds it into `version` where the home serves a
     /// fetch or applies a diff.
     home_wrote: AtomicU8,
-    /// Home migration (home frames only): a home write was folded into the
-    /// stamp since the migration vote last looked.  Home writes produce no
-    /// diffs, so without this flag the vote would migrate pages away from
-    /// homes that are in fact their busiest writers.
-    mig_home_wrote: AtomicBool,
 }
 
 impl PageFrame {
@@ -281,11 +267,7 @@ impl PageFrame {
             dir_next_seq: AtomicU64::new(0),
             dir_next_hits: AtomicU64::new(0),
             dir_next_flip_seq: AtomicU64::new(0),
-            mig_candidate: AtomicU64::new(0),
-            mig_count: AtomicU64::new(0),
-            mig_required: AtomicU64::new(0),
             home_wrote: AtomicU8::new(HOME_CLEAN),
-            mig_home_wrote: AtomicBool::new(false),
         }
     }
 
@@ -390,7 +372,6 @@ impl PageFrame {
                     {
                         continue;
                     }
-                    self.mig_home_wrote.store(true, Ordering::Relaxed);
                     let stamp = self.version.fetch_add(1, Ordering::AcqRel) + 1;
                     // A home write that landed meanwhile marked the page
                     // again; the failed exchange leaves its mark standing.
@@ -469,9 +450,9 @@ impl PageFrame {
 
     /// Apply one slot of a *remote* node's diff to this (home) frame.
     /// Unlike [`PageFrame::store_slot`] this neither records a dirty bit
-    /// nor counts as a home write for the migration vote — it is the remote
-    /// writer's store, merely landing here.  The caller stamps the page
-    /// with [`PageFrame::bump_version`] once all slots of the diff are in.
+    /// nor flags a home write — it is the remote writer's store, merely
+    /// landing here.  The caller stamps the page with
+    /// [`PageFrame::bump_version`] once all slots of the diff are in.
     #[inline]
     pub fn apply_diff_slot(&self, slot: usize, value: u64) {
         self.data().store(slot, value);
@@ -700,67 +681,7 @@ impl PageFrame {
         ]
     }
 
-    // ----- home migration ----------------------------------------------------
-
-    /// Observe one release-time diff from `writer` at this (home) frame and
-    /// decide whether the page's home should migrate to that writer.
-    ///
-    /// Dominance is tracked with a Boyer–Moore majority vote over the
-    /// stream of incoming diffs: alternating writers cancel each other out
-    /// and never trigger a migration, while a writer that dominates the
-    /// recent diff traffic accumulates a count.  A grant requires the count
-    /// to reach `required_base`, doubled once per previous migration of this
-    /// page (exponential back-off against ping-ponging homes).
-    pub fn mig_observe_writer(&self, writer: u64, required_base: u64) -> bool {
-        self.stamp();
-        if self.mig_home_wrote.swap(false, Ordering::Relaxed) {
-            // The home wrote the page itself since the vote last looked: it
-            // is an active writer whose accesses are already free, so no
-            // remote writer can *dominate* right now.  Reset the vote — a
-            // grant requires a fully home-quiet dominance window, which is
-            // exactly the period (e.g. the home stuck in a long search
-            // subtree) where handing the page over cannot cost the home
-            // anything.
-            self.mig_candidate.store(0, Ordering::Relaxed);
-            self.mig_count.store(0, Ordering::Relaxed);
-            return false;
-        }
-        let tagged = writer + 1;
-        let candidate = self.mig_candidate.load(Ordering::Relaxed);
-        if candidate == tagged {
-            let count = self.mig_count.fetch_add(1, Ordering::Relaxed) + 1;
-            let required = self.mig_required.load(Ordering::Relaxed).max(required_base);
-            if count >= required {
-                // Grant: reset the vote and double the bar for next time.
-                self.mig_candidate.store(0, Ordering::Relaxed);
-                self.mig_count.store(0, Ordering::Relaxed);
-                self.mig_required
-                    .store(required.saturating_mul(2), Ordering::Relaxed);
-                return true;
-            }
-        } else if candidate == 0 || self.mig_count.load(Ordering::Relaxed) <= 1 {
-            self.mig_candidate.store(tagged, Ordering::Relaxed);
-            self.mig_count.store(1, Ordering::Relaxed);
-        } else {
-            self.mig_count.fetch_sub(1, Ordering::Relaxed);
-        }
-        false
-    }
-
-    /// The doubled-per-migration dominance requirement currently in force
-    /// for this page (0 until the first migration).
-    pub fn mig_required(&self) -> u64 {
-        self.mig_required.load(Ordering::Relaxed)
-    }
-
-    /// Carry the page's migration back-off over to this frame (called on
-    /// the new home frame when a migration grant promotes it, so the bar
-    /// keeps doubling no matter which node currently hosts the page).
-    pub fn mig_inherit_required(&self, required: u64) {
-        self.mig_required.fetch_max(required, Ordering::Relaxed);
-        self.mig_candidate.store(0, Ordering::Relaxed);
-        self.mig_count.store(0, Ordering::Relaxed);
-    }
+    // ----- re-homing (node-failure recovery) ---------------------------------
 
     /// Promote this frame to be the page's home, merging the previous home's
     /// authoritative snapshot into it.  `version` is the stamp the page
@@ -913,19 +834,6 @@ mod tests {
         home.store_slot(4, 40);
         home.apply_diff_slot(5, 50);
         assert_eq!(home.bump_version(), 5);
-    }
-
-    #[test]
-    fn migration_vote_still_sees_a_home_write_the_stamp_folded_first() {
-        let home = PageFrame::new_home();
-        assert!(!home.mig_observe_writer(1, 2));
-        home.store_slot(0, 1);
-        // A fetch is served in between and folds the flag into the stamp...
-        assert_eq!(home.stamp(), 2);
-        // ...the vote must still reset instead of granting.
-        assert!(!home.mig_observe_writer(1, 2));
-        assert!(!home.mig_observe_writer(1, 2), "count restarted at 1");
-        assert!(home.mig_observe_writer(1, 2));
     }
 
     #[test]

@@ -6,10 +6,7 @@
 //! detection ([`PageProtectDetection`], `java_pf`) and the adaptive per-page
 //! state machine between the two ([`AdaptiveDetection`], `java_ad`).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use hyperion_model::{CpuModel, MachineModel, NodeStats, ThreadClock, VTime};
-use hyperion_pm2::NodeId;
 
 use crate::config::AdaptiveParams;
 use crate::page::{AdMode, PageFrame};
@@ -108,7 +105,7 @@ pub trait DetectionPolicy: Send + Sync {
     /// JMM: the acquire drops the copy regardless of what this returns, so
     /// a technique flip can never be observed by an access — this is the
     /// one boundary where per-page state may change for free.
-    fn on_epoch_close(&self, _node: NodeId, _frame: &PageFrame) -> EpochOutcome {
+    fn on_epoch_close(&self, _frame: &PageFrame) -> EpochOutcome {
         EpochOutcome::default()
     }
 
@@ -121,19 +118,6 @@ pub trait DetectionPolicy: Send + Sync {
     /// satisfy the next access without a fault, bypassing the fetch that
     /// the acquire's invalidation demands.
     fn reprotect_on_invalidate(&self, frame: &PageFrame) -> bool;
-
-    /// Hook after a node finished an `invalidateCache`: the adaptive
-    /// policy's online threshold tuner runs here.  Default: nothing.
-    ///
-    /// JMM: runs with no copies cached, so anything it adjusts only affects
-    /// future cost decisions.
-    fn after_invalidate(&self, _node: NodeId, _stats: &NodeStats) {}
-
-    /// The `hi`/`lo` switching marks `node` currently uses, if this policy
-    /// has any (`None` for the fixed-technique policies).
-    fn thresholds_on(&self, _node: NodeId) -> Option<(u64, u64)> {
-        None
-    }
 }
 
 /// `java_ic`: every access pays an explicit in-line locality check.
@@ -265,25 +249,6 @@ pub(crate) fn resolve_marks(params: &AdaptiveParams, break_even: u64) -> (u64, u
     (t.hi, t.lo)
 }
 
-/// Per-node online-adaptive threshold state (see
-/// [`AdaptiveParams::online_thresholds`]): the node's current `hi`/`lo`
-/// marks plus the counter snapshots of the current observation window.
-#[derive(Debug, Default)]
-struct NodeTuning {
-    hi: AtomicU64,
-    lo: AtomicU64,
-    window_epochs: AtomicU64,
-    switches_base: AtomicU64,
-    waste_base: AtomicU64,
-}
-
-/// Invalidation episodes per online-threshold observation window.
-const TUNING_WINDOW: u64 = 8;
-
-/// The widest the online tuner may stretch the hysteresis band, as a
-/// multiple of the configured thresholds.
-const TUNING_SPAN: u64 = 8;
-
 /// `java_ad`: every cached page runs its own state machine between in-line
 /// checks and page protection, flipped at invalidation boundaries with
 /// hysteresis around the cost-model break-even
@@ -293,77 +258,15 @@ pub struct AdaptiveDetection {
     cpu: CpuModel,
     fault: VTime,
     ad: AdaptiveTuning,
-    online: bool,
-    tuning: Vec<NodeTuning>,
 }
 
 impl AdaptiveDetection {
-    /// Resolve `params` against `machine`'s break-even count and build the
-    /// per-node threshold state for `nodes` nodes.
-    pub fn new(params: &AdaptiveParams, machine: &MachineModel, nodes: usize) -> Self {
-        let ad = AdaptiveTuning::resolve(params, machine.adaptive_break_even());
-        let tuning = (0..nodes)
-            .map(|_| {
-                let t = NodeTuning::default();
-                t.hi.store(ad.hi, Ordering::Relaxed);
-                t.lo.store(ad.lo, Ordering::Relaxed);
-                t
-            })
-            .collect();
+    /// Resolve `params` against `machine`'s break-even count.
+    pub fn new(params: &AdaptiveParams, machine: &MachineModel) -> Self {
         AdaptiveDetection {
             cpu: machine.cpu.clone(),
             fault: machine.dsm.page_fault,
-            ad,
-            online: params.online_thresholds,
-            tuning,
-        }
-    }
-
-    /// The marks `node` currently switches on.
-    fn marks(&self, node: NodeId) -> (u64, u64) {
-        if self.online {
-            let t = &self.tuning[node.index()];
-            (t.hi.load(Ordering::Relaxed), t.lo.load(Ordering::Relaxed))
-        } else {
-            (self.ad.hi, self.ad.lo)
-        }
-    }
-
-    /// Online threshold tuning (see [`AdaptiveParams::online_thresholds`]):
-    /// every [`TUNING_WINDOW`] invalidation episodes, look at how many
-    /// detection-mode switches and wasted prefetches the node accumulated.
-    /// A flapping or mispredicting node doubles its `hi` mark and halves its
-    /// `lo` mark — demanding much stronger evidence before the next switch —
-    /// bounded to [`TUNING_SPAN`]× the configured band; a clean window
-    /// relaxes the marks halfway back towards the configured ones.
-    fn tune_thresholds(&self, node: NodeId, stats: &NodeStats) {
-        let t = &self.tuning[node.index()];
-        let epochs = t.window_epochs.fetch_add(1, Ordering::Relaxed) + 1;
-        if epochs < TUNING_WINDOW {
-            return;
-        }
-        t.window_epochs.store(0, Ordering::Relaxed);
-        let switches_now = stats.protocol_switches.load(Ordering::Relaxed);
-        let waste_now = stats.pages_prefetch_wasted.load(Ordering::Relaxed);
-        let d_switches =
-            switches_now.saturating_sub(t.switches_base.swap(switches_now, Ordering::Relaxed));
-        let d_waste = waste_now.saturating_sub(t.waste_base.swap(waste_now, Ordering::Relaxed));
-        let (hi0, lo0) = (self.ad.hi, self.ad.lo);
-        let hi = t.hi.load(Ordering::Relaxed);
-        let lo = t.lo.load(Ordering::Relaxed);
-        // The EWMA smoothing already caps how fast a single page can flap
-        // (crossing both marks takes ≥ 4 epochs), so even two switches per
-        // window is sustained mode churn rather than one-off adaptation.
-        if d_switches >= TUNING_WINDOW / 4 || d_waste >= TUNING_WINDOW {
-            let new_hi = (hi.saturating_mul(2)).min(hi0.saturating_mul(TUNING_SPAN));
-            let new_lo = (lo / 2).max(lo0 / TUNING_SPAN);
-            t.hi.store(new_hi, Ordering::Relaxed);
-            t.lo.store(new_lo.min(new_hi - 1), Ordering::Relaxed);
-        } else if d_switches == 0 && d_waste == 0 && (hi != hi0 || lo != lo0) {
-            let new_hi = hi0 + (hi - hi0) / 2;
-            let new_lo = lo + (lo0.saturating_sub(lo)).div_ceil(2);
-            t.hi.store(new_hi, Ordering::Relaxed);
-            t.lo.store(new_lo.min(new_hi - 1), Ordering::Relaxed);
+            ad: AdaptiveTuning::resolve(params, machine.adaptive_break_even()),
         }
     }
 }
@@ -420,22 +323,21 @@ impl DetectionPolicy for AdaptiveDetection {
         frame.ad_epoch_streak() >= self.ad.min_streak && frame.ad_last_epoch_accesses() > 0
     }
 
-    fn on_epoch_close(&self, node: NodeId, frame: &PageFrame) -> EpochOutcome {
+    fn on_epoch_close(&self, frame: &PageFrame) -> EpochOutcome {
         // The invalidation boundary is the one place a page may change
         // detection technique: its copy is dropped here, so no access can
         // observe a half-switched page.  Every materialised frame closes its
         // epoch (absent frames record a zero epoch, which resets their
         // prefetch streak).  The decision runs on the smoothed
         // accesses-per-epoch so one spiky epoch cannot flip the page.
-        let (hi, lo) = self.marks(node);
         let avg = frame.ad_rotate_epoch();
         let wasted_prefetch = frame.ad_take_wasted_prefetch();
         let switched = match frame.ad_mode() {
-            AdMode::Check if avg >= hi => {
+            AdMode::Check if avg >= self.ad.hi => {
                 frame.ad_set_mode(AdMode::Protect);
                 true
             }
-            AdMode::Protect if avg <= lo => {
+            AdMode::Protect if avg <= self.ad.lo => {
                 frame.ad_set_mode(AdMode::Check);
                 true
             }
@@ -451,16 +353,5 @@ impl DetectionPolicy for AdaptiveDetection {
         // Only protection-detected pages need their access rights revoked;
         // check-mode pages are re-detected in software.
         frame.ad_mode() == AdMode::Protect
-    }
-
-    fn after_invalidate(&self, node: NodeId, stats: &NodeStats) {
-        if self.online {
-            self.tune_thresholds(node, stats);
-        }
-    }
-
-    fn thresholds_on(&self, node: NodeId) -> Option<(u64, u64)> {
-        let t = &self.tuning[node.index()];
-        Some((t.hi.load(Ordering::Relaxed), t.lo.load(Ordering::Relaxed)))
     }
 }

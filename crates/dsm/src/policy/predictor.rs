@@ -18,6 +18,9 @@ use crate::table::DsmStore;
 /// next acquire would kill anyway) no longer generates hints.
 const HINT_RECENT_WINDOW: u64 = 6;
 
+/// Largest number of contiguous pages one reply's hint run may name.
+const HINT_WINDOW: u64 = 4;
+
 /// What a predictor observed about one served fetch; the handler threads it
 /// from [`Predictor::observe_fetch`] through the per-page bookkeeping into
 /// [`Predictor::predict`].
@@ -147,10 +150,7 @@ impl Predictor for NoopPredictor {
 /// fetch history and predicts from stride runs, neighbour co-fetches and
 /// learned successor pairs.
 #[derive(Clone, Copy, Debug)]
-pub struct DirectoryPredictor {
-    /// Largest number of contiguous pages one reply's hint run may name.
-    pub hint_window: usize,
-}
+pub struct DirectoryPredictor;
 
 impl DirectoryPredictor {
     /// Consult the directory for a hint run following the served span
@@ -194,7 +194,7 @@ impl DirectoryPredictor {
         }
         let next = first.0 + count as u64;
         let mut run = 0u16;
-        for k in 0..self.hint_window as u64 {
+        for k in 0..HINT_WINDOW {
             let q = PageId(next + k);
             if q.index() >= num_pages || store.home_of(q) != home {
                 break;

@@ -30,8 +30,8 @@
 //! 1. elects the new home: the replica holder with the newest quorum-write
 //!    version ([`crate::table::DsmStore::newest_live_replica`]), falling
 //!    back to the lowest-id live node when the page was never replicated;
-//! 2. re-homes the page exactly as a migration grant does
-//!    (`DsmStore::rehome`): the dead node's frame is demoted
+//! 2. re-homes the page (`DsmStore::rehome`, the one re-homing there is):
+//!    the dead node's frame is demoted
 //!    (later writes by its still-running threads become ordinary dirty bits
 //!    that flush to the new home) and snapshotted — the authoritative copy,
 //!    standing in for the stable storage a production home would recover

@@ -1,12 +1,11 @@
 //! The home-side RPC services of the DSM: page fetch and diff apply.
 //!
 //! Both handlers are pure mechanism — copy pages, apply diffs, charge the
-//! modelled service cost — and consult two policies each at their decision
-//! points: the [`Predictor`] for which hints a fetch reply carries, the
-//! [`MigrationPolicy`] for whether an applied diff hands the page's home to
-//! the writer, and the [`ReplicationPolicy`] on both paths for whether
-//! served pages register read replicas and applied diffs perform quorum
-//! writes (with the replica-shipping cost charged in the service time).
+//! modelled service cost — and consult the policies at their decision
+//! points: the [`Predictor`] for which hints a fetch reply carries, and the
+//! [`ReplicationPolicy`] on both paths for whether served pages register
+//! read replicas and applied diffs perform quorum writes (with the
+//! replica-shipping cost charged in the service time).
 
 use std::sync::Arc;
 
@@ -17,7 +16,7 @@ use crate::diff::{
     append_fetch_hints, decode_diff_message, decode_fetch_request, encode_diff_reply,
     push_page_reply, push_rider_answers, FetchRequest, PageReply, WireError,
 };
-use crate::policy::{FetchObservation, MigrationPolicy, Predictor, ReplicationPolicy};
+use crate::policy::{FetchObservation, Predictor, ReplicationPolicy};
 use crate::table::DsmStore;
 
 /// What serving one fetch request produced.
@@ -97,13 +96,14 @@ pub(crate) fn serve_fetch(
     for (k, &retained) in versions.iter().enumerate() {
         let page = PageId(first.0 + k as u64);
         // Serve the *current* home's copy: normally that is the node the
-        // request was addressed to, but a concurrent home migration may
-        // have moved the page after the caller looked its home up, in
-        // which case the old home forwards the authoritative frame (the
-        // shared store gives the modelled handler direct access to it).
+        // request was addressed to, but a recovery may have re-homed the
+        // page between the caller's look-up and this handler (the request
+        // was already past the transport's kill check), in which case the
+        // new home's authoritative frame answers (the shared store gives
+        // the modelled handler direct access to it).
         let home_now = store.home_of(page);
         debug_assert!(
-            home_now == home || store.page_migrated(page),
+            home_now == home || store.page_rehomed(page),
             "page fetch sent to a node that is not the page's home"
         );
         store.with_frame(home_now, page, |f| {
@@ -143,8 +143,7 @@ pub(crate) fn serve_fetch(
 }
 
 /// What applying one diff message to the home frames produced: the slot
-/// counts that price the service time, the acknowledgement's versions and
-/// the at-most-one migration grant.
+/// counts that price the service time and the acknowledgement's versions.
 pub(crate) struct DiffOutcome {
     /// Diff slots applied across all pages of the message.
     pub(crate) slots: usize,
@@ -153,9 +152,6 @@ pub(crate) struct DiffOutcome {
     /// Post-apply home stamp of every page of the message, in order (0 for
     /// a page that carried no entries).
     pub(crate) versions: Vec<u64>,
-    /// Home hand-over granted to the writer, with the page snapshot the
-    /// grant reply ships.
-    pub(crate) grant: Option<(PageId, Vec<u8>)>,
 }
 
 impl DiffOutcome {
@@ -167,25 +163,21 @@ impl DiffOutcome {
         )
     }
 
-    /// The acknowledgement: post-apply versions plus the grant, if any.
+    /// The acknowledgement: the post-apply versions.
     pub(crate) fn reply(&self) -> Vec<u8> {
-        let grant = self.grant.as_ref().map(|(page, snap)| (*page, &snap[..]));
-        encode_diff_reply(&self.versions, grant)
+        encode_diff_reply(&self.versions)
     }
 }
 
-/// Apply one encoded diff message to the authoritative home frames on
-/// behalf of `caller`, consulting the migration policy for a home
-/// hand-over and the replication policy for quorum writes.  Shared
-/// between [`DiffApplyService`] and the group relay: a diff batch routed
-/// through a leader mutates memory exactly once, identically to the
-/// direct path (the relay only re-prices the RPC fan-in).
+/// Apply one encoded diff message to the authoritative home frames,
+/// consulting the replication policy for quorum writes.  Shared between
+/// [`DiffApplyService`] and the group relay: a diff batch routed through a
+/// leader mutates memory exactly once, identically to the direct path (the
+/// relay only re-prices the RPC fan-in).
 pub(crate) fn apply_diff_message(
     store: &DsmStore,
-    migration: &dyn MigrationPolicy,
     replication: &dyn ReplicationPolicy,
     nominal_home: NodeId,
-    caller: NodeId,
     payload: &[u8],
 ) -> Result<DiffOutcome, WireError> {
     let diffs = decode_diff_message(payload)?;
@@ -197,23 +189,22 @@ pub(crate) fn apply_diff_message(
         slots: 0,
         quorum_slots: 0,
         versions: Vec::with_capacity(diffs.len()),
-        grant: None,
     };
     for (page, entries) in &diffs {
         out.slots += entries.len();
         // Slots land and the stamp moves with the page's home pinned: a
-        // re-homing (migration below, recovery) snapshots the old home
-        // under the exclusive side of the same lock, so no diff can land
-        // on a frame after it stopped being main memory.
+        // re-homing (recovery) snapshots the old home under the exclusive
+        // side of the same lock, so no diff can land on a frame after it
+        // stopped being main memory.
         let pinned = store.pin_homes();
         // Apply to the *current* home frame (see `serve_fetch` on why this
-        // may differ from the addressed node under concurrent migration).
+        // may differ from the addressed node after a recovery).
         let home_now = store.home_of(*page);
         debug_assert!(
-            home_now == nominal_home || store.page_migrated(*page),
+            home_now == nominal_home || store.page_rehomed(*page),
             "diff sent to a node that is not the page's home"
         );
-        let (post, migrate) = store.with_frame(home_now, *page, |f| {
+        let post = store.with_frame(home_now, *page, |f| {
             for &(slot, value) in entries {
                 f.apply_diff_slot(slot as usize, value);
             }
@@ -222,31 +213,14 @@ pub(crate) fn apply_diff_message(
             // is acknowledged with 0: the current stamp is other writers'
             // work, and a writer told of it would take their step for its
             // own (write-ack forwarding) without holding their data.
-            let post = if entries.is_empty() {
+            if entries.is_empty() {
                 0
             } else {
                 f.bump_version()
-            };
-            // Migration decision: one grant per message at most (the
-            // `grant.is_none()` guard runs first so a policy's vote
-            // state is untouched once this message granted).
-            let migrate = out.grant.is_none() && migration.should_migrate(f, caller, home_now);
-            (post, migrate)
+            }
         });
         drop(pinned);
         out.versions.push(post);
-        if migrate {
-            // Execute the hand-over while still inside the handler so no
-            // fetch can observe a half-migrated page: promote the
-            // writer's frame from the authoritative snapshot (keeping
-            // any newer local writes it has pending), then re-route the
-            // home and demote the old home to an ordinary cached copy.
-            let exclusive = store.lock_homes();
-            // Unless a recovery re-homed the page in the unlocked instant.
-            if store.home_of(*page) == home_now {
-                out.grant = Some((*page, store.rehome(&exclusive, *page, caller)));
-            }
-        }
         if replication.replicates() {
             // Quorum write: advance the page's replica version and ship
             // the applied slots to the stamped holders.  The shipping is
@@ -309,28 +283,18 @@ impl RpcHandler for PageFetchService {
     }
 }
 
-/// RPC service: apply one or more field-granularity diffs to home pages,
-/// acknowledge with the pages' new versions, and — when the migration
-/// policy says so — hand the home of a write-shared page over to the
-/// writer that dominates its diff traffic.
+/// RPC service: apply one or more field-granularity diffs to home pages
+/// and acknowledge with the pages' new versions.
 pub(crate) struct DiffApplyService {
     pub(crate) store: Arc<DsmStore>,
     pub(crate) cpu: CpuModel,
     pub(crate) dsm: DsmCostModel,
-    pub(crate) migration: Arc<dyn MigrationPolicy>,
     pub(crate) replication: Arc<dyn ReplicationPolicy>,
 }
 
 impl RpcHandler for DiffApplyService {
-    fn handle(&self, target: &Node, caller: NodeId, payload: &[u8]) -> RpcReply {
-        match apply_diff_message(
-            &self.store,
-            self.migration.as_ref(),
-            self.replication.as_ref(),
-            target.id(),
-            caller,
-            payload,
-        ) {
+    fn handle(&self, target: &Node, _caller: NodeId, payload: &[u8]) -> RpcReply {
+        match apply_diff_message(&self.store, self.replication.as_ref(), target.id(), payload) {
             Ok(out) => RpcReply::with_data(out.reply(), out.service(&self.cpu, &self.dsm)),
             Err(e) => RpcReply::malformed(format!("{} request: {e}", self.name())),
         }
@@ -348,8 +312,8 @@ mod tests {
     use hyperion_model::{myrinet_200, ThreadClock};
     use hyperion_pm2::{Cluster, IsoAllocator, NodeId, Topology, TransportBackend, TransportError};
 
-    use crate::combine::{encode_relay, RELAY_FETCH};
-    use crate::diff::{encode_diff, encode_fetch_request};
+    use crate::combine::{encode_relay, RELAY_DIFF, RELAY_FETCH};
+    use crate::diff::{decode_diff_reply, encode_diff, encode_fetch_request};
     use crate::{DsmStore, DsmSystem, ProtocolKind};
 
     /// Garbage sent to any of the three DSM services comes back as a typed
@@ -429,6 +393,17 @@ mod tests {
                 let reply = call(service, &payload).expect("well-formed riders");
                 let reply = crate::diff::decode_fetch_reply(&reply, 1, 3).expect("decodes");
                 assert_eq!(reply.unchanged, 0b001, "{backend}");
+            }
+            // A diff is acknowledged with its pages' new stamps and not a
+            // byte more, directly and through the relay.
+            let diff = encode_diff(page, &[(0, 7)]);
+            for (service, payload) in [
+                (dsm.diff_apply, diff.clone()),
+                (dsm.group_relay, encode_relay(RELAY_DIFF, NodeId(0), &diff)),
+            ] {
+                let reply = call(service, &payload).expect("well-formed diff");
+                let acked = decode_diff_reply(&reply, 1).expect("versions only");
+                assert!(acked[0] > stamp, "{backend}");
             }
             // And the requester side rejects a reply it cannot decode with
             // the same typed error instead of panicking.

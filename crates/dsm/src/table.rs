@@ -69,14 +69,12 @@ impl NodeFrames {
 pub struct DsmStore {
     allocator: Arc<IsoAllocator>,
     nodes: Vec<NodeFrames>,
-    /// Pages whose home has *ever* migrated away from the allocator's
-    /// static assignment (home migration).  An entry stays even when a page
-    /// migrates back to its static home, so per-page "has this page ever
-    /// moved" queries stay answerable.
+    /// Pages a node-failure recovery has re-homed away from the allocator's
+    /// static assignment, with their present home.
     home_overrides: RwLock<HashMap<u64, NodeId>>,
     /// Number of entries in `home_overrides`, readable without the lock so
-    /// the migration-free common case of [`DsmStore::home_of`] stays a
-    /// plain array index.
+    /// the failure-free common case of [`DsmStore::home_of`] stays a plain
+    /// array index.
     num_overrides: std::sync::atomic::AtomicUsize,
     /// The node-group shape of the cluster (flat single-node groups by
     /// default).  The directory keys its per-requester state by group, the
@@ -109,12 +107,11 @@ pub struct DsmStore {
     /// failure-free common case stays a plain load.
     num_failed: std::sync::atomic::AtomicUsize,
     /// Guards every page's home assignment.  The diff-apply handler holds
-    /// it shared while it writes a home frame; a re-homing (a
-    /// migration grant, or the recovery of a dead node's pages — which
-    /// keeps it for the whole node, so concurrent observers of the same
-    /// death wait here and then see the recovered routing) holds it
-    /// exclusively.  No diff can therefore land on a frame after it was
-    /// snapshotted for its successor.
+    /// it shared while it writes a home frame; a re-homing (the recovery of
+    /// a dead node's pages — which keeps it for the whole node, so
+    /// concurrent observers of the same death wait here and then see the
+    /// recovered routing) holds it exclusively.  No diff can therefore
+    /// land on a frame after it was snapshotted for its successor.
     homes: RwLock<()>,
 }
 
@@ -182,9 +179,9 @@ impl DsmStore {
         self.nodes.len()
     }
 
-    /// Home node of `page`: the allocator's static assignment unless the
-    /// page's home has migrated.  With migration disabled (or before the
-    /// first grant) this is a lock-free array index.
+    /// Home node of `page`: the allocator's static assignment unless a
+    /// recovery has re-homed the page.  Until the first node failure this
+    /// is a lock-free array index.
     #[inline]
     pub fn home_of(&self, page: PageId) -> NodeId {
         if self
@@ -212,35 +209,27 @@ impl DsmStore {
         self.homes.write()
     }
 
-    /// Move `page`'s home to node `to` and return the authoritative
-    /// snapshot the new home started from (a migration grant ships it).
+    /// Move `page`'s home to node `to`.
     ///
     /// The old home is demoted first, so writes its own threads issue from
     /// here on are dirty-tracked and flush to the new home like any other
-    /// node's.  `to`'s frame is promoted from the snapshot (local writes it
-    /// has pending survive) a whole [`REHOME_STRIDE`] above the old home's
-    /// stamp, so no copy fetched before the move validates against the new
-    /// home, and the page's migration back-off travels with it.
-    pub(crate) fn rehome(
-        &self,
-        _exclusive: &RwLockWriteGuard<'_, ()>,
-        page: PageId,
-        to: NodeId,
-    ) -> Vec<u8> {
+    /// node's.  `to`'s frame is promoted from the old home's snapshot
+    /// (local writes it has pending survive) a whole [`REHOME_STRIDE`]
+    /// above the old home's stamp, so no copy fetched before the move
+    /// validates against the new home.
+    pub(crate) fn rehome(&self, _exclusive: &RwLockWriteGuard<'_, ()>, page: PageId, to: NodeId) {
         let from = self.home_of(page);
-        let (snapshot, stamp, back_off) = self.with_frame(from, page, |f| {
+        let (snapshot, stamp) = self.with_frame(from, page, |f| {
             f.demote_from_home();
-            (f.data().snapshot_bytes(), f.stamp(), f.mig_required())
+            (f.data().snapshot_bytes(), f.stamp())
         });
         self.with_frame(to, page, |f| {
-            f.promote_to_home(&snapshot, stamp + REHOME_STRIDE);
-            f.mig_inherit_required(back_off);
+            f.promote_to_home(&snapshot, stamp + REHOME_STRIDE)
         });
         let mut overrides = self.home_overrides.write();
         overrides.insert(page.0, to);
         self.num_overrides
             .store(overrides.len(), std::sync::atomic::Ordering::Release);
-        snapshot
     }
 
     /// Mark `group`'s combining degraded (its leader died): members fall
@@ -258,18 +247,17 @@ impl DsmStore {
             && self.degraded_groups.read().contains(&group)
     }
 
-    /// Number of pages whose home has ever migrated away from (and possibly
-    /// back to) their allocation-time node.
-    pub fn migrated_pages(&self) -> usize {
+    /// Number of pages a recovery has re-homed.
+    pub fn rehomed_pages(&self) -> usize {
         self.num_overrides
             .load(std::sync::atomic::Ordering::Acquire)
     }
 
-    /// True if `page`'s home has ever migrated (used to scope the handler
+    /// True if a recovery has re-homed `page` (used to scope the handler
     /// routing assertions: a stale route is only legitimate for a page that
     /// actually moved).
-    pub fn page_migrated(&self, page: PageId) -> bool {
-        self.migrated_pages() > 0 && self.home_overrides.read().contains_key(&page.0)
+    pub fn page_rehomed(&self, page: PageId) -> bool {
+        self.rehomed_pages() > 0 && self.home_overrides.read().contains_key(&page.0)
     }
 
     /// Advance and return home `home`'s prefetch-directory fetch sequence
@@ -435,9 +423,9 @@ impl DsmStore {
         let mut frames = self.nodes[node.index()].frames.write();
         while frames.len() <= page.index() {
             let pid = frames.len();
-            // Consult the (possibly migrated) current home, not the
-            // allocator's static table: a node materialising its frame after
-            // a migration must see the page's present-day home.
+            // Consult the current home, not the allocator's static table:
+            // a node materialising its frame after a recovery must see the
+            // page's present-day home.
             let frame = if self.home_of(PageId(pid as u64)) == node {
                 PageFrame::new_home()
             } else {
@@ -599,10 +587,9 @@ mod tests {
         new.store_slot(5, 55);
         let handed_out = old.stamp();
 
-        let snapshot = store.rehome(&store.lock_homes(), page, NodeId(2));
-        assert_eq!(snapshot.len(), hyperion_pm2::PAGE_BYTES);
+        store.rehome(&store.lock_homes(), page, NodeId(2));
         assert_eq!(store.home_of(page), NodeId(2));
-        assert!(store.page_migrated(page));
+        assert!(store.page_rehomed(page));
         assert!(!old.is_home() && old.is_present());
         assert!(new.is_home() && !new.has_dirty_slots());
         assert_eq!((new.load_slot(3), new.load_slot(5)), (33, 55));

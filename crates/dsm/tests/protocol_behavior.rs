@@ -606,19 +606,15 @@ fn adaptive_batch_pays_mprotect_for_protect_mode_riders() {
 
 #[test]
 fn adaptive_custom_params_shift_the_thresholds() {
-    let cluster = Cluster::new(myrinet_200().machine, 2);
-    let alloc = Arc::new(IsoAllocator::new(2));
-    let store = DsmStore::new(Arc::clone(&alloc), 2);
     let tuned = AdaptiveParams {
         hi_multiple: 2.0,
         lo_multiple: 0.25,
         max_batch_pages: 1,
         min_prefetch_streak: 2,
-        online_thresholds: false,
     };
-    let dsm = DsmSystem::with_params(cluster, store, ProtocolKind::JavaAd, &tuned);
+    let f = fixture_with(2, ProtocolKind::JavaAd, &tuned, &TransportConfig::default());
     let n_star = myrinet_200().machine.adaptive_break_even();
-    let (hi, lo) = dsm.adaptive_thresholds();
+    let (hi, lo) = f.dsm.adaptive_thresholds();
     assert_eq!(hi, (n_star as f64 * 2.0).ceil() as u64);
     assert_eq!(lo, (n_star as f64 * 0.25).floor() as u64);
     assert!(lo < hi);
@@ -786,174 +782,6 @@ fn flush_batches_never_cross_home_boundaries() {
     let s = f.cluster.node_stats(NodeId(0));
     assert_eq!(s.diff_messages, 2, "different homes, different RPCs");
     assert_eq!(s.batched_flushes, 0);
-}
-
-// ----- home migration ----------------------------------------------------
-
-#[test]
-fn home_migrates_to_the_dominant_writer() {
-    let transport = TransportConfig {
-        home_migration: true,
-        migration_streak: 3,
-        ..TransportConfig::default()
-    };
-    let f = fixture_with(
-        2,
-        ProtocolKind::JavaPf,
-        &AdaptiveParams::default(),
-        &transport,
-    );
-    let addr = f.alloc.alloc(8, NodeId(0));
-    let page = addr.page();
-    assert_eq!(f.dsm.locality(NodeId(0), page), Locality::Local);
-
-    // Node 1 dominates the page's diff traffic: write + release, thrice.
-    let mut w = ThreadClock::new();
-    for i in 0..3u64 {
-        f.dsm.put(NodeId(1), &mut w, addr, 100 + i);
-        f.dsm.update_main_memory(NodeId(1), &mut w);
-    }
-    let s1 = f.cluster.node_stats(NodeId(1));
-    assert_eq!(s1.diff_messages, 3);
-    assert_eq!(s1.pages_migrated, 1, "third consecutive diff wins the home");
-    assert_eq!(f.dsm.locality(NodeId(1), page), Locality::Local);
-    assert_eq!(f.dsm.store().home_of(page), NodeId(1));
-    assert_eq!(f.dsm.store().migrated_pages(), 1);
-
-    // The new home's writes are plain local stores: no further diffs.
-    f.dsm.put(NodeId(1), &mut w, addr, 999);
-    f.dsm.update_main_memory(NodeId(1), &mut w);
-    assert_eq!(f.cluster.node_stats(NodeId(1)).diff_messages, 3);
-
-    // The old home still reads the value it held, and re-fetches the
-    // authoritative copy from the new home after its next acquire.
-    let mut r = ThreadClock::new();
-    f.dsm.invalidate_cache(NodeId(0), &mut r);
-    assert_eq!(f.dsm.get(NodeId(0), &mut r, addr), 999);
-    assert_eq!(f.dsm.locality(NodeId(0), page), Locality::CachedRemote);
-
-    // And the old home's writes now flush towards the new home.
-    f.dsm.put(NodeId(0), &mut r, addr.offset(1), 7);
-    f.dsm.update_main_memory(NodeId(0), &mut r);
-    assert_eq!(f.dsm.get(NodeId(1), &mut w, addr.offset(1)), 7);
-}
-
-#[test]
-fn alternating_writers_never_migrate_the_home() {
-    let transport = TransportConfig {
-        home_migration: true,
-        migration_streak: 3,
-        ..TransportConfig::default()
-    };
-    let f = fixture_with(
-        3,
-        ProtocolKind::JavaIc,
-        &AdaptiveParams::default(),
-        &transport,
-    );
-    let addr = f.alloc.alloc(8, NodeId(0));
-    let mut c1 = ThreadClock::new();
-    let mut c2 = ThreadClock::new();
-    for i in 0..10u64 {
-        f.dsm.put(NodeId(1), &mut c1, addr, i);
-        f.dsm.update_main_memory(NodeId(1), &mut c1);
-        f.dsm.put(NodeId(2), &mut c2, addr.offset(1), i);
-        f.dsm.update_main_memory(NodeId(2), &mut c2);
-    }
-    // The Boyer–Moore vote never settles on either writer.
-    assert_eq!(f.dsm.store().home_of(addr.page()), NodeId(0));
-    assert_eq!(f.dsm.store().migrated_pages(), 0);
-    let total = f.cluster.total_stats();
-    assert_eq!(total.pages_migrated, 0);
-}
-
-#[test]
-fn repeated_migrations_back_off_geometrically() {
-    let transport = TransportConfig {
-        home_migration: true,
-        migration_streak: 2,
-        ..TransportConfig::default()
-    };
-    let f = fixture_with(
-        2,
-        ProtocolKind::JavaIc,
-        &AdaptiveParams::default(),
-        &transport,
-    );
-    let addr = f.alloc.alloc(8, NodeId(0));
-    let page = addr.page();
-    let burst = |node: NodeId, n: u64| {
-        let mut c = ThreadClock::new();
-        for i in 0..n {
-            f.dsm.put(node, &mut c, addr, i);
-            f.dsm.update_main_memory(node, &mut c);
-            f.dsm.invalidate_cache(node, &mut c);
-        }
-    };
-    burst(NodeId(1), 2);
-    assert_eq!(f.dsm.store().home_of(page), NodeId(1));
-    // Moving it back now requires a doubled streak from node 0.
-    burst(NodeId(0), 2);
-    assert_eq!(f.dsm.store().home_of(page), NodeId(1), "bar doubled to 4");
-    burst(NodeId(0), 2);
-    assert_eq!(f.dsm.store().home_of(page), NodeId(0));
-}
-
-// ----- online-adaptive thresholds ---------------------------------------
-
-#[test]
-fn online_thresholds_widen_when_a_workload_flaps() {
-    let params = AdaptiveParams {
-        online_thresholds: true,
-        ..AdaptiveParams::default()
-    };
-    let online = fixture_with(
-        2,
-        ProtocolKind::JavaAd,
-        &params,
-        &TransportConfig::default(),
-    );
-    let f_static = fixture(2, ProtocolKind::JavaAd);
-    let (hi0, lo0) = online.dsm.adaptive_thresholds();
-    assert_eq!(online.dsm.adaptive_thresholds_on(NodeId(0)), (hi0, lo0));
-
-    // A mispredicting workload: one dense epoch followed by four idle
-    // epochs, repeatedly.  Under the static thresholds every dense epoch
-    // flips the page to protection and the idle decay flips it back —
-    // sustained flapping that pays a switch plus an mprotect/fault pair
-    // per cycle for re-access that never materialises.
-    let run = |f: &Fixture| {
-        let addr = f.alloc.alloc(8, NodeId(1));
-        let mut clock = ThreadClock::new();
-        for cycle in 0..8 {
-            for _ in 0..4 * hi0 {
-                let _ = f.dsm.get(NodeId(0), &mut clock, addr);
-            }
-            f.dsm.invalidate_cache(NodeId(0), &mut clock);
-            for _ in 0..4 {
-                f.dsm.invalidate_cache(NodeId(0), &mut clock);
-            }
-            let _ = cycle;
-        }
-        f.cluster.node_stats(NodeId(0)).protocol_switches
-    };
-    let switches_static = run(&f_static);
-    let switches_online = run(&online);
-
-    // The node tightened its own hysteresis: the band is wider than the
-    // configured one...
-    let (hi_now, lo_now) = online.dsm.adaptive_thresholds_on(NodeId(0));
-    assert!(
-        hi_now > hi0 && lo_now <= lo0,
-        "band must widen: ({hi_now}, {lo_now}) vs ({hi0}, {lo0})"
-    );
-    // ...and the flapping stopped, while the static run kept switching.
-    assert!(
-        switches_online < switches_static,
-        "online tuning must cut mode churn: {switches_online} vs {switches_static}"
-    );
-    // The configured thresholds are untouched.
-    assert_eq!(online.dsm.adaptive_thresholds(), (hi0, lo0));
 }
 
 // ----- prefetch directory ------------------------------------------------
@@ -1458,45 +1286,6 @@ fn litmus_sole_writer_keeps_its_copy_until_someone_else_writes() {
 }
 
 #[test]
-fn litmus_no_retained_copy_validates_against_a_migrated_home() {
-    for kind in ProtocolKind::all_extended() {
-        let transport = TransportConfig {
-            home_migration: true,
-            migration_streak: 3,
-            ..TransportConfig::default()
-        };
-        let f = fixture_with(3, kind, &AdaptiveParams::default(), &transport);
-        let addr = f.alloc.alloc(8, NodeId(0));
-        let (mut w, mut r) = (ThreadClock::new(), ThreadClock::new());
-        // Node 2 holds a copy fetched from the original home.
-        assert_eq!(f.dsm.get(NodeId(2), &mut r, addr), 0);
-
-        // Node 1 dominates the diff traffic and wins the home.
-        for i in 0..3u64 {
-            f.dsm.put(NodeId(1), &mut w, addr.offset(1), i);
-            release(&f, 1, &mut w);
-        }
-        assert_eq!(f.dsm.store().home_of(addr.page()), NodeId(1), "{kind:?}");
-
-        // Neither node 2's copy nor the demoted old home's validates against
-        // the new home: both get the page.
-        for node in [2, 0] {
-            acquire(&f, node, &mut r);
-            assert_eq!(
-                f.dsm.get(NodeId(node), &mut r, addr.offset(1)),
-                2,
-                "{kind:?}"
-            );
-            assert_eq!(fetch_counters(&f, node).1, 0, "{kind:?}: node {node}");
-        }
-        // Once re-fetched from the new home, a copy revalidates as usual.
-        acquire(&f, 2, &mut r);
-        assert_eq!(f.dsm.get(NodeId(2), &mut r, addr.offset(1)), 2, "{kind:?}");
-        assert_eq!(fetch_counters(&f, 2).1, 1, "{kind:?}");
-    }
-}
-
-#[test]
 fn litmus_no_retained_copy_validates_against_a_re_elected_home() {
     use hyperion_pm2::{FaultKill, FaultSpec, TransportBackend};
     for kind in ProtocolKind::all_extended() {
@@ -1549,6 +1338,17 @@ fn litmus_no_retained_copy_validates_against_a_re_elected_home() {
         dsm.invalidate_cache(NodeId(2), &mut r);
         assert_eq!(dsm.get(NodeId(2), &mut r, addr), 5, "{kind:?}");
         assert_eq!(cluster.node_stats(NodeId(2)).pages_revalidated, 2);
+
+        // The dead node stopped serving, but its own thread keeps
+        // computing.  Its demoted frame is an ordinary cached copy now:
+        // dropped at the next acquire, and the stamp it keeps from its own
+        // tenure as home does not validate against the new home either —
+        // the page is shipped.
+        dsm.invalidate_cache(NodeId(0), &mut h);
+        assert_eq!(dsm.get(NodeId(0), &mut h, addr), 5, "{kind:?}");
+        let s = cluster.node_stats(NodeId(0));
+        assert_eq!((s.page_loads, s.pages_revalidated), (1, 0), "{kind:?}");
+        assert_eq!(dsm.store().rehomed_pages(), 1, "{kind:?}");
     }
 }
 
@@ -1741,38 +1541,6 @@ fn litmus_an_acquire_outdates_a_confirmation_nobody_used() {
         assert_eq!(f.dsm.get(NodeId(1), &mut r, b), 22, "{kind:?}");
         let (loads_now, _, _, opens_now) = rider_counters(&f, 1);
         assert_eq!((loads_now, opens_now), (loads + 1, opens), "{kind:?}");
-    }
-}
-
-#[test]
-fn litmus_a_rider_never_validates_against_a_migrated_home() {
-    for kind in ProtocolKind::all_extended() {
-        let transport = TransportConfig {
-            home_migration: true,
-            migration_streak: 3,
-            ..TransportConfig::default()
-        };
-        let f = fixture_with(3, kind, &AdaptiveParams::default(), &transport);
-        let mut r = ThreadClock::new();
-        // Node 1 retains `a` and `b`, both listed under home 0.
-        let (a, b) = two_retained_pages(&f, 1, &mut r);
-
-        // Node 2 dominates the diff traffic on `b` and wins its home (the
-        // first diff only clears the home's own write from the vote).
-        let mut w = ThreadClock::new();
-        for i in 0..4u64 {
-            f.dsm.put(NodeId(2), &mut w, b.offset(1), i);
-            release(&f, 2, &mut w);
-        }
-        assert_eq!(f.dsm.store().home_of(b.page()), NodeId(2), "{kind:?}");
-
-        // `b` still rides to its old home, which no longer vouches for it.
-        acquire(&f, 1, &mut r);
-        let (_, _, riders, opens) = rider_counters(&f, 1);
-        assert_eq!(f.dsm.get(NodeId(1), &mut r, a), 10, "{kind:?}");
-        assert_eq!(rider_counters(&f, 1).2, riders + 1, "{kind:?}");
-        assert_eq!(f.dsm.get(NodeId(1), &mut r, b.offset(1)), 3, "{kind:?}");
-        assert_eq!(rider_counters(&f, 1).3, opens, "{kind:?}: shipped instead");
     }
 }
 

@@ -72,9 +72,7 @@ pub mod thread;
 pub use api::{arraycopy, JBarrier, SharedCounter};
 pub use layout::{Field, HStruct, ObjectLayout};
 pub use monitor::HMonitor;
-pub use object::{
-    Array2, ArrayView, ArrayViewMut, HArray, HMatrix, HObject, MatrixRows, SlotValue,
-};
+pub use object::{ArrayView, ArrayViewMut, HArray, HMatrix, HObject, MatrixRows, SlotValue};
 pub use runtime::{
     ConfigBuilder, ConfigError, HyperionConfig, HyperionRuntime, RunOutcome, RunReport, ThreadCtx,
 };
@@ -83,7 +81,7 @@ pub use thread::{HThreadHandle, LoadBalancer};
 // Re-export the pieces of the lower layers that appear in this crate's API.
 pub use hyperion_dsm::policy;
 pub use hyperion_dsm::{
-    AdaptiveParams, DeferredFlush, HomeFlushMark, Locality, PolicyError, PolicySpec, ProtocolKind,
+    AdaptiveParams, DeferredFlush, HomeFlushMark, Locality, PolicyError, ProtocolKind,
     TransportConfig,
 };
 pub use hyperion_model::{
@@ -100,7 +98,7 @@ pub mod prelude {
     pub use crate::layout::{Field, HStruct, ObjectLayout};
     pub use crate::monitor::HMonitor;
     pub use crate::object::{
-        Array2, ArrayView, ArrayViewMut, HArray, HMatrix, HObject, MatrixRows, SlotValue,
+        ArrayView, ArrayViewMut, HArray, HMatrix, HObject, MatrixRows, SlotValue,
     };
     pub use crate::runtime::{
         ConfigBuilder, HyperionConfig, HyperionRuntime, RunOutcome, RunReport, ThreadCtx,

@@ -506,9 +506,6 @@ pub struct HMatrix<T: SlotValue> {
     _marker: PhantomData<fn() -> T>,
 }
 
-/// Former name of [`HMatrix`], kept for source compatibility.
-pub type Array2<T> = HMatrix<T>;
-
 impl<T: SlotValue> Clone for HMatrix<T> {
     fn clone(&self) -> Self {
         *self

@@ -14,8 +14,7 @@ use std::sync::Arc;
 
 use hyperion_dsm::policy::validate_adaptive;
 use hyperion_dsm::{
-    AdaptiveParams, DsmStore, DsmSystem, Locality, PolicyError, PolicySpec, ProtocolKind,
-    TransportConfig,
+    AdaptiveParams, DsmStore, DsmSystem, Locality, PolicyError, ProtocolKind, TransportConfig,
 };
 use hyperion_model::vtime::TimeWatermark;
 use hyperion_model::{
@@ -42,16 +41,11 @@ pub struct HyperionConfig {
     /// [`ProtocolKind::JavaAd`]): switching-hysteresis multiples of the
     /// machine model's break-even and the batched-fetch window.
     pub adaptive: AdaptiveParams,
-    /// Split-transaction transport configuration: overlapped page fetches,
-    /// batched diff flushing and home migration.  Applies to every protocol
-    /// (the mechanisms are semantics-preserving).
+    /// Transport configuration: overlapped page fetches, batched and
+    /// deferred diff flushing, the prefetch directory, backend, faults,
+    /// replication and topology.  Applies to every protocol (the mechanisms
+    /// are semantics-preserving).
     pub transport: TransportConfig,
-    /// Explicit policy selection.  `None` (the default) derives the
-    /// [`PolicySpec`] from `protocol`, `adaptive` and the `transport` flags
-    /// via [`PolicySpec::from_config`]; `Some` chooses the policy object per
-    /// decision point directly.  An explicit spec must agree with `protocol`
-    /// on the detection choice ([`ConfigError::PolicyMismatch`] otherwise).
-    pub policies: Option<PolicySpec>,
     /// Application threads per node.  The paper uses one ("we used only one
     /// application thread per node", §4.3); larger values exercise the
     /// computation/communication-overlap extension.
@@ -72,7 +66,6 @@ impl HyperionConfig {
             protocol,
             adaptive: AdaptiveParams::default(),
             transport: TransportConfig::default(),
-            policies: None,
             threads_per_node: 1,
         }
     }
@@ -118,21 +111,6 @@ impl HyperionConfig {
         self
     }
 
-    /// Builder-style override of [`HyperionConfig::policies`].
-    pub fn with_policies(mut self, policies: PolicySpec) -> Self {
-        self.policies = Some(policies);
-        self
-    }
-
-    /// The effective policy selection of this run: the explicit
-    /// [`HyperionConfig::policies`] spec if one was set, otherwise the spec
-    /// the legacy flag surface describes ([`PolicySpec::from_config`]).
-    pub fn policy_spec(&self) -> PolicySpec {
-        self.policies.clone().unwrap_or_else(|| {
-            PolicySpec::from_config(self.protocol, &self.adaptive, &self.transport)
-        })
-    }
-
     /// Total number of application (computation) threads the standard SPMD
     /// benchmarks create.
     pub fn total_app_threads(&self) -> usize {
@@ -143,13 +121,11 @@ impl HyperionConfig {
     ///
     /// Structural errors (node counts, cluster size, backend limits) keep
     /// their dedicated variants.  Every policy-level error — adaptive
-    /// hysteresis bands, batch ceilings, hint windows, migration streaks,
-    /// hints without overlapped fetches — is a typed
-    /// [`PolicyError`] wrapped in [`ConfigError::Policy`], produced by
-    /// [`PolicySpec::validate`] on the effective policy spec.  A zero knob
-    /// on a *disabled* feature (e.g. `migration_streak == 0` with
-    /// `home_migration` off) maps to a `Noop` policy and is therefore no
-    /// longer an error.
+    /// hysteresis bands, batch ceilings, hints without overlapped fetches,
+    /// quorum bounds, group shapes — is a typed [`PolicyError`] wrapped in
+    /// [`ConfigError::Policy`], produced by
+    /// [`hyperion_dsm::policy::validate_adaptive`] and
+    /// [`TransportConfig::validate`].
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.nodes == 0 {
             return Err(ConfigError::ZeroNodes);
@@ -164,23 +140,9 @@ impl HyperionConfig {
             });
         }
         // Adaptive tunables are checked whichever protocol runs (a sweep
-        // harness sharing one `AdaptiveParams` should fail fast), then the
-        // effective spec validates each selected policy.
+        // harness sharing one `AdaptiveParams` should fail fast).
         validate_adaptive(&self.adaptive)?;
-        if let Some(explicit) = &self.policies {
-            if explicit.detection.kind() != self.protocol {
-                return Err(ConfigError::PolicyMismatch {
-                    protocol: self.protocol,
-                    policies: explicit.detection.kind(),
-                });
-            }
-        }
-        let spec = self.policy_spec();
-        spec.validate(self.transport.overlapped_fetches)?;
-        // Topology shape checks need the node count and the fault schedule,
-        // which the policy spec itself does not carry.
-        spec.topology
-            .validate(self.nodes, self.transport.fault.as_ref())?;
+        self.transport.validate(self.nodes)?;
         if self.transport.backend != TransportBackend::Sim {
             // Socket backends keep a connection per peer a node talks to.
             // Under the flat topology every node talks to every other node;
@@ -188,7 +150,7 @@ impl HyperionConfig {
             // node's fan-in is bounded by its group size (members) or the
             // group count (a leader talking to other homes) — whichever is
             // larger.
-            let topology = spec.topology.build(self.nodes);
+            let topology = self.transport.topology(self.nodes);
             let fan_in = if topology.is_grouped() {
                 topology.group_size().max(topology.num_groups())
             } else {
@@ -224,7 +186,6 @@ pub struct ConfigBuilder {
     protocol: Option<ProtocolKind>,
     adaptive: Option<AdaptiveParams>,
     transport: Option<TransportConfig>,
-    policies: Option<PolicySpec>,
     threads_per_node: Option<usize>,
 }
 
@@ -255,20 +216,10 @@ impl ConfigBuilder {
         self
     }
 
-    /// Split-transaction transport configuration (overlapped fetches,
-    /// batched diff flushing, home migration).  Defaults to
-    /// [`TransportConfig::default`].
+    /// Transport configuration (see [`HyperionConfig::transport`]).
+    /// Defaults to [`TransportConfig::default`].
     pub fn transport(mut self, transport: TransportConfig) -> Self {
         self.transport = Some(transport);
-        self
-    }
-
-    /// Explicit per-decision-point policy selection (see
-    /// [`HyperionConfig::policies`]).  Defaults to the spec derived from the
-    /// `protocol`, `adaptive` and `transport` fields; an explicit spec must
-    /// agree with `protocol` on the detection choice.
-    pub fn policies(mut self, policies: PolicySpec) -> Self {
-        self.policies = Some(policies);
         self
     }
 
@@ -295,9 +246,6 @@ impl ConfigBuilder {
         if let Some(transport) = self.transport {
             config.transport = transport;
         }
-        if let Some(policies) = self.policies {
-            config.policies = Some(policies);
-        }
         if let Some(threads) = self.threads_per_node {
             config.threads_per_node = threads;
         }
@@ -323,18 +271,11 @@ pub enum ConfigError {
         /// Nodes available in the cluster model.
         available: usize,
     },
-    /// An illegal policy selection (adaptive tunables, batch ceilings, hint
-    /// windows, migration streaks): the typed verdict of
-    /// [`PolicySpec::validate`].
+    /// An illegal policy selection (adaptive tunables, batch ceilings,
+    /// hints without overlap, quorum bounds, group shapes): the typed
+    /// verdict of [`TransportConfig::validate`] and
+    /// [`hyperion_dsm::policy::validate_adaptive`].
     Policy(PolicyError),
-    /// An explicit [`HyperionConfig::policies`] spec whose detection choice
-    /// disagrees with the `protocol` field.
-    PolicyMismatch {
-        /// The protocol the configuration names.
-        protocol: ProtocolKind,
-        /// The detection protocol the explicit policy spec selects.
-        policies: ProtocolKind,
-    },
     /// The transport parameters are out of range.
     InvalidTransport(&'static str),
     /// A socket backend whose per-node connection fan-in exceeds the bound
@@ -380,12 +321,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::Policy(err) => {
                 write!(f, "invalid policy selection: {err}")
             }
-            ConfigError::PolicyMismatch { protocol, policies } => write!(
-                f,
-                "explicit policies select {} detection but the configuration's protocol is {}",
-                policies.name(),
-                protocol.name()
-            ),
             ConfigError::InvalidTransport(reason) => {
                 write!(f, "invalid transport parameters: {reason}")
             }
@@ -444,22 +379,18 @@ impl HyperionRuntime {
             config.transport.fault,
         );
         let allocator = Arc::new(IsoAllocator::new(config.nodes));
-        // Build through the effective policy spec: identical to the legacy
-        // `with_config` path when `config.policies` is `None`, and the typed
-        // override when it is `Some`.  The spec's topology shapes the store
-        // (directory keying, version tracking) — `validate` above has
-        // already rejected non-dividing group sizes.
-        let spec = config.policy_spec();
-        let store =
-            DsmStore::with_topology(Arc::clone(&allocator), spec.topology.build(config.nodes));
-        let policies = spec.build(cluster.machine(), config.nodes);
-        let dsm = DsmSystem::with_policies(
+        // The topology shapes the store (directory keying, relay routing);
+        // `validate` above has already rejected non-dividing group sizes.
+        let store = DsmStore::with_topology(
+            Arc::clone(&allocator),
+            config.transport.topology(config.nodes),
+        );
+        let dsm = DsmSystem::with_config(
             Arc::clone(&cluster),
             store,
             config.protocol,
             &config.adaptive,
             &config.transport,
-            policies,
         );
         let balancer = LoadBalancer::new(config.nodes);
         Ok(HyperionRuntime {
@@ -1329,7 +1260,6 @@ mod tests {
             lo_multiple: 1.0,
             max_batch_pages: 4,
             min_prefetch_streak: 1,
-            online_thresholds: false,
         };
         let built = HyperionConfig::builder()
             .cluster(myrinet_200())
@@ -1373,88 +1303,100 @@ mod tests {
 
     #[test]
     fn policy_validation_rejects_illegal_selections_with_named_variants() {
-        // Zero knobs on *enabled* features are policy errors...
-        let mut c = config(2, ProtocolKind::JavaPf);
-        c.transport = TransportConfig::latency_hiding();
-        c.transport.migration_streak = 0;
-        assert_eq!(
-            c.validate(),
-            Err(ConfigError::Policy(PolicyError::ZeroMigrationStreak))
-        );
-        let mut c = config(2, ProtocolKind::JavaPf);
-        c.transport = TransportConfig::directory();
-        c.transport.hint_window = 0;
-        assert_eq!(
-            c.validate(),
-            Err(ConfigError::Policy(PolicyError::ZeroHintWindow))
-        );
-        let mut c = config(2, ProtocolKind::JavaPf);
-        c.transport.max_flush_batch_pages = 0;
-        assert_eq!(
-            c.validate(),
-            Err(ConfigError::Policy(PolicyError::ZeroFlushBatch))
-        );
-        let mut c = config(2, ProtocolKind::JavaPf);
-        c.transport.prefetch_hints = true;
-        c.transport.overlapped_fetches = false;
-        assert_eq!(
-            c.validate(),
-            Err(ConfigError::Policy(
-                PolicyError::HintsRequireOverlappedFetches
-            ))
-        );
-        // ...while a zero knob on a *disabled* feature selects a Noop policy
-        // and is fine.
-        let mut c = config(2, ProtocolKind::JavaPf);
-        c.transport.migration_streak = 0;
-        assert!(!c.transport.home_migration);
-        assert!(c.validate().is_ok());
+        type Edit = fn(&mut TransportConfig);
+        let rejected: [(Edit, PolicyError); 8] = [
+            (|t| t.max_flush_batch_pages = 0, PolicyError::ZeroFlushBatch),
+            (
+                |t| {
+                    *t = TransportConfig::directory();
+                    t.max_flush_batch_pages = 0;
+                },
+                PolicyError::ZeroFlushBatch,
+            ),
+            (
+                |t| t.prefetch_hints = true,
+                PolicyError::HintsRequireOverlappedFetches,
+            ),
+            (
+                |t| t.replication = Some((0, 1)),
+                PolicyError::ZeroReadReplicas,
+            ),
+            (
+                |t| t.replication = Some((2, 0)),
+                PolicyError::InvalidWriteQuorum,
+            ),
+            (
+                |t| t.replication = Some((2, 4)),
+                PolicyError::InvalidWriteQuorum,
+            ),
+            (|t| t.group_size = 0, PolicyError::ZeroGroupSize),
+            (
+                |t| t.group_size = 3,
+                PolicyError::GroupSizeMismatch {
+                    group_size: 3,
+                    nodes: 4,
+                },
+            ),
+        ];
+        for (edit, expected) in rejected {
+            let mut c = config(4, ProtocolKind::JavaPf);
+            edit(&mut c.transport);
+            assert_eq!(c.validate(), Err(ConfigError::Policy(expected)));
+            assert!(format!("{}", c.validate().unwrap_err()).contains(&expected.to_string()));
+        }
+        // The edges of what is legal.
+        let accepted: [Edit; 4] = [
+            |t| t.max_flush_batch_pages = 1,
+            |t| t.replication = Some((2, 3)),
+            |t| t.replication = Some((1, 1)),
+            |t| t.group_size = 4,
+        ];
+        for edit in accepted {
+            let mut c = config(4, ProtocolKind::JavaPf);
+            edit(&mut c.transport);
+            assert_eq!(c.validate(), Ok(()));
+        }
     }
 
     #[test]
-    fn explicit_policies_flow_from_builder_to_the_engine() {
-        use hyperion_dsm::policy::{
-            DetectionSpec, FlushSpec, MigrationSpec, PredictorSpec, ReplicationSpec, TopologySpec,
+    fn a_run_is_described_once_and_the_engine_builds_what_the_flags_say() {
+        let quorum = TransportConfig {
+            replication: Some((2, 2)),
+            ..TransportConfig::default()
         };
-        let spec = PolicySpec {
-            detection: DetectionSpec::PageProtect,
-            predictor: PredictorSpec::Noop,
-            migration: MigrationSpec::MajorityVote { streak: 2 },
-            flush: FlushSpec::Batched { max_pages: 4 },
-            replication: ReplicationSpec::Noop,
-            topology: TopologySpec::Flat,
-        };
-        let built = HyperionConfig::builder()
-            .cluster(myrinet_200())
-            .nodes(2)
-            .protocol(ProtocolKind::JavaPf)
-            .policies(spec.clone())
-            .build()
-            .unwrap();
-        assert_eq!(built.policy_spec(), spec);
-        let rt = HyperionRuntime::new(built).unwrap();
-        assert_eq!(rt.dsm().policies().migration.name(), "mig");
-        assert_eq!(rt.dsm().policies().predictor.name(), "nohints");
-        assert_eq!(rt.dsm().policies().flush.name(), "sync");
-        assert_eq!(rt.dsm().policies().detection.name(), "java_pf");
-
-        // A spec whose detection choice disagrees with `protocol` is
-        // rejected before any cluster state exists.
-        let mismatched = HyperionConfig::builder()
-            .cluster(myrinet_200())
-            .nodes(2)
-            .protocol(ProtocolKind::JavaIc)
-            .policies(spec)
-            .build()
-            .unwrap_err();
-        assert_eq!(
-            mismatched,
-            ConfigError::PolicyMismatch {
-                protocol: ProtocolKind::JavaIc,
-                policies: ProtocolKind::JavaPf,
+        for (transport, names) in [
+            (TransportConfig::blocking(), ["nohints", "sync", "norep"]),
+            (
+                TransportConfig::latency_hiding(),
+                ["nohints", "sync", "norep"],
+            ),
+            (TransportConfig::directory(), ["dir", "dfl", "norep"]),
+            (quorum, ["nohints", "sync", "quorum"]),
+        ] {
+            for protocol in ProtocolKind::all_extended() {
+                let cfg = config(2, protocol).with_transport(transport.clone());
+                let rt = HyperionRuntime::new(cfg).unwrap();
+                let built = rt.dsm().policies();
+                assert_eq!(built.detection.name(), protocol.name());
+                assert_eq!(
+                    [
+                        built.predictor.name(),
+                        built.flush.name(),
+                        built.replication.name()
+                    ],
+                    names
+                );
+                // The flags a kernel reads are the ones the engine was built
+                // from: the same `TransportConfig` value.
+                assert_eq!(rt.dsm().transport(), &transport);
+                assert_eq!(
+                    built.predictor.converts_hints(),
+                    transport.prefetch_hints,
+                    "ASP's early issue follows the flag the predictor was built from"
+                );
+                rt.run(|ctx| assert_eq!(ctx.transport(), &transport));
             }
-        );
-        assert!(format!("{mismatched}").contains("java_pf"));
+        }
     }
 
     #[test]

@@ -115,8 +115,6 @@ define_stats! {
     batched_flushes,
     /// Payload bytes of diff messages sent by this node.
     diff_bytes,
-    /// Pages whose home migrated *to* this node (write-shared home migration).
-    pages_migrated,
     /// Fetch round-trip cycles hidden behind compute by overlapped transport.
     fetch_overlap_cycles_hidden,
     /// Pages this node (as home) hinted on fetch replies (one wire entry can name a run of pages).
@@ -394,7 +392,7 @@ mod tests {
         ] {
             assert!(names.contains(&expected), "missing {expected}");
         }
-        assert_eq!(names.len(), 55);
+        assert_eq!(names.len(), 54);
         for added in [
             "batched_flushes",
             "rpc_retries",
@@ -403,7 +401,6 @@ mod tests {
             "nodes_failed",
             "pages_resynced",
             "diff_bytes",
-            "pages_migrated",
             "fetch_overlap_cycles_hidden",
             "hints_sent",
             "hinted_fetches_issued",

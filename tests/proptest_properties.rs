@@ -642,8 +642,8 @@ fn block_range_tiles_any_size() {
 /// hint-suppressed, retained versions zero and non-zero, with none, one or
 /// many validation riders; longer rider lists are rejected), single and
 /// batched field-granularity diffs, and the versioned diff acknowledgement
-/// with and without a migration grant — and every truncation of every form
-/// decodes to an error, never a panic.
+/// — and every truncation of every form, and an acknowledgement with
+/// anything after its last version, decodes to an error, never a panic.
 #[test]
 fn diff_wire_encodings_round_trip() {
     use hyperion_workspace::dsm::diff::{
@@ -753,26 +753,29 @@ fn diff_wire_encodings_round_trip() {
         assert_eq!(decode_diff_message(&wire), Ok(expected), "seed {seed}");
         prefixes_fail(seed, "batched diff", &wire, |b| decode_diff_message(b).ok());
 
-        // The acknowledgement: one post-apply version per page, optionally
-        // followed by a migration grant.
+        // The acknowledgement: one post-apply version per page and nothing
+        // else.
         let acked: Vec<u64> = pages
             .iter()
             .map(|_| rng.gen_range(2u64..u64::MAX))
             .collect();
-        let snapshot = vec![seed as u8; PAGE_BYTES];
-        let grant = (rng.gen_range(0u32..2) == 0).then_some((first, &snapshot[..]));
-        let wire = encode_diff_reply(&acked, grant);
+        let wire = encode_diff_reply(&acked);
         assert_eq!(
             decode_diff_reply(&wire, acked.len()),
-            Ok((acked.clone(), grant.map(|(p, _)| p))),
+            Ok(acked.clone()),
             "seed {seed}"
         );
-        // A prefix that happens to end on the version/grant boundary is the
-        // (well-formed) grant-less acknowledgement; every other one fails.
-        for cut in (0..wire.len()).filter(|&cut| cut != acked.len() * 8) {
+        prefixes_fail(seed, "diff reply", &wire, |b| {
+            decode_diff_reply(b, acked.len()).ok()
+        });
+        // Trailing garbage of any length is rejected: one stray byte, a
+        // whole extra version, a page id with a page of bytes behind it.
+        for extra in [1, 8, rng.gen_range(1usize..64), 8 + PAGE_BYTES] {
+            let mut long = wire.clone();
+            long.extend((0..extra).map(|_| rng.gen_range(0u32..256) as u8));
             assert!(
-                decode_diff_reply(&wire[..cut], acked.len()).is_err(),
-                "seed {seed}"
+                decode_diff_reply(&long, acked.len()).is_err(),
+                "seed {seed}: {extra} trailing bytes decoded"
             );
         }
     });

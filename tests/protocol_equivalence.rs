@@ -21,27 +21,18 @@
 
 use hyperion_workspace::apps::common::Benchmark;
 use hyperion_workspace::apps::{asp, barnes, graph, jacobi, kvstore, pi, tsp};
-use hyperion_workspace::dsm::policy::{
-    DetectionSpec, FlushSpec, MigrationSpec, PolicySpec, PredictorSpec, ReplicationSpec,
-    TopologySpec,
-};
-use hyperion_workspace::dsm::AdaptiveParams;
 use hyperion_workspace::prelude::*;
 use hyperion_workspace::{HyperionConfig, ProtocolKind, TransportBackend, TransportConfig};
 
 const NODES: usize = 3;
 
-/// The transport the suite treats as its default.  CI re-runs the whole
-/// suite once with `HYPERION_EQUIV_TRANSPORT` set to a non-default —
-/// but semantics-preserving — policy mix, so every equivalence property is
-/// also exercised with the latency-hiding / directory policies selected.
-fn base_transport() -> TransportConfig {
-    match std::env::var("HYPERION_EQUIV_TRANSPORT").as_deref() {
-        Ok("latency-hiding") => TransportConfig::latency_hiding(),
-        Ok("directory") => TransportConfig::directory(),
-        Ok(other) => panic!("unknown HYPERION_EQUIV_TRANSPORT policy mix `{other}`"),
-        Err(_) => TransportConfig::default(),
-    }
+/// The transports the suite treats as its base: every property stated
+/// against "the" transport is checked under the default one and under a
+/// non-default — but semantics-preserving — mix (overlapped fetches,
+/// prefetch hints, deferred flushing), so each is also proved against live
+/// directory and deferred-flush policies.
+fn base_transports() -> [TransportConfig; 2] {
+    [TransportConfig::default(), TransportConfig::directory()]
 }
 
 fn all_benchmarks() -> Vec<Box<dyn Benchmark>> {
@@ -67,10 +58,6 @@ fn serving_benchmarks() -> Vec<Box<dyn Benchmark>> {
     ]
 }
 
-fn execute(bench: &dyn Benchmark, protocol: ProtocolKind) -> (f64, RunReport) {
-    execute_with(bench, protocol, &base_transport())
-}
-
 fn execute_with(
     bench: &dyn Benchmark,
     protocol: ProtocolKind,
@@ -86,45 +73,30 @@ fn execute_with(
     bench.execute(config)
 }
 
-/// Like [`execute_with`] but with an explicit [`PolicySpec`] on top of the
-/// transport — the typed surface the policy layer added.
-fn execute_with_policies(
-    bench: &dyn Benchmark,
-    protocol: ProtocolKind,
-    transport: &TransportConfig,
-    policies: PolicySpec,
-) -> (f64, RunReport) {
-    let config = HyperionConfig::builder()
-        .cluster(myrinet_200())
-        .nodes(NODES)
-        .protocol(protocol)
-        .transport(transport.clone())
-        .policies(policies)
-        .build()
-        .expect("valid test configuration");
-    bench.execute(config)
+/// True if two digests agree up to floating-point re-association: Pi's
+/// global sum accumulates thread contributions in monitor acquisition
+/// order; every other app is order-independent and agrees exactly.
+fn same_digest(a: f64, b: f64) -> bool {
+    (a - b).abs() <= a.abs().max(1.0) * 1e-9
+}
+
+/// Every base transport paired with every benchmark of `benches`.
+fn bases_times(
+    benches: fn() -> Vec<Box<dyn Benchmark>>,
+) -> impl Iterator<Item = (TransportConfig, Box<dyn Benchmark>)> {
+    base_transports()
+        .into_iter()
+        .flat_map(move |base| benches().into_iter().map(move |b| (base.clone(), b)))
 }
 
 #[test]
 fn all_three_protocols_compute_identical_results() {
-    for bench in all_benchmarks() {
-        let (ic, _) = execute(bench.as_ref(), ProtocolKind::JavaIc);
-        let (pf, _) = execute(bench.as_ref(), ProtocolKind::JavaPf);
-        let (ad, _) = execute(bench.as_ref(), ProtocolKind::JavaAd);
-        // Pi's global sum accumulates thread contributions in monitor
-        // acquisition order, so its digest is only reproducible to floating
-        // point re-association; every other app is order-independent.
-        let tolerance = ic.abs().max(1.0) * 1e-9;
-        assert!(
-            (ic - pf).abs() <= tolerance,
-            "{}: ic {ic} vs pf {pf}",
-            bench.name()
-        );
-        assert!(
-            (ic - ad).abs() <= tolerance,
-            "{}: ic {ic} vs ad {ad}",
-            bench.name()
-        );
+    for (base, bench) in bases_times(all_benchmarks) {
+        let (ic, _) = execute_with(bench.as_ref(), ProtocolKind::JavaIc, &base);
+        let (pf, _) = execute_with(bench.as_ref(), ProtocolKind::JavaPf, &base);
+        let (ad, _) = execute_with(bench.as_ref(), ProtocolKind::JavaAd, &base);
+        assert!(same_digest(ic, pf), "{}: ic {ic} vs pf {pf}", bench.name());
+        assert!(same_digest(ic, ad), "{}: ic {ic} vs ad {ad}", bench.name());
     }
 }
 
@@ -139,21 +111,18 @@ fn serving_apps_preserve_digests_across_protocols_and_backends() {
         backend: TransportBackend::UnixSocket,
         ..TransportConfig::default()
     };
+    let [default, directory] = base_transports();
     for bench in serving_benchmarks() {
-        let (reference, _) = execute(bench.as_ref(), ProtocolKind::JavaIc);
-        let tolerance = reference.abs().max(1.0) * 1e-9;
-        for protocol in [
-            ProtocolKind::JavaIc,
-            ProtocolKind::JavaPf,
-            ProtocolKind::JavaAd,
-        ] {
+        let (reference, _) = execute_with(bench.as_ref(), ProtocolKind::JavaIc, &default);
+        for protocol in ProtocolKind::all_extended() {
             for (label, transport) in [
-                ("sim", TransportConfig::default()),
+                ("sim", default.clone()),
+                ("sim+dir", directory.clone()),
                 ("socket", socket.clone()),
             ] {
                 let (digest, report) = execute_with(bench.as_ref(), protocol, &transport);
                 assert!(
-                    (digest - reference).abs() <= tolerance,
+                    same_digest(digest, reference),
                     "{}/{} ({label}): digest {digest} diverged from the ic/sim \
                      reference {reference}",
                     bench.name(),
@@ -180,11 +149,11 @@ fn serving_apps_preserve_digests_across_protocols_and_backends() {
 
 #[test]
 fn adaptive_cost_never_exceeds_the_worse_fixed_protocol() {
-    for bench in all_benchmarks() {
+    for (base, bench) in bases_times(all_benchmarks) {
         let round = || {
-            let (_, ic) = execute(bench.as_ref(), ProtocolKind::JavaIc);
-            let (_, pf) = execute(bench.as_ref(), ProtocolKind::JavaPf);
-            let (_, ad) = execute(bench.as_ref(), ProtocolKind::JavaAd);
+            let (_, ic) = execute_with(bench.as_ref(), ProtocolKind::JavaIc, &base);
+            let (_, pf) = execute_with(bench.as_ref(), ProtocolKind::JavaPf, &base);
+            let (_, ad) = execute_with(bench.as_ref(), ProtocolKind::JavaAd, &base);
             (
                 ic.execution_time
                     .as_secs_f64()
@@ -215,11 +184,11 @@ fn adaptive_cost_never_exceeds_the_worse_fixed_protocol() {
 
 #[test]
 fn adaptive_page_loads_never_exceed_the_worse_fixed_protocol() {
-    for bench in all_benchmarks() {
+    for (base, bench) in bases_times(all_benchmarks) {
         let round = || {
-            let (_, ic) = execute(bench.as_ref(), ProtocolKind::JavaIc);
-            let (_, pf) = execute(bench.as_ref(), ProtocolKind::JavaPf);
-            let (_, ad) = execute(bench.as_ref(), ProtocolKind::JavaAd);
+            let (_, ic) = execute_with(bench.as_ref(), ProtocolKind::JavaIc, &base);
+            let (_, pf) = execute_with(bench.as_ref(), ProtocolKind::JavaPf, &base);
+            let (_, ad) = execute_with(bench.as_ref(), ProtocolKind::JavaAd, &base);
             (
                 ic.total_stats().page_loads.max(pf.total_stats().page_loads),
                 ad.total_stats().page_loads,
@@ -247,23 +216,50 @@ fn adaptive_page_loads_never_exceed_the_worse_fixed_protocol() {
 
 #[test]
 fn all_three_protocols_compute_identical_results_under_latency_hiding_transport() {
-    // Overlapped fetches, batched diff flushing and home migration all on:
-    // the transport may change *when* latency is charged and *how many*
-    // RPCs carry the bytes, never what a program computes.
+    // Overlapped fetches and batched diff flushing on: the transport may
+    // change *when* latency is charged and *how many* RPCs carry the bytes,
+    // never what a program computes.
+    const DISABLED_MECHANISM_COUNTERS: [&str; 9] = [
+        "hints_sent",
+        "hinted_fetches_issued",
+        "hinted_fetches_completed",
+        "hinted_fetches_wasted",
+        "hinted_fetches_reissued",
+        "deferred_flushes",
+        "batched_flushes",
+        "fetch_overlap_cycles_hidden",
+        "flush_overlap_cycles_hidden",
+    ];
     let transport = TransportConfig::latency_hiding();
     for bench in all_benchmarks() {
-        let (ic, _) = execute_with(bench.as_ref(), ProtocolKind::JavaIc, &transport);
-        let (pf, _) = execute_with(bench.as_ref(), ProtocolKind::JavaPf, &transport);
-        let (ad, _) = execute_with(bench.as_ref(), ProtocolKind::JavaAd, &transport);
-        // And each must agree with the blocking transport's answer.
-        let (blocking, _) = execute(bench.as_ref(), ProtocolKind::JavaIc);
-        let tolerance = ic.abs().max(1.0) * 1e-9;
-        for (label, v) in [("pf", pf), ("ad", ad), ("blocking ic", blocking)] {
-            assert!(
-                (ic - v).abs() <= tolerance,
-                "{}: overlapped ic {ic} vs {label} {v}",
-                bench.name()
-            );
+        let (reference, _) = execute_with(
+            bench.as_ref(),
+            ProtocolKind::JavaIc,
+            &TransportConfig::default(),
+        );
+        for protocol in ProtocolKind::all_extended() {
+            let (overlapped, _) = execute_with(bench.as_ref(), protocol, &transport);
+            // Each must agree with the paper's blocking transport's answer,
+            // under which every counter of a mechanism it switches off is
+            // exactly zero.
+            let (blocking, report) =
+                execute_with(bench.as_ref(), protocol, &TransportConfig::blocking());
+            for (label, v) in [("overlapped", overlapped), ("blocking", blocking)] {
+                assert!(
+                    same_digest(reference, v),
+                    "{}: default ic {reference} vs {label} {} {v}",
+                    bench.name(),
+                    protocol.name()
+                );
+            }
+            for (counter, value) in report.total_stats().fields() {
+                assert!(
+                    value == 0 || !DISABLED_MECHANISM_COUNTERS.contains(&counter),
+                    "{}/{}: `{counter}` is {value} under the blocking transport",
+                    bench.name(),
+                    protocol.name()
+                );
+            }
         }
     }
 }
@@ -336,45 +332,6 @@ fn overlapped_transport_never_costs_wall_time_over_blocking() {
 }
 
 #[test]
-fn home_migration_preserves_results_and_bounds_diff_inflation() {
-    // The strict *reduction* property lives in the fig7 gate, which runs
-    // the central-structure apps at 4 nodes where a remote writer can
-    // actually dominate.  Migration is a heuristic: on a workload whose
-    // writers rotate faster than the dominance vote can track (TSP at 3
-    // nodes, where the home owns a third of the queue traffic), a grant
-    // made during a home-quiet burst turns some of the home's later writes
-    // into diffs.  What must hold *unconditionally* is that the answers are
-    // unchanged and that the per-page exponential back-off keeps any such
-    // inflation bounded — the diff traffic may not blow past 2× the
-    // baseline on any app.
-    let migrating = TransportConfig {
-        home_migration: true,
-        ..TransportConfig::default()
-    };
-    for bench in all_benchmarks() {
-        let mut base_total = 0u64;
-        let mut mig_total = 0u64;
-        for _ in 0..3 {
-            let (d0, base) = execute(bench.as_ref(), ProtocolKind::JavaAd);
-            let (d1, mig) = execute_with(bench.as_ref(), ProtocolKind::JavaAd, &migrating);
-            assert!(
-                (d0 - d1).abs() <= d0.abs().max(1.0) * 1e-9,
-                "{}: migration changed the answer",
-                bench.name()
-            );
-            base_total += base.total_stats().diff_messages;
-            mig_total += mig.total_stats().diff_messages;
-        }
-        assert!(
-            mig_total <= base_total * 2 + 16,
-            "{}: migration inflated diff RPCs past the back-off bound \
-             ({mig_total} vs {base_total})",
-            bench.name()
-        );
-    }
-}
-
-#[test]
 fn all_three_protocols_compute_identical_results_under_directory_transport() {
     // The prefetch directory (cluster-wide hints converted to in-flight
     // tickets) and deferred release flushing both only move *when* latency
@@ -384,12 +341,15 @@ fn all_three_protocols_compute_identical_results_under_directory_transport() {
         let (ic, _) = execute_with(bench.as_ref(), ProtocolKind::JavaIc, &transport);
         let (pf, _) = execute_with(bench.as_ref(), ProtocolKind::JavaPf, &transport);
         let (ad, _) = execute_with(bench.as_ref(), ProtocolKind::JavaAd, &transport);
-        // And each must agree with the blocking transport's answer.
-        let (blocking, _) = execute(bench.as_ref(), ProtocolKind::JavaIc);
-        let tolerance = ic.abs().max(1.0) * 1e-9;
-        for (label, v) in [("pf", pf), ("ad", ad), ("blocking ic", blocking)] {
+        // And each must agree with the default transport's answer.
+        let (default, _) = execute_with(
+            bench.as_ref(),
+            ProtocolKind::JavaIc,
+            &TransportConfig::default(),
+        );
+        for (label, v) in [("pf", pf), ("ad", ad), ("default ic", default)] {
             assert!(
-                (ic - v).abs() <= tolerance,
+                same_digest(ic, v),
                 "{}: directory ic {ic} vs {label} {v}",
                 bench.name()
             );
@@ -439,20 +399,17 @@ fn socket_transport_preserves_every_digest() {
         ..TransportConfig::default()
     };
     for bench in all_benchmarks() {
-        for protocol in [
-            ProtocolKind::JavaIc,
-            ProtocolKind::JavaPf,
-            ProtocolKind::JavaAd,
-        ] {
-            let (sim_digest, _) = execute(bench.as_ref(), protocol);
+        for protocol in ProtocolKind::all_extended() {
             let (sock_digest, report) = execute_with(bench.as_ref(), protocol, &socket);
-            let tolerance = sim_digest.abs().max(1.0) * 1e-9;
-            assert!(
-                (sim_digest - sock_digest).abs() <= tolerance,
-                "{}/{}: sim digest {sim_digest} vs socket digest {sock_digest}",
-                bench.name(),
-                protocol.name()
-            );
+            for base in base_transports() {
+                let (sim_digest, _) = execute_with(bench.as_ref(), protocol, &base);
+                assert!(
+                    same_digest(sim_digest, sock_digest),
+                    "{}/{}: sim digest {sim_digest} vs socket digest {sock_digest}",
+                    bench.name(),
+                    protocol.name()
+                );
+            }
             assert_eq!(report.transport, "unix-socket");
             // Every RPC round trip crossed the socket and was counted.
             let wire_rpcs: u64 = report.wire.iter().map(|(_, w)| w.messages).sum();
@@ -477,13 +434,15 @@ fn deferred_release_flushing_preserves_every_answer() {
         ..TransportConfig::default()
     };
     for bench in all_benchmarks() {
-        let (base, _) = execute(bench.as_ref(), ProtocolKind::JavaPf);
         let (defer, report) = execute_with(bench.as_ref(), ProtocolKind::JavaPf, &deferred);
-        assert!(
-            (base - defer).abs() <= base.abs().max(1.0) * 1e-9,
-            "{}: deferred flushing changed the answer ({base} vs {defer})",
-            bench.name()
-        );
+        for base in base_transports() {
+            let (base, _) = execute_with(bench.as_ref(), ProtocolKind::JavaPf, &base);
+            assert!(
+                same_digest(base, defer),
+                "{}: deferred flushing changed the answer ({base} vs {defer})",
+                bench.name()
+            );
+        }
         // Diff traffic is identical in count — only its completion moved.
         let total = report.total_stats();
         assert!(
@@ -502,8 +461,8 @@ fn adaptive_speculation_waste_stays_throttled() {
     // waste and are excluded from the ratio), plus each node's start-up
     // allowance and one last in-flight batch that may complete after the
     // throttle trips.
-    for bench in all_benchmarks().into_iter().chain(serving_benchmarks()) {
-        let (_, report) = execute(bench.as_ref(), ProtocolKind::JavaAd);
+    for (base, bench) in bases_times(all_benchmarks).chain(bases_times(serving_benchmarks)) {
+        let (_, report) = execute_with(bench.as_ref(), ProtocolKind::JavaAd, &base);
         let total = report.total_stats();
         assert!(
             total.pages_prefetch_wasted <= total.pages_prefetch_speculative / 16 + 9 * NODES as u64,
@@ -519,23 +478,6 @@ fn adaptive_speculation_waste_stays_throttled() {
     }
 }
 
-/// The Noop/synchronous policy selection equivalent to every mechanism
-/// flag being off, with the detection policy matching `protocol`.
-fn noop_spec(protocol: ProtocolKind) -> PolicySpec {
-    PolicySpec {
-        detection: match protocol {
-            ProtocolKind::JavaIc => DetectionSpec::InlineCheck,
-            ProtocolKind::JavaPf => DetectionSpec::PageProtect,
-            ProtocolKind::JavaAd => DetectionSpec::Adaptive(AdaptiveParams::default()),
-        },
-        predictor: PredictorSpec::Noop,
-        migration: MigrationSpec::Noop,
-        flush: FlushSpec::Batched { max_pages: 1 },
-        replication: ReplicationSpec::Noop,
-        topology: TopologySpec::Flat,
-    }
-}
-
 /// A fixed, single-threaded access pattern: two remote multi-page arrays
 /// read and written across four monitor epochs.  It exercises page
 /// fetches, field-granularity diffs, invalidation epochs and — under
@@ -543,21 +485,15 @@ fn noop_spec(protocol: ProtocolKind) -> PolicySpec {
 /// With one OS thread the whole event sequence is deterministic, so two
 /// runs of equivalent configurations must agree in *every* stat counter,
 /// not just in aggregate.
-fn deterministic_workload(
-    protocol: ProtocolKind,
-    transport: &TransportConfig,
-    policies: Option<PolicySpec>,
-) -> (u64, RunReport) {
+fn deterministic_workload(protocol: ProtocolKind, transport: &TransportConfig) -> (u64, RunReport) {
     use hyperion_workspace::pm2::SLOTS_PER_PAGE;
-    let mut builder = HyperionConfig::builder()
+    let config = HyperionConfig::builder()
         .cluster(myrinet_200())
         .nodes(NODES)
         .protocol(protocol)
-        .transport(transport.clone());
-    if let Some(spec) = policies {
-        builder = builder.policies(spec);
-    }
-    let config = builder.build().expect("valid test configuration");
+        .transport(transport.clone())
+        .build()
+        .expect("valid test configuration");
     let rt = HyperionRuntime::new(config).expect("valid test runtime");
     let outcome = rt.run(|ctx| {
         let slots = (3 * SLOTS_PER_PAGE) as u64;
@@ -583,119 +519,6 @@ fn deterministic_workload(
         acc
     });
     (outcome.result, outcome.report)
-}
-
-#[test]
-fn noop_policies_are_byte_identical_to_disabled_flags() {
-    // The legacy flag surface disables a mechanism by leaving its boolean
-    // off; the policy surface disables it by selecting the `Noop` policy
-    // (or the unbatched synchronous flush).  Both must drive the engine
-    // down exactly the same path.  The deterministic single-threaded
-    // workload pins that down to the strongest possible claim — every one
-    // of the stat counters byte-identical, per node, under all three
-    // protocols, on the in-process simulator and behind a real socket
-    // alike.  (The five benchmark apps run real threads, whose host
-    // interleaving perturbs even cluster-wide counter totals between runs
-    // of the *same* configuration; see
-    // `noop_policies_preserve_every_app_digest` for the app-level claim.)
-    for backend in [TransportBackend::Sim, TransportBackend::UnixSocket] {
-        let transport = TransportConfig {
-            backend,
-            ..TransportConfig::blocking()
-        };
-        for protocol in [
-            ProtocolKind::JavaIc,
-            ProtocolKind::JavaPf,
-            ProtocolKind::JavaAd,
-        ] {
-            let (flag_result, flag_report) = deterministic_workload(protocol, &transport, None);
-            let (policy_result, policy_report) =
-                deterministic_workload(protocol, &transport, Some(noop_spec(protocol)));
-            assert_eq!(
-                flag_result,
-                policy_result,
-                "{}/{backend:?}: Noop policies changed the computed result",
-                protocol.name()
-            );
-            assert_eq!(flag_report.node_stats.len(), policy_report.node_stats.len());
-            for (node, (flags, policies)) in flag_report
-                .node_stats
-                .iter()
-                .zip(&policy_report.node_stats)
-                .enumerate()
-            {
-                for ((counter, by_flag), (_, by_policy)) in
-                    flags.fields().into_iter().zip(policies.fields())
-                {
-                    assert_eq!(
-                        by_flag,
-                        by_policy,
-                        "{}/{backend:?} node {node}: `{counter}` differs between \
-                         the disabled-flag and Noop-policy paths",
-                        protocol.name()
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn noop_policies_preserve_every_app_digest() {
-    // App-level side of the Noop-equivalence claim, on all five benchmarks
-    // under all three protocols: the digest must be unchanged, and every
-    // counter of the mechanisms both surfaces disabled must be exactly
-    // zero on both paths.  (Counter-for-counter equality between two runs
-    // is a single-thread-only property — see
-    // `noop_policies_are_byte_identical_to_disabled_flags`.)
-    const DISABLED_MECHANISM_COUNTERS: [&str; 10] = [
-        "hints_sent",
-        "hinted_fetches_issued",
-        "hinted_fetches_completed",
-        "hinted_fetches_wasted",
-        "hinted_fetches_reissued",
-        "pages_migrated",
-        "deferred_flushes",
-        "batched_flushes",
-        "fetch_overlap_cycles_hidden",
-        "flush_overlap_cycles_hidden",
-    ];
-    let transport = TransportConfig::blocking();
-    for bench in all_benchmarks() {
-        for protocol in [
-            ProtocolKind::JavaIc,
-            ProtocolKind::JavaPf,
-            ProtocolKind::JavaAd,
-        ] {
-            let (flag_digest, flag_report) = execute_with(bench.as_ref(), protocol, &transport);
-            let (policy_digest, policy_report) =
-                execute_with_policies(bench.as_ref(), protocol, &transport, noop_spec(protocol));
-            // Pi's digest accumulates in monitor-acquisition order, so it
-            // is only reproducible to float re-association; the others
-            // agree exactly but share the check.
-            let tolerance = flag_digest.abs().max(1.0) * 1e-9;
-            assert!(
-                (flag_digest - policy_digest).abs() <= tolerance,
-                "{}/{}: flag digest {flag_digest} vs Noop-policy digest {policy_digest}",
-                bench.name(),
-                protocol.name()
-            );
-            for (label, report) in [("flags", &flag_report), ("policies", &policy_report)] {
-                for (counter, value) in report.total_stats().fields() {
-                    if DISABLED_MECHANISM_COUNTERS.contains(&counter) {
-                        assert_eq!(
-                            value,
-                            0,
-                            "{}/{} ({label}): disabled mechanism counter \
-                             `{counter}` is non-zero",
-                            bench.name(),
-                            protocol.name()
-                        );
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[test]
@@ -735,7 +558,7 @@ fn validation_riders_keep_the_ledger_and_agree_across_backends() {
                 backend,
                 ..TransportConfig::default()
             };
-            deterministic_workload(protocol, &transport, None)
+            deterministic_workload(protocol, &transport)
         };
         let (sim_result, sim) = run(TransportBackend::Sim);
         let (unix_result, unix) = run(TransportBackend::UnixSocket);
