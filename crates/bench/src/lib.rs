@@ -21,9 +21,6 @@
 //! * **Figure 9 (extension)** — [`sweep_serving`] runs the serving-workload
 //!   family (Zipf-skewed KV store, PageRank) under all three protocols and
 //!   reports throughput plus modeled p99 per operation.
-//! * **Figure 10 (extension)** — [`sweep_scaling`] sweeps node counts
-//!   4 → 64 with the two-level home hierarchy on and off, pairing each
-//!   point's flat run against its grouped run.
 //! * **CI gate** — [`report`] turns a sweep into `BENCH_<run>.json` and
 //!   compares it against the committed `bench/baseline.json`.
 //!
@@ -152,12 +149,6 @@ pub struct FigureRow {
     /// of virtual time (0 for the paper's batch kernels, which record no
     /// serving operations).
     pub serving_p99_us: f64,
-    /// RPC arrivals at the busiest single node — the hot home of a
-    /// barrier-style exchange under the flat topology, the largest of the
-    /// leader/home arrival counts under a grouped one.  The scaling gate
-    /// (`fig10_scaling`) compares this across topologies; `stats` only
-    /// carries the cluster-wide totals.
-    pub peak_rpc_served: u64,
     /// Utilisation of the busiest home: service time remote requests booked
     /// on its protocol processor over the run's modeled time
     /// ([`RunReport::home_utilisation`]).
@@ -305,12 +296,6 @@ pub fn run_point_configured(
         .build()
         .expect("valid figure configuration");
     let (digest, report) = bench.execute(config);
-    let peak_rpc_served = report
-        .node_stats
-        .iter()
-        .map(|s| s.rpc_served)
-        .max()
-        .unwrap_or(0);
     let peak = |shares: Vec<f64>| shares.into_iter().fold(0.0, f64::max);
     let peak_home_util = peak(report.home_utilisation());
     let peak_home_queue_wait = peak(report.home_queue_wait_share());
@@ -327,7 +312,6 @@ pub fn run_point_configured(
         transport: report.transport,
         wire: report.wire,
         serving_p99_us: report.serving_p99.as_ps() as f64 / 1e6,
-        peak_rpc_served,
         peak_home_util,
         peak_home_queue_wait,
     }
@@ -593,102 +577,6 @@ pub fn serving_directory_point(name: BenchmarkName, scale: Scale) -> FigureRow {
         &TransportConfig::directory(),
         "+dir",
     )
-}
-
-/// The figure number used for the scaling-curve report: node counts 4 → 64
-/// under the flat topology against the two-level home hierarchy
-/// (`TransportConfig::group_size`, `dsm::combine`).
-pub const SCALING_FIGURE: usize = 10;
-
-/// Node counts of the scaling sweep.  The paper's clusters stop at 12
-/// nodes; the hierarchy exists for the far end of this range.
-pub const SCALING_NODE_COUNTS: [usize; 5] = [4, 8, 16, 32, 64];
-
-/// Group size the scaling sweep uses at each node count: the largest power
-/// of two whose square still fits in `nodes`, so the two levels of the tree
-/// have balanced fan-in (members per leader vs leaders per cluster) and the
-/// size always divides the node count.  4 → 2, 8 → 2, 16 → 4, 32 → 4,
-/// 64 → 8.
-pub fn scaling_group_size(nodes: usize) -> usize {
-    let mut size = 2;
-    while (size * 2) * (size * 2) <= nodes {
-        size *= 2;
-    }
-    size
-}
-
-/// One paired point of the scaling sweep: the same (app, node count)
-/// execution under the flat topology and under the grouped hierarchy.
-#[derive(Clone, Debug)]
-pub struct ScalingPair {
-    /// Flat single-level homes (the default topology).
-    pub flat: FigureRow,
-    /// Two-level hierarchy with [`scaling_group_size`] nodes per group.
-    pub grouped: FigureRow,
-    /// Nodes per group of the grouped run.
-    pub group_size: usize,
-}
-
-impl ScalingPair {
-    /// True if both topologies computed the same answer — the correctness
-    /// criterion of the whole hierarchy: relaying through a group leader
-    /// may change what an exchange *costs*, never what it *moves*.
-    pub fn digests_match(&self) -> bool {
-        let tolerance = self.flat.digest.abs().max(1.0) * 1e-9;
-        (self.flat.digest - self.grouped.digest).abs() <= tolerance
-    }
-}
-
-/// Figure 10 (extension): the scaling curve of the two-level home
-/// hierarchy.  Jacobi (the paper's barrier-exchange kernel, whose shared
-/// convergence counter makes one home the cluster-wide hot spot) and the
-/// Zipf-skewed KV store (the serving extension's skewed-read hot spot)
-/// under `java_pf` at every count in [`SCALING_NODE_COUNTS`], each point
-/// run twice — flat and grouped.  Rows carry `loads/epoch` in their stats
-/// and ops/s for the serving app; [`FigureRow::peak_rpc_served`] holds the
-/// hot-home arrival count the `fig10_scaling` gate compares across
-/// topologies.
-pub fn sweep_scaling(scale: Scale) -> Vec<ScalingPair> {
-    let base = myrinet_200();
-    let mut pairs = Vec::new();
-    for name in [BenchmarkName::Jacobi, BenchmarkName::KvStore] {
-        for nodes in SCALING_NODE_COUNTS {
-            let cluster = scaled_cluster(&base, nodes);
-            let group_size = scaling_group_size(nodes);
-            let grouped_transport = TransportConfig {
-                group_size,
-                ..TransportConfig::default()
-            };
-            let mut flat = run_point_configured(
-                name,
-                scale,
-                &cluster,
-                ProtocolKind::JavaPf,
-                nodes,
-                &AdaptiveParams::default(),
-                &TransportConfig::default(),
-                String::new(),
-            );
-            flat.figure = SCALING_FIGURE;
-            let mut grouped = run_point_configured(
-                name,
-                scale,
-                &cluster,
-                ProtocolKind::JavaPf,
-                nodes,
-                &AdaptiveParams::default(),
-                &grouped_transport,
-                plus(&format!("g{group_size}")),
-            );
-            grouped.figure = SCALING_FIGURE;
-            pairs.push(ScalingPair {
-                flat,
-                grouped,
-                group_size,
-            });
-        }
-    }
-    pairs
 }
 
 /// The figure number used for the modeled-vs-measured transport report

@@ -11,8 +11,7 @@
 //!   ic/pf/ad adaptive comparison, 7 for the split-transaction transport,
 //!   8 for the prefetch directory & deferred release, 9 for the serving
 //!   workloads: Zipf-skewed KV store and PageRank with throughput and
-//!   modeled p99 per operation, 10 for the 4 → 64 node scaling curve of
-//!   the two-level home hierarchy); may be repeated.  Default: all of 1–5.
+//!   modeled p99 per operation); may be repeated.  Default: all of 1–5.
 //! * `--tables`    print Table 1 (module inventory) and Table 2 (primitives).
 //! * `--claims`    print the derived `java_ic` → `java_pf` improvements that
 //!   correspond to the quantitative claims of §4.3.
@@ -52,9 +51,9 @@ use hyperion::FaultSpec;
 use hyperion_apps::common::BenchmarkName;
 use hyperion_bench::{
     bench_report_rows, improvement_summary, report, sweep_adaptive, sweep_chaos, sweep_directory,
-    sweep_figure, sweep_modeled_vs_measured, sweep_scaling, sweep_serving, sweep_transport,
-    table1_modules, table2_primitives, threshold_ablation, FigureRow, Scale, ADAPTIVE_FIGURE,
-    DIRECTORY_FIGURE, SCALING_FIGURE, SERVING_FIGURE, TRANSPORT_FIGURE,
+    sweep_figure, sweep_modeled_vs_measured, sweep_serving, sweep_transport, table1_modules,
+    table2_primitives, threshold_ablation, FigureRow, Scale, ADAPTIVE_FIGURE, DIRECTORY_FIGURE,
+    SERVING_FIGURE, TRANSPORT_FIGURE,
 };
 
 struct Options {
@@ -91,10 +90,8 @@ fn parse_args() -> Options {
                 let n: usize = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--fig needs a number between 1 and 10"));
-                if !(1..=SCALING_FIGURE).contains(&n) {
-                    die("--fig needs a number between 1 and 10");
-                }
+                    .filter(|n| (1..=SERVING_FIGURE).contains(n))
+                    .unwrap_or_else(|| die("--fig needs a number between 1 and 9"));
                 opts.figures.push(n);
                 any_selector = true;
             }
@@ -361,56 +358,6 @@ fn print_serving_figure(scale: Scale) -> Vec<FigureRow> {
     rows
 }
 
-/// Figure 10: the 4 → 64 node scaling curve of the two-level home
-/// hierarchy — each point's flat run paired against its grouped run, with
-/// the hot-home arrival count (`peak_rpc_served`) that the hierarchy is
-/// meant to flatten.
-fn print_scaling_figure(scale: Scale) -> Vec<FigureRow> {
-    let pairs = sweep_scaling(scale);
-    println!("== Figure 10 (extension): two-level home hierarchy, 4 -> 64 nodes ==");
-    println!(
-        "{:<10} {:>5} {:<10} {:>12} {:>12} {:>11} {:>10} {:>10} {:>12}",
-        "App",
-        "nodes",
-        "variant",
-        "exec (s)",
-        "page_loads",
-        "peak_served",
-        "comb_fetch",
-        "comb_diff",
-        "ops/s"
-    );
-    let mut rows = Vec::new();
-    for pair in pairs {
-        assert!(
-            pair.digests_match(),
-            "{} @ {} nodes: grouped digest {} diverged from flat digest {}",
-            pair.flat.app,
-            pair.flat.nodes,
-            pair.grouped.digest,
-            pair.flat.digest
-        );
-        for r in [&pair.flat, &pair.grouped] {
-            println!(
-                "{:<10} {:>5} {:<10} {:>12.4} {:>12} {:>11} {:>10} {:>10} {:>12.0}",
-                r.app.to_string(),
-                r.nodes,
-                r.protocol_label(),
-                r.seconds,
-                r.stats.page_loads,
-                r.peak_rpc_served,
-                r.stats.combined_fetches,
-                r.stats.combined_diff_batches,
-                r.serving_ops_per_s(),
-            );
-        }
-        rows.push(pair.flat);
-        rows.push(pair.grouped);
-    }
-    println!();
-    rows
-}
-
 /// The `--json` / `--baseline` path: run the CI-tracked sweep, optionally
 /// write `BENCH_<run>.json`, optionally gate against a committed baseline.
 /// Returns `true` if the baseline gate failed.
@@ -591,9 +538,7 @@ fn print_claims(all_rows: &[FigureRow]) {
 
 fn write_csv(dir: &str, rows: &[FigureRow]) {
     let fig = rows.first().map(|r| r.figure).unwrap_or(0);
-    let app = if fig == SCALING_FIGURE {
-        "scaling".to_string()
-    } else if fig == SERVING_FIGURE {
+    let app = if fig == SERVING_FIGURE {
         "serving".to_string()
     } else if fig == DIRECTORY_FIGURE {
         "directory".to_string()
@@ -629,9 +574,7 @@ fn main() {
 
     let mut all_rows = Vec::new();
     for &fig in &opts.figures {
-        let rows = if fig == SCALING_FIGURE {
-            print_scaling_figure(opts.scale)
-        } else if fig == SERVING_FIGURE {
+        let rows = if fig == SERVING_FIGURE {
             print_serving_figure(opts.scale)
         } else if fig == DIRECTORY_FIGURE {
             print_directory_figure(opts.scale)

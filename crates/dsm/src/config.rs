@@ -89,8 +89,8 @@ impl Default for AdaptiveParams {
 }
 
 /// Configuration of the transport layer: how the wire path overlaps with
-/// compute, which backend carries it, and the fault, replication and
-/// topology settings around it.
+/// compute, which backend carries it, and the fault and replication
+/// settings around it.
 ///
 /// Every mechanism is semantics-preserving — it changes when latency is
 /// charged and how many RPCs carry the same bytes, never what a program
@@ -145,12 +145,6 @@ pub struct TransportConfig {
     /// ([`crate::policy::QuorumReplication`]; `1 <= w <= r + 1`).  `None`
     /// (default) keeps no replicas.
     pub replication: Option<(usize, usize)>,
-    /// Nodes per group of the two-level home hierarchy.  `1` (default) is
-    /// the flat topology: every node is its own self-led group and no relay
-    /// or combining ever happens.  With `group_size >= 2` (must divide the
-    /// node count) each group's leader coalesces its members' cross-group
-    /// fetch/diff traffic into upstream relay RPCs (see `dsm::combine`).
-    pub group_size: usize,
 }
 
 impl Default for TransportConfig {
@@ -164,7 +158,6 @@ impl Default for TransportConfig {
             retry: RetryPolicy::default(),
             fault: None,
             replication: None,
-            group_size: 1,
         }
     }
 }

@@ -69,7 +69,6 @@ pub struct DsmSystem {
     pub(crate) rider_worth: u64,
     pub(crate) page_fetch: ServiceId,
     pub(crate) diff_apply: ServiceId,
-    pub(crate) group_relay: ServiceId,
 }
 
 impl DsmSystem {
@@ -91,8 +90,7 @@ impl DsmSystem {
     /// are resolved against the cluster's machine model and ignored by
     /// `java_ic` / `java_pf`) and an explicit transport configuration.  The
     /// policy objects are built from that description
-    /// ([`PolicySet::build`]); the node-group shape is the `store`'s
-    /// ([`TransportConfig::topology`]).
+    /// ([`PolicySet::build`]).
     pub fn with_config(
         cluster: Arc<Cluster>,
         store: Arc<DsmStore>,
@@ -117,12 +115,6 @@ impl DsmSystem {
             dsm,
             replication: Arc::clone(&policies.replication),
         }));
-        // Registered unconditionally so the service table is identical under
-        // every topology; under the flat default `relay_route` never selects
-        // it, keeping the 4-node behaviour byte-identical.
-        let group_relay = cluster.register_service(Arc::new(
-            crate::combine::GroupRelayService::new(Arc::clone(&store), &cluster, &policies),
-        ));
         let nodes = cluster.num_nodes();
         let rider_worth = rider_worth(cluster.machine());
         Arc::new(DsmSystem {
@@ -136,7 +128,6 @@ impl DsmSystem {
             rider_worth,
             page_fetch,
             diff_apply,
-            group_relay,
         })
     }
 

@@ -37,16 +37,11 @@
 //! * [`recover`] — the fault plane's DSM side: bounded retry with
 //!   exponential backoff on the RPC path and node-failure recovery
 //!   (re-electing homes for a dead node's pages from the replication
-//!   directory);
-//! * `combine` — the two-level home hierarchy's relay layer: with
-//!   [`TransportConfig::group_size`] at 2 or more each group's leader
-//!   coalesces its members' cross-group page fetches and diff batches into
-//!   upstream relay RPCs (inert under the flat default).
+//!   directory).
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-mod combine;
 pub mod config;
 pub mod diff;
 pub mod engine;

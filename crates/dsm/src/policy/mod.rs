@@ -19,9 +19,7 @@
 //! module *validates* that description ([`TransportConfig::validate`],
 //! [`validate_adaptive`]: illegal combinations are a typed [`PolicyError`]
 //! before any cluster state exists) and *builds* it: [`PolicySet::build`]
-//! makes the four live policy objects, [`TransportConfig::topology`] the
-//! node-group shape the page table and the `dsm::combine` relay layer
-//! consult.
+//! makes the four live policy objects.
 
 mod detection;
 mod flush;
@@ -31,7 +29,6 @@ mod replication;
 use std::sync::Arc;
 
 use hyperion_model::MachineModel;
-use hyperion_pm2::Topology;
 
 pub(crate) use detection::resolve_marks;
 pub use detection::{
@@ -107,9 +104,8 @@ impl std::fmt::Debug for PolicySet {
 }
 
 impl TransportConfig {
-    /// Reject illegal settings for a cluster of `nodes` nodes before any
-    /// cluster state exists.
-    pub fn validate(&self, nodes: usize) -> Result<(), PolicyError> {
+    /// Reject illegal settings before any cluster state exists.
+    pub fn validate(&self) -> Result<(), PolicyError> {
         if self.max_flush_batch_pages == 0 {
             return Err(PolicyError::ZeroFlushBatch);
         }
@@ -126,29 +122,7 @@ impl TransportConfig {
                 return Err(PolicyError::InvalidWriteQuorum);
             }
         }
-        let group_size = self.group_size;
-        if group_size == 0 {
-            return Err(PolicyError::ZeroGroupSize);
-        }
-        if group_size > 1 && Topology::grouped(nodes, group_size).is_none() {
-            return Err(PolicyError::GroupSizeMismatch { group_size, nodes });
-        }
         Ok(())
-    }
-
-    /// The node-group [`Topology`] of a cluster of `nodes` nodes under this
-    /// configuration.
-    ///
-    /// # Panics
-    /// Panics if `group_size` is 2 or more and does not divide `nodes`
-    /// ([`TransportConfig::validate`] rejects that).
-    pub fn topology(&self, nodes: usize) -> Topology {
-        if self.group_size > 1 {
-            Topology::grouped(nodes, self.group_size)
-                .expect("group_size divides the node count (TransportConfig::validate)")
-        } else {
-            Topology::flat(nodes)
-        }
     }
 }
 
@@ -189,16 +163,6 @@ pub enum PolicyError {
     /// The write quorum must name at least the home and at most the home
     /// plus every read replica (`1 <= w <= r + 1`).
     InvalidWriteQuorum,
-    /// `group_size` is 0 (1-node groups are the flat topology; 0-node
-    /// groups are nothing at all).
-    ZeroGroupSize,
-    /// The group size must divide the node count so every group is whole.
-    GroupSizeMismatch {
-        /// The requested nodes-per-group.
-        group_size: usize,
-        /// The cluster's node count it fails to divide.
-        nodes: usize,
-    },
 }
 
 impl std::fmt::Display for PolicyError {
@@ -217,13 +181,6 @@ impl std::fmt::Display for PolicyError {
             PolicyError::ZeroReadReplicas => "quorum replication needs at least one read replica",
             PolicyError::InvalidWriteQuorum => {
                 "write quorum must satisfy 1 <= w <= read_replicas + 1"
-            }
-            PolicyError::ZeroGroupSize => "group_size must be at least 1 (1 is the flat topology)",
-            PolicyError::GroupSizeMismatch { group_size, nodes } => {
-                return write!(
-                    f,
-                    "group size {group_size} must divide the node count {nodes}"
-                );
             }
         };
         f.write_str(msg)

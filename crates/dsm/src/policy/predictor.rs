@@ -33,11 +33,6 @@ pub struct FetchObservation {
     /// The request extended the requester's own stride run: the page before
     /// the served span was the previous page this home served the caller.
     pub stride: bool,
-    /// The requester's directory key ([`DsmStore::dir_key`]): its group
-    /// index under a grouped topology, its node index under the flat
-    /// default.  Recorded here because [`Predictor::record_served_page`]
-    /// runs against a bare frame without store access.
-    pub dir_key: u64,
 }
 
 /// The home-side prefetch-prediction policy.
@@ -179,7 +174,8 @@ impl DirectoryPredictor {
         seq: u64,
     ) -> u16 {
         let num_pages = store.allocator().num_pages();
-        let caller_tag = store.dir_tag(caller);
+        // The frames' recent-fetcher ring holds `node + 1` tags (0 = empty).
+        let caller_tag = caller.0 as u64 + 1;
         // Neighbours that recently fetched the tail of the demanded span.
         let last = PageId(first.0 + count as u64 - 1);
         let neighbours: Vec<u64> = store
@@ -249,20 +245,16 @@ impl Predictor for DirectoryPredictor {
                 f.dir_record_next(first.0, seq)
             });
         }
-        Some(FetchObservation {
-            seq,
-            stride,
-            dir_key: store.dir_key(caller) as u64,
-        })
+        Some(FetchObservation { seq, stride })
     }
 
     fn record_served_page(
         &self,
         frame: &crate::page::PageFrame,
-        _caller: NodeId,
+        caller: NodeId,
         obs: &FetchObservation,
     ) {
-        frame.dir_record_fetch(obs.dir_key, obs.seq);
+        frame.dir_record_fetch(caller.0 as u64, obs.seq);
     }
 
     fn predict(

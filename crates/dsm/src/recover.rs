@@ -166,11 +166,6 @@ impl DsmSystem {
     /// turns out to be dead.  Payloads address pages by id and carry
     /// absolute slot values, so the identical bytes are valid against the
     /// re-elected home.
-    ///
-    /// Under a grouped topology the call may route through the member's
-    /// group leader instead ([`DsmSystem::relay_route`]); a leader that
-    /// turns out dead degrades the group's combining permanently and the
-    /// re-route goes direct.
     pub(crate) fn rpc_to_home(
         &self,
         clock: &mut ThreadClock,
@@ -183,23 +178,7 @@ impl DsmSystem {
         let mut hops = 0usize;
         loop {
             let home = self.store.home_of(anchor);
-            let (to, svc, wrapped) = match self.relay_route(clock, node, home, service) {
-                Some((leader, kind)) => (
-                    leader,
-                    self.group_relay,
-                    Some(crate::combine::encode_relay(kind, home, payload)),
-                ),
-                None => (home, service, None),
-            };
-            let attempt = self.rpc_retry(
-                clock,
-                node_ref,
-                node,
-                to,
-                svc,
-                wrapped.as_deref().unwrap_or(payload),
-            );
-            let failure = match attempt {
+            let failure = match self.rpc_retry(clock, node_ref, node, home, service, payload) {
                 Ok(ok) => return Ok(ok),
                 Err(failure) => failure,
             };
@@ -207,14 +186,6 @@ impl DsmSystem {
                 // Each hop buries one node; after n-1 of them there is
                 // nobody left to re-route to.
                 TransportError::NodeDown { peer } if hops + 1 < self.cluster.num_nodes() => {
-                    if peer != home {
-                        // The dead node was a relay leader, not the home:
-                        // combining for its group degrades to direct RPCs
-                        // from now on (its pages still recover like any
-                        // dead node's below).
-                        self.store
-                            .mark_group_degraded(self.store.topology().group_of(peer));
-                    }
                     self.recover_node(node_ref, clock, peer);
                     hops += 1;
                 }

@@ -23,8 +23,8 @@ use crate::table::DsmStore;
 pub(crate) struct FetchServed {
     /// The encoded page and rider answers (no hint trailer yet).
     pub(crate) reply: Vec<u8>,
-    /// The home stamp each page was answered under, in request order.
-    pub(crate) stamps: Vec<u64>,
+    /// Pages answered, shipped or not.
+    pub(crate) pages: usize,
     /// Pages actually shipped (the others were answered "not modified");
     /// only these cost page-copy cycles and page bytes on the wire.
     pub(crate) shipped: usize,
@@ -41,7 +41,7 @@ impl FetchServed {
     pub(crate) fn service(&self, cpu: &CpuModel, dsm: &DsmCostModel, hint_entries: usize) -> VTime {
         cpu.cycles(
             dsm.page_copy_cycles_per_slot * (SLOTS_PER_PAGE * self.shipped) as f64
-                + dsm.batch_page_cycles * (self.stamps.len() - 1 + self.riders) as f64
+                + dsm.batch_page_cycles * (self.pages - 1 + self.riders) as f64
                 + dsm.hint_entry_cycles * hint_entries as f64,
         )
     }
@@ -54,9 +54,7 @@ impl FetchServed {
 /// way (a revalidated copy is as current as a shipped one).  The request's
 /// validation riders get the same stamp comparison and one bit each; they
 /// are not accesses, so neither the predictor nor the replica directory
-/// hears of them.  Shared between [`PageFetchService`] and the group relay
-/// so a fetch served through a leader is byte-identical to one served
-/// directly.
+/// hears of them.
 pub(crate) fn serve_fetch(
     store: &DsmStore,
     predictor: &dyn Predictor,
@@ -84,7 +82,7 @@ pub(crate) fn serve_fetch(
     }
     let mut served = FetchServed {
         reply: Vec::with_capacity(count * 9 + 1),
-        stamps: Vec::with_capacity(count),
+        pages: count,
         shipped: 0,
         riders: riders.len(),
         // Directory bookkeeping exists only when the predictor opts in: a
@@ -114,7 +112,6 @@ pub(crate) fn serve_fetch(
             // older than its bytes, never newer (see `crate::page`).
             let stamp = f.stamp();
             debug_assert_ne!(stamp, 0, "home stamps start at 1");
-            served.stamps.push(stamp);
             if retained == stamp {
                 push_page_reply(&mut served.reply, PageReply::NotModified(stamp));
             } else {
@@ -170,10 +167,7 @@ impl DiffOutcome {
 }
 
 /// Apply one encoded diff message to the authoritative home frames,
-/// consulting the replication policy for quorum writes.  Shared between
-/// [`DiffApplyService`] and the group relay: a diff batch routed through a
-/// leader mutates memory exactly once, identically to the direct path (the
-/// relay only re-prices the RPC fan-in).
+/// consulting the replication policy for quorum writes.
 pub(crate) fn apply_diff_message(
     store: &DsmStore,
     replication: &dyn ReplicationPolicy,
@@ -310,13 +304,12 @@ mod tests {
     use std::sync::Arc;
 
     use hyperion_model::{myrinet_200, ThreadClock};
-    use hyperion_pm2::{Cluster, IsoAllocator, NodeId, Topology, TransportBackend, TransportError};
+    use hyperion_pm2::{Cluster, IsoAllocator, NodeId, TransportBackend, TransportError};
 
-    use crate::combine::{encode_relay, RELAY_DIFF, RELAY_FETCH};
     use crate::diff::{decode_diff_reply, encode_diff, encode_fetch_request};
     use crate::{DsmStore, DsmSystem, ProtocolKind};
 
-    /// Garbage sent to any of the three DSM services comes back as a typed
+    /// Garbage sent to either DSM service comes back as a typed
     /// `MalformedFrame` at the caller — over the inline Sim transport and
     /// over real sockets alike — and the node keeps serving afterwards.
     #[test]
@@ -324,8 +317,7 @@ mod tests {
         for backend in [TransportBackend::Sim, TransportBackend::UnixSocket] {
             let cluster = Cluster::for_backend(myrinet_200().machine, 4, backend);
             let alloc = Arc::new(IsoAllocator::new(4));
-            let topology = Topology::grouped(4, 2).expect("4 nodes in groups of 2");
-            let store = DsmStore::with_topology(Arc::clone(&alloc), topology);
+            let store = DsmStore::new(Arc::clone(&alloc), 4);
             let dsm = DsmSystem::new(Arc::clone(&cluster), store, ProtocolKind::JavaPf);
             let addr = alloc.alloc(8, NodeId(0));
             let page = addr.page();
@@ -350,19 +342,9 @@ mod tests {
                     dsm.page_fetch,
                     encode_fetch_request(page, &[0], &rider_out_of_range, true),
                 ),
-                (dsm.page_fetch, too_many_riders.clone()),
-                (
-                    dsm.group_relay,
-                    encode_relay(RELAY_FETCH, NodeId(0), &too_many_riders),
-                ),
+                (dsm.page_fetch, too_many_riders),
                 (dsm.diff_apply, vec![0xFF; 7]),
                 (dsm.diff_apply, encode_diff(unallocated, &[(0, 1)])),
-                (dsm.group_relay, vec![RELAY_FETCH, 0]),
-                (dsm.group_relay, encode_relay(9, NodeId(0), &fetch)),
-                (
-                    dsm.group_relay,
-                    encode_relay(RELAY_FETCH, NodeId(0), &[7; 5]),
-                ),
             ];
             for (service, payload) in &bad {
                 match call(*service, payload) {
@@ -375,36 +357,22 @@ mod tests {
             // Still alive, still correct.
             let reply = call(dsm.page_fetch, &fetch).expect("well-formed fetch");
             assert_eq!(reply.len(), 9 + hyperion_pm2::PAGE_BYTES, "{backend}");
-            // Riders are answered one bit each, directly and through the
-            // relay: the page itself at the stamp just handed out is
-            // unchanged; at another stamp, or homed elsewhere, it is not —
-            // a wrong guess about the home is no error.
+            // Riders are answered one bit each: the page itself at the stamp
+            // just handed out is unchanged; at another stamp, or homed
+            // elsewhere, it is not — a wrong guess about the home is no error.
             let stamp = u64::from_le_bytes(reply[1..9].try_into().expect("stamp"));
             let elsewhere = alloc.alloc(8, NodeId(1)).page();
             let riders = [(page, stamp), (page, stamp + 1), (elsewhere, 1)];
             let asking = encode_fetch_request(page, &[stamp], &riders, true);
-            for (service, payload) in [
-                (dsm.page_fetch, asking.clone()),
-                (
-                    dsm.group_relay,
-                    encode_relay(RELAY_FETCH, NodeId(0), &asking),
-                ),
-            ] {
-                let reply = call(service, &payload).expect("well-formed riders");
-                let reply = crate::diff::decode_fetch_reply(&reply, 1, 3).expect("decodes");
-                assert_eq!(reply.unchanged, 0b001, "{backend}");
-            }
+            let answered = call(dsm.page_fetch, &asking).expect("well-formed riders");
+            let answered = crate::diff::decode_fetch_reply(&answered, 1, 3).expect("decodes");
+            assert_eq!(answered.unchanged, 0b001, "{backend}");
             // A diff is acknowledged with its pages' new stamps and not a
-            // byte more, directly and through the relay.
-            let diff = encode_diff(page, &[(0, 7)]);
-            for (service, payload) in [
-                (dsm.diff_apply, diff.clone()),
-                (dsm.group_relay, encode_relay(RELAY_DIFF, NodeId(0), &diff)),
-            ] {
-                let reply = call(service, &payload).expect("well-formed diff");
-                let acked = decode_diff_reply(&reply, 1).expect("versions only");
-                assert!(acked[0] > stamp, "{backend}");
-            }
+            // byte more.
+            let ack =
+                call(dsm.diff_apply, &encode_diff(page, &[(0, 7)])).expect("well-formed diff");
+            let acked = decode_diff_reply(&ack, 1).expect("versions only");
+            assert!(acked[0] > stamp, "{backend}");
             // And the requester side rejects a reply it cannot decode with
             // the same typed error instead of panicking.
             let why = crate::diff::decode_fetch_reply(&reply[..100], 1, 0).unwrap_err();

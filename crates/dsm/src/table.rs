@@ -8,7 +8,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use hyperion_pm2::{IsoAllocator, NodeId, PageId, Topology};
+use hyperion_pm2::{IsoAllocator, NodeId, PageId};
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::page::PageFrame;
@@ -76,28 +76,15 @@ pub struct DsmStore {
     /// the failure-free common case of [`DsmStore::home_of`] stays a plain
     /// array index.
     num_overrides: std::sync::atomic::AtomicUsize,
-    /// The node-group shape of the cluster (flat single-node groups by
-    /// default).  The directory keys its per-requester state by group, the
-    /// relay layer routes cross-group traffic through group leaders, and
-    /// under the flat default both collapse to the pre-topology behaviour.
-    topology: Topology,
     /// Prefetch directory: per-home fetch sequence counters.  Every page
     /// fetch a home serves bumps its counter; the per-page observations on
     /// the home frames are stamped with it, which is how "recently fetched"
     /// is defined without a clock.
     fetch_seq: Vec<std::sync::atomic::AtomicU64>,
-    /// Prefetch directory: for each (home, requester *group*) pair, the
-    /// page id + 1 of the most recent page that home served to that group
-    /// (0 = none).  Consecutive ids form the stride runs the directory
-    /// extends.  Keying by group instead of node keeps the table
-    /// `homes × groups` instead of `homes × nodes`; under the flat
-    /// topology the two coincide exactly.
+    /// Prefetch directory: for each (home, requester) pair, the page id + 1
+    /// of the most recent page that home served to that node (0 = none).
+    /// Consecutive ids form the stride runs the directory extends.
     last_fetch: Vec<std::sync::atomic::AtomicU64>,
-    /// Groups whose leader has failed: their members stop relaying and fall
-    /// back to direct home RPCs (combining degrades, correctness does not).
-    degraded_groups: RwLock<HashSet<usize>>,
-    /// Entry count of `degraded_groups`, readable without the lock.
-    num_degraded: std::sync::atomic::AtomicUsize,
     /// Replication directory: per-page read-replica holders and their
     /// quorum-write versions (empty under the Noop replication policy).
     replicas: RwLock<HashMap<u64, ReplicaSet>>,
@@ -117,56 +104,25 @@ pub struct DsmStore {
 
 impl DsmStore {
     /// Create a store for `num_nodes` nodes sharing `allocator`'s address
-    /// space, under the flat (ungrouped) topology.
+    /// space.
     pub fn new(allocator: Arc<IsoAllocator>, num_nodes: usize) -> Arc<Self> {
-        DsmStore::with_topology(allocator, Topology::flat(num_nodes))
-    }
-
-    /// Create a store under an explicit node-group [`Topology`] (whose node
-    /// count is the cluster's node count).
-    pub fn with_topology(allocator: Arc<IsoAllocator>, topology: Topology) -> Arc<Self> {
-        let num_nodes = topology.nodes();
         assert!(num_nodes > 0, "DSM store needs at least one node");
-        let dir_keys = topology.num_groups();
         Arc::new(DsmStore {
             allocator,
             nodes: (0..num_nodes).map(|_| NodeFrames::new()).collect(),
             home_overrides: RwLock::new(HashMap::new()),
             num_overrides: std::sync::atomic::AtomicUsize::new(0),
-            topology,
             fetch_seq: (0..num_nodes)
                 .map(|_| std::sync::atomic::AtomicU64::new(0))
                 .collect(),
-            last_fetch: (0..num_nodes * dir_keys)
+            last_fetch: (0..num_nodes * num_nodes)
                 .map(|_| std::sync::atomic::AtomicU64::new(0))
                 .collect(),
-            degraded_groups: RwLock::new(HashSet::new()),
-            num_degraded: std::sync::atomic::AtomicUsize::new(0),
             replicas: RwLock::new(HashMap::new()),
             failed: RwLock::new(HashSet::new()),
             num_failed: std::sync::atomic::AtomicUsize::new(0),
             homes: RwLock::new(()),
         })
-    }
-
-    /// The node-group topology this store routes under.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
-    /// The directory key of a requester: its group index.  Under the flat
-    /// topology this is the node index, so per-group directory state is
-    /// byte-identical to the historical per-node state.
-    #[inline]
-    pub fn dir_key(&self, requester: NodeId) -> usize {
-        self.topology.group_of(requester)
-    }
-
-    /// The nonzero directory tag of a requester (`dir_key + 1`; 0 means
-    /// "empty slot" in the frames' recent-fetcher ring).
-    #[inline]
-    pub fn dir_tag(&self, requester: NodeId) -> u64 {
-        self.dir_key(requester) as u64 + 1
     }
 
     /// The iso-address allocator behind this store.
@@ -232,21 +188,6 @@ impl DsmStore {
             .store(overrides.len(), std::sync::atomic::Ordering::Release);
     }
 
-    /// Mark `group`'s combining degraded (its leader died): members fall
-    /// back to direct home RPCs from now on.
-    pub fn mark_group_degraded(&self, group: usize) {
-        let mut degraded = self.degraded_groups.write();
-        degraded.insert(group);
-        self.num_degraded
-            .store(degraded.len(), std::sync::atomic::Ordering::Release);
-    }
-
-    /// True if `group`'s leader has failed and its combining is degraded.
-    pub fn group_degraded(&self, group: usize) -> bool {
-        self.num_degraded.load(std::sync::atomic::Ordering::Acquire) > 0
-            && self.degraded_groups.read().contains(&group)
-    }
-
     /// Number of pages a recovery has re-homed.
     pub fn rehomed_pages(&self) -> usize {
         self.num_overrides
@@ -267,12 +208,10 @@ impl DsmStore {
     }
 
     /// The page id (`+ 1`, 0 = none) home `home` most recently served to
-    /// `requester`'s group, then replace it with `page`.  The directory's
-    /// stride detector compares the returned value against the page being
-    /// served.  Group-keyed so the table stays `homes × groups`; flat
-    /// topologies key per node exactly as before.
+    /// `requester`, then replace it with `page`.  The directory's stride
+    /// detector compares the returned value against the page being served.
     pub fn swap_last_fetch(&self, home: NodeId, requester: NodeId, page: PageId) -> u64 {
-        self.last_fetch[home.index() * self.topology.num_groups() + self.dir_key(requester)]
+        self.last_fetch[home.index() * self.nodes.len() + requester.index()]
             .swap(page.0 + 1, std::sync::atomic::Ordering::Relaxed)
     }
 
@@ -540,39 +479,6 @@ mod tests {
         store.register_replica(page, NodeId(2), 2);
         let set = store.replica_set(page).unwrap();
         assert!(set.holders.contains(&(2, set.version)));
-    }
-
-    #[test]
-    fn grouped_store_keys_directory_by_group() {
-        let alloc = Arc::new(IsoAllocator::new(4));
-        let topo = Topology::grouped(4, 2).unwrap();
-        let store = DsmStore::with_topology(Arc::clone(&alloc), topo);
-        let page = alloc.alloc(4, NodeId(0)).page();
-
-        // Nodes 2 and 3 share a group, hence a directory key/tag.
-        assert_eq!(store.dir_key(NodeId(2)), 1);
-        assert_eq!(store.dir_key(NodeId(3)), 1);
-        assert_eq!(store.dir_tag(NodeId(3)), 2);
-        // A fetch by node 2 leaves a stride trail node 3 continues.
-        assert_eq!(store.swap_last_fetch(NodeId(0), NodeId(2), page), 0);
-        assert_eq!(
-            store.swap_last_fetch(NodeId(0), NodeId(3), page),
-            page.0 + 1
-        );
-
-        // Degraded-group flags.
-        assert!(!store.group_degraded(1));
-        store.mark_group_degraded(1);
-        assert!(store.group_degraded(1));
-        assert!(!store.group_degraded(0));
-    }
-
-    #[test]
-    fn flat_dir_keys_coincide_with_node_indices() {
-        let (_alloc, store) = store(2);
-        assert!(!store.topology().is_grouped());
-        assert_eq!(store.dir_key(NodeId(1)), 1);
-        assert_eq!(store.dir_tag(NodeId(1)), 2);
     }
 
     #[test]

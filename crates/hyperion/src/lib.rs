@@ -85,11 +85,11 @@ pub use hyperion_dsm::{
     TransportConfig,
 };
 pub use hyperion_model::{
-    myrinet_200, scaled_cluster, sci_450, ClusterSpec, MachineModel, Op, OpCounts, StatsSnapshot,
-    VTime, WireServiceSnapshot, WorkEstimate,
+    myrinet_200, sci_450, ClusterSpec, MachineModel, Op, OpCounts, StatsSnapshot, VTime,
+    WireServiceSnapshot, WorkEstimate,
 };
 pub use hyperion_pm2::{
-    FaultKill, FaultSpec, GlobalAddr, NodeId, RetryPolicy, ThreadId, Topology, TransportBackend,
+    FaultKill, FaultSpec, GlobalAddr, NodeId, RetryPolicy, ThreadId, TransportBackend,
 };
 
 /// Everything an application kernel typically imports.
@@ -107,7 +107,7 @@ pub mod prelude {
         AdaptiveParams, DeferredFlush, Locality, ProtocolKind, TransportConfig,
     };
     pub use hyperion_model::{
-        myrinet_200, scaled_cluster, sci_450, ClusterSpec, Op, OpCounts, VTime, WorkEstimate,
+        myrinet_200, sci_450, ClusterSpec, Op, OpCounts, VTime, WorkEstimate,
     };
-    pub use hyperion_pm2::{NodeId, Topology, TransportBackend};
+    pub use hyperion_pm2::{NodeId, TransportBackend};
 }

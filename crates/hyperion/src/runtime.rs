@@ -42,9 +42,9 @@ pub struct HyperionConfig {
     /// machine model's break-even and the batched-fetch window.
     pub adaptive: AdaptiveParams,
     /// Transport configuration: overlapped page fetches, batched and
-    /// deferred diff flushing, the prefetch directory, backend, faults,
-    /// replication and topology.  Applies to every protocol (the mechanisms
-    /// are semantics-preserving).
+    /// deferred diff flushing, the prefetch directory, backend, faults and
+    /// replication.  Applies to every protocol (the mechanisms are
+    /// semantics-preserving).
     pub transport: TransportConfig,
     /// Application threads per node.  The paper uses one ("we used only one
     /// application thread per node", §4.3); larger values exercise the
@@ -122,7 +122,7 @@ impl HyperionConfig {
     /// Structural errors (node counts, cluster size, backend limits) keep
     /// their dedicated variants.  Every policy-level error — adaptive
     /// hysteresis bands, batch ceilings, hints without overlapped fetches,
-    /// quorum bounds, group shapes — is a typed [`PolicyError`] wrapped in
+    /// quorum bounds — is a typed [`PolicyError`] wrapped in
     /// [`ConfigError::Policy`], produced by
     /// [`hyperion_dsm::policy::validate_adaptive`] and
     /// [`TransportConfig::validate`].
@@ -142,26 +142,14 @@ impl HyperionConfig {
         // Adaptive tunables are checked whichever protocol runs (a sweep
         // harness sharing one `AdaptiveParams` should fail fast).
         validate_adaptive(&self.adaptive)?;
-        self.transport.validate(self.nodes)?;
-        if self.transport.backend != TransportBackend::Sim {
-            // Socket backends keep a connection per peer a node talks to.
-            // Under the flat topology every node talks to every other node;
-            // a grouped topology routes members through their leader, so a
-            // node's fan-in is bounded by its group size (members) or the
-            // group count (a leader talking to other homes) — whichever is
-            // larger.
-            let topology = self.transport.topology(self.nodes);
-            let fan_in = if topology.is_grouped() {
-                topology.group_size().max(topology.num_groups())
-            } else {
-                self.nodes
-            };
-            if fan_in > SOCKET_FAN_IN_BOUND {
-                return Err(ConfigError::SocketFanIn {
-                    degree: fan_in,
-                    bound: SOCKET_FAN_IN_BOUND,
-                });
-            }
+        self.transport.validate()?;
+        // Socket backends keep a connection per peer a node talks to, and
+        // every node talks to every other node.
+        if self.transport.backend != TransportBackend::Sim && self.nodes > SOCKET_FAN_IN_BOUND {
+            return Err(ConfigError::SocketFanIn {
+                degree: self.nodes,
+                bound: SOCKET_FAN_IN_BOUND,
+            });
         }
         self.transport
             .retry
@@ -272,15 +260,14 @@ pub enum ConfigError {
         available: usize,
     },
     /// An illegal policy selection (adaptive tunables, batch ceilings,
-    /// hints without overlap, quorum bounds, group shapes): the typed
+    /// hints without overlap, quorum bounds): the typed
     /// verdict of [`TransportConfig::validate`] and
     /// [`hyperion_dsm::policy::validate_adaptive`].
     Policy(PolicyError),
     /// The transport parameters are out of range.
     InvalidTransport(&'static str),
-    /// A socket backend whose per-node connection fan-in exceeds the bound
-    /// (flat topologies keep one connection per peer; group the topology
-    /// via [`TransportConfig::group_size`] to shrink the fan-in).
+    /// A socket backend asked for more nodes than a node can keep
+    /// connections to (one per peer); the simulator has no such limit.
     SocketFanIn {
         /// Connections one node would have to keep open.
         degree: usize,
@@ -289,10 +276,8 @@ pub enum ConfigError {
     },
 }
 
-/// Largest per-node connection fan-in the socket backends accept.  The old
-/// rule capped socket clusters at 64 *nodes* outright; leader-routed
-/// grouped topologies keep every node's fan-in at `max(group_size,
-/// num_groups)`, so e.g. 256 nodes in groups of 16 are fine.
+/// Largest per-node connection fan-in the socket backends accept; every
+/// node connects to every peer, so this caps a socket cluster's node count.
 const SOCKET_FAN_IN_BOUND: usize = 64;
 
 impl From<PolicyError> for ConfigError {
@@ -326,9 +311,9 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::SocketFanIn { degree, bound } => write!(
                 f,
-                "socket backends bound the per-node connection fan-in: this topology needs \
-                 {degree} connections per node but at most {bound} are supported; set \
-                 `TransportConfig::group_size` to route through group leaders"
+                "socket backends keep one connection per peer and support at most {bound} \
+                 nodes, {degree} nodes were requested; run fewer nodes or use the simulated \
+                 backend"
             ),
         }
     }
@@ -379,12 +364,7 @@ impl HyperionRuntime {
             config.transport.fault,
         );
         let allocator = Arc::new(IsoAllocator::new(config.nodes));
-        // The topology shapes the store (directory keying, relay routing);
-        // `validate` above has already rejected non-dividing group sizes.
-        let store = DsmStore::with_topology(
-            Arc::clone(&allocator),
-            config.transport.topology(config.nodes),
-        );
+        let store = DsmStore::new(Arc::clone(&allocator), config.nodes);
         let dsm = DsmSystem::with_config(
             Arc::clone(&cluster),
             store,
@@ -1186,6 +1166,39 @@ mod tests {
     }
 
     #[test]
+    fn socket_backends_cap_the_node_count_and_the_simulator_does_not() {
+        let wide = ClusterSpec {
+            max_nodes: 65,
+            ..myrinet_200()
+        };
+        let on = |nodes, backend| {
+            HyperionConfig::new(wide.clone(), nodes, ProtocolKind::JavaPf).with_transport(
+                TransportConfig {
+                    backend,
+                    ..TransportConfig::default()
+                },
+            )
+        };
+        let too_many = ConfigError::SocketFanIn {
+            degree: 65,
+            bound: 64,
+        };
+        for backend in [TransportBackend::UnixSocket, TransportBackend::Tcp] {
+            assert_eq!(on(65, backend).validate(), Err(too_many.clone()));
+            // The runtime refuses before it builds a cluster: no socket opens.
+            assert_eq!(
+                HyperionRuntime::new(on(65, backend)).err(),
+                Some(too_many.clone())
+            );
+            assert_eq!(on(64, backend).validate(), Ok(()));
+        }
+        assert_eq!(on(65, TransportBackend::Sim).validate(), Ok(()));
+        assert!(too_many
+            .to_string()
+            .contains("at most 64 nodes, 65 nodes were requested"));
+    }
+
+    #[test]
     fn builder_assembles_and_validates_configs() {
         let built = HyperionConfig::builder()
             .cluster(myrinet_200())
@@ -1304,7 +1317,7 @@ mod tests {
     #[test]
     fn policy_validation_rejects_illegal_selections_with_named_variants() {
         type Edit = fn(&mut TransportConfig);
-        let rejected: [(Edit, PolicyError); 8] = [
+        let rejected: [(Edit, PolicyError); 6] = [
             (|t| t.max_flush_batch_pages = 0, PolicyError::ZeroFlushBatch),
             (
                 |t| {
@@ -1329,14 +1342,6 @@ mod tests {
                 |t| t.replication = Some((2, 4)),
                 PolicyError::InvalidWriteQuorum,
             ),
-            (|t| t.group_size = 0, PolicyError::ZeroGroupSize),
-            (
-                |t| t.group_size = 3,
-                PolicyError::GroupSizeMismatch {
-                    group_size: 3,
-                    nodes: 4,
-                },
-            ),
         ];
         for (edit, expected) in rejected {
             let mut c = config(4, ProtocolKind::JavaPf);
@@ -1345,11 +1350,10 @@ mod tests {
             assert!(format!("{}", c.validate().unwrap_err()).contains(&expected.to_string()));
         }
         // The edges of what is legal.
-        let accepted: [Edit; 4] = [
+        let accepted: [Edit; 3] = [
             |t| t.max_flush_batch_pages = 1,
             |t| t.replication = Some((2, 3)),
             |t| t.replication = Some((1, 1)),
-            |t| t.group_size = 4,
         ];
         for edit in accepted {
             let mut c = config(4, ProtocolKind::JavaPf);

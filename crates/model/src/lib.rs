@@ -33,8 +33,7 @@ pub mod vtime;
 
 pub use cost::{Op, OpCounts, WorkEstimate};
 pub use machine::{
-    myrinet_200, scaled_cluster, sci_450, ClusterSpec, CpuModel, DsmCostModel, MachineModel,
-    NetworkModel,
+    myrinet_200, sci_450, ClusterSpec, CpuModel, DsmCostModel, MachineModel, NetworkModel,
 };
 pub use stats::{NodeStats, StatsSnapshot, WireServiceSnapshot, WireStats};
 pub use vtime::{ServerClock, ThreadClock, VTime};

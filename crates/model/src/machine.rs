@@ -152,10 +152,6 @@ pub struct DsmCostModel {
     /// a node failure (quorum comparison, promotion bookkeeping); the page
     /// bytes shipped to the new home are charged on the wire separately.
     pub resync_page_cycles: f64,
-    /// Leader-side cycles to open one upstream relay cycle on behalf of a
-    /// node group (request re-marshalling, relay-table bookkeeping); the
-    /// upstream wire legs themselves are charged like any other message.
-    pub group_relay_cycles: f64,
 }
 
 /// A homogeneous cluster node: CPU + NIC + DSM event costs.
@@ -236,7 +232,6 @@ pub fn myrinet_200() -> ClusterSpec {
                 batch_flush_cycles: 50.0,
                 hint_entry_cycles: 25.0,
                 resync_page_cycles: 800.0,
-                group_relay_cycles: 150.0,
             },
         },
         max_nodes: 12,
@@ -291,7 +286,6 @@ pub fn sci_450() -> ClusterSpec {
                 batch_flush_cycles: 50.0,
                 hint_entry_cycles: 25.0,
                 resync_page_cycles: 800.0,
-                group_relay_cycles: 150.0,
             },
         },
         max_nodes: 6,
@@ -301,19 +295,6 @@ pub fn sci_450() -> ClusterSpec {
 /// All cluster presets evaluated in the paper, in figure order.
 pub fn paper_clusters() -> Vec<ClusterSpec> {
     vec![myrinet_200(), sci_450()]
-}
-
-/// A widened copy of a paper cluster for scaling studies beyond the
-/// physical testbed: the same per-node machine model with `max_nodes`
-/// raised to at least `nodes`.  The paper presets keep their historical
-/// caps (12 Myrinet / 6 SCI nodes, pinned by tests); the 4 → 64 scaling
-/// sweep models "more of the same hardware" through this helper instead of
-/// mutating the presets.
-pub fn scaled_cluster(base: &ClusterSpec, nodes: usize) -> ClusterSpec {
-    ClusterSpec {
-        machine: base.machine.clone(),
-        max_nodes: base.max_nodes.max(nodes),
-    }
 }
 
 #[cfg(test)]
@@ -378,15 +359,6 @@ mod tests {
             t,
             net.send_overhead + net.latency + net.transfer(100) + net.recv_overhead
         );
-    }
-
-    #[test]
-    fn scaled_cluster_widens_but_never_narrows() {
-        let wide = scaled_cluster(&myrinet_200(), 64);
-        assert_eq!(wide.max_nodes, 64);
-        assert_eq!(wide.machine, myrinet_200().machine);
-        // Asking for fewer nodes than the preset has keeps the preset cap.
-        assert_eq!(scaled_cluster(&sci_450(), 2).max_nodes, 6);
     }
 
     #[test]

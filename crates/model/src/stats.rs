@@ -145,12 +145,6 @@ define_stats! {
     serving_ops,
     /// Total modeled latency of the serving operations, in picoseconds (divide by `serving_ops` for the mean).
     serving_op_ps_total,
-    /// Group-member page fetches this node (as group leader) served from its relay cache instead of forwarding upstream to the home.
-    combined_fetches,
-    /// Group-member diff batches this node (as group leader) coalesced into an already-open upstream relay cycle instead of a fresh home RPC.
-    combined_diff_batches,
-    /// Fresh upstream relay cycles this node (as group leader) opened towards homes on behalf of its group members.
-    group_relay_cycles,
     /// Page fetches (a subset of `page_loads`) the home answered "not modified": the retained copy was re-opened and no page bytes moved.
     pages_revalidated,
     /// Service time booked on this node's protocol processor by remote requests, in picoseconds (busy time; divide by the run's execution time for the home's utilisation).
@@ -392,7 +386,7 @@ mod tests {
         ] {
             assert!(names.contains(&expected), "missing {expected}");
         }
-        assert_eq!(names.len(), 54);
+        assert_eq!(names.len(), 51);
         for added in [
             "batched_flushes",
             "rpc_retries",
@@ -411,9 +405,6 @@ mod tests {
             "flush_overlap_cycles_hidden",
             "serving_ops",
             "serving_op_ps_total",
-            "combined_fetches",
-            "combined_diff_batches",
-            "group_relay_cycles",
             "pages_revalidated",
             "rpc_service_ps",
             "rpc_queue_wait_ps",

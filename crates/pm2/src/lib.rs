@@ -29,10 +29,6 @@
 //!   duplicate frames, forced handler panics, a named node killed at a
 //!   named virtual time), and [`RetryPolicy`] carries the bounded
 //!   exponential-backoff knobs the RPC path retries under.
-//! * [`topology`] — the node-group shape of the cluster: [`Topology`]
-//!   partitions nodes into equal-size groups with a leader each, the basis
-//!   of the DSM layer's hierarchical home routing and group-local
-//!   fetch/diff combining (flat single-node groups by default).
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -44,7 +40,6 @@ pub mod iso;
 pub mod node;
 pub mod socket;
 pub mod threads;
-pub mod topology;
 pub mod transport;
 
 pub use cluster::Cluster;
@@ -54,5 +49,4 @@ pub use iso::{GlobalAddr, IsoAllocator, PageId, PAGE_BYTES, SLOTS_PER_PAGE, SLOT
 pub use node::{Node, NodeId};
 pub use socket::SocketTransport;
 pub use threads::{ThreadId, ThreadRegistry};
-pub use topology::Topology;
 pub use transport::{idle_round_trip, SimTransport, Transport, TransportBackend, TransportError};
