@@ -121,8 +121,7 @@ pub struct TransportConfig {
     /// monitor*, which is where the residual latency is charged (the JMM's
     /// release/acquire edge is exactly per-monitor, so deferring to the
     /// hand-off preserves happens-before).  Release points with
-    /// thread-level edges (`Thread.start`, `join`, thread migration,
-    /// program exit) always flush blocking.  Off by default.
+    /// thread-level edges (`Thread.start`, `join`, program exit) always flush blocking.  Off by default.
     pub deferred_flush: bool,
     /// Which [`hyperion_pm2::Transport`] implementation carries the RPCs:
     /// the in-process cost model (default) or a real Unix-domain/TCP

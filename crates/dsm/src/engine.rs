@@ -301,11 +301,9 @@ impl DsmSystem {
         // statistics alone.  The mprotect that opens the page is only due if
         // the page was protection-detected.
         let unprotect = self.policies.detection.unprotect_on_install(&frame);
-        let fetched = if self.policies.detection.fetch_batching().is_some() {
-            self.fetch_page_adaptive(node, node_ref, clock, page, &frame, unprotect, 1, false)
-        } else {
-            self.fetch_page(node, node_ref, clock, page, &frame, unprotect, false)
-        };
+        let fetched = self.fetch_pages(
+            node, node_ref, clock, page, &frame, unprotect, 1, false, true,
+        );
         self.unwrap_rpc(fetched);
     }
 
@@ -326,21 +324,10 @@ impl DsmSystem {
                 continue;
             }
             let unprotect = self.policies.detection.unprotect_on_install(&frame);
-            let fetched = if self.policies.detection.fetch_batching().is_some() {
-                self.fetch_page_adaptive_inner(
-                    node,
-                    node_ref,
-                    clock,
-                    page,
-                    &frame,
-                    unprotect,
-                    (pages - k) as usize,
-                    false,
-                    false,
-                )
-            } else {
-                self.fetch_page(node, node_ref, clock, page, &frame, unprotect, false)
-            };
+            let span = (pages - k) as usize;
+            let fetched = self.fetch_pages(
+                node, node_ref, clock, page, &frame, unprotect, span, false, false,
+            );
             self.unwrap_rpc(fetched);
         }
     }
@@ -564,15 +551,9 @@ impl DsmSystem {
             .on_access(&node_ref.stats, clock, frame)
         {
             AccessAction::Granted => Ok(()),
-            AccessAction::Fetch { unprotect } => {
-                if self.policies.detection.fetch_batching().is_some() {
-                    self.fetch_page_adaptive(
-                        node, node_ref, clock, page, frame, unprotect, bulk_pages, true,
-                    )
-                } else {
-                    self.fetch_page(node, node_ref, clock, page, frame, unprotect, true)
-                }
-            }
+            AccessAction::Fetch { unprotect } => self.fetch_pages(
+                node, node_ref, clock, page, frame, unprotect, bulk_pages, true, true,
+            ),
         }
     }
 

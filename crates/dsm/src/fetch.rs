@@ -1,9 +1,9 @@
 //! Requester-side page-fetch mechanics of the [`DsmSystem`] engine: the
-//! single-page and batched fetch paths, hint-to-ticket conversion and
-//! in-flight transaction completion.
+//! (possibly batched) fetch path, hint-to-ticket conversion and in-flight
+//! transaction completion.
 //!
-//! Every fetch is conditional (see [`crate::page`], "Page versions"): all
-//! three paths go through [`DsmSystem::fetch_run`], which names the version
+//! Every fetch is conditional (see [`crate::page`], "Page versions"): both
+//! paths go through [`DsmSystem::fetch_run`], which names the version
 //! each frame retains and either re-opens the retained copy or installs the
 //! shipped one — and lets the recent pages of the same home ride along to
 //! be validated on the way (`riders.rs`).
@@ -80,75 +80,6 @@ impl DsmSystem {
             NodeStats::bump_by(&node_ref.stats.pages_revalidated, revalidated);
         }
         Ok((hints, completion))
-    }
-
-    /// Bring a page into the local cache from its home node.
-    ///
-    /// `demand` distinguishes a fetch triggered by an access (the access is
-    /// the first use, so the transaction completes on the spot and the full
-    /// round trip is charged, exactly as the blocking transport does) from
-    /// an explicit prefetch, which under the overlapped transport records an
-    /// in-flight ticket and lets the caller keep computing.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn fetch_page(
-        &self,
-        node: NodeId,
-        node_ref: &Node,
-        clock: &mut ThreadClock,
-        page: PageId,
-        frame: &PageFrame,
-        unprotect_after: bool,
-        demand: bool,
-    ) -> Result<(), RpcFailure> {
-        let guard = frame.fetch_lock().lock();
-        if frame.is_present() && !frame.is_protected() {
-            // Another thread on this node completed the load while we were
-            // waiting on the fetch lock.
-            drop(guard);
-            return Ok(());
-        }
-        let home = self.store.home_of(page);
-        if self.open_confirmed(node_ref, clock, home, page, frame, unprotect_after) {
-            drop(guard);
-            return Ok(());
-        }
-        NodeStats::bump(&node_ref.stats.page_loads);
-        let machine = self.cluster.machine();
-        let (hints, mut completion) =
-            self.fetch_run(node_ref, clock, home, page, &[frame], true)?;
-        if demand {
-            self.note_miss(node, home, page);
-        }
-        // Hidden latency is measured from the end of the issue path: that is
-        // the instant a blocking transport would have started stalling.
-        let issue = clock.now();
-        if frame.is_home() {
-            // Promoted mid-fetch (see `fetch_run`): nothing to open.
-            drop(guard);
-            clock.merge(completion);
-            return Ok(());
-        }
-
-        if unprotect_after {
-            NodeStats::bump(&node_ref.stats.mprotect_calls);
-        }
-        if demand || !self.transport.overlapped_fetches {
-            drop(guard);
-            clock.merge(completion);
-            if unprotect_after {
-                clock.advance(machine.dsm.mprotect_call);
-            }
-        } else {
-            // The mprotect that opens the page happens when the copy lands,
-            // so it extends the transaction rather than the issue path.
-            if unprotect_after {
-                completion += machine.dsm.mprotect_call;
-            }
-            frame.begin_inflight(issue.as_ps(), completion.as_ps());
-            drop(guard);
-        }
-        self.issue_hint_fetches(node, node_ref, clock, &hints);
-        Ok(())
     }
 
     /// Convert prefetch-directory hints carried on a fetch reply into
@@ -247,47 +178,28 @@ impl DsmSystem {
         issued_now
     }
 
-    /// Batching fetch path (`java_ad`): bring `page` into the cache and
-    /// opportunistically batch a run of contiguous successor pages into the
-    /// same RPC.
+    /// Bring `page` into the local cache from its home node and, under a
+    /// batching detection policy (`java_ad`), opportunistically batch a run
+    /// of contiguous successor pages into the same RPC.
+    ///
+    /// `demand` distinguishes a fetch triggered by an access (the access is
+    /// the first use, so the transaction completes on the spot and the full
+    /// round trip is charged, exactly as the blocking transport does) from
+    /// an explicit prefetch, which under the overlapped transport records an
+    /// in-flight ticket and lets the caller keep computing.
     ///
     /// A successor page joins the batch only when it shares the demanded
     /// page's home, is currently absent, and is either *certain* to be
-    /// touched (it lies inside the bulk access that triggered the miss) or
-    /// *predicted* to be touched (the detection policy's
+    /// touched (it lies inside the `bulk_pages` of the access that triggered
+    /// the miss) or *predicted* to be touched (`speculate` is set — span
+    /// prefetches clear it — and the detection policy's
     /// [`predicts_reaccess`](crate::policy::DetectionPolicy::predicts_reaccess)
     /// says its epoch history shows stable re-access).  The second
     /// condition is what keeps batched fetches from inflating page loads:
     /// only pages with demonstrated per-epoch re-access are speculated on.
+    /// Without a batching policy the window is the demanded page alone.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn fetch_page_adaptive(
-        &self,
-        node: NodeId,
-        node_ref: &Node,
-        clock: &mut ThreadClock,
-        page: PageId,
-        frame: &PageFrame,
-        unprotect_after: bool,
-        bulk_pages: usize,
-        demand: bool,
-    ) -> Result<(), RpcFailure> {
-        self.fetch_page_adaptive_inner(
-            node,
-            node_ref,
-            clock,
-            page,
-            frame,
-            unprotect_after,
-            bulk_pages,
-            demand,
-            true,
-        )
-    }
-
-    /// [`DsmSystem::fetch_page_adaptive`] with explicit control over
-    /// history-driven speculation (suppressed by span prefetches).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn fetch_page_adaptive_inner(
+    pub(crate) fn fetch_pages(
         &self,
         node: NodeId,
         node_ref: &Node,
@@ -374,7 +286,7 @@ impl DsmSystem {
         }
         let issue = clock.now();
         // A frame of the run promoted to home mid-fetch was left alone by
-        // `fetch_run` and takes no ticket below.
+        // `fetch_run`: it has nothing to open and takes no ticket below.
         let promoted = frame.is_home();
         // Opening a rider that was protection-detected clears its access
         // protection, which costs an mprotect just as the demanded page's
@@ -400,7 +312,7 @@ impl DsmSystem {
             gate.tried(speculative_riders);
         }
 
-        let needs_mprotect = unprotect_after || riders_protected;
+        let needs_mprotect = (unprotect_after && !promoted) || riders_protected;
         if needs_mprotect {
             // One mprotect call opens the whole contiguous run.
             NodeStats::bump(&node_ref.stats.mprotect_calls);

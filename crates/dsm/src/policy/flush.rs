@@ -15,7 +15,7 @@
 /// exactly because the JMM's release/acquire edge is per-monitor: the
 /// engine returns a completion watermark that the monitor layer merges
 /// into the next acquire of the same monitor, and release points with
-/// thread-level edges (`Thread.start`, `join`, migration, program exit)
+/// thread-level edges (`Thread.start`, `join`, program exit)
 /// always flush blocking.  A policy has no way to drop or reorder diffs —
 /// it only places their latency.
 pub trait FlushPolicy: Send + Sync {

@@ -52,8 +52,8 @@ pub fn release(ctx: &mut ThreadCtx) {
 /// being released so its *next acquire* merges the completion — the JMM's
 /// release/acquire edge is per-monitor, which is exactly why the deferral
 /// is legal.  Only the monitor layer may call this; every release with a
-/// thread-level happens-before edge (`Thread.start`, `join`, migration,
-/// program termination) uses the blocking [`release`].
+/// thread-level happens-before edge (`Thread.start`, `join`, program
+/// termination) uses the blocking [`release`].
 pub fn release_deferred(ctx: &mut ThreadCtx) -> Option<DeferredFlush> {
     let node = ctx.node();
     let shared = std::sync::Arc::clone(&ctx.shared);

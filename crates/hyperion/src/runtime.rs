@@ -925,8 +925,8 @@ impl ThreadCtx {
     /// already maintain per-page state, so resident accesses cost nothing).
     ///
     /// A [`Locality::is_resident`] answer is a *snapshot*: it stays valid
-    /// until this node's next cache invalidation (monitor entry, `join`,
-    /// migration), after which remote pages must be re-detected.
+    /// until this node's next cache invalidation (monitor entry, `join`),
+    /// after which remote pages must be re-detected.
     pub fn locality(&mut self, addr: GlobalAddr) -> Locality {
         let loc = self.shared.dsm.locality(self.node, addr.page());
         if self.shared.config.protocol == ProtocolKind::JavaIc {
@@ -1062,37 +1062,6 @@ impl ThreadCtx {
         // so reads after the join observe everything the joined thread wrote.
         self.shared.dsm.invalidate_cache(self.node, &mut self.clock);
         end
-    }
-
-    /// Migrate this thread to another node (PM2 thread-migration extension).
-    ///
-    /// Subsequent accesses are performed from the new node; the move pays a
-    /// control-message round trip plus a thread-creation-sized cost on the
-    /// destination.
-    pub fn migrate_to(&mut self, node: NodeId) {
-        assert!(
-            node.index() < self.shared.config.nodes,
-            "cannot migrate to {node}: the run uses {} nodes",
-            self.shared.config.nodes
-        );
-        if node == self.node {
-            return;
-        }
-        // Leaving a node is a release point (pending writes must not be
-        // stranded in the old node's cache) and arriving on a node is an
-        // acquire point (the thread must not read values staler than what it
-        // could already observe).
-        self.shared
-            .dsm
-            .update_main_memory(self.node, &mut self.clock);
-        let machine = self.shared.cluster.machine();
-        let cost = self.shared.cluster.control_message_cost().times(2)
-            + machine.cpu.cycles(machine.dsm.thread_create_cycles);
-        self.clock.advance(cost);
-        NodeStats::bump(&self.shared.cluster.node(self.node).stats.threads_migrated);
-        self.shared.registry.migrate(self.thread, node);
-        self.node = node;
-        self.shared.dsm.invalidate_cache(self.node, &mut self.clock);
     }
 }
 
@@ -1583,37 +1552,6 @@ mod tests {
         rt.run(|ctx| {
             let _ = ctx.spawn_on(NodeId(5), |_| {});
         });
-    }
-
-    #[test]
-    fn migration_changes_the_accessing_node() {
-        let rt = HyperionRuntime::new(config(2, ProtocolKind::JavaPf)).unwrap();
-        let out = rt.run(|ctx| {
-            let a = ctx.alloc_slots(4, NodeId(1));
-            ctx.put_slot(a, 5); // remote access from node 0: one fault
-            let faults_before = ctx.shared.cluster.node_stats(NodeId(0)).page_faults;
-            ctx.migrate_to(NodeId(1));
-            assert_eq!(ctx.node(), NodeId(1));
-            let v = ctx.get_slot(a); // now local to the home: no new fault
-            (faults_before, v)
-        });
-        let (faults_before, v) = out.result;
-        assert_eq!(faults_before, 1);
-        assert_eq!(v, 5);
-        let s = out.report.node_stats[0];
-        assert_eq!(s.page_faults, 1);
-        assert_eq!(s.threads_migrated, 1);
-    }
-
-    #[test]
-    fn migrating_to_the_same_node_is_free() {
-        let rt = HyperionRuntime::new(config(2, ProtocolKind::JavaIc)).unwrap();
-        let out = rt.run(|ctx| {
-            let before = ctx.now();
-            ctx.migrate_to(NodeId(0));
-            ctx.now() - before
-        });
-        assert_eq!(out.result, VTime::ZERO);
     }
 
     #[test]

@@ -91,8 +91,6 @@ define_stats! {
     barrier_waits,
     /// Threads created on this node.
     threads_spawned,
-    /// Threads migrated away from this node (extension feature).
-    threads_migrated,
     /// Object-field reads performed through the DSM (`get`).
     field_reads,
     /// Object-field writes performed through the DSM (`put`).
@@ -386,7 +384,7 @@ mod tests {
         ] {
             assert!(names.contains(&expected), "missing {expected}");
         }
-        assert_eq!(names.len(), 51);
+        assert_eq!(names.len(), 50);
         for added in [
             "batched_flushes",
             "rpc_retries",

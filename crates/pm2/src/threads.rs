@@ -4,8 +4,7 @@
 //! user-level threads.  The reproduction maps them onto native OS threads
 //! (spawned by the `hyperion` crate's runtime); this module only keeps the
 //! bookkeeping: which logical thread lives on which node, so the load
-//! balancer and the statistics can reason about placement, and so the
-//! thread-migration extension can re-home a thread.
+//! balancer and the statistics can reason about placement.
 
 use parking_lot::Mutex;
 
@@ -52,14 +51,6 @@ impl ThreadRegistry {
     /// Panics if the thread id is unknown.
     pub fn node_of(&self, thread: ThreadId) -> NodeId {
         self.threads.lock()[thread.0 as usize].node
-    }
-
-    /// Move a thread to a different node (the PM2 thread-migration
-    /// extension).  Returns the previous node.
-    pub fn migrate(&self, thread: ThreadId, to: NodeId) -> NodeId {
-        let mut threads = self.threads.lock();
-        let info = &mut threads[thread.0 as usize];
-        std::mem::replace(&mut info.node, to)
     }
 
     /// Mark a thread as terminated.
@@ -113,17 +104,6 @@ mod tests {
         assert_eq!(reg.total(), 2);
         assert!(reg.is_alive(t0));
         assert_eq!(format!("{t1}"), "thread1");
-    }
-
-    #[test]
-    fn migration_re_homes_a_thread() {
-        let reg = ThreadRegistry::new();
-        let t = reg.register(NodeId(0));
-        let prev = reg.migrate(t, NodeId(2));
-        assert_eq!(prev, NodeId(0));
-        assert_eq!(reg.node_of(t), NodeId(2));
-        assert_eq!(reg.live_on(NodeId(0)), 0);
-        assert_eq!(reg.live_on(NodeId(2)), 1);
     }
 
     #[test]
