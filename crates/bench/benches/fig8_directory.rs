@@ -13,7 +13,7 @@
 //!   fetch a statement-window early) must send hints and compute the same
 //!   answer.  Hint waste — hinted pages invalidated untouched — must stay
 //!   within 1/8 of the hints sent.  Its time pair is printed, not gated:
-//!   at quick scale hints cost 0.1–0.2 % on either app (ROADMAP item 5b
+//!   at quick scale hints cost 0.1–0.2 % on either app (ROADMAP item 6a
 //!   has the harness-scale table).
 //! * **Deferred** (all five apps): deferred flushing only moves *when*
 //!   flush latency is charged (from the release to the next acquire of the
@@ -174,7 +174,7 @@ fn verify_directory_invariants(_c: &mut Criterion) {
                 // The time pair is printed, not gated: hints cost
                 // 0.12–0.16 % on either app at quick scale (3–4 extra page
                 // loads, 3–4 of 6–8 hinted fetches wasted), and ROADMAP item
-                // 5b decides the directory on the harness-scale table, not
+                // 6a decides the directory on the harness-scale table, not
                 // on this one.
                 let row = format!(
                     "| {} | {:.3} | {:.3} | {:+.2} % | {} | {} | {} |\n",

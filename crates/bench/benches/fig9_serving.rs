@@ -27,9 +27,12 @@
 //!   have been opened on a rider's confirmation (`rider_opens > 0`) — the
 //!   hot pages of a Zipf store are exactly what an acquire drops and the
 //!   next few reads touch again.  Riders sent / opened ride in the same
-//!   table, and so does the time the clients' monitor acquisitions were
-//!   moved forward to a previous holder's release (`monitor_wait_ps`); no
-//!   acquire may have left the virtual-time order (`order_escapes == 0`).
+//!   table; so do the fetches answered with a patch — on every serving
+//!   row, PageRank's included, some must have been (`pages_patched > 0`:
+//!   one write changes a slot or a few of a page its readers retain) — and
+//!   the time the clients' monitor acquisitions were moved forward to a
+//!   previous holder's release (`monitor_wait_ps`); no acquire may have
+//!   left the virtual-time order (`order_escapes == 0`).
 //! * **PageRank page loads**: the adaptive protocol's page loads on the
 //!   irregular graph traffic must stay within 25% of the `java_pf`
 //!   reference — switching detection modes must not thrash the cache.
@@ -96,8 +99,9 @@ fn verify_serving_invariants(_c: &mut Criterion) {
     let mut home_load = format!(
         "## fig9: home load on the {ADAPTIVE_NODES}-node KV rows\n\n\
          | protocol | exec (s) | busiest home busy | peak home queue wait (bound {:.0} %) \
-         | riders sent | opened without an RPC | monitor wait (ms, all clients) |\n\
-         |---|---|---|---|---|---|---|\n",
+         | riders sent | opened without an RPC | page loads | of them patched \
+         | monitor wait (ms, all clients) |\n\
+         |---|---|---|---|---|---|---|---|---|\n",
         KV_QUEUE_WAIT_BOUND * 100.0
     );
     for app in BenchmarkName::serving() {
@@ -116,15 +120,23 @@ fn verify_serving_invariants(_c: &mut Criterion) {
             );
             assert!(row.stats.serving_ops > 0, "{app}: no serving ops recorded");
             assert!(row.serving_p99_us > 0.0, "{app}: no p99 recorded");
+            assert!(
+                row.stats.pages_patched > 0,
+                "{app} {}: {} page loads and not one answered with a patch",
+                row.protocol_label(),
+                row.stats.page_loads,
+            );
             if app == BenchmarkName::KvStore {
                 home_load.push_str(&format!(
-                    "| {} | {:.4} | {:.2} % | {:.2} % | {} | {} | {:.3} |\n",
+                    "| {} | {:.4} | {:.2} % | {:.2} % | {} | {} | {} | {} | {:.3} |\n",
                     row.protocol_label(),
                     row.seconds,
                     row.peak_home_util * 100.0,
                     row.peak_home_queue_wait * 100.0,
                     row.stats.validation_riders,
                     row.stats.rider_opens,
+                    row.stats.page_loads,
+                    row.stats.pages_patched,
                     row.stats.monitor_wait_ps as f64 / 1e9,
                 ));
                 assert_eq!(

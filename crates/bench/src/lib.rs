@@ -183,7 +183,7 @@ impl FigureRow {
         "figure,app,cluster,protocol,nodes,exec_seconds,digest,locality_checks,page_faults,\
          mprotect_calls,page_loads,diff_messages,bytes_moved,remote_monitor_acquires,\
          barrier_waits,batched_fetches,pages_prefetched,protocol_switches,batched_flushes,\
-         fetch_overlap_cycles_hidden,pages_revalidated,serving_ops,\
+         fetch_overlap_cycles_hidden,pages_revalidated,pages_patched,serving_ops,\
          serving_ops_per_s,serving_p99_us,peak_home_util,peak_home_queue_wait,\
          validation_riders,rider_opens,monitor_wait_ps,order_escapes"
     }
@@ -191,7 +191,7 @@ impl FigureRow {
     /// Serialise as one CSV line.
     pub fn to_csv(&self) -> String {
         format!(
-            "{},{},{},{},{},{:.6},{:.6},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.3},{:.3},{:.6},{:.6},{},{},{},{}",
+            "{},{},{},{},{},{:.6},{:.6},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.3},{:.3},{:.6},{:.6},{},{},{},{}",
             self.figure,
             self.app,
             self.cluster,
@@ -213,6 +213,7 @@ impl FigureRow {
             self.stats.batched_flushes,
             self.stats.fetch_overlap_cycles_hidden,
             self.stats.pages_revalidated,
+            self.stats.pages_patched,
             self.stats.serving_ops,
             self.serving_ops_per_s(),
             self.serving_p99_us,

@@ -317,7 +317,7 @@ fn print_serving_figure(scale: Scale) -> Vec<FigureRow> {
         hyperion_bench::ADAPTIVE_NODES
     );
     println!(
-        "{:<10} {:<14} {:>12} {:>12} {:>12} {:>12} {:>11} {:>12} {:>8} {:>8} {:>7} {:>8} {:>10} {:>10} {:>14}",
+        "{:<10} {:<14} {:>12} {:>12} {:>12} {:>12} {:>11} {:>12} {:>8} {:>8} {:>8} {:>7} {:>8} {:>10} {:>10} {:>14}",
         "App",
         "variant",
         "exec (s)",
@@ -326,6 +326,7 @@ fn print_serving_figure(scale: Scale) -> Vec<FigureRow> {
         "p99 (us)",
         "page_loads",
         "revalidated",
+        "patched",
         "riders",
         "opened",
         "hints",
@@ -336,7 +337,7 @@ fn print_serving_figure(scale: Scale) -> Vec<FigureRow> {
     );
     for r in &rows {
         println!(
-            "{:<10} {:<14} {:>12.4} {:>12} {:>12.0} {:>12.1} {:>11} {:>12} {:>8} {:>8} {:>7} {:>8} {:>9.2}% {:>9.2}% {:>14.3}",
+            "{:<10} {:<14} {:>12.4} {:>12} {:>12.0} {:>12.1} {:>11} {:>12} {:>8} {:>8} {:>8} {:>7} {:>8} {:>9.2}% {:>9.2}% {:>14.3}",
             r.app.to_string(),
             r.protocol_label(),
             r.seconds,
@@ -345,6 +346,7 @@ fn print_serving_figure(scale: Scale) -> Vec<FigureRow> {
             r.serving_p99_us,
             r.stats.page_loads,
             r.stats.pages_revalidated,
+            r.stats.pages_patched,
             r.stats.validation_riders,
             r.stats.rider_opens,
             r.stats.hints_sent,

@@ -43,6 +43,9 @@ pub struct ReportRow {
     /// Informational: the subset of `page_loads` the home answered "not
     /// modified" (retained copy re-opened, no page bytes moved).
     pub pages_revalidated: u64,
+    /// Informational: the subset of `page_loads` the home answered with the
+    /// slots that changed (retained copy patched, only those slots moved).
+    pub pages_patched: u64,
     /// Informational: validation riders sent along with fetches.
     pub validation_riders: u64,
     /// Informational: validated pages opened on first touch without an RPC.
@@ -135,6 +138,7 @@ impl From<&FigureRow> for ReportRow {
             exec_seconds: row.seconds,
             page_loads: row.stats.page_loads,
             pages_revalidated: row.stats.pages_revalidated,
+            pages_patched: row.stats.pages_patched,
             validation_riders: row.stats.validation_riders,
             rider_opens: row.stats.rider_opens,
             pages_invalidated: row.stats.pages_invalidated,
@@ -192,6 +196,7 @@ pub fn envelope(runs: &[Vec<FigureRow>]) -> Vec<ReportRow> {
             acc.exec_seconds = acc.exec_seconds.max(next.exec_seconds);
             acc.page_loads = acc.page_loads.max(next.page_loads);
             acc.pages_revalidated = acc.pages_revalidated.max(next.pages_revalidated);
+            acc.pages_patched = acc.pages_patched.max(next.pages_patched);
             acc.validation_riders = acc.validation_riders.max(next.validation_riders);
             acc.rider_opens = acc.rider_opens.max(next.rider_opens);
             acc.pages_invalidated = acc.pages_invalidated.max(next.pages_invalidated);
@@ -244,6 +249,7 @@ pub fn report_to_json(run: &str, scale: &str, rows: &[ReportRow]) -> String {
         out.push_str(&format!(
             "    {{\"app\": {}, \"protocol\": {}, \"cluster\": {}, \"nodes\": {}, \
              \"exec_seconds\": {:.9}, \"page_loads\": {}, \"pages_revalidated\": {}, \
+             \"pages_patched\": {}, \
              \"validation_riders\": {}, \"rider_opens\": {}, \
              \"pages_invalidated\": {}, \
              \"cache_invalidations\": {}, \"monitor_enters\": {}, \
@@ -265,6 +271,7 @@ pub fn report_to_json(run: &str, scale: &str, rows: &[ReportRow]) -> String {
             r.exec_seconds,
             r.page_loads,
             r.pages_revalidated,
+            r.pages_patched,
             r.validation_riders,
             r.rider_opens,
             r.pages_invalidated,
@@ -355,6 +362,7 @@ pub fn parse_report(json: &str) -> Result<Vec<ReportRow>, String> {
                     .ok_or("row missing \"exec_seconds\"")?,
                 page_loads,
                 pages_revalidated: counter("pages_revalidated").unwrap_or(0),
+                pages_patched: counter("pages_patched").unwrap_or(0),
                 validation_riders: counter("validation_riders").unwrap_or(0),
                 rider_opens: counter("rider_opens").unwrap_or(0),
                 pages_invalidated,
@@ -564,8 +572,8 @@ pub fn markdown_summary(
         (ops, p99)
     };
     out.push_str(
-        "| app | protocol | nodes | exec (s) | Δ exec | page loads | revalidated | riders (opened) | Δ loads | Δ loads/epoch | ops/s | p99 (µs) | monitor wait (ms) | status |\n\
-         |---|---|---|---|---|---|---|---|---|---|---|---|---|---|\n",
+        "| app | protocol | nodes | exec (s) | Δ exec | page loads | revalidated | patched | riders (opened) | Δ loads | Δ loads/epoch | ops/s | p99 (µs) | monitor wait (ms) | status |\n\
+         |---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|\n",
     );
     for row in current {
         let key = row.key();
@@ -590,7 +598,7 @@ pub fn markdown_summary(
         };
         match base.get(&key) {
             Some(b) => out.push_str(&format!(
-                "| {} | {} | {} | {:.4} | {} | {} | {} | {} ({}) | {} | {} | {} | {} | {} | {} |\n",
+                "| {} | {} | {} | {:.4} | {} | {} | {} | {} | {} ({}) | {} | {} | {} | {} | {} | {} |\n",
                 row.app,
                 row.protocol,
                 row.nodes,
@@ -598,6 +606,7 @@ pub fn markdown_summary(
                 delta(b.exec_seconds, row.exec_seconds),
                 row.page_loads,
                 row.pages_revalidated,
+                row.pages_patched,
                 row.validation_riders,
                 row.rider_opens,
                 delta(b.page_loads as f64, row.page_loads as f64),
@@ -608,13 +617,14 @@ pub fn markdown_summary(
                 status
             )),
             None => out.push_str(&format!(
-                "| {} | {} | {} | {:.4} | — | {} | {} | {} ({}) | — | — | {} | {} | {} | {} |\n",
+                "| {} | {} | {} | {:.4} | — | {} | {} | {} | {} ({}) | — | — | {} | {} | {} | {} |\n",
                 row.app,
                 row.protocol,
                 row.nodes,
                 row.exec_seconds,
                 row.page_loads,
                 row.pages_revalidated,
+                row.pages_patched,
                 row.validation_riders,
                 row.rider_opens,
                 ops_cell,
@@ -1087,6 +1097,7 @@ mod tests {
             exec_seconds: 1.0,
             page_loads: 1,
             pages_revalidated: 0,
+            pages_patched: 0,
             validation_riders: 0,
             rider_opens: 0,
             pages_invalidated: 1,

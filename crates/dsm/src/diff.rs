@@ -92,7 +92,7 @@ impl<'a> Reader<'a> {
 /// chain of hints) and of a batched diff.  Real page numbers never use it.
 pub(crate) const TOP_BIT: u64 = 1 << 63;
 
-fn push_entries(out: &mut Vec<u8>, entries: &[DiffEntry]) {
+pub(crate) fn push_entries(out: &mut Vec<u8>, entries: &[DiffEntry]) {
     out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
     for (slot, value) in entries {
         out.extend_from_slice(&slot.to_le_bytes());
@@ -113,6 +113,22 @@ fn read_entries(r: &mut Reader<'_>) -> Wire<Vec<DiffEntry>> {
         }
         let value = u64::from_le_bytes(entry[2..].try_into().expect("8 bytes"));
         entries.push((slot, value));
+    }
+    Ok(entries)
+}
+
+/// Most entries a patch — a fetch reply's "these slots changed" answer,
+/// which borrows the diff entry form — may carry: one more and it would be
+/// no shorter than the page.
+pub const MAX_PATCH_ENTRIES: usize = (hyperion_pm2::PAGE_BYTES - 4 - 1) / 10;
+
+/// Read a patch's entries: a diff's, in ascending slot order (so none
+/// twice), at most [`MAX_PATCH_ENTRIES`].
+pub(crate) fn read_patch(r: &mut Reader<'_>) -> Wire<Vec<DiffEntry>> {
+    let entries = read_entries(r)?;
+    let ascending = entries.windows(2).all(|w| w[0].0 < w[1].0);
+    if !ascending || entries.len() > MAX_PATCH_ENTRIES {
+        return Err(WireError::Invalid("patch entries"));
     }
     Ok(entries)
 }

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use hyperion_model::{NodeStats, ThreadClock, VTime};
 use hyperion_pm2::{Node, NodeId, PageId};
 
-use crate::diff::{decode_fetch_reply, encode_fetch_request, HintRun, PageReply, WireError};
+use crate::diff::{decode_fetch_reply, encode_fetch_request, HintRun, PageReply};
 use crate::engine::DsmSystem;
 use crate::page::PageFrame;
 use crate::recover::RpcFailure;
@@ -50,10 +50,10 @@ impl DsmSystem {
         let (bytes, completion) =
             self.rpc_to_home(clock, node, node_ref, first, self.page_fetch, &payload)?;
         let malformed = |why| self.malformed_reply(node, first, self.page_fetch, why);
-        let reply = decode_fetch_reply(&bytes, frames.len(), asked.len()).map_err(malformed)?;
+        let reply = decode_fetch_reply(&bytes, &retained, asked.len()).map_err(malformed)?;
         self.settle_riders(node, home, &asked, reply.unchanged, epoch, completion);
         let hints = reply.hints;
-        let mut revalidated = 0u64;
+        let (mut revalidated, mut patched) = (0u64, 0u64);
         for (k, (frame, reply)) in frames.iter().zip(reply.pages).enumerate() {
             if frame.is_home() {
                 // A concurrent recovery promoted this frame to home while
@@ -63,21 +63,31 @@ impl DsmSystem {
                 // stays charged — it really happened.
                 continue;
             }
-            match reply {
-                PageReply::NotModified(v) if v == retained[k] && v != 0 => {
-                    #[cfg(debug_assertions)]
-                    self.assert_retained_copy_current(PageId(first.0 + k as u64), frame, v);
+            // The decoder vouched for every stamp against `retained[k]`.
+            let kept = match reply {
+                PageReply::Full(v, data) => {
+                    frame.install_copy(data, v);
+                    continue;
+                }
+                PageReply::NotModified(v) => {
                     frame.reopen();
                     revalidated += 1;
+                    v
                 }
-                PageReply::NotModified(_) => {
-                    return Err(malformed(WireError::Invalid("not-modified version")))
+                PageReply::Patch(v, entries) => {
+                    frame.apply_patch(&entries, v);
+                    patched += 1;
+                    v
                 }
-                PageReply::Full(v, data) => frame.install_copy(data, v),
-            }
+            };
+            // Bytes the home did not just ship are in use from here on.
+            self.assert_retained_copy_current(PageId(first.0 + k as u64), frame, kept);
         }
         if revalidated > 0 {
             NodeStats::bump_by(&node_ref.stats.pages_revalidated, revalidated);
+        }
+        if patched > 0 {
+            NodeStats::bump_by(&node_ref.stats.pages_patched, patched);
         }
         Ok((hints, completion))
     }

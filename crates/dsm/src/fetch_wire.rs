@@ -5,19 +5,22 @@
 //!
 //! Every page fetch is *conditional*: the request names, per page, the
 //! version of the copy the requester retains (0 = none), and the home
-//! answers per page either "not modified" or the page with its version.
-//! A request may also carry *validation riders* ([`Rider`]): other pages of
-//! the same home the requester retains, answered with one bit each and no
-//! bytes.
+//! answers per page "not modified", a *patch* (the slots that changed since
+//! that version, when its history reaches back that far and they encode
+//! shorter than the page) or the page, each with the home's version.  A
+//! request may also carry *validation riders* ([`Rider`]): other pages of
+//! the same home the requester retains, answered with one bit each.
 //!
 //! | message | layout (little-endian) |
 //! |---|---|
 //! | fetch request | `first page u64` (bit 63 = no hints) · `count u32` · `count × retained version u64`; then optionally `r u16 · r × (page u64 · retained version u64)` riders |
-//! | fetch reply | per page `0u8 · version u64` (not modified) or `1u8 · version u64 · 4096 B`; then `⌈r/8⌉` bytes of rider answers (bit set = unchanged); then optionally `n u16 · n × (first page u64 · run u16)` hints |
+//! | fetch reply | per page `0u8 · version u64` (not modified), `1u8 · version u64 · 4096 B` (page) or `2u8 · version u64 · n u32 · n × (slot u16 · value u64)` (patch, slots ascending, `n ≤ 409`); then `⌈r/8⌉` bytes of rider answers (bit set = unchanged); then optionally `n u16 · n × (first page u64 · run u16)` hints |
 
 use hyperion_pm2::{PageId, PAGE_BYTES};
 
-use crate::diff::{Reader, Wire, WireError, TOP_BIT};
+use crate::diff::{
+    push_entries, read_patch, DiffEntry, Reader, Wire, WireError, MAX_PATCH_ENTRIES, TOP_BIT,
+};
 
 /// One prefetch-directory hint: a run of `1`-or-more contiguous pages
 /// (starting at the id) the home predicts the requester will touch soon.
@@ -125,25 +128,33 @@ fn read_riders(r: &mut Reader<'_>) -> Wire<Vec<Rider>> {
 }
 
 /// The home's answer for one page of a fetch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PageReply<'a> {
     /// The home copy is still at the version the requester retains.
     NotModified(u64),
     /// The page (`PAGE_BYTES` long) and the version it was snapshotted under.
     Full(u64, &'a [u8]),
+    /// The slots that changed since the version the requester retains, in
+    /// ascending order, and the version they bring its copy up to.
+    Patch(u64, Vec<DiffEntry>),
 }
 
 /// Append one page's answer to a fetch reply (panics if a shipped page's
-/// data is not exactly one page long).
-pub fn push_page_reply(reply: &mut Vec<u8>, page: PageReply<'_>) {
-    let (tag, version, data) = match page {
-        PageReply::NotModified(version) => (0u8, version, &[][..]),
-        PageReply::Full(version, data) => (1u8, version, data),
+/// data is not one page long or a patch exceeds [`MAX_PATCH_ENTRIES`]).
+pub fn push_page_reply(reply: &mut Vec<u8>, page: &PageReply<'_>) {
+    let (tag, version, sized) = match page {
+        PageReply::NotModified(version) => (0u8, version, true),
+        PageReply::Full(version, data) => (1, version, data.len() == PAGE_BYTES),
+        PageReply::Patch(version, patch) => (2, version, patch.len() <= MAX_PATCH_ENTRIES),
     };
-    assert!(tag == 0 || data.len() == PAGE_BYTES, "not one page long");
+    assert!(sized, "not one page long, or a patch no shorter than one");
     reply.push(tag);
     reply.extend_from_slice(&version.to_le_bytes());
-    reply.extend_from_slice(data);
+    match page {
+        PageReply::NotModified(_) => {}
+        PageReply::Full(_, data) => reply.extend_from_slice(data),
+        PageReply::Patch(_, patch) => push_entries(reply, patch),
+    }
 }
 
 /// Append the prefetch-directory hint trailer to a fetch reply whose other
@@ -171,17 +182,29 @@ pub struct FetchReply<'a> {
     pub hints: Vec<HintRun>,
 }
 
-/// Decode the reply to a fetch of `count` pages carrying `riders` riders.
-pub fn decode_fetch_reply(reply: &[u8], count: usize, riders: usize) -> Wire<FetchReply<'_>> {
+/// Decode the reply to a fetch that named `retained` as the versions of the
+/// copies it retains (one per page) and carried `riders` riders.  Only
+/// answers the requester can act on come back: stamps only grow, so a
+/// confirmation is of the version named, a page is at it or above (never
+/// 0), and a patch — which needs a copy to patch — strictly above it.
+pub fn decode_fetch_reply<'a>(
+    reply: &'a [u8],
+    retained: &[u64],
+    riders: usize,
+) -> Wire<FetchReply<'a>> {
     let mut r = Reader(reply);
-    r.fits(count, 9, "fetch reply pages")?;
-    let mut pages = Vec::with_capacity(count);
-    for _ in 0..count {
+    r.fits(retained.len(), 9, "fetch reply pages")?;
+    let mut pages = Vec::with_capacity(retained.len());
+    for &kept in retained {
         let tag = u8::from_le_bytes(r.le("fetch reply page tag")?);
         let version = u64::from_le_bytes(r.le("fetch reply page version")?);
         pages.push(match tag {
-            0 => PageReply::NotModified(version),
-            1 => PageReply::Full(version, r.bytes(PAGE_BYTES, "fetch reply page data")?),
+            0 if version == kept && kept != 0 => PageReply::NotModified(version),
+            1 if version >= kept.max(1) => {
+                PageReply::Full(version, r.bytes(PAGE_BYTES, "fetch reply page data")?)
+            }
+            2 if kept != 0 && version > kept => PageReply::Patch(version, read_patch(&mut r)?),
+            0..=2 => return Err(WireError::Invalid("fetch reply page version")),
             _ => return Err(WireError::Invalid("fetch reply page tag")),
         });
     }
@@ -207,10 +230,9 @@ pub fn decode_fetch_reply(reply: &[u8], count: usize, riders: usize) -> Wire<Fet
     })
 }
 
-/// Append the answers to a request's `riders` riders to a fetch reply,
-/// after the page answers and before any hints: bit `k` of `unchanged` set
-/// = rider `k` is still at the stamp the requester named.  Nothing for no
-/// riders.
+/// Append the answers to a request's `riders` riders (nothing for none) to
+/// a fetch reply, after the page answers and before any hints: bit `k` of
+/// `unchanged` set = rider `k` is still at the stamp the requester named.
 ///
 /// # Panics
 /// Panics if `riders` exceeds [`MAX_RIDERS`] or a bit beyond it is set.
@@ -241,27 +263,64 @@ mod tests {
     #[test]
     fn fetch_reply_round_trips_mixed_pages_and_hints() {
         let page = vec![7u8; PAGE_BYTES];
+        let pages = vec![
+            PageReply::NotModified(4),
+            PageReply::Full(9, &page),
+            PageReply::Patch(6, vec![(0, 1), (511, u64::MAX)]),
+        ];
+        let retained = [4, 0, 5];
         let mut reply = Vec::new();
-        push_page_reply(&mut reply, PageReply::NotModified(4));
-        push_page_reply(&mut reply, PageReply::Full(9, &page));
+        pages.iter().for_each(|p| push_page_reply(&mut reply, p));
         append_fetch_hints(&mut reply, &[]);
-        assert_eq!(reply.len(), 9 + 9 + PAGE_BYTES, "no hints, no trailer");
-        let pages = vec![PageReply::NotModified(4), PageReply::Full(9, &page)];
-        let decoded = decode_fetch_reply(&reply, 2, 0).unwrap();
+        assert_eq!(reply.len(), 9 + 9 + PAGE_BYTES + 9 + 4 + 20, "no trailer");
+        let decoded = decode_fetch_reply(&reply, &retained, 0).unwrap();
         assert_eq!((&decoded.pages, decoded.unchanged), (&pages, 0));
         assert!(decoded.hints.is_empty());
 
         append_fetch_hints(&mut reply, &[(PageId(40), 3), (PageId(90), 1)]);
-        let decoded = decode_fetch_reply(&reply, 2, 0).unwrap();
+        let decoded = decode_fetch_reply(&reply, &retained, 0).unwrap();
         assert_eq!(decoded.pages, pages);
         assert_eq!(decoded.hints, vec![(PageId(40), 3), (PageId(90), 1)]);
 
         // Wrong page count, truncation and a bad tag are all errors.
-        assert!(decode_fetch_reply(&reply, 3, 0).is_err());
-        assert!(decode_fetch_reply(&reply[..reply.len() - 1], 2, 0).is_err());
+        assert!(decode_fetch_reply(&reply, &[4, 0, 5, 0], 0).is_err());
+        assert!(decode_fetch_reply(&reply[..reply.len() - 1], &retained, 0).is_err());
         reply[0] = 9;
-        let err = decode_fetch_reply(&reply, 2, 0).unwrap_err();
+        let err = decode_fetch_reply(&reply, &retained, 0).unwrap_err();
         assert_eq!(err, WireError::Invalid("fetch reply page tag"));
+
+        // Nor may a reply move a stamp backwards, confirm a stamp nobody
+        // named or patch a copy that is not there; nor may a patch name a
+        // slot twice, out of order or beyond the page.
+        let err = |answer: PageReply<'_>, retained: u64| {
+            let mut reply = Vec::new();
+            push_page_reply(&mut reply, &answer);
+            decode_fetch_reply(&reply, &[retained], 0).map(|_| ())
+        };
+        let version = Err(WireError::Invalid("fetch reply page version"));
+        let entries = Err(WireError::Invalid("patch entries"));
+        assert_eq!(err(PageReply::Full(7, &page), 7), Ok(()));
+        assert_eq!(err(PageReply::Full(6, &page), 7), version);
+        assert_eq!(err(PageReply::Full(0, &page), 0), version);
+        assert_eq!(err(PageReply::NotModified(7), 6), version);
+        assert_eq!(err(PageReply::NotModified(0), 0), version);
+        assert_eq!(err(PageReply::Patch(8, vec![]), 7), Ok(()));
+        assert_eq!(err(PageReply::Patch(8, vec![(3, 1)]), 0), version);
+        assert_eq!(err(PageReply::Patch(7, vec![(3, 1)]), 7), version);
+        assert_eq!(err(PageReply::Patch(8, vec![(3, 1), (3, 2)]), 7), entries);
+        assert_eq!(err(PageReply::Patch(8, vec![(4, 1), (3, 2)]), 7), entries);
+        let slot = Err(WireError::Invalid("diff slot index"));
+        assert_eq!(err(PageReply::Patch(8, vec![(512, 1)]), 7), slot);
+        // The longest patch is one entry short of a page; one more entry
+        // (hand-encoded: the encoder refuses) is an error.
+        let longest = (0..MAX_PATCH_ENTRIES as u16).map(|s| (s, 1)).collect();
+        let mut reply = Vec::new();
+        push_page_reply(&mut reply, &PageReply::Patch(8, longest));
+        let longest_ok = decode_fetch_reply(&reply, &[7], 0).is_ok();
+        assert!(longest_ok && (9 + PAGE_BYTES - 10..9 + PAGE_BYTES).contains(&reply.len()));
+        reply[9..13].copy_from_slice(&(MAX_PATCH_ENTRIES as u32 + 1).to_le_bytes());
+        reply.extend_from_slice(&[0x99, 1, 0, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(decode_fetch_reply(&reply, &[7], 0).map(|_| ()), entries);
     }
 
     #[test]
@@ -324,18 +383,18 @@ mod tests {
     #[test]
     fn rider_answers_sit_between_the_pages_and_the_hints() {
         let mut reply = Vec::new();
-        push_page_reply(&mut reply, PageReply::NotModified(4));
+        push_page_reply(&mut reply, &PageReply::NotModified(4));
         push_rider_answers(&mut reply, 0, 0);
         assert_eq!(reply.len(), 9, "no riders, no answers");
         push_rider_answers(&mut reply, 0b101, 3);
         append_fetch_hints(&mut reply, &[(PageId(40), 3)]);
-        let decoded = decode_fetch_reply(&reply, 1, 3).unwrap();
+        let decoded = decode_fetch_reply(&reply, &[4], 3).unwrap();
         assert_eq!((decoded.unchanged, decoded.hints.len()), (0b101, 1));
         // A reply decoded against the wrong rider count is an error, as is
         // an answer for a rider that never left.
-        assert!(decode_fetch_reply(&reply, 1, 0).is_err());
-        assert!(decode_fetch_reply(&reply, 1, MAX_RIDERS + 1).is_err());
-        assert!(decode_fetch_reply(&reply, 1, 2).is_err());
-        assert!(decode_fetch_reply(&reply[..9], 1, 3).is_err());
+        assert!(decode_fetch_reply(&reply, &[4], 0).is_err());
+        assert!(decode_fetch_reply(&reply, &[4], MAX_RIDERS + 1).is_err());
+        assert!(decode_fetch_reply(&reply, &[4], 2).is_err());
+        assert!(decode_fetch_reply(&reply[..9], &[4], 3).is_err());
     }
 }

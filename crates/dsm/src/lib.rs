@@ -48,7 +48,6 @@ pub mod engine;
 mod fetch;
 mod fetch_wire;
 mod gate;
-#[cfg(debug_assertions)]
 mod oracle;
 pub mod page;
 pub mod policy;

@@ -14,7 +14,7 @@
 //!
 //! Every frame carries one `version` word.  On the **home** frame it is the
 //! page's *change stamp*: it starts at 1 and moves whenever the home bytes
-//! may have changed — a diff was applied ([`PageFrame::bump_version`]), the
+//! may have changed — a diff was applied ([`PageFrame::apply_diff`]), the
 //! home itself wrote since the last stamp (folded in lazily by
 //! [`PageFrame::stamp`]), or the page was re-homed (the new home starts far
 //! above anything the old one can hand out).  On a **cached** frame it
@@ -26,10 +26,11 @@
 //! return (the JMM argument):
 //!
 //! * Writers store data first and stamp second (`Release`); the fetch
-//!   handler reads the stamp first (`Acquire`) and snapshots second.  A
+//!   handler reads the stamp first (`Acquire`) and the bytes second.  A
 //!   copy can therefore carry a stamp *older* than its bytes — the next
-//!   fetch then mismatches and ships the page, which is merely
-//!   conservative — but never a stamp *newer* than its bytes.
+//!   fetch then mismatches and ships what the copy seems to have missed,
+//!   which is merely conservative — but never a stamp *newer* than its
+//!   bytes.
 //! * A write that happens-before an acquire has reached the home, stamp
 //!   included, by the time that acquire's fetches run: a release flushes
 //!   its diffs synchronously, and a home-local write sets its flag before
@@ -41,11 +42,35 @@
 //! snapshot taken an instant earlier: a Java-level data race, not staleness.
 //!
 //! The one invariant all of this serves: **a non-home frame is `present`
-//! only if, since this node's last `invalidateCache`, its home shipped it
-//! or confirmed its retained stamp.**  The confirmation is either the
-//! answer to a fetch of the page itself or one bit on a fetch of a
-//! neighbour (a *validation rider*, see `riders.rs`); both end in
-//! [`PageFrame::reopen`], the second only once the page is touched.
+//! only if, since this node's last `invalidateCache`, its home shipped it,
+//! patched it up to its current stamp or confirmed its retained stamp.**
+//! The confirmation is either the answer to a fetch of the page itself or
+//! one bit on a fetch of a neighbour (a *validation rider*, see
+//! `riders.rs`); both end in [`PageFrame::reopen`], the second only once
+//! the page is touched.
+//!
+//! ## Change history
+//!
+//! A home frame that some handler has stamped (so: a page a remote node
+//! fetched) keeps the last [`HISTORY_DEPTH`] *steps* of its stamp: per
+//! step the stamp it produced and the bitmap of slots that changed in it
+//! — a diff's slots, or the slots the home itself wrote since the step
+//! before.  A fetch whose retained stamp is within the history is answered
+//! with the slots of the steps it missed instead of the page
+//! ([`PageFrame::changes_since`]), values read after the stamp as ever —
+//! which is all a patch needs: every write stamped at or below the stamp
+//! handed out has its slot among those steps and its value (or a newer
+//! one) among the values read, and a home slot never goes back to a value
+//! the copy has already seen.  The same stamp comparison decides what is
+//! current; only the encoding of the answer differs.
+//!
+//! The invariant: **a stamp value is never observable before the step
+//! that produced it is in the history, or the history is broken at it**
+//! (it is whole only from that stamp on, so every copy from before it is
+//! shipped whole).  The stamp only moves under the history's lock, and handlers
+//! only read it there.  Broken at: a re-homing (the new home starts a
+//! stride above, with no steps), a home write that did not see the
+//! history yet, a step older than the ring.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -56,12 +81,35 @@ use parking_lot::Mutex;
 /// Number of 64-bit words in the per-page dirty bitmap.
 pub const DIRTY_WORDS: usize = SLOTS_PER_PAGE / 64;
 
+/// Steps of its stamp a home frame remembers: the smallest depth whose
+/// modeled time on `kv_read` and `kv_write` is within 1 % of the best any
+/// depth reaches (`BENCH_22.json`, `history_depth`).  Fixed, not
+/// configurable.
+pub const HISTORY_DEPTH: usize = 8;
+
 /// `PageFrame::home_wrote`: no home write since the last stamp.
 const HOME_CLEAN: u8 = 0;
-/// `PageFrame::home_wrote`: the home wrote the page since the last stamp.
+/// `PageFrame::home_wrote`: the home wrote the page since the last stamp
+/// without recording which slots (the page had no history then).
 const HOME_WROTE: u8 = 1;
-/// `PageFrame::home_wrote`: a handler is folding the write into the stamp.
-const HOME_FOLDING: u8 = 2;
+/// `PageFrame::home_wrote`: the home wrote the page since the last stamp
+/// and every slot it wrote is in the `dirty` bitmap.
+const HOME_TRACKED: u8 = 2;
+
+/// A bitmap over the slots of one page.
+pub type SlotSet = [u64; DIRTY_WORDS];
+
+/// The last steps of a home page's stamp.
+#[derive(Debug)]
+struct History {
+    /// The history is whole from this stamp on: every step that produced a
+    /// later stamp is in `steps`, or was until the ring dropped it.
+    /// Breaking the history at a stamp moves this there.
+    whole_from: u64,
+    /// The slots that changed in the step that produced stamp `v`, at
+    /// `v % HISTORY_DEPTH` until a later step takes its place.
+    steps: [SlotSet; HISTORY_DEPTH],
+}
 
 /// Which access-detection technique a `java_ad` frame currently uses.
 ///
@@ -168,7 +216,9 @@ pub struct PageFrame {
     /// Home frame: the page's change stamp.  Cached frame: the stamp of the
     /// retained copy, 0 = none.  See the module docs ("Page versions").
     version: AtomicU64,
-    /// Dirty bitmap: one bit per slot modified since the last flush.
+    /// Dirty bitmap.  Cached frame: one bit per slot modified since the
+    /// last flush.  Home frame with a history: one bit per slot the home
+    /// itself wrote since the last step of the stamp.
     dirty: [AtomicU64; DIRTY_WORDS],
     /// Serialises page fetches for this frame so concurrent faulting threads
     /// on one node perform a single load.
@@ -232,12 +282,16 @@ pub struct PageFrame {
     /// repeats.  First-time learning and stable re-fetch sequences never
     /// trip this, so the strided apps keep hinting from their first epoch.
     dir_next_flip_seq: AtomicU64,
-    /// Home frames only: [`HOME_WROTE`] once the home node itself wrote this
-    /// page since `version` was last stamped.  Home writes are the access
-    /// hit path, so they only set this flag (a plain store);
+    /// Home frames only: set once the home node itself wrote this page since
+    /// `version` was last stamped.  Home writes are the access hit path, so
+    /// without a history they only set this flag (a plain store);
     /// [`PageFrame::stamp`] folds it into `version` where the home serves a
     /// fetch or applies a diff.
     home_wrote: AtomicU8,
+    /// Home frames only: the change history (module docs), allocated by the
+    /// first handler that stamps the page.  Its lock is the one the stamp
+    /// moves under.
+    history: OnceLock<Box<Mutex<History>>>,
 }
 
 impl PageFrame {
@@ -268,6 +322,7 @@ impl PageFrame {
             dir_next_hits: AtomicU64::new(0),
             dir_next_flip_seq: AtomicU64::new(0),
             home_wrote: AtomicU8::new(HOME_CLEAN),
+            history: OnceLock::new(),
         }
     }
 
@@ -322,6 +377,19 @@ impl PageFrame {
         self.reopen();
     }
 
+    /// Bring the retained copy up to the home stamp `version` by storing
+    /// the slots that changed since the stamp it was retained under, and
+    /// re-open it.  Every other slot — a locally modified, unflushed one
+    /// included — is left alone.
+    pub fn apply_patch(&self, entries: &[(u16, u64)], version: u64) {
+        let data = self.data();
+        for &(slot, value) in entries {
+            data.store(slot as usize, value);
+        }
+        self.version.store(version, Ordering::Release);
+        self.reopen();
+    }
+
     /// Re-open the retained copy after the home answered "not modified":
     /// present and unprotected again, bytes and stamp untouched.
     pub fn reopen(&self) {
@@ -338,61 +406,89 @@ impl PageFrame {
 
     /// Home side: the page's current change stamp, after folding in any
     /// home-local write since the last call.  Callers read the stamp
-    /// *before* they snapshot the page (see the module docs).
-    ///
-    /// The fold is claimed by moving the flag `WROTE → FOLDING` and ends
-    /// with `FOLDING → CLEAN` after the stamp moved; a handler that finds
-    /// the flag `FOLDING` waits the two instructions out.  What callers
-    /// rely on, per home write: the snapshot taken after this call either
-    /// has the write's data in view, or the stamp has yet to move past the
-    /// value returned (so the copy handed out mismatches next time).
-    ///
-    /// That is weaker than "`CLEAN` ⇒ every flagged write is in the stamp",
-    /// which does not hold: the closing exchange can clear a *later*
-    /// folder's claim (A claims, a home write re-flags, B claims, A closes
-    /// B's `FOLDING`), so a third handler may see `CLEAN` one step before
-    /// B's increment.  Benign: A's close and the third handler's load both
-    /// acquire B's claim, which acquired the write's flag store, so every
-    /// copy stamped with the pre-increment value was snapshotted with that
-    /// write's data visible; B's increment is one conservative step extra.
+    /// *before* they read the page (see the module docs).
     pub fn stamp(&self) -> u64 {
-        loop {
-            match self.home_wrote.load(Ordering::Acquire) {
-                HOME_CLEAN => return self.version.load(Ordering::Acquire),
-                HOME_WROTE => {
-                    if self
-                        .home_wrote
-                        .compare_exchange(
-                            HOME_WROTE,
-                            HOME_FOLDING,
-                            Ordering::AcqRel,
-                            Ordering::Relaxed,
-                        )
-                        .is_err()
-                    {
-                        continue;
-                    }
-                    let stamp = self.version.fetch_add(1, Ordering::AcqRel) + 1;
-                    // A home write that landed meanwhile marked the page
-                    // again; the failed exchange leaves its mark standing.
-                    let _ = self.home_wrote.compare_exchange(
-                        HOME_FOLDING,
-                        HOME_CLEAN,
-                        Ordering::AcqRel,
-                        Ordering::Relaxed,
-                    );
-                    return stamp;
-                }
-                _ => std::thread::yield_now(),
-            }
-        }
+        self.fold(&mut self.history().lock())
     }
 
-    /// Home side: move the stamp after a diff's slots have been stored, and
-    /// return the new stamp (what the diff acknowledgement carries).
-    pub fn bump_version(&self) -> u64 {
-        self.stamp();
-        self.version.fetch_add(1, Ordering::AcqRel) + 1
+    /// Home side: the current stamp (as [`PageFrame::stamp`]) and, if the
+    /// history holds every step from `retained` to it, the slots that
+    /// changed in them — what a copy retained at `retained` is missing.
+    /// `None` for no copy (`retained == 0`), a copy from before the history
+    /// was last broken or older than the ring is deep, and a stamp this
+    /// home never handed out.
+    pub fn changes_since(&self, retained: u64) -> (u64, Option<SlotSet>) {
+        let mut history = self.history().lock();
+        let stamp = self.fold(&mut history);
+        // Home stamps start at 1, so `whole_from` is above the 0 of no copy.
+        let reaches = (history.whole_from..=stamp).contains(&retained)
+            && stamp - retained <= HISTORY_DEPTH as u64;
+        if !reaches {
+            return (stamp, None);
+        }
+        let mut changed = [0u64; DIRTY_WORDS];
+        for v in retained + 1..=stamp {
+            let step = history.steps[v as usize % HISTORY_DEPTH];
+            for (all, word) in changed.iter_mut().zip(step) {
+                *all |= word;
+            }
+        }
+        (stamp, Some(changed))
+    }
+
+    /// Home side: apply a *remote* node's diff to this frame — data first,
+    /// stamp second — and return the new stamp (what the diff
+    /// acknowledgement carries).  Unlike [`PageFrame::store_slot`] this
+    /// neither records dirty bits nor flags a home write: they are the
+    /// remote writer's stores, merely landing here, and the step names them.
+    pub fn apply_diff(&self, entries: &[(u16, u64)]) -> u64 {
+        let data = self.data();
+        let mut changed = [0u64; DIRTY_WORDS];
+        for &(slot, value) in entries {
+            data.store(slot as usize, value);
+            changed[slot as usize / 64] |= 1u64 << (slot % 64);
+        }
+        let mut history = self.history().lock();
+        self.fold(&mut history);
+        self.step(&mut history, Some(changed))
+    }
+
+    /// The history, allocated on first use: whole from the current stamp
+    /// (which cannot move before this returns — it moves under the lock).
+    fn history(&self) -> &Mutex<History> {
+        self.history.get_or_init(|| {
+            Box::new(Mutex::new(History {
+                whole_from: self.version.load(Ordering::Acquire),
+                steps: [[0; DIRTY_WORDS]; HISTORY_DEPTH],
+            }))
+        })
+    }
+
+    /// Move the stamp one step under the history's lock: the step goes in
+    /// first, so nobody sees the stamp without it.  `None` breaks the
+    /// history at the new stamp.
+    fn step(&self, history: &mut History, changed: Option<SlotSet>) -> u64 {
+        let stamp = self.version.load(Ordering::Acquire) + 1;
+        match changed {
+            Some(changed) => history.steps[stamp as usize % HISTORY_DEPTH] = changed,
+            None => history.whole_from = stamp,
+        }
+        self.version.store(stamp, Ordering::Release);
+        stamp
+    }
+
+    /// Fold a pending home write into the stamp: one step whose slots are
+    /// the `dirty` bits, or a break if some write did not record its slot.
+    /// A write landing meanwhile flags the page again; its bit may already
+    /// be in this step, which is merely conservative.
+    fn fold(&self, history: &mut History) -> u64 {
+        match self.home_wrote.swap(HOME_CLEAN, Ordering::AcqRel) {
+            HOME_CLEAN => self.version.load(Ordering::Acquire),
+            flag => {
+                let changed = self.take_dirty_bits(Ordering::AcqRel);
+                self.step(history, (flag == HOME_TRACKED).then_some(changed))
+            }
+        }
     }
 
     /// Requester side, write-ack forwarding: this node's diff moved the
@@ -433,29 +529,34 @@ impl PageFrame {
         self.data().load(slot)
     }
 
-    /// Write a slot of this frame and, on non-home frames, remember it in the
-    /// dirty bitmap so `updateMainMemory` can flush it (object-field
-    /// granularity, §3.1).
+    /// Write a slot of this frame and remember it in the dirty bitmap: on
+    /// non-home frames so `updateMainMemory` can flush it (object-field
+    /// granularity, §3.1), on home frames with a history so the next step
+    /// of the stamp names it.
     #[inline]
     pub fn store_slot(&self, slot: usize, value: u64) {
         self.data().store(slot, value);
+        let bit = 1u64 << (slot % 64);
         if !self.is_home() {
-            self.dirty[slot / 64].fetch_or(1u64 << (slot % 64), Ordering::Relaxed);
-        } else {
+            self.dirty[slot / 64].fetch_or(bit, Ordering::Relaxed);
+        } else if self.history.get().is_none() {
             // Data first, flag second (`Release`): whoever folds the flag
-            // into the stamp has the data in view (module docs).
+            // into the stamp has the data in view (module docs).  The flag
+            // also says that no slot was recorded — a history allocated
+            // meanwhile is broken at the step that folds it.
             self.home_wrote.store(HOME_WROTE, Ordering::Release);
+        } else {
+            // Data first, bit second, flag third: the fold clears the flag
+            // before it takes the bits (both `AcqRel`, pairing with these),
+            // so a bit it misses finds the flag clear and sets it again.
+            self.dirty[slot / 64].fetch_or(bit, Ordering::AcqRel);
+            let _ = self.home_wrote.compare_exchange(
+                HOME_CLEAN,
+                HOME_TRACKED,
+                Ordering::AcqRel,
+                Ordering::Relaxed,
+            );
         }
-    }
-
-    /// Apply one slot of a *remote* node's diff to this (home) frame.
-    /// Unlike [`PageFrame::store_slot`] this neither records a dirty bit
-    /// nor flags a home write — it is the remote writer's store, merely
-    /// landing here.  The caller stamps the page with
-    /// [`PageFrame::bump_version`] once all slots of the diff are in.
-    #[inline]
-    pub fn apply_diff_slot(&self, slot: usize, value: u64) {
-        self.data().store(slot, value);
     }
 
     /// True if any slot has been modified since the last flush.
@@ -465,7 +566,6 @@ impl PageFrame {
 
     /// True if `slot` has been modified since the last flush (the
     /// revalidation oracle skips such slots: the local value is newer).
-    #[cfg(debug_assertions)]
     pub fn slot_is_dirty(&self, slot: usize) -> bool {
         self.dirty[slot / 64].load(Ordering::Relaxed) & (1u64 << (slot % 64)) != 0
     }
@@ -721,28 +821,37 @@ impl PageFrame {
         self.present.store(true, Ordering::Release);
     }
 
-    /// Demote this (former home) frame to an ordinary cached copy.  The data
-    /// stays valid — it was main memory an instant ago — so the node keeps
-    /// reading it for free until its next cache invalidation.  Its version
-    /// word keeps the old stamp, which the new home starts above.
-    pub fn demote_from_home(&self) {
+    /// Demote this (former home) frame to an ordinary cached copy and return
+    /// its last stamp.  The data stays valid — it was main memory an instant
+    /// ago — so the node keeps reading it for free until its next cache
+    /// invalidation.  Its version word keeps the old stamp, which the new
+    /// home starts above.
+    pub fn demote_from_home(&self) -> u64 {
+        // Fold while still home: from here on a `dirty` bit means "flush
+        // this slot", and the home's own pending bits must not become that.
+        let stamp = self.stamp();
         self.home.store(false, Ordering::Release);
         self.protected.store(false, Ordering::Release);
         self.present.store(true, Ordering::Release);
+        stamp
     }
 
     /// Collect and clear the dirty slots, returning `(slot, value)` pairs.
     pub fn take_dirty(&self) -> Vec<(u16, u64)> {
+        self.load_slots(&self.take_dirty_bits(Ordering::Relaxed))
+    }
+
+    fn take_dirty_bits(&self, order: Ordering) -> SlotSet {
+        std::array::from_fn(|w| self.dirty[w].swap(0, order))
+    }
+
+    /// The current values of `slots`, as ascending `(slot, value)` pairs.
+    pub fn load_slots(&self, slots: &SlotSet) -> Vec<(u16, u64)> {
         let mut out = Vec::new();
-        for (w, word) in self.dirty.iter().enumerate() {
-            let bits = word.swap(0, Ordering::Relaxed);
-            if bits == 0 {
-                continue;
-            }
+        for (w, &bits) in slots.iter().enumerate() {
             let mut b = bits;
             while b != 0 {
-                let bit = b.trailing_zeros() as usize;
-                let slot = w * 64 + bit;
+                let slot = w * 64 + b.trailing_zeros() as usize;
                 out.push((slot as u16, self.data().load(slot)));
                 b &= b - 1;
             }
@@ -829,11 +938,50 @@ mod tests {
         assert_eq!(home.stamp(), 2);
         assert_eq!(home.stamp(), 2, "nothing pending");
         // A diff moves it by exactly one; a pending home write adds its own.
-        home.apply_diff_slot(3, 30);
-        assert_eq!(home.bump_version(), 3);
+        assert_eq!(home.apply_diff(&[(3, 30)]), 3);
         home.store_slot(4, 40);
-        home.apply_diff_slot(5, 50);
-        assert_eq!(home.bump_version(), 5);
+        assert_eq!(home.apply_diff(&[(5, 50)]), 5);
+        assert_eq!((home.load_slot(3), home.load_slot(5)), (30, 50));
+    }
+
+    #[test]
+    fn the_history_names_the_slots_of_every_step_it_still_holds() {
+        let set = |slots: &[usize]| {
+            let mut set = [0u64; DIRTY_WORDS];
+            slots.iter().for_each(|s| set[s / 64] |= 1 << (s % 64));
+            Some(set)
+        };
+        let home = PageFrame::new_home();
+        // A write from before the history existed recorded no slot: the
+        // step that folds it is a break.
+        home.store_slot(1, 10);
+        assert_eq!(home.changes_since(1), (2, None));
+        // From here on home writes name their slots, one step per fold.
+        home.store_slot(3, 30);
+        home.store_slot(70, 700);
+        assert!(home.has_dirty_slots());
+        assert_eq!(home.changes_since(2), (3, set(&[3, 70])));
+        assert!(!home.has_dirty_slots(), "folded");
+        assert_eq!(home.apply_diff(&[(5, 50), (511, 1)]), 4);
+        assert_eq!(home.changes_since(2), (4, set(&[3, 5, 70, 511])));
+        assert_eq!(home.changes_since(3), (4, set(&[5, 511])));
+        assert_eq!(home.changes_since(4), (4, set(&[])));
+        assert_eq!(home.changes_since(1), (4, None), "broken at 2");
+        assert_eq!(home.changes_since(0), (4, None), "no copy to patch");
+        assert_eq!(home.changes_since(5), (4, None), "never handed out");
+        // The ring holds HISTORY_DEPTH steps and not one more.
+        for k in 0..HISTORY_DEPTH as u64 {
+            home.apply_diff(&[(k as u16, k)]);
+        }
+        assert!(home.changes_since(4).1.is_some());
+        assert_eq!(home.changes_since(3).1, None);
+
+        let copy = PageFrame::new_remote();
+        copy.store_slot(9, 99);
+        copy.apply_patch(&[(5, 50), (511, 1)], 4);
+        assert!(copy.is_present() && copy.slot_is_dirty(9));
+        let patched = (copy.version(), copy.load_slot(5), copy.load_slot(9));
+        assert_eq!(patched, (4, 50, 99));
     }
 
     #[test]

@@ -48,7 +48,7 @@ const RIDER_CREDIT: u64 = 2;
 pub(crate) fn rider_worth(machine: &MachineModel) -> u64 {
     let request = |riders: &[Rider]| encode_fetch_request(PageId(0), &[1], riders, true).len();
     let mut reply = Vec::new();
-    push_page_reply(&mut reply, PageReply::NotModified(1));
+    push_page_reply(&mut reply, &PageReply::NotModified(1));
     let round_trip = idle_round_trip(machine, request(&[]), reply.len(), VTime::ZERO);
     let rider = (PageId(0), 1);
     let rider_bytes = (request(&[rider, rider]) - request(&[rider])) as u64;

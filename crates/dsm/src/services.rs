@@ -14,7 +14,7 @@ use hyperion_pm2::{Node, NodeId, PageId, RpcHandler, RpcReply, SLOTS_PER_PAGE};
 
 use crate::diff::{
     append_fetch_hints, decode_diff_message, decode_fetch_request, encode_diff_reply,
-    push_page_reply, push_rider_answers, FetchRequest, PageReply, WireError,
+    push_page_reply, push_rider_answers, FetchRequest, PageReply, WireError, MAX_PATCH_ENTRIES,
 };
 use crate::policy::{FetchObservation, Predictor, ReplicationPolicy};
 use crate::table::DsmStore;
@@ -25,9 +25,10 @@ pub(crate) struct FetchServed {
     pub(crate) reply: Vec<u8>,
     /// Pages answered, shipped or not.
     pub(crate) pages: usize,
-    /// Pages actually shipped (the others were answered "not modified");
-    /// only these cost page-copy cycles and page bytes on the wire.
-    pub(crate) shipped: usize,
+    /// Slots shipped: a page's worth for every page sent whole, the changed
+    /// ones for a patch, none for "not modified".  Only these cost copy
+    /// cycles (and bytes on the wire).
+    pub(crate) slots_shipped: usize,
     /// Validation riders answered (a stamp comparison each, no bytes).
     pub(crate) riders: usize,
     /// The predictor's observation of this fetch, if it keeps a directory.
@@ -35,12 +36,12 @@ pub(crate) struct FetchServed {
 }
 
 impl FetchServed {
-    /// The home-side service time of this fetch: copy cycles for the pages
+    /// The home-side service time of this fetch: copy cycles for the slots
     /// shipped, per-page batching overhead for every page beyond the first
     /// (riders included), and `hint_entries` hint entries.
     pub(crate) fn service(&self, cpu: &CpuModel, dsm: &DsmCostModel, hint_entries: usize) -> VTime {
         cpu.cycles(
-            dsm.page_copy_cycles_per_slot * (SLOTS_PER_PAGE * self.shipped) as f64
+            dsm.page_copy_cycles_per_slot * self.slots_shipped as f64
                 + dsm.batch_page_cycles * (self.pages - 1 + self.riders) as f64
                 + dsm.hint_entry_cycles * hint_entries as f64,
         )
@@ -49,7 +50,9 @@ impl FetchServed {
 
 /// Answer `request` out of the authoritative home frames: per page, "not
 /// modified" if the requester's retained version is the home's current
-/// stamp, else the page.  Runs the predictor's per-page bookkeeping and the
+/// stamp; else the slots that changed since, if the page's history still
+/// holds every step in between and they encode shorter than the page; else
+/// the page.  Runs the predictor's per-page bookkeeping and the
 /// replication policy's read-replica registration for every page either
 /// way (a revalidated copy is as current as a shipped one).  The request's
 /// validation riders get the same stamp comparison and one bit each; they
@@ -83,7 +86,7 @@ pub(crate) fn serve_fetch(
     let mut served = FetchServed {
         reply: Vec::with_capacity(count * 9 + 1),
         pages: count,
-        shipped: 0,
+        slots_shipped: 0,
         riders: riders.len(),
         // Directory bookkeeping exists only when the predictor opts in: a
         // `NoopPredictor` declines the observation, and the fetch handler
@@ -108,17 +111,31 @@ pub(crate) fn serve_fetch(
             if let Some(o) = &served.obs {
                 predictor.record_served_page(f, caller, o);
             }
-            // Stamp first, snapshot second: the copy may end up stamped
-            // older than its bytes, never newer (see `crate::page`).
-            let stamp = f.stamp();
+            // Stamp first, values second — for a patch as for a page: the
+            // copy may end up stamped older than its bytes, never newer
+            // (see `crate::page`).
+            let (stamp, changed) = f.changes_since(retained);
             debug_assert_ne!(stamp, 0, "home stamps start at 1");
-            if retained == stamp {
-                push_page_reply(&mut served.reply, PageReply::NotModified(stamp));
+            let patch = changed
+                .map(|set| {
+                    (
+                        set,
+                        set.iter().map(|w| w.count_ones() as usize).sum::<usize>(),
+                    )
+                })
+                .filter(|&(_, slots)| slots <= MAX_PATCH_ENTRIES);
+            let bytes;
+            let answer = if retained == stamp {
+                PageReply::NotModified(stamp)
+            } else if let Some((changed, slots)) = patch {
+                served.slots_shipped += slots;
+                PageReply::Patch(stamp, f.load_slots(&changed))
             } else {
-                served.shipped += 1;
-                let bytes = f.data().snapshot_bytes();
-                push_page_reply(&mut served.reply, PageReply::Full(stamp, &bytes));
-            }
+                served.slots_shipped += SLOTS_PER_PAGE;
+                bytes = f.data().snapshot_bytes();
+                PageReply::Full(stamp, &bytes)
+            };
+            push_page_reply(&mut served.reply, &answer);
         });
         if replication.replicates() {
             // The served copy doubles as a read replica: the caller is
@@ -198,21 +215,15 @@ pub(crate) fn apply_diff_message(
             home_now == nominal_home || store.page_rehomed(*page),
             "diff sent to a node that is not the page's home"
         );
-        let post = store.with_frame(home_now, *page, |f| {
-            for &(slot, value) in entries {
-                f.apply_diff_slot(slot as usize, value);
-            }
-            // Data first, stamp second (see `crate::page`).  A page that
-            // rode along with nothing to apply leaves its stamp alone and
-            // is acknowledged with 0: the current stamp is other writers'
-            // work, and a writer told of it would take their step for its
-            // own (write-ack forwarding) without holding their data.
-            if entries.is_empty() {
-                0
-            } else {
-                f.bump_version()
-            }
-        });
+        // A page that rode along with nothing to apply leaves its stamp
+        // alone and is acknowledged with 0: the current stamp is other
+        // writers' work, and a writer told of it would take their step for
+        // its own (write-ack forwarding) without holding their data.
+        let post = if entries.is_empty() {
+            0
+        } else {
+            store.with_frame(home_now, *page, |f| f.apply_diff(entries))
+        };
         drop(pinned);
         out.versions.push(post);
         if replication.replicates() {
@@ -306,7 +317,9 @@ mod tests {
     use hyperion_model::{myrinet_200, ThreadClock};
     use hyperion_pm2::{Cluster, IsoAllocator, NodeId, TransportBackend, TransportError};
 
-    use crate::diff::{decode_diff_reply, encode_diff, encode_fetch_request};
+    use crate::diff::{
+        decode_diff_reply, decode_fetch_reply, encode_diff, encode_fetch_request, PageReply,
+    };
     use crate::{DsmStore, DsmSystem, ProtocolKind};
 
     /// Garbage sent to either DSM service comes back as a typed
@@ -365,20 +378,30 @@ mod tests {
             let riders = [(page, stamp), (page, stamp + 1), (elsewhere, 1)];
             let asking = encode_fetch_request(page, &[stamp], &riders, true);
             let answered = call(dsm.page_fetch, &asking).expect("well-formed riders");
-            let answered = crate::diff::decode_fetch_reply(&answered, 1, 3).expect("decodes");
+            let answered = decode_fetch_reply(&answered, &[stamp], 3).expect("decodes");
             assert_eq!(answered.unchanged, 0b001, "{backend}");
             // A diff is acknowledged with its pages' new stamps and not a
-            // byte more.
+            // byte more, and a copy from before it is brought up to date
+            // with the diff's slot, not the page: the same bytes over
+            // either transport.
             let ack =
                 call(dsm.diff_apply, &encode_diff(page, &[(0, 7)])).expect("well-formed diff");
             let acked = decode_diff_reply(&ack, 1).expect("versions only");
-            assert!(acked[0] > stamp, "{backend}");
-            // And the requester side rejects a reply it cannot decode with
-            // the same typed error instead of panicking.
-            let why = crate::diff::decode_fetch_reply(&reply[..100], 1, 0).unwrap_err();
-            let failure = dsm.malformed_reply(NodeId(1), page, dsm.page_fetch, why);
-            assert!(matches!(failure.error, TransportError::MalformedFrame(_)));
-            assert!(failure.to_string().contains("dsm.page_fetch reply"));
+            assert_eq!(acked[0], stamp + 1, "{backend}");
+            let asking = encode_fetch_request(page, &[stamp], &[], true);
+            let patch = call(dsm.page_fetch, &asking).expect("well-formed fetch");
+            let decoded = decode_fetch_reply(&patch, &[stamp], 0).expect("decodes");
+            let expected = PageReply::Patch(stamp + 1, vec![(0, 7)]);
+            assert_eq!((patch.len(), &decoded.pages[0]), (9 + 4 + 10, &expected));
+            // And the requester side rejects a reply it cannot decode, or
+            // that would move its stamp backwards, or patch a copy it does
+            // not hold, with the same typed error instead of panicking.
+            for (bytes, retained) in [(&reply[..100], 0), (&reply[..], stamp + 1), (&patch, 0)] {
+                let why = decode_fetch_reply(bytes, &[retained], 0).unwrap_err();
+                let failure = dsm.malformed_reply(NodeId(1), page, dsm.page_fetch, why);
+                assert!(matches!(failure.error, TransportError::MalformedFrame(_)));
+                assert!(failure.to_string().contains("dsm.page_fetch reply"));
+            }
         }
     }
 }

@@ -175,9 +175,8 @@ impl DsmStore {
     /// validates against the new home.
     pub(crate) fn rehome(&self, _exclusive: &RwLockWriteGuard<'_, ()>, page: PageId, to: NodeId) {
         let from = self.home_of(page);
-        let (snapshot, stamp) = self.with_frame(from, page, |f| {
-            f.demote_from_home();
-            (f.data().snapshot_bytes(), f.stamp())
+        let (stamp, snapshot) = self.with_frame(from, page, |f| {
+            (f.demote_from_home(), f.data().snapshot_bytes())
         });
         self.with_frame(to, page, |f| {
             f.promote_to_home(&snapshot, stamp + REHOME_STRIDE)
@@ -523,8 +522,7 @@ mod tests {
                 std::thread::yield_now();
             }
             assert!(!rehomed.load(std::sync::atomic::Ordering::SeqCst));
-            home.apply_diff_slot(addr.slot(), 99);
-            home.bump_version();
+            home.apply_diff(&[(addr.slot() as u16, 99)]);
             drop(pinned);
             recovery.join().expect("recovery thread");
         });

@@ -1151,17 +1151,18 @@ fn litmus_remote_write_under_a_monitor_ships_the_page_to_the_next_acquirer() {
         release(&f, 1, &mut w);
 
         // Reader (node 2) acquires M afterwards: its retained copy predates
-        // the diff, so the home ships the page and the new value is seen.
+        // the diff, so the home ships what the diff changed — of the page,
+        // the one slot — and the new value is seen.
         let before = fetch_counters(&f, 2);
+        let patched = f.cluster.node_stats(NodeId(2)).pages_patched;
         acquire(&f, 2, &mut r);
         assert_eq!(f.dsm.get(NodeId(2), &mut r, addr), 41, "{kind:?}");
         let after = fetch_counters(&f, 2);
         assert_eq!(after.0, before.0 + 1, "{kind:?}: one fetch");
         assert_eq!(after.1, before.1, "{kind:?}: not a revalidation");
-        assert!(
-            after.2 - before.2 > 4096,
-            "{kind:?}: the page crossed the wire"
-        );
+        assert!(after.2 - before.2 < 128, "{kind:?}: a slot, not the page");
+        let now = f.cluster.node_stats(NodeId(2)).pages_patched;
+        assert_eq!(now, patched + 1, "{kind:?}");
     }
 }
 
@@ -1500,7 +1501,7 @@ fn litmus_a_changed_rider_is_not_confirmed_and_its_touch_ships_the_page() {
             assert_eq!(f.dsm.get(NodeId(1), &mut r, a), 10, "{kind:?}");
             assert_eq!(rider_counters(&f, 1).2, riders + 1, "{kind:?}: b rode");
 
-            let received = f.cluster.node_stats(NodeId(1)).bytes_received;
+            let before = f.cluster.node_stats(NodeId(1));
             assert_eq!(
                 f.dsm.get(NodeId(1), &mut r, b),
                 21,
@@ -1512,7 +1513,9 @@ fn litmus_a_changed_rider_is_not_confirmed_and_its_touch_ships_the_page() {
                 (loads + 2, opens),
                 "{kind:?}"
             );
-            assert!(s.bytes_received - received > 4096, "{kind:?}: page shipped");
+            // Shipped: the slot that changed, whoever changed it.
+            assert_eq!(s.pages_patched, before.pages_patched + 1, "{kind:?}");
+            assert!(s.bytes_received - before.bytes_received < 128, "{kind:?}");
 
             // Fetched afresh, it is listed again and confirmed next time.
             acquire(&f, 1, &mut r);
@@ -1600,4 +1603,229 @@ fn litmus_a_rider_never_validates_against_a_re_elected_home() {
         let s = f.cluster.node_stats(NodeId(2));
         assert_eq!((s.nodes_failed, s.rider_opens), (1, opens), "{kind:?}");
     }
+}
+
+// ----- patches: the slots that changed, not the page ------------------------
+//
+// By value first, by counter second.  In debug builds every patched copy is
+// also compared with its home slot for slot by the engine's own oracle
+// (`oracle.rs`): with `PageFrame::changes_since` mutated to drop the first
+// missed step from its OR, litmus (a) and (b) below die there with
+// "stale copy revalidated".
+
+/// `(page_loads, pages_patched, pages_revalidated)` of `node`.
+fn patch_counters(f: &Fixture, node: u32) -> (u64, u64, u64) {
+    let s = f.cluster.node_stats(NodeId(node));
+    (s.page_loads, s.pages_patched, s.pages_revalidated)
+}
+
+/// The answer to the one page `fetch` makes `node` load: `Some(true)` a
+/// patch, `Some(false)` the page, `None` a confirmation (or no such load).
+fn next_fetch_is_a_patch(f: &Fixture, node: u32, fetch: impl FnOnce()) -> Option<bool> {
+    let before = patch_counters(f, node);
+    fetch();
+    let after = patch_counters(f, node);
+    match (after.0 - before.0, after.1 - before.1, after.2 - before.2) {
+        (1, 1, 0) => Some(true),
+        (1, 0, 0) => Some(false),
+        _ => None,
+    }
+}
+
+/// Litmus (a): a remote diff reaches a holder of the previous copy as
+/// exactly its slot — a slot the holder wrote itself and has not flushed
+/// yet survives, which a shipped page would have overwritten.
+#[test]
+fn litmus_a_remote_diff_arrives_as_a_patch_of_exactly_its_slot() {
+    for kind in ProtocolKind::all_extended() {
+        let f = fixture(3, kind);
+        let addr = f.alloc.alloc_page_aligned(16, NodeId(0));
+        let (mut r, mut w, mut h) = (ThreadClock::new(), ThreadClock::new(), ThreadClock::new());
+        assert_eq!(f.dsm.get(NodeId(1), &mut r, addr), 0);
+        f.dsm.put(NodeId(1), &mut r, addr.offset(5), 55);
+
+        acquire(&f, 2, &mut w);
+        f.dsm.put(NodeId(2), &mut w, addr.offset(3), 33);
+        release(&f, 2, &mut w);
+
+        // The holder's copy goes absent with slot 5 still unflushed (another
+        // thread of its node re-protecting the page under it).
+        let frame = f.dsm.store().frame(NodeId(1), addr.page());
+        frame.invalidate(kind == ProtocolKind::JavaPf);
+        let patched = next_fetch_is_a_patch(&f, 1, || {
+            assert_eq!(f.dsm.get(NodeId(1), &mut r, addr.offset(3)), 33, "{kind:?}");
+        });
+        assert_eq!(patched, Some(true), "{kind:?}");
+        assert_eq!(f.dsm.get(NodeId(1), &mut r, addr.offset(5)), 55, "{kind:?}");
+        assert!(frame.slot_is_dirty(5), "{kind:?}: still to be flushed");
+        release(&f, 1, &mut r);
+        assert_eq!(f.dsm.get(NodeId(0), &mut h, addr.offset(5)), 55, "{kind:?}");
+        assert_eq!(f.dsm.get(NodeId(0), &mut h, addr.offset(3)), 33, "{kind:?}");
+    }
+}
+
+/// Litmus (b): writes of the home itself — plain stores, no diff — between
+/// two fetches of a holder arrive by patch too, all of them in one step.
+#[test]
+fn litmus_home_local_writes_between_two_fetches_arrive_by_patch() {
+    for kind in ProtocolKind::all_extended() {
+        let f = fixture(2, kind);
+        let addr = f.alloc.alloc_page_aligned(16, NodeId(0));
+        let (mut h, mut r) = (ThreadClock::new(), ThreadClock::new());
+        f.dsm.put(NodeId(0), &mut h, addr, 1);
+        assert_eq!(f.dsm.get(NodeId(1), &mut r, addr), 1);
+        for round in 0..3u64 {
+            f.dsm.put(NodeId(0), &mut h, addr.offset(2), 20 + round);
+            f.dsm.put(NodeId(0), &mut h, addr.offset(9), 90 + round);
+            acquire(&f, 1, &mut r);
+            let patched = next_fetch_is_a_patch(&f, 1, || {
+                assert_eq!(f.dsm.get(NodeId(1), &mut r, addr.offset(9)), 90 + round);
+            });
+            assert_eq!(patched, Some(true), "{kind:?} round {round}");
+            assert_eq!(f.dsm.get(NodeId(1), &mut r, addr.offset(2)), 20 + round);
+            assert_eq!(f.dsm.get(NodeId(1), &mut r, addr), 1, "{kind:?}");
+        }
+        // Nothing written: the next acquire's fetch is a confirmation.
+        acquire(&f, 1, &mut r);
+        let revalidated = patch_counters(&f, 1).2;
+        assert_eq!(f.dsm.get(NodeId(1), &mut r, addr), 1, "{kind:?}");
+        assert_eq!(patch_counters(&f, 1).2, revalidated + 1, "{kind:?}");
+    }
+}
+
+/// Litmus (c): what the history cannot vouch for is shipped whole — no copy
+/// to patch, a step the ring has dropped, a patch that would not be shorter
+/// than the page.  (A re-homed page: `tests/chaos_recovery.rs`.)
+#[test]
+fn litmus_a_copy_the_history_cannot_reach_is_shipped_whole() {
+    use hyperion_dsm::diff::MAX_PATCH_ENTRIES;
+    use hyperion_dsm::page::HISTORY_DEPTH;
+    for kind in ProtocolKind::all_extended() {
+        let f = fixture(3, kind);
+        let addr = f.alloc.alloc_page_aligned(SLOTS_PER_PAGE, NodeId(0));
+        let (mut r, mut w) = (ThreadClock::new(), ThreadClock::new());
+        let first_touch = next_fetch_is_a_patch(&f, 1, || {
+            assert_eq!(f.dsm.get(NodeId(1), &mut r, addr), 0);
+        });
+        assert_eq!(first_touch, Some(false), "{kind:?}");
+
+        // As many steps as the ring holds are patched over, one more is not.
+        let mut value = 0;
+        for steps in [HISTORY_DEPTH, HISTORY_DEPTH + 1] {
+            for _ in 0..steps {
+                value += 1;
+                acquire(&f, 2, &mut w);
+                f.dsm.put(NodeId(2), &mut w, addr.offset(value % 7), value);
+                release(&f, 2, &mut w);
+            }
+            acquire(&f, 1, &mut r);
+            let patched = next_fetch_is_a_patch(&f, 1, || {
+                assert_eq!(f.dsm.get(NodeId(1), &mut r, addr.offset(value % 7)), value);
+            });
+            assert_eq!(patched, Some(steps == HISTORY_DEPTH), "{kind:?} {steps}");
+        }
+
+        // The longest patch is one entry short of a page; a rewrite of the
+        // whole page (Jacobi's rows) is the page.
+        for slots in [MAX_PATCH_ENTRIES, MAX_PATCH_ENTRIES + 1, SLOTS_PER_PAGE] {
+            value += 1;
+            acquire(&f, 2, &mut w);
+            f.dsm
+                .write_slice(NodeId(2), &mut w, addr, &vec![value; slots]);
+            release(&f, 2, &mut w);
+            acquire(&f, 1, &mut r);
+            let patched = next_fetch_is_a_patch(&f, 1, || {
+                assert_eq!(
+                    f.dsm.get(NodeId(1), &mut r, addr.offset(slots as u64 - 1)),
+                    value
+                );
+            });
+            assert_eq!(
+                patched,
+                Some(slots == MAX_PATCH_ENTRIES),
+                "{kind:?} {slots}"
+            );
+        }
+    }
+}
+
+/// Litmus (d): a diff lands between the handler's stamp read and its value
+/// reads (the two steps of `serve_fetch`, taken apart here).  The copy is
+/// stamped older than some of its bytes, never newer: the next fetch
+/// mismatches and delivers the slot the first one missed.
+#[test]
+fn litmus_a_diff_between_the_stamp_and_the_values_is_caught_by_the_next_fetch() {
+    for kind in ProtocolKind::all_extended() {
+        let f = fixture(3, kind);
+        let addr = f.alloc.alloc_page_aligned(16, NodeId(0));
+        let (mut r, mut w) = (ThreadClock::new(), ThreadClock::new());
+        assert_eq!(f.dsm.get(NodeId(1), &mut r, addr), 0);
+        let holder = f.dsm.store().frame(NodeId(1), addr.page());
+        let home = f.dsm.store().frame(NodeId(0), addr.page());
+        let write = |w: &mut ThreadClock, slot: u64, value: u64| {
+            acquire(&f, 2, w);
+            f.dsm.put(NodeId(2), w, addr.offset(slot), value);
+            release(&f, 2, w);
+        };
+        write(&mut w, 3, 33);
+
+        // The handler reads the stamp and the steps the holder missed...
+        acquire(&f, 1, &mut r);
+        let (stamp, changed) = home.changes_since(holder.version());
+        // ...a second diff lands, on a slot of the patch and on another...
+        write(&mut w, 3, 34);
+        write(&mut w, 4, 44);
+        // ...and only now are the values read and the patch installed.
+        let entries = home.load_slots(&changed.expect("one step, in the ring"));
+        assert_eq!(
+            entries,
+            vec![(3, 34)],
+            "{kind:?}: the newer value of the old step"
+        );
+        holder.apply_patch(&entries, stamp);
+        assert_eq!(
+            f.dsm.get(NodeId(1), &mut r, addr.offset(4)),
+            0,
+            "{kind:?}: raced"
+        );
+
+        acquire(&f, 1, &mut r);
+        let patched = next_fetch_is_a_patch(&f, 1, || {
+            assert_eq!(f.dsm.get(NodeId(1), &mut r, addr.offset(4)), 44, "{kind:?}");
+        });
+        assert_eq!(patched, Some(true), "{kind:?}: the stamp had moved on");
+        assert_eq!(f.dsm.get(NodeId(1), &mut r, addr.offset(3)), 34, "{kind:?}");
+    }
+}
+
+/// Litmus (e): one batched `java_ad` reply mixes all three answers.
+#[test]
+fn litmus_a_batched_reply_mixes_confirmation_patch_and_page() {
+    let f = fixture(3, ProtocolKind::JavaAd);
+    let addr = f.alloc.alloc_page_aligned(3 * SLOTS_PER_PAGE, NodeId(0));
+    let page = |k: usize| addr.offset((k * SLOTS_PER_PAGE) as u64);
+    let (mut r, mut w) = (ThreadClock::new(), ThreadClock::new());
+    let mut seen = vec![0u64; 3 * SLOTS_PER_PAGE];
+    f.dsm.read_slice(NodeId(1), &mut r, addr, &mut seen);
+
+    acquire(&f, 2, &mut w);
+    f.dsm.put(NodeId(2), &mut w, page(1).offset(7), 17);
+    f.dsm
+        .write_slice(NodeId(2), &mut w, page(2), &[2; SLOTS_PER_PAGE]);
+    release(&f, 2, &mut w);
+
+    acquire(&f, 1, &mut r);
+    let before = f.cluster.node_stats(NodeId(1));
+    f.dsm.read_slice(NodeId(1), &mut r, addr, &mut seen);
+    let after = f.cluster.node_stats(NodeId(1));
+    assert_eq!(after.rpc_requests, before.rpc_requests + 1, "one batch");
+    assert_eq!(after.page_loads, before.page_loads + 3);
+    assert_eq!(after.pages_revalidated, before.pages_revalidated + 1);
+    assert_eq!(after.pages_patched, before.pages_patched + 1);
+    let shipped = after.bytes_received - before.bytes_received;
+    assert!((4096..2 * 4096).contains(&shipped), "one page of three");
+    let mut expected = vec![0u64; 3 * SLOTS_PER_PAGE];
+    expected[SLOTS_PER_PAGE + 7] = 17;
+    expected[2 * SLOTS_PER_PAGE..].fill(2);
+    assert_eq!(seen, expected);
 }

@@ -616,7 +616,8 @@ impl RunReport {
         };
         format!(
             "{} on {} × {} nodes: {}\n  checks={} faults={} mprotect={} page_loads={} \
-             (revalidated={}) riders={} (opened={}) diffs={} bytes={} monitors={}/{}\n  \
+             (revalidated={} patched={}) riders={} (opened={}) diffs={} bytes={} \
+             monitors={}/{}\n  \
              home busy={} queue wait={} monitor wait={} (order escapes={})",
             self.protocol.name(),
             self.cluster_label,
@@ -627,6 +628,7 @@ impl RunReport {
             t.mprotect_calls,
             t.page_loads,
             t.pages_revalidated,
+            t.pages_patched,
             t.validation_riders,
             t.rider_opens,
             t.diff_messages,

@@ -145,6 +145,8 @@ define_stats! {
     serving_op_ps_total,
     /// Page fetches (a subset of `page_loads`) the home answered "not modified": the retained copy was re-opened and no page bytes moved.
     pages_revalidated,
+    /// Page fetches (a subset of `page_loads`) the home answered with the slots that changed since the retained copy's stamp: the copy was patched and re-opened, and only those slots moved.
+    pages_patched,
     /// Service time booked on this node's protocol processor by remote requests, in picoseconds (busy time; divide by the run's execution time for the home's utilisation).
     rpc_service_ps,
     /// Time remote requests waited at this node between arrival and start of service, in picoseconds.
@@ -384,7 +386,7 @@ mod tests {
         ] {
             assert!(names.contains(&expected), "missing {expected}");
         }
-        assert_eq!(names.len(), 50);
+        assert_eq!(names.len(), 51);
         for added in [
             "batched_flushes",
             "rpc_retries",
@@ -404,6 +406,7 @@ mod tests {
             "serving_ops",
             "serving_op_ps_total",
             "pages_revalidated",
+            "pages_patched",
             "rpc_service_ps",
             "rpc_queue_wait_ps",
             "validation_riders",

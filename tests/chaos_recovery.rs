@@ -442,3 +442,50 @@ fn unreplicated_pages_fall_back_to_the_lowest_live_node() {
     assert_eq!(stats.nodes_failed, 1);
     assert!(stats.pages_resynced >= 1);
 }
+
+/// A re-homing breaks the page's change history: the new home starts a
+/// stride above the old stamps with no steps on record, so a holder of a
+/// copy from before the kill is shipped the page, never a patch — although
+/// the write it has missed is a single slot.
+#[test]
+fn a_rehomed_page_is_shipped_whole_to_the_holder_of_an_older_copy() {
+    let spec = FaultSpec {
+        seed: 9,
+        kill: Some(FaultKill {
+            node: 0,
+            at: VTime::from_us(500),
+        }),
+        ..FaultSpec::default()
+    };
+    let transport = TransportConfig {
+        replication: Some((2, 2)),
+        ..TransportConfig::default()
+    };
+    let (dsm, addrs) = build_faulty_dsm(3, spec, &transport);
+    let (mut clock1, mut clock2) = (ThreadClock::new(), ThreadClock::new());
+    // Node 1 registers as the first replica holder, so it is the one the
+    // quorum writes keep current and the election picks.
+    assert_eq!(dsm.get(NodeId(1), &mut clock1, addrs[0]), 0);
+    assert_eq!(dsm.get(NodeId(2), &mut clock2, addrs[0]), 0);
+    // Before the kill a missed write arrives by patch...
+    dsm.put(NodeId(1), &mut clock1, addrs[0], 41);
+    dsm.update_main_memory(NodeId(1), &mut clock1);
+    dsm.invalidate_cache(NodeId(2), &mut clock2);
+    assert_eq!(dsm.get(NodeId(2), &mut clock2, addrs[0]), 41);
+    assert_eq!(dsm.cluster().node_stats(NodeId(2)).pages_patched, 1);
+    dsm.put(NodeId(1), &mut clock1, addrs[0], 42);
+    dsm.update_main_memory(NodeId(1), &mut clock1);
+    assert!(clock1.now().max(clock2.now()) < VTime::from_us(500));
+
+    // ...after it, from the re-elected home, the page does.
+    clock2.advance(VTime::from_us(1_000));
+    dsm.invalidate_cache(NodeId(2), &mut clock2);
+    let before = dsm.cluster().node_stats(NodeId(2));
+    assert_eq!(dsm.get(NodeId(2), &mut clock2, addrs[0]), 42);
+    let after = dsm.cluster().node_stats(NodeId(2));
+    assert_eq!(after.nodes_failed, 1);
+    assert_eq!(dsm.store().home_of(addrs[0].page()), NodeId(1));
+    assert_eq!(after.pages_patched, before.pages_patched);
+    assert_eq!(after.pages_revalidated, before.pages_revalidated);
+    assert!(after.bytes_received - before.bytes_received > 4096);
+}

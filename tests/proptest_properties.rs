@@ -160,6 +160,7 @@ fn build_dsm(
 /// every read, for arbitrary operation sequences, under both protocols.
 #[test]
 fn dsm_matches_the_consistency_specification() {
+    let patched = std::cell::Cell::new(0u64);
     property(48, |seed, rng| {
         let ops = random_ops(rng, 3, 12, 120);
         for protocol in [ProtocolKind::JavaIc, ProtocolKind::JavaPf] {
@@ -214,8 +215,13 @@ fn dsm_matches_the_consistency_specification() {
                     "seed {seed}: final state, slot {slot}"
                 );
             }
+            let stats = dsm.cluster().total_stats();
+            patched.set(patched.get() + stats.pages_patched);
         }
     });
+    // Every patched copy above was compared with its home slot for slot
+    // (debug builds); the programs have to get there at all.
+    assert!(patched.get() > 0, "no sequence crossed a patch");
 }
 
 /// The model check of [`dsm_matches_the_consistency_specification`], run
@@ -781,31 +787,50 @@ fn diff_wire_encodings_round_trip() {
     });
 }
 
-/// Page-fetch replies — any mix of "not modified" and shipped pages, with
-/// or without rider answers and the prefetch-directory hint trailer —
+/// Page-fetch replies — any mix of "not modified", patches and shipped
+/// pages, with or without rider answers and the prefetch-directory hint trailer —
 /// parse back to exactly what went in; truncated and garbage replies are
 /// errors, never panics.
 #[test]
 fn fetch_reply_forms_round_trip_and_reject_garbage() {
     use hyperion_workspace::dsm::diff::{
-        append_fetch_hints, decode_fetch_reply, push_page_reply, push_rider_answers, HintRun,
-        PageReply, MAX_RIDERS,
+        append_fetch_hints, decode_fetch_reply, push_page_reply, push_rider_answers, DiffEntry,
+        HintRun, PageReply, MAX_PATCH_ENTRIES, MAX_RIDERS,
     };
     use hyperion_workspace::pm2::PAGE_BYTES;
 
     property(64, |seed, rng| {
-        // `None` = not modified, `Some(bytes)` = a shipped page.
-        let pages: Vec<(u64, Option<Vec<u8>>)> = (0..rng.gen_range(1usize..4))
+        // Per page the version the requester retains and the home's
+        // answer: not modified at it, a patch from it, or the page whatever
+        // it was (0 = no copy).
+        let shipped: Vec<Vec<u8>> = (0..3)
             .map(|_| {
-                let version = rng.gen_range(1u64..u64::MAX);
-                let data = (rng.gen_range(0u32..2) == 0).then(|| {
-                    (0..PAGE_BYTES)
-                        .map(|_| rng.gen_range(0u8..u8::MAX))
-                        .collect()
-                });
-                (version, data)
+                (0..PAGE_BYTES)
+                    .map(|_| rng.gen_range(0u8..u8::MAX))
+                    .collect()
             })
             .collect();
+        let (retained, expected): (Vec<u64>, Vec<PageReply<'_>>) = shipped
+            [..rng.gen_range(1usize..4)]
+            .iter()
+            .map(|bytes| {
+                let version = rng.gen_range(2u64..u64::MAX);
+                match rng.gen_range(0u32..3) {
+                    0 => (version, PageReply::NotModified(version)),
+                    1 => (rng.gen_range(0..version), PageReply::Full(version, bytes)),
+                    _ => {
+                        let mut entries: Vec<DiffEntry> = (0..rng
+                            .gen_range(0..MAX_PATCH_ENTRIES + 1))
+                            .map(|_| (rng.gen_range(0u16..512), rng.gen_range(0..u64::MAX)))
+                            .collect();
+                        entries.sort_unstable_by_key(|e| e.0);
+                        entries.dedup_by_key(|e| e.0);
+                        let kept = rng.gen_range(1..version);
+                        (kept, PageReply::Patch(version, entries))
+                    }
+                }
+            })
+            .unzip();
         let hints: Vec<HintRun> = (0..rng.gen_range(0usize..8))
             .map(|_| {
                 (
@@ -814,20 +839,12 @@ fn fetch_reply_forms_round_trip_and_reject_garbage() {
                 )
             })
             .collect();
-        let expected: Vec<PageReply<'_>> = pages
-            .iter()
-            .map(|(version, data)| match data {
-                None => PageReply::NotModified(*version),
-                Some(bytes) => PageReply::Full(*version, bytes),
-            })
-            .collect();
-
         let riders = rng.gen_range(0..MAX_RIDERS + 1);
         let unchanged = rng.gen_range(0u64..1 << riders);
 
         let mut reply = Vec::new();
         for page in &expected {
-            push_page_reply(&mut reply, *page);
+            push_page_reply(&mut reply, page);
         }
         let without_riders = reply.len();
         push_rider_answers(&mut reply, unchanged, riders);
@@ -841,7 +858,7 @@ fn fetch_reply_forms_round_trip_and_reject_garbage() {
         if hints.is_empty() {
             assert_eq!(reply.len(), without_hints, "seed {seed}: empty trailer");
         }
-        let got = decode_fetch_reply(&reply, pages.len(), riders).expect("well-formed reply");
+        let got = decode_fetch_reply(&reply, &retained, riders).expect("well-formed reply");
         assert_eq!(got.pages, expected, "seed {seed}: page answers corrupted");
         assert_eq!(
             got.unchanged, unchanged,
@@ -853,7 +870,7 @@ fn fetch_reply_forms_round_trip_and_reject_garbage() {
         // reply without its hint trailer.
         for cut in (0..reply.len()).filter(|&cut| cut != without_hints) {
             assert!(
-                decode_fetch_reply(&reply[..cut], pages.len(), riders).is_err(),
+                decode_fetch_reply(&reply[..cut], &retained, riders).is_err(),
                 "seed {seed}: reply truncated to {cut} bytes decoded"
             );
         }
@@ -862,15 +879,16 @@ fn fetch_reply_forms_round_trip_and_reject_garbage() {
         if riders > 0 && riders % 8 != 0 {
             let mut stray = reply.clone();
             stray[without_riders + riders / 8] |= 1 << (riders % 8);
-            assert!(decode_fetch_reply(&stray, pages.len(), riders).is_err());
+            assert!(decode_fetch_reply(&stray, &retained, riders).is_err());
         }
-        assert!(decode_fetch_reply(&reply, pages.len(), MAX_RIDERS + 1).is_err());
+        assert!(decode_fetch_reply(&reply, &retained, MAX_RIDERS + 1).is_err());
         // Garbage of the same length never panics the decoder.
         let garbage: Vec<u8> = (0..reply.len().min(64))
             .map(|_| rng.gen_range(0u8..u8::MAX))
             .collect();
-        let _ = decode_fetch_reply(&garbage, pages.len(), riders);
-        assert!(decode_fetch_reply(&reply, pages.len() + 1, riders).is_err());
+        let _ = decode_fetch_reply(&garbage, &retained, riders);
+        let one_more = [&retained[..], &[0]].concat();
+        assert!(decode_fetch_reply(&reply, &one_more, riders).is_err());
     });
 }
 
