@@ -198,18 +198,6 @@ pub fn run(config: HyperionConfig, params: &AspParams) -> RunOutcome<AspResult> 
                 // deliberately element-wise: its "integer add and integer
                 // compare while performing three object-locality checks" is
                 // the effect the paper measures on ASP.
-                //
-                // Under the prefetch-directory transport the loop is
-                // restructured (modelling the compiler pass a split-
-                // transaction runtime enables) to issue the pivot-row fetch
-                // a statement-window early: the whole `d[i][k]` column is
-                // read *before* the first pivot-row element, which is legal
-                // because neither `d[i][k]` nor `d[k][j]` changes during
-                // iteration `k`, and it widens the window between the
-                // overlapped fetch and its first use from one statement to
-                // a full column scan.
-                let early_issue = worker.transport().prefetch_hints;
-                let mut diks: Vec<i64> = Vec::new();
                 for k in 0..n {
                     let pivot_row = rows.row(k);
                     // Issue the pivot-row fetch as early as the consistency
@@ -217,19 +205,9 @@ pub fn run(config: HyperionConfig, params: &AspParams) -> RunOutcome<AspResult> 
                     // invalidated the cache.  Under the overlapped transport
                     // its latency hides behind the leading local rows.
                     pivot_row.prefetch(worker);
-                    if early_issue {
-                        diks.clear();
-                        for i in row_start..row_end {
-                            diks.push(rows.row(i).get(worker, k));
-                        }
-                    }
                     for i in row_start..row_end {
                         let row_i = rows.row(i);
-                        let dik = if early_issue {
-                            diks[i - row_start]
-                        } else {
-                            row_i.get(worker, k)
-                        };
+                        let dik = row_i.get(worker, k);
                         if dik >= INFINITY {
                             worker.charge_iters(&per_inner, 1);
                             continue;

@@ -467,15 +467,15 @@ mod tests {
         assert_eq!(bulk.result, bulk_ic.result);
     }
 
+    /// (The name is from when the homes' prefetch directory sent hints.)
     #[test]
     fn element_mode_boundary_rows_consume_directory_hints() {
         // At size 80 with 4 threads each block holds 20 rows of 80 slots,
-        // so the north boundary row (the last row of each block) spans two
-        // pages.  Element-mode workers demand-miss those two pages in the
-        // same order every step; from the second epoch on the home's
-        // directory has learned the successor pair and hints the second
-        // page while the first is being served — the later demand miss
-        // completes an RPC that is already in flight.
+        // so boundary rows span two pages.  Element-mode workers demand-miss
+        // neighbouring pages of one home in ascending order; where a miss
+        // starts at the page after the node's last fetch from that home, the
+        // stride prefetch puts the next page in flight and the later demand
+        // miss completes an RPC that is already under way.
         let params = JacobiParams { size: 80, steps: 5 };
         let config = HyperionConfig::builder()
             .cluster(myrinet_200())
@@ -488,20 +488,19 @@ mod tests {
         let (expected_sum, _) = sequential(&params);
         assert!(
             (out.result.interior_sum - expected_sum).abs() < 1e-6,
-            "hints must not change the answer: {} vs {expected_sum}",
+            "prefetches must not change the answer: {} vs {expected_sum}",
             out.result.interior_sum
         );
         let total = out.report.total_stats();
-        assert!(total.hints_sent > 0, "row-spanning misses must draw hints");
         assert!(
-            total.hinted_fetches_completed > 0,
-            "demand misses must complete hinted in-flight fetches"
+            total.stride_fetches_completed > 0,
+            "demand misses must complete stride fetches in flight"
         );
         assert!(
-            total.hinted_fetches_wasted * 8 <= total.hints_sent.max(16),
-            "hint waste {} exceeds 1/8 of {} hints sent",
-            total.hinted_fetches_wasted,
-            total.hints_sent
+            total.stride_fetches_wasted * 8 <= total.stride_fetches_issued.max(16),
+            "stride waste {} exceeds 1/8 of {} issued",
+            total.stride_fetches_wasted,
+            total.stride_fetches_issued
         );
     }
 

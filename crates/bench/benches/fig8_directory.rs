@@ -1,20 +1,17 @@
-//! Figure 8 (extension): the cluster-wide prefetch directory and deferred
-//! release flushing against figure 7's split-transaction transport.
+//! Figure 8 (extension): deferred release flushing, on figure 7's
+//! split-transaction transport (`TransportConfig::directory()`) and on the
+//! default one.
 //!
 //! Besides the Criterion-style wall-clock measurements this bench performs
 //! a verification pass over the modeled results; a violation panics, so
 //! `cargo bench` doubles as a gate:
 //!
 //! * **Ov+deferred** (Jacobi, ASP under `java_pf`): adding deferred
-//!   release flushing to the plain overlapped transport must strictly
-//!   reduce modeled wall time and compute the same answer.
-//! * **Hints** (Jacobi, ASP): adding the prefetch directory to that (which
-//!   makes it `TransportConfig::directory()`, ASP's pivot loop issuing its
-//!   fetch a statement-window early) must send hints and compute the same
-//!   answer.  Hint waste — hinted pages invalidated untouched — must stay
-//!   within 1/8 of the hints sent.  Its time pair is printed, not gated:
-//!   at quick scale hints cost 0.1–0.2 % on either app (ROADMAP item 6a
-//!   has the harness-scale table).
+//!   release flushing to the overlapped transport (`latency_hiding()` →
+//!   `directory()`) must strictly reduce modeled wall time and compute the
+//!   same answer.  The overlapped transport prefetches along the
+//!   requester's stride: its waste — stride fetches invalidated untouched —
+//!   must stay within 1/8 of those issued over both apps.
 //! * **Deferred** (all five apps): deferred flushing only moves *when*
 //!   flush latency is charged (from the release to the next acquire of the
 //!   same monitor), so it must never increase modeled wall time.
@@ -26,7 +23,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hyperion::prelude::*;
 use hyperion::TransportConfig;
 use hyperion_apps::common::BenchmarkName;
-use hyperion_bench::report::append_step_summary;
 use hyperion_bench::{
     deferred_pair, run_point_configured, sweep_directory, Scale, TransportPair, ADAPTIVE_NODES,
 };
@@ -110,21 +106,15 @@ fn assert_same_digest(pair: &TransportPair) {
 fn verify_directory_invariants(_c: &mut Criterion) {
     println!();
     println!(
-        "== fig8 verification: prefetch directory & deferred release, quick scale, \
-         {ADAPTIVE_NODES} nodes =="
+        "== fig8 verification: deferred release flushing, quick scale, {ADAPTIVE_NODES} nodes =="
     );
-    let mut hints_sent = 0u64;
-    let mut hints_wasted = 0u64;
-    let mut hints_summary = String::from(
-        "### fig8: what hints add to overlap + deferred flush (printed, not gated)\n\n\
-         | app | +ov+dfl (ms) | directory() (ms) | delta | hints sent | completed | wasted |\n\
-         |---|---:|---:|---:|---:|---:|---:|\n",
-    );
+    let mut stride_issued = 0u64;
+    let mut stride_wasted = 0u64;
     for pair in sweep_directory(Scale::Quick) {
         let base = &pair.baseline;
         let on = &pair.enabled;
         println!(
-            "{:<12} {:<10} {}: {:.4}s  ->  {}: {:.4}s (hints {} sent/{} done/{} wasted, \
+            "{:<12} {:<10} {}: {:.4}s  ->  {}: {:.4}s (stride {} issued/{} done/{} wasted, \
              deferred {}, flush hidden {} cy)",
             base.app.to_string(),
             pair.mechanism,
@@ -132,15 +122,17 @@ fn verify_directory_invariants(_c: &mut Criterion) {
             base.seconds,
             on.protocol_label(),
             on.seconds,
-            on.stats.hints_sent,
-            on.stats.hinted_fetches_completed,
-            on.stats.hinted_fetches_wasted,
+            on.stats.stride_fetches_issued,
+            on.stats.stride_fetches_completed,
+            on.stats.stride_fetches_wasted,
             on.stats.deferred_flushes,
             on.stats.flush_overlap_cycles_hidden,
         );
         assert_same_digest(&pair);
         match pair.mechanism {
             "ov+deferred" => {
+                stride_issued += on.stats.stride_fetches_issued;
+                stride_wasted += on.stats.stride_fetches_wasted;
                 assert!(
                     on.stats.deferred_flushes > 0,
                     "{}: no deferred flushes",
@@ -166,29 +158,6 @@ fn verify_directory_invariants(_c: &mut Criterion) {
                     rounds + 1
                 );
             }
-            "hints" => {
-                hints_sent += on.stats.hints_sent;
-                hints_wasted += on.stats.hinted_fetches_wasted;
-                assert!(on.stats.hints_sent > 0, "{}: no hints sent", base.app);
-                assert_eq!(base.stats.hints_sent, 0, "baseline must not hint");
-                // The time pair is printed, not gated: hints cost
-                // 0.12–0.16 % on either app at quick scale (3–4 extra page
-                // loads, 3–4 of 6–8 hinted fetches wasted), and ROADMAP item
-                // 6a decides the directory on the harness-scale table, not
-                // on this one.
-                let row = format!(
-                    "| {} | {:.3} | {:.3} | {:+.2} % | {} | {} | {} |\n",
-                    base.app,
-                    base.seconds * 1e3,
-                    on.seconds * 1e3,
-                    (on.seconds / base.seconds - 1.0) * 100.0,
-                    on.stats.hints_sent,
-                    on.stats.hinted_fetches_completed,
-                    on.stats.hinted_fetches_wasted,
-                );
-                print!("  hints pair {row}");
-                hints_summary.push_str(&row);
-            }
             "deferred" => {
                 // Deferring only moves when flush latency is charged: wall
                 // time must never grow (tiny epsilon for rounding).
@@ -213,17 +182,15 @@ fn verify_directory_invariants(_c: &mut Criterion) {
             other => panic!("unknown mechanism {other}"),
         }
     }
-    // Cluster-wide hint-waste bound across the hints pairs: hinted
-    // pages that were invalidated untouched must stay within 1/8 of the
-    // hints the homes sent (floor of 16 so a near-hintless run cannot fail
-    // on a single unlucky conversion).
+    // Waste bound across the overlapped pairs: stride fetches invalidated
+    // untouched must stay within 1/8 of those issued (floor of 16 so a run
+    // that hardly prefetches cannot fail on a single unlucky one).
     assert!(
-        hints_wasted * 8 <= hints_sent.max(16),
-        "hint waste {hints_wasted} exceeds 1/8 of {hints_sent} hints sent"
+        stride_wasted * 8 <= stride_issued.max(16),
+        "stride waste {stride_wasted} exceeds 1/8 of {stride_issued} issued"
     );
-    println!("  hint waste: {hints_wasted}/{hints_sent} sent (bound: 1/8)");
+    println!("  stride waste: {stride_wasted}/{stride_issued} issued (bound: 1/8)");
     println!();
-    append_step_summary(&hints_summary);
 }
 
 criterion_group!(benches, bench_fig8, verify_directory_invariants);

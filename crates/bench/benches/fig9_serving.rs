@@ -12,11 +12,11 @@
 //!   per virtual second as the *worse* of the two fixed protocols — the
 //!   adaptive protocol may split the difference, but it must not lose to
 //!   both.  One strict round.
-//! * **Hint economics**: under the prefetch-directory transport the
-//!   Zipf-skewed KV traffic is the adversarial input for a successor-pair
-//!   predictor (hot keys recur, but in no stable order), and the
-//!   cluster-wide hint-waste bound of figure 8 — wasted hints within 1/8
-//!   of hints sent — must hold here too.
+//! * **Prefetch economics**: under `TransportConfig::directory()` the
+//!   Zipf-skewed KV traffic is the adversarial input for a stride
+//!   prefetcher (hot keys recur, but in no stable order), and the waste
+//!   bound of figure 8 — stride fetches invalidated untouched within 1/8
+//!   of those issued — must hold here too.
 //! * **Home queue wait**: on the 4-node KV rows no home may keep requests
 //!   waiting for more than 5 % of the modeled time.  The homes are a few
 //!   per cent busy there, so a larger share means requests queue behind
@@ -197,10 +197,10 @@ fn verify_serving_invariants(_c: &mut Criterion) {
         }
     }
 
-    // Hint economics under Zipf traffic: the KV store under the
-    // prefetch-directory transport must hold figure 8's cluster-wide
-    // hint-waste bound (wasted hints within 1/8 of hints sent, floor of 16
-    // so a near-hintless run cannot fail on a single unlucky conversion).
+    // Prefetch economics under Zipf traffic: the KV store under
+    // `directory()` must hold figure 8's waste bound (stride fetches wasted
+    // within 1/8 of those issued, floor of 16 so a run that hardly
+    // prefetches cannot fail on a single unlucky one).
     let dir = serving_directory_point(BenchmarkName::KvStore, Scale::Quick);
     let plain = run_point(
         BenchmarkName::KvStore,
@@ -210,12 +210,15 @@ fn verify_serving_invariants(_c: &mut Criterion) {
         ADAPTIVE_NODES,
     );
     assert_same_digest(&plain, &dir);
-    let (sent, wasted) = (dir.stats.hints_sent, dir.stats.hinted_fetches_wasted);
-    assert!(
-        wasted * 8 <= sent.max(16),
-        "KVStore under directory transport: hint waste {wasted} exceeds 1/8 of {sent} hints sent"
+    let (issued, wasted) = (
+        dir.stats.stride_fetches_issued,
+        dir.stats.stride_fetches_wasted,
     );
-    println!("  KVStore+dir hint waste: {wasted}/{sent} sent (bound: 1/8)");
+    assert!(
+        wasted * 8 <= issued.max(16),
+        "KVStore under directory(): stride waste {wasted} exceeds 1/8 of {issued} issued"
+    );
+    println!("  KVStore+dir stride waste: {wasted}/{issued} issued (bound: 1/8)");
     println!();
     println!("{home_load}");
     append_step_summary(&home_load);

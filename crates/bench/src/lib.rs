@@ -126,8 +126,9 @@ pub struct FigureRow {
     /// Transport-variant suffix distinguishing rows that share a protocol
     /// but run under different transport configurations: `""` for the
     /// default, otherwise `"+block"`/`"+ov"` for the fetch-overlap mode
-    /// ([`TransportConfig::overlap_name`]), `"+dir"` for the prefetch
-    /// directory, `"+sync"`/`"+dfl"` for the release-flush mode.
+    /// ([`TransportConfig::overlap_name`]), `"+dir"` for
+    /// [`TransportConfig::directory`], `"+sync"`/`"+dfl"` for the
+    /// release-flush mode.
     pub variant: String,
     /// Number of nodes.
     pub nodes: usize,
@@ -365,8 +366,8 @@ pub const TRANSPORT_FIGURE: usize = 7;
 /// (app, protocol, nodes) point with one transport mechanism off and on.
 #[derive(Clone, Debug)]
 pub struct TransportPair {
-    /// What the pair demonstrates: `"overlap"` (figure 7); `"deferred"`,
-    /// `"ov+deferred"` or `"hints"` (figure 8).
+    /// What the pair demonstrates: `"overlap"` (figure 7); `"deferred"` or
+    /// `"ov+deferred"` (figure 8).
     pub mechanism: &'static str,
     /// The point with the mechanism disabled.
     pub baseline: FigureRow,
@@ -424,58 +425,30 @@ fn transport_pair(app: BenchmarkName, scale: Scale) -> TransportPair {
     }
 }
 
-/// The figure number used for the prefetch-directory comparison (deferred
-/// release flushing and hinted overlapped demand misses on top of the plain
-/// split-transaction transport).
+/// The figure number used for the deferred-release comparison (deferred
+/// release flushing on top of the plain split-transaction transport).
 pub const DIRECTORY_FIGURE: usize = 8;
 
-/// Figure 8 (extension): what the prefetch-directory transport
-/// ([`hyperion::TransportConfig::directory`]) adds to figure 7's overlapped
-/// transport, one mechanism at a time, on the Myrinet cluster at
-/// [`ADAPTIVE_NODES`] nodes under `java_pf`.
+/// Figure 8 (extension): what deferred release flushing adds, on the
+/// Myrinet cluster at [`ADAPTIVE_NODES`] nodes under `java_pf`.
 ///
-/// On the barrier apps (Jacobi, ASP) an *ov+deferred* pair adds deferred
-/// release flushing to the overlapped transport — per-barrier release
-/// flushes complete at the next acquire instead of stalling the releaser —
-/// and a *hints* pair adds the cluster-wide prefetch directory to that:
-/// hinted demand misses complete already in-flight RPCs, and ASP's pivot
-/// loop issues its fetch a statement-window early.  *Deferred* pairs
-/// isolate deferred flushing on the default transport on all five apps —
-/// the mechanism only moves when latency is charged, so it must never make
-/// an app slower.
+/// On the barrier apps (Jacobi, ASP) an *ov+deferred* pair adds it to
+/// figure 7's overlapped transport, which makes that
+/// [`hyperion::TransportConfig::directory`] — per-barrier release flushes
+/// complete at the next acquire instead of stalling the releaser.
+/// *Deferred* pairs isolate deferred flushing on the default transport on
+/// all five apps — the mechanism only moves when latency is charged, so it
+/// must never make an app slower.
 pub fn sweep_directory(scale: Scale) -> Vec<TransportPair> {
-    let mut pairs = Vec::new();
-    for app in [BenchmarkName::Jacobi, BenchmarkName::Asp] {
-        pairs.push(deferred_pair(app, scale, true));
-        pairs.push(hints_pair(app, scale));
-    }
-    pairs.extend(
-        BenchmarkName::all()
-            .into_iter()
-            .map(|app| deferred_pair(app, scale, false)),
-    );
-    pairs
-}
-
-/// Build one figure-8 *hints* pair for `app` (see [`sweep_directory`]):
-/// overlapped fetches with deferred flushing, without and with the
-/// prefetch directory.
-fn hints_pair(app: BenchmarkName, scale: Scale) -> TransportPair {
-    let baseline = TransportConfig {
-        deferred_flush: true,
-        ..TransportConfig::latency_hiding()
-    };
-    TransportPair {
-        mechanism: "hints",
-        baseline: transport_point(DIRECTORY_FIGURE, app, scale, &baseline, "+ov+dfl"),
-        enabled: transport_point(
-            DIRECTORY_FIGURE,
-            app,
-            scale,
-            &TransportConfig::directory(),
-            "+dir",
-        ),
-    }
+    [BenchmarkName::Jacobi, BenchmarkName::Asp]
+        .into_iter()
+        .map(|app| deferred_pair(app, scale, true))
+        .chain(
+            BenchmarkName::all()
+                .into_iter()
+                .map(|app| deferred_pair(app, scale, false)),
+        )
+        .collect()
 }
 
 /// Build one figure-8 deferred-flush pair for `app` (see
@@ -492,7 +465,7 @@ pub fn deferred_pair(app: BenchmarkName, scale: Scale, overlapped_fetches: bool)
         ..baseline.clone()
     };
     let (mechanism, off, on) = if overlapped_fetches {
-        ("ov+deferred", "+ov", "+ov+dfl")
+        ("ov+deferred", "+ov", "+dir")
     } else {
         ("deferred", "+sync", "+dfl")
     };
@@ -525,13 +498,10 @@ pub fn bench_report_rows(scale: Scale) -> Vec<FigureRow> {
         rows.push(pair.enabled);
     }
     // Figure-8 rows: only the `+dir` and `+dfl` *enabled* sides are added —
-    // the deferred baseline duplicates the plain `java_pf` row, the
-    // `+ov` / `+ov+dfl` steps towards the directory are the bench gate's
-    // decomposition, and report keys must stay unique.
+    // the baselines duplicate the plain `java_pf` row and figure 7's `+ov`
+    // row, and report keys must stay unique.
     for pair in sweep_directory(scale) {
-        if pair.mechanism != "ov+deferred" {
-            rows.push(pair.enabled);
-        }
+        rows.push(pair.enabled);
     }
     rows.extend(sweep_serving(scale));
     rows
@@ -545,8 +515,8 @@ pub const SERVING_FIGURE: usize = 9;
 /// Figure 9 (extension): the serving-workload family — the sharded KV store
 /// and the PageRank kernel — under `java_ic`, `java_pf` and `java_ad` on
 /// the Myrinet cluster at [`ADAPTIVE_NODES`] nodes, plus one KV point under
-/// the prefetch-directory transport of figure 8 so the hint economics of
-/// Zipf-skewed traffic are tracked next to the strided kernels.  Serving
+/// figure 8's `directory()` transport so what the stride prefetch does on
+/// Zipf-skewed traffic is tracked next to the strided kernels.  Serving
 /// rows carry throughput ([`FigureRow::serving_ops_per_s`]) and modeled p99
 /// per operation ([`FigureRow::serving_p99_us`]) on top of the usual event
 /// counters.
@@ -564,11 +534,10 @@ pub fn sweep_serving(scale: Scale) -> Vec<FigureRow> {
     rows
 }
 
-/// One serving app under the prefetch-directory transport
-/// ([`hyperion::TransportConfig::directory`]) — the point the figure-9
-/// hint-waste gate inspects.  Zipf-skewed traffic is the adversarial input
-/// for a successor-pair predictor (hot keys recur, but in no stable order),
-/// so the cluster-wide hint-waste bound must hold here and not just on the
+/// One serving app under [`hyperion::TransportConfig::directory`] — the
+/// point the figure-9 waste gate inspects.  Zipf-skewed traffic is the
+/// adversarial input for a stride prefetcher (hot keys recur, but in no
+/// stable order), so the waste bound must hold here and not just on the
 /// strided kernels of figure 8.
 pub fn serving_directory_point(name: BenchmarkName, scale: Scale) -> FigureRow {
     transport_point(
@@ -578,6 +547,58 @@ pub fn serving_directory_point(name: BenchmarkName, scale: Scale) -> FigureRow {
         &TransportConfig::directory(),
         "+dir",
     )
+}
+
+/// One cell of the keep-or-cut audit (`figures --audit`): the same point
+/// run several times, sorted by modeled time.
+#[derive(Clone, Debug)]
+pub struct AuditCell {
+    /// The transport preset the cell ran under, by constructor name.
+    pub preset: &'static str,
+    /// The runs, fastest first.
+    pub runs: Vec<FigureRow>,
+}
+
+impl AuditCell {
+    /// The run with the median modeled time (counters are quoted from it).
+    pub fn median(&self) -> &FigureRow {
+        &self.runs[self.runs.len() / 2]
+    }
+}
+
+/// The keep-or-cut audit: every app under every protocol under every
+/// transport preset that exists at this commit, `runs` times each, on the
+/// Myrinet cluster at [`ADAPTIVE_NODES`] nodes.  Built at two commits, its
+/// two tables are a before/after comparison with nothing but the public
+/// API on either side.  `each` sees every cell as it completes.
+pub fn sweep_audit(scale: Scale, runs: usize, mut each: impl FnMut(&AuditCell)) {
+    let presets = [
+        ("blocking", TransportConfig::blocking()),
+        ("default", TransportConfig::default()),
+        ("latency_hiding", TransportConfig::latency_hiding()),
+        ("directory", TransportConfig::directory()),
+    ];
+    for app in BenchmarkName::all_extended() {
+        for protocol in protocols_under_test() {
+            for (preset, transport) in &presets {
+                let point = |_| {
+                    run_point_configured(
+                        app,
+                        scale,
+                        &myrinet_200(),
+                        protocol,
+                        ADAPTIVE_NODES,
+                        &AdaptiveParams::default(),
+                        transport,
+                        plus(preset),
+                    )
+                };
+                let mut runs: Vec<FigureRow> = (0..runs).map(point).collect();
+                runs.sort_by(|a, b| a.seconds.total_cmp(&b.seconds));
+                each(&AuditCell { preset, runs });
+            }
+        }
+    }
 }
 
 /// The figure number used for the modeled-vs-measured transport report

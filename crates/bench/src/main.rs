@@ -4,12 +4,12 @@
 //! ```text
 //! figures [--fig N]... [--tables] [--claims] [--scale quick|harness|paper]
 //!         [--quick] [--json] [--baseline PATH] [--out DIR]
-//!         [--transport sim|socket|tcp] [--fault SPEC]
+//!         [--transport sim|socket|tcp] [--fault SPEC] [--audit] [--runs N]
 //! ```
 //!
 //! * `--fig N`     regenerate figure N (1–5 from the paper, 6 for the
 //!   ic/pf/ad adaptive comparison, 7 for the split-transaction transport,
-//!   8 for the prefetch directory & deferred release, 9 for the serving
+//!   8 for deferred release flushing, 9 for the serving
 //!   workloads: Zipf-skewed KV store and PageRank with throughput and
 //!   modeled p99 per operation); may be repeated.  Default: all of 1–5.
 //! * `--tables`    print Table 1 (module inventory) and Table 2 (primitives).
@@ -29,7 +29,12 @@
 //! * `--runs N`    repeat the CI-tracked sweep N times and report the
 //!   per-row envelope (max of each tracked metric) — used when refreshing
 //!   `bench/baseline.json` so the dynamically scheduled apps' run-to-run
-//!   spread is captured.
+//!   spread is captured.  With `--audit`: runs per cell (default 5).
+//! * `--audit`     the keep-or-cut audit: every app × protocol × transport
+//!   preset that exists at this commit, median / min / max modeled seconds
+//!   plus `page_loads` and the stride-prefetch counters per cell.  Run it
+//!   at two commits to compare them; nothing in the product switches
+//!   between the two sides.
 //! * `--out DIR`   additionally write one CSV per figure into DIR.
 //! * `--transport B` run the modeled-vs-measured sweep with every RPC
 //!   carried by backend B (`socket` = per-node Unix-domain socket servers,
@@ -50,10 +55,10 @@ use hyperion::prelude::*;
 use hyperion::FaultSpec;
 use hyperion_apps::common::BenchmarkName;
 use hyperion_bench::{
-    bench_report_rows, improvement_summary, report, sweep_adaptive, sweep_chaos, sweep_directory,
-    sweep_figure, sweep_modeled_vs_measured, sweep_serving, sweep_transport, table1_modules,
-    table2_primitives, threshold_ablation, FigureRow, Scale, ADAPTIVE_FIGURE, DIRECTORY_FIGURE,
-    SERVING_FIGURE, TRANSPORT_FIGURE,
+    bench_report_rows, improvement_summary, report, sweep_adaptive, sweep_audit, sweep_chaos,
+    sweep_directory, sweep_figure, sweep_modeled_vs_measured, sweep_serving, sweep_transport,
+    table1_modules, table2_primitives, threshold_ablation, FigureRow, Scale, ADAPTIVE_FIGURE,
+    DIRECTORY_FIGURE, SERVING_FIGURE, TRANSPORT_FIGURE,
 };
 
 struct Options {
@@ -62,7 +67,8 @@ struct Options {
     claims: bool,
     json: bool,
     baseline: Option<String>,
-    runs: usize,
+    audit: bool,
+    runs: Option<usize>,
     scale: Scale,
     out_dir: Option<String>,
     transport: Option<TransportBackend>,
@@ -76,7 +82,8 @@ fn parse_args() -> Options {
         claims: false,
         json: false,
         baseline: None,
-        runs: 1,
+        audit: false,
+        runs: None,
         scale: Scale::Harness,
         out_dir: None,
         transport: None,
@@ -119,12 +126,17 @@ fn parse_args() -> Options {
                 opts.scale = Scale::parse(&s)
                     .unwrap_or_else(|| die("--scale must be quick, harness or paper"));
             }
+            "--audit" => {
+                opts.audit = true;
+                any_selector = true;
+            }
             "--runs" => {
-                opts.runs = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| die("--runs needs a positive count"));
+                opts.runs = Some(
+                    args.next()
+                        .and_then(|v| v.parse().ok())
+                        .filter(|&n| n >= 1)
+                        .unwrap_or_else(|| die("--runs needs a positive count")),
+                );
             }
             "--transport" => {
                 let s = args.next().unwrap_or_default();
@@ -154,7 +166,7 @@ fn parse_args() -> Options {
                 println!(
                     "figures [--fig N]... [--tables] [--claims] [--scale quick|harness|paper] \
                      [--quick] [--json] [--baseline PATH] [--out DIR] \
-                     [--transport sim|socket|tcp] [--fault SPEC]"
+                     [--transport sim|socket|tcp] [--fault SPEC] [--audit] [--runs N]"
                 );
                 std::process::exit(0);
             }
@@ -263,13 +275,13 @@ fn print_transport_figure(scale: Scale) -> Vec<FigureRow> {
     rows
 }
 
-/// Figure 8: what the prefetch-directory transport adds to figure 7's
-/// split-transaction transport — deferred release flushing, then
-/// cluster-wide hints — plus the deferred-only comparison on all five apps.
+/// Figure 8: what deferred release flushing adds to figure 7's
+/// split-transaction transport (which makes it `directory()`), plus the
+/// deferred-only comparison on all five apps.
 fn print_directory_figure(scale: Scale) -> Vec<FigureRow> {
     let pairs = sweep_directory(scale);
     println!(
-        "== Figure 8 (extension): prefetch directory & deferred release, {} nodes ==",
+        "== Figure 8 (extension): deferred release flushing, {} nodes ==",
         hyperion_bench::ADAPTIVE_NODES
     );
     println!(
@@ -278,8 +290,8 @@ fn print_directory_figure(scale: Scale) -> Vec<FigureRow> {
         "mechanism",
         "variant",
         "exec (s)",
-        "hints",
-        "hinted",
+        "stride",
+        "completed",
         "wasted",
         "deferred",
         "flush hidden"
@@ -293,9 +305,9 @@ fn print_directory_figure(scale: Scale) -> Vec<FigureRow> {
                 pair.mechanism,
                 r.protocol_label(),
                 r.seconds,
-                r.stats.hints_sent,
-                r.stats.hinted_fetches_completed,
-                r.stats.hinted_fetches_wasted,
+                r.stats.stride_fetches_issued,
+                r.stats.stride_fetches_completed,
+                r.stats.stride_fetches_wasted,
                 r.stats.deferred_flushes,
                 r.stats.flush_overlap_cycles_hidden,
             );
@@ -329,7 +341,7 @@ fn print_serving_figure(scale: Scale) -> Vec<FigureRow> {
         "patched",
         "riders",
         "opened",
-        "hints",
+        "stride",
         "wasted",
         "home busy",
         "queue wait",
@@ -349,8 +361,8 @@ fn print_serving_figure(scale: Scale) -> Vec<FigureRow> {
             r.stats.pages_patched,
             r.stats.validation_riders,
             r.stats.rider_opens,
-            r.stats.hints_sent,
-            r.stats.hinted_fetches_wasted,
+            r.stats.stride_fetches_issued,
+            r.stats.stride_fetches_wasted,
             r.peak_home_util * 100.0,
             r.peak_home_queue_wait * 100.0,
             r.stats.monitor_wait_ps as f64 / 1e9,
@@ -360,11 +372,57 @@ fn print_serving_figure(scale: Scale) -> Vec<FigureRow> {
     rows
 }
 
+/// The `--audit` path: one line per (app, protocol, preset) cell, printed
+/// as the cell completes.
+fn run_audit(scale: Scale, runs: usize) {
+    println!(
+        "== Audit: app x protocol x transport preset, {runs} runs per cell, {} nodes ==",
+        hyperion_bench::ADAPTIVE_NODES
+    );
+    println!(
+        "{:<11} {:<8} {:<15} {:>12} {:>12} {:>12} {:>24} {:>11} {:>7} {:>9} {:>7}",
+        "App",
+        "protocol",
+        "preset",
+        "median (s)",
+        "min (s)",
+        "max (s)",
+        "digest",
+        "page_loads",
+        "stride",
+        "completed",
+        "wasted"
+    );
+    sweep_audit(scale, runs, |cell| {
+        let (min, mid, max) = (&cell.runs[0], cell.median(), &cell.runs[runs - 1]);
+        let digest = if cell.runs.iter().all(|r| r.digest == mid.digest) {
+            format!("{:e}", mid.digest)
+        } else {
+            "DIFFERS".to_string()
+        };
+        println!(
+            "{:<11} {:<8} {:<15} {:>12.6} {:>12.6} {:>12.6} {:>24} {:>11} {:>7} {:>9} {:>7}",
+            mid.app.to_string(),
+            mid.protocol.to_string(),
+            cell.preset,
+            mid.seconds,
+            min.seconds,
+            max.seconds,
+            digest,
+            mid.stats.page_loads,
+            mid.stats.stride_fetches_issued,
+            mid.stats.stride_fetches_completed,
+            mid.stats.stride_fetches_wasted,
+        );
+    });
+    println!();
+}
+
 /// The `--json` / `--baseline` path: run the CI-tracked sweep, optionally
 /// write `BENCH_<run>.json`, optionally gate against a committed baseline.
 /// Returns `true` if the baseline gate failed.
 fn run_bench_report(opts: &Options) -> bool {
-    let sweeps: Vec<Vec<FigureRow>> = (0..opts.runs.max(1))
+    let sweeps: Vec<Vec<FigureRow>> = (0..opts.runs.unwrap_or(1))
         .map(|_| bench_report_rows(opts.scale))
         .collect();
     let rows = report::envelope(&sweeps);
@@ -609,6 +667,10 @@ fn main() {
             eprintln!("figures: chaos sweep digest mismatch");
             std::process::exit(1);
         }
+    }
+
+    if opts.audit {
+        run_audit(opts.scale, opts.runs.unwrap_or(5));
     }
 
     if (opts.json || opts.baseline.is_some()) && run_bench_report(&opts) {

@@ -79,14 +79,12 @@ pub struct ReportRow {
     pub batched_flushes: u64,
     /// Informational: fetch latency cycles hidden by overlapped transport.
     pub fetch_overlap_cycles_hidden: u64,
-    /// Informational: pages hinted by home nodes on fetch replies.
-    pub hints_sent: u64,
-    /// Informational: hint-driven split-transaction fetches issued.
-    pub hinted_fetches_issued: u64,
-    /// Informational: hinted fetches completed by a real use.
-    pub hinted_fetches_completed: u64,
-    /// Informational: hinted fetches invalidated untouched (wasted hints).
-    pub hinted_fetches_wasted: u64,
+    /// Informational: stride-prefetch split-transaction fetches issued.
+    pub stride_fetches_issued: u64,
+    /// Informational: stride fetches completed by a real use.
+    pub stride_fetches_completed: u64,
+    /// Informational: stride fetches invalidated untouched (wasted).
+    pub stride_fetches_wasted: u64,
     /// Informational: release flushes handed to the deferred queue.
     pub deferred_flushes: u64,
     /// Informational: flush latency cycles hidden by deferred release.
@@ -157,10 +155,9 @@ impl From<&FigureRow> for ReportRow {
             diff_messages: row.stats.diff_messages,
             batched_flushes: row.stats.batched_flushes,
             fetch_overlap_cycles_hidden: row.stats.fetch_overlap_cycles_hidden,
-            hints_sent: row.stats.hints_sent,
-            hinted_fetches_issued: row.stats.hinted_fetches_issued,
-            hinted_fetches_completed: row.stats.hinted_fetches_completed,
-            hinted_fetches_wasted: row.stats.hinted_fetches_wasted,
+            stride_fetches_issued: row.stats.stride_fetches_issued,
+            stride_fetches_completed: row.stats.stride_fetches_completed,
+            stride_fetches_wasted: row.stats.stride_fetches_wasted,
             deferred_flushes: row.stats.deferred_flushes,
             flush_overlap_cycles_hidden: row.stats.flush_overlap_cycles_hidden,
             serving_ops: row.stats.serving_ops,
@@ -214,12 +211,11 @@ pub fn envelope(runs: &[Vec<FigureRow>]) -> Vec<ReportRow> {
             acc.fetch_overlap_cycles_hidden = acc
                 .fetch_overlap_cycles_hidden
                 .max(next.fetch_overlap_cycles_hidden);
-            acc.hints_sent = acc.hints_sent.max(next.hints_sent);
-            acc.hinted_fetches_issued = acc.hinted_fetches_issued.max(next.hinted_fetches_issued);
-            acc.hinted_fetches_completed = acc
-                .hinted_fetches_completed
-                .max(next.hinted_fetches_completed);
-            acc.hinted_fetches_wasted = acc.hinted_fetches_wasted.max(next.hinted_fetches_wasted);
+            acc.stride_fetches_issued = acc.stride_fetches_issued.max(next.stride_fetches_issued);
+            acc.stride_fetches_completed = acc
+                .stride_fetches_completed
+                .max(next.stride_fetches_completed);
+            acc.stride_fetches_wasted = acc.stride_fetches_wasted.max(next.stride_fetches_wasted);
             acc.deferred_flushes = acc.deferred_flushes.max(next.deferred_flushes);
             acc.flush_overlap_cycles_hidden = acc
                 .flush_overlap_cycles_hidden
@@ -257,9 +253,9 @@ pub fn report_to_json(run: &str, scale: &str, rows: &[ReportRow]) -> String {
              \"page_faults\": {}, \"locality_checks\": {}, \"mprotect_calls\": {}, \
              \"batched_fetches\": {}, \"protocol_switches\": {}, \"diff_messages\": {}, \
              \"batched_flushes\": {}, \
-             \"fetch_overlap_cycles_hidden\": {}, \"hints_sent\": {}, \
-             \"hinted_fetches_issued\": {}, \"hinted_fetches_completed\": {}, \
-             \"hinted_fetches_wasted\": {}, \"deferred_flushes\": {}, \
+             \"fetch_overlap_cycles_hidden\": {}, \
+             \"stride_fetches_issued\": {}, \"stride_fetches_completed\": {}, \
+             \"stride_fetches_wasted\": {}, \"deferred_flushes\": {}, \
              \"flush_overlap_cycles_hidden\": {}, \"serving_ops\": {}, \
              \"serving_ops_per_s\": {:.3}, \"serving_p99_us\": {:.3}, \
              \"peak_home_util\": {:.6}, \"peak_home_queue_wait\": {:.6}, \
@@ -287,10 +283,9 @@ pub fn report_to_json(run: &str, scale: &str, rows: &[ReportRow]) -> String {
             r.diff_messages,
             r.batched_flushes,
             r.fetch_overlap_cycles_hidden,
-            r.hints_sent,
-            r.hinted_fetches_issued,
-            r.hinted_fetches_completed,
-            r.hinted_fetches_wasted,
+            r.stride_fetches_issued,
+            r.stride_fetches_completed,
+            r.stride_fetches_wasted,
             r.deferred_flushes,
             r.flush_overlap_cycles_hidden,
             r.serving_ops,
@@ -386,10 +381,9 @@ pub fn parse_report(json: &str) -> Result<Vec<ReportRow>, String> {
                 diff_messages: counter("diff_messages").unwrap_or(0),
                 batched_flushes: counter("batched_flushes").unwrap_or(0),
                 fetch_overlap_cycles_hidden: counter("fetch_overlap_cycles_hidden").unwrap_or(0),
-                hints_sent: counter("hints_sent").unwrap_or(0),
-                hinted_fetches_issued: counter("hinted_fetches_issued").unwrap_or(0),
-                hinted_fetches_completed: counter("hinted_fetches_completed").unwrap_or(0),
-                hinted_fetches_wasted: counter("hinted_fetches_wasted").unwrap_or(0),
+                stride_fetches_issued: counter("stride_fetches_issued").unwrap_or(0),
+                stride_fetches_completed: counter("stride_fetches_completed").unwrap_or(0),
+                stride_fetches_wasted: counter("stride_fetches_wasted").unwrap_or(0),
                 deferred_flushes: counter("deferred_flushes").unwrap_or(0),
                 flush_overlap_cycles_hidden: counter("flush_overlap_cycles_hidden").unwrap_or(0),
                 serving_ops: counter("serving_ops").unwrap_or(0),
@@ -1113,10 +1107,9 @@ mod tests {
             diff_messages: 0,
             batched_flushes: 0,
             fetch_overlap_cycles_hidden: 0,
-            hints_sent: 0,
-            hinted_fetches_issued: 0,
-            hinted_fetches_completed: 0,
-            hinted_fetches_wasted: 0,
+            stride_fetches_issued: 0,
+            stride_fetches_completed: 0,
+            stride_fetches_wasted: 0,
             deferred_flushes: 0,
             flush_overlap_cycles_hidden: 0,
             serving_ops: 0,

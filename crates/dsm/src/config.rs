@@ -100,20 +100,16 @@ pub struct TransportConfig {
     /// Overlapped page fetches: an explicit prefetch (`loadIntoCache`) and
     /// every speculative batch rider issue their RPC immediately but record
     /// an in-flight ticket; the requester keeps computing and pays only the
-    /// *residual* latency when the page is first really used.  Off by
-    /// default (the paper's transport blocks on every fetch).
+    /// *residual* latency when the page is first really used.  With
+    /// tickets to hold them, the requester also prefetches along its own
+    /// stride: a fetch that starts where the node's previous fetch from the
+    /// same home ended puts the next few pages of that home in flight (see
+    /// `fetch.rs`).  Off by default (the paper's transport blocks on every
+    /// fetch).
     pub overlapped_fetches: bool,
     /// Largest number of contiguous same-home dirty pages one diff-flush
     /// RPC may carry at `updateMainMemory`; 1 disables batched flushing.
     pub max_flush_batch_pages: usize,
-    /// Cluster-wide prefetch directory
-    /// ([`crate::policy::DirectoryPredictor`]): each home keeps a small
-    /// per-page fetch history and piggybacks "a neighbour also fetched
-    /// p..p+k" hints on fetch replies; requesters convert hints into
-    /// split-transaction tickets, so a later demand miss on a hinted page
-    /// completes an already in-flight RPC instead of issuing one.  Requires
-    /// [`TransportConfig::overlapped_fetches`]; off by default.
-    pub prefetch_hints: bool,
     /// Deferred release flushing ([`crate::policy::DeferredFlush`]):
     /// `updateMainMemory` at a monitor exit hands its coalesced diff
     /// batches to a per-monitor deferred-flush queue as split transactions;
@@ -151,7 +147,6 @@ impl Default for TransportConfig {
         TransportConfig {
             overlapped_fetches: false,
             max_flush_batch_pages: 8,
-            prefetch_hints: false,
             deferred_flush: false,
             backend: TransportBackend::Sim,
             retry: RetryPolicy::default(),
@@ -163,7 +158,7 @@ impl Default for TransportConfig {
 
 impl TransportConfig {
     /// The paper's blocking transport: no overlap, no flush batching, no
-    /// prefetch directory, no deferred flushing.
+    /// deferred flushing.
     pub fn blocking() -> Self {
         TransportConfig {
             overlapped_fetches: false,
@@ -172,9 +167,9 @@ impl TransportConfig {
         }
     }
 
-    /// The latency-hiding transport: overlapped fetches on top of the
-    /// default's batched flushing (the prefetch directory and deferred
-    /// flushing stay off — see [`TransportConfig::directory`]).
+    /// The latency-hiding transport: overlapped fetches (and with them the
+    /// stride prefetch) on top of the default's batched flushing; deferred
+    /// flushing stays off — see [`TransportConfig::directory`].
     pub fn latency_hiding() -> Self {
         TransportConfig {
             overlapped_fetches: true,
@@ -182,14 +177,13 @@ impl TransportConfig {
         }
     }
 
-    /// The prefetch-directory transport: overlapped fetches plus
-    /// cluster-wide hints and deferred release flushing.
+    /// [`TransportConfig::latency_hiding`] plus deferred release flushing.
+    /// (The name is from when the homes kept a prefetch directory; the
+    /// requester's stride prefetch took its place.)
     pub fn directory() -> Self {
         TransportConfig {
-            overlapped_fetches: true,
-            prefetch_hints: true,
             deferred_flush: true,
-            ..TransportConfig::default()
+            ..TransportConfig::latency_hiding()
         }
     }
 

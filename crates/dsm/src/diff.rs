@@ -17,9 +17,8 @@
 use hyperion_pm2::{PageId, SLOTS_PER_PAGE};
 
 pub use crate::fetch_wire::{
-    append_fetch_hints, decode_fetch_reply, decode_fetch_request, encode_fetch_request,
-    push_page_reply, push_rider_answers, FetchReply, FetchRequest, HintRun, PageReply, Rider,
-    MAX_RIDERS,
+    decode_fetch_reply, decode_fetch_request, encode_fetch_request, push_page_reply,
+    push_rider_answers, FetchReply, FetchRequest, PageReply, Rider, MAX_RIDERS,
 };
 
 /// One modified slot: `(slot index within the page, new value)`.
@@ -87,9 +86,8 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Tag bit on the leading page id of a fetch request (*hint-suppressed*: no
-/// prefetch-directory hints on the reply, so a hint never recurses into a
-/// chain of hints) and of a batched diff.  Real page numbers never use it.
+/// Tag bit on the leading page id of a batched diff.  Real page numbers
+/// never use it, and a fetch request that sets it is rejected.
 pub(crate) const TOP_BIT: u64 = 1 << 63;
 
 pub(crate) fn push_entries(out: &mut Vec<u8>, entries: &[DiffEntry]) {

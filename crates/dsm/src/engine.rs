@@ -33,10 +33,9 @@
 //!
 //! Every protocol-variable decision is delegated to the [`crate::policy`]
 //! layer: the engine holds a [`PolicySet`] and calls through its traits at
-//! the decision points (access detection, epoch close, hint conversion,
-//! flush placement), while all mechanism — RPC framing, ticket bookkeeping,
-//! lock order, batching loops — lives here and in `fetch.rs` / the RPC
-//! services.
+//! the decision points (access detection, epoch close, flush placement),
+//! while all mechanism — RPC framing, ticket bookkeeping, lock order,
+//! batching loops — lives here and in `fetch.rs` / the RPC services.
 
 use std::sync::Arc;
 
@@ -44,7 +43,7 @@ use hyperion_model::{NodeStats, ThreadClock};
 use hyperion_pm2::{Cluster, GlobalAddr, Node, NodeId, PageId, ServiceId, SLOTS_PER_PAGE};
 
 use crate::config::{AdaptiveParams, DeferredFlush, Locality, ProtocolKind, TransportConfig};
-use crate::diff::{decode_diff_reply, encode_diff, encode_diff_batch, DiffEntry, HintRun};
+use crate::diff::{decode_diff_reply, encode_diff, encode_diff_batch, DiffEntry};
 use crate::page::PageFrame;
 use crate::policy::{resolve_marks, AccessAction, PolicySet};
 use crate::riders::{rider_worth, NodeFetchState};
@@ -106,7 +105,6 @@ impl DsmSystem {
             store: Arc::clone(&store),
             cpu: cpu.clone(),
             dsm: dsm.clone(),
-            predictor: Arc::clone(&policies.predictor),
             replication: Arc::clone(&policies.replication),
         }));
         let diff_apply = cluster.register_service(Arc::new(DiffApplyService {
@@ -396,24 +394,21 @@ impl DsmSystem {
         }
 
         let mut reprotected = false;
-        let mut hint_waste = 0u64;
-        let mut abandoned: Vec<PageId> = Vec::new();
-        for (page, frame) in &cached {
+        let mut stride_waste = 0u64;
+        for (_, frame) in &cached {
             let reprotect = detection.reprotect_on_invalidate(frame);
             reprotected |= reprotect;
-            // A hinted ticket still pending here means the predicted demand
-            // miss never came: the hint was wasted.  The count feeds the
-            // requester-side throttle in `issue_hint_fetches`, and the page
-            // is remembered so the ticket can be re-armed below.
+            // A stride ticket still pending here means the predicted demand
+            // miss never came: the prefetch was wasted.  The count feeds the
+            // throttle in `issue_stride_fetches`.
             if frame.inflight_is_hinted() {
-                hint_waste += 1;
-                abandoned.push(*page);
+                stride_waste += 1;
             }
             frame.invalidate(reprotect);
         }
-        if hint_waste > 0 {
-            NodeStats::bump_by(&node_ref.stats.hinted_fetches_wasted, hint_waste);
-            fetch_state.hints.outcome(hint_waste);
+        if stride_waste > 0 {
+            NodeStats::bump_by(&node_ref.stats.stride_fetches_wasted, stride_waste);
+            fetch_state.stride.outcome(stride_waste);
         }
 
         let n = cached.len() as u64;
@@ -428,34 +423,6 @@ impl DsmSystem {
             // cached region that is being re-protected.
             NodeStats::bump(&node_ref.stats.mprotect_calls);
             clock.advance(machine.dsm.mprotect_call);
-        }
-
-        // Re-arm abandoned hint tickets: the directory predicted these pages
-        // would be demanded and the node *was* holding overlapped fetches for
-        // them, so the next epoch very likely misses on them again.  Re-issue
-        // the split transactions now, at the acquire, so those misses complete
-        // in-flight RPCs.  The accuracy throttle inside `issue_hint_fetches`
-        // sees the waste recorded above and suppresses re-issue on nodes
-        // whose hints are not earning their keep.
-        if !abandoned.is_empty()
-            && self.policies.predictor.converts_hints()
-            && self.transport.overlapped_fetches
-        {
-            abandoned.sort_unstable_by_key(|p| p.0);
-            abandoned.dedup();
-            let mut runs: Vec<HintRun> = Vec::new();
-            for page in abandoned {
-                match runs.last_mut() {
-                    Some((first, len)) if first.0 + *len as u64 == page.0 && *len < u16::MAX => {
-                        *len += 1;
-                    }
-                    _ => runs.push((page, 1)),
-                }
-            }
-            let reissued = self.issue_hint_fetches(node, node_ref, clock, &runs);
-            if reissued > 0 {
-                NodeStats::bump_by(&node_ref.stats.hinted_fetches_reissued, reissued);
-            }
         }
     }
 

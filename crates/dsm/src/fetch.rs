@@ -1,5 +1,5 @@
 //! Requester-side page-fetch mechanics of the [`DsmSystem`] engine: the
-//! (possibly batched) fetch path, hint-to-ticket conversion and in-flight
+//! (possibly batched) fetch path, the stride prefetch and in-flight
 //! transaction completion.
 //!
 //! Every fetch is conditional (see [`crate::page`], "Page versions"): both
@@ -12,26 +12,29 @@
 //! keep the engine readable): everything here is mechanism — RPC framing,
 //! fetch-lock order, ticket bookkeeping — parameterised by the policy
 //! decisions ([`crate::policy::DetectionPolicy::fetch_batching`],
-//! [`crate::policy::DetectionPolicy::predicts_reaccess`],
-//! [`crate::policy::Predictor::converts_hints`]) that the engine already
-//! resolved.
+//! [`crate::policy::DetectionPolicy::predicts_reaccess`]) that the engine
+//! already resolved.
 
 use std::sync::Arc;
 
 use hyperion_model::{NodeStats, ThreadClock, VTime};
 use hyperion_pm2::{Node, NodeId, PageId};
 
-use crate::diff::{decode_fetch_reply, encode_fetch_request, HintRun, PageReply};
+use crate::diff::{decode_fetch_reply, encode_fetch_request, PageReply};
 use crate::engine::DsmSystem;
 use crate::page::PageFrame;
 use crate::recover::RpcFailure;
+
+/// Most pages one stride prefetch puts in flight ahead of a scan.
+const STRIDE_WINDOW: u64 = 4;
 
 impl DsmSystem {
     /// One conditional fetch RPC to `home` for the contiguous run of its pages
     /// starting at `first`, whose frames on this node are `frames` (the
     /// caller holds their fetch locks).  Each frame either has its retained
     /// copy re-opened ("not modified") or a fresh copy installed.  Returns
-    /// the hints the reply carried and the instant the reply arrives.
+    /// whether the run starts where this node's previous fetch from `home`
+    /// ended (it continues a scan) and the instant the reply arrives.
     fn fetch_run(
         &self,
         node_ref: &Node,
@@ -39,20 +42,19 @@ impl DsmSystem {
         home: NodeId,
         first: PageId,
         frames: &[&PageFrame],
-        hints_ok: bool,
-    ) -> Result<(Vec<HintRun>, VTime), RpcFailure> {
+    ) -> Result<(bool, VTime), RpcFailure> {
         let node = node_ref.id();
         let retained: Vec<u64> = frames.iter().map(|f| f.version()).collect();
         let epoch = self.fetch_epoch(node);
         let asked = self.pick_riders(node, home, first, frames.len(), epoch);
         self.charge_riders(node_ref, clock, asked.len() as u64);
-        let payload = encode_fetch_request(first, &retained, &asked, hints_ok);
+        let payload = encode_fetch_request(first, &retained, &asked);
         let (bytes, completion) =
             self.rpc_to_home(clock, node, node_ref, first, self.page_fetch, &payload)?;
         let malformed = |why| self.malformed_reply(node, first, self.page_fetch, why);
         let reply = decode_fetch_reply(&bytes, &retained, asked.len()).map_err(malformed)?;
         self.settle_riders(node, home, &asked, reply.unchanged, epoch, completion);
-        let hints = reply.hints;
+        let scan = self.fetch_state[node.index()].continues_scan(home, first, frames.len());
         let (mut revalidated, mut patched) = (0u64, 0u64);
         for (k, (frame, reply)) in frames.iter().zip(reply.pages).enumerate() {
             if frame.is_home() {
@@ -89,103 +91,91 @@ impl DsmSystem {
         if patched > 0 {
             NodeStats::bump_by(&node_ref.stats.pages_patched, patched);
         }
-        Ok((hints, completion))
+        Ok((scan, completion))
     }
 
-    /// Convert prefetch-directory hints carried on a fetch reply into
-    /// split-transaction tickets: issue one overlapped single-page fetch per
-    /// absent hinted page, so the later demand miss completes an RPC that is
-    /// already in flight instead of paying a fresh round trip.
+    /// The stride prefetch: a fetch from `home` that continued a scan (it
+    /// started where the node's previous fetch there ended) puts the next
+    /// [`STRIDE_WINDOW`] same-home pages from `first` on in flight, one
+    /// overlapped single-page fetch per absent page, so the later demand miss
+    /// completes an RPC that is already in flight instead of paying a fresh
+    /// round trip.  Each of those fetches moves the scan's end along, so the
+    /// miss after the window continues the run.  Only the overlapped
+    /// transport has tickets to hold them.
     ///
-    /// Hint conversion is throttled by its own measured accuracy — while more
-    /// than 1/16 of the node's recent hint-driven fetches turned out wasted
-    /// (invalidated untouched), further hints are ignored; the record is
-    /// windowed ([`crate::gate::Windowed`]), so a node whose hints went
-    /// wrong probes again once it has faded, and a node with fewer than 8
-    /// conversions on record (a newcomer, or one probing again) converts at
-    /// most two pages per reply — and hint-issued requests are tagged so
-    /// their replies never carry further hints (no cascades).
-    ///
-    /// Returns the number of overlapped fetches actually issued (pages that
-    /// were present, home, contended or throttled issue nothing).
-    pub(crate) fn issue_hint_fetches(
+    /// The prefetch is throttled by its own measured accuracy — while more
+    /// than 1/16 of the node's recent stride fetches turned out wasted
+    /// (invalidated untouched), none is issued; the record is windowed
+    /// ([`crate::gate::Windowed`]), so a node whose scans went wrong probes
+    /// again once it has faded, and a node with fewer than 8 on record (a
+    /// newcomer, or one probing again) issues at most two per fetch.  Pages
+    /// that are present, home or contended issue nothing.
+    fn issue_stride_fetches(
         &self,
-        node: NodeId,
         node_ref: &Node,
         clock: &mut ThreadClock,
-        hints: &[HintRun],
-    ) -> u64 {
-        let mut issued_now = 0u64;
-        if hints.is_empty()
-            || !self.transport.overlapped_fetches
-            || !self.policies.predictor.converts_hints()
-        {
-            return issued_now;
+        home: NodeId,
+        first: PageId,
+    ) {
+        if !self.transport.overlapped_fetches {
+            return;
         }
+        let node = node_ref.id();
         let machine = self.cluster.machine();
         let num_pages = self.store.allocator().num_pages();
-        let gate = &self.fetch_state[node.index()].hints;
-        for &(first, run) in hints {
-            for k in 0..run as u64 {
-                let page = PageId(first.0 + k);
-                if page.index() >= num_pages {
-                    break;
-                }
-                // The low floor makes the throttle bite after a single early
-                // waste: a node must prove hint accuracy on a healthy issued
-                // count before any further misprediction is tolerated, and
-                // until it has, it takes a pair of tickets per reply — a
-                // first wrong run (or a re-probe's) costs two fetches, not a
-                // window of them.
-                if !gate.wastes_little(8) || (issued_now >= 2 && !gate.proven(8)) {
-                    return issued_now;
-                }
-                let frame = self.store.frame(node, page);
-                if frame.is_home() || frame.is_present() {
-                    continue;
-                }
-                // A contended fetch lock means another thread is already
-                // loading the page; the hint has nothing left to add.
-                let Some(guard) = frame.fetch_lock().try_lock() else {
-                    continue;
-                };
-                if frame.is_present() {
-                    drop(guard);
-                    continue;
-                }
-                let unprotect = self.policies.detection.unprotect_on_install(&frame);
-                let home = self.store.home_of(page);
-                let Ok((_, mut completion)) =
-                    self.fetch_run(node_ref, clock, home, page, &[&frame], false)
-                else {
-                    // Hint conversion is an optimisation, so it degrades
-                    // gracefully: a hint the transport cannot serve is simply
-                    // not issued, and the later demand miss takes the
-                    // ordinary (retried, recovered) fetch path instead.
-                    drop(guard);
-                    return issued_now;
-                };
-                NodeStats::bump(&node_ref.stats.page_loads);
-                NodeStats::bump(&node_ref.stats.hinted_fetches_issued);
-                gate.tried(1);
-                issued_now += 1;
-                let issue = clock.now();
-                if frame.is_home() {
-                    // Promoted mid-fetch (see `fetch_run`): charge the round
-                    // trip, open nothing.
-                    drop(guard);
-                    clock.merge(completion);
-                    continue;
-                }
-                if unprotect {
-                    NodeStats::bump(&node_ref.stats.mprotect_calls);
-                    completion += machine.dsm.mprotect_call;
-                }
-                frame.begin_inflight_hinted(issue.as_ps(), completion.as_ps());
-                drop(guard);
+        let gate = &self.fetch_state[node.index()].stride;
+        let mut issued_now = 0u64;
+        for k in 0..STRIDE_WINDOW {
+            let page = PageId(first.0 + k);
+            if page.index() >= num_pages || self.store.home_of(page) != home {
+                return;
             }
+            // The low floor makes the throttle bite after a single early
+            // waste: a node must prove its accuracy on a healthy issued count
+            // before any further misprediction is tolerated, and until it
+            // has, it takes a pair of tickets per fetch — a first wrong run
+            // (or a re-probe's) costs two fetches, not a window of them.
+            if !gate.wastes_little(8) || (issued_now >= 2 && !gate.proven(8)) {
+                return;
+            }
+            let frame = self.store.frame(node, page);
+            if frame.is_home() || frame.is_present() {
+                continue;
+            }
+            // A contended fetch lock means another thread is already loading
+            // the page; the prefetch has nothing left to add.
+            let Some(guard) = frame.fetch_lock().try_lock() else {
+                continue;
+            };
+            if frame.is_present() {
+                continue;
+            }
+            let unprotect = self.policies.detection.unprotect_on_install(&frame);
+            let Ok((_, mut completion)) = self.fetch_run(node_ref, clock, home, page, &[&frame])
+            else {
+                // The prefetch is an optimisation, so it degrades gracefully:
+                // a page the transport cannot serve is simply not issued, and
+                // the later demand miss takes the ordinary (retried,
+                // recovered) fetch path instead.
+                return;
+            };
+            NodeStats::bump(&node_ref.stats.page_loads);
+            NodeStats::bump(&node_ref.stats.stride_fetches_issued);
+            gate.tried(1);
+            issued_now += 1;
+            if frame.is_home() {
+                // Promoted mid-fetch (see `fetch_run`): charge the round
+                // trip, open nothing.
+                clock.merge(completion);
+                continue;
+            }
+            if unprotect {
+                NodeStats::bump(&node_ref.stats.mprotect_calls);
+                completion += machine.dsm.mprotect_call;
+            }
+            frame.begin_inflight_hinted(clock.now().as_ps(), completion.as_ps());
+            drop(guard);
         }
-        issued_now
     }
 
     /// Bring `page` into the local cache from its home node and, under a
@@ -290,7 +280,7 @@ impl DsmSystem {
         let run: Vec<&PageFrame> = std::iter::once(frame)
             .chain(candidates.iter().take(batch).map(|(qf, _)| &**qf))
             .collect();
-        let (hints, wire_completion) = self.fetch_run(node_ref, clock, home, page, &run, true)?;
+        let (scan, wire_completion) = self.fetch_run(node_ref, clock, home, page, &run)?;
         if demand {
             self.note_miss(node, home, page);
         }
@@ -365,7 +355,9 @@ impl DsmSystem {
         }
         drop(guards);
         drop(guard);
-        self.issue_hint_fetches(node, node_ref, clock, &hints);
+        if scan {
+            self.issue_stride_fetches(node_ref, clock, home, PageId(page.0 + count as u64));
+        }
         Ok(())
     }
 
@@ -382,9 +374,9 @@ impl DsmSystem {
             return;
         };
         if hinted {
-            // This demand miss finished an RPC the prefetch directory had
+            // This demand miss finished an RPC the stride prefetch had
             // already put in flight.
-            NodeStats::bump(&node_ref.stats.hinted_fetches_completed);
+            NodeStats::bump(&node_ref.stats.stride_fetches_completed);
         }
         let hidden_ps = clock
             .now()

@@ -1,7 +1,7 @@
 //! Wire encoding of page fetches: the one conditional request form and the
-//! one reply form, with the validation riders and prefetch-directory hints
-//! that ride on them (errors and the bounds-checked reader are
-//! [`crate::diff`]'s, which re-exports everything public here).
+//! one reply form, with the validation riders that ride on them (errors and
+//! the bounds-checked reader are [`crate::diff`]'s, which re-exports
+//! everything public here).
 //!
 //! Every page fetch is *conditional*: the request names, per page, the
 //! version of the copy the requester retains (0 = none), and the home
@@ -13,18 +13,14 @@
 //!
 //! | message | layout (little-endian) |
 //! |---|---|
-//! | fetch request | `first page u64` (bit 63 = no hints) · `count u32` · `count × retained version u64`; then optionally `r u16 · r × (page u64 · retained version u64)` riders |
-//! | fetch reply | per page `0u8 · version u64` (not modified), `1u8 · version u64 · 4096 B` (page) or `2u8 · version u64 · n u32 · n × (slot u16 · value u64)` (patch, slots ascending, `n ≤ 409`); then `⌈r/8⌉` bytes of rider answers (bit set = unchanged); then optionally `n u16 · n × (first page u64 · run u16)` hints |
+//! | fetch request | `first page u64` (bit 63 clear) · `count u32` · `count × retained version u64`; then optionally `r u16 · r × (page u64 · retained version u64)` riders |
+//! | fetch reply | per page `0u8 · version u64` (not modified), `1u8 · version u64 · 4096 B` (page) or `2u8 · version u64 · n u32 · n × (slot u16 · value u64)` (patch, slots ascending, `n ≤ 409`); then `⌈r/8⌉` bytes of rider answers (bit set = unchanged) and nothing after them |
 
 use hyperion_pm2::{PageId, PAGE_BYTES};
 
 use crate::diff::{
     push_entries, read_patch, DiffEntry, Reader, Wire, WireError, MAX_PATCH_ENTRIES, TOP_BIT,
 };
-
-/// One prefetch-directory hint: a run of `1`-or-more contiguous pages
-/// (starting at the id) the home predicts the requester will touch soon.
-pub type HintRun = (PageId, u16);
 
 /// One validation rider: a page of the target home the requester retains a
 /// copy of, and the stamp of that copy.
@@ -42,8 +38,6 @@ pub const MAX_RIDERS: usize = 8;
 pub struct FetchRequest {
     /// The first requested page.
     pub first: PageId,
-    /// Whether the home may piggyback prefetch-directory hints on the reply.
-    pub hints_ok: bool,
     /// Per page, the version of the copy the requester retains (0 = none).
     pub versions: Vec<u64>,
     /// Validation riders, at most [`MAX_RIDERS`].
@@ -55,16 +49,10 @@ pub struct FetchRequest {
 ///
 /// # Panics
 /// Panics if `versions` is empty.
-pub fn encode_fetch_request(
-    first: PageId,
-    versions: &[u64],
-    riders: &[Rider],
-    hints_ok: bool,
-) -> Vec<u8> {
+pub fn encode_fetch_request(first: PageId, versions: &[u64], riders: &[Rider]) -> Vec<u8> {
     assert!(!versions.is_empty(), "a fetch requests at least one page");
     let mut out = Vec::with_capacity(14 + versions.len() * 8 + riders.len() * 16);
-    let tag = if hints_ok { 0 } else { TOP_BIT };
-    out.extend_from_slice(&(first.0 | tag).to_le_bytes());
+    out.extend_from_slice(&first.0.to_le_bytes());
     out.extend_from_slice(&(versions.len() as u32).to_le_bytes());
     for v in versions {
         out.extend_from_slice(&v.to_le_bytes());
@@ -76,7 +64,10 @@ pub fn encode_fetch_request(
 /// Decode a fetch request produced by [`encode_fetch_request`].
 pub fn decode_fetch_request(payload: &[u8]) -> Wire<FetchRequest> {
     let mut r = Reader(payload);
-    let head = u64::from_le_bytes(r.le("fetch request page id")?);
+    let first = u64::from_le_bytes(r.le("fetch request page id")?);
+    if first & TOP_BIT != 0 {
+        return Err(WireError::Invalid("fetch request page id"));
+    }
     let count = u32::from_le_bytes(r.le("fetch request page count")?) as usize;
     if count == 0 {
         return Err(WireError::Invalid("fetch request for zero pages"));
@@ -88,8 +79,7 @@ pub fn decode_fetch_request(payload: &[u8]) -> Wire<FetchRequest> {
     let riders = read_riders(&mut r)?;
     r.finish("fetch request")?;
     Ok(FetchRequest {
-        first: PageId(head & !TOP_BIT),
-        hints_ok: head & TOP_BIT == 0,
+        first: PageId(first),
         versions,
         riders,
     })
@@ -157,20 +147,6 @@ pub fn push_page_reply(reply: &mut Vec<u8>, page: &PageReply<'_>) {
     }
 }
 
-/// Append the prefetch-directory hint trailer to a fetch reply whose other
-/// answers are complete: nothing for no hints; panics on a zero-page run.
-pub fn append_fetch_hints(reply: &mut Vec<u8>, hints: &[HintRun]) {
-    if hints.is_empty() {
-        return;
-    }
-    reply.extend_from_slice(&(hints.len() as u16).to_le_bytes());
-    for (first, run) in hints {
-        assert!(*run > 0, "a hint run covers at least one page");
-        reply.extend_from_slice(&first.0.to_le_bytes());
-        reply.extend_from_slice(&run.to_le_bytes());
-    }
-}
-
 /// A decoded fetch reply.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FetchReply<'a> {
@@ -178,8 +154,6 @@ pub struct FetchReply<'a> {
     pub pages: Vec<PageReply<'a>>,
     /// Bit `k` set = rider `k` of the request is unchanged at its home.
     pub unchanged: u64,
-    /// The hint runs (empty when the home sent none).
-    pub hints: Vec<HintRun>,
 }
 
 /// Decode the reply to a fetch that named `retained` as the versions of the
@@ -209,30 +183,12 @@ pub fn decode_fetch_reply<'a>(
         });
     }
     let unchanged = read_rider_answers(&mut r, riders)?;
-    let mut hints = Vec::new();
-    if !r.0.is_empty() {
-        let n = u16::from_le_bytes(r.le("hint count")?) as usize;
-        r.fits(n, 10, "hint entries")?;
-        for _ in 0..n {
-            let first = PageId(u64::from_le_bytes(r.le("hint entries")?));
-            let run = u16::from_le_bytes(r.le("hint entries")?);
-            if run == 0 {
-                return Err(WireError::Invalid("hint run of zero pages"));
-            }
-            hints.push((first, run));
-        }
-    }
     r.finish("fetch reply")?;
-    Ok(FetchReply {
-        pages,
-        unchanged,
-        hints,
-    })
+    Ok(FetchReply { pages, unchanged })
 }
 
 /// Append the answers to a request's `riders` riders (nothing for none) to
-/// a fetch reply, after the page answers and before any hints: bit `k` of
-/// `unchanged` set = rider `k` is still at the stamp the requester named.
+/// a fetch reply, after the page answers: bit `k` of `unchanged` set = rider `k` is still at the stamp the requester named.
 ///
 /// # Panics
 /// Panics if `riders` exceeds [`MAX_RIDERS`] or a bit beyond it is set.
@@ -271,16 +227,15 @@ mod tests {
         let retained = [4, 0, 5];
         let mut reply = Vec::new();
         pages.iter().for_each(|p| push_page_reply(&mut reply, p));
-        append_fetch_hints(&mut reply, &[]);
         assert_eq!(reply.len(), 9 + 9 + PAGE_BYTES + 9 + 4 + 20, "no trailer");
         let decoded = decode_fetch_reply(&reply, &retained, 0).unwrap();
         assert_eq!((&decoded.pages, decoded.unchanged), (&pages, 0));
-        assert!(decoded.hints.is_empty());
 
-        append_fetch_hints(&mut reply, &[(PageId(40), 3), (PageId(90), 1)]);
-        let decoded = decode_fetch_reply(&reply, &retained, 0).unwrap();
-        assert_eq!(decoded.pages, pages);
-        assert_eq!(decoded.hints, vec![(PageId(40), 3), (PageId(90), 1)]);
+        // What used to be a hint trailer (`n u16 · first u64 · run u16`) is
+        // trailing bytes now.
+        let hinted = [&reply[..], &[1, 0, 40, 0, 0, 0, 0, 0, 0, 0, 3, 0]].concat();
+        let err = decode_fetch_reply(&hinted, &retained, 0).unwrap_err();
+        assert_eq!(err, WireError::TrailingBytes("fetch reply"));
 
         // Wrong page count, truncation and a bad tag are all errors.
         assert!(decode_fetch_reply(&reply, &[4, 0, 5, 0], 0).is_err());
@@ -324,26 +279,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one page")]
-    fn zero_length_hint_run_is_never_encoded() {
-        append_fetch_hints(&mut Vec::new(), &[(PageId(1), 0)]);
-    }
-
-    #[test]
     fn fetch_request_round_trips_in_every_shape() {
         let riders: Vec<Rider> = (0..MAX_RIDERS as u64)
             .map(|k| (PageId(90 + k), k))
             .collect();
-        for (versions, hints_ok, r) in [
-            (vec![0u64], true, 0),
-            (vec![7], false, 1),
-            (vec![0, 9, 3], true, MAX_RIDERS),
-        ] {
-            let enc = encode_fetch_request(PageId(11), &versions, &riders[..r], hints_ok);
+        for (versions, r) in [(vec![0u64], 0), (vec![7], 1), (vec![0, 9, 3], MAX_RIDERS)] {
+            let enc = encode_fetch_request(PageId(11), &versions, &riders[..r]);
             let trailer = if r == 0 { 0 } else { 2 + 16 * r };
             assert_eq!(enc.len(), 12 + 8 * versions.len() + trailer);
             let dec = decode_fetch_request(&enc).unwrap();
-            assert_eq!((dec.first, dec.hints_ok), (PageId(11), hints_ok));
+            assert_eq!(dec.first, PageId(11));
             assert_eq!((dec.versions, &dec.riders[..]), (versions, &riders[..r]));
         }
     }
@@ -351,16 +296,18 @@ mod tests {
     #[test]
     fn malformed_fetch_requests_are_errors_not_panics() {
         let err = |bytes: &[u8]| decode_fetch_request(bytes).unwrap_err();
-        let enc = encode_fetch_request(PageId(1), &[4, 5], &[(PageId(2), 6)], true);
+        let enc = encode_fetch_request(PageId(1), &[4, 5], &[(PageId(2), 6)]);
         assert_eq!(enc.len(), 28 + 18);
         assert!(matches!(err(&enc[..19]), WireError::Truncated(_)));
         assert!(matches!(err(&enc[..29]), WireError::Truncated(_)));
         assert!(matches!(err(&enc[..45]), WireError::Truncated(_)));
-        assert!(matches!(
-            err(&[&enc[..], &[0]].concat()),
-            WireError::TrailingBytes(_)
-        ));
+        let long = [&enc[..], &[0]].concat();
+        assert!(matches!(err(&long), WireError::TrailingBytes(_)));
         assert!(matches!(err(&[1, 2, 3]), WireError::Truncated(_)));
+        // Bit 63 of the first page (once the no-hint tag) names no page.
+        let mut tagged = enc.clone();
+        tagged[7] |= 0x80;
+        assert_eq!(err(&tagged), WireError::Invalid("fetch request page id"));
         // A zero page count, and one far beyond the payload (rejected
         // before anything is allocated for it).
         for count in [[0u8; 4], [0xFF; 4]] {
@@ -371,7 +318,7 @@ mod tests {
         // The same for riders: none announced, one over the cap (with its
         // bytes present), and a count the payload cannot hold.
         let over: Vec<Rider> = (0..=MAX_RIDERS as u64).map(|k| (PageId(k), 1)).collect();
-        let long = encode_fetch_request(PageId(1), &[4], &over, true);
+        let long = encode_fetch_request(PageId(1), &[4], &over);
         assert_eq!(err(&long), WireError::Invalid("rider count"));
         for count in [0u16, u16::MAX] {
             let mut bad = enc.clone();
@@ -380,6 +327,7 @@ mod tests {
         }
     }
 
+    /// (The name is from when a hint trailer could follow the answers.)
     #[test]
     fn rider_answers_sit_between_the_pages_and_the_hints() {
         let mut reply = Vec::new();
@@ -387,9 +335,10 @@ mod tests {
         push_rider_answers(&mut reply, 0, 0);
         assert_eq!(reply.len(), 9, "no riders, no answers");
         push_rider_answers(&mut reply, 0b101, 3);
-        append_fetch_hints(&mut reply, &[(PageId(40), 3)]);
         let decoded = decode_fetch_reply(&reply, &[4], 3).unwrap();
-        assert_eq!((decoded.unchanged, decoded.hints.len()), (0b101, 1));
+        assert_eq!((decoded.unchanged, reply.len()), (0b101, 10));
+        let err = decode_fetch_reply(&[&reply[..], &[0]].concat(), &[4], 3).unwrap_err();
+        assert_eq!(err, WireError::TrailingBytes("fetch reply"));
         // A reply decoded against the wrong rider count is an error, as is
         // an answer for a rider that never left.
         assert!(decode_fetch_reply(&reply, &[4], 0).is_err());

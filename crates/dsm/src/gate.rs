@@ -1,5 +1,5 @@
 //! The windowed accuracy gate the speculative fetch mechanisms throttle
-//! themselves on: hint conversion and `java_ad`'s speculative batching
+//! themselves on: the stride prefetch and `java_ad`'s speculative batching
 //! (`fetch.rs`) and the validation riders (`riders.rs`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -78,12 +78,12 @@ mod tests {
 
         // One early waste bites at once, and fades instead of latching; a
         // record below the floor proves nothing either way.
-        let hints = Windowed::default();
-        hints.tried(1);
-        hints.outcome(1);
-        assert!(!hints.wastes_little(8) && !hints.proven(8));
-        hints.halve();
-        assert!(hints.wastes_little(8), "not latched");
+        let stride = Windowed::default();
+        stride.tried(1);
+        stride.outcome(1);
+        assert!(!stride.wastes_little(8) && !stride.proven(8));
+        stride.halve();
+        assert!(stride.wastes_little(8), "not latched");
         let speculation = Windowed::default();
         speculation.tried(16);
         speculation.outcome(2);

@@ -26,8 +26,8 @@
 //! * [`config`] — protocol / transport configuration data: the one place
 //!   a run is described;
 //! * [`policy`] — the pluggable policy traits ([`policy::DetectionPolicy`],
-//!   [`policy::Predictor`], [`policy::FlushPolicy`],
-//!   [`policy::ReplicationPolicy`]), their implementations, and the
+//!   [`policy::FlushPolicy`], [`policy::ReplicationPolicy`]), their
+//!   implementations, and the
 //!   validation and construction of a run's description;
 //! * [`engine`] — the [`DsmSystem`] protocol engine (with its fetch
 //!   mechanics in `fetch`, the validation riders those fetches carry in

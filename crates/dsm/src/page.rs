@@ -248,40 +248,11 @@ pub struct PageFrame {
     /// Split-transaction transport: virtual issue time of the in-flight
     /// fetch (valid only while `inflight_completion_ps` is non-zero).
     inflight_issue_ps: AtomicU64,
-    /// True if the current in-flight ticket was issued by converting a
-    /// prefetch-directory hint (valid only while `inflight_completion_ps` is
+    /// True if the current in-flight ticket was issued by the requester's
+    /// stride prefetch (valid only while `inflight_completion_ps` is
     /// non-zero).  A hinted ticket still pending at invalidation time means
-    /// the hint was wasted.
+    /// the prefetch was wasted.
     inflight_hinted: AtomicBool,
-    /// Prefetch directory (home frames only): home-node fetch sequence
-    /// number at the most recent fetch of this page (0 = never fetched).
-    dir_last_seq: AtomicU64,
-    /// Prefetch directory: the node that performed that fetch, stored as
-    /// `node + 1` (0 = none).
-    dir_last_req: AtomicU64,
-    /// Prefetch directory: sequence number of the fetch before that.
-    dir_prev_seq: AtomicU64,
-    /// Prefetch directory: the requester before the most recent one.
-    dir_prev_req: AtomicU64,
-    /// Prefetch directory: the page (id + 1, 0 = none) some requester
-    /// fetched from this home *right after* fetching this page — a learned
-    /// successor pair, not necessarily contiguous (e.g. the two pages a
-    /// boundary row spans, re-fetched in order every epoch).
-    dir_next_page: AtomicU64,
-    /// Prefetch directory: sequence number at which that successor pair was
-    /// last observed.
-    dir_next_seq: AtomicU64,
-    /// Prefetch directory: how many times in a row the *same* successor has
-    /// been observed (reset to 1 when the candidate is replaced).
-    dir_next_hits: AtomicU64,
-    /// Prefetch directory: sequence number at which the successor slot was
-    /// last *replaced* by a different non-empty pair (0 = never).  Random
-    /// traffic (e.g. Zipf-skewed key lookups) overwrites the slot on almost
-    /// every fetch, so a recent replacement marks the slot as churning —
-    /// its candidate is indistinguishable from noise until the same pair
-    /// repeats.  First-time learning and stable re-fetch sequences never
-    /// trip this, so the strided apps keep hinting from their first epoch.
-    dir_next_flip_seq: AtomicU64,
     /// Home frames only: set once the home node itself wrote this page since
     /// `version` was last stamped.  Home writes are the access hit path, so
     /// without a history they only set this flag (a plain store);
@@ -313,14 +284,6 @@ impl PageFrame {
             inflight_completion_ps: AtomicU64::new(0),
             inflight_issue_ps: AtomicU64::new(0),
             inflight_hinted: AtomicBool::new(false),
-            dir_last_seq: AtomicU64::new(0),
-            dir_last_req: AtomicU64::new(0),
-            dir_prev_seq: AtomicU64::new(0),
-            dir_prev_req: AtomicU64::new(0),
-            dir_next_page: AtomicU64::new(0),
-            dir_next_seq: AtomicU64::new(0),
-            dir_next_hits: AtomicU64::new(0),
-            dir_next_flip_seq: AtomicU64::new(0),
             home_wrote: AtomicU8::new(HOME_CLEAN),
             history: OnceLock::new(),
         }
@@ -658,9 +621,8 @@ impl PageFrame {
             .store(completion_ps.max(1), Ordering::Release);
     }
 
-    /// [`PageFrame::begin_inflight`] for a ticket issued by converting a
-    /// prefetch-directory hint, so its completion and waste are accounted
-    /// separately.
+    /// [`PageFrame::begin_inflight`] for a ticket issued by the stride
+    /// prefetch, so its completion and waste are accounted separately.
     pub fn begin_inflight_hinted(&self, issue_ps: u64, completion_ps: u64) {
         self.inflight_hinted.store(true, Ordering::Relaxed);
         self.inflight_issue_ps.store(issue_ps, Ordering::Relaxed);
@@ -692,93 +654,11 @@ impl PageFrame {
         self.inflight_completion_ps.load(Ordering::Acquire) != 0
     }
 
-    /// True if the pending in-flight ticket (if any) was hint-issued.  Read
+    /// True if the pending in-flight ticket (if any) was stride-issued.  Read
     /// at invalidation time, when a still-pending hinted ticket means the
-    /// hint never paid off.
+    /// prefetch never paid off.
     pub fn inflight_is_hinted(&self) -> bool {
         self.has_inflight() && self.inflight_hinted.load(Ordering::Relaxed)
-    }
-
-    // ----- home-side prefetch directory --------------------------------------
-
-    /// Record one fetch of this (home) page by `requester` at home-fetch
-    /// sequence `seq`, shifting the previous observation into the
-    /// second-most-recent slot.
-    pub fn dir_record_fetch(&self, requester: u64, seq: u64) {
-        let last_req = self.dir_last_req.load(Ordering::Relaxed);
-        let last_seq = self.dir_last_seq.load(Ordering::Relaxed);
-        self.dir_prev_req.store(last_req, Ordering::Relaxed);
-        self.dir_prev_seq.store(last_seq, Ordering::Relaxed);
-        self.dir_last_req.store(requester + 1, Ordering::Relaxed);
-        self.dir_last_seq.store(seq, Ordering::Relaxed);
-    }
-
-    /// Record that a requester fetched page `next` from this home right
-    /// after fetching this page (a successor pair learned at sequence
-    /// `seq`).
-    pub fn dir_record_next(&self, next: u64, seq: u64) {
-        let tagged = next + 1;
-        let prev = self.dir_next_page.swap(tagged, Ordering::Relaxed);
-        if prev == tagged {
-            self.dir_next_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.dir_next_hits.store(1, Ordering::Relaxed);
-            if prev != 0 {
-                // Replacing one learned pair with a different one: the
-                // churn signature of random fetch sequences.
-                self.dir_next_flip_seq.store(seq, Ordering::Relaxed);
-            }
-        }
-        self.dir_next_seq.store(seq, Ordering::Relaxed);
-    }
-
-    /// The page id some requester followed this page with, if that
-    /// observation is within the last `window` home-fetch events before
-    /// `now_seq` and the slot is not *churning*: a pair that was recently
-    /// replaced by a different one and has not been re-confirmed since is
-    /// noise (random traffic overwrites the slot on almost every fetch),
-    /// while a freshly learned or stably repeating pair hints immediately.
-    pub fn dir_recent_next(&self, now_seq: u64, window: u64) -> Option<u64> {
-        let next = self.dir_next_page.load(Ordering::Relaxed);
-        let seq = self.dir_next_seq.load(Ordering::Relaxed);
-        let flip = self.dir_next_flip_seq.load(Ordering::Relaxed);
-        // Re-confirmation depth 3: under skewed random traffic the popular
-        // successors repeat by coincidence often enough that one repeat is
-        // weak evidence, but two consecutive repeats are quadratically
-        // rarer.  Stable pairs never flip, so they are exempt.
-        let churning = flip != 0
-            && now_seq.saturating_sub(flip) <= window
-            && self.dir_next_hits.load(Ordering::Relaxed) < 3;
-        if next != 0 && seq != 0 && !churning && now_seq.saturating_sub(seq) <= window {
-            Some(next - 1)
-        } else {
-            None
-        }
-    }
-
-    /// The up-to-two most recent fetchers of this page observed within the
-    /// last `window` home-fetch events before `now_seq`, as `node + 1` tags
-    /// (0 = empty slot).  The directory's co-fetch predicate intersects
-    /// these across neighbouring pages: a hint for `q` is only justified by
-    /// a node that fetched *both* the demanded page and `q` recently.
-    pub fn dir_recent_fetchers(&self, now_seq: u64, window: u64) -> [u64; 2] {
-        let pick = |seq: u64, req: u64| {
-            if req != 0 && seq != 0 && now_seq.saturating_sub(seq) <= window {
-                req
-            } else {
-                0
-            }
-        };
-        [
-            pick(
-                self.dir_last_seq.load(Ordering::Relaxed),
-                self.dir_last_req.load(Ordering::Relaxed),
-            ),
-            pick(
-                self.dir_prev_seq.load(Ordering::Relaxed),
-                self.dir_prev_req.load(Ordering::Relaxed),
-            ),
-        ]
     }
 
     // ----- re-homing (node-failure recovery) ---------------------------------
@@ -1102,31 +982,6 @@ mod tests {
         frame.invalidate(false);
         assert!(!frame.has_inflight());
         assert!(!frame.inflight_is_hinted());
-    }
-
-    #[test]
-    fn directory_tracks_the_last_two_fetchers() {
-        let frame = PageFrame::new_home();
-        // Never fetched: nothing is recent.
-        assert_eq!(frame.dir_recent_fetchers(10, 100), [0, 0]);
-
-        frame.dir_record_fetch(1, 5);
-        assert_eq!(frame.dir_recent_fetchers(6, 8), [2, 0], "node 1 as tag 2");
-        assert_eq!(
-            frame.dir_recent_fetchers(50, 8),
-            [0, 0],
-            "stale observation"
-        );
-
-        // The previous fetcher is remembered one observation deep.
-        frame.dir_record_fetch(2, 7);
-        assert_eq!(frame.dir_recent_fetchers(8, 8), [3, 2]);
-        frame.dir_record_fetch(2, 9);
-        assert_eq!(
-            frame.dir_recent_fetchers(10, 8),
-            [3, 3],
-            "node 1 aged out of the two-deep history"
-        );
     }
 
     #[test]

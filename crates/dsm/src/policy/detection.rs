@@ -70,7 +70,7 @@ pub trait DetectionPolicy: Send + Sync {
     /// Whether installing a fetched copy of `frame` must end with an
     /// `mprotect` that opens the page (protection-detected pages only).
     /// Consulted on the explicit-prefetch paths (`loadIntoCache`, span
-    /// prefetch, hint conversion), where no access triggered the fetch.
+    /// prefetch, stride prefetch), where no access triggered the fetch.
     ///
     /// JMM: purely a cost decision — the copy itself is installed either
     /// way.

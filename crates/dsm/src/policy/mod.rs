@@ -1,7 +1,6 @@
 //! Pluggable protocol policies: the decision points of the DSM protocol,
-//! extracted behind traits so alternative strategies (Zipf-aware
-//! predictors, quorum placement, hierarchical detection) can slot in
-//! without touching the engine.
+//! extracted behind traits so alternative strategies (quorum placement,
+//! hierarchical detection) can slot in without touching the engine.
 //!
 //! The engine ([`crate::DsmSystem`]) owns every *mechanism* — page fetch
 //! RPCs, diff application, in-flight tickets, invalidation, flush
@@ -10,7 +9,6 @@
 //! | Trait                 | Decision                                | Implementations                                 |
 //! |-----------------------|-----------------------------------------|-------------------------------------------------|
 //! | [`DetectionPolicy`]   | how a remote access is noticed          | `java_ic` / `java_pf` / [`AdaptiveDetection`]   |
-//! | [`Predictor`]         | which hints a fetch reply carries       | [`NoopPredictor`] / [`DirectoryPredictor`]      |
 //! | [`FlushPolicy`]       | how release diffs reach their homes     | [`BatchedFlush`] / [`DeferredFlush`]            |
 //! | [`ReplicationPolicy`] | replicated read-homes and write quorums | [`NoopReplication`] / [`QuorumReplication`]     |
 //!
@@ -19,11 +17,10 @@
 //! module *validates* that description ([`TransportConfig::validate`],
 //! [`validate_adaptive`]: illegal combinations are a typed [`PolicyError`]
 //! before any cluster state exists) and *builds* it: [`PolicySet::build`]
-//! makes the four live policy objects.
+//! makes the three live policy objects.
 
 mod detection;
 mod flush;
-mod predictor;
 mod replication;
 
 use std::sync::Arc;
@@ -36,18 +33,15 @@ pub use detection::{
     PageProtectDetection,
 };
 pub use flush::{BatchedFlush, DeferredFlush, FlushPolicy};
-pub use predictor::{DirectoryPredictor, FetchObservation, NoopPredictor, Predictor};
 pub use replication::{NoopReplication, QuorumReplication, ReplicationPolicy};
 
 use crate::config::{AdaptiveParams, ProtocolKind, TransportConfig};
 
-/// The four live policy objects one [`crate::DsmSystem`] consults.
+/// The three live policy objects one [`crate::DsmSystem`] consults.
 #[derive(Clone)]
 pub struct PolicySet {
     /// Access-detection state machine (the protocol proper).
     pub detection: Arc<dyn DetectionPolicy>,
-    /// Home-side prefetch prediction.
-    pub predictor: Arc<dyn Predictor>,
     /// Release-flush placement.
     pub flush: Arc<dyn FlushPolicy>,
     /// Replicated read-homes and write quorums.
@@ -71,11 +65,6 @@ impl PolicySet {
                 ProtocolKind::JavaPf => Arc::new(PageProtectDetection::new(machine)),
                 ProtocolKind::JavaAd => Arc::new(AdaptiveDetection::new(params, machine)),
             },
-            predictor: if transport.prefetch_hints {
-                Arc::new(DirectoryPredictor)
-            } else {
-                Arc::new(NoopPredictor)
-            },
             flush: if transport.deferred_flush {
                 Arc::new(DeferredFlush { max_pages })
             } else {
@@ -96,7 +85,6 @@ impl std::fmt::Debug for PolicySet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PolicySet")
             .field("detection", &self.detection.name())
-            .field("predictor", &self.predictor.name())
             .field("flush", &self.flush.name())
             .field("replication", &self.replication.name())
             .finish()
@@ -108,11 +96,6 @@ impl TransportConfig {
     pub fn validate(&self) -> Result<(), PolicyError> {
         if self.max_flush_batch_pages == 0 {
             return Err(PolicyError::ZeroFlushBatch);
-        }
-        // Hints convert into overlapped fetches: without them the homes
-        // would generate hints nobody uses.
-        if self.prefetch_hints && !self.overlapped_fetches {
-            return Err(PolicyError::HintsRequireOverlappedFetches);
         }
         if let Some((read_replicas, write_quorum)) = self.replication {
             if read_replicas == 0 {
@@ -153,10 +136,6 @@ pub enum PolicyError {
     /// A flush with a zero page ceiling would flush nothing (1 disables
     /// batching).
     ZeroFlushBatch,
-    /// The directory predictor converts hints into overlapped fetches;
-    /// without [`TransportConfig::overlapped_fetches`] it would silently
-    /// generate hints nobody uses.
-    HintsRequireOverlappedFetches,
     /// Quorum replication with zero read replicas keeps no copies to elect
     /// a new home from.
     ZeroReadReplicas,
@@ -175,9 +154,6 @@ impl std::fmt::Display for PolicyError {
                 "switching hysteresis needs 0 <= lo_multiple < hi_multiple"
             }
             PolicyError::ZeroFlushBatch => "max_flush_batch_pages must be at least 1",
-            PolicyError::HintsRequireOverlappedFetches => {
-                "prefetch hints require overlapped fetches (hints convert into split transactions)"
-            }
             PolicyError::ZeroReadReplicas => "quorum replication needs at least one read replica",
             PolicyError::InvalidWriteQuorum => {
                 "write quorum must satisfy 1 <= w <= read_replicas + 1"

@@ -46,7 +46,7 @@ const RIDER_CREDIT: u64 = 2;
 /// `batch_page_cycles` on each side and its request bytes.  41 on the
 /// Myrinet cluster, 39 on SCI.
 pub(crate) fn rider_worth(machine: &MachineModel) -> u64 {
-    let request = |riders: &[Rider]| encode_fetch_request(PageId(0), &[1], riders, true).len();
+    let request = |riders: &[Rider]| encode_fetch_request(PageId(0), &[1], riders).len();
     let mut reply = Vec::new();
     push_page_reply(&mut reply, &PageReply::NotModified(1));
     let round_trip = idle_round_trip(machine, request(&[]), reply.len(), VTime::ZERO);
@@ -74,8 +74,12 @@ pub(crate) struct NodeFetchState {
     recent: Vec<Mutex<Vec<Listed>>>,
     /// Riders sent / confirmed pages opened without an RPC.
     riders: Windowed,
-    /// Hint-driven fetches issued / invalidated with the ticket pending.
-    pub(crate) hints: Windowed,
+    /// Per home: one past the last page of this node's last fetch there
+    /// (0 = none yet).  A fetch that starts exactly there continues a scan
+    /// (the stride rule of [`DsmSystem::issue_stride_fetches`]).
+    scan_next: Vec<AtomicU64>,
+    /// Stride-prefetch fetches issued / invalidated with the ticket pending.
+    pub(crate) stride: Windowed,
     /// Speculative batch riders installed / invalidated untouched.
     pub(crate) speculation: Windowed,
     /// `invalidateCache` episodes begun on this node.
@@ -91,7 +95,8 @@ impl NodeFetchState {
         NodeFetchState {
             recent: (0..homes).map(|_| Mutex::new(Vec::new())).collect(),
             riders: Windowed::default(),
-            hints: Windowed::default(),
+            scan_next: (0..homes).map(|_| AtomicU64::new(0)).collect(),
+            stride: Windowed::default(),
             speculation: Windowed::default(),
             epoch: AtomicU64::new(0),
             confirmed_until: AtomicU64::new(0),
@@ -106,9 +111,17 @@ impl NodeFetchState {
         fence(Ordering::SeqCst);
         if epoch % GATE_WINDOW == 0 {
             self.riders.halve();
-            self.hints.halve();
+            self.stride.halve();
             self.speculation.halve();
         }
+    }
+
+    /// Note a fetch of `count` pages of `home` starting at `first`; true if
+    /// it starts where the node's previous fetch from that home ended.
+    pub(crate) fn continues_scan(&self, home: NodeId, first: PageId, count: usize) -> bool {
+        let end = first.0 + count as u64;
+        let prev = self.scan_next[home.index()].swap(end, Ordering::Relaxed);
+        prev != 0 && prev == first.0
     }
 
     /// Whether riders are paying for themselves on this node.
@@ -310,13 +323,13 @@ mod tests {
         assert!(!state.riders_pay(worth), "credit spent, nothing opened");
         // Shut, it sends nothing, so only time can reopen it: a window's
         // worth of invalidations halves both counts — of all three gates.
-        state.hints.tried(1);
-        state.hints.outcome(1);
+        state.stride.tried(1);
+        state.stride.outcome(1);
         for _ in 0..GATE_WINDOW {
             state.begin_invalidate();
         }
         assert!(state.riders_pay(worth), "probing again");
-        assert!(state.hints.wastes_little(8), "not latched");
+        assert!(state.stride.wastes_little(8), "not latched");
     }
 
     /// Two pages of home 0 (not neighbours: `java_ad` would batch them)

@@ -1,27 +1,26 @@
 //! The home-side RPC services of the DSM: page fetch and diff apply.
 //!
 //! Both handlers are pure mechanism — copy pages, apply diffs, charge the
-//! modelled service cost — and consult the policies at their decision
-//! points: the [`Predictor`] for which hints a fetch reply carries, and the
-//! [`ReplicationPolicy`] on both paths for whether served pages register
-//! read replicas and applied diffs perform quorum writes (with the
-//! replica-shipping cost charged in the service time).
+//! modelled service cost — and consult the [`ReplicationPolicy`] for
+//! whether served pages register read replicas and applied diffs perform
+//! quorum writes (with the replica-shipping cost charged in the service
+//! time).
 
 use std::sync::Arc;
 
-use hyperion_model::{CpuModel, DsmCostModel, NodeStats, VTime};
+use hyperion_model::{CpuModel, DsmCostModel, VTime};
 use hyperion_pm2::{Node, NodeId, PageId, RpcHandler, RpcReply, SLOTS_PER_PAGE};
 
 use crate::diff::{
-    append_fetch_hints, decode_diff_message, decode_fetch_request, encode_diff_reply,
-    push_page_reply, push_rider_answers, FetchRequest, PageReply, WireError, MAX_PATCH_ENTRIES,
+    decode_diff_message, decode_fetch_request, encode_diff_reply, push_page_reply,
+    push_rider_answers, FetchRequest, PageReply, WireError, MAX_PATCH_ENTRIES,
 };
-use crate::policy::{FetchObservation, Predictor, ReplicationPolicy};
+use crate::policy::ReplicationPolicy;
 use crate::table::DsmStore;
 
 /// What serving one fetch request produced.
 pub(crate) struct FetchServed {
-    /// The encoded page and rider answers (no hint trailer yet).
+    /// The encoded page and rider answers.
     pub(crate) reply: Vec<u8>,
     /// Pages answered, shipped or not.
     pub(crate) pages: usize,
@@ -31,19 +30,16 @@ pub(crate) struct FetchServed {
     pub(crate) slots_shipped: usize,
     /// Validation riders answered (a stamp comparison each, no bytes).
     pub(crate) riders: usize,
-    /// The predictor's observation of this fetch, if it keeps a directory.
-    pub(crate) obs: Option<FetchObservation>,
 }
 
 impl FetchServed {
     /// The home-side service time of this fetch: copy cycles for the slots
-    /// shipped, per-page batching overhead for every page beyond the first
-    /// (riders included), and `hint_entries` hint entries.
-    pub(crate) fn service(&self, cpu: &CpuModel, dsm: &DsmCostModel, hint_entries: usize) -> VTime {
+    /// shipped and per-page batching overhead for every page beyond the
+    /// first (riders included).
+    pub(crate) fn service(&self, cpu: &CpuModel, dsm: &DsmCostModel) -> VTime {
         cpu.cycles(
             dsm.page_copy_cycles_per_slot * self.slots_shipped as f64
-                + dsm.batch_page_cycles * (self.pages - 1 + self.riders) as f64
-                + dsm.hint_entry_cycles * hint_entries as f64,
+                + dsm.batch_page_cycles * (self.pages - 1 + self.riders) as f64,
         )
     }
 }
@@ -52,15 +48,13 @@ impl FetchServed {
 /// modified" if the requester's retained version is the home's current
 /// stamp; else the slots that changed since, if the page's history still
 /// holds every step in between and they encode shorter than the page; else
-/// the page.  Runs the predictor's per-page bookkeeping and the
-/// replication policy's read-replica registration for every page either
-/// way (a revalidated copy is as current as a shipped one).  The request's
-/// validation riders get the same stamp comparison and one bit each; they
-/// are not accesses, so neither the predictor nor the replica directory
-/// hears of them.
+/// the page.  Runs the replication policy's read-replica registration for
+/// every page either way (a revalidated copy is as current as a shipped
+/// one).  The request's validation riders get the same stamp comparison and
+/// one bit each; they are not accesses, so the replica directory does not
+/// hear of them.
 pub(crate) fn serve_fetch(
     store: &DsmStore,
-    predictor: &dyn Predictor,
     replication: &dyn ReplicationPolicy,
     home: NodeId,
     caller: NodeId,
@@ -70,7 +64,6 @@ pub(crate) fn serve_fetch(
         first,
         versions,
         riders,
-        ..
     } = request;
     let count = versions.len();
     let num_pages = store.allocator().num_pages();
@@ -88,11 +81,6 @@ pub(crate) fn serve_fetch(
         pages: count,
         slots_shipped: 0,
         riders: riders.len(),
-        // Directory bookkeeping exists only when the predictor opts in: a
-        // `NoopPredictor` declines the observation, and the fetch handler
-        // does exactly what the plain split-transaction transport did (no
-        // stamps, no history writes).
-        obs: predictor.observe_fetch(store, home, caller, *first, count as u32),
     };
     for (k, &retained) in versions.iter().enumerate() {
         let page = PageId(first.0 + k as u64);
@@ -108,9 +96,6 @@ pub(crate) fn serve_fetch(
             "page fetch sent to a node that is not the page's home"
         );
         store.with_frame(home_now, page, |f| {
-            if let Some(o) = &served.obs {
-                predictor.record_served_page(f, caller, o);
-            }
             // Stamp first, values second — for a patch as for a page: the
             // copy may end up stamped older than its bytes, never newer
             // (see `crate::page`).
@@ -237,42 +222,20 @@ pub(crate) fn apply_diff_message(
     Ok(out)
 }
 
-/// RPC service: answer a conditional page fetch and, when the predictor
-/// asks for it, piggyback "a neighbour also fetched p..p+k" hints derived
-/// from the home's per-page fetch history.
+/// RPC service: answer a conditional page fetch.
 pub(crate) struct PageFetchService {
     pub(crate) store: Arc<DsmStore>,
     pub(crate) cpu: CpuModel,
     pub(crate) dsm: DsmCostModel,
-    pub(crate) predictor: Arc<dyn Predictor>,
     pub(crate) replication: Arc<dyn ReplicationPolicy>,
 }
 
 impl PageFetchService {
     fn serve(&self, target: &Node, caller: NodeId, payload: &[u8]) -> Result<RpcReply, WireError> {
         let request = decode_fetch_request(payload)?;
-        let home = target.id();
-        let mut served = serve_fetch(
-            &self.store,
-            self.predictor.as_ref(),
-            self.replication.as_ref(),
-            home,
-            caller,
-            &request,
-        )?;
-        let mut hint_entries = 0;
-        if let (true, Some(o)) = (request.hints_ok, &served.obs) {
-            let count = request.versions.len() as u32;
-            if let Some((start, run)) =
-                self.predictor
-                    .predict(&self.store, home, caller, request.first, count, o)
-            {
-                append_fetch_hints(&mut served.reply, &[(start, run)]);
-                hint_entries = 1;
-                NodeStats::bump_by(&target.stats.hints_sent, run as u64);
-            }
-        }
-        let service = served.service(&self.cpu, &self.dsm, hint_entries);
+        let replication = self.replication.as_ref();
+        let served = serve_fetch(&self.store, replication, target.id(), caller, &request)?;
+        let service = served.service(&self.cpu, &self.dsm);
         Ok(RpcReply::with_data(served.reply, service))
     }
 }
@@ -340,20 +303,17 @@ mod tests {
             let mut call = |service, payload: &[u8]| {
                 cluster.rpc(&mut clock, NodeId(1), NodeId(0), service, payload)
             };
-            let fetch = encode_fetch_request(page, &[0], &[], true);
+            let fetch = encode_fetch_request(page, &[0], &[]);
             let rider_out_of_range = [(unallocated, 3)];
-            let mut too_many_riders = encode_fetch_request(page, &[0], &[(page, 1)], true);
+            let mut too_many_riders = encode_fetch_request(page, &[0], &[(page, 1)]);
             too_many_riders[20] = crate::diff::MAX_RIDERS as u8 + 1;
             let bad: Vec<(_, Vec<u8>)> = vec![
                 (dsm.page_fetch, vec![1, 2, 3]),
                 (dsm.page_fetch, fetch[..fetch.len() - 1].to_vec()),
+                (dsm.page_fetch, encode_fetch_request(unallocated, &[0], &[])),
                 (
                     dsm.page_fetch,
-                    encode_fetch_request(unallocated, &[0], &[], true),
-                ),
-                (
-                    dsm.page_fetch,
-                    encode_fetch_request(page, &[0], &rider_out_of_range, true),
+                    encode_fetch_request(page, &[0], &rider_out_of_range),
                 ),
                 (dsm.page_fetch, too_many_riders),
                 (dsm.diff_apply, vec![0xFF; 7]),
@@ -376,7 +336,7 @@ mod tests {
             let stamp = u64::from_le_bytes(reply[1..9].try_into().expect("stamp"));
             let elsewhere = alloc.alloc(8, NodeId(1)).page();
             let riders = [(page, stamp), (page, stamp + 1), (elsewhere, 1)];
-            let asking = encode_fetch_request(page, &[stamp], &riders, true);
+            let asking = encode_fetch_request(page, &[stamp], &riders);
             let answered = call(dsm.page_fetch, &asking).expect("well-formed riders");
             let answered = decode_fetch_reply(&answered, &[stamp], 3).expect("decodes");
             assert_eq!(answered.unchanged, 0b001, "{backend}");
@@ -388,7 +348,7 @@ mod tests {
                 call(dsm.diff_apply, &encode_diff(page, &[(0, 7)])).expect("well-formed diff");
             let acked = decode_diff_reply(&ack, 1).expect("versions only");
             assert_eq!(acked[0], stamp + 1, "{backend}");
-            let asking = encode_fetch_request(page, &[stamp], &[], true);
+            let asking = encode_fetch_request(page, &[stamp], &[]);
             let patch = call(dsm.page_fetch, &asking).expect("well-formed fetch");
             let decoded = decode_fetch_reply(&patch, &[stamp], 0).expect("decodes");
             let expected = PageReply::Patch(stamp + 1, vec![(0, 7)]);

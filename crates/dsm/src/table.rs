@@ -76,15 +76,6 @@ pub struct DsmStore {
     /// the failure-free common case of [`DsmStore::home_of`] stays a plain
     /// array index.
     num_overrides: std::sync::atomic::AtomicUsize,
-    /// Prefetch directory: per-home fetch sequence counters.  Every page
-    /// fetch a home serves bumps its counter; the per-page observations on
-    /// the home frames are stamped with it, which is how "recently fetched"
-    /// is defined without a clock.
-    fetch_seq: Vec<std::sync::atomic::AtomicU64>,
-    /// Prefetch directory: for each (home, requester) pair, the page id + 1
-    /// of the most recent page that home served to that node (0 = none).
-    /// Consecutive ids form the stride runs the directory extends.
-    last_fetch: Vec<std::sync::atomic::AtomicU64>,
     /// Replication directory: per-page read-replica holders and their
     /// quorum-write versions (empty under the Noop replication policy).
     replicas: RwLock<HashMap<u64, ReplicaSet>>,
@@ -112,12 +103,6 @@ impl DsmStore {
             nodes: (0..num_nodes).map(|_| NodeFrames::new()).collect(),
             home_overrides: RwLock::new(HashMap::new()),
             num_overrides: std::sync::atomic::AtomicUsize::new(0),
-            fetch_seq: (0..num_nodes)
-                .map(|_| std::sync::atomic::AtomicU64::new(0))
-                .collect(),
-            last_fetch: (0..num_nodes * num_nodes)
-                .map(|_| std::sync::atomic::AtomicU64::new(0))
-                .collect(),
             replicas: RwLock::new(HashMap::new()),
             failed: RwLock::new(HashSet::new()),
             num_failed: std::sync::atomic::AtomicUsize::new(0),
@@ -198,20 +183,6 @@ impl DsmStore {
     /// actually moved).
     pub fn page_rehomed(&self, page: PageId) -> bool {
         self.rehomed_pages() > 0 && self.home_overrides.read().contains_key(&page.0)
-    }
-
-    /// Advance and return home `home`'s prefetch-directory fetch sequence
-    /// (the stamp recorded on the served pages' directory entries).
-    pub fn next_fetch_seq(&self, home: NodeId) -> u64 {
-        self.fetch_seq[home.index()].fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1
-    }
-
-    /// The page id (`+ 1`, 0 = none) home `home` most recently served to
-    /// `requester`, then replace it with `page`.  The directory's stride
-    /// detector compares the returned value against the page being served.
-    pub fn swap_last_fetch(&self, home: NodeId, requester: NodeId, page: PageId) -> u64 {
-        self.last_fetch[home.index() * self.nodes.len() + requester.index()]
-            .swap(page.0 + 1, std::sync::atomic::Ordering::Relaxed)
     }
 
     /// Run `f` on node `node`'s frame for `page`, creating the frame (and any

@@ -784,7 +784,7 @@ fn flush_batches_never_cross_home_boundaries() {
     assert_eq!(s.batched_flushes, 0);
 }
 
-// ----- prefetch directory ------------------------------------------------
+// ----- stride prefetch -----------------------------------------------------
 
 fn directory_fixture(nodes: usize, kind: ProtocolKind) -> Fixture {
     fixture_with(
@@ -795,233 +795,264 @@ fn directory_fixture(nodes: usize, kind: ProtocolKind) -> Fixture {
     )
 }
 
-/// Let `node` earn a healthy hint-accuracy record the way a program would:
-/// it scans a fresh region homed on `home` front to back, so every fetch the
-/// stride hints put in flight is completed by a real use.  Returns how many
-/// hinted fetches that completed.
-fn earn_hint_credit(f: &Fixture, node: NodeId, home: NodeId, clock: &mut ThreadClock) -> u64 {
+/// The address of page `k` of the run starting at `first`.
+fn page_of(first: GlobalAddr, k: usize) -> GlobalAddr {
+    first.offset((SLOTS_PER_PAGE * k) as u64)
+}
+
+/// Let `node` earn a healthy accuracy record the way a program would: it
+/// scans a fresh region homed on `home` front to back, so every fetch the
+/// stride prefetch puts in flight is completed by a real use.
+fn earn_stride_credit(f: &Fixture, node: NodeId, home: NodeId, clock: &mut ThreadClock) {
     let pages = 48;
     let region = f.alloc.alloc_page_aligned(SLOTS_PER_PAGE * pages, home);
     for k in 0..pages {
-        let _ = f
-            .dsm
-            .get(node, clock, region.offset((SLOTS_PER_PAGE * k) as u64));
+        let _ = f.dsm.get(node, clock, page_of(region, k));
     }
     let s = f.cluster.node_stats(node);
-    assert!(s.hinted_fetches_issued >= 36 && s.hinted_fetches_wasted == 0);
-    assert_eq!(s.hinted_fetches_completed, s.hinted_fetches_issued);
-    s.hinted_fetches_completed
+    assert!(s.stride_fetches_issued >= 36 && s.stride_fetches_wasted == 0);
+    assert_eq!(s.stride_fetches_completed, s.stride_fetches_issued);
 }
 
 #[test]
-fn neighbour_fetch_piggybacks_a_hint_that_becomes_a_ticket() {
-    let f = directory_fixture(3, ProtocolKind::JavaPf);
-    let addr = f.alloc.alloc_page_aligned(SLOTS_PER_PAGE * 2, NodeId(2));
-    let second = addr.offset(SLOTS_PER_PAGE as u64);
-    f.dsm.put(NodeId(2), &mut ThreadClock::new(), second, 77);
+fn litmus_a_scan_has_tickets_in_flight_from_its_second_miss() {
+    for kind in ProtocolKind::all_extended() {
+        let f = directory_fixture(2, kind);
+        let pages = 8;
+        let addr = f
+            .alloc
+            .alloc_page_aligned(SLOTS_PER_PAGE * pages, NodeId(1));
+        let mut h = ThreadClock::new();
+        for k in 0..pages {
+            f.dsm
+                .put(NodeId(1), &mut h, page_of(addr, k), 100 + k as u64);
+        }
+        let issued = || f.cluster.node_stats(NodeId(0)).stride_fetches_issued;
+        let frame = |k| f.dsm.store().frame(NodeId(0), page_of(addr, k).page());
 
-    // Node 0 touches both pages: the home's directory now knows that a
-    // fetch of the first page is followed by the second.
-    let mut c0 = ThreadClock::new();
-    let _ = f.dsm.get(NodeId(0), &mut c0, addr);
-    let _ = f.dsm.get(NodeId(0), &mut c0, second);
+        // The first miss starts nowhere in particular; the second starts
+        // where the first ended, and a newcomer takes two tickets.
+        let mut clock = ThreadClock::new();
+        assert_eq!(f.dsm.get(NodeId(0), &mut clock, addr), 100, "{kind:?}");
+        assert_eq!(issued(), 0, "{kind:?}");
+        assert_eq!(f.dsm.get(NodeId(0), &mut clock, page_of(addr, 1)), 101);
+        assert_eq!(issued(), 2, "{kind:?}");
+        assert!(frame(2).inflight_is_hinted() && frame(3).inflight_is_hinted());
+        assert!(!frame(4).is_present(), "{kind:?}");
 
-    // Node 1 demand-misses the first page only: the reply carries the
-    // "your neighbour also fetched the next page" hint, which node 1
-    // converts into an in-flight split transaction.
-    let mut c1 = ThreadClock::new();
-    let _ = f.dsm.get(NodeId(1), &mut c1, addr);
-    let s1 = f.cluster.node_stats(NodeId(1));
-    assert!(f.cluster.node_stats(NodeId(2)).hints_sent >= 1);
-    assert_eq!(s1.hinted_fetches_issued, 1);
-    assert_eq!(s1.page_loads, 2, "demand fetch + hinted fetch");
-    let frame = f.dsm.store().frame(NodeId(1), second.page());
-    assert!(frame.has_inflight());
-    assert!(frame.inflight_is_hinted());
-
-    // The later demand miss completes the in-flight RPC instead of
-    // issuing one: no new page load, ticket consumed, value correct.
-    assert_eq!(f.dsm.get(NodeId(1), &mut c1, second), 77);
-    let s1 = f.cluster.node_stats(NodeId(1));
-    assert_eq!(s1.page_loads, 2);
-    assert_eq!(s1.hinted_fetches_completed, 1);
-    assert!(!frame.has_inflight());
+        // Their first uses complete them without a load, and the prefetched
+        // pages moved the scan's end along: the miss on page 4 continues
+        // the run past the first window.
+        let loads = f.cluster.node_stats(NodeId(0)).page_loads;
+        assert_eq!(f.dsm.get(NodeId(0), &mut clock, page_of(addr, 2)), 102);
+        assert_eq!(f.dsm.get(NodeId(0), &mut clock, page_of(addr, 3)), 103);
+        assert_eq!(f.cluster.node_stats(NodeId(0)).page_loads, loads);
+        assert_eq!(f.dsm.get(NodeId(0), &mut clock, page_of(addr, 4)), 104);
+        assert_eq!(issued(), 4, "{kind:?}");
+        for k in 5..pages {
+            assert_eq!(
+                f.dsm.get(NodeId(0), &mut clock, page_of(addr, k)),
+                100 + k as u64
+            );
+        }
+        f.dsm.invalidate_cache(NodeId(0), &mut clock);
+        let s = f.cluster.node_stats(NodeId(0));
+        assert_eq!(s.page_loads, pages as u64, "{kind:?}: every page once");
+        assert!(s.stride_fetches_completed > 0, "{kind:?}");
+        assert_eq!(s.stride_fetches_completed, s.stride_fetches_issued);
+        assert_eq!(s.stride_fetches_wasted, 0, "{kind:?}");
+    }
 }
 
 #[test]
 fn stride_run_extends_hints_across_the_window() {
     let f = directory_fixture(2, ProtocolKind::JavaIc);
     let addr = f.alloc.alloc_page_aligned(SLOTS_PER_PAGE * 4, NodeId(1));
-    let page = |k: u64| addr.offset(SLOTS_PER_PAGE as u64 * k);
 
     let mut clock = ThreadClock::new();
-    let _ = f.dsm.get(NodeId(0), &mut clock, page(0));
-    // The second fetch extends a stride run: the home hints the rest of
-    // the same-home span and node 0 puts both remaining pages in flight.
-    let _ = f.dsm.get(NodeId(0), &mut clock, page(1));
+    let _ = f.dsm.get(NodeId(0), &mut clock, addr);
+    // The second fetch extends a stride run: node 0 puts both remaining
+    // pages of the span in flight.
+    let _ = f.dsm.get(NodeId(0), &mut clock, page_of(addr, 1));
     let s = f.cluster.node_stats(NodeId(0));
-    assert_eq!(s.hinted_fetches_issued, 2);
+    assert_eq!(s.stride_fetches_issued, 2);
     assert_eq!(s.page_loads, 4);
-    assert_eq!(f.cluster.node_stats(NodeId(1)).hints_sent, 2);
     // Scanning on completes the tickets without further loads.
-    let _ = f.dsm.get(NodeId(0), &mut clock, page(2));
-    let _ = f.dsm.get(NodeId(0), &mut clock, page(3));
+    let _ = f.dsm.get(NodeId(0), &mut clock, page_of(addr, 2));
+    let _ = f.dsm.get(NodeId(0), &mut clock, page_of(addr, 3));
     let s = f.cluster.node_stats(NodeId(0));
     assert_eq!(s.page_loads, 4);
-    assert_eq!(s.hinted_fetches_completed, 2);
+    assert_eq!(s.stride_fetches_completed, 2);
 }
 
 #[test]
-fn learned_successor_pairs_hint_non_contiguous_pages() {
-    let f = directory_fixture(2, ProtocolKind::JavaIc);
-    let addr = f.alloc.alloc_page_aligned(SLOTS_PER_PAGE * 3, NodeId(1));
-    let third = addr.offset(SLOTS_PER_PAGE as u64 * 2);
+fn litmus_a_walk_that_never_steps_to_the_next_page_issues_nothing() {
+    let f = directory_fixture(3, ProtocolKind::JavaPf);
+    let pages = 12;
+    let walked = f
+        .alloc
+        .alloc_page_aligned(SLOTS_PER_PAGE * pages, NodeId(1));
+    let other = f.alloc.alloc_page_aligned(SLOTS_PER_PAGE, NodeId(2));
+    let pair = f
+        .alloc
+        .alloc_page_aligned(SLOTS_PER_PAGE * pages, NodeId(1));
     let mut clock = ThreadClock::new();
-
-    // One epoch of the non-contiguous pattern (first page, then the
-    // third — the middle page is never touched) teaches the home the
-    // successor pair.
-    let _ = f.dsm.get(NodeId(0), &mut clock, addr);
-    let _ = f.dsm.get(NodeId(0), &mut clock, third);
-    f.dsm.invalidate_cache(NodeId(0), &mut clock);
-    let before = f.cluster.node_stats(NodeId(0));
-    assert_eq!(before.hinted_fetches_issued, 0, "no hints while learning");
-    // The home changes the third page, so the copy node 0 retains cannot be
-    // validated by a rider on the first page's fetch: it has to be shipped.
-    f.dsm.put(NodeId(1), &mut ThreadClock::new(), third, 5);
-
-    // Second epoch: the miss on the first page is answered with a hint
-    // for its learned (non-contiguous) successor, which the node puts
-    // in flight; the later demand miss completes that RPC.
-    let _ = f.dsm.get(NodeId(0), &mut clock, addr);
+    // Every other page up, then the odd ones from 9 back down.
+    for k in (0..pages).step_by(2).chain((0..pages - 2).rev().step_by(2)) {
+        let _ = f.dsm.get(NodeId(0), &mut clock, page_of(walked, k));
+    }
+    // Two neighbours with another page of their home fetched in between.
+    for k in [7, 2, 5, 3] {
+        let _ = f.dsm.get(NodeId(0), &mut clock, page_of(pair, k));
+    }
     let s = f.cluster.node_stats(NodeId(0));
-    assert_eq!(s.hinted_fetches_issued, before.hinted_fetches_issued + 1);
-    let loads_before = s.page_loads;
-    let _ = f.dsm.get(NodeId(0), &mut clock, third);
-    let s = f.cluster.node_stats(NodeId(0));
-    assert_eq!(s.page_loads, loads_before, "hinted page served in flight");
-    assert_eq!(s.hinted_fetches_completed, 1);
-    // The untouched middle page was never speculated on.
-    assert!(!f
-        .dsm
-        .is_cached(NodeId(0), addr.offset(SLOTS_PER_PAGE as u64).page()));
+    assert_eq!((s.stride_fetches_issued, s.page_loads), (0, 15));
+    // With only another home's page in between they are consecutive
+    // fetches from *their* home, and that is a stride.
+    let _ = f.dsm.get(NodeId(0), &mut clock, page_of(pair, 8));
+    let _ = f.dsm.get(NodeId(0), &mut clock, other);
+    let _ = f.dsm.get(NodeId(0), &mut clock, page_of(pair, 9));
+    assert_eq!(f.cluster.node_stats(NodeId(0)).stride_fetches_issued, 2);
+}
+
+#[test]
+fn litmus_a_stride_run_stops_at_a_home_boundary_and_at_the_last_page() {
+    let f = directory_fixture(3, ProtocolKind::JavaIc);
+    let a = f.alloc.alloc_page_aligned(SLOTS_PER_PAGE * 3, NodeId(1));
+    let behind = f.alloc.alloc_page_aligned(SLOTS_PER_PAGE * 3, NodeId(2));
+    let mut clock = ThreadClock::new();
+    // Proven, node 0 would take a whole window of four.
+    earn_stride_credit(&f, NodeId(0), NodeId(1), &mut clock);
+    let issued = || f.cluster.node_stats(NodeId(0)).stride_fetches_issued;
+
+    // Three pages of home 1 with home 2's right behind them: the run is the
+    // third page and stops.
+    let before = issued();
+    let _ = f.dsm.get(NodeId(0), &mut clock, a);
+    let _ = f.dsm.get(NodeId(0), &mut clock, page_of(a, 1));
+    assert_eq!(issued(), before + 1);
+    assert!(!f.dsm.is_cached(NodeId(0), behind.page()));
+
+    // The same at the end of the address space: one page is left to run to.
+    let last = f.alloc.alloc_page_aligned(SLOTS_PER_PAGE * 3, NodeId(2));
+    let before = issued();
+    let _ = f.dsm.get(NodeId(0), &mut clock, last);
+    let _ = f.dsm.get(NodeId(0), &mut clock, page_of(last, 1));
+    assert_eq!(issued(), before + 1);
+
+    // With room, the window is four.
+    let roomy = f.alloc.alloc_page_aligned(SLOTS_PER_PAGE * 8, NodeId(1));
+    let before = issued();
+    let _ = f.dsm.get(NodeId(0), &mut clock, roomy);
+    let _ = f.dsm.get(NodeId(0), &mut clock, page_of(roomy, 1));
+    assert_eq!(issued(), before + 4);
 }
 
 #[test]
 fn unused_hints_are_counted_as_waste_at_invalidation() {
     let f = directory_fixture(3, ProtocolKind::JavaPf);
-    let addr = f.alloc.alloc_page_aligned(SLOTS_PER_PAGE * 2, NodeId(2));
-    let second = addr.offset(SLOTS_PER_PAGE as u64);
+    let addr = f.alloc.alloc_page_aligned(SLOTS_PER_PAGE * 4, NodeId(2));
 
-    let mut c0 = ThreadClock::new();
-    let _ = f.dsm.get(NodeId(0), &mut c0, addr);
-    let _ = f.dsm.get(NodeId(0), &mut c0, second);
     let mut c1 = ThreadClock::new();
     let _ = f.dsm.get(NodeId(1), &mut c1, addr);
-    assert_eq!(f.cluster.node_stats(NodeId(1)).hinted_fetches_issued, 1);
+    let _ = f.dsm.get(NodeId(1), &mut c1, page_of(addr, 1));
+    assert_eq!(f.cluster.node_stats(NodeId(1)).stride_fetches_issued, 2);
+    let _ = f.dsm.get(NodeId(1), &mut c1, page_of(addr, 2));
 
-    // Node 1 never touches the hinted page: the acquire-side
-    // invalidation books the pending ticket as waste.
+    // Node 1 never touches the fourth page: the acquire-side invalidation
+    // books the pending ticket as waste.
     f.dsm.invalidate_cache(NodeId(1), &mut c1);
     let s1 = f.cluster.node_stats(NodeId(1));
-    assert_eq!(s1.hinted_fetches_wasted, 1);
-    assert_eq!(s1.hinted_fetches_completed, 0);
-    // With no accuracy history the first waste trips the throttle, so
-    // the abandoned ticket is *not* re-armed.
-    assert_eq!(s1.hinted_fetches_reissued, 0);
+    assert_eq!(s1.stride_fetches_wasted, 1);
+    assert_eq!(s1.stride_fetches_completed, 1);
 }
 
 #[test]
-fn abandoned_hint_tickets_are_reissued_at_the_next_acquire() {
-    let f = directory_fixture(3, ProtocolKind::JavaPf);
-    let addr = f.alloc.alloc_page_aligned(SLOTS_PER_PAGE * 2, NodeId(2));
-    let second = addr.offset(SLOTS_PER_PAGE as u64);
-    f.dsm.put(NodeId(2), &mut ThreadClock::new(), second, 77);
+fn litmus_a_ticket_abandoned_at_an_acquire_is_wasted_and_not_reissued() {
+    for kind in ProtocolKind::all_extended() {
+        let f = directory_fixture(3, kind);
+        let mut c1 = ThreadClock::new();
+        // A healthy record: one waste does not shut the gate, so nothing
+        // but the rule itself keeps the ticket from being re-armed.
+        earn_stride_credit(&f, NodeId(1), NodeId(0), &mut c1);
+        let addr = f.alloc.alloc_page_aligned(SLOTS_PER_PAGE * 3, NodeId(2));
+        let third = page_of(addr, 2);
+        let mut h = ThreadClock::new();
+        f.dsm.put(NodeId(2), &mut h, third, 77);
 
-    // Teach the home's directory the two-page pattern.
-    let mut c0 = ThreadClock::new();
-    let _ = f.dsm.get(NodeId(0), &mut c0, addr);
-    let _ = f.dsm.get(NodeId(0), &mut c0, second);
+        let _ = f.dsm.get(NodeId(1), &mut c1, addr);
+        let _ = f.dsm.get(NodeId(1), &mut c1, page_of(addr, 1));
+        let frame = f.dsm.store().frame(NodeId(1), third.page());
+        assert!(frame.inflight_is_hinted(), "{kind:?}");
+        let before = f.cluster.node_stats(NodeId(1));
 
-    // Give node 1 a healthy accuracy history so the single waste booked
-    // below does not trip the conversion throttle.
-    let mut c1 = ThreadClock::new();
-    let credit = earn_hint_credit(&f, NodeId(1), NodeId(0), &mut c1);
+        // The acquire comes before the predicted miss, and the home writes.
+        f.dsm.put(NodeId(2), &mut h, third, 78);
+        acquire(&f, 1, &mut c1);
+        let s1 = f.cluster.node_stats(NodeId(1));
+        assert_eq!(s1.stride_fetches_wasted, before.stride_fetches_wasted + 1);
+        assert_eq!(s1.stride_fetches_issued, before.stride_fetches_issued);
+        assert_eq!(s1.page_loads, before.page_loads, "{kind:?}: no re-issue");
+        assert!(!frame.has_inflight() && !frame.is_present(), "{kind:?}");
 
-    // Node 1 demand-misses the first page and converts the piggybacked
-    // hint into an in-flight ticket for the second.
-    let _ = f.dsm.get(NodeId(1), &mut c1, addr);
-    let frame = f.dsm.store().frame(NodeId(1), second.page());
-    assert!(frame.inflight_is_hinted());
-    let loads_before = f.cluster.node_stats(NodeId(1)).page_loads;
-
-    // The acquire invalidates before the predicted miss arrives: the
-    // ticket is booked as waste *and* re-armed on the spot — the node was
-    // holding an overlapped fetch for this page, so the next epoch very
-    // likely misses on it again.
-    f.dsm.invalidate_cache(NodeId(1), &mut c1);
-    let s1 = f.cluster.node_stats(NodeId(1));
-    assert_eq!(s1.hinted_fetches_wasted, 1);
-    assert_eq!(s1.hinted_fetches_reissued, 1);
-    assert_eq!(s1.page_loads, loads_before + 1, "one re-issued fetch");
-    assert!(frame.inflight_is_hinted(), "ticket re-armed");
-
-    // The demand miss that does come completes the re-issued RPC instead
-    // of paying a fresh round trip, and observes the right value.
-    assert_eq!(f.dsm.get(NodeId(1), &mut c1, second), 77);
-    let s1 = f.cluster.node_stats(NodeId(1));
-    assert_eq!(s1.page_loads, loads_before + 1);
-    assert_eq!(s1.hinted_fetches_completed, credit + 1);
-    assert!(!frame.has_inflight());
+        // The miss that does come pays its own round trip and sees the home.
+        assert_eq!(f.dsm.get(NodeId(1), &mut c1, third), 78, "{kind:?}");
+        let s1 = f.cluster.node_stats(NodeId(1));
+        assert_eq!(s1.page_loads, before.page_loads + 1, "{kind:?}");
+        assert_eq!(s1.stride_fetches_completed, before.stride_fetches_completed);
+    }
 }
 
 #[test]
 fn hint_conversion_is_throttled_by_measured_waste() {
     let f = directory_fixture(3, ProtocolKind::JavaPf);
-    let addr = f.alloc.alloc_page_aligned(SLOTS_PER_PAGE * 2, NodeId(2));
-    let second = addr.offset(SLOTS_PER_PAGE as u64);
-    let mut c0 = ThreadClock::new();
+    let addr = f.alloc.alloc_page_aligned(SLOTS_PER_PAGE * 4, NodeId(2));
     let mut c1 = ThreadClock::new();
 
-    // Round after round, node 1 receives the hint, wastes it, and
+    // Round after round, node 1 starts the scan, abandons it, and
     // invalidates.  The measured-waste throttle must stop the node from
-    // converting hints long before the rounds run out.
+    // prefetching long before the rounds run out.
     for _ in 0..12 {
-        let _ = f.dsm.get(NodeId(0), &mut c0, addr);
-        let _ = f.dsm.get(NodeId(0), &mut c0, second);
-        f.dsm.invalidate_cache(NodeId(0), &mut c0);
         let _ = f.dsm.get(NodeId(1), &mut c1, addr);
+        let _ = f.dsm.get(NodeId(1), &mut c1, page_of(addr, 1));
         f.dsm.invalidate_cache(NodeId(1), &mut c1);
     }
     let s1 = f.cluster.node_stats(NodeId(1));
     assert!(
-        s1.hinted_fetches_issued <= 2,
-        "throttle must stop hint conversion: issued {}",
-        s1.hinted_fetches_issued
+        s1.stride_fetches_issued <= 2,
+        "throttle must stop the prefetch: issued {}",
+        s1.stride_fetches_issued
     );
-    assert_eq!(s1.hinted_fetches_wasted, s1.hinted_fetches_issued);
+    assert_eq!(s1.stride_fetches_wasted, s1.stride_fetches_issued);
 }
 
 #[test]
-fn hints_require_the_directory_transport() {
-    // Default transport: the same access pattern produces no hints.
-    let f = fixture(3, ProtocolKind::JavaPf);
-    let addr = f.alloc.alloc_page_aligned(SLOTS_PER_PAGE * 2, NodeId(2));
-    let second = addr.offset(SLOTS_PER_PAGE as u64);
-    let mut c0 = ThreadClock::new();
-    let _ = f.dsm.get(NodeId(0), &mut c0, addr);
-    let _ = f.dsm.get(NodeId(0), &mut c0, second);
-    let mut c1 = ThreadClock::new();
-    let _ = f.dsm.get(NodeId(1), &mut c1, addr);
-    let total = f.cluster.total_stats();
-    assert_eq!(total.hints_sent, 0);
-    assert_eq!(total.hinted_fetches_issued, 0);
-    assert_eq!(f.cluster.node_stats(NodeId(1)).page_loads, 1);
+fn stride_prefetch_needs_the_overlapped_transport() {
+    // Default transport: there are no tickets to hold a prefetch, and the
+    // scan that draws two under `latency_hiding()` draws none.
+    for (transport, issued) in [
+        (TransportConfig::default(), 0),
+        (TransportConfig::latency_hiding(), 2),
+    ] {
+        let f = fixture_with(
+            2,
+            ProtocolKind::JavaPf,
+            &AdaptiveParams::default(),
+            &transport,
+        );
+        let addr = f.alloc.alloc_page_aligned(SLOTS_PER_PAGE * 4, NodeId(1));
+        let mut clock = ThreadClock::new();
+        let _ = f.dsm.get(NodeId(0), &mut clock, addr);
+        let _ = f.dsm.get(NodeId(0), &mut clock, page_of(addr, 1));
+        let s = f.cluster.node_stats(NodeId(0));
+        assert_eq!(s.stride_fetches_issued, issued);
+        assert_eq!(s.page_loads, 2 + issued);
+    }
 }
 
 #[test]
 fn hinted_fetches_never_change_observed_values() {
-    // The same scan, with and without the directory: identical values.
+    // The same scan, with and without the stride prefetch: identical values.
     let run = |transport: &TransportConfig| -> Vec<u64> {
         let f = fixture_with(
             2,
@@ -1350,58 +1381,6 @@ fn litmus_no_retained_copy_validates_against_a_re_elected_home() {
         let s = cluster.node_stats(NodeId(0));
         assert_eq!((s.page_loads, s.pages_revalidated), (1, 0), "{kind:?}");
         assert_eq!(dsm.store().rehomed_pages(), 1, "{kind:?}");
-    }
-}
-
-#[test]
-fn litmus_abandoned_tickets_reissue_conditionally_and_stay_correct() {
-    for kind in ProtocolKind::all_extended() {
-        let f = directory_fixture(3, kind);
-        let addr = f.alloc.alloc_page_aligned(SLOTS_PER_PAGE * 2, NodeId(2));
-        let second = addr.offset(SLOTS_PER_PAGE as u64);
-        let mut h = ThreadClock::new();
-        f.dsm.put(NodeId(2), &mut h, second, 77);
-
-        // Teach the directory the pattern, give node 1 hint credit, and
-        // let node 1's demand miss convert the hint into a ticket.
-        let mut c0 = ThreadClock::new();
-        let _ = f.dsm.get(NodeId(0), &mut c0, addr);
-        let _ = f.dsm.get(NodeId(0), &mut c0, second);
-        let mut c1 = ThreadClock::new();
-        let credit = earn_hint_credit(&f, NodeId(1), NodeId(0), &mut c1);
-        let revalidated = f.cluster.node_stats(NodeId(1)).pages_revalidated;
-        let _ = f.dsm.get(NodeId(1), &mut c1, addr);
-        let frame = f.dsm.store().frame(NodeId(1), second.page());
-        assert!(frame.inflight_is_hinted(), "{kind:?}");
-
-        // Abandoned at the acquire and re-armed on the spot.  The abandoned
-        // copy's stamp is still good, so the re-issue is a revalidation.
-        acquire(&f, 1, &mut c1);
-        let s1 = f.cluster.node_stats(NodeId(1));
-        assert_eq!(s1.hinted_fetches_reissued, 1, "{kind:?}");
-        assert_eq!(s1.pages_revalidated, revalidated + 1, "{kind:?}");
-        assert!(frame.inflight_is_hinted(), "{kind:?}: ticket re-armed");
-
-        // The home writes, the ticket is abandoned again: this re-issue
-        // ships the page, and the demand access that completes it sees the
-        // new value.
-        f.dsm.put(NodeId(2), &mut h, second, 78);
-        acquire(&f, 1, &mut c1);
-        let s1 = f.cluster.node_stats(NodeId(1));
-        assert_eq!(s1.hinted_fetches_reissued, 2, "{kind:?}");
-        assert_eq!(
-            s1.pages_revalidated,
-            revalidated + 1,
-            "{kind:?}: home write ⇒ full page"
-        );
-        let loads = s1.page_loads;
-        assert_eq!(f.dsm.get(NodeId(1), &mut c1, second), 78, "{kind:?}");
-        let s1 = f.cluster.node_stats(NodeId(1));
-        assert_eq!(
-            s1.page_loads, loads,
-            "{kind:?}: completed the in-flight RPC"
-        );
-        assert_eq!(s1.hinted_fetches_completed, credit + 1, "{kind:?}");
     }
 }
 

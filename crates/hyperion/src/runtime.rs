@@ -42,8 +42,7 @@ pub struct HyperionConfig {
     /// machine model's break-even and the batched-fetch window.
     pub adaptive: AdaptiveParams,
     /// Transport configuration: overlapped page fetches, batched and
-    /// deferred diff flushing, the prefetch directory, backend, faults and
-    /// replication.  Applies to every protocol (the mechanisms are
+    /// deferred diff flushing, backend, faults and replication.  Applies to every protocol (the mechanisms are
     /// semantics-preserving).
     pub transport: TransportConfig,
     /// Application threads per node.  The paper uses one ("we used only one
@@ -121,9 +120,8 @@ impl HyperionConfig {
     ///
     /// Structural errors (node counts, cluster size, backend limits) keep
     /// their dedicated variants.  Every policy-level error — adaptive
-    /// hysteresis bands, batch ceilings, hints without overlapped fetches,
-    /// quorum bounds — is a typed [`PolicyError`] wrapped in
-    /// [`ConfigError::Policy`], produced by
+    /// hysteresis bands, batch ceilings, quorum bounds — is a typed
+    /// [`PolicyError`] wrapped in [`ConfigError::Policy`], produced by
     /// [`hyperion_dsm::policy::validate_adaptive`] and
     /// [`TransportConfig::validate`].
     pub fn validate(&self) -> Result<(), ConfigError> {
@@ -260,8 +258,7 @@ pub enum ConfigError {
         available: usize,
     },
     /// An illegal policy selection (adaptive tunables, batch ceilings,
-    /// hints without overlap, quorum bounds): the typed
-    /// verdict of [`TransportConfig::validate`] and
+    /// quorum bounds): the typed verdict of [`TransportConfig::validate`] and
     /// [`hyperion_dsm::policy::validate_adaptive`].
     Policy(PolicyError),
     /// The transport parameters are out of range.
@@ -1288,7 +1285,7 @@ mod tests {
     #[test]
     fn policy_validation_rejects_illegal_selections_with_named_variants() {
         type Edit = fn(&mut TransportConfig);
-        let rejected: [(Edit, PolicyError); 6] = [
+        let rejected: [(Edit, PolicyError); 5] = [
             (|t| t.max_flush_batch_pages = 0, PolicyError::ZeroFlushBatch),
             (
                 |t| {
@@ -1296,10 +1293,6 @@ mod tests {
                     t.max_flush_batch_pages = 0;
                 },
                 PolicyError::ZeroFlushBatch,
-            ),
-            (
-                |t| t.prefetch_hints = true,
-                PolicyError::HintsRequireOverlappedFetches,
             ),
             (
                 |t| t.replication = Some((0, 1)),
@@ -1340,35 +1333,20 @@ mod tests {
             ..TransportConfig::default()
         };
         for (transport, names) in [
-            (TransportConfig::blocking(), ["nohints", "sync", "norep"]),
-            (
-                TransportConfig::latency_hiding(),
-                ["nohints", "sync", "norep"],
-            ),
-            (TransportConfig::directory(), ["dir", "dfl", "norep"]),
-            (quorum, ["nohints", "sync", "quorum"]),
+            (TransportConfig::blocking(), ["sync", "norep"]),
+            (TransportConfig::latency_hiding(), ["sync", "norep"]),
+            (TransportConfig::directory(), ["dfl", "norep"]),
+            (quorum, ["sync", "quorum"]),
         ] {
             for protocol in ProtocolKind::all_extended() {
                 let cfg = config(2, protocol).with_transport(transport.clone());
                 let rt = HyperionRuntime::new(cfg).unwrap();
                 let built = rt.dsm().policies();
                 assert_eq!(built.detection.name(), protocol.name());
-                assert_eq!(
-                    [
-                        built.predictor.name(),
-                        built.flush.name(),
-                        built.replication.name()
-                    ],
-                    names
-                );
+                assert_eq!([built.flush.name(), built.replication.name()], names);
                 // The flags a kernel reads are the ones the engine was built
                 // from: the same `TransportConfig` value.
                 assert_eq!(rt.dsm().transport(), &transport);
-                assert_eq!(
-                    built.predictor.converts_hints(),
-                    transport.prefetch_hints,
-                    "ASP's early issue follows the flag the predictor was built from"
-                );
                 rt.run(|ctx| assert_eq!(ctx.transport(), &transport));
             }
         }

@@ -144,10 +144,6 @@ pub struct DsmCostModel {
     /// by a batched diff-flush RPC (the first page is covered by the
     /// ordinary per-request protocol cycles).
     pub batch_flush_cycles: f64,
-    /// Home-side cycles to consult the prefetch directory and marshal one
-    /// hint entry onto a fetch reply (the hint bytes themselves are charged
-    /// on the wire like any other reply payload).
-    pub hint_entry_cycles: f64,
     /// Survivor-side cycles to re-elect a home and re-install one page after
     /// a node failure (quorum comparison, promotion bookkeeping); the page
     /// bytes shipped to the new home are charged on the wire separately.
@@ -230,7 +226,6 @@ pub fn myrinet_200() -> ClusterSpec {
                 protocol_switch_cycles: 40.0,
                 batch_page_cycles: 60.0,
                 batch_flush_cycles: 50.0,
-                hint_entry_cycles: 25.0,
                 resync_page_cycles: 800.0,
             },
         },
@@ -284,7 +279,6 @@ pub fn sci_450() -> ClusterSpec {
                 protocol_switch_cycles: 40.0,
                 batch_page_cycles: 60.0,
                 batch_flush_cycles: 50.0,
-                hint_entry_cycles: 25.0,
                 resync_page_cycles: 800.0,
             },
         },

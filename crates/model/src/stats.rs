@@ -115,16 +115,12 @@ define_stats! {
     diff_bytes,
     /// Fetch round-trip cycles hidden behind compute by overlapped transport.
     fetch_overlap_cycles_hidden,
-    /// Pages this node (as home) hinted on fetch replies (one wire entry can name a run of pages).
-    hints_sent,
-    /// Hint-driven split-transaction fetches issued by this node.
-    hinted_fetches_issued,
-    /// Hinted in-flight fetches completed by a real use (the demand miss finished an in-flight RPC).
-    hinted_fetches_completed,
-    /// Hinted pages invalidated with their ticket still pending (wasted hints).
-    hinted_fetches_wasted,
-    /// Abandoned hint tickets re-armed at the invalidating acquire (a fresh split-transaction fetch was issued on the spot).
-    hinted_fetches_reissued,
+    /// Split-transaction fetches this node issued ahead of a scan (the stride prefetch).
+    stride_fetches_issued,
+    /// Stride fetches completed by a real use (the demand miss finished an in-flight RPC).
+    stride_fetches_completed,
+    /// Stride-fetched pages invalidated with their ticket still pending (wasted prefetches).
+    stride_fetches_wasted,
     /// Release-time diff flushes handed to the deferred per-monitor queue instead of blocking.
     deferred_flushes,
     /// Flush round-trip cycles hidden by deferred release flushing (residual charged at next acquire).
@@ -386,7 +382,7 @@ mod tests {
         ] {
             assert!(names.contains(&expected), "missing {expected}");
         }
-        assert_eq!(names.len(), 51);
+        assert_eq!(names.len(), 49);
         for added in [
             "batched_flushes",
             "rpc_retries",
@@ -396,11 +392,9 @@ mod tests {
             "pages_resynced",
             "diff_bytes",
             "fetch_overlap_cycles_hidden",
-            "hints_sent",
-            "hinted_fetches_issued",
-            "hinted_fetches_completed",
-            "hinted_fetches_wasted",
-            "hinted_fetches_reissued",
+            "stride_fetches_issued",
+            "stride_fetches_completed",
+            "stride_fetches_wasted",
             "deferred_flushes",
             "flush_overlap_cycles_hidden",
             "serving_ops",

@@ -5,8 +5,8 @@
 //! backend makes the communication *physical*: every node gets its own
 //! listening socket and accept thread; requests and replies cross the wire
 //! as length-prefixed frames whose payloads are the already byte-precise DSM
-//! wire forms (`dsm/diff.rs` diff batches, batched fetch requests,
-//! fetch-reply hint trailers, diff acknowledgements).  Nodes run as per-node
+//! wire forms (`dsm/diff.rs` diff batches, batched fetch requests and
+//! replies, diff acknowledgements).  Nodes run as per-node
 //! server *threads* inside one process (process-per-node can follow); the
 //! frame format carries explicit `from`/`to` node ids so nothing about it
 //! assumes shared memory.

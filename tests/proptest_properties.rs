@@ -225,8 +225,8 @@ fn dsm_matches_the_consistency_specification() {
 }
 
 /// The model check of [`dsm_matches_the_consistency_specification`], run
-/// under the prefetch-directory transport: hint-driven prefetches install
-/// pages ahead of the demand misses and deferred flushing re-times the
+/// under the directory transport: stride prefetches install pages ahead of
+/// the demand misses and deferred flushing re-times the
 /// release RPCs, but every read must still observe exactly the values the
 /// consistency specification predicts, under all three protocols.
 #[test]
@@ -314,10 +314,10 @@ fn dsm_matches_the_consistency_specification_under_directory_transport() {
     });
 }
 
-/// Hint-driven prefetches (and the deferred flushing that ships with the
+/// Stride prefetches (and the deferred flushing that ships with the
 /// directory transport) never change an application's digest, across
-/// randomised problem instances of the two apps whose access patterns
-/// actually draw hints.
+/// randomised problem instances of two apps whose access patterns
+/// actually draw them.
 #[test]
 fn app_digests_are_invariant_under_the_directory_transport() {
     use hyperion_workspace::apps::{asp, jacobi};
@@ -334,7 +334,7 @@ fn app_digests_are_invariant_under_the_directory_transport() {
     };
     property(4, |seed, rng| {
         // Sizes chosen so rows regularly span page boundaries (the pattern
-        // that draws successor-pair hints) without making the run slow.
+        // that draws stride prefetches) without making the run slow.
         let jacobi_params = jacobi::JacobiParams {
             size: 40 + rng.gen_range(0u64..5) as usize * 10,
             steps: 3 + rng.gen_range(0u64..3) as usize,
@@ -645,8 +645,9 @@ fn block_range_tiles_any_size() {
 
 /// Every byte-precise wire form in `dsm::diff` survives an encode → decode
 /// round trip — the one conditional fetch request (single, batched,
-/// hint-suppressed, retained versions zero and non-zero, with none, one or
-/// many validation riders; longer rider lists are rejected), single and
+/// retained versions zero and non-zero, with none, one or many validation
+/// riders; longer rider lists and a first page with bit 63 set are
+/// rejected), single and
 /// batched field-granularity diffs, and the versioned diff acknowledgement
 /// — and every truncation of every form, and an acknowledgement with
 /// anything after its last version, decodes to an error, never a panic.
@@ -654,11 +655,12 @@ fn block_range_tiles_any_size() {
 fn diff_wire_encodings_round_trip() {
     use hyperion_workspace::dsm::diff::{
         decode_diff_message, decode_diff_reply, decode_fetch_request, encode_diff,
-        encode_diff_batch, encode_diff_reply, encode_fetch_request, DiffEntry, Rider, MAX_RIDERS,
+        encode_diff_batch, encode_diff_reply, encode_fetch_request, DiffEntry, Rider, WireError,
+        MAX_RIDERS,
     };
     use hyperion_workspace::pm2::{PAGE_BYTES, SLOTS_PER_PAGE};
 
-    // Real page numbers never use the top bit (it is the batch / no-hint
+    // Real page numbers never use the top bit (it is the batched diff's
     // tag), so the generator stays below it.
     let random_page = |rng: &mut StdRng| PageId(rng.gen_range(0u64..1 << 40));
     let random_entries = |rng: &mut StdRng, max: usize| -> Vec<DiffEntry> {
@@ -685,7 +687,7 @@ fn diff_wire_encodings_round_trip() {
 
     property(64, |seed, rng| {
         // The one fetch request form: 1..64 pages, each retained version
-        // either "none" (0) or a real stamp, hints allowed or suppressed.
+        // either "none" (0) or a real stamp.
         let page = random_page(rng);
         let versions: Vec<u64> = (0..rng.gen_range(1usize..64))
             .map(|_| {
@@ -696,7 +698,6 @@ fn diff_wire_encodings_round_trip() {
                 }
             })
             .collect();
-        let hints_ok = rng.gen_range(0u32..2) == 0;
         // No rider in about a third of the cases, else 1..=MAX_RIDERS of
         // them, anywhere in the page-id space (the codec looks none up).
         let riders: Vec<Rider> = (0..rng
@@ -704,11 +705,11 @@ fn diff_wire_encodings_round_trip() {
             .saturating_sub(MAX_RIDERS / 2))
             .map(|_| (random_page(rng), rng.gen_range(0u64..u64::MAX)))
             .collect();
-        let wire = encode_fetch_request(page, &versions, &riders, hints_ok);
+        let wire = encode_fetch_request(page, &versions, &riders);
         let request = decode_fetch_request(&wire).expect("well-formed request");
         assert_eq!(
-            (request.first, request.hints_ok, &request.versions),
-            (page, hints_ok, &versions),
+            (request.first, &request.versions),
+            (page, &versions),
             "seed {seed}"
         );
         assert_eq!(request.riders, riders, "seed {seed}");
@@ -722,15 +723,27 @@ fn diff_wire_encodings_round_trip() {
                 wire.len()
             );
         }
+        // Longer by a byte it is refused too, as is a first page that sets
+        // bit 63 (once the no-hint tag; it was silently stripped).
+        let mut long = wire.clone();
+        long.push(rng.gen_range(0u32..256) as u8);
+        assert!(decode_fetch_request(&long).is_err(), "seed {seed}");
+        let mut tagged = wire.clone();
+        tagged[7] |= 0x80;
+        assert_eq!(
+            decode_fetch_request(&tagged),
+            Err(WireError::Invalid("fetch request page id")),
+            "seed {seed}"
+        );
         // A list longer than the cap is refused whatever its length says,
         // before anything is allocated for it; so is an empty trailer.
         let too_many: Vec<Rider> = (0..rng.gen_range(MAX_RIDERS + 1..4 * MAX_RIDERS))
             .map(|k| (PageId(k as u64), 1))
             .collect();
-        let long = encode_fetch_request(page, &versions, &too_many, hints_ok);
+        let long = encode_fetch_request(page, &versions, &too_many);
         assert!(decode_fetch_request(&long).is_err(), "seed {seed}");
         for count in [0u16, MAX_RIDERS as u16 + 1, u16::MAX] {
-            let mut bad = encode_fetch_request(page, &versions, &[(page, 1)], hints_ok);
+            let mut bad = encode_fetch_request(page, &versions, &[(page, 1)]);
             bad[without_riders..without_riders + 2].copy_from_slice(&count.to_le_bytes());
             assert!(decode_fetch_request(&bad).is_err(), "seed {seed}: {count}");
         }
@@ -788,14 +801,13 @@ fn diff_wire_encodings_round_trip() {
 }
 
 /// Page-fetch replies — any mix of "not modified", patches and shipped
-/// pages, with or without rider answers and the prefetch-directory hint trailer —
-/// parse back to exactly what went in; truncated and garbage replies are
-/// errors, never panics.
+/// pages, with or without rider answers — parse back to exactly what went
+/// in; truncated, extended and garbage replies are errors, never panics.
 #[test]
 fn fetch_reply_forms_round_trip_and_reject_garbage() {
     use hyperion_workspace::dsm::diff::{
-        append_fetch_hints, decode_fetch_reply, push_page_reply, push_rider_answers, DiffEntry,
-        HintRun, PageReply, MAX_PATCH_ENTRIES, MAX_RIDERS,
+        decode_fetch_reply, push_page_reply, push_rider_answers, DiffEntry, PageReply, WireError,
+        MAX_PATCH_ENTRIES, MAX_RIDERS,
     };
     use hyperion_workspace::pm2::PAGE_BYTES;
 
@@ -831,14 +843,6 @@ fn fetch_reply_forms_round_trip_and_reject_garbage() {
                 }
             })
             .unzip();
-        let hints: Vec<HintRun> = (0..rng.gen_range(0usize..8))
-            .map(|_| {
-                (
-                    PageId(rng.gen_range(0u64..1 << 40)),
-                    rng.gen_range(1u16..512),
-                )
-            })
-            .collect();
         let riders = rng.gen_range(0..MAX_RIDERS + 1);
         let unchanged = rng.gen_range(0u64..1 << riders);
 
@@ -853,25 +857,28 @@ fn fetch_reply_forms_round_trip_and_reject_garbage() {
             without_riders + riders.div_ceil(8),
             "seed {seed}"
         );
-        let without_hints = reply.len();
-        append_fetch_hints(&mut reply, &hints);
-        if hints.is_empty() {
-            assert_eq!(reply.len(), without_hints, "seed {seed}: empty trailer");
-        }
         let got = decode_fetch_reply(&reply, &retained, riders).expect("well-formed reply");
         assert_eq!(got.pages, expected, "seed {seed}: page answers corrupted");
         assert_eq!(
             got.unchanged, unchanged,
             "seed {seed}: rider answers corrupted"
         );
-        assert_eq!(got.hints, hints, "seed {seed}: hint runs corrupted");
 
-        // Truncations: the only prefix that is itself well-formed is the
-        // reply without its hint trailer.
-        for cut in (0..reply.len()).filter(|&cut| cut != without_hints) {
+        // Every truncation is an error, and so is any byte after the rider
+        // answers (where a hint trailer used to be parsed).
+        for cut in 0..reply.len() {
             assert!(
                 decode_fetch_reply(&reply[..cut], &retained, riders).is_err(),
                 "seed {seed}: reply truncated to {cut} bytes decoded"
+            );
+        }
+        for extra in [1, 2, 12, rng.gen_range(1usize..64)] {
+            let mut long = reply.clone();
+            long.extend((0..extra).map(|_| rng.gen_range(0u32..256) as u8));
+            assert_eq!(
+                decode_fetch_reply(&long, &retained, riders),
+                Err(WireError::TrailingBytes("fetch reply")),
+                "seed {seed}: {extra} trailing bytes decoded"
             );
         }
         // An answer for a rider that was never sent, and a rider count no
