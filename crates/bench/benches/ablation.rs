@@ -1,4 +1,4 @@
-//! Ablation benches for the design trade-off the paper analyses in §3.3:
+//! Ablation sweeps for the design trade-off the paper analyses in §3.3:
 //! "choosing between one technique or the other involves a tradeoff which
 //! needs to take into account [...] the ratio between the number of local
 //! accesses to the number of remote accesses and the relative cost of page
@@ -11,16 +11,11 @@
 //! * the number of application threads per node (the overlap experiment the
 //!   paper lists as future work in §4.3).
 //!
-//! Each Criterion sample simulates a full run; the interesting output is the
-//! virtual execution time, which the bench prints once per configuration.
+//! The output is the virtual execution time, printed once per
+//! configuration (`cargo bench -p hyperion-bench --bench ablation`).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hyperion::prelude::*;
 use hyperion_apps::jacobi::{self, JacobiParams};
-
-fn params() -> JacobiParams {
-    JacobiParams { size: 64, steps: 4 }
-}
 
 fn run_with(cluster: ClusterSpec, protocol: ProtocolKind, threads_per_node: usize) -> f64 {
     let config = HyperionConfig::builder()
@@ -30,63 +25,28 @@ fn run_with(cluster: ClusterSpec, protocol: ProtocolKind, threads_per_node: usiz
         .threads_per_node(threads_per_node)
         .build()
         .expect("valid ablation configuration");
-    jacobi::run(config, &params()).report.seconds()
+    let params = JacobiParams { size: 64, steps: 4 };
+    jacobi::run(config, &params).report.seconds()
 }
 
-fn bench_check_cost(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation/check_cost_cycles");
-    group.sample_size(10);
+fn main() {
     for cycles in [1.0f64, 6.0, 12.0] {
         let mut cluster = myrinet_200();
         cluster.machine.cpu.locality_check_cycles = cycles;
         let virtual_ic = run_with(cluster.clone(), ProtocolKind::JavaIc, 1);
-        let virtual_pf = run_with(cluster.clone(), ProtocolKind::JavaPf, 1);
-        eprintln!(
+        let virtual_pf = run_with(cluster, ProtocolKind::JavaPf, 1);
+        println!(
             "check={cycles} cycles: java_ic {virtual_ic:.4}s, java_pf {virtual_pf:.4}s (virtual)"
         );
-        group.bench_with_input(
-            BenchmarkId::from_parameter(cycles as u64),
-            &cycles,
-            |b, _| {
-                b.iter(|| run_with(cluster.clone(), ProtocolKind::JavaIc, 1));
-            },
-        );
     }
-    group.finish();
-}
-
-fn bench_fault_cost(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation/page_fault_us");
-    group.sample_size(10);
     for fault_us in [5u64, 22, 80] {
         let mut cluster = myrinet_200();
         cluster.machine.dsm.page_fault = VTime::from_us(fault_us);
-        let virtual_pf = run_with(cluster.clone(), ProtocolKind::JavaPf, 1);
-        eprintln!("fault={fault_us}us: java_pf {virtual_pf:.4}s (virtual)");
-        group.bench_with_input(BenchmarkId::from_parameter(fault_us), &fault_us, |b, _| {
-            b.iter(|| run_with(cluster.clone(), ProtocolKind::JavaPf, 1));
-        });
+        let virtual_pf = run_with(cluster, ProtocolKind::JavaPf, 1);
+        println!("fault={fault_us}us: java_pf {virtual_pf:.4}s (virtual)");
     }
-    group.finish();
-}
-
-fn bench_threads_per_node(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation/threads_per_node");
-    group.sample_size(10);
     for tpn in [1usize, 2, 4] {
         let virtual_pf = run_with(myrinet_200(), ProtocolKind::JavaPf, tpn);
-        eprintln!("threads_per_node={tpn}: java_pf {virtual_pf:.4}s (virtual)");
-        group.bench_with_input(BenchmarkId::from_parameter(tpn), &tpn, |b, &tpn| {
-            b.iter(|| run_with(myrinet_200(), ProtocolKind::JavaPf, tpn));
-        });
+        println!("threads_per_node={tpn}: java_pf {virtual_pf:.4}s (virtual)");
     }
-    group.finish();
 }
-
-criterion_group!(
-    benches,
-    bench_check_cost,
-    bench_fault_cost,
-    bench_threads_per_node
-);
-criterion_main!(benches);

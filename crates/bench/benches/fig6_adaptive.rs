@@ -1,38 +1,15 @@
 //! Figure 6 (extension): the adaptive protocol `java_ad` against the
 //! paper's `java_ic` / `java_pf` across all five applications.
 //!
-//! Besides the Criterion-style wall-clock measurements this bench performs a
-//! verification pass over the modeled results: for every app it asserts that
-//! `java_ad` produces the same answer as the paper's protocols and that its
-//! modeled page loads never exceed the worse of ic/pf — the acceptance
-//! criterion of the adaptive protocol.  A violation panics, so `cargo bench`
-//! doubles as a gate.
+//! A verification pass over the modeled results (host time is
+//! `benchmark/`'s business): for every app it asserts that `java_ad`
+//! produces the same answer as the paper's protocols and that its modeled
+//! page loads never exceed the worse of ic/pf — the acceptance criterion of
+//! the adaptive protocol.  A violation panics, so `cargo bench` is a gate.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hyperion::prelude::*;
-use hyperion_apps::common::{protocols_under_test, BenchmarkName};
-use hyperion_bench::{run_point, threshold_ablation, FigureRow, Scale, ADAPTIVE_NODES};
-
-fn bench_fig6(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig6_adaptive");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(2));
-    for app in BenchmarkName::all() {
-        for protocol in protocols_under_test() {
-            group.bench_with_input(
-                BenchmarkId::new(app.to_string(), protocol.name()),
-                &protocol,
-                |b, &protocol| {
-                    b.iter(|| {
-                        run_point(app, Scale::Quick, &myrinet_200(), protocol, ADAPTIVE_NODES)
-                            .seconds
-                    })
-                },
-            );
-        }
-    }
-    group.finish();
-}
+use hyperion_apps::common::BenchmarkName;
+use hyperion_bench::{threshold_ablation, FigureRow, Point, Scale, ADAPTIVE_NODES};
 
 /// The modeled-result gate: same answers, and `java_ad` page loads bounded
 /// by the worse of the paper's two protocols on every app.
@@ -46,7 +23,7 @@ fn bench_fig6(c: &mut Criterion) {
 /// for ASP: its loads still differ by ±1 of 388 between runs (the pivot row
 /// races its page-mate's flush, see `tests/repeatability.rs`) and the strict
 /// round missed in 2 of 60.
-fn verify_adaptive_invariants(_c: &mut Criterion) {
+fn main() {
     println!();
     println!(
         "== fig6 verification: java_ad vs worse(ic, pf), quick scale, {ADAPTIVE_NODES} nodes =="
@@ -57,8 +34,7 @@ fn verify_adaptive_invariants(_c: &mut Criterion) {
     );
     for app in BenchmarkName::all() {
         let round = || -> (FigureRow, FigureRow, FigureRow) {
-            let run =
-                |protocol| run_point(app, Scale::Quick, &myrinet_200(), protocol, ADAPTIVE_NODES);
+            let run = |protocol| Point::new(app, Scale::Quick, protocol).run();
             (
                 run(ProtocolKind::JavaIc),
                 run(ProtocolKind::JavaPf),
@@ -75,10 +51,8 @@ fn verify_adaptive_invariants(_c: &mut Criterion) {
             ad.stats.batched_fetches,
             ad.seconds,
         );
-        let tolerance = ic.digest.abs().max(1.0) * 1e-9;
         assert!(
-            (ic.digest - pf.digest).abs() <= tolerance
-                && (ic.digest - ad.digest).abs() <= tolerance,
+            ic.same_digest(&pf) && ic.same_digest(&ad),
             "{app}: protocol digests diverge (ic {}, pf {}, ad {})",
             ic.digest,
             pf.digest,
@@ -121,6 +95,3 @@ fn verify_adaptive_invariants(_c: &mut Criterion) {
     }
     println!();
 }
-
-criterion_group!(benches, bench_fig6, verify_adaptive_invariants);
-criterion_main!(benches);

@@ -1,9 +1,9 @@
 //! Figure 7 (extension): the split-transaction transport against the
 //! blocking transport of the paper.
 //!
-//! Besides the Criterion-style wall-clock measurements this bench performs
-//! a verification pass over the modeled results; a violation panics, so
-//! `cargo bench` doubles as a gate:
+//! A verification pass over the modeled results (host time is
+//! `benchmark/`'s business); a violation panics, so `cargo bench` is a
+//! gate:
 //!
 //! * **Overlap** (Jacobi, ASP under `java_pf`): overlapped fetches must
 //!   strictly reduce the modeled wall time against the blocking transport,
@@ -19,45 +19,12 @@
 //! ±1–2 page loads) keeps its slack, with the observed miss rate in its
 //! comment.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hyperion::prelude::*;
 use hyperion::TransportConfig;
 use hyperion_apps::common::BenchmarkName;
-use hyperion_bench::{run_point_configured, sweep_transport, Scale, ADAPTIVE_NODES};
+use hyperion_bench::{sweep_transport, Point, Scale, ADAPTIVE_NODES};
 
-fn bench_fig7(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig7_transport");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(2));
-    let app = BenchmarkName::Jacobi;
-    for (transport, label) in [
-        (TransportConfig::blocking(), "blocking"),
-        (TransportConfig::latency_hiding(), "overlapped"),
-    ] {
-        group.bench_with_input(
-            BenchmarkId::new(app.to_string(), label),
-            &transport,
-            |b, transport| {
-                b.iter(|| {
-                    run_point_configured(
-                        app,
-                        Scale::Quick,
-                        &myrinet_200(),
-                        ProtocolKind::JavaPf,
-                        ADAPTIVE_NODES,
-                        &AdaptiveParams::default(),
-                        transport,
-                        String::new(),
-                    )
-                    .seconds
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-fn verify_transport_invariants(_c: &mut Criterion) {
+fn main() {
     println!();
     println!(
         "== fig7 verification: split-transaction vs blocking transport, quick scale, \
@@ -69,7 +36,7 @@ fn verify_transport_invariants(_c: &mut Criterion) {
         println!(
             "{:<12} {:<10} {}: {:.4}s/{} diffs  ->  {}: {:.4}s/{} diffs (hidden {} cy)",
             base.app.to_string(),
-            pair.mechanism,
+            base.mechanism,
             base.protocol_label(),
             base.seconds,
             base.stats.diff_messages,
@@ -78,9 +45,8 @@ fn verify_transport_invariants(_c: &mut Criterion) {
             on.stats.diff_messages,
             on.stats.fetch_overlap_cycles_hidden,
         );
-        let tolerance = base.digest.abs().max(1.0) * 1e-9;
         assert!(
-            (base.digest - on.digest).abs() <= tolerance,
+            base.same_digest(on),
             "{}: transport changed the answer ({} vs {})",
             base.app,
             base.digest,
@@ -127,19 +93,13 @@ fn verify_transport_invariants(_c: &mut Criterion) {
     // of three on a miss — the fallback stays: on the virtual-time order the
     // strict round missed in 1 of 40 runs (ASP, 389 loads against 388: the
     // pivot-row race named in `tests/repeatability.rs`), Jacobi never.
-    let overlapped = TransportConfig::latency_hiding();
     for app in [BenchmarkName::Jacobi, BenchmarkName::Asp] {
         let run = |protocol| {
-            run_point_configured(
-                app,
-                Scale::Quick,
-                &myrinet_200(),
-                protocol,
-                ADAPTIVE_NODES,
-                &AdaptiveParams::default(),
-                &overlapped,
-                String::new(),
-            )
+            Point {
+                transport: TransportConfig::latency_hiding(),
+                ..Point::new(app, Scale::Quick, protocol)
+            }
+            .run()
         };
         let round = || {
             let ic = run(ProtocolKind::JavaIc);
@@ -176,6 +136,3 @@ fn verify_transport_invariants(_c: &mut Criterion) {
     }
     println!();
 }
-
-criterion_group!(benches, bench_fig7, verify_transport_invariants);
-criterion_main!(benches);

@@ -2,9 +2,9 @@
 //! split-transaction transport (`TransportConfig::directory()`) and on the
 //! default one.
 //!
-//! Besides the Criterion-style wall-clock measurements this bench performs
-//! a verification pass over the modeled results; a violation panics, so
-//! `cargo bench` doubles as a gate:
+//! A verification pass over the modeled results (host time is
+//! `benchmark/`'s business); a violation panics, so `cargo bench` is a
+//! gate:
 //!
 //! * **Ov+deferred** (Jacobi, ASP under `java_pf`): adding deferred
 //!   release flushing to the overlapped transport (`latency_hiding()` →
@@ -19,62 +19,12 @@
 //! Each timed leg is one strict round with an aggregate of fresh rounds on
 //! a miss (miss rates in the comments).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hyperion::prelude::*;
-use hyperion::TransportConfig;
-use hyperion_apps::common::BenchmarkName;
-use hyperion_bench::{
-    deferred_pair, run_point_configured, sweep_directory, Scale, TransportPair, ADAPTIVE_NODES,
-};
-
-fn bench_fig8(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig8_directory");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(2));
-    for (app, transport, label) in [
-        (
-            BenchmarkName::Asp,
-            TransportConfig::latency_hiding(),
-            "overlapped",
-        ),
-        (
-            BenchmarkName::Asp,
-            TransportConfig::directory(),
-            "directory",
-        ),
-        (
-            BenchmarkName::Jacobi,
-            TransportConfig::directory(),
-            "directory",
-        ),
-    ] {
-        group.bench_with_input(
-            BenchmarkId::new(app.to_string(), label),
-            &transport,
-            |b, transport| {
-                b.iter(|| {
-                    run_point_configured(
-                        app,
-                        Scale::Quick,
-                        &myrinet_200(),
-                        ProtocolKind::JavaPf,
-                        ADAPTIVE_NODES,
-                        &AdaptiveParams::default(),
-                        transport,
-                        String::new(),
-                    )
-                    .seconds
-                })
-            },
-        );
-    }
-    group.finish();
-}
+use hyperion_bench::{deferred_pair, sweep_directory, Scale, TransportPair, ADAPTIVE_NODES};
 
 /// The modeled times of `rounds` fresh draws of a deferred-flush pair on
 /// top of the draw at hand: `(baseline total, enabled total)`.
 fn aggregate(pair: &TransportPair, rounds: usize) -> (f64, f64) {
-    let overlapped = pair.mechanism == "ov+deferred";
+    let overlapped = pair.baseline.mechanism == "ov+deferred";
     let (mut base_total, mut on_total) = (pair.baseline.seconds, pair.enabled.seconds);
     for _ in 0..rounds {
         let fresh = deferred_pair(pair.baseline.app, Scale::Quick, overlapped);
@@ -89,21 +39,7 @@ fn aggregate(pair: &TransportPair, rounds: usize) -> (f64, f64) {
     (base_total, on_total)
 }
 
-fn assert_same_digest(pair: &TransportPair) {
-    let base = &pair.baseline;
-    let on = &pair.enabled;
-    let tolerance = base.digest.abs().max(1.0) * 1e-9;
-    assert!(
-        (base.digest - on.digest).abs() <= tolerance,
-        "{}: {} transport changed the answer ({} vs {})",
-        base.app,
-        pair.mechanism,
-        base.digest,
-        on.digest
-    );
-}
-
-fn verify_directory_invariants(_c: &mut Criterion) {
+fn main() {
     println!();
     println!(
         "== fig8 verification: deferred release flushing, quick scale, {ADAPTIVE_NODES} nodes =="
@@ -117,7 +53,7 @@ fn verify_directory_invariants(_c: &mut Criterion) {
             "{:<12} {:<10} {}: {:.4}s  ->  {}: {:.4}s (stride {} issued/{} done/{} wasted, \
              deferred {}, flush hidden {} cy)",
             base.app.to_string(),
-            pair.mechanism,
+            base.mechanism,
             base.protocol_label(),
             base.seconds,
             on.protocol_label(),
@@ -128,8 +64,15 @@ fn verify_directory_invariants(_c: &mut Criterion) {
             on.stats.deferred_flushes,
             on.stats.flush_overlap_cycles_hidden,
         );
-        assert_same_digest(&pair);
-        match pair.mechanism {
+        assert!(
+            base.same_digest(on),
+            "{}: {} transport changed the answer ({} vs {})",
+            base.app,
+            base.mechanism,
+            base.digest,
+            on.digest
+        );
+        match base.mechanism {
             "ov+deferred" => {
                 stride_issued += on.stats.stride_fetches_issued;
                 stride_wasted += on.stats.stride_fetches_wasted;
@@ -192,6 +135,3 @@ fn verify_directory_invariants(_c: &mut Criterion) {
     println!("  stride waste: {stride_wasted}/{stride_issued} issued (bound: 1/8)");
     println!();
 }
-
-criterion_group!(benches, bench_fig8, verify_directory_invariants);
-criterion_main!(benches);

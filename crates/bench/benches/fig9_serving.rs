@@ -1,9 +1,9 @@
 //! Figure 9 (extension): the serving-workload family — the Zipf-skewed
 //! sharded KV store and the PageRank kernel — under all three protocols.
 //!
-//! Besides the Criterion-style wall-clock measurements this bench performs
-//! a verification pass over the modeled results; a violation panics, so
-//! `cargo bench` doubles as a gate:
+//! A verification pass over the modeled results (host time is
+//! `benchmark/`'s business); a violation panics, so `cargo bench` is a
+//! gate:
 //!
 //! * **Digests**: each app must compute the same answer under `java_ic`,
 //!   `java_pf` and `java_ad` (the serving apps are as
@@ -37,50 +37,27 @@
 //!   irregular graph traffic must stay within 25% of the `java_pf`
 //!   reference — switching detection modes must not thrash the cache.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hyperion::prelude::*;
 use hyperion_apps::common::{protocols_under_test, BenchmarkName};
 use hyperion_bench::report::append_step_summary;
-use hyperion_bench::{run_point, serving_directory_point, FigureRow, Scale, ADAPTIVE_NODES};
+use hyperion_bench::{serving_directory_point, FigureRow, Point, Scale, ADAPTIVE_NODES};
 
 /// Largest share of the modeled time any home may keep requests queued on
 /// the KV rows.
 const KV_QUEUE_WAIT_BOUND: f64 = 0.05;
-
-fn bench_fig9(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig9_serving");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(2));
-    for app in BenchmarkName::serving() {
-        for protocol in protocols_under_test() {
-            group.bench_with_input(
-                BenchmarkId::new(app.to_string(), protocol.name()),
-                &protocol,
-                |b, &protocol| {
-                    b.iter(|| {
-                        run_point(app, Scale::Quick, &myrinet_200(), protocol, ADAPTIVE_NODES)
-                            .seconds
-                    })
-                },
-            );
-        }
-    }
-    group.finish();
-}
 
 /// One quick-scale row per protocol, in `protocols_under_test()` order
 /// (`java_ic`, `java_pf`, `java_ad`).
 fn protocol_rows(app: BenchmarkName) -> Vec<FigureRow> {
     protocols_under_test()
         .into_iter()
-        .map(|protocol| run_point(app, Scale::Quick, &myrinet_200(), protocol, ADAPTIVE_NODES))
+        .map(|protocol| Point::new(app, Scale::Quick, protocol).run())
         .collect()
 }
 
 fn assert_same_digest(a: &FigureRow, b: &FigureRow) {
-    let tolerance = a.digest.abs().max(1.0) * 1e-9;
     assert!(
-        (a.digest - b.digest).abs() <= tolerance,
+        a.same_digest(b),
         "{}: digest diverged between {} and {} ({} vs {})",
         a.app,
         a.protocol_label(),
@@ -90,7 +67,7 @@ fn assert_same_digest(a: &FigureRow, b: &FigureRow) {
     );
 }
 
-fn verify_serving_invariants(_c: &mut Criterion) {
+fn main() {
     println!();
     println!(
         "== fig9 verification: serving workloads (Zipf KV store, PageRank), quick scale, \
@@ -202,13 +179,7 @@ fn verify_serving_invariants(_c: &mut Criterion) {
     // within 1/8 of those issued, floor of 16 so a run that hardly
     // prefetches cannot fail on a single unlucky one).
     let dir = serving_directory_point(BenchmarkName::KvStore, Scale::Quick);
-    let plain = run_point(
-        BenchmarkName::KvStore,
-        Scale::Quick,
-        &myrinet_200(),
-        ProtocolKind::JavaPf,
-        ADAPTIVE_NODES,
-    );
+    let plain = Point::new(BenchmarkName::KvStore, Scale::Quick, ProtocolKind::JavaPf).run();
     assert_same_digest(&plain, &dir);
     let (issued, wasted) = (
         dir.stats.stride_fetches_issued,
@@ -223,6 +194,3 @@ fn verify_serving_invariants(_c: &mut Criterion) {
     println!("{home_load}");
     append_step_summary(&home_load);
 }
-
-criterion_group!(benches, bench_fig9, verify_serving_invariants);
-criterion_main!(benches);

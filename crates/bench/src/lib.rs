@@ -15,17 +15,17 @@
 //!   with their micro-measured virtual cost on a two-node cluster.
 //! * **§4.3 claims** — [`improvement_summary`] derives the
 //!   `java_ic` → `java_pf` improvement percentages the paper discusses.
-//! * **Figure 6 (extension)** — [`sweep_adaptive`] compares `java_ic`,
-//!   `java_pf` and the adaptive `java_ad` across all five apps, and
-//!   [`threshold_ablation`] sweeps the adaptive switching threshold.
-//! * **Figure 9 (extension)** — [`sweep_serving`] runs the serving-workload
-//!   family (Zipf-skewed KV store, PageRank) under all three protocols and
-//!   reports throughput plus modeled p99 per operation.
+//! * **Figures 6–9 (extensions)** — [`FIGURES`] is the registry: number,
+//!   CSV slug, heading, sweep and table columns of the adaptive-protocol,
+//!   transport, deferred-flush and serving-workload comparisons.
 //! * **CI gate** — [`report`] turns a sweep into `BENCH_<run>.json` and
-//!   compares it against the committed `bench/baseline.json`.
+//!   compares it against the committed `bench/baseline.json`; its
+//!   [`report::METRICS`] table is the one place a tracked metric is named.
 //!
-//! The `figures` binary (`src/main.rs`) is the command-line front end; the
-//! Criterion benches under `benches/` wrap the same sweeps.
+//! Every data point is a [`Point`].  The `figures` binary (`src/main.rs`)
+//! is the command-line front end; the targets under `benches/` are gates
+//! over the modeled results of the same sweeps (`benchmark/` measures host
+//! time).
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -115,7 +115,9 @@ pub fn paper_node_counts(cluster: &ClusterSpec) -> Vec<usize> {
 /// One data point of a figure: a (cluster, protocol, node count) execution.
 #[derive(Clone, Debug)]
 pub struct FigureRow {
-    /// Paper figure number (1–5).
+    /// Figure the row belongs to: the app's own (1–5 for the paper's
+    /// kernels), or the extension figure (6–9) whose table shows the row —
+    /// [`Figure::report`] stamps its number on what its sweep returns.
     pub figure: usize,
     /// Benchmark name.
     pub app: BenchmarkName,
@@ -130,6 +132,10 @@ pub struct FigureRow {
     /// [`TransportConfig::directory`], `"+sync"`/`"+dfl"` for the
     /// release-flush mode.
     pub variant: String,
+    /// What the [`TransportPair`] this row is half of demonstrates:
+    /// `"overlap"` (figure 7), `"deferred"` or `"ov+deferred"` (figure 8);
+    /// `""` for a row outside a pair.
+    pub mechanism: &'static str,
     /// Number of nodes.
     pub nodes: usize,
     /// Execution time in virtual seconds.
@@ -176,147 +182,229 @@ impl FigureRow {
             self.stats.serving_ops as f64 / self.seconds
         }
     }
-}
 
-impl FigureRow {
+    /// True if `other` computed the same answer: digests equal up to a
+    /// relative 1e-9 (the kernels reduce in floating point, and the order of
+    /// a reduction may differ between protocols and transports).
+    pub fn same_digest(&self, other: &FigureRow) -> bool {
+        (self.digest - other.digest).abs() <= self.digest.abs().max(1.0) * 1e-9
+    }
+
     /// CSV header matching [`FigureRow::to_csv`].
-    pub fn csv_header() -> &'static str {
-        "figure,app,cluster,protocol,nodes,exec_seconds,digest,locality_checks,page_faults,\
-         mprotect_calls,page_loads,diff_messages,bytes_moved,remote_monitor_acquires,\
-         barrier_waits,batched_fetches,pages_prefetched,protocol_switches,batched_flushes,\
-         fetch_overlap_cycles_hidden,pages_revalidated,pages_patched,serving_ops,\
-         serving_ops_per_s,serving_p99_us,peak_home_util,peak_home_queue_wait,\
-         validation_riders,rider_opens,monitor_wait_ps,order_escapes"
+    pub fn csv_header() -> String {
+        let labels: Vec<&str> = CSV_COLUMNS.iter().map(|c| c.label).collect();
+        labels.join(",")
     }
 
     /// Serialise as one CSV line.
     pub fn to_csv(&self) -> String {
-        format!(
-            "{},{},{},{},{},{:.6},{:.6},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.3},{:.3},{:.6},{:.6},{},{},{},{}",
-            self.figure,
-            self.app,
-            self.cluster,
-            self.protocol_label(),
-            self.nodes,
-            self.seconds,
-            self.digest,
-            self.stats.locality_checks,
-            self.stats.page_faults,
-            self.stats.mprotect_calls,
-            self.stats.page_loads,
-            self.stats.diff_messages,
-            self.stats.bytes_moved(),
-            self.stats.remote_monitor_acquires,
-            self.stats.barrier_waits,
-            self.stats.batched_fetches,
-            self.stats.pages_prefetched,
-            self.stats.protocol_switches,
-            self.stats.batched_flushes,
-            self.stats.fetch_overlap_cycles_hidden,
-            self.stats.pages_revalidated,
-            self.stats.pages_patched,
-            self.stats.serving_ops,
-            self.serving_ops_per_s(),
-            self.serving_p99_us,
-            self.peak_home_util,
-            self.peak_home_queue_wait,
-            self.stats.validation_riders,
-            self.stats.rider_opens,
-            self.stats.monitor_wait_ps,
-            self.stats.order_escapes,
-        )
+        let cells: Vec<String> = CSV_COLUMNS.iter().map(|c| (c.cell)(self)).collect();
+        cells.join(",")
     }
 }
 
-/// Run one benchmark under one configuration and wrap the result as a row.
-pub fn run_point(
-    name: BenchmarkName,
-    scale: Scale,
-    cluster: &ClusterSpec,
-    protocol: ProtocolKind,
-    nodes: usize,
-) -> FigureRow {
-    run_point_with(
-        name,
-        scale,
-        cluster,
-        protocol,
-        nodes,
-        &AdaptiveParams::default(),
-    )
+/// One column of a printed figure table, or one field of the CSV: what it
+/// is called and what it shows of a row.
+#[derive(Clone, Copy, Debug)]
+pub struct Column {
+    /// Column heading (CSV field name).
+    pub label: &'static str,
+    /// Printed width (unused by the CSV).
+    pub width: usize,
+    /// Left-aligned (the text columns) instead of right-aligned.
+    pub left: bool,
+    /// The cell a row shows in this column.
+    pub cell: fn(&FigureRow) -> String,
 }
 
-/// [`run_point`] with explicit adaptive-protocol parameters (ignored unless
-/// `protocol` is `java_ad`) — the entry point of the threshold ablation.
-pub fn run_point_with(
-    name: BenchmarkName,
-    scale: Scale,
-    cluster: &ClusterSpec,
-    protocol: ProtocolKind,
-    nodes: usize,
-    adaptive: &AdaptiveParams,
-) -> FigureRow {
-    run_point_configured(
-        name,
-        scale,
-        cluster,
-        protocol,
-        nodes,
-        adaptive,
-        &TransportConfig::default(),
-        String::new(),
-    )
+impl Column {
+    const fn text(label: &'static str, width: usize, cell: fn(&FigureRow) -> String) -> Column {
+        Column {
+            label,
+            width,
+            left: true,
+            cell,
+        }
+    }
+
+    const fn number(label: &'static str, width: usize, cell: fn(&FigureRow) -> String) -> Column {
+        Column {
+            label,
+            width,
+            left: false,
+            cell,
+        }
+    }
+
+    /// `text` padded to the column's width on its side.
+    fn pad(&self, text: String) -> String {
+        let width = self.width;
+        if self.left {
+            format!("{text:<width$}")
+        } else {
+            format!("{text:>width$}")
+        }
+    }
+}
+
+/// A right-aligned [`Column`] showing one `StatsSnapshot` counter.
+macro_rules! count {
+    ($label:expr, $width:expr, $counter:ident) => {
+        Column::number($label, $width, |r| r.stats.$counter.to_string())
+    };
+}
+
+/// A [`Column`] of the CSV (nothing is padded there).
+macro_rules! csv {
+    ($counter:ident) => {
+        count!(stringify!($counter), 0, $counter)
+    };
+    ($label:expr, $cell:expr) => {
+        Column::number($label, 0, $cell)
+    };
+}
+
+/// The fields of one CSV line, in order: [`FigureRow::csv_header`] and
+/// [`FigureRow::to_csv`] are both read off this list.
+static CSV_COLUMNS: &[Column] = &[
+    csv!("figure", |r| r.figure.to_string()),
+    csv!("app", |r| r.app.to_string()),
+    csv!("cluster", |r| r.cluster.clone()),
+    csv!("protocol", FigureRow::protocol_label),
+    csv!("nodes", |r| r.nodes.to_string()),
+    csv!("exec_seconds", |r| format!("{:.6}", r.seconds)),
+    csv!("digest", |r| format!("{:.6}", r.digest)),
+    csv!(locality_checks),
+    csv!(page_faults),
+    csv!(mprotect_calls),
+    csv!(page_loads),
+    csv!(diff_messages),
+    csv!("bytes_moved", |r| r.stats.bytes_moved().to_string()),
+    csv!(remote_monitor_acquires),
+    csv!(barrier_waits),
+    csv!(batched_fetches),
+    csv!(pages_prefetched),
+    csv!(protocol_switches),
+    csv!(batched_flushes),
+    csv!(fetch_overlap_cycles_hidden),
+    csv!(pages_revalidated),
+    csv!(pages_patched),
+    csv!(serving_ops),
+    csv!("serving_ops_per_s", |r| format!(
+        "{:.3}",
+        r.serving_ops_per_s()
+    )),
+    csv!("serving_p99_us", |r| format!("{:.3}", r.serving_p99_us)),
+    csv!("peak_home_util", |r| format!("{:.6}", r.peak_home_util)),
+    csv!("peak_home_queue_wait", |r| format!(
+        "{:.6}",
+        r.peak_home_queue_wait
+    )),
+    csv!(validation_riders),
+    csv!(rider_opens),
+    csv!(monitor_wait_ps),
+    csv!(order_escapes),
+];
+
+/// Node count the extension figures, the audit and the CI bench gate run
+/// at: large enough that remote traffic dominates, small enough for quick
+/// CI sweeps, and available on both modelled clusters.
+pub const ADAPTIVE_NODES: usize = 4;
+
+/// One data point to run.  [`Point::new`] fills in what nearly every sweep
+/// uses — the Myrinet cluster at [`ADAPTIVE_NODES`] nodes, default adaptive
+/// parameters, default transport, no labels — so a sweep says only where it
+/// differs: `Point { nodes: 2, ..Point::new(app, scale, protocol) }.run()`.
+#[derive(Clone, Debug)]
+pub struct Point {
+    /// The benchmark program.
+    pub app: BenchmarkName,
+    /// Its problem size.
+    pub scale: Scale,
+    /// The modelled cluster.
+    pub cluster: ClusterSpec,
+    /// The access-detection protocol.
+    pub protocol: ProtocolKind,
+    /// Number of nodes.
+    pub nodes: usize,
+    /// Adaptive-protocol parameters (ignored unless `protocol` is
+    /// `java_ad`).
+    pub adaptive: AdaptiveParams,
+    /// Transport configuration.
+    pub transport: TransportConfig,
+    /// Becomes the row's [`FigureRow::variant`].
+    pub variant: String,
+    /// Becomes the row's [`FigureRow::mechanism`].
+    pub mechanism: &'static str,
+}
+
+impl Point {
+    /// `app` at `scale` under `protocol`, everything else at its default.
+    pub fn new(app: BenchmarkName, scale: Scale, protocol: ProtocolKind) -> Point {
+        Point {
+            app,
+            scale,
+            cluster: myrinet_200(),
+            protocol,
+            nodes: ADAPTIVE_NODES,
+            adaptive: AdaptiveParams::default(),
+            transport: TransportConfig::default(),
+            variant: String::new(),
+            mechanism: "",
+        }
+    }
+
+    /// Every app of `apps` under each of the three protocols, at the
+    /// defaults of [`Point::new`] — the grid most sweeps walk.
+    pub fn grid(apps: impl IntoIterator<Item = BenchmarkName>, scale: Scale) -> Vec<Point> {
+        let mut points = Vec::new();
+        for app in apps {
+            for protocol in protocols_under_test() {
+                points.push(Point::new(app, scale, protocol));
+            }
+        }
+        points
+    }
+
+    /// Execute the point — the one place a figure data point is actually
+    /// run: builds the configuration, runs the benchmark and wraps the
+    /// result as a row.
+    pub fn run(&self) -> FigureRow {
+        let config = HyperionConfig::builder()
+            .cluster(self.cluster.clone())
+            .nodes(self.nodes)
+            .protocol(self.protocol)
+            .adaptive(self.adaptive.clone())
+            .transport(self.transport.clone())
+            .build()
+            .expect("valid figure configuration");
+        let (digest, report) = benchmark_at(self.app, self.scale).execute(config);
+        let peak = |shares: Vec<f64>| shares.into_iter().fold(0.0, f64::max);
+        let peak_home_util = peak(report.home_utilisation());
+        let peak_home_queue_wait = peak(report.home_queue_wait_share());
+        FigureRow {
+            figure: self.app.figure(),
+            app: self.app,
+            cluster: report.cluster_label.clone(),
+            protocol: self.protocol,
+            variant: self.variant.clone(),
+            mechanism: self.mechanism,
+            nodes: self.nodes,
+            seconds: report.seconds(),
+            digest,
+            stats: report.total_stats(),
+            transport: report.transport,
+            wire: report.wire,
+            serving_p99_us: report.serving_p99.as_ps() as f64 / 1e6,
+            peak_home_util,
+            peak_home_queue_wait,
+        }
+    }
 }
 
 /// `"+<name>"` variant suffix.
 fn plus(name: &str) -> String {
     format!("+{name}")
-}
-
-/// The fully configurable run point: explicit adaptive parameters *and*
-/// transport configuration, labelled with a variant suffix.  The one place a
-/// figure data point is actually executed: builds the configuration, runs
-/// the benchmark and wraps the result.
-#[allow(clippy::too_many_arguments)]
-pub fn run_point_configured(
-    name: BenchmarkName,
-    scale: Scale,
-    cluster: &ClusterSpec,
-    protocol: ProtocolKind,
-    nodes: usize,
-    adaptive: &AdaptiveParams,
-    transport: &TransportConfig,
-    variant: String,
-) -> FigureRow {
-    let bench = benchmark_at(name, scale);
-    let config = HyperionConfig::builder()
-        .cluster(cluster.clone())
-        .nodes(nodes)
-        .protocol(protocol)
-        .adaptive(adaptive.clone())
-        .transport(transport.clone())
-        .build()
-        .expect("valid figure configuration");
-    let (digest, report) = bench.execute(config);
-    let peak = |shares: Vec<f64>| shares.into_iter().fold(0.0, f64::max);
-    let peak_home_util = peak(report.home_utilisation());
-    let peak_home_queue_wait = peak(report.home_queue_wait_share());
-    FigureRow {
-        figure: name.figure(),
-        app: name,
-        cluster: report.cluster_label.clone(),
-        protocol,
-        variant,
-        nodes,
-        seconds: report.seconds(),
-        digest,
-        stats: report.total_stats(),
-        transport: report.transport,
-        wire: report.wire,
-        serving_p99_us: report.serving_p99.as_ps() as f64 / 1e6,
-        peak_home_util,
-        peak_home_queue_wait,
-    }
 }
 
 /// Regenerate one of the paper's figures: sweep both clusters, both
@@ -326,76 +414,72 @@ pub fn sweep_figure(name: BenchmarkName, scale: Scale) -> Vec<FigureRow> {
     for cluster in [myrinet_200(), sci_450()] {
         for protocol in ProtocolKind::all() {
             for nodes in paper_node_counts(&cluster) {
-                rows.push(run_point(name, scale, &cluster, protocol, nodes));
+                let point = Point {
+                    cluster: cluster.clone(),
+                    nodes,
+                    ..Point::new(name, scale, protocol)
+                };
+                rows.push(point.run());
             }
         }
     }
     rows
 }
-
-/// The figure number used for the adaptive-protocol comparison (it extends
-/// the paper's five figures).
-pub const ADAPTIVE_FIGURE: usize = 6;
-
-/// Node count the adaptive comparison and the CI bench gate run at: large
-/// enough that remote traffic dominates, small enough for quick CI sweeps,
-/// and available on both modelled clusters.
-pub const ADAPTIVE_NODES: usize = 4;
 
 /// Figure 6 (extension): every app under `java_ic`, `java_pf` and `java_ad`
 /// on both clusters at [`ADAPTIVE_NODES`] nodes.
 pub fn sweep_adaptive(scale: Scale) -> Vec<FigureRow> {
     let mut rows = Vec::new();
     for cluster in [myrinet_200(), sci_450()] {
-        for name in BenchmarkName::all() {
-            for protocol in protocols_under_test() {
-                let mut row = run_point(name, scale, &cluster, protocol, ADAPTIVE_NODES);
-                row.figure = ADAPTIVE_FIGURE;
-                rows.push(row);
-            }
+        for point in Point::grid(BenchmarkName::all(), scale) {
+            let cluster = cluster.clone();
+            rows.push(Point { cluster, ..point }.run());
         }
     }
     rows
 }
 
-/// The figure number used for the transport comparison (overlapped vs
-/// blocking fetches).
-pub const TRANSPORT_FIGURE: usize = 7;
-
 /// One paired comparison of the figure-7 and figure-8 sweeps: the same
-/// (app, protocol, nodes) point with one transport mechanism off and on.
+/// (app, protocol, nodes) point with one transport mechanism off and on
+/// (which one: [`FigureRow::mechanism`] of either side).
 #[derive(Clone, Debug)]
 pub struct TransportPair {
-    /// What the pair demonstrates: `"overlap"` (figure 7); `"deferred"` or
-    /// `"ov+deferred"` (figure 8).
-    pub mechanism: &'static str,
     /// The point with the mechanism disabled.
     pub baseline: FigureRow,
     /// The point with the mechanism enabled.
     pub enabled: FigureRow,
 }
 
-/// One `java_pf` point of a transport figure on the Myrinet cluster at
-/// [`ADAPTIVE_NODES`] nodes.
-fn transport_point(
-    figure: usize,
+/// Both sides of every pair, baseline first — the rows of a figure table.
+fn both_sides(pairs: Vec<TransportPair>) -> Vec<FigureRow> {
+    pairs
+        .into_iter()
+        .flat_map(|pair| [pair.baseline, pair.enabled])
+        .collect()
+}
+
+/// A `java_pf` pair on the Myrinet cluster at [`ADAPTIVE_NODES`] nodes: the
+/// `off` transport against the `on` one, each with its variant label.
+fn transport_pair(
     app: BenchmarkName,
     scale: Scale,
-    transport: &TransportConfig,
-    variant: &str,
-) -> FigureRow {
-    let mut row = run_point_configured(
-        app,
-        scale,
-        &myrinet_200(),
-        ProtocolKind::JavaPf,
-        ADAPTIVE_NODES,
-        &AdaptiveParams::default(),
-        transport,
-        variant.to_string(),
-    );
-    row.figure = figure;
-    row
+    mechanism: &'static str,
+    off: (TransportConfig, String),
+    on: (TransportConfig, String),
+) -> TransportPair {
+    let run = |(transport, variant)| {
+        Point {
+            transport,
+            variant,
+            mechanism,
+            ..Point::new(app, scale, ProtocolKind::JavaPf)
+        }
+        .run()
+    };
+    TransportPair {
+        baseline: run(off),
+        enabled: run(on),
+    }
 }
 
 /// Figure 7 (extension): the split-transaction transport against the
@@ -404,30 +488,25 @@ fn transport_point(
 /// overlapped fetches — the prefetch windows the kernels open right after
 /// each acquire only pay off when the transport can split the transaction.
 pub fn sweep_transport(scale: Scale) -> Vec<TransportPair> {
-    [BenchmarkName::Jacobi, BenchmarkName::Asp]
-        .into_iter()
-        .map(|app| transport_pair(app, scale))
-        .collect()
-}
-
-/// Build one figure-7 pair for `app` (see [`sweep_transport`]).
-fn transport_pair(app: BenchmarkName, scale: Scale) -> TransportPair {
     // Overlap is an engine mechanism; its label comes from the transport's
     // overlap mode.
-    let point = |transport: &TransportConfig| {
+    let labelled = |transport: TransportConfig| {
         let variant = plus(transport.overlap_name());
-        transport_point(TRANSPORT_FIGURE, app, scale, transport, &variant)
+        (transport, variant)
     };
-    TransportPair {
-        mechanism: "overlap",
-        baseline: point(&TransportConfig::blocking()),
-        enabled: point(&TransportConfig::latency_hiding()),
-    }
+    [BenchmarkName::Jacobi, BenchmarkName::Asp]
+        .into_iter()
+        .map(|app| {
+            transport_pair(
+                app,
+                scale,
+                "overlap",
+                labelled(TransportConfig::blocking()),
+                labelled(TransportConfig::latency_hiding()),
+            )
+        })
+        .collect()
 }
-
-/// The figure number used for the deferred-release comparison (deferred
-/// release flushing on top of the plain split-transaction transport).
-pub const DIRECTORY_FIGURE: usize = 8;
 
 /// Figure 8 (extension): what deferred release flushing adds, on the
 /// Myrinet cluster at [`ADAPTIVE_NODES`] nodes under `java_pf`.
@@ -469,11 +548,13 @@ pub fn deferred_pair(app: BenchmarkName, scale: Scale, overlapped_fetches: bool)
     } else {
         ("deferred", "+sync", "+dfl")
     };
-    TransportPair {
+    transport_pair(
+        app,
+        scale,
         mechanism,
-        baseline: transport_point(DIRECTORY_FIGURE, app, scale, &baseline, off),
-        enabled: transport_point(DIRECTORY_FIGURE, app, scale, &enabled, on),
-    }
+        (baseline, off.to_string()),
+        (enabled, on.to_string()),
+    )
 }
 
 /// The CI-tracked sweep behind `BENCH_<run>.json`: all five apps under all
@@ -484,19 +565,9 @@ pub fn deferred_pair(app: BenchmarkName, scale: Scale, overlapped_fetches: bool)
 /// protocols, with throughput and modeled p99), so their deltas are tracked
 /// by the baseline gate too.
 pub fn bench_report_rows(scale: Scale) -> Vec<FigureRow> {
-    let cluster = myrinet_200();
-    let mut rows = Vec::new();
-    for name in BenchmarkName::all() {
-        for protocol in protocols_under_test() {
-            let mut row = run_point(name, scale, &cluster, protocol, ADAPTIVE_NODES);
-            row.figure = ADAPTIVE_FIGURE;
-            rows.push(row);
-        }
-    }
-    for pair in sweep_transport(scale) {
-        rows.push(pair.baseline);
-        rows.push(pair.enabled);
-    }
+    let grid = Point::grid(BenchmarkName::all(), scale);
+    let mut rows: Vec<FigureRow> = grid.iter().map(Point::run).collect();
+    rows.extend(both_sides(sweep_transport(scale)));
     // Figure-8 rows: only the `+dir` and `+dfl` *enabled* sides are added —
     // the baselines duplicate the plain `java_pf` row and figure 7's `+ov`
     // row, and report keys must stay unique.
@@ -507,11 +578,6 @@ pub fn bench_report_rows(scale: Scale) -> Vec<FigureRow> {
     rows
 }
 
-/// The figure number used for the serving-workload comparison (the
-/// Zipf-skewed KV store and the PageRank kernel under all three protocols,
-/// reported as throughput and modeled p99 per operation).
-pub const SERVING_FIGURE: usize = 9;
-
 /// Figure 9 (extension): the serving-workload family — the sharded KV store
 /// and the PageRank kernel — under `java_ic`, `java_pf` and `java_ad` on
 /// the Myrinet cluster at [`ADAPTIVE_NODES`] nodes, plus one KV point under
@@ -521,15 +587,8 @@ pub const SERVING_FIGURE: usize = 9;
 /// per operation ([`FigureRow::serving_p99_us`]) on top of the usual event
 /// counters.
 pub fn sweep_serving(scale: Scale) -> Vec<FigureRow> {
-    let cluster = myrinet_200();
-    let mut rows = Vec::new();
-    for name in BenchmarkName::serving() {
-        for protocol in protocols_under_test() {
-            let mut row = run_point(name, scale, &cluster, protocol, ADAPTIVE_NODES);
-            row.figure = SERVING_FIGURE;
-            rows.push(row);
-        }
-    }
+    let grid = Point::grid(BenchmarkName::serving(), scale);
+    let mut rows: Vec<FigureRow> = grid.iter().map(Point::run).collect();
     rows.push(serving_directory_point(BenchmarkName::KvStore, scale));
     rows
 }
@@ -540,13 +599,184 @@ pub fn sweep_serving(scale: Scale) -> Vec<FigureRow> {
 /// stable order), so the waste bound must hold here and not just on the
 /// strided kernels of figure 8.
 pub fn serving_directory_point(name: BenchmarkName, scale: Scale) -> FigureRow {
-    transport_point(
-        SERVING_FIGURE,
-        name,
-        scale,
-        &TransportConfig::directory(),
-        "+dir",
-    )
+    Point {
+        transport: TransportConfig::directory(),
+        variant: plus("dir"),
+        ..Point::new(name, scale, ProtocolKind::JavaPf)
+    }
+    .run()
+}
+
+/// One extension figure (6–9) of the `figures` binary.  [`FIGURES`] is the
+/// registry the binary reads its `--fig` range, tables, headings and CSV
+/// file names from.
+#[derive(Clone, Copy, Debug)]
+pub struct Figure {
+    /// The `--fig` number.
+    pub number: usize,
+    /// Names the CSV file: `fig<number>_<slug>.csv`.
+    pub slug: &'static str,
+    /// What the heading line says the figure compares.
+    pub heading: &'static str,
+    /// The sweep that produces the rows.
+    pub sweep: fn(Scale) -> Vec<FigureRow>,
+    /// The columns of the printed table.
+    pub columns: &'static [Column],
+    /// Text printed under the table (figure 6's threshold ablation).
+    pub epilogue: Option<fn(Scale) -> String>,
+}
+
+/// The extension figures, by number.
+pub static FIGURES: &[Figure] = &[
+    Figure {
+        number: 6,
+        slug: "adaptive",
+        heading: "java_ic vs java_pf vs java_ad",
+        sweep: sweep_adaptive,
+        columns: &[
+            Column::text("App", 12, |r| r.app.to_string()),
+            Column::text("Cluster", 16, |r| r.cluster.clone()),
+            Column::text("protocol", 8, |r| r.protocol.to_string()),
+            Column::number("exec (s)", 12, |r| format!("{:.4}", r.seconds)),
+            count!("page_loads", 12, page_loads),
+            count!("checks", 10, locality_checks),
+            count!("faults", 10, page_faults),
+            count!("batches", 9, batched_fetches),
+            count!("switches", 9, protocol_switches),
+        ],
+        epilogue: Some(threshold_ablation_text),
+    },
+    Figure {
+        number: 7,
+        slug: "transport",
+        heading: "latency-hiding transport",
+        sweep: |scale| both_sides(sweep_transport(scale)),
+        columns: &[
+            Column::text("App", 12, |r| r.app.to_string()),
+            Column::text("mechanism", 10, |r| r.mechanism.to_string()),
+            Column::text("variant", 14, FigureRow::protocol_label),
+            Column::number("exec (s)", 12, |r| format!("{:.4}", r.seconds)),
+            count!("diffs", 10, diff_messages),
+            count!("batched", 10, batched_flushes),
+            count!("hidden cycles", 14, fetch_overlap_cycles_hidden),
+        ],
+        epilogue: None,
+    },
+    Figure {
+        number: 8,
+        slug: "directory",
+        heading: "deferred release flushing",
+        sweep: |scale| both_sides(sweep_directory(scale)),
+        columns: &[
+            Column::text("App", 12, |r| r.app.to_string()),
+            Column::text("mechanism", 11, |r| r.mechanism.to_string()),
+            Column::text("variant", 14, FigureRow::protocol_label),
+            Column::number("exec (s)", 12, |r| format!("{:.4}", r.seconds)),
+            count!("stride", 7, stride_fetches_issued),
+            count!("completed", 9, stride_fetches_completed),
+            count!("wasted", 8, stride_fetches_wasted),
+            count!("deferred", 9, deferred_flushes),
+            count!("flush hidden", 14, flush_overlap_cycles_hidden),
+        ],
+        epilogue: None,
+    },
+    Figure {
+        number: 9,
+        slug: "serving",
+        heading: "serving workloads (Zipf KV store, PageRank)",
+        sweep: sweep_serving,
+        columns: &[
+            Column::text("App", 10, |r| r.app.to_string()),
+            Column::text("variant", 14, FigureRow::protocol_label),
+            Column::number("exec (s)", 12, |r| format!("{:.4}", r.seconds)),
+            count!("ops", 12, serving_ops),
+            Column::number("ops/s", 12, |r| format!("{:.0}", r.serving_ops_per_s())),
+            Column::number("p99 (us)", 12, |r| format!("{:.1}", r.serving_p99_us)),
+            count!("page_loads", 11, page_loads),
+            count!("revalidated", 12, pages_revalidated),
+            count!("patched", 8, pages_patched),
+            count!("riders", 8, validation_riders),
+            count!("opened", 8, rider_opens),
+            count!("stride", 7, stride_fetches_issued),
+            count!("wasted", 8, stride_fetches_wasted),
+            Column::number("home busy", 10, |r| {
+                format!("{:.2}%", r.peak_home_util * 100.0)
+            }),
+            Column::number("queue wait", 10, |r| {
+                format!("{:.2}%", r.peak_home_queue_wait * 100.0)
+            }),
+            Column::number("mon wait (ms)", 14, |r| {
+                format!("{:.3}", r.stats.monitor_wait_ps as f64 / 1e9)
+            }),
+        ],
+        epilogue: None,
+    },
+];
+
+/// The figure numbers `--fig` accepts: the paper's 1–5 and [`FIGURES`].
+pub fn figure_range() -> std::ops::RangeInclusive<usize> {
+    1..=FIGURES.iter().map(|f| f.number).max().unwrap_or(5)
+}
+
+/// The paper benchmark behind figure `number` (1–5).
+pub fn paper_figure(number: usize) -> Option<BenchmarkName> {
+    BenchmarkName::all()
+        .into_iter()
+        .find(|b| b.figure() == number)
+}
+
+/// The extension figure `number` (6–9).
+pub fn extension_figure(number: usize) -> Option<&'static Figure> {
+    FIGURES.iter().find(|f| f.number == number)
+}
+
+impl Figure {
+    /// Run the sweep and render the figure as `figures --fig N` prints it:
+    /// heading, column header, one line per row, a blank line, the
+    /// epilogue.  Returns the text and the rows (stamped with the figure's
+    /// number).
+    pub fn report(&self, scale: Scale) -> (String, Vec<FigureRow>) {
+        let mut rows = (self.sweep)(scale);
+        for row in &mut rows {
+            row.figure = self.number;
+        }
+        let line = |cell: &dyn Fn(&Column) -> String| -> String {
+            let cells: Vec<String> = self.columns.iter().map(|c| c.pad(cell(c))).collect();
+            cells.join(" ") + "\n"
+        };
+        let mut text = format!(
+            "== Figure {} (extension): {}, {ADAPTIVE_NODES} nodes ==\n",
+            self.number, self.heading
+        );
+        text += &line(&|c| c.label.to_string());
+        for row in &rows {
+            text += &line(&|c| (c.cell)(row));
+        }
+        text.push('\n');
+        if let Some(epilogue) = self.epilogue {
+            text += &epilogue(scale);
+        }
+        (text, rows)
+    }
+}
+
+/// Figure 6's epilogue: a small ablation of the adaptive switching
+/// threshold on Jacobi.
+fn threshold_ablation_text(scale: Scale) -> String {
+    let mut text = String::from(
+        "-- switching-threshold ablation (java_ad, Jacobi, hi multiple of break-even) --\n",
+    );
+    for (hi, row) in threshold_ablation(BenchmarkName::Jacobi, scale, &[0.25, 0.5, 1.0, 2.0, 4.0]) {
+        text += &format!(
+            "hi = {hi:>5.2} * n_star: exec {:>10.4}s  checks {:>8}  faults {:>6}  switches {:>4}\n",
+            row.seconds,
+            row.stats.locality_checks,
+            row.stats.page_faults,
+            row.stats.protocol_switches,
+        );
+    }
+    text.push('\n');
+    text
 }
 
 /// One cell of the keep-or-cut audit (`figures --audit`): the same point
@@ -578,32 +808,19 @@ pub fn sweep_audit(scale: Scale, runs: usize, mut each: impl FnMut(&AuditCell)) 
         ("latency_hiding", TransportConfig::latency_hiding()),
         ("directory", TransportConfig::directory()),
     ];
-    for app in BenchmarkName::all_extended() {
-        for protocol in protocols_under_test() {
-            for (preset, transport) in &presets {
-                let point = |_| {
-                    run_point_configured(
-                        app,
-                        scale,
-                        &myrinet_200(),
-                        protocol,
-                        ADAPTIVE_NODES,
-                        &AdaptiveParams::default(),
-                        transport,
-                        plus(preset),
-                    )
-                };
-                let mut runs: Vec<FigureRow> = (0..runs).map(point).collect();
-                runs.sort_by(|a, b| a.seconds.total_cmp(&b.seconds));
-                each(&AuditCell { preset, runs });
-            }
+    for point in Point::grid(BenchmarkName::all_extended(), scale) {
+        for (preset, transport) in &presets {
+            let point = Point {
+                transport: transport.clone(),
+                variant: plus(preset),
+                ..point.clone()
+            };
+            let mut runs: Vec<FigureRow> = (0..runs).map(|_| point.run()).collect();
+            runs.sort_by(|a, b| a.seconds.total_cmp(&b.seconds));
+            each(&AuditCell { preset, runs });
         }
     }
 }
-
-/// The figure number used for the modeled-vs-measured transport report
-/// (modeled virtual-time RPC cost next to wall-clock socket round trips).
-pub const WIRE_FIGURE: usize = 11;
 
 /// The modeled-vs-measured sweep behind `figures --transport socket`: all
 /// five apps under all three protocols on the Myrinet cluster at
@@ -617,34 +834,18 @@ pub const WIRE_FIGURE: usize = 11;
 /// With [`TransportBackend::Sim`] the sweep still runs (useful as a digest
 /// cross-check) but the wire tables come back empty.
 pub fn sweep_modeled_vs_measured(scale: Scale, backend: TransportBackend) -> Vec<FigureRow> {
-    let cluster = myrinet_200();
     let transport = TransportConfig {
         backend,
         ..TransportConfig::default()
     };
-    let mut rows = Vec::new();
-    for name in BenchmarkName::all() {
-        for protocol in protocols_under_test() {
-            let mut row = run_point_configured(
-                name,
-                scale,
-                &cluster,
-                protocol,
-                ADAPTIVE_NODES,
-                &AdaptiveParams::default(),
-                &transport,
-                String::new(),
-            );
-            row.figure = WIRE_FIGURE;
-            rows.push(row);
-        }
-    }
-    rows
+    Point::grid(BenchmarkName::all(), scale)
+        .into_iter()
+        .map(|point| {
+            let transport = transport.clone();
+            Point { transport, ..point }.run()
+        })
+        .collect()
 }
-
-/// The figure number used for the chaos report (fault injection, retry and
-/// node-failure recovery under a seeded [`FaultSpec`]).
-pub const CHAOS_FIGURE: usize = 12;
 
 /// One paired point of the chaos sweep: the same (app, protocol) execution
 /// fault-free (the digest reference) and under the injected schedule with
@@ -678,46 +879,33 @@ impl ChaosPair {
 /// `frames_dropped_injected`, `nodes_failed`, `pages_resynced`) in their
 /// stats; [`report::chaos_markdown`] renders the comparison.
 pub fn sweep_chaos(scale: Scale, spec: FaultSpec, backend: TransportBackend) -> Vec<ChaosPair> {
-    let cluster = myrinet_200();
     let reference = TransportConfig {
         backend,
         ..TransportConfig::default()
     };
-    let transport = TransportConfig {
-        backend,
+    let faulted = TransportConfig {
         fault: Some(spec),
         replication: Some((2, 2)),
-        ..TransportConfig::default()
+        ..reference.clone()
     };
-    let mut pairs = Vec::new();
-    for name in BenchmarkName::all() {
-        for protocol in protocols_under_test() {
-            let mut baseline = run_point_configured(
-                name,
-                scale,
-                &cluster,
-                protocol,
-                ADAPTIVE_NODES,
-                &AdaptiveParams::default(),
-                &reference,
-                String::new(),
-            );
-            baseline.figure = CHAOS_FIGURE;
-            let mut faulted = run_point_configured(
-                name,
-                scale,
-                &cluster,
-                protocol,
-                ADAPTIVE_NODES,
-                &AdaptiveParams::default(),
-                &transport,
-                plus("chaos"),
-            );
-            faulted.figure = CHAOS_FIGURE;
-            pairs.push(ChaosPair { baseline, faulted });
-        }
-    }
-    pairs
+    Point::grid(BenchmarkName::all(), scale)
+        .into_iter()
+        .map(|point| {
+            let baseline = Point {
+                transport: reference.clone(),
+                ..point
+            };
+            let faulted = Point {
+                transport: faulted.clone(),
+                variant: plus("chaos"),
+                ..baseline.clone()
+            };
+            ChaosPair {
+                baseline: baseline.run(),
+                faulted: faulted.run(),
+            }
+        })
+        .collect()
 }
 
 /// Ablation of the adaptive switching threshold: run `app` under `java_ad`
@@ -728,25 +916,19 @@ pub fn threshold_ablation(
     scale: Scale,
     hi_multiples: &[f64],
 ) -> Vec<(f64, FigureRow)> {
-    let cluster = myrinet_200();
     hi_multiples
         .iter()
         .map(|&hi| {
-            let params = AdaptiveParams {
+            let adaptive = AdaptiveParams {
                 hi_multiple: hi,
                 lo_multiple: hi / 2.0,
                 ..AdaptiveParams::default()
             };
-            let mut row = run_point_with(
-                app,
-                scale,
-                &cluster,
-                ProtocolKind::JavaAd,
-                ADAPTIVE_NODES,
-                &params,
-            );
-            row.figure = ADAPTIVE_FIGURE;
-            (hi, row)
+            let point = Point {
+                adaptive,
+                ..Point::new(app, scale, ProtocolKind::JavaAd)
+            };
+            (hi, point.run())
         })
         .collect()
 }
@@ -958,13 +1140,12 @@ mod tests {
 
     #[test]
     fn run_point_produces_consistent_rows() {
-        let row = run_point(
-            BenchmarkName::Pi,
-            Scale::Quick,
-            &sci_450(),
-            ProtocolKind::JavaPf,
-            2,
-        );
+        let row = Point {
+            cluster: sci_450(),
+            nodes: 2,
+            ..Point::new(BenchmarkName::Pi, Scale::Quick, ProtocolKind::JavaPf)
+        }
+        .run();
         assert_eq!(row.figure, 1);
         assert_eq!(row.nodes, 2);
         assert_eq!(row.cluster, "450MHz/SCI");
@@ -974,15 +1155,18 @@ mod tests {
         assert!(FigureRow::csv_header().starts_with("figure,app,cluster"));
     }
 
+    /// `app` under `protocol` on two Myrinet nodes at quick scale.
+    fn two_nodes(app: BenchmarkName, protocol: ProtocolKind) -> FigureRow {
+        Point {
+            nodes: 2,
+            ..Point::new(app, Scale::Quick, protocol)
+        }
+        .run()
+    }
+
     #[test]
     fn adaptive_point_tracks_switches_and_batches() {
-        let row = run_point(
-            BenchmarkName::Jacobi,
-            Scale::Quick,
-            &myrinet_200(),
-            ProtocolKind::JavaAd,
-            2,
-        );
+        let row = two_nodes(BenchmarkName::Jacobi, ProtocolKind::JavaAd);
         assert_eq!(row.protocol, ProtocolKind::JavaAd);
         assert!(row.seconds > 0.0);
         // The CSV row carries the new counters.
@@ -1000,7 +1184,7 @@ mod tests {
         assert_eq!(points[0].0, 0.5);
         assert_eq!(points[1].0, 2.0);
         for (_, row) in &points {
-            assert_eq!(row.figure, ADAPTIVE_FIGURE);
+            assert_eq!(row.nodes, ADAPTIVE_NODES);
             assert_eq!(row.protocol, ProtocolKind::JavaAd);
             assert!((row.digest - std::f64::consts::PI).abs() < 1e-3);
         }
@@ -1008,14 +1192,8 @@ mod tests {
 
     #[test]
     fn serving_rows_carry_throughput_and_p99() {
-        let row = run_point(
-            BenchmarkName::KvStore,
-            Scale::Quick,
-            &myrinet_200(),
-            ProtocolKind::JavaAd,
-            2,
-        );
-        assert_eq!(row.figure, SERVING_FIGURE);
+        let row = two_nodes(BenchmarkName::KvStore, ProtocolKind::JavaAd);
+        assert_eq!(row.figure, 9);
         assert!(row.stats.serving_ops > 0);
         assert!(row.serving_ops_per_s() > 0.0);
         assert!(row.serving_p99_us > 0.0);
@@ -1029,13 +1207,7 @@ mod tests {
             .ends_with("validation_riders,rider_opens,monitor_wait_ps,order_escapes"));
 
         // Batch kernels record no serving operations.
-        let pi = run_point(
-            BenchmarkName::Pi,
-            Scale::Quick,
-            &myrinet_200(),
-            ProtocolKind::JavaPf,
-            2,
-        );
+        let pi = two_nodes(BenchmarkName::Pi, ProtocolKind::JavaPf);
         assert_eq!(pi.stats.serving_ops, 0);
         assert_eq!(pi.serving_ops_per_s(), 0.0);
         assert_eq!(pi.serving_p99_us, 0.0);
@@ -1043,27 +1215,46 @@ mod tests {
 
     #[test]
     fn improvement_summary_pairs_protocols() {
-        let rows = vec![
-            run_point(
-                BenchmarkName::Pi,
-                Scale::Quick,
-                &sci_450(),
-                ProtocolKind::JavaIc,
-                1,
-            ),
-            run_point(
-                BenchmarkName::Pi,
-                Scale::Quick,
-                &sci_450(),
-                ProtocolKind::JavaPf,
-                1,
-            ),
-        ];
+        let rows: Vec<FigureRow> = [ProtocolKind::JavaIc, ProtocolKind::JavaPf]
+            .into_iter()
+            .map(|protocol| {
+                Point {
+                    cluster: sci_450(),
+                    nodes: 1,
+                    ..Point::new(BenchmarkName::Pi, Scale::Quick, protocol)
+                }
+                .run()
+            })
+            .collect();
         let imps = improvement_summary(&rows);
         assert_eq!(imps.len(), 1);
         let imp = &imps[0];
         assert_eq!(imp.nodes, 1);
         // Pi is nearly identical under both protocols.
         assert!(imp.percent().abs() < 5.0);
+    }
+
+    #[test]
+    fn figure_registry_resolves_every_number_once() {
+        // Every `--fig` number is a paper figure or an extension, never both.
+        assert_eq!(figure_range(), 1..=9);
+        for n in figure_range() {
+            assert!(
+                paper_figure(n).is_some() != extension_figure(n).is_some(),
+                "figure {n}"
+            );
+        }
+        assert_eq!(paper_figure(10), None);
+        assert!(extension_figure(10).is_none());
+        // CSV files are named after the slug.
+        for (i, a) in FIGURES.iter().enumerate() {
+            assert!(FIGURES[i + 1..]
+                .iter()
+                .all(|b| b.slug != a.slug && b.number != a.number));
+        }
+        // One column list feeds both the CSV header and the rows.
+        assert_eq!(FigureRow::csv_header().split(',').count(), 31);
+        let row = two_nodes(BenchmarkName::Pi, ProtocolKind::JavaIc);
+        assert_eq!(row.to_csv().split(',').count(), 31);
     }
 }

@@ -7,11 +7,10 @@
 //!         [--transport sim|socket|tcp] [--fault SPEC] [--audit] [--runs N]
 //! ```
 //!
-//! * `--fig N`     regenerate figure N (1–5 from the paper, 6 for the
-//!   ic/pf/ad adaptive comparison, 7 for the split-transaction transport,
-//!   8 for deferred release flushing, 9 for the serving
-//!   workloads: Zipf-skewed KV store and PageRank with throughput and
-//!   modeled p99 per operation); may be repeated.  Default: all of 1–5.
+//! * `--fig N`     regenerate figure N: 1–5 from the paper, 6–9 the
+//!   extension figures of the `hyperion_bench::FIGURES` registry (adaptive
+//!   protocol, split-transaction transport, deferred release flushing,
+//!   serving workloads); may be repeated.  Default: all of 1–5.
 //! * `--tables`    print Table 1 (module inventory) and Table 2 (primitives).
 //! * `--claims`    print the derived `java_ic` → `java_pf` improvements that
 //!   correspond to the quantitative claims of §4.3.
@@ -22,12 +21,13 @@
 //!   their throughput/p99 fields) and write it to `BENCH_<run>.json`
 //!   (`<run>` is `$GITHUB_RUN_ID`, or `local`).
 //! * `--baseline PATH` compare the CI-tracked sweep against a committed
-//!   baseline report and exit non-zero if a tracked metric (modeled wall
-//!   time, page loads, invalidated pages) regressed more than 10%; the
+//!   baseline report and exit non-zero if a gated metric of
+//!   `report::METRICS` (modeled wall time, page loads, invalidated pages;
+//!   throughput and p99 on serving rows) regressed past its limit; the
 //!   per-app delta table is appended to `$GITHUB_STEP_SUMMARY` when that
 //!   variable is set.
 //! * `--runs N`    repeat the CI-tracked sweep N times and report the
-//!   per-row envelope (max of each tracked metric) — used when refreshing
+//!   per-row envelope (worst of each tracked metric) — used when refreshing
 //!   `bench/baseline.json` so the dynamically scheduled apps' run-to-run
 //!   spread is captured.  With `--audit`: runs per cell (default 5).
 //! * `--audit`     the keep-or-cut audit: every app × protocol × transport
@@ -55,10 +55,9 @@ use hyperion::prelude::*;
 use hyperion::FaultSpec;
 use hyperion_apps::common::BenchmarkName;
 use hyperion_bench::{
-    bench_report_rows, improvement_summary, report, sweep_adaptive, sweep_audit, sweep_chaos,
-    sweep_directory, sweep_figure, sweep_modeled_vs_measured, sweep_serving, sweep_transport,
-    table1_modules, table2_primitives, threshold_ablation, FigureRow, Scale, ADAPTIVE_FIGURE,
-    DIRECTORY_FIGURE, SERVING_FIGURE, TRANSPORT_FIGURE,
+    bench_report_rows, extension_figure, figure_range, improvement_summary, paper_figure, report,
+    sweep_audit, sweep_chaos, sweep_figure, sweep_modeled_vs_measured, table1_modules,
+    table2_primitives, FigureRow, Scale,
 };
 
 struct Options {
@@ -94,11 +93,15 @@ fn parse_args() -> Options {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--fig" => {
+                let range = figure_range();
                 let n: usize = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .filter(|n| (1..=SERVING_FIGURE).contains(n))
-                    .unwrap_or_else(|| die("--fig needs a number between 1 and 9"));
+                    .filter(|n| range.contains(n))
+                    .unwrap_or_else(|| {
+                        let (first, last) = (range.start(), range.end());
+                        die(&format!("--fig needs a number between {first} and {last}"))
+                    });
                 opts.figures.push(n);
                 any_selector = true;
             }
@@ -186,192 +189,6 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn figure_name(n: usize) -> BenchmarkName {
-    BenchmarkName::all()
-        .into_iter()
-        .find(|b| b.figure() == n)
-        .expect("figure number in 1..=5")
-}
-
-/// Figure 6: the ic/pf/ad comparison plus a small ablation of the adaptive
-/// switching threshold.
-fn print_adaptive_figure(scale: Scale) -> Vec<FigureRow> {
-    let rows = sweep_adaptive(scale);
-    println!(
-        "== Figure 6 (extension): java_ic vs java_pf vs java_ad, {} nodes ==",
-        hyperion_bench::ADAPTIVE_NODES
-    );
-    println!(
-        "{:<12} {:<16} {:<8} {:>12} {:>12} {:>10} {:>10} {:>9} {:>9}",
-        "App",
-        "Cluster",
-        "protocol",
-        "exec (s)",
-        "page_loads",
-        "checks",
-        "faults",
-        "batches",
-        "switches"
-    );
-    for r in &rows {
-        println!(
-            "{:<12} {:<16} {:<8} {:>12.4} {:>12} {:>10} {:>10} {:>9} {:>9}",
-            r.app.to_string(),
-            r.cluster,
-            r.protocol.to_string(),
-            r.seconds,
-            r.stats.page_loads,
-            r.stats.locality_checks,
-            r.stats.page_faults,
-            r.stats.batched_fetches,
-            r.stats.protocol_switches,
-        );
-    }
-    println!();
-    println!("-- switching-threshold ablation (java_ad, Jacobi, hi multiple of break-even) --");
-    for (hi, row) in threshold_ablation(BenchmarkName::Jacobi, scale, &[0.25, 0.5, 1.0, 2.0, 4.0]) {
-        println!(
-            "hi = {hi:>5.2} * n_star: exec {:>10.4}s  checks {:>8}  faults {:>6}  switches {:>4}",
-            row.seconds,
-            row.stats.locality_checks,
-            row.stats.page_faults,
-            row.stats.protocol_switches,
-        );
-    }
-    println!();
-    rows
-}
-
-/// Figure 7: the split-transaction transport against the blocking one —
-/// overlapped fetches on the barrier apps.
-fn print_transport_figure(scale: Scale) -> Vec<FigureRow> {
-    let pairs = sweep_transport(scale);
-    println!(
-        "== Figure 7 (extension): latency-hiding transport, {} nodes ==",
-        hyperion_bench::ADAPTIVE_NODES
-    );
-    println!(
-        "{:<12} {:<10} {:<14} {:>12} {:>10} {:>10} {:>14}",
-        "App", "mechanism", "variant", "exec (s)", "diffs", "batched", "hidden cycles"
-    );
-    let mut rows = Vec::new();
-    for pair in pairs {
-        for r in [&pair.baseline, &pair.enabled] {
-            println!(
-                "{:<12} {:<10} {:<14} {:>12.4} {:>10} {:>10} {:>14}",
-                r.app.to_string(),
-                pair.mechanism,
-                r.protocol_label(),
-                r.seconds,
-                r.stats.diff_messages,
-                r.stats.batched_flushes,
-                r.stats.fetch_overlap_cycles_hidden,
-            );
-        }
-        rows.push(pair.baseline);
-        rows.push(pair.enabled);
-    }
-    println!();
-    rows
-}
-
-/// Figure 8: what deferred release flushing adds to figure 7's
-/// split-transaction transport (which makes it `directory()`), plus the
-/// deferred-only comparison on all five apps.
-fn print_directory_figure(scale: Scale) -> Vec<FigureRow> {
-    let pairs = sweep_directory(scale);
-    println!(
-        "== Figure 8 (extension): deferred release flushing, {} nodes ==",
-        hyperion_bench::ADAPTIVE_NODES
-    );
-    println!(
-        "{:<12} {:<11} {:<14} {:>12} {:>7} {:>9} {:>8} {:>9} {:>14}",
-        "App",
-        "mechanism",
-        "variant",
-        "exec (s)",
-        "stride",
-        "completed",
-        "wasted",
-        "deferred",
-        "flush hidden"
-    );
-    let mut rows = Vec::new();
-    for pair in pairs {
-        for r in [&pair.baseline, &pair.enabled] {
-            println!(
-                "{:<12} {:<11} {:<14} {:>12.4} {:>7} {:>9} {:>8} {:>9} {:>14}",
-                r.app.to_string(),
-                pair.mechanism,
-                r.protocol_label(),
-                r.seconds,
-                r.stats.stride_fetches_issued,
-                r.stats.stride_fetches_completed,
-                r.stats.stride_fetches_wasted,
-                r.stats.deferred_flushes,
-                r.stats.flush_overlap_cycles_hidden,
-            );
-        }
-        rows.push(pair.baseline);
-        rows.push(pair.enabled);
-    }
-    println!();
-    rows
-}
-
-/// Figure 9: the serving-workload family — the Zipf-skewed sharded KV store
-/// and the PageRank kernel — under all three protocols, reported as
-/// throughput and modeled p99 per operation next to the usual counters.
-fn print_serving_figure(scale: Scale) -> Vec<FigureRow> {
-    let rows = sweep_serving(scale);
-    println!(
-        "== Figure 9 (extension): serving workloads (Zipf KV store, PageRank), {} nodes ==",
-        hyperion_bench::ADAPTIVE_NODES
-    );
-    println!(
-        "{:<10} {:<14} {:>12} {:>12} {:>12} {:>12} {:>11} {:>12} {:>8} {:>8} {:>8} {:>7} {:>8} {:>10} {:>10} {:>14}",
-        "App",
-        "variant",
-        "exec (s)",
-        "ops",
-        "ops/s",
-        "p99 (us)",
-        "page_loads",
-        "revalidated",
-        "patched",
-        "riders",
-        "opened",
-        "stride",
-        "wasted",
-        "home busy",
-        "queue wait",
-        "mon wait (ms)"
-    );
-    for r in &rows {
-        println!(
-            "{:<10} {:<14} {:>12.4} {:>12} {:>12.0} {:>12.1} {:>11} {:>12} {:>8} {:>8} {:>8} {:>7} {:>8} {:>9.2}% {:>9.2}% {:>14.3}",
-            r.app.to_string(),
-            r.protocol_label(),
-            r.seconds,
-            r.stats.serving_ops,
-            r.serving_ops_per_s(),
-            r.serving_p99_us,
-            r.stats.page_loads,
-            r.stats.pages_revalidated,
-            r.stats.pages_patched,
-            r.stats.validation_riders,
-            r.stats.rider_opens,
-            r.stats.stride_fetches_issued,
-            r.stats.stride_fetches_wasted,
-            r.peak_home_util * 100.0,
-            r.peak_home_queue_wait * 100.0,
-            r.stats.monitor_wait_ps as f64 / 1e9,
-        );
-    }
-    println!();
-    rows
-}
-
 /// The `--audit` path: one line per (app, protocol, preset) cell, printed
 /// as the cell completes.
 fn run_audit(scale: Scale, runs: usize) {
@@ -450,13 +267,13 @@ fn run_bench_report(opts: &Options) -> bool {
             return true;
         }
     };
-    let regressions = report::compare_to_baseline(&rows, &baseline, report::DEFAULT_TOLERANCE);
+    let findings = report::compare_to_baseline(&rows, &baseline, report::DEFAULT_TOLERANCE);
     // Surface the per-app deltas where a CI reader will see them: the job's
     // step summary (or an explicit --summary path), not just an opaque
     // pass/fail exit code.
-    let summary = report::markdown_summary(&rows, &baseline, &regressions);
+    let summary = report::markdown_summary(&rows, &baseline, &findings);
     report::append_step_summary(&summary);
-    if regressions.is_empty() {
+    if findings.is_empty() {
         println!(
             "baseline gate: {} rows within {:.0}% of {baseline_path}",
             baseline.len(),
@@ -465,8 +282,8 @@ fn run_bench_report(opts: &Options) -> bool {
         false
     } else {
         eprintln!("baseline gate FAILED against {baseline_path}:");
-        for r in &regressions {
-            eprintln!("  {r}");
+        for finding in &findings {
+            eprintln!("  {finding}");
         }
         true
     }
@@ -598,21 +415,15 @@ fn print_claims(all_rows: &[FigureRow]) {
 
 fn write_csv(dir: &str, rows: &[FigureRow]) {
     let fig = rows.first().map(|r| r.figure).unwrap_or(0);
-    let app = if fig == SERVING_FIGURE {
-        "serving".to_string()
-    } else if fig == DIRECTORY_FIGURE {
-        "directory".to_string()
-    } else if fig == TRANSPORT_FIGURE {
-        "transport".to_string()
-    } else if fig == ADAPTIVE_FIGURE {
-        "adaptive".to_string()
-    } else {
-        rows.first()
+    let slug = match extension_figure(fig) {
+        Some(figure) => figure.slug.to_string(),
+        None => rows
+            .first()
             .map(|r| r.app.to_string().to_lowercase().replace('-', "_"))
-            .unwrap_or_default()
+            .unwrap_or_default(),
     };
     std::fs::create_dir_all(dir).expect("create output directory");
-    let path = format!("{dir}/fig{fig}_{app}.csv");
+    let path = format!("{dir}/fig{fig}_{slug}.csv");
     let mut file = std::fs::File::create(&path).expect("create CSV file");
     writeln!(file, "{}", FigureRow::csv_header()).expect("write CSV header");
     for row in rows {
@@ -634,16 +445,13 @@ fn main() {
 
     let mut all_rows = Vec::new();
     for &fig in &opts.figures {
-        let rows = if fig == SERVING_FIGURE {
-            print_serving_figure(opts.scale)
-        } else if fig == DIRECTORY_FIGURE {
-            print_directory_figure(opts.scale)
-        } else if fig == TRANSPORT_FIGURE {
-            print_transport_figure(opts.scale)
-        } else if fig == ADAPTIVE_FIGURE {
-            print_adaptive_figure(opts.scale)
+        let rows = if let Some(figure) = extension_figure(fig) {
+            let (text, rows) = figure.report(opts.scale);
+            print!("{text}");
+            rows
         } else {
-            let rows = sweep_figure(figure_name(fig), opts.scale);
+            let app = paper_figure(fig).expect("--fig range is the paper's figures plus FIGURES");
+            let rows = sweep_figure(app, opts.scale);
             print_figure(&rows);
             rows
         };
