@@ -2,9 +2,12 @@
 //!
 //! This is where a run is described, and the only place: a
 //! [`ProtocolKind`], its [`AdaptiveParams`] and a [`TransportConfig`] are
-//! plain data.  [`crate::policy`] checks the description
-//! ([`TransportConfig::validate`]) and turns it into the policy objects the
-//! engine consults ([`crate::policy::PolicySet::build`]).
+//! plain data, checked here ([`AdaptiveParams::validate`],
+//! [`TransportConfig::validate`]: an illegal combination is a typed
+//! [`PolicyError`] before any cluster state exists).  The engine reads them
+//! directly: the protocol and its parameters select the access detection
+//! ([`crate::detection`]), the transport flags the flush placement and the
+//! replication the RPC services perform.
 
 use hyperion_model::VTime;
 use hyperion_pm2::{FaultSpec, NodeId, RetryPolicy, TransportBackend};
@@ -88,6 +91,21 @@ impl Default for AdaptiveParams {
     }
 }
 
+impl AdaptiveParams {
+    /// Reject illegal tunables (they are checked for every run, whichever
+    /// protocol is selected, so a sweep harness fails fast).
+    pub fn validate(&self) -> Result<(), PolicyError> {
+        if self.max_batch_pages == 0 {
+            return Err(PolicyError::ZeroAdaptiveBatch);
+        }
+        if self.hi_multiple <= 0.0 || self.lo_multiple < 0.0 || self.lo_multiple >= self.hi_multiple
+        {
+            return Err(PolicyError::InvalidHysteresis);
+        }
+        Ok(())
+    }
+}
+
 /// Configuration of the transport layer: how the wire path overlaps with
 /// compute, which backend carries it, and the fault and replication
 /// settings around it.
@@ -110,11 +128,10 @@ pub struct TransportConfig {
     /// Largest number of contiguous same-home dirty pages one diff-flush
     /// RPC may carry at `updateMainMemory`; 1 disables batched flushing.
     pub max_flush_batch_pages: usize,
-    /// Deferred release flushing ([`crate::policy::DeferredFlush`]):
-    /// `updateMainMemory` at a monitor exit hands its coalesced diff
-    /// batches to a per-monitor deferred-flush queue as split transactions;
-    /// the flush only has to complete before the *next acquire of the same
-    /// monitor*, which is where the residual latency is charged (the JMM's
+    /// Deferred release flushing: `updateMainMemory` at a monitor exit
+    /// hands its coalesced diff batches to a per-monitor deferred-flush
+    /// queue as split transactions; the flush only has to complete before
+    /// the *next acquire of the same monitor*, which is where the residual latency is charged (the JMM's
     /// release/acquire edge is exactly per-monitor, so deferring to the
     /// hand-off preserves happens-before).  Release points with
     /// thread-level edges (`Thread.start`, `join`, program exit) always flush blocking.  Off by default.
@@ -136,9 +153,12 @@ pub struct TransportConfig {
     /// `None` (default) leaves the transport untouched.
     pub fault: Option<FaultSpec>,
     /// `(r, w)`: number of replicated read-homes kept per page and the
-    /// write quorum a diff must reach, home included
-    /// ([`crate::policy::QuorumReplication`]; `1 <= w <= r + 1`).  `None`
-    /// (default) keeps no replicas.
+    /// write quorum a diff must reach, home included (`1 <= w <= r + 1`).
+    /// A home serving a fetch registers the reader as one of up to `r`
+    /// replica holders, and every diff it applies brings the first `w - 1`
+    /// holders up to date, the shipping charged in the apply's service
+    /// time; recovery elects the newest live holder as an orphaned page's
+    /// next home (`crate::recover`).  `None` (default) keeps no replicas.
     pub replication: Option<(usize, usize)>,
 }
 
@@ -188,10 +208,6 @@ impl TransportConfig {
     }
 
     /// The short label of the fetch-overlap mode (`"ov"` / `"block"`).
-    ///
-    /// Overlap is an engine mechanism, not a policy — in-flight tickets are
-    /// maintained by the engine for whichever policies want them — so its
-    /// label lives here rather than on a policy `name()`.
     pub fn overlap_name(&self) -> &'static str {
         if self.overlapped_fetches {
             "ov"
@@ -199,7 +215,64 @@ impl TransportConfig {
             "block"
         }
     }
+
+    /// Reject illegal settings before any cluster state exists.
+    pub fn validate(&self) -> Result<(), PolicyError> {
+        if self.max_flush_batch_pages == 0 {
+            return Err(PolicyError::ZeroFlushBatch);
+        }
+        if let Some((read_replicas, write_quorum)) = self.replication {
+            if read_replicas == 0 {
+                return Err(PolicyError::ZeroReadReplicas);
+            }
+            if write_quorum == 0 || write_quorum > read_replicas + 1 {
+                return Err(PolicyError::InvalidWriteQuorum);
+            }
+        }
+        Ok(())
+    }
 }
+
+/// An illegal run description, rejected at config-build time.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PolicyError {
+    /// `AdaptiveParams::max_batch_pages` is 0 (1 batches nothing, 0 fetches
+    /// nothing).
+    ZeroAdaptiveBatch,
+    /// The adaptive switching band is not a hysteresis band
+    /// (`0 <= lo_multiple < hi_multiple` is required).
+    InvalidHysteresis,
+    /// A flush with a zero page ceiling would flush nothing (1 disables
+    /// batching).
+    ZeroFlushBatch,
+    /// Quorum replication with zero read replicas keeps no copies to elect
+    /// a new home from.
+    ZeroReadReplicas,
+    /// The write quorum must name at least the home and at most the home
+    /// plus every read replica (`1 <= w <= r + 1`).
+    InvalidWriteQuorum,
+}
+
+impl std::fmt::Display for PolicyError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let msg = match self {
+            PolicyError::ZeroAdaptiveBatch => {
+                "max_batch_pages must be at least 1 (1 batches nothing, 0 fetches nothing)"
+            }
+            PolicyError::InvalidHysteresis => {
+                "switching hysteresis needs 0 <= lo_multiple < hi_multiple"
+            }
+            PolicyError::ZeroFlushBatch => "max_flush_batch_pages must be at least 1",
+            PolicyError::ZeroReadReplicas => "quorum replication needs at least one read replica",
+            PolicyError::InvalidWriteQuorum => {
+                "write quorum must satisfy 1 <= w <= read_replicas + 1"
+            }
+        };
+        f.write_str(msg)
+    }
+}
+
+impl std::error::Error for PolicyError {}
 
 /// One home's contribution to a deferred release flush: when its flush RPC
 /// was issued and when it completes.  Keeping the record *per home* is what

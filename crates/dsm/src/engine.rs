@@ -31,11 +31,11 @@
 //! [`DsmSystem::update_main_memory`], [`DsmSystem::get`] and
 //! [`DsmSystem::put`].
 //!
-//! Every protocol-variable decision is delegated to the [`crate::policy`]
-//! layer: the engine holds a [`PolicySet`] and calls through its traits at
-//! the decision points (access detection, epoch close, flush placement),
-//! while all mechanism — RPC framing, ticket bookkeeping, lock order,
-//! batching loops — lives here and in `fetch.rs` / the RPC services.
+//! Every protocol-variable decision is the access detection's
+//! ([`crate::detection`]): the engine holds the run's `Detection` and asks
+//! it at the decision points (access, install, invalidation, epoch close,
+//! batching), while all mechanism — RPC framing, ticket bookkeeping, lock
+//! order, batching loops — lives here and in `fetch.rs` / the RPC services.
 
 use std::sync::Arc;
 
@@ -43,9 +43,9 @@ use hyperion_model::{NodeStats, ThreadClock};
 use hyperion_pm2::{Cluster, GlobalAddr, Node, NodeId, PageId, ServiceId, SLOTS_PER_PAGE};
 
 use crate::config::{AdaptiveParams, DeferredFlush, Locality, ProtocolKind, TransportConfig};
+use crate::detection::{AdMode, Detection};
 use crate::diff::{decode_diff_reply, encode_diff, encode_diff_batch, DiffEntry};
 use crate::page::PageFrame;
-use crate::policy::{resolve_marks, AccessAction, PolicySet};
 use crate::riders::{rider_worth, NodeFetchState};
 use crate::services::{DiffApplyService, PageFetchService};
 use crate::table::DsmStore;
@@ -54,12 +54,7 @@ use crate::table::DsmStore;
 pub struct DsmSystem {
     pub(crate) cluster: Arc<Cluster>,
     pub(crate) store: Arc<DsmStore>,
-    pub(crate) kind: ProtocolKind,
-    /// The `(hi, lo)` marks the adaptive parameters resolve to on this
-    /// cluster's machine — reported by [`DsmSystem::adaptive_thresholds`]
-    /// for every protocol (tools and sweeps query them regardless of kind).
-    pub(crate) configured_marks: (u64, u64),
-    pub(crate) policies: PolicySet,
+    pub(crate) detection: Detection,
     pub(crate) transport: TransportConfig,
     /// Per node: what the fetch mechanics remember between fetches (recent
     /// pages per home, windowed accuracy gates; see `riders.rs`).
@@ -87,9 +82,7 @@ impl DsmSystem {
 
     /// Build a DSM system with explicit adaptive-protocol parameters (they
     /// are resolved against the cluster's machine model and ignored by
-    /// `java_ic` / `java_pf`) and an explicit transport configuration.  The
-    /// policy objects are built from that description
-    /// ([`PolicySet::build`]).
+    /// `java_ic` / `java_pf`) and an explicit transport configuration.
     pub fn with_config(
         cluster: Arc<Cluster>,
         store: Arc<DsmStore>,
@@ -97,30 +90,28 @@ impl DsmSystem {
         params: &AdaptiveParams,
         transport: &TransportConfig,
     ) -> Arc<Self> {
-        let policies = PolicySet::build(kind, params, transport, cluster.machine());
+        let detection = Detection::new(kind, params, cluster.machine());
         let cpu = cluster.machine().cpu.clone();
         let dsm = cluster.machine().dsm.clone();
-        let configured_marks = resolve_marks(params, cluster.machine().adaptive_break_even());
+        let replication = transport.replication;
         let page_fetch = cluster.register_service(Arc::new(PageFetchService {
             store: Arc::clone(&store),
             cpu: cpu.clone(),
             dsm: dsm.clone(),
-            replication: Arc::clone(&policies.replication),
+            replication,
         }));
         let diff_apply = cluster.register_service(Arc::new(DiffApplyService {
             store: Arc::clone(&store),
             cpu,
             dsm,
-            replication: Arc::clone(&policies.replication),
+            replication,
         }));
         let nodes = cluster.num_nodes();
         let rider_worth = rider_worth(cluster.machine());
         Arc::new(DsmSystem {
             cluster,
             store,
-            kind,
-            configured_marks,
-            policies,
+            detection,
             transport: transport.clone(),
             fetch_state: (0..nodes).map(|_| NodeFetchState::new(nodes)).collect(),
             rider_worth,
@@ -132,19 +123,14 @@ impl DsmSystem {
     /// The protocol this system runs.
     #[inline]
     pub fn kind(&self) -> ProtocolKind {
-        self.kind
-    }
-
-    /// The policy objects this engine consults.
-    #[inline]
-    pub fn policies(&self) -> &PolicySet {
-        &self.policies
+        self.detection.kind
     }
 
     /// The resolved `java_ad` switching thresholds `(hi, lo)` in absolute
-    /// accesses-per-epoch (for tests, tools and the ablation benchmarks).
+    /// accesses-per-epoch (for tests, tools and the ablation benchmarks;
+    /// reported for every protocol).
     pub fn adaptive_thresholds(&self) -> (u64, u64) {
-        self.configured_marks
+        self.detection.marks()
     }
 
     /// The transport configuration of this system.
@@ -298,7 +284,7 @@ impl DsmSystem {
         // An explicit prefetch is not an access: it leaves the page's epoch
         // statistics alone.  The mprotect that opens the page is only due if
         // the page was protection-detected.
-        let unprotect = self.policies.detection.unprotect_on_install(&frame);
+        let unprotect = self.detection.technique(&frame) == AdMode::Protect;
         let fetched = self.fetch_pages(
             node, node_ref, clock, page, &frame, unprotect, 1, false, true,
         );
@@ -321,7 +307,7 @@ impl DsmSystem {
             if frame.is_home() || (frame.is_present() && !frame.is_protected()) {
                 continue;
             }
-            let unprotect = self.policies.detection.unprotect_on_install(&frame);
+            let unprotect = self.detection.technique(&frame) == AdMode::Protect;
             let span = (pages - k) as usize;
             let fetched = self.fetch_pages(
                 node, node_ref, clock, page, &frame, unprotect, span, false, false,
@@ -343,7 +329,6 @@ impl DsmSystem {
         let fetch_state = &self.fetch_state[node.index()];
         fetch_state.begin_invalidate();
 
-        let detection = &self.policies.detection;
         let mut cached: Vec<(PageId, Arc<PageFrame>)> = Vec::new();
         let mut switches = 0u64;
         let mut wasted = 0u64;
@@ -351,15 +336,11 @@ impl DsmSystem {
             if frame.is_home() {
                 return;
             }
-            let outcome = detection.on_epoch_close(frame);
-            if outcome.switched {
-                switches += 1;
-            }
-            if outcome.wasted_prefetch {
-                wasted += 1;
-            }
+            let (switched, wasted_prefetch) = self.detection.close_epoch(frame);
+            switches += u64::from(switched);
+            wasted += u64::from(wasted_prefetch);
             if frame.is_present() {
-                cached.push((page, self.store.frame(node, page)));
+                cached.push((page, Arc::clone(frame)));
             }
         });
 
@@ -396,7 +377,7 @@ impl DsmSystem {
         let mut reprotected = false;
         let mut stride_waste = 0u64;
         for (_, frame) in &cached {
-            let reprotect = detection.reprotect_on_invalidate(frame);
+            let reprotect = self.detection.technique(frame) == AdMode::Protect;
             reprotected |= reprotect;
             // A stride ticket still pending here means the predicted demand
             // miss never came: the prefetch was wasted.  The count feeds the
@@ -442,7 +423,7 @@ impl DsmSystem {
         let mut dirty: Vec<(PageId, Arc<PageFrame>)> = Vec::new();
         self.store.for_each_frame(node, |page, frame| {
             if !frame.is_home() && frame.has_dirty_slots() {
-                dirty.push((page, self.store.frame(node, page)));
+                dirty.push((page, Arc::clone(frame)));
             }
         });
         dirty
@@ -456,14 +437,14 @@ impl DsmSystem {
     /// that is exactly the happens-before edge the JMM requires of a
     /// release, so deferring to the hand-off is semantics-preserving.
     ///
-    /// With a non-deferring [`crate::policy::FlushPolicy`] (or nothing
-    /// dirty) this falls back to the blocking flush and returns `None`.
+    /// Without [`TransportConfig::deferred_flush`] (or with nothing dirty)
+    /// this falls back to the blocking flush and returns `None`.
     pub fn update_main_memory_deferred(
         &self,
         node: NodeId,
         clock: &mut ThreadClock,
     ) -> Option<DeferredFlush> {
-        if !self.policies.flush.defers_release() {
+        if !self.transport.deferred_flush {
             self.update_main_memory(node, clock);
             return None;
         }
@@ -493,12 +474,12 @@ impl DsmSystem {
 
     // ----- internal helpers ------------------------------------------------
 
-    /// Apply the protocol's access-detection policy for one access.
+    /// Apply the protocol's access detection for one access.
     ///
     /// `bulk_pages` is the number of consecutive pages (including this one)
     /// the caller is certain to touch — 1 for scalar `get`/`put`, the
     /// remaining page span for bulk slice transfers.  Only batching
-    /// detection policies consult it, to size batched fetches.
+    /// detection (`java_ad`) consults it, to size batched fetches.
     pub(crate) fn ensure_access(
         &self,
         node: NodeId,
@@ -512,21 +493,18 @@ impl DsmSystem {
         // merge the completion timestamp (the residual latency) before the
         // access proceeds.
         self.complete_inflight(node_ref, clock, frame);
-        match self
-            .policies
-            .detection
-            .on_access(&node_ref.stats, clock, frame)
-        {
-            AccessAction::Granted => Ok(()),
-            AccessAction::Fetch { unprotect } => self.fetch_pages(
-                node, node_ref, clock, page, frame, unprotect, bulk_pages, true, true,
-            ),
-        }
+        let Some(technique) = self.detection.on_access(&node_ref.stats, clock, frame) else {
+            return Ok(());
+        };
+        let unprotect = technique == AdMode::Protect;
+        self.fetch_pages(
+            node, node_ref, clock, page, frame, unprotect, bulk_pages, true, true,
+        )
     }
 
     /// Flush the dirty slots of `dirty` (page-id ordered) to their home
     /// nodes, coalescing runs of contiguous same-home pages into one diff
-    /// RPC (up to [`crate::policy::FlushPolicy::max_batch_pages`]) exactly
+    /// RPC (up to [`TransportConfig::max_flush_batch_pages`]) exactly
     /// like batched page fetches coalesce the opposite direction.
     pub(crate) fn flush_frames(
         &self,
@@ -553,7 +531,7 @@ impl DsmSystem {
         deferred: bool,
     ) -> Result<Option<DeferredFlush>, crate::recover::RpcFailure> {
         let machine = self.cluster.machine();
-        let max_batch = self.policies.flush.max_batch_pages().max(1);
+        let max_batch = self.transport.max_flush_batch_pages.max(1);
         let mut marks: Vec<crate::config::HomeFlushMark> = Vec::new();
         let mut i = 0usize;
         while i < dirty.len() {
@@ -658,7 +636,7 @@ impl DsmSystem {
 impl std::fmt::Debug for DsmSystem {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DsmSystem")
-            .field("protocol", &self.kind.name())
+            .field("protocol", &self.detection.kind.name())
             .field("nodes", &self.cluster.num_nodes())
             .field("pages", &self.store.allocator().num_pages())
             .finish()

@@ -10,16 +10,16 @@
 //!
 //! This is a second `impl DsmSystem` block (split out of `engine.rs` to
 //! keep the engine readable): everything here is mechanism — RPC framing,
-//! fetch-lock order, ticket bookkeeping — parameterised by the policy
-//! decisions ([`crate::policy::DetectionPolicy::fetch_batching`],
-//! [`crate::policy::DetectionPolicy::predicts_reaccess`]) that the engine
-//! already resolved.
+//! fetch-lock order, ticket bookkeeping — parameterised by the detection's
+//! decisions (batch ceiling, re-access prediction, the technique that says
+//! whether an installed copy must be opened; see [`crate::detection`]).
 
 use std::sync::Arc;
 
 use hyperion_model::{NodeStats, ThreadClock, VTime};
 use hyperion_pm2::{Node, NodeId, PageId};
 
+use crate::detection::AdMode;
 use crate::diff::{decode_fetch_reply, encode_fetch_request, PageReply};
 use crate::engine::DsmSystem;
 use crate::page::PageFrame;
@@ -150,7 +150,7 @@ impl DsmSystem {
             if frame.is_present() {
                 continue;
             }
-            let unprotect = self.policies.detection.unprotect_on_install(&frame);
+            let unprotect = self.detection.technique(&frame) == AdMode::Protect;
             let Ok((_, mut completion)) = self.fetch_run(node_ref, clock, home, page, &[&frame])
             else {
                 // The prefetch is an optimisation, so it degrades gracefully:
@@ -178,8 +178,8 @@ impl DsmSystem {
         }
     }
 
-    /// Bring `page` into the local cache from its home node and, under a
-    /// batching detection policy (`java_ad`), opportunistically batch a run
+    /// Bring `page` into the local cache from its home node and, under
+    /// batching detection (`java_ad`), opportunistically batch a run
     /// of contiguous successor pages into the same RPC.
     ///
     /// `demand` distinguishes a fetch triggered by an access (the access is
@@ -192,12 +192,11 @@ impl DsmSystem {
     /// page's home, is currently absent, and is either *certain* to be
     /// touched (it lies inside the `bulk_pages` of the access that triggered
     /// the miss) or *predicted* to be touched (`speculate` is set — span
-    /// prefetches clear it — and the detection policy's
-    /// [`predicts_reaccess`](crate::policy::DetectionPolicy::predicts_reaccess)
-    /// says its epoch history shows stable re-access).  The second
-    /// condition is what keeps batched fetches from inflating page loads:
-    /// only pages with demonstrated per-epoch re-access are speculated on.
-    /// Without a batching policy the window is the demanded page alone.
+    /// prefetches clear it — and the detection predicts re-access from its
+    /// epoch history).  The second condition is what keeps batched fetches
+    /// from inflating page loads: only pages with demonstrated per-epoch
+    /// re-access are speculated on.  Without batching detection the window
+    /// is the demanded page alone.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn fetch_pages(
         &self,
@@ -223,7 +222,7 @@ impl DsmSystem {
             drop(guard);
             return Ok(());
         }
-        let max_batch = self.policies.detection.fetch_batching().unwrap_or(1);
+        let max_batch = self.detection.batch_ceiling();
 
         // Speculation is throttled by its own measured accuracy: while more
         // than 1/16 of the node's recent *speculative* prefetches turned out
@@ -248,7 +247,7 @@ impl DsmSystem {
                 break;
             }
             let certain = (k as usize) < bulk_pages;
-            let predicted = may_speculate && self.policies.detection.predicts_reaccess(&qf);
+            let predicted = may_speculate && self.detection.predicts_reaccess(&qf);
             if !certain && !predicted {
                 break;
             }
@@ -298,9 +297,9 @@ impl DsmSystem {
             if qf.is_home() {
                 continue;
             }
-            riders_protected |= qf.ad_mode() == crate::page::AdMode::Protect;
+            riders_protected |= self.detection.technique(qf) == AdMode::Protect;
             if *speculative {
-                qf.ad_mark_prefetched();
+                qf.ad().mark_prefetched();
                 speculative_riders += 1;
             }
         }

@@ -3,7 +3,7 @@
 //! A Rust re-implementation of the **DSM-PM2** layer used by Hyperion in
 //! *"Remote object detection in cluster-based Java"* (Antoniu & Hatcher,
 //! JavaPDC/IPDPS 2001): a page-based, home-based distributed shared memory
-//! with pluggable access-detection, providing the five primitives of the
+//! with per-protocol access detection, providing the five primitives of the
 //! paper's Table 2 (`loadIntoCache`, `invalidateCache`, `updateMainMemory`,
 //! `get`, `put`).
 //!
@@ -23,17 +23,17 @@
 //! * [`table`] — per-node frame tables and the cluster-wide [`DsmStore`];
 //! * [`diff`] — wire encoding of field-granularity diffs and (from
 //!   `fetch_wire`) of page fetches;
-//! * [`config`] — protocol / transport configuration data: the one place
-//!   a run is described;
-//! * [`policy`] — the pluggable policy traits ([`policy::DetectionPolicy`],
-//!   [`policy::FlushPolicy`], [`policy::ReplicationPolicy`]), their
-//!   implementations, and the
-//!   validation and construction of a run's description;
+//! * [`config`] — protocol / transport configuration data and its
+//!   validation: the one place a run is described;
+//! * [`detection`] — how each protocol detects remote accesses, the one
+//!   thing they differ in (one technique per page, the `java_ad` state
+//!   machine, and the JMM obligations every decision keeps);
 //! * [`engine`] — the [`DsmSystem`] protocol engine (with its fetch
 //!   mechanics in `fetch`, the validation riders those fetches carry in
 //!   `riders`, the accuracy gate both throttle themselves on in `gate`, and
-//!   its RPC services in `services`), which calls through the
-//!   policy traits at every decision point;
+//!   its RPC services in `services`, which keep replicas and run quorum
+//!   writes under replication), which asks the detection at every
+//!   decision point and reads the flush placement off the transport;
 //! * [`recover`] — the fault plane's DSM side: bounded retry with
 //!   exponential backoff on the RPC path and node-failure recovery
 //!   (re-electing homes for a dead node's pages from the replication
@@ -43,6 +43,7 @@
 #![deny(unsafe_code)]
 
 pub mod config;
+pub mod detection;
 pub mod diff;
 pub mod engine;
 mod fetch;
@@ -50,21 +51,18 @@ mod fetch_wire;
 mod gate;
 mod oracle;
 pub mod page;
-pub mod policy;
 pub mod recover;
 mod riders;
 mod services;
 pub mod table;
 
 pub use config::{
-    AdaptiveParams, DeferredFlush, HomeFlushMark, Locality, ProtocolKind, TransportConfig,
+    AdaptiveParams, DeferredFlush, HomeFlushMark, Locality, PolicyError, ProtocolKind,
+    TransportConfig,
 };
+pub use detection::AdMode;
 pub use engine::DsmSystem;
 pub use hyperion_pm2::TransportBackend;
-pub use page::{AdMode, PageData, PageFrame};
-// `policy` is deliberately not wildcard re-exported at the crate root: the
-// deferred-flush *policy* (`policy::DeferredFlush`) would collide with the
-// deferred-flush *record* (`DeferredFlush`) above.  Use `policy::...` paths.
-pub use policy::{PolicyError, PolicySet};
+pub use page::{PageData, PageFrame};
 pub use recover::RpcFailure;
 pub use table::DsmStore;

@@ -78,6 +78,8 @@ use std::sync::OnceLock;
 use hyperion_pm2::SLOTS_PER_PAGE;
 use parking_lot::Mutex;
 
+use crate::detection::AdState;
+
 /// Number of 64-bit words in the per-page dirty bitmap.
 pub const DIRTY_WORDS: usize = SLOTS_PER_PAGE / 64;
 
@@ -111,52 +113,18 @@ struct History {
     steps: [SlotSet; HISTORY_DEPTH],
 }
 
-/// Which access-detection technique a `java_ad` frame currently uses.
-///
-/// The adaptive protocol runs a per-page state machine between the paper's
-/// two techniques: a page in [`AdMode::Check`] is detected with `java_ic`
-/// style in-line checks (cheap when the page is touched sparsely after each
-/// invalidation), a page in [`AdMode::Protect`] is detected with `java_pf`
-/// style page protection (free for dense re-access).  Transitions happen
-/// only at cache invalidation, when the cached copy is dropped anyway, so a
-/// switch can never expose stale data — this is what keeps the §3.1 JMM
-/// semantics intact across mid-run protocol transitions.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum AdMode {
-    /// In-line locality check on every access (`java_ic` mechanics).
-    Check,
-    /// Page protection + fault on first access (`java_pf` mechanics).
-    Protect,
-}
-
-impl AdMode {
-    fn from_u8(v: u8) -> AdMode {
-        if v == 0 {
-            AdMode::Check
-        } else {
-            AdMode::Protect
-        }
-    }
-
-    fn as_u8(self) -> u8 {
-        match self {
-            AdMode::Check => 0,
-            AdMode::Protect => 1,
-        }
-    }
-}
-
 /// The backing store of one page on one node: 512 atomic 8-byte slots.
 #[derive(Debug)]
 pub struct PageData {
-    slots: Box<[AtomicU64]>,
+    /// Fixed-size, so a frame holds a thin pointer.
+    slots: Box<[AtomicU64; SLOTS_PER_PAGE]>,
 }
 
 impl PageData {
     /// A zero-filled page.
     pub fn zeroed() -> Self {
         PageData {
-            slots: (0..SLOTS_PER_PAGE).map(|_| AtomicU64::new(0)).collect(),
+            slots: Box::new(std::array::from_fn(|_| AtomicU64::new(0))),
         }
     }
 
@@ -223,24 +191,8 @@ pub struct PageFrame {
     /// Serialises page fetches for this frame so concurrent faulting threads
     /// on one node perform a single load.
     fetch_lock: Mutex<()>,
-    /// `java_ad` detection mode of this frame (ignored by `java_ic`/`java_pf`).
-    ad_mode: AtomicU8,
-    /// `java_ad`: accesses observed since the last cache invalidation.
-    ad_epoch_accesses: AtomicU64,
-    /// `java_ad`: accesses observed during the previous invalidation epoch.
-    ad_last_epoch_accesses: AtomicU64,
-    /// `java_ad`: exponentially smoothed accesses-per-epoch
-    /// (`avg ← (3·avg + closed) / 4` at each rotation).  The smoothing keeps
-    /// one spiky epoch from flipping a page's detection technique.
-    ad_avg_accesses: AtomicU64,
-    /// `java_ad`: true if the current copy was installed speculatively by a
-    /// batched fetch and has not been accessed yet.  Still set when the copy
-    /// is invalidated ⇒ the prefetch was wasted.
-    ad_prefetched: AtomicBool,
-    /// `java_ad`: consecutive completed epochs (ending with the previous
-    /// one) in which the page was accessed at least once.  Used to gate the
-    /// prefetch window of batched fetches on re-access stability.
-    ad_epoch_streak: AtomicU64,
+    /// `java_ad`'s per-page detection state (see `crate::detection`).
+    ad: AdState,
     /// Split-transaction transport: virtual completion time (picoseconds) of
     /// an in-flight fetch whose data is installed but whose latency has not
     /// been charged yet.  Zero means no transaction is in flight.
@@ -275,12 +227,7 @@ impl PageFrame {
             version: AtomicU64::new(u64::from(home)),
             dirty: std::array::from_fn(|_| AtomicU64::new(0)),
             fetch_lock: Mutex::new(()),
-            ad_mode: AtomicU8::new(AdMode::Check.as_u8()),
-            ad_epoch_accesses: AtomicU64::new(0),
-            ad_last_epoch_accesses: AtomicU64::new(0),
-            ad_avg_accesses: AtomicU64::new(0),
-            ad_prefetched: AtomicBool::new(false),
-            ad_epoch_streak: AtomicU64::new(0),
+            ad: AdState::default(),
             inflight_completion_ps: AtomicU64::new(0),
             inflight_issue_ps: AtomicU64::new(0),
             inflight_hinted: AtomicBool::new(false),
@@ -296,8 +243,7 @@ impl PageFrame {
 
     /// Create the frame for a page on a non-home node: absent and (for
     /// `java_pf`) access-protected, exactly as §3.3 describes the initial
-    /// state.  Under `java_ad` fresh remote frames start in [`AdMode::Check`]
-    /// — the cheap technique for a page whose re-access density is unknown.
+    /// state.
     pub fn new_remote() -> Self {
         Self::new(false, false, true)
     }
@@ -533,79 +479,10 @@ impl PageFrame {
         self.dirty[slot / 64].load(Ordering::Relaxed) & (1u64 << (slot % 64)) != 0
     }
 
-    // ----- java_ad per-page state machine -----------------------------------
-
-    /// Current `java_ad` detection mode of this frame.
+    /// The frame's `java_ad` detection state.
     #[inline]
-    pub fn ad_mode(&self) -> AdMode {
-        AdMode::from_u8(self.ad_mode.load(Ordering::Relaxed))
-    }
-
-    /// Flip the `java_ad` detection mode.  Only meaningful at invalidation
-    /// time, when the frame holds no valid copy (see [`AdMode`]).
-    pub fn ad_set_mode(&self, mode: AdMode) {
-        self.ad_mode.store(mode.as_u8(), Ordering::Relaxed);
-    }
-
-    /// Record one access of the current invalidation epoch (`java_ad` only).
-    #[inline]
-    pub fn ad_record_access(&self) {
-        self.ad_epoch_accesses.fetch_add(1, Ordering::Relaxed);
-        if self.ad_prefetched.load(Ordering::Relaxed) {
-            // The speculative copy earned its keep.
-            self.ad_prefetched.store(false, Ordering::Relaxed);
-        }
-    }
-
-    /// Mark the current copy as speculatively installed (batched prefetch).
-    pub fn ad_mark_prefetched(&self) {
-        self.ad_prefetched.store(true, Ordering::Relaxed);
-    }
-
-    /// Clear and return the speculative marker; `true` at invalidation time
-    /// means the prefetched copy was never accessed — a wasted prefetch.
-    pub fn ad_take_wasted_prefetch(&self) -> bool {
-        self.ad_prefetched.swap(false, Ordering::Relaxed)
-    }
-
-    /// Smoothed accesses-per-epoch as of the last rotation.
-    pub fn ad_avg_accesses(&self) -> u64 {
-        self.ad_avg_accesses.load(Ordering::Relaxed)
-    }
-
-    /// Accesses observed since the last invalidation.
-    pub fn ad_epoch_accesses(&self) -> u64 {
-        self.ad_epoch_accesses.load(Ordering::Relaxed)
-    }
-
-    /// Accesses observed during the previous (completed) epoch.
-    pub fn ad_last_epoch_accesses(&self) -> u64 {
-        self.ad_last_epoch_accesses.load(Ordering::Relaxed)
-    }
-
-    /// Consecutive completed epochs in which the page was accessed.
-    pub fn ad_epoch_streak(&self) -> u64 {
-        self.ad_epoch_streak.load(Ordering::Relaxed)
-    }
-
-    /// Close the current invalidation epoch: move the running access count
-    /// into the previous-epoch slot, fold it into the smoothed average,
-    /// update the re-access streak and return the new smoothed average.
-    /// Called by `invalidateCache` under `java_ad`.  With several
-    /// application threads per node concurrent invalidations may rotate
-    /// twice; the statistics are heuristic inputs, so an occasionally
-    /// shortened epoch only delays a mode switch.
-    pub fn ad_rotate_epoch(&self) -> u64 {
-        let closed = self.ad_epoch_accesses.swap(0, Ordering::Relaxed);
-        self.ad_last_epoch_accesses.store(closed, Ordering::Relaxed);
-        let avg = (3 * self.ad_avg_accesses.load(Ordering::Relaxed) + closed) / 4;
-        self.ad_avg_accesses.store(avg, Ordering::Relaxed);
-        if closed > 0 {
-            self.ad_epoch_streak.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.ad_epoch_streak.store(0, Ordering::Relaxed);
-        }
-        avg
+    pub(crate) fn ad(&self) -> &AdState {
+        &self.ad
     }
 
     // ----- split-transaction transport --------------------------------------
@@ -913,52 +790,6 @@ mod tests {
         // The bitmap is cleared by take_dirty.
         assert!(!remote.has_dirty_slots());
         assert!(remote.take_dirty().is_empty());
-    }
-
-    #[test]
-    fn adaptive_epoch_rotation_tracks_density_and_streak() {
-        let frame = PageFrame::new_remote();
-        assert_eq!(frame.ad_mode(), AdMode::Check);
-        assert_eq!(frame.ad_epoch_streak(), 0);
-
-        // Epoch 1: 400 accesses.
-        for _ in 0..400 {
-            frame.ad_record_access();
-        }
-        assert_eq!(frame.ad_epoch_accesses(), 400);
-        assert_eq!(frame.ad_rotate_epoch(), 100, "avg = (3*0 + 400) / 4");
-        assert_eq!(frame.ad_epoch_accesses(), 0);
-        assert_eq!(frame.ad_last_epoch_accesses(), 400);
-        assert_eq!(frame.ad_avg_accesses(), 100);
-        assert_eq!(frame.ad_epoch_streak(), 1);
-
-        // Epoch 2: accessed again, streak grows and the average converges.
-        for _ in 0..400 {
-            frame.ad_record_access();
-        }
-        assert_eq!(frame.ad_rotate_epoch(), 175, "avg = (3*100 + 400) / 4");
-        assert_eq!(frame.ad_epoch_streak(), 2);
-
-        // Epoch 3: untouched — the average decays, the streak resets.
-        assert_eq!(frame.ad_rotate_epoch(), 131, "avg = 3*175 / 4");
-        assert_eq!(frame.ad_last_epoch_accesses(), 0);
-        assert_eq!(frame.ad_epoch_streak(), 0);
-
-        frame.ad_set_mode(AdMode::Protect);
-        assert_eq!(frame.ad_mode(), AdMode::Protect);
-    }
-
-    #[test]
-    fn speculative_prefetch_marker_reports_waste_only_when_untouched() {
-        let frame = PageFrame::new_remote();
-        // Prefetched and never touched: wasted.
-        frame.ad_mark_prefetched();
-        assert!(frame.ad_take_wasted_prefetch());
-        assert!(!frame.ad_take_wasted_prefetch(), "marker is consumed");
-        // Prefetched and then accessed: not wasted.
-        frame.ad_mark_prefetched();
-        frame.ad_record_access();
-        assert!(!frame.ad_take_wasted_prefetch());
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The home-side RPC services of the DSM: page fetch and diff apply.
 //!
 //! Both handlers are pure mechanism — copy pages, apply diffs, charge the
-//! modelled service cost — and consult the [`ReplicationPolicy`] for
-//! whether served pages register read replicas and applied diffs perform
-//! quorum writes (with the replica-shipping cost charged in the service
-//! time).
+//! modelled service cost.  Under replication (`(r, w)`, see
+//! [`crate::TransportConfig::replication`]) served pages register read
+//! replicas and applied diffs perform quorum writes, with the
+//! replica-shipping cost charged in the service time.
 
 use std::sync::Arc;
 
@@ -15,7 +15,6 @@ use crate::diff::{
     decode_diff_message, decode_fetch_request, encode_diff_reply, push_page_reply,
     push_rider_answers, FetchRequest, PageReply, WireError, MAX_PATCH_ENTRIES,
 };
-use crate::policy::ReplicationPolicy;
 use crate::table::DsmStore;
 
 /// What serving one fetch request produced.
@@ -48,14 +47,14 @@ impl FetchServed {
 /// modified" if the requester's retained version is the home's current
 /// stamp; else the slots that changed since, if the page's history still
 /// holds every step in between and they encode shorter than the page; else
-/// the page.  Runs the replication policy's read-replica registration for
+/// the page.  Under replication, registers `caller` as a read replica of
 /// every page either way (a revalidated copy is as current as a shipped
 /// one).  The request's validation riders get the same stamp comparison and
 /// one bit each; they are not accesses, so the replica directory does not
 /// hear of them.
 pub(crate) fn serve_fetch(
     store: &DsmStore,
-    replication: &dyn ReplicationPolicy,
+    replication: Option<(usize, usize)>,
     home: NodeId,
     caller: NodeId,
     request: &FetchRequest,
@@ -122,10 +121,10 @@ pub(crate) fn serve_fetch(
             };
             push_page_reply(&mut served.reply, &answer);
         });
-        if replication.replicates() {
+        if let Some((read_replicas, _)) = replication {
             // The served copy doubles as a read replica: the caller is
             // now a candidate home should this node fail.
-            replication.on_page_served(store, page, caller);
+            store.register_replica(page, caller, read_replicas);
         }
     }
     let mut unchanged = 0u64;
@@ -168,11 +167,11 @@ impl DiffOutcome {
     }
 }
 
-/// Apply one encoded diff message to the authoritative home frames,
-/// consulting the replication policy for quorum writes.
+/// Apply one encoded diff message to the authoritative home frames, as
+/// quorum writes under replication.
 pub(crate) fn apply_diff_message(
     store: &DsmStore,
-    replication: &dyn ReplicationPolicy,
+    replication: Option<(usize, usize)>,
     nominal_home: NodeId,
     payload: &[u8],
 ) -> Result<DiffOutcome, WireError> {
@@ -211,11 +210,11 @@ pub(crate) fn apply_diff_message(
         };
         drop(pinned);
         out.versions.push(post);
-        if replication.replicates() {
+        if let Some((_, write_quorum)) = replication {
             // Quorum write: advance the page's replica version and ship
             // the applied slots to the stamped holders.  The shipping is
             // charged as extra apply work per (holder, slot) pair.
-            let members = replication.on_diff_applied(store, *page);
+            let members = store.quorum_update(*page, write_quorum);
             out.quorum_slots += members * entries.len();
         }
     }
@@ -227,14 +226,14 @@ pub(crate) struct PageFetchService {
     pub(crate) store: Arc<DsmStore>,
     pub(crate) cpu: CpuModel,
     pub(crate) dsm: DsmCostModel,
-    pub(crate) replication: Arc<dyn ReplicationPolicy>,
+    /// `(r, w)` replication, if the run keeps replicas.
+    pub(crate) replication: Option<(usize, usize)>,
 }
 
 impl PageFetchService {
     fn serve(&self, target: &Node, caller: NodeId, payload: &[u8]) -> Result<RpcReply, WireError> {
         let request = decode_fetch_request(payload)?;
-        let replication = self.replication.as_ref();
-        let served = serve_fetch(&self.store, replication, target.id(), caller, &request)?;
+        let served = serve_fetch(&self.store, self.replication, target.id(), caller, &request)?;
         let service = served.service(&self.cpu, &self.dsm);
         Ok(RpcReply::with_data(served.reply, service))
     }
@@ -257,12 +256,13 @@ pub(crate) struct DiffApplyService {
     pub(crate) store: Arc<DsmStore>,
     pub(crate) cpu: CpuModel,
     pub(crate) dsm: DsmCostModel,
-    pub(crate) replication: Arc<dyn ReplicationPolicy>,
+    /// `(r, w)` replication, if the run keeps replicas.
+    pub(crate) replication: Option<(usize, usize)>,
 }
 
 impl RpcHandler for DiffApplyService {
     fn handle(&self, target: &Node, _caller: NodeId, payload: &[u8]) -> RpcReply {
-        match apply_diff_message(&self.store, self.replication.as_ref(), target.id(), payload) {
+        match apply_diff_message(&self.store, self.replication, target.id(), payload) {
             Ok(out) => RpcReply::with_data(out.reply(), out.service(&self.cpu, &self.dsm)),
             Err(e) => RpcReply::malformed(format!("{} request: {e}", self.name())),
         }
@@ -280,10 +280,55 @@ mod tests {
     use hyperion_model::{myrinet_200, ThreadClock};
     use hyperion_pm2::{Cluster, IsoAllocator, NodeId, TransportBackend, TransportError};
 
+    use super::{apply_diff_message, serve_fetch};
     use crate::diff::{
-        decode_diff_reply, decode_fetch_reply, encode_diff, encode_fetch_request, PageReply,
+        decode_diff_reply, decode_fetch_reply, encode_diff, encode_fetch_request, FetchRequest,
+        PageReply,
     };
     use crate::{DsmStore, DsmSystem, ProtocolKind};
+
+    /// Serve `readers`' fetches of `page` and apply one single-slot diff to
+    /// it, under `replication`; returns the apply's quorum slots.
+    fn serve_and_apply(
+        store: &DsmStore,
+        replication: Option<(usize, usize)>,
+        page: hyperion_pm2::PageId,
+        readers: &[NodeId],
+    ) -> usize {
+        let home = store.home_of(page);
+        for &reader in readers {
+            let request = FetchRequest {
+                first: page,
+                versions: vec![0],
+                riders: Vec::new(),
+            };
+            serve_fetch(store, replication, home, reader, &request).expect("in range");
+        }
+        let diff = encode_diff(page, &[(0, 1)]);
+        let applied = apply_diff_message(store, replication, home, &diff).expect("in range");
+        applied.quorum_slots
+    }
+
+    #[test]
+    fn noop_touches_nothing() {
+        let alloc = Arc::new(IsoAllocator::new(2));
+        let store = DsmStore::new(Arc::clone(&alloc), 2);
+        let page = alloc.alloc(4, NodeId(0)).page();
+        assert_eq!(serve_and_apply(&store, None, page, &[NodeId(1)]), 0);
+        assert!(store.replica_set(page).is_none());
+    }
+
+    #[test]
+    fn quorum_registers_and_updates_holders() {
+        let alloc = Arc::new(IsoAllocator::new(3));
+        let store = DsmStore::new(Arc::clone(&alloc), 3);
+        let page = alloc.alloc(4, NodeId(0)).page();
+        let readers = [NodeId(1), NodeId(2)];
+        assert_eq!(serve_and_apply(&store, Some((2, 2)), page, &readers), 1);
+        let set = store.replica_set(page).expect("holders registered");
+        assert_eq!(set.version, 1);
+        assert_eq!(set.holders, vec![(1, 1), (2, 0)]);
+    }
 
     /// Garbage sent to either DSM service comes back as a typed
     /// `MalformedFrame` at the caller — over the inline Sim transport and

@@ -77,13 +77,10 @@ pub struct DsmStore {
     /// array index.
     num_overrides: std::sync::atomic::AtomicUsize,
     /// Replication directory: per-page read-replica holders and their
-    /// quorum-write versions (empty under the Noop replication policy).
+    /// quorum-write versions (empty without `TransportConfig::replication`).
     replicas: RwLock<HashMap<u64, ReplicaSet>>,
     /// Nodes that have failed fail-stop and been recovered from.
     failed: RwLock<HashSet<u32>>,
-    /// Entry count of `failed`, readable without the lock so the
-    /// failure-free common case stays a plain load.
-    num_failed: std::sync::atomic::AtomicUsize,
     /// Guards every page's home assignment.  The diff-apply handler holds
     /// it shared while it writes a home frame; a re-homing (the recovery of
     /// a dead node's pages — which keeps it for the whole node, so
@@ -105,7 +102,6 @@ impl DsmStore {
             num_overrides: std::sync::atomic::AtomicUsize::new(0),
             replicas: RwLock::new(HashMap::new()),
             failed: RwLock::new(HashSet::new()),
-            num_failed: std::sync::atomic::AtomicUsize::new(0),
             homes: RwLock::new(()),
         })
     }
@@ -219,8 +215,11 @@ impl DsmStore {
     }
 
     /// Visit every currently materialised frame of `node` together with its
-    /// page id (used by `invalidateCache` and `updateMainMemory`).
-    pub fn for_each_frame(&self, node: NodeId, mut f: impl FnMut(PageId, &PageFrame)) {
+    /// page id (used by `invalidateCache` and `updateMainMemory`).  The
+    /// visit holds the node's table lock: a visitor that keeps a frame
+    /// clones the `Arc` it is handed, it never asks [`DsmStore::frame`]
+    /// (a reader queued behind a waiting `grow_table` would deadlock).
+    pub fn for_each_frame(&self, node: NodeId, mut f: impl FnMut(PageId, &Arc<PageFrame>)) {
         let frames = self.nodes[node.index()].frames.read();
         for (i, frame) in frames.iter().enumerate() {
             f(PageId(i as u64), frame);
@@ -233,7 +232,7 @@ impl DsmStore {
     }
 
     /// Record `holder` as a read-replica of `page`, up to `cap` holders
-    /// (the replication policy's `r`).  A new holder starts at the page's
+    /// (the replication's `r`).  A new holder starts at the page's
     /// current quorum version — it just fetched the current bytes.  The
     /// page's home never registers as its own replica.
     pub fn register_replica(&self, page: PageId, holder: NodeId, cap: usize) {
@@ -292,22 +291,7 @@ impl DsmStore {
     /// Mark `node` failed fail-stop.  Returns `true` the first time —
     /// exactly one caller performs the recovery of the node's pages.
     pub fn mark_failed(&self, node: NodeId) -> bool {
-        let mut failed = self.failed.write();
-        let fresh = failed.insert(node.0);
-        self.num_failed
-            .store(failed.len(), std::sync::atomic::Ordering::Release);
-        fresh
-    }
-
-    /// True if `node` has been marked failed.
-    pub fn is_failed(&self, node: NodeId) -> bool {
-        self.num_failed.load(std::sync::atomic::Ordering::Acquire) > 0
-            && self.failed.read().contains(&node.0)
-    }
-
-    /// Number of nodes marked failed so far.
-    pub fn failed_nodes(&self) -> usize {
-        self.num_failed.load(std::sync::atomic::Ordering::Acquire)
+        self.failed.write().insert(node.0)
     }
 
     /// The lowest-id node not marked failed (the deterministic fallback
@@ -420,6 +404,29 @@ mod tests {
     }
 
     #[test]
+    fn a_visit_that_keeps_frames_finishes_while_a_grower_waits() {
+        // A visitor that re-locked the table (`frame` instead of cloning
+        // what it is handed) would queue behind the waiting writer while
+        // holding the read lock the writer waits for: both threads hang.
+        // The sleep lets the grower reach the write lock; nothing
+        // observable says it has.
+        let (alloc, store) = store(2);
+        let first = alloc.alloc(4, NodeId(0)).page();
+        let later = alloc.alloc_page_aligned(4, NodeId(1)).page();
+        store.with_frame(NodeId(0), first, |_| ());
+        let mut kept = Vec::new();
+        std::thread::scope(|s| {
+            store.for_each_frame(NodeId(0), |_, frame| {
+                s.spawn(|| store.with_frame(NodeId(0), later, |_| ()));
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                kept.push(Arc::clone(frame));
+            });
+        });
+        assert_eq!(kept.len(), 1);
+        assert_eq!(store.frames_on(NodeId(0)), later.index() + 1);
+    }
+
+    #[test]
     fn replica_registration_quorum_updates_and_election() {
         let (alloc, store) = store(4);
         let page = alloc.alloc(4, NodeId(0)).page();
@@ -439,8 +446,6 @@ mod tests {
             !store.mark_failed(NodeId(1)),
             "second observer is not first"
         );
-        assert!(store.is_failed(NodeId(1)));
-        assert_eq!(store.failed_nodes(), 1);
         assert_eq!(store.newest_live_replica(page), Some(NodeId(2)));
         assert_eq!(store.first_live_node(), NodeId(0));
 

@@ -1,7 +1,6 @@
-//! Behavior tests of the DSM protocol engine and its default policies
-//! (moved from the former `protocol.rs` module tests when the
-//! engine/policy split landed).  They exercise only the public API, so
-//! they run as an integration test.
+//! Behavior tests of the DSM protocol engine under each protocol's access
+//! detection.  They exercise only the public API, so they run as an
+//! integration test.
 
 use std::sync::Arc;
 
@@ -1807,4 +1806,205 @@ fn litmus_a_batched_reply_mixes_confirmation_patch_and_page() {
     expected[SLOTS_PER_PAGE + 7] = 17;
     expected[2 * SLOTS_PER_PAGE..].fill(2);
     assert_eq!(seen, expected);
+}
+
+/// One deterministic single-thread run on 3 nodes that reaches every
+/// decision the protocols differ in: a page-mate writer, a scan long enough
+/// for the stride prefetch, a `read_slice` `java_ad` batches, a page dense
+/// enough for `java_ad` to switch it (and sparse enough later to switch it
+/// back), explicit prefetches, and release flushes — replicated, deferred
+/// or neither, as `transport` says.  Renders each node's final clock and
+/// every non-zero counter.
+fn golden_run(kind: ProtocolKind, transport: &TransportConfig) -> [String; 3] {
+    let f = fixture_with(3, kind, &AdaptiveParams::default(), transport);
+    let (n0, n1, n2) = (NodeId(0), NodeId(1), NodeId(2));
+    let page = |addr: GlobalAddr, k: u64| addr.offset(k * SLOTS_PER_PAGE as u64);
+    let mate = f.alloc.alloc_page_aligned(SLOTS_PER_PAGE, n0);
+    let scan = f.alloc.alloc_page_aligned(16 * SLOTS_PER_PAGE, n1);
+    let bulk = f.alloc.alloc_page_aligned(4 * SLOTS_PER_PAGE, n2);
+    let dense = f.alloc.alloc_page_aligned(SLOTS_PER_PAGE, n1);
+    let span = f.alloc.alloc_page_aligned(3 * SLOTS_PER_PAGE, n2);
+    let mut t = [ThreadClock::new(), ThreadClock::new(), ThreadClock::new()];
+    let mut out = vec![0u64; 4 * SLOTS_PER_PAGE];
+    let mut pending = None;
+    for round in 0..10u64 {
+        // Page-mate writers: nodes 1 and 2 write their own slots of a page
+        // homed at node 0.
+        for (k, n) in [n1, n2].into_iter().enumerate() {
+            let c = &mut t[n.index()];
+            f.dsm.invalidate_cache(n, c);
+            f.dsm
+                .put(n, c, mate.offset(64 * k as u64 + round), round + 1);
+            f.dsm.update_main_memory(n, c);
+        }
+        let c = &mut t[0];
+        if let Some(flushed) = pending.take() {
+            let flushed: hyperion_dsm::DeferredFlush = flushed;
+            c.merge(flushed.completion);
+        }
+        f.dsm.invalidate_cache(n0, c);
+        let mut sum = f.dsm.get(n0, c, mate.offset(round));
+        for k in 0..16 {
+            sum += f.dsm.get(n0, c, page(scan, k).offset(round));
+        }
+        f.dsm.read_slice(n0, c, bulk, &mut out);
+        let dense_accesses = if round < 4 { 3000 } else { 0 };
+        for i in 0..dense_accesses {
+            sum += f.dsm.get(n0, c, dense.offset(i % 512));
+        }
+        f.dsm.put(n0, c, mate.offset(200 + round), sum);
+        f.dsm.put(n0, c, page(scan, round).offset(300), sum);
+        // Spans two same-home pages: one diff RPC unless flushes are unbatched.
+        let tail = page(bulk, 2).offset(SLOTS_PER_PAGE as u64 - 2);
+        f.dsm.write_slice(n0, c, tail, &[round; 3]);
+        if round % 2 == 0 {
+            f.dsm.load_into_cache(n0, c, page(span, 1).page());
+        } else {
+            f.dsm.prefetch_span(n0, c, span.page(), 3);
+        }
+        pending = f.dsm.update_main_memory_deferred(n0, c);
+        // A second reader of the scan's head registers another replica.
+        let c = &mut t[2];
+        f.dsm.invalidate_cache(n2, c);
+        f.dsm.get(n2, c, page(scan, round).offset(300));
+    }
+    std::array::from_fn(|n| {
+        let stats = f.cluster.node_stats(NodeId(n as u32));
+        let mut line = format!("clock={}", t[n].now().as_ps());
+        for (name, value) in stats.fields() {
+            if value != 0 {
+                line += &format!(" {name}={value}");
+            }
+        }
+        line
+    })
+}
+
+/// The counters and clocks `golden_run` produced at the commit before the
+/// policy layer was folded into the engine: every protocol × transport
+/// preset, per node.
+const GOLDEN: &[(&str, [&str; 3])] = &[
+    (
+        "java_ic/blocking",
+        [
+            "clock=8257558000 locality_checks=12250 page_loads=197 pages_invalidated=201 cache_invalidations=10 diff_messages=30 diff_slots_flushed=40 rpc_requests=227 rpc_served=40 bytes_sent=32372 bytes_received=118263 field_reads=32650 field_writes=50 bulk_reads=10 bulk_writes=10 diff_bytes=760 pages_revalidated=173 rpc_service_ps=128250000 rpc_queue_wait_ps=6840000 validation_riders=99 rider_opens=27",
+            "clock=649761000 locality_checks=10 page_loads=10 pages_invalidated=9 cache_invalidations=10 diff_messages=10 diff_slots_flushed=10 rpc_requests=20 rpc_served=184 bytes_sent=125732 bytes_received=23130 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=690630000 rpc_queue_wait_ps=4372775000",
+            "clock=5733664000 locality_checks=20 page_loads=20 pages_invalidated=19 cache_invalidations=20 diff_messages=10 diff_slots_flushed=10 rpc_requests=30 rpc_served=53 bytes_sent=35792 bytes_received=52503 field_reads=10 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=194430000 validation_riders=44",
+        ],
+    ),
+    (
+        "java_ic/default",
+        [
+            "clock=7959498000 locality_checks=12250 page_loads=197 pages_invalidated=201 cache_invalidations=10 diff_messages=20 diff_slots_flushed=40 rpc_requests=217 rpc_served=40 bytes_sent=31692 bytes_received=117623 field_reads=32650 field_writes=50 bulk_reads=10 bulk_writes=10 batched_flushes=10 diff_bytes=720 pages_revalidated=173 rpc_service_ps=128250000 rpc_queue_wait_ps=6840000 validation_riders=99 rider_opens=27",
+            "clock=649761000 locality_checks=10 page_loads=10 pages_invalidated=9 cache_invalidations=10 diff_messages=10 diff_slots_flushed=10 rpc_requests=20 rpc_served=184 bytes_sent=125732 bytes_received=23130 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=690630000 rpc_queue_wait_ps=4193939000",
+            "clock=5554828000 locality_checks=20 page_loads=20 pages_invalidated=19 cache_invalidations=20 diff_messages=10 diff_slots_flushed=10 rpc_requests=30 rpc_served=43 bytes_sent=35152 bytes_received=51823 field_reads=10 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=166930000 validation_riders=44",
+        ],
+    ),
+    (
+        "java_ic/directory",
+        [
+            "clock=4518855000 locality_checks=12250 page_loads=174 pages_invalidated=201 cache_invalidations=10 diff_messages=20 diff_slots_flushed=40 rpc_requests=194 rpc_served=40 bytes_sent=29600 bytes_received=115944 field_reads=32650 field_writes=50 bulk_reads=10 bulk_writes=10 batched_flushes=10 diff_bytes=720 fetch_overlap_cycles_hidden=370792 stride_fetches_issued=95 stride_fetches_completed=90 stride_fetches_wasted=4 deferred_flushes=20 pages_revalidated=150 rpc_service_ps=128250000 rpc_queue_wait_ps=12965000 validation_riders=89 rider_opens=50",
+            "clock=655886000 locality_checks=10 page_loads=10 pages_invalidated=9 cache_invalidations=10 diff_messages=10 diff_slots_flushed=10 rpc_requests=20 rpc_served=161 bytes_sent=124081 bytes_received=21070 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=619245000 rpc_queue_wait_ps=1798677000",
+            "clock=3081309000 locality_checks=20 page_loads=22 pages_invalidated=21 cache_invalidations=20 diff_messages=10 diff_slots_flushed=10 rpc_requests=32 rpc_served=45 bytes_sent=35466 bytes_received=52133 field_reads=10 field_writes=10 diff_bytes=220 stride_fetches_issued=2 stride_fetches_wasted=2 pages_patched=11 rpc_service_ps=172330000 rpc_queue_wait_ps=3180000 validation_riders=44",
+        ],
+    ),
+    (
+        "java_ic/quorum",
+        [
+            "clock=7960098000 locality_checks=12250 page_loads=197 pages_invalidated=201 cache_invalidations=10 diff_messages=20 diff_slots_flushed=40 rpc_requests=217 rpc_served=40 bytes_sent=31692 bytes_received=117623 field_reads=32650 field_writes=50 bulk_reads=10 bulk_writes=10 batched_flushes=10 diff_bytes=720 pages_revalidated=173 rpc_service_ps=128550000 rpc_queue_wait_ps=6840000 validation_riders=99 rider_opens=27",
+            "clock=649911000 locality_checks=10 page_loads=10 pages_invalidated=9 cache_invalidations=10 diff_messages=10 diff_slots_flushed=10 rpc_requests=20 rpc_served=184 bytes_sent=125732 bytes_received=23130 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=690780000 rpc_queue_wait_ps=4194149000",
+            "clock=5555188000 locality_checks=20 page_loads=20 pages_invalidated=19 cache_invalidations=20 diff_messages=10 diff_slots_flushed=10 rpc_requests=30 rpc_served=43 bytes_sent=35152 bytes_received=51823 field_reads=10 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=167380000 validation_riders=44",
+        ],
+    ),
+    (
+        "java_pf/blocking",
+        [
+            "clock=14708058000 page_faults=204 mprotect_calls=233 page_loads=197 pages_invalidated=201 cache_invalidations=10 diff_messages=30 diff_slots_flushed=40 rpc_requests=227 rpc_served=40 bytes_sent=32372 bytes_received=118263 field_reads=32650 field_writes=50 bulk_reads=10 bulk_writes=10 diff_bytes=760 pages_revalidated=173 rpc_service_ps=128250000 rpc_queue_wait_ps=6840000 validation_riders=99 rider_opens=27",
+            "clock=1059461000 page_faults=10 mprotect_calls=19 page_loads=10 pages_invalidated=9 cache_invalidations=10 diff_messages=10 diff_slots_flushed=10 rpc_requests=20 rpc_served=184 bytes_sent=125732 bytes_received=23130 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=690630000 rpc_queue_wait_ps=7486695000",
+            "clock=9676984000 page_faults=20 mprotect_calls=39 page_loads=20 pages_invalidated=19 cache_invalidations=20 diff_messages=10 diff_slots_flushed=10 rpc_requests=30 rpc_served=53 bytes_sent=35792 bytes_received=52503 field_reads=10 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=194430000 validation_riders=44",
+        ],
+    ),
+    (
+        "java_pf/default",
+        [
+            "clock=14409998000 page_faults=204 mprotect_calls=233 page_loads=197 pages_invalidated=201 cache_invalidations=10 diff_messages=20 diff_slots_flushed=40 rpc_requests=217 rpc_served=40 bytes_sent=31692 bytes_received=117623 field_reads=32650 field_writes=50 bulk_reads=10 bulk_writes=10 batched_flushes=10 diff_bytes=720 pages_revalidated=173 rpc_service_ps=128250000 rpc_queue_wait_ps=6840000 validation_riders=99 rider_opens=27",
+            "clock=1059461000 page_faults=10 mprotect_calls=19 page_loads=10 pages_invalidated=9 cache_invalidations=10 diff_messages=10 diff_slots_flushed=10 rpc_requests=20 rpc_served=184 bytes_sent=125732 bytes_received=23130 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=690630000 rpc_queue_wait_ps=7307859000",
+            "clock=9498148000 page_faults=20 mprotect_calls=39 page_loads=20 pages_invalidated=19 cache_invalidations=20 diff_messages=10 diff_slots_flushed=10 rpc_requests=30 rpc_served=43 bytes_sent=35152 bytes_received=51823 field_reads=10 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=166930000 validation_riders=44",
+        ],
+    ),
+    (
+        "java_pf/directory",
+        [
+            "clock=8161245000 page_faults=114 mprotect_calls=233 page_loads=174 pages_invalidated=201 cache_invalidations=10 diff_messages=20 diff_slots_flushed=40 rpc_requests=194 rpc_served=40 bytes_sent=29600 bytes_received=115944 field_reads=32650 field_writes=50 bulk_reads=10 bulk_writes=10 batched_flushes=10 diff_bytes=720 fetch_overlap_cycles_hidden=496414 stride_fetches_issued=95 stride_fetches_completed=90 stride_fetches_wasted=4 deferred_flushes=20 pages_revalidated=150 rpc_service_ps=128250000 rpc_queue_wait_ps=12545000 validation_riders=89 rider_opens=50",
+            "clock=1065166000 page_faults=10 mprotect_calls=19 page_loads=10 pages_invalidated=9 cache_invalidations=10 diff_messages=10 diff_slots_flushed=10 rpc_requests=20 rpc_served=161 bytes_sent=124081 bytes_received=21070 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=619245000 rpc_queue_wait_ps=2682397000",
+            "clock=4794429000 page_faults=20 mprotect_calls=41 page_loads=22 pages_invalidated=21 cache_invalidations=20 diff_messages=10 diff_slots_flushed=10 rpc_requests=32 rpc_served=45 bytes_sent=35466 bytes_received=52133 field_reads=10 field_writes=10 diff_bytes=220 stride_fetches_issued=2 stride_fetches_wasted=2 pages_patched=11 rpc_service_ps=172330000 rpc_queue_wait_ps=3180000 validation_riders=44",
+        ],
+    ),
+    (
+        "java_pf/quorum",
+        [
+            "clock=14410598000 page_faults=204 mprotect_calls=233 page_loads=197 pages_invalidated=201 cache_invalidations=10 diff_messages=20 diff_slots_flushed=40 rpc_requests=217 rpc_served=40 bytes_sent=31692 bytes_received=117623 field_reads=32650 field_writes=50 bulk_reads=10 bulk_writes=10 batched_flushes=10 diff_bytes=720 pages_revalidated=173 rpc_service_ps=128550000 rpc_queue_wait_ps=6840000 validation_riders=99 rider_opens=27",
+            "clock=1059611000 page_faults=10 mprotect_calls=19 page_loads=10 pages_invalidated=9 cache_invalidations=10 diff_messages=10 diff_slots_flushed=10 rpc_requests=20 rpc_served=184 bytes_sent=125732 bytes_received=23130 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=690780000 rpc_queue_wait_ps=7308069000",
+            "clock=9498508000 page_faults=20 mprotect_calls=39 page_loads=20 pages_invalidated=19 cache_invalidations=20 diff_messages=10 diff_slots_flushed=10 rpc_requests=30 rpc_served=43 bytes_sent=35152 bytes_received=51823 field_reads=10 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=167380000 validation_riders=44",
+        ],
+    ),
+    (
+        "java_ad/blocking",
+        [
+            "clock=4816558000 locality_checks=6230 page_faults=2 mprotect_calls=5 page_loads=202 pages_invalidated=201 cache_invalidations=10 diff_messages=30 diff_slots_flushed=40 rpc_requests=115 rpc_served=40 bytes_sent=23354 bytes_received=111131 field_reads=32650 field_writes=50 bulk_reads=10 bulk_writes=10 protocol_switches=2 batched_fetches=29 pages_prefetched=117 pages_prefetch_speculative=77 diff_bytes=760 pages_revalidated=178 rpc_service_ps=128250000 rpc_queue_wait_ps=6840000 validation_riders=66 rider_opens=22",
+            "clock=649761000 locality_checks=10 page_loads=10 pages_invalidated=9 cache_invalidations=10 diff_messages=10 diff_slots_flushed=10 rpc_requests=20 rpc_served=85 bytes_sent=119198 bytes_received=15334 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=414930000",
+            "clock=1360889000 locality_checks=20 page_loads=20 pages_invalidated=19 cache_invalidations=20 diff_messages=10 diff_slots_flushed=10 rpc_requests=30 rpc_served=40 bytes_sent=35194 bytes_received=51281 field_reads=10 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=159330000 validation_riders=44",
+        ],
+    ),
+    (
+        "java_ad/default",
+        [
+            "clock=4518498000 locality_checks=6230 page_faults=2 mprotect_calls=5 page_loads=202 pages_invalidated=201 cache_invalidations=10 diff_messages=20 diff_slots_flushed=40 rpc_requests=105 rpc_served=40 bytes_sent=22674 bytes_received=110491 field_reads=32650 field_writes=50 bulk_reads=10 bulk_writes=10 protocol_switches=2 batched_fetches=29 pages_prefetched=117 pages_prefetch_speculative=77 batched_flushes=10 diff_bytes=720 pages_revalidated=178 rpc_service_ps=128250000 rpc_queue_wait_ps=6840000 validation_riders=66 rider_opens=22",
+            "clock=649761000 locality_checks=10 page_loads=10 pages_invalidated=9 cache_invalidations=10 diff_messages=10 diff_slots_flushed=10 rpc_requests=20 rpc_served=85 bytes_sent=119198 bytes_received=15334 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=414930000",
+            "clock=1360889000 locality_checks=20 page_loads=20 pages_invalidated=19 cache_invalidations=20 diff_messages=10 diff_slots_flushed=10 rpc_requests=30 rpc_served=30 bytes_sent=34554 bytes_received=50601 field_reads=10 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=131830000 validation_riders=44",
+        ],
+    ),
+    (
+        "java_ad/directory",
+        [
+            "clock=3016551000 locality_checks=6230 page_faults=2 mprotect_calls=5 page_loads=192 pages_invalidated=201 cache_invalidations=10 diff_messages=20 diff_slots_flushed=40 rpc_requests=100 rpc_served=40 bytes_sent=21990 bytes_received=110081 field_reads=32650 field_writes=50 bulk_reads=10 bulk_writes=10 protocol_switches=2 batched_fetches=28 pages_prefetched=112 pages_prefetch_speculative=72 batched_flushes=10 diff_bytes=720 fetch_overlap_cycles_hidden=140963 stride_fetches_issued=28 stride_fetches_completed=28 deferred_flushes=20 pages_revalidated=168 rpc_service_ps=128250000 rpc_queue_wait_ps=12965000 validation_riders=52 rider_opens=32",
+            "clock=655886000 locality_checks=10 page_loads=10 pages_invalidated=9 cache_invalidations=10 diff_messages=10 diff_slots_flushed=10 rpc_requests=20 rpc_served=82 bytes_sent=118962 bytes_received=14818 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=400245000 rpc_queue_wait_ps=38324000",
+            "clock=1320956000 locality_checks=20 page_loads=22 pages_invalidated=21 cache_invalidations=20 diff_messages=10 diff_slots_flushed=10 rpc_requests=32 rpc_served=30 bytes_sent=34722 bytes_received=50775 field_reads=10 field_writes=10 diff_bytes=220 stride_fetches_issued=2 stride_fetches_wasted=2 pages_patched=11 rpc_service_ps=131830000 rpc_queue_wait_ps=378000 validation_riders=44",
+        ],
+    ),
+    (
+        "java_ad/quorum",
+        [
+            "clock=4519098000 locality_checks=6230 page_faults=2 mprotect_calls=5 page_loads=202 pages_invalidated=201 cache_invalidations=10 diff_messages=20 diff_slots_flushed=40 rpc_requests=105 rpc_served=40 bytes_sent=22674 bytes_received=110491 field_reads=32650 field_writes=50 bulk_reads=10 bulk_writes=10 protocol_switches=2 batched_fetches=29 pages_prefetched=117 pages_prefetch_speculative=77 batched_flushes=10 diff_bytes=720 pages_revalidated=178 rpc_service_ps=128550000 rpc_queue_wait_ps=6840000 validation_riders=66 rider_opens=22",
+            "clock=649911000 locality_checks=10 page_loads=10 pages_invalidated=9 cache_invalidations=10 diff_messages=10 diff_slots_flushed=10 rpc_requests=20 rpc_served=85 bytes_sent=119198 bytes_received=15334 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=415080000",
+            "clock=1361039000 locality_checks=20 page_loads=20 pages_invalidated=19 cache_invalidations=20 diff_messages=10 diff_slots_flushed=10 rpc_requests=30 rpc_served=30 bytes_sent=34554 bytes_received=50601 field_reads=10 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=132280000 validation_riders=44",
+        ],
+    ),
+];
+
+#[test]
+fn golden_counters_match_the_parent_commit() {
+    let quorum = TransportConfig {
+        replication: Some((2, 2)),
+        ..TransportConfig::default()
+    };
+    let presets = [
+        ("blocking", TransportConfig::blocking()),
+        ("default", TransportConfig::default()),
+        ("directory", TransportConfig::directory()),
+        ("quorum", quorum),
+    ];
+    let mut rendered = Vec::new();
+    for kind in ProtocolKind::all_extended() {
+        for (preset, transport) in &presets {
+            rendered.push((format!("{kind}/{preset}"), golden_run(kind, transport)));
+        }
+    }
+    assert_eq!(rendered.len(), GOLDEN.len());
+    for ((name, nodes), (want_name, want)) in rendered.iter().zip(GOLDEN) {
+        assert_eq!(name, want_name);
+        for (n, (got, want)) in nodes.iter().zip(want).enumerate() {
+            assert_eq!(got, want, "{name} node {n}");
+        }
+    }
 }

@@ -79,7 +79,6 @@ pub use runtime::{
 pub use thread::{HThreadHandle, LoadBalancer};
 
 // Re-export the pieces of the lower layers that appear in this crate's API.
-pub use hyperion_dsm::policy;
 pub use hyperion_dsm::{
     AdaptiveParams, DeferredFlush, HomeFlushMark, Locality, PolicyError, ProtocolKind,
     TransportConfig,

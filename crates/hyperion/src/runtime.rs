@@ -12,7 +12,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use hyperion_dsm::policy::validate_adaptive;
 use hyperion_dsm::{
     AdaptiveParams, DsmStore, DsmSystem, Locality, PolicyError, ProtocolKind, TransportConfig,
 };
@@ -122,8 +121,7 @@ impl HyperionConfig {
     /// their dedicated variants.  Every policy-level error — adaptive
     /// hysteresis bands, batch ceilings, quorum bounds — is a typed
     /// [`PolicyError`] wrapped in [`ConfigError::Policy`], produced by
-    /// [`hyperion_dsm::policy::validate_adaptive`] and
-    /// [`TransportConfig::validate`].
+    /// [`AdaptiveParams::validate`] and [`TransportConfig::validate`].
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.nodes == 0 {
             return Err(ConfigError::ZeroNodes);
@@ -139,7 +137,7 @@ impl HyperionConfig {
         }
         // Adaptive tunables are checked whichever protocol runs (a sweep
         // harness sharing one `AdaptiveParams` should fail fast).
-        validate_adaptive(&self.adaptive)?;
+        self.adaptive.validate()?;
         self.transport.validate()?;
         // Socket backends keep a connection per peer a node talks to, and
         // every node talks to every other node.
@@ -259,7 +257,7 @@ pub enum ConfigError {
     },
     /// An illegal policy selection (adaptive tunables, batch ceilings,
     /// quorum bounds): the typed verdict of [`TransportConfig::validate`] and
-    /// [`hyperion_dsm::policy::validate_adaptive`].
+    /// [`AdaptiveParams::validate`].
     Policy(PolicyError),
     /// The transport parameters are out of range.
     InvalidTransport(&'static str),
@@ -1332,18 +1330,16 @@ mod tests {
             replication: Some((2, 2)),
             ..TransportConfig::default()
         };
-        for (transport, names) in [
-            (TransportConfig::blocking(), ["sync", "norep"]),
-            (TransportConfig::latency_hiding(), ["sync", "norep"]),
-            (TransportConfig::directory(), ["dfl", "norep"]),
-            (quorum, ["sync", "quorum"]),
+        for transport in [
+            TransportConfig::blocking(),
+            TransportConfig::latency_hiding(),
+            TransportConfig::directory(),
+            quorum,
         ] {
             for protocol in ProtocolKind::all_extended() {
                 let cfg = config(2, protocol).with_transport(transport.clone());
                 let rt = HyperionRuntime::new(cfg).unwrap();
-                let built = rt.dsm().policies();
-                assert_eq!(built.detection.name(), protocol.name());
-                assert_eq!([built.flush.name(), built.replication.name()], names);
+                assert_eq!(rt.dsm().kind(), protocol);
                 // The flags a kernel reads are the ones the engine was built
                 // from: the same `TransportConfig` value.
                 assert_eq!(rt.dsm().transport(), &transport);
