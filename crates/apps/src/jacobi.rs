@@ -467,9 +467,8 @@ mod tests {
         assert_eq!(bulk.result, bulk_ic.result);
     }
 
-    /// (The name is from when the homes' prefetch directory sent hints.)
     #[test]
-    fn element_mode_boundary_rows_consume_directory_hints() {
+    fn element_mode_boundary_rows_complete_stride_fetches_in_flight() {
         // At size 80 with 4 threads each block holds 20 rows of 80 slots,
         // so boundary rows span two pages.  Element-mode workers demand-miss
         // neighbouring pages of one home in ascending order; where a miss

@@ -3,16 +3,19 @@
 //!
 //! A verification pass over the modeled results (host time is
 //! `benchmark/`'s business): for every app it asserts that `java_ad`
-//! produces the same answer as the paper's protocols and that its modeled
-//! page loads never exceed the worse of ic/pf — the acceptance criterion of
-//! the adaptive protocol.  A violation panics, so `cargo bench` is a gate.
+//! produces the same answer as the paper's protocols and that the page loads
+//! no write notice forced never exceed the worse of ic/pf — the acceptance
+//! criterion of the adaptive protocol.  A violation panics, so `cargo bench`
+//! is a gate.
+//!
+//! What counts as forced: [`FigureRow::unforced_loads`].
 
 use hyperion::prelude::*;
 use hyperion_apps::common::BenchmarkName;
 use hyperion_bench::{threshold_ablation, FigureRow, Point, Scale, ADAPTIVE_NODES};
 
-/// The modeled-result gate: same answers, and `java_ad` page loads bounded
-/// by the worse of the paper's two protocols on every app.
+/// The modeled-result gate: same answers, and `java_ad`'s unforced page
+/// loads bounded by the worse of the paper's two protocols on every app.
 ///
 /// One strict round per app and, on a miss, five fresh rounds in aggregate.
 /// The dynamically scheduled apps (TSP's branch-and-bound, Barnes-Hut's
@@ -32,6 +35,7 @@ fn main() {
         "{:<12} {:>12} {:>12} {:>12} {:>10} {:>10}",
         "App", "ic loads", "pf loads", "ad loads", "ad batches", "ad time(s)"
     );
+    println!("{:<12} {:>12} {:>12} {:>12}", "", "(unforced)", "", "");
     for app in BenchmarkName::all() {
         let round = || -> (FigureRow, FigureRow, FigureRow) {
             let run = |protocol| Point::new(app, Scale::Quick, protocol).run();
@@ -42,12 +46,13 @@ fn main() {
             )
         };
         let (ic, pf, ad) = round();
+        let loads = |r: &FigureRow| format!("{} ({})", r.stats.page_loads, r.unforced_loads());
         println!(
             "{:<12} {:>12} {:>12} {:>12} {:>10} {:>10.4}",
             app.to_string(),
-            ic.stats.page_loads,
-            pf.stats.page_loads,
-            ad.stats.page_loads,
+            loads(&ic),
+            loads(&pf),
+            loads(&ad),
             ad.stats.batched_fetches,
             ad.seconds,
         );
@@ -58,8 +63,8 @@ fn main() {
             pf.digest,
             ad.digest
         );
-        let worst = ic.stats.page_loads.max(pf.stats.page_loads);
-        if ad.stats.page_loads <= worst {
+        let worst = ic.unforced_loads().max(pf.unforced_loads());
+        if ad.unforced_loads() <= worst {
             continue;
         }
         // Aggregate five fresh rounds, tolerating one load of jitter per
@@ -69,16 +74,16 @@ fn main() {
         let mut worst_total = 0u64;
         for _ in 0..ROUNDS {
             let (ic, pf, ad) = round();
-            ad_total += ad.stats.page_loads;
-            worst_total += ic.stats.page_loads.max(pf.stats.page_loads);
+            ad_total += ad.unforced_loads();
+            worst_total += ic.unforced_loads().max(pf.unforced_loads());
         }
         println!(
             "  {app}: strict round missed ({} > {worst}); aggregate of {ROUNDS}: ad {ad_total} vs worse {worst_total}",
-            ad.stats.page_loads
+            ad.unforced_loads()
         );
         assert!(
             ad_total <= worst_total + ROUNDS,
-            "{app}: java_ad page loads exceed the worse of ic/pf even aggregated \
+            "{app}: java_ad unforced page loads exceed the worse of ic/pf even aggregated \
              over {ROUNDS} rounds ({ad_total} > {worst_total} + {ROUNDS})"
         );
     }

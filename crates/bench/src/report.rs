@@ -133,8 +133,7 @@ pub static METRICS: &[Metric] = &[
         .gated(COUNT_CEILING),
     Metric::counter("pages_revalidated"),
     Metric::counter("pages_patched"),
-    Metric::counter("validation_riders"),
-    Metric::counter("rider_opens"),
+    Metric::counter("pages_kept"),
     Metric::counter("pages_invalidated")
         .required()
         .gated(COUNT_CEILING),
@@ -518,7 +517,7 @@ pub fn markdown_summary(
         findings.len()
     ));
     out.push_str(
-        "| app | protocol | nodes | exec (s) | Δ exec | page loads | revalidated | patched | riders (opened) | Δ loads | Δ loads/epoch | ops/s | p99 (µs) | monitor wait (ms) | status |\n\
+        "| app | protocol | nodes | exec (s) | Δ exec | page loads | revalidated | patched | kept | Δ loads | Δ loads/epoch | ops/s | p99 (µs) | monitor wait (ms) | status |\n\
          |---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|\n",
     );
     for row in current {
@@ -552,7 +551,7 @@ pub fn markdown_summary(
             wait.push_str(&format!(" (⚠ {} escapes)", row.get("order_escapes")));
         }
         out.push_str(&format!(
-            "| {} | {} | {} | {:.4} | {} | {} | {} | {} | {} ({}) | {} | {} | {} | {} | {} | {} |\n",
+            "| {} | {} | {} | {:.4} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} |\n",
             row.app,
             row.protocol,
             row.nodes,
@@ -561,8 +560,7 @@ pub fn markdown_summary(
             row.get("page_loads"),
             row.get("pages_revalidated"),
             row.get("pages_patched"),
-            row.get("validation_riders"),
-            row.get("rider_opens"),
+            row.get("pages_kept"),
             versus("page_loads"),
             versus("loads_per_epoch"),
             serving("serving_ops_per_s", 0),
@@ -1043,10 +1041,11 @@ mod tests {
     #[test]
     fn report_json_is_byte_for_byte_what_the_untabled_writer_wrote() {
         // `bench/report_golden.json` is the output of `report_to_json` as it
-        // stood before METRICS (31 fields and one format string spelled out
-        // by hand): key order, `{:.9}` / `{:.6}` / `{:.3}` formats, string
+        // stood before METRICS (then 31 fields and one format string spelled
+        // out by hand): key order, `{:.9}` / `{:.6}` / `{:.3}` formats, string
         // escapes and the trailing-comma rule.  Its first row holds, in the
-        // i-th field, i × 9 999 999 937 (a counter) or i × 1.0123456789.
+        // i-th field, i × 9 999 999 937 (a counter) or i × 1.0123456789; a
+        // metric added or removed since shifts the later fields.
         let mut kv = row_with("KVStore", "java_pf+dir", &[]);
         for (i, m) in METRICS.iter().enumerate() {
             kv.values[i] = match m.read {
@@ -1077,7 +1076,7 @@ mod tests {
             };
             assert!(fields.iter().any(|(name, _)| *name == counter), "{counter}");
         }
-        assert_eq!(METRICS.len(), 31);
+        assert_eq!(METRICS.len(), 30);
     }
 
     #[test]

@@ -116,7 +116,7 @@ impl AdaptiveParams {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TransportConfig {
     /// Overlapped page fetches: an explicit prefetch (`loadIntoCache`) and
-    /// every speculative batch rider issue their RPC immediately but record
+    /// every speculatively batched page issue their RPC immediately but record
     /// an in-flight ticket; the requester keeps computing and pays only the
     /// *residual* latency when the page is first really used.  With
     /// tickets to hold them, the requester also prefetches along its own

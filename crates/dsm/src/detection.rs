@@ -20,17 +20,17 @@
 //! * An access to a page the node holds no valid copy of (neither home nor
 //!   present-and-unprotected) must fetch, and through the engine's fetch
 //!   path, which installs the happens-before-carrying copy.  An acquire
-//!   invalidates cached copies, so this is what makes a post-acquire read
-//!   see the home's released values.
+//!   drops the copies its write notices outdate, so this is what makes a
+//!   post-acquire read see the home's released values.
 //! * Invalidating a `Protect` page must revoke its access rights: an open
 //!   stale copy would satisfy the next access without the fault that the
 //!   acquire's invalidation demands.
-//! * A page changes technique only at epoch close, which runs for every
-//!   non-home frame at an acquire *before* its copy is dropped: no access
-//!   can observe a half-switched page.
-//! * Batched-fetch riders and speculative riders are full copies installed
-//!   by the same reply as the demanded page, so they are exactly as fresh;
-//!   a wrong re-access prediction is wasted bytes, never stale ones.
+//! * A page changes technique only at epoch close, which runs when a notice
+//!   outdates its copy, *before* the copy is dropped: no access can observe
+//!   a half-switched page.
+//! * Pages a batched fetch carries, speculative or not, are full copies
+//!   installed by the same reply as the demanded page, so they are exactly
+//!   as fresh; a wrong re-access prediction is wasted bytes, never stale ones.
 //!
 //! Release flushing and replication are no part of detection: the engine
 //! reads `TransportConfig::{max_flush_batch_pages, deferred_flush}` where it
@@ -229,7 +229,7 @@ impl Detection {
     }
 
     /// True if `frame`'s epoch history predicts it will be re-accessed next
-    /// epoch — the speculation predicate for batched-fetch riders.
+    /// epoch — the speculation predicate for batched fetches.
     pub(crate) fn predicts_reaccess(&self, frame: &PageFrame) -> bool {
         let ad = frame.ad();
         self.kind == ProtocolKind::JavaAd
@@ -237,10 +237,10 @@ impl Detection {
             && ad.last_epoch_accesses.load(Ordering::Relaxed) > 0
     }
 
-    /// Close `frame`'s invalidation epoch at an acquire (`java_ad` only):
+    /// Close `frame`'s epoch when its copy is outdated (`java_ad` only):
     /// rotate its statistics and flip its technique if the smoothed density
-    /// crossed a mark.  Returns `(switched, wasted_prefetch)`.  Absent
-    /// frames close a zero epoch, which resets their prefetch streak.
+    /// crossed a mark.  Returns `(switched, wasted_prefetch)`.  A retained,
+    /// untouched copy closes a zero epoch, which resets its prefetch streak.
     pub(crate) fn close_epoch(&self, frame: &PageFrame) -> (bool, bool) {
         if self.kind != ProtocolKind::JavaAd {
             return (false, false);

@@ -17,8 +17,8 @@
 use hyperion_pm2::{PageId, SLOTS_PER_PAGE};
 
 pub use crate::fetch_wire::{
-    decode_fetch_reply, decode_fetch_request, encode_fetch_request, push_page_reply,
-    push_rider_answers, FetchReply, FetchRequest, PageReply, Rider, MAX_RIDERS,
+    decode_fetch_reply, decode_fetch_request, encode_fetch_request, push_page_reply, FetchRequest,
+    PageReply,
 };
 
 /// One modified slot: `(slot index within the page, new value)`.

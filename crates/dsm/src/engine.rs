@@ -4,7 +4,10 @@
 //! All protocols implement the Java Memory Model the same way (home-based
 //! caching, invalidate on monitor entry, flush field-granularity diffs on
 //! monitor exit — §3.1) and differ *only* in how accesses to remote objects
-//! are detected (§3.2, §3.3):
+//! are detected (§3.2, §3.3).  The invalidation at an acquire is the lazy
+//! form of the paper's: it drops the cached copies the acquirer's learned
+//! write notices name at an older stamp ([`DsmSystem::acquire`],
+//! `notices.rs`), while the explicit `invalidateCache` drops them all.
 //!
 //! * **`java_ic`** — every `get`/`put` performs an explicit in-line locality
 //!   check; a miss triggers a page fetch.  No page protection, no faults, no
@@ -13,8 +16,8 @@
 //!   beyond the raw access.  Pages of remote objects are access-protected,
 //!   so the first access after initialisation or after a cache invalidation
 //!   takes a (simulated) page fault, fetches the page, and pays an `mprotect`
-//!   to open it; monitor-entry invalidation pays an `mprotect` to re-protect
-//!   the cached region.
+//!   to open it; dropping copies pays an `mprotect` per contiguous run of
+//!   them to re-protect it.
 //! * **`java_ad`** — an adaptive extension beyond the paper: every cached
 //!   page runs its own state machine between the two techniques above.  A
 //!   page tracks how often it is re-accessed after each invalidation and is
@@ -45,8 +48,9 @@ use hyperion_pm2::{Cluster, GlobalAddr, Node, NodeId, PageId, ServiceId, SLOTS_P
 use crate::config::{AdaptiveParams, DeferredFlush, Locality, ProtocolKind, TransportConfig};
 use crate::detection::{AdMode, Detection};
 use crate::diff::{decode_diff_reply, encode_diff, encode_diff_batch, DiffEntry};
+use crate::fetch::NodeFetchState;
+use crate::notices::{NodeLog, Notices};
 use crate::page::PageFrame;
-use crate::riders::{rider_worth, NodeFetchState};
 use crate::services::{DiffApplyService, PageFetchService};
 use crate::table::DsmStore;
 
@@ -56,11 +60,12 @@ pub struct DsmSystem {
     pub(crate) store: Arc<DsmStore>,
     pub(crate) detection: Detection,
     pub(crate) transport: TransportConfig,
-    /// Per node: what the fetch mechanics remember between fetches (recent
-    /// pages per home, windowed accuracy gates; see `riders.rs`).
+    /// Per node: what the fetch mechanics remember between fetches (scan
+    /// ends per home, windowed accuracy gates; see `fetch.rs`).
     pub(crate) fetch_state: Vec<NodeFetchState>,
-    /// Riders one saved round trip pays for on this cluster's machine.
-    pub(crate) rider_worth: u64,
+    /// Per node: the pages its threads made visible, for their releases to
+    /// name (see `notices.rs`).
+    written: Vec<NodeLog>,
     pub(crate) page_fetch: ServiceId,
     pub(crate) diff_apply: ServiceId,
 }
@@ -107,14 +112,13 @@ impl DsmSystem {
             replication,
         }));
         let nodes = cluster.num_nodes();
-        let rider_worth = rider_worth(cluster.machine());
         Arc::new(DsmSystem {
             cluster,
             store,
             detection,
             transport: transport.clone(),
             fetch_state: (0..nodes).map(|_| NodeFetchState::new(nodes)).collect(),
-            rider_worth,
+            written: (0..nodes).map(|_| NodeLog::default()).collect(),
             page_fetch,
             diff_apply,
         })
@@ -175,7 +179,9 @@ impl DsmSystem {
         let frame = self.store.frame(node, page);
         let access = self.ensure_access(node, node_ref, clock, page, &frame, 1);
         self.unwrap_rpc(access);
-        frame.store_slot(addr.slot(), value);
+        if frame.store_slot(addr.slot(), value) {
+            self.written[node.index()].log_home_write(page, &frame);
+        }
     }
 
     /// Classify the current locality of `page` as seen from `node`.
@@ -266,7 +272,9 @@ impl DsmSystem {
             let access = self.ensure_access(node, node_ref, clock, a.page(), &frame, bulk_pages);
             self.unwrap_rpc(access);
             for k in 0..run {
-                frame.store_slot(slot + k, values[done + k]);
+                if frame.store_slot(slot + k, values[done + k]) {
+                    self.written[node.index()].log_home_write(a.page(), &frame);
+                }
             }
             done += run;
         }
@@ -297,7 +305,7 @@ impl DsmSystem {
     /// The whole span is *certain* to be touched (the caller said so), so
     /// under `java_ad` the remaining span rides along in batched fetches on
     /// certainty alone — history speculation is suppressed, because piling
-    /// speculative riders onto an explicit prefetch would compound two
+    /// speculative pages onto an explicit prefetch would compound two
     /// guesses and inflate page traffic the program never asked for.
     pub fn prefetch_span(&self, node: NodeId, clock: &mut ThreadClock, first: PageId, pages: u64) {
         let node_ref = self.cluster.node(node);
@@ -317,32 +325,137 @@ impl DsmSystem {
     }
 
     /// Invalidate all cached (non-home) pages on `node`: the
-    /// `invalidateCache` primitive of Table 2, executed on monitor entry.
+    /// `invalidateCache` primitive of Table 2.  Monitors acquire by write
+    /// notices instead ([`DsmSystem::acquire`]); this drops every copy.
     ///
     /// Pages holding unflushed modifications are flushed first so that no
     /// update can be lost by an acquire that precedes the matching release.
     /// Under `java_pf` the cached region is re-protected, which costs one
     /// `mprotect` call (§3.3).
     pub fn invalidate_cache(&self, node: NodeId, clock: &mut ThreadClock) {
-        let node_ref = self.cluster.node(node);
-        NodeStats::bump(&node_ref.stats.cache_invalidations);
-        let fetch_state = &self.fetch_state[node.index()];
-        fetch_state.begin_invalidate();
+        self.begin_acquire(node);
+        self.drop_copies(node, clock, None);
+    }
 
-        let mut cached: Vec<(PageId, Arc<PageFrame>)> = Vec::new();
-        let mut switches = 0u64;
-        let mut wasted = 0u64;
-        self.store.for_each_frame(node, |page, frame| {
-            if frame.is_home() {
-                return;
-            }
+    /// The acquire action of a thread whose knowledge just gained `learned`
+    /// (merged in from a monitor's or a joined thread's): drop every present
+    /// copy they name at an older stamp, and keep every other copy open at
+    /// no cost.  Each learned notice costs `invalidate_cycles_per_page`, and
+    /// re-protecting the dropped copies one `mprotect` per run of contiguous
+    /// pages.
+    pub fn acquire(&self, node: NodeId, clock: &mut ThreadClock, learned: &Notices) {
+        self.begin_acquire(node);
+        self.learn(node, clock, learned);
+        let stats = &self.cluster.node(node).stats;
+        NodeStats::bump_by(&stats.pages_kept, self.store.cached_on(node));
+    }
+
+    /// [`DsmSystem::acquire`] without counting an acquire: what the child's
+    /// node does with its parent's knowledge at `Thread.start`.
+    pub fn learn(&self, node: NodeId, clock: &mut ThreadClock, learned: &Notices) {
+        let machine = self.cluster.machine();
+        let per_notice = machine.dsm.invalidate_cycles_per_page;
+        clock.advance(machine.cpu.cycles(per_notice * learned.len() as f64));
+        self.drop_copies(node, clock, Some(learned));
+    }
+
+    /// The release action of a thread whose place in its node's write log
+    /// is `cursor`: flush the node's modifications — as split transactions
+    /// if `deferred` (see [`DsmSystem::update_main_memory_deferred`]) — and
+    /// name every page the node made visible since the thread's previous
+    /// release, at the stamp a copy must carry to include it (for a home
+    /// write, the stamp that will fold it in).  The node learns these
+    /// notices too: a copy older than the stamp of a write this node flushed
+    /// — another node's diff landed in between — is dropped.
+    pub fn release(
+        &self,
+        node: NodeId,
+        clock: &mut ThreadClock,
+        cursor: &mut u64,
+        deferred: bool,
+    ) -> (Option<DeferredFlush>, Notices) {
+        let flushed = if deferred {
+            self.update_main_memory_deferred(node, clock)
+        } else {
+            self.update_main_memory(node, clock);
+            None
+        };
+        let written = self.written[node.index()].since(cursor);
+        let home = |page| self.store.home_of(page);
+        let resolve = |(page, stamp)| match stamp {
+            u64::MAX => (
+                page,
+                self.store
+                    .with_frame(home(page), page, PageFrame::written_stamp),
+            ),
+            _ => (page, stamp),
+        };
+        let written = Notices::from_pairs(written.into_iter().map(resolve).collect());
+        self.drop_copies(node, clock, Some(&written));
+        (flushed, written)
+    }
+
+    /// Where a thread that starts on `node` now begins to read the node's
+    /// write log: its first [`DsmSystem::release`] names what the node makes
+    /// visible from here on.
+    pub fn write_log_end(&self, node: NodeId) -> u64 {
+        self.written[node.index()].end()
+    }
+
+    /// Count one acquire episode of `node`.
+    fn begin_acquire(&self, node: NodeId) {
+        NodeStats::bump(&self.cluster.node(node).stats.cache_invalidations);
+        self.fetch_state[node.index()].begin_acquire();
+    }
+
+    /// The one invalidation routine: drop the present copies `named` names
+    /// at an older stamp — every cached copy for `None` — flushing a dirty
+    /// copy first.  The `java_ad` epoch of a page closes when its copy,
+    /// open or retained, is outdated (of every page at the explicit
+    /// `invalidateCache`): when a detection miss is paid, or would be.
+    fn drop_copies(&self, node: NodeId, clock: &mut ThreadClock, named: Option<&Notices>) {
+        let node_ref = self.cluster.node(node);
+        let fetch_state = &self.fetch_state[node.index()];
+        let (mut switches, mut wasted) = (0u64, 0u64);
+        let mut close = |frame: &PageFrame| {
             let (switched, wasted_prefetch) = self.detection.close_epoch(frame);
             switches += u64::from(switched);
             wasted += u64::from(wasted_prefetch);
-            if frame.is_present() {
-                cached.push((page, Arc::clone(frame)));
+        };
+        let mut stale: Vec<(PageId, Arc<PageFrame>)> = Vec::new();
+        match named {
+            None => self.store.for_each_frame(node, |page, frame| {
+                if !frame.is_home() {
+                    close(frame);
+                    if frame.is_present() {
+                        stale.push((page, Arc::clone(frame)));
+                    }
+                }
+            }),
+            Some(named) => {
+                let frames = self
+                    .store
+                    .existing_frames(node, named.iter().map(|(p, _)| p));
+                for ((page, stamp), frame) in named.iter().zip(frames) {
+                    if frame.is_home() {
+                        continue;
+                    }
+                    // A fetch of the page under way installs first: its copy
+                    // is the one the stamp is compared with.
+                    let (present, older) = {
+                        let _fetch = frame.fetch_lock().lock();
+                        (frame.is_present(), frame.version() < stamp)
+                    };
+                    // The notice outdates the copy, retained or open.
+                    if older {
+                        close(&frame);
+                    }
+                    if older && present {
+                        stale.push((page, frame));
+                    }
+                }
             }
-        });
+        }
 
         let machine = self.cluster.machine();
         if switches > 0 {
@@ -353,57 +466,57 @@ impl DsmSystem {
             NodeStats::bump_by(&node_ref.stats.pages_prefetch_wasted, wasted);
             fetch_state.speculation.outcome(wasted);
         }
-        if cached.is_empty() {
-            return;
-        }
 
         // Flush any pending modifications before dropping the copies
         // (batched like `updateMainMemory`'s flush).
-        let dirty: Vec<(PageId, Arc<PageFrame>)> = cached
+        let dirty: Vec<(PageId, Arc<PageFrame>)> = stale
             .iter()
             .filter(|(_, frame)| frame.has_dirty_slots())
-            .map(|(page, frame)| (*page, Arc::clone(frame)))
+            .cloned()
             .collect();
         let flushed = self.flush_frames(node, node_ref, clock, &dirty);
         self.unwrap_rpc(flushed);
         // A flush that found its home dead ran the recovery, which may have
         // promoted one of these frames to home mid-invalidation; re-filter
         // so the new main-memory copy survives.
-        cached.retain(|(_, frame)| !frame.is_home());
-        if cached.is_empty() {
-            return;
-        }
+        stale.retain(|(_, frame)| !frame.is_home());
 
-        let mut reprotected = false;
-        let mut stride_waste = 0u64;
-        for (_, frame) in &cached {
+        let (mut runs, mut run_end, mut stride_waste, mut dropped) = (0u64, None, 0u64, 0i64);
+        for (page, frame) in &stale {
             let reprotect = self.detection.technique(frame) == AdMode::Protect;
-            reprotected |= reprotect;
+            if reprotect && run_end != Some(page.0) {
+                runs += 1;
+            }
+            run_end = reprotect.then_some(page.0 + 1);
             // A stride ticket still pending here means the predicted demand
             // miss never came: the prefetch was wasted.  The count feeds the
             // throttle in `issue_stride_fetches`.
             if frame.inflight_is_hinted() {
                 stride_waste += 1;
             }
-            frame.invalidate(reprotect);
+            dropped += i64::from(frame.invalidate(reprotect));
         }
+        self.store.note_cached(node, -dropped);
         if stride_waste > 0 {
             NodeStats::bump_by(&node_ref.stats.stride_fetches_wasted, stride_waste);
             fetch_state.stride.outcome(stride_waste);
         }
-
-        let n = cached.len() as u64;
+        let n = stale.len() as u64;
         NodeStats::bump_by(&node_ref.stats.pages_invalidated, n);
-        clock.advance(
-            machine
-                .cpu
-                .cycles(machine.dsm.invalidate_cycles_per_page * n as f64),
-        );
-        if reprotected {
-            // One mprotect call covers the (iso-address, hence contiguous-ish)
-            // cached region that is being re-protected.
-            NodeStats::bump(&node_ref.stats.mprotect_calls);
-            clock.advance(machine.dsm.mprotect_call);
+        // One `mprotect` covers the whole (iso-address, hence contiguous-ish)
+        // cached region when every copy goes; once part of it stays open,
+        // one per run of contiguous pages.  The bookkeeping is per dropped
+        // copy then, per learned notice otherwise (see `learn`).
+        let calls = if named.is_none() {
+            let per_page = machine.dsm.invalidate_cycles_per_page;
+            clock.advance(machine.cpu.cycles(per_page * n as f64));
+            runs.min(1)
+        } else {
+            runs
+        };
+        if calls > 0 {
+            NodeStats::bump_by(&node_ref.stats.mprotect_calls, calls);
+            clock.advance(machine.dsm.mprotect_call.times(calls));
         }
     }
 
@@ -459,17 +572,6 @@ impl DsmSystem {
         self.store.with_frame(node, page, |f| {
             f.is_home() || (f.is_present() && !f.is_protected())
         })
-    }
-
-    /// Number of non-home pages currently cached (present) on `node`.
-    pub fn pages_cached_on(&self, node: NodeId) -> usize {
-        let mut n = 0;
-        self.store.for_each_frame(node, |_, f| {
-            if !f.is_home() && f.is_present() {
-                n += 1;
-            }
-        });
-        n
     }
 
     // ----- internal helpers ------------------------------------------------
@@ -532,6 +634,7 @@ impl DsmSystem {
     ) -> Result<Option<DeferredFlush>, crate::recover::RpcFailure> {
         let machine = self.cluster.machine();
         let max_batch = self.transport.max_flush_batch_pages.max(1);
+        let _flushing = (!dirty.is_empty()).then(|| self.written[node.index()].flushing());
         let mut marks: Vec<crate::config::HomeFlushMark> = Vec::new();
         let mut i = 0usize;
         while i < dirty.len() {
@@ -606,15 +709,22 @@ impl DsmSystem {
             // stamp — the writer need not refetch the page it just wrote.
             // (Sound under deferred completion too: the writer could have
             // predicted "retained + 1"; the ack only confirms it.)  Only a
-            // page this message actually wrote qualifies: for a rider whose
-            // dirty slots another thread of this node flushed first, the
-            // step to the home's stamp may be somebody else's write.
+            // page this message actually wrote qualifies: for a page of the
+            // batch whose dirty slots another thread of this node flushed
+            // first, the step to the home's stamp may be somebody else's
+            // write.  The pages it wrote enter the node's write log at the
+            // acknowledged stamps.
+            let mut acked = Vec::with_capacity(pages);
             for (k, post) in versions.into_iter().enumerate() {
-                let frame = &dirty[i + k].1;
-                if !per_page[k].is_empty() && !frame.is_home() {
-                    frame.forward_version(retained[k], post);
+                let (page, frame) = &dirty[i + k];
+                if !per_page[k].is_empty() {
+                    acked.push((*page, post));
+                    if !frame.is_home() {
+                        frame.forward_version(retained[k], post);
+                    }
                 }
             }
+            self.written[node.index()].push(acked);
             i = j;
         }
         if marks.is_empty() {
@@ -688,12 +798,8 @@ mod tests {
             assert_eq!(cluster.node_stats(n).batched_flushes, before + 1);
             assert_eq!(dirty[0].1.version(), retained, "{kind:?}: P not forwarded");
 
-            // Copies the home confirmed instead of shipping: by the page's
-            // own fetch, or by a rider on its neighbour's.
-            let confirmed = || {
-                let s = cluster.node_stats(n);
-                s.pages_revalidated + s.rider_opens
-            };
+            // Copies the home confirmed instead of shipping.
+            let confirmed = || cluster.node_stats(n).pages_revalidated;
             let before = confirmed();
             dsm.invalidate_cache(n, &mut t1);
             assert_eq!(dsm.get(n, &mut t1, p.offset(1)), 77, "{kind:?}");

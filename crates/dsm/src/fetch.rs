@@ -4,9 +4,8 @@
 //!
 //! Every fetch is conditional (see [`crate::page`], "Page versions"): both
 //! paths go through [`DsmSystem::fetch_run`], which names the version
-//! each frame retains and either re-opens the retained copy or installs the
-//! shipped one — and lets the recent pages of the same home ride along to
-//! be validated on the way (`riders.rs`).
+//! each frame retains and either re-opens the retained copy, patches it or
+//! installs the shipped one.
 //!
 //! This is a second `impl DsmSystem` block (split out of `engine.rs` to
 //! keep the engine readable): everything here is mechanism — RPC framing,
@@ -14,6 +13,7 @@
 //! decisions (batch ceiling, re-access prediction, the technique that says
 //! whether an installed copy must be opened; see [`crate::detection`]).
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use hyperion_model::{NodeStats, ThreadClock, VTime};
@@ -22,11 +22,55 @@ use hyperion_pm2::{Node, NodeId, PageId};
 use crate::detection::AdMode;
 use crate::diff::{decode_fetch_reply, encode_fetch_request, PageReply};
 use crate::engine::DsmSystem;
+use crate::gate::{Windowed, GATE_WINDOW};
 use crate::page::PageFrame;
 use crate::recover::RpcFailure;
 
 /// Most pages one stride prefetch puts in flight ahead of a scan.
 const STRIDE_WINDOW: u64 = 4;
+
+/// What the fetch mechanics remember per node between fetches.
+#[derive(Debug)]
+pub(crate) struct NodeFetchState {
+    /// Per home: one past the last page of this node's last fetch there
+    /// (0 = none yet).  A fetch that starts exactly there continues a scan
+    /// (the stride rule of [`DsmSystem::issue_stride_fetches`]).
+    scan_next: Vec<AtomicU64>,
+    /// Stride-prefetch fetches issued / invalidated with the ticket pending.
+    pub(crate) stride: Windowed,
+    /// Speculatively batched pages installed / invalidated untouched.
+    pub(crate) speculation: Windowed,
+    /// Acquires (and explicit invalidations) begun on this node.
+    acquires: AtomicU64,
+}
+
+impl NodeFetchState {
+    pub(crate) fn new(homes: usize) -> Self {
+        NodeFetchState {
+            scan_next: (0..homes).map(|_| AtomicU64::new(0)).collect(),
+            stride: Windowed::default(),
+            speculation: Windowed::default(),
+            acquires: AtomicU64::new(0),
+        }
+    }
+
+    /// Count one acquire; every [`GATE_WINDOW`] of them both gates' records
+    /// fade by half.
+    pub(crate) fn begin_acquire(&self) {
+        if (self.acquires.fetch_add(1, Ordering::Relaxed) + 1) % GATE_WINDOW == 0 {
+            self.stride.halve();
+            self.speculation.halve();
+        }
+    }
+
+    /// Note a fetch of `count` pages of `home` starting at `first`; true if
+    /// it starts where the node's previous fetch from that home ended.
+    pub(crate) fn continues_scan(&self, home: NodeId, first: PageId, count: usize) -> bool {
+        let end = first.0 + count as u64;
+        let prev = self.scan_next[home.index()].swap(end, Ordering::Relaxed);
+        prev != 0 && prev == first.0
+    }
+}
 
 impl DsmSystem {
     /// One conditional fetch RPC to `home` for the contiguous run of its pages
@@ -45,18 +89,14 @@ impl DsmSystem {
     ) -> Result<(bool, VTime), RpcFailure> {
         let node = node_ref.id();
         let retained: Vec<u64> = frames.iter().map(|f| f.version()).collect();
-        let epoch = self.fetch_epoch(node);
-        let asked = self.pick_riders(node, home, first, frames.len(), epoch);
-        self.charge_riders(node_ref, clock, asked.len() as u64);
-        let payload = encode_fetch_request(first, &retained, &asked);
+        let payload = encode_fetch_request(first, &retained);
         let (bytes, completion) =
             self.rpc_to_home(clock, node, node_ref, first, self.page_fetch, &payload)?;
         let malformed = |why| self.malformed_reply(node, first, self.page_fetch, why);
-        let reply = decode_fetch_reply(&bytes, &retained, asked.len()).map_err(malformed)?;
-        self.settle_riders(node, home, &asked, reply.unchanged, epoch, completion);
+        let replies = decode_fetch_reply(&bytes, &retained).map_err(malformed)?;
         let scan = self.fetch_state[node.index()].continues_scan(home, first, frames.len());
-        let (mut revalidated, mut patched) = (0u64, 0u64);
-        for (k, (frame, reply)) in frames.iter().zip(reply.pages).enumerate() {
+        let (mut revalidated, mut patched, mut opened) = (0u64, 0u64, 0i64);
+        for (k, (frame, reply)) in frames.iter().zip(replies).enumerate() {
             if frame.is_home() {
                 // A concurrent recovery promoted this frame to home while
                 // the fetch was in flight: it already holds the
@@ -66,25 +106,24 @@ impl DsmSystem {
                 continue;
             }
             // The decoder vouched for every stamp against `retained[k]`.
-            let kept = match reply {
-                PageReply::Full(v, data) => {
-                    frame.install_copy(data, v);
-                    continue;
-                }
+            let (was_absent, kept) = match reply {
+                PageReply::Full(v, data) => (frame.install_copy(data, v), None),
                 PageReply::NotModified(v) => {
-                    frame.reopen();
                     revalidated += 1;
-                    v
+                    (frame.reopen(), Some(v))
                 }
                 PageReply::Patch(v, entries) => {
-                    frame.apply_patch(&entries, v);
                     patched += 1;
-                    v
+                    (frame.apply_patch(&entries, v), Some(v))
                 }
             };
+            opened += i64::from(was_absent);
             // Bytes the home did not just ship are in use from here on.
-            self.assert_retained_copy_current(PageId(first.0 + k as u64), frame, kept);
+            if let Some(v) = kept {
+                self.assert_retained_copy_current(PageId(first.0 + k as u64), frame, v);
+            }
         }
+        self.store.note_cached(node, opened);
         if revalidated > 0 {
             NodeStats::bump_by(&node_ref.stats.pages_revalidated, revalidated);
         }
@@ -218,16 +257,12 @@ impl DsmSystem {
             return Ok(());
         }
         let home = self.store.home_of(page);
-        if self.open_confirmed(node_ref, clock, home, page, frame, unprotect_after) {
-            drop(guard);
-            return Ok(());
-        }
         let max_batch = self.detection.batch_ceiling();
 
         // Speculation is throttled by its own measured accuracy: while more
         // than 1/16 of the node's recent *speculative* prefetches turned out
         // wasted (invalidated untouched), only pages certain to be accessed
-        // may ride along.  Certain (bulk-covered) riders are deliberately not
+        // may ride along.  Certain (bulk-covered) pages are deliberately not
         // in the denominator — they can never be wasted and would otherwise
         // dilute the bound.  This keeps a mispredicting workload (e.g.
         // dynamic work reassignment) from inflating page traffic noticeably.
@@ -280,38 +315,35 @@ impl DsmSystem {
             .chain(candidates.iter().take(batch).map(|(qf, _)| &**qf))
             .collect();
         let (scan, wire_completion) = self.fetch_run(node_ref, clock, home, page, &run)?;
-        if demand {
-            self.note_miss(node, home, page);
-        }
         let issue = clock.now();
         // A frame of the run promoted to home mid-fetch was left alone by
         // `fetch_run`: it has nothing to open and takes no ticket below.
         let promoted = frame.is_home();
-        // Opening a rider that was protection-detected clears its access
-        // protection, which costs an mprotect just as the demanded page's
-        // fault path does — without it java_ad's modeled cost would be
+        // Opening a batched page that was protection-detected clears its
+        // access protection, which costs an mprotect just as the demanded
+        // page's fault path does — without it java_ad's modeled cost would be
         // understated for exactly the pages the prefetcher targets.
-        let mut riders_protected = false;
-        let mut speculative_riders = 0u64;
+        let mut batch_protected = false;
+        let mut speculative_pages = 0u64;
         for (qf, speculative) in candidates.iter().take(batch) {
             if qf.is_home() {
                 continue;
             }
-            riders_protected |= self.detection.technique(qf) == AdMode::Protect;
+            batch_protected |= self.detection.technique(qf) == AdMode::Protect;
             if *speculative {
                 qf.ad().mark_prefetched();
-                speculative_riders += 1;
+                speculative_pages += 1;
             }
         }
-        if speculative_riders > 0 {
+        if speculative_pages > 0 {
             NodeStats::bump_by(
                 &node_ref.stats.pages_prefetch_speculative,
-                speculative_riders,
+                speculative_pages,
             );
-            gate.tried(speculative_riders);
+            gate.tried(speculative_pages);
         }
 
-        let needs_mprotect = (unprotect_after && !promoted) || riders_protected;
+        let needs_mprotect = (unprotect_after && !promoted) || batch_protected;
         if needs_mprotect {
             // One mprotect call opens the whole contiguous run.
             NodeStats::bump(&node_ref.stats.mprotect_calls);
@@ -323,13 +355,13 @@ impl DsmSystem {
                 clock.advance(machine.dsm.mprotect_call);
             }
             if overlapped {
-                // The demanded page completed here, but its riders are live
-                // split transactions finishing with this batch.  The thread
-                // stalled for the whole round trip on the demanded page, so
-                // the riders hid nothing — their tickets carry `done` as
-                // both issue and completion (zero residual, zero hidden),
-                // and only make a slower thread that touches a rider first
-                // wait until the batch had actually arrived.
+                // The demanded page completed here, but the rest of the
+                // batch is live split transactions finishing with it.  The
+                // thread stalled for the whole round trip on the demanded
+                // page, so the batch hid nothing — its tickets carry `done`
+                // as both issue and completion (zero residual, zero hidden),
+                // and only make a slower thread that touches one of its pages
+                // first wait until the batch had actually arrived.
                 let done = clock.now();
                 for (qf, _) in candidates.iter().take(batch) {
                     if !qf.is_home() {

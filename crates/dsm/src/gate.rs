@@ -1,16 +1,16 @@
 //! The windowed accuracy gate the speculative fetch mechanisms throttle
 //! themselves on: the stride prefetch and `java_ad`'s speculative batching
-//! (`fetch.rs`) and the validation riders (`riders.rs`).
+//! (`fetch.rs`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// `invalidateCache` episodes of a node between two halvings of its
-/// windowed counts (see `NodeFetchState::begin_invalidate`).
+/// Acquires of a node between two halvings of its windowed counts (see
+/// `NodeFetchState::begin_acquire`).
 pub(crate) const GATE_WINDOW: u64 = 256;
 
 /// Trials of a speculative fetch mechanism on one node and how they turned
 /// out, over a sliding window: both counts are halved every
-/// [`GATE_WINDOW`] invalidations.  A mechanism that throttles itself on
+/// [`GATE_WINDOW`] acquires.  A mechanism that throttles itself on
 /// these cannot latch off — once it stops trying, its record fades and it
 /// probes again.
 #[derive(Debug, Default)]
@@ -47,13 +47,6 @@ impl Windowed {
         let wasted = self.outcomes.load(Ordering::Relaxed);
         wasted.saturating_mul(16) <= self.trials.load(Ordering::Relaxed).max(floor)
     }
-
-    /// Outcomes are *wins* each worth `worth` trials: true while the wins,
-    /// plus `credit` wins advanced to get started, pay for the trials.
-    pub(crate) fn pays(&self, worth: u64, credit: u64) -> bool {
-        let wins = self.outcomes.load(Ordering::Relaxed) + credit;
-        self.trials.load(Ordering::Relaxed) <= wins.saturating_mul(worth)
-    }
 }
 
 #[cfg(test)]
@@ -62,20 +55,6 @@ mod tests {
 
     #[test]
     fn a_gate_closes_on_its_record_and_reopens_once_that_has_faded() {
-        let (worth, credit) = (41, 2);
-        let riders = Windowed::default();
-        assert!(riders.pays(worth, credit), "credit to begin with");
-        riders.tried(credit * worth + 1);
-        assert!(!riders.pays(worth, credit), "credit spent, nothing won");
-        // One win is worth `worth` trials.
-        riders.outcome(1);
-        assert!(riders.pays(worth, credit));
-        riders.tried(worth);
-        assert!(!riders.pays(worth, credit));
-        // Closed, it tries nothing, so only time can reopen it.
-        riders.halve();
-        assert!(riders.pays(worth, credit), "probing again");
-
         // One early waste bites at once, and fades instead of latching; a
         // record below the floor proves nothing either way.
         let stride = Windowed::default();
@@ -91,5 +70,12 @@ mod tests {
         speculation.halve();
         speculation.halve();
         assert!(speculation.wastes_little(16), "not latched");
+
+        // A node's gates fade once every window of acquires.
+        let node = crate::fetch::NodeFetchState::new(1);
+        node.stride.tried(1);
+        node.stride.outcome(1);
+        (0..GATE_WINDOW).for_each(|_| node.begin_acquire());
+        assert!(node.stride.wastes_little(8), "faded by the window");
     }
 }

@@ -29,11 +29,14 @@
 //!   thing they differ in (one technique per page, the `java_ad` state
 //!   machine, and the JMM obligations every decision keeps);
 //! * [`engine`] — the [`DsmSystem`] protocol engine (with its fetch
-//!   mechanics in `fetch`, the validation riders those fetches carry in
-//!   `riders`, the accuracy gate both throttle themselves on in `gate`, and
-//!   its RPC services in `services`, which keep replicas and run quorum
-//!   writes under replication), which asks the detection at every
-//!   decision point and reads the flush placement off the transport;
+//!   mechanics in `fetch`, the accuracy gate its speculative fetches
+//!   throttle themselves on in `gate`, and its RPC services in `services`,
+//!   which keep replicas and run quorum writes under replication), which
+//!   asks the detection at every decision point and reads the flush
+//!   placement off the transport;
+//! * [`notices`] — write notices: what an acquire learns along the
+//!   synchronisation edges, so it drops only the cached copies some
+//!   happening-before write changed;
 //! * [`recover`] — the fault plane's DSM side: bounded retry with
 //!   exponential backoff on the RPC path and node-failure recovery
 //!   (re-electing homes for a dead node's pages from the replication
@@ -49,10 +52,10 @@ pub mod engine;
 mod fetch;
 mod fetch_wire;
 mod gate;
+pub mod notices;
 mod oracle;
 pub mod page;
 pub mod recover;
-mod riders;
 mod services;
 pub mod table;
 
@@ -63,6 +66,7 @@ pub use config::{
 pub use detection::AdMode;
 pub use engine::DsmSystem;
 pub use hyperion_pm2::TransportBackend;
+pub use notices::Notices;
 pub use page::{PageData, PageFrame};
 pub use recover::RpcFailure;
 pub use table::DsmStore;

@@ -1,14 +1,17 @@
-//! The debug-build oracle behind every confirmation of a retained copy.
+//! The debug-build oracles behind every copy a node keeps using.
 //!
 //! A home confirms a retained stamp as the "not modified" answer to a fetch
-//! of the page or as one bit on a neighbour's fetch (a validation rider),
-//! or brings the retained copy up to its stamp with a patch.  Either way
-//! the requester goes on to use bytes it did not just receive, so debug
-//! builds (hence `cargo test`) re-read the home frame and compare.
+//! of the page, or brings the retained copy up to its stamp with a patch.
+//! Either way the requester goes on to use bytes it did not just receive,
+//! so debug builds (hence `cargo test`) re-read the home frame and compare.
+//! An acquire keeps every copy its learned notices do not name; debug
+//! builds check that no copy the acquirer's node keeps open is older than
+//! anything the acquirer knows.
 
-use hyperion_pm2::PageId;
+use hyperion_pm2::{NodeId, PageId};
 
 use crate::engine::DsmSystem;
+use crate::notices::Notices;
 use crate::page::PageFrame;
 
 impl DsmSystem {
@@ -46,6 +49,28 @@ impl DsmSystem {
                  although both are at version {version}"
             );
             std::thread::yield_now();
+        }
+    }
+
+    /// Every present copy on `node` of a page `known` names carries at
+    /// least the stamp named: what a thread on `node` knows, its node's
+    /// cache never hides (see `crate::page`, the invariant).  Release builds
+    /// check nothing.
+    pub fn assert_knowledge_held(&self, node: NodeId, known: &Notices) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let frames = self
+            .store
+            .existing_frames(node, known.iter().map(|(p, _)| p));
+        for ((page, stamp), frame) in known.iter().zip(frames) {
+            let held = frame.is_home() || !frame.is_present() || frame.version() >= stamp;
+            assert!(
+                held,
+                "stale copy kept: {page:?} on {node} at version {} although a write at {stamp} \
+                 happened-before",
+                frame.version()
+            );
         }
     }
 }

@@ -42,12 +42,35 @@
 //! snapshot taken an instant earlier: a Java-level data race, not staleness.
 //!
 //! The one invariant all of this serves: **a non-home frame is `present`
-//! only if, since this node's last `invalidateCache`, its home shipped it,
-//! patched it up to its current stamp or confirmed its retained stamp.**
-//! The confirmation is either the answer to a fetch of the page itself or
-//! one bit on a fetch of a neighbour (a *validation rider*, see
-//! `riders.rs`); both end in [`PageFrame::reopen`], the second only once
-//! the page is touched.
+//! only if its home shipped, patched or confirmed it, and no notice its
+//! node has learned since names a newer stamp.**  An acquire learns write
+//! notices (`crate::notices`): `(page, stamp)` pairs for the pages the
+//! writes that happen-before it changed, and drops exactly the present
+//! copies they name at an older stamp.  The explicit `invalidateCache`
+//! drops every copy, which keeps the invariant trivially.
+//!
+//! ## Home writes and the first ship
+//!
+//! A release names the pages its node flushed (at the stamps the diff
+//! acknowledgements carry) and the home pages its node wrote.  A home write
+//! needs a notice only if a copy of the page may exist elsewhere — if some
+//! handler has stamped the page, i.e. its change history exists; the
+//! interior blocks of Jacobi and ASP never get one and never cost a notice.
+//! Such a write puts the page in the node's write log once per step of the
+//! stamp ([`PageFrame::store_slot`]), and the release that reads the entry
+//! names the stamp the next fold will produce
+//! ([`PageFrame::written_stamp`]): every copy without the write is older,
+//! every copy shipped from then on holds it.  A page nobody fetches keeps
+//! its stamp, so writing it again and again costs its readers one notice.
+//!
+//! A home write racing with the *first* ship of its page is ordered
+//! Dekker-style: the writer stores the slot, issues a `SeqCst` fence and
+//! then looks for the history; the handler creates the history, issues a
+//! `SeqCst` fence and then reads the page.  Of the two fences one comes
+//! first in the single total order of `SeqCst` fences.  If the writer's
+//! does, the handler's read sees the slot, and the shipped copy holds the
+//! write; if the handler's does, the writer sees the history and logs a
+//! notice.  Either way no copy misses a write without a notice naming it.
 //!
 //! ## Change history
 //!
@@ -72,7 +95,7 @@
 //! stride above, with no steps), a home write that did not see the
 //! history yet, a step older than the ring.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 use hyperion_pm2::SLOTS_PER_PAGE;
@@ -89,14 +112,18 @@ pub const DIRTY_WORDS: usize = SLOTS_PER_PAGE / 64;
 /// configurable.
 pub const HISTORY_DEPTH: usize = 8;
 
-/// `PageFrame::home_wrote`: no home write since the last stamp.
-const HOME_CLEAN: u8 = 0;
-/// `PageFrame::home_wrote`: the home wrote the page since the last stamp
-/// without recording which slots (the page had no history then).
+/// `PageFrame::home_wrote` bit: the home wrote the page since the last
+/// stamp without recording which slots (the page had no history then).
+/// The fold breaks the history at the step it makes for it.
 const HOME_WROTE: u8 = 1;
-/// `PageFrame::home_wrote`: the home wrote the page since the last stamp
-/// and every slot it wrote is in the `dirty` bitmap.
+/// `PageFrame::home_wrote` bit: the home wrote the page since the last
+/// stamp and every slot it wrote is in the `dirty` bitmap.
 const HOME_TRACKED: u8 = 2;
+/// `PageFrame::home_wrote` bit: the node's write log has named the page
+/// since the last stamp.
+const HOME_LOGGED: u8 = 4;
+/// The `PageFrame::home_wrote` bits of a write the next fold steps for.
+const PENDING: u8 = HOME_WROTE | HOME_TRACKED;
 
 /// A bitmap over the slots of one page.
 pub type SlotSet = [u64; DIRTY_WORDS];
@@ -205,11 +232,11 @@ pub struct PageFrame {
     /// non-zero).  A hinted ticket still pending at invalidation time means
     /// the prefetch was wasted.
     inflight_hinted: AtomicBool,
-    /// Home frames only: set once the home node itself wrote this page since
-    /// `version` was last stamped.  Home writes are the access hit path, so
-    /// without a history they only set this flag (a plain store);
-    /// [`PageFrame::stamp`] folds it into `version` where the home serves a
-    /// fetch or applies a diff.
+    /// Home frames only: the `HOME_*` bits of the home node's own writes
+    /// since `version` was last stamped.  Home writes are the access hit
+    /// path, so without a history they only set a bit;
+    /// [`PageFrame::stamp`] folds them into `version` where the home serves
+    /// a fetch or applies a diff.
     home_wrote: AtomicU8,
     /// Home frames only: the change history (module docs), allocated by the
     /// first handler that stamps the page.  Its lock is the one the stamp
@@ -231,7 +258,7 @@ impl PageFrame {
             inflight_completion_ps: AtomicU64::new(0),
             inflight_issue_ps: AtomicU64::new(0),
             inflight_hinted: AtomicBool::new(false),
-            home_wrote: AtomicU8::new(HOME_CLEAN),
+            home_wrote: AtomicU8::new(0),
             history: OnceLock::new(),
         }
     }
@@ -279,31 +306,32 @@ impl PageFrame {
 
     /// Install a fresh copy of the page (after a fetch from the home node),
     /// remember the home stamp `version` it was snapshotted under, and mark
-    /// it present and unprotected.
-    pub fn install_copy(&self, bytes: &[u8], version: u64) {
+    /// it present and unprotected.  True if it was absent.
+    pub fn install_copy(&self, bytes: &[u8], version: u64) -> bool {
         self.data().fill_from_bytes(bytes);
         self.version.store(version, Ordering::Release);
-        self.reopen();
+        self.reopen()
     }
 
     /// Bring the retained copy up to the home stamp `version` by storing
     /// the slots that changed since the stamp it was retained under, and
-    /// re-open it.  Every other slot — a locally modified, unflushed one
-    /// included — is left alone.
-    pub fn apply_patch(&self, entries: &[(u16, u64)], version: u64) {
+    /// re-open it (true if it was absent).  Every other slot — a locally
+    /// modified, unflushed one included — is left alone.
+    pub fn apply_patch(&self, entries: &[(u16, u64)], version: u64) -> bool {
         let data = self.data();
         for &(slot, value) in entries {
             data.store(slot as usize, value);
         }
         self.version.store(version, Ordering::Release);
-        self.reopen();
+        self.reopen()
     }
 
     /// Re-open the retained copy after the home answered "not modified":
-    /// present and unprotected again, bytes and stamp untouched.
-    pub fn reopen(&self) {
+    /// present and unprotected again, bytes and stamp untouched.  True if
+    /// it was absent.
+    pub fn reopen(&self) -> bool {
         self.protected.store(false, Ordering::Release);
-        self.present.store(true, Ordering::Release);
+        !self.present.swap(true, Ordering::AcqRel)
     }
 
     /// The frame's version word as last written: the retained copy's stamp
@@ -318,6 +346,17 @@ impl PageFrame {
     /// *before* they read the page (see the module docs).
     pub fn stamp(&self) -> u64 {
         self.fold(&mut self.history().lock())
+    }
+
+    /// Home side: the stamp a notice of the home's own writes names — the
+    /// first stamp every copy holding them will carry: the current one, or
+    /// the next if a write is pending.  Unlike [`PageFrame::stamp`] it
+    /// folds nothing, so as long as nobody fetches the page, releases that
+    /// write it again name the same stamp and teach nobody anything new.
+    pub fn written_stamp(&self) -> u64 {
+        let _no_fold = self.history().lock();
+        let stamp = self.version.load(Ordering::Acquire);
+        stamp + u64::from(self.home_wrote.load(Ordering::Acquire) & PENDING != 0)
     }
 
     /// Home side: the current stamp (as [`PageFrame::stamp`]) and, if the
@@ -365,12 +404,16 @@ impl PageFrame {
     /// The history, allocated on first use: whole from the current stamp
     /// (which cannot move before this returns — it moves under the lock).
     fn history(&self) -> &Mutex<History> {
-        self.history.get_or_init(|| {
+        let history = self.history.get_or_init(|| {
             Box::new(Mutex::new(History {
                 whole_from: self.version.load(Ordering::Acquire),
                 steps: [[0; DIRTY_WORDS]; HISTORY_DEPTH],
             }))
-        })
+        });
+        // The handler's half of the first-ship ordering (module docs): a
+        // home write either sees the history or is in view from here on.
+        fence(Ordering::SeqCst);
+        history
     }
 
     /// Move the stamp one step under the history's lock: the step goes in
@@ -391,8 +434,8 @@ impl PageFrame {
     /// A write landing meanwhile flags the page again; its bit may already
     /// be in this step, which is merely conservative.
     fn fold(&self, history: &mut History) -> u64 {
-        match self.home_wrote.swap(HOME_CLEAN, Ordering::AcqRel) {
-            HOME_CLEAN => self.version.load(Ordering::Acquire),
+        match self.home_wrote.swap(0, Ordering::AcqRel) & PENDING {
+            0 => self.version.load(Ordering::Acquire),
             flag => {
                 let changed = self.take_dirty_bits(Ordering::AcqRel);
                 self.step(history, (flag == HOME_TRACKED).then_some(changed))
@@ -419,10 +462,10 @@ impl PageFrame {
 
     /// Drop the cached copy: `invalidateCache` for this frame.  For the
     /// page-fault protocol the frame is also re-protected so the next access
-    /// faults.  Home frames are never invalidated.
-    pub fn invalidate(&self, reprotect: bool) {
+    /// faults.  Home frames are never invalidated.  True if it was present.
+    pub fn invalidate(&self, reprotect: bool) -> bool {
         debug_assert!(!self.is_home(), "home frames are never invalidated");
-        self.present.store(false, Ordering::Release);
+        let was_present = self.present.swap(false, Ordering::AcqRel);
         // A fetch still in flight for this copy is abandoned with it: the
         // issue costs were already charged, and nobody will use the data.
         self.inflight_completion_ps.store(0, Ordering::Release);
@@ -430,6 +473,7 @@ impl PageFrame {
         if reprotect {
             self.protected.store(true, Ordering::Release);
         }
+        was_present
     }
 
     /// Read a slot of this frame.
@@ -441,31 +485,41 @@ impl PageFrame {
     /// Write a slot of this frame and remember it in the dirty bitmap: on
     /// non-home frames so `updateMainMemory` can flush it (object-field
     /// granularity, §3.1), on home frames with a history so the next step
-    /// of the stamp names it.
+    /// of the stamp names it.  True for a home write the node's write log
+    /// may not name yet: the caller logs the page (module docs, "Home writes
+    /// and the first ship").
     #[inline]
-    pub fn store_slot(&self, slot: usize, value: u64) {
+    pub fn store_slot(&self, slot: usize, value: u64) -> bool {
         self.data().store(slot, value);
         let bit = 1u64 << (slot % 64);
         if !self.is_home() {
             self.dirty[slot / 64].fetch_or(bit, Ordering::Relaxed);
-        } else if self.history.get().is_none() {
-            // Data first, flag second (`Release`): whoever folds the flag
-            // into the stamp has the data in view (module docs).  The flag
-            // also says that no slot was recorded — a history allocated
-            // meanwhile is broken at the step that folds it.
-            self.home_wrote.store(HOME_WROTE, Ordering::Release);
-        } else {
-            // Data first, bit second, flag third: the fold clears the flag
-            // before it takes the bits (both `AcqRel`, pairing with these),
-            // so a bit it misses finds the flag clear and sets it again.
-            self.dirty[slot / 64].fetch_or(bit, Ordering::AcqRel);
-            let _ = self.home_wrote.compare_exchange(
-                HOME_CLEAN,
-                HOME_TRACKED,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            );
+            return false;
         }
+        // The writer's half of the first-ship ordering (module docs).
+        fence(Ordering::SeqCst);
+        if self.history.get().is_none() {
+            // No slot recorded: a history allocated meanwhile is broken at
+            // the step that folds the bit.  The fence above already put the
+            // data in view of whoever allocates it, so of every fold.
+            if self.home_wrote.load(Ordering::Relaxed) & HOME_WROTE == 0 {
+                self.home_wrote.fetch_or(HOME_WROTE, Ordering::Release);
+            }
+            return false;
+        }
+        // Data first, slot bit second, flag third: the fold clears the flag
+        // before it takes the slot bits (both `AcqRel`, pairing with these),
+        // so a bit it misses finds the flag clear and sets it again.
+        self.dirty[slot / 64].fetch_or(bit, Ordering::AcqRel);
+        self.home_wrote.fetch_or(HOME_TRACKED, Ordering::AcqRel) & HOME_LOGGED == 0
+    }
+
+    /// Claim the write-log entry of the home writes pending on this page:
+    /// true for the first caller since the last step.  The log claims under
+    /// its lock, so a writer that finds the page logged knows the entry is
+    /// in the log for any release that reads it next.
+    pub(crate) fn claim_log_entry(&self) -> bool {
+        self.home_wrote.fetch_or(HOME_LOGGED, Ordering::AcqRel) & HOME_LOGGED == 0
     }
 
     /// True if any slot has been modified since the last flush.
@@ -572,6 +626,9 @@ impl PageFrame {
             word.store(0, Ordering::Relaxed);
         }
         self.version.store(version, Ordering::Release);
+        // Copies of the page exist elsewhere, so from here on the new
+        // home's own writes are noticed (module docs).
+        let _ = self.history();
         self.inflight_completion_ps.store(0, Ordering::Release);
         self.inflight_hinted.store(false, Ordering::Relaxed);
         self.protected.store(false, Ordering::Release);

@@ -12,14 +12,14 @@ use hyperion_model::{CpuModel, DsmCostModel, VTime};
 use hyperion_pm2::{Node, NodeId, PageId, RpcHandler, RpcReply, SLOTS_PER_PAGE};
 
 use crate::diff::{
-    decode_diff_message, decode_fetch_request, encode_diff_reply, push_page_reply,
-    push_rider_answers, FetchRequest, PageReply, WireError, MAX_PATCH_ENTRIES,
+    decode_diff_message, decode_fetch_request, encode_diff_reply, push_page_reply, FetchRequest,
+    PageReply, WireError, MAX_PATCH_ENTRIES,
 };
 use crate::table::DsmStore;
 
 /// What serving one fetch request produced.
 pub(crate) struct FetchServed {
-    /// The encoded page and rider answers.
+    /// The encoded page answers.
     pub(crate) reply: Vec<u8>,
     /// Pages answered, shipped or not.
     pub(crate) pages: usize,
@@ -27,18 +27,16 @@ pub(crate) struct FetchServed {
     /// ones for a patch, none for "not modified".  Only these cost copy
     /// cycles (and bytes on the wire).
     pub(crate) slots_shipped: usize,
-    /// Validation riders answered (a stamp comparison each, no bytes).
-    pub(crate) riders: usize,
 }
 
 impl FetchServed {
     /// The home-side service time of this fetch: copy cycles for the slots
     /// shipped and per-page batching overhead for every page beyond the
-    /// first (riders included).
+    /// first.
     pub(crate) fn service(&self, cpu: &CpuModel, dsm: &DsmCostModel) -> VTime {
         cpu.cycles(
             dsm.page_copy_cycles_per_slot * self.slots_shipped as f64
-                + dsm.batch_page_cycles * (self.pages - 1 + self.riders) as f64,
+                + dsm.batch_page_cycles * (self.pages - 1) as f64,
         )
     }
 }
@@ -49,9 +47,7 @@ impl FetchServed {
 /// holds every step in between and they encode shorter than the page; else
 /// the page.  Under replication, registers `caller` as a read replica of
 /// every page either way (a revalidated copy is as current as a shipped
-/// one).  The request's validation riders get the same stamp comparison and
-/// one bit each; they are not accesses, so the replica directory does not
-/// hear of them.
+/// one).
 pub(crate) fn serve_fetch(
     store: &DsmStore,
     replication: Option<(usize, usize)>,
@@ -59,11 +55,7 @@ pub(crate) fn serve_fetch(
     caller: NodeId,
     request: &FetchRequest,
 ) -> Result<FetchServed, WireError> {
-    let FetchRequest {
-        first,
-        versions,
-        riders,
-    } = request;
+    let FetchRequest { first, versions } = request;
     let count = versions.len();
     let num_pages = store.allocator().num_pages();
     let in_range = (first.0 as usize)
@@ -72,14 +64,10 @@ pub(crate) fn serve_fetch(
     if !in_range {
         return Err(WireError::Invalid("fetch request page range"));
     }
-    if riders.iter().any(|(page, _)| page.0 >= num_pages as u64) {
-        return Err(WireError::Invalid("rider page range"));
-    }
     let mut served = FetchServed {
-        reply: Vec::with_capacity(count * 9 + 1),
+        reply: Vec::with_capacity(count * 9),
         pages: count,
         slots_shipped: 0,
-        riders: riders.len(),
     };
     for (k, &retained) in versions.iter().enumerate() {
         let page = PageId(first.0 + k as u64);
@@ -127,16 +115,6 @@ pub(crate) fn serve_fetch(
             store.register_replica(page, caller, read_replicas);
         }
     }
-    let mut unchanged = 0u64;
-    for (k, &(page, retained)) in riders.iter().enumerate() {
-        // A page this node is not the home of (it moved since the requester
-        // looked, or the request is garbage) is simply not confirmed; nor
-        // is a copy stamped 0, which is no copy.
-        let confirmed =
-            retained != 0 && store.with_frame(home, page, |f| f.is_home() && f.stamp() == retained);
-        unchanged |= u64::from(confirmed) << k;
-    }
-    push_rider_answers(&mut served.reply, unchanged, riders.len());
     Ok(served)
 }
 
@@ -300,7 +278,6 @@ mod tests {
             let request = FetchRequest {
                 first: page,
                 versions: vec![0],
-                riders: Vec::new(),
             };
             serve_fetch(store, replication, home, reader, &request).expect("in range");
         }
@@ -348,19 +325,12 @@ mod tests {
             let mut call = |service, payload: &[u8]| {
                 cluster.rpc(&mut clock, NodeId(1), NodeId(0), service, payload)
             };
-            let fetch = encode_fetch_request(page, &[0], &[]);
-            let rider_out_of_range = [(unallocated, 3)];
-            let mut too_many_riders = encode_fetch_request(page, &[0], &[(page, 1)]);
-            too_many_riders[20] = crate::diff::MAX_RIDERS as u8 + 1;
+            let fetch = encode_fetch_request(page, &[0]);
             let bad: Vec<(_, Vec<u8>)> = vec![
                 (dsm.page_fetch, vec![1, 2, 3]),
                 (dsm.page_fetch, fetch[..fetch.len() - 1].to_vec()),
-                (dsm.page_fetch, encode_fetch_request(unallocated, &[0], &[])),
-                (
-                    dsm.page_fetch,
-                    encode_fetch_request(page, &[0], &rider_out_of_range),
-                ),
-                (dsm.page_fetch, too_many_riders),
+                (dsm.page_fetch, encode_fetch_request(unallocated, &[0])),
+                (dsm.page_fetch, [&fetch[..], &[1, 0]].concat()),
                 (dsm.diff_apply, vec![0xFF; 7]),
                 (dsm.diff_apply, encode_diff(unallocated, &[(0, 1)])),
             ];
@@ -375,16 +345,12 @@ mod tests {
             // Still alive, still correct.
             let reply = call(dsm.page_fetch, &fetch).expect("well-formed fetch");
             assert_eq!(reply.len(), 9 + hyperion_pm2::PAGE_BYTES, "{backend}");
-            // Riders are answered one bit each: the page itself at the stamp
-            // just handed out is unchanged; at another stamp, or homed
-            // elsewhere, it is not — a wrong guess about the home is no error.
+            // The page at the stamp just handed out is not modified.
             let stamp = u64::from_le_bytes(reply[1..9].try_into().expect("stamp"));
-            let elsewhere = alloc.alloc(8, NodeId(1)).page();
-            let riders = [(page, stamp), (page, stamp + 1), (elsewhere, 1)];
-            let asking = encode_fetch_request(page, &[stamp], &riders);
-            let answered = call(dsm.page_fetch, &asking).expect("well-formed riders");
-            let answered = decode_fetch_reply(&answered, &[stamp], 3).expect("decodes");
-            assert_eq!(answered.unchanged, 0b001, "{backend}");
+            let asking = encode_fetch_request(page, &[stamp]);
+            let answered = call(dsm.page_fetch, &asking).expect("well-formed fetch");
+            let answered = decode_fetch_reply(&answered, &[stamp]).expect("decodes");
+            assert_eq!(answered, [PageReply::NotModified(stamp)], "{backend}");
             // A diff is acknowledged with its pages' new stamps and not a
             // byte more, and a copy from before it is brought up to date
             // with the diff's slot, not the page: the same bytes over
@@ -393,16 +359,15 @@ mod tests {
                 call(dsm.diff_apply, &encode_diff(page, &[(0, 7)])).expect("well-formed diff");
             let acked = decode_diff_reply(&ack, 1).expect("versions only");
             assert_eq!(acked[0], stamp + 1, "{backend}");
-            let asking = encode_fetch_request(page, &[stamp], &[]);
             let patch = call(dsm.page_fetch, &asking).expect("well-formed fetch");
-            let decoded = decode_fetch_reply(&patch, &[stamp], 0).expect("decodes");
+            let decoded = decode_fetch_reply(&patch, &[stamp]).expect("decodes");
             let expected = PageReply::Patch(stamp + 1, vec![(0, 7)]);
-            assert_eq!((patch.len(), &decoded.pages[0]), (9 + 4 + 10, &expected));
+            assert_eq!((patch.len(), &decoded[0]), (9 + 4 + 10, &expected));
             // And the requester side rejects a reply it cannot decode, or
             // that would move its stamp backwards, or patch a copy it does
             // not hold, with the same typed error instead of panicking.
             for (bytes, retained) in [(&reply[..100], 0), (&reply[..], stamp + 1), (&patch, 0)] {
-                let why = decode_fetch_reply(bytes, &[retained], 0).unwrap_err();
+                let why = decode_fetch_reply(bytes, &[retained]).unwrap_err();
                 let failure = dsm.malformed_reply(NodeId(1), page, dsm.page_fetch, why);
                 assert!(matches!(failure.error, TransportError::MalformedFrame(_)));
                 assert!(failure.to_string().contains("dsm.page_fetch reply"));

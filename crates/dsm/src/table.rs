@@ -6,6 +6,7 @@
 //! pages are allocated.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use hyperion_pm2::{IsoAllocator, NodeId, PageId};
@@ -41,6 +42,8 @@ pub struct ReplicaSet {
 #[derive(Debug, Default)]
 pub struct NodeFrames {
     frames: RwLock<Vec<Arc<PageFrame>>>,
+    /// Non-home frames currently present (see [`DsmStore::note_cached`]).
+    cached: AtomicI64,
 }
 
 impl NodeFrames {
@@ -75,7 +78,7 @@ pub struct DsmStore {
     /// Number of entries in `home_overrides`, readable without the lock so
     /// the failure-free common case of [`DsmStore::home_of`] stays a plain
     /// array index.
-    num_overrides: std::sync::atomic::AtomicUsize,
+    num_overrides: AtomicUsize,
     /// Replication directory: per-page read-replica holders and their
     /// quorum-write versions (empty without `TransportConfig::replication`).
     replicas: RwLock<HashMap<u64, ReplicaSet>>,
@@ -99,7 +102,7 @@ impl DsmStore {
             allocator,
             nodes: (0..num_nodes).map(|_| NodeFrames::new()).collect(),
             home_overrides: RwLock::new(HashMap::new()),
-            num_overrides: std::sync::atomic::AtomicUsize::new(0),
+            num_overrides: AtomicUsize::new(0),
             replicas: RwLock::new(HashMap::new()),
             failed: RwLock::new(HashSet::new()),
             homes: RwLock::new(()),
@@ -121,11 +124,7 @@ impl DsmStore {
     /// is a lock-free array index.
     #[inline]
     pub fn home_of(&self, page: PageId) -> NodeId {
-        if self
-            .num_overrides
-            .load(std::sync::atomic::Ordering::Acquire)
-            > 0
-        {
+        if self.num_overrides.load(Ordering::Acquire) > 0 {
             let overrides = self.home_overrides.read();
             if let Some(&home) = overrides.get(&page.0) {
                 return home;
@@ -159,19 +158,20 @@ impl DsmStore {
         let (stamp, snapshot) = self.with_frame(from, page, |f| {
             (f.demote_from_home(), f.data().snapshot_bytes())
         });
+        let was_cached = self.with_frame(to, page, |f| f.is_present());
         self.with_frame(to, page, |f| {
             f.promote_to_home(&snapshot, stamp + REHOME_STRIDE)
         });
+        self.note_cached(from, 1);
+        self.note_cached(to, -i64::from(was_cached));
         let mut overrides = self.home_overrides.write();
         overrides.insert(page.0, to);
-        self.num_overrides
-            .store(overrides.len(), std::sync::atomic::Ordering::Release);
+        self.num_overrides.store(overrides.len(), Ordering::Release);
     }
 
     /// Number of pages a recovery has re-homed.
     pub fn rehomed_pages(&self) -> usize {
-        self.num_overrides
-            .load(std::sync::atomic::Ordering::Acquire)
+        self.num_overrides.load(Ordering::Acquire)
     }
 
     /// True if a recovery has re-homed `page` (used to scope the handler
@@ -229,6 +229,37 @@ impl DsmStore {
     /// Number of frames currently materialised on `node`.
     pub fn frames_on(&self, node: NodeId) -> usize {
         self.nodes[node.index()].len()
+    }
+
+    /// `node`'s frames of `pages` (ascending), up to the first page it has
+    /// materialised no frame for — a page the node never touched (nor any
+    /// page above it) holds no copy to drop.  One table lock for the lot.
+    pub(crate) fn existing_frames(
+        &self,
+        node: NodeId,
+        pages: impl Iterator<Item = PageId>,
+    ) -> Vec<Arc<PageFrame>> {
+        let frames = self.nodes[node.index()].frames.read();
+        pages
+            .map_while(|p| frames.get(p.index()).map(Arc::clone))
+            .collect()
+    }
+
+    /// Count `delta` non-home frames of `node` made present (positive) or
+    /// dropped (negative).  The engine reports every such transition it
+    /// causes, re-homing its own.
+    pub(crate) fn note_cached(&self, node: NodeId, delta: i64) {
+        self.nodes[node.index()]
+            .cached
+            .fetch_add(delta, Ordering::Relaxed);
+    }
+
+    /// Non-home frames currently present on `node`.
+    pub fn cached_on(&self, node: NodeId) -> u64 {
+        self.nodes[node.index()]
+            .cached
+            .load(Ordering::Relaxed)
+            .max(0) as u64
     }
 
     /// Record `holder` as a read-replica of `page`, up to `cap` holders
@@ -491,13 +522,13 @@ mod tests {
             let pinned = store.pin_homes();
             let recovery = s.spawn(|| {
                 store.rehome(&store.lock_homes(), page, NodeId(1));
-                rehomed.store(true, std::sync::atomic::Ordering::SeqCst);
+                rehomed.store(true, Ordering::SeqCst);
             });
             // However long the handler takes, the re-homing waits for it.
             for _ in 0..1_000 {
                 std::thread::yield_now();
             }
-            assert!(!rehomed.load(std::sync::atomic::Ordering::SeqCst));
+            assert!(!rehomed.load(Ordering::SeqCst));
             home.apply_diff(&[(addr.slot() as u16, 99)]);
             drop(pinned);
             recovery.join().expect("recovery thread");

@@ -2,72 +2,62 @@
 //!
 //! Hyperion implements the (pre-JSR-133) Java Memory Model as a variant of
 //! release consistency (§3.1): threads may work on locally cached copies of
-//! objects, and consistency is enforced at monitor boundaries:
+//! objects, and consistency is enforced at synchronisation points:
 //!
-//! * **acquire** (monitor entry): the node's cache of remote objects is
-//!   invalidated, so every object read inside the critical section is
-//!   guaranteed to be re-fetched from (and therefore as recent as) main
-//!   memory;
-//! * **release** (monitor exit): all modifications recorded since the last
-//!   flush are transmitted to the objects' home nodes with field
-//!   granularity.
+//! * **release** (monitor exit, `wait`, `Thread.start`, thread end): all
+//!   modifications recorded since the last flush are transmitted to the
+//!   objects' home nodes with field granularity, and the thread's
+//!   *knowledge* — the write notices it holds, `(page, stamp)` for every
+//!   page a write that happened-before it changed — gains the pages its
+//!   node made visible;
+//! * **acquire** (monitor entry, re-entry after `wait`, `Thread.join`, the
+//!   start of a thread): the thread merges in the knowledge the matching
+//!   release left (a monitor's, a joined thread's, the parent's) and its
+//!   node drops the cached copies the notices it just learned name at an
+//!   older stamp.  Every other copy stays open: no write that happens-before
+//!   the acquire changed it.  This is the lazy form of the paper's
+//!   `invalidateCache`, which drops every copy and remains the explicit
+//!   Table 2 primitive ([`crate::memory::invalidate_cache`]).
 //!
-//! Both access-detection protocols share these actions; they differ only in
-//! the mechanics (and cost) of detecting the first access to an invalidated
-//! page afterwards.  This module centralises the two actions so the monitor,
-//! `Thread.join` and the barrier all apply identical semantics.
+//! Knowledge is merged, never replaced, so it is transitive exactly as
+//! happens-before is.  The access-detection protocols share these actions;
+//! they differ only in the mechanics (and cost) of detecting the first
+//! access to a dropped page afterwards.  This module centralises the two
+//! actions so the monitor, `Thread.start` / `join` and the barrier all apply
+//! identical semantics.
 
-use hyperion_dsm::DeferredFlush;
+use hyperion_dsm::{DeferredFlush, Notices};
 
 use crate::runtime::ThreadCtx;
 
-/// The consistency action performed at a synchronisation boundary.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum JmmAction {
-    /// Monitor entry / lock acquisition.
-    Acquire,
-    /// Monitor exit / lock release.
-    Release,
-}
-
-/// Perform the acquire action for the calling thread: invalidate the node's
-/// cache of remote objects (`invalidateCache` of Table 2).
-pub fn acquire(ctx: &mut ThreadCtx) {
+/// Perform the acquire action for the calling thread, whose knowledge just
+/// gained `learned` (merged in by the caller from a monitor's or a joined
+/// thread's): drop every cached copy the notices name at an older stamp
+/// ([`hyperion_dsm::DsmSystem::acquire`]).
+pub fn acquire(ctx: &mut ThreadCtx, learned: &Notices) {
     let node = ctx.node();
     let shared = std::sync::Arc::clone(&ctx.shared);
-    shared.dsm.invalidate_cache(node, ctx.clock_mut());
+    shared.dsm.acquire(node, ctx.clock_mut(), learned);
+    shared.dsm.assert_knowledge_held(node, &ctx.knowledge);
 }
 
 /// Perform the release action for the calling thread: flush all recorded
-/// modifications to their home nodes (`updateMainMemory` of Table 2).
-pub fn release(ctx: &mut ThreadCtx) {
-    let node = ctx.node();
-    let shared = std::sync::Arc::clone(&ctx.shared);
-    shared.dsm.update_main_memory(node, ctx.clock_mut());
-}
-
-/// Perform the release action with deferred flushing: the diff batches are
-/// issued as split transactions and only the issue path is charged here.
-/// The returned [`DeferredFlush`] (if any) must be stored on the monitor
-/// being released so its *next acquire* merges the completion — the JMM's
-/// release/acquire edge is per-monitor, which is exactly why the deferral
-/// is legal.  Only the monitor layer may call this; every release with a
-/// thread-level happens-before edge (`Thread.start`, `join`, program
-/// termination) uses the blocking [`release`].
-pub fn release_deferred(ctx: &mut ThreadCtx) -> Option<DeferredFlush> {
-    let node = ctx.node();
-    let shared = std::sync::Arc::clone(&ctx.shared);
-    shared
-        .dsm
-        .update_main_memory_deferred(node, ctx.clock_mut())
-}
-
-/// Perform one of the two actions (convenience for tests and tools).
-pub fn perform(ctx: &mut ThreadCtx, action: JmmAction) {
-    match action {
-        JmmAction::Acquire => acquire(ctx),
-        JmmAction::Release => release(ctx),
-    }
+/// modifications to their home nodes (`updateMainMemory` of Table 2) and add
+/// the pages the node made visible to the thread's knowledge.
+///
+/// With `deferred` the diff batches are issued as split transactions and
+/// only the issue path is charged here; the returned [`DeferredFlush`] (if
+/// any) must be stored on the monitor being released so its *next acquire*
+/// merges the completion — the JMM's release/acquire edge is per-monitor,
+/// which is exactly why the deferral is legal.  Only the monitor layer
+/// defers; every release with a thread-level happens-before edge
+/// (`Thread.start`, `join`, program termination) blocks.
+pub fn release(ctx: &mut ThreadCtx, deferred: bool) -> Option<DeferredFlush> {
+    let (node, shared) = (ctx.node(), std::sync::Arc::clone(&ctx.shared));
+    let cursor = &mut ctx.log_cursor;
+    let (flushed, written) = shared.dsm.release(node, &mut ctx.clock, cursor, deferred);
+    ctx.knowledge.merge(&written);
+    flushed
 }
 
 #[cfg(test)]
@@ -91,15 +81,21 @@ mod tests {
                 // Cache the page locally, then write through the cache.
                 cell.put(ctx, 0, 41u64);
                 cell.put(ctx, 0, 42u64);
-                release(ctx);
-                // Home now holds the value; invalidate and re-read.
-                acquire(ctx);
+                release(ctx, false);
+                // Home now holds the value, and the release named the page
+                // at the stamp that holds it; the writer's own copy is that
+                // stamp already, so learning it drops nothing.
+                let known = ctx.knowledge.clone();
+                assert_eq!(known.len(), 1);
+                let learned = Notices::default().merge(&known);
+                acquire(ctx, &learned);
                 cell.get::<u64>(ctx, 0)
             });
             assert_eq!(out.result, 42, "{protocol:?}");
             let total = out.report.total_stats();
             assert!(total.diff_messages >= 1);
             assert_eq!(total.diff_slots_flushed, 1);
+            assert_eq!((total.pages_invalidated, total.pages_kept), (0, 1));
         }
     }
 
@@ -109,14 +105,18 @@ mod tests {
         let out = rt.run(|ctx| {
             let arr = ctx.alloc_array::<u64>(4, NodeId(1));
             let _ = arr.get(ctx, 0); // one fault + load
-            acquire(ctx); // drops the copy
-            let _ = arr.get(ctx, 0); // second fault + load
-            perform(ctx, JmmAction::Release); // nothing dirty: no diffs
+                                     // The home writes the page and ends: joining it is the acquire
+                                     // that learns the notice, and drops the copy.
+            let writer = ctx.spawn_on(NodeId(1), move |t| arr.put(t, 1, 7));
+            ctx.join(writer);
+            let seen = arr.get(ctx, 1); // second fault + load
+            release(ctx, false); // nothing dirty: no diffs
+            seen
         });
+        assert_eq!(out.result, 7);
         let s = out.report.node_stats[0];
-        assert_eq!(s.page_loads, 2);
-        assert_eq!(s.page_faults, 2);
-        assert_eq!(s.cache_invalidations, 1);
+        assert_eq!((s.page_loads, s.page_faults), (2, 2));
+        assert_eq!((s.cache_invalidations, s.pages_invalidated), (1, 1));
         assert_eq!(s.diff_messages, 0);
     }
 
@@ -126,12 +126,14 @@ mod tests {
         let out = rt.run(|ctx| {
             let arr = ctx.alloc_array::<u64>(4, NodeId(1));
             arr.put(ctx, 1, 5);
-            perform(ctx, JmmAction::Release);
-            perform(ctx, JmmAction::Acquire);
+            release(ctx, false);
+            let known = ctx.knowledge.clone();
+            acquire(ctx, &known);
         });
         let s = out.report.node_stats[0];
         assert_eq!(s.diff_messages, 1);
         assert_eq!(s.cache_invalidations, 1);
-        assert_eq!(s.pages_invalidated, 1);
+        // The writer's copy is at the stamp its own notice names: kept.
+        assert_eq!((s.pages_invalidated, s.pages_kept), (0, 1));
     }
 }

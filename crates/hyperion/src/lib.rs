@@ -24,7 +24,8 @@
 //! * [`layout`] — typed field layouts ([`object_layout!`], [`HStruct`]).
 //! * [`monitor`] — Java monitors with acquire/release consistency actions,
 //!   granted in virtual-time order.
-//! * [`jmm`] — the acquire/release actions themselves.
+//! * [`jmm`] — the acquire/release actions themselves: write notices along
+//!   every synchronisation edge.
 //! * [`memory`] — the raw Table 2 primitives (`get`, `put`, `loadIntoCache`,
 //!   `invalidateCache`, `updateMainMemory`).
 //! * [`api`] — the small "Java API subsystem": barrier, shared counter,

@@ -37,15 +37,17 @@ pub fn load_into_cache(ctx: &mut ThreadCtx, addr: GlobalAddr) {
 }
 
 /// `invalidateCache`: invalidate every cached (non-home) page on the calling
-/// node.  Performed automatically on monitor entry.
+/// node.  Monitor entry performs its lazy form, which drops only the copies
+/// the write notices it learns name (see [`crate::jmm`]).
 pub fn invalidate_cache(ctx: &mut ThreadCtx) {
-    crate::jmm::acquire(ctx)
+    let (node, shared) = (ctx.node(), std::sync::Arc::clone(&ctx.shared));
+    shared.dsm.invalidate_cache(node, ctx.clock_mut());
 }
 
 /// `updateMainMemory`: flush all recorded modifications to their home nodes.
 /// Performed automatically on monitor exit.
 pub fn update_main_memory(ctx: &mut ThreadCtx) {
-    crate::jmm::release(ctx)
+    crate::jmm::release(ctx, false);
 }
 
 #[cfg(test)]

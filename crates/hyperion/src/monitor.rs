@@ -7,11 +7,16 @@
 //!
 //! Two pieces of accounting make the monitors faithful to the paper:
 //!
-//! * **Consistency actions** — entry performs the acquire action
-//!   (invalidate the node's object cache), exit performs the release action
-//!   (flush field-granularity diffs), as described in §3.1.  Under `java_pf`
-//!   the entry-side invalidation additionally re-protects the cached pages,
-//!   which is where the protocol's `mprotect` traffic comes from.
+//! * **Consistency actions** — exit performs the release action (flush
+//!   field-granularity diffs, §3.1) and leaves the releaser's write notices
+//!   — what it wrote and what it knew others had written — with the
+//!   monitor; entry performs the acquire action: it learns the monitor's
+//!   notices and drops what the newly learned ones name, the cached copies
+//!   some write that happened-before the entry changed.  Every other cached
+//!   copy stays open (see [`crate::jmm`]).  Under `java_pf` re-protecting
+//!   the dropped pages is where the protocol's `mprotect` traffic comes
+//!   from.  The notices ride the grant and the release: a monitor homed on
+//!   another node pays their bytes on the wire.
 //! * **Virtual-time ordering** — *a monitor is granted in increasing
 //!   (arrival, thread id), so a clock is moved to a previous release only
 //!   when the two sections really overlap in virtual time.*  The arrival is
@@ -32,6 +37,7 @@
 use std::sync::Arc;
 use std::thread::Thread;
 
+use hyperion_dsm::Notices;
 use hyperion_model::{NodeStats, VTime};
 use hyperion_pm2::{NodeId, ThreadId};
 use parking_lot::Mutex;
@@ -73,6 +79,9 @@ struct MonitorState {
     /// completion does not mask how much of every *other* home's round
     /// trip the overlap hid.  Empty means nothing is pending.
     deferred: Vec<hyperion_dsm::HomeFlushMark>,
+    /// What every release of this monitor knew had been written: the write
+    /// notices its next acquirer learns.
+    knowledge: Notices,
 }
 
 impl MonitorState {
@@ -97,16 +106,23 @@ impl MonitorState {
         }
     }
 
-    /// Give the monitor up (the holder `ctx`'s `exit` or `wait`): record
-    /// the release and hand the monitor directly to the smallest parked key,
-    /// publishing that thread's new clock on its behalf — it is runnable
-    /// from here on, whenever the host gets round to it.  Returns the thread
-    /// to wake.
+    /// Give the monitor up (the holder `ctx`'s `exit` or `wait`, on `home`):
+    /// leave the holder's write notices, paying the bytes of the ones the
+    /// monitor did not have if it lives on another node, record the release
+    /// and hand the monitor directly to the smallest parked key, publishing
+    /// that thread's new clock on its behalf — it is runnable from here on,
+    /// whenever the host gets round to it.  Returns the thread to wake.
     fn release(
         &mut self,
-        ctx: &ThreadCtx,
+        ctx: &mut ThreadCtx,
+        home: NodeId,
         deferred: Option<hyperion_dsm::DeferredFlush>,
     ) -> Option<Thread> {
+        let deposited = self.knowledge.merge(&ctx.knowledge);
+        if home != ctx.node() {
+            let transfer = ctx.machine().net.transfer(deposited.wire_bytes());
+            ctx.charge(transfer);
+        }
         self.last_release = self.last_release.max(ctx.now());
         if let Some(d) = deferred {
             self.push_deferred(d);
@@ -183,6 +199,7 @@ impl HMonitor {
                     parked: Vec::new(),
                     waiting: Vec::new(),
                     deferred: Vec::new(),
+                    knowledge: Notices::default(),
                 }),
             }),
         }
@@ -214,12 +231,12 @@ impl HMonitor {
     /// The ordered acquire shared by `enter` and the re-acquire after a
     /// `wait`: take the monitor in `(arrival, thread id)` order — the
     /// arrival being the caller's clock now — then perform the JMM acquire
-    /// action.
+    /// action on what the grant taught the caller.
     fn acquire(&self, ctx: &mut ThreadCtx) {
         // Host time only: nobody who can still arrive earlier is behind us.
         let key = ctx.admit();
         let me = ctx.thread_id();
-        let (release, pending) = {
+        let (release, pending, learned) = {
             let mut st = self.inner.state.lock();
             assert!(st.holder != Some(me), "monitors are not re-entrant");
             if st.holder.is_none() {
@@ -242,7 +259,8 @@ impl HMonitor {
             // Deferred release flushing: a flush handed off by a previous
             // release of *this* monitor must complete no later than this
             // acquire — merge its completions here, charging the residual.
-            (st.last_release, st.take_deferred())
+            let learned = ctx.knowledge.merge(&st.knowledge);
+            (st.last_release, st.take_deferred(), learned)
         };
         let waited = release.saturating_sub(ctx.now());
         if waited > VTime::ZERO {
@@ -252,9 +270,14 @@ impl HMonitor {
         ctx.clock_mut().merge(release);
         absorb_deferred(ctx, pending);
         charge_monitor_local(ctx);
+        if self.inner.home != ctx.node() {
+            // The grant carries the notices the caller did not know.
+            let transfer = ctx.machine().net.transfer(learned.wire_bytes());
+            ctx.charge(transfer);
+        }
         ctx.publish_progress();
 
-        jmm::acquire(ctx);
+        jmm::acquire(ctx, &learned);
     }
 
     /// Exit the monitor (`monitorexit`): perform the JMM release action, then
@@ -266,7 +289,7 @@ impl HMonitor {
     /// *next acquire of this monitor* pays whatever latency compute did not
     /// hide.
     pub fn exit(&self, ctx: &mut ThreadCtx) {
-        let deferred = jmm::release_deferred(ctx);
+        let deferred = jmm::release(ctx, true);
         charge_monitor_local(ctx);
 
         let node_ref = ctx.shared.cluster.node(ctx.node());
@@ -278,7 +301,7 @@ impl HMonitor {
                 st.holder == Some(ctx.thread_id()),
                 "exit of a monitor that is not held"
             );
-            st.release(ctx, deferred)
+            st.release(ctx, self.inner.home, deferred)
         };
         ctx.publish_progress();
         if let Some(os) = next {
@@ -304,7 +327,7 @@ impl HMonitor {
         // Release actions first: our writes must be visible to whoever will
         // notify us.  Like `exit`, the flush may be deferred onto this
         // monitor — the thread that acquires it next absorbs the completion.
-        let deferred = jmm::release_deferred(ctx);
+        let deferred = jmm::release(ctx, true);
         let me = ctx.thread_id();
 
         let next = {
@@ -317,7 +340,7 @@ impl HMonitor {
                 slot: Arc::clone(&ctx.slot),
                 os: std::thread::current(),
             });
-            let next = st.release(ctx, deferred);
+            let next = st.release(ctx, self.inner.home, deferred);
             // Waiting for a notification: bounded below by the notifier,
             // who publishes for us.
             ctx.slot.park();
@@ -500,15 +523,36 @@ mod tests {
         let out = rt.run(|ctx| {
             let arr = ctx.alloc_array::<u64>(8, NodeId(1));
             let monitor = ctx.new_monitor(NodeId(0));
-            let _ = arr.get(ctx, 0); // cache the remote page
-            monitor.enter(ctx); // acquire: invalidation + mprotect
-            arr.put(ctx, 1, 7); // fault again, write through cache
+            let _ = arr.get(ctx, 0); // cache the remote page: fault + mprotect
+            monitor.enter(ctx); // acquire: nobody wrote the page, it stays open
+            arr.put(ctx, 1, 7); // write through the cache, no fault
             monitor.exit(ctx); // release: diff flush
+            let s = ctx.shared.cluster.node_stats(NodeId(0));
+            assert_eq!(
+                (s.cache_invalidations, s.pages_invalidated, s.pages_kept),
+                (1, 0, 1)
+            );
+            assert_eq!((s.page_faults, s.mprotect_calls), (1, 1));
+
+            // The home writes the page under the monitor: the next entry
+            // learns its notice and drops the copy (one more fault, one
+            // mprotect to re-protect it and one to open it again).
+            let (m, (tx, rx)) = (monitor.clone(), std::sync::mpsc::channel());
+            let writer = ctx.spawn_on(NodeId(1), move |t| {
+                m.synchronized(t, |t| arr.put(t, 2, 9));
+                tx.send(()).unwrap();
+            });
+            rx.recv().unwrap();
+            let seen = monitor.synchronized(ctx, |ctx| (arr.get(ctx, 1), arr.get(ctx, 2)));
+            ctx.join(writer);
+            seen
         });
+        assert_eq!(out.result, (7, 9));
         let s = out.report.node_stats[0];
-        assert_eq!(s.cache_invalidations, 1);
-        assert_eq!(s.pages_invalidated, 1);
-        assert_eq!(s.page_faults, 2);
+        assert_eq!(
+            (s.pages_invalidated, s.page_faults, s.mprotect_calls),
+            (1, 2, 3)
+        );
         assert_eq!(s.diff_messages, 1);
         assert_eq!(s.diff_slots_flushed, 1);
     }

@@ -13,7 +13,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use hyperion_dsm::{
-    AdaptiveParams, DsmStore, DsmSystem, Locality, PolicyError, ProtocolKind, TransportConfig,
+    AdaptiveParams, DsmStore, DsmSystem, Locality, Notices, PolicyError, ProtocolKind,
+    TransportConfig,
 };
 use hyperion_model::vtime::TimeWatermark;
 use hyperion_model::{
@@ -425,7 +426,8 @@ impl HyperionRuntime {
         let tid = shared.registry.register(main_node);
         NodeStats::bump(&shared.cluster.node(main_node).stats.threads_spawned);
         let slot = shared.order.register(tid, 0);
-        let mut ctx = ThreadCtx::new(Arc::clone(shared), tid, main_node, VTime::ZERO, slot);
+        let known = Notices::default();
+        let mut ctx = ThreadCtx::new(Arc::clone(shared), tid, main_node, VTime::ZERO, slot, known);
 
         let result = main(&mut ctx);
         // Program termination is a release point.
@@ -611,7 +613,7 @@ impl RunReport {
         };
         format!(
             "{} on {} × {} nodes: {}\n  checks={} faults={} mprotect={} page_loads={} \
-             (revalidated={} patched={}) riders={} (opened={}) diffs={} bytes={} \
+             (revalidated={} patched={}) kept={} diffs={} bytes={} \
              monitors={}/{}\n  \
              home busy={} queue wait={} monitor wait={} (order escapes={})",
             self.protocol.name(),
@@ -624,8 +626,7 @@ impl RunReport {
             t.page_loads,
             t.pages_revalidated,
             t.pages_patched,
-            t.validation_riders,
-            t.rider_opens,
+            t.pages_kept,
             t.diff_messages,
             t.bytes_moved(),
             t.monitor_enters,
@@ -653,6 +654,13 @@ pub struct ThreadCtx {
     /// Latencies this thread recorded via [`ThreadCtx::record_serving_op`],
     /// handed to the run-wide sample once, when the thread ends.
     serving_latencies: Vec<u64>,
+    /// What this thread knows others have written: the write notices it
+    /// learned along the synchronisation edges it crossed, its own writes
+    /// included (see [`crate::jmm`]).
+    pub(crate) knowledge: Notices,
+    /// This thread's place in its node's write log: its next release names
+    /// what the node made visible from here on.
+    pub(crate) log_cursor: u64,
     /// This thread's place in the virtual-time grant order, cached so a
     /// publication is one atomic store.
     pub(crate) slot: Arc<Slot>,
@@ -680,14 +688,18 @@ impl ThreadCtx {
         node: NodeId,
         start: VTime,
         slot: Arc<Slot>,
+        knowledge: Notices,
     ) -> Self {
         let publish_step_ps = shared.cluster.control_message_cost().as_ps();
+        let log_cursor = shared.dsm.write_log_end(node);
         ThreadCtx {
             shared,
             thread,
             node,
             clock: ThreadClock::starting_at(start),
             serving_latencies: Vec::new(),
+            knowledge,
+            log_cursor,
             slot,
             publish_step_ps,
             publish_due_ps: start.as_ps() + publish_step_ps,
@@ -992,11 +1004,10 @@ impl ThreadCtx {
             self.shared.config.nodes
         );
         // `Thread.start()` establishes a happens-before edge from the parent
-        // to the child: flush the parent's pending modifications so the child
-        // (running on another node's cache) observes them.
-        self.shared
-            .dsm
-            .update_main_memory(self.node, &mut self.clock);
+        // to the child: the parent releases (its pending modifications reach
+        // main memory), and the child starts knowing what the parent knows.
+        crate::jmm::release(self, false);
+        let known = self.knowledge.clone();
 
         let machine = self.shared.cluster.machine();
         let create_cost = machine.cpu.cycles(machine.dsm.thread_create_cycles);
@@ -1005,8 +1016,10 @@ impl ThreadCtx {
         self.clock.advance(create_cost);
         let mut start = self.clock.now();
         if node != self.node {
-            // The creation request travels to the target node.
-            start += self.shared.cluster.control_message_cost();
+            // The creation request travels to the target node, carrying the
+            // parent's write notices.
+            start += self.shared.cluster.control_message_cost()
+                + machine.net.transfer(known.wire_bytes());
         }
         // Child-side initialisation before user code runs.
         start += create_cost;
@@ -1025,17 +1038,21 @@ impl ThreadCtx {
         let os_handle = std::thread::Builder::new()
             .name(format!("hyperion-{}", tid))
             .spawn(move || {
-                let mut ctx = ThreadCtx::new(Arc::clone(&shared), tid, node, start, child_slot);
+                let mut ctx =
+                    ThreadCtx::new(Arc::clone(&shared), tid, node, start, child_slot, known);
+                // ...which is an acquire on the child's node: what the parent
+                // knows others wrote, no copy there may hide.
+                shared.dsm.learn(node, &mut ctx.clock, &ctx.knowledge);
                 body(&mut ctx);
                 // Thread termination is a release point: the child's writes
                 // must reach main memory so a joining thread can observe them.
-                shared.dsm.update_main_memory(node, &mut ctx.clock);
+                crate::jmm::release(&mut ctx, false);
                 let end = ctx.clock.now();
                 ctx.merge_serving_latencies();
                 shared.registry.mark_terminated(tid);
                 shared.finish.record(end);
                 shared.active_children.fetch_sub(1, Ordering::AcqRel);
-                end
+                (end, std::mem::take(&mut ctx.knowledge))
             })
             .expect("failed to spawn OS thread for Hyperion thread");
 
@@ -1049,15 +1066,21 @@ impl ThreadCtx {
         // in the grant order: it cannot act before the child has ended, and
         // the ending child publishes for it.
         self.slot.park_behind(handle.slot());
-        let end = handle.into_end_time();
+        let remote = handle.node() != self.node;
+        let (end, known) = handle.into_end();
         let machine = self.shared.cluster.machine();
         self.clock.merge(end);
         self.clock
             .advance(machine.cpu.cycles(machine.dsm.monitor_local_cycles));
         self.publish_progress();
-        // `Thread.join()` is an acquire point: invalidate this node's cache
-        // so reads after the join observe everything the joined thread wrote.
-        self.shared.dsm.invalidate_cache(self.node, &mut self.clock);
+        // `Thread.join()` is an acquire point: reads after the join observe
+        // everything the joined thread wrote, and everything it knew of.
+        let learned = self.knowledge.merge(&known);
+        if remote {
+            let transfer = self.machine().net.transfer(learned.wire_bytes());
+            self.clock.advance(transfer);
+        }
+        crate::jmm::acquire(self, &learned);
         end
     }
 }

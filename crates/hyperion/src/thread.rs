@@ -9,6 +9,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use hyperion_dsm::Notices;
 use hyperion_model::VTime;
 use hyperion_pm2::{NodeId, ThreadId};
 
@@ -60,7 +61,7 @@ impl LoadBalancer {
 pub struct HThreadHandle {
     thread: ThreadId,
     node: NodeId,
-    os_handle: std::thread::JoinHandle<VTime>,
+    os_handle: std::thread::JoinHandle<(VTime, Notices)>,
     slot: Arc<Slot>,
 }
 
@@ -68,7 +69,7 @@ impl HThreadHandle {
     pub(crate) fn new(
         thread: ThreadId,
         node: NodeId,
-        os_handle: std::thread::JoinHandle<VTime>,
+        os_handle: std::thread::JoinHandle<(VTime, Notices)>,
         slot: Arc<Slot>,
     ) -> Self {
         HThreadHandle {
@@ -94,11 +95,12 @@ impl HThreadHandle {
         self.node
     }
 
-    /// Block until the thread finishes and return its final virtual time.
+    /// Block until the thread finishes and return its final virtual time
+    /// and what it knew others (itself included) had written.
     ///
     /// # Panics
     /// Propagates a panic from the thread body.
-    pub(crate) fn into_end_time(self) -> VTime {
+    pub(crate) fn into_end(self) -> (VTime, Notices) {
         self.os_handle
             .join()
             .expect("a Hyperion thread panicked; see stderr for the original panic")

@@ -65,9 +65,9 @@ define_stats! {
     mprotect_calls,
     /// Pages fetched from a remote home node (`loadIntoCache` misses).
     page_loads,
-    /// Pages whose cached copy was discarded by `invalidateCache`.
+    /// Pages whose cached copy was discarded by an acquire (or by `invalidateCache`).
     pages_invalidated,
-    /// Cache invalidation episodes (monitor acquisitions that flushed the cache).
+    /// Acquire episodes: monitor acquisitions, joins and explicit `invalidateCache` calls.
     cache_invalidations,
     /// Diff messages sent to home nodes by `updateMainMemory`.
     diff_messages,
@@ -147,10 +147,8 @@ define_stats! {
     rpc_service_ps,
     /// Time remote requests waited at this node between arrival and start of service, in picoseconds.
     rpc_queue_wait_ps,
-    /// Validation riders this node sent: `(page, retained stamp)` pairs that rode a fetch to the same home and were answered with one bit each.
-    validation_riders,
-    /// Pages a rider had validated that were then opened on their first touch without an RPC (detection is still paid).
-    rider_opens,
+    /// Cached copies acquires left open, summed over acquires: every present copy no learned write notice named at a newer stamp.
+    pages_kept,
     /// Picoseconds by which monitor `enter` / re-acquire moved threads of this node forward to a previous holder's release (two critical sections that overlapped in virtual time).
     monitor_wait_ps,
     /// Ordered acquires by threads of this node that gave up waiting for a virtually earlier thread (the admission step's deadlock fuse) and went ahead out of order.
@@ -382,7 +380,7 @@ mod tests {
         ] {
             assert!(names.contains(&expected), "missing {expected}");
         }
-        assert_eq!(names.len(), 49);
+        assert_eq!(names.len(), 48);
         for added in [
             "batched_flushes",
             "rpc_retries",
@@ -403,8 +401,7 @@ mod tests {
             "pages_patched",
             "rpc_service_ps",
             "rpc_queue_wait_ps",
-            "validation_riders",
-            "rider_opens",
+            "pages_kept",
             "monitor_wait_ps",
             "order_escapes",
         ] {

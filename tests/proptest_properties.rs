@@ -314,6 +314,137 @@ fn dsm_matches_the_consistency_specification_under_directory_transport() {
     });
 }
 
+/// One step of a thread's random program for the monitor-level check.
+#[derive(Clone, Debug)]
+enum ThreadOp {
+    /// A section of monitor `m`: reads (`None`) and writes of its slots.
+    Section(usize, Vec<(usize, Option<u64>)>),
+    /// A read of any slot outside every section: it caches the page, its
+    /// value races with the writers and is not checked.
+    Peek(usize, usize),
+    /// Start a child running `program` on `node`.
+    Spawn(u32, Vec<ThreadOp>),
+    /// Join this thread's oldest child not yet joined.
+    Join,
+}
+
+fn random_program(rng: &mut StdRng, depth: u32) -> Vec<ThreadOp> {
+    (0..rng.gen_range(1..10))
+        .map(|_| match rng.gen_range(0u32..8) {
+            0..=3 => {
+                let ops = (0..rng.gen_range(1..5))
+                    .map(|_| {
+                        let k = rng.gen_range(0..3);
+                        (
+                            k,
+                            (rng.gen_range(0..2) == 0).then(|| rng.gen_range(1..u64::MAX)),
+                        )
+                    })
+                    .collect();
+                ThreadOp::Section(rng.gen_range(0..2), ops)
+            }
+            4 | 5 => ThreadOp::Peek(rng.gen_range(0..2), rng.gen_range(0..3)),
+            6 if depth < 2 => ThreadOp::Spawn(rng.gen_range(0..3), random_program(rng, depth + 1)),
+            _ => ThreadOp::Join,
+        })
+        .collect()
+}
+
+/// What every thread of a monitor-level program shares: slot `k` of monitor
+/// `m` is slot `m` of page `k`, homed on node `k` (so every page holds a slot
+/// of each monitor), and per monitor the value each slot last had written in
+/// that monitor's order.
+#[derive(Clone)]
+struct World {
+    seed: u64,
+    pages: [hyperion_workspace::hyperion::HArray<u64>; 3],
+    monitors: [hyperion_workspace::hyperion::HMonitor; 2],
+    last: Arc<[std::sync::Mutex<[u64; 3]>; 2]>,
+}
+
+fn run_program(t: &mut hyperion_workspace::ThreadCtx, program: Vec<ThreadOp>, w: &World) {
+    let mut children = std::collections::VecDeque::new();
+    for op in program {
+        match op {
+            ThreadOp::Section(m, ops) => {
+                // Checked once the monitor is free again: a failure inside
+                // the section would leave every other thread waiting on it.
+                let stale = w.monitors[m].synchronized(t, |t| {
+                    let mut last = w.last[m].lock().unwrap();
+                    ops.into_iter().find_map(|(k, write)| match write {
+                        Some(value) => {
+                            w.pages[k].put(t, m, value);
+                            last[k] = value;
+                            None
+                        }
+                        None => Some((k, w.pages[k].get(t, m), last[k])).filter(|r| r.1 != r.2),
+                    })
+                });
+                assert_eq!(
+                    stale, None,
+                    "seed {}: (slot, read, last written) of {m}",
+                    w.seed
+                );
+            }
+            ThreadOp::Peek(m, k) => {
+                let _ = w.pages[k].get(t, m);
+            }
+            ThreadOp::Spawn(node, program) => {
+                let w = w.clone();
+                children.push_back(t.spawn_on(NodeId(node), move |c| run_program(c, program, &w)));
+            }
+            ThreadOp::Join => {
+                if let Some(child) = children.pop_front() {
+                    t.join(child);
+                }
+            }
+        }
+    }
+    children.into_iter().for_each(|child| {
+        t.join(child);
+    });
+}
+
+/// The monitor-level reference check: random programs of get / put / enter
+/// / exit / spawn / join on 3 nodes with 2 monitors, every slot written
+/// under one fixed monitor.  Every read inside a section of that monitor
+/// returns the value of the slot's last write in the monitor's order —
+/// whatever the copies the reading node kept across its acquires.
+#[test]
+fn every_read_in_a_section_sees_the_last_write_in_monitor_order() {
+    use hyperion_workspace::{HyperionConfig, HyperionRuntime};
+    let (kept, dropped) = (std::cell::Cell::new(0), std::cell::Cell::new(0));
+    property(48, |seed, rng| {
+        let program = random_program(rng, 0);
+        for protocol in ProtocolKind::all_extended() {
+            for transport in [TransportConfig::default(), TransportConfig::directory()] {
+                let config =
+                    HyperionConfig::new(myrinet_200(), 3, protocol).with_transport(transport);
+                let rt = HyperionRuntime::new(config).expect("valid configuration");
+                let program = program.clone();
+                let out = rt.run(move |ctx| {
+                    let page = |ctx: &mut hyperion_workspace::ThreadCtx, k| {
+                        ctx.alloc_array_page_aligned::<u64>(2, NodeId(k))
+                    };
+                    let w = World {
+                        seed,
+                        pages: [page(ctx, 0), page(ctx, 1), page(ctx, 2)],
+                        monitors: [ctx.new_monitor(NodeId(0)), ctx.new_monitor(NodeId(1))],
+                        last: Arc::new(Default::default()),
+                    };
+                    run_program(ctx, program, &w);
+                });
+                let t = out.report.total_stats();
+                kept.set(kept.get() + t.pages_kept);
+                dropped.set(dropped.get() + t.pages_invalidated);
+            }
+        }
+    });
+    // The programs have to get there at all: copies kept open across
+    // acquires, and copies dropped by them.
+    assert!(kept.get() > 0 && dropped.get() > 0);
+}
+
 /// Stride prefetches (and the deferred flushing that ships with the
 /// directory transport) never change an application's digest, across
 /// randomised problem instances of two apps whose access patterns
@@ -645,18 +776,16 @@ fn block_range_tiles_any_size() {
 
 /// Every byte-precise wire form in `dsm::diff` survives an encode → decode
 /// round trip — the one conditional fetch request (single, batched,
-/// retained versions zero and non-zero, with none, one or many validation
-/// riders; longer rider lists and a first page with bit 63 set are
-/// rejected), single and
-/// batched field-granularity diffs, and the versioned diff acknowledgement
-/// — and every truncation of every form, and an acknowledgement with
-/// anything after its last version, decodes to an error, never a panic.
+/// retained versions zero and non-zero; anything after the versions and a
+/// first page with bit 63 set are rejected), single and batched
+/// field-granularity diffs, and the versioned diff acknowledgement — and
+/// every truncation of every form, and an acknowledgement with anything
+/// after its last version, decodes to an error, never a panic.
 #[test]
 fn diff_wire_encodings_round_trip() {
     use hyperion_workspace::dsm::diff::{
         decode_diff_message, decode_diff_reply, decode_fetch_request, encode_diff,
-        encode_diff_batch, encode_diff_reply, encode_fetch_request, DiffEntry, Rider, WireError,
-        MAX_RIDERS,
+        encode_diff_batch, encode_diff_reply, encode_fetch_request, DiffEntry, WireError,
     };
     use hyperion_workspace::pm2::{PAGE_BYTES, SLOTS_PER_PAGE};
 
@@ -698,36 +827,25 @@ fn diff_wire_encodings_round_trip() {
                 }
             })
             .collect();
-        // No rider in about a third of the cases, else 1..=MAX_RIDERS of
-        // them, anywhere in the page-id space (the codec looks none up).
-        let riders: Vec<Rider> = (0..rng
-            .gen_range(0..MAX_RIDERS * 3 / 2 + 1)
-            .saturating_sub(MAX_RIDERS / 2))
-            .map(|_| (random_page(rng), rng.gen_range(0u64..u64::MAX)))
-            .collect();
-        let wire = encode_fetch_request(page, &versions, &riders);
+        let wire = encode_fetch_request(page, &versions);
         let request = decode_fetch_request(&wire).expect("well-formed request");
         assert_eq!(
             (request.first, &request.versions),
             (page, &versions),
             "seed {seed}"
         );
-        assert_eq!(request.riders, riders, "seed {seed}");
-        // The only well-formed strict prefix is the request without its
-        // rider trailer.
-        let without_riders = 12 + 8 * versions.len();
-        for cut in (0..wire.len()).filter(|&cut| cut != without_riders) {
-            assert!(
-                decode_fetch_request(&wire[..cut]).is_err(),
-                "seed {seed}: fetch request truncated to {cut} of {} bytes decoded",
-                wire.len()
-            );
+        prefixes_fail(seed, "fetch request", &wire, |b| {
+            decode_fetch_request(b).ok()
+        });
+        // Longer it is refused too — by a byte, or by what was once a
+        // rider trailer (`r u16 · r × (page u64 · version u64)`) — as is a
+        // first page that sets bit 63 (once the no-hint tag; it was
+        // silently stripped).
+        for extra in [1, 2 + 16 * rng.gen_range(1usize..9)] {
+            let mut long = wire.clone();
+            long.extend((0..extra).map(|_| rng.gen_range(0u32..256) as u8));
+            assert!(decode_fetch_request(&long).is_err(), "seed {seed}");
         }
-        // Longer by a byte it is refused too, as is a first page that sets
-        // bit 63 (once the no-hint tag; it was silently stripped).
-        let mut long = wire.clone();
-        long.push(rng.gen_range(0u32..256) as u8);
-        assert!(decode_fetch_request(&long).is_err(), "seed {seed}");
         let mut tagged = wire.clone();
         tagged[7] |= 0x80;
         assert_eq!(
@@ -735,18 +853,6 @@ fn diff_wire_encodings_round_trip() {
             Err(WireError::Invalid("fetch request page id")),
             "seed {seed}"
         );
-        // A list longer than the cap is refused whatever its length says,
-        // before anything is allocated for it; so is an empty trailer.
-        let too_many: Vec<Rider> = (0..rng.gen_range(MAX_RIDERS + 1..4 * MAX_RIDERS))
-            .map(|k| (PageId(k as u64), 1))
-            .collect();
-        let long = encode_fetch_request(page, &versions, &too_many);
-        assert!(decode_fetch_request(&long).is_err(), "seed {seed}");
-        for count in [0u16, MAX_RIDERS as u16 + 1, u16::MAX] {
-            let mut bad = encode_fetch_request(page, &versions, &[(page, 1)]);
-            bad[without_riders..without_riders + 2].copy_from_slice(&count.to_le_bytes());
-            assert!(decode_fetch_request(&bad).is_err(), "seed {seed}: {count}");
-        }
 
         // Single diff.
         let entries = random_entries(rng, 40);
@@ -801,13 +907,12 @@ fn diff_wire_encodings_round_trip() {
 }
 
 /// Page-fetch replies — any mix of "not modified", patches and shipped
-/// pages, with or without rider answers — parse back to exactly what went
-/// in; truncated, extended and garbage replies are errors, never panics.
+/// pages — parse back to exactly what went in; truncated, extended and
+/// garbage replies are errors, never panics.
 #[test]
 fn fetch_reply_forms_round_trip_and_reject_garbage() {
     use hyperion_workspace::dsm::diff::{
-        decode_fetch_reply, push_page_reply, push_rider_answers, DiffEntry, PageReply, WireError,
-        MAX_PATCH_ENTRIES, MAX_RIDERS,
+        decode_fetch_reply, push_page_reply, DiffEntry, PageReply, WireError, MAX_PATCH_ENTRIES,
     };
     use hyperion_workspace::pm2::PAGE_BYTES;
 
@@ -843,32 +948,18 @@ fn fetch_reply_forms_round_trip_and_reject_garbage() {
                 }
             })
             .unzip();
-        let riders = rng.gen_range(0..MAX_RIDERS + 1);
-        let unchanged = rng.gen_range(0u64..1 << riders);
-
         let mut reply = Vec::new();
         for page in &expected {
             push_page_reply(&mut reply, page);
         }
-        let without_riders = reply.len();
-        push_rider_answers(&mut reply, unchanged, riders);
-        assert_eq!(
-            reply.len(),
-            without_riders + riders.div_ceil(8),
-            "seed {seed}"
-        );
-        let got = decode_fetch_reply(&reply, &retained, riders).expect("well-formed reply");
-        assert_eq!(got.pages, expected, "seed {seed}: page answers corrupted");
-        assert_eq!(
-            got.unchanged, unchanged,
-            "seed {seed}: rider answers corrupted"
-        );
+        let got = decode_fetch_reply(&reply, &retained).expect("well-formed reply");
+        assert_eq!(got, expected, "seed {seed}: page answers corrupted");
 
-        // Every truncation is an error, and so is any byte after the rider
-        // answers (where a hint trailer used to be parsed).
+        // Every truncation is an error, and so is any byte after the last
+        // answer (where rider answers and a hint trailer used to be parsed).
         for cut in 0..reply.len() {
             assert!(
-                decode_fetch_reply(&reply[..cut], &retained, riders).is_err(),
+                decode_fetch_reply(&reply[..cut], &retained).is_err(),
                 "seed {seed}: reply truncated to {cut} bytes decoded"
             );
         }
@@ -876,26 +967,18 @@ fn fetch_reply_forms_round_trip_and_reject_garbage() {
             let mut long = reply.clone();
             long.extend((0..extra).map(|_| rng.gen_range(0u32..256) as u8));
             assert_eq!(
-                decode_fetch_reply(&long, &retained, riders),
+                decode_fetch_reply(&long, &retained),
                 Err(WireError::TrailingBytes("fetch reply")),
                 "seed {seed}: {extra} trailing bytes decoded"
             );
         }
-        // An answer for a rider that was never sent, and a rider count no
-        // request can carry, are errors.
-        if riders > 0 && riders % 8 != 0 {
-            let mut stray = reply.clone();
-            stray[without_riders + riders / 8] |= 1 << (riders % 8);
-            assert!(decode_fetch_reply(&stray, &retained, riders).is_err());
-        }
-        assert!(decode_fetch_reply(&reply, &retained, MAX_RIDERS + 1).is_err());
         // Garbage of the same length never panics the decoder.
         let garbage: Vec<u8> = (0..reply.len().min(64))
             .map(|_| rng.gen_range(0u8..u8::MAX))
             .collect();
-        let _ = decode_fetch_reply(&garbage, &retained, riders);
+        let _ = decode_fetch_reply(&garbage, &retained);
         let one_more = [&retained[..], &[0]].concat();
-        assert!(decode_fetch_reply(&reply, &one_more, riders).is_err());
+        assert!(decode_fetch_reply(&reply, &one_more).is_err());
     });
 }
 

@@ -182,6 +182,17 @@ fn adaptive_cost_never_exceeds_the_worse_fixed_protocol() {
     }
 }
 
+/// Page loads no write notice forced: every load but the refetches of
+/// copies an acquire dropped, a speculative copy dropped untouched counting
+/// as unforced.  How many refetches a run makes depends on the virtual-time
+/// order of its synchronisation (a barrier's first arriver keeps the
+/// barrier's page), which the protocols' detection costs reorder; the
+/// adaptive protocol's own ways to load a page show in the rest.
+fn unforced_loads(report: &RunReport) -> u64 {
+    let s = report.total_stats();
+    (s.page_loads + s.pages_prefetch_wasted).saturating_sub(s.pages_invalidated)
+}
+
 #[test]
 fn adaptive_page_loads_never_exceed_the_worse_fixed_protocol() {
     for (base, bench) in bases_times(all_benchmarks) {
@@ -190,8 +201,8 @@ fn adaptive_page_loads_never_exceed_the_worse_fixed_protocol() {
             let (_, pf) = execute_with(bench.as_ref(), ProtocolKind::JavaPf, &base);
             let (_, ad) = execute_with(bench.as_ref(), ProtocolKind::JavaAd, &base);
             (
-                ic.total_stats().page_loads.max(pf.total_stats().page_loads),
-                ad.total_stats().page_loads,
+                unforced_loads(&ic).max(unforced_loads(&pf)),
+                unforced_loads(&ad),
             )
         };
         let (worst, ad) = round();
@@ -207,7 +218,7 @@ fn adaptive_page_loads_never_exceed_the_worse_fixed_protocol() {
         }
         assert!(
             ad_total <= worst_total,
-            "{}: java_ad page loads {ad_total} exceed the worse of ic/pf \
+            "{}: java_ad unforced page loads {ad_total} exceed the worse of ic/pf \
              {worst_total} aggregated over 5 rounds",
             bench.name()
         );
@@ -524,11 +535,10 @@ fn deterministic_workload(protocol: ProtocolKind, transport: &TransportConfig) -
 }
 
 #[test]
-fn validation_riders_keep_the_ledger_and_agree_across_backends() {
-    // The rider ledger on quick KV under `java_pf`, one client per node and
-    // the default transport, over the simulator and over Unix sockets:
-    // every fault ends in an RPC or in a rider's confirmation being used,
-    // never in neither, and the confirmations save real fetches.
+fn the_fetch_ledger_balances_and_agrees_across_backends() {
+    // The fetch ledger on quick KV under `java_pf`, one client per node and
+    // the default transport, over the simulator and over Unix sockets: every
+    // fault ends in an RPC, and the acquires keep cached copies open.
     let kv = kvstore::KvStoreParams::quick();
     let mut digests = Vec::new();
     for backend in [TransportBackend::Sim, TransportBackend::UnixSocket] {
@@ -539,13 +549,10 @@ fn validation_riders_keep_the_ledger_and_agree_across_backends() {
         let (digest, report) = execute_with(&kv, ProtocolKind::JavaPf, &transport);
         let t = report.total_stats();
         assert_eq!(
-            t.page_faults,
-            t.page_loads + t.rider_opens,
-            "{backend:?}: a fault ended in neither a fetch nor an open"
+            t.page_faults, t.page_loads,
+            "{backend:?}: a fault that did not end in a fetch"
         );
-        assert!(t.rider_opens > 0, "{backend:?}: no rider was ever used");
-        assert!(t.page_loads < t.page_faults, "{backend:?}");
-        assert!(t.validation_riders >= t.rider_opens, "{backend:?}");
+        assert!(t.pages_kept > 0, "{backend:?}: no acquire kept a copy open");
         digests.push(digest);
     }
     assert_eq!(digests[0], digests[1], "transport changed the KV digest");
@@ -553,7 +560,7 @@ fn validation_riders_keep_the_ledger_and_agree_across_backends() {
     // KV's clients interleave as the host schedules them, so which pages a
     // home finds changed differs from run to run on either backend.  With
     // one thread the event sequence is fixed, and the two backends must
-    // agree on the modeled time and on every counter, riders included.
+    // agree on the modeled time and on every counter.
     for protocol in ProtocolKind::all_extended() {
         let run = |backend| {
             let transport = TransportConfig {
@@ -567,11 +574,6 @@ fn validation_riders_keep_the_ledger_and_agree_across_backends() {
         assert_eq!(sim_result, unix_result, "{protocol:?}");
         assert_eq!(sim.execution_time, unix.execution_time, "{protocol:?}");
         assert_eq!(sim.node_stats, unix.node_stats, "{protocol:?}");
-        let t = sim.total_stats();
-        assert!(
-            t.rider_opens > 0 && t.validation_riders >= t.rider_opens,
-            "{protocol:?}: the workload never used a rider ({} sent)",
-            t.validation_riders
-        );
+        assert!(sim.total_stats().pages_kept > 0, "{protocol:?}");
     }
 }
