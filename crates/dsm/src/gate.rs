@@ -70,12 +70,17 @@ mod tests {
         speculation.halve();
         speculation.halve();
         assert!(speculation.wastes_little(16), "not latched");
+    }
 
-        // A node's gates fade once every window of acquires.
+    #[test]
+    fn a_nodes_gates_fade_once_every_window_of_acquires() {
+        // Shut, a gate sends nothing, so only time can reopen it.
         let node = crate::fetch::NodeFetchState::new(1);
         node.stride.tried(1);
         node.stride.outcome(1);
-        (0..GATE_WINDOW).for_each(|_| node.begin_acquire());
+        (1..GATE_WINDOW).for_each(|_| node.begin_acquire());
+        assert!(!node.stride.wastes_little(8), "shut until the window ends");
+        node.begin_acquire();
         assert!(node.stride.wastes_little(8), "faded by the window");
     }
 }
