@@ -380,17 +380,11 @@ impl DsmSystem {
             self.update_main_memory(node, clock);
             None
         };
-        let written = self.written[node.index()].since(cursor);
-        let home = |page| self.store.home_of(page);
-        let resolve = |(page, stamp)| match stamp {
-            u64::MAX => (
-                page,
-                self.store
-                    .with_frame(home(page), page, PageFrame::written_stamp),
-            ),
-            _ => (page, stamp),
-        };
-        let written = Notices::from_pairs(written.into_iter().map(resolve).collect());
+        let store = &self.store;
+        let stamp_of = |page| store.with_frame(store.home_of(page), page, PageFrame::written_stamp);
+        let written = self.written[node.index()].since(cursor).into_iter();
+        let resolved = written.map(|(p, s)| (p, if s == u64::MAX { stamp_of(p) } else { s }));
+        let written = Notices::from_pairs(resolved.collect());
         self.drop_copies(node, clock, Some(&written));
         (flushed, written)
     }
@@ -433,9 +427,7 @@ impl DsmSystem {
                 }
             }),
             Some(named) => {
-                let frames = self
-                    .store
-                    .existing_frames(node, named.iter().map(|(p, _)| p));
+                let frames = self.store.existing_frames(node, named.iter().map(|e| e.0));
                 for ((page, stamp), frame) in named.iter().zip(frames) {
                     if frame.is_home() {
                         continue;
@@ -808,6 +800,35 @@ mod tests {
             // Q was written by this node alone and stays current.
             assert_eq!(dsm.get(n, &mut t1, q.offset(1)), 2, "{kind:?}");
             assert_eq!(confirmed(), before + 1, "{kind:?}: Q forwarded");
+        }
+    }
+
+    /// Litmus for a fold landing inside a home write: a remote fetch ships
+    /// the stored value before the writer logs the page.  The entry names
+    /// that step; the next home write lands in the step after it and must
+    /// be logged, and named by the next release, again.
+    #[test]
+    fn litmus_a_fold_between_a_home_write_and_its_log_entry_leaves_the_next_write_noticed() {
+        for kind in ProtocolKind::all_extended() {
+            let alloc = Arc::new(IsoAllocator::new(2));
+            let store = DsmStore::new(Arc::clone(&alloc), 2);
+            let dsm = DsmSystem::new(Cluster::new(myrinet_200().machine, 2), store, kind);
+            let p = alloc.alloc_page_aligned(SLOTS_PER_PAGE, NodeId(0));
+            let (h, r, mut t, mut cursor) = (NodeId(0), NodeId(1), ThreadClock::new(), 0);
+            assert_eq!(dsm.get(r, &mut t, p), 0, "{kind:?}: starts a history");
+            let frame = dsm.store.frame(h, p.page());
+            assert!(frame.store_slot(p.slot(), 1), "{kind:?}");
+            dsm.invalidate_cache(r, &mut t);
+            assert_eq!(dsm.get(r, &mut t, p), 1, "{kind:?}: folded and shipped");
+            dsm.written[h.index()].log_home_write(p.page(), &frame);
+            let first = dsm.release(h, &mut t, &mut cursor, false).1;
+            dsm.put(h, &mut t, p.offset(1), 2);
+            let second = dsm.release(h, &mut t, &mut cursor, false).1;
+            let at = |stamp| Notices::from_pairs(vec![(p.page(), stamp)]);
+            let shipped = dsm.store.frame(r, p.page()).version();
+            assert_eq!((first, &second), (at(shipped), &at(shipped + 1)));
+            dsm.acquire(r, &mut t, &second);
+            assert_eq!(dsm.get(r, &mut t, p.offset(1)), 2, "{kind:?}");
         }
     }
 }

@@ -21,7 +21,8 @@
 //! release therefore also names pages another thread of its node flushed
 //! for it — conservative, never wrong.
 
-use hyperion_pm2::PageId;
+use hyperion_model::{MachineModel, VTime};
+use hyperion_pm2::{NodeId, PageId};
 use parking_lot::{Mutex, MutexGuard};
 
 use crate::page::PageFrame;
@@ -56,16 +57,12 @@ impl Notices {
         self.0.iter().copied()
     }
 
-    /// The stamp named for `page`, if any.
-    pub fn stamp(&self, page: PageId) -> Option<u64> {
-        let at = self.0.binary_search_by_key(&page, |e| e.0).ok()?;
-        Some(self.0[at].1)
-    }
-
-    /// Size on the wire, as `(page u64, stamp u64)` pairs: what carrying
-    /// these notices along a synchronisation message costs in bytes.
-    pub fn wire_bytes(&self) -> u64 {
-        16 * self.0.len() as u64
+    /// What carrying these notices from node `from` to node `to` along a
+    /// synchronisation message adds to it: nothing within a node, else the
+    /// transfer of one `(page u64, stamp u64)` pair per notice.
+    pub fn transfer(&self, machine: &MachineModel, from: NodeId, to: NodeId) -> VTime {
+        let pairs = if from == to { 0 } else { self.0.len() as u64 };
+        machine.net.transfer(16 * pairs)
     }
 
     /// Raise every entry to at least `other`'s and return the entries of
@@ -205,8 +202,10 @@ mod tests {
         assert_eq!(learned, notices(&[(0, 1), (4, 3), (12, 1)]));
         assert_eq!(known, notices(&[(0, 1), (1, 5), (4, 3), (9, 7), (12, 1)]));
         assert!(known.merge(&learned).is_empty(), "idempotent");
-        let stamps = (known.stamp(PageId(9)), known.stamp(PageId(8)));
-        assert_eq!((stamps, known.wire_bytes()), ((Some(7), None), 80));
+        let machine = hyperion_model::myrinet_200().machine;
+        let (a, b) = (NodeId(0), NodeId(1));
+        assert_eq!(known.transfer(&machine, a, a), VTime::ZERO);
+        assert_eq!(known.transfer(&machine, a, b), machine.net.transfer(80));
     }
 
     #[test]
@@ -218,14 +217,10 @@ mod tests {
         for k in 0..200u64 {
             log.push([(PageId(k % 7), k + 10)]);
         }
+        // Pages 0..7 at their latest stamps, page 2 at its home write's.
         let early_sees = Notices::from_pairs(log.since(&mut early));
-        assert_eq!(early_sees.len(), 7);
-        assert_eq!(early_sees.stamp(PageId(1)), Some(207));
-        assert_eq!(
-            early_sees.stamp(PageId(2)),
-            Some(u64::MAX),
-            "the home write"
-        );
+        let stamps: Vec<u64> = early_sees.iter().map(|e| e.1).collect();
+        assert_eq!(stamps, [206, 207, u64::MAX, 209, 203, 204, 205]);
         assert!(log.log.lock().0.len() < 64, "compacted");
         assert_eq!(Notices::from_pairs(log.since(&mut late)).len(), 7);
         assert!(log.since(&mut late).is_empty() && late == early);

@@ -60,9 +60,7 @@ impl DsmSystem {
         if !cfg!(debug_assertions) {
             return;
         }
-        let frames = self
-            .store
-            .existing_frames(node, known.iter().map(|(p, _)| p));
+        let frames = self.store.existing_frames(node, known.iter().map(|e| e.0));
         for ((page, stamp), frame) in known.iter().zip(frames) {
             let held = frame.is_home() || !frame.is_present() || frame.version() >= stamp;
             assert!(

@@ -62,6 +62,9 @@
 //! ([`PageFrame::written_stamp`]): every copy without the write is older,
 //! every copy shipped from then on holds it.  A page nobody fetches keeps
 //! its stamp, so writing it again and again costs its readers one notice.
+//! The logged mark is set only beside a pending write, and the fold clears
+//! both: a fold between a write's store and its entry leaves the page
+//! unlogged, the entry still goes in, and the next write logs it again.
 //!
 //! A home write racing with the *first* ship of its page is ordered
 //! Dekker-style: the writer stores the slot, issues a `SeqCst` fence and
@@ -515,11 +518,15 @@ impl PageFrame {
     }
 
     /// Claim the write-log entry of the home writes pending on this page:
-    /// true for the first caller since the last step.  The log claims under
-    /// its lock, so a writer that finds the page logged knows the entry is
-    /// in the log for any release that reads it next.
+    /// true if the caller must append one.  The log claims under its lock,
+    /// so a writer that finds the page logged knows the entry is in the log
+    /// for any release that reads it next.  After a fold only the entry is
+    /// due: the mark needs a pending write (module docs).
     pub(crate) fn claim_log_entry(&self) -> bool {
-        self.home_wrote.fetch_or(HOME_LOGGED, Ordering::AcqRel) & HOME_LOGGED == 0
+        let claim = |w| (w & PENDING != 0).then_some(w | HOME_LOGGED);
+        let flags = &self.home_wrote;
+        let was = flags.fetch_update(Ordering::AcqRel, Ordering::Acquire, claim);
+        was.map_or(true, |w| w & HOME_LOGGED == 0)
     }
 
     /// True if any slot has been modified since the last flush.

@@ -6,7 +6,6 @@
 //! pages are allocated.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use hyperion_pm2::{IsoAllocator, NodeId, PageId};
@@ -43,7 +42,7 @@ pub struct ReplicaSet {
 pub struct NodeFrames {
     frames: RwLock<Vec<Arc<PageFrame>>>,
     /// Non-home frames currently present (see [`DsmStore::note_cached`]).
-    cached: AtomicI64,
+    cached: std::sync::atomic::AtomicI64,
 }
 
 impl NodeFrames {
@@ -78,7 +77,7 @@ pub struct DsmStore {
     /// Number of entries in `home_overrides`, readable without the lock so
     /// the failure-free common case of [`DsmStore::home_of`] stays a plain
     /// array index.
-    num_overrides: AtomicUsize,
+    num_overrides: std::sync::atomic::AtomicUsize,
     /// Replication directory: per-page read-replica holders and their
     /// quorum-write versions (empty without `TransportConfig::replication`).
     replicas: RwLock<HashMap<u64, ReplicaSet>>,
@@ -102,7 +101,7 @@ impl DsmStore {
             allocator,
             nodes: (0..num_nodes).map(|_| NodeFrames::new()).collect(),
             home_overrides: RwLock::new(HashMap::new()),
-            num_overrides: AtomicUsize::new(0),
+            num_overrides: std::sync::atomic::AtomicUsize::new(0),
             replicas: RwLock::new(HashMap::new()),
             failed: RwLock::new(HashSet::new()),
             homes: RwLock::new(()),
@@ -124,7 +123,11 @@ impl DsmStore {
     /// is a lock-free array index.
     #[inline]
     pub fn home_of(&self, page: PageId) -> NodeId {
-        if self.num_overrides.load(Ordering::Acquire) > 0 {
+        if self
+            .num_overrides
+            .load(std::sync::atomic::Ordering::Acquire)
+            > 0
+        {
             let overrides = self.home_overrides.read();
             if let Some(&home) = overrides.get(&page.0) {
                 return home;
@@ -166,12 +169,14 @@ impl DsmStore {
         self.note_cached(to, -i64::from(was_cached));
         let mut overrides = self.home_overrides.write();
         overrides.insert(page.0, to);
-        self.num_overrides.store(overrides.len(), Ordering::Release);
+        self.num_overrides
+            .store(overrides.len(), std::sync::atomic::Ordering::Release);
     }
 
     /// Number of pages a recovery has re-homed.
     pub fn rehomed_pages(&self) -> usize {
-        self.num_overrides.load(Ordering::Acquire)
+        self.num_overrides
+            .load(std::sync::atomic::Ordering::Acquire)
     }
 
     /// True if a recovery has re-homed `page` (used to scope the handler
@@ -251,14 +256,14 @@ impl DsmStore {
     pub(crate) fn note_cached(&self, node: NodeId, delta: i64) {
         self.nodes[node.index()]
             .cached
-            .fetch_add(delta, Ordering::Relaxed);
+            .fetch_add(delta, std::sync::atomic::Ordering::Relaxed);
     }
 
     /// Non-home frames currently present on `node`.
     pub fn cached_on(&self, node: NodeId) -> u64 {
         self.nodes[node.index()]
             .cached
-            .load(Ordering::Relaxed)
+            .load(std::sync::atomic::Ordering::Relaxed)
             .max(0) as u64
     }
 
@@ -522,13 +527,13 @@ mod tests {
             let pinned = store.pin_homes();
             let recovery = s.spawn(|| {
                 store.rehome(&store.lock_homes(), page, NodeId(1));
-                rehomed.store(true, Ordering::SeqCst);
+                rehomed.store(true, std::sync::atomic::Ordering::SeqCst);
             });
             // However long the handler takes, the re-homing waits for it.
             for _ in 0..1_000 {
                 std::thread::yield_now();
             }
-            assert!(!rehomed.load(Ordering::SeqCst));
+            assert!(!rehomed.load(std::sync::atomic::Ordering::SeqCst));
             home.apply_diff(&[(addr.slot() as u16, 99)]);
             drop(pinned);
             recovery.join().expect("recovery thread");

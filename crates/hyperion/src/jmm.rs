@@ -105,8 +105,9 @@ mod tests {
         let out = rt.run(|ctx| {
             let arr = ctx.alloc_array::<u64>(4, NodeId(1));
             let _ = arr.get(ctx, 0); // one fault + load
-                                     // The home writes the page and ends: joining it is the acquire
-                                     // that learns the notice, and drops the copy.
+
+            // The home writes the page and ends: joining it is the acquire
+            // that learns the notice, and drops the copy.
             let writer = ctx.spawn_on(NodeId(1), move |t| arr.put(t, 1, 7));
             ctx.join(writer);
             let seen = arr.get(ctx, 1); // second fault + load

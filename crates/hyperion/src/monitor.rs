@@ -119,10 +119,8 @@ impl MonitorState {
         deferred: Option<hyperion_dsm::DeferredFlush>,
     ) -> Option<Thread> {
         let deposited = self.knowledge.merge(&ctx.knowledge);
-        if home != ctx.node() {
-            let transfer = ctx.machine().net.transfer(deposited.wire_bytes());
-            ctx.charge(transfer);
-        }
+        let transfer = deposited.transfer(ctx.machine(), ctx.node(), home);
+        ctx.charge(transfer);
         self.last_release = self.last_release.max(ctx.now());
         if let Some(d) = deferred {
             self.push_deferred(d);
@@ -270,11 +268,9 @@ impl HMonitor {
         ctx.clock_mut().merge(release);
         absorb_deferred(ctx, pending);
         charge_monitor_local(ctx);
-        if self.inner.home != ctx.node() {
-            // The grant carries the notices the caller did not know.
-            let transfer = ctx.machine().net.transfer(learned.wire_bytes());
-            ctx.charge(transfer);
-        }
+        // The grant carries the notices the caller did not know.
+        let transfer = learned.transfer(ctx.machine(), self.inner.home, ctx.node());
+        ctx.charge(transfer);
         ctx.publish_progress();
 
         jmm::acquire(ctx, &learned);

@@ -1016,11 +1016,11 @@ impl ThreadCtx {
         self.clock.advance(create_cost);
         let mut start = self.clock.now();
         if node != self.node {
-            // The creation request travels to the target node, carrying the
-            // parent's write notices.
-            start += self.shared.cluster.control_message_cost()
-                + machine.net.transfer(known.wire_bytes());
+            // The creation request travels to the target node.
+            start += self.shared.cluster.control_message_cost();
         }
+        // It carries the parent's write notices.
+        start += known.transfer(machine, self.node, node);
         // Child-side initialisation before user code runs.
         start += create_cost;
 
@@ -1066,7 +1066,7 @@ impl ThreadCtx {
         // in the grant order: it cannot act before the child has ended, and
         // the ending child publishes for it.
         self.slot.park_behind(handle.slot());
-        let remote = handle.node() != self.node;
+        let child = handle.node();
         let (end, known) = handle.into_end();
         let machine = self.shared.cluster.machine();
         self.clock.merge(end);
@@ -1076,10 +1076,8 @@ impl ThreadCtx {
         // `Thread.join()` is an acquire point: reads after the join observe
         // everything the joined thread wrote, and everything it knew of.
         let learned = self.knowledge.merge(&known);
-        if remote {
-            let transfer = self.machine().net.transfer(learned.wire_bytes());
-            self.clock.advance(transfer);
-        }
+        let transfer = learned.transfer(self.machine(), child, self.node);
+        self.clock.advance(transfer);
         crate::jmm::acquire(self, &learned);
         end
     }

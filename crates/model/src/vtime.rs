@@ -108,12 +108,6 @@ impl VTime {
         self.0 as f64 / 1e12
     }
 
-    /// Milliseconds as a float.
-    #[inline]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e9
-    }
-
     /// Saturating addition.
     #[inline]
     pub fn saturating_add(self, rhs: VTime) -> VTime {
@@ -140,12 +134,6 @@ impl VTime {
     #[inline]
     pub fn times(self, n: u64) -> VTime {
         VTime(self.0.saturating_mul(n))
-    }
-
-    /// True if this is the zero instant.
-    #[inline]
-    pub fn is_zero(self) -> bool {
-        self.0 == 0
     }
 }
 

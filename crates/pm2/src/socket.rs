@@ -381,14 +381,6 @@ impl SocketTransport {
         }
     }
 
-    /// Replace the wall-clock redial schedule for broken client connections
-    /// (`max_attempts` total tries per round trip, backoff per
-    /// [`RetryPolicy::backoff`] interpreted as wall time).
-    pub fn with_redial(mut self, redial: RetryPolicy) -> Self {
-        self.redial = redial;
-        self
-    }
-
     fn dial(&self, to: NodeId) -> std::io::Result<Stream> {
         let addr = {
             let state = self.state.lock();
