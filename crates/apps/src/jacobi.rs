@@ -476,13 +476,8 @@ mod tests {
         // stride prefetch puts the next page in flight and the later demand
         // miss completes an RPC that is already under way.
         let params = JacobiParams { size: 80, steps: 5 };
-        let config = HyperionConfig::builder()
-            .cluster(myrinet_200())
-            .nodes(4)
-            .protocol(ProtocolKind::JavaPf)
-            .transport(hyperion::TransportConfig::directory())
-            .build()
-            .unwrap();
+        let config = HyperionConfig::new(myrinet_200(), 4, ProtocolKind::JavaPf)
+            .with_transport(hyperion::TransportConfig::directory());
         let out = run_with(config, &params, AccessMode::Element);
         let (expected_sum, _) = sequential(&params);
         assert!(

@@ -18,13 +18,7 @@ use hyperion::prelude::*;
 use hyperion_apps::jacobi::{self, JacobiParams};
 
 fn run_with(cluster: ClusterSpec, protocol: ProtocolKind, threads_per_node: usize) -> f64 {
-    let config = HyperionConfig::builder()
-        .cluster(cluster)
-        .nodes(2)
-        .protocol(protocol)
-        .threads_per_node(threads_per_node)
-        .build()
-        .expect("valid ablation configuration");
+    let config = HyperionConfig::new(cluster, 2, protocol).with_threads_per_node(threads_per_node);
     let params = JacobiParams { size: 64, steps: 4 };
     jacobi::run(config, &params).report.seconds()
 }

@@ -381,14 +381,9 @@ impl Point {
     /// run: builds the configuration, runs the benchmark and wraps the
     /// result as a row.
     pub fn run(&self) -> FigureRow {
-        let config = HyperionConfig::builder()
-            .cluster(self.cluster.clone())
-            .nodes(self.nodes)
-            .protocol(self.protocol)
-            .adaptive(self.adaptive.clone())
-            .transport(self.transport.clone())
-            .build()
-            .expect("valid figure configuration");
+        let config = HyperionConfig::new(self.cluster.clone(), self.nodes, self.protocol)
+            .with_adaptive(self.adaptive.clone())
+            .with_transport(self.transport.clone());
         let (digest, report) = benchmark_at(self.app, self.scale).execute(config);
         let peak = |shares: Vec<f64>| shares.into_iter().fold(0.0, f64::max);
         let peak_home_util = peak(report.home_utilisation());
@@ -1035,12 +1030,7 @@ pub struct PrimitiveCost {
 
 /// Micro-measure the Table 2 primitives on a two-node cluster.
 pub fn table2_primitives(cluster: &ClusterSpec, protocol: ProtocolKind) -> Vec<PrimitiveCost> {
-    let config = HyperionConfig::builder()
-        .cluster(cluster.clone())
-        .nodes(2)
-        .protocol(protocol)
-        .build()
-        .expect("two-node configuration");
+    let config = HyperionConfig::new(cluster.clone(), 2, protocol);
     let runtime = HyperionRuntime::new(config).expect("two-node configuration");
     let out = runtime.run(|ctx| {
         let remote = ctx.alloc_array::<u64>(64, NodeId(1));

@@ -42,6 +42,7 @@
 
 use std::sync::Arc;
 
+use hyperion_model::sync::lock;
 use hyperion_model::{NodeStats, ThreadClock};
 use hyperion_pm2::{Cluster, GlobalAddr, Node, NodeId, PageId, ServiceId, SLOTS_PER_PAGE};
 
@@ -435,7 +436,7 @@ impl DsmSystem {
                     // A fetch of the page under way installs first: its copy
                     // is the one the stamp is compared with.
                     let (present, older) = {
-                        let _fetch = frame.fetch_lock().lock();
+                        let _fetch = lock(frame.fetch_lock());
                         (frame.is_present(), frame.version() < stamp)
                     };
                     // The notice outdates the copy, retained or open.
@@ -483,7 +484,7 @@ impl DsmSystem {
             // A stride ticket still pending here means the predicted demand
             // miss never came: the prefetch was wasted.  The count feeds the
             // throttle in `issue_stride_fetches`.
-            if frame.inflight_is_hinted() {
+            if frame.inflight_is_stride() {
                 stride_waste += 1;
             }
             dropped += i64::from(frame.invalidate(reprotect));
@@ -758,7 +759,7 @@ mod tests {
     /// node's copy of P over the foreign write: the next acquire has to
     /// fetch the page and see it.
     #[test]
-    fn litmus_an_empty_rider_is_never_forwarded_over_a_foreign_diff() {
+    fn litmus_an_empty_batch_member_is_never_forwarded_over_a_foreign_diff() {
         for kind in ProtocolKind::all_extended() {
             let cluster = Cluster::new(myrinet_200().machine, 3);
             let alloc = Arc::new(IsoAllocator::new(3));

@@ -16,6 +16,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use hyperion_model::sync::{lock, try_lock};
 use hyperion_model::{NodeStats, ThreadClock, VTime};
 use hyperion_pm2::{Node, NodeId, PageId};
 
@@ -183,7 +184,7 @@ impl DsmSystem {
             }
             // A contended fetch lock means another thread is already loading
             // the page; the prefetch has nothing left to add.
-            let Some(guard) = frame.fetch_lock().try_lock() else {
+            let Some(guard) = try_lock(frame.fetch_lock()) else {
                 continue;
             };
             if frame.is_present() {
@@ -212,7 +213,7 @@ impl DsmSystem {
                 NodeStats::bump(&node_ref.stats.mprotect_calls);
                 completion += machine.dsm.mprotect_call;
             }
-            frame.begin_inflight_hinted(clock.now().as_ps(), completion.as_ps());
+            frame.begin_inflight_stride(clock.now().as_ps(), completion.as_ps());
             drop(guard);
         }
     }
@@ -249,7 +250,7 @@ impl DsmSystem {
         demand: bool,
         speculate: bool,
     ) -> Result<(), RpcFailure> {
-        let guard = frame.fetch_lock().lock();
+        let guard = lock(frame.fetch_lock());
         if frame.is_present() && !frame.is_protected() {
             // Another thread on this node completed the load while we were
             // waiting on the fetch lock.
@@ -293,7 +294,7 @@ impl DsmSystem {
         // must stay contiguous).
         let mut guards = Vec::with_capacity(candidates.len());
         for (qf, _) in &candidates {
-            let Some(g) = qf.fetch_lock().try_lock() else {
+            let Some(g) = try_lock(qf.fetch_lock()) else {
                 break;
             };
             if qf.is_present() {
@@ -401,10 +402,10 @@ impl DsmSystem {
         clock: &mut ThreadClock,
         frame: &PageFrame,
     ) {
-        let Some((issue_ps, completion_ps, hinted)) = frame.take_inflight() else {
+        let Some((issue_ps, completion_ps, stride)) = frame.take_inflight() else {
             return;
         };
-        if hinted {
+        if stride {
             // This demand miss finished an RPC the stride prefetch had
             // already put in flight.
             NodeStats::bump(&node_ref.stats.stride_fetches_completed);

@@ -21,9 +21,11 @@
 //! release therefore also names pages another thread of its node flushed
 //! for it — conservative, never wrong.
 
+use std::sync::{Mutex, MutexGuard};
+
+use hyperion_model::sync::lock;
 use hyperion_model::{MachineModel, VTime};
 use hyperion_pm2::{NodeId, PageId};
-use parking_lot::{Mutex, MutexGuard};
 
 use crate::page::PageFrame;
 
@@ -126,17 +128,17 @@ type Log = (Vec<(u64, PageId, u64)>, u64, usize);
 impl NodeLog {
     /// Where a thread that starts now begins to read.
     pub(crate) fn end(&self) -> u64 {
-        self.log.lock().1
+        lock(&self.log).1
     }
 
     /// Hold while flushing (see `flushes`).
     pub(crate) fn flushing(&self) -> MutexGuard<'_, ()> {
-        self.flushes.lock()
+        lock(&self.flushes)
     }
 
     /// Append pages at their stamps, in order.
     pub(crate) fn push(&self, pages: impl IntoIterator<Item = (PageId, u64)>) {
-        let mut log = self.log.lock();
+        let mut log = lock(&self.log);
         pages
             .into_iter()
             .for_each(|(page, stamp)| append(&mut log, page, stamp));
@@ -145,7 +147,7 @@ impl NodeLog {
     /// Name home page `page`, whose `frame` a home write just found
     /// unlogged, unless another writer's claim got there first.
     pub(crate) fn log_home_write(&self, page: PageId, frame: &PageFrame) {
-        let mut log = self.log.lock();
+        let mut log = lock(&self.log);
         if frame.claim_log_entry() {
             append(&mut log, page, u64::MAX);
         }
@@ -154,8 +156,8 @@ impl NodeLog {
     /// Every entry from `cursor` on, moving `cursor` to the end, once no
     /// flush is under way.
     pub(crate) fn since(&self, cursor: &mut u64) -> Vec<(PageId, u64)> {
-        let _flushed = self.flushes.lock();
-        let log = self.log.lock();
+        let _flushed = lock(&self.flushes);
+        let log = lock(&self.log);
         let from = log.0.partition_point(|e| e.0 < *cursor);
         *cursor = log.1;
         log.0[from..].iter().map(|&(_, p, s)| (p, s)).collect()
@@ -221,7 +223,7 @@ mod tests {
         let early_sees = Notices::from_pairs(log.since(&mut early));
         let stamps: Vec<u64> = early_sees.iter().map(|e| e.1).collect();
         assert_eq!(stamps, [206, 207, u64::MAX, 209, 203, 204, 205]);
-        assert!(log.log.lock().0.len() < 64, "compacted");
+        assert!(lock(&log.log).0.len() < 64, "compacted");
         assert_eq!(Notices::from_pairs(log.since(&mut late)).len(), 7);
         assert!(log.since(&mut late).is_empty() && late == early);
     }

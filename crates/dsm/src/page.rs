@@ -99,10 +99,10 @@
 //! history yet, a step older than the ring.
 
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
+use hyperion_model::sync::lock;
 use hyperion_pm2::SLOTS_PER_PAGE;
-use parking_lot::Mutex;
 
 use crate::detection::AdState;
 
@@ -232,9 +232,9 @@ pub struct PageFrame {
     inflight_issue_ps: AtomicU64,
     /// True if the current in-flight ticket was issued by the requester's
     /// stride prefetch (valid only while `inflight_completion_ps` is
-    /// non-zero).  A hinted ticket still pending at invalidation time means
+    /// non-zero).  A stride ticket still pending at invalidation time means
     /// the prefetch was wasted.
-    inflight_hinted: AtomicBool,
+    inflight_stride: AtomicBool,
     /// Home frames only: the `HOME_*` bits of the home node's own writes
     /// since `version` was last stamped.  Home writes are the access hit
     /// path, so without a history they only set a bit;
@@ -260,7 +260,7 @@ impl PageFrame {
             ad: AdState::default(),
             inflight_completion_ps: AtomicU64::new(0),
             inflight_issue_ps: AtomicU64::new(0),
-            inflight_hinted: AtomicBool::new(false),
+            inflight_stride: AtomicBool::new(false),
             home_wrote: AtomicU8::new(0),
             history: OnceLock::new(),
         }
@@ -348,7 +348,7 @@ impl PageFrame {
     /// home-local write since the last call.  Callers read the stamp
     /// *before* they read the page (see the module docs).
     pub fn stamp(&self) -> u64 {
-        self.fold(&mut self.history().lock())
+        self.fold(&mut lock(self.history()))
     }
 
     /// Home side: the stamp a notice of the home's own writes names — the
@@ -357,7 +357,7 @@ impl PageFrame {
     /// folds nothing, so as long as nobody fetches the page, releases that
     /// write it again name the same stamp and teach nobody anything new.
     pub fn written_stamp(&self) -> u64 {
-        let _no_fold = self.history().lock();
+        let _no_fold = lock(self.history());
         let stamp = self.version.load(Ordering::Acquire);
         stamp + u64::from(self.home_wrote.load(Ordering::Acquire) & PENDING != 0)
     }
@@ -369,7 +369,7 @@ impl PageFrame {
     /// was last broken or older than the ring is deep, and a stamp this
     /// home never handed out.
     pub fn changes_since(&self, retained: u64) -> (u64, Option<SlotSet>) {
-        let mut history = self.history().lock();
+        let mut history = lock(self.history());
         let stamp = self.fold(&mut history);
         // Home stamps start at 1, so `whole_from` is above the 0 of no copy.
         let reaches = (history.whole_from..=stamp).contains(&retained)
@@ -399,7 +399,7 @@ impl PageFrame {
             data.store(slot as usize, value);
             changed[slot as usize / 64] |= 1u64 << (slot % 64);
         }
-        let mut history = self.history().lock();
+        let mut history = lock(self.history());
         self.fold(&mut history);
         self.step(&mut history, Some(changed))
     }
@@ -472,7 +472,7 @@ impl PageFrame {
         // A fetch still in flight for this copy is abandoned with it: the
         // issue costs were already charged, and nobody will use the data.
         self.inflight_completion_ps.store(0, Ordering::Release);
-        self.inflight_hinted.store(false, Ordering::Relaxed);
+        self.inflight_stride.store(false, Ordering::Relaxed);
         if reprotect {
             self.protected.store(true, Ordering::Release);
         }
@@ -553,7 +553,7 @@ impl PageFrame {
     /// time) at `completion_ps`.  The first real use of the page consumes
     /// the ticket via [`PageFrame::take_inflight`].
     pub fn begin_inflight(&self, issue_ps: u64, completion_ps: u64) {
-        self.inflight_hinted.store(false, Ordering::Relaxed);
+        self.inflight_stride.store(false, Ordering::Relaxed);
         self.inflight_issue_ps.store(issue_ps, Ordering::Relaxed);
         self.inflight_completion_ps
             .store(completion_ps.max(1), Ordering::Release);
@@ -561,15 +561,15 @@ impl PageFrame {
 
     /// [`PageFrame::begin_inflight`] for a ticket issued by the stride
     /// prefetch, so its completion and waste are accounted separately.
-    pub fn begin_inflight_hinted(&self, issue_ps: u64, completion_ps: u64) {
-        self.inflight_hinted.store(true, Ordering::Relaxed);
+    pub fn begin_inflight_stride(&self, issue_ps: u64, completion_ps: u64) {
+        self.inflight_stride.store(true, Ordering::Relaxed);
         self.inflight_issue_ps.store(issue_ps, Ordering::Relaxed);
         self.inflight_completion_ps
             .store(completion_ps.max(1), Ordering::Release);
     }
 
     /// Consume the in-flight ticket, if any: returns
-    /// `(issue_ps, completion_ps, hinted)` exactly once per transaction.
+    /// `(issue_ps, completion_ps, stride)` exactly once per transaction.
     pub fn take_inflight(&self) -> Option<(u64, u64, bool)> {
         // Fast path: nothing in flight (the common case on every access).
         if self.inflight_completion_ps.load(Ordering::Acquire) == 0 {
@@ -582,7 +582,7 @@ impl PageFrame {
         Some((
             self.inflight_issue_ps.load(Ordering::Relaxed),
             completion,
-            self.inflight_hinted.swap(false, Ordering::Relaxed),
+            self.inflight_stride.swap(false, Ordering::Relaxed),
         ))
     }
 
@@ -593,10 +593,10 @@ impl PageFrame {
     }
 
     /// True if the pending in-flight ticket (if any) was stride-issued.  Read
-    /// at invalidation time, when a still-pending hinted ticket means the
+    /// at invalidation time, when a still-pending stride ticket means the
     /// prefetch never paid off.
-    pub fn inflight_is_hinted(&self) -> bool {
-        self.has_inflight() && self.inflight_hinted.load(Ordering::Relaxed)
+    pub fn inflight_is_stride(&self) -> bool {
+        self.has_inflight() && self.inflight_stride.load(Ordering::Relaxed)
     }
 
     // ----- re-homing (node-failure recovery) ---------------------------------
@@ -637,7 +637,7 @@ impl PageFrame {
         // home's own writes are noticed (module docs).
         let _ = self.history();
         self.inflight_completion_ps.store(0, Ordering::Release);
-        self.inflight_hinted.store(false, Ordering::Relaxed);
+        self.inflight_stride.store(false, Ordering::Relaxed);
         self.protected.store(false, Ordering::Release);
         self.present.store(true, Ordering::Release);
     }
@@ -857,26 +857,26 @@ mod tests {
     }
 
     #[test]
-    fn inflight_tickets_distinguish_hinted_from_plain() {
+    fn inflight_tickets_distinguish_stride_from_plain() {
         let frame = PageFrame::new_remote();
         assert!(frame.take_inflight().is_none());
 
         frame.begin_inflight(10, 20);
         assert!(frame.has_inflight());
-        assert!(!frame.inflight_is_hinted());
+        assert!(!frame.inflight_is_stride());
         assert_eq!(frame.take_inflight(), Some((10, 20, false)));
         assert!(frame.take_inflight().is_none(), "ticket consumed once");
 
-        frame.begin_inflight_hinted(30, 40);
-        assert!(frame.inflight_is_hinted());
+        frame.begin_inflight_stride(30, 40);
+        assert!(frame.inflight_is_stride());
         assert_eq!(frame.take_inflight(), Some((30, 40, true)));
-        assert!(!frame.inflight_is_hinted());
+        assert!(!frame.inflight_is_stride());
 
-        // Invalidation abandons a pending hinted ticket entirely.
-        frame.begin_inflight_hinted(50, 60);
+        // Invalidation abandons a pending stride ticket entirely.
+        frame.begin_inflight_stride(50, 60);
         frame.invalidate(false);
         assert!(!frame.has_inflight());
-        assert!(!frame.inflight_is_hinted());
+        assert!(!frame.inflight_is_stride());
     }
 
     #[test]

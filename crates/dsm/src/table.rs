@@ -6,10 +6,10 @@
 //! pages are allocated.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
+use hyperion_model::sync::{read, write};
 use hyperion_pm2::{IsoAllocator, NodeId, PageId};
-use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::page::PageFrame;
 
@@ -53,7 +53,7 @@ impl NodeFrames {
 
     /// Number of pages this node currently has frames for.
     pub fn len(&self) -> usize {
-        self.frames.read().len()
+        read(&self.frames).len()
     }
 
     /// True if no frames exist yet.
@@ -128,7 +128,7 @@ impl DsmStore {
             .load(std::sync::atomic::Ordering::Acquire)
             > 0
         {
-            let overrides = self.home_overrides.read();
+            let overrides = read(&self.home_overrides);
             if let Some(&home) = overrides.get(&page.0) {
                 return home;
             }
@@ -139,13 +139,13 @@ impl DsmStore {
     /// Hold every page's home in place while the diff-apply handler writes
     /// a home frame (shared side of the home-assignment lock).
     pub(crate) fn pin_homes(&self) -> RwLockReadGuard<'_, ()> {
-        self.homes.read()
+        read(&self.homes)
     }
 
     /// Take the home-assignment lock exclusively; [`DsmStore::rehome`]
     /// wants the guard as proof.
     pub(crate) fn lock_homes(&self) -> RwLockWriteGuard<'_, ()> {
-        self.homes.write()
+        write(&self.homes)
     }
 
     /// Move `page`'s home to node `to`.
@@ -167,7 +167,7 @@ impl DsmStore {
         });
         self.note_cached(from, 1);
         self.note_cached(to, -i64::from(was_cached));
-        let mut overrides = self.home_overrides.write();
+        let mut overrides = write(&self.home_overrides);
         overrides.insert(page.0, to);
         self.num_overrides
             .store(overrides.len(), std::sync::atomic::Ordering::Release);
@@ -183,7 +183,7 @@ impl DsmStore {
     /// routing assertions: a stale route is only legitimate for a page that
     /// actually moved).
     pub fn page_rehomed(&self, page: PageId) -> bool {
-        self.rehomed_pages() > 0 && self.home_overrides.read().contains_key(&page.0)
+        self.rehomed_pages() > 0 && read(&self.home_overrides).contains_key(&page.0)
     }
 
     /// Run `f` on node `node`'s frame for `page`, creating the frame (and any
@@ -194,13 +194,13 @@ impl DsmStore {
     pub fn with_frame<R>(&self, node: NodeId, page: PageId, f: impl FnOnce(&PageFrame) -> R) -> R {
         let table = &self.nodes[node.index()];
         {
-            let frames = table.frames.read();
+            let frames = read(&table.frames);
             if let Some(frame) = frames.get(page.index()) {
                 return f(frame);
             }
         }
         self.grow_table(node, page);
-        let frames = table.frames.read();
+        let frames = read(&table.frames);
         f(&frames[page.index()])
     }
 
@@ -209,13 +209,13 @@ impl DsmStore {
     /// held while the protocol engine performs RPCs.
     pub fn frame(&self, node: NodeId, page: PageId) -> Arc<PageFrame> {
         {
-            let frames = self.nodes[node.index()].frames.read();
+            let frames = read(&self.nodes[node.index()].frames);
             if let Some(frame) = frames.get(page.index()) {
                 return Arc::clone(frame);
             }
         }
         self.grow_table(node, page);
-        let frames = self.nodes[node.index()].frames.read();
+        let frames = read(&self.nodes[node.index()].frames);
         Arc::clone(&frames[page.index()])
     }
 
@@ -225,7 +225,7 @@ impl DsmStore {
     /// clones the `Arc` it is handed, it never asks [`DsmStore::frame`]
     /// (a reader queued behind a waiting `grow_table` would deadlock).
     pub fn for_each_frame(&self, node: NodeId, mut f: impl FnMut(PageId, &Arc<PageFrame>)) {
-        let frames = self.nodes[node.index()].frames.read();
+        let frames = read(&self.nodes[node.index()].frames);
         for (i, frame) in frames.iter().enumerate() {
             f(PageId(i as u64), frame);
         }
@@ -244,7 +244,7 @@ impl DsmStore {
         node: NodeId,
         pages: impl Iterator<Item = PageId>,
     ) -> Vec<Arc<PageFrame>> {
-        let frames = self.nodes[node.index()].frames.read();
+        let frames = read(&self.nodes[node.index()].frames);
         pages
             .map_while(|p| frames.get(p.index()).map(Arc::clone))
             .collect()
@@ -275,7 +275,7 @@ impl DsmStore {
         if holder == self.home_of(page) {
             return;
         }
-        let mut replicas = self.replicas.write();
+        let mut replicas = write(&self.replicas);
         let set = replicas.entry(page.0).or_default();
         if set.holders.iter().any(|(h, _)| *h == holder.0) {
             let version = set.version;
@@ -294,7 +294,7 @@ impl DsmStore {
     /// the quorum's first member).  Returns how many holders were updated —
     /// the cost the diff-apply handler charges for shipping the update.
     pub fn quorum_update(&self, page: PageId, quorum: usize) -> usize {
-        let mut replicas = self.replicas.write();
+        let mut replicas = write(&self.replicas);
         let set = replicas.entry(page.0).or_default();
         set.version += 1;
         let version = set.version;
@@ -307,16 +307,16 @@ impl DsmStore {
 
     /// The replica set of `page`, if any holder has registered.
     pub fn replica_set(&self, page: PageId) -> Option<ReplicaSet> {
-        self.replicas.read().get(&page.0).cloned()
+        read(&self.replicas).get(&page.0).cloned()
     }
 
     /// The live replica holder with the newest quorum version (ties go to
     /// the lowest node id), if any.  This is the node recovery elects as
     /// the page's next home.
     pub fn newest_live_replica(&self, page: PageId) -> Option<NodeId> {
-        let replicas = self.replicas.read();
+        let replicas = read(&self.replicas);
         let set = replicas.get(&page.0)?;
-        let failed = self.failed.read();
+        let failed = read(&self.failed);
         set.holders
             .iter()
             .filter(|(h, _)| !failed.contains(h))
@@ -327,7 +327,7 @@ impl DsmStore {
     /// Mark `node` failed fail-stop.  Returns `true` the first time —
     /// exactly one caller performs the recovery of the node's pages.
     pub fn mark_failed(&self, node: NodeId) -> bool {
-        self.failed.write().insert(node.0)
+        write(&self.failed).insert(node.0)
     }
 
     /// The lowest-id node not marked failed (the deterministic fallback
@@ -336,7 +336,7 @@ impl DsmStore {
     /// # Panics
     /// Panics if every node has failed.
     pub fn first_live_node(&self) -> NodeId {
-        let failed = self.failed.read();
+        let failed = read(&self.failed);
         (0..self.nodes.len() as u32)
             .find(|n| !failed.contains(n))
             .map(NodeId)
@@ -349,7 +349,7 @@ impl DsmStore {
             page.index() < allocated,
             "page {page:?} accessed before being allocated ({allocated} pages exist)"
         );
-        let mut frames = self.nodes[node.index()].frames.write();
+        let mut frames = write(&self.nodes[node.index()].frames);
         while frames.len() <= page.index() {
             let pid = frames.len();
             // Consult the current home, not the allocator's static table:

@@ -562,7 +562,7 @@ fn adaptive_batch_never_crosses_a_home_boundary() {
 }
 
 #[test]
-fn adaptive_batch_pays_mprotect_for_protect_mode_riders() {
+fn adaptive_batch_pays_mprotect_for_protect_mode_members() {
     let f = fixture(2, ProtocolKind::JavaAd);
     let slots = SLOTS_PER_PAGE * 2;
     let addr = f.alloc.alloc_page_aligned(slots, NodeId(1));
@@ -593,7 +593,7 @@ fn adaptive_batch_pays_mprotect_for_protect_mode_riders() {
         before.pages_prefetch_speculative + 1
     );
     assert_eq!(s.mprotect_calls, before.mprotect_calls + 1);
-    // The opened rider is then accessed for free, like any pf-resident
+    // The opened member is then accessed for free, like any pf-resident
     // page.
     let t = clock.now();
     let _ = f.dsm.get(NodeId(0), &mut clock, second);
@@ -834,7 +834,7 @@ fn litmus_a_scan_has_tickets_in_flight_from_its_second_miss() {
         assert_eq!(issued(), 0, "{kind:?}");
         assert_eq!(f.dsm.get(NodeId(0), &mut clock, page_of(addr, 1)), 101);
         assert_eq!(issued(), 2, "{kind:?}");
-        assert!(frame(2).inflight_is_hinted() && frame(3).inflight_is_hinted());
+        assert!(frame(2).inflight_is_stride() && frame(3).inflight_is_stride());
         assert!(!frame(4).is_present(), "{kind:?}");
 
         // Their first uses complete them without a load, and the prefetched
@@ -862,7 +862,7 @@ fn litmus_a_scan_has_tickets_in_flight_from_its_second_miss() {
 }
 
 #[test]
-fn stride_run_extends_hints_across_the_window() {
+fn stride_run_extends_fetches_across_the_window() {
     let f = directory_fixture(2, ProtocolKind::JavaIc);
     let addr = f.alloc.alloc_page_aligned(SLOTS_PER_PAGE * 4, NodeId(1));
 
@@ -946,7 +946,7 @@ fn litmus_a_stride_run_stops_at_a_home_boundary_and_at_the_last_page() {
 }
 
 #[test]
-fn unused_hints_are_counted_as_waste_at_invalidation() {
+fn unused_stride_fetches_are_counted_as_waste_at_invalidation() {
     let f = directory_fixture(3, ProtocolKind::JavaPf);
     let addr = f.alloc.alloc_page_aligned(SLOTS_PER_PAGE * 4, NodeId(2));
 
@@ -980,7 +980,7 @@ fn litmus_a_ticket_abandoned_at_an_acquire_is_wasted_and_not_reissued() {
         let _ = f.dsm.get(NodeId(1), &mut c1, addr);
         let _ = f.dsm.get(NodeId(1), &mut c1, page_of(addr, 1));
         let frame = f.dsm.store().frame(NodeId(1), third.page());
-        assert!(frame.inflight_is_hinted(), "{kind:?}");
+        assert!(frame.inflight_is_stride(), "{kind:?}");
         let before = f.cluster.node_stats(NodeId(1));
 
         // The acquire comes before the predicted miss, and the home writes.
@@ -1001,7 +1001,7 @@ fn litmus_a_ticket_abandoned_at_an_acquire_is_wasted_and_not_reissued() {
 }
 
 #[test]
-fn hint_conversion_is_throttled_by_measured_waste() {
+fn stride_prefetch_is_throttled_by_measured_waste() {
     let f = directory_fixture(3, ProtocolKind::JavaPf);
     let addr = f.alloc.alloc_page_aligned(SLOTS_PER_PAGE * 4, NodeId(2));
     let mut c1 = ThreadClock::new();
@@ -1048,7 +1048,7 @@ fn stride_prefetch_needs_the_overlapped_transport() {
 }
 
 #[test]
-fn hinted_fetches_never_change_observed_values() {
+fn stride_fetches_never_change_observed_values() {
     // The same scan, with and without the stride prefetch: identical values.
     let run = |transport: &TransportConfig| -> Vec<u64> {
         let f = fixture_with(

@@ -30,12 +30,7 @@
 //!     }
 //! }
 //!
-//! let config = HyperionConfig::builder()
-//!     .cluster(myrinet_200())
-//!     .nodes(1)
-//!     .protocol(ProtocolKind::JavaIc)
-//!     .build()
-//!     .unwrap();
+//! let config = HyperionConfig::new(myrinet_200(), 1, ProtocolKind::JavaIc);
 //! let outcome = HyperionRuntime::new(config).unwrap().run(|ctx| {
 //!     let p: HStruct<PointLayout> = ctx.alloc_struct(NodeId(0));
 //!     p.put(ctx, PointLayout::X, 1.5);

@@ -74,9 +74,7 @@ pub use api::{arraycopy, JBarrier, SharedCounter};
 pub use layout::{Field, HStruct, ObjectLayout};
 pub use monitor::HMonitor;
 pub use object::{ArrayView, ArrayViewMut, HArray, HMatrix, HObject, MatrixRows, SlotValue};
-pub use runtime::{
-    ConfigBuilder, ConfigError, HyperionConfig, HyperionRuntime, RunOutcome, RunReport, ThreadCtx,
-};
+pub use runtime::{ConfigError, HyperionConfig, HyperionRuntime, RunOutcome, RunReport, ThreadCtx};
 pub use thread::{HThreadHandle, LoadBalancer};
 
 // Re-export the pieces of the lower layers that appear in this crate's API.
@@ -100,9 +98,7 @@ pub mod prelude {
     pub use crate::object::{
         ArrayView, ArrayViewMut, HArray, HMatrix, HObject, MatrixRows, SlotValue,
     };
-    pub use crate::runtime::{
-        ConfigBuilder, HyperionConfig, HyperionRuntime, RunOutcome, RunReport, ThreadCtx,
-    };
+    pub use crate::runtime::{HyperionConfig, HyperionRuntime, RunOutcome, RunReport, ThreadCtx};
     pub use hyperion_dsm::{
         AdaptiveParams, DeferredFlush, Locality, ProtocolKind, TransportConfig,
     };

@@ -34,13 +34,13 @@
 //! A monitor lives on a home node (the home of the Java object it guards);
 //! acquiring it from another node pays a control-message round trip.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::Thread;
 
 use hyperion_dsm::Notices;
+use hyperion_model::sync::lock;
 use hyperion_model::{NodeStats, VTime};
 use hyperion_pm2::{NodeId, ThreadId};
-use parking_lot::Mutex;
 
 use crate::jmm;
 use crate::order::{Key, Slot};
@@ -235,7 +235,7 @@ impl HMonitor {
         let key = ctx.admit();
         let me = ctx.thread_id();
         let (release, pending, learned) = {
-            let mut st = self.inner.state.lock();
+            let mut st = lock(&self.inner.state);
             assert!(st.holder != Some(me), "monitors are not re-entrant");
             if st.holder.is_none() {
                 st.holder = Some(me);
@@ -251,7 +251,7 @@ impl HMonitor {
                 while st.holder != Some(me) {
                     drop(st);
                     std::thread::park();
-                    st = self.inner.state.lock();
+                    st = lock(&self.inner.state);
                 }
             }
             // Deferred release flushing: a flush handed off by a previous
@@ -292,7 +292,7 @@ impl HMonitor {
         NodeStats::bump(&node_ref.stats.monitor_exits);
 
         let next = {
-            let mut st = self.inner.state.lock();
+            let mut st = lock(&self.inner.state);
             assert!(
                 st.holder == Some(ctx.thread_id()),
                 "exit of a monitor that is not held"
@@ -327,7 +327,7 @@ impl HMonitor {
         let me = ctx.thread_id();
 
         let next = {
-            let mut st = self.inner.state.lock();
+            let mut st = lock(&self.inner.state);
             assert!(st.holder == Some(me), "wait on a monitor that is not held");
             st.waiting.push(Waiting {
                 thread: me,
@@ -347,7 +347,7 @@ impl HMonitor {
         }
 
         let notified = loop {
-            let mut st = self.inner.state.lock();
+            let mut st = lock(&self.inner.state);
             let woken = st
                 .waiting
                 .iter()
@@ -368,7 +368,7 @@ impl HMonitor {
     pub fn notify_all(&self, ctx: &mut ThreadCtx) {
         charge_monitor_local(ctx);
         let now = ctx.now();
-        let mut st = self.inner.state.lock();
+        let mut st = lock(&self.inner.state);
         assert!(
             st.holder == Some(ctx.thread_id()),
             "notify on a monitor that is not held"
@@ -384,7 +384,7 @@ impl HMonitor {
 
     /// Virtual time of the most recent release (diagnostics / tests).
     pub fn last_release(&self) -> VTime {
-        self.inner.state.lock().last_release
+        lock(&self.inner.state).last_release
     }
 }
 
@@ -485,7 +485,7 @@ mod tests {
         // section, and that is all the waiting there is.
         let out = runtime(1, ProtocolKind::JavaPf).run(|ctx| {
             let monitor = ctx.new_monitor(NodeId(0));
-            let times = Arc::new(std::sync::Mutex::new(Vec::new()));
+            let times = Arc::new(Mutex::new(Vec::new()));
             let handles: Vec<_> = [VTime::from_ms(20), VTime::from_ms(24)]
                 .into_iter()
                 .map(|arrival| {
@@ -493,14 +493,14 @@ mod tests {
                     ctx.spawn_on(NodeId(0), move |t| {
                         t.observe(arrival);
                         m.synchronized(t, |t| t.charge(VTime::from_ms(10)));
-                        times.lock().unwrap().push((arrival, t.now()));
+                        lock(&times).push((arrival, t.now()));
                     })
                 })
                 .collect();
             for h in handles {
                 ctx.join(h);
             }
-            let times = times.lock().unwrap().clone();
+            let times = lock(&times).clone();
             times
         });
         let (_, first_release) = out.result[0];
@@ -603,13 +603,8 @@ mod tests {
     }
 
     fn deferred_runtime(nodes: usize, protocol: ProtocolKind) -> HyperionRuntime {
-        let config = HyperionConfig::builder()
-            .cluster(myrinet_200())
-            .nodes(nodes)
-            .protocol(protocol)
-            .transport(hyperion_dsm::TransportConfig::directory())
-            .build()
-            .unwrap();
+        let config = HyperionConfig::new(myrinet_200(), nodes, protocol)
+            .with_transport(hyperion_dsm::TransportConfig::directory());
         HyperionRuntime::new(config).unwrap()
     }
 

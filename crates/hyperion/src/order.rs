@@ -35,11 +35,11 @@
 //! a futex wake costs the *publisher* a system call per enter.
 
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
+use hyperion_model::sync::{lock, read, write};
 use hyperion_pm2::ThreadId;
-use parking_lot::RwLock;
 
 /// A thread's place in the grant order: arrival clock (ps), then thread id.
 pub(crate) type Key = (u64, ThreadId);
@@ -106,10 +106,7 @@ impl Slot {
     /// gone.  The child's [`OrderTable::retire`] makes this thread runnable
     /// again before the child disappears from the order itself.
     pub(crate) fn park_behind(self: &Arc<Slot>, child: &Slot) {
-        let mut successor = child
-            .successor
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut successor = lock(&child.successor);
         if matches!(*successor, Successor::Unset) {
             *successor = Successor::Joiner(Arc::clone(self));
             self.park();
@@ -138,7 +135,7 @@ impl OrderTable {
     /// can be admitted past a thread the host has not started yet.
     pub(crate) fn register(&self, thread: ThreadId, start_ps: u64) -> Arc<Slot> {
         let slot = Arc::new(Slot::new(thread, start_ps));
-        let mut slots = self.slots.write();
+        let mut slots = write(&self.slots);
         // Ids are handed out before this call, so two creating threads may
         // get here in either order: a gap is a thread still behind its
         // creator's own bound.
@@ -154,7 +151,7 @@ impl OrderTable {
     /// is runnable from that clock on, whenever the host gets round to it.
     /// The waker calls this *before* it publishes its own next move.
     pub(crate) fn wake(&self, slot: &Slot, bound_ps: u64) {
-        let _no_scan = self.slots.write();
+        let _no_scan = write(&self.slots);
         slot.publish(bound_ps);
     }
 
@@ -162,13 +159,7 @@ impl OrderTable {
     /// waiting joiner (whose clock is about to merge `end_ps`), then leave
     /// the order.
     pub(crate) fn retire(&self, slot: &Slot, end_ps: u64) {
-        let successor = std::mem::replace(
-            &mut *slot
-                .successor
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner),
-            Successor::Retired,
-        );
+        let successor = std::mem::replace(&mut *lock(&slot.successor), Successor::Retired);
         if let Successor::Joiner(joiner) = successor {
             self.wake(&joiner, end_ps);
         }
@@ -184,9 +175,7 @@ impl OrderTable {
         // The furthest-behind bound as of the last sleep, and since when.
         let mut stuck: Option<(u64, Instant)> = None;
         loop {
-            let behind = self
-                .slots
-                .read()
+            let behind = read(&self.slots)
                 .iter()
                 .filter_map(|s| s.preceding(key))
                 .min();

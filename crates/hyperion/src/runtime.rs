@@ -10,12 +10,13 @@
 //! time and the per-node event statistics.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use hyperion_dsm::{
     AdaptiveParams, DsmStore, DsmSystem, Locality, Notices, PolicyError, ProtocolKind,
     TransportConfig,
 };
+use hyperion_model::sync::lock;
 use hyperion_model::vtime::TimeWatermark;
 use hyperion_model::{
     ClusterSpec, CpuModel, MachineModel, NodeStats, OpCounts, StatsSnapshot, ThreadClock, VTime,
@@ -52,12 +53,20 @@ pub struct HyperionConfig {
 }
 
 impl HyperionConfig {
-    /// A configuration with one application thread per node.
+    /// A configuration with one application thread per node and the default
+    /// adaptive and transport settings; the `with_*` methods override those.
     ///
-    /// Equivalent to
-    /// `HyperionConfig::builder().cluster(..).nodes(..).protocol(..).build()`
-    /// except that no validation is performed until
-    /// [`HyperionConfig::validate`] / [`HyperionRuntime::new`].
+    /// Nothing is checked until [`HyperionConfig::validate`], which
+    /// [`HyperionRuntime::new`] calls.
+    ///
+    /// ```
+    /// use hyperion::prelude::*;
+    ///
+    /// let config = HyperionConfig::new(myrinet_200(), 4, ProtocolKind::JavaPf)
+    ///     .with_threads_per_node(2);
+    /// config.validate().unwrap();
+    /// assert_eq!(config.total_app_threads(), 8);
+    /// ```
     pub fn new(cluster: ClusterSpec, nodes: usize, protocol: ProtocolKind) -> Self {
         HyperionConfig {
             cluster,
@@ -67,29 +76,6 @@ impl HyperionConfig {
             transport: TransportConfig::default(),
             threads_per_node: 1,
         }
-    }
-
-    /// Start building a configuration.
-    ///
-    /// The builder is the canonical way to assemble a run configuration:
-    /// `cluster`, `nodes` and `protocol` are mandatory, everything else has
-    /// the defaults of [`HyperionConfig::new`], and [`ConfigBuilder::build`]
-    /// validates the result before handing it out.
-    ///
-    /// ```
-    /// use hyperion::prelude::*;
-    ///
-    /// let config = HyperionConfig::builder()
-    ///     .cluster(myrinet_200())
-    ///     .nodes(4)
-    ///     .protocol(ProtocolKind::JavaPf)
-    ///     .threads_per_node(2)
-    ///     .build()
-    ///     .unwrap();
-    /// assert_eq!(config.total_app_threads(), 8);
-    /// ```
-    pub fn builder() -> ConfigBuilder {
-        ConfigBuilder::default()
     }
 
     /// Builder-style override of [`HyperionConfig::threads_per_node`].
@@ -161,90 +147,9 @@ impl HyperionConfig {
     }
 }
 
-/// Step-by-step construction of a [`HyperionConfig`].
-///
-/// Created by [`HyperionConfig::builder`]; see there for an example.
-#[derive(Clone, Debug, Default)]
-pub struct ConfigBuilder {
-    cluster: Option<ClusterSpec>,
-    nodes: Option<usize>,
-    protocol: Option<ProtocolKind>,
-    adaptive: Option<AdaptiveParams>,
-    transport: Option<TransportConfig>,
-    threads_per_node: Option<usize>,
-}
-
-impl ConfigBuilder {
-    /// Which of the paper's clusters (or a custom one) to model.  Mandatory.
-    pub fn cluster(mut self, cluster: ClusterSpec) -> Self {
-        self.cluster = Some(cluster);
-        self
-    }
-
-    /// How many of the cluster's nodes to use.  Mandatory.
-    pub fn nodes(mut self, nodes: usize) -> Self {
-        self.nodes = Some(nodes);
-        self
-    }
-
-    /// Access-detection protocol (`java_ic`, `java_pf` or `java_ad`).
-    /// Mandatory.
-    pub fn protocol(mut self, protocol: ProtocolKind) -> Self {
-        self.protocol = Some(protocol);
-        self
-    }
-
-    /// Policy knobs for `java_ad` (thresholds, batching window).  Defaults
-    /// to [`AdaptiveParams::default`]; ignored by the other protocols.
-    pub fn adaptive(mut self, adaptive: AdaptiveParams) -> Self {
-        self.adaptive = Some(adaptive);
-        self
-    }
-
-    /// Transport configuration (see [`HyperionConfig::transport`]).
-    /// Defaults to [`TransportConfig::default`].
-    pub fn transport(mut self, transport: TransportConfig) -> Self {
-        self.transport = Some(transport);
-        self
-    }
-
-    /// Application threads per node.  Defaults to 1, as in the paper.
-    pub fn threads_per_node(mut self, threads: usize) -> Self {
-        self.threads_per_node = Some(threads);
-        self
-    }
-
-    /// Assemble and validate the configuration.
-    ///
-    /// Fails with [`ConfigError::MissingField`] if `cluster`, `nodes` or
-    /// `protocol` was never set, and with the [`HyperionConfig::validate`]
-    /// errors on out-of-range values.
-    pub fn build(self) -> Result<HyperionConfig, ConfigError> {
-        let cluster = self.cluster.ok_or(ConfigError::MissingField("cluster"))?;
-        let nodes = self.nodes.ok_or(ConfigError::MissingField("nodes"))?;
-        let protocol = self.protocol.ok_or(ConfigError::MissingField("protocol"))?;
-        // Start from `new()` so the defaults live in exactly one place.
-        let mut config = HyperionConfig::new(cluster, nodes, protocol);
-        if let Some(adaptive) = self.adaptive {
-            config.adaptive = adaptive;
-        }
-        if let Some(transport) = self.transport {
-            config.transport = transport;
-        }
-        if let Some(threads) = self.threads_per_node {
-            config.threads_per_node = threads;
-        }
-        config.validate()?;
-        Ok(config)
-    }
-}
-
-/// Errors produced by [`HyperionConfig::validate`] and
-/// [`ConfigBuilder::build`].
+/// Errors produced by [`HyperionConfig::validate`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConfigError {
-    /// A mandatory builder field was never set.
-    MissingField(&'static str),
     /// `nodes` was zero.
     ZeroNodes,
     /// `threads_per_node` was zero.
@@ -285,9 +190,6 @@ impl From<PolicyError> for ConfigError {
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ConfigError::MissingField(field) => {
-                write!(f, "configuration builder is missing the `{field}` field")
-            }
             ConfigError::ZeroNodes => write!(f, "a run needs at least one node"),
             ConfigError::ZeroThreadsPerNode => {
                 write!(f, "a run needs at least one application thread per node")
@@ -341,7 +243,7 @@ pub(crate) struct RuntimeShared {
     /// [`ThreadCtx::record_serving_op`]: each thread hands over its whole
     /// sample as it ends; folded into the report's tail percentile when the
     /// run ends.
-    pub(crate) serving_latencies: parking_lot::Mutex<Vec<Vec<u64>>>,
+    pub(crate) serving_latencies: Mutex<Vec<Vec<u64>>>,
 }
 
 /// The distributed JVM image for one experiment run.
@@ -380,7 +282,7 @@ impl HyperionRuntime {
                 finish: TimeWatermark::new(),
                 active_children: AtomicUsize::new(0),
                 order: OrderTable::default(),
-                serving_latencies: parking_lot::Mutex::new(Vec::new()),
+                serving_latencies: Mutex::new(Vec::new()),
             }),
         })
     }
@@ -461,7 +363,7 @@ impl HyperionRuntime {
                 (name.to_string(), snap)
             })
             .collect();
-        let serving_p99 = serving_p99(&mut shared.serving_latencies.lock());
+        let serving_p99 = serving_p99(&mut lock(&shared.serving_latencies));
         let report = RunReport {
             protocol: shared.config.protocol,
             cluster_label: shared.config.cluster.label().to_string(),
@@ -874,7 +776,7 @@ impl ThreadCtx {
     fn merge_serving_latencies(&mut self) {
         if !self.serving_latencies.is_empty() {
             let sample = std::mem::take(&mut self.serving_latencies);
-            self.shared.serving_latencies.lock().push(sample);
+            lock(&self.shared.serving_latencies).push(sample);
         }
     }
 
@@ -1142,6 +1044,7 @@ mod tests {
         c.threads_per_node = 0;
         assert_eq!(c.validate(), Err(ConfigError::ZeroThreadsPerNode));
         assert!(config(12, ProtocolKind::JavaPf).validate().is_ok());
+        assert_eq!(config(4, ProtocolKind::JavaPf).threads_per_node, 1);
         assert_eq!(
             config(4, ProtocolKind::JavaIc)
                 .with_threads_per_node(2)
@@ -1186,99 +1089,26 @@ mod tests {
     }
 
     #[test]
-    fn builder_assembles_and_validates_configs() {
-        let built = HyperionConfig::builder()
-            .cluster(myrinet_200())
-            .nodes(4)
-            .protocol(ProtocolKind::JavaPf)
-            .build()
-            .unwrap();
-        let legacy = config(4, ProtocolKind::JavaPf);
-        assert_eq!(built.nodes, legacy.nodes);
-        assert_eq!(built.protocol, legacy.protocol);
-        assert_eq!(built.threads_per_node, legacy.threads_per_node);
-
-        let custom = HyperionConfig::builder()
-            .cluster(myrinet_200())
-            .nodes(2)
-            .protocol(ProtocolKind::JavaIc)
-            .threads_per_node(3)
-            .build()
-            .unwrap();
-        assert_eq!(custom.total_app_threads(), 6);
-    }
-
-    #[test]
-    fn builder_reports_missing_and_invalid_fields() {
-        assert_eq!(
-            HyperionConfig::builder().build().unwrap_err(),
-            ConfigError::MissingField("cluster")
-        );
-        assert_eq!(
-            HyperionConfig::builder()
-                .cluster(myrinet_200())
-                .build()
-                .unwrap_err(),
-            ConfigError::MissingField("nodes")
-        );
-        assert_eq!(
-            HyperionConfig::builder()
-                .cluster(myrinet_200())
-                .nodes(2)
-                .build()
-                .unwrap_err(),
-            ConfigError::MissingField("protocol")
-        );
-        assert_eq!(
-            HyperionConfig::builder()
-                .cluster(myrinet_200())
-                .nodes(0)
-                .protocol(ProtocolKind::JavaIc)
-                .build()
-                .unwrap_err(),
-            ConfigError::ZeroNodes
-        );
-        assert_eq!(
-            HyperionConfig::builder()
-                .cluster(myrinet_200())
-                .nodes(13)
-                .protocol(ProtocolKind::JavaIc)
-                .build()
-                .unwrap_err(),
-            ConfigError::ExceedsCluster {
-                requested: 13,
-                available: 12
-            }
-        );
-        assert!(format!("{}", ConfigError::MissingField("protocol")).contains("protocol"));
-    }
-
-    #[test]
-    fn adaptive_params_flow_from_builder_to_the_dsm_engine() {
+    fn adaptive_params_flow_from_the_config_to_the_dsm_engine() {
         let tuned = AdaptiveParams {
             hi_multiple: 3.0,
             lo_multiple: 1.0,
             max_batch_pages: 4,
             min_prefetch_streak: 1,
         };
-        let built = HyperionConfig::builder()
-            .cluster(myrinet_200())
-            .nodes(2)
-            .protocol(ProtocolKind::JavaAd)
-            .adaptive(tuned.clone())
-            .build()
-            .unwrap();
-        assert_eq!(built.adaptive, tuned);
-        let rt = HyperionRuntime::new(built).unwrap();
+        let configured = config(2, ProtocolKind::JavaAd).with_adaptive(tuned.clone());
+        assert_eq!(configured.adaptive, tuned);
+        let rt = HyperionRuntime::new(configured).unwrap();
         let n_star = myrinet_200().machine.adaptive_break_even();
         let (hi, lo) = rt.dsm().adaptive_thresholds();
         assert_eq!(hi, (n_star as f64 * 3.0).ceil() as u64);
         assert_eq!(lo, n_star);
 
-        // Defaults apply when the builder field is left alone.
-        let default_config = config(2, ProtocolKind::JavaAd);
-        assert_eq!(default_config.adaptive, AdaptiveParams::default());
-        assert_eq!(default_config.with_adaptive(tuned.clone()).adaptive, tuned);
+        // Defaults apply when `with_adaptive` is not called.
+        assert_eq!(
+            config(2, ProtocolKind::JavaAd).adaptive,
+            AdaptiveParams::default()
+        );
     }
 
     #[test]

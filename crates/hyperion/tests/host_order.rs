@@ -16,6 +16,7 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use hyperion::prelude::*;
 use hyperion::{myrinet_200, VTime};
+use hyperion_model::sync::lock;
 
 const HOME: NodeId = NodeId(0);
 const CLIENTS: usize = 4;
@@ -35,7 +36,7 @@ struct Baton {
 
 impl Baton {
     fn run_in_turn(&self, i: usize, body: impl FnOnce()) {
-        let mut turn = self.turn.lock().unwrap();
+        let mut turn = lock(&self.turn);
         while *turn != i {
             turn = self.passed.wait(turn).unwrap();
         }
@@ -206,8 +207,8 @@ fn arrival_order_round(arrivals: &[VTime], section: VTime, enter_cost: VTime, re
                         // (in host time) while the others are admitted.
                         baton.pass(3 - i);
                         let hold = if i == 0 { HOLD } else { Duration::ZERO };
-                        let on_grant = || grants.lock().unwrap().push(i);
-                        times.lock().unwrap()[i] =
+                        let on_grant = || lock(&grants).push(i);
+                        lock(&times)[i] =
                             timed_section(t, &monitor, &cell, arrival, section, hold, on_grant);
                     })
                 })
@@ -215,8 +216,8 @@ fn arrival_order_round(arrivals: &[VTime], section: VTime, enter_cost: VTime, re
             for h in handles {
                 ctx.join(h);
             }
-            let grants = grants.lock().unwrap().clone();
-            let times = times.lock().unwrap().clone();
+            let grants = lock(&grants).clone();
+            let times = lock(&times).clone();
             (grants, times, monitor.last_release())
         }
     });
@@ -265,7 +266,7 @@ fn the_acquire_round_trip_counts_before_the_order_is_decided() {
                 baton.pass(turn);
                 t.observe(before);
                 monitor.enter(t);
-                grants.lock().unwrap().push((node, t.now()));
+                lock(&grants).push((node, t.now()));
                 t.charge(section);
                 cell.get(t, 0);
                 monitor.exit(t);
@@ -276,7 +277,7 @@ fn the_acquire_round_trip_counts_before_the_order_is_decided() {
         let remote = spawn(ctx, 1, base - VTime::from_us(20), 0);
         ctx.join(local);
         ctx.join(remote);
-        let grants = grants.lock().unwrap().clone();
+        let grants = lock(&grants).clone();
         grants
     });
     let grants = out.result;
@@ -307,7 +308,7 @@ fn equal_arrivals_go_to_the_lower_thread_id_every_time() {
                         baton.pass(2 - i);
                         t.observe(arrival);
                         monitor.enter(t);
-                        grants.lock().unwrap().push(t.thread_id());
+                        lock(&grants).push(t.thread_id());
                         monitor.exit(t);
                     })
                 })
@@ -316,7 +317,7 @@ fn equal_arrivals_go_to_the_lower_thread_id_every_time() {
             for h in handles {
                 ctx.join(h);
             }
-            let grants = grants.lock().unwrap().clone();
+            let grants = lock(&grants).clone();
             (spawned, grants)
         });
         let (spawned, grants) = out.result;
@@ -355,7 +356,7 @@ fn a_barrier_opens_one_section_after_its_latest_arrival() {
                     };
                     t.observe(arrival);
                     barrier.arrive(t);
-                    left.lock().unwrap().push((t.thread_id(), t.now()));
+                    lock(&left).push((t.thread_id(), t.now()));
                 })
             })
             .collect();
@@ -363,7 +364,7 @@ fn a_barrier_opens_one_section_after_its_latest_arrival() {
         for h in handles {
             ctx.join(h);
         }
-        let left = left.lock().unwrap().clone();
+        let left = lock(&left).clone();
         (late_party, left)
     });
     let (late_party, mut left) = out.result;

@@ -19,6 +19,7 @@
 //!   express their inner-loop work in machine-independent terms.
 //! * [`stats`] — atomic event counters (locality checks, page faults,
 //!   `mprotect` calls, page loads, diffs, messages, bytes, monitor traffic).
+//! * [`sync`] — the poison-ignoring lock helpers every layer locks through.
 //!
 //! Everything in this crate is independent of the DSM and runtime layers and
 //! is exhaustively unit- and property-tested.
@@ -29,6 +30,7 @@
 pub mod cost;
 pub mod machine;
 pub mod stats;
+pub mod sync;
 pub mod vtime;
 
 pub use cost::{Op, OpCounts, WorkEstimate};

@@ -8,6 +8,9 @@
 //! paper reasons about).
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
+
+use crate::sync::lock;
 
 macro_rules! define_stats {
     ($(#[$meta:meta] $field:ident),+ $(,)?) => {
@@ -239,7 +242,7 @@ impl WireServiceSnapshot {
 /// socket is involved.
 #[derive(Debug, Default)]
 pub struct WireStats {
-    services: std::sync::Mutex<Vec<WireServiceSnapshot>>,
+    services: Mutex<Vec<WireServiceSnapshot>>,
 }
 
 impl WireStats {
@@ -252,7 +255,7 @@ impl WireStats {
         rtt_nanos: u64,
         modeled_ps: u64,
     ) {
-        let mut table = self.services.lock().expect("wire stats lock poisoned");
+        let mut table = lock(&self.services);
         if table.len() <= service {
             let first_new = table.len();
             table.resize_with(service + 1, WireServiceSnapshot::default);
@@ -271,9 +274,7 @@ impl WireStats {
     /// Snapshot of every service that saw at least one round trip, in
     /// service-table order.
     pub fn snapshot(&self) -> Vec<WireServiceSnapshot> {
-        self.services
-            .lock()
-            .expect("wire stats lock poisoned")
+        lock(&self.services)
             .iter()
             .filter(|s| s.messages > 0)
             .copied()
@@ -282,10 +283,7 @@ impl WireStats {
 
     /// Reset all counters (between experiment runs).
     pub fn reset(&self) {
-        self.services
-            .lock()
-            .expect("wire stats lock poisoned")
-            .clear();
+        lock(&self.services).clear();
     }
 }
 

@@ -14,7 +14,9 @@
 //!   without the order in which OS threads happen to run leaking into them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
+
+use crate::sync::lock;
 
 /// A point in (or span of) virtual time, stored in integer picoseconds.
 ///
@@ -366,8 +368,8 @@ impl ServerClock {
         Self::default()
     }
 
-    fn calendar(&self) -> std::sync::MutexGuard<'_, Calendar> {
-        self.calendar.lock().expect("server calendar lock poisoned")
+    fn calendar(&self) -> MutexGuard<'_, Calendar> {
+        lock(&self.calendar)
     }
 
     /// End of the latest booking: the server is idle from here on.

@@ -1,9 +1,9 @@
 //! The cluster: a fixed set of homogeneous nodes plus the RPC service table.
 
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
+use hyperion_model::sync::{read, write};
 use hyperion_model::{MachineModel, StatsSnapshot, ThreadClock, VTime};
-use parking_lot::RwLock;
 
 use crate::comm::{RpcHandler, ServiceId, MSG_HEADER_BYTES};
 use crate::node::{Node, NodeId};
@@ -153,26 +153,25 @@ impl Cluster {
     /// Register an RPC service; the returned [`ServiceId`] is what callers
     /// pass to [`Cluster::rpc`].
     pub fn register_service(&self, handler: Arc<dyn RpcHandler>) -> ServiceId {
-        let mut services = self.services.write();
+        let mut services = write(&self.services);
         services.push(handler);
         ServiceId(services.len() - 1)
     }
 
     /// Number of registered services.
     pub fn num_services(&self) -> usize {
-        self.services.read().len()
+        read(&self.services).len()
     }
 
     /// Look up a registered handler (used by transports to dispatch).
     pub(crate) fn handler(&self, service: ServiceId) -> Option<Arc<dyn RpcHandler>> {
-        self.services.read().get(service.0).map(Arc::clone)
+        read(&self.services).get(service.0).map(Arc::clone)
     }
 
     /// Human-readable name of a registered service (`"unknown-service"` for
     /// an out-of-range id).
     pub fn service_name(&self, service: ServiceId) -> &'static str {
-        self.services
-            .read()
+        read(&self.services)
             .get(service.0)
             .map(|h| h.name())
             .unwrap_or("unknown-service")
@@ -180,7 +179,7 @@ impl Cluster {
 
     /// Names of every registered service, in service-table order.
     pub fn service_names(&self) -> Vec<&'static str> {
-        self.services.read().iter().map(|h| h.name()).collect()
+        read(&self.services).iter().map(|h| h.name()).collect()
     }
 
     /// Invoke service `service` on node `to` on behalf of a thread running on

@@ -12,7 +12,9 @@
 //! mentions ("`loadIntoCache` actually retrieves the whole page on which the
 //! object is located").
 
-use parking_lot::Mutex;
+use std::sync::Mutex;
+
+use hyperion_model::sync::lock;
 
 use crate::node::NodeId;
 
@@ -153,7 +155,7 @@ impl IsoAllocator {
             "home {home} out of range for {} nodes",
             self.num_nodes
         );
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         st.slots_allocated += slots as u64;
 
         let open = st.open_pages[home.index()];
@@ -193,7 +195,7 @@ impl IsoAllocator {
     pub fn alloc_page_aligned(&self, slots: usize, home: NodeId) -> GlobalAddr {
         assert!(slots > 0, "cannot allocate zero slots");
         assert!(home.index() < self.num_nodes, "home out of range");
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         st.slots_allocated += slots as u64;
         let pages_needed = slots.div_ceil(SLOTS_PER_PAGE);
         let first_page = st.page_homes.len() as u64;
@@ -210,7 +212,7 @@ impl IsoAllocator {
     /// # Panics
     /// Panics if the page has not been allocated.
     pub fn home_of(&self, page: PageId) -> NodeId {
-        let st = self.state.lock();
+        let st = lock(&self.state);
         *st.page_homes
             .get(page.index())
             .unwrap_or_else(|| panic!("page {page:?} was never allocated"))
@@ -223,17 +225,17 @@ impl IsoAllocator {
 
     /// Number of pages allocated so far (including the reserved page 0).
     pub fn num_pages(&self) -> usize {
-        self.state.lock().page_homes.len()
+        lock(&self.state).page_homes.len()
     }
 
     /// Total slots handed out so far.
     pub fn slots_allocated(&self) -> u64 {
-        self.state.lock().slots_allocated
+        lock(&self.state).slots_allocated
     }
 
     /// Snapshot of every page's home node, indexed by page id.
     pub fn page_homes(&self) -> Vec<NodeId> {
-        self.state.lock().page_homes.clone()
+        lock(&self.state).page_homes.clone()
     }
 }
 

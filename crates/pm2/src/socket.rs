@@ -61,12 +61,12 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
+use hyperion_model::sync::lock;
 use hyperion_model::{ThreadClock, VTime, WireServiceSnapshot, WireStats};
-use parking_lot::Mutex;
 
 use crate::cluster::Cluster;
 use crate::comm::{RpcReply, ServiceId};
@@ -383,7 +383,7 @@ impl SocketTransport {
 
     fn dial(&self, to: NodeId) -> std::io::Result<Stream> {
         let addr = {
-            let state = self.state.lock();
+            let state = lock(&self.state);
             state.addrs.get(to.index()).cloned()
         };
         match addr {
@@ -397,13 +397,13 @@ impl SocketTransport {
 
     fn connection(&self, from: NodeId, to: NodeId) -> Result<Arc<Mutex<Stream>>, TransportError> {
         let key = (from.0, to.0);
-        if let Some(conn) = self.conns.lock().get(&key) {
+        if let Some(conn) = lock(&self.conns).get(&key) {
             return Ok(Arc::clone(conn));
         }
         let stream = self
             .dial(to)
             .map_err(|error| TransportError::Io { peer: to, error })?;
-        let mut conns = self.conns.lock();
+        let mut conns = lock(&self.conns);
         let entry = conns
             .entry(key)
             .or_insert_with(|| Arc::new(Mutex::new(stream)));
@@ -442,7 +442,7 @@ impl SocketTransport {
             payload,
         );
         let conn = self.connection(from, to)?;
-        let mut stream = conn.lock();
+        let mut stream = lock(&conn);
         let body = match Self::exchange(&mut stream, &frame) {
             Ok(body) => body,
             Err(first) => {
@@ -602,7 +602,7 @@ fn accept_loop(
             Ok(stream) => {
                 let cluster = cluster.clone();
                 let handle = std::thread::spawn(move || serve_connection(stream, node, cluster));
-                conn_threads.lock().push(handle);
+                lock(&conn_threads).push(handle);
             }
             Err(_) => {
                 // Spurious accept failure; keep serving unless shutting down.
@@ -646,7 +646,7 @@ impl Transport for SocketTransport {
     }
 
     fn start(&self, cluster: &Arc<Cluster>) {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         assert!(!state.started, "socket transport started twice");
         state.started = true;
         let instance = NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed);
@@ -688,8 +688,8 @@ impl Transport for SocketTransport {
         }
         // Drop every pooled client connection first: the per-connection
         // server threads see EOF and exit.
-        self.conns.lock().clear();
-        let mut state = self.state.lock();
+        lock(&self.conns).clear();
+        let mut state = lock(&self.state);
         // Unblock each accept loop with a throwaway connection; the loop
         // re-checks the flag right after `accept` returns.
         for addr in &state.addrs {
@@ -699,7 +699,7 @@ impl Transport for SocketTransport {
             let _ = handle.join();
         }
         let conn_threads = Arc::clone(&state.conn_threads);
-        for handle in conn_threads.lock().drain(..) {
+        for handle in lock(&conn_threads).drain(..) {
             let _ = handle.join();
         }
         for path in state.socket_files.drain(..) {
@@ -943,7 +943,7 @@ mod tests {
         let svc = echo_service(&c);
         let mut clock = ThreadClock::new();
         c.rpc(&mut clock, NodeId(0), NodeId(1), svc, &[1]).unwrap();
-        let paths: Vec<PathBuf> = transport.state.lock().socket_files.clone();
+        let paths: Vec<PathBuf> = lock(&transport.state).socket_files.clone();
         assert_eq!(paths.len(), 2);
         assert!(paths.iter().all(|p| p.exists()));
         c.transport().shutdown();

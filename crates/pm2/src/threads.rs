@@ -6,7 +6,9 @@
 //! bookkeeping: which logical thread lives on which node, so the load
 //! balancer and the statistics can reason about placement.
 
-use parking_lot::Mutex;
+use std::sync::Mutex;
+
+use hyperion_model::sync::lock;
 
 use crate::node::NodeId;
 
@@ -40,7 +42,7 @@ impl ThreadRegistry {
 
     /// Register a new thread placed on `node`; returns its id.
     pub fn register(&self, node: NodeId) -> ThreadId {
-        let mut threads = self.threads.lock();
+        let mut threads = lock(&self.threads);
         threads.push(ThreadInfo { node, alive: true });
         ThreadId(threads.len() as u64 - 1)
     }
@@ -50,28 +52,27 @@ impl ThreadRegistry {
     /// # Panics
     /// Panics if the thread id is unknown.
     pub fn node_of(&self, thread: ThreadId) -> NodeId {
-        self.threads.lock()[thread.0 as usize].node
+        lock(&self.threads)[thread.0 as usize].node
     }
 
     /// Mark a thread as terminated.
     pub fn mark_terminated(&self, thread: ThreadId) {
-        self.threads.lock()[thread.0 as usize].alive = false;
+        lock(&self.threads)[thread.0 as usize].alive = false;
     }
 
     /// Whether a thread is still alive.
     pub fn is_alive(&self, thread: ThreadId) -> bool {
-        self.threads.lock()[thread.0 as usize].alive
+        lock(&self.threads)[thread.0 as usize].alive
     }
 
     /// Total number of threads ever registered.
     pub fn total(&self) -> usize {
-        self.threads.lock().len()
+        lock(&self.threads).len()
     }
 
     /// Number of live threads currently placed on `node`.
     pub fn live_on(&self, node: NodeId) -> usize {
-        self.threads
-            .lock()
+        lock(&self.threads)
             .iter()
             .filter(|t| t.alive && t.node == node)
             .count()
@@ -80,7 +81,7 @@ impl ThreadRegistry {
     /// Per-node live-thread counts for a cluster of `num_nodes` nodes.
     pub fn placement(&self, num_nodes: usize) -> Vec<usize> {
         let mut counts = vec![0usize; num_nodes];
-        for t in self.threads.lock().iter() {
+        for t in lock(&self.threads).iter() {
             if t.alive && t.node.index() < num_nodes {
                 counts[t.node.index()] += 1;
             }

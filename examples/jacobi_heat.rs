@@ -26,12 +26,7 @@ fn main() {
 
     let mut times = Vec::new();
     for protocol in ProtocolKind::all() {
-        let config = HyperionConfig::builder()
-            .cluster(myrinet_200())
-            .nodes(nodes)
-            .protocol(protocol)
-            .build()
-            .expect("valid configuration");
+        let config = HyperionConfig::new(myrinet_200(), nodes, protocol);
         let out = jacobi::run(config, &params);
         assert!(
             (out.result.interior_sum - seq_sum).abs() < 1e-6,

@@ -67,12 +67,7 @@ fn main() {
             .collect();
         for &protocol in &protocols {
             for &nodes in &node_counts {
-                let config = HyperionConfig::builder()
-                    .cluster(cluster.clone())
-                    .nodes(nodes)
-                    .protocol(protocol)
-                    .build()
-                    .expect("valid configuration");
+                let config = HyperionConfig::new(cluster.clone(), nodes, protocol);
                 let (_digest, report) = bench.execute(config);
                 let t = report.total_stats();
                 println!(

@@ -17,12 +17,7 @@ use hyperion::prelude::*;
 /// benchmark structure.
 fn workload(protocol: ProtocolKind) -> RunOutcome<f64> {
     let nodes = 4;
-    let config = HyperionConfig::builder()
-        .cluster(myrinet_200())
-        .nodes(nodes)
-        .protocol(protocol)
-        .build()
-        .expect("valid configuration");
+    let config = HyperionConfig::new(myrinet_200(), nodes, protocol);
     let runtime = HyperionRuntime::new(config).expect("valid configuration");
 
     runtime.run(move |ctx| {

@@ -29,12 +29,7 @@ fn main() {
 
     let mut times = Vec::new();
     for protocol in ProtocolKind::all() {
-        let config = HyperionConfig::builder()
-            .cluster(myrinet_200())
-            .nodes(nodes)
-            .protocol(protocol)
-            .build()
-            .expect("valid configuration");
+        let config = HyperionConfig::new(myrinet_200(), nodes, protocol);
         let out = tsp::run(config, &params);
         assert_eq!(
             out.result.best_tour, optimal,

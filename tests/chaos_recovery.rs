@@ -79,13 +79,8 @@ fn execute(
     protocol: ProtocolKind,
     transport: &TransportConfig,
 ) -> (f64, RunReport) {
-    let config = HyperionConfig::builder()
-        .cluster(myrinet_200())
-        .nodes(NODES)
-        .protocol(protocol)
-        .transport(transport.clone())
-        .build()
-        .expect("valid chaos configuration");
+    let config =
+        HyperionConfig::new(myrinet_200(), NODES, protocol).with_transport(transport.clone());
     let label = match &transport.fault {
         Some(spec) => format!("{} under {} with `{spec}`", bench.name(), protocol.name()),
         None => format!("{} under {} fault-free", bench.name(), protocol.name()),

@@ -27,12 +27,7 @@ fn all_seven_benchmarks() -> Vec<Box<dyn Benchmark>> {
 }
 
 fn config(nodes: usize, protocol: ProtocolKind) -> HyperionConfig {
-    HyperionConfig::builder()
-        .cluster(myrinet_200())
-        .nodes(nodes)
-        .protocol(protocol)
-        .build()
-        .expect("valid test configuration")
+    HyperionConfig::new(myrinet_200(), nodes, protocol)
 }
 
 #[test]
@@ -61,12 +56,7 @@ fn every_benchmark_computes_the_same_answer_under_every_configuration() {
     for bench in all_seven_benchmarks() {
         let mut first = None;
         for (cluster, protocol, nodes) in &legs {
-            let config = HyperionConfig::builder()
-                .cluster(cluster.clone())
-                .nodes(*nodes)
-                .protocol(*protocol)
-                .build()
-                .expect("valid test configuration");
+            let config = HyperionConfig::new(cluster.clone(), *nodes, *protocol);
             let (digest, report) = bench.execute(config);
             let leg = format!("{}/{} @ {nodes} nodes", bench.name(), protocol.name());
             assert!(
@@ -149,12 +139,7 @@ fn protocol_specific_counters_are_mutually_exclusive() {
 #[test]
 fn cross_layer_statistics_are_consistent() {
     for bench in all_benchmarks() {
-        let config = HyperionConfig::builder()
-            .cluster(sci_450())
-            .nodes(4)
-            .protocol(ProtocolKind::JavaPf)
-            .build()
-            .expect("valid test configuration");
+        let config = HyperionConfig::new(sci_450(), 4, ProtocolKind::JavaPf);
         let (_d, report) = bench.execute(config);
         let t = report.total_stats();
         // Monitors are always exited as often as they are entered.
@@ -194,12 +179,7 @@ fn faster_cluster_is_faster_in_absolute_terms() {
     // 200 MHz Myrinet nodes (pure CPU scaling; no network involved).
     for bench in all_benchmarks() {
         let (_d, myri) = bench.execute(config(1, ProtocolKind::JavaPf));
-        let sci_config = HyperionConfig::builder()
-            .cluster(sci_450())
-            .nodes(1)
-            .protocol(ProtocolKind::JavaPf)
-            .build()
-            .expect("valid test configuration");
+        let sci_config = HyperionConfig::new(sci_450(), 1, ProtocolKind::JavaPf);
         let (_d, sci) = bench.execute(sci_config);
         assert!(
             sci.execution_time < myri.execution_time,
@@ -215,13 +195,8 @@ fn faster_cluster_is_faster_in_absolute_terms() {
 fn multiple_threads_per_node_still_compute_the_right_answer() {
     let params = jacobi::JacobiParams::quick();
     let (expected, _) = jacobi::sequential(&params);
-    let config = HyperionConfig::builder()
-        .cluster(myrinet_200())
-        .nodes(2)
-        .protocol(ProtocolKind::JavaPf)
-        .threads_per_node(2)
-        .build()
-        .expect("valid test configuration");
+    let config =
+        HyperionConfig::new(myrinet_200(), 2, ProtocolKind::JavaPf).with_threads_per_node(2);
     let out = jacobi::run(config, &params);
     assert!((out.result.interior_sum - expected).abs() < 1e-6);
     // 2 nodes x 2 threads + main.
@@ -230,12 +205,7 @@ fn multiple_threads_per_node_still_compute_the_right_answer() {
 
 #[test]
 fn run_report_summary_mentions_the_protocol_and_cluster() {
-    let sci_config = HyperionConfig::builder()
-        .cluster(sci_450())
-        .nodes(2)
-        .protocol(ProtocolKind::JavaIc)
-        .build()
-        .expect("valid test configuration");
+    let sci_config = HyperionConfig::new(sci_450(), 2, ProtocolKind::JavaIc);
     let (_d, report) = pi::PiParams::quick().execute(sci_config);
     let summary = report.summary();
     assert!(summary.contains("java_ic"));

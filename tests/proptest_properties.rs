@@ -24,6 +24,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use hyperion_workspace::dsm::{DsmStore, DsmSystem, ProtocolKind, TransportConfig};
+use hyperion_workspace::model::sync::lock;
 use hyperion_workspace::model::{myrinet_200, StatsSnapshot, ThreadClock, VTime};
 use hyperion_workspace::pm2::{Cluster, GlobalAddr, IsoAllocator, NodeId, PageId};
 
@@ -370,7 +371,7 @@ fn run_program(t: &mut hyperion_workspace::ThreadCtx, program: Vec<ThreadOp>, w:
                 // Checked once the monitor is free again: a failure inside
                 // the section would leave every other thread waiting on it.
                 let stale = w.monitors[m].synchronized(t, |t| {
-                    let mut last = w.last[m].lock().unwrap();
+                    let mut last = lock(&w.last[m]);
                     ops.into_iter().find_map(|(k, write)| match write {
                         Some(value) => {
                             w.pages[k].put(t, m, value);
@@ -455,13 +456,8 @@ fn app_digests_are_invariant_under_the_directory_transport() {
     use hyperion_workspace::HyperionConfig;
 
     let config = |transport: &TransportConfig| {
-        HyperionConfig::builder()
-            .cluster(myrinet_200())
-            .nodes(3)
-            .protocol(ProtocolKind::JavaPf)
-            .transport(transport.clone())
-            .build()
-            .expect("valid property configuration")
+        HyperionConfig::new(myrinet_200(), 3, ProtocolKind::JavaPf)
+            .with_transport(transport.clone())
     };
     property(4, |seed, rng| {
         // Sizes chosen so rows regularly span page boundaries (the pattern

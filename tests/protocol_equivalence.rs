@@ -63,13 +63,8 @@ fn execute_with(
     protocol: ProtocolKind,
     transport: &TransportConfig,
 ) -> (f64, RunReport) {
-    let config = HyperionConfig::builder()
-        .cluster(myrinet_200())
-        .nodes(NODES)
-        .protocol(protocol)
-        .transport(transport.clone())
-        .build()
-        .expect("valid test configuration");
+    let config =
+        HyperionConfig::new(myrinet_200(), NODES, protocol).with_transport(transport.clone());
     bench.execute(config)
 }
 
@@ -500,13 +495,8 @@ fn adaptive_speculation_waste_stays_throttled() {
 /// not just in aggregate.
 fn deterministic_workload(protocol: ProtocolKind, transport: &TransportConfig) -> (u64, RunReport) {
     use hyperion_workspace::pm2::SLOTS_PER_PAGE;
-    let config = HyperionConfig::builder()
-        .cluster(myrinet_200())
-        .nodes(NODES)
-        .protocol(protocol)
-        .transport(transport.clone())
-        .build()
-        .expect("valid test configuration");
+    let config =
+        HyperionConfig::new(myrinet_200(), NODES, protocol).with_transport(transport.clone());
     let rt = HyperionRuntime::new(config).expect("valid test runtime");
     let outcome = rt.run(|ctx| {
         let slots = (3 * SLOTS_PER_PAGE) as u64;

@@ -56,12 +56,7 @@ const REPEATS_EXACTLY: &[(BenchmarkName, ProtocolKind)] = &[
 type Outcome = (VTime, StatsSnapshot);
 
 fn run(name: BenchmarkName, protocol: ProtocolKind) -> Outcome {
-    let config = HyperionConfig::builder()
-        .cluster(myrinet_200())
-        .nodes(NODES)
-        .protocol(protocol)
-        .build()
-        .expect("valid test configuration");
+    let config = HyperionConfig::new(myrinet_200(), NODES, protocol);
     let (_digest, report) = benchmark(name).execute(config);
     assert_eq!(report.transport, "sim");
     let stats = report.total_stats();
