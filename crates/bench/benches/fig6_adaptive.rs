@@ -16,16 +16,7 @@ use hyperion_bench::{threshold_ablation, FigureRow, Point, Scale, ADAPTIVE_NODES
 
 /// The modeled-result gate: same answers, and `java_ad`'s unforced page
 /// loads bounded by the worse of the paper's two protocols on every app.
-///
-/// One strict round per app and, on a miss, five fresh rounds in aggregate.
-/// The dynamically scheduled apps (TSP's branch-and-bound, Barnes-Hut's
-/// chunk counter) used to explore a host-schedule-dependent amount of work,
-/// which made a single draw a coin flip and bought them an extra retry; with
-/// their queues and counters granted in virtual-time order their strict
-/// round held in 60 of 60 runs and the retry is gone.  The aggregate stays
-/// for ASP: its loads still differ by ±1 of 388 between runs (the pivot row
-/// races its page-mate's flush, see `tests/repeatability.rs`) and the strict
-/// round missed in 2 of 60.
+/// One round: a run repeats exactly (`tests/repeatability.rs`).
 fn main() {
     println!();
     println!(
@@ -37,15 +28,12 @@ fn main() {
     );
     println!("{:<12} {:>12} {:>12} {:>12}", "", "(unforced)", "", "");
     for app in BenchmarkName::all() {
-        let round = || -> (FigureRow, FigureRow, FigureRow) {
-            let run = |protocol| Point::new(app, Scale::Quick, protocol).run();
-            (
-                run(ProtocolKind::JavaIc),
-                run(ProtocolKind::JavaPf),
-                run(ProtocolKind::JavaAd),
-            )
-        };
-        let (ic, pf, ad) = round();
+        let run = |protocol| Point::new(app, Scale::Quick, protocol).run();
+        let (ic, pf, ad) = (
+            run(ProtocolKind::JavaIc),
+            run(ProtocolKind::JavaPf),
+            run(ProtocolKind::JavaAd),
+        );
         let loads = |r: &FigureRow| format!("{} ({})", r.stats.page_loads, r.unforced_loads());
         println!(
             "{:<12} {:>12} {:>12} {:>12} {:>10} {:>10.4}",
@@ -64,27 +52,10 @@ fn main() {
             ad.digest
         );
         let worst = ic.unforced_loads().max(pf.unforced_loads());
-        if ad.unforced_loads() <= worst {
-            continue;
-        }
-        // Aggregate five fresh rounds, tolerating one load of jitter per
-        // round — systematic inflation still fails by a margin.
-        const ROUNDS: u64 = 5;
-        let mut ad_total = 0u64;
-        let mut worst_total = 0u64;
-        for _ in 0..ROUNDS {
-            let (ic, pf, ad) = round();
-            ad_total += ad.unforced_loads();
-            worst_total += ic.unforced_loads().max(pf.unforced_loads());
-        }
-        println!(
-            "  {app}: strict round missed ({} > {worst}); aggregate of {ROUNDS}: ad {ad_total} vs worse {worst_total}",
-            ad.unforced_loads()
-        );
         assert!(
-            ad_total <= worst_total + ROUNDS,
-            "{app}: java_ad unforced page loads exceed the worse of ic/pf even aggregated \
-             over {ROUNDS} rounds ({ad_total} > {worst_total} + {ROUNDS})"
+            ad.unforced_loads() <= worst,
+            "{app}: java_ad unforced page loads exceed the worse of ic/pf ({} > {worst})",
+            ad.unforced_loads()
         );
     }
     println!();

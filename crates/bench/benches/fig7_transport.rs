@@ -12,12 +12,7 @@
 //! * The `java_ad` page-load bound of the fig6 gate must keep holding with
 //!   the overlapped transport enabled.
 //!
-//! The wall-time legs are gated on one strict round: the 12- and 20-round
-//! aggregates they carried while monitor hand-off, barrier release and the
-//! work queues followed host order were run 20 times on the virtual-time
-//! order and never tripped, so they are gone.  What still trips (ASP's
-//! ±1–2 page loads) keeps its slack, with the observed miss rate in its
-//! comment.
+//! Every leg is one round: a run repeats exactly (`tests/repeatability.rs`).
 
 use hyperion::prelude::*;
 use hyperion::TransportConfig;
@@ -34,15 +29,15 @@ fn main() {
         let base = &pair.baseline;
         let on = &pair.enabled;
         println!(
-            "{:<12} {:<10} {}: {:.4}s/{} diffs  ->  {}: {:.4}s/{} diffs (hidden {} cy)",
+            "{:<12} {:<10} {}: {:.4}s/{} loads  ->  {}: {:.4}s/{} loads (hidden {} cy)",
             base.app.to_string(),
             base.mechanism,
             base.protocol_label(),
             base.seconds,
-            base.stats.diff_messages,
+            base.stats.page_loads,
             on.protocol_label(),
             on.seconds,
-            on.stats.diff_messages,
+            on.stats.page_loads,
             on.stats.fetch_overlap_cycles_hidden,
         );
         assert!(
@@ -58,25 +53,15 @@ fn main() {
             "{}: overlapped transport hid no latency",
             base.app
         );
-        // Overlap defers when latency is charged, not what is fetched; page
-        // traffic stays equal up to a slack of 5 % + one load per node.
-        // Still needed: Jacobi's loads were equal in 20 of 20 runs on the
-        // virtual-time order, ASP's differed by 1–2 of 388 in 5 of 20 (its
-        // pivot row races its page-mate's flush — `tests/repeatability.rs`
-        // names the counter).
-        let slack = base.stats.page_loads / 20 + ADAPTIVE_NODES as u64;
-        assert!(
-            on.stats.page_loads.abs_diff(base.stats.page_loads) <= slack,
-            "{}: overlap changed page traffic: {} vs {}",
-            base.app,
-            on.stats.page_loads,
-            base.stats.page_loads
+        // Overlap defers when latency is charged, not what is fetched.
+        assert_eq!(
+            on.stats.page_loads, base.stats.page_loads,
+            "{}: overlap changed page traffic",
+            base.app
         );
-        // Wall time, one strict round.  Jacobi's overlap effect is ~15–20 %;
-        // ASP's honest window (the leading pivot-free work of each Floyd
-        // iteration plus the pipelined digest) is ~1 %.  The 12- and
-        // 20-round aggregates that used to clear the barrier-contention
-        // jitter never ran in 20 of 20 runs.
+        // Wall time.  Jacobi's overlap effect is ~15–20 %; ASP's honest
+        // window (the leading pivot-free work of each Floyd iteration plus
+        // the pipelined digest) is ~1 %.
         assert!(
             on.seconds < base.seconds,
             "{}: overlapped transport did not reduce modeled wall time \
@@ -89,10 +74,7 @@ fn main() {
 
     // The fig6 acceptance bound must survive the new transport: java_ad's
     // unforced page loads stay within the worse of the paper's two
-    // protocols with overlapped fetches on.  Strict round first, aggregate
-    // of three on a miss — the fallback stays: on the virtual-time order the
-    // strict round missed in 1 of 40 runs (ASP, 389 loads against 388: the
-    // pivot-row race named in `tests/repeatability.rs`), Jacobi never.
+    // protocols with overlapped fetches on.
     for app in [BenchmarkName::Jacobi, BenchmarkName::Asp] {
         let run = |protocol| {
             Point {
@@ -100,38 +82,15 @@ fn main() {
                 ..Point::new(app, Scale::Quick, protocol)
             }
             .run()
+            .unforced_loads()
         };
-        let round = || {
-            let ic = run(ProtocolKind::JavaIc);
-            let pf = run(ProtocolKind::JavaPf);
-            let ad = run(ProtocolKind::JavaAd);
-            (
-                ic.unforced_loads().max(pf.unforced_loads()),
-                ad.unforced_loads(),
-            )
-        };
-        let (worst, ad_loads) = round();
-        if ad_loads <= worst {
-            continue;
-        }
-        let mut worst_total = 0u64;
-        let mut ad_total = 0u64;
-        for _ in 0..3 {
-            let (w, a) = round();
-            worst_total += w;
-            ad_total += a;
-        }
-        println!(
-            "  {app}: strict loads round missed ({ad_loads} > {worst}); \
-             aggregate of 3: {ad_total} vs {worst_total}"
-        );
-        // The strict keeper of this bound is the fig6 gate (default
-        // transport); here a few pages of slack absorb the ±1-page noise
-        // that `worse(two draws)` vs a third draw shows.
+        let worst = run(ProtocolKind::JavaIc).max(run(ProtocolKind::JavaPf));
+        let ad = run(ProtocolKind::JavaAd);
+        println!("  {app} unforced loads under latency_hiding(): ad {ad}, worse(ic, pf) {worst}");
         assert!(
-            ad_total <= worst_total + 8,
-            "{app}: java_ad unforced page loads {ad_total} exceed worse(ic, pf) {worst_total} \
-             under the latency-hiding transport (aggregated over 3 rounds)"
+            ad <= worst,
+            "{app}: java_ad unforced page loads {ad} exceed worse(ic, pf) {worst} under the \
+             latency-hiding transport"
         );
     }
     println!();

@@ -16,28 +16,9 @@
 //!   flush latency is charged (from the release to the next acquire of the
 //!   same monitor), so it must never increase modeled wall time.
 //!
-//! Each timed leg is one strict round with an aggregate of fresh rounds on
-//! a miss (miss rates in the comments).
+//! Each leg is one round: a run repeats exactly (`tests/repeatability.rs`).
 
-use hyperion_bench::{deferred_pair, sweep_directory, Scale, TransportPair, ADAPTIVE_NODES};
-
-/// The modeled times of `rounds` fresh draws of a deferred-flush pair on
-/// top of the draw at hand: `(baseline total, enabled total)`.
-fn aggregate(pair: &TransportPair, rounds: usize) -> (f64, f64) {
-    let overlapped = pair.baseline.mechanism == "ov+deferred";
-    let (mut base_total, mut on_total) = (pair.baseline.seconds, pair.enabled.seconds);
-    for _ in 0..rounds {
-        let fresh = deferred_pair(pair.baseline.app, Scale::Quick, overlapped);
-        base_total += fresh.baseline.seconds;
-        on_total += fresh.enabled.seconds;
-    }
-    println!(
-        "  {}: strict round missed; aggregate of {}: {on_total:.4}s vs {base_total:.4}s",
-        pair.baseline.app,
-        rounds + 1
-    );
-    (base_total, on_total)
-}
+use hyperion_bench::{sweep_directory, Scale, ADAPTIVE_NODES};
 
 fn main() {
     println!();
@@ -81,45 +62,24 @@ fn main() {
                     "{}: no deferred flushes",
                     base.app
                 );
-                // Wall time: strict round first, then an aggregate re-draw.
-                // Medians of 15 quick-scale runs: Jacobi 5.013 → 5.003 ms,
-                // ASP 32.069 → 32.040 ms.  Over 10 runs of this gate Jacobi's
-                // strict round never missed; ASP's (both sides move in
-                // ~0.04 ms steps with its pivot-row race) missed 3 times and
-                // the aggregate passed each time, by 0.3–0.7 ms in 673.
-                if on.seconds < base.seconds {
-                    continue;
-                }
-                let rounds = 20;
-                let (base_total, on_total) = aggregate(&pair, rounds);
                 assert!(
-                    on_total < base_total,
+                    on.seconds < base.seconds,
                     "{}: deferred flushing did not reduce the overlapped transport's \
-                     modeled wall time ({on_total:.4}s >= {base_total:.4}s aggregated over \
-                     {} rounds)",
+                     modeled wall time ({:.6}s >= {:.6}s)",
                     base.app,
-                    rounds + 1
+                    on.seconds,
+                    base.seconds
                 );
             }
             "deferred" => {
                 // Deferring only moves when flush latency is charged: wall
                 // time must never grow (tiny epsilon for rounding).
-                if on.seconds <= base.seconds * 1.001 {
-                    continue;
-                }
-                // The deferred effect is below the residual per-round jitter
-                // (~1 %), so a missed strict round is re-assessed over ten
-                // rounds in aggregate.  Observed over 20 runs on the
-                // virtual-time order: ASP's strict round missed 3 times and
-                // the aggregate passed each time; no other app missed.
-                let rounds = 9;
-                let (base_total, on_total) = aggregate(&pair, rounds);
                 assert!(
-                    on_total <= base_total * 1.005,
-                    "{}: deferred flushing increased modeled wall time \
-                     ({on_total:.4}s > {base_total:.4}s aggregated over {} rounds)",
+                    on.seconds <= base.seconds * 1.001,
+                    "{}: deferred flushing increased modeled wall time ({:.6}s > {:.6}s)",
                     base.app,
-                    rounds + 1
+                    on.seconds,
+                    base.seconds
                 );
             }
             other => panic!("unknown mechanism {other}"),

@@ -11,7 +11,7 @@
 //! * **KV throughput**: `java_ad` must serve at least as many operations
 //!   per virtual second as the *worse* of the two fixed protocols — the
 //!   adaptive protocol may split the difference, but it must not lose to
-//!   both.  One strict round.
+//!   both.
 //! * **Prefetch economics**: under `TransportConfig::directory()` the
 //!   Zipf-skewed KV traffic is the adversarial input for a stride
 //!   prefetcher (hot keys recur, but in no stable order), and the waste
@@ -31,8 +31,7 @@
 //!   row, PageRank's included, some must have been (`pages_patched > 0`:
 //!   one write changes a slot or a few of a page its readers retain) — and
 //!   the time the clients' monitor acquisitions were moved forward to a
-//!   previous holder's release (`monitor_wait_ps`); no acquire may have
-//!   left the virtual-time order (`order_escapes == 0`).
+//!   previous holder's release (`monitor_wait_ps`).
 //! * **PageRank page loads**: the adaptive protocol's page loads on the
 //!   irregular graph traffic must stay within 25% of the `java_pf`
 //!   reference — switching detection modes must not thrash the cache.
@@ -115,12 +114,6 @@ fn main() {
                     row.stats.pages_patched,
                     row.stats.monitor_wait_ps as f64 / 1e9,
                 ));
-                assert_eq!(
-                    row.stats.order_escapes,
-                    0,
-                    "KVStore {}: an acquire left the virtual-time order",
-                    row.protocol_label()
-                );
                 assert!(
                     row.stats.pages_kept > 0,
                     "KVStore {}: {} acquires and not one cached page kept open",
@@ -144,9 +137,7 @@ fn main() {
         match app {
             BenchmarkName::KvStore => {
                 // Throughput: java_ad must not lose to *both* fixed
-                // protocols.  One strict round: the aggregate of four fresh
-                // rounds that used to absorb barrier-order jitter never ran
-                // in 20 of 20 runs on the virtual-time monitor order.
+                // protocols.
                 let worse = ic.serving_ops_per_s().min(pf.serving_ops_per_s());
                 assert!(
                     ad.serving_ops_per_s() >= worse,

@@ -314,7 +314,6 @@ static CSV_COLUMNS: &[Column] = &[
     )),
     csv!(pages_kept),
     csv!(monitor_wait_ps),
-    csv!(order_escapes),
 ];
 
 /// Node count the extension figures, the audit and the CI bench gate run
@@ -540,7 +539,7 @@ pub fn sweep_directory(scale: Scale) -> Vec<TransportPair> {
 /// [`sweep_directory`]): the default transport (`"deferred"`) or, with
 /// `overlapped_fetches`, figure 7's overlapped one (`"ov+deferred"`),
 /// without and with deferred release flushing.
-pub fn deferred_pair(app: BenchmarkName, scale: Scale, overlapped_fetches: bool) -> TransportPair {
+fn deferred_pair(app: BenchmarkName, scale: Scale, overlapped_fetches: bool) -> TransportPair {
     let baseline = TransportConfig {
         overlapped_fetches,
         ..TransportConfig::default()
@@ -1203,7 +1202,7 @@ mod tests {
             row.to_csv().matches(',').count(),
             FigureRow::csv_header().matches(',').count()
         );
-        assert!(FigureRow::csv_header().ends_with("pages_kept,monitor_wait_ps,order_escapes"));
+        assert!(FigureRow::csv_header().ends_with("pages_kept,monitor_wait_ps"));
 
         // Batch kernels record no serving operations.
         let pi = two_nodes(BenchmarkName::Pi, ProtocolKind::JavaPf);
@@ -1252,8 +1251,8 @@ mod tests {
                 .all(|b| b.slug != a.slug && b.number != a.number));
         }
         // One column list feeds both the CSV header and the rows.
-        assert_eq!(FigureRow::csv_header().split(',').count(), 30);
+        assert_eq!(FigureRow::csv_header().split(',').count(), 29);
         let row = two_nodes(BenchmarkName::Pi, ProtocolKind::JavaIc);
-        assert_eq!(row.to_csv().split(',').count(), 30);
+        assert_eq!(row.to_csv().split(',').count(), 29);
     }
 }

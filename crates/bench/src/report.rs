@@ -162,7 +162,6 @@ pub static METRICS: &[Metric] = &[
     Metric::of_row("peak_home_util", 6, |r| r.peak_home_util),
     Metric::of_row("peak_home_queue_wait", 6, |r| r.peak_home_queue_wait),
     Metric::counter("monitor_wait_ps"),
-    Metric::counter("order_escapes"),
 ];
 
 /// Position of the metric called `key` in [`METRICS`] (and in
@@ -544,12 +543,7 @@ pub fn markdown_summary(
                 None => format!("{now:.decimals$}"),
             }
         };
-        // Out-of-order acquires (the admission fuse) are shown only when
-        // there are some: a healthy run has none.
-        let mut wait = format!("{:.3}", row.get("monitor_wait_ps") / 1e9);
-        if row.get("order_escapes") > 0.0 {
-            wait.push_str(&format!(" (⚠ {} escapes)", row.get("order_escapes")));
-        }
+        let wait = format!("{:.3}", row.get("monitor_wait_ps") / 1e9);
         out.push_str(&format!(
             "| {} | {} | {} | {:.4} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} |\n",
             row.app,
@@ -1076,7 +1070,7 @@ mod tests {
             };
             assert!(fields.iter().any(|(name, _)| *name == counter), "{counter}");
         }
-        assert_eq!(METRICS.len(), 30);
+        assert_eq!(METRICS.len(), 29);
     }
 
     #[test]

@@ -22,20 +22,19 @@
 //!   when the two sections really overlap in virtual time.*  The arrival is
 //!   the thread's clock once the acquire round trip is paid.  `enter` and
 //!   the re-acquire after a `wait` share one ordered-acquire step: the
-//!   thread is admitted only when no runnable thread can still arrive with a
-//!   smaller key (the crate's `order` module); if the monitor is held it
-//!   parks, and the release hands the monitor directly to the smallest
-//!   parked key instead of to whichever OS thread the host wakes first.  Every
-//!   release → acquire edge still moves the acquirer's clock to at least the
-//!   release, so critical sections are serialised in virtual time just as
-//!   they are in real time — in an order that is a function of virtual time
-//!   alone.
+//!   thread takes a turn at its arrival on the run's baton (the crate's
+//!   `order` module), so every runnable thread that arrives earlier gets
+//!   there first.  If the monitor is held the thread stops being runnable,
+//!   and the release hands the monitor directly to the smallest parked key,
+//!   making that thread runnable again from the grant on.  Every release →
+//!   acquire edge still moves the acquirer's clock to at least the release,
+//!   so critical sections are serialised in virtual time just as they are in
+//!   real time — in an order that is a function of virtual time alone.
 //!
 //! A monitor lives on a home node (the home of the Java object it guards);
 //! acquiring it from another node pays a control-message round trip.
 
 use std::sync::{Arc, Mutex};
-use std::thread::Thread;
 
 use hyperion_dsm::Notices;
 use hyperion_model::sync::lock;
@@ -43,17 +42,8 @@ use hyperion_model::{NodeStats, VTime};
 use hyperion_pm2::{NodeId, ThreadId};
 
 use crate::jmm;
-use crate::order::{Key, Slot};
+use crate::order::Key;
 use crate::runtime::ThreadCtx;
-
-/// A thread admitted while the monitor was held, asleep until a release
-/// hands the monitor to it.
-#[derive(Debug)]
-struct Parked {
-    key: Key,
-    slot: Arc<Slot>,
-    os: Thread,
-}
 
 /// A thread in `Object.wait`.
 #[derive(Debug)]
@@ -63,15 +53,15 @@ struct Waiting {
     since: VTime,
     /// Virtual time of the `notifyAll` that woke it, once one has.
     notified: Option<VTime>,
-    slot: Arc<Slot>,
-    os: Thread,
 }
 
 #[derive(Debug)]
 struct MonitorState {
     holder: Option<ThreadId>,
     last_release: VTime,
-    parked: Vec<Parked>,
+    /// The keys of the threads that arrived while the monitor was held: not
+    /// runnable until a release hands the monitor to them.
+    parked: Vec<Key>,
     waiting: Vec<Waiting>,
     /// Deferred release flushing: per-home `(issue, completion)` watermarks
     /// of flush RPCs handed off by previous releases of this monitor and
@@ -109,15 +99,14 @@ impl MonitorState {
     /// Give the monitor up (the holder `ctx`'s `exit` or `wait`, on `home`):
     /// leave the holder's write notices, paying the bytes of the ones the
     /// monitor did not have if it lives on another node, record the release
-    /// and hand the monitor directly to the smallest parked key, publishing
-    /// that thread's new clock on its behalf — it is runnable from here on,
-    /// whenever the host gets round to it.  Returns the thread to wake.
+    /// and hand the monitor directly to the smallest parked key: that thread
+    /// is runnable again from the grant on.
     fn release(
         &mut self,
         ctx: &mut ThreadCtx,
         home: NodeId,
         deferred: Option<hyperion_dsm::DeferredFlush>,
-    ) -> Option<Thread> {
+    ) {
         let deposited = self.knowledge.merge(&ctx.knowledge);
         let transfer = deposited.transfer(ctx.machine(), ctx.node(), home);
         ctx.charge(transfer);
@@ -125,14 +114,13 @@ impl MonitorState {
         if let Some(d) = deferred {
             self.push_deferred(d);
         }
-        let next = (0..self.parked.len())
-            .min_by_key(|&i| self.parked[i].key)
-            .map(|i| self.parked.swap_remove(i));
-        self.holder = next.as_ref().map(|p| p.key.1);
-        let next = next?;
-        let granted = next.key.0.max(self.last_release.as_ps());
-        ctx.shared.order.wake(&next.slot, granted);
-        Some(next.os)
+        let next = self.parked.iter().copied().min();
+        self.parked.retain(|&key| Some(key) != next);
+        self.holder = next.map(|(_, thread)| thread);
+        if let Some((arrival, thread)) = next {
+            let granted = arrival.max(self.last_release.as_ps());
+            ctx.shared.baton.wake(thread, granted);
+        }
     }
 }
 
@@ -231,35 +219,26 @@ impl HMonitor {
     /// arrival being the caller's clock now — then perform the JMM acquire
     /// action on what the grant taught the caller.
     fn acquire(&self, ctx: &mut ThreadCtx) {
-        // Host time only: nobody who can still arrive earlier is behind us.
-        let key = ctx.admit();
+        // Every runnable thread that arrives earlier gets here first.
+        let key = ctx.take_turn();
         let me = ctx.thread_id();
-        let (release, pending, learned) = {
-            let mut st = lock(&self.inner.state);
-            assert!(st.holder != Some(me), "monitors are not re-entrant");
-            if st.holder.is_none() {
-                st.holder = Some(me);
-            } else {
-                // Behind the holder: bounded below by its release, so no
-                // constraint on anybody until the release publishes for us.
-                st.parked.push(Parked {
-                    key,
-                    slot: Arc::clone(&ctx.slot),
-                    os: std::thread::current(),
-                });
-                ctx.slot.park();
-                while st.holder != Some(me) {
-                    drop(st);
-                    std::thread::park();
-                    st = lock(&self.inner.state);
-                }
-            }
-            // Deferred release flushing: a flush handed off by a previous
-            // release of *this* monitor must complete no later than this
-            // acquire — merge its completions here, charging the residual.
-            let learned = ctx.knowledge.merge(&st.knowledge);
-            (st.last_release, st.take_deferred(), learned)
-        };
+        let mut st = lock(&self.inner.state);
+        assert!(st.holder != Some(me), "monitors are not re-entrant");
+        if st.holder.is_some() {
+            // Behind the holder: runnable again once its release hands the
+            // monitor over.
+            st.parked.push(key);
+            drop(st);
+            ctx.shared.baton.block(me);
+            st = lock(&self.inner.state);
+        }
+        st.holder = Some(me);
+        // Deferred release flushing: a flush handed off by a previous release
+        // of *this* monitor must complete no later than this acquire — merge
+        // its completions here, charging the residual.
+        let learned = ctx.knowledge.merge(&st.knowledge);
+        let (release, pending) = (st.last_release, st.take_deferred());
+        drop(st);
         let waited = release.saturating_sub(ctx.now());
         if waited > VTime::ZERO {
             let node_ref = ctx.shared.cluster.node(ctx.node());
@@ -271,7 +250,6 @@ impl HMonitor {
         // The grant carries the notices the caller did not know.
         let transfer = learned.transfer(ctx.machine(), self.inner.home, ctx.node());
         ctx.charge(transfer);
-        ctx.publish_progress();
 
         jmm::acquire(ctx, &learned);
     }
@@ -291,18 +269,12 @@ impl HMonitor {
         let node_ref = ctx.shared.cluster.node(ctx.node());
         NodeStats::bump(&node_ref.stats.monitor_exits);
 
-        let next = {
-            let mut st = lock(&self.inner.state);
-            assert!(
-                st.holder == Some(ctx.thread_id()),
-                "exit of a monitor that is not held"
-            );
-            st.release(ctx, self.inner.home, deferred)
-        };
-        ctx.publish_progress();
-        if let Some(os) = next {
-            os.unpark();
-        }
+        let mut st = lock(&self.inner.state);
+        assert!(
+            st.holder == Some(ctx.thread_id()),
+            "exit of a monitor that is not held"
+        );
+        st.release(ctx, self.inner.home, deferred);
     }
 
     /// Execute `body` inside the monitor (a `synchronized` block).
@@ -326,37 +298,29 @@ impl HMonitor {
         let deferred = jmm::release(ctx, true);
         let me = ctx.thread_id();
 
-        let next = {
+        {
             let mut st = lock(&self.inner.state);
             assert!(st.holder == Some(me), "wait on a monitor that is not held");
             st.waiting.push(Waiting {
                 thread: me,
                 since: ctx.now(),
                 notified: None,
-                slot: Arc::clone(&ctx.slot),
-                os: std::thread::current(),
             });
-            let next = st.release(ctx, self.inner.home, deferred);
-            // Waiting for a notification: bounded below by the notifier,
-            // who publishes for us.
-            ctx.slot.park();
-            next
-        };
-        if let Some(os) = next {
-            os.unpark();
+            st.release(ctx, self.inner.home, deferred);
         }
-
-        let notified = loop {
+        // Runnable again once a notify has woken us.
+        ctx.shared.baton.block(me);
+        let notified = {
             let mut st = lock(&self.inner.state);
-            let woken = st
+            let i = st
                 .waiting
                 .iter()
-                .position(|w| w.thread == me && w.notified.is_some());
-            if let Some(i) = woken {
-                break st.waiting.swap_remove(i).notified.expect("checked above");
-            }
-            drop(st);
-            std::thread::park();
+                .position(|w| w.thread == me)
+                .expect("a waiter leaves the wait set only here");
+            st.waiting
+                .swap_remove(i)
+                .notified
+                .expect("woken by a notify")
         };
         // ...then re-acquire the lock, in order, arriving at the notify.
         ctx.clock_mut().merge(notified);
@@ -375,10 +339,8 @@ impl HMonitor {
         );
         for w in st.waiting.iter_mut().filter(|w| w.notified.is_none()) {
             w.notified = Some(now);
-            // Runnable again, arriving no earlier than this notify: publish
-            // for the waiter before the host has woken it.
-            ctx.shared.order.wake(&w.slot, w.since.max(now).as_ps());
-            w.os.unpark();
+            // Runnable again, arriving no earlier than this notify.
+            ctx.shared.baton.wake(w.thread, w.since.max(now).as_ps());
         }
     }
 
@@ -510,7 +472,6 @@ mod tests {
         assert!(overlap > VTime::from_ms(6) && overlap < VTime::from_ms(7));
         let stats = out.report.total_stats();
         assert_eq!(stats.monitor_wait_ps, overlap.as_ps());
-        assert_eq!(stats.order_escapes, 0);
     }
 
     #[test]
@@ -530,15 +491,15 @@ mod tests {
             );
             assert_eq!((s.page_faults, s.mprotect_calls), (1, 1));
 
-            // The home writes the page under the monitor: the next entry
-            // learns its notice and drops the copy (one more fault, one
-            // mprotect to re-protect it and one to open it again).
-            let (m, (tx, rx)) = (monitor.clone(), std::sync::mpsc::channel());
+            // The home writes the page under the monitor, a millisecond
+            // before this thread enters again: the entry learns its notice
+            // and drops the copy (one more fault, one mprotect to re-protect
+            // it and one to open it again).
+            let m = monitor.clone();
             let writer = ctx.spawn_on(NodeId(1), move |t| {
                 m.synchronized(t, |t| arr.put(t, 2, 9));
-                tx.send(()).unwrap();
             });
-            rx.recv().unwrap();
+            ctx.charge(VTime::from_ms(1));
             let seen = monitor.synchronized(ctx, |ctx| (arr.get(ctx, 1), arr.get(ctx, 2)));
             ctx.join(writer);
             seen

@@ -1,201 +1,201 @@
-//! Virtual-time grant order: the progress table and the admission step.
+//! The baton: one application thread runs at a time, chosen by virtual time.
 //!
 //! Threads are real OS threads but time is virtual, so wherever two threads
-//! meet — a monitor, and therefore every barrier, work queue and shard lock
-//! built on one — the host scheduler must not decide who goes first.  The
-//! rule is the conservative one of discrete-event simulation, applied at
-//! monitor acquisitions only:
+//! meet — a monitor (and so every barrier, work queue and shard lock built on
+//! one), a home serving their requests — the host scheduler must not decide
+//! who goes first.  The rule is the conservative one of discrete-event
+//! simulation with lookahead 0: exactly one application thread holds the
+//! [`Baton`] and runs; every other runnable thread waits under a key
+//! `(virtual clock in ps, thread id)`, and the baton always goes to the
+//! smallest key — equal clocks to the lower thread id.
 //!
-//! * every thread owns a [`Slot`] holding a *lower bound* on the key of its
-//!   next acquisition, `(virtual clock in ps, thread id)`.  The bound is
-//!   published at the synchronisation points (enter, exit, notify / wake,
-//!   spawn, join, termination) and whenever the clock has moved by one
-//!   control-message latency since the last publication;
-//! * [`OrderTable::admit`] lets a thread proceed with key `k` only when no
-//!   *runnable* thread's bound is below `k` — equal clocks go to the lower
-//!   thread id, and there is no window;
-//! * a thread that cannot act before some other thread does — parked behind
-//!   a monitor's holder, in `Object.wait`, in `join`, terminated — holds
-//!   [`PARKED`] and constrains nobody: its next key is bounded below by the
-//!   thread it waits for.  Whoever wakes it publishes its new bound *on its
-//!   behalf* first ([`OrderTable::wake`]), so it is never unaccounted for
-//!   while the host has yet to run it.
+//! A thread gives the baton up only where it has to wait, either for the
+//! order or for another thread:
 //!
-//! The thread with the smallest key is never held back, so the step cannot
-//! deadlock among threads that only block through the runtime.  A thread
-//! blocked by something the runtime cannot see (a host-side lock in a test)
-//! trips the fuse instead: a wait during which the blocking bound has not
-//! moved for [`FUSE`] is abandoned and reported as an *order escape*.
+//! * **take a turn** ([`Baton::take_turn`]), at a monitor enter and at the
+//!   re-acquire after `wait`: it publishes its key and runs on at once if
+//!   that key is still the smallest;
+//! * **stop being runnable** ([`Baton::block`], [`Baton::join`],
+//!   [`Baton::retire`], [`Baton::drain`]): parked behind a monitor's holder,
+//!   in `Object.wait`, in `join`, at its end, and in the run's wait for
+//!   unjoined children.  Whoever makes it runnable again — the release that
+//!   hands it the monitor, the notify, the ending child — gives it a key,
+//!   the clock below which it cannot act ([`Baton::wake`]), and runs on.
 //!
-//! The wait itself polls: `yield_now`, with a short sleep every
-//! [`SPINS_PER_SLEEP`] rounds.  Sleeping on a condition variable that every
-//! publication signals was measured against it (`BENCH_17.json`,
-//! `admission_wait`) and lost on both the pinned and the 2-CPU run — a
-//! yield hands a shared CPU straight to the thread being waited for, while
-//! a futex wake costs the *publisher* a system call per enter.
+//! At every one of these points the thread holds no DSM lock, so the next
+//! thread never blocks on a lock a waiting thread holds; everything between
+//! two of them — field accesses, page fetches, diffs — reaches the homes in
+//! one order that depends on the program and the seed alone.  A hand-off is
+//! one `unpark` of the next thread and one `park` of the current one:
+//! nothing polls, and no wall clock decides anything.
+//!
+//! The contract that comes with it: application threads block only through
+//! the runtime.  A thread that waits for another application thread on
+//! something the runtime cannot see — a host lock, a channel — does so
+//! holding the baton, and the run hangs.
 
-use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
-use std::sync::{Arc, Mutex, RwLock};
-use std::time::{Duration, Instant};
+use std::collections::BTreeSet;
+use std::sync::{Mutex, MutexGuard};
+use std::thread::Thread;
 
-use hyperion_model::sync::{lock, read, write};
+use hyperion_model::sync::lock;
 use hyperion_pm2::ThreadId;
 
-/// A thread's place in the grant order: arrival clock (ps), then thread id.
+/// A thread's place in the order: virtual clock (ps), then thread id.
 pub(crate) type Key = (u64, ThreadId);
 
-/// Published by a thread that constrains nobody (see the module docs).
-const PARKED: u64 = u64::MAX;
-
-/// How long an admission waits on a bound that does not move before it gives
-/// up on the order.  A deadlock fuse, not a tuning knob: bounds move every
-/// few microseconds of host time, and every trip is counted.
-const FUSE: Duration = Duration::from_millis(100);
-
-/// Polling rounds of an admission between two sleeps: yielding is enough
-/// while the awaited thread shares this CPU, the sleep keeps a long wait
-/// from occupying a CPU of its own.  The usual wait is one operation of the
-/// awaited thread (tens of microseconds) while a sleep costs 100 µs and
-/// more, so the rounds must outlast it: at 64 (≈ 20 µs on an otherwise idle
-/// CPU) `kv_read_unix` took 3.4 s of wall time on two CPUs, at 512 and
-/// beyond 1.1–1.2 s, as before the order; pinned runs do not notice.
-const SPINS_PER_SLEEP: u32 = 512;
-
-/// Who takes over a thread's place in the order when it terminates.
-enum Successor {
-    Unset,
+/// How a thread's life ends, as far as a joiner is concerned.
+#[derive(Default)]
+enum End {
+    #[default]
+    Running,
     /// A thread blocked in `join` on this one.
-    Joiner(Arc<Slot>),
+    Joiner(ThreadId),
     Retired,
 }
 
-/// One thread's published progress.
-pub(crate) struct Slot {
-    thread: ThreadId,
-    bound: AtomicU64,
-    successor: Mutex<Successor>,
-}
-
-impl std::fmt::Debug for Slot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Slot({}: {})", self.thread, self.bound.load(SeqCst))
-    }
-}
-
-impl Slot {
-    fn new(thread: ThreadId, bound_ps: u64) -> Self {
-        Slot {
-            thread,
-            bound: AtomicU64::new(bound_ps),
-            successor: Mutex::new(Successor::Unset),
-        }
-    }
-
-    /// The owning thread publishes `bound_ps` as its new lower bound.
-    pub(crate) fn publish(&self, bound_ps: u64) {
-        self.bound.store(bound_ps, SeqCst);
-    }
-
-    /// The owning thread waits for another one: it constrains nobody until
-    /// somebody [wakes](OrderTable::wake) it.
-    pub(crate) fn park(&self) {
-        self.publish(PARKED);
-    }
-
-    /// Block in `join` behind `child`: park, unless the child is already
-    /// gone.  The child's [`OrderTable::retire`] makes this thread runnable
-    /// again before the child disappears from the order itself.
-    pub(crate) fn park_behind(self: &Arc<Slot>, child: &Slot) {
-        let mut successor = lock(&child.successor);
-        if matches!(*successor, Successor::Unset) {
-            *successor = Successor::Joiner(Arc::clone(self));
-            self.park();
-        }
-    }
-
-    /// The bound, if this thread may still act before `key`.
-    fn preceding(&self, key: Key) -> Option<u64> {
-        let bound = self.bound.load(SeqCst);
-        (bound != PARKED && (bound, self.thread) < key).then_some(bound)
-    }
-}
-
-/// The published progress of every thread of a run, indexed by thread id.
 #[derive(Default)]
-pub(crate) struct OrderTable {
-    /// Scans hold the read side; a parked thread is made runnable under the
-    /// write side, so no scan sees the waker's later progress without the
-    /// bound it left behind for the woken thread.
-    slots: RwLock<Vec<Arc<Slot>>>,
+struct Entry {
+    /// The OS thread to unpark when the baton reaches this one.
+    os: Option<Thread>,
+    end: End,
 }
 
-impl OrderTable {
-    /// Add `thread` to the order with its starting clock as first bound.
-    /// Called by the *creating* thread before the new one exists, so nobody
-    /// can be admitted past a thread the host has not started yet.
-    pub(crate) fn register(&self, thread: ThreadId, start_ps: u64) -> Arc<Slot> {
-        let slot = Arc::new(Slot::new(thread, start_ps));
-        let mut slots = write(&self.slots);
-        // Ids are handed out before this call, so two creating threads may
-        // get here in either order: a gap is a thread still behind its
-        // creator's own bound.
-        while slots.len() <= thread.0 as usize {
-            let gap = ThreadId(slots.len() as u64);
-            slots.push(Arc::new(Slot::new(gap, PARKED)));
+#[derive(Default)]
+struct Table {
+    /// Runnable threads waiting for the baton, smallest key first.
+    ready: BTreeSet<Key>,
+    /// The thread running, if any is.
+    holder: Option<ThreadId>,
+    /// The thread in [`Baton::drain`], next once nobody else is runnable.
+    drainer: Option<ThreadId>,
+    /// Indexed by thread id.
+    threads: Vec<Entry>,
+}
+
+impl Table {
+    fn entry(&mut self, thread: ThreadId) -> &mut Entry {
+        let i = thread.0 as usize;
+        if self.threads.len() <= i {
+            self.threads.resize_with(i + 1, Entry::default);
         }
-        slots[thread.0 as usize] = Arc::clone(&slot);
-        slot
+        &mut self.threads[i]
     }
 
-    /// Publish `bound_ps` on behalf of the parked thread behind `slot`: it
-    /// is runnable from that clock on, whenever the host gets round to it.
-    /// The waker calls this *before* it publishes its own next move.
-    pub(crate) fn wake(&self, slot: &Slot, bound_ps: u64) {
-        let _no_scan = write(&self.slots);
-        slot.publish(bound_ps);
+    /// Give the baton to the smallest ready key (to the drainer if nobody
+    /// is ready); returns the thread to unpark.
+    fn pass(&mut self) -> Option<Thread> {
+        let next = self.ready.pop_first().map(|(_, t)| t);
+        self.holder = next.or_else(|| self.drainer.take());
+        let holder = self.holder?;
+        self.entry(holder).os.clone()
+    }
+}
+
+/// [Pass](Table::pass) the baton and wake whoever got it.
+fn pass_on(mut t: MutexGuard<'_, Table>) {
+    let next = t.pass();
+    drop(t);
+    if let Some(next) = next {
+        next.unpark();
+    }
+}
+
+/// Who runs: one application thread of a run at a time (see the module
+/// docs).
+#[derive(Default)]
+pub(crate) struct Baton {
+    table: Mutex<Table>,
+}
+
+impl Baton {
+    /// The run's main thread holds the baton from the start.
+    pub(crate) fn begin(&self, me: ThreadId) {
+        let mut t = lock(&self.table);
+        assert!(t.holder.is_none(), "a run is already under way");
+        t.entry(me).os = Some(std::thread::current());
+        t.holder = Some(me);
     }
 
-    /// The thread behind `slot` ended at `end_ps`: hand its place to a
-    /// waiting joiner (whose clock is about to merge `end_ps`), then leave
-    /// the order.
-    pub(crate) fn retire(&self, slot: &Slot, end_ps: u64) {
-        let successor = std::mem::replace(&mut *lock(&slot.successor), Successor::Retired);
-        if let Successor::Joiner(joiner) = successor {
-            self.wake(&joiner, end_ps);
+    /// A new thread, runnable from `start_ps`.  Called by its creator —
+    /// who holds the baton — once the OS thread exists.
+    pub(crate) fn register(&self, thread: ThreadId, start_ps: u64, os: Thread) {
+        let mut t = lock(&self.table);
+        t.entry(thread).os = Some(os);
+        t.ready.insert((start_ps, thread));
+    }
+
+    /// Take a turn at `key`: run on if it is still the smallest, otherwise
+    /// pass the baton and wait until it comes back.
+    pub(crate) fn take_turn(&self, key: Key) {
+        let mut t = lock(&self.table);
+        if t.ready.first().is_some_and(|&first| first < key) {
+            t.ready.insert(key);
+            self.hand_off(t, key.1);
         }
-        slot.park();
     }
 
-    /// The admission step: return once no runnable thread's published bound
-    /// precedes `key` (the caller has published `key.0` as its own bound).
-    /// Returns `false` if the wait was abandoned through the fuse — the
-    /// caller proceeds out of order and must count the escape.
-    pub(crate) fn admit(&self, key: Key) -> bool {
-        let mut spins = 0u32;
-        // The furthest-behind bound as of the last sleep, and since when.
-        let mut stuck: Option<(u64, Instant)> = None;
+    /// Stop being runnable until somebody [wakes](Baton::wake) `me` and the
+    /// baton comes back.
+    pub(crate) fn block(&self, me: ThreadId) {
+        self.hand_off(lock(&self.table), me);
+    }
+
+    /// The blocked `thread` is runnable again, acting no earlier than
+    /// `bound_ps`.  The caller runs on.
+    pub(crate) fn wake(&self, thread: ThreadId, bound_ps: u64) {
+        lock(&self.table).ready.insert((bound_ps, thread));
+    }
+
+    /// Block in `join` until `child` has [retired](Baton::retire), unless
+    /// it already has.
+    pub(crate) fn join(&self, me: ThreadId, child: ThreadId) {
+        let mut t = lock(&self.table);
+        let end = &mut t.entry(child).end;
+        if matches!(end, End::Running) {
+            *end = End::Joiner(me);
+            self.hand_off(t, me);
+        }
+    }
+
+    /// `me` ended at `end_ps`: make its joiner (whose clock is about to
+    /// merge `end_ps`) runnable from there, and pass the baton on for good.
+    pub(crate) fn retire(&self, me: ThreadId, end_ps: u64) {
+        let mut t = lock(&self.table);
+        if let End::Joiner(joiner) = std::mem::replace(&mut t.entry(me).end, End::Retired) {
+            t.ready.insert((end_ps, joiner));
+        }
+        if t.holder == Some(me) {
+            pass_on(t);
+        }
+    }
+
+    /// The run's wait for the threads nobody joined: stop being runnable
+    /// until no other thread is — which must mean every other one has ended.
+    pub(crate) fn drain(&self, me: ThreadId) {
+        let mut t = lock(&self.table);
+        t.drainer = Some(me);
+        self.hand_off(t, me);
+        let ended = |(i, e): (usize, &Entry)| i == me.0 as usize || matches!(e.end, End::Retired);
+        assert!(
+            lock(&self.table).threads.iter().enumerate().all(ended),
+            "every thread left is blocked for good: the program deadlocked"
+        );
+    }
+
+    fn hand_off(&self, t: MutexGuard<'_, Table>, me: ThreadId) {
+        pass_on(t);
+        self.await_turn(me);
+    }
+
+    /// Park until the baton reaches `me` (a new thread's first act):
+    /// whoever passes it here unparks `me` once it has.
+    pub(crate) fn await_turn(&self, me: ThreadId) {
         loop {
-            let behind = read(&self.slots)
-                .iter()
-                .filter_map(|s| s.preceding(key))
-                .min();
-            let Some(behind) = behind else {
-                return true;
-            };
-            spins += 1;
-            if spins % SPINS_PER_SLEEP != 0 {
-                std::thread::yield_now();
-                continue;
+            std::thread::park();
+            if lock(&self.table).holder == Some(me) {
+                return;
             }
-            match stuck {
-                Some((bound, since)) if bound == behind => {
-                    if since.elapsed() >= FUSE {
-                        return false;
-                    }
-                }
-                _ => stuck = Some((behind, Instant::now())),
-            }
-            std::thread::sleep(Duration::from_micros(50));
         }
     }
 }
@@ -203,65 +203,88 @@ impl OrderTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
-    fn table(bounds: &[u64]) -> (OrderTable, Vec<Arc<Slot>>) {
-        let table = OrderTable::default();
-        let slots = bounds
-            .iter()
-            .enumerate()
-            .map(|(i, &b)| table.register(ThreadId(i as u64), b))
-            .collect();
-        (table, slots)
+    /// A baton held by thread 0 (the test's own), and who ran in turn.
+    type Run = (Arc<Baton>, Arc<Mutex<Vec<u64>>>);
+
+    fn baton() -> Run {
+        let baton = Arc::new(Baton::default());
+        baton.begin(ThreadId(0));
+        (baton, Arc::default())
+    }
+
+    /// Start thread `id`, runnable from `start_ps`: once the baton reaches
+    /// it, it logs its id, runs `body` and retires at `end_ps`.
+    fn start(run: &Run, id: u64, start_ps: u64, end_ps: u64, body: impl FnOnce() + Send + 'static) {
+        let (baton, log, me) = (Arc::clone(&run.0), Arc::clone(&run.1), ThreadId(id));
+        let os = std::thread::spawn(move || {
+            baton.await_turn(me);
+            lock(&log).push(id);
+            body();
+            baton.retire(me, end_ps);
+        });
+        run.0.register(me, start_ps, os.thread().clone());
+    }
+
+    /// Let every other thread run to its end, then read the log.
+    fn ran(run: &Run) -> Vec<u64> {
+        run.0.drain(ThreadId(0));
+        std::mem::take(&mut lock(&run.1))
     }
 
     #[test]
-    fn the_smallest_key_is_admitted_and_ties_go_to_the_lower_thread_id() {
-        let (table, _slots) = table(&[100, 100, 250]);
-        assert!(table.admit((100, ThreadId(0))));
-        // Thread 1 ties with thread 0 on the clock and loses on the id:
-        // nothing moves thread 0's bound, so only the fuse ends the wait.
-        assert!(!table.admit((100, ThreadId(1))));
+    fn the_smallest_key_runs_next() {
+        let run = baton();
+        for (id, start_ps) in [(1, 30), (2, 10), (3, 20)] {
+            start(&run, id, start_ps, 99, || ());
+        }
+        // Thread 0 takes a turn at 25: the two keys below it run first.
+        run.0.take_turn((25, ThreadId(0)));
+        lock(&run.1).push(0);
+        assert_eq!(ran(&run), [2, 3, 0, 1]);
+    }
+
+    #[test]
+    fn a_tie_goes_to_the_lower_thread_id() {
+        let run = baton();
+        for id in [3, 1, 2] {
+            start(&run, id, 10, 99, || ());
+        }
+        // Thread 0 ties with all three at 10 and runs on.
+        run.0.take_turn((10, ThreadId(0)));
+        lock(&run.1).push(0);
+        assert_eq!(ran(&run), [0, 1, 2, 3]);
     }
 
     #[test]
     fn a_parked_thread_constrains_nobody_until_it_is_woken() {
-        let (table, slots) = table(&[10, 500]);
-        slots[0].park();
-        assert!(table.admit((500, ThreadId(1))));
-        table.wake(&slots[0], 20);
-        assert!(!table.admit((500, ThreadId(1))));
-    }
-
-    #[test]
-    fn an_admission_waits_until_the_earlier_thread_publishes_past_it() {
-        let (table, slots) = table(&[10, 500]);
-        let table = Arc::new(table);
-        let waiter = {
-            let table = Arc::clone(&table);
-            std::thread::spawn(move || table.admit((500, ThreadId(1))))
-        };
-        // Progress that stays below the key keeps the waiter waiting (and
-        // re-arms the fuse: the whole wait is longer than it); passing the
-        // key releases it in order.
-        for bound in [100, 300, 499, 501] {
-            std::thread::sleep(FUSE / 2);
-            slots[0].publish(bound);
-        }
-        assert!(waiter.join().unwrap(), "admitted in order, not by the fuse");
+        let run = baton();
+        let (baton, log) = run.clone();
+        start(&run, 1, 10, 99, move || {
+            baton.block(ThreadId(1));
+            lock(&log).push(1);
+        });
+        let (baton, log) = run.clone();
+        start(&run, 2, 20, 99, move || {
+            // Thread 1 (key 10) is parked: this one ran in its place.
+            baton.wake(ThreadId(1), 5);
+            baton.take_turn((25, ThreadId(2)));
+            lock(&log).push(2);
+        });
+        assert_eq!(ran(&run), [1, 2, 1, 2]);
     }
 
     #[test]
     fn a_retiring_thread_hands_its_place_to_its_joiner() {
-        let (table, slots) = table(&[0, 40, 60]);
-        slots[0].park_behind(&slots[1]);
-        // The joiner is parked: only the child constrains thread 2.
-        assert!(!table.admit((60, ThreadId(2))));
-        table.retire(&slots[1], 90);
-        // The joiner is runnable again from the child's end on.
-        assert!(table.admit((60, ThreadId(2))));
-        assert!(!table.admit((95, ThreadId(2))));
-        // Joining a thread that is already gone does not park.
-        slots[2].park_behind(&slots[1]);
-        assert_eq!(slots[2].preceding((61, ThreadId(0))), Some(60));
+        let run = baton();
+        start(&run, 1, 40, 90, || ());
+        start(&run, 2, 60, 99, || ());
+        // Thread 1 ends at 90, so thread 2 (60) runs before its joiner.
+        run.0.join(ThreadId(0), ThreadId(1));
+        lock(&run.1).push(0);
+        // Joining a thread that is already gone does not block.
+        run.0.join(ThreadId(0), ThreadId(1));
+        assert_eq!(ran(&run), [1, 2, 0]);
     }
 }

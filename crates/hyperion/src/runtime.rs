@@ -9,7 +9,6 @@
 //! both the program's result and a [`RunReport`] with the virtual execution
 //! time and the per-node event statistics.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use hyperion_dsm::{
@@ -26,7 +25,7 @@ use hyperion_pm2::{
     Cluster, GlobalAddr, IsoAllocator, NodeId, ThreadId, ThreadRegistry, TransportBackend,
 };
 
-use crate::order::{Key, OrderTable, Slot};
+use crate::order::{Baton, Key};
 use crate::thread::{HThreadHandle, LoadBalancer};
 
 /// Configuration of a Hyperion execution.
@@ -235,10 +234,9 @@ pub(crate) struct RuntimeShared {
     pub(crate) registry: ThreadRegistry,
     pub(crate) balancer: LoadBalancer,
     pub(crate) finish: TimeWatermark,
-    pub(crate) active_children: AtomicUsize,
-    /// Published progress of every thread: the virtual-time grant order of
-    /// the monitors (see [`crate::order`]).
-    pub(crate) order: OrderTable,
+    /// Which application thread runs: one at a time, in virtual-time order
+    /// (see [`crate::order`]).
+    pub(crate) baton: Baton,
     /// Modeled per-operation latencies (picoseconds) recorded by
     /// [`ThreadCtx::record_serving_op`]: each thread hands over its whole
     /// sample as it ends; folded into the report's tail percentile when the
@@ -280,8 +278,7 @@ impl HyperionRuntime {
                 registry: ThreadRegistry::new(),
                 balancer,
                 finish: TimeWatermark::new(),
-                active_children: AtomicUsize::new(0),
-                order: OrderTable::default(),
+                baton: Baton::default(),
                 serving_latencies: Mutex::new(Vec::new()),
             }),
         })
@@ -327,20 +324,17 @@ impl HyperionRuntime {
         let main_node = NodeId(0);
         let tid = shared.registry.register(main_node);
         NodeStats::bump(&shared.cluster.node(main_node).stats.threads_spawned);
-        let slot = shared.order.register(tid, 0);
+        shared.baton.begin(tid);
         let known = Notices::default();
-        let mut ctx = ThreadCtx::new(Arc::clone(shared), tid, main_node, VTime::ZERO, slot, known);
+        let mut ctx = ThreadCtx::new(Arc::clone(shared), tid, main_node, VTime::ZERO, known);
 
         let result = main(&mut ctx);
         // Program termination is a release point.
         shared.dsm.update_main_memory(main_node, &mut ctx.clock);
 
-        // Wait (in real time) for threads the program did not join; their
-        // final virtual times are already folded into the finish watermark.
-        ctx.slot.park();
-        while shared.active_children.load(Ordering::Acquire) > 0 {
-            std::thread::yield_now();
-        }
+        // Wait for threads the program did not join; their final virtual
+        // times are already folded into the finish watermark.
+        shared.baton.drain(tid);
         shared.registry.mark_terminated(tid);
         shared.finish.record(ctx.clock.now());
         ctx.merge_serving_latencies();
@@ -517,7 +511,7 @@ impl RunReport {
             "{} on {} × {} nodes: {}\n  checks={} faults={} mprotect={} page_loads={} \
              (revalidated={} patched={}) kept={} diffs={} bytes={} \
              monitors={}/{}\n  \
-             home busy={} queue wait={} monitor wait={} (order escapes={})",
+             home busy={} queue wait={} monitor wait={}",
             self.protocol.name(),
             self.cluster_label,
             self.nodes,
@@ -536,7 +530,6 @@ impl RunReport {
             percents(self.home_utilisation()),
             percents(self.home_queue_wait_share()),
             VTime::from_ps(t.monitor_wait_ps),
-            t.order_escapes,
         )
     }
 }
@@ -563,23 +556,15 @@ pub struct ThreadCtx {
     /// This thread's place in its node's write log: its next release names
     /// what the node made visible from here on.
     pub(crate) log_cursor: u64,
-    /// This thread's place in the virtual-time grant order, cached so a
-    /// publication is one atomic store.
-    pub(crate) slot: Arc<Slot>,
-    /// Clock movement after which the access wrappers publish again: one
-    /// control message, i.e. the thread has absorbed a remote operation.
-    publish_step_ps: u64,
-    /// The clock value (ps) from which the next such publication is due.
-    publish_due_ps: u64,
 }
 
 impl Drop for ThreadCtx {
-    /// Thread end, normal or by panic: leave the grant order, handing this
-    /// thread's place to a joiner that is already waiting for it.
+    /// Thread end, normal or by panic: hand this thread's place to a joiner
+    /// that is already waiting for it, and the baton to the next thread.
     fn drop(&mut self) {
         self.shared
-            .order
-            .retire(&self.slot, self.clock.now().as_ps());
+            .baton
+            .retire(self.thread, self.clock.now().as_ps());
     }
 }
 
@@ -589,10 +574,8 @@ impl ThreadCtx {
         thread: ThreadId,
         node: NodeId,
         start: VTime,
-        slot: Arc<Slot>,
         knowledge: Notices,
     ) -> Self {
-        let publish_step_ps = shared.cluster.control_message_cost().as_ps();
         let log_cursor = shared.dsm.write_log_end(node);
         ThreadCtx {
             shared,
@@ -602,9 +585,6 @@ impl ThreadCtx {
             serving_latencies: Vec::new(),
             knowledge,
             log_cursor,
-            slot,
-            publish_step_ps,
-            publish_due_ps: start.as_ps() + publish_step_ps,
         }
     }
 
@@ -688,34 +668,12 @@ impl ThreadCtx {
         self.clock.merge(t);
     }
 
-    /// Publish this thread's clock as the lower bound of its next place in
-    /// the grant order (see [`crate::order`]); returns the published value.
-    pub(crate) fn publish_progress(&mut self) -> u64 {
-        let now_ps = self.clock.now().as_ps();
-        self.publish_due_ps = now_ps + self.publish_step_ps;
-        self.slot.publish(now_ps);
-        now_ps
-    }
-
-    /// Publish once the clock has moved a control message past the last
-    /// publication: a thread that only reads still lets the writers it would
-    /// otherwise hold back in [`ThreadCtx::admit`] go on.  Called by the
-    /// access wrappers, so it is one compare on the hit path.
-    #[inline]
-    fn publish_if_due(&mut self) {
-        if self.clock.now().as_ps() >= self.publish_due_ps {
-            self.publish_progress();
-        }
-    }
-
-    /// The admission step of an ordered acquire: publish this thread's
-    /// arrival as its key and wait (in host time only) until no runnable
-    /// thread can still arrive before it.  Returns the key.
-    pub(crate) fn admit(&mut self) -> Key {
-        let key = (self.publish_progress(), self.thread);
-        if !self.shared.order.admit(key) {
-            NodeStats::bump(&self.shared.cluster.node(self.node).stats.order_escapes);
-        }
+    /// Take a turn in the virtual-time order at this thread's clock: run on
+    /// at once if no runnable thread is behind it, otherwise let those run
+    /// first.  Returns the key.
+    pub(crate) fn take_turn(&mut self) -> Key {
+        let key = (self.clock.now().as_ps(), self.thread);
+        self.shared.baton.take_turn(key);
         key
     }
 
@@ -785,16 +743,13 @@ impl ThreadCtx {
     /// Read an 8-byte slot through the DSM (`get` of Table 2).
     #[inline]
     pub fn get_slot(&mut self, addr: GlobalAddr) -> u64 {
-        let value = self.shared.dsm.get(self.node, &mut self.clock, addr);
-        self.publish_if_due();
-        value
+        self.shared.dsm.get(self.node, &mut self.clock, addr)
     }
 
     /// Write an 8-byte slot through the DSM (`put` of Table 2).
     #[inline]
     pub fn put_slot(&mut self, addr: GlobalAddr, value: u64) {
         self.shared.dsm.put(self.node, &mut self.clock, addr, value);
-        self.publish_if_due();
     }
 
     /// Explicitly prefetch the page containing `addr` (`loadIntoCache`).
@@ -802,7 +757,6 @@ impl ThreadCtx {
         self.shared
             .dsm
             .load_into_cache(self.node, &mut self.clock, addr.page());
-        self.publish_if_due();
     }
 
     /// Prefetch every page of the `slots` consecutive slots starting at
@@ -824,7 +778,6 @@ impl ThreadCtx {
         self.shared
             .dsm
             .prefetch_span(self.node, &mut self.clock, first, last.0 - first.0 + 1);
-        self.publish_if_due();
     }
 
     /// Classify the locality of `addr` as seen from this thread's node.
@@ -856,7 +809,6 @@ impl ThreadCtx {
         self.shared
             .dsm
             .read_slice(self.node, &mut self.clock, addr, out);
-        self.publish_if_due();
     }
 
     /// Bulk write of `values` to consecutive slots starting at `addr`,
@@ -866,7 +818,6 @@ impl ThreadCtx {
         self.shared
             .dsm
             .write_slice(self.node, &mut self.clock, addr, values);
-        self.publish_if_due();
     }
 
     /// Allocate `slots` contiguous 8-byte slots homed on `home`.
@@ -928,20 +879,13 @@ impl ThreadCtx {
 
         let tid = self.shared.registry.register(node);
         NodeStats::bump(&self.shared.cluster.node(node).stats.threads_spawned);
-        self.shared.active_children.fetch_add(1, Ordering::AcqRel);
-        // The child joins the grant order at its starting time before the OS
-        // thread exists, so threads that are already running cannot be
-        // admitted past it; the parent's own clock has moved too.
-        let slot = self.shared.order.register(tid, start.as_ps());
-        self.publish_progress();
 
         let shared = Arc::clone(&self.shared);
-        let child_slot = Arc::clone(&slot);
         let os_handle = std::thread::Builder::new()
             .name(format!("hyperion-{}", tid))
             .spawn(move || {
-                let mut ctx =
-                    ThreadCtx::new(Arc::clone(&shared), tid, node, start, child_slot, known);
+                shared.baton.await_turn(tid);
+                let mut ctx = ThreadCtx::new(Arc::clone(&shared), tid, node, start, known);
                 // ...which is an acquire on the child's node: what the parent
                 // knows others wrote, no copy there may hide.
                 shared.dsm.learn(node, &mut ctx.clock, &ctx.knowledge);
@@ -953,28 +897,28 @@ impl ThreadCtx {
                 ctx.merge_serving_latencies();
                 shared.registry.mark_terminated(tid);
                 shared.finish.record(end);
-                shared.active_children.fetch_sub(1, Ordering::AcqRel);
                 (end, std::mem::take(&mut ctx.knowledge))
             })
             .expect("failed to spawn OS thread for Hyperion thread");
-
-        HThreadHandle::new(tid, node, os_handle, slot)
+        // Runnable from its starting time; it runs once the baton reaches it.
+        self.shared
+            .baton
+            .register(tid, start.as_ps(), os_handle.thread().clone());
+        HThreadHandle::new(tid, node, os_handle)
     }
 
     /// Join a Hyperion thread: blocks (in real time) until the thread has
     /// finished and merges its final virtual time into this thread's clock.
     pub fn join(&mut self, handle: HThreadHandle) -> VTime {
-        // While blocked on the child this thread constrains nobody's place
-        // in the grant order: it cannot act before the child has ended, and
-        // the ending child publishes for it.
-        self.slot.park_behind(handle.slot());
+        // Not runnable until the child has ended: the ending child makes it
+        // runnable again from its end.
+        self.shared.baton.join(self.thread, handle.thread_id());
         let child = handle.node();
         let (end, known) = handle.into_end();
         let machine = self.shared.cluster.machine();
         self.clock.merge(end);
         self.clock
             .advance(machine.cpu.cycles(machine.dsm.monitor_local_cycles));
-        self.publish_progress();
         // `Thread.join()` is an acquire point: reads after the join observe
         // everything the joined thread wrote, and everything it knew of.
         let learned = self.knowledge.merge(&known);

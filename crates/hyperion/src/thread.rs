@@ -7,13 +7,10 @@
 //! handle returned there is an [`HThreadHandle`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use hyperion_dsm::Notices;
 use hyperion_model::VTime;
 use hyperion_pm2::{NodeId, ThreadId};
-
-use crate::order::Slot;
 
 /// Round-robin placement of newly created threads over the run's nodes.
 #[derive(Debug)]
@@ -62,7 +59,6 @@ pub struct HThreadHandle {
     thread: ThreadId,
     node: NodeId,
     os_handle: std::thread::JoinHandle<(VTime, Notices)>,
-    slot: Arc<Slot>,
 }
 
 impl HThreadHandle {
@@ -70,19 +66,12 @@ impl HThreadHandle {
         thread: ThreadId,
         node: NodeId,
         os_handle: std::thread::JoinHandle<(VTime, Notices)>,
-        slot: Arc<Slot>,
     ) -> Self {
         HThreadHandle {
             thread,
             node,
             os_handle,
-            slot,
         }
-    }
-
-    /// The thread's place in the virtual-time grant order.
-    pub(crate) fn slot(&self) -> &Slot {
-        &self.slot
     }
 
     /// Id of the thread this handle refers to.

@@ -5,11 +5,13 @@
 //! `directory()` one (deferred release flushing, stride prefetch).
 //!
 //! Each litmus first lets the reading node cache the page, so a stale copy
-//! kept across the acquire would be read, not refetched.  Host-side channels
-//! only order who caches before whom writes; every ordering the assertions
-//! rely on comes from a monitor, `start` or `join`.  A thread that waits on
-//! a channel has first moved its clock past the others' arrivals, so the
-//! virtual-time grant order never waits on it.
+//! kept across the acquire would be read, not refetched.  Virtual time alone
+//! orders who caches before whom writes: one thread runs at a time, until
+//! it takes a turn at a monitor, and the next is the one furthest behind,
+//! so a reader that caches at its start and a writer that first moves its
+//! clock a millisecond on run in that order.  Every ordering the assertions
+//! rely on still comes from a monitor, `start` or `join`; channels only
+//! carry results out.
 //!
 //! Mutations on record — each applied to a copy of the tree, this suite run
 //! under it, and the test named failed:
@@ -24,7 +26,7 @@
 //! * the stamp compare skipped, every named copy dropped: the counter
 //!   assertions of `an_acquire_keeps_every_copy_no_notice_outdates_at_no_cost`.
 
-use std::sync::mpsc::{channel, Receiver};
+use std::sync::mpsc::channel;
 use std::sync::{Arc, Barrier};
 
 use hyperion::prelude::*;
@@ -50,14 +52,6 @@ fn configs(nodes: usize) -> Vec<(String, HyperionConfig)> {
     out
 }
 
-/// Wait for `go` with the clock moved to `ms` and published (any access
-/// publishes), so the wait holds nobody's grant back.
-fn wait_at(t: &mut ThreadCtx, ms: u64, go: Receiver<()>, any: HArray<u64>) {
-    t.observe(VTime::from_ms(ms));
-    let _ = any.get(t, 0);
-    go.recv().unwrap();
-}
-
 /// Message passing through one monitor: a reader that cached the page
 /// before the write sees it after acquiring the writer's monitor.
 fn message_passing(writer_node: u32) {
@@ -66,15 +60,14 @@ fn message_passing(writer_node: u32) {
         let out = rt.run(move |ctx| {
             let data = ctx.alloc_array_page_aligned::<u64>(SLOTS, NodeId(0));
             let m = ctx.new_monitor(NodeId(1));
-            let ((cached, go), (seen_tx, seen)) = (channel(), channel());
+            let (seen_tx, seen) = channel();
             let wm = m.clone();
             let writer = ctx.spawn_on(NodeId(writer_node), move |t| {
-                go.recv().unwrap();
+                t.observe(VTime::from_ms(1));
                 wm.synchronized(t, |t| data.put(t, 7, 41));
             });
             let reader = ctx.spawn_on(NodeId(2), move |t| {
                 assert_eq!(data.get(t, 7), 0);
-                cached.send(()).unwrap();
                 t.observe(VTime::from_ms(5));
                 seen_tx.send(m.synchronized(t, |t| data.get(t, 7))).unwrap();
             });
@@ -116,10 +109,10 @@ fn a_chain_of_monitors_carries_a_write_to_a_thread_that_never_took_the_first() {
         let out = rt.run(move |ctx| {
             let data = ctx.alloc_array_page_aligned::<u64>(SLOTS, NodeId(0));
             let (m1, m2) = (ctx.new_monitor(NodeId(0)), ctx.new_monitor(NodeId(1)));
-            let ((cached, go), (seen_tx, seen)) = (channel(), channel());
+            let (seen_tx, seen) = channel();
             let (am1, bm1, bm2) = (m1.clone(), m1, m2.clone());
             let a = ctx.spawn_on(NodeId(1), move |t| {
-                go.recv().unwrap();
+                t.observe(VTime::from_ms(1));
                 am1.synchronized(t, |t| data.put(t, 3, 17));
             });
             let b = ctx.spawn_on(NodeId(0), move |t| {
@@ -129,7 +122,6 @@ fn a_chain_of_monitors_carries_a_write_to_a_thread_that_never_took_the_first() {
             });
             let c = ctx.spawn_on(NodeId(2), move |t| {
                 assert_eq!(data.get(t, 3), 0);
-                cached.send(()).unwrap();
                 t.observe(VTime::from_ms(10));
                 seen_tx
                     .send(m2.synchronized(t, |t| data.get(t, 3)))
@@ -234,31 +226,26 @@ fn a_release_names_what_another_thread_of_its_node_flushed_for_it() {
         let rt = HyperionRuntime::new(config).unwrap();
         let out = rt.run(move |ctx| {
             let data = ctx.alloc_array_page_aligned::<u64>(SLOTS, NodeId(0));
-            let any = ctx.alloc_array_page_aligned::<u64>(1, NodeId(1));
             let (m1, m2) = (ctx.new_monitor(NodeId(1)), ctx.new_monitor(NodeId(1)));
-            let ((cached, go_write), (written, go_flush), (flushed, go_release)) =
-                (channel(), channel(), channel());
             let (seen_tx, seen) = channel();
             let rm2 = m2.clone();
+            // The reader caches first, T2 writes when the reader takes its
+            // turn at 20 ms, T1 flushes at 5 ms, T2 releases at 10 ms.
             let reader = ctx.spawn_on(NodeId(2), move |t| {
                 assert_eq!(data.get(t, 9), 0);
-                cached.send(()).unwrap();
                 t.observe(VTime::from_ms(20));
                 seen_tx
                     .send(rm2.synchronized(t, |t| data.get(t, 9)))
                     .unwrap();
             });
             let t2 = ctx.spawn_on(NodeId(1), move |t| {
-                go_write.recv().unwrap();
                 data.put(t, 9, 5);
-                written.send(()).unwrap();
-                wait_at(t, 10, go_release, any);
+                t.observe(VTime::from_ms(10));
                 m2.synchronized(t, |_| ());
             });
             let t1 = ctx.spawn_on(NodeId(1), move |t| {
-                go_flush.recv().unwrap();
+                t.observe(VTime::from_ms(5));
                 m1.synchronized(t, |_| ());
-                flushed.send(()).unwrap();
             });
             for h in [t1, t2, reader] {
                 ctx.join(h);
@@ -316,26 +303,25 @@ fn an_acquire_keeps_every_copy_no_notice_outdates_at_no_cost() {
         let cluster = Arc::clone(rt.cluster());
         let out = rt.run(move |ctx| {
             let pages = ctx.alloc_array_page_aligned::<u64>(3 * SLOTS, NodeId(0));
-            let any = ctx.alloc_array_page_aligned::<u64>(1, NodeId(1));
             let (unchanged, current, changed) = (0, SLOTS, 2 * SLOTS);
             let m = ctx.new_monitor(NodeId(2));
-            let ((cached, go), (wrote, go_refetch), (kept, go_on)) =
-                (channel(), channel(), channel());
             let (seen_tx, seen) = channel();
             let wm = m.clone();
             let writer = ctx.spawn_on(NodeId(1), move |t| {
-                go.recv().unwrap();
+                t.observe(VTime::from_ms(1));
                 wm.synchronized(t, |t| pages.put(t, current, 1));
-                wrote.send(()).unwrap();
-                wait_at(t, 50, go_on, any);
+                t.observe(VTime::from_ms(50));
                 wm.synchronized(t, |t| pages.put(t, changed, 2));
             });
             let reader = ctx.spawn_on(NodeId(2), move |t| {
                 let read_all =
                     |t: &mut ThreadCtx| [unchanged, current, changed].map(|at| pages.get(t, at));
                 assert_eq!(read_all(t), [0, 0, 0]);
-                cached.send(()).unwrap();
-                wait_at(t, 2, go_refetch, any);
+                // At 2 ms, after the writer's first section: take a turn on a
+                // monitor nobody else takes, so the writer runs first.
+                t.observe(VTime::from_ms(2));
+                let gate = t.new_monitor(NodeId(2));
+                gate.synchronized(t, |_| ());
                 // Fetched again after the first write: `current` is at the
                 // stamp the monitor's notice names.
                 hyperion::memory::invalidate_cache(t);
@@ -344,7 +330,6 @@ fn an_acquire_keeps_every_copy_no_notice_outdates_at_no_cost() {
                 let before = cluster.node_stats(NodeId(2));
                 let values = m.synchronized(t, read_all);
                 let after = cluster.node_stats(NodeId(2));
-                kept.send(()).unwrap();
                 t.observe(VTime::from_ms(100));
                 let later = m.synchronized(t, read_all);
                 seen_tx.send((before, after, values, later)).unwrap();
@@ -370,8 +355,8 @@ fn an_acquire_keeps_every_copy_no_notice_outdates_at_no_cost() {
         );
         assert_eq!(after.pages_invalidated, before.pages_invalidated, "{label}");
         assert_eq!(after.pages_kept, before.pages_kept + 3, "{label}");
-        // Four at the explicit `invalidateCache` (`any` too), then the one.
-        assert_eq!(out.report.node_stats[2].pages_invalidated, 4 + 1, "{label}");
+        // Three at the explicit `invalidateCache`, then the one.
+        assert_eq!(out.report.node_stats[2].pages_invalidated, 3 + 1, "{label}");
     }
 }
 

@@ -154,8 +154,6 @@ define_stats! {
     pages_kept,
     /// Picoseconds by which monitor `enter` / re-acquire moved threads of this node forward to a previous holder's release (two critical sections that overlapped in virtual time).
     monitor_wait_ps,
-    /// Ordered acquires by threads of this node that gave up waiting for a virtually earlier thread (the admission step's deadlock fuse) and went ahead out of order.
-    order_escapes,
 }
 
 impl NodeStats {
@@ -378,7 +376,7 @@ mod tests {
         ] {
             assert!(names.contains(&expected), "missing {expected}");
         }
-        assert_eq!(names.len(), 48);
+        assert_eq!(names.len(), 47);
         for added in [
             "batched_flushes",
             "rpc_retries",
@@ -401,7 +399,6 @@ mod tests {
             "rpc_queue_wait_ps",
             "pages_kept",
             "monitor_wait_ps",
-            "order_escapes",
         ] {
             assert!(names.contains(&added), "missing {added}");
         }

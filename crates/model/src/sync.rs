@@ -4,7 +4,7 @@
 //! [`read()`] and [`write()`]; `clippy.toml` disallows the `std` methods
 //! everywhere else.  Poisoning is ignored: a panic on any thread already
 //! fails the run or the test that caught it, and `Drop for ThreadCtx`
-//! (`OrderTable::retire` in `hyperion`) takes locks while a panicking thread
+//! (`Baton::retire` in `hyperion`) takes locks while a panicking thread
 //! unwinds, where a second panic would abort the process instead of
 //! reporting the first.
 #![allow(clippy::disallowed_methods)]

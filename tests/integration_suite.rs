@@ -42,8 +42,6 @@ fn every_benchmark_computes_the_same_answer_under_every_configuration() {
     }
     // Wider than the paper's 12 nodes: every protocol at 16 nodes, and
     // `java_pf` at 64 — 64 ordered threads, the home calendars at capacity.
-    // `order_escapes` is not asserted here: the fuse is 100 ms of wall time,
-    // and this many threads on a loaded 2-CPU host trip it now and then.
     let wide = ClusterSpec {
         max_nodes: 64,
         ..myrinet_200()
