@@ -435,7 +435,6 @@ mod tests {
         // mass is concentrated at the top — impossible for a tail statistic.
         let mean_ps = total.serving_op_ps_total / total.serving_ops;
         assert!(out.report.serving_p99.as_ps() >= mean_ps);
-        assert!(out.report.serving_ops_per_sec() > 0.0);
     }
 
     #[test]

@@ -289,6 +289,20 @@ pub struct HomeFlushMark {
     pub completion: VTime,
 }
 
+impl HomeFlushMark {
+    /// Stack this mark onto `marks`, one per home: a home already there
+    /// keeps the later issue and the later completion of the two.
+    pub fn stack_onto(self, marks: &mut Vec<HomeFlushMark>) {
+        match marks.iter_mut().find(|m| m.home == self.home) {
+            Some(m) => {
+                m.issue = m.issue.max(self.issue);
+                m.completion = m.completion.max(self.completion);
+            }
+            None => marks.push(self),
+        }
+    }
+}
+
 /// The record a deferred release flush leaves behind: the virtual instant
 /// the flush RPCs were issued and the instant the last of them completes,
 /// plus one [`HomeFlushMark`] per home flushed.  The monitor that performed

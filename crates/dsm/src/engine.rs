@@ -46,13 +46,17 @@ use hyperion_model::sync::lock;
 use hyperion_model::{NodeStats, ThreadClock};
 use hyperion_pm2::{Cluster, GlobalAddr, Node, NodeId, PageId, ServiceId, SLOTS_PER_PAGE};
 
-use crate::config::{AdaptiveParams, DeferredFlush, Locality, ProtocolKind, TransportConfig};
+use crate::config::{
+    AdaptiveParams, DeferredFlush, HomeFlushMark, Locality, ProtocolKind, TransportConfig,
+};
 use crate::detection::{AdMode, Detection};
-use crate::diff::{decode_diff_reply, encode_diff, encode_diff_batch, DiffEntry};
+use crate::diff::{
+    decode_diff_reply, decode_fetch_reply, encode_diff, encode_diff_batch, DiffEntry,
+};
 use crate::fetch::NodeFetchState;
 use crate::notices::{NodeLog, Notices};
 use crate::page::PageFrame;
-use crate::services::{DiffApplyService, PageFetchService};
+use crate::services::{answer_page, DiffApplyService, PageFetchService};
 use crate::table::DsmStore;
 
 /// The DSM system of one cluster run: the protocol engine plus its services.
@@ -335,29 +339,33 @@ impl DsmSystem {
     /// `mprotect` call (§3.3).
     pub fn invalidate_cache(&self, node: NodeId, clock: &mut ThreadClock) {
         self.begin_acquire(node);
-        self.drop_copies(node, clock, None);
+        self.drop_copies(node, clock, None, None);
     }
 
     /// The acquire action of a thread whose knowledge just gained `learned`
-    /// (merged in from a monitor's or a joined thread's): drop every present
-    /// copy they name at an older stamp, and keep every other copy open at
-    /// no cost.  Each learned notice costs `invalidate_cycles_per_page`, and
-    /// re-protecting the dropped copies one `mprotect` per run of contiguous
-    /// pages.
-    pub fn acquire(&self, node: NodeId, clock: &mut ThreadClock, learned: &Notices) {
+    /// (merged in from a monitor's, a joined thread's or, at `Thread.start`,
+    /// the parent's): drop every present copy they name at an older stamp,
+    /// and keep every other copy open at no cost.  Each learned notice costs
+    /// `invalidate_cycles_per_page`, and re-protecting the dropped copies one
+    /// `mprotect` per run of contiguous pages.
+    ///
+    /// `granter`, a monitor's home, sent the grant that brought them: for a
+    /// page it homes it would answer the refetch, so the grant can carry the
+    /// patch instead of a drop (`patch_by_grant`).
+    pub fn acquire(
+        &self,
+        node: NodeId,
+        clock: &mut ThreadClock,
+        learned: &Notices,
+        granter: Option<NodeId>,
+    ) {
         self.begin_acquire(node);
-        self.learn(node, clock, learned);
-        let stats = &self.cluster.node(node).stats;
-        NodeStats::bump_by(&stats.pages_kept, self.store.cached_on(node));
-    }
-
-    /// [`DsmSystem::acquire`] without counting an acquire: what the child's
-    /// node does with its parent's knowledge at `Thread.start`.
-    pub fn learn(&self, node: NodeId, clock: &mut ThreadClock, learned: &Notices) {
         let machine = self.cluster.machine();
         let per_notice = machine.dsm.invalidate_cycles_per_page;
         clock.advance(machine.cpu.cycles(per_notice * learned.len() as f64));
-        self.drop_copies(node, clock, Some(learned));
+        self.drop_copies(node, clock, Some(learned), granter);
+        let stats = &self.cluster.node(node).stats;
+        NodeStats::bump_by(&stats.pages_kept, self.store.cached_on(node));
     }
 
     /// The release action of a thread whose place in its node's write log
@@ -386,7 +394,7 @@ impl DsmSystem {
         let written = self.written[node.index()].since(cursor).into_iter();
         let resolved = written.map(|(p, s)| (p, if s == u64::MAX { stamp_of(p) } else { s }));
         let written = Notices::from_pairs(resolved.collect());
-        self.drop_copies(node, clock, Some(&written));
+        self.drop_copies(node, clock, Some(&written), None);
         (flushed, written)
     }
 
@@ -405,25 +413,29 @@ impl DsmSystem {
 
     /// The one invalidation routine: drop the present copies `named` names
     /// at an older stamp — every cached copy for `None` — flushing a dirty
-    /// copy first.  The `java_ad` epoch of a page closes when its copy,
-    /// open or retained, is outdated (of every page at the explicit
+    /// copy first.  A protection-detected copy of a page `granter` homes is
+    /// patched by the grant instead, if it can be (`patch_by_grant`).  The
+    /// `java_ad` epoch of a page closes when its copy, open or retained, is
+    /// outdated and not patched (of every page at the explicit
     /// `invalidateCache`): when a detection miss is paid, or would be.
-    fn drop_copies(&self, node: NodeId, clock: &mut ThreadClock, named: Option<&Notices>) {
+    fn drop_copies(
+        &self,
+        node: NodeId,
+        clock: &mut ThreadClock,
+        named: Option<&Notices>,
+        granter: Option<NodeId>,
+    ) {
         let node_ref = self.cluster.node(node);
-        let fetch_state = &self.fetch_state[node.index()];
-        let (mut switches, mut wasted) = (0u64, 0u64);
-        let mut close = |frame: &PageFrame| {
-            let (switched, wasted_prefetch) = self.detection.close_epoch(frame);
-            switches += u64::from(switched);
-            wasted += u64::from(wasted_prefetch);
-        };
-        let mut stale: Vec<(PageId, Arc<PageFrame>)> = Vec::new();
+        // The present copies to drop, each with the granting home and the
+        // stamp a patch riding the grant must bring it to instead (`None`:
+        // nothing rides for it).
+        let mut stale = Vec::new();
         match named {
             None => self.store.for_each_frame(node, |page, frame| {
                 if !frame.is_home() {
-                    close(frame);
+                    self.close_epoch(node_ref, clock, frame);
                     if frame.is_present() {
-                        stale.push((page, Arc::clone(frame)));
+                        stale.push((page, Arc::clone(frame), None));
                     }
                 }
             }),
@@ -440,42 +452,51 @@ impl DsmSystem {
                         (frame.is_present(), frame.version() < stamp)
                     };
                     // The notice outdates the copy, retained or open.
-                    if older {
-                        close(&frame);
+                    if !older {
+                        continue;
                     }
-                    if older && present {
-                        stale.push((page, frame));
+                    let home = self.store.home_of(page);
+                    let rides = present
+                        && granter == Some(home)
+                        && self.detection.technique(&frame) == AdMode::Protect;
+                    if !rides {
+                        self.close_epoch(node_ref, clock, &frame);
+                    }
+                    if present {
+                        stale.push((page, frame, rides.then_some((home, stamp))));
                     }
                 }
             }
         }
 
-        let machine = self.cluster.machine();
-        if switches > 0 {
-            NodeStats::bump_by(&node_ref.stats.protocol_switches, switches);
-            clock.advance(machine.protocol_switch().times(switches));
-        }
-        if wasted > 0 {
-            NodeStats::bump_by(&node_ref.stats.pages_prefetch_wasted, wasted);
-            fetch_state.speculation.outcome(wasted);
-        }
-
-        // Flush any pending modifications before dropping the copies
-        // (batched like `updateMainMemory`'s flush).
+        // Flush any pending modifications before dropping or patching the
+        // copies (batched like `updateMainMemory`'s flush).
         let dirty: Vec<(PageId, Arc<PageFrame>)> = stale
             .iter()
-            .filter(|(_, frame)| frame.has_dirty_slots())
-            .cloned()
+            .filter(|(_, frame, _)| frame.has_dirty_slots())
+            .map(|(page, frame, _)| (*page, Arc::clone(frame)))
             .collect();
-        let flushed = self.flush_frames(node, node_ref, clock, &dirty);
+        let flushed = self.flush_frames(node, node_ref, clock, &dirty, false);
         self.unwrap_rpc(flushed);
         // A flush that found its home dead ran the recovery, which may have
         // promoted one of these frames to home mid-invalidation; re-filter
-        // so the new main-memory copy survives.
-        stale.retain(|(_, frame)| !frame.is_home());
+        // so the new main-memory copy survives.  A copy the grant patches
+        // stays open, its epoch too: no miss was paid.
+        stale.retain(|&(page, ref frame, grant)| {
+            let kept = frame.is_home()
+                || grant.is_some_and(|(home, stamp)| {
+                    self.patch_by_grant(node_ref, clock, home, page, frame, stamp)
+                });
+            if !kept && grant.is_some() {
+                self.close_epoch(node_ref, clock, frame);
+            }
+            !kept
+        });
 
+        let machine = self.cluster.machine();
+        let fetch_state = &self.fetch_state[node.index()];
         let (mut runs, mut run_end, mut stride_waste, mut dropped) = (0u64, None, 0u64, 0i64);
-        for (page, frame) in &stale {
+        for (page, frame, _) in &stale {
             let reprotect = self.detection.technique(frame) == AdMode::Protect;
             if reprotect && run_end != Some(page.0) {
                 runs += 1;
@@ -499,7 +520,7 @@ impl DsmSystem {
         // One `mprotect` covers the whole (iso-address, hence contiguous-ish)
         // cached region when every copy goes; once part of it stays open,
         // one per run of contiguous pages.  The bookkeeping is per dropped
-        // copy then, per learned notice otherwise (see `learn`).
+        // copy then, per learned notice otherwise (see `acquire`).
         let calls = if named.is_none() {
             let per_page = machine.dsm.invalidate_cycles_per_page;
             clock.advance(machine.cpu.cycles(per_page * n as f64));
@@ -513,13 +534,71 @@ impl DsmSystem {
         }
     }
 
+    /// Close `frame`'s `java_ad` epoch (see `Detection::close_epoch`),
+    /// charging a switch of technique and counting a speculatively batched
+    /// copy nobody touched.
+    fn close_epoch(&self, node_ref: &Node, clock: &mut ThreadClock, frame: &PageFrame) {
+        let (switched, wasted) = self.detection.close_epoch(frame);
+        if switched {
+            NodeStats::bump(&node_ref.stats.protocol_switches);
+            clock.advance(self.cluster.machine().protocol_switch());
+        }
+        if wasted {
+            NodeStats::bump(&node_ref.stats.pages_prefetch_wasted);
+            let gate = &self.fetch_state[node_ref.id().index()].speculation;
+            gate.outcome(1);
+        }
+    }
+
+    /// Bring the stale copy `frame` of `page`, named at `stamp` by a notice
+    /// that the grant of a monitor on `home` — the page's home, which would
+    /// answer the refetch — brought, up to date with the answer a fetch
+    /// would get (`answer_page`), riding the grant; its dirty slots are
+    /// flushed already.  True if the copy stays open: the flush's write-ack
+    /// made it current, or the answer's bytes on the wire plus the home's
+    /// copy cycles cost no more than the `mprotect` its drop would pay.  A
+    /// copy with a fetch in flight, of a page re-homed away from `home` or
+    /// homed on a node the fault plane killed, is dropped.
+    fn patch_by_grant(
+        &self,
+        node_ref: &Node,
+        clock: &mut ThreadClock,
+        home: NodeId,
+        page: PageId,
+        frame: &PageFrame,
+        stamp: u64,
+    ) -> bool {
+        let _fetch = lock(frame.fetch_lock());
+        let retained = frame.version();
+        if retained >= stamp {
+            return true;
+        }
+        let gone = self.store.home_of(page) != home || self.cluster.transport().is_down(home);
+        if gone || frame.has_inflight() {
+            return false;
+        }
+        let (machine, store, reply) = (self.cluster.machine(), &self.store, &mut Vec::new());
+        let (replication, caller) = (self.transport.replication, node_ref.id());
+        // No answer but the page appends nothing, which decodes as nothing.
+        let slots = answer_page(store, replication, caller, page, retained, false, reply);
+        let copy = machine.dsm.page_copy_cycles_per_slot * slots.unwrap_or(0) as f64;
+        let cost = machine.net.transfer(reply.len() as u64) + machine.cpu.cycles(copy);
+        match decode_fetch_reply(reply, &[retained]) {
+            Ok(mut answer) if cost <= machine.dsm.mprotect_call => {
+                clock.advance(cost);
+                self.apply_answer(node_ref, page, frame, answer.remove(0));
+                true
+            }
+            _ => false,
+        }
+    }
+
     /// Flush all locally recorded modifications to the corresponding home
     /// nodes: the `updateMainMemory` primitive of Table 2, executed on
     /// monitor exit.
     pub fn update_main_memory(&self, node: NodeId, clock: &mut ThreadClock) {
-        let node_ref = self.cluster.node(node);
-        let dirty = self.collect_dirty(node);
-        let flushed = self.flush_frames(node, node_ref, clock, &dirty);
+        let (node_ref, dirty) = (self.cluster.node(node), self.collect_dirty(node));
+        let flushed = self.flush_frames(node, node_ref, clock, &dirty, false);
         self.unwrap_rpc(flushed);
     }
 
@@ -550,21 +629,10 @@ impl DsmSystem {
         node: NodeId,
         clock: &mut ThreadClock,
     ) -> Option<DeferredFlush> {
-        if !self.transport.deferred_flush {
-            self.update_main_memory(node, clock);
-            return None;
-        }
-        let node_ref = self.cluster.node(node);
-        let dirty = self.collect_dirty(node);
-        let flushed = self.flush_frames_inner(node, node_ref, clock, &dirty, true);
+        let (node_ref, dirty) = (self.cluster.node(node), self.collect_dirty(node));
+        let deferred = self.transport.deferred_flush;
+        let flushed = self.flush_frames(node, node_ref, clock, &dirty, deferred);
         self.unwrap_rpc(flushed)
-    }
-
-    /// True if `node` currently holds an accessible copy of `page`.
-    pub fn is_cached(&self, node: NodeId, page: PageId) -> bool {
-        self.store.with_frame(node, page, |f| {
-            f.is_home() || (f.is_present() && !f.is_protected())
-        })
     }
 
     // ----- internal helpers ------------------------------------------------
@@ -600,24 +668,12 @@ impl DsmSystem {
     /// Flush the dirty slots of `dirty` (page-id ordered) to their home
     /// nodes, coalescing runs of contiguous same-home pages into one diff
     /// RPC (up to [`TransportConfig::max_flush_batch_pages`]) exactly
-    /// like batched page fetches coalesce the opposite direction.
-    pub(crate) fn flush_frames(
-        &self,
-        node: NodeId,
-        node_ref: &Node,
-        clock: &mut ThreadClock,
-        dirty: &[(PageId, Arc<PageFrame>)],
-    ) -> Result<(), crate::recover::RpcFailure> {
-        self.flush_frames_inner(node, node_ref, clock, dirty, false)
-            .map(|_| ())
-    }
-
-    /// [`DsmSystem::flush_frames`] with an explicit completion mode: with
+    /// like batched page fetches coalesce the opposite direction.  With
     /// `deferred` set, each diff RPC is issued as a split transaction (only
     /// the issue path is charged to `clock`) and the per-home completion
     /// watermarks are returned as a [`DeferredFlush`]; blocking mode merges
     /// each completion on the spot and returns `None`.
-    fn flush_frames_inner(
+    pub(crate) fn flush_frames(
         &self,
         node: NodeId,
         node_ref: &Node,
@@ -628,7 +684,7 @@ impl DsmSystem {
         let machine = self.cluster.machine();
         let max_batch = self.transport.max_flush_batch_pages.max(1);
         let _flushing = (!dirty.is_empty()).then(|| self.written[node.index()].flushing());
-        let mut marks: Vec<crate::config::HomeFlushMark> = Vec::new();
+        let mut marks: Vec<HomeFlushMark> = Vec::new();
         let mut i = 0usize;
         while i < dirty.len() {
             let (first, _) = dirty[i];
@@ -681,17 +737,12 @@ impl DsmSystem {
                 // park every other home's flush behind it.
                 NodeStats::bump(&node_ref.stats.deferred_flushes);
                 let issue = clock.now();
-                match marks.iter_mut().find(|m| m.home == home) {
-                    Some(m) => {
-                        m.issue = m.issue.max(issue);
-                        m.completion = m.completion.max(completion);
-                    }
-                    None => marks.push(crate::config::HomeFlushMark {
-                        home,
-                        issue,
-                        completion,
-                    }),
+                HomeFlushMark {
+                    home,
+                    issue,
+                    completion,
                 }
+                .stack_onto(&mut marks);
             } else {
                 clock.merge(completion);
             }
@@ -786,7 +837,7 @@ mod tests {
 
             // T1's batch: [P: nothing, Q: one slot].
             let before = cluster.node_stats(n).batched_flushes;
-            let flushed = dsm.flush_frames(n, cluster.node(n), &mut t1, &dirty);
+            let flushed = dsm.flush_frames(n, cluster.node(n), &mut t1, &dirty, false);
             dsm.unwrap_rpc(flushed);
             assert_eq!(cluster.node_stats(n).batched_flushes, before + 1);
             assert_eq!(dirty[0].1.version(), retained, "{kind:?}: P not forwarded");
@@ -828,7 +879,7 @@ mod tests {
             let at = |stamp| Notices::from_pairs(vec![(p.page(), stamp)]);
             let shipped = dsm.store.frame(r, p.page()).version();
             assert_eq!((first, &second), (at(shipped), &at(shipped + 1)));
-            dsm.acquire(r, &mut t, &second);
+            dsm.acquire(r, &mut t, &second, None);
             assert_eq!(dsm.get(r, &mut t, p.offset(1)), 2, "{kind:?}");
         }
     }

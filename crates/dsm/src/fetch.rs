@@ -4,8 +4,9 @@
 //!
 //! Every fetch is conditional (see [`crate::page`], "Page versions"): both
 //! paths go through [`DsmSystem::fetch_run`], which names the version
-//! each frame retains and either re-opens the retained copy, patches it or
-//! installs the shipped one.
+//! each frame retains and, through [`DsmSystem::apply_answer`] — which a
+//! monitor's grant shares — either re-opens the retained copy, patches it
+//! or installs the shipped one.
 //!
 //! This is a second `impl DsmSystem` block (split out of `engine.rs` to
 //! keep the engine readable): everything here is mechanism — RPC framing,
@@ -96,7 +97,7 @@ impl DsmSystem {
         let malformed = |why| self.malformed_reply(node, first, self.page_fetch, why);
         let replies = decode_fetch_reply(&bytes, &retained).map_err(malformed)?;
         let scan = self.fetch_state[node.index()].continues_scan(home, first, frames.len());
-        let (mut revalidated, mut patched, mut opened) = (0u64, 0u64, 0i64);
+        let mut opened = 0i64;
         for (k, (frame, reply)) in frames.iter().zip(replies).enumerate() {
             if frame.is_home() {
                 // A concurrent recovery promoted this frame to home while
@@ -107,31 +108,38 @@ impl DsmSystem {
                 continue;
             }
             // The decoder vouched for every stamp against `retained[k]`.
-            let (was_absent, kept) = match reply {
-                PageReply::Full(v, data) => (frame.install_copy(data, v), None),
-                PageReply::NotModified(v) => {
-                    revalidated += 1;
-                    (frame.reopen(), Some(v))
-                }
-                PageReply::Patch(v, entries) => {
-                    patched += 1;
-                    (frame.apply_patch(&entries, v), Some(v))
-                }
-            };
-            opened += i64::from(was_absent);
-            // Bytes the home did not just ship are in use from here on.
-            if let Some(v) = kept {
-                self.assert_retained_copy_current(PageId(first.0 + k as u64), frame, v);
-            }
+            let page = PageId(first.0 + k as u64);
+            opened += i64::from(self.apply_answer(node_ref, page, frame, reply));
         }
         self.store.note_cached(node, opened);
-        if revalidated > 0 {
-            NodeStats::bump_by(&node_ref.stats.pages_revalidated, revalidated);
-        }
-        if patched > 0 {
-            NodeStats::bump_by(&node_ref.stats.pages_patched, patched);
-        }
         Ok((scan, completion))
+    }
+
+    /// Act on the home's `answer` for `page`, whose frame on this node is
+    /// `frame` (its fetch lock held): install the page shipped, or re-open
+    /// or patch the retained copy, counted in `pages_revalidated` /
+    /// `pages_patched`.  Bytes the home did not just ship are in use from
+    /// there on, so debug builds check them against the home.  A fetch's
+    /// reply and a monitor's grant (`DsmSystem::acquire`) are both applied
+    /// here.  True if the copy was absent.
+    pub(crate) fn apply_answer(
+        &self,
+        node_ref: &Node,
+        page: PageId,
+        frame: &PageFrame,
+        answer: PageReply<'_>,
+    ) -> bool {
+        let stats = &node_ref.stats;
+        let (was_absent, counter, v) = match answer {
+            PageReply::Full(v, data) => return frame.install_copy(data, v),
+            PageReply::NotModified(v) => (frame.reopen(), &stats.pages_revalidated, v),
+            PageReply::Patch(v, entries) => {
+                (frame.apply_patch(&entries, v), &stats.pages_patched, v)
+            }
+        };
+        NodeStats::bump(counter);
+        self.assert_retained_copy_current(page, frame, v);
+        was_absent
     }
 
     /// The stride prefetch: a fetch from `home` that continued a scan (it
@@ -213,7 +221,7 @@ impl DsmSystem {
                 NodeStats::bump(&node_ref.stats.mprotect_calls);
                 completion += machine.dsm.mprotect_call;
             }
-            frame.begin_inflight_stride(clock.now().as_ps(), completion.as_ps());
+            frame.begin_inflight(clock.now().as_ps(), completion.as_ps(), true);
             drop(guard);
         }
     }
@@ -366,7 +374,7 @@ impl DsmSystem {
                 let done = clock.now();
                 for (qf, _) in candidates.iter().take(batch) {
                     if !qf.is_home() {
-                        qf.begin_inflight(done.as_ps(), done.as_ps());
+                        qf.begin_inflight(done.as_ps(), done.as_ps(), false);
                     }
                 }
             }
@@ -377,11 +385,11 @@ impl DsmSystem {
                 wire_completion
             };
             if !promoted {
-                frame.begin_inflight(issue.as_ps(), completion.as_ps());
+                frame.begin_inflight(issue.as_ps(), completion.as_ps(), false);
             }
             for (qf, _) in candidates.iter().take(batch) {
                 if !qf.is_home() {
-                    qf.begin_inflight(issue.as_ps(), completion.as_ps());
+                    qf.begin_inflight(issue.as_ps(), completion.as_ps(), false);
                 }
             }
         }

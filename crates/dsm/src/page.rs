@@ -42,12 +42,14 @@
 //! snapshot taken an instant earlier: a Java-level data race, not staleness.
 //!
 //! The one invariant all of this serves: **a non-home frame is `present`
-//! only if its home shipped, patched or confirmed it, and no notice its
-//! node has learned since names a newer stamp.**  An acquire learns write
-//! notices (`crate::notices`): `(page, stamp)` pairs for the pages the
-//! writes that happen-before it changed, and drops exactly the present
-//! copies they name at an older stamp.  The explicit `invalidateCache`
-//! drops every copy, which keeps the invariant trivially.
+//! only if its home shipped, patched (by a fetch or a grant) or confirmed
+//! it, and no notice its node has learned since names a newer stamp.**  An
+//! acquire learns write notices (`crate::notices`): `(page, stamp)` pairs
+//! for the pages the writes that happen-before it changed, and drops
+//! exactly the present copies they name at an older stamp — or, for a page
+//! homed where the monitor's grant came from, patches them to the home's
+//! stamp.  The explicit `invalidateCache` drops every copy, which keeps the
+//! invariant trivially.
 //!
 //! ## Home writes and the first ship
 //!
@@ -551,18 +553,11 @@ impl PageFrame {
     /// Record an in-flight fetch transaction: the data is installed, the
     /// issue costs are charged, and the round-trip completes (in virtual
     /// time) at `completion_ps`.  The first real use of the page consumes
-    /// the ticket via [`PageFrame::take_inflight`].
-    pub fn begin_inflight(&self, issue_ps: u64, completion_ps: u64) {
-        self.inflight_stride.store(false, Ordering::Relaxed);
-        self.inflight_issue_ps.store(issue_ps, Ordering::Relaxed);
-        self.inflight_completion_ps
-            .store(completion_ps.max(1), Ordering::Release);
-    }
-
-    /// [`PageFrame::begin_inflight`] for a ticket issued by the stride
-    /// prefetch, so its completion and waste are accounted separately.
-    pub fn begin_inflight_stride(&self, issue_ps: u64, completion_ps: u64) {
-        self.inflight_stride.store(true, Ordering::Relaxed);
+    /// the ticket via [`PageFrame::take_inflight`].  A ticket the stride
+    /// prefetch issued (`stride`) has its completion and waste accounted
+    /// separately.
+    pub fn begin_inflight(&self, issue_ps: u64, completion_ps: u64, stride: bool) {
+        self.inflight_stride.store(stride, Ordering::Relaxed);
         self.inflight_issue_ps.store(issue_ps, Ordering::Relaxed);
         self.inflight_completion_ps
             .store(completion_ps.max(1), Ordering::Release);
@@ -861,19 +856,19 @@ mod tests {
         let frame = PageFrame::new_remote();
         assert!(frame.take_inflight().is_none());
 
-        frame.begin_inflight(10, 20);
+        frame.begin_inflight(10, 20, false);
         assert!(frame.has_inflight());
         assert!(!frame.inflight_is_stride());
         assert_eq!(frame.take_inflight(), Some((10, 20, false)));
         assert!(frame.take_inflight().is_none(), "ticket consumed once");
 
-        frame.begin_inflight_stride(30, 40);
+        frame.begin_inflight(30, 40, true);
         assert!(frame.inflight_is_stride());
         assert_eq!(frame.take_inflight(), Some((30, 40, true)));
         assert!(!frame.inflight_is_stride());
 
         // Invalidation abandons a pending stride ticket entirely.
-        frame.begin_inflight_stride(50, 60);
+        frame.begin_inflight(50, 60, true);
         frame.invalidate(false);
         assert!(!frame.has_inflight());
         assert!(!frame.inflight_is_stride());

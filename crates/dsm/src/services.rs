@@ -15,46 +15,18 @@ use crate::diff::{
     decode_diff_message, decode_fetch_request, encode_diff_reply, push_page_reply, FetchRequest,
     PageReply, WireError, MAX_PATCH_ENTRIES,
 };
+use crate::page::SlotSet;
 use crate::table::DsmStore;
 
-/// What serving one fetch request produced.
-pub(crate) struct FetchServed {
-    /// The encoded page answers.
-    pub(crate) reply: Vec<u8>,
-    /// Pages answered, shipped or not.
-    pub(crate) pages: usize,
-    /// Slots shipped: a page's worth for every page sent whole, the changed
-    /// ones for a patch, none for "not modified".  Only these cost copy
-    /// cycles (and bytes on the wire).
-    pub(crate) slots_shipped: usize,
-}
-
-impl FetchServed {
-    /// The home-side service time of this fetch: copy cycles for the slots
-    /// shipped and per-page batching overhead for every page beyond the
-    /// first.
-    pub(crate) fn service(&self, cpu: &CpuModel, dsm: &DsmCostModel) -> VTime {
-        cpu.cycles(
-            dsm.page_copy_cycles_per_slot * self.slots_shipped as f64
-                + dsm.batch_page_cycles * (self.pages - 1) as f64,
-        )
-    }
-}
-
-/// Answer `request` out of the authoritative home frames: per page, "not
-/// modified" if the requester's retained version is the home's current
-/// stamp; else the slots that changed since, if the page's history still
-/// holds every step in between and they encode shorter than the page; else
-/// the page.  Under replication, registers `caller` as a read replica of
-/// every page either way (a revalidated copy is as current as a shipped
-/// one).
+/// Answer `request` out of the authoritative home frames, page by page
+/// ([`answer_page`]): the encoded answers and the slots they ship.
 pub(crate) fn serve_fetch(
     store: &DsmStore,
     replication: Option<(usize, usize)>,
     home: NodeId,
     caller: NodeId,
     request: &FetchRequest,
-) -> Result<FetchServed, WireError> {
+) -> Result<(Vec<u8>, usize), WireError> {
     let FetchRequest { first, versions } = request;
     let count = versions.len();
     let num_pages = store.allocator().num_pages();
@@ -64,58 +36,73 @@ pub(crate) fn serve_fetch(
     if !in_range {
         return Err(WireError::Invalid("fetch request page range"));
     }
-    let mut served = FetchServed {
-        reply: Vec::with_capacity(count * 9),
-        pages: count,
-        slots_shipped: 0,
-    };
+    let (mut reply, mut shipped) = (Vec::with_capacity(count * 9), 0);
     for (k, &retained) in versions.iter().enumerate() {
         let page = PageId(first.0 + k as u64);
-        // Serve the *current* home's copy: normally that is the node the
-        // request was addressed to, but a recovery may have re-homed the
-        // page between the caller's look-up and this handler (the request
-        // was already past the transport's kill check), in which case the
-        // new home's authoritative frame answers (the shared store gives
-        // the modelled handler direct access to it).
-        let home_now = store.home_of(page);
         debug_assert!(
-            home_now == home || store.page_rehomed(page),
+            store.home_of(page) == home || store.page_rehomed(page),
             "page fetch sent to a node that is not the page's home"
         );
-        store.with_frame(home_now, page, |f| {
-            // Stamp first, values second — for a patch as for a page: the
-            // copy may end up stamped older than its bytes, never newer
-            // (see `crate::page`).
-            let (stamp, changed) = f.changes_since(retained);
-            debug_assert_ne!(stamp, 0, "home stamps start at 1");
-            let patch = changed
-                .map(|set| {
-                    (
-                        set,
-                        set.iter().map(|w| w.count_ones() as usize).sum::<usize>(),
-                    )
-                })
-                .filter(|&(_, slots)| slots <= MAX_PATCH_ENTRIES);
-            let bytes;
-            let answer = if retained == stamp {
-                PageReply::NotModified(stamp)
-            } else if let Some((changed, slots)) = patch {
-                served.slots_shipped += slots;
-                PageReply::Patch(stamp, f.load_slots(&changed))
-            } else {
-                served.slots_shipped += SLOTS_PER_PAGE;
-                bytes = f.data().snapshot_bytes();
-                PageReply::Full(stamp, &bytes)
-            };
-            push_page_reply(&mut served.reply, &answer);
-        });
-        if let Some((read_replicas, _)) = replication {
-            // The served copy doubles as a read replica: the caller is
-            // now a candidate home should this node fail.
-            store.register_replica(page, caller, read_replicas);
-        }
+        let slots = answer_page(store, replication, caller, page, retained, true, &mut reply);
+        shipped += slots.expect("a fetch may be answered with the page");
     }
-    Ok(served)
+    Ok((reply, shipped))
+}
+
+/// The home's answer to `caller`'s copy of `page` retained at `retained`
+/// (0 = none), appended to `reply`, and the slots it ships: "not modified"
+/// if the copy is at the home's current stamp; else the slots that changed
+/// since, if the page's history still holds every step in between and they
+/// encode shorter than the page; else the page — `None`, and nothing
+/// appended, if `whole` does not allow that.  Under replication, registers
+/// `caller` as a read replica either way (a revalidated copy is as current
+/// as a shipped one).  A fetch's handler and a monitor's grant
+/// (`DsmSystem::acquire`) both answer through here.
+pub(crate) fn answer_page(
+    store: &DsmStore,
+    replication: Option<(usize, usize)>,
+    caller: NodeId,
+    page: PageId,
+    retained: u64,
+    whole: bool,
+    reply: &mut Vec<u8>,
+) -> Option<usize> {
+    // Serve the *current* home's copy: normally that is the node the request
+    // was addressed to, but a recovery may have re-homed the page between
+    // the caller's look-up and this handler (the request was already past
+    // the transport's kill check), in which case the new home's
+    // authoritative frame answers (the shared store gives the modelled
+    // handler direct access to it).
+    let slots = store.with_frame(store.home_of(page), page, |f| {
+        // Stamp first, values second — for a patch as for a page: the copy
+        // may end up stamped older than its bytes, never newer (see
+        // `crate::page`).
+        let (stamp, changed) = f.changes_since(retained);
+        debug_assert_ne!(stamp, 0, "home stamps start at 1");
+        let count = |set: &SlotSet| set.iter().map(|w| w.count_ones() as usize).sum::<usize>();
+        let patch = changed
+            .map(|set| (count(&set), set))
+            .filter(|&(slots, _)| slots <= MAX_PATCH_ENTRIES);
+        let bytes;
+        let (answer, slots) = if retained == stamp {
+            (PageReply::NotModified(stamp), 0)
+        } else if let Some((slots, changed)) = patch {
+            (PageReply::Patch(stamp, f.load_slots(&changed)), slots)
+        } else if whole {
+            bytes = f.data().snapshot_bytes();
+            (PageReply::Full(stamp, &bytes), SLOTS_PER_PAGE)
+        } else {
+            return None;
+        };
+        push_page_reply(reply, &answer);
+        Some(slots)
+    })?;
+    if let Some((read_replicas, _)) = replication {
+        // The answered copy doubles as a read replica: the caller is now a
+        // candidate home should this node fail.
+        store.register_replica(page, caller, read_replicas);
+    }
+    Some(slots)
 }
 
 /// What applying one diff message to the home frames produced: the slot
@@ -170,7 +157,7 @@ pub(crate) fn apply_diff_message(
         // side of the same lock, so no diff can land on a frame after it
         // stopped being main memory.
         let pinned = store.pin_homes();
-        // Apply to the *current* home frame (see `serve_fetch` on why this
+        // Apply to the *current* home frame (see `answer_page` on why this
         // may differ from the addressed node after a recovery).
         let home_now = store.home_of(*page);
         debug_assert!(
@@ -209,11 +196,17 @@ pub(crate) struct PageFetchService {
 }
 
 impl PageFetchService {
+    /// Serve one fetch.  The home-side service time is copy cycles for the
+    /// slots shipped — only those cost copying, and bytes on the wire — and
+    /// batching overhead for every page beyond the first.
     fn serve(&self, target: &Node, caller: NodeId, payload: &[u8]) -> Result<RpcReply, WireError> {
         let request = decode_fetch_request(payload)?;
-        let served = serve_fetch(&self.store, self.replication, target.id(), caller, &request)?;
-        let service = served.service(&self.cpu, &self.dsm);
-        Ok(RpcReply::with_data(served.reply, service))
+        let (reply, slots) =
+            serve_fetch(&self.store, self.replication, target.id(), caller, &request)?;
+        let copy = self.dsm.page_copy_cycles_per_slot * slots as f64;
+        let extra = (request.versions.len() - 1) as f64;
+        let service = copy + self.dsm.batch_page_cycles * extra;
+        Ok(RpcReply::with_data(reply, self.cpu.cycles(service)))
     }
 }
 
@@ -258,7 +251,7 @@ mod tests {
     use hyperion_model::{myrinet_200, ThreadClock};
     use hyperion_pm2::{Cluster, IsoAllocator, NodeId, TransportBackend, TransportError};
 
-    use super::{apply_diff_message, serve_fetch};
+    use super::{answer_page, apply_diff_message, serve_fetch};
     use crate::diff::{
         decode_diff_reply, decode_fetch_reply, encode_diff, encode_fetch_request, FetchRequest,
         PageReply,
@@ -305,6 +298,50 @@ mod tests {
         let set = store.replica_set(page).expect("holders registered");
         assert_eq!(set.version, 1);
         assert_eq!(set.holders, vec![(1, 1), (2, 0)]);
+    }
+
+    /// For one retained stamp, a monitor's grant carries exactly the answer
+    /// a fetch gets — the same entries at the same stamp — and a copy
+    /// patched by the grant ends where a copy patched by a fetch does.
+    #[test]
+    fn a_grant_patch_and_a_fetch_reply_carry_identical_entries() {
+        let cluster = Cluster::new(myrinet_200().machine, 3);
+        let alloc = Arc::new(IsoAllocator::new(3));
+        let store = DsmStore::new(Arc::clone(&alloc), 3);
+        let dsm = DsmSystem::new(Arc::clone(&cluster), store, ProtocolKind::JavaPf);
+        let store = dsm.store();
+        let addr = alloc.alloc_page_aligned(hyperion_pm2::SLOTS_PER_PAGE, NodeId(0));
+        let (page, home, granted, fetched) = (addr.page(), NodeId(0), NodeId(1), NodeId(2));
+        let (mut t, mut cursor) = (ThreadClock::new(), 0);
+        dsm.get(granted, &mut t, addr);
+        dsm.get(fetched, &mut t, addr);
+        let retained = store.frame(granted, page).version();
+        for slot in [3, 70, 500] {
+            dsm.put(home, &mut t, addr.offset(slot), slot + 1);
+        }
+        let (_, written) = dsm.release(home, &mut t, &mut cursor, false);
+        let request = FetchRequest {
+            first: page,
+            versions: vec![retained],
+        };
+        let fetch = serve_fetch(store, None, home, fetched, &request).expect("in range");
+        let mut grant = Vec::new();
+        let slots = answer_page(store, None, granted, page, retained, false, &mut grant);
+        assert_eq!((&grant, slots, fetch.1), (&fetch.0, Some(3), 3));
+        let patch = PageReply::Patch(retained + 1, vec![(3, 4), (70, 71), (500, 501)]);
+        assert_eq!(decode_fetch_reply(&grant, &[retained]), Ok(vec![patch]));
+        // The grant patches its copy in place; the other copy is dropped and
+        // patched by a fetch.  Both end the same.
+        dsm.acquire(granted, &mut t, &written, Some(home));
+        dsm.acquire(fetched, &mut t, &written, None);
+        assert_eq!(dsm.get(fetched, &mut t, addr.offset(70)), 71);
+        let (g, f) = (store.frame(granted, page), store.frame(fetched, page));
+        let mut slots = 0..hyperion_pm2::SLOTS_PER_PAGE;
+        assert!(g.version() == f.version() && slots.all(|s| g.load_slot(s) == f.load_slot(s)));
+        for (node, loads) in [(granted, 1), (fetched, 2)] {
+            let s = cluster.node_stats(node);
+            assert_eq!((s.page_loads, s.pages_patched), (loads, 1));
+        }
     }
 
     /// Garbage sent to either DSM service comes back as a typed

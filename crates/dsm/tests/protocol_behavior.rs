@@ -188,12 +188,12 @@ fn invalidate_forces_refetch_and_charges_mprotect_only_under_pf() {
         let addr = f.alloc.alloc(8, NodeId(1));
         let mut clock = ThreadClock::new();
         let _ = f.dsm.get(NodeId(0), &mut clock, addr);
-        assert!(f.dsm.is_cached(NodeId(0), addr.page()));
+        assert_ne!(f.dsm.locality(NodeId(0), addr.page()), Locality::Remote);
         assert_eq!(f.dsm.store().cached_on(NodeId(0)), 1);
 
         let mprotect_before = f.cluster.node_stats(NodeId(0)).mprotect_calls;
         f.dsm.invalidate_cache(NodeId(0), &mut clock);
-        assert!(!f.dsm.is_cached(NodeId(0), addr.page()));
+        assert_eq!(f.dsm.locality(NodeId(0), addr.page()), Locality::Remote);
         assert_eq!(f.dsm.store().cached_on(NodeId(0)), 0);
         let s = f.cluster.node_stats(NodeId(0));
         assert_eq!(s.cache_invalidations, 1);
@@ -242,7 +242,7 @@ fn explicit_load_into_cache_prefetches() {
         let addr = f.alloc.alloc(8, NodeId(1));
         let mut clock = ThreadClock::new();
         f.dsm.load_into_cache(NodeId(0), &mut clock, addr.page());
-        assert!(f.dsm.is_cached(NodeId(0), addr.page()));
+        assert_ne!(f.dsm.locality(NodeId(0), addr.page()), Locality::Remote);
         let loads_before = f.cluster.node_stats(NodeId(0)).page_loads;
         let faults_before = f.cluster.node_stats(NodeId(0)).page_faults;
         let _ = f.dsm.get(NodeId(0), &mut clock, addr);
@@ -928,7 +928,7 @@ fn litmus_a_stride_run_stops_at_a_home_boundary_and_at_the_last_page() {
     let _ = f.dsm.get(NodeId(0), &mut clock, a);
     let _ = f.dsm.get(NodeId(0), &mut clock, page_of(a, 1));
     assert_eq!(issued(), before + 1);
-    assert!(!f.dsm.is_cached(NodeId(0), behind.page()));
+    assert_eq!(f.dsm.locality(NodeId(0), behind.page()), Locality::Remote);
 
     // The same at the end of the address space: one page is left to run to.
     let last = f.alloc.alloc_page_aligned(SLOTS_PER_PAGE * 3, NodeId(2));
@@ -1405,8 +1405,12 @@ fn litmus_an_acquire_outdates_a_confirmation_nobody_used() {
         let (_, written) = f.dsm.release(NodeId(2), &mut w, &mut cursor, false);
         assert_eq!(written.len(), 1, "{kind:?}");
         let loads = fetch_counters(&f, 1).0;
-        f.dsm.acquire(NodeId(1), &mut r, &written);
-        assert!(!f.dsm.is_cached(NodeId(1), b.page()), "{kind:?}");
+        f.dsm.acquire(NodeId(1), &mut r, &written, None);
+        assert_eq!(
+            f.dsm.locality(NodeId(1), b.page()),
+            Locality::Remote,
+            "{kind:?}"
+        );
         assert_eq!(f.dsm.get(NodeId(1), &mut r, b), 22, "{kind:?}");
         assert_eq!(fetch_counters(&f, 1).0, loads + 1, "{kind:?}");
     }

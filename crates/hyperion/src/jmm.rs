@@ -14,10 +14,13 @@
 //!   start of a thread): the thread merges in the knowledge the matching
 //!   release left (a monitor's, a joined thread's, the parent's) and its
 //!   node drops the cached copies the notices it just learned name at an
-//!   older stamp.  Every other copy stays open: no write that happens-before
-//!   the acquire changed it.  This is the lazy form of the paper's
-//!   `invalidateCache`, which drops every copy and remains the explicit
-//!   Table 2 primitive ([`crate::memory::invalidate_cache`]).
+//!   older stamp, or patches those of the pages a remote monitor's node
+//!   homes with what its grant carries.  Every other copy stays open: no
+//!   write that happens-before the acquire changed it.  So a copy is open
+//!   only as shipped, patched (by a fetch or a grant) or confirmed by its
+//!   home.  This is the lazy form of the paper's `invalidateCache`, which
+//!   drops every copy and remains the explicit Table 2 primitive
+//!   ([`crate::memory::invalidate_cache`]).
 //!
 //! Knowledge is merged, never replaced, so it is transitive exactly as
 //! happens-before is.  The access-detection protocols share these actions;
@@ -27,17 +30,19 @@
 //! identical semantics.
 
 use hyperion_dsm::{DeferredFlush, Notices};
+use hyperion_pm2::NodeId;
 
 use crate::runtime::ThreadCtx;
 
 /// Perform the acquire action for the calling thread, whose knowledge just
 /// gained `learned` (merged in by the caller from a monitor's or a joined
-/// thread's): drop every cached copy the notices name at an older stamp
+/// thread's): drop every cached copy the notices name at an older stamp,
+/// or patch it with what the grant of `granter` — a monitor's home — carries
 /// ([`hyperion_dsm::DsmSystem::acquire`]).
-pub fn acquire(ctx: &mut ThreadCtx, learned: &Notices) {
+pub fn acquire(ctx: &mut ThreadCtx, learned: &Notices, granter: Option<NodeId>) {
     let node = ctx.node();
     let shared = std::sync::Arc::clone(&ctx.shared);
-    shared.dsm.acquire(node, ctx.clock_mut(), learned);
+    shared.dsm.acquire(node, ctx.clock_mut(), learned, granter);
     shared.dsm.assert_knowledge_held(node, &ctx.knowledge);
 }
 
@@ -88,7 +93,7 @@ mod tests {
                 let known = ctx.knowledge.clone();
                 assert_eq!(known.len(), 1);
                 let learned = Notices::default().merge(&known);
-                acquire(ctx, &learned);
+                acquire(ctx, &learned, None);
                 cell.get::<u64>(ctx, 0)
             });
             assert_eq!(out.result, 42, "{protocol:?}");
@@ -129,7 +134,7 @@ mod tests {
             arr.put(ctx, 1, 5);
             release(ctx, false);
             let known = ctx.knowledge.clone();
-            acquire(ctx, &known);
+            acquire(ctx, &known, None);
         });
         let s = out.report.node_stats[0];
         assert_eq!(s.diff_messages, 1);

@@ -13,10 +13,14 @@
 //!   monitor; entry performs the acquire action: it learns the monitor's
 //!   notices and drops what the newly learned ones name, the cached copies
 //!   some write that happened-before the entry changed.  Every other cached
-//!   copy stays open (see [`crate::jmm`]).  Under `java_pf` re-protecting
-//!   the dropped pages is where the protocol's `mprotect` traffic comes
-//!   from.  The notices ride the grant and the release: a monitor homed on
-//!   another node pays their bytes on the wire.
+//!   copy stays open (see [`crate::jmm`]): a copy is open only as shipped,
+//!   patched (by a fetch or a grant) or confirmed by its home.  Under
+//!   `java_pf` re-protecting the dropped pages is where the protocol's
+//!   `mprotect` traffic comes from.  The notices ride the grant and the
+//!   release: a monitor homed on another node pays their bytes on the wire.
+//!   That node homes the object the monitor guards, so its grant also
+//!   carries the patch of a stale copy of a page it homes, when the patch
+//!   costs no more than the `mprotect` dropping the copy would.
 //! * **Virtual-time ordering** — *a monitor is granted in increasing
 //!   (arrival, thread id), so a clock is moved to a previous release only
 //!   when the two sections really overlap in virtual time.*  The arrival is
@@ -75,32 +79,12 @@ struct MonitorState {
 }
 
 impl MonitorState {
-    /// Take the pending deferred-flush marks, leaving none behind.  The
-    /// caller (an acquiring thread) must merge every completion into its
-    /// clock — this is the hand-off where the residual latency is charged.
-    fn take_deferred(&mut self) -> Vec<hyperion_dsm::HomeFlushMark> {
-        std::mem::take(&mut self.deferred)
-    }
-
-    /// Stack one more deferred flush onto the pending record, merging its
-    /// per-home marks into any already parked for the same homes.
-    fn push_deferred(&mut self, d: hyperion_dsm::DeferredFlush) {
-        for mark in d.homes {
-            match self.deferred.iter_mut().find(|m| m.home == mark.home) {
-                Some(m) => {
-                    m.issue = m.issue.max(mark.issue);
-                    m.completion = m.completion.max(mark.completion);
-                }
-                None => self.deferred.push(mark),
-            }
-        }
-    }
-
     /// Give the monitor up (the holder `ctx`'s `exit` or `wait`, on `home`):
     /// leave the holder's write notices, paying the bytes of the ones the
-    /// monitor did not have if it lives on another node, record the release
-    /// and hand the monitor directly to the smallest parked key: that thread
-    /// is runnable again from the grant on.
+    /// monitor did not have if it lives on another node, stack its deferred
+    /// flush onto the pending marks, record the release and hand the monitor
+    /// directly to the smallest parked key: that thread is runnable again
+    /// from the grant on.
     fn release(
         &mut self,
         ctx: &mut ThreadCtx,
@@ -111,8 +95,8 @@ impl MonitorState {
         let transfer = deposited.transfer(ctx.machine(), ctx.node(), home);
         ctx.charge(transfer);
         self.last_release = self.last_release.max(ctx.now());
-        if let Some(d) = deferred {
-            self.push_deferred(d);
+        for mark in deferred.into_iter().flat_map(|d| d.homes) {
+            mark.stack_onto(&mut self.deferred);
         }
         let next = self.parked.iter().copied().min();
         self.parked.retain(|&key| Some(key) != next);
@@ -237,7 +221,7 @@ impl HMonitor {
         // of *this* monitor must complete no later than this acquire — merge
         // its completions here, charging the residual.
         let learned = ctx.knowledge.merge(&st.knowledge);
-        let (release, pending) = (st.last_release, st.take_deferred());
+        let (release, pending) = (st.last_release, std::mem::take(&mut st.deferred));
         drop(st);
         let waited = release.saturating_sub(ctx.now());
         if waited > VTime::ZERO {
@@ -251,7 +235,7 @@ impl HMonitor {
         let transfer = learned.transfer(ctx.machine(), self.inner.home, ctx.node());
         ctx.charge(transfer);
 
-        jmm::acquire(ctx, &learned);
+        jmm::acquire(ctx, &learned, Some(self.inner.home));
     }
 
     /// Exit the monitor (`monitorexit`): perform the JMM release action, then

@@ -617,11 +617,6 @@ impl<T: SlotValue> MatrixRows<T> {
     pub fn row_view(&self, ctx: &mut ThreadCtx, r: usize) -> ArrayView<T> {
         self.row(r).view(ctx, ..)
     }
-
-    /// Pin row `r` into a read-modify-write view.
-    pub fn row_view_mut(&self, ctx: &mut ThreadCtx, r: usize) -> ArrayViewMut<T> {
-        self.row(r).view_mut(ctx, ..)
-    }
 }
 
 impl<T: SlotValue> std::fmt::Debug for MatrixRows<T> {
@@ -923,7 +918,7 @@ mod tests {
             }
             let rv = rows.row_view(ctx, 2);
             let total: i64 = rv.iter().sum();
-            let mut rvm = rows.row_view_mut(ctx, 3);
+            let mut rvm = rows.row(3).view_mut(ctx, ..);
             rvm.set(0, 999);
             let _ = rvm.commit(ctx);
             assert_eq!(m.get(ctx, 3, 0), 999);

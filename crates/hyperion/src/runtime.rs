@@ -460,16 +460,6 @@ impl RunReport {
         self.total_stats().serving_ops
     }
 
-    /// Serving throughput in operations per modeled second.
-    pub fn serving_ops_per_sec(&self) -> f64 {
-        let secs = self.seconds();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.serving_ops() as f64 / secs
-        }
-    }
-
     /// Each home's utilisation: the service time remote requests booked on
     /// its protocol processor as a share of the run's modeled time, indexed
     /// by node id.
@@ -685,13 +675,6 @@ impl ThreadCtx {
         self.clock.advance(d);
     }
 
-    /// Charge `cycles` of local computation on this node's CPU.
-    #[inline]
-    pub fn charge_cycles(&mut self, cycles: f64) {
-        let d = self.shared.cluster.machine().cpu.cycles(cycles);
-        self.clock.advance(d);
-    }
-
     /// Charge one execution of a pre-estimated kernel body.
     #[inline]
     pub fn charge_work(&mut self, work: &WorkEstimate) {
@@ -888,7 +871,9 @@ impl ThreadCtx {
                 let mut ctx = ThreadCtx::new(Arc::clone(&shared), tid, node, start, known);
                 // ...which is an acquire on the child's node: what the parent
                 // knows others wrote, no copy there may hide.
-                shared.dsm.learn(node, &mut ctx.clock, &ctx.knowledge);
+                shared
+                    .dsm
+                    .acquire(node, &mut ctx.clock, &ctx.knowledge, None);
                 body(&mut ctx);
                 // Thread termination is a release point: the child's writes
                 // must reach main memory so a joining thread can observe them.
@@ -924,7 +909,7 @@ impl ThreadCtx {
         let learned = self.knowledge.merge(&known);
         let transfer = learned.transfer(self.machine(), child, self.node);
         self.clock.advance(transfer);
-        crate::jmm::acquire(self, &learned);
+        crate::jmm::acquire(self, &learned, None);
         end
     }
 }
@@ -1337,15 +1322,10 @@ mod tests {
             ctx.charge_work(&est);
             let t2 = ctx.now();
             ctx.charge_iters(&est, 10);
-            let t3 = ctx.now();
-            ctx.charge_cycles(200.0);
-            let t4 = ctx.now();
-            (t1 - t0, t2 - t1, t3 - t2, t4 - t3)
+            (t1 - t0, t2 - t1, ctx.now() - t2)
         });
-        let (a, b, c, d) = out.result;
+        let (a, b, c) = out.result;
         assert_eq!(a, b);
         assert_eq!(c, b.times(10));
-        // 200 cycles at 200 MHz is exactly 1 us.
-        assert_eq!(d, VTime::from_us(1));
     }
 }

@@ -42,11 +42,6 @@ impl LoadBalancer {
     pub fn nodes(&self) -> usize {
         self.nodes
     }
-
-    /// Number of placement decisions made so far.
-    pub fn assigned(&self) -> usize {
-        self.next.load(Ordering::Relaxed)
-    }
 }
 
 /// Handle to a running (or finished) Hyperion thread.
@@ -105,7 +100,6 @@ mod tests {
         let lb = LoadBalancer::new(3);
         let picks: Vec<u32> = (0..7).map(|_| lb.assign().0).collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1, 2, 0]);
-        assert_eq!(lb.assigned(), 7);
         assert_eq!(lb.nodes(), 3);
     }
 

@@ -1,8 +1,9 @@
 //! Write notices, litmus by litmus: every happens-before edge the runtime
 //! creates carries what the releasing side knew was written, and an acquire
-//! drops exactly the cached copies those notices outdate — under `java_ic`,
-//! `java_pf` and `java_ad`, with the default transport and with the
-//! `directory()` one (deferred release flushing, stride prefetch).
+//! drops exactly the cached copies those notices outdate — or, for a page
+//! the grant's node homes, patches them with what the grant carries — under
+//! `java_ic`, `java_pf` and `java_ad`, with the default transport and with
+//! the `directory()` one (deferred release flushing, stride prefetch).
 //!
 //! Each litmus first lets the reading node cache the page, so a stale copy
 //! kept across the acquire would be read, not refetched.  Virtual time alone
@@ -24,7 +25,17 @@
 //!   `a_monitor_hands_over_a_home_write` (and, in `tests/`,
 //!   `every_read_in_a_section_sees_the_last_write_in_monitor_order`, seed 9);
 //! * the stamp compare skipped, every named copy dropped: the counter
-//!   assertions of `an_acquire_keeps_every_copy_no_notice_outdates_at_no_cost`.
+//!   assertions of `an_acquire_keeps_every_copy_no_notice_outdates_at_no_cost`;
+//! * the grant's home check skipped (`DsmSystem::drop_copies` lets any
+//!   grant patch a copy, whoever homes the page):
+//!   `a_page_the_grants_node_does_not_home_is_still_dropped_and_refetched`;
+//! * the grant's patch built from the notice's stamp instead of the copy's
+//!   (`DsmSystem::patch_by_grant`): `a_remote_grant_makes_its_homes_page_current`
+//!   (the answer no longer decodes against the copy, which is dropped), and
+//!   the debug oracle's `stale copy revalidated` in
+//!   `a_dirty_stale_copy_is_flushed_before_it_is_patched`;
+//! * no flush before the patch (grant candidates left out of the acquire's
+//!   flush): `a_dirty_stale_copy_is_flushed_before_it_is_patched`.
 
 use std::sync::mpsc::channel;
 use std::sync::{Arc, Barrier};
@@ -357,6 +368,170 @@ fn an_acquire_keeps_every_copy_no_notice_outdates_at_no_cost() {
         assert_eq!(after.pages_kept, before.pages_kept + 3, "{label}");
         // Three at the explicit `invalidateCache`, then the one.
         assert_eq!(out.report.node_stats[2].pages_invalidated, 3 + 1, "{label}");
+    }
+}
+
+// ----- what a grant carries ---------------------------------------------------
+
+/// A monitor on node 1 guarding page P (homed on node 1, with the monitor)
+/// and page Q (homed on node 0).  A writer on node 0 writes slots
+/// `0..p_slots` of P under the monitor — and slot 0 of Q if `q_too`.  A
+/// reader on node 2 cached both pages first (protection-detected under
+/// `java_ad` as well: `cache_protected`), wrote slot 511 of its copy of P if
+/// `dirty`, and then runs a section of the monitor that reads what the
+/// writer wrote.  Returns, per transport label and protocol, the values
+/// read (P's slots, Q's slot 0, then P's slot 511 if `dirty`) and the
+/// reader node's counters before the entry, after it and after the reads.
+fn grant_section(
+    p_slots: usize,
+    q_too: bool,
+    dirty: bool,
+) -> Vec<(String, ProtocolKind, Vec<u64>, [StatsSnapshot; 3])> {
+    let mut out = Vec::new();
+    for (label, config) in configs(3) {
+        let protocol = config.protocol;
+        let rt = HyperionRuntime::new(config).unwrap();
+        let cluster = Arc::clone(rt.cluster());
+        let run = rt.run(move |ctx| {
+            let p = ctx.alloc_array_page_aligned::<u64>(SLOTS, NodeId(1));
+            let q = ctx.alloc_array_page_aligned::<u64>(SLOTS, NodeId(0));
+            let m = ctx.new_monitor(NodeId(1));
+            let (seen_tx, seen) = channel();
+            let wm = m.clone();
+            let writer = ctx.spawn_on(NodeId(0), move |t| {
+                t.observe(VTime::from_ms(1));
+                wm.synchronized(t, |t| {
+                    (0..p_slots).for_each(|s| p.put(t, s, s as u64 + 1));
+                    if q_too {
+                        q.put(t, 0, 7);
+                    }
+                });
+            });
+            let reader = ctx.spawn_on(NodeId(2), move |t| {
+                cache_protected(t, &[p, q]);
+                if dirty {
+                    p.put(t, SLOTS - 1, 99);
+                }
+                t.observe(VTime::from_ms(5));
+                let stats = || cluster.node_stats(NodeId(2));
+                let before = stats();
+                m.enter(t);
+                let entered = stats();
+                let mut values: Vec<u64> = (0..p_slots).map(|s| p.get(t, s)).collect();
+                values.push(q.get(t, 0));
+                if dirty {
+                    values.push(p.get(t, SLOTS - 1));
+                }
+                let read = stats();
+                m.exit(t);
+                seen_tx.send((values, [before, entered, read])).unwrap();
+            });
+            ctx.join(writer);
+            ctx.join(reader);
+            seen.recv().unwrap()
+        });
+        let (values, stats) = run.result;
+        out.push((label, protocol, values, stats));
+    }
+    out
+}
+
+/// Cache `pages` on the calling thread's node such that their copies are
+/// detected by page protection under `java_ad` too, as under `java_pf`:
+/// 5 000 accesses in one epoch are well past the break-even of ≈ 1 067, so
+/// closing the epoch (the explicit `invalidateCache`) switches the pages.
+fn cache_protected(t: &mut ThreadCtx, pages: &[HArray<u64>]) {
+    for page in pages {
+        (0..5_000).for_each(|_| assert_eq!(page.get(t, 0), 0));
+    }
+    hyperion::memory::invalidate_cache(t);
+    pages.iter().for_each(|page| assert_eq!(page.get(t, 0), 0));
+}
+
+/// What a section cost the reader's node between two snapshots: `(faults,
+/// page loads, mprotects, copies dropped, pages patched)`.
+fn section_cost(from: StatsSnapshot, to: StatsSnapshot) -> (u64, u64, u64, u64, u64) {
+    (
+        to.page_faults - from.page_faults,
+        to.page_loads - from.page_loads,
+        to.mprotect_calls - from.mprotect_calls,
+        to.pages_invalidated - from.pages_invalidated,
+        to.pages_patched - from.pages_patched,
+    )
+}
+
+/// The grant of a monitor on another node is sent by the home of the page
+/// it guards — the node that would answer the refetch — so it brings the
+/// page: the section reads the releaser's write at no fault, no page load
+/// and no `mprotect`, and the copy is patched, not dropped.
+#[test]
+fn a_remote_grant_makes_its_homes_page_current() {
+    for (label, protocol, values, [before, _, read]) in grant_section(1, false, false) {
+        assert_eq!(values, [1, 0], "{label}");
+        if protocol != ProtocolKind::JavaIc {
+            assert_eq!(section_cost(before, read), (0, 0, 0, 0, 1), "{label}");
+        }
+    }
+}
+
+/// The same notices name a page homed on a third node: the grant cannot
+/// carry it, so that copy is dropped and refetched as ever.
+#[test]
+fn a_page_the_grants_node_does_not_home_is_still_dropped_and_refetched() {
+    for (label, protocol, values, [before, _, read]) in grant_section(1, true, false) {
+        assert_eq!(values, [1, 7], "{label}");
+        let (_, loads, _, dropped, _) = section_cost(before, read);
+        let expected = 1 + u64::from(protocol == ProtocolKind::JavaIc);
+        assert_eq!((loads, dropped), (expected, expected), "{label}");
+    }
+}
+
+/// Under `java_ic` a dropped copy re-protects nothing, so no patch is worth
+/// its bytes and nothing rides the grant: the copy is dropped and
+/// refetched.
+#[test]
+fn under_java_ic_nothing_rides_the_grant() {
+    for (label, protocol, values, [before, _, read]) in grant_section(1, false, false) {
+        assert_eq!(values, [1, 0], "{label}");
+        let (faults, loads, mprotects, dropped, _) = section_cost(before, read);
+        let ic = protocol == ProtocolKind::JavaIc;
+        assert_eq!((loads, dropped), (u64::from(ic), u64::from(ic)), "{label}");
+        if ic {
+            assert_eq!((faults, mprotects), (0, 0), "{label}");
+        }
+    }
+}
+
+/// A patch rides the grant only while its bytes on the wire plus the home's
+/// copy cycles cost no more than the one `mprotect` the drop would pay: on
+/// `myrinet_200` (10 µs, 125 MB/s, 1.5 cycles a slot at 200 MHz) 113 slots
+/// do, 114 do not — that copy is dropped and refetched.
+#[test]
+fn a_patch_dearer_than_an_mprotect_is_dropped() {
+    for (slots, rides) in [(113, true), (114, false)] {
+        for (label, protocol, values, [before, _, read]) in grant_section(slots, false, false) {
+            let written: Vec<u64> = (1..=slots as u64).chain([0]).collect();
+            assert_eq!(values, written, "{label}: {slots} slots");
+            let (_, loads, _, dropped, _) = section_cost(before, read);
+            let dropped_too = !rides || protocol == ProtocolKind::JavaIc;
+            let expected = (u64::from(dropped_too), u64::from(dropped_too));
+            assert_eq!((loads, dropped), expected, "{label}: {slots} slots");
+        }
+    }
+}
+
+/// A stale copy holding unflushed writes has them flushed by the acquire
+/// before the grant's patch is applied — the patch then brings those
+/// writes back with the releaser's — and nothing is lost either way.
+#[test]
+fn a_dirty_stale_copy_is_flushed_before_it_is_patched() {
+    for (label, protocol, values, [before, entered, read]) in grant_section(1, false, true) {
+        assert_eq!(values, [1, 0, 99], "{label}");
+        let flushed = entered.diff_messages - before.diff_messages;
+        assert_eq!(flushed, 1, "{label}: flushed by the acquire");
+        if protocol != ProtocolKind::JavaIc {
+            assert_eq!(section_cost(before, read), (0, 0, 0, 0, 1), "{label}");
+        }
     }
 }
 

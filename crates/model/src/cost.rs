@@ -78,25 +78,11 @@ impl OpCounts {
         self.counts[Self::index(op)]
     }
 
-    /// Total number of operations in the mix.
-    pub fn total_ops(&self) -> f64 {
-        self.counts.iter().sum()
-    }
-
     /// Merge another mix into this one.
     pub fn merge(&mut self, other: &OpCounts) {
         for i in 0..self.counts.len() {
             self.counts[i] += other.counts[i];
         }
-    }
-
-    /// Scale the whole mix by a factor (e.g. per-element mix × elements).
-    pub fn scaled(&self, factor: f64) -> OpCounts {
-        let mut out = self.clone();
-        for c in &mut out.counts {
-            *c *= factor;
-        }
-        out
     }
 
     fn index(op: Op) -> usize {
@@ -125,12 +111,6 @@ pub struct WorkEstimate {
 }
 
 impl WorkEstimate {
-    /// Build an estimate directly from a duration (escape hatch for
-    /// calibration experiments and tests).
-    pub fn from_duration(per_iteration: VTime) -> Self {
-        WorkEstimate { per_iteration }
-    }
-
     /// Duration of a single execution of the kernel body.
     #[inline]
     pub fn per_iteration(&self) -> VTime {
@@ -228,20 +208,17 @@ mod tests {
         assert_eq!(mix.count(Op::FpAdd), 4.0);
         assert_eq!(mix.count(Op::FpMul), 1.0);
         assert_eq!(mix.count(Op::FpDiv), 0.0);
-        assert_eq!(mix.total_ops(), 5.0);
     }
 
     #[test]
-    fn op_counts_merge_and_scale() {
+    fn op_counts_merge_per_class() {
         let a = OpCounts::new().with(Op::IntAlu, 2.0).with(Op::Load, 1.0);
         let b = OpCounts::new().with(Op::IntAlu, 1.0).with(Op::Store, 4.0);
         let mut m = a.clone();
         m.merge(&b);
         assert_eq!(m.count(Op::IntAlu), 3.0);
         assert_eq!(m.count(Op::Store), 4.0);
-        let s = m.scaled(2.0);
-        assert_eq!(s.count(Op::IntAlu), 6.0);
-        assert_eq!(s.count(Op::Load), 2.0);
+        assert_eq!(m.count(Op::Load), 1.0);
     }
 
     #[test]
@@ -263,8 +240,6 @@ mod tests {
             est.for_iterations(1000).as_ps(),
             est.per_iteration().as_ps() * 1000
         );
-        let direct = WorkEstimate::from_duration(VTime::from_ns(7));
-        assert_eq!(direct.for_iterations(3), VTime::from_ns(21));
     }
 
     #[test]

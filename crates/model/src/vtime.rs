@@ -245,14 +245,6 @@ impl ThreadClock {
             self.now = t;
         }
     }
-
-    /// Merge with `t` and then advance by `d`; convenience for the common
-    /// "wait for an event, then pay a local cost" pattern.
-    #[inline]
-    pub fn merge_then_advance(&mut self, t: VTime, d: VTime) {
-        self.merge(t);
-        self.advance(d);
-    }
 }
 
 impl Default for ThreadClock {
@@ -491,10 +483,6 @@ mod tests {
         c.merge(VTime::from_us(25));
         assert_eq!(c.now(), VTime::from_us(25));
         assert_eq!(c.charged(), VTime::from_us(10));
-
-        c.merge_then_advance(VTime::from_us(30), VTime::from_us(1));
-        assert_eq!(c.now(), VTime::from_us(31));
-        assert_eq!(c.charged(), VTime::from_us(11));
     }
 
     #[test]

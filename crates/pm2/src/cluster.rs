@@ -145,11 +145,6 @@ impl Cluster {
         self.nodes.iter().map(|n| n.as_ref())
     }
 
-    /// All node ids, in order.
-    pub fn node_ids(&self) -> Vec<NodeId> {
-        (0..self.nodes.len() as u32).map(NodeId).collect()
-    }
-
     /// Register an RPC service; the returned [`ServiceId`] is what callers
     /// pass to [`Cluster::rpc`].
     pub fn register_service(&self, handler: Arc<dyn RpcHandler>) -> ServiceId {
@@ -317,11 +312,8 @@ mod tests {
         assert_eq!(c.num_nodes(), 4);
         assert_eq!(c.machine().name, "200MHz/Myrinet");
         assert_eq!(c.node(NodeId(2)).id(), NodeId(2));
-        assert_eq!(
-            c.node_ids(),
-            vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]
-        );
-        assert_eq!(c.nodes().count(), 4);
+        let ids: Vec<NodeId> = c.nodes().map(Node::id).collect();
+        assert_eq!(ids, [NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
         assert_eq!(c.transport().name(), "sim");
         assert!(c.transport().wire_stats().is_none());
     }

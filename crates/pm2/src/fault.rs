@@ -422,6 +422,10 @@ impl Transport for FaultyTransport {
         self.inner.name()
     }
 
+    fn is_down(&self, node: NodeId) -> bool {
+        self.kill_fired() && self.spec.kill.is_some_and(|kill| kill.node == node.0)
+    }
+
     fn wire_stats(&self) -> Option<Vec<WireServiceSnapshot>> {
         self.inner.wire_stats()
     }

@@ -47,35 +47,14 @@ impl ThreadRegistry {
         ThreadId(threads.len() as u64 - 1)
     }
 
-    /// Node a thread currently lives on.
-    ///
-    /// # Panics
-    /// Panics if the thread id is unknown.
-    pub fn node_of(&self, thread: ThreadId) -> NodeId {
-        lock(&self.threads)[thread.0 as usize].node
-    }
-
     /// Mark a thread as terminated.
     pub fn mark_terminated(&self, thread: ThreadId) {
         lock(&self.threads)[thread.0 as usize].alive = false;
     }
 
-    /// Whether a thread is still alive.
-    pub fn is_alive(&self, thread: ThreadId) -> bool {
-        lock(&self.threads)[thread.0 as usize].alive
-    }
-
     /// Total number of threads ever registered.
     pub fn total(&self) -> usize {
         lock(&self.threads).len()
-    }
-
-    /// Number of live threads currently placed on `node`.
-    pub fn live_on(&self, node: NodeId) -> usize {
-        lock(&self.threads)
-            .iter()
-            .filter(|t| t.alive && t.node == node)
-            .count()
     }
 
     /// Per-node live-thread counts for a cluster of `num_nodes` nodes.
@@ -101,9 +80,8 @@ mod tests {
         let t1 = reg.register(NodeId(1));
         assert_eq!(t0, ThreadId(0));
         assert_eq!(t1, ThreadId(1));
-        assert_eq!(reg.node_of(t1), NodeId(1));
+        assert_eq!(reg.placement(2), vec![1, 1]);
         assert_eq!(reg.total(), 2);
-        assert!(reg.is_alive(t0));
         assert_eq!(format!("{t1}"), "thread1");
     }
 
@@ -115,8 +93,6 @@ mod tests {
         let _c = reg.register(NodeId(1));
         assert_eq!(reg.placement(3), vec![1, 2, 0]);
         reg.mark_terminated(a);
-        assert!(!reg.is_alive(a));
         assert_eq!(reg.placement(3), vec![0, 2, 0]);
-        assert_eq!(reg.live_on(NodeId(1)), 2);
     }
 }

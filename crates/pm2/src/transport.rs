@@ -202,6 +202,11 @@ pub trait Transport: Send + Sync {
     /// Backend name for diagnostics and report labels.
     fn name(&self) -> &'static str;
 
+    /// True if the fault plane has killed `node` as a server.
+    fn is_down(&self, _node: NodeId) -> bool {
+        false
+    }
+
     /// Per-service wire counters, if this backend performs real I/O.
     fn wire_stats(&self) -> Option<Vec<WireServiceSnapshot>> {
         None
