@@ -783,29 +783,14 @@ fn threshold_ablation_text(scale: Scale) -> String {
     text
 }
 
-/// One cell of the keep-or-cut audit (`figures --audit`): the same point
-/// run several times, sorted by modeled time.
-#[derive(Clone, Debug)]
-pub struct AuditCell {
-    /// The transport preset the cell ran under, by constructor name.
-    pub preset: &'static str,
-    /// The runs, fastest first.
-    pub runs: Vec<FigureRow>,
-}
-
-impl AuditCell {
-    /// The run with the median modeled time (counters are quoted from it).
-    pub fn median(&self) -> &FigureRow {
-        &self.runs[self.runs.len() / 2]
-    }
-}
-
-/// The keep-or-cut audit: every app under every protocol under every
-/// transport preset that exists at this commit, `runs` times each, on the
-/// Myrinet cluster at [`ADAPTIVE_NODES`] nodes.  Built at two commits, its
-/// two tables are a before/after comparison with nothing but the public
-/// API on either side.  `each` sees every cell as it completes.
-pub fn sweep_audit(scale: Scale, runs: usize, mut each: impl FnMut(&AuditCell)) {
+/// The keep-or-cut audit (`figures --audit`): every app under every
+/// protocol under every transport preset that exists at this commit, once
+/// each (a run repeats exactly), on the Myrinet cluster at
+/// [`ADAPTIVE_NODES`] nodes.  Built at two commits, its two tables are a
+/// before/after comparison with nothing but the public API on either side.
+/// `each` sees every cell as it completes, with its preset's constructor
+/// name.
+pub fn sweep_audit(scale: Scale, mut each: impl FnMut(&'static str, &FigureRow)) {
     let presets = [
         ("blocking", TransportConfig::blocking()),
         ("default", TransportConfig::default()),
@@ -819,9 +804,7 @@ pub fn sweep_audit(scale: Scale, runs: usize, mut each: impl FnMut(&AuditCell)) 
                 variant: plus(preset),
                 ..point.clone()
             };
-            let mut runs: Vec<FigureRow> = (0..runs).map(|_| point.run()).collect();
-            runs.sort_by(|a, b| a.seconds.total_cmp(&b.seconds));
-            each(&AuditCell { preset, runs });
+            each(preset, &point.run());
         }
     }
 }
@@ -914,7 +897,7 @@ pub fn sweep_chaos(scale: Scale, spec: FaultSpec, backend: TransportBackend) -> 
 
 /// Ablation of the adaptive switching threshold: run `app` under `java_ad`
 /// with the check→protect hysteresis placed at each multiple of the machine
-/// model's break-even, keeping the protect→check mark at half of it.
+/// model's break-even (the protect→check mark follows at half of it).
 pub fn threshold_ablation(
     app: BenchmarkName,
     scale: Scale,
@@ -923,13 +906,8 @@ pub fn threshold_ablation(
     hi_multiples
         .iter()
         .map(|&hi| {
-            let adaptive = AdaptiveParams {
-                hi_multiple: hi,
-                lo_multiple: hi / 2.0,
-                ..AdaptiveParams::default()
-            };
             let point = Point {
-                adaptive,
+                adaptive: AdaptiveParams { hi_multiple: hi },
                 ..Point::new(app, scale, ProtocolKind::JavaAd)
             };
             (hi, point.run())

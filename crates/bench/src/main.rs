@@ -4,7 +4,7 @@
 //! ```text
 //! figures [--fig N]... [--tables] [--claims] [--scale quick|harness|paper]
 //!         [--quick] [--json] [--baseline PATH] [--out DIR]
-//!         [--transport sim|socket|tcp] [--fault SPEC] [--audit] [--runs N]
+//!         [--transport sim|socket|tcp] [--fault SPEC] [--audit]
 //! ```
 //!
 //! * `--fig N`     regenerate figure N: 1–5 from the paper, 6–9 the
@@ -20,18 +20,14 @@
 //!   the figure 7–8 transport variants and the figure-9 serving rows with
 //!   their throughput/p99 fields) and write it to `BENCH_<run>.json`
 //!   (`<run>` is `$GITHUB_RUN_ID`, or `local`).
-//! * `--baseline PATH` compare the CI-tracked sweep against a committed
-//!   baseline report and exit non-zero if a gated metric of
-//!   `report::METRICS` (modeled wall time, page loads, invalidated pages;
-//!   throughput and p99 on serving rows) regressed past its limit; the
-//!   per-app delta table is appended to `$GITHUB_STEP_SUMMARY` when that
-//!   variable is set.
-//! * `--runs N`    repeat the CI-tracked sweep N times and report the
-//!   per-row envelope (worst of each tracked metric) — used when refreshing
-//!   `bench/baseline.json` so the dynamically scheduled apps' run-to-run
-//!   spread is captured.  With `--audit`: runs per cell (default 5).
+//! * `--baseline PATH` run the CI-tracked sweep and exit non-zero unless
+//!   every row of the committed baseline report is byte for byte the row
+//!   the sweep writes (no row missing, none extra); each differing field is
+//!   printed, and appended to `$GITHUB_STEP_SUMMARY` when that variable is
+//!   set.  Regenerate the baseline with
+//!   `figures --quick --json && cp BENCH_local.json bench/baseline.json`.
 //! * `--audit`     the keep-or-cut audit: every app × protocol × transport
-//!   preset that exists at this commit, median / min / max modeled seconds
+//!   preset that exists at this commit, run once, with its modeled seconds
 //!   plus `page_loads` and the stride-prefetch counters per cell.  Run it
 //!   at two commits to compare them; nothing in the product switches
 //!   between the two sides.
@@ -67,7 +63,6 @@ struct Options {
     json: bool,
     baseline: Option<String>,
     audit: bool,
-    runs: Option<usize>,
     scale: Scale,
     out_dir: Option<String>,
     transport: Option<TransportBackend>,
@@ -82,7 +77,6 @@ fn parse_args() -> Options {
         json: false,
         baseline: None,
         audit: false,
-        runs: None,
         scale: Scale::Harness,
         out_dir: None,
         transport: None,
@@ -133,14 +127,6 @@ fn parse_args() -> Options {
                 opts.audit = true;
                 any_selector = true;
             }
-            "--runs" => {
-                opts.runs = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| die("--runs needs a positive count")),
-                );
-            }
             "--transport" => {
                 let s = args.next().unwrap_or_default();
                 opts.transport = Some(
@@ -169,7 +155,7 @@ fn parse_args() -> Options {
                 println!(
                     "figures [--fig N]... [--tables] [--claims] [--scale quick|harness|paper] \
                      [--quick] [--json] [--baseline PATH] [--out DIR] \
-                     [--transport sim|socket|tcp] [--fault SPEC] [--audit] [--runs N]"
+                     [--transport sim|socket|tcp] [--fault SPEC] [--audit]"
                 );
                 std::process::exit(0);
             }
@@ -191,45 +177,35 @@ fn die(msg: &str) -> ! {
 
 /// The `--audit` path: one line per (app, protocol, preset) cell, printed
 /// as the cell completes.
-fn run_audit(scale: Scale, runs: usize) {
+fn run_audit(scale: Scale) {
     println!(
-        "== Audit: app x protocol x transport preset, {runs} runs per cell, {} nodes ==",
+        "== Audit: app x protocol x transport preset, {} nodes ==",
         hyperion_bench::ADAPTIVE_NODES
     );
     println!(
-        "{:<11} {:<8} {:<15} {:>12} {:>12} {:>12} {:>24} {:>11} {:>7} {:>9} {:>7}",
+        "{:<11} {:<8} {:<15} {:>12} {:>24} {:>11} {:>7} {:>9} {:>7}",
         "App",
         "protocol",
         "preset",
-        "median (s)",
-        "min (s)",
-        "max (s)",
+        "seconds",
         "digest",
         "page_loads",
         "stride",
         "completed",
         "wasted"
     );
-    sweep_audit(scale, runs, |cell| {
-        let (min, mid, max) = (&cell.runs[0], cell.median(), &cell.runs[runs - 1]);
-        let digest = if cell.runs.iter().all(|r| r.digest == mid.digest) {
-            format!("{:e}", mid.digest)
-        } else {
-            "DIFFERS".to_string()
-        };
+    sweep_audit(scale, |preset, row| {
         println!(
-            "{:<11} {:<8} {:<15} {:>12.6} {:>12.6} {:>12.6} {:>24} {:>11} {:>7} {:>9} {:>7}",
-            mid.app.to_string(),
-            mid.protocol.to_string(),
-            cell.preset,
-            mid.seconds,
-            min.seconds,
-            max.seconds,
-            digest,
-            mid.stats.page_loads,
-            mid.stats.stride_fetches_issued,
-            mid.stats.stride_fetches_completed,
-            mid.stats.stride_fetches_wasted,
+            "{:<11} {:<8} {:<15} {:>12.6} {:>24} {:>11} {:>7} {:>9} {:>7}",
+            row.app.to_string(),
+            row.protocol.to_string(),
+            preset,
+            row.seconds,
+            format!("{:e}", row.digest),
+            row.stats.page_loads,
+            row.stats.stride_fetches_issued,
+            row.stats.stride_fetches_completed,
+            row.stats.stride_fetches_wasted,
         );
     });
     println!();
@@ -239,52 +215,43 @@ fn run_audit(scale: Scale, runs: usize) {
 /// write `BENCH_<run>.json`, optionally gate against a committed baseline.
 /// Returns `true` if the baseline gate failed.
 fn run_bench_report(opts: &Options) -> bool {
-    let sweeps: Vec<Vec<FigureRow>> = (0..opts.runs.unwrap_or(1))
-        .map(|_| bench_report_rows(opts.scale))
-        .collect();
-    let rows = report::envelope(&sweeps);
+    let rows = bench_report_rows(opts.scale);
+    let run = std::env::var("GITHUB_RUN_ID").unwrap_or_else(|_| "local".to_string());
+    let json = report::report_to_json(&run, opts.scale.name(), &rows);
     if opts.json {
-        let run = std::env::var("GITHUB_RUN_ID").unwrap_or_else(|_| "local".to_string());
         let path = format!("BENCH_{run}.json");
-        let json = report::report_to_json(&run, opts.scale.name(), &rows);
-        std::fs::write(&path, json).expect("write bench report");
+        std::fs::write(&path, &json).expect("write bench report");
         eprintln!("wrote {path}");
     }
     let Some(baseline_path) = &opts.baseline else {
         return false;
     };
-    let text = match std::fs::read_to_string(baseline_path) {
+    let baseline = match std::fs::read_to_string(baseline_path) {
         Ok(text) => text,
         Err(e) => {
             eprintln!("figures: cannot read baseline {baseline_path}: {e}");
             return true;
         }
     };
-    let baseline = match report::parse_report(&text) {
-        Ok(rows) => rows,
-        Err(e) => {
-            eprintln!("figures: malformed baseline {baseline_path}: {e}");
-            return true;
-        }
+    let findings = report::compare_to_baseline(&json, &baseline);
+    // Show the changed fields where a CI reader will see them: the job's
+    // step summary, not just an opaque pass/fail exit code.
+    let verdict = if findings.is_empty() {
+        format!("{} rows identical to {baseline_path}", rows.len())
+    } else {
+        format!(
+            "{} row(s) differ from {baseline_path}; if the change is intended, regenerate \
+             it: `figures --quick --json && cp BENCH_local.json {baseline_path}`",
+            findings.len()
+        )
     };
-    let findings = report::compare_to_baseline(&rows, &baseline, report::DEFAULT_TOLERANCE);
-    // Surface the per-app deltas where a CI reader will see them: the job's
-    // step summary (or an explicit --summary path), not just an opaque
-    // pass/fail exit code.
-    let summary = report::markdown_summary(&rows, &baseline, &findings);
-    report::append_step_summary(&summary);
+    let listed: String = findings.iter().map(|f| format!("- {f}\n")).collect();
+    report::append_step_summary(&format!("## Bench gate\n\n{verdict}\n\n{listed}\n"));
     if findings.is_empty() {
-        println!(
-            "baseline gate: {} rows within {:.0}% of {baseline_path}",
-            baseline.len(),
-            report::DEFAULT_TOLERANCE * 100.0
-        );
+        println!("baseline gate: {verdict}");
         false
     } else {
-        eprintln!("baseline gate FAILED against {baseline_path}:");
-        for finding in &findings {
-            eprintln!("  {finding}");
-        }
+        eprint!("baseline gate FAILED: {verdict}\n{listed}");
         true
     }
 }
@@ -478,7 +445,7 @@ fn main() {
     }
 
     if opts.audit {
-        run_audit(opts.scale, opts.runs.unwrap_or(5));
+        run_audit(opts.scale);
     }
 
     if (opts.json || opts.baseline.is_some()) && run_bench_report(&opts) {

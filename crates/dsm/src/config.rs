@@ -56,38 +56,26 @@ impl std::fmt::Display for ProtocolKind {
     }
 }
 
-/// Tunable policy knobs of the adaptive protocol (`java_ad`).
+/// The tunable knob of the adaptive protocol (`java_ad`): where its
+/// switching band sits.
 ///
-/// The switching thresholds are expressed as multiples of the machine
-/// model's break-even access count `n*` so one parameterisation is
-/// meaningful on both modelled clusters; the ablation benchmarks sweep
-/// `hi_multiple` to show the policy is robust around 1.0.
+/// The thresholds are expressed as multiples of the machine model's
+/// break-even access count `n*` so one parameterisation is meaningful on
+/// both modelled clusters; the ablation benchmarks sweep `hi_multiple` to
+/// show the policy is robust around 1.0.
 #[derive(Clone, Debug, PartialEq)]
 pub struct AdaptiveParams {
     /// A check-mode page switches to protection when its *smoothed*
     /// accesses-per-epoch (EWMA over invalidation epochs) reach
-    /// `hi_multiple · n*`.
+    /// `hi_multiple · n*`; a protect-mode page falls back to checks when
+    /// they drop to half that or below (hysteresis, so borderline pages do
+    /// not flap).
     pub hi_multiple: f64,
-    /// A protect-mode page falls back to checks when its smoothed
-    /// accesses-per-epoch drop to `lo_multiple · n*` or below.  Kept
-    /// strictly below `hi_multiple` (hysteresis) so borderline pages do not
-    /// flap.
-    pub lo_multiple: f64,
-    /// Largest number of pages one fetch RPC may carry; 1 disables batching.
-    pub max_batch_pages: usize,
-    /// Consecutive re-accessed epochs a page needs before history-driven
-    /// prefetching may pull it into a neighbour's batch.
-    pub min_prefetch_streak: u64,
 }
 
 impl Default for AdaptiveParams {
     fn default() -> Self {
-        AdaptiveParams {
-            hi_multiple: 1.0,
-            lo_multiple: 0.5,
-            max_batch_pages: 8,
-            min_prefetch_streak: 3,
-        }
+        AdaptiveParams { hi_multiple: 1.0 }
     }
 }
 
@@ -95,14 +83,11 @@ impl AdaptiveParams {
     /// Reject illegal tunables (they are checked for every run, whichever
     /// protocol is selected, so a sweep harness fails fast).
     pub fn validate(&self) -> Result<(), PolicyError> {
-        if self.max_batch_pages == 0 {
-            return Err(PolicyError::ZeroAdaptiveBatch);
+        if self.hi_multiple > 0.0 {
+            Ok(())
+        } else {
+            Err(PolicyError::InvalidHysteresis)
         }
-        if self.hi_multiple <= 0.0 || self.lo_multiple < 0.0 || self.lo_multiple >= self.hi_multiple
-        {
-            return Err(PolicyError::InvalidHysteresis);
-        }
-        Ok(())
     }
 }
 
@@ -236,11 +221,8 @@ impl TransportConfig {
 /// An illegal run description, rejected at config-build time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PolicyError {
-    /// `AdaptiveParams::max_batch_pages` is 0 (1 batches nothing, 0 fetches
-    /// nothing).
-    ZeroAdaptiveBatch,
     /// The adaptive switching band is not a hysteresis band
-    /// (`0 <= lo_multiple < hi_multiple` is required).
+    /// (`hi_multiple > 0` is required).
     InvalidHysteresis,
     /// A flush with a zero page ceiling would flush nothing (1 disables
     /// batching).
@@ -256,12 +238,7 @@ pub enum PolicyError {
 impl std::fmt::Display for PolicyError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let msg = match self {
-            PolicyError::ZeroAdaptiveBatch => {
-                "max_batch_pages must be at least 1 (1 batches nothing, 0 fetches nothing)"
-            }
-            PolicyError::InvalidHysteresis => {
-                "switching hysteresis needs 0 <= lo_multiple < hi_multiple"
-            }
+            PolicyError::InvalidHysteresis => "switching hysteresis needs hi_multiple > 0",
             PolicyError::ZeroFlushBatch => "max_flush_batch_pages must be at least 1",
             PolicyError::ZeroReadReplicas => "quorum replication needs at least one read replica",
             PolicyError::InvalidWriteQuorum => {

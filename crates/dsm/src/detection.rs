@@ -146,27 +146,29 @@ pub(crate) struct Detection {
     hi: u64,
     /// Protect → Check when they drop to this or below.
     lo: u64,
-    /// Largest batched-fetch size in pages (≥ 1).
-    max_batch: usize,
-    /// Minimum epoch streak for history-driven prefetch eligibility.
-    min_streak: u64,
 }
+
+/// Largest number of pages one `java_ad` fetch RPC may carry.
+const MAX_BATCH_PAGES: usize = 8;
+
+/// Consecutive re-accessed epochs a page needs before history-driven
+/// prefetching may pull it into a neighbour's batch.
+const MIN_PREFETCH_STREAK: u64 = 3;
 
 impl Detection {
     /// Resolve `params` (they only steer `java_ad`, but every protocol
-    /// reports the marks they resolve to) against `machine`.
+    /// reports the marks they resolve to) against `machine`: the high mark
+    /// at `hi_multiple · n*`, the low one at half that.
     pub(crate) fn new(kind: ProtocolKind, params: &AdaptiveParams, machine: &MachineModel) -> Self {
         let break_even = machine.adaptive_break_even() as f64;
         let hi = (break_even * params.hi_multiple).ceil().max(1.0) as u64;
-        let lo = ((break_even * params.lo_multiple).floor() as u64).min(hi - 1);
+        let lo = ((break_even * params.hi_multiple / 2.0).floor() as u64).min(hi - 1);
         Detection {
             kind,
             check: machine.cpu.locality_check(),
             fault: machine.dsm.page_fault,
             hi,
             lo,
-            max_batch: params.max_batch_pages.max(1),
-            min_streak: params.min_prefetch_streak,
         }
     }
 
@@ -223,7 +225,7 @@ impl Detection {
     /// `java_ad`'s batch ceiling, 1 otherwise.
     pub(crate) fn batch_ceiling(&self) -> usize {
         match self.kind {
-            ProtocolKind::JavaAd => self.max_batch,
+            ProtocolKind::JavaAd => MAX_BATCH_PAGES,
             _ => 1,
         }
     }
@@ -233,7 +235,7 @@ impl Detection {
     pub(crate) fn predicts_reaccess(&self, frame: &PageFrame) -> bool {
         let ad = frame.ad();
         self.kind == ProtocolKind::JavaAd
-            && ad.epoch_streak.load(Ordering::Relaxed) >= self.min_streak
+            && ad.epoch_streak.load(Ordering::Relaxed) >= MIN_PREFETCH_STREAK
             && ad.last_epoch_accesses.load(Ordering::Relaxed) > 0
     }
 

@@ -603,22 +603,21 @@ fn adaptive_batch_pays_mprotect_for_protect_mode_members() {
 
 #[test]
 fn adaptive_custom_params_shift_the_thresholds() {
-    let tuned = AdaptiveParams {
-        hi_multiple: 2.0,
-        lo_multiple: 0.25,
-        max_batch_pages: 1,
-        min_prefetch_streak: 2,
-    };
-    let f = fixture_with(2, ProtocolKind::JavaAd, &tuned, &TransportConfig::default());
     let n_star = myrinet_200().machine.adaptive_break_even();
-    let (hi, lo) = f.dsm.adaptive_thresholds();
-    assert_eq!(hi, (n_star as f64 * 2.0).ceil() as u64);
-    assert_eq!(lo, (n_star as f64 * 0.25).floor() as u64);
-    assert!(lo < hi);
+    let marks = |hi_multiple| {
+        let tuned = AdaptiveParams { hi_multiple };
+        let f = fixture_with(2, ProtocolKind::JavaAd, &tuned, &TransportConfig::default());
+        f.dsm.adaptive_thresholds()
+    };
+    // The low mark is half the high one.
+    assert_eq!(marks(4.0), (4 * n_star, 2 * n_star));
+    assert_eq!(
+        marks(0.5),
+        ((n_star as f64 * 0.5).ceil() as u64, n_star / 4)
+    );
     // Default parameters sit at the break-even itself.
-    let defaults = AdaptiveParams::default();
-    assert_eq!(defaults.hi_multiple, 1.0);
-    assert!(defaults.lo_multiple < defaults.hi_multiple);
+    assert_eq!(AdaptiveParams::default().hi_multiple, 1.0);
+    assert_eq!(marks(1.0), (n_star, n_star / 2));
 }
 
 // ----- split-transaction transport --------------------------------------

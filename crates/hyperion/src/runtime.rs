@@ -1019,18 +1019,13 @@ mod tests {
 
     #[test]
     fn adaptive_params_flow_from_the_config_to_the_dsm_engine() {
-        let tuned = AdaptiveParams {
-            hi_multiple: 3.0,
-            lo_multiple: 1.0,
-            max_batch_pages: 4,
-            min_prefetch_streak: 1,
-        };
+        let tuned = AdaptiveParams { hi_multiple: 2.0 };
         let configured = config(2, ProtocolKind::JavaAd).with_adaptive(tuned.clone());
         assert_eq!(configured.adaptive, tuned);
         let rt = HyperionRuntime::new(configured).unwrap();
         let n_star = myrinet_200().machine.adaptive_break_even();
         let (hi, lo) = rt.dsm().adaptive_thresholds();
-        assert_eq!(hi, (n_star as f64 * 3.0).ceil() as u64);
+        assert_eq!(hi, 2 * n_star);
         assert_eq!(lo, n_star);
 
         // Defaults apply when `with_adaptive` is not called.
@@ -1043,17 +1038,14 @@ mod tests {
     #[test]
     fn adaptive_param_validation_rejects_nonsense() {
         let mut c = config(2, ProtocolKind::JavaAd);
-        c.adaptive.max_batch_pages = 0;
-        assert_eq!(
-            c.validate(),
-            Err(ConfigError::Policy(PolicyError::ZeroAdaptiveBatch))
-        );
-        let mut c = config(2, ProtocolKind::JavaAd);
-        c.adaptive.lo_multiple = 2.0; // >= hi_multiple
-        assert_eq!(
-            c.validate(),
-            Err(ConfigError::Policy(PolicyError::InvalidHysteresis))
-        );
+        for hi_multiple in [0.0, -1.0, f64::NAN] {
+            c.adaptive.hi_multiple = hi_multiple;
+            assert_eq!(
+                c.validate(),
+                Err(ConfigError::Policy(PolicyError::InvalidHysteresis)),
+                "{hi_multiple}"
+            );
+        }
         assert!(format!("{}", c.validate().unwrap_err()).contains("hysteresis"));
         // The wrapped policy error is exposed as the error's source.
         use std::error::Error as _;

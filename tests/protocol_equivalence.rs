@@ -11,13 +11,7 @@
 //! 3. `java_ad` never inflates the modeled page traffic beyond the worse of
 //!    the two fixed protocols.
 //!
-//! The dynamically scheduled apps (TSP branch-and-bound, Barnes-Hut's chunk
-//! counter) do a schedule-dependent amount of work, so their absolute
-//! page-load and time measurements vary between runs under *every*
-//! protocol.  As in the `fig6_adaptive` bench gate, properties 2 and 3 are
-//! therefore checked strictly on a first round and re-assessed in aggregate
-//! over three fresh rounds when the first round misses — an adaptive
-//! protocol that systematically inflated cost or traffic still fails.
+//! Every run repeats exactly, so each property is checked on one run.
 
 use hyperion_workspace::apps::common::Benchmark;
 use hyperion_workspace::apps::{asp, barnes, graph, jacobi, kvstore, pi, tsp};
@@ -145,34 +139,15 @@ fn serving_apps_preserve_digests_across_protocols_and_backends() {
 #[test]
 fn adaptive_cost_never_exceeds_the_worse_fixed_protocol() {
     for (base, bench) in bases_times(all_benchmarks) {
-        let round = || {
-            let (_, ic) = execute_with(bench.as_ref(), ProtocolKind::JavaIc, &base);
-            let (_, pf) = execute_with(bench.as_ref(), ProtocolKind::JavaPf, &base);
-            let (_, ad) = execute_with(bench.as_ref(), ProtocolKind::JavaAd, &base);
-            (
-                ic.execution_time
-                    .as_secs_f64()
-                    .max(pf.execution_time.as_secs_f64()),
-                ad.execution_time.as_secs_f64(),
-            )
-        };
-        let (worst, ad) = round();
-        // 2% headroom for virtual-time jitter from host scheduling.
-        if ad <= worst * 1.02 {
-            continue;
-        }
-        let mut worst_total = 0.0;
-        let mut ad_total = 0.0;
-        for _ in 0..3 {
-            let (w, a) = round();
-            worst_total += w;
-            ad_total += a;
-        }
+        let (_, ic) = execute_with(bench.as_ref(), ProtocolKind::JavaIc, &base);
+        let (_, pf) = execute_with(bench.as_ref(), ProtocolKind::JavaPf, &base);
+        let (_, ad) = execute_with(bench.as_ref(), ProtocolKind::JavaAd, &base);
+        let worst = ic.execution_time.max(pf.execution_time);
         assert!(
-            ad_total <= worst_total * 1.02,
-            "{}: java_ad cost {ad_total:.6}s exceeds the worse of ic/pf \
-             {worst_total:.6}s aggregated over 3 rounds",
-            bench.name()
+            ad.execution_time <= worst,
+            "{}: java_ad cost {} exceeds the worse of ic/pf {worst}",
+            bench.name(),
+            ad.execution_time
         );
     }
 }
@@ -191,31 +166,15 @@ fn unforced_loads(report: &RunReport) -> u64 {
 #[test]
 fn adaptive_page_loads_never_exceed_the_worse_fixed_protocol() {
     for (base, bench) in bases_times(all_benchmarks) {
-        let round = || {
-            let (_, ic) = execute_with(bench.as_ref(), ProtocolKind::JavaIc, &base);
-            let (_, pf) = execute_with(bench.as_ref(), ProtocolKind::JavaPf, &base);
-            let (_, ad) = execute_with(bench.as_ref(), ProtocolKind::JavaAd, &base);
-            (
-                unforced_loads(&ic).max(unforced_loads(&pf)),
-                unforced_loads(&ad),
-            )
-        };
-        let (worst, ad) = round();
-        if ad <= worst {
-            continue;
-        }
-        let mut worst_total = 0u64;
-        let mut ad_total = 0u64;
-        for _ in 0..5 {
-            let (w, a) = round();
-            worst_total += w;
-            ad_total += a;
-        }
+        let (_, ic) = execute_with(bench.as_ref(), ProtocolKind::JavaIc, &base);
+        let (_, pf) = execute_with(bench.as_ref(), ProtocolKind::JavaPf, &base);
+        let (_, ad) = execute_with(bench.as_ref(), ProtocolKind::JavaAd, &base);
+        let worst = unforced_loads(&ic).max(unforced_loads(&pf));
         assert!(
-            ad_total <= worst_total,
-            "{}: java_ad unforced page loads {ad_total} exceed the worse of ic/pf \
-             {worst_total} aggregated over 5 rounds",
-            bench.name()
+            unforced_loads(&ad) <= worst,
+            "{}: java_ad unforced page loads {} exceed the worse of ic/pf {worst}",
+            bench.name(),
+            unforced_loads(&ad)
         );
     }
 }
@@ -280,7 +239,7 @@ fn overlapped_transport_never_costs_wall_time_over_blocking() {
     //   zero split transactions.  (A raw time comparison would only compare
     //   two draws of their schedule-chaotic exploration.)
     // * Jacobi and ASP do open windows; their modeled times are compared
-    //   directly, strictly first and in aggregate on a miss.
+    //   directly.
     let overlapped = TransportConfig {
         overlapped_fetches: true,
         ..TransportConfig::default()
@@ -303,34 +262,18 @@ fn overlapped_transport_never_costs_wall_time_over_blocking() {
         Box::new(jacobi::JacobiParams::quick()) as Box<dyn Benchmark>,
         Box::new(asp::AspParams::quick()),
     ] {
-        let round = || {
-            let (_, blocking) = execute_with(
-                bench.as_ref(),
-                ProtocolKind::JavaPf,
-                &TransportConfig::default(),
-            );
-            let (_, split) = execute_with(bench.as_ref(), ProtocolKind::JavaPf, &overlapped);
-            (
-                blocking.execution_time.as_secs_f64(),
-                split.execution_time.as_secs_f64(),
-            )
-        };
-        let (blocking, split) = round();
-        if split <= blocking * 1.02 {
-            continue;
-        }
-        let mut blocking_total = 0.0;
-        let mut split_total = 0.0;
-        for _ in 0..5 {
-            let (b, s) = round();
-            blocking_total += b;
-            split_total += s;
-        }
+        let (_, blocking) = execute_with(
+            bench.as_ref(),
+            ProtocolKind::JavaPf,
+            &TransportConfig::default(),
+        );
+        let (_, split) = execute_with(bench.as_ref(), ProtocolKind::JavaPf, &overlapped);
         assert!(
-            split_total <= blocking_total * 1.02,
-            "{}: overlapped transport cost {split_total:.6}s exceeds the blocking \
-             baseline {blocking_total:.6}s aggregated over 5 rounds",
-            bench.name()
+            split.execution_time <= blocking.execution_time,
+            "{}: overlapped transport cost {} exceeds the blocking baseline {}",
+            bench.name(),
+            split.execution_time,
+            blocking.execution_time
         );
     }
 }
