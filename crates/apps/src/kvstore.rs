@@ -7,9 +7,10 @@
 //! thread so the request stream is deterministic) plus a small write tail.
 //! Writes are monitor-protected read-modify-write increments on the owning
 //! shard's monitor — the Java idiom `synchronized (shard) { v = get(k);
-//! put(k, v + delta); }` — so each write is an acquire/release pair that
-//! invalidates the writer's cache and flushes its diff, which is what keeps
-//! the hot-shard pages churning between nodes.
+//! put(k, v + delta); }` — so each write is an acquire/release pair: the
+//! acquire drops only the copies some notice outdates, the grant of the
+//! shard's monitor patches the copies of its node's pages, and the release
+//! flushes the diff, which keeps the hot-shard pages churning between nodes.
 //!
 //! Determinism: increments commute, so the final store state is independent
 //! of thread interleaving, and every per-thread request stream is a pure
@@ -278,7 +279,7 @@ pub fn run(config: HyperionConfig, params: &KvStoreParams) -> RunOutcome<KvStore
                         writes += 1;
                     } else {
                         // Plain read: served from the node's cached copy
-                        // until the next acquire invalidates it.
+                        // until a notice outdates it (or a grant patches it).
                         read_sink = read_sink.wrapping_add(arr.get(worker, slot));
                     }
                     worker.record_serving_op(worker.now() - began);

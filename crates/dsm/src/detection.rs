@@ -189,20 +189,19 @@ impl Detection {
     }
 
     /// Detect one access to `frame`: charge its cost to `clock`, count it on
-    /// `stats`, and return the detecting technique if the page must be
-    /// fetched first (`None`: the access proceeds on the local copy).
+    /// `stats`, and return true if the page must be fetched first (false:
+    /// the access proceeds on the local copy).
     #[inline]
     pub(crate) fn on_access(
         &self,
         stats: &NodeStats,
         clock: &mut ThreadClock,
         frame: &PageFrame,
-    ) -> Option<AdMode> {
-        let technique = self.technique(frame);
+    ) -> bool {
         if self.kind == ProtocolKind::JavaAd && !frame.is_home() {
             frame.ad().record_access();
         }
-        let fetch = match technique {
+        match self.technique(frame) {
             AdMode::Check => {
                 NodeStats::bump(&stats.locality_checks);
                 clock.advance(self.check);
@@ -217,8 +216,7 @@ impl Detection {
                 }
                 !open
             }
-        };
-        fetch.then_some(technique)
+        }
     }
 
     /// Largest number of contiguous same-home pages one fetch may carry:

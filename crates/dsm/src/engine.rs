@@ -58,7 +58,7 @@ use crate::diff::{
 use crate::fetch::NodeFetchState;
 use crate::notices::{NodeLog, Notices};
 use crate::page::PageFrame;
-use crate::services::{answer_page, DiffApplyService, PageFetchService};
+use crate::services::{answer_page, grant_cost, HomeService};
 use crate::table::DsmStore;
 
 /// The DSM system of one cluster run: the protocol engine plus its services.
@@ -83,13 +83,8 @@ impl DsmSystem {
     /// `java_ad` runs with the default [`AdaptiveParams`] and the transport
     /// is the default one; [`DsmSystem::with_config`] sets both.
     pub fn new(cluster: Arc<Cluster>, store: Arc<DsmStore>, kind: ProtocolKind) -> Arc<Self> {
-        Self::with_config(
-            cluster,
-            store,
-            kind,
-            &AdaptiveParams::default(),
-            &TransportConfig::default(),
-        )
+        let (params, transport) = (AdaptiveParams::default(), TransportConfig::default());
+        Self::with_config(cluster, store, kind, &params, &transport)
     }
 
     /// Build a DSM system with explicit adaptive-protocol parameters (they
@@ -103,21 +98,16 @@ impl DsmSystem {
         transport: &TransportConfig,
     ) -> Arc<Self> {
         let detection = Detection::new(kind, params, cluster.machine());
-        let cpu = cluster.machine().cpu.clone();
-        let dsm = cluster.machine().dsm.clone();
-        let replication = transport.replication;
-        let page_fetch = cluster.register_service(Arc::new(PageFetchService {
-            store: Arc::clone(&store),
-            cpu: cpu.clone(),
-            dsm: dsm.clone(),
-            replication,
-        }));
-        let diff_apply = cluster.register_service(Arc::new(DiffApplyService {
-            store: Arc::clone(&store),
-            cpu,
-            dsm,
-            replication,
-        }));
+        let service = |fetch| {
+            cluster.register_service(Arc::new(HomeService {
+                store: Arc::clone(&store),
+                cpu: cluster.machine().cpu.clone(),
+                dsm: cluster.machine().dsm.clone(),
+                replication: transport.replication,
+                fetch,
+            }))
+        };
+        let (page_fetch, diff_apply) = (service(true), service(false));
         let nodes = cluster.num_nodes();
         Arc::new(DsmSystem {
             cluster,
@@ -193,10 +183,8 @@ impl DsmSystem {
 
     /// Classify the current locality of `page` as seen from `node`.
     ///
-    /// This is a pure query: it charges nothing and touches no protocol
-    /// state.  Callers that want the paper's in-line check semantics (one
-    /// check, one check cost) should go through the runtime layer, which
-    /// charges the protocol-dependent cost on top.
+    /// A pure query: it charges nothing and touches no protocol state.  The
+    /// runtime layer charges the paper's in-line check on top.
     pub fn locality(&self, node: NodeId, page: PageId) -> Locality {
         self.store.with_frame(node, page, |f| {
             if f.is_home() {
@@ -297,12 +285,8 @@ impl DsmSystem {
             return;
         }
         // An explicit prefetch is not an access: it leaves the page's epoch
-        // statistics alone.  The mprotect that opens the page is only due if
-        // the page was protection-detected.
-        let unprotect = self.detection.technique(&frame) == AdMode::Protect;
-        let fetched = self.fetch_pages(
-            node, node_ref, clock, page, &frame, unprotect, 1, false, true,
-        );
+        // statistics alone.
+        let fetched = self.fetch_pages(node, node_ref, clock, page, &frame, 1, false, true);
         self.unwrap_rpc(fetched);
     }
 
@@ -322,11 +306,8 @@ impl DsmSystem {
             if frame.is_home() || (frame.is_present() && !frame.is_protected()) {
                 continue;
             }
-            let unprotect = self.detection.technique(&frame) == AdMode::Protect;
             let span = (pages - k) as usize;
-            let fetched = self.fetch_pages(
-                node, node_ref, clock, page, &frame, unprotect, span, false, false,
-            );
+            let fetched = self.fetch_pages(node, node_ref, clock, page, &frame, span, false, false);
             self.unwrap_rpc(fetched);
         }
     }
@@ -351,9 +332,10 @@ impl DsmSystem {
     /// `invalidate_cycles_per_page`, and re-protecting the dropped copies one
     /// `mprotect` per run of contiguous pages.
     ///
-    /// `granter`, a monitor's home, sent the grant that brought them: for a
-    /// page it homes it would answer the refetch, so the grant can carry the
-    /// patch instead of a drop (`patch_by_grant`).
+    /// `granter`, a monitor's home, sent the grant that brought them.  As it
+    /// would answer their refetch, its grant patches the node's stale copies
+    /// of its pages instead: open ones named here, and dropped ones, which
+    /// reopen (`drop_copies`).
     pub fn acquire(
         &self,
         node: NodeId,
@@ -365,9 +347,9 @@ impl DsmSystem {
         let machine = self.cluster.machine();
         let per_notice = machine.dsm.invalidate_cycles_per_page;
         clock.advance(machine.cpu.cycles(per_notice * learned.len() as f64));
-        self.drop_copies(node, clock, Some(learned), granter);
-        let stats = &self.cluster.node(node).stats;
-        NodeStats::bump_by(&stats.pages_kept, self.store.cached_on(node));
+        let reopened = self.drop_copies(node, clock, Some(learned), granter);
+        let kept = self.store.cached_on(node).saturating_sub(reopened);
+        NodeStats::bump_by(&self.cluster.node(node).stats.pages_kept, kept);
     }
 
     /// The release action of a thread whose place in its node's write log
@@ -418,22 +400,34 @@ impl DsmSystem {
 
     /// The one invalidation routine: drop the present copies `named` names
     /// at an older stamp — every cached copy for `None` — flushing a dirty
-    /// copy first.  A protection-detected copy of a page `granter` homes is
-    /// patched by the grant instead, if it can be (`patch_by_grant`).  The
-    /// `java_ad` epoch of a page closes when its copy, open or retained, is
-    /// outdated and not patched (of every page at the explicit
-    /// `invalidateCache`): when a detection miss is paid, or would be.
+    /// copy first, and index each copy it re-protects whose last answer
+    /// fitted a grant (`NodeFetchState`; the next answer likely fits too).
+    /// A grant from `granter` patches its pages' protection-detected copies
+    /// in one loop (`patch_by_grant`): the stale open ones, which stay open,
+    /// and the dropped ones the index held, which the request names at 16
+    /// bytes each and which reopen at one `mprotect` per run.  The `java_ad`
+    /// epoch of a page closes when a notice outdates its copy and no patch
+    /// keeps it open (every page's at `invalidateCache`): when a detection
+    /// miss is paid, or would be.  Returns how many dropped copies reopened.
     fn drop_copies(
         &self,
         node: NodeId,
         clock: &mut ThreadClock,
         named: Option<&Notices>,
         granter: Option<NodeId>,
-    ) {
-        let node_ref = self.cluster.node(node);
-        // The present copies to drop, each with the granting home and the
-        // stamp a patch riding the grant must bring it to instead (`None`:
-        // nothing rides for it).
+    ) -> u64 {
+        let (node_ref, machine) = (self.cluster.node(node), self.cluster.machine());
+        let fetch_state = &self.fetch_state[node.index()];
+        let protect = |frame: &PageFrame| self.detection.technique(frame) == AdMode::Protect;
+        let requested: Vec<_> = (granter.map(|home| fetch_state.take_dropped(home)))
+            .into_iter()
+            .flatten()
+            .filter(|(_, frame)| !frame.is_home() && !frame.is_present() && protect(frame))
+            .map(|(page, frame)| (PageId(page), frame, None))
+            .collect();
+        clock.advance(machine.net.transfer(16 * requested.len() as u64));
+        // The present copies to drop, each with the stamp a patch riding the
+        // grant must bring it to instead (`None`: nothing rides for it).
         let mut stale = Vec::new();
         match named {
             None => self.store.for_each_frame(node, |page, frame| {
@@ -460,22 +454,19 @@ impl DsmSystem {
                     if !older {
                         continue;
                     }
-                    let home = self.store.home_of(page);
-                    let rides = present
-                        && granter == Some(home)
-                        && self.detection.technique(&frame) == AdMode::Protect;
+                    let rides =
+                        present && granter == Some(self.store.home_of(page)) && protect(&frame);
                     if !rides {
                         self.close_epoch(node_ref, clock, &frame);
                     }
                     if present {
-                        stale.push((page, frame, rides.then_some((home, stamp))));
+                        stale.push((page, frame, rides.then_some(stamp)));
                     }
                 }
             }
         }
 
-        // Flush any pending modifications before dropping or patching the
-        // copies (batched like `updateMainMemory`'s flush).
+        // Flush what is pending before a drop or a patch, batched.
         let dirty: Vec<(PageId, Arc<PageFrame>)> = stale
             .iter()
             .filter(|(_, frame, _)| frame.has_dirty_slots())
@@ -483,39 +474,40 @@ impl DsmSystem {
             .collect();
         let flushed = self.flush_frames(node, node_ref, clock, &dirty, false, None);
         self.unwrap_rpc(flushed);
-        // A flush that found its home dead ran the recovery, which may have
-        // promoted one of these frames to home mid-invalidation; re-filter
-        // so the new main-memory copy survives.  A copy the grant patches
-        // stays open, its epoch too: no miss was paid.
-        stale.retain(|&(page, ref frame, grant)| {
-            let kept = frame.is_home()
-                || grant.is_some_and(|(home, stamp)| {
-                    self.patch_by_grant(node_ref, clock, home, page, frame, stamp)
-                });
-            if !kept && grant.is_some() {
-                self.close_epoch(node_ref, clock, frame);
+        // A flush that found its home dead may have promoted a frame to home.
+        let (riders, mut stale): (Vec<_>, Vec<_>) = (stale.into_iter())
+            .filter(|(_, frame, _)| !frame.is_home())
+            .partition(|(_, _, stamp)| stamp.is_some());
+        let (mut reopened, mut reopen_runs, mut run_end) = (0u64, 0u64, None);
+        if let Some(granter) = granter {
+            for (page, frame, stamp) in riders.into_iter().chain(requested) {
+                let patched = self.patch_by_grant(node_ref, clock, granter, page, &frame, stamp);
+                if stamp.is_none() {
+                    reopened += u64::from(patched);
+                    reopen_runs += u64::from(patched && run_end != Some(page.0));
+                    run_end = patched.then_some(page.0 + 1);
+                } else if !patched {
+                    self.close_epoch(node_ref, clock, &frame);
+                    stale.push((page, frame, None));
+                }
             }
-            !kept
-        });
+        }
+        stale.sort_unstable_by_key(|(page, _, _)| page.0);
 
-        let machine = self.cluster.machine();
-        let fetch_state = &self.fetch_state[node.index()];
         let (mut runs, mut run_end, mut stride_waste, mut dropped) = (0u64, None, 0u64, 0i64);
         for (page, frame, _) in &stale {
-            let reprotect = self.detection.technique(frame) == AdMode::Protect;
-            if reprotect && run_end != Some(page.0) {
-                runs += 1;
+            let reprotect = protect(frame);
+            runs += u64::from(reprotect && run_end != Some(page.0));
+            if reprotect && frame.fits_grant() {
+                fetch_state.note_dropped(self.store.home_of(*page), *page, frame);
             }
             run_end = reprotect.then_some(page.0 + 1);
-            // A stride ticket still pending here means the predicted demand
-            // miss never came: the prefetch was wasted.  The count feeds the
-            // throttle in `issue_stride_fetches`.
-            if frame.inflight_is_stride() {
-                stride_waste += 1;
-            }
+            // A stride ticket still pending here was a wasted prefetch: the
+            // count feeds the throttle in `issue_stride_fetches`.
+            stride_waste += u64::from(frame.inflight_is_stride());
             dropped += i64::from(frame.invalidate(reprotect));
         }
-        self.store.note_cached(node, -dropped);
+        self.store.note_cached(node, reopened as i64 - dropped);
         if stride_waste > 0 {
             NodeStats::bump_by(&node_ref.stats.stride_fetches_wasted, stride_waste);
             fetch_state.stride.outcome(stride_waste);
@@ -526,17 +518,17 @@ impl DsmSystem {
         // cached region when every copy goes; once part of it stays open,
         // one per run of contiguous pages.  The bookkeeping is per dropped
         // copy then, per learned notice otherwise (see `acquire`).
-        let calls = if named.is_none() {
+        let mut calls = reopen_runs + runs;
+        if named.is_none() {
             let per_page = machine.dsm.invalidate_cycles_per_page;
             clock.advance(machine.cpu.cycles(per_page * n as f64));
-            runs.min(1)
-        } else {
-            runs
-        };
+            calls = runs.min(1);
+        }
         if calls > 0 {
             NodeStats::bump_by(&node_ref.stats.mprotect_calls, calls);
             clock.advance(machine.dsm.mprotect_call.times(calls));
         }
+        reopened
     }
 
     /// Close `frame`'s `java_ad` epoch (see `Detection::close_epoch`),
@@ -555,47 +547,45 @@ impl DsmSystem {
         }
     }
 
-    /// Bring the stale copy `frame` of `page`, named at `stamp` by a notice
-    /// that the grant of a monitor on `home` — the page's home, which would
-    /// answer the refetch — brought, up to date with the answer a fetch
-    /// would get (`answer_page`), riding the grant; its dirty slots are
-    /// flushed already.  True if the copy stays open: the flush's write-ack
-    /// made it current, or the answer's bytes on the wire plus the home's
-    /// copy cycles cost no more than the `mprotect` its drop would pay.  A
-    /// copy with a fetch in flight, of a page re-homed away from `home` or
-    /// homed on a node the fault plane killed, is dropped.
+    /// Bring the copy `frame` of `page` — open, flushed and named at `stamp`
+    /// by a notice the grant from `granter` brought, or dropped (`None`) —
+    /// up to date with the answer a fetch from `granter`, its home, would get
+    /// (`answer_page`).  True if the copy is open afterwards: the flush's
+    /// write-ack made it current, or the answer fits a grant (`grant_cost`).
+    /// A copy with a fetch in flight, or of a page whose home is not
+    /// `granter` or was killed by the fault plane, is not patched.
     fn patch_by_grant(
         &self,
         node_ref: &Node,
         clock: &mut ThreadClock,
-        home: NodeId,
+        granter: NodeId,
         page: PageId,
         frame: &PageFrame,
-        stamp: u64,
+        stamp: Option<u64>,
     ) -> bool {
         let _fetch = lock(frame.fetch_lock());
-        let retained = frame.version();
-        if retained >= stamp {
+        let (retained, home) = (frame.version(), self.store.home_of(page));
+        if stamp.is_some_and(|stamp| retained >= stamp) {
             return true;
         }
-        let gone = self.store.home_of(page) != home || self.cluster.transport().is_down(home);
+        let gone = granter != home || self.cluster.transport().is_down(home);
         if gone || frame.has_inflight() {
             return false;
         }
-        let (machine, store, reply) = (self.cluster.machine(), &self.store, &mut Vec::new());
+        let (store, reply) = (&self.store, &mut Vec::new());
         let (replication, caller) = (self.transport.replication, node_ref.id());
         // No answer but the page appends nothing, which decodes as nothing.
-        let slots = answer_page(store, replication, caller, page, retained, false, reply);
-        let copy = machine.dsm.page_copy_cycles_per_slot * slots.unwrap_or(0) as f64;
-        let cost = machine.net.transfer(reply.len() as u64) + machine.cpu.cycles(copy);
-        match decode_fetch_reply(reply, &[retained]) {
-            Ok(mut answer) if cost <= machine.dsm.mprotect_call => {
-                clock.advance(cost);
-                self.apply_answer(node_ref, page, frame, answer.remove(0));
-                true
-            }
-            _ => false,
-        }
+        answer_page(store, replication, caller, page, retained, false, reply);
+        let Ok(mut answers) = decode_fetch_reply(reply, &[retained]) else {
+            return false;
+        };
+        let answer = answers.remove(0);
+        let Some(cost) = grant_cost(self.cluster.machine(), &answer) else {
+            return false;
+        };
+        clock.advance(cost);
+        self.apply_answer(node_ref, page, frame, answer);
+        true
     }
 
     /// Flush all locally recorded modifications to the corresponding home
@@ -619,16 +609,13 @@ impl DsmSystem {
         dirty
     }
 
-    /// Deferred-release form of [`DsmSystem::update_main_memory`]: the diff
-    /// batches are issued as split transactions, the caller is charged only
-    /// the issue path, and the returned [`DeferredFlush`] names the virtual
-    /// instant the last flush RPC completes.  The caller (the monitor layer)
-    /// must make the *next acquire of the same monitor* merge that instant —
-    /// that is exactly the happens-before edge the JMM requires of a
-    /// release, so deferring to the hand-off is semantics-preserving.
-    ///
+    /// Deferred-release form of [`DsmSystem::update_main_memory`]: the diffs
+    /// are issued as split transactions, the caller pays only their issue,
+    /// and the returned [`DeferredFlush`] names the instant the last one
+    /// completes, which the *next acquire of the same monitor* must merge —
+    /// exactly the happens-before edge the JMM requires of a release.
     /// Without [`TransportConfig::deferred_flush`] (or with nothing dirty)
-    /// this falls back to the blocking flush and returns `None`.
+    /// the flush blocks and `None` is returned.
     pub fn update_main_memory_deferred(
         &self,
         node: NodeId,
@@ -661,13 +648,10 @@ impl DsmSystem {
         // merge the completion timestamp (the residual latency) before the
         // access proceeds.
         self.complete_inflight(node_ref, clock, frame);
-        let Some(technique) = self.detection.on_access(&node_ref.stats, clock, frame) else {
+        if !self.detection.on_access(&node_ref.stats, clock, frame) {
             return Ok(());
-        };
-        let unprotect = technique == AdMode::Protect;
-        self.fetch_pages(
-            node, node_ref, clock, page, frame, unprotect, bulk_pages, true, true,
-        )
+        }
+        self.fetch_pages(node, node_ref, clock, page, frame, bulk_pages, true, true)
     }
 
     /// Flush the dirty slots of `dirty` (page-id ordered) to their home
@@ -719,11 +703,8 @@ impl DsmSystem {
             let pages = per_page.len();
             NodeStats::bump(&node_ref.stats.diff_messages);
             NodeStats::bump_by(&node_ref.stats.diff_slots_flushed, slots as u64);
-            clock.advance(
-                machine
-                    .cpu
-                    .cycles(machine.dsm.diff_record_cycles_per_slot * slots as f64),
-            );
+            let record = machine.dsm.diff_record_cycles_per_slot * slots as f64;
+            clock.advance(machine.cpu.cycles(record));
             let payload = if pages == 1 {
                 encode_diff(first, &per_page[0])
             } else {
@@ -762,16 +743,13 @@ impl DsmSystem {
             }
             let versions = decode_diff_reply(&reply, pages)
                 .map_err(|why| self.malformed_reply(node, first, self.diff_apply, why))?;
-            // Write-ack forwarding: a copy that was current before this
-            // node's own diff is current after it, at the acknowledged
-            // stamp — the writer need not refetch the page it just wrote.
-            // (Sound under deferred completion too: the writer could have
-            // predicted "retained + 1"; the ack only confirms it.)  Only a
-            // page this message actually wrote qualifies: for a page of the
-            // batch whose dirty slots another thread of this node flushed
-            // first, the step to the home's stamp may be somebody else's
-            // write.  The pages it wrote enter the node's write log at the
-            // acknowledged stamps.
+            // Write-ack forwarding: a copy current before this node's own
+            // diff is current after it, at the acknowledged stamp (sound
+            // under deferred completion too: the ack only confirms "retained
+            // + 1").  Only a page this message wrote qualifies: for a page
+            // whose dirty slots another thread of this node flushed first,
+            // the step may be somebody else's write.  The pages it wrote
+            // enter the node's write log at the acknowledged stamps.
             let mut acked = Vec::with_capacity(pages);
             for (k, post) in versions.into_iter().enumerate() {
                 let (page, frame) = &dirty[i + k];

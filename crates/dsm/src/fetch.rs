@@ -14,8 +14,9 @@
 //! decisions (batch ceiling, re-access prediction, the technique that says
 //! whether an installed copy must be opened; see [`crate::detection`]).
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use hyperion_model::sync::{lock, try_lock};
 use hyperion_model::{NodeStats, ThreadClock, VTime};
@@ -27,6 +28,7 @@ use crate::engine::DsmSystem;
 use crate::gate::{Windowed, GATE_WINDOW};
 use crate::page::PageFrame;
 use crate::recover::RpcFailure;
+use crate::services::grant_cost;
 
 /// Most pages one stride prefetch puts in flight ahead of a scan.
 const STRIDE_WINDOW: u64 = 4;
@@ -44,6 +46,9 @@ pub(crate) struct NodeFetchState {
     pub(crate) speculation: Windowed,
     /// Acquires (and explicit invalidations) begun on this node.
     acquires: AtomicU64,
+    /// Per home: the copies this node dropped, re-protected and retains
+    /// whose last answer fitted a grant — what its next acquire there names.
+    dropped: Vec<Mutex<BTreeMap<u64, Arc<PageFrame>>>>,
 }
 
 impl NodeFetchState {
@@ -53,7 +58,18 @@ impl NodeFetchState {
             stride: Windowed::default(),
             speculation: Windowed::default(),
             acquires: AtomicU64::new(0),
+            dropped: (0..homes).map(|_| Mutex::default()).collect(),
         }
+    }
+
+    /// Index `frame`, the dropped copy of `page`, homed on `home`.
+    pub(crate) fn note_dropped(&self, home: NodeId, page: PageId, frame: &Arc<PageFrame>) {
+        lock(&self.dropped[home.index()]).insert(page.0, Arc::clone(frame));
+    }
+
+    /// Take every copy indexed for `home`: a grant from there takes the lot.
+    pub(crate) fn take_dropped(&self, home: NodeId) -> BTreeMap<u64, Arc<PageFrame>> {
+        std::mem::take(&mut *lock(&self.dropped[home.index()]))
     }
 
     /// Count one acquire; every [`GATE_WINDOW`] of them both gates' records
@@ -100,11 +116,9 @@ impl DsmSystem {
         let mut opened = 0i64;
         for (k, (frame, reply)) in frames.iter().zip(replies).enumerate() {
             if frame.is_home() {
-                // A concurrent recovery promoted this frame to home while
-                // the fetch was in flight: it already holds the
-                // authoritative copy, and installing the (pre-recovery)
-                // snapshot would erase newer home writes.  The round trip
-                // stays charged — it really happened.
+                // A recovery promoted this frame to home mid-fetch: the
+                // (pre-recovery) snapshot would erase newer home writes.  The
+                // round trip stays charged — it really happened.
                 continue;
             }
             // The decoder vouched for every stamp against `retained[k]`.
@@ -120,8 +134,8 @@ impl DsmSystem {
     /// or patch the retained copy, counted in `pages_revalidated` /
     /// `pages_patched`.  Bytes the home did not just ship are in use from
     /// there on, so debug builds check them against the home.  A fetch's
-    /// reply and a monitor's grant (`DsmSystem::acquire`) are both applied
-    /// here.  True if the copy was absent.
+    /// reply and a monitor's grant are both applied here, and each tells the
+    /// copy whether it fitted a grant (`grant_cost`).  True if it was absent.
     pub(crate) fn apply_answer(
         &self,
         node_ref: &Node,
@@ -130,6 +144,7 @@ impl DsmSystem {
         answer: PageReply<'_>,
     ) -> bool {
         let stats = &node_ref.stats;
+        frame.set_fits_grant(grant_cost(self.cluster.machine(), &answer).is_some());
         let (was_absent, counter, v) = match answer {
             PageReply::Full(v, data) => return frame.install_copy(data, v),
             PageReply::NotModified(v) => (frame.reopen(), &stats.pages_revalidated, v),
@@ -192,7 +207,7 @@ impl DsmSystem {
             }
             // A contended fetch lock means another thread is already loading
             // the page; the prefetch has nothing left to add.
-            let Some(guard) = try_lock(frame.fetch_lock()) else {
+            let Some(_guard) = try_lock(frame.fetch_lock()) else {
                 continue;
             };
             if frame.is_present() {
@@ -222,7 +237,6 @@ impl DsmSystem {
                 completion += machine.dsm.mprotect_call;
             }
             frame.begin_inflight(clock.now().as_ps(), completion.as_ps(), true);
-            drop(guard);
         }
     }
 
@@ -253,16 +267,15 @@ impl DsmSystem {
         clock: &mut ThreadClock,
         page: PageId,
         frame: &PageFrame,
-        unprotect_after: bool,
         bulk_pages: usize,
         demand: bool,
         speculate: bool,
     ) -> Result<(), RpcFailure> {
+        let unprotect = self.detection.technique(frame) == AdMode::Protect;
         let guard = lock(frame.fetch_lock());
         if frame.is_present() && !frame.is_protected() {
             // Another thread on this node completed the load while we were
             // waiting on the fetch lock.
-            drop(guard);
             return Ok(());
         }
         let home = self.store.home_of(page);
@@ -310,8 +323,7 @@ impl DsmSystem {
             }
             guards.push(g);
         }
-        let batch = guards.len();
-        let count = 1 + batch;
+        let (batch, count) = (guards.len(), 1 + guards.len());
 
         let machine = self.cluster.machine();
         NodeStats::bump_by(&node_ref.stats.page_loads, count as u64);
@@ -345,23 +357,19 @@ impl DsmSystem {
             }
         }
         if speculative_pages > 0 {
-            NodeStats::bump_by(
-                &node_ref.stats.pages_prefetch_speculative,
-                speculative_pages,
-            );
+            let stats = &node_ref.stats;
+            NodeStats::bump_by(&stats.pages_prefetch_speculative, speculative_pages);
             gate.tried(speculative_pages);
         }
 
-        let needs_mprotect = (unprotect_after && !promoted) || batch_protected;
-        if needs_mprotect {
-            // One mprotect call opens the whole contiguous run.
-            NodeStats::bump(&node_ref.stats.mprotect_calls);
-        }
-        let overlapped = self.transport.overlapped_fetches;
+        // One mprotect call opens the whole contiguous run.
+        let needs_mprotect = (unprotect && !promoted) || batch_protected;
+        NodeStats::bump_by(&node_ref.stats.mprotect_calls, u64::from(needs_mprotect));
+        let (overlapped, mprotect) = (self.transport.overlapped_fetches, machine.dsm.mprotect_call);
         if demand || !overlapped {
             clock.merge(wire_completion);
             if needs_mprotect {
-                clock.advance(machine.dsm.mprotect_call);
+                clock.advance(mprotect);
             }
             if overlapped {
                 // The demanded page completed here, but the rest of the
@@ -379,11 +387,7 @@ impl DsmSystem {
                 }
             }
         } else {
-            let completion = if needs_mprotect {
-                wire_completion + machine.dsm.mprotect_call
-            } else {
-                wire_completion
-            };
+            let completion = wire_completion + mprotect.times(u64::from(needs_mprotect));
             if !promoted {
                 frame.begin_inflight(issue.as_ps(), completion.as_ps(), false);
             }
@@ -418,17 +422,11 @@ impl DsmSystem {
             // already put in flight.
             NodeStats::bump(&node_ref.stats.stride_fetches_completed);
         }
-        let hidden_ps = clock
-            .now()
-            .as_ps()
-            .min(completion_ps)
-            .saturating_sub(issue_ps);
+        let now = clock.now().as_ps();
+        let hidden_ps = now.min(completion_ps).saturating_sub(issue_ps);
         if hidden_ps > 0 {
-            let cycles = hidden_ps as f64 / self.cluster.machine().cpu.ps_per_cycle();
-            NodeStats::bump_by(
-                &node_ref.stats.fetch_overlap_cycles_hidden,
-                (cycles as u64).max(1),
-            );
+            let cycles = (hidden_ps as f64 / self.cluster.machine().cpu.ps_per_cycle()) as u64;
+            NodeStats::bump_by(&node_ref.stats.fetch_overlap_cycles_hidden, cycles.max(1));
         }
         clock.merge(VTime::from_ps(completion_ps));
     }

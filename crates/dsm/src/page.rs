@@ -237,6 +237,9 @@ pub struct PageFrame {
     /// non-zero).  A stride ticket still pending at invalidation time means
     /// the prefetch was wasted.
     inflight_stride: AtomicBool,
+    /// Cached frames: true if the home's last answer for this copy, a
+    /// fetch's or a grant's, fitted a grant — so, likely, will the next.
+    fits_grant: AtomicBool,
     /// Home frames only: the `HOME_*` bits of the home node's own writes
     /// since `version` was last stamped.  Home writes are the access hit
     /// path, so without a history they only set a bit;
@@ -263,6 +266,7 @@ impl PageFrame {
             inflight_completion_ps: AtomicU64::new(0),
             inflight_issue_ps: AtomicU64::new(0),
             inflight_stride: AtomicBool::new(false),
+            fits_grant: AtomicBool::new(false),
             home_wrote: AtomicU8::new(0),
             history: OnceLock::new(),
         }
@@ -329,6 +333,16 @@ impl PageFrame {
         }
         self.version.store(version, Ordering::Release);
         self.reopen()
+    }
+
+    /// Whether the home's last answer for this copy fitted a grant.
+    pub fn fits_grant(&self) -> bool {
+        self.fits_grant.load(Ordering::Relaxed)
+    }
+
+    /// Record whether the home's answer just applied fitted a grant.
+    pub fn set_fits_grant(&self, fits: bool) {
+        self.fits_grant.store(fits, Ordering::Relaxed);
     }
 
     /// Re-open the retained copy after the home answered "not modified":

@@ -8,8 +8,8 @@
 
 use std::sync::Arc;
 
-use hyperion_model::{CpuModel, DsmCostModel, VTime};
-use hyperion_pm2::{Node, NodeId, PageId, RpcHandler, RpcReply, SLOTS_PER_PAGE};
+use hyperion_model::{CpuModel, DsmCostModel, MachineModel, VTime};
+use hyperion_pm2::{Node, NodeId, PageId, RpcHandler, RpcReply, PAGE_BYTES, SLOTS_PER_PAGE};
 
 use crate::diff::{
     decode_diff_message, decode_fetch_request, encode_diff_reply, push_page_reply, FetchRequest,
@@ -105,6 +105,23 @@ pub(crate) fn answer_page(
     Some(slots)
 }
 
+/// The grant's cost rule: `answer` rides a monitor's grant only if its wire
+/// bytes plus the home's copy cycles cost at most one `mprotect`, the drop
+/// (or the reopen) it spares.  Its cost if it does.  A page never does; a
+/// "not modified" does.  Sized from the answer's shape, not its encoding:
+/// a grant patch applies it, and every applied answer tells the copy
+/// whether the next is worth naming in a request (`apply_answer`).
+pub(crate) fn grant_cost(machine: &MachineModel, answer: &PageReply<'_>) -> Option<VTime> {
+    let (bytes, slots) = match answer {
+        PageReply::NotModified(_) => (9, 0),
+        PageReply::Full(..) => (9 + PAGE_BYTES, SLOTS_PER_PAGE),
+        PageReply::Patch(_, entries) => (13 + 10 * entries.len(), entries.len()),
+    };
+    let copy = machine.dsm.page_copy_cycles_per_slot * slots as f64;
+    let cost = machine.net.transfer(bytes as u64) + machine.cpu.cycles(copy);
+    (cost <= machine.dsm.mprotect_call).then_some(cost)
+}
+
 /// What applying one diff message to the home frames produced: the slot
 /// counts that price the service time and the acknowledgement's versions.
 pub(crate) struct DiffOutcome {
@@ -115,21 +132,6 @@ pub(crate) struct DiffOutcome {
     /// Post-apply home stamp of every page of the message, in order (0 for
     /// a page that carried no entries).
     pub(crate) versions: Vec<u64>,
-}
-
-impl DiffOutcome {
-    /// The home-side service time of this apply.
-    pub(crate) fn service(&self, cpu: &CpuModel, dsm: &DsmCostModel) -> VTime {
-        cpu.cycles(
-            dsm.diff_apply_cycles_per_slot * (self.slots + self.quorum_slots) as f64
-                + dsm.batch_flush_cycles * (self.versions.len() - 1) as f64,
-        )
-    }
-
-    /// The acknowledgement: the post-apply versions.
-    pub(crate) fn reply(&self) -> Vec<u8> {
-        encode_diff_reply(&self.versions)
-    }
 }
 
 /// Apply one encoded diff message to the authoritative home frames, as
@@ -186,61 +188,54 @@ pub(crate) fn apply_diff_message(
     Ok(out)
 }
 
-/// RPC service: answer a conditional page fetch.
-pub(crate) struct PageFetchService {
+/// A home's RPC service: answer a conditional page fetch (`fetch`), or
+/// apply field-granularity diffs to its pages and acknowledge with the
+/// pages' new versions.
+pub(crate) struct HomeService {
     pub(crate) store: Arc<DsmStore>,
     pub(crate) cpu: CpuModel,
     pub(crate) dsm: DsmCostModel,
     /// `(r, w)` replication, if the run keeps replicas.
     pub(crate) replication: Option<(usize, usize)>,
+    /// True for the page fetch, false for the diff apply.
+    pub(crate) fetch: bool,
 }
 
-impl PageFetchService {
-    /// Serve one fetch.  The home-side service time is copy cycles for the
-    /// slots shipped — only those cost copying, and bytes on the wire — and
-    /// batching overhead for every page beyond the first.
+impl HomeService {
+    /// Serve one request, at a home-side service time of copy cycles per
+    /// slot shipped (a fetch) or apply cycles per slot written, quorum copies
+    /// included (an apply), plus batching overhead per page beyond the first.
     fn serve(&self, target: &Node, caller: NodeId, payload: &[u8]) -> Result<RpcReply, WireError> {
+        let (dsm, home) = (&self.dsm, target.id());
+        if !self.fetch {
+            let out = apply_diff_message(&self.store, self.replication, home, payload)?;
+            let (slots, extra) = (out.slots + out.quorum_slots, out.versions.len() - 1);
+            let service = dsm.diff_apply_cycles_per_slot * slots as f64
+                + dsm.batch_flush_cycles * extra as f64;
+            let reply = encode_diff_reply(&out.versions);
+            return Ok(RpcReply::with_data(reply, self.cpu.cycles(service)));
+        }
         let request = decode_fetch_request(payload)?;
-        let (reply, slots) =
-            serve_fetch(&self.store, self.replication, target.id(), caller, &request)?;
-        let copy = self.dsm.page_copy_cycles_per_slot * slots as f64;
+        let (reply, slots) = serve_fetch(&self.store, self.replication, home, caller, &request)?;
+        let copy = dsm.page_copy_cycles_per_slot * slots as f64;
         let extra = (request.versions.len() - 1) as f64;
-        let service = copy + self.dsm.batch_page_cycles * extra;
+        let service = copy + dsm.batch_page_cycles * extra;
         Ok(RpcReply::with_data(reply, self.cpu.cycles(service)))
     }
 }
 
-impl RpcHandler for PageFetchService {
+impl RpcHandler for HomeService {
     fn handle(&self, target: &Node, caller: NodeId, payload: &[u8]) -> RpcReply {
         self.serve(target, caller, payload)
             .unwrap_or_else(|e| RpcReply::malformed(format!("{} request: {e}", self.name())))
     }
 
     fn name(&self) -> &'static str {
-        "dsm.page_fetch"
-    }
-}
-
-/// RPC service: apply one or more field-granularity diffs to home pages
-/// and acknowledge with the pages' new versions.
-pub(crate) struct DiffApplyService {
-    pub(crate) store: Arc<DsmStore>,
-    pub(crate) cpu: CpuModel,
-    pub(crate) dsm: DsmCostModel,
-    /// `(r, w)` replication, if the run keeps replicas.
-    pub(crate) replication: Option<(usize, usize)>,
-}
-
-impl RpcHandler for DiffApplyService {
-    fn handle(&self, target: &Node, _caller: NodeId, payload: &[u8]) -> RpcReply {
-        match apply_diff_message(&self.store, self.replication, target.id(), payload) {
-            Ok(out) => RpcReply::with_data(out.reply(), out.service(&self.cpu, &self.dsm)),
-            Err(e) => RpcReply::malformed(format!("{} request: {e}", self.name())),
+        if self.fetch {
+            "dsm.page_fetch"
+        } else {
+            "dsm.diff_apply"
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "dsm.diff_apply"
     }
 }
 
@@ -251,7 +246,7 @@ mod tests {
     use hyperion_model::{myrinet_200, ThreadClock};
     use hyperion_pm2::{Cluster, IsoAllocator, NodeId, TransportBackend, TransportError};
 
-    use super::{answer_page, apply_diff_message, serve_fetch};
+    use super::{answer_page, apply_diff_message, grant_cost, serve_fetch};
     use crate::diff::{
         decode_diff_reply, decode_fetch_reply, encode_diff, encode_fetch_request, FetchRequest,
         PageReply,
@@ -329,7 +324,15 @@ mod tests {
         let slots = answer_page(store, None, granted, page, retained, false, &mut grant);
         assert_eq!((&grant, slots, fetch.1), (&fetch.0, Some(3), 3));
         let patch = PageReply::Patch(retained + 1, vec![(3, 4), (70, 71), (500, 501)]);
-        assert_eq!(decode_fetch_reply(&grant, &[retained]), Ok(vec![patch]));
+        assert_eq!(
+            decode_fetch_reply(&grant, &[retained]),
+            Ok(vec![patch.clone()])
+        );
+        // The grant's cost rule sizes the answer as its encoding does.
+        let (machine, slots) = (cluster.machine(), 3.0);
+        let copy = machine.dsm.page_copy_cycles_per_slot * slots;
+        let cost = machine.net.transfer(grant.len() as u64) + machine.cpu.cycles(copy);
+        assert_eq!(grant_cost(machine, &patch), Some(cost));
         // The grant patches its copy in place; the other copy is dropped and
         // patched by a fetch.  Both end the same.
         dsm.acquire(granted, &mut t, &written, Some(home));

@@ -40,6 +40,15 @@ fn fixture_with(
     }
 }
 
+/// A frame exists per page per node, so per-copy state has to fit what a
+/// frame already takes: the grant bit (`fits_grant`) sits in the padding of
+/// its 176 bytes (64-bit Linux, where a `Mutex` is one futex word).
+#[test]
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+fn a_page_frame_stays_176_bytes() {
+    assert_eq!(std::mem::size_of::<hyperion_dsm::PageFrame>(), 176);
+}
+
 #[test]
 fn protocol_kind_names_match_paper() {
     assert_eq!(ProtocolKind::JavaIc.name(), "java_ic");

@@ -14,12 +14,13 @@
 //!   start of a thread): the thread merges in the knowledge the matching
 //!   release left (a monitor's, a joined thread's, the parent's) and its
 //!   node drops the cached copies the notices it just learned name at an
-//!   older stamp, or patches those of the pages a remote monitor's node
-//!   homes with what its grant carries.  Every other copy stays open: no
-//!   write that happens-before the acquire changed it.  So a copy is open
-//!   only as shipped, patched (by a fetch or a grant) or confirmed by its
-//!   home.  This is the lazy form of the paper's `invalidateCache`, which
-//!   drops every copy and remains the explicit Table 2 primitive
+//!   older stamp — or, for the pages a remote monitor's node homes, has its
+//!   grant patch them and reopen the dropped copies whose last answer fitted
+//!   a grant.  Every other copy stays as it was: no write that
+//!   happens-before the acquire changed it.  So a copy is open only as
+//!   shipped, patched (by a fetch or a grant) or confirmed by its home.
+//!   This is the lazy form of the paper's `invalidateCache`, which drops
+//!   every copy and remains the explicit Table 2 primitive
 //!   ([`crate::memory::invalidate_cache`]).
 //!
 //! Knowledge is merged, never replaced, so it is transitive exactly as
@@ -37,9 +38,9 @@ use crate::runtime::ThreadCtx;
 
 /// Perform the acquire action for the calling thread, whose knowledge just
 /// gained `learned` (merged in by the caller from a monitor's or a joined
-/// thread's): drop every cached copy the notices name at an older stamp,
-/// or patch it with what the grant of `granter` — a monitor's home — carries
-/// ([`hyperion_dsm::DsmSystem::acquire`]).
+/// thread's): drop every cached copy the notices name at an older stamp, or
+/// let the grant of `granter` — a monitor's home — patch the copies of its
+/// pages, dropped ones too ([`hyperion_dsm::DsmSystem::acquire`]).
 pub fn acquire(ctx: &mut ThreadCtx, learned: &Notices, granter: Option<NodeId>) {
     let node = ctx.node();
     let shared = std::sync::Arc::clone(&ctx.shared);

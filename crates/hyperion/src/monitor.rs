@@ -11,16 +11,15 @@
 //!   field-granularity diffs, §3.1) and leaves the releaser's write notices
 //!   — what it wrote and what it knew others had written — with the
 //!   monitor; entry performs the acquire action: it learns the monitor's
-//!   notices and drops what the newly learned ones name, the cached copies
-//!   some write that happened-before the entry changed.  Every other cached
-//!   copy stays open (see [`crate::jmm`]): a copy is open only as shipped,
-//!   patched (by a fetch or a grant) or confirmed by its home.  Under
-//!   `java_pf` re-protecting the dropped pages is where the protocol's
-//!   `mprotect` traffic comes from.  The notices ride the grant and the
-//!   release: a monitor homed on another node pays their bytes on the wire.
-//!   That node homes the object the monitor guards, so its grant also
-//!   carries the patch of a stale copy of a page it homes, when the patch
-//!   costs no more than the `mprotect` dropping the copy would.
+//!   notices and drops the cached copies the newly learned ones name.
+//!   Every other copy stays open (see [`crate::jmm`]).  Under `java_pf`
+//!   re-protecting dropped pages, and opening them again, is where the
+//!   protocol's `mprotect` traffic comes from.  The notices ride the grant
+//!   and the release, paying their bytes when the monitor lives on another
+//!   node.  That node homes the object the monitor guards: the entry's
+//!   request names the dropped copies of its pages whose last answer fitted
+//!   a grant (16 bytes each), and the grant patches those and the stale open
+//!   ones — a dropped one reopens — where a patch costs at most an `mprotect`.
 //! * **Virtual-time ordering** — *a monitor is granted in increasing
 //!   (arrival, thread id), so a clock is moved to a previous release only
 //!   when the two sections really overlap in virtual time.*  The arrival is

@@ -1,7 +1,9 @@
 //! Write notices, litmus by litmus: every happens-before edge the runtime
 //! creates carries what the releasing side knew was written, and an acquire
 //! drops exactly the cached copies those notices outdate — or, for a page
-//! the grant's node homes, patches them with what the grant carries — under
+//! the grant's node homes, patches them with what the grant carries, and
+//! reopens the dropped copies of such pages that the request named (those
+//! whose last answer from the home fitted a grant) — under
 //! `java_ic`, `java_pf` and `java_ad`, with the default transport and with
 //! the `directory()` one (deferred release flushing, stride prefetch).  A
 //! release to a monitor's home carries the diffs for that home's pages; the
@@ -28,9 +30,11 @@
 //!   `every_read_in_a_section_sees_the_last_write_in_monitor_order`, seed 9);
 //! * the stamp compare skipped, every named copy dropped: the counter
 //!   assertions of `an_acquire_keeps_every_copy_no_notice_outdates_at_no_cost`;
-//! * the grant's home check skipped (`DsmSystem::drop_copies` lets any
-//!   grant patch a copy, whoever homes the page):
-//!   `a_page_the_grants_node_does_not_home_is_still_dropped_and_refetched`;
+//! * the grant's home checks skipped (`DsmSystem::drop_copies` lets any
+//!   grant's notice ride and `DsmSystem::patch_by_grant` lets any grant
+//!   patch a copy, whoever homes the page):
+//!   `a_page_the_grants_node_does_not_home_is_still_dropped_and_refetched`
+//!   (either check alone keeps the suite passing);
 //! * the grant's patch built from the notice's stamp instead of the copy's
 //!   (`DsmSystem::patch_by_grant`): `a_remote_grant_makes_its_homes_page_current`
 //!   (the answer no longer decodes against the copy, which is dropped), and
@@ -38,6 +42,18 @@
 //!   `a_dirty_stale_copy_is_flushed_before_it_is_patched`;
 //! * no flush before the patch (grant candidates left out of the acquire's
 //!   flush): `a_dirty_stale_copy_is_flushed_before_it_is_patched`;
+//! * a dropped copy reopened while its patch is skipped (`DsmSystem::
+//!   patch_by_grant` applies the answer's stamp without its slots): the
+//!   debug oracle's `stale copy revalidated` in
+//!   `a_copy_dropped_by_another_nodes_grant_is_reopened_by_its_homes_grant`;
+//! * a request index that ignores the page's home (`NodeFetchState::
+//!   take_dropped` hands a grant every home's dropped copies): the charge
+//!   in `the_request_costs_exactly_sixteen_bytes_per_named_copy`;
+//! * name every dropped copy regardless of its last answer
+//!   (`DsmSystem::drop_copies` indexes a re-protected copy without asking
+//!   `PageFrame::fits_grant`): the entry charge in
+//!   `a_dropped_copy_refused_once_is_not_named_at_the_next_grant` and in
+//!   `a_dropped_copy_whose_last_answer_was_the_page_is_not_named`;
 //! * a release that carried diffs reaching the home at the releaser's clock
 //!   instead of when the home applied them (`MonitorState::release` ignores
 //!   the ride): the grant comes early —
@@ -542,6 +558,216 @@ fn a_dirty_stale_copy_is_flushed_before_it_is_patched() {
         if protocol != ProtocolKind::JavaIc {
             assert_eq!(section_cost(before, read), (0, 0, 0, 0, 1), "{label}");
         }
+    }
+}
+
+/// One round of [`granted_rounds`]: the values read, the time the entry to
+/// M1 took and the reader node's counters before it, after P's reads and
+/// after Q's.
+type Round = (Vec<u64>, VTime, [StatsSnapshot; 3]);
+
+/// A monitor M1 on node 1 guarding page P, homed there too; page Q homed on
+/// node 3; a monitor M0 on node 0, which homes neither.  A reader on node 2
+/// caches both pages (`cache_protected`: the last answer for each is a "not
+/// modified").  Then, round `r` by round, a writer on node 0 writes slots
+/// `0..writes[r]` of P and slot 0 of Q under M0, and the reader takes M0,
+/// whose grant cannot patch them: both copies are dropped and retained.
+/// Then it enters M1 and reads P's slots, then Q's slot 0.  Returns, per
+/// transport label and protocol, each round's [`Round`].
+fn granted_rounds(writes: &[usize]) -> Vec<(String, ProtocolKind, Vec<Round>)> {
+    let mut out = Vec::new();
+    for (label, config) in configs(4) {
+        let protocol = config.protocol;
+        let (writes, reads) = (writes.to_vec(), writes.to_vec());
+        let rt = HyperionRuntime::new(config).unwrap();
+        let cluster = Arc::clone(rt.cluster());
+        let run = rt.run(move |ctx| {
+            let p = ctx.alloc_array_page_aligned::<u64>(SLOTS, NodeId(1));
+            let q = ctx.alloc_array_page_aligned::<u64>(SLOTS, NodeId(3));
+            let (m0, m1) = (ctx.new_monitor(NodeId(0)), ctx.new_monitor(NodeId(1)));
+            let (seen_tx, seen) = channel();
+            let wm = m0.clone();
+            let writer = ctx.spawn_on(NodeId(0), move |t| {
+                for (r, n) in writes.into_iter().enumerate() {
+                    t.observe(VTime::from_ms(1 + 10 * r as u64));
+                    wm.synchronized(t, |t| {
+                        (0..n).for_each(|s| p.put(t, s, (1000 * r + s + 1) as u64));
+                        q.put(t, 0, 7 + r as u64);
+                    });
+                }
+            });
+            let reader = ctx.spawn_on(NodeId(2), move |t| {
+                cache_protected(t, &[p, q]);
+                let stats = || cluster.node_stats(NodeId(2));
+                let mut rounds = Vec::new();
+                for (r, n) in reads.into_iter().enumerate() {
+                    t.observe(VTime::from_ms(5 + 10 * r as u64));
+                    m0.synchronized(t, |_| ());
+                    let (before, arrived) = (stats(), t.now());
+                    m1.enter(t);
+                    let entry = t.now() - arrived;
+                    let mut values: Vec<u64> = (0..n).map(|s| p.get(t, s)).collect();
+                    let read_p = stats();
+                    values.push(q.get(t, 0));
+                    let read_q = stats();
+                    m1.exit(t);
+                    rounds.push((values, entry, [before, read_p, read_q]));
+                }
+                seen_tx.send(rounds).unwrap();
+            });
+            ctx.join(writer);
+            ctx.join(reader);
+            seen.recv().unwrap()
+        });
+        out.push((label, protocol, run.result));
+    }
+    out
+}
+
+/// One round of [`granted_rounds`] per run: label, protocol, values read,
+/// the time the entry took and the reader node's counters.
+type Granted = (String, ProtocolKind, Vec<u64>, VTime, [StatsSnapshot; 3]);
+
+/// Round `r` of [`granted_rounds`]`(writes)`.
+fn round_of(writes: &[usize], r: usize) -> Vec<Granted> {
+    let pick = |(label, protocol, mut rounds): (_, _, Vec<Round>)| {
+        let (values, entry, stats) = rounds.swap_remove(r);
+        (label, protocol, values, entry, stats)
+    };
+    granted_rounds(writes).into_iter().map(pick).collect()
+}
+
+/// The single round of [`granted_rounds`], in which the writer writes
+/// slots `0..p_slots` of P.
+fn dropped_then_granted(p_slots: usize) -> Vec<Granted> {
+    round_of(&[p_slots], 0)
+}
+
+/// What entering M1 costs the reader when nothing rides the grant and the
+/// request names nothing: its round trip, the home's service and the local
+/// monitor work.
+fn entry_base() -> VTime {
+    let machine = myrinet_200().machine;
+    let cluster = Cluster::new(machine.clone(), 4);
+    let cpu = &machine.cpu;
+    cluster.control_message_cost().times(2)
+        + cpu.cycles(machine.dsm.protocol_server_cycles)
+        + cpu.cycles(machine.dsm.monitor_local_cycles)
+}
+
+/// The copy of P that M0's grant dropped is patched and reopened by the
+/// next grant from P's home: the request named it, the grant carried the
+/// one changed slot, and the section reads the write at no fault and no
+/// page load, paying one `mprotect` to reopen the copy.  That patch fitted
+/// a grant, so when M0's grant drops the copy again the next round's
+/// request names it again, and it is reopened again.
+#[test]
+fn a_copy_dropped_by_another_nodes_grant_is_reopened_by_its_homes_grant() {
+    for (label, protocol, rounds) in granted_rounds(&[1, 1]) {
+        for (r, (values, _, [before, read_p, _])) in rounds.into_iter().enumerate() {
+            assert_eq!(
+                values,
+                [1000 * r as u64 + 1, 7 + r as u64],
+                "{label} round {r}"
+            );
+            if protocol != ProtocolKind::JavaIc {
+                let cost = section_cost(before, read_p);
+                assert_eq!(cost, (0, 0, 1, 0, 1), "{label} round {r}");
+            }
+        }
+    }
+}
+
+/// 114 changed slots cost more on the wire than the `mprotect` they would
+/// save: the grant leaves the copy dropped, and the read faults and
+/// refetches it (the fetch's answer is the same patch).
+#[test]
+fn a_dropped_copy_whose_patch_is_dearer_than_an_mprotect_is_refetched() {
+    for (label, protocol, values, _, [before, read_p, _]) in dropped_then_granted(114) {
+        let written: Vec<u64> = (1..=114).chain([7]).collect();
+        assert_eq!(values, written, "{label}");
+        if protocol != ProtocolKind::JavaIc {
+            assert_eq!(section_cost(before, read_p), (1, 1, 1, 0, 1), "{label}");
+        }
+    }
+}
+
+/// Under `java_ic` a dropped copy was never re-protected, so it is not
+/// indexed, the request names nothing and the grant reopens nothing: the
+/// read refetches the copy, by a fetch answered with the patch.
+#[test]
+fn under_java_ic_no_dropped_copy_is_reopened() {
+    for (label, protocol, values, _, [before, read_p, _]) in dropped_then_granted(1) {
+        assert_eq!(values, [1, 7], "{label}");
+        if protocol == ProtocolKind::JavaIc {
+            assert_eq!(section_cost(before, read_p), (0, 1, 0, 0, 1), "{label}");
+            assert_eq!(
+                read_p.pages_revalidated, before.pages_revalidated,
+                "{label}"
+            );
+        }
+    }
+}
+
+/// Q's copy was dropped too, but Q is homed on node 3: M1's request does
+/// not name it, M1's grant leaves it alone, and the read refetches it (a
+/// fault and a fetch answered with the patch).
+#[test]
+fn a_dropped_copy_of_a_third_nodes_page_is_not_named_in_the_request() {
+    for (label, protocol, values, _, [_, read_p, read_q]) in dropped_then_granted(1) {
+        assert_eq!(values, [1, 7], "{label}");
+        let (faults, loads, _, _, patched) = section_cost(read_p, read_q);
+        let pf = u64::from(protocol != ProtocolKind::JavaIc);
+        assert_eq!((faults, loads, patched), (pf, 1, 1), "{label}");
+    }
+}
+
+/// The request adds one 16-byte `(page, retained stamp)` entry per named
+/// copy to the acquire, and nothing else: with P's patch refused, the
+/// entry to M1 costs its round trip, the home's service and the local
+/// monitor work — M1 was never released, so no notice, wait or patch rides
+/// it — plus exactly `transfer(16 B × n)`, n = 1 (P, not Q) wherever copies
+/// are protection-detected, 0 under `java_ic`.
+#[test]
+fn the_request_costs_exactly_sixteen_bytes_per_named_copy() {
+    let net = myrinet_200().machine.net;
+    for (label, protocol, _, entry, _) in dropped_then_granted(114) {
+        let named = u64::from(protocol != ProtocolKind::JavaIc);
+        assert_eq!(entry, entry_base() + net.transfer(16 * named), "{label}");
+    }
+}
+
+/// The acquirer names a dropped copy only if its last answer fitted a
+/// grant.  In the first round 512 changed slots are more than a patch
+/// carries: the grant refuses the copy and the read refetches the page
+/// whole.  In the second, M0's grant drops that copy again and M1's request
+/// does not name it: the entry costs exactly the base, with `transfer(0)`,
+/// and the read faults and refetches the one changed slot.
+#[test]
+fn a_dropped_copy_whose_last_answer_was_the_page_is_not_named() {
+    let net = myrinet_200().machine.net;
+    for (label, protocol, values, entry, [before, read_p, _]) in round_of(&[512, 1], 1) {
+        assert_eq!(values, [1001, 8], "{label}");
+        assert_eq!(entry, entry_base() + net.transfer(0), "{label}");
+        let (faults, loads, _, _, patched) = section_cost(before, read_p);
+        let pf = u64::from(protocol != ProtocolKind::JavaIc);
+        assert_eq!((faults, loads, patched), (pf, 1, 1), "{label}");
+    }
+}
+
+/// The shape that cost Jacobi a request entry per grant: a copy whose
+/// patch the grant refused once (114 slots), and whose refetch brought
+/// the same patch, is not named at the next grant from its home, though
+/// that grant's patch would fit.  The second entry costs exactly the base,
+/// and the read faults and refetches.
+#[test]
+fn a_dropped_copy_refused_once_is_not_named_at_the_next_grant() {
+    for (label, protocol, values, entry, [before, read_p, _]) in round_of(&[114, 1], 1) {
+        assert_eq!(values, [1001, 8], "{label}");
+        assert_eq!(entry, entry_base(), "{label}");
+        let (faults, loads, _, _, patched) = section_cost(before, read_p);
+        let pf = u64::from(protocol != ProtocolKind::JavaIc);
+        assert_eq!((faults, loads, patched), (pf, 1, 1), "{label}");
     }
 }
 

@@ -152,7 +152,7 @@ define_stats! {
     rpc_service_ps,
     /// Time remote requests waited at this node between arrival and start of service, in picoseconds.
     rpc_queue_wait_ps,
-    /// Cached copies acquires left open, summed over acquires: every present copy no learned write notice named at a newer stamp.
+    /// Cached copies acquires left open, summed over acquires: every present copy no learned write notice named at a newer stamp (a dropped copy a grant reopened is not one).
     pages_kept,
     /// Picoseconds by which monitor `enter` / re-acquire moved threads of this node forward to a previous holder's release (two critical sections that overlapped in virtual time).
     monitor_wait_ps,

@@ -925,7 +925,15 @@ mod tests {
         // the server drops that connection (and only that connection).
         let mut bad_len = transport.dial(NodeId(0)).expect("dial node 0 again");
         bad_len.write_all(&5u32.to_le_bytes()).unwrap();
-        bad_len.write_all(&[1, 2, 3, 4, 5]).unwrap();
+        // The server may drop it as soon as it has read the length, so the
+        // body's write may find the connection gone — and only that way.
+        if let Err(e) = bad_len.write_all(&[1, 2, 3, 4, 5]) {
+            let gone = [
+                std::io::ErrorKind::BrokenPipe,
+                std::io::ErrorKind::ConnectionReset,
+            ];
+            assert!(gone.contains(&e.kind()), "writing the body failed: {e}");
+        }
         bad_len.flush().unwrap();
         match read_frame(&mut bad_len) {
             Ok(None) | Err(_) => {} // connection closed, no panic
