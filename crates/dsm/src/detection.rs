@@ -117,9 +117,7 @@ impl AdState {
 
     /// Close the current epoch: move the running access count into the
     /// previous-epoch slot, fold it into the smoothed average, update the
-    /// re-access streak and return the new average.  With several threads
-    /// per node concurrent invalidations may rotate twice; the statistics
-    /// are heuristic inputs, so a shortened epoch only delays a switch.
+    /// re-access streak and return the new average.
     fn rotate_epoch(&self) -> u64 {
         let closed = self.epoch_accesses.swap(0, Ordering::Relaxed);
         self.last_epoch_accesses.store(closed, Ordering::Relaxed);

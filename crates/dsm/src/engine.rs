@@ -37,12 +37,11 @@
 //! Every protocol-variable decision is the access detection's
 //! ([`crate::detection`]): the engine holds the run's `Detection` and asks
 //! it at the decision points (access, install, invalidation, epoch close,
-//! batching), while all mechanism — RPC framing, ticket bookkeeping, lock
-//! order, batching loops — lives here and in `fetch.rs` / the RPC services.
+//! batching), while all mechanism — RPC framing, ticket bookkeeping,
+//! batching loops — lives here and in `fetch.rs` / the RPC services.
 
 use std::sync::Arc;
 
-use hyperion_model::sync::lock;
 use hyperion_model::{NodeStats, ThreadClock, VTime};
 use hyperion_pm2::{
     reply_leg, Cluster, GlobalAddr, Node, NodeId, PageId, ServiceId, SLOTS_PER_PAGE,
@@ -57,11 +56,16 @@ use crate::diff::{
 };
 use crate::fetch::NodeFetchState;
 use crate::notices::{NodeLog, Notices};
+use crate::oracle::OneCaller;
 use crate::page::PageFrame;
 use crate::services::{answer_page, grant_cost, HomeService};
 use crate::table::DsmStore;
 
 /// The DSM system of one cluster run: the protocol engine plus its services.
+///
+/// It takes one caller at a time: no two threads are ever inside its
+/// methods at once (the `hyperion` runtime runs one application thread, and
+/// a direct user takes turns).  Debug builds check it (`crate::oracle`).
 pub struct DsmSystem {
     pub(crate) cluster: Arc<Cluster>,
     pub(crate) store: Arc<DsmStore>,
@@ -75,6 +79,9 @@ pub struct DsmSystem {
     written: Vec<NodeLog>,
     pub(crate) page_fetch: ServiceId,
     pub(crate) diff_apply: ServiceId,
+    /// The one caller inside, checked by debug builds at every public entry
+    /// point (`crate::oracle`).
+    pub(crate) caller: OneCaller,
 }
 
 impl DsmSystem {
@@ -118,6 +125,7 @@ impl DsmSystem {
             written: (0..nodes).map(|_| NodeLog::default()).collect(),
             page_fetch,
             diff_apply,
+            caller: OneCaller::default(),
         })
     }
 
@@ -156,6 +164,7 @@ impl DsmSystem {
     /// Charges the protocol-dependent access-detection cost to `clock` and
     /// fetches the containing page if it is not available locally.
     pub fn get(&self, node: NodeId, clock: &mut ThreadClock, addr: GlobalAddr) -> u64 {
+        let _one = self.caller.enter("DsmSystem::get");
         let node_ref = self.cluster.node(node);
         NodeStats::bump(&node_ref.stats.field_reads);
         let page = addr.page();
@@ -170,6 +179,7 @@ impl DsmSystem {
     /// The modification is recorded with field granularity (dirty-slot
     /// bitmap) so `updateMainMemory` can flush exactly the modified fields.
     pub fn put(&self, node: NodeId, clock: &mut ThreadClock, addr: GlobalAddr, value: u64) {
+        let _one = self.caller.enter("DsmSystem::put");
         let node_ref = self.cluster.node(node);
         NodeStats::bump(&node_ref.stats.field_writes);
         let page = addr.page();
@@ -177,7 +187,7 @@ impl DsmSystem {
         let access = self.ensure_access(node, node_ref, clock, page, &frame, 1);
         self.unwrap_rpc(access);
         if frame.store_slot(addr.slot(), value) {
-            self.written[node.index()].log_home_write(page, &frame);
+            self.written[node.index()].push([(page, u64::MAX)]);
         }
     }
 
@@ -186,6 +196,7 @@ impl DsmSystem {
     /// A pure query: it charges nothing and touches no protocol state.  The
     /// runtime layer charges the paper's in-line check on top.
     pub fn locality(&self, node: NodeId, page: PageId) -> Locality {
+        let _one = self.caller.enter("DsmSystem::locality");
         self.store.with_frame(node, page, |f| {
             if f.is_home() {
                 Locality::Local
@@ -213,6 +224,7 @@ impl DsmSystem {
         addr: GlobalAddr,
         out: &mut [u64],
     ) {
+        let _one = self.caller.enter("DsmSystem::read_slice");
         if out.is_empty() {
             return;
         }
@@ -251,6 +263,7 @@ impl DsmSystem {
         addr: GlobalAddr,
         values: &[u64],
     ) {
+        let _one = self.caller.enter("DsmSystem::write_slice");
         if values.is_empty() {
             return;
         }
@@ -268,7 +281,7 @@ impl DsmSystem {
             self.unwrap_rpc(access);
             for k in 0..run {
                 if frame.store_slot(slot + k, values[done + k]) {
-                    self.written[node.index()].log_home_write(a.page(), &frame);
+                    self.written[node.index()].push([(a.page(), u64::MAX)]);
                 }
             }
             done += run;
@@ -279,6 +292,7 @@ impl DsmSystem {
     /// primitive of Table 2).  A no-op for home pages and pages already
     /// cached.
     pub fn load_into_cache(&self, node: NodeId, clock: &mut ThreadClock, page: PageId) {
+        let _one = self.caller.enter("DsmSystem::load_into_cache");
         let node_ref = self.cluster.node(node);
         let frame = self.store.frame(node, page);
         if frame.is_home() || (frame.is_present() && !frame.is_protected()) {
@@ -299,6 +313,7 @@ impl DsmSystem {
     /// speculative pages onto an explicit prefetch would compound two
     /// guesses and inflate page traffic the program never asked for.
     pub fn prefetch_span(&self, node: NodeId, clock: &mut ThreadClock, first: PageId, pages: u64) {
+        let _one = self.caller.enter("DsmSystem::prefetch_span");
         let node_ref = self.cluster.node(node);
         for k in 0..pages {
             let page = PageId(first.0 + k);
@@ -321,6 +336,7 @@ impl DsmSystem {
     /// Under `java_pf` the cached region is re-protected, which costs one
     /// `mprotect` call (§3.3).
     pub fn invalidate_cache(&self, node: NodeId, clock: &mut ThreadClock) {
+        let _one = self.caller.enter("DsmSystem::invalidate_cache");
         self.begin_acquire(node);
         self.drop_copies(node, clock, None, None);
     }
@@ -343,6 +359,7 @@ impl DsmSystem {
         learned: &Notices,
         granter: Option<NodeId>,
     ) {
+        let _one = self.caller.enter("DsmSystem::acquire");
         self.begin_acquire(node);
         let machine = self.cluster.machine();
         let per_notice = machine.dsm.invalidate_cycles_per_page;
@@ -372,6 +389,7 @@ impl DsmSystem {
         cursor: &mut u64,
         monitor: Option<NodeId>,
     ) -> (Option<DeferredFlush>, Notices, Option<VTime>) {
+        let _one = self.caller.enter("DsmSystem::release");
         let (node_ref, dirty) = (self.cluster.node(node), self.collect_dirty(node));
         let deferred = monitor.is_some() && self.transport.deferred_flush;
         let flushed = self.flush_frames(node, node_ref, clock, &dirty, deferred, monitor);
@@ -389,6 +407,7 @@ impl DsmSystem {
     /// write log: its first [`DsmSystem::release`] names what the node makes
     /// visible from here on.
     pub fn write_log_end(&self, node: NodeId) -> u64 {
+        let _one = self.caller.enter("DsmSystem::write_log_end");
         self.written[node.index()].end()
     }
 
@@ -441,19 +460,11 @@ impl DsmSystem {
             Some(named) => {
                 let frames = self.store.existing_frames(node, named.iter().map(|e| e.0));
                 for ((page, stamp), frame) in named.iter().zip(frames) {
-                    if frame.is_home() {
-                        continue;
-                    }
-                    // A fetch of the page under way installs first: its copy
-                    // is the one the stamp is compared with.
-                    let (present, older) = {
-                        let _fetch = lock(frame.fetch_lock());
-                        (frame.is_present(), frame.version() < stamp)
-                    };
                     // The notice outdates the copy, retained or open.
-                    if !older {
+                    if frame.is_home() || frame.version() >= stamp {
                         continue;
                     }
+                    let present = frame.is_present();
                     let rides =
                         present && granter == Some(self.store.home_of(page)) && protect(&frame);
                     if !rides {
@@ -563,7 +574,6 @@ impl DsmSystem {
         frame: &PageFrame,
         stamp: Option<u64>,
     ) -> bool {
-        let _fetch = lock(frame.fetch_lock());
         let (retained, home) = (frame.version(), self.store.home_of(page));
         if stamp.is_some_and(|stamp| retained >= stamp) {
             return true;
@@ -592,6 +602,7 @@ impl DsmSystem {
     /// nodes: the `updateMainMemory` primitive of Table 2, executed on
     /// monitor exit.
     pub fn update_main_memory(&self, node: NodeId, clock: &mut ThreadClock) {
+        let _one = self.caller.enter("DsmSystem::update_main_memory");
         let (node_ref, dirty) = (self.cluster.node(node), self.collect_dirty(node));
         let flushed = self.flush_frames(node, node_ref, clock, &dirty, false, None);
         self.unwrap_rpc(flushed);
@@ -621,6 +632,7 @@ impl DsmSystem {
         node: NodeId,
         clock: &mut ThreadClock,
     ) -> Option<DeferredFlush> {
+        let _one = self.caller.enter("DsmSystem::update_main_memory_deferred");
         let (node_ref, dirty) = (self.cluster.node(node), self.collect_dirty(node));
         let deferred = self.transport.deferred_flush;
         let flushed = self.flush_frames(node, node_ref, clock, &dirty, deferred, None);
@@ -675,11 +687,15 @@ impl DsmSystem {
     ) -> Result<(Option<DeferredFlush>, Option<VTime>), crate::recover::RpcFailure> {
         let machine = self.cluster.machine();
         let max_batch = self.transport.max_flush_batch_pages.max(1);
-        let _flushing = (!dirty.is_empty()).then(|| self.written[node.index()].flushing());
         let (mut marks, mut rode): (Vec<HomeFlushMark>, Option<VTime>) = (Vec::new(), None);
         let mut i = 0usize;
         while i < dirty.len() {
-            let (first, _) = dirty[i];
+            let first = dirty[i].0;
+            if dirty[i].1.is_home() {
+                // A recovery earlier in this flush promoted it: nothing to send.
+                i += 1;
+                continue;
+            }
             let home = self.store.home_of(first);
             let mut j = i + 1;
             while j < dirty.len()
@@ -695,11 +711,6 @@ impl DsmSystem {
             let per_page: Vec<Vec<DiffEntry>> =
                 dirty[i..j].iter().map(|(_, f)| f.take_dirty()).collect();
             let slots: usize = per_page.iter().map(Vec::len).sum();
-            if slots == 0 {
-                // Every page in the run was flushed by someone else already.
-                i = j;
-                continue;
-            }
             let pages = per_page.len();
             NodeStats::bump(&node_ref.stats.diff_messages);
             NodeStats::bump_by(&node_ref.stats.diff_slots_flushed, slots as u64);
@@ -746,18 +757,14 @@ impl DsmSystem {
             // Write-ack forwarding: a copy current before this node's own
             // diff is current after it, at the acknowledged stamp (sound
             // under deferred completion too: the ack only confirms "retained
-            // + 1").  Only a page this message wrote qualifies: for a page
-            // whose dirty slots another thread of this node flushed first,
-            // the step may be somebody else's write.  The pages it wrote
-            // enter the node's write log at the acknowledged stamps.
+            // + 1").  The pages enter the node's write log at the
+            // acknowledged stamps.
             let mut acked = Vec::with_capacity(pages);
             for (k, post) in versions.into_iter().enumerate() {
                 let (page, frame) = &dirty[i + k];
-                if !per_page[k].is_empty() {
-                    acked.push((*page, post));
-                    if !frame.is_home() {
-                        frame.forward_version(retained[k], post);
-                    }
+                acked.push((*page, post));
+                if !frame.is_home() {
+                    frame.forward_version(retained[k], post);
                 }
             }
             self.written[node.index()].push(acked);
@@ -780,93 +787,5 @@ impl std::fmt::Debug for DsmSystem {
             .field("nodes", &self.cluster.num_nodes())
             .field("pages", &self.store.allocator().num_pages())
             .finish()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use hyperion_model::myrinet_200;
-    use hyperion_pm2::IsoAllocator;
-
-    /// Litmus for write-ack forwarding with two flushing threads on one
-    /// node.  Thread T1 collected dirty pages P and Q; thread T2 of the same
-    /// node flushed P first; a foreign node then wrote P; T1's batch now
-    /// carries P with no entries.  The acknowledgement must not forward the
-    /// node's copy of P over the foreign write: the next acquire has to
-    /// fetch the page and see it.
-    #[test]
-    fn litmus_an_empty_batch_member_is_never_forwarded_over_a_foreign_diff() {
-        for kind in ProtocolKind::all_extended() {
-            let cluster = Cluster::new(myrinet_200().machine, 3);
-            let alloc = Arc::new(IsoAllocator::new(3));
-            let store = DsmStore::new(Arc::clone(&alloc), 3);
-            let dsm = DsmSystem::new(Arc::clone(&cluster), store, kind);
-            let p = alloc.alloc_page_aligned(2 * SLOTS_PER_PAGE, NodeId(0));
-            let q = p.offset(SLOTS_PER_PAGE as u64);
-            let (n, w) = (NodeId(1), NodeId(2));
-            let (mut t1, mut t2, mut tw) =
-                (ThreadClock::new(), ThreadClock::new(), ThreadClock::new());
-
-            // T1 wrote P and Q and is about to release: its dirty list.
-            dsm.put(n, &mut t1, p, 1);
-            dsm.put(n, &mut t1, q, 1);
-            let dirty = dsm.collect_dirty(n);
-            assert_eq!(dirty.len(), 2, "{kind:?}");
-            // T2 gets there first; T1 meanwhile dirtied Q again.
-            dsm.update_main_memory(n, &mut t2);
-            dsm.put(n, &mut t1, q.offset(1), 2);
-            let retained = dirty[0].1.version();
-            // A foreign writer moves P's home stamp once more.
-            dsm.put(w, &mut tw, p.offset(1), 77);
-            dsm.update_main_memory(w, &mut tw);
-
-            // T1's batch: [P: nothing, Q: one slot].
-            let before = cluster.node_stats(n).batched_flushes;
-            let flushed = dsm.flush_frames(n, cluster.node(n), &mut t1, &dirty, false, None);
-            dsm.unwrap_rpc(flushed);
-            assert_eq!(cluster.node_stats(n).batched_flushes, before + 1);
-            assert_eq!(dirty[0].1.version(), retained, "{kind:?}: P not forwarded");
-
-            // Copies the home confirmed instead of shipping.
-            let confirmed = || cluster.node_stats(n).pages_revalidated;
-            let before = confirmed();
-            dsm.invalidate_cache(n, &mut t1);
-            assert_eq!(dsm.get(n, &mut t1, p.offset(1)), 77, "{kind:?}");
-            assert_eq!(dsm.get(n, &mut t1, p), 1, "{kind:?}");
-            assert_eq!(confirmed(), before, "{kind:?}");
-            // Q was written by this node alone and stays current.
-            assert_eq!(dsm.get(n, &mut t1, q.offset(1)), 2, "{kind:?}");
-            assert_eq!(confirmed(), before + 1, "{kind:?}: Q forwarded");
-        }
-    }
-
-    /// Litmus for a fold landing inside a home write: a remote fetch ships
-    /// the stored value before the writer logs the page.  The entry names
-    /// that step; the next home write lands in the step after it and must
-    /// be logged, and named by the next release, again.
-    #[test]
-    fn litmus_a_fold_between_a_home_write_and_its_log_entry_leaves_the_next_write_noticed() {
-        for kind in ProtocolKind::all_extended() {
-            let alloc = Arc::new(IsoAllocator::new(2));
-            let store = DsmStore::new(Arc::clone(&alloc), 2);
-            let dsm = DsmSystem::new(Cluster::new(myrinet_200().machine, 2), store, kind);
-            let p = alloc.alloc_page_aligned(SLOTS_PER_PAGE, NodeId(0));
-            let (h, r, mut t, mut cursor) = (NodeId(0), NodeId(1), ThreadClock::new(), 0);
-            assert_eq!(dsm.get(r, &mut t, p), 0, "{kind:?}: starts a history");
-            let frame = dsm.store.frame(h, p.page());
-            assert!(frame.store_slot(p.slot(), 1), "{kind:?}");
-            dsm.invalidate_cache(r, &mut t);
-            assert_eq!(dsm.get(r, &mut t, p), 1, "{kind:?}: folded and shipped");
-            dsm.written[h.index()].log_home_write(p.page(), &frame);
-            let first = dsm.release(h, &mut t, &mut cursor, None).1;
-            dsm.put(h, &mut t, p.offset(1), 2);
-            let second = dsm.release(h, &mut t, &mut cursor, None).1;
-            let at = |stamp| Notices::from_pairs(vec![(p.page(), stamp)]);
-            let shipped = dsm.store.frame(r, p.page()).version();
-            assert_eq!((first, &second), (at(shipped), &at(shipped + 1)));
-            dsm.acquire(r, &mut t, &second, None);
-            assert_eq!(dsm.get(r, &mut t, p.offset(1)), 2, "{kind:?}");
-        }
     }
 }

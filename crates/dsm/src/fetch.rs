@@ -10,7 +10,7 @@
 //!
 //! This is a second `impl DsmSystem` block (split out of `engine.rs` to
 //! keep the engine readable): everything here is mechanism — RPC framing,
-//! fetch-lock order, ticket bookkeeping — parameterised by the detection's
+//! batching, ticket bookkeeping — parameterised by the detection's
 //! decisions (batch ceiling, re-access prediction, the technique that says
 //! whether an installed copy must be opened; see [`crate::detection`]).
 
@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use hyperion_model::sync::{lock, try_lock};
+use hyperion_model::sync::lock;
 use hyperion_model::{NodeStats, ThreadClock, VTime};
 use hyperion_pm2::{Node, NodeId, PageId};
 
@@ -92,11 +92,11 @@ impl NodeFetchState {
 
 impl DsmSystem {
     /// One conditional fetch RPC to `home` for the contiguous run of its pages
-    /// starting at `first`, whose frames on this node are `frames` (the
-    /// caller holds their fetch locks).  Each frame either has its retained
-    /// copy re-opened ("not modified") or a fresh copy installed.  Returns
-    /// whether the run starts where this node's previous fetch from `home`
-    /// ended (it continues a scan) and the instant the reply arrives.
+    /// starting at `first`, whose frames on this node are `frames`.  Each
+    /// frame either has its retained copy re-opened ("not modified") or
+    /// patched, or a fresh copy installed.  Returns whether the run starts
+    /// where this node's previous fetch from `home` ended (it continues a
+    /// scan) and the instant the reply arrives.
     fn fetch_run(
         &self,
         node_ref: &Node,
@@ -130,7 +130,7 @@ impl DsmSystem {
     }
 
     /// Act on the home's `answer` for `page`, whose frame on this node is
-    /// `frame` (its fetch lock held): install the page shipped, or re-open
+    /// `frame`: install the page shipped, or re-open
     /// or patch the retained copy, counted in `pages_revalidated` /
     /// `pages_patched`.  Bytes the home did not just ship are in use from
     /// there on, so debug builds check them against the home.  A fetch's
@@ -172,7 +172,7 @@ impl DsmSystem {
     /// ([`crate::gate::Windowed`]), so a node whose scans went wrong probes
     /// again once it has faded, and a node with fewer than 8 on record (a
     /// newcomer, or one probing again) issues at most two per fetch.  Pages
-    /// that are present, home or contended issue nothing.
+    /// that are present or home issue nothing.
     fn issue_stride_fetches(
         &self,
         node_ref: &Node,
@@ -203,14 +203,6 @@ impl DsmSystem {
             }
             let frame = self.store.frame(node, page);
             if frame.is_home() || frame.is_present() {
-                continue;
-            }
-            // A contended fetch lock means another thread is already loading
-            // the page; the prefetch has nothing left to add.
-            let Some(_guard) = try_lock(frame.fetch_lock()) else {
-                continue;
-            };
-            if frame.is_present() {
                 continue;
             }
             let unprotect = self.detection.technique(&frame) == AdMode::Protect;
@@ -272,12 +264,6 @@ impl DsmSystem {
         speculate: bool,
     ) -> Result<(), RpcFailure> {
         let unprotect = self.detection.technique(frame) == AdMode::Protect;
-        let guard = lock(frame.fetch_lock());
-        if frame.is_present() && !frame.is_protected() {
-            // Another thread on this node completed the load while we were
-            // waiting on the fetch lock.
-            return Ok(());
-        }
         let home = self.store.home_of(page);
         let max_batch = self.detection.batch_ceiling();
 
@@ -310,20 +296,7 @@ impl DsmSystem {
             }
             candidates.push((qf, !certain));
         }
-        // Lock phase: keep the prefix whose fetch locks are free right now;
-        // a contended or concurrently-installed page ends the run (the batch
-        // must stay contiguous).
-        let mut guards = Vec::with_capacity(candidates.len());
-        for (qf, _) in &candidates {
-            let Some(g) = try_lock(qf.fetch_lock()) else {
-                break;
-            };
-            if qf.is_present() {
-                break;
-            }
-            guards.push(g);
-        }
-        let (batch, count) = (guards.len(), 1 + guards.len());
+        let count = 1 + candidates.len();
 
         let machine = self.cluster.machine();
         NodeStats::bump_by(&node_ref.stats.page_loads, count as u64);
@@ -333,7 +306,7 @@ impl DsmSystem {
             clock.advance(machine.batch_request_overhead((count - 1) as u64));
         }
         let run: Vec<&PageFrame> = std::iter::once(frame)
-            .chain(candidates.iter().take(batch).map(|(qf, _)| &**qf))
+            .chain(candidates.iter().map(|(qf, _)| &**qf))
             .collect();
         let (scan, wire_completion) = self.fetch_run(node_ref, clock, home, page, &run)?;
         let issue = clock.now();
@@ -346,7 +319,7 @@ impl DsmSystem {
         // understated for exactly the pages the prefetcher targets.
         let mut batch_protected = false;
         let mut speculative_pages = 0u64;
-        for (qf, speculative) in candidates.iter().take(batch) {
+        for (qf, speculative) in &candidates {
             if qf.is_home() {
                 continue;
             }
@@ -380,7 +353,7 @@ impl DsmSystem {
                 // and only make a slower thread that touches one of its pages
                 // first wait until the batch had actually arrived.
                 let done = clock.now();
-                for (qf, _) in candidates.iter().take(batch) {
+                for (qf, _) in &candidates {
                     if !qf.is_home() {
                         qf.begin_inflight(done.as_ps(), done.as_ps(), false);
                     }
@@ -391,14 +364,12 @@ impl DsmSystem {
             if !promoted {
                 frame.begin_inflight(issue.as_ps(), completion.as_ps(), false);
             }
-            for (qf, _) in candidates.iter().take(batch) {
+            for (qf, _) in &candidates {
                 if !qf.is_home() {
                     qf.begin_inflight(issue.as_ps(), completion.as_ps(), false);
                 }
             }
         }
-        drop(guards);
-        drop(guard);
         if scan {
             self.issue_stride_fetches(node_ref, clock, home, PageId(page.0 + count as u64));
         }

@@ -28,7 +28,7 @@ impl Windowed {
         self.outcomes.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// A racing update may be lost with the halving: these are heuristics.
+    /// Fade the record: both counts halve.
     pub(crate) fn halve(&self) {
         for count in [&self.trials, &self.outcomes] {
             count.store(count.load(Ordering::Relaxed) / 2, Ordering::Relaxed);

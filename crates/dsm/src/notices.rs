@@ -21,13 +21,11 @@
 //! release therefore also names pages another thread of its node flushed
 //! for it — conservative, never wrong.
 
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 
 use hyperion_model::sync::lock;
 use hyperion_model::{MachineModel, VTime};
 use hyperion_pm2::{NodeId, PageId};
-
-use crate::page::PageFrame;
 
 /// `(page, stamp)` pairs sorted by page, one per page: for every page a
 /// write this knowledge covers has changed, the smallest home stamp a copy
@@ -114,10 +112,6 @@ impl Notices {
 /// twice as many entries as the node has written pages.
 #[derive(Debug, Default)]
 pub(crate) struct NodeLog {
-    /// Held across every flush of the node, from taking the dirty slots to
-    /// logging the acknowledgements: a release that found its writes taken
-    /// by another thread's flush waits for them to be logged.
-    flushes: Mutex<()>,
     log: Mutex<Log>,
 }
 
@@ -131,11 +125,6 @@ impl NodeLog {
         lock(&self.log).1
     }
 
-    /// Hold while flushing (see `flushes`).
-    pub(crate) fn flushing(&self) -> MutexGuard<'_, ()> {
-        lock(&self.flushes)
-    }
-
     /// Append pages at their stamps, in order.
     pub(crate) fn push(&self, pages: impl IntoIterator<Item = (PageId, u64)>) {
         let mut log = lock(&self.log);
@@ -144,19 +133,8 @@ impl NodeLog {
             .for_each(|(page, stamp)| append(&mut log, page, stamp));
     }
 
-    /// Name home page `page`, whose `frame` a home write just found
-    /// unlogged, unless another writer's claim got there first.
-    pub(crate) fn log_home_write(&self, page: PageId, frame: &PageFrame) {
-        let mut log = lock(&self.log);
-        if frame.claim_log_entry() {
-            append(&mut log, page, u64::MAX);
-        }
-    }
-
-    /// Every entry from `cursor` on, moving `cursor` to the end, once no
-    /// flush is under way.
+    /// Every entry from `cursor` on, moving `cursor` to the end.
     pub(crate) fn since(&self, cursor: &mut u64) -> Vec<(PageId, u64)> {
-        let _flushed = lock(&self.flushes);
         let log = lock(&self.log);
         let from = log.0.partition_point(|e| e.0 < *cursor);
         *cursor = log.1;

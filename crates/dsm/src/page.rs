@@ -6,9 +6,11 @@
 //! copy is shared by every thread running on that node.
 //!
 //! A frame's 8-byte slots are `AtomicU64`s accessed with relaxed ordering —
-//! on the modelled x86 machines these are plain loads and stores, and using
-//! atomics keeps the reproduction free of undefined behaviour even when an
-//! application contains a (Java-level) data race.
+//! on the modelled x86 machines these are plain loads and stores.  One
+//! caller at a time is inside the DSM, but a handler may serve a home frame
+//! from a socket server thread, so frames stay shared state without
+//! `unsafe`; the request and its reply, not the orderings of the frame's
+//! atomics, order the caller's accesses and the handler's.
 //!
 //! ## Page versions
 //!
@@ -23,23 +25,15 @@
 //! ask the home "still at this stamp?" and, if so, re-open them.
 //!
 //! Why stamp equality implies the retained bytes are what a refetch would
-//! return (the JMM argument):
-//!
-//! * Writers store data first and stamp second (`Release`); the fetch
-//!   handler reads the stamp first (`Acquire`) and the bytes second.  A
-//!   copy can therefore carry a stamp *older* than its bytes — the next
-//!   fetch then mismatches and ships what the copy seems to have missed,
-//!   which is merely conservative — but never a stamp *newer* than its
-//!   bytes.
-//! * A write that happens-before an acquire has reached the home, stamp
-//!   included, by the time that acquire's fetches run: a release flushes
-//!   its diffs synchronously, and a home-local write sets its flag before
-//!   the writing thread can release anything.
-//! * Stamps only grow, across re-homing too, so a stamp never comes back.
-//!
-//! A write still racing with the fetch (no happens-before edge) may be
-//! missed by a "not modified" answer exactly as it may be missed by a
-//! snapshot taken an instant earlier: a Java-level data race, not staleness.
+//! return: one caller at a time is inside the DSM (`crate::engine`), so no
+//! write is under way while a handler answers, and every write is in the
+//! stamp by then — a diff moves it where it lands, a home write is folded in
+//! by the handler that reads it ([`PageFrame::stamp`]).  A copy can carry a
+//! stamp *older* than its bytes (its node's own flushed writes, when another
+//! writer's step came between; see [`PageFrame::forward_version`]) — the
+//! next fetch then ships what it seems to have missed, which is merely
+//! conservative — but never one *newer* than its bytes.  Stamps only grow,
+//! across re-homing too, so a stamp never comes back.
 //!
 //! The one invariant all of this serves: **a non-home frame is `present`
 //! only if its home shipped, patched (by a fetch or a grant) or confirmed
@@ -51,31 +45,21 @@
 //! stamp.  The explicit `invalidateCache` drops every copy, which keeps the
 //! invariant trivially.
 //!
-//! ## Home writes and the first ship
+//! ## Home writes
 //!
 //! A release names the pages its node flushed (at the stamps the diff
 //! acknowledgements carry) and the home pages its node wrote.  A home write
 //! needs a notice only if a copy of the page may exist elsewhere — if some
 //! handler has stamped the page, i.e. its change history exists; the
 //! interior blocks of Jacobi and ASP never get one and never cost a notice.
-//! Such a write puts the page in the node's write log once per step of the
-//! stamp ([`PageFrame::store_slot`]), and the release that reads the entry
-//! names the stamp the next fold will produce
+//! Such a write records its slot and, the first time after a fold, puts the
+//! page in the node's write log ([`PageFrame::store_slot`]); the release
+//! that reads the entry names the stamp the next fold will produce
 //! ([`PageFrame::written_stamp`]): every copy without the write is older,
 //! every copy shipped from then on holds it.  A page nobody fetches keeps
 //! its stamp, so writing it again and again costs its readers one notice.
-//! The logged mark is set only beside a pending write, and the fold clears
-//! both: a fold between a write's store and its entry leaves the page
-//! unlogged, the entry still goes in, and the next write logs it again.
-//!
-//! A home write racing with the *first* ship of its page is ordered
-//! Dekker-style: the writer stores the slot, issues a `SeqCst` fence and
-//! then looks for the history; the handler creates the history, issues a
-//! `SeqCst` fence and then reads the page.  Of the two fences one comes
-//! first in the single total order of `SeqCst` fences.  If the writer's
-//! does, the handler's read sees the slot, and the shipped copy holds the
-//! write; if the handler's does, the writer sees the history and logs a
-//! notice.  Either way no copy misses a write without a notice naming it.
+//! A home write before the page has a history records no slot: the first
+//! ship copies it, and the fold that stamps it breaks the history.
 //!
 //! ## Change history
 //!
@@ -84,23 +68,21 @@
 //! step the stamp it produced and the bitmap of slots that changed in it
 //! — a diff's slots, or the slots the home itself wrote since the step
 //! before.  A fetch whose retained stamp is within the history is answered
-//! with the slots of the steps it missed instead of the page
-//! ([`PageFrame::changes_since`]), values read after the stamp as ever —
-//! which is all a patch needs: every write stamped at or below the stamp
-//! handed out has its slot among those steps and its value (or a newer
-//! one) among the values read, and a home slot never goes back to a value
-//! the copy has already seen.  The same stamp comparison decides what is
-//! current; only the encoding of the answer differs.
+//! with the current values of the slots of the steps it missed instead of
+//! the page ([`PageFrame::changes_since`]): every write stamped at or below
+//! the stamp handed out has its slot among those steps.  The same stamp
+//! comparison decides what is current; only the encoding of the answer
+//! differs.
 //!
 //! The invariant: **a stamp value is never observable before the step
 //! that produced it is in the history, or the history is broken at it**
 //! (it is whole only from that stamp on, so every copy from before it is
 //! shipped whole).  The stamp only moves under the history's lock, and handlers
 //! only read it there.  Broken at: a re-homing (the new home starts a
-//! stride above, with no steps), a home write that did not see the
-//! history yet, a step older than the ring.
+//! stride above, with no steps), a home write from before the history, a
+//! step older than the ring.
 
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use hyperion_model::sync::lock;
@@ -122,13 +104,9 @@ pub const HISTORY_DEPTH: usize = 8;
 /// The fold breaks the history at the step it makes for it.
 const HOME_WROTE: u8 = 1;
 /// `PageFrame::home_wrote` bit: the home wrote the page since the last
-/// stamp and every slot it wrote is in the `dirty` bitmap.
+/// stamp, every slot it wrote is in the `dirty` bitmap, and the node's
+/// write log names the page.
 const HOME_TRACKED: u8 = 2;
-/// `PageFrame::home_wrote` bit: the node's write log has named the page
-/// since the last stamp.
-const HOME_LOGGED: u8 = 4;
-/// The `PageFrame::home_wrote` bits of a write the next fold steps for.
-const PENDING: u8 = HOME_WROTE | HOME_TRACKED;
 
 /// A bitmap over the slots of one page.
 pub type SlotSet = [u64; DIRTY_WORDS];
@@ -220,9 +198,6 @@ pub struct PageFrame {
     /// last flush.  Home frame with a history: one bit per slot the home
     /// itself wrote since the last step of the stamp.
     dirty: [AtomicU64; DIRTY_WORDS],
-    /// Serialises page fetches for this frame so concurrent faulting threads
-    /// on one node perform a single load.
-    fetch_lock: Mutex<()>,
     /// `java_ad`'s per-page detection state (see `crate::detection`).
     ad: AdState,
     /// Split-transaction transport: virtual completion time (picoseconds) of
@@ -261,7 +236,6 @@ impl PageFrame {
             data: OnceLock::new(),
             version: AtomicU64::new(u64::from(home)),
             dirty: std::array::from_fn(|_| AtomicU64::new(0)),
-            fetch_lock: Mutex::new(()),
             ad: AdState::default(),
             inflight_completion_ps: AtomicU64::new(0),
             inflight_issue_ps: AtomicU64::new(0),
@@ -306,11 +280,6 @@ impl PageFrame {
     #[inline]
     pub fn data(&self) -> &PageData {
         self.data.get_or_init(PageData::zeroed)
-    }
-
-    /// Lock guarding page fetches for this frame.
-    pub fn fetch_lock(&self) -> &Mutex<()> {
-        &self.fetch_lock
     }
 
     /// Install a fresh copy of the page (after a fetch from the home node),
@@ -373,9 +342,7 @@ impl PageFrame {
     /// folds nothing, so as long as nobody fetches the page, releases that
     /// write it again name the same stamp and teach nobody anything new.
     pub fn written_stamp(&self) -> u64 {
-        let _no_fold = lock(self.history());
-        let stamp = self.version.load(Ordering::Acquire);
-        stamp + u64::from(self.home_wrote.load(Ordering::Acquire) & PENDING != 0)
+        self.version() + u64::from(self.home_wrote.load(Ordering::Relaxed) != 0)
     }
 
     /// Home side: the current stamp (as [`PageFrame::stamp`]) and, if the
@@ -420,19 +387,14 @@ impl PageFrame {
         self.step(&mut history, Some(changed))
     }
 
-    /// The history, allocated on first use: whole from the current stamp
-    /// (which cannot move before this returns — it moves under the lock).
+    /// The history, allocated on first use: whole from the current stamp.
     fn history(&self) -> &Mutex<History> {
-        let history = self.history.get_or_init(|| {
+        self.history.get_or_init(|| {
             Box::new(Mutex::new(History {
-                whole_from: self.version.load(Ordering::Acquire),
+                whole_from: self.version(),
                 steps: [[0; DIRTY_WORDS]; HISTORY_DEPTH],
             }))
-        });
-        // The handler's half of the first-ship ordering (module docs): a
-        // home write either sees the history or is in view from here on.
-        fence(Ordering::SeqCst);
-        history
+        })
     }
 
     /// Move the stamp one step under the history's lock: the step goes in
@@ -450,13 +412,11 @@ impl PageFrame {
 
     /// Fold a pending home write into the stamp: one step whose slots are
     /// the `dirty` bits, or a break if some write did not record its slot.
-    /// A write landing meanwhile flags the page again; its bit may already
-    /// be in this step, which is merely conservative.
     fn fold(&self, history: &mut History) -> u64 {
-        match self.home_wrote.swap(0, Ordering::AcqRel) & PENDING {
-            0 => self.version.load(Ordering::Acquire),
+        match self.home_wrote.swap(0, Ordering::Relaxed) {
+            0 => self.version(),
             flag => {
-                let changed = self.take_dirty_bits(Ordering::AcqRel);
+                let changed = self.take_dirty_bits();
                 self.step(history, (flag == HOME_TRACKED).then_some(changed))
             }
         }
@@ -467,15 +427,9 @@ impl PageFrame {
     /// diff's slots were collected.  If `post` is exactly one step past it,
     /// nobody else changed the page in between and the copy — which held
     /// the flushed values all along — is current at `post`.
-    ///
-    /// The stamp must also *still* be `retained`: another thread of this
-    /// node that re-installed the page while the diff was in flight took a
-    /// snapshot without the diff's values, and moved the stamp doing so.
     pub fn forward_version(&self, retained: u64, post: u64) {
         if retained != 0 && post == retained + 1 {
-            let _ =
-                self.version
-                    .compare_exchange(retained, post, Ordering::AcqRel, Ordering::Relaxed);
+            self.version.store(post, Ordering::Release);
         }
     }
 
@@ -504,45 +458,22 @@ impl PageFrame {
     /// Write a slot of this frame and remember it in the dirty bitmap: on
     /// non-home frames so `updateMainMemory` can flush it (object-field
     /// granularity, §3.1), on home frames with a history so the next step
-    /// of the stamp names it.  True for a home write the node's write log
-    /// may not name yet: the caller logs the page (module docs, "Home writes
-    /// and the first ship").
+    /// of the stamp names it.  True for the first home write since the last
+    /// fold of a page with a history: the caller puts the page in its
+    /// node's write log (module docs, "Home writes").
     #[inline]
     pub fn store_slot(&self, slot: usize, value: u64) -> bool {
         self.data().store(slot, value);
-        let bit = 1u64 << (slot % 64);
-        if !self.is_home() {
-            self.dirty[slot / 64].fetch_or(bit, Ordering::Relaxed);
-            return false;
-        }
-        // The writer's half of the first-ship ordering (module docs).
-        fence(Ordering::SeqCst);
-        if self.history.get().is_none() {
-            // No slot recorded: a history allocated meanwhile is broken at
-            // the step that folds the bit.  The fence above already put the
-            // data in view of whoever allocates it, so of every fold.
+        let home = self.is_home();
+        if home && self.history.get().is_none() {
+            // No slot recorded: the fold breaks the history it steps.
             if self.home_wrote.load(Ordering::Relaxed) & HOME_WROTE == 0 {
-                self.home_wrote.fetch_or(HOME_WROTE, Ordering::Release);
+                self.home_wrote.fetch_or(HOME_WROTE, Ordering::Relaxed);
             }
             return false;
         }
-        // Data first, slot bit second, flag third: the fold clears the flag
-        // before it takes the slot bits (both `AcqRel`, pairing with these),
-        // so a bit it misses finds the flag clear and sets it again.
-        self.dirty[slot / 64].fetch_or(bit, Ordering::AcqRel);
-        self.home_wrote.fetch_or(HOME_TRACKED, Ordering::AcqRel) & HOME_LOGGED == 0
-    }
-
-    /// Claim the write-log entry of the home writes pending on this page:
-    /// true if the caller must append one.  The log claims under its lock,
-    /// so a writer that finds the page logged knows the entry is in the log
-    /// for any release that reads it next.  After a fold only the entry is
-    /// due: the mark needs a pending write (module docs).
-    pub(crate) fn claim_log_entry(&self) -> bool {
-        let claim = |w| (w & PENDING != 0).then_some(w | HOME_LOGGED);
-        let flags = &self.home_wrote;
-        let was = flags.fetch_update(Ordering::AcqRel, Ordering::Acquire, claim);
-        was.map_or(true, |w| w & HOME_LOGGED == 0)
+        self.dirty[slot / 64].fetch_or(1u64 << (slot % 64), Ordering::Relaxed);
+        home && self.home_wrote.fetch_or(HOME_TRACKED, Ordering::Relaxed) & HOME_TRACKED == 0
     }
 
     /// True if any slot has been modified since the last flush.
@@ -580,14 +511,11 @@ impl PageFrame {
     /// Consume the in-flight ticket, if any: returns
     /// `(issue_ps, completion_ps, stride)` exactly once per transaction.
     pub fn take_inflight(&self) -> Option<(u64, u64, bool)> {
-        // Fast path: nothing in flight (the common case on every access).
-        if self.inflight_completion_ps.load(Ordering::Acquire) == 0 {
+        let completion = self.inflight_completion_ps.load(Ordering::Acquire);
+        if completion == 0 {
             return None;
         }
-        let completion = self.inflight_completion_ps.swap(0, Ordering::AcqRel);
-        if completion == 0 {
-            return None; // another thread completed it first
-        }
+        self.inflight_completion_ps.store(0, Ordering::Release);
         Some((
             self.inflight_issue_ps.load(Ordering::Relaxed),
             completion,
@@ -626,9 +554,6 @@ impl PageFrame {
             SLOTS_PER_PAGE * 8,
             "page snapshot has the wrong length"
         );
-        // Flip home first so concurrent writes stop recording dirty bits
-        // (their values are kept either way: dirty bits only ever make us
-        // prefer the local value).
         self.home.store(true, Ordering::Release);
         let data = self.data();
         for (i, chunk) in snapshot.chunks_exact(8).enumerate() {
@@ -668,11 +593,11 @@ impl PageFrame {
 
     /// Collect and clear the dirty slots, returning `(slot, value)` pairs.
     pub fn take_dirty(&self) -> Vec<(u16, u64)> {
-        self.load_slots(&self.take_dirty_bits(Ordering::Relaxed))
+        self.load_slots(&self.take_dirty_bits())
     }
 
-    fn take_dirty_bits(&self, order: Ordering) -> SlotSet {
-        std::array::from_fn(|w| self.dirty[w].swap(0, order))
+    fn take_dirty_bits(&self) -> SlotSet {
+        std::array::from_fn(|w| self.dirty[w].swap(0, Ordering::Relaxed))
     }
 
     /// The current values of `slots`, as ascending `(slot, value)` pairs.
@@ -819,8 +744,6 @@ mod tests {
         let remote = PageFrame::new_remote();
         remote.install_copy(&PageData::zeroed().snapshot_bytes(), 4);
         remote.forward_version(4, 6); // someone else wrote in between
-        assert_eq!(remote.version(), 4);
-        remote.forward_version(3, 5); // re-installed at 4 with the diff in flight
         assert_eq!(remote.version(), 4);
         remote.forward_version(4, 5); // only this node's diff
         assert_eq!(remote.version(), 5);

@@ -24,8 +24,8 @@
 //! ## Recovery walkthrough
 //!
 //! A node is killed fail-stop *as a server* (its own threads keep
-//! computing).  The first survivor whose RPC fails with `NodeDown` takes the
-//! store's recovery lock and, for every page the dead node homed:
+//! computing).  The first survivor whose RPC fails with `NodeDown` marks
+//! the node failed and, for every page the dead node homed:
 //!
 //! 1. elects the new home: the replica holder with the newest quorum-write
 //!    version ([`crate::table::DsmStore::newest_live_replica`]), falling
@@ -41,11 +41,11 @@
 //! 3. charges the re-sync: `resync_page_cycles` plus one page transfer on
 //!    the wire, all visible in `pages_resynced`.
 //!
-//! Recovery is idempotent and serialised: exactly one observer performs it
-//! (`mark_failed` returns true once), holding the store's home-assignment
-//! lock exclusively — so no in-flight diff can land on a dead home's frame
-//! after it was snapshotted — while concurrent observers block on that lock
-//! and then simply re-route.
+//! Recovery is idempotent: exactly one observer performs it
+//! (`mark_failed` returns true once), and later observers simply re-route.
+//! One caller at a time is inside the DSM, so no handler runs while the
+//! pages change hands: no diff lands on a dead home's frame after it was
+//! snapshotted.
 
 use hyperion_model::{NodeStats, ThreadClock, VTime};
 use hyperion_pm2::{Node, NodeId, PageId, ServiceId, TransportError, PAGE_BYTES};
@@ -199,9 +199,6 @@ impl DsmSystem {
     /// the module docs for the walkthrough.  Idempotent — only the first
     /// observer does the work; the observer's clock is charged the re-sync.
     pub(crate) fn recover_node(&self, node_ref: &Node, clock: &mut ThreadClock, peer: NodeId) {
-        // Exclusive for the whole node: no diff lands on a home frame
-        // while the dead node's pages change hands.
-        let exclusive = self.store.lock_homes();
         if !self.store.mark_failed(peer) {
             // An earlier observer already re-homed everything; the caller
             // just re-routes.
@@ -221,10 +218,9 @@ impl DsmSystem {
                 .store
                 .newest_live_replica(page)
                 .unwrap_or_else(|| self.store.first_live_node());
-            self.store.rehome(&exclusive, page, winner);
+            self.store.rehome(page, winner);
             resynced += 1;
         }
-        drop(exclusive);
         if resynced > 0 {
             NodeStats::bump_by(&node_ref.stats.pages_resynced, resynced);
             clock.advance(

@@ -154,11 +154,6 @@ pub(crate) fn apply_diff_message(
     };
     for (page, entries) in &diffs {
         out.slots += entries.len();
-        // Slots land and the stamp moves with the page's home pinned: a
-        // re-homing (recovery) snapshots the old home under the exclusive
-        // side of the same lock, so no diff can land on a frame after it
-        // stopped being main memory.
-        let pinned = store.pin_homes();
         // Apply to the *current* home frame (see `answer_page` on why this
         // may differ from the addressed node after a recovery).
         let home_now = store.home_of(*page);
@@ -166,16 +161,15 @@ pub(crate) fn apply_diff_message(
             home_now == nominal_home || store.page_rehomed(*page),
             "diff sent to a node that is not the page's home"
         );
-        // A page that rode along with nothing to apply leaves its stamp
-        // alone and is acknowledged with 0: the current stamp is other
-        // writers' work, and a writer told of it would take their step for
-        // its own (write-ack forwarding) without holding their data.
+        // A page with nothing to apply (the wire allows it; this DSM never
+        // sends one) leaves its stamp alone and is acknowledged with 0: the
+        // current stamp is other writers' work, and a writer told of it would
+        // take their step for its own (write-ack forwarding).
         let post = if entries.is_empty() {
             0
         } else {
             store.with_frame(home_now, *page, |f| f.apply_diff(entries))
         };
-        drop(pinned);
         out.versions.push(post);
         if let Some((_, write_quorum)) = replication {
             // Quorum write: advance the page's replica version and ship
@@ -226,6 +220,7 @@ impl HomeService {
 
 impl RpcHandler for HomeService {
     fn handle(&self, target: &Node, caller: NodeId, payload: &[u8]) -> RpcReply {
+        let _serving = self.store.serving.enter(self.name());
         self.serve(target, caller, payload)
             .unwrap_or_else(|e| RpcReply::malformed(format!("{} request: {e}", self.name())))
     }

@@ -6,19 +6,18 @@
 //! pages are allocated.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, RwLock};
 
 use hyperion_model::sync::{read, write};
 use hyperion_pm2::{IsoAllocator, NodeId, PageId};
 
+use crate::oracle::OneCaller;
 use crate::page::PageFrame;
 
 /// How far a re-homing lifts a page's stamp.  Within one home's tenure the
-/// stamp moves by single steps; the fetch handler is not serialised with
-/// re-homing, so a straggling step on the *demoted* frame (a `put` that
-/// raced with the demotion, folded by a fetch that resolved the old home an
-/// instant earlier) may still be handed out — but it can never climb a
-/// whole stride into the new home's range.
+/// stamp moves by single steps, so no stamp the old home handed out comes
+/// near the new home's range: no copy fetched before the move validates
+/// after it.
 const REHOME_STRIDE: u64 = 1 << 32;
 
 /// Replication metadata of one page: which nodes hold read replicas and how
@@ -83,13 +82,9 @@ pub struct DsmStore {
     replicas: RwLock<HashMap<u64, ReplicaSet>>,
     /// Nodes that have failed fail-stop and been recovered from.
     failed: RwLock<HashSet<u32>>,
-    /// Guards every page's home assignment.  The diff-apply handler holds
-    /// it shared while it writes a home frame; a re-homing (the recovery of
-    /// a dead node's pages — which keeps it for the whole node, so
-    /// concurrent observers of the same death wait here and then see the
-    /// recovered routing) holds it exclusively.  No diff can therefore
-    /// land on a frame after it was snapshotted for its successor.
-    homes: RwLock<()>,
+    /// The handler running on one of the store's home frames, if any (debug
+    /// builds; see `crate::oracle::OneCaller`).
+    pub(crate) serving: OneCaller,
 }
 
 impl DsmStore {
@@ -104,7 +99,7 @@ impl DsmStore {
             num_overrides: std::sync::atomic::AtomicUsize::new(0),
             replicas: RwLock::new(HashMap::new()),
             failed: RwLock::new(HashSet::new()),
-            homes: RwLock::new(()),
+            serving: OneCaller::default(),
         })
     }
 
@@ -136,18 +131,6 @@ impl DsmStore {
         self.allocator.home_of(page)
     }
 
-    /// Hold every page's home in place while the diff-apply handler writes
-    /// a home frame (shared side of the home-assignment lock).
-    pub(crate) fn pin_homes(&self) -> RwLockReadGuard<'_, ()> {
-        read(&self.homes)
-    }
-
-    /// Take the home-assignment lock exclusively; [`DsmStore::rehome`]
-    /// wants the guard as proof.
-    pub(crate) fn lock_homes(&self) -> RwLockWriteGuard<'_, ()> {
-        write(&self.homes)
-    }
-
     /// Move `page`'s home to node `to`.
     ///
     /// The old home is demoted first, so writes its own threads issue from
@@ -156,7 +139,7 @@ impl DsmStore {
     /// (local writes it has pending survive) a whole [`REHOME_STRIDE`]
     /// above the old home's stamp, so no copy fetched before the move
     /// validates against the new home.
-    pub(crate) fn rehome(&self, _exclusive: &RwLockWriteGuard<'_, ()>, page: PageId, to: NodeId) {
+    pub(crate) fn rehome(&self, page: PageId, to: NodeId) {
         let from = self.home_of(page);
         let (stamp, snapshot) = self.with_frame(from, page, |f| {
             (f.demote_from_home(), f.data().snapshot_bytes())
@@ -504,42 +487,13 @@ mod tests {
         new.store_slot(5, 55);
         let handed_out = old.stamp();
 
-        store.rehome(&store.lock_homes(), page, NodeId(2));
+        store.rehome(page, NodeId(2));
         assert_eq!(store.home_of(page), NodeId(2));
         assert!(store.page_rehomed(page));
         assert!(!old.is_home() && old.is_present());
         assert!(new.is_home() && !new.has_dirty_slots());
         assert_eq!((new.load_slot(3), new.load_slot(5)), (33, 55));
         assert!(new.stamp() > handed_out, "no older copy can validate");
-    }
-
-    #[test]
-    fn a_pinned_handler_holds_recovery_off_until_its_diff_has_landed() {
-        // The chaos-suite deadlock: a diff landed on a dead home's frame
-        // after recovery had snapshotted it, the update (a barrier's
-        // generation word) was lost and its waiters slept forever.
-        let (alloc, store) = store(2);
-        let addr = alloc.alloc(4, NodeId(0));
-        let page = addr.page();
-        let home = store.frame(NodeId(0), page);
-        let rehomed = std::sync::atomic::AtomicBool::new(false);
-        std::thread::scope(|s| {
-            let pinned = store.pin_homes();
-            let recovery = s.spawn(|| {
-                store.rehome(&store.lock_homes(), page, NodeId(1));
-                rehomed.store(true, std::sync::atomic::Ordering::SeqCst);
-            });
-            // However long the handler takes, the re-homing waits for it.
-            for _ in 0..1_000 {
-                std::thread::yield_now();
-            }
-            assert!(!rehomed.load(std::sync::atomic::Ordering::SeqCst));
-            home.apply_diff(&[(addr.slot() as u16, 99)]);
-            drop(pinned);
-            recovery.join().expect("recovery thread");
-        });
-        let new_home = store.frame(NodeId(1), page);
-        assert_eq!(new_home.load_slot(addr.slot()), 99, "diff in the snapshot");
     }
 
     #[test]

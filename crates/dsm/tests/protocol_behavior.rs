@@ -42,11 +42,11 @@ fn fixture_with(
 
 /// A frame exists per page per node, so per-copy state has to fit what a
 /// frame already takes: the grant bit (`fits_grant`) sits in the padding of
-/// its 176 bytes (64-bit Linux, where a `Mutex` is one futex word).
+/// its 168 bytes (64-bit Linux).
 #[test]
 #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
-fn a_page_frame_stays_176_bytes() {
-    assert_eq!(std::mem::size_of::<hyperion_dsm::PageFrame>(), 176);
+fn a_page_frame_stays_168_bytes() {
+    assert_eq!(std::mem::size_of::<hyperion_dsm::PageFrame>(), 168);
 }
 
 #[test]
@@ -269,19 +269,15 @@ fn explicit_load_into_cache_prefetches() {
     }
 }
 
+/// Two threads of one node share its copy: the second finds the page the
+/// first loaded.  They take turns, as the DSM's one caller at a time.
 #[test]
 fn concurrent_threads_on_one_node_fetch_a_page_once() {
     let f = fixture(2, ProtocolKind::JavaIc);
     let addr = f.alloc.alloc(8, NodeId(1));
-    std::thread::scope(|s| {
-        for _ in 0..8 {
-            let dsm = &f.dsm;
-            s.spawn(move || {
-                let mut clock = ThreadClock::new();
-                assert_eq!(dsm.get(NodeId(0), &mut clock, addr), 0);
-            });
-        }
-    });
+    let (mut first, mut second) = (ThreadClock::new(), ThreadClock::new());
+    assert_eq!(f.dsm.get(NodeId(0), &mut first, addr), 0);
+    assert_eq!(f.dsm.get(NodeId(0), &mut second, addr.offset(1)), 0);
     assert_eq!(f.cluster.node_stats(NodeId(0)).page_loads, 1);
 }
 
@@ -1448,6 +1444,30 @@ fn next_fetch_is_a_patch(f: &Fixture, node: u32, fetch: impl FnOnce()) -> Option
         (1, 1, 0) => Some(true),
         (1, 0, 0) => Some(false),
         _ => None,
+    }
+}
+
+/// One thread's unflushed write to a cached page, then another thread of
+/// the same node acquiring a notice for that page: the copy is flushed
+/// before it is dropped, and the refetch holds both writes.
+#[test]
+fn litmus_a_dirty_copy_a_notice_outdates_is_flushed_before_the_drop() {
+    for kind in ProtocolKind::all_extended() {
+        let f = fixture(3, kind);
+        let addr = f.alloc.alloc_page_aligned(16, NodeId(0));
+        let (mut t1, mut t2, mut w) = (ThreadClock::new(), ThreadClock::new(), ThreadClock::new());
+        f.dsm.put(NodeId(2), &mut t1, addr, 5);
+        f.dsm.put(NodeId(1), &mut w, addr.offset(1), 9);
+        let written = f.dsm.release(NodeId(1), &mut w, &mut 0, None).1;
+        let before = f.cluster.node_stats(NodeId(2));
+        f.dsm.acquire(NodeId(2), &mut t2, &written, None);
+        let after = f.cluster.node_stats(NodeId(2));
+        let flushed = after.diff_messages - before.diff_messages;
+        let dropped = after.pages_invalidated - before.pages_invalidated;
+        assert_eq!((flushed, dropped), (1, 1), "{kind:?}");
+        assert_eq!(f.dsm.get(NodeId(0), &mut w, addr), 5, "{kind:?}: home");
+        assert_eq!(f.dsm.get(NodeId(2), &mut t2, addr), 5, "{kind:?}");
+        assert_eq!(f.dsm.get(NodeId(2), &mut t2, addr.offset(1)), 9, "{kind:?}");
     }
 }
 

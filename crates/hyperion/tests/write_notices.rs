@@ -64,11 +64,12 @@
 //!   the exit litmus above, which reads `R` off the releaser's end).
 
 use std::sync::mpsc::channel;
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 
 use hyperion::prelude::*;
 use hyperion::StatsSnapshot;
 use hyperion_dsm::{DsmStore, DsmSystem};
+use hyperion_model::ThreadClock;
 use hyperion_pm2::{Cluster, IsoAllocator};
 
 const SLOTS: usize = 512;
@@ -893,37 +894,27 @@ fn a_join_on_the_releasers_node_waits_for_what_rode_the_release() {
     }
 }
 
-/// The first ship of a page racing with a write on its home: either the
-/// shipped copy holds the write, or the home's release names the page at a
-/// stamp above the copy's (`crate::page` docs, "Home writes and the first
-/// ship").
+/// A write on its home and the first ship of the page, in either order
+/// (`dsm/src/page.rs` docs, "Home writes"): written first, the shipped copy
+/// holds the write; shipped first, the home's release names the page at a
+/// stamp above the copy's.
 #[test]
 fn a_home_write_racing_the_first_ship_is_shipped_or_noticed() {
-    for round in 0..200 {
+    for write_first in [true, false] {
         let cluster = Cluster::new(myrinet_200().machine, 2);
         let alloc = Arc::new(IsoAllocator::new(2));
         let store = DsmStore::new(Arc::clone(&alloc), 2);
         let dsm = DsmSystem::new(cluster, store, ProtocolKind::JavaPf);
         let addr = alloc.alloc_page_aligned(SLOTS, NodeId(0));
-        let start = Barrier::new(2);
-        let (written, copy) = std::thread::scope(|s| {
-            let home = s.spawn(|| {
-                let (mut clock, mut cursor) = (hyperion_model::ThreadClock::new(), 0);
-                start.wait();
-                dsm.put(NodeId(0), &mut clock, addr, 1);
-                dsm.release(NodeId(0), &mut clock, &mut cursor, None).1
-            });
-            let reader = s.spawn(|| {
-                start.wait();
-                dsm.get(NodeId(1), &mut hyperion_model::ThreadClock::new(), addr)
-            });
-            (home.join().unwrap(), reader.join().unwrap())
-        });
+        let (mut home, mut reader, mut cursor) = (ThreadClock::new(), ThreadClock::new(), 0);
+        let mut ship = || dsm.get(NodeId(1), &mut reader, addr);
+        let copy = if write_first { None } else { Some(ship()) };
+        dsm.put(NodeId(0), &mut home, addr, 1);
+        let written = dsm.release(NodeId(0), &mut home, &mut cursor, None).1;
+        let copy = copy.unwrap_or_else(ship);
         let version = dsm.store().frame(NodeId(1), addr.page()).version();
         let noticed = written.iter().any(|(p, s)| p == addr.page() && s > version);
-        assert!(
-            copy == 1 || noticed,
-            "round {round}: a copy at {version} misses the write"
-        );
+        let expected = if write_first { (1, false) } else { (0, true) };
+        assert_eq!((copy, noticed), expected, "write first: {write_first}");
     }
 }

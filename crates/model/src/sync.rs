@@ -1,30 +1,18 @@
 //! The one way the workspace takes a `std::sync` lock.
 //!
-//! Every `Mutex` and `RwLock` is locked through [`lock()`], [`try_lock()`],
-//! [`read()`] and [`write()`]; `clippy.toml` disallows the `std` methods
-//! everywhere else.  Poisoning is ignored: a panic on any thread already
-//! fails the run or the test that caught it, and `Drop for ThreadCtx`
-//! (`Baton::retire` in `hyperion`) takes locks while a panicking thread
-//! unwinds, where a second panic would abort the process instead of
-//! reporting the first.
+//! Every `Mutex` and `RwLock` is locked through [`lock()`], [`read()`] and
+//! [`write()`]; `clippy.toml` disallows the `std` methods everywhere else.
+//! Poisoning is ignored: a panic on any thread already fails the run or the
+//! test that caught it, and `Drop for ThreadCtx` (`Baton::retire` in
+//! `hyperion`) takes locks while a panicking thread unwinds, where a second
+//! panic would abort the process instead of reporting the first.
 #![allow(clippy::disallowed_methods)]
 
-use std::sync::{
-    Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError,
-};
+use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Lock `mutex`, blocking until it is free.
 pub fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Lock `mutex` only if it is free right now.
-pub fn try_lock<T: ?Sized>(mutex: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
-    match mutex.try_lock() {
-        Ok(guard) => Some(guard),
-        Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
-        Err(TryLockError::WouldBlock) => None,
-    }
 }
 
 /// Take `rwlock` for shared reading.
@@ -42,7 +30,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn poisoned_locks_still_lock_and_try_lock_fails_only_while_held() {
+    fn poisoned_locks_still_lock() {
         let mutex = Mutex::new(1);
         let rwlock = RwLock::new(vec![1]);
         std::thread::scope(|s| {
@@ -58,14 +46,7 @@ mod tests {
         *lock(&mutex) += 1;
         assert_eq!(*lock(&mutex), 2);
         write(&rwlock).push(2);
-        {
-            let (a, b) = (read(&rwlock), read(&rwlock));
-            assert_eq!(a.len() + b.len(), 4);
-        }
-        {
-            let _held = lock(&mutex);
-            assert!(try_lock(&mutex).is_none());
-        }
-        assert_eq!(try_lock(&mutex).map(|g| *g), Some(2));
+        let (a, b) = (read(&rwlock), read(&rwlock));
+        assert_eq!(a.len() + b.len(), 4);
     }
 }

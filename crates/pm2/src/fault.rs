@@ -29,10 +29,11 @@
 //!   [`TransportError::NodeDown`].  The node's own threads keep computing —
 //!   recovery of the pages it homed is the DSM layer's job.
 //!
-//! Determinism: `drop_first` and the kill are exactly replayable; the
-//! per-mille draws are replayable in distribution (the call *counter* order
-//! depends on OS thread interleaving when several app threads share the
-//! transport, but single-threaded runs — the chaos unit tests — are exact).
+//! Determinism: every decision replays exactly.  One application thread
+//! runs at a time (the `hyperion` runtime's order), so the calls, and the
+//! counter with them, come in one order: the same spec over the same
+//! workload draws the same faults, and the run repeats bit for bit
+//! (`tests/chaos_recovery.rs`, `identical_specs_replay_identical_fault_counters`).
 //!
 //! [`RetryPolicy`] is plain data: the DSM layer uses it to bound retries in
 //! *virtual* time on the RPC path, and [`crate::SocketTransport`] reuses the

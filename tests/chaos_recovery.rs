@@ -19,7 +19,7 @@ use rand::{Rng, SeedableRng};
 use hyperion_workspace::apps::common::Benchmark;
 use hyperion_workspace::apps::{asp, barnes, jacobi, kvstore, pi, tsp};
 use hyperion_workspace::dsm::{AdaptiveParams, DsmStore, DsmSystem};
-use hyperion_workspace::model::{myrinet_200, ThreadClock, VTime};
+use hyperion_workspace::model::{myrinet_200, StatsSnapshot, ThreadClock, VTime};
 use hyperion_workspace::pm2::{
     Cluster, FaultKill, FaultSpec, GlobalAddr, IsoAllocator, NodeId, RetryPolicy, TransportBackend,
 };
@@ -202,28 +202,48 @@ fn kv_store_kill_schedules_preserve_digest_and_op_count() {
     });
 }
 
-/// Replaying the same spec must reproduce the fault counters exactly — the
-/// whole point of seeded schedules (a chaos failure is re-runnable).
+/// Replaying the same spec must reproduce the run exactly — modeled time
+/// and every counter of every node — the whole point of seeded schedules (a
+/// chaos failure is re-runnable).  One application thread runs at a time, so
+/// the per-call draws come in one order: every kind of fault, a node kill
+/// included, replays bit for bit on every app under every protocol.
 #[test]
 fn identical_specs_replay_identical_fault_counters() {
-    let spec = FaultSpec {
+    let replay = |bench: &dyn Benchmark, protocol, spec, replication| {
+        let transport = TransportConfig {
+            fault: Some(spec),
+            replication,
+            ..TransportConfig::default()
+        };
+        let run = || {
+            let (digest, report) = execute(bench, protocol, &transport);
+            (digest.to_bits(), report.execution_time, report.node_stats)
+        };
+        let (a, b) = (run(), run());
+        assert_eq!(a, b, "{} under {protocol} with `{spec}`", bench.name());
+        StatsSnapshot::total(b.2.iter())
+    };
+    let drops = FaultSpec {
         seed: 99,
         drop_ppm: 25_000,
         dup_ppm: 10_000,
         ..FaultSpec::default()
     };
-    let transport = TransportConfig {
-        fault: Some(spec),
-        ..TransportConfig::default()
-    };
-    let bench = jacobi::JacobiParams::quick();
-    let (da, ra) = execute(&bench, ProtocolKind::JavaPf, &transport);
-    let (db, rb) = execute(&bench, ProtocolKind::JavaPf, &transport);
-    assert_eq!(da.to_bits(), db.to_bits());
-    let (a, b) = (ra.total_stats(), rb.total_stats());
-    assert_eq!(a.frames_dropped_injected, b.frames_dropped_injected);
-    assert_eq!(a.rpc_retries, b.rpc_retries);
-    assert_eq!(a.rpc_timeouts, b.rpc_timeouts);
+    let jacobi = jacobi::JacobiParams::quick();
+    replay(&jacobi, ProtocolKind::JavaPf, drops, None);
+    let every = "seed=7,drop=20000,dup=10000,panic=5000,delay=20000@10us,kill=2@600us";
+    let every = FaultSpec::parse(every).expect("valid spec");
+    let mut runs = Vec::new();
+    for bench in all_benchmarks() {
+        for protocol in ProtocolKind::all_extended() {
+            runs.push(replay(bench.as_ref(), protocol, every, Some((2, 2))));
+        }
+    }
+    let total = StatsSnapshot::total(&runs);
+    assert!(
+        total.frames_dropped_injected > 0 && total.nodes_failed > 0,
+        "{total:?}"
+    );
 }
 
 // ----- exact-counter unit suite --------------------------------------------
@@ -483,4 +503,37 @@ fn a_rehomed_page_is_shipped_whole_to_the_holder_of_an_older_copy() {
     assert_eq!(after.pages_patched, before.pages_patched);
     assert_eq!(after.pages_revalidated, before.pages_revalidated);
     assert!(after.bytes_received - before.bytes_received > 4096);
+}
+
+/// A killed home's own threads keep computing.  A `put` it makes after the
+/// kill instant, before anyone has noticed, is in the snapshot the recovery
+/// demotes and re-homes; after the recovery the same node's writes to the
+/// page are dirty-tracked and flush to the new home like any other node's.
+#[test]
+fn a_killed_homes_put_survives_the_recovery_that_demotes_its_page() {
+    let spec = FaultSpec {
+        seed: 3,
+        kill: Some(FaultKill {
+            node: 0,
+            at: VTime::from_us(500),
+        }),
+        ..FaultSpec::default()
+    };
+    let (dsm, addrs) = build_faulty_dsm(3, spec, &TransportConfig::default());
+    let (page, mut dead, mut reader) = (addrs[0], ThreadClock::new(), ThreadClock::new());
+    assert_eq!(dsm.get(NodeId(2), &mut reader, page), 0);
+    dead.advance(VTime::from_us(1_000));
+    dsm.put(NodeId(0), &mut dead, page, 7);
+    reader.advance(VTime::from_us(1_000));
+    dsm.invalidate_cache(NodeId(2), &mut reader);
+    assert_eq!(dsm.get(NodeId(2), &mut reader, page), 7, "in the snapshot");
+    assert_eq!(dsm.store().home_of(page.page()), NodeId(1));
+    assert_eq!(dsm.cluster().node_stats(NodeId(2)).nodes_failed, 1);
+
+    dsm.put(NodeId(0), &mut dead, page.offset(1), 8);
+    dsm.update_main_memory(NodeId(0), &mut dead);
+    assert_eq!(dsm.cluster().node_stats(NodeId(0)).diff_messages, 1);
+    let mut home = ThreadClock::new();
+    assert_eq!(dsm.get(NodeId(1), &mut home, page), 7);
+    assert_eq!(dsm.get(NodeId(1), &mut home, page.offset(1)), 8);
 }
