@@ -202,8 +202,8 @@ pub fn run(config: HyperionConfig, params: &AspParams) -> RunOutcome<AspResult> 
                     let pivot_row = rows.row(k);
                     // Issue the pivot-row fetch as early as the consistency
                     // window allows — right after the barrier's acquire
-                    // invalidated the cache.  Under the overlapped transport
-                    // its latency hides behind the leading local rows.
+                    // invalidated the cache: its latency hides behind the
+                    // leading local rows.
                     pivot_row.prefetch(worker);
                     for i in row_start..row_end {
                         let row_i = rows.row(i);
@@ -230,8 +230,8 @@ pub fn run(config: HyperionConfig, params: &AspParams) -> RunOutcome<AspResult> 
 
         // Digest the final matrix (bulk row reads).  All row fetches are
         // issued up front: no acquire happens during the scan, so the
-        // copies stay valid, and under the overlapped transport the
-        // round trips pipeline instead of paying one stall per row.
+        // copies stay valid, and the round trips pipeline instead of
+        // paying one stall per row.
         let rows = dist.rows_view(ctx);
         for i in 0..n {
             rows.row(i).prefetch(ctx);

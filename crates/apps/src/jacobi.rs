@@ -259,7 +259,7 @@ pub fn run_with(
                             // Issue both boundary-row fetches right after
                             // the barrier's acquire: by the time the south
                             // neighbour is pinned (after the whole block's
-                            // stencil), an overlapped transport has hidden
+                            // stencil), the split transaction has hidden
                             // its round trip entirely, and most of the
                             // north one behind the first rows.
                             if row_start >= 1 {
@@ -310,7 +310,7 @@ pub fn run_with(
 
         // The buffer holding the final state after `steps` swaps.  The scan
         // performs no acquire, so every row fetch can be issued up front
-        // and the round trips pipeline under the overlapped transport.
+        // and the round trips pipeline.
         let finals = if steps % 2 == 0 { a } else { b };
         let rows = finals.rows_view(ctx);
         for r in 1..n - 1 {
@@ -476,8 +476,7 @@ mod tests {
         // stride prefetch puts the next page in flight and the later demand
         // miss completes an RPC that is already under way.
         let params = JacobiParams { size: 80, steps: 5 };
-        let config = HyperionConfig::new(myrinet_200(), 4, ProtocolKind::JavaPf)
-            .with_transport(hyperion::TransportConfig::directory());
+        let config = HyperionConfig::new(myrinet_200(), 4, ProtocolKind::JavaPf);
         let out = run_with(config, &params, AccessMode::Element);
         let (expected_sum, _) = sequential(&params);
         assert!(

@@ -12,11 +12,11 @@
 //!   per virtual second as the *worse* of the two fixed protocols — the
 //!   adaptive protocol may split the difference, but it must not lose to
 //!   both.
-//! * **Prefetch economics**: under `TransportConfig::directory()` the
-//!   Zipf-skewed KV traffic is the adversarial input for a stride
-//!   prefetcher (hot keys recur, but in no stable order), and the waste
-//!   bound of figure 8 — stride fetches invalidated untouched within 1/8
-//!   of those issued — must hold here too.
+//! * **Prefetch economics**: the Zipf-skewed KV traffic is the adversarial
+//!   input for a stride prefetcher (hot keys recur, but in no stable
+//!   order), and the waste bound of figure 6 — stride fetches invalidated
+//!   untouched within 1/8 of those issued — must hold on the `java_pf` row
+//!   too.
 //! * **Home queue wait**: on the 4-node KV rows no home may keep requests
 //!   waiting for more than 5 % of the modeled time.  The homes are a few
 //!   per cent busy there, so a larger share means requests queue behind
@@ -36,10 +36,9 @@
 //!   irregular graph traffic must stay within 25% of the `java_pf`
 //!   reference — switching detection modes must not thrash the cache.
 
-use hyperion::prelude::*;
 use hyperion_apps::common::{protocols_under_test, BenchmarkName};
 use hyperion_bench::report::append_step_summary;
-use hyperion_bench::{serving_directory_point, FigureRow, Point, Scale, ADAPTIVE_NODES};
+use hyperion_bench::{FigureRow, Point, Scale, ADAPTIVE_NODES};
 
 /// Largest share of the modeled time any home may keep requests queued on
 /// the KV rows.
@@ -136,6 +135,16 @@ fn main() {
 
         match app {
             BenchmarkName::KvStore => {
+                // Prefetch economics under Zipf traffic (floor of 16 so a
+                // run that hardly prefetches cannot fail on a single unlucky
+                // one).
+                let stats = &pf.stats;
+                let (issued, wasted) = (stats.stride_fetches_issued, stats.stride_fetches_wasted);
+                assert!(
+                    wasted * 8 <= issued.max(16),
+                    "KVStore java_pf: stride waste {wasted} exceeds 1/8 of {issued} issued"
+                );
+                println!("  KVStore java_pf stride waste: {wasted}/{issued} issued (bound: 1/8)");
                 // Throughput: java_ad must not lose to *both* fixed
                 // protocols.
                 let worse = ic.serving_ops_per_s().min(pf.serving_ops_per_s());
@@ -164,22 +173,6 @@ fn main() {
         }
     }
 
-    // Prefetch economics under Zipf traffic: the KV store under
-    // `directory()` must hold figure 8's waste bound (stride fetches wasted
-    // within 1/8 of those issued, floor of 16 so a run that hardly
-    // prefetches cannot fail on a single unlucky one).
-    let dir = serving_directory_point(BenchmarkName::KvStore, Scale::Quick);
-    let plain = Point::new(BenchmarkName::KvStore, Scale::Quick, ProtocolKind::JavaPf).run();
-    assert_same_digest(&plain, &dir);
-    let (issued, wasted) = (
-        dir.stats.stride_fetches_issued,
-        dir.stats.stride_fetches_wasted,
-    );
-    assert!(
-        wasted * 8 <= issued.max(16),
-        "KVStore under directory(): stride waste {wasted} exceeds 1/8 of {issued} issued"
-    );
-    println!("  KVStore+dir stride waste: {wasted}/{issued} issued (bound: 1/8)");
     println!();
     println!("{home_load}");
     append_step_summary(&home_load);

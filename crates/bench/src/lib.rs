@@ -15,9 +15,9 @@
 //!   with their micro-measured virtual cost on a two-node cluster.
 //! * **§4.3 claims** — [`improvement_summary`] derives the
 //!   `java_ic` → `java_pf` improvement percentages the paper discusses.
-//! * **Figures 6–9 (extensions)** — [`FIGURES`] is the registry: number,
-//!   CSV slug, heading, sweep and table columns of the adaptive-protocol,
-//!   transport, deferred-flush and serving-workload comparisons.
+//! * **Figures 6 and 9 (extensions)** — [`FIGURES`] is the registry:
+//!   number, CSV slug, heading, sweep and table columns of the
+//!   adaptive-protocol and serving-workload comparisons.
 //! * **CI gate** — [`report`] turns a sweep into `BENCH_<run>.json` and
 //!   compares it against the committed `bench/baseline.json`; its
 //!   [`report::METRICS`] table is the one place a tracked metric is named.
@@ -116,8 +116,8 @@ pub fn paper_node_counts(cluster: &ClusterSpec) -> Vec<usize> {
 #[derive(Clone, Debug)]
 pub struct FigureRow {
     /// Figure the row belongs to: the app's own (1–5 for the paper's
-    /// kernels), or the extension figure (6–9) whose table shows the row —
-    /// [`Figure::report`] stamps its number on what its sweep returns.
+    /// kernels), or the extension figure (6 or 9) whose table shows the
+    /// row — [`Figure::report`] stamps its number on what its sweep returns.
     pub figure: usize,
     /// Benchmark name.
     pub app: BenchmarkName,
@@ -127,15 +127,8 @@ pub struct FigureRow {
     pub protocol: ProtocolKind,
     /// Transport-variant suffix distinguishing rows that share a protocol
     /// but run under different transport configurations: `""` for the
-    /// default, otherwise `"+block"`/`"+ov"` for the fetch-overlap mode
-    /// ([`TransportConfig::overlap_name`]), `"+dir"` for
-    /// [`TransportConfig::directory`], `"+sync"`/`"+dfl"` for the
-    /// release-flush mode.
+    /// default, `"+chaos"` for a run under injected faults.
     pub variant: String,
-    /// What the [`TransportPair`] this row is half of demonstrates:
-    /// `"overlap"` (figure 7), `"deferred"` or `"ov+deferred"` (figure 8);
-    /// `""` for a row outside a pair.
-    pub mechanism: &'static str,
     /// Number of nodes.
     pub nodes: usize,
     /// Execution time in virtual seconds.
@@ -344,8 +337,6 @@ pub struct Point {
     pub transport: TransportConfig,
     /// Becomes the row's [`FigureRow::variant`].
     pub variant: String,
-    /// Becomes the row's [`FigureRow::mechanism`].
-    pub mechanism: &'static str,
 }
 
 impl Point {
@@ -360,7 +351,6 @@ impl Point {
             adaptive: AdaptiveParams::default(),
             transport: TransportConfig::default(),
             variant: String::new(),
-            mechanism: "",
         }
     }
 
@@ -393,7 +383,6 @@ impl Point {
             cluster: report.cluster_label.clone(),
             protocol: self.protocol,
             variant: self.variant.clone(),
-            mechanism: self.mechanism,
             nodes: self.nodes,
             seconds: report.seconds(),
             digest,
@@ -405,11 +394,6 @@ impl Point {
             peak_home_queue_wait,
         }
     }
-}
-
-/// `"+<name>"` variant suffix.
-fn plus(name: &str) -> String {
-    format!("+{name}")
 }
 
 /// Regenerate one of the paper's figures: sweep both clusters, both
@@ -444,175 +428,30 @@ pub fn sweep_adaptive(scale: Scale) -> Vec<FigureRow> {
     rows
 }
 
-/// One paired comparison of the figure-7 and figure-8 sweeps: the same
-/// (app, protocol, nodes) point with one transport mechanism off and on
-/// (which one: [`FigureRow::mechanism`] of either side).
-#[derive(Clone, Debug)]
-pub struct TransportPair {
-    /// The point with the mechanism disabled.
-    pub baseline: FigureRow,
-    /// The point with the mechanism enabled.
-    pub enabled: FigureRow,
-}
-
-/// Both sides of every pair, baseline first — the rows of a figure table.
-fn both_sides(pairs: Vec<TransportPair>) -> Vec<FigureRow> {
-    pairs
-        .into_iter()
-        .flat_map(|pair| [pair.baseline, pair.enabled])
-        .collect()
-}
-
-/// A `java_pf` pair on the Myrinet cluster at [`ADAPTIVE_NODES`] nodes: the
-/// `off` transport against the `on` one, each with its variant label.
-fn transport_pair(
-    app: BenchmarkName,
-    scale: Scale,
-    mechanism: &'static str,
-    off: (TransportConfig, String),
-    on: (TransportConfig, String),
-) -> TransportPair {
-    let run = |(transport, variant)| {
-        Point {
-            transport,
-            variant,
-            mechanism,
-            ..Point::new(app, scale, ProtocolKind::JavaPf)
-        }
-        .run()
-    };
-    TransportPair {
-        baseline: run(off),
-        enabled: run(on),
-    }
-}
-
-/// Figure 7 (extension): the split-transaction transport against the
-/// blocking transport on the Myrinet cluster at [`ADAPTIVE_NODES`] nodes:
-/// the barrier apps (Jacobi, ASP) under `java_pf` with blocking vs
-/// overlapped fetches — the prefetch windows the kernels open right after
-/// each acquire only pay off when the transport can split the transaction.
-pub fn sweep_transport(scale: Scale) -> Vec<TransportPair> {
-    // Overlap is an engine mechanism; its label comes from the transport's
-    // overlap mode.
-    let labelled = |transport: TransportConfig| {
-        let variant = plus(transport.overlap_name());
-        (transport, variant)
-    };
-    [BenchmarkName::Jacobi, BenchmarkName::Asp]
-        .into_iter()
-        .map(|app| {
-            transport_pair(
-                app,
-                scale,
-                "overlap",
-                labelled(TransportConfig::blocking()),
-                labelled(TransportConfig::latency_hiding()),
-            )
-        })
-        .collect()
-}
-
-/// Figure 8 (extension): what deferred release flushing adds, on the
-/// Myrinet cluster at [`ADAPTIVE_NODES`] nodes under `java_pf`.
-///
-/// On the barrier apps (Jacobi, ASP) an *ov+deferred* pair adds it to
-/// figure 7's overlapped transport, which makes that
-/// [`hyperion::TransportConfig::directory`] — per-barrier release flushes
-/// complete at the next acquire instead of stalling the releaser.
-/// *Deferred* pairs isolate deferred flushing on the default transport on
-/// all five apps — the mechanism only moves when latency is charged, so it
-/// must never make an app slower.
-pub fn sweep_directory(scale: Scale) -> Vec<TransportPair> {
-    [BenchmarkName::Jacobi, BenchmarkName::Asp]
-        .into_iter()
-        .map(|app| deferred_pair(app, scale, true))
-        .chain(
-            BenchmarkName::all()
-                .into_iter()
-                .map(|app| deferred_pair(app, scale, false)),
-        )
-        .collect()
-}
-
-/// Build one figure-8 deferred-flush pair for `app` (see
-/// [`sweep_directory`]): the default transport (`"deferred"`) or, with
-/// `overlapped_fetches`, figure 7's overlapped one (`"ov+deferred"`),
-/// without and with deferred release flushing.
-fn deferred_pair(app: BenchmarkName, scale: Scale, overlapped_fetches: bool) -> TransportPair {
-    let baseline = TransportConfig {
-        overlapped_fetches,
-        ..TransportConfig::default()
-    };
-    let enabled = TransportConfig {
-        deferred_flush: true,
-        ..baseline.clone()
-    };
-    let (mechanism, off, on) = if overlapped_fetches {
-        ("ov+deferred", "+ov", "+dir")
-    } else {
-        ("deferred", "+sync", "+dfl")
-    };
-    transport_pair(
-        app,
-        scale,
-        mechanism,
-        (baseline, off.to_string()),
-        (enabled, on.to_string()),
-    )
-}
-
 /// The CI-tracked sweep behind `BENCH_<run>.json`: all five apps under all
 /// three protocols on the Myrinet cluster at [`ADAPTIVE_NODES`] nodes, plus
-/// the figure-7 transport-variant rows (overlapped fetches on Jacobi/ASP),
-/// the figure-8 directory/deferred rows and
 /// the figure-9 serving rows (KV store and PageRank under all three
 /// protocols, with throughput and modeled p99), so their deltas are tracked
 /// by the baseline gate too.
 pub fn bench_report_rows(scale: Scale) -> Vec<FigureRow> {
     let grid = Point::grid(BenchmarkName::all(), scale);
     let mut rows: Vec<FigureRow> = grid.iter().map(Point::run).collect();
-    rows.extend(both_sides(sweep_transport(scale)));
-    // Figure-8 rows: only the `+dir` and `+dfl` *enabled* sides are added —
-    // the baselines duplicate the plain `java_pf` row and figure 7's `+ov`
-    // row, and report keys must stay unique.
-    for pair in sweep_directory(scale) {
-        rows.push(pair.enabled);
-    }
     rows.extend(sweep_serving(scale));
     rows
 }
 
 /// Figure 9 (extension): the serving-workload family — the sharded KV store
 /// and the PageRank kernel — under `java_ic`, `java_pf` and `java_ad` on
-/// the Myrinet cluster at [`ADAPTIVE_NODES`] nodes, plus one KV point under
-/// figure 8's `directory()` transport so what the stride prefetch does on
-/// Zipf-skewed traffic is tracked next to the strided kernels.  Serving
-/// rows carry throughput ([`FigureRow::serving_ops_per_s`]) and modeled p99
-/// per operation ([`FigureRow::serving_p99_us`]) on top of the usual event
+/// the Myrinet cluster at [`ADAPTIVE_NODES`] nodes.  Serving rows carry
+/// throughput ([`FigureRow::serving_ops_per_s`]) and modeled p99 per
+/// operation ([`FigureRow::serving_p99_us`]) on top of the usual event
 /// counters.
 pub fn sweep_serving(scale: Scale) -> Vec<FigureRow> {
     let grid = Point::grid(BenchmarkName::serving(), scale);
-    let mut rows: Vec<FigureRow> = grid.iter().map(Point::run).collect();
-    rows.push(serving_directory_point(BenchmarkName::KvStore, scale));
-    rows
+    grid.iter().map(Point::run).collect()
 }
 
-/// One serving app under [`hyperion::TransportConfig::directory`] — the
-/// point the figure-9 waste gate inspects.  Zipf-skewed traffic is the
-/// adversarial input for a stride prefetcher (hot keys recur, but in no
-/// stable order), so the waste bound must hold here and not just on the
-/// strided kernels of figure 8.
-pub fn serving_directory_point(name: BenchmarkName, scale: Scale) -> FigureRow {
-    Point {
-        transport: TransportConfig::directory(),
-        variant: plus("dir"),
-        ..Point::new(name, scale, ProtocolKind::JavaPf)
-    }
-    .run()
-}
-
-/// One extension figure (6–9) of the `figures` binary.  [`FIGURES`] is the
+/// One extension figure (6 or 9) of the `figures` binary.  [`FIGURES`] is the
 /// registry the binary reads its `--fig` range, tables, headings and CSV
 /// file names from.
 #[derive(Clone, Copy, Debug)]
@@ -652,40 +491,6 @@ pub static FIGURES: &[Figure] = &[
         epilogue: Some(threshold_ablation_text),
     },
     Figure {
-        number: 7,
-        slug: "transport",
-        heading: "latency-hiding transport",
-        sweep: |scale| both_sides(sweep_transport(scale)),
-        columns: &[
-            Column::text("App", 12, |r| r.app.to_string()),
-            Column::text("mechanism", 10, |r| r.mechanism.to_string()),
-            Column::text("variant", 14, FigureRow::protocol_label),
-            Column::number("exec (s)", 12, |r| format!("{:.4}", r.seconds)),
-            count!("diffs", 10, diff_messages),
-            count!("batched", 10, batched_flushes),
-            count!("hidden cycles", 14, fetch_overlap_cycles_hidden),
-        ],
-        epilogue: None,
-    },
-    Figure {
-        number: 8,
-        slug: "directory",
-        heading: "deferred release flushing",
-        sweep: |scale| both_sides(sweep_directory(scale)),
-        columns: &[
-            Column::text("App", 12, |r| r.app.to_string()),
-            Column::text("mechanism", 11, |r| r.mechanism.to_string()),
-            Column::text("variant", 14, FigureRow::protocol_label),
-            Column::number("exec (s)", 12, |r| format!("{:.4}", r.seconds)),
-            count!("stride", 7, stride_fetches_issued),
-            count!("completed", 9, stride_fetches_completed),
-            count!("wasted", 8, stride_fetches_wasted),
-            count!("deferred", 9, deferred_flushes),
-            count!("flush hidden", 14, flush_overlap_cycles_hidden),
-        ],
-        epilogue: None,
-    },
-    Figure {
         number: 9,
         slug: "serving",
         heading: "serving workloads (Zipf KV store, PageRank)",
@@ -718,8 +523,8 @@ pub static FIGURES: &[Figure] = &[
 ];
 
 /// The figure numbers `--fig` accepts: the paper's 1–5 and [`FIGURES`].
-pub fn figure_range() -> std::ops::RangeInclusive<usize> {
-    1..=FIGURES.iter().map(|f| f.number).max().unwrap_or(5)
+pub fn figure_numbers() -> Vec<usize> {
+    (1..=5).chain(FIGURES.iter().map(|f| f.number)).collect()
 }
 
 /// The paper benchmark behind figure `number` (1–5).
@@ -729,7 +534,7 @@ pub fn paper_figure(number: usize) -> Option<BenchmarkName> {
         .find(|b| b.figure() == number)
 }
 
-/// The extension figure `number` (6–9).
+/// The extension figure `number` (6 or 9).
 pub fn extension_figure(number: usize) -> Option<&'static Figure> {
     FIGURES.iter().find(|f| f.number == number)
 }
@@ -784,28 +589,13 @@ fn threshold_ablation_text(scale: Scale) -> String {
 }
 
 /// The keep-or-cut audit (`figures --audit`): every app under every
-/// protocol under every transport preset that exists at this commit, once
-/// each (a run repeats exactly), on the Myrinet cluster at
+/// protocol, once each (a run repeats exactly), on the Myrinet cluster at
 /// [`ADAPTIVE_NODES`] nodes.  Built at two commits, its two tables are a
 /// before/after comparison with nothing but the public API on either side.
-/// `each` sees every cell as it completes, with its preset's constructor
-/// name.
-pub fn sweep_audit(scale: Scale, mut each: impl FnMut(&'static str, &FigureRow)) {
-    let presets = [
-        ("blocking", TransportConfig::blocking()),
-        ("default", TransportConfig::default()),
-        ("latency_hiding", TransportConfig::latency_hiding()),
-        ("directory", TransportConfig::directory()),
-    ];
+/// `each` sees every cell as it completes.
+pub fn sweep_audit(scale: Scale, mut each: impl FnMut(&FigureRow)) {
     for point in Point::grid(BenchmarkName::all_extended(), scale) {
-        for (preset, transport) in &presets {
-            let point = Point {
-                transport: transport.clone(),
-                variant: plus(preset),
-                ..point.clone()
-            };
-            each(preset, &point.run());
-        }
+        each(&point.run());
     }
 }
 
@@ -884,7 +674,7 @@ pub fn sweep_chaos(scale: Scale, spec: FaultSpec, backend: TransportBackend) -> 
             };
             let faulted = Point {
                 transport: faulted.clone(),
-                variant: plus("chaos"),
+                variant: "+chaos".to_string(),
                 ..baseline.clone()
             };
             ChaosPair {
@@ -1013,15 +803,20 @@ pub fn table2_primitives(cluster: &ClusterSpec, protocol: ProtocolKind) -> Vec<P
         let remote = ctx.alloc_array::<u64>(64, NodeId(1));
         let mut costs = Vec::new();
 
-        // loadIntoCache: fetch a page that is not yet cached.
+        // loadIntoCache: fetch a page that is not yet cached.  The fetch is
+        // a split transaction, so its cost is the issue plus the residual
+        // the first use pays, less that use's own cost as a cached get.
         let t0 = ctx.now();
         ctx.load_into_cache(remote.base());
-        costs.push(("loadIntoCache", ctx.now() - t0));
+        let _: u64 = remote.get(ctx, 0);
+        let loaded = ctx.now() - t0;
 
         // get on a cached page.
         let t0 = ctx.now();
         let _: u64 = remote.get(ctx, 0);
-        costs.push(("get", ctx.now() - t0));
+        let get = ctx.now() - t0;
+        costs.push(("loadIntoCache", loaded - get));
+        costs.push(("get", get));
 
         // put on a cached page.
         let t0 = ctx.now();
@@ -1213,12 +1008,11 @@ mod tests {
     #[test]
     fn figure_registry_resolves_every_number_once() {
         // Every `--fig` number is a paper figure or an extension, never both.
-        assert_eq!(figure_range(), 1..=9);
-        for n in figure_range() {
-            assert!(
-                paper_figure(n).is_some() != extension_figure(n).is_some(),
-                "figure {n}"
-            );
+        assert_eq!(figure_numbers(), [1, 2, 3, 4, 5, 6, 9]);
+        for n in 1..=9 {
+            let (paper, extension) = (paper_figure(n).is_some(), extension_figure(n).is_some());
+            assert!(!(paper && extension), "figure {n}");
+            assert_eq!(paper || extension, figure_numbers().contains(&n), "{n}");
         }
         assert_eq!(paper_figure(10), None);
         assert!(extension_figure(10).is_none());

@@ -7,18 +7,16 @@
 //!         [--transport sim|socket|tcp] [--fault SPEC] [--audit]
 //! ```
 //!
-//! * `--fig N`     regenerate figure N: 1–5 from the paper, 6–9 the
+//! * `--fig N`     regenerate figure N: 1–5 from the paper, 6 and 9 the
 //!   extension figures of the `hyperion_bench::FIGURES` registry (adaptive
-//!   protocol, split-transaction transport, deferred release flushing,
-//!   serving workloads); may be repeated.  Default: all of 1–5.
+//!   protocol, serving workloads); may be repeated.  Default: all of 1–5.
 //! * `--tables`    print Table 1 (module inventory) and Table 2 (primitives).
 //! * `--claims`    print the derived `java_ic` → `java_pf` improvements that
 //!   correspond to the quantitative claims of §4.3.
 //! * `--scale`     problem-size scale (default `harness`).
 //! * `--quick`     shorthand for `--scale quick` (the CI invocation).
-//! * `--json`      run the CI-tracked sweep (five apps × three protocols,
-//!   the figure 7–8 transport variants and the figure-9 serving rows with
-//!   their throughput/p99 fields) and write it to `BENCH_<run>.json`
+//! * `--json`      run the CI-tracked sweep (five apps × three protocols
+//!   and the figure-9 serving rows with their throughput/p99 fields) and write it to `BENCH_<run>.json`
 //!   (`<run>` is `$GITHUB_RUN_ID`, or `local`).
 //! * `--baseline PATH` run the CI-tracked sweep and exit non-zero unless
 //!   every row of the committed baseline report is byte for byte the row
@@ -26,9 +24,9 @@
 //!   printed, and appended to `$GITHUB_STEP_SUMMARY` when that variable is
 //!   set.  Regenerate the baseline with
 //!   `figures --quick --json && cp BENCH_local.json bench/baseline.json`.
-//! * `--audit`     the keep-or-cut audit: every app × protocol × transport
-//!   preset that exists at this commit, run once, with its modeled seconds
-//!   plus `page_loads` and the stride-prefetch counters per cell.  Run it
+//! * `--audit`     the keep-or-cut audit: every app × protocol, run once,
+//!   with its modeled seconds plus `page_loads` and the stride-prefetch
+//!   counters per cell.  Run it
 //!   at two commits to compare them; nothing in the product switches
 //!   between the two sides.
 //! * `--out DIR`   additionally write one CSV per figure into DIR.
@@ -51,7 +49,7 @@ use hyperion::prelude::*;
 use hyperion::FaultSpec;
 use hyperion_apps::common::BenchmarkName;
 use hyperion_bench::{
-    bench_report_rows, extension_figure, figure_range, improvement_summary, paper_figure, report,
+    bench_report_rows, extension_figure, figure_numbers, improvement_summary, paper_figure, report,
     sweep_audit, sweep_chaos, sweep_figure, sweep_modeled_vs_measured, table1_modules,
     table2_primitives, FigureRow, Scale,
 };
@@ -87,15 +85,12 @@ fn parse_args() -> Options {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--fig" => {
-                let range = figure_range();
+                let numbers = figure_numbers();
                 let n: usize = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .filter(|n| range.contains(n))
-                    .unwrap_or_else(|| {
-                        let (first, last) = (range.start(), range.end());
-                        die(&format!("--fig needs a number between {first} and {last}"))
-                    });
+                    .filter(|n| numbers.contains(n))
+                    .unwrap_or_else(|| die(&format!("--fig needs one of {numbers:?}")));
                 opts.figures.push(n);
                 any_selector = true;
             }
@@ -175,31 +170,22 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// The `--audit` path: one line per (app, protocol, preset) cell, printed
-/// as the cell completes.
+/// The `--audit` path: one line per (app, protocol) cell, printed as the
+/// cell completes.
 fn run_audit(scale: Scale) {
     println!(
-        "== Audit: app x protocol x transport preset, {} nodes ==",
+        "== Audit: app x protocol, {} nodes ==",
         hyperion_bench::ADAPTIVE_NODES
     );
     println!(
-        "{:<11} {:<8} {:<15} {:>12} {:>24} {:>11} {:>7} {:>9} {:>7}",
-        "App",
-        "protocol",
-        "preset",
-        "seconds",
-        "digest",
-        "page_loads",
-        "stride",
-        "completed",
-        "wasted"
+        "{:<11} {:<8} {:>12} {:>24} {:>11} {:>7} {:>9} {:>7}",
+        "App", "protocol", "seconds", "digest", "page_loads", "stride", "completed", "wasted"
     );
-    sweep_audit(scale, |preset, row| {
+    sweep_audit(scale, |row| {
         println!(
-            "{:<11} {:<8} {:<15} {:>12.6} {:>24} {:>11} {:>7} {:>9} {:>7}",
+            "{:<11} {:<8} {:>12.6} {:>24} {:>11} {:>7} {:>9} {:>7}",
             row.app.to_string(),
             row.protocol.to_string(),
-            preset,
             row.seconds,
             format!("{:e}", row.digest),
             row.stats.page_loads,
@@ -417,7 +403,8 @@ fn main() {
             print!("{text}");
             rows
         } else {
-            let app = paper_figure(fig).expect("--fig range is the paper's figures plus FIGURES");
+            let app =
+                paper_figure(fig).expect("--fig numbers are the paper's figures plus FIGURES");
             let rows = sweep_figure(app, opts.scale);
             print_figure(&rows);
             rows

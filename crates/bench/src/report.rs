@@ -1,8 +1,7 @@
 //! The CI bench report: JSON emission and the exact baseline gate.
 //!
 //! The CI pipeline runs `figures --quick --json`, which sweeps the five
-//! apps under all three protocols (plus the transport variants and the
-//! serving rows), writes the tracked metrics to `BENCH_<run>.json` and —
+//! apps under all three protocols (plus the serving rows), writes the tracked metrics to `BENCH_<run>.json` and —
 //! when `--baseline bench/baseline.json` is given — fails the build unless
 //! every row of the committed baseline is, byte for byte, the row the sweep
 //! just wrote.  Modeled time and counters are a pure function of the
@@ -405,7 +404,7 @@ mod tests {
              BENCH_local.json bench/baseline.json`:\n{}",
             findings.join("\n")
         );
-        assert_eq!(rows(&measured).len(), 33);
+        assert_eq!(rows(&measured).len(), 21);
         // The header is no part of the gate: a CI run labels its report
         // with its run id.
         let ci = BASELINE.replacen("\"run\": \"local\"", "\"run\": \"12345\"", 1);

@@ -6,8 +6,8 @@
 //! [`TransportConfig::validate`]: an illegal combination is a typed
 //! [`PolicyError`] before any cluster state exists).  The engine reads them
 //! directly: the protocol and its parameters select the access detection
-//! ([`crate::detection`]), the transport flags the flush placement and the
-//! replication the RPC services perform.
+//! ([`crate::detection`]), the transport the backend, the retry and fault
+//! schedules and the replication the RPC services perform.
 
 use hyperion_model::VTime;
 use hyperion_pm2::{FaultSpec, NodeId, RetryPolicy, TransportBackend};
@@ -91,38 +91,27 @@ impl AdaptiveParams {
     }
 }
 
-/// Configuration of the transport layer: how the wire path overlaps with
-/// compute, which backend carries it, and the fault and replication
-/// settings around it.
+/// Configuration of the transport layer: which backend carries the RPCs,
+/// and the fault and replication settings around it.
 ///
-/// Every mechanism is semantics-preserving — it changes when latency is
-/// charged and how many RPCs carry the same bytes, never what a program
-/// computes — so all of them apply to every protocol.
+/// The wire path itself has one behaviour.  A fetch is a split
+/// transaction: an explicit prefetch (`loadIntoCache`), every page a
+/// `java_ad` batch carries and every stride prefetch issue their RPC and
+/// record an in-flight ticket, and the requester pays only the residual
+/// latency at the page's first real use (`fetch.rs`).  A release coalesces
+/// contiguous same-home dirty pages into one diff RPC of up to 8 pages
+/// (`detection::FLUSH_BATCH_PAGES`); a monitor release sends the diffs for
+/// the monitor's home along with the release, and issues the others as
+/// split transactions that the *next acquire of the same monitor* completes
+/// (the JMM's release/acquire edge is per monitor, so deferring to the
+/// hand-off keeps happens-before).  Release points with thread-level edges
+/// (`Thread.start`, thread end, program exit) flush blocking.
+///
+/// Every setting here is semantics-preserving — it changes how the bytes
+/// travel and what a failure costs, never what a program computes — so all
+/// of them apply to every protocol.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TransportConfig {
-    /// Overlapped page fetches: an explicit prefetch (`loadIntoCache`) and
-    /// every speculatively batched page issue their RPC immediately but record
-    /// an in-flight ticket; the requester keeps computing and pays only the
-    /// *residual* latency when the page is first really used.  With
-    /// tickets to hold them, the requester also prefetches along its own
-    /// stride: a fetch that starts where the node's previous fetch from the
-    /// same home ended puts the next few pages of that home in flight (see
-    /// `fetch.rs`).  Off by default (the paper's transport blocks on every
-    /// fetch).
-    pub overlapped_fetches: bool,
-    /// Largest number of contiguous same-home dirty pages one diff-flush
-    /// RPC may carry at `updateMainMemory`; 1 disables batched flushing.
-    pub max_flush_batch_pages: usize,
-    /// Deferred release flushing: `updateMainMemory` at a monitor exit
-    /// hands its coalesced diff batches for other homes than the monitor's
-    /// (those ride the release under every preset) to a per-monitor queue as
-    /// split transactions; the flush only has to complete before the *next
-    /// acquire of the same monitor*, which is where the residual latency is
-    /// charged (the JMM's release/acquire edge is exactly per-monitor, so
-    /// deferring to the hand-off preserves happens-before).  Release points
-    /// with thread-level edges (`Thread.start`, thread end, program exit)
-    /// always flush blocking.  Off by default.
-    pub deferred_flush: bool,
     /// Which [`hyperion_pm2::Transport`] implementation carries the RPCs:
     /// the in-process cost model (default) or a real Unix-domain/TCP
     /// socket per node.  Semantics-preserving by construction — the wire
@@ -152,9 +141,6 @@ pub struct TransportConfig {
 impl Default for TransportConfig {
     fn default() -> Self {
         TransportConfig {
-            overlapped_fetches: false,
-            max_flush_batch_pages: 8,
-            deferred_flush: false,
             backend: TransportBackend::Sim,
             retry: RetryPolicy::default(),
             fault: None,
@@ -164,50 +150,8 @@ impl Default for TransportConfig {
 }
 
 impl TransportConfig {
-    /// The paper's blocking transport: no overlap, no flush batching, no
-    /// deferred flushing.
-    pub fn blocking() -> Self {
-        TransportConfig {
-            overlapped_fetches: false,
-            max_flush_batch_pages: 1,
-            ..TransportConfig::default()
-        }
-    }
-
-    /// The latency-hiding transport: overlapped fetches (and with them the
-    /// stride prefetch) on top of the default's batched flushing; deferred
-    /// flushing stays off — see [`TransportConfig::directory`].
-    pub fn latency_hiding() -> Self {
-        TransportConfig {
-            overlapped_fetches: true,
-            ..TransportConfig::default()
-        }
-    }
-
-    /// [`TransportConfig::latency_hiding`] plus deferred release flushing.
-    /// (The name is from when the homes kept a prefetch directory; the
-    /// requester's stride prefetch took its place.)
-    pub fn directory() -> Self {
-        TransportConfig {
-            deferred_flush: true,
-            ..TransportConfig::latency_hiding()
-        }
-    }
-
-    /// The short label of the fetch-overlap mode (`"ov"` / `"block"`).
-    pub fn overlap_name(&self) -> &'static str {
-        if self.overlapped_fetches {
-            "ov"
-        } else {
-            "block"
-        }
-    }
-
     /// Reject illegal settings before any cluster state exists.
     pub fn validate(&self) -> Result<(), PolicyError> {
-        if self.max_flush_batch_pages == 0 {
-            return Err(PolicyError::ZeroFlushBatch);
-        }
         if let Some((read_replicas, write_quorum)) = self.replication {
             if read_replicas == 0 {
                 return Err(PolicyError::ZeroReadReplicas);
@@ -226,9 +170,6 @@ pub enum PolicyError {
     /// The adaptive switching band is not a hysteresis band
     /// (`hi_multiple > 0` is required).
     InvalidHysteresis,
-    /// A flush with a zero page ceiling would flush nothing (1 disables
-    /// batching).
-    ZeroFlushBatch,
     /// Quorum replication with zero read replicas keeps no copies to elect
     /// a new home from.
     ZeroReadReplicas,
@@ -241,7 +182,6 @@ impl std::fmt::Display for PolicyError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let msg = match self {
             PolicyError::InvalidHysteresis => "switching hysteresis needs hi_multiple > 0",
-            PolicyError::ZeroFlushBatch => "max_flush_batch_pages must be at least 1",
             PolicyError::ZeroReadReplicas => "quorum replication needs at least one read replica",
             PolicyError::InvalidWriteQuorum => {
                 "write quorum must satisfy 1 <= w <= read_replicas + 1"
@@ -286,10 +226,10 @@ impl HomeFlushMark {
 /// the flush RPCs were issued and the instant the last of them completes,
 /// plus one [`HomeFlushMark`] per home flushed.  The monitor that performed
 /// the release stores it and merges every home's `completion` into the next
-/// acquirer's clock (see [`TransportConfig::deferred_flush`]) — merging all
-/// homes equals merging the max, so the JMM edge is unchanged, but the
-/// per-home issue stamps let hidden-overlap accounting credit each home's
-/// flush window individually.
+/// acquirer's clock (see [`TransportConfig`]) — merging all homes equals
+/// merging the max, so the JMM edge is unchanged, but the per-home issue
+/// stamps let hidden-overlap accounting credit each home's flush window
+/// individually.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DeferredFlush {
     /// Virtual time at which the releasing thread finished issuing the

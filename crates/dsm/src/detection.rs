@@ -32,10 +32,11 @@
 //!   installed by the same reply as the demanded page, so they are exactly
 //!   as fresh; a wrong re-access prediction is wasted bytes, never stale ones.
 //!
-//! Release flushing and replication are no part of detection: the engine
-//! reads `TransportConfig::{max_flush_batch_pages, deferred_flush}` where it
-//! flushes, and the RPC services register replicas and run quorum writes
-//! from `TransportConfig::replication` (see [`crate::config`]).
+//! Release flushing and replication are no part of detection: every
+//! protocol flushes in batches of up to `FLUSH_BATCH_PAGES` pages and
+//! defers a monitor release's diffs to the next acquire, and the RPC
+//! services register replicas and run quorum writes from
+//! `TransportConfig::replication` (see [`crate::config`]).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 
@@ -148,6 +149,10 @@ pub(crate) struct Detection {
 
 /// Largest number of pages one `java_ad` fetch RPC may carry.
 const MAX_BATCH_PAGES: usize = 8;
+
+/// Largest number of contiguous same-home dirty pages one diff-flush RPC
+/// carries, under every protocol (the engine's `flush_frames`).
+pub(crate) const FLUSH_BATCH_PAGES: usize = 8;
 
 /// Consecutive re-accessed epochs a page needs before history-driven
 /// prefetching may pull it into a neighbour's batch.

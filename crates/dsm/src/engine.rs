@@ -50,7 +50,7 @@ use hyperion_pm2::{
 use crate::config::{
     AdaptiveParams, DeferredFlush, HomeFlushMark, Locality, ProtocolKind, TransportConfig,
 };
-use crate::detection::{AdMode, Detection};
+use crate::detection::{AdMode, Detection, FLUSH_BATCH_PAGES};
 use crate::diff::{
     decode_diff_reply, decode_fetch_reply, encode_diff, encode_diff_batch, DiffEntry,
 };
@@ -380,8 +380,8 @@ impl DsmSystem {
     /// `None` is a thread-level edge, and its flush blocks.  `Some(home)`
     /// releases a monitor on `home`: the diffs for pages `home` homes ride
     /// the release, and the instant the home has applied them is returned
-    /// last (none if nothing rode); the other diffs block, or are deferred
-    /// under [`TransportConfig::deferred_flush`].
+    /// last (none if nothing rode); the other diffs are deferred to the
+    /// monitor's next acquire (the returned [`DeferredFlush`]).
     pub fn release(
         &self,
         node: NodeId,
@@ -391,8 +391,7 @@ impl DsmSystem {
     ) -> (Option<DeferredFlush>, Notices, Option<VTime>) {
         let _one = self.caller.enter("DsmSystem::release");
         let (node_ref, dirty) = (self.cluster.node(node), self.collect_dirty(node));
-        let deferred = monitor.is_some() && self.transport.deferred_flush;
-        let flushed = self.flush_frames(node, node_ref, clock, &dirty, deferred, monitor);
+        let flushed = self.flush_frames(node, node_ref, clock, &dirty, monitor.is_some(), monitor);
         let (flushed, rode) = self.unwrap_rpc(flushed);
         let store = &self.store;
         let stamp_of = |page| store.with_frame(store.home_of(page), page, PageFrame::written_stamp);
@@ -625,8 +624,7 @@ impl DsmSystem {
     /// and the returned [`DeferredFlush`] names the instant the last one
     /// completes, which the *next acquire of the same monitor* must merge —
     /// exactly the happens-before edge the JMM requires of a release.
-    /// Without [`TransportConfig::deferred_flush`] (or with nothing dirty)
-    /// the flush blocks and `None` is returned.
+    /// With nothing dirty `None` is returned.
     pub fn update_main_memory_deferred(
         &self,
         node: NodeId,
@@ -634,8 +632,7 @@ impl DsmSystem {
     ) -> Option<DeferredFlush> {
         let _one = self.caller.enter("DsmSystem::update_main_memory_deferred");
         let (node_ref, dirty) = (self.cluster.node(node), self.collect_dirty(node));
-        let deferred = self.transport.deferred_flush;
-        let flushed = self.flush_frames(node, node_ref, clock, &dirty, deferred, None);
+        let flushed = self.flush_frames(node, node_ref, clock, &dirty, true, None);
         self.unwrap_rpc(flushed).0
     }
 
@@ -668,8 +665,8 @@ impl DsmSystem {
 
     /// Flush the dirty slots of `dirty` (page-id ordered) to their home
     /// nodes, coalescing runs of contiguous same-home pages into one diff
-    /// RPC (up to [`TransportConfig::max_flush_batch_pages`]) exactly
-    /// like batched page fetches coalesce the opposite direction.  A diff
+    /// RPC (up to [`FLUSH_BATCH_PAGES`]) exactly like batched page fetches
+    /// coalesce the opposite direction.  A diff
     /// for `monitor`'s home rides that monitor's release: it is issued as a
     /// split transaction (only the issue path is charged to `clock`), and
     /// the instant the home has applied the last of them is returned beside
@@ -686,7 +683,6 @@ impl DsmSystem {
         monitor: Option<NodeId>,
     ) -> Result<(Option<DeferredFlush>, Option<VTime>), crate::recover::RpcFailure> {
         let machine = self.cluster.machine();
-        let max_batch = self.transport.max_flush_batch_pages.max(1);
         let (mut marks, mut rode): (Vec<HomeFlushMark>, Option<VTime>) = (Vec::new(), None);
         let mut i = 0usize;
         while i < dirty.len() {
@@ -699,7 +695,7 @@ impl DsmSystem {
             let home = self.store.home_of(first);
             let mut j = i + 1;
             while j < dirty.len()
-                && j - i < max_batch
+                && j - i < FLUSH_BATCH_PAGES
                 && dirty[j].0 .0 == first.0 + (j - i) as u64
                 && self.store.home_of(dirty[j].0) == home
             {

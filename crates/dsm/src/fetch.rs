@@ -163,8 +163,7 @@ impl DsmSystem {
     /// overlapped single-page fetch per absent page, so the later demand miss
     /// completes an RPC that is already in flight instead of paying a fresh
     /// round trip.  Each of those fetches moves the scan's end along, so the
-    /// miss after the window continues the run.  Only the overlapped
-    /// transport has tickets to hold them.
+    /// miss after the window continues the run.
     ///
     /// The prefetch is throttled by its own measured accuracy — while more
     /// than 1/16 of the node's recent stride fetches turned out wasted
@@ -180,9 +179,6 @@ impl DsmSystem {
         home: NodeId,
         first: PageId,
     ) {
-        if !self.transport.overlapped_fetches {
-            return;
-        }
         let node = node_ref.id();
         let machine = self.cluster.machine();
         let num_pages = self.store.allocator().num_pages();
@@ -238,8 +234,7 @@ impl DsmSystem {
     ///
     /// `demand` distinguishes a fetch triggered by an access (the access is
     /// the first use, so the transaction completes on the spot and the full
-    /// round trip is charged, exactly as the blocking transport does) from
-    /// an explicit prefetch, which under the overlapped transport records an
+    /// round trip is charged) from an explicit prefetch, which records an
     /// in-flight ticket and lets the caller keep computing.
     ///
     /// A successor page joins the batch only when it shares the demanded
@@ -338,25 +333,23 @@ impl DsmSystem {
         // One mprotect call opens the whole contiguous run.
         let needs_mprotect = (unprotect && !promoted) || batch_protected;
         NodeStats::bump_by(&node_ref.stats.mprotect_calls, u64::from(needs_mprotect));
-        let (overlapped, mprotect) = (self.transport.overlapped_fetches, machine.dsm.mprotect_call);
-        if demand || !overlapped {
+        let mprotect = machine.dsm.mprotect_call;
+        if demand {
             clock.merge(wire_completion);
             if needs_mprotect {
                 clock.advance(mprotect);
             }
-            if overlapped {
-                // The demanded page completed here, but the rest of the
-                // batch is live split transactions finishing with it.  The
-                // thread stalled for the whole round trip on the demanded
-                // page, so the batch hid nothing — its tickets carry `done`
-                // as both issue and completion (zero residual, zero hidden),
-                // and only make a slower thread that touches one of its pages
-                // first wait until the batch had actually arrived.
-                let done = clock.now();
-                for (qf, _) in &candidates {
-                    if !qf.is_home() {
-                        qf.begin_inflight(done.as_ps(), done.as_ps(), false);
-                    }
+            // The demanded page completed here, but the rest of the batch is
+            // live split transactions finishing with it.  The thread stalled
+            // for the whole round trip on the demanded page, so the batch hid
+            // nothing — its tickets carry `done` as both issue and completion
+            // (zero residual, zero hidden), and only make a slower thread
+            // that touches one of its pages first wait until the batch had
+            // actually arrived.
+            let done = clock.now();
+            for (qf, _) in &candidates {
+                if !qf.is_home() {
+                    qf.begin_inflight(done.as_ps(), done.as_ps(), false);
                 }
             }
         } else {

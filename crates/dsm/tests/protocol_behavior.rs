@@ -629,72 +629,44 @@ fn adaptive_custom_params_shift_the_thresholds() {
 
 #[test]
 fn overlapped_prefetch_hides_latency_behind_compute() {
-    let overlapped = TransportConfig {
-        overlapped_fetches: true,
-        ..TransportConfig::default()
-    };
+    // Prefetch, compute for a window shorter than the round trip, then use
+    // the value: the use pays only the residual (round trip − window), so it
+    // completes at exactly the instant it does with no window at all, and
+    // exactly the window is booked as hidden.
+    let compute = VTime::from_us(20);
+    let ps_per_cycle = myrinet_200().machine.cpu.ps_per_cycle();
     for kind in ProtocolKind::all_extended() {
-        let blocking = fixture(2, kind);
-        let split = fixture_with(2, kind, &AdaptiveParams::default(), &overlapped);
-        let a_b = blocking.alloc.alloc(8, NodeId(1));
-        let a_s = split.alloc.alloc(8, NodeId(1));
-        blocking
-            .dsm
-            .put(NodeId(1), &mut ThreadClock::new(), a_b, 11);
-        split.dsm.put(NodeId(1), &mut ThreadClock::new(), a_s, 11);
-
-        // Prefetch, then compute for a while, then use the value.
-        let compute = VTime::from_us(20);
-        let mut c_b = ThreadClock::new();
-        blocking
-            .dsm
-            .load_into_cache(NodeId(0), &mut c_b, a_b.page());
-        c_b.advance(compute);
-        assert_eq!(blocking.dsm.get(NodeId(0), &mut c_b, a_b), 11);
-
-        let mut c_s = ThreadClock::new();
-        split.dsm.load_into_cache(NodeId(0), &mut c_s, a_s.page());
-        c_s.advance(compute);
-        assert_eq!(split.dsm.get(NodeId(0), &mut c_s, a_s), 11, "{kind:?}");
-
-        assert!(
-            c_s.now() < c_b.now(),
-            "{kind:?}: overlap must hide the compute window: {} vs {}",
-            c_s.now(),
-            c_b.now()
-        );
-        // The blocking run stalls at the prefetch; the split run hides
-        // exactly the compute window inside the round trip.
-        assert!(c_b.now() >= c_s.now() + compute - VTime::from_ns(1));
-        let s = split.cluster.node_stats(NodeId(0));
-        assert!(s.fetch_overlap_cycles_hidden > 0, "{kind:?}");
+        let run = |window: VTime| {
+            let f = fixture(2, kind);
+            let a = f.alloc.alloc(8, NodeId(1));
+            f.dsm.put(NodeId(1), &mut ThreadClock::new(), a, 11);
+            let mut clock = ThreadClock::new();
+            f.dsm.load_into_cache(NodeId(0), &mut clock, a.page());
+            clock.advance(window);
+            assert_eq!(f.dsm.get(NodeId(0), &mut clock, a), 11, "{kind:?}");
+            (clock.now(), f.cluster.node_stats(NodeId(0)))
+        };
+        let (stalled, s0) = run(VTime::ZERO);
+        let (overlapped, s) = run(compute);
+        assert!(stalled > compute, "{kind:?}: the window must be shorter");
         assert_eq!(
-            blocking
-                .cluster
-                .node_stats(NodeId(0))
-                .fetch_overlap_cycles_hidden,
-            0
+            overlapped, stalled,
+            "{kind:?}: the compute window must hide inside the round trip"
+        );
+        assert_eq!(s0.fetch_overlap_cycles_hidden, 0, "{kind:?}");
+        assert_eq!(
+            s.fetch_overlap_cycles_hidden,
+            (compute.as_ps() as f64 / ps_per_cycle) as u64,
+            "{kind:?}"
         );
         // Identical protocol traffic either way.
-        assert_eq!(
-            s.page_loads,
-            blocking.cluster.node_stats(NodeId(0)).page_loads
-        );
+        assert_eq!((s.page_loads, s0.page_loads), (1, 1), "{kind:?}");
     }
 }
 
 #[test]
 fn overlapped_ticket_completes_exactly_once_and_clears_on_invalidate() {
-    let overlapped = TransportConfig {
-        overlapped_fetches: true,
-        ..TransportConfig::default()
-    };
-    let f = fixture_with(
-        2,
-        ProtocolKind::JavaPf,
-        &AdaptiveParams::default(),
-        &overlapped,
-    );
+    let f = fixture(2, ProtocolKind::JavaPf);
     let addr = f.alloc.alloc(8, NodeId(1));
     let mut clock = ThreadClock::new();
 
@@ -726,29 +698,33 @@ fn overlapped_ticket_completes_exactly_once_and_clears_on_invalidate() {
 
 #[test]
 fn batched_flush_coalesces_contiguous_same_home_dirty_pages() {
-    let batched = fixture(2, ProtocolKind::JavaIc);
-    let unbatched = fixture_with(
-        2,
-        ProtocolKind::JavaIc,
-        &AdaptiveParams::default(),
-        &TransportConfig::blocking(),
-    );
-    let slots = SLOTS_PER_PAGE * 3;
-    let values: Vec<u64> = (0..slots as u64).map(|v| v * 7 + 1).collect();
+    let values: Vec<u64> = (0..SLOTS_PER_PAGE as u64 * 3).map(|v| v * 7 + 1).collect();
 
-    let run = |f: &Fixture| -> (VTime, u64, u64, u64, u64) {
-        let addr = f.alloc.alloc_page_aligned(slots, NodeId(1));
+    // Three pages of one home written in full, contiguous (`gap` 1) or with
+    // a clean page between each two (`gap` 2); returns the flush's cost.
+    let run = |gap: usize| -> (VTime, u64, u64, u64, u64) {
+        let f = fixture(2, ProtocolKind::JavaIc);
+        let addr = f.alloc.alloc_page_aligned(SLOTS_PER_PAGE * 5, NodeId(1));
         let mut clock = ThreadClock::new();
-        f.dsm.write_slice(NodeId(0), &mut clock, addr, &values);
+        let pages: Vec<_> = values.chunks(SLOTS_PER_PAGE).enumerate().collect();
+        for &(k, page) in &pages {
+            f.dsm
+                .write_slice(NodeId(0), &mut clock, page_of(addr, k * gap), page);
+        }
+        let start = clock.now();
         f.dsm.update_main_memory(NodeId(0), &mut clock);
+        let flush = clock.now() - start;
         // The home sees every slot either way.
-        let mut out = vec![0u64; slots];
-        f.dsm
-            .read_slice(NodeId(1), &mut ThreadClock::new(), addr, &mut out);
-        assert_eq!(out, values);
+        for &(k, page) in &pages {
+            let mut out = vec![0u64; SLOTS_PER_PAGE];
+            let at = page_of(addr, k * gap);
+            f.dsm
+                .read_slice(NodeId(1), &mut ThreadClock::new(), at, &mut out);
+            assert_eq!(out, page);
+        }
         let s = f.cluster.node_stats(NodeId(0));
         (
-            clock.now(),
+            flush,
             s.diff_messages,
             s.batched_flushes,
             s.diff_slots_flushed,
@@ -756,8 +732,8 @@ fn batched_flush_coalesces_contiguous_same_home_dirty_pages() {
         )
     };
 
-    let (t_b, msgs_b, batches_b, slots_b, bytes_b) = run(&batched);
-    let (t_u, msgs_u, batches_u, slots_u, bytes_u) = run(&unbatched);
+    let (t_b, msgs_b, batches_b, slots_b, bytes_b) = run(1);
+    let (t_u, msgs_u, batches_u, slots_u, bytes_u) = run(2);
     assert_eq!(msgs_b, 1, "three contiguous pages share one diff RPC");
     assert_eq!(batches_b, 1);
     assert_eq!(msgs_u, 3);
@@ -787,15 +763,6 @@ fn flush_batches_never_cross_home_boundaries() {
 
 // ----- stride prefetch -----------------------------------------------------
 
-fn directory_fixture(nodes: usize, kind: ProtocolKind) -> Fixture {
-    fixture_with(
-        nodes,
-        kind,
-        &AdaptiveParams::default(),
-        &TransportConfig::directory(),
-    )
-}
-
 /// The address of page `k` of the run starting at `first`.
 fn page_of(first: GlobalAddr, k: usize) -> GlobalAddr {
     first.offset((SLOTS_PER_PAGE * k) as u64)
@@ -818,7 +785,7 @@ fn earn_stride_credit(f: &Fixture, node: NodeId, home: NodeId, clock: &mut Threa
 #[test]
 fn litmus_a_scan_has_tickets_in_flight_from_its_second_miss() {
     for kind in ProtocolKind::all_extended() {
-        let f = directory_fixture(2, kind);
+        let f = fixture(2, kind);
         let pages = 8;
         let addr = f
             .alloc
@@ -867,7 +834,7 @@ fn litmus_a_scan_has_tickets_in_flight_from_its_second_miss() {
 
 #[test]
 fn stride_run_extends_fetches_across_the_window() {
-    let f = directory_fixture(2, ProtocolKind::JavaIc);
+    let f = fixture(2, ProtocolKind::JavaIc);
     let addr = f.alloc.alloc_page_aligned(SLOTS_PER_PAGE * 4, NodeId(1));
 
     let mut clock = ThreadClock::new();
@@ -888,7 +855,7 @@ fn stride_run_extends_fetches_across_the_window() {
 
 #[test]
 fn litmus_a_walk_that_never_steps_to_the_next_page_issues_nothing() {
-    let f = directory_fixture(3, ProtocolKind::JavaPf);
+    let f = fixture(3, ProtocolKind::JavaPf);
     let pages = 12;
     let walked = f
         .alloc
@@ -918,7 +885,7 @@ fn litmus_a_walk_that_never_steps_to_the_next_page_issues_nothing() {
 
 #[test]
 fn litmus_a_stride_run_stops_at_a_home_boundary_and_at_the_last_page() {
-    let f = directory_fixture(3, ProtocolKind::JavaIc);
+    let f = fixture(3, ProtocolKind::JavaIc);
     let a = f.alloc.alloc_page_aligned(SLOTS_PER_PAGE * 3, NodeId(1));
     let behind = f.alloc.alloc_page_aligned(SLOTS_PER_PAGE * 3, NodeId(2));
     let mut clock = ThreadClock::new();
@@ -951,7 +918,7 @@ fn litmus_a_stride_run_stops_at_a_home_boundary_and_at_the_last_page() {
 
 #[test]
 fn unused_stride_fetches_are_counted_as_waste_at_invalidation() {
-    let f = directory_fixture(3, ProtocolKind::JavaPf);
+    let f = fixture(3, ProtocolKind::JavaPf);
     let addr = f.alloc.alloc_page_aligned(SLOTS_PER_PAGE * 4, NodeId(2));
 
     let mut c1 = ThreadClock::new();
@@ -971,7 +938,7 @@ fn unused_stride_fetches_are_counted_as_waste_at_invalidation() {
 #[test]
 fn litmus_a_ticket_abandoned_at_an_acquire_is_wasted_and_not_reissued() {
     for kind in ProtocolKind::all_extended() {
-        let f = directory_fixture(3, kind);
+        let f = fixture(3, kind);
         let mut c1 = ThreadClock::new();
         // A healthy record: one waste does not shut the gate, so nothing
         // but the rule itself keeps the ticket from being re-armed.
@@ -1006,7 +973,7 @@ fn litmus_a_ticket_abandoned_at_an_acquire_is_wasted_and_not_reissued() {
 
 #[test]
 fn stride_prefetch_is_throttled_by_measured_waste() {
-    let f = directory_fixture(3, ProtocolKind::JavaPf);
+    let f = fixture(3, ProtocolKind::JavaPf);
     let addr = f.alloc.alloc_page_aligned(SLOTS_PER_PAGE * 4, NodeId(2));
     let mut c1 = ThreadClock::new();
 
@@ -1028,53 +995,26 @@ fn stride_prefetch_is_throttled_by_measured_waste() {
 }
 
 #[test]
-fn stride_prefetch_needs_the_overlapped_transport() {
-    // Default transport: there are no tickets to hold a prefetch, and the
-    // scan that draws two under `latency_hiding()` draws none.
-    for (transport, issued) in [
-        (TransportConfig::default(), 0),
-        (TransportConfig::latency_hiding(), 2),
-    ] {
-        let f = fixture_with(
-            2,
-            ProtocolKind::JavaPf,
-            &AdaptiveParams::default(),
-            &transport,
-        );
-        let addr = f.alloc.alloc_page_aligned(SLOTS_PER_PAGE * 4, NodeId(1));
-        let mut clock = ThreadClock::new();
-        let _ = f.dsm.get(NodeId(0), &mut clock, addr);
-        let _ = f.dsm.get(NodeId(0), &mut clock, page_of(addr, 1));
-        let s = f.cluster.node_stats(NodeId(0));
-        assert_eq!(s.stride_fetches_issued, issued);
-        assert_eq!(s.page_loads, 2 + issued);
-    }
-}
-
-#[test]
 fn stride_fetches_never_change_observed_values() {
-    // The same scan, with and without the stride prefetch: identical values.
-    let run = |transport: &TransportConfig| -> Vec<u64> {
-        let f = fixture_with(
-            2,
-            ProtocolKind::JavaIc,
-            &AdaptiveParams::default(),
-            transport,
-        );
-        let slots = SLOTS_PER_PAGE * 4;
-        let addr = f.alloc.alloc_page_aligned(slots, NodeId(1));
-        let mut home = ThreadClock::new();
-        for k in 0..slots as u64 {
-            f.dsm.put(NodeId(1), &mut home, addr.offset(k), k * 3 + 1);
-        }
-        let mut clock = ThreadClock::new();
-        (0..slots as u64)
-            .map(|k| f.dsm.get(NodeId(0), &mut clock, addr.offset(k)))
-            .collect()
-    };
+    // A scan the stride prefetch runs ahead of reads exactly what the home
+    // wrote.
+    let f = fixture(2, ProtocolKind::JavaIc);
+    let slots = SLOTS_PER_PAGE * 4;
+    let addr = f.alloc.alloc_page_aligned(slots, NodeId(1));
+    let mut home = ThreadClock::new();
+    for k in 0..slots as u64 {
+        f.dsm.put(NodeId(1), &mut home, addr.offset(k), k * 3 + 1);
+    }
+    let mut clock = ThreadClock::new();
+    let seen: Vec<u64> = (0..slots as u64)
+        .map(|k| f.dsm.get(NodeId(0), &mut clock, addr.offset(k)))
+        .collect();
+    let written: Vec<u64> = (0..slots as u64).map(|k| k * 3 + 1).collect();
+    assert_eq!(seen, written);
+    let s = f.cluster.node_stats(NodeId(0));
     assert_eq!(
-        run(&TransportConfig::default()),
-        run(&TransportConfig::directory())
+        (s.stride_fetches_issued, s.stride_fetches_completed),
+        (2, 2)
     );
 }
 
@@ -1082,7 +1022,7 @@ fn stride_fetches_never_change_observed_values() {
 
 #[test]
 fn deferred_flush_returns_a_watermark_and_applies_the_diffs() {
-    let f = directory_fixture(2, ProtocolKind::JavaIc);
+    let f = fixture(2, ProtocolKind::JavaIc);
     let addr = f.alloc.alloc(8, NodeId(1));
     let mut w = ThreadClock::new();
     f.dsm.put(NodeId(0), &mut w, addr, 41);
@@ -1109,27 +1049,9 @@ fn deferred_flush_returns_a_watermark_and_applies_the_diffs() {
 }
 
 #[test]
-fn deferred_flush_falls_back_to_blocking_without_the_transport() {
-    let f = fixture(2, ProtocolKind::JavaIc);
-    let addr = f.alloc.alloc(8, NodeId(1));
-    let mut w = ThreadClock::new();
-    f.dsm.put(NodeId(0), &mut w, addr, 9);
-    let before = w.now();
-    assert!(f
-        .dsm
-        .update_main_memory_deferred(NodeId(0), &mut w)
-        .is_none());
-    assert!(w.now() > before, "blocking fallback charges the round trip");
-    assert_eq!(f.cluster.node_stats(NodeId(0)).deferred_flushes, 0);
-    let mut h = ThreadClock::new();
-    assert_eq!(f.dsm.get(NodeId(1), &mut h, addr), 9);
-}
-
-#[test]
 fn deferred_flush_issue_path_is_cheaper_than_blocking() {
-    let blocking = fixture(2, ProtocolKind::JavaIc);
-    let deferred = directory_fixture(2, ProtocolKind::JavaIc);
-    let run = |f: &Fixture, defer: bool| -> VTime {
+    let run = |defer: bool| -> VTime {
+        let f = fixture(2, ProtocolKind::JavaIc);
         let addr = f.alloc.alloc(8, NodeId(1));
         let mut w = ThreadClock::new();
         f.dsm.put(NodeId(0), &mut w, addr, 1);
@@ -1140,8 +1062,8 @@ fn deferred_flush_issue_path_is_cheaper_than_blocking() {
         }
         w.now()
     };
-    let t_blocking = run(&blocking, false);
-    let t_deferred = run(&deferred, true);
+    let t_blocking = run(false);
+    let t_deferred = run(true);
     assert!(
         t_deferred < t_blocking,
         "deferred release must not stall: {t_deferred} vs {t_blocking}"
@@ -1673,8 +1595,8 @@ fn litmus_a_batched_reply_mixes_confirmation_patch_and_page() {
 /// decision the protocols differ in: a page-mate writer, a scan long enough
 /// for the stride prefetch, a `read_slice` `java_ad` batches, a page dense
 /// enough for `java_ad` to switch it (and sparse enough later to switch it
-/// back), explicit prefetches, and release flushes — replicated, deferred
-/// or neither, as `transport` says.  Renders each node's final clock and
+/// back), explicit prefetches, and deferred release flushes, replicated
+/// when `transport` says so.  Renders each node's final clock and
 /// every non-zero counter.
 fn golden_run(kind: ProtocolKind, transport: &TransportConfig) -> [String; 3] {
     let f = fixture_with(3, kind, &AdaptiveParams::default(), transport);
@@ -1715,7 +1637,7 @@ fn golden_run(kind: ProtocolKind, transport: &TransportConfig) -> [String; 3] {
         }
         f.dsm.put(n0, c, mate.offset(200 + round), sum);
         f.dsm.put(n0, c, page(scan, round).offset(300), sum);
-        // Spans two same-home pages: one diff RPC unless flushes are unbatched.
+        // Spans two same-home pages: one diff RPC.
         let tail = page(bulk, 2).offset(SLOTS_PER_PAGE as u64 - 2);
         f.dsm.write_slice(n0, c, tail, &[round; 3]);
         if round % 2 == 0 {
@@ -1741,30 +1663,15 @@ fn golden_run(kind: ProtocolKind, transport: &TransportConfig) -> [String; 3] {
     })
 }
 
-/// The counters and clocks `golden_run` produces: every protocol ×
-/// transport preset, per node.  A refactor leaves them alone; a deliberate
+/// The counters and clocks `golden_run` produces: every protocol × {default,
+/// quorum} transport, per node.  A refactor leaves them alone; a deliberate
 /// behaviour change regenerates them and says which numbers moved and why
-/// (the last one: fetches no longer carry validation riders, so the copies
-/// they confirmed are revalidated by fetches of their own).
+/// (the last one: overlapped fetches and deferred release flushes became
+/// the only behaviour, so each `default` line is the former `directory`
+/// preset's, byte for byte, and `quorum` moved with it).
 const GOLDEN: &[(&str, [&str; 3])] = &[
     (
-        "java_ic/blocking",
-        [
-            "clock=9008716000 locality_checks=12250 page_loads=224 pages_invalidated=201 cache_invalidations=10 diff_messages=30 diff_slots_flushed=40 rpc_requests=254 rpc_served=40 bytes_sent=33020 bytes_received=120216 field_reads=32650 field_writes=50 bulk_reads=10 bulk_writes=10 diff_bytes=760 pages_revalidated=200 rpc_service_ps=128250000 rpc_queue_wait_ps=6840000",
-            "clock=649761000 locality_checks=10 page_loads=10 pages_invalidated=9 cache_invalidations=10 diff_messages=10 diff_slots_flushed=10 rpc_requests=20 rpc_served=184 bytes_sent=125714 bytes_received=21238 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=655830000 rpc_queue_wait_ps=4814077000",
-            "clock=6142718000 locality_checks=20 page_loads=20 pages_invalidated=19 cache_invalidations=20 diff_messages=10 diff_slots_flushed=10 rpc_requests=30 rpc_served=80 bytes_sent=37032 bytes_received=54312 field_reads=10 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=267330000",
-        ],
-    ),
-    (
         "java_ic/default",
-        [
-            "clock=8710656000 locality_checks=12250 page_loads=224 pages_invalidated=201 cache_invalidations=10 diff_messages=20 diff_slots_flushed=40 rpc_requests=244 rpc_served=40 bytes_sent=32340 bytes_received=119576 field_reads=32650 field_writes=50 bulk_reads=10 bulk_writes=10 batched_flushes=10 diff_bytes=720 pages_revalidated=200 rpc_service_ps=128250000 rpc_queue_wait_ps=6840000",
-            "clock=649761000 locality_checks=10 page_loads=10 pages_invalidated=9 cache_invalidations=10 diff_messages=10 diff_slots_flushed=10 rpc_requests=20 rpc_served=184 bytes_sent=125714 bytes_received=21238 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=655830000 rpc_queue_wait_ps=4635241000",
-            "clock=5963882000 locality_checks=20 page_loads=20 pages_invalidated=19 cache_invalidations=20 diff_messages=10 diff_slots_flushed=10 rpc_requests=30 rpc_served=70 bytes_sent=36392 bytes_received=53632 field_reads=10 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=239830000",
-        ],
-    ),
-    (
-        "java_ic/directory",
         [
             "clock=5119207000 locality_checks=12250 page_loads=224 pages_invalidated=201 cache_invalidations=10 diff_messages=20 diff_slots_flushed=40 rpc_requests=244 rpc_served=40 bytes_sent=32340 bytes_received=119576 field_reads=32650 field_writes=50 bulk_reads=10 bulk_writes=10 batched_flushes=10 diff_bytes=720 fetch_overlap_cycles_hidden=542730 stride_fetches_issued=143 stride_fetches_completed=138 stride_fetches_wasted=4 deferred_flushes=20 pages_revalidated=200 rpc_service_ps=128250000 rpc_queue_wait_ps=8525000",
             "clock=651446000 locality_checks=10 page_loads=10 pages_invalidated=9 cache_invalidations=10 diff_messages=10 diff_slots_flushed=10 rpc_requests=20 rpc_served=186 bytes_sent=125888 bytes_received=21406 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=661845000 rpc_queue_wait_ps=2417148000",
@@ -1774,29 +1681,13 @@ const GOLDEN: &[(&str, [&str; 3])] = &[
     (
         "java_ic/quorum",
         [
-            "clock=8711256000 locality_checks=12250 page_loads=224 pages_invalidated=201 cache_invalidations=10 diff_messages=20 diff_slots_flushed=40 rpc_requests=244 rpc_served=40 bytes_sent=32340 bytes_received=119576 field_reads=32650 field_writes=50 bulk_reads=10 bulk_writes=10 batched_flushes=10 diff_bytes=720 pages_revalidated=200 rpc_service_ps=128550000 rpc_queue_wait_ps=6840000",
-            "clock=649911000 locality_checks=10 page_loads=10 pages_invalidated=9 cache_invalidations=10 diff_messages=10 diff_slots_flushed=10 rpc_requests=20 rpc_served=184 bytes_sent=125714 bytes_received=21238 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=655980000 rpc_queue_wait_ps=4635451000",
-            "clock=5964242000 locality_checks=20 page_loads=20 pages_invalidated=19 cache_invalidations=20 diff_messages=10 diff_slots_flushed=10 rpc_requests=30 rpc_served=70 bytes_sent=36392 bytes_received=53632 field_reads=10 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=240280000",
-        ],
-    ),
-    (
-        "java_pf/blocking",
-        [
-            "clock=15459216000 page_faults=204 mprotect_calls=233 page_loads=224 pages_invalidated=201 cache_invalidations=10 diff_messages=30 diff_slots_flushed=40 rpc_requests=254 rpc_served=40 bytes_sent=33020 bytes_received=120216 field_reads=32650 field_writes=50 bulk_reads=10 bulk_writes=10 diff_bytes=760 pages_revalidated=200 rpc_service_ps=128250000 rpc_queue_wait_ps=6840000",
-            "clock=1059461000 page_faults=10 mprotect_calls=19 page_loads=10 pages_invalidated=9 cache_invalidations=10 diff_messages=10 diff_slots_flushed=10 rpc_requests=20 rpc_served=184 bytes_sent=125714 bytes_received=21238 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=655830000 rpc_queue_wait_ps=7927997000",
-            "clock=10086038000 page_faults=20 mprotect_calls=39 page_loads=20 pages_invalidated=19 cache_invalidations=20 diff_messages=10 diff_slots_flushed=10 rpc_requests=30 rpc_served=80 bytes_sent=37032 bytes_received=54312 field_reads=10 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=267330000",
+            "clock=5119612000 locality_checks=12250 page_loads=224 pages_invalidated=201 cache_invalidations=10 diff_messages=20 diff_slots_flushed=40 rpc_requests=244 rpc_served=40 bytes_sent=32340 bytes_received=119576 field_reads=32650 field_writes=50 bulk_reads=10 bulk_writes=10 batched_flushes=10 diff_bytes=720 fetch_overlap_cycles_hidden=542730 stride_fetches_issued=143 stride_fetches_completed=138 stride_fetches_wasted=4 deferred_flushes=20 pages_revalidated=200 rpc_service_ps=128550000 rpc_queue_wait_ps=8480000",
+            "clock=651551000 locality_checks=10 page_loads=10 pages_invalidated=9 cache_invalidations=10 diff_messages=10 diff_slots_flushed=10 rpc_requests=20 rpc_served=186 bytes_sent=125888 bytes_received=21406 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=661995000 rpc_queue_wait_ps=2417268000",
+            "clock=3667802000 locality_checks=20 page_loads=22 pages_invalidated=21 cache_invalidations=20 diff_messages=10 diff_slots_flushed=10 rpc_requests=32 rpc_served=70 bytes_sent=36560 bytes_received=53806 field_reads=10 field_writes=10 diff_bytes=220 stride_fetches_issued=2 stride_fetches_wasted=2 pages_patched=11 rpc_service_ps=240280000 rpc_queue_wait_ps=3180000",
         ],
     ),
     (
         "java_pf/default",
-        [
-            "clock=15161156000 page_faults=204 mprotect_calls=233 page_loads=224 pages_invalidated=201 cache_invalidations=10 diff_messages=20 diff_slots_flushed=40 rpc_requests=244 rpc_served=40 bytes_sent=32340 bytes_received=119576 field_reads=32650 field_writes=50 bulk_reads=10 bulk_writes=10 batched_flushes=10 diff_bytes=720 pages_revalidated=200 rpc_service_ps=128250000 rpc_queue_wait_ps=6840000",
-            "clock=1059461000 page_faults=10 mprotect_calls=19 page_loads=10 pages_invalidated=9 cache_invalidations=10 diff_messages=10 diff_slots_flushed=10 rpc_requests=20 rpc_served=184 bytes_sent=125714 bytes_received=21238 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=655830000 rpc_queue_wait_ps=7749161000",
-            "clock=9907202000 page_faults=20 mprotect_calls=39 page_loads=20 pages_invalidated=19 cache_invalidations=20 diff_messages=10 diff_slots_flushed=10 rpc_requests=30 rpc_served=70 bytes_sent=36392 bytes_received=53632 field_reads=10 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=239830000",
-        ],
-    ),
-    (
-        "java_pf/directory",
         [
             "clock=7366617000 page_faults=66 mprotect_calls=233 page_loads=224 pages_invalidated=201 cache_invalidations=10 diff_messages=20 diff_slots_flushed=40 rpc_requests=244 rpc_served=40 bytes_sent=32340 bytes_received=119576 field_reads=32650 field_writes=50 bulk_reads=10 bulk_writes=10 batched_flushes=10 diff_bytes=720 fetch_overlap_cycles_hidden=736148 stride_fetches_issued=143 stride_fetches_completed=138 stride_fetches_wasted=4 deferred_flushes=20 pages_revalidated=200 rpc_service_ps=128250000 rpc_queue_wait_ps=12237000",
             "clock=1064858000 page_faults=10 mprotect_calls=19 page_loads=10 pages_invalidated=9 cache_invalidations=10 diff_messages=10 diff_slots_flushed=10 rpc_requests=20 rpc_served=186 bytes_sent=125888 bytes_received=21406 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=661845000 rpc_queue_wait_ps=2952868000",
@@ -1806,29 +1697,13 @@ const GOLDEN: &[(&str, [&str; 3])] = &[
     (
         "java_pf/quorum",
         [
-            "clock=15161756000 page_faults=204 mprotect_calls=233 page_loads=224 pages_invalidated=201 cache_invalidations=10 diff_messages=20 diff_slots_flushed=40 rpc_requests=244 rpc_served=40 bytes_sent=32340 bytes_received=119576 field_reads=32650 field_writes=50 bulk_reads=10 bulk_writes=10 batched_flushes=10 diff_bytes=720 pages_revalidated=200 rpc_service_ps=128550000 rpc_queue_wait_ps=6840000",
-            "clock=1059611000 page_faults=10 mprotect_calls=19 page_loads=10 pages_invalidated=9 cache_invalidations=10 diff_messages=10 diff_slots_flushed=10 rpc_requests=20 rpc_served=184 bytes_sent=125714 bytes_received=21238 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=655980000 rpc_queue_wait_ps=7749371000",
-            "clock=9907562000 page_faults=20 mprotect_calls=39 page_loads=20 pages_invalidated=19 cache_invalidations=20 diff_messages=10 diff_slots_flushed=10 rpc_requests=30 rpc_served=70 bytes_sent=36392 bytes_received=53632 field_reads=10 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=240280000",
-        ],
-    ),
-    (
-        "java_ad/blocking",
-        [
-            "clock=4814256000 locality_checks=6230 page_faults=2 mprotect_calls=5 page_loads=224 pages_invalidated=201 cache_invalidations=10 diff_messages=30 diff_slots_flushed=40 rpc_requests=116 rpc_served=40 bytes_sent=22532 bytes_received=111384 field_reads=32650 field_writes=50 bulk_reads=10 bulk_writes=10 protocol_switches=2 batched_fetches=29 pages_prefetched=138 pages_prefetch_speculative=98 diff_bytes=760 pages_revalidated=200 rpc_service_ps=128250000 rpc_queue_wait_ps=9540000",
-            "clock=652461000 locality_checks=10 page_loads=10 pages_invalidated=9 cache_invalidations=10 diff_messages=10 diff_slots_flushed=10 rpc_requests=20 rpc_served=86 bytes_sent=119442 bytes_received=13790 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=391230000 rpc_queue_wait_ps=9595000",
-            "clock=1338236000 locality_checks=20 page_loads=20 pages_invalidated=19 cache_invalidations=20 diff_messages=10 diff_slots_flushed=10 rpc_requests=30 rpc_served=40 bytes_sent=34472 bytes_received=51272 field_reads=10 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=159330000",
+            "clock=7367022000 page_faults=66 mprotect_calls=233 page_loads=224 pages_invalidated=201 cache_invalidations=10 diff_messages=20 diff_slots_flushed=40 rpc_requests=244 rpc_served=40 bytes_sent=32340 bytes_received=119576 field_reads=32650 field_writes=50 bulk_reads=10 bulk_writes=10 batched_flushes=10 diff_bytes=720 fetch_overlap_cycles_hidden=736148 stride_fetches_issued=143 stride_fetches_completed=138 stride_fetches_wasted=4 deferred_flushes=20 pages_revalidated=200 rpc_service_ps=128550000 rpc_queue_wait_ps=12177000",
+            "clock=1064948000 page_faults=10 mprotect_calls=19 page_loads=10 pages_invalidated=9 cache_invalidations=10 diff_messages=10 diff_slots_flushed=10 rpc_requests=20 rpc_served=186 bytes_sent=125888 bytes_received=21406 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=661995000 rpc_queue_wait_ps=2952988000",
+            "clock=5032922000 page_faults=20 mprotect_calls=41 page_loads=22 pages_invalidated=21 cache_invalidations=20 diff_messages=10 diff_slots_flushed=10 rpc_requests=32 rpc_served=70 bytes_sent=36560 bytes_received=53806 field_reads=10 field_writes=10 diff_bytes=220 stride_fetches_issued=2 stride_fetches_wasted=2 pages_patched=11 rpc_service_ps=240280000 rpc_queue_wait_ps=3180000",
         ],
     ),
     (
         "java_ad/default",
-        [
-            "clock=4516196000 locality_checks=6230 page_faults=2 mprotect_calls=5 page_loads=224 pages_invalidated=201 cache_invalidations=10 diff_messages=20 diff_slots_flushed=40 rpc_requests=106 rpc_served=40 bytes_sent=21852 bytes_received=110744 field_reads=32650 field_writes=50 bulk_reads=10 bulk_writes=10 protocol_switches=2 batched_fetches=29 pages_prefetched=138 pages_prefetch_speculative=98 batched_flushes=10 diff_bytes=720 pages_revalidated=200 rpc_service_ps=128250000 rpc_queue_wait_ps=9540000",
-            "clock=652461000 locality_checks=10 page_loads=10 pages_invalidated=9 cache_invalidations=10 diff_messages=10 diff_slots_flushed=10 rpc_requests=20 rpc_served=86 bytes_sent=119442 bytes_received=13790 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=391230000 rpc_queue_wait_ps=9595000",
-            "clock=1338236000 locality_checks=20 page_loads=20 pages_invalidated=19 cache_invalidations=20 diff_messages=10 diff_slots_flushed=10 rpc_requests=30 rpc_served=30 bytes_sent=33832 bytes_received=50592 field_reads=10 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=131830000",
-        ],
-    ),
-    (
-        "java_ad/directory",
         [
             "clock=3054221000 locality_checks=6230 page_faults=2 mprotect_calls=5 page_loads=224 pages_invalidated=201 cache_invalidations=10 diff_messages=20 diff_slots_flushed=40 rpc_requests=106 rpc_served=40 bytes_sent=21852 bytes_received=110744 field_reads=32650 field_writes=50 bulk_reads=10 bulk_writes=10 protocol_switches=2 batched_fetches=29 pages_prefetched=138 pages_prefetch_speculative=98 batched_flushes=10 diff_bytes=720 fetch_overlap_cycles_hidden=166248 stride_fetches_issued=34 stride_fetches_completed=34 deferred_flushes=20 pages_revalidated=200 rpc_service_ps=128250000 rpc_queue_wait_ps=8525000",
             "clock=651446000 locality_checks=10 page_loads=10 pages_invalidated=9 cache_invalidations=10 diff_messages=10 diff_slots_flushed=10 rpc_requests=20 rpc_served=88 bytes_sent=119616 bytes_received=13958 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=397245000 rpc_queue_wait_ps=65531000",
@@ -1838,9 +1713,9 @@ const GOLDEN: &[(&str, [&str; 3])] = &[
     (
         "java_ad/quorum",
         [
-            "clock=4516796000 locality_checks=6230 page_faults=2 mprotect_calls=5 page_loads=224 pages_invalidated=201 cache_invalidations=10 diff_messages=20 diff_slots_flushed=40 rpc_requests=106 rpc_served=40 bytes_sent=21852 bytes_received=110744 field_reads=32650 field_writes=50 bulk_reads=10 bulk_writes=10 protocol_switches=2 batched_fetches=29 pages_prefetched=138 pages_prefetch_speculative=98 batched_flushes=10 diff_bytes=720 pages_revalidated=200 rpc_service_ps=128550000 rpc_queue_wait_ps=9480000",
-            "clock=652551000 locality_checks=10 page_loads=10 pages_invalidated=9 cache_invalidations=10 diff_messages=10 diff_slots_flushed=10 rpc_requests=20 rpc_served=86 bytes_sent=119442 bytes_received=13790 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=391380000 rpc_queue_wait_ps=9475000",
-            "clock=1338266000 locality_checks=20 page_loads=20 pages_invalidated=19 cache_invalidations=20 diff_messages=10 diff_slots_flushed=10 rpc_requests=30 rpc_served=30 bytes_sent=33832 bytes_received=50592 field_reads=10 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=132280000",
+            "clock=3054626000 locality_checks=6230 page_faults=2 mprotect_calls=5 page_loads=224 pages_invalidated=201 cache_invalidations=10 diff_messages=20 diff_slots_flushed=40 rpc_requests=106 rpc_served=40 bytes_sent=21852 bytes_received=110744 field_reads=32650 field_writes=50 bulk_reads=10 bulk_writes=10 protocol_switches=2 batched_fetches=29 pages_prefetched=138 pages_prefetch_speculative=98 batched_flushes=10 diff_bytes=720 fetch_overlap_cycles_hidden=166248 stride_fetches_issued=34 stride_fetches_completed=34 deferred_flushes=20 pages_revalidated=200 rpc_service_ps=128550000 rpc_queue_wait_ps=8480000",
+            "clock=651551000 locality_checks=10 page_loads=10 pages_invalidated=9 cache_invalidations=10 diff_messages=10 diff_slots_flushed=10 rpc_requests=20 rpc_served=88 bytes_sent=119616 bytes_received=13958 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=397395000 rpc_queue_wait_ps=65426000",
+            "clock=1315960000 locality_checks=20 page_loads=22 pages_invalidated=21 cache_invalidations=20 diff_messages=10 diff_slots_flushed=10 rpc_requests=32 rpc_served=30 bytes_sent=34000 bytes_received=50766 field_reads=10 field_writes=10 diff_bytes=220 stride_fetches_issued=2 stride_fetches_wasted=2 pages_patched=11 rpc_service_ps=132280000 rpc_queue_wait_ps=378000",
         ],
     ),
 ];
@@ -1851,12 +1726,7 @@ fn golden_counters_match_the_parent_commit() {
         replication: Some((2, 2)),
         ..TransportConfig::default()
     };
-    let presets = [
-        ("blocking", TransportConfig::blocking()),
-        ("default", TransportConfig::default()),
-        ("directory", TransportConfig::directory()),
-        ("quorum", quorum),
-    ];
+    let presets = [("default", TransportConfig::default()), ("quorum", quorum)];
     let mut rendered = Vec::new();
     for kind in ProtocolKind::all_extended() {
         for (preset, transport) in &presets {

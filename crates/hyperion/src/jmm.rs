@@ -57,8 +57,7 @@ pub fn acquire(ctx: &mut ThreadCtx, learned: &Notices, granter: Option<NodeId>) 
 /// `updateMainMemory`).  A monitor release sends its diffs for pages that
 /// home homes along with the release message, charging only their issue,
 /// and returns the instant the home has applied them: the release reaches
-/// the home then.  Under [`hyperion_dsm::TransportConfig::deferred_flush`]
-/// its other diffs are issued the same way, and the returned
+/// the home then.  Its other diffs are issued the same way, and the returned
 /// [`DeferredFlush`] must be stored on the monitor so its *next acquire*
 /// merges the completion — the JMM's release/acquire edge is per-monitor,
 /// which is exactly why both are legal.  A thread-level edge blocks, and

@@ -266,11 +266,10 @@ impl HMonitor {
     /// Exit the monitor (`monitorexit`): perform the JMM release action, then
     /// release the lock.
     ///
-    /// Under [`hyperion_dsm::TransportConfig::deferred_flush`] the release
-    /// flush is issued as split transactions and its completion watermark is
-    /// parked on this monitor; the releasing thread keeps computing and the
-    /// *next acquire of this monitor* pays whatever latency compute did not
-    /// hide.
+    /// The release flush is issued as split transactions and its completion
+    /// watermark is parked on this monitor; the releasing thread keeps
+    /// computing and the *next acquire of this monitor* pays whatever
+    /// latency compute did not hide.
     pub fn exit(&self, ctx: &mut ThreadCtx) {
         let released = jmm::release(ctx, Some(self.inner.home));
         charge_monitor_local(ctx);
@@ -530,75 +529,64 @@ mod tests {
         assert!(out.report.execution_time >= VTime::from_ms(50));
     }
 
-    fn deferred_runtime(nodes: usize, protocol: ProtocolKind) -> HyperionRuntime {
-        let config = HyperionConfig::new(myrinet_200(), nodes, protocol)
-            .with_transport(hyperion_dsm::TransportConfig::directory());
-        HyperionRuntime::new(config).unwrap()
-    }
-
     #[test]
     fn deferred_flush_completes_exactly_at_the_next_acquire() {
         // One thread, two nodes: write through the cache inside a critical
         // section, release (deferred flush), compute, re-acquire the same
-        // monitor.  The blocking transport charges the flush at the exit;
-        // the deferred transport must charge it no later than the next
-        // acquire — and, because the single-threaded sequence is
-        // deterministic, at exactly the same virtual completion instant.
-        let run = |rt: &HyperionRuntime| {
-            rt.run(|ctx| {
-                let cell = ctx.alloc_object(1, NodeId(1));
-                let monitor = ctx.new_monitor(NodeId(0));
-                monitor.enter(ctx);
-                cell.put(ctx, 0, 5u64);
-                monitor.exit(ctx);
-                let after_exit = ctx.now();
-                ctx.charge(VTime::from_us(2));
-                monitor.enter(ctx);
-                let after_acquire = ctx.now();
-                monitor.exit(ctx);
-                (after_exit, after_acquire)
-            })
-        };
-        let blocking = runtime(2, ProtocolKind::JavaPf);
-        let deferred = deferred_runtime(2, ProtocolKind::JavaPf);
-        let b = run(&blocking);
-        let d = run(&deferred);
-        let (b_exit, _) = b.result;
-        let (d_exit, d_acquire) = d.result;
+        // monitor.  The flush completes where a blocking flush of the same
+        // diff, started at the exit, would end: `exit start + flush`, the
+        // flush timed by `updateMainMemory` on an equal one-slot diff to the
+        // same home.  The exit must not wait for it, and the next acquire
+        // must end exactly at it plus the monitor's local bookkeeping.
+        let out = runtime(2, ProtocolKind::JavaPf).run(|ctx| {
+            let cell = ctx.alloc_object(1, NodeId(1));
+            let monitor = ctx.new_monitor(NodeId(0));
+            // The blocking reference: the page is cached from here on.
+            cell.put(ctx, 0, 4u64);
+            let t0 = ctx.now();
+            crate::memory::update_main_memory(ctx);
+            let flush = ctx.now() - t0;
 
+            monitor.enter(ctx);
+            cell.put(ctx, 0, 5u64);
+            let exit_start = ctx.now();
+            monitor.exit(ctx);
+            let after_exit = ctx.now();
+            ctx.charge(VTime::from_us(2));
+            monitor.enter(ctx);
+            let after_acquire = ctx.now();
+            monitor.exit(ctx);
+            (flush, exit_start, after_exit, after_acquire)
+        });
+        let (flush, exit_start, after_exit, after_acquire) = out.result;
         let machine = myrinet_200().machine;
         let monitor_local = machine.cpu.cycles(machine.dsm.monitor_local_cycles);
-        // The deferred release does not stall on the flush...
+        let completion = exit_start + flush;
+        // The release does not stall on the flush...
         assert!(
-            d_exit < b_exit,
-            "deferred exit must not stall: {d_exit} vs {b_exit}"
+            after_exit < completion,
+            "deferred exit must not stall: {after_exit} vs {completion}"
         );
-        // ...and the flush completion (== the blocking exit minus its
-        // trailing monitor bookkeeping) is merged exactly at the next
-        // acquire of the same monitor, not later.
-        let completion = b_exit - monitor_local;
-        assert!(
-            d_acquire >= completion,
-            "acquire must wait for the deferred flush: {d_acquire} < {completion}"
-        );
-        let s = d.report.total_stats();
+        assert!(after_exit + VTime::from_us(2) < completion);
+        // ...and its completion is merged exactly at the next acquire of the
+        // same monitor, not earlier and not later.
+        assert_eq!(after_acquire, completion + monitor_local);
+        let s = out.report.total_stats();
         assert_eq!(s.deferred_flushes, 1);
         assert!(
             s.flush_overlap_cycles_hidden > 0,
             "2us of compute hid part of the flush"
         );
-        assert_eq!(b.report.total_stats().deferred_flushes, 0);
     }
 
     /// Two workers on two nodes alternate through a monitor on node 0, each
-    /// incrementing a cell homed on `cell_home`, under the deferred
-    /// transport.  Every acquire must observe the previous holder's write
-    /// (JMM release→acquire edge), so the final count is exact; returns the
-    /// run's totals, per protocol.
+    /// incrementing a cell homed on `cell_home`.  Every acquire must observe
+    /// the previous holder's write (JMM release→acquire edge), so the final
+    /// count is exact; returns the run's totals, per protocol.
     fn deferred_ping_pong(cell_home: NodeId) -> Vec<hyperion_model::StatsSnapshot> {
         let rounds = 25u64;
         let run = |protocol| {
-            let out = deferred_runtime(2, protocol).run(|ctx| {
+            let out = runtime(2, protocol).run(|ctx| {
                 let cell = ctx.alloc_object(1, cell_home);
                 let monitor = ctx.new_monitor(NodeId(0));
                 let workers: Vec<_> = (0..2u32)
@@ -643,37 +631,6 @@ mod tests {
             assert!(total.release_diffs > 0, "{total:?}");
             assert_eq!(total.deferred_flushes, 0, "{total:?}");
         }
-    }
-
-    #[test]
-    fn deferred_transport_never_slows_the_synchronized_counter() {
-        let blocking = runtime(2, ProtocolKind::JavaPf);
-        let deferred = deferred_runtime(2, ProtocolKind::JavaPf);
-        let run = |rt: &HyperionRuntime| {
-            rt.run(|ctx| {
-                let cell = ctx.alloc_object(1, NodeId(1));
-                let monitor = ctx.new_monitor(NodeId(0));
-                for _ in 0..20 {
-                    monitor.synchronized(ctx, |ctx| {
-                        let v: u64 = cell.get(ctx, 0);
-                        cell.put(ctx, 0, v + 1);
-                    });
-                    // Compute between critical sections is what the deferred
-                    // flush hides behind.
-                    ctx.charge(VTime::from_us(30));
-                }
-                cell.get::<u64>(ctx, 0)
-            })
-        };
-        let b = run(&blocking);
-        let d = run(&deferred);
-        assert_eq!(b.result, d.result);
-        assert!(
-            d.report.execution_time < b.report.execution_time,
-            "hidden flush latency must shorten the run: {} vs {}",
-            d.report.execution_time,
-            b.report.execution_time
-        );
     }
 
     #[test]

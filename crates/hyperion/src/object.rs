@@ -253,11 +253,9 @@ impl<T: SlotValue> HArray<T> {
     /// Prefetch every page this array's elements live on (`loadIntoCache`
     /// per touched page).  A no-op for local and already-cached pages.
     ///
-    /// Under the overlapped transport
-    /// ([`hyperion_dsm::TransportConfig::overlapped_fetches`]) the fetches
-    /// are issued as split transactions, so calling this right after an
-    /// acquire point hides the transfer latency behind whatever computation
-    /// runs before the data's first real use.
+    /// The fetches are issued as split transactions, so calling this right
+    /// after an acquire point hides the transfer latency behind whatever
+    /// computation runs before the data's first real use.
     pub fn prefetch(&self, ctx: &mut ThreadCtx) {
         ctx.prefetch_slots(self.base, self.len);
     }

@@ -613,15 +613,6 @@ impl ThreadCtx {
         self.shared.config.protocol
     }
 
-    /// The transport configuration of this run.  Kernels consult it for
-    /// transport-aware restructurings (e.g. issuing a fetch a
-    /// statement-window early only pays off when the transport can split
-    /// the transaction).
-    #[inline]
-    pub fn transport(&self) -> &TransportConfig {
-        &self.shared.config.transport
-    }
-
     /// Number of nodes in this run.
     #[inline]
     pub fn num_nodes(&self) -> usize {
@@ -750,13 +741,11 @@ impl ThreadCtx {
     /// Prefetch every page of the `slots` consecutive slots starting at
     /// `addr`: one `loadIntoCache` per touched page.
     ///
-    /// Under the blocking transport this pays each fetch up front, exactly
-    /// as fetching at first use would; under
-    /// [`hyperion_dsm::TransportConfig::overlapped_fetches`] the fetches are
-    /// issued as split transactions and only their *residual* latency is
-    /// charged when the data is first really used — this is the call a
-    /// latency-hiding kernel places as early as its consistency window
-    /// allows (right after the acquire that invalidated the cache).
+    /// The fetches are issued as split transactions and only their
+    /// *residual* latency is charged when the data is first really used —
+    /// this is the call a latency-hiding kernel places as early as its
+    /// consistency window allows (right after the acquire that invalidated
+    /// the cache).
     pub fn prefetch_slots(&mut self, addr: GlobalAddr, slots: usize) {
         if slots == 0 {
             return;
@@ -1060,15 +1049,7 @@ mod tests {
     #[test]
     fn policy_validation_rejects_illegal_selections_with_named_variants() {
         type Edit = fn(&mut TransportConfig);
-        let rejected: [(Edit, PolicyError); 5] = [
-            (|t| t.max_flush_batch_pages = 0, PolicyError::ZeroFlushBatch),
-            (
-                |t| {
-                    *t = TransportConfig::directory();
-                    t.max_flush_batch_pages = 0;
-                },
-                PolicyError::ZeroFlushBatch,
-            ),
+        let rejected: [(Edit, PolicyError); 3] = [
             (
                 |t| t.replication = Some((0, 1)),
                 PolicyError::ZeroReadReplicas,
@@ -1089,8 +1070,7 @@ mod tests {
             assert!(format!("{}", c.validate().unwrap_err()).contains(&expected.to_string()));
         }
         // The edges of what is legal.
-        let accepted: [Edit; 3] = [
-            |t| t.max_flush_batch_pages = 1,
+        let accepted: [Edit; 2] = [
             |t| t.replication = Some((2, 3)),
             |t| t.replication = Some((1, 1)),
         ];
@@ -1107,20 +1087,13 @@ mod tests {
             replication: Some((2, 2)),
             ..TransportConfig::default()
         };
-        for transport in [
-            TransportConfig::blocking(),
-            TransportConfig::latency_hiding(),
-            TransportConfig::directory(),
-            quorum,
-        ] {
+        for transport in [TransportConfig::default(), quorum] {
             for protocol in ProtocolKind::all_extended() {
                 let cfg = config(2, protocol).with_transport(transport.clone());
                 let rt = HyperionRuntime::new(cfg).unwrap();
                 assert_eq!(rt.dsm().kind(), protocol);
-                // The flags a kernel reads are the ones the engine was built
-                // from: the same `TransportConfig` value.
+                // The engine was built from the configured value.
                 assert_eq!(rt.dsm().transport(), &transport);
-                rt.run(|ctx| assert_eq!(ctx.transport(), &transport));
             }
         }
     }

@@ -30,17 +30,20 @@ const MISSES: usize = 16;
 const SLOTS_PER_PAGE: usize = 512;
 
 /// Modeled execution time of `clients` clients, each missing on `MISSES`
-/// pages of its own on the home, run by the host back to back.
+/// pages of its own on the home, run by the host back to back.  A client's
+/// misses leave a page between them, so no fetch continues a scan and the
+/// stride prefetch adds none.
 fn serialised_clients(clients: usize, protocol: ProtocolKind) -> VTime {
     let config = HyperionConfig::new(myrinet_200(), 1 + CLIENTS, protocol);
     let runtime = HyperionRuntime::new(config).unwrap();
     let out = runtime.run(move |ctx| {
-        let pages = ctx.alloc_array_page_aligned::<u64>(CLIENTS * MISSES * SLOTS_PER_PAGE, HOME);
+        let slots = CLIENTS * MISSES * 2 * SLOTS_PER_PAGE;
+        let pages = ctx.alloc_array_page_aligned::<u64>(slots, HOME);
         let handles: Vec<_> = (0..clients)
             .map(|c| {
                 ctx.spawn_on(NodeId(1 + c as u32), move |client| {
                     for miss in 0..MISSES {
-                        pages.get(client, (c * MISSES + miss) * SLOTS_PER_PAGE);
+                        pages.get(client, (c * MISSES + miss) * 2 * SLOTS_PER_PAGE);
                     }
                 })
             })

@@ -4,9 +4,8 @@
 //! the grant's node homes, patches them with what the grant carries, and
 //! reopens the dropped copies of such pages that the request named (those
 //! whose last answer from the home fitted a grant) — under
-//! `java_ic`, `java_pf` and `java_ad`, with the default transport and with
-//! the `directory()` one (deferred release flushing, stride prefetch).  A
-//! release to a monitor's home carries the diffs for that home's pages; the
+//! `java_ic`, `java_pf` and `java_ad` (with their deferred release flushing
+//! and stride prefetch).  A release to a monitor's home carries the diffs for that home's pages; the
 //! litmus tests of that ride have a section of their own.
 //!
 //! Each litmus first lets the reading node cache the page, so a stale copy
@@ -74,20 +73,12 @@ use hyperion_pm2::{Cluster, IsoAllocator};
 
 const SLOTS: usize = 512;
 
-/// Every protocol under the default and the directory transport.
+/// Every protocol, labelled by name.
 fn configs(nodes: usize) -> Vec<(String, HyperionConfig)> {
-    let mut out = Vec::new();
-    for protocol in ProtocolKind::all_extended() {
-        for (name, transport) in [
-            ("default", TransportConfig::default()),
-            ("directory", TransportConfig::directory()),
-        ] {
-            let config =
-                HyperionConfig::new(myrinet_200(), nodes, protocol).with_transport(transport);
-            out.push((format!("{protocol}/{name}"), config));
-        }
-    }
-    out
+    let config = |protocol| HyperionConfig::new(myrinet_200(), nodes, protocol);
+    let all = ProtocolKind::all_extended().into_iter();
+    all.map(|protocol| (protocol.to_string(), config(protocol)))
+        .collect()
 }
 
 /// Message passing through one monitor: a reader that cached the page
@@ -119,7 +110,7 @@ fn message_passing(writer_node: u32) {
             reader.pages_invalidated >= 1,
             "{label}: the stale copy was dropped"
         );
-        if label.ends_with("directory") && writer_node == 1 {
+        if writer_node == 1 {
             assert!(out.report.total_stats().deferred_flushes > 0, "{label}");
         }
     }

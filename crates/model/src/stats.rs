@@ -116,7 +116,7 @@ define_stats! {
     batched_flushes,
     /// Payload bytes of diff messages sent by this node.
     diff_bytes,
-    /// Fetch round-trip cycles hidden behind compute by overlapped transport.
+    /// Fetch round-trip cycles hidden behind compute by overlapped fetches.
     fetch_overlap_cycles_hidden,
     /// Split-transaction fetches this node issued ahead of a scan (the stride prefetch).
     stride_fetches_issued,

@@ -225,10 +225,10 @@ fn dsm_matches_the_consistency_specification() {
     assert!(patched.get() > 0, "no sequence crossed a patch");
 }
 
-/// The model check of [`dsm_matches_the_consistency_specification`], run
-/// under the directory transport: stride prefetches install pages ahead of
-/// the demand misses and deferred flushing re-times the
-/// release RPCs, but every read must still observe exactly the values the
+/// The model check of [`dsm_matches_the_consistency_specification`], with
+/// every flush taking the deferred path: stride prefetches install pages
+/// ahead of the demand misses and deferred flushing re-times the release
+/// RPCs, but every read must still observe exactly the values the
 /// consistency specification predicts, under all three protocols.
 #[test]
 fn dsm_matches_the_consistency_specification_under_directory_transport() {
@@ -249,7 +249,7 @@ fn dsm_matches_the_consistency_specification_under_directory_transport() {
                 store,
                 protocol,
                 &hyperion_workspace::dsm::AdaptiveParams::default(),
-                &TransportConfig::directory(),
+                &TransportConfig::default(),
             );
             let mut addrs = Vec::new();
             let mut homes = Vec::new();
@@ -278,8 +278,8 @@ fn dsm_matches_the_consistency_specification_under_directory_transport() {
                         let expected = spec.get(node, slot);
                         assert_eq!(
                             real, expected,
-                            "seed {seed}: {protocol:?} directory-transport read mismatch at \
-                             slot {slot}"
+                            "seed {seed}: {protocol:?} deferred-flush read mismatch at slot \
+                             {slot}"
                         );
                     }
                     DsmOp::Flush { node } => {
@@ -308,7 +308,7 @@ fn dsm_matches_the_consistency_specification_under_directory_transport() {
                 let real = dsm.get(NodeId(home as u32), &mut clocks[home], *addr);
                 assert_eq!(
                     real, spec.main[slot],
-                    "seed {seed}: {protocol:?} directory-transport final state, slot {slot}"
+                    "seed {seed}: {protocol:?} deferred-flush final state, slot {slot}"
                 );
             }
         }
@@ -418,27 +418,24 @@ fn every_read_in_a_section_sees_the_last_write_in_monitor_order() {
     property(48, |seed, rng| {
         let program = random_program(rng, 0);
         for protocol in ProtocolKind::all_extended() {
-            for transport in [TransportConfig::default(), TransportConfig::directory()] {
-                let config =
-                    HyperionConfig::new(myrinet_200(), 3, protocol).with_transport(transport);
-                let rt = HyperionRuntime::new(config).expect("valid configuration");
-                let program = program.clone();
-                let out = rt.run(move |ctx| {
-                    let page = |ctx: &mut hyperion_workspace::ThreadCtx, k| {
-                        ctx.alloc_array_page_aligned::<u64>(2, NodeId(k))
-                    };
-                    let w = World {
-                        seed,
-                        pages: [page(ctx, 0), page(ctx, 1), page(ctx, 2)],
-                        monitors: [ctx.new_monitor(NodeId(0)), ctx.new_monitor(NodeId(1))],
-                        last: Arc::new(Default::default()),
-                    };
-                    run_program(ctx, program, &w);
-                });
-                let t = out.report.total_stats();
-                kept.set(kept.get() + t.pages_kept);
-                dropped.set(dropped.get() + t.pages_invalidated);
-            }
+            let config = HyperionConfig::new(myrinet_200(), 3, protocol);
+            let rt = HyperionRuntime::new(config).expect("valid configuration");
+            let program = program.clone();
+            let out = rt.run(move |ctx| {
+                let page = |ctx: &mut hyperion_workspace::ThreadCtx, k| {
+                    ctx.alloc_array_page_aligned::<u64>(2, NodeId(k))
+                };
+                let w = World {
+                    seed,
+                    pages: [page(ctx, 0), page(ctx, 1), page(ctx, 2)],
+                    monitors: [ctx.new_monitor(NodeId(0)), ctx.new_monitor(NodeId(1))],
+                    last: Arc::new(Default::default()),
+                };
+                run_program(ctx, program, &w);
+            });
+            let t = out.report.total_stats();
+            kept.set(kept.get() + t.pages_kept);
+            dropped.set(dropped.get() + t.pages_invalidated);
         }
     });
     // The programs have to get there at all: copies kept open across
@@ -446,19 +443,16 @@ fn every_read_in_a_section_sees_the_last_write_in_monitor_order() {
     assert!(kept.get() > 0 && dropped.get() > 0);
 }
 
-/// Stride prefetches (and the deferred flushing that ships with the
-/// directory transport) never change an application's digest, across
-/// randomised problem instances of two apps whose access patterns
-/// actually draw them.
+/// Stride prefetches and deferred flushing never change an application's
+/// digest, across randomised problem instances of two apps whose access
+/// patterns actually draw them: three nodes compute exactly what one node,
+/// with nothing on the wire, computes.
 #[test]
 fn app_digests_are_invariant_under_the_directory_transport() {
     use hyperion_workspace::apps::{asp, jacobi};
     use hyperion_workspace::HyperionConfig;
 
-    let config = |transport: &TransportConfig| {
-        HyperionConfig::new(myrinet_200(), 3, ProtocolKind::JavaPf)
-            .with_transport(transport.clone())
-    };
+    let config = |nodes| HyperionConfig::new(myrinet_200(), nodes, ProtocolKind::JavaPf);
     property(4, |seed, rng| {
         // Sizes chosen so rows regularly span page boundaries (the pattern
         // that draws stride prefetches) without making the run slow.
@@ -466,11 +460,11 @@ fn app_digests_are_invariant_under_the_directory_transport() {
             size: 40 + rng.gen_range(0u64..5) as usize * 10,
             steps: 3 + rng.gen_range(0u64..3) as usize,
         };
-        let base = jacobi::run(config(&TransportConfig::default()), &jacobi_params);
-        let dir = jacobi::run(config(&TransportConfig::directory()), &jacobi_params);
+        let base = jacobi::run(config(1), &jacobi_params);
+        let dist = jacobi::run(config(3), &jacobi_params);
         assert_eq!(
-            base.result, dir.result,
-            "seed {seed}: directory transport changed Jacobi's answer ({jacobi_params:?})"
+            base.result, dist.result,
+            "seed {seed}: the wire changed Jacobi's answer ({jacobi_params:?})"
         );
 
         let asp_params = asp::AspParams {
@@ -478,11 +472,11 @@ fn app_digests_are_invariant_under_the_directory_transport() {
             seed: seed.wrapping_mul(0x9E37_79B9).wrapping_add(7),
             edge_percent: 20 + rng.gen_range(0u64..40) as u32,
         };
-        let base = asp::run(config(&TransportConfig::default()), &asp_params);
-        let dir = asp::run(config(&TransportConfig::directory()), &asp_params);
+        let base = asp::run(config(1), &asp_params);
+        let dist = asp::run(config(3), &asp_params);
         assert_eq!(
-            base.result, dir.result,
-            "seed {seed}: directory transport changed ASP's answer ({asp_params:?})"
+            base.result, dist.result,
+            "seed {seed}: the wire changed ASP's answer ({asp_params:?})"
         );
     });
 }

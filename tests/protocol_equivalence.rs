@@ -11,23 +11,16 @@
 //! 3. `java_ad` never inflates the modeled page traffic beyond the worse of
 //!    the two fixed protocols.
 //!
-//! Every run repeats exactly, so each property is checked on one run.
+//! Every run repeats exactly, so each property is checked on one run, on
+//! the one transport there is (overlapped fetches with their stride
+//! prefetch, batched and deferred release flushes).
 
-use hyperion_workspace::apps::common::Benchmark;
+use hyperion_workspace::apps::common::{Benchmark, BenchmarkName};
 use hyperion_workspace::apps::{asp, barnes, graph, jacobi, kvstore, pi, tsp};
 use hyperion_workspace::prelude::*;
 use hyperion_workspace::{HyperionConfig, ProtocolKind, TransportBackend, TransportConfig};
 
 const NODES: usize = 3;
-
-/// The transports the suite treats as its base: every property stated
-/// against "the" transport is checked under the default one and under a
-/// non-default — but semantics-preserving — mix (overlapped fetches with
-/// their stride prefetch, deferred flushing), so each is also proved
-/// against a live deferred-flush policy and live in-flight tickets.
-fn base_transports() -> [TransportConfig; 2] {
-    [TransportConfig::default(), TransportConfig::directory()]
-}
 
 fn all_benchmarks() -> Vec<Box<dyn Benchmark>> {
     vec![
@@ -69,21 +62,27 @@ fn same_digest(a: f64, b: f64) -> bool {
     (a - b).abs() <= a.abs().max(1.0) * 1e-9
 }
 
-/// Every base transport paired with every benchmark of `benches`.
-fn bases_times(
-    benches: fn() -> Vec<Box<dyn Benchmark>>,
-) -> impl Iterator<Item = (TransportConfig, Box<dyn Benchmark>)> {
-    base_transports()
-        .into_iter()
-        .flat_map(move |base| benches().into_iter().map(move |b| (base.clone(), b)))
+/// `bench` under `protocol` on the in-process simulator.
+fn execute(bench: &dyn Benchmark, protocol: ProtocolKind) -> (f64, RunReport) {
+    execute_with(bench, protocol, &TransportConfig::default())
+}
+
+/// `bench` under `java_ic` on one node: no page is remote, so no fetch,
+/// flush or ticket is ever on the wire — the answer every multi-node run
+/// must reproduce.
+fn one_node_digest(bench: &dyn Benchmark) -> f64 {
+    let config = HyperionConfig::new(myrinet_200(), 1, ProtocolKind::JavaIc);
+    let (digest, report) = bench.execute(config);
+    assert_eq!(report.total_stats().rpc_requests, 0, "{}", bench.name());
+    digest
 }
 
 #[test]
 fn all_three_protocols_compute_identical_results() {
-    for (base, bench) in bases_times(all_benchmarks) {
-        let (ic, _) = execute_with(bench.as_ref(), ProtocolKind::JavaIc, &base);
-        let (pf, _) = execute_with(bench.as_ref(), ProtocolKind::JavaPf, &base);
-        let (ad, _) = execute_with(bench.as_ref(), ProtocolKind::JavaAd, &base);
+    for bench in all_benchmarks() {
+        let (ic, _) = execute(bench.as_ref(), ProtocolKind::JavaIc);
+        let (pf, _) = execute(bench.as_ref(), ProtocolKind::JavaPf);
+        let (ad, _) = execute(bench.as_ref(), ProtocolKind::JavaAd);
         assert!(same_digest(ic, pf), "{}: ic {ic} vs pf {pf}", bench.name());
         assert!(same_digest(ic, ad), "{}: ic {ic} vs ad {ad}", bench.name());
     }
@@ -100,13 +99,11 @@ fn serving_apps_preserve_digests_across_protocols_and_backends() {
         backend: TransportBackend::UnixSocket,
         ..TransportConfig::default()
     };
-    let [default, directory] = base_transports();
     for bench in serving_benchmarks() {
-        let (reference, _) = execute_with(bench.as_ref(), ProtocolKind::JavaIc, &default);
+        let (reference, _) = execute(bench.as_ref(), ProtocolKind::JavaIc);
         for protocol in ProtocolKind::all_extended() {
             for (label, transport) in [
-                ("sim", default.clone()),
-                ("sim+dir", directory.clone()),
+                ("sim", TransportConfig::default()),
                 ("socket", socket.clone()),
             ] {
                 let (digest, report) = execute_with(bench.as_ref(), protocol, &transport);
@@ -138,10 +135,10 @@ fn serving_apps_preserve_digests_across_protocols_and_backends() {
 
 #[test]
 fn adaptive_cost_never_exceeds_the_worse_fixed_protocol() {
-    for (base, bench) in bases_times(all_benchmarks) {
-        let (_, ic) = execute_with(bench.as_ref(), ProtocolKind::JavaIc, &base);
-        let (_, pf) = execute_with(bench.as_ref(), ProtocolKind::JavaPf, &base);
-        let (_, ad) = execute_with(bench.as_ref(), ProtocolKind::JavaAd, &base);
+    for bench in all_benchmarks() {
+        let (_, ic) = execute(bench.as_ref(), ProtocolKind::JavaIc);
+        let (_, pf) = execute(bench.as_ref(), ProtocolKind::JavaPf);
+        let (_, ad) = execute(bench.as_ref(), ProtocolKind::JavaAd);
         let worst = ic.execution_time.max(pf.execution_time);
         assert!(
             ad.execution_time <= worst,
@@ -165,10 +162,10 @@ fn unforced_loads(report: &RunReport) -> u64 {
 
 #[test]
 fn adaptive_page_loads_never_exceed_the_worse_fixed_protocol() {
-    for (base, bench) in bases_times(all_benchmarks) {
-        let (_, ic) = execute_with(bench.as_ref(), ProtocolKind::JavaIc, &base);
-        let (_, pf) = execute_with(bench.as_ref(), ProtocolKind::JavaPf, &base);
-        let (_, ad) = execute_with(bench.as_ref(), ProtocolKind::JavaAd, &base);
+    for bench in all_benchmarks() {
+        let (_, ic) = execute(bench.as_ref(), ProtocolKind::JavaIc);
+        let (_, pf) = execute(bench.as_ref(), ProtocolKind::JavaPf);
+        let (_, ad) = execute(bench.as_ref(), ProtocolKind::JavaAd);
         let worst = unforced_loads(&ic).max(unforced_loads(&pf));
         assert!(
             unforced_loads(&ad) <= worst,
@@ -181,139 +178,120 @@ fn adaptive_page_loads_never_exceed_the_worse_fixed_protocol() {
 
 #[test]
 fn all_three_protocols_compute_identical_results_under_latency_hiding_transport() {
-    // Overlapped fetches and batched diff flushing on: the transport may
-    // change *when* latency is charged and *how many* RPCs carry the bytes,
-    // never what a program computes.
-    const DISABLED_MECHANISM_COUNTERS: [&str; 7] = [
-        "stride_fetches_issued",
-        "stride_fetches_completed",
-        "stride_fetches_wasted",
-        "deferred_flushes",
-        "batched_flushes",
-        "fetch_overlap_cycles_hidden",
-        "flush_overlap_cycles_hidden",
-    ];
-    let transport = TransportConfig::latency_hiding();
+    // Overlapped fetches, the stride prefetch, batched and deferred release
+    // flushes: the transport may change *when* latency is charged and *how
+    // many* RPCs carry the bytes, never what a program computes.  Every
+    // protocol must reproduce the one-node answer, whose run puts nothing on
+    // the wire, and the mechanisms' counters must balance.
     for bench in all_benchmarks() {
-        let (reference, _) = execute_with(
-            bench.as_ref(),
-            ProtocolKind::JavaIc,
-            &TransportConfig::default(),
-        );
+        let reference = one_node_digest(bench.as_ref());
         for protocol in ProtocolKind::all_extended() {
-            let (overlapped, _) = execute_with(bench.as_ref(), protocol, &transport);
-            // Each must agree with the paper's blocking transport's answer,
-            // under which every counter of a mechanism it switches off is
-            // exactly zero.
-            let (blocking, report) =
-                execute_with(bench.as_ref(), protocol, &TransportConfig::blocking());
-            for (label, v) in [("overlapped", overlapped), ("blocking", blocking)] {
-                assert!(
-                    same_digest(reference, v),
-                    "{}: default ic {reference} vs {label} {} {v}",
-                    bench.name(),
-                    protocol.name()
-                );
-            }
-            for (counter, value) in report.total_stats().fields() {
-                assert!(
-                    value == 0 || !DISABLED_MECHANISM_COUNTERS.contains(&counter),
-                    "{}/{}: `{counter}` is {value} under the blocking transport",
-                    bench.name(),
-                    protocol.name()
-                );
-            }
+            let (digest, report) = execute(bench.as_ref(), protocol);
+            assert!(
+                same_digest(reference, digest),
+                "{}/{}: one-node {reference} vs {digest}",
+                bench.name(),
+                protocol.name()
+            );
+            let t = report.total_stats();
+            let label = format!("{}/{}: {t:?}", bench.name(), protocol.name());
+            assert!(
+                t.stride_fetches_completed + t.stride_fetches_wasted <= t.stride_fetches_issued,
+                "{label}"
+            );
+            assert!(t.stride_fetches_issued <= t.page_loads, "{label}");
+            assert!(
+                t.deferred_flushes + t.release_diffs <= t.diff_messages,
+                "{label}"
+            );
+            assert!(t.batched_flushes <= t.diff_messages, "{label}");
         }
     }
 }
 
-#[test]
-fn overlapped_transport_never_costs_wall_time_over_blocking() {
-    // The split transactions only defer when fetch latency is charged, so
-    // the modeled wall time with overlap must not exceed the blocking
-    // baseline on any app.  The claim decomposes per app:
-    //
-    // * Pi, TSP and Barnes-Hut open no prefetch windows under `java_pf`, so
-    //   the two transports run a mechanism-identical engine — the property
-    //   holds by construction, which the run itself proves by recording
-    //   zero split transactions.  (A raw time comparison would only compare
-    //   two draws of their schedule-chaotic exploration.)
-    // * Jacobi and ASP do open windows; their modeled times are compared
-    //   directly.
-    let overlapped = TransportConfig {
-        overlapped_fetches: true,
-        ..TransportConfig::default()
-    };
-    for bench in [
-        Box::new(pi::PiParams::quick()) as Box<dyn Benchmark>,
-        Box::new(tsp::TspParams::quick()),
-        Box::new(barnes::BarnesParams::quick()),
-    ] {
-        let (_, split) = execute_with(bench.as_ref(), ProtocolKind::JavaPf, &overlapped);
-        assert_eq!(
-            split.total_stats().fetch_overlap_cycles_hidden,
-            0,
-            "{}: no prefetch windows, so the overlapped transport must have \
-             run identically to the blocking one",
-            bench.name()
-        );
-    }
-    for bench in [
-        Box::new(jacobi::JacobiParams::quick()) as Box<dyn Benchmark>,
-        Box::new(asp::AspParams::quick()),
-    ] {
-        let (_, blocking) = execute_with(
-            bench.as_ref(),
-            ProtocolKind::JavaPf,
-            &TransportConfig::default(),
-        );
-        let (_, split) = execute_with(bench.as_ref(), ProtocolKind::JavaPf, &overlapped);
-        assert!(
-            split.execution_time <= blocking.execution_time,
-            "{}: overlapped transport cost {} exceeds the blocking baseline {}",
-            bench.name(),
-            split.execution_time,
-            blocking.execution_time
-        );
-    }
-}
+/// `java_pf` modeled time of each app of `all_benchmarks()` at [`NODES`]
+/// nodes under the blocking transport this one replaced, in picoseconds
+/// (blocking fetches, no deferred flushes; measured at the last commit that
+/// had it).
+const BLOCKING_PF_PS: [(BenchmarkName, u64); 5] = [
+    (BenchmarkName::Pi, 4_831_468_000),
+    (BenchmarkName::Jacobi, 3_254_946_000),
+    (BenchmarkName::Barnes, 6_740_843_497),
+    (BenchmarkName::Tsp, 3_200_250_000),
+    (BenchmarkName::Asp, 8_094_409_747),
+];
 
 #[test]
-fn all_three_protocols_compute_identical_results_under_directory_transport() {
-    // The stride prefetch (in-flight tickets ahead of a scan) and deferred
-    // release flushing both only move *when* latency is charged; neither
-    // may be observable at the application level.
-    let transport = TransportConfig::directory();
-    for bench in all_benchmarks() {
-        let (ic, _) = execute_with(bench.as_ref(), ProtocolKind::JavaIc, &transport);
-        let (pf, _) = execute_with(bench.as_ref(), ProtocolKind::JavaPf, &transport);
-        let (ad, _) = execute_with(bench.as_ref(), ProtocolKind::JavaAd, &transport);
-        // And each must agree with the default transport's answer.
-        let (default, _) = execute_with(
-            bench.as_ref(),
-            ProtocolKind::JavaIc,
-            &TransportConfig::default(),
+fn overlapped_transport_never_costs_wall_time_over_blocking() {
+    // The split transactions only defer when latency is charged, so no app
+    // may run longer than it did under the blocking transport.  Jacobi and
+    // ASP open prefetch windows right after their acquires, so they hide
+    // latency and run strictly faster; Pi, TSP and Barnes-Hut open none
+    // under `java_pf`, and the run proves it by hiding nothing.
+    for (bench, (name, blocking_ps)) in all_benchmarks().into_iter().zip(BLOCKING_PF_PS) {
+        assert_eq!(bench.name(), name);
+        let (_, report) = execute(bench.as_ref(), ProtocolKind::JavaPf);
+        let (ps, hidden) = (
+            report.execution_time.as_ps(),
+            report.total_stats().fetch_overlap_cycles_hidden,
         );
-        for (label, v) in [("pf", pf), ("ad", ad), ("default ic", default)] {
+        if matches!(name, BenchmarkName::Jacobi | BenchmarkName::Asp) {
+            assert!(hidden > 0, "{name}: no latency hidden");
             assert!(
-                same_digest(ic, v),
-                "{}: directory ic {ic} vs {label} {v}",
-                bench.name()
+                ps < blocking_ps,
+                "{name}: {ps} ps vs blocking {blocking_ps}"
+            );
+        } else {
+            assert_eq!(hidden, 0, "{name}: no prefetch window, nothing to hide");
+            assert!(
+                ps <= blocking_ps,
+                "{name}: {ps} ps vs blocking {blocking_ps}"
             );
         }
     }
 }
 
 #[test]
+fn all_three_protocols_compute_identical_results_under_directory_transport() {
+    // What the directory preset added to the latency-hiding one, now part
+    // of the one transport: the stride prefetch (in-flight tickets ahead of
+    // a scan) and deferred release flushing.  Both only move *when* latency
+    // is charged; neither may be observable at the application level — and
+    // each protocol's agreement with `java_ic` must be proved with both
+    // mechanisms live in its runs.
+    for protocol in ProtocolKind::all_extended() {
+        let (mut stride, mut deferred) = (0, 0);
+        for bench in all_benchmarks() {
+            let (ic, _) = execute(bench.as_ref(), ProtocolKind::JavaIc);
+            let (digest, report) = execute(bench.as_ref(), protocol);
+            assert!(
+                same_digest(ic, digest),
+                "{}: ic {ic} vs {} {digest}",
+                bench.name(),
+                protocol.name()
+            );
+            let total = report.total_stats();
+            stride += total.stride_fetches_issued;
+            deferred += total.deferred_flushes;
+        }
+        assert!(
+            stride > 0,
+            "{}: no app issued a stride fetch",
+            protocol.name()
+        );
+        assert!(deferred > 0, "{}: no app deferred a flush", protocol.name());
+    }
+}
+
+#[test]
 fn stride_prefetch_waste_stays_within_an_eighth_of_what_it_issued() {
-    // The bound over every app under the directory transport: stride
+    // The bound over every app: stride
     // fetches invalidated untouched must stay within 1/8 of those issued —
     // what the gate in `issue_stride_fetches` itself holds a node to (floor
     // of 32: on a sample that small a few unlucky prefetches must not trip
     // the ratio).
-    let transport = TransportConfig::directory();
     for bench in all_benchmarks().into_iter().chain(serving_benchmarks()) {
-        let (_, report) = execute_with(bench.as_ref(), ProtocolKind::JavaPf, &transport);
+        let (_, report) = execute(bench.as_ref(), ProtocolKind::JavaPf);
         let total = report.total_stats();
         assert!(
             total.stride_fetches_wasted * 8 <= total.stride_fetches_issued.max(32),
@@ -337,7 +315,7 @@ fn stride_prefetch_waste_stays_within_an_eighth_of_what_it_issued() {
     // every one of them used, none wasted.  (The quick instance's short work
     // queue draws one pair per node, wasted, and then the gate is shut.)
     let tsp = tsp::TspParams::harness();
-    let (_, report) = execute_with(&tsp, ProtocolKind::JavaPf, &transport);
+    let (_, report) = execute(&tsp, ProtocolKind::JavaPf);
     let s = report.total_stats();
     let stride = (s.stride_fetches_issued, s.stride_fetches_completed);
     assert_eq!((stride, s.stride_fetches_wasted), ((16, 16), 0));
@@ -357,15 +335,13 @@ fn socket_transport_preserves_every_digest() {
     for bench in all_benchmarks() {
         for protocol in ProtocolKind::all_extended() {
             let (sock_digest, report) = execute_with(bench.as_ref(), protocol, &socket);
-            for base in base_transports() {
-                let (sim_digest, _) = execute_with(bench.as_ref(), protocol, &base);
-                assert!(
-                    same_digest(sim_digest, sock_digest),
-                    "{}/{}: sim digest {sim_digest} vs socket digest {sock_digest}",
-                    bench.name(),
-                    protocol.name()
-                );
-            }
+            let (sim_digest, _) = execute(bench.as_ref(), protocol);
+            assert!(
+                same_digest(sim_digest, sock_digest),
+                "{}/{}: sim digest {sim_digest} vs socket digest {sock_digest}",
+                bench.name(),
+                protocol.name()
+            );
             assert_eq!(report.transport, "unix-socket");
             // Every RPC round trip crossed the socket and was counted.
             let wire_rpcs: u64 = report.wire.iter().map(|(_, w)| w.messages).sum();
@@ -384,21 +360,17 @@ fn socket_transport_preserves_every_digest() {
 fn deferred_release_flushing_preserves_every_answer() {
     // Deferred flushing re-times the release-side diff RPCs (completion at
     // the next acquire of the same monitor); the bytes, their application
-    // order at the homes, and therefore every answer must be unchanged.
-    let deferred = TransportConfig {
-        deferred_flush: true,
-        ..TransportConfig::default()
-    };
+    // order at the homes, and therefore every answer must be the one-node
+    // answer, on apps that do defer flushes.
+    let mut deferred = 0;
     for bench in all_benchmarks() {
-        let (defer, report) = execute_with(bench.as_ref(), ProtocolKind::JavaPf, &deferred);
-        for base in base_transports() {
-            let (base, _) = execute_with(bench.as_ref(), ProtocolKind::JavaPf, &base);
-            assert!(
-                same_digest(base, defer),
-                "{}: deferred flushing changed the answer ({base} vs {defer})",
-                bench.name()
-            );
-        }
+        let (digest, report) = execute(bench.as_ref(), ProtocolKind::JavaPf);
+        let reference = one_node_digest(bench.as_ref());
+        assert!(
+            same_digest(reference, digest),
+            "{}: deferred flushing changed the answer ({reference} vs {digest})",
+            bench.name()
+        );
         // Diff traffic is identical in count — only its completion moved.
         let total = report.total_stats();
         assert!(
@@ -406,7 +378,9 @@ fn deferred_release_flushing_preserves_every_answer() {
             "{}: deferred flushes exceed diff messages",
             bench.name()
         );
+        deferred += total.deferred_flushes;
     }
+    assert!(deferred > 0, "no app deferred a flush");
 }
 
 #[test]
@@ -417,8 +391,8 @@ fn adaptive_speculation_waste_stays_throttled() {
     // waste and are excluded from the ratio), plus each node's start-up
     // allowance and one last in-flight batch that may complete after the
     // throttle trips.
-    for (base, bench) in bases_times(all_benchmarks).chain(bases_times(serving_benchmarks)) {
-        let (_, report) = execute_with(bench.as_ref(), ProtocolKind::JavaAd, &base);
+    for bench in all_benchmarks().into_iter().chain(serving_benchmarks()) {
+        let (_, report) = execute(bench.as_ref(), ProtocolKind::JavaAd);
         let total = report.total_stats();
         assert!(
             total.pages_prefetch_wasted <= total.pages_prefetch_speculative / 16 + 9 * NODES as u64,
