@@ -625,11 +625,10 @@ pub fn sweep_modeled_vs_measured(scale: Scale, backend: TransportBackend) -> Vec
 }
 
 /// One paired point of the chaos sweep: the same (app, protocol) execution
-/// fault-free (the digest reference) and under the injected schedule with
-/// quorum replication armed.
+/// fault-free (the digest reference) and under the injected schedule.
 #[derive(Clone, Debug)]
 pub struct ChaosPair {
-    /// Fault-free reference run (default transport, no replication).
+    /// Fault-free reference run (default transport).
     pub baseline: FigureRow,
     /// The run under the injected `FaultSpec`.
     pub faulted: FigureRow,
@@ -648,8 +647,8 @@ impl ChaosPair {
 /// The chaos sweep behind `figures --fault <spec>`: all five apps under all
 /// three protocols on the Myrinet cluster at [`ADAPTIVE_NODES`] nodes, each
 /// point run twice — once fault-free as the digest reference, once with the
-/// seeded `spec` injected at the transport and `2r/2w` quorum replication
-/// armed so a killed home can be re-elected.  Both runs ride `backend`
+/// seeded `spec` injected at the transport (a killed home's pages move to
+/// the lowest-id live node).  Both runs ride `backend`
 /// (faults are injected by wrapping whichever transport carries the RPCs,
 /// so the schedule replays identically over sockets).  The faulted rows
 /// carry the recovery economics (`rpc_retries`, `rpc_timeouts`,
@@ -662,7 +661,6 @@ pub fn sweep_chaos(scale: Scale, spec: FaultSpec, backend: TransportBackend) -> 
     };
     let faulted = TransportConfig {
         fault: Some(spec),
-        replication: Some((2, 2)),
         ..reference.clone()
     };
     Point::grid(BenchmarkName::all(), scale)

@@ -38,10 +38,10 @@
 //!   `MODELED_VS_MEASURED_<run>.md` for the CI artifact upload.
 //! * `--fault SPEC` run the chaos sweep: every app × protocol twice, once
 //!   fault-free and once with the seeded fault schedule `SPEC` (e.g.
-//!   `seed=7,drop=20000,kill=1@300us`) injected at the transport and quorum
-//!   replication armed; prints a digest/recovery-cost report and writes it
-//!   to `CHAOS_<run>.md` for the CI artifact upload.  Combine with
-//!   `--transport` to run the chaos sweep over a socket backend.
+//!   `seed=7,drop=20000,kill=1@300us`) injected at the transport; prints a
+//!   digest/recovery-cost report and writes it to `CHAOS_<run>.md` for the
+//!   CI artifact upload.  Combine with `--transport` to run the chaos sweep
+//!   over a socket backend.
 
 use std::io::Write;
 

@@ -329,10 +329,11 @@ pub fn chaos_markdown(spec: &str, pairs: &[crate::ChaosPair]) -> String {
         return out;
     }
     out.push_str(&format!(
-        "Fault schedule: `{}` on `{}` at {} nodes, quorum replication `r=2, w=2`. Every \
-         schedule is seeded and exactly replayable. \"digest\" compares the faulted run's \
-         result against the fault-free reference — injected drops, delays, duplicate frames \
-         and even a node kill may change timing, never values.\n\n",
+        "Fault schedule: `{}` on `{}` at {} nodes; a killed home's pages move to the \
+         lowest-id live node. Every schedule is seeded and exactly replayable. \"digest\" \
+         compares the faulted run's result against the fault-free reference — injected \
+         drops, delays, duplicate frames and even a node kill may change timing, never \
+         values.\n\n",
         spec, pairs[0].baseline.cluster, pairs[0].baseline.nodes
     ));
     out.push_str(

@@ -2,12 +2,11 @@
 //!
 //! This is where a run is described, and the only place: a
 //! [`ProtocolKind`], its [`AdaptiveParams`] and a [`TransportConfig`] are
-//! plain data, checked here ([`AdaptiveParams::validate`],
-//! [`TransportConfig::validate`]: an illegal combination is a typed
-//! [`PolicyError`] before any cluster state exists).  The engine reads them
-//! directly: the protocol and its parameters select the access detection
-//! ([`crate::detection`]), the transport the backend, the retry and fault
-//! schedules and the replication the RPC services perform.
+//! plain data, checked here ([`AdaptiveParams::validate`]: an illegal
+//! combination is a typed [`PolicyError`] before any cluster state
+//! exists).  The engine reads them directly: the protocol and its
+//! parameters select the access detection ([`crate::detection`]), the
+//! transport the backend and the retry and fault schedules.
 
 use hyperion_model::VTime;
 use hyperion_pm2::{FaultSpec, NodeId, RetryPolicy, TransportBackend};
@@ -92,7 +91,7 @@ impl AdaptiveParams {
 }
 
 /// Configuration of the transport layer: which backend carries the RPCs,
-/// and the fault and replication settings around it.
+/// and the retry and fault settings around it.
 ///
 /// The wire path itself has one behaviour.  A fetch is a split
 /// transaction: an explicit prefetch (`loadIntoCache`), every page a
@@ -128,14 +127,6 @@ pub struct TransportConfig {
     /// [`hyperion_pm2::FaultyTransport`] wrapped around the chosen backend;
     /// `None` (default) leaves the transport untouched.
     pub fault: Option<FaultSpec>,
-    /// `(r, w)`: number of replicated read-homes kept per page and the
-    /// write quorum a diff must reach, home included (`1 <= w <= r + 1`).
-    /// A home serving a fetch registers the reader as one of up to `r`
-    /// replica holders, and every diff it applies brings the first `w - 1`
-    /// holders up to date, the shipping charged in the apply's service
-    /// time; recovery elects the newest live holder as an orphaned page's
-    /// next home (`crate::recover`).  `None` (default) keeps no replicas.
-    pub replication: Option<(usize, usize)>,
 }
 
 impl Default for TransportConfig {
@@ -144,23 +135,7 @@ impl Default for TransportConfig {
             backend: TransportBackend::Sim,
             retry: RetryPolicy::default(),
             fault: None,
-            replication: None,
         }
-    }
-}
-
-impl TransportConfig {
-    /// Reject illegal settings before any cluster state exists.
-    pub fn validate(&self) -> Result<(), PolicyError> {
-        if let Some((read_replicas, write_quorum)) = self.replication {
-            if read_replicas == 0 {
-                return Err(PolicyError::ZeroReadReplicas);
-            }
-            if write_quorum == 0 || write_quorum > read_replicas + 1 {
-                return Err(PolicyError::InvalidWriteQuorum);
-            }
-        }
-        Ok(())
     }
 }
 
@@ -170,22 +145,12 @@ pub enum PolicyError {
     /// The adaptive switching band is not a hysteresis band
     /// (`hi_multiple > 0` is required).
     InvalidHysteresis,
-    /// Quorum replication with zero read replicas keeps no copies to elect
-    /// a new home from.
-    ZeroReadReplicas,
-    /// The write quorum must name at least the home and at most the home
-    /// plus every read replica (`1 <= w <= r + 1`).
-    InvalidWriteQuorum,
 }
 
 impl std::fmt::Display for PolicyError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let msg = match self {
             PolicyError::InvalidHysteresis => "switching hysteresis needs hi_multiple > 0",
-            PolicyError::ZeroReadReplicas => "quorum replication needs at least one read replica",
-            PolicyError::InvalidWriteQuorum => {
-                "write quorum must satisfy 1 <= w <= read_replicas + 1"
-            }
         };
         f.write_str(msg)
     }

@@ -32,11 +32,10 @@
 //!   installed by the same reply as the demanded page, so they are exactly
 //!   as fresh; a wrong re-access prediction is wasted bytes, never stale ones.
 //!
-//! Release flushing and replication are no part of detection: every
-//! protocol flushes in batches of up to `FLUSH_BATCH_PAGES` pages and
-//! defers a monitor release's diffs to the next acquire, and the RPC
-//! services register replicas and run quorum writes from
-//! `TransportConfig::replication` (see [`crate::config`]).
+//! Release flushing is no part of detection: every protocol flushes in
+//! batches of up to `FLUSH_BATCH_PAGES` pages and defers a monitor
+//! release's off-home diffs to the next acquire (see
+//! [`crate::config::TransportConfig`]).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 

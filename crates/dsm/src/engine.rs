@@ -110,7 +110,6 @@ impl DsmSystem {
                 store: Arc::clone(&store),
                 cpu: cluster.machine().cpu.clone(),
                 dsm: cluster.machine().dsm.clone(),
-                replication: transport.replication,
                 fetch,
             }))
         };
@@ -581,10 +580,9 @@ impl DsmSystem {
         if gone || frame.has_inflight() {
             return false;
         }
-        let (store, reply) = (&self.store, &mut Vec::new());
-        let (replication, caller) = (self.transport.replication, node_ref.id());
+        let reply = &mut Vec::new();
         // No answer but the page appends nothing, which decodes as nothing.
-        answer_page(store, replication, caller, page, retained, false, reply);
+        answer_page(&self.store, page, retained, false, reply);
         let Ok(mut answers) = decode_fetch_reply(reply, &[retained]) else {
             return false;
         };

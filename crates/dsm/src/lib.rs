@@ -30,17 +30,15 @@
 //!   machine, and the JMM obligations every decision keeps);
 //! * [`engine`] — the [`DsmSystem`] protocol engine (with its fetch
 //!   mechanics in `fetch`, the accuracy gate its speculative fetches
-//!   throttle themselves on in `gate`, and its RPC services in `services`,
-//!   which keep replicas and run quorum writes under replication), which
-//!   asks the detection at every decision point and reads the flush
-//!   placement off the transport;
+//!   throttle themselves on in `gate`, and its RPC services in
+//!   `services`), which asks the detection at every decision point and
+//!   reads the flush placement off the transport;
 //! * [`notices`] — write notices: what an acquire learns along the
 //!   synchronisation edges, so it drops only the cached copies some
 //!   happening-before write changed;
 //! * [`recover`] — the fault plane's DSM side: bounded retry with
 //!   exponential backoff on the RPC path and node-failure recovery
-//!   (re-electing homes for a dead node's pages from the replication
-//!   directory).
+//!   (re-homing a dead node's pages onto the lowest-id live node).
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

@@ -1,6 +1,6 @@
 //! The DSM side of the fault plane: bounded retry with exponential backoff
-//! on the RPC path, and node-failure recovery (re-electing homes for a dead
-//! node's pages from the replication directory).
+//! on the RPC path, and node-failure recovery (re-homing a dead node's
+//! pages onto the lowest-id live node).
 //!
 //! ## Retry contract
 //!
@@ -25,19 +25,18 @@
 //!
 //! A node is killed fail-stop *as a server* (its own threads keep
 //! computing).  The first survivor whose RPC fails with `NodeDown` marks
-//! the node failed and, for every page the dead node homed:
+//! the node failed and
 //!
-//! 1. elects the new home: the replica holder with the newest quorum-write
-//!    version ([`crate::table::DsmStore::newest_live_replica`]), falling
-//!    back to the lowest-id live node when the page was never replicated;
-//! 2. re-homes the page (`DsmStore::rehome`, the one re-homing there is):
-//!    the dead node's frame is demoted
-//!    (later writes by its still-running threads become ordinary dirty bits
-//!    that flush to the new home) and snapshotted — the authoritative copy,
-//!    standing in for the stable storage a production home would recover
-//!    from — and the winner's frame is promoted from the snapshot (local
-//!    writes the winner had pending survive) under a stamp no older copy
-//!    can validate against;
+//! 1. elects the new home, once: the lowest-id live node
+//!    ([`crate::table::DsmStore::first_live_node`]);
+//! 2. re-homes every page the dead node homed onto it
+//!    (`DsmStore::rehome`, the one re-homing there is): the dead node's
+//!    frame is demoted (later writes by its still-running threads become
+//!    ordinary dirty bits that flush to the new home) and snapshotted —
+//!    the authoritative copy, standing in for the stable storage a
+//!    production home would recover from — and the winner's frame is
+//!    promoted from the snapshot (local writes the winner had pending
+//!    survive) under a stamp no older copy can validate against;
 //! 3. charges the re-sync: `resync_page_cycles` plus one page transfer on
 //!    the wire, all visible in `pages_resynced`.
 //!
@@ -195,9 +194,9 @@ impl DsmSystem {
     }
 
     /// Recover from the fail-stop death of `peer`: re-home every page it
-    /// served onto survivors elected from the replication directory.  See
-    /// the module docs for the walkthrough.  Idempotent — only the first
-    /// observer does the work; the observer's clock is charged the re-sync.
+    /// served onto the lowest-id live node.  See the module docs for the
+    /// walkthrough.  Idempotent — only the first observer does the work;
+    /// the observer's clock is charged the re-sync.
     pub(crate) fn recover_node(&self, node_ref: &Node, clock: &mut ThreadClock, peer: NodeId) {
         if !self.store.mark_failed(peer) {
             // An earlier observer already re-homed everything; the caller
@@ -206,6 +205,7 @@ impl DsmSystem {
         }
         NodeStats::bump(&node_ref.stats.nodes_failed);
         let machine = self.cluster.machine();
+        let winner = self.store.first_live_node();
         let mut resynced = 0u64;
         for p in 0..self.store.allocator().num_pages() {
             let page = PageId(p as u64);
@@ -214,10 +214,6 @@ impl DsmSystem {
             }
             // The dead node's frame is the authoritative copy, standing in
             // for the stable storage a production home would recover from.
-            let winner = self
-                .store
-                .newest_live_replica(page)
-                .unwrap_or_else(|| self.store.first_live_node());
             self.store.rehome(page, winner);
             resynced += 1;
         }

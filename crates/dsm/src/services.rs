@@ -1,10 +1,7 @@
 //! The home-side RPC services of the DSM: page fetch and diff apply.
 //!
 //! Both handlers are pure mechanism — copy pages, apply diffs, charge the
-//! modelled service cost.  Under replication (`(r, w)`, see
-//! [`crate::TransportConfig::replication`]) served pages register read
-//! replicas and applied diffs perform quorum writes, with the
-//! replica-shipping cost charged in the service time.
+//! modelled service cost.
 
 use std::sync::Arc;
 
@@ -22,9 +19,7 @@ use crate::table::DsmStore;
 /// ([`answer_page`]): the encoded answers and the slots they ship.
 pub(crate) fn serve_fetch(
     store: &DsmStore,
-    replication: Option<(usize, usize)>,
     home: NodeId,
-    caller: NodeId,
     request: &FetchRequest,
 ) -> Result<(Vec<u8>, usize), WireError> {
     let FetchRequest { first, versions } = request;
@@ -43,25 +38,21 @@ pub(crate) fn serve_fetch(
             store.home_of(page) == home || store.page_rehomed(page),
             "page fetch sent to a node that is not the page's home"
         );
-        let slots = answer_page(store, replication, caller, page, retained, true, &mut reply);
+        let slots = answer_page(store, page, retained, true, &mut reply);
         shipped += slots.expect("a fetch may be answered with the page");
     }
     Ok((reply, shipped))
 }
 
-/// The home's answer to `caller`'s copy of `page` retained at `retained`
+/// The home's answer to a copy of `page` retained at `retained`
 /// (0 = none), appended to `reply`, and the slots it ships: "not modified"
 /// if the copy is at the home's current stamp; else the slots that changed
 /// since, if the page's history still holds every step in between and they
 /// encode shorter than the page; else the page — `None`, and nothing
-/// appended, if `whole` does not allow that.  Under replication, registers
-/// `caller` as a read replica either way (a revalidated copy is as current
-/// as a shipped one).  A fetch's handler and a monitor's grant
-/// (`DsmSystem::acquire`) both answer through here.
+/// appended, if `whole` does not allow that.  A fetch's handler and a
+/// monitor's grant (`DsmSystem::acquire`) both answer through here.
 pub(crate) fn answer_page(
     store: &DsmStore,
-    replication: Option<(usize, usize)>,
-    caller: NodeId,
     page: PageId,
     retained: u64,
     whole: bool,
@@ -73,7 +64,7 @@ pub(crate) fn answer_page(
     // the transport's kill check), in which case the new home's
     // authoritative frame answers (the shared store gives the modelled
     // handler direct access to it).
-    let slots = store.with_frame(store.home_of(page), page, |f| {
+    store.with_frame(store.home_of(page), page, |f| {
         // Stamp first, values second — for a patch as for a page: the copy
         // may end up stamped older than its bytes, never newer (see
         // `crate::page`).
@@ -96,13 +87,7 @@ pub(crate) fn answer_page(
         };
         push_page_reply(reply, &answer);
         Some(slots)
-    })?;
-    if let Some((read_replicas, _)) = replication {
-        // The answered copy doubles as a read replica: the caller is now a
-        // candidate home should this node fail.
-        store.register_replica(page, caller, read_replicas);
-    }
-    Some(slots)
+    })
 }
 
 /// The grant's cost rule: `answer` rides a monitor's grant only if its wire
@@ -127,18 +112,14 @@ pub(crate) fn grant_cost(machine: &MachineModel, answer: &PageReply<'_>) -> Opti
 pub(crate) struct DiffOutcome {
     /// Diff slots applied across all pages of the message.
     pub(crate) slots: usize,
-    /// Extra (holder, slot) pairs shipped by quorum replica writes.
-    pub(crate) quorum_slots: usize,
     /// Post-apply home stamp of every page of the message, in order (0 for
     /// a page that carried no entries).
     pub(crate) versions: Vec<u64>,
 }
 
-/// Apply one encoded diff message to the authoritative home frames, as
-/// quorum writes under replication.
+/// Apply one encoded diff message to the authoritative home frames.
 pub(crate) fn apply_diff_message(
     store: &DsmStore,
-    replication: Option<(usize, usize)>,
     nominal_home: NodeId,
     payload: &[u8],
 ) -> Result<DiffOutcome, WireError> {
@@ -149,7 +130,6 @@ pub(crate) fn apply_diff_message(
     }
     let mut out = DiffOutcome {
         slots: 0,
-        quorum_slots: 0,
         versions: Vec::with_capacity(diffs.len()),
     };
     for (page, entries) in &diffs {
@@ -171,13 +151,6 @@ pub(crate) fn apply_diff_message(
             store.with_frame(home_now, *page, |f| f.apply_diff(entries))
         };
         out.versions.push(post);
-        if let Some((_, write_quorum)) = replication {
-            // Quorum write: advance the page's replica version and ship
-            // the applied slots to the stamped holders.  The shipping is
-            // charged as extra apply work per (holder, slot) pair.
-            let members = store.quorum_update(*page, write_quorum);
-            out.quorum_slots += members * entries.len();
-        }
     }
     Ok(out)
 }
@@ -189,28 +162,26 @@ pub(crate) struct HomeService {
     pub(crate) store: Arc<DsmStore>,
     pub(crate) cpu: CpuModel,
     pub(crate) dsm: DsmCostModel,
-    /// `(r, w)` replication, if the run keeps replicas.
-    pub(crate) replication: Option<(usize, usize)>,
     /// True for the page fetch, false for the diff apply.
     pub(crate) fetch: bool,
 }
 
 impl HomeService {
     /// Serve one request, at a home-side service time of copy cycles per
-    /// slot shipped (a fetch) or apply cycles per slot written, quorum copies
-    /// included (an apply), plus batching overhead per page beyond the first.
-    fn serve(&self, target: &Node, caller: NodeId, payload: &[u8]) -> Result<RpcReply, WireError> {
+    /// slot shipped (a fetch) or apply cycles per slot written (an apply),
+    /// plus batching overhead per page beyond the first.
+    fn serve(&self, target: &Node, payload: &[u8]) -> Result<RpcReply, WireError> {
         let (dsm, home) = (&self.dsm, target.id());
         if !self.fetch {
-            let out = apply_diff_message(&self.store, self.replication, home, payload)?;
-            let (slots, extra) = (out.slots + out.quorum_slots, out.versions.len() - 1);
-            let service = dsm.diff_apply_cycles_per_slot * slots as f64
+            let out = apply_diff_message(&self.store, home, payload)?;
+            let extra = out.versions.len() - 1;
+            let service = dsm.diff_apply_cycles_per_slot * out.slots as f64
                 + dsm.batch_flush_cycles * extra as f64;
             let reply = encode_diff_reply(&out.versions);
             return Ok(RpcReply::with_data(reply, self.cpu.cycles(service)));
         }
         let request = decode_fetch_request(payload)?;
-        let (reply, slots) = serve_fetch(&self.store, self.replication, home, caller, &request)?;
+        let (reply, slots) = serve_fetch(&self.store, home, &request)?;
         let copy = dsm.page_copy_cycles_per_slot * slots as f64;
         let extra = (request.versions.len() - 1) as f64;
         let service = copy + dsm.batch_page_cycles * extra;
@@ -219,9 +190,9 @@ impl HomeService {
 }
 
 impl RpcHandler for HomeService {
-    fn handle(&self, target: &Node, caller: NodeId, payload: &[u8]) -> RpcReply {
+    fn handle(&self, target: &Node, _caller: NodeId, payload: &[u8]) -> RpcReply {
         let _serving = self.store.serving.enter(self.name());
-        self.serve(target, caller, payload)
+        self.serve(target, payload)
             .unwrap_or_else(|e| RpcReply::malformed(format!("{} request: {e}", self.name())))
     }
 
@@ -241,54 +212,12 @@ mod tests {
     use hyperion_model::{myrinet_200, ThreadClock};
     use hyperion_pm2::{Cluster, IsoAllocator, NodeId, TransportBackend, TransportError};
 
-    use super::{answer_page, apply_diff_message, grant_cost, serve_fetch};
+    use super::{answer_page, grant_cost, serve_fetch};
     use crate::diff::{
         decode_diff_reply, decode_fetch_reply, encode_diff, encode_fetch_request, FetchRequest,
         PageReply,
     };
     use crate::{DsmStore, DsmSystem, ProtocolKind};
-
-    /// Serve `readers`' fetches of `page` and apply one single-slot diff to
-    /// it, under `replication`; returns the apply's quorum slots.
-    fn serve_and_apply(
-        store: &DsmStore,
-        replication: Option<(usize, usize)>,
-        page: hyperion_pm2::PageId,
-        readers: &[NodeId],
-    ) -> usize {
-        let home = store.home_of(page);
-        for &reader in readers {
-            let request = FetchRequest {
-                first: page,
-                versions: vec![0],
-            };
-            serve_fetch(store, replication, home, reader, &request).expect("in range");
-        }
-        let diff = encode_diff(page, &[(0, 1)]);
-        let applied = apply_diff_message(store, replication, home, &diff).expect("in range");
-        applied.quorum_slots
-    }
-
-    #[test]
-    fn noop_touches_nothing() {
-        let alloc = Arc::new(IsoAllocator::new(2));
-        let store = DsmStore::new(Arc::clone(&alloc), 2);
-        let page = alloc.alloc(4, NodeId(0)).page();
-        assert_eq!(serve_and_apply(&store, None, page, &[NodeId(1)]), 0);
-        assert!(store.replica_set(page).is_none());
-    }
-
-    #[test]
-    fn quorum_registers_and_updates_holders() {
-        let alloc = Arc::new(IsoAllocator::new(3));
-        let store = DsmStore::new(Arc::clone(&alloc), 3);
-        let page = alloc.alloc(4, NodeId(0)).page();
-        let readers = [NodeId(1), NodeId(2)];
-        assert_eq!(serve_and_apply(&store, Some((2, 2)), page, &readers), 1);
-        let set = store.replica_set(page).expect("holders registered");
-        assert_eq!(set.version, 1);
-        assert_eq!(set.holders, vec![(1, 1), (2, 0)]);
-    }
 
     /// For one retained stamp, a monitor's grant carries exactly the answer
     /// a fetch gets — the same entries at the same stamp — and a copy
@@ -314,9 +243,9 @@ mod tests {
             first: page,
             versions: vec![retained],
         };
-        let fetch = serve_fetch(store, None, home, fetched, &request).expect("in range");
+        let fetch = serve_fetch(store, home, &request).expect("in range");
         let mut grant = Vec::new();
-        let slots = answer_page(store, None, granted, page, retained, false, &mut grant);
+        let slots = answer_page(store, page, retained, false, &mut grant);
         assert_eq!((&grant, slots, fetch.1), (&fetch.0, Some(3), 3));
         let patch = PageReply::Patch(retained + 1, vec![(3, 4), (70, 71), (500, 501)]);
         assert_eq!(

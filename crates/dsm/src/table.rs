@@ -20,22 +20,6 @@ use crate::page::PageFrame;
 /// after it.
 const REHOME_STRIDE: u64 = 1 << 32;
 
-/// Replication metadata of one page: which nodes hold read replicas and how
-/// current each holder is.
-///
-/// `version` counts the quorum writes the page's home has applied; each
-/// holder records the version it was last brought up to.  Recovery elects
-/// the *newest* live holder as the page's next home (ties go to the lowest
-/// node id, so elections are deterministic).
-#[derive(Clone, Debug, Default)]
-pub struct ReplicaSet {
-    /// Monotone count of quorum writes applied to the page.
-    pub version: u64,
-    /// `(holder node id, version the holder was last updated to)`, in
-    /// registration order.
-    pub holders: Vec<(u32, u64)>,
-}
-
 /// The frame table of a single node.
 #[derive(Debug, Default)]
 pub struct NodeFrames {
@@ -71,16 +55,16 @@ pub struct DsmStore {
     allocator: Arc<IsoAllocator>,
     nodes: Vec<NodeFrames>,
     /// Pages a node-failure recovery has re-homed away from the allocator's
-    /// static assignment, with their present home.
+    /// static assignment, with their present home.  Only inserted into and
+    /// looked up, never iterated, so its hash order reaches no result.
     home_overrides: RwLock<HashMap<u64, NodeId>>,
     /// Number of entries in `home_overrides`, readable without the lock so
     /// the failure-free common case of [`DsmStore::home_of`] stays a plain
     /// array index.
     num_overrides: std::sync::atomic::AtomicUsize,
-    /// Replication directory: per-page read-replica holders and their
-    /// quorum-write versions (empty without `TransportConfig::replication`).
-    replicas: RwLock<HashMap<u64, ReplicaSet>>,
-    /// Nodes that have failed fail-stop and been recovered from.
+    /// Nodes that have failed fail-stop and been recovered from.  Like
+    /// `home_overrides`, only inserted into and looked up, never iterated
+    /// ([`DsmStore::first_live_node`] scans `0..n`).
     failed: RwLock<HashSet<u32>>,
     /// The handler running on one of the store's home frames, if any (debug
     /// builds; see `crate::oracle::OneCaller`).
@@ -97,7 +81,6 @@ impl DsmStore {
             nodes: (0..num_nodes).map(|_| NodeFrames::new()).collect(),
             home_overrides: RwLock::new(HashMap::new()),
             num_overrides: std::sync::atomic::AtomicUsize::new(0),
-            replicas: RwLock::new(HashMap::new()),
             failed: RwLock::new(HashSet::new()),
             serving: OneCaller::default(),
         })
@@ -250,71 +233,14 @@ impl DsmStore {
             .max(0) as u64
     }
 
-    /// Record `holder` as a read-replica of `page`, up to `cap` holders
-    /// (the replication's `r`).  A new holder starts at the page's
-    /// current quorum version — it just fetched the current bytes.  The
-    /// page's home never registers as its own replica.
-    pub fn register_replica(&self, page: PageId, holder: NodeId, cap: usize) {
-        if holder == self.home_of(page) {
-            return;
-        }
-        let mut replicas = write(&self.replicas);
-        let set = replicas.entry(page.0).or_default();
-        if set.holders.iter().any(|(h, _)| *h == holder.0) {
-            let version = set.version;
-            if let Some(entry) = set.holders.iter_mut().find(|(h, _)| *h == holder.0) {
-                entry.1 = version;
-            }
-            return;
-        }
-        if set.holders.len() < cap {
-            set.holders.push((holder.0, set.version));
-        }
-    }
-
-    /// Apply one quorum write to `page`: advance its version and bring the
-    /// first `quorum - 1` registered holders up to it (the home itself is
-    /// the quorum's first member).  Returns how many holders were updated —
-    /// the cost the diff-apply handler charges for shipping the update.
-    pub fn quorum_update(&self, page: PageId, quorum: usize) -> usize {
-        let mut replicas = write(&self.replicas);
-        let set = replicas.entry(page.0).or_default();
-        set.version += 1;
-        let version = set.version;
-        let members = quorum.saturating_sub(1).min(set.holders.len());
-        for entry in set.holders.iter_mut().take(members) {
-            entry.1 = version;
-        }
-        members
-    }
-
-    /// The replica set of `page`, if any holder has registered.
-    pub fn replica_set(&self, page: PageId) -> Option<ReplicaSet> {
-        read(&self.replicas).get(&page.0).cloned()
-    }
-
-    /// The live replica holder with the newest quorum version (ties go to
-    /// the lowest node id), if any.  This is the node recovery elects as
-    /// the page's next home.
-    pub fn newest_live_replica(&self, page: PageId) -> Option<NodeId> {
-        let replicas = read(&self.replicas);
-        let set = replicas.get(&page.0)?;
-        let failed = read(&self.failed);
-        set.holders
-            .iter()
-            .filter(|(h, _)| !failed.contains(h))
-            .max_by(|(ha, va), (hb, vb)| va.cmp(vb).then(hb.cmp(ha)))
-            .map(|(h, _)| NodeId(*h))
-    }
-
     /// Mark `node` failed fail-stop.  Returns `true` the first time —
     /// exactly one caller performs the recovery of the node's pages.
     pub fn mark_failed(&self, node: NodeId) -> bool {
         write(&self.failed).insert(node.0)
     }
 
-    /// The lowest-id node not marked failed (the deterministic fallback
-    /// home when a page has no live replica).
+    /// The lowest-id node not marked failed: the one recovery elects as
+    /// the next home of every page a failed node owned.
     ///
     /// # Panics
     /// Panics if every node has failed.
@@ -446,36 +372,6 @@ mod tests {
     }
 
     #[test]
-    fn replica_registration_quorum_updates_and_election() {
-        let (alloc, store) = store(4);
-        let page = alloc.alloc(4, NodeId(0)).page();
-        store.register_replica(page, NodeId(0), 2); // the home never registers
-        store.register_replica(page, NodeId(1), 2);
-        store.register_replica(page, NodeId(2), 2);
-        store.register_replica(page, NodeId(3), 2); // over the r cap: ignored
-        assert_eq!(store.replica_set(page).unwrap().holders.len(), 2);
-
-        // One w=2 quorum write: the home plus the first registered holder.
-        assert_eq!(store.quorum_update(page, 2), 1);
-        assert_eq!(store.newest_live_replica(page), Some(NodeId(1)));
-
-        // Kill the newest holder: the election falls back to the next one.
-        assert!(store.mark_failed(NodeId(1)));
-        assert!(
-            !store.mark_failed(NodeId(1)),
-            "second observer is not first"
-        );
-        assert_eq!(store.newest_live_replica(page), Some(NodeId(2)));
-        assert_eq!(store.first_live_node(), NodeId(0));
-
-        // A re-registered holder is refreshed to the current version.
-        assert_eq!(store.quorum_update(page, 3), 2);
-        store.register_replica(page, NodeId(2), 2);
-        let set = store.replica_set(page).unwrap();
-        assert!(set.holders.contains(&(2, set.version)));
-    }
-
-    #[test]
     fn rehoming_moves_the_home_and_outdates_every_stamp() {
         let (alloc, store) = store(3);
         let addr = alloc.alloc(4, NodeId(0));
@@ -486,6 +382,15 @@ mod tests {
         let new = store.frame(NodeId(2), page);
         new.store_slot(5, 55);
         let handed_out = old.stamp();
+
+        // Node 0 fails: only its first observer recovers it, and the
+        // election passes over it.
+        assert!(store.mark_failed(NodeId(0)));
+        assert!(
+            !store.mark_failed(NodeId(0)),
+            "second observer is not first"
+        );
+        assert_eq!(store.first_live_node(), NodeId(1));
 
         store.rehome(page, NodeId(2));
         assert_eq!(store.home_of(page), NodeId(2));

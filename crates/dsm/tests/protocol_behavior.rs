@@ -6,7 +6,9 @@ use std::sync::Arc;
 
 use hyperion_dsm::{AdaptiveParams, DsmStore, DsmSystem, Locality, ProtocolKind, TransportConfig};
 use hyperion_model::{myrinet_200, ThreadClock, VTime};
-use hyperion_pm2::{Cluster, GlobalAddr, IsoAllocator, NodeId, SLOTS_PER_PAGE};
+use hyperion_pm2::{
+    Cluster, FaultKill, FaultSpec, GlobalAddr, IsoAllocator, NodeId, SLOTS_PER_PAGE,
+};
 
 struct Fixture {
     cluster: Arc<Cluster>,
@@ -29,7 +31,9 @@ fn fixture_with(
     params: &AdaptiveParams,
     transport: &TransportConfig,
 ) -> Fixture {
-    let cluster = Cluster::new(myrinet_200().machine, nodes);
+    let machine = myrinet_200().machine;
+    let cluster =
+        Cluster::for_backend_with_faults(machine, nodes, transport.backend, transport.fault);
     let alloc = Arc::new(IsoAllocator::new(nodes));
     let store = DsmStore::new(Arc::clone(&alloc), nodes);
     let dsm = DsmSystem::with_config(Arc::clone(&cluster), store, kind, params, transport);
@@ -1595,9 +1599,9 @@ fn litmus_a_batched_reply_mixes_confirmation_patch_and_page() {
 /// decision the protocols differ in: a page-mate writer, a scan long enough
 /// for the stride prefetch, a `read_slice` `java_ad` batches, a page dense
 /// enough for `java_ad` to switch it (and sparse enough later to switch it
-/// back), explicit prefetches, and deferred release flushes, replicated
-/// when `transport` says so.  Renders each node's final clock and
-/// every non-zero counter.
+/// back), explicit prefetches, and deferred release flushes, under
+/// `transport`'s faults.  Renders each node's final clock and every
+/// non-zero counter.
 fn golden_run(kind: ProtocolKind, transport: &TransportConfig) -> [String; 3] {
     let f = fixture_with(3, kind, &AdaptiveParams::default(), transport);
     let (n0, n1, n2) = (NodeId(0), NodeId(1), NodeId(2));
@@ -1646,7 +1650,7 @@ fn golden_run(kind: ProtocolKind, transport: &TransportConfig) -> [String; 3] {
             f.dsm.prefetch_span(n0, c, span.page(), 3);
         }
         pending = f.dsm.update_main_memory_deferred(n0, c);
-        // A second reader of the scan's head registers another replica.
+        // A second reader of the scan's head.
         let c = &mut t[2];
         f.dsm.invalidate_cache(n2, c);
         f.dsm.get(n2, c, page(scan, round).offset(300));
@@ -1664,11 +1668,11 @@ fn golden_run(kind: ProtocolKind, transport: &TransportConfig) -> [String; 3] {
 }
 
 /// The counters and clocks `golden_run` produces: every protocol × {default,
-/// quorum} transport, per node.  A refactor leaves them alone; a deliberate
+/// kill} transport, per node.  A refactor leaves them alone; a deliberate
 /// behaviour change regenerates them and says which numbers moved and why
-/// (the last one: overlapped fetches and deferred release flushes became
-/// the only behaviour, so each `default` line is the former `directory`
-/// preset's, byte for byte, and `quorum` moved with it).
+/// (the last one: the `quorum` preset went with the knob it set, and
+/// `kill` pins one node kill's recovery cost; every `default` line stayed
+/// byte for byte).
 const GOLDEN: &[(&str, [&str; 3])] = &[
     (
         "java_ic/default",
@@ -1679,11 +1683,11 @@ const GOLDEN: &[(&str, [&str; 3])] = &[
         ],
     ),
     (
-        "java_ic/quorum",
+        "java_ic/kill",
         [
-            "clock=5119612000 locality_checks=12250 page_loads=224 pages_invalidated=201 cache_invalidations=10 diff_messages=20 diff_slots_flushed=40 rpc_requests=244 rpc_served=40 bytes_sent=32340 bytes_received=119576 field_reads=32650 field_writes=50 bulk_reads=10 bulk_writes=10 batched_flushes=10 diff_bytes=720 fetch_overlap_cycles_hidden=542730 stride_fetches_issued=143 stride_fetches_completed=138 stride_fetches_wasted=4 deferred_flushes=20 pages_revalidated=200 rpc_service_ps=128550000 rpc_queue_wait_ps=8480000",
-            "clock=651551000 locality_checks=10 page_loads=10 pages_invalidated=9 cache_invalidations=10 diff_messages=10 diff_slots_flushed=10 rpc_requests=20 rpc_served=186 bytes_sent=125888 bytes_received=21406 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=661995000 rpc_queue_wait_ps=2417268000",
-            "clock=3667802000 locality_checks=20 page_loads=22 pages_invalidated=21 cache_invalidations=20 diff_messages=10 diff_slots_flushed=10 rpc_requests=32 rpc_served=70 bytes_sent=36560 bytes_received=53806 field_reads=10 field_writes=10 diff_bytes=220 stride_fetches_issued=2 stride_fetches_wasted=2 pages_patched=11 rpc_service_ps=240280000 rpc_queue_wait_ps=3180000",
+            "clock=3455200000 locality_checks=12250 page_loads=77 pages_invalidated=53 cache_invalidations=10 diff_messages=11 diff_slots_flushed=31 rpc_requests=88 rpc_served=53 bytes_sent=60996 bytes_received=109133 field_reads=32650 field_writes=50 bulk_reads=10 bulk_writes=10 batched_flushes=10 diff_bytes=522 fetch_overlap_cycles_hidden=92657 stride_fetches_issued=15 stride_fetches_completed=14 stride_fetches_wasted=1 deferred_flushes=11 nodes_failed=1 pages_resynced=17 pages_revalidated=53 rpc_service_ps=202665000 rpc_queue_wait_ps=20761000",
+            "clock=660142000 locality_checks=10 page_loads=10 pages_invalidated=26 cache_invalidations=10 diff_messages=10 diff_slots_flushed=10 rpc_requests=20 rpc_served=17 bytes_sent=72573 bytes_received=7190 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=116280000 rpc_queue_wait_ps=14310000",
+            "clock=1269254000 locality_checks=20 page_loads=22 pages_invalidated=21 cache_invalidations=20 diff_messages=10 diff_slots_flushed=10 rpc_requests=32 rpc_served=70 bytes_sent=36560 bytes_received=53806 field_reads=10 field_writes=10 diff_bytes=220 stride_fetches_issued=2 stride_fetches_wasted=2 pages_patched=11 rpc_service_ps=239830000 rpc_queue_wait_ps=4250000",
         ],
     ),
     (
@@ -1695,11 +1699,11 @@ const GOLDEN: &[(&str, [&str; 3])] = &[
         ],
     ),
     (
-        "java_pf/quorum",
+        "java_pf/kill",
         [
-            "clock=7367022000 page_faults=66 mprotect_calls=233 page_loads=224 pages_invalidated=201 cache_invalidations=10 diff_messages=20 diff_slots_flushed=40 rpc_requests=244 rpc_served=40 bytes_sent=32340 bytes_received=119576 field_reads=32650 field_writes=50 bulk_reads=10 bulk_writes=10 batched_flushes=10 diff_bytes=720 fetch_overlap_cycles_hidden=736148 stride_fetches_issued=143 stride_fetches_completed=138 stride_fetches_wasted=4 deferred_flushes=20 pages_revalidated=200 rpc_service_ps=128550000 rpc_queue_wait_ps=12177000",
-            "clock=1064948000 page_faults=10 mprotect_calls=19 page_loads=10 pages_invalidated=9 cache_invalidations=10 diff_messages=10 diff_slots_flushed=10 rpc_requests=20 rpc_served=186 bytes_sent=125888 bytes_received=21406 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=661995000 rpc_queue_wait_ps=2952988000",
-            "clock=5032922000 page_faults=20 mprotect_calls=41 page_loads=22 pages_invalidated=21 cache_invalidations=20 diff_messages=10 diff_slots_flushed=10 rpc_requests=32 rpc_served=70 bytes_sent=36560 bytes_received=53806 field_reads=10 field_writes=10 diff_bytes=220 stride_fetches_issued=2 stride_fetches_wasted=2 pages_patched=11 rpc_service_ps=240280000 rpc_queue_wait_ps=3180000",
+            "clock=4541711000 page_faults=43 mprotect_calls=85 page_loads=77 pages_invalidated=53 cache_invalidations=10 diff_messages=10 diff_slots_flushed=30 rpc_requests=87 rpc_served=53 bytes_sent=60912 bytes_received=104964 field_reads=32650 field_writes=50 bulk_reads=10 bulk_writes=10 batched_flushes=10 diff_bytes=500 fetch_overlap_cycles_hidden=108609 stride_fetches_issued=15 stride_fetches_completed=14 stride_fetches_wasted=1 deferred_flushes=10 nodes_failed=1 pages_resynced=17 pages_revalidated=53 rpc_service_ps=202665000 rpc_queue_wait_ps=19095000",
+            "clock=1071146000 page_faults=10 mprotect_calls=19 page_loads=10 pages_invalidated=26 cache_invalidations=10 diff_messages=10 diff_slots_flushed=10 rpc_requests=20 rpc_served=16 bytes_sent=68404 bytes_received=7106 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=109440000 rpc_queue_wait_ps=14310000",
+            "clock=2095684000 page_faults=20 mprotect_calls=41 page_loads=22 pages_invalidated=21 cache_invalidations=20 diff_messages=10 diff_slots_flushed=10 rpc_requests=32 rpc_served=70 bytes_sent=36560 bytes_received=53806 field_reads=10 field_writes=10 diff_bytes=220 stride_fetches_issued=2 stride_fetches_wasted=2 pages_patched=11 rpc_service_ps=239830000 rpc_queue_wait_ps=5320000",
         ],
     ),
     (
@@ -1711,22 +1715,30 @@ const GOLDEN: &[(&str, [&str; 3])] = &[
         ],
     ),
     (
-        "java_ad/quorum",
+        "java_ad/kill",
         [
-            "clock=3054626000 locality_checks=6230 page_faults=2 mprotect_calls=5 page_loads=224 pages_invalidated=201 cache_invalidations=10 diff_messages=20 diff_slots_flushed=40 rpc_requests=106 rpc_served=40 bytes_sent=21852 bytes_received=110744 field_reads=32650 field_writes=50 bulk_reads=10 bulk_writes=10 protocol_switches=2 batched_fetches=29 pages_prefetched=138 pages_prefetch_speculative=98 batched_flushes=10 diff_bytes=720 fetch_overlap_cycles_hidden=166248 stride_fetches_issued=34 stride_fetches_completed=34 deferred_flushes=20 pages_revalidated=200 rpc_service_ps=128550000 rpc_queue_wait_ps=8480000",
-            "clock=651551000 locality_checks=10 page_loads=10 pages_invalidated=9 cache_invalidations=10 diff_messages=10 diff_slots_flushed=10 rpc_requests=20 rpc_served=88 bytes_sent=119616 bytes_received=13958 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=397395000 rpc_queue_wait_ps=65426000",
-            "clock=1315960000 locality_checks=20 page_loads=22 pages_invalidated=21 cache_invalidations=20 diff_messages=10 diff_slots_flushed=10 rpc_requests=32 rpc_served=30 bytes_sent=34000 bytes_received=50766 field_reads=10 field_writes=10 diff_bytes=220 stride_fetches_issued=2 stride_fetches_wasted=2 pages_patched=11 rpc_service_ps=132280000 rpc_queue_wait_ps=378000",
+            "clock=2327568000 locality_checks=3077 page_loads=77 pages_invalidated=53 cache_invalidations=10 diff_messages=11 diff_slots_flushed=31 rpc_requests=48 rpc_served=53 bytes_sent=57956 bytes_received=106573 field_reads=32650 field_writes=50 bulk_reads=10 bulk_writes=10 batched_fetches=15 pages_prefetched=40 batched_flushes=10 diff_bytes=522 fetch_overlap_cycles_hidden=75222 stride_fetches_issued=10 stride_fetches_completed=10 deferred_flushes=11 nodes_failed=1 pages_resynced=17 pages_revalidated=53 rpc_service_ps=202665000 rpc_queue_wait_ps=20761000",
+            "clock=660142000 locality_checks=10 page_loads=10 pages_invalidated=26 cache_invalidations=10 diff_messages=10 diff_slots_flushed=10 rpc_requests=20 rpc_served=17 bytes_sent=72573 bytes_received=7190 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=116280000 rpc_queue_wait_ps=14310000",
+            "clock=1269254000 locality_checks=20 page_loads=22 pages_invalidated=21 cache_invalidations=20 diff_messages=10 diff_slots_flushed=10 rpc_requests=32 rpc_served=30 bytes_sent=34000 bytes_received=50766 field_reads=10 field_writes=10 diff_bytes=220 stride_fetches_issued=2 stride_fetches_wasted=2 pages_patched=11 rpc_service_ps=131830000 rpc_queue_wait_ps=5638000",
         ],
     ),
 ];
 
 #[test]
 fn golden_counters_match_the_parent_commit() {
-    let quorum = TransportConfig {
-        replication: Some((2, 2)),
+    // Node 1 dies as a server mid-run; node 0 trips over it on its next
+    // fetch of a node-1 page and re-homes node 1's pages onto itself.
+    let kill = TransportConfig {
+        fault: Some(FaultSpec {
+            kill: Some(FaultKill {
+                node: 1,
+                at: VTime::from_us(1_000),
+            }),
+            ..FaultSpec::default()
+        }),
         ..TransportConfig::default()
     };
-    let presets = [("default", TransportConfig::default()), ("quorum", quorum)];
+    let presets = [("default", TransportConfig::default()), ("kill", kill)];
     let mut rendered = Vec::new();
     for kind in ProtocolKind::all_extended() {
         for (preset, transport) in &presets {

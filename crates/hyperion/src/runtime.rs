@@ -37,13 +37,12 @@ pub struct HyperionConfig {
     pub nodes: usize,
     /// Access-detection protocol (`java_ic`, `java_pf` or `java_ad`).
     pub protocol: ProtocolKind,
-    /// Policy knobs of the adaptive protocol (ignored unless `protocol` is
-    /// [`ProtocolKind::JavaAd`]): switching-hysteresis multiples of the
-    /// machine model's break-even and the batched-fetch window.
+    /// Policy knob of the adaptive protocol (ignored unless `protocol` is
+    /// [`ProtocolKind::JavaAd`]): where its switching band sits, as a
+    /// multiple of the machine model's break-even.
     pub adaptive: AdaptiveParams,
-    /// Transport configuration: overlapped page fetches, batched and
-    /// deferred diff flushing, backend, faults and replication.  Applies to every protocol (the mechanisms are
-    /// semantics-preserving).
+    /// Transport configuration: backend, retry schedule and faults.
+    /// Applies to every protocol (each setting is semantics-preserving).
     pub transport: TransportConfig,
     /// Application threads per node.  The paper uses one ("we used only one
     /// application thread per node", §4.3); larger values exercise the
@@ -104,10 +103,9 @@ impl HyperionConfig {
     /// Check the configuration for obvious mistakes.
     ///
     /// Structural errors (node counts, cluster size, backend limits) keep
-    /// their dedicated variants.  Every policy-level error — adaptive
-    /// hysteresis bands, batch ceilings, quorum bounds — is a typed
-    /// [`PolicyError`] wrapped in [`ConfigError::Policy`], produced by
-    /// [`AdaptiveParams::validate`] and [`TransportConfig::validate`].
+    /// their dedicated variants.  The one policy-level error — an adaptive
+    /// hysteresis band — is a typed [`PolicyError`] wrapped in
+    /// [`ConfigError::Policy`], produced by [`AdaptiveParams::validate`].
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.nodes == 0 {
             return Err(ConfigError::ZeroNodes);
@@ -124,7 +122,6 @@ impl HyperionConfig {
         // Adaptive tunables are checked whichever protocol runs (a sweep
         // harness sharing one `AdaptiveParams` should fail fast).
         self.adaptive.validate()?;
-        self.transport.validate()?;
         // Socket backends keep a connection per peer a node talks to, and
         // every node talks to every other node.
         if self.transport.backend != TransportBackend::Sim && self.nodes > SOCKET_FAN_IN_BOUND {
@@ -160,8 +157,7 @@ pub enum ConfigError {
         /// Nodes available in the cluster model.
         available: usize,
     },
-    /// An illegal policy selection (adaptive tunables, batch ceilings,
-    /// quorum bounds): the typed verdict of [`TransportConfig::validate`] and
+    /// An illegal adaptive tunable: the typed verdict of
     /// [`AdaptiveParams::validate`].
     Policy(PolicyError),
     /// The transport parameters are out of range.
@@ -1047,47 +1043,16 @@ mod tests {
     }
 
     #[test]
-    fn policy_validation_rejects_illegal_selections_with_named_variants() {
-        type Edit = fn(&mut TransportConfig);
-        let rejected: [(Edit, PolicyError); 3] = [
-            (
-                |t| t.replication = Some((0, 1)),
-                PolicyError::ZeroReadReplicas,
-            ),
-            (
-                |t| t.replication = Some((2, 0)),
-                PolicyError::InvalidWriteQuorum,
-            ),
-            (
-                |t| t.replication = Some((2, 4)),
-                PolicyError::InvalidWriteQuorum,
-            ),
-        ];
-        for (edit, expected) in rejected {
-            let mut c = config(4, ProtocolKind::JavaPf);
-            edit(&mut c.transport);
-            assert_eq!(c.validate(), Err(ConfigError::Policy(expected)));
-            assert!(format!("{}", c.validate().unwrap_err()).contains(&expected.to_string()));
-        }
-        // The edges of what is legal.
-        let accepted: [Edit; 2] = [
-            |t| t.replication = Some((2, 3)),
-            |t| t.replication = Some((1, 1)),
-        ];
-        for edit in accepted {
-            let mut c = config(4, ProtocolKind::JavaPf);
-            edit(&mut c.transport);
-            assert_eq!(c.validate(), Ok(()));
-        }
-    }
-
-    #[test]
     fn a_run_is_described_once_and_the_engine_builds_what_the_flags_say() {
-        let quorum = TransportConfig {
-            replication: Some((2, 2)),
+        let retry = hyperion_pm2::RetryPolicy {
+            max_attempts: 2,
+            ..Default::default()
+        };
+        let retrying = TransportConfig {
+            retry,
             ..TransportConfig::default()
         };
-        for transport in [TransportConfig::default(), quorum] {
+        for transport in [TransportConfig::default(), retrying] {
             for protocol in ProtocolKind::all_extended() {
                 let cfg = config(2, protocol).with_transport(transport.clone());
                 let rt = HyperionRuntime::new(cfg).unwrap();

@@ -144,9 +144,9 @@ pub struct DsmCostModel {
     /// by a batched diff-flush RPC (the first page is covered by the
     /// ordinary per-request protocol cycles).
     pub batch_flush_cycles: f64,
-    /// Survivor-side cycles to re-elect a home and re-install one page after
-    /// a node failure (quorum comparison, promotion bookkeeping); the page
-    /// bytes shipped to the new home are charged on the wire separately.
+    /// Survivor-side cycles to re-install one page on its new home after a
+    /// node failure (promotion bookkeeping); the page bytes shipped to the
+    /// new home are charged on the wire separately.
     pub resync_page_cycles: f64,
 }
 

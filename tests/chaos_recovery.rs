@@ -1,13 +1,13 @@
 //! Chaos tests of the fault plane: seeded fault schedules injected at the
 //! transport must never change what a program *computes*, only what it
-//! costs — plus exact-counter accounting of the retry path and of quorum
-//! re-election after a node kill.
+//! costs — plus exact-counter accounting of the retry path and of the
+//! re-election after a node kill (a dead home's pages go to the lowest-id
+//! live node).
 //!
 //! The digest property runs every app under every protocol with random (but
 //! seeded, hence replayable) [`FaultSpec`] schedules that drop, delay and
 //! duplicate frames, inject handler panics, and kill at most one node at a
-//! virtual instant, with quorum replication armed so a killed home can be
-//! re-elected.  Each faulted digest is compared against the fault-free run
+//! virtual instant.  Each faulted digest is compared against the fault-free run
 //! of the same configuration.  The failing seed is part of every assertion
 //! message; re-running a failure needs nothing but that seed.
 
@@ -21,13 +21,14 @@ use hyperion_workspace::apps::{asp, barnes, jacobi, kvstore, pi, tsp};
 use hyperion_workspace::dsm::{AdaptiveParams, DsmStore, DsmSystem};
 use hyperion_workspace::model::{myrinet_200, StatsSnapshot, ThreadClock, VTime};
 use hyperion_workspace::pm2::{
-    Cluster, FaultKill, FaultSpec, GlobalAddr, IsoAllocator, NodeId, RetryPolicy, TransportBackend,
+    Cluster, FaultKill, FaultSpec, GlobalAddr, IsoAllocator, NodeId, PageId, RetryPolicy,
+    TransportBackend,
 };
 use hyperion_workspace::prelude::*;
 use hyperion_workspace::{HyperionConfig, ProtocolKind, TransportConfig};
 
 /// Node count of the chaos app runs: enough that every protocol has real
-/// remote traffic and a kill leaves a quorum of survivors.
+/// remote traffic and a kill leaves several survivors.
 const NODES: usize = 4;
 
 /// Run `body` once per seed, labelling failures with the seed.
@@ -116,7 +117,7 @@ fn random_spec(rng: &mut StdRng) -> FaultSpec {
 /// The tentpole chaos property: random seeded fault schedules across all
 /// five apps and all three protocols preserve every digest.  Faults change
 /// timing and traffic, never values — even when a home node is killed and
-/// its pages are re-homed onto quorum survivors mid-run.
+/// its pages are re-homed onto a survivor mid-run.
 #[test]
 fn seeded_fault_schedules_preserve_all_digests() {
     let protocols = [
@@ -136,7 +137,6 @@ fn seeded_fault_schedules_preserve_all_digests() {
                 let spec = random_spec(rng);
                 let transport = TransportConfig {
                     fault: Some(spec),
-                    replication: Some((2, 2)),
                     ..TransportConfig::default()
                 };
                 let (digest, report) = execute(bench.as_ref(), protocol, &transport);
@@ -184,7 +184,6 @@ fn kv_store_kill_schedules_preserve_digest_and_op_count() {
         });
         let transport = TransportConfig {
             fault: Some(spec),
-            replication: Some((2, 2)),
             ..TransportConfig::default()
         };
         let (digest, report) = execute(&bench, ProtocolKind::JavaAd, &transport);
@@ -209,10 +208,9 @@ fn kv_store_kill_schedules_preserve_digest_and_op_count() {
 /// included, replays bit for bit on every app under every protocol.
 #[test]
 fn identical_specs_replay_identical_fault_counters() {
-    let replay = |bench: &dyn Benchmark, protocol, spec, replication| {
+    let replay = |bench: &dyn Benchmark, protocol, spec| {
         let transport = TransportConfig {
             fault: Some(spec),
-            replication,
             ..TransportConfig::default()
         };
         let run = || {
@@ -230,13 +228,13 @@ fn identical_specs_replay_identical_fault_counters() {
         ..FaultSpec::default()
     };
     let jacobi = jacobi::JacobiParams::quick();
-    replay(&jacobi, ProtocolKind::JavaPf, drops, None);
+    replay(&jacobi, ProtocolKind::JavaPf, drops);
     let every = "seed=7,drop=20000,dup=10000,panic=5000,delay=20000@10us,kill=2@600us";
     let every = FaultSpec::parse(every).expect("valid spec");
     let mut runs = Vec::new();
     for bench in all_benchmarks() {
         for protocol in ProtocolKind::all_extended() {
-            runs.push(replay(bench.as_ref(), protocol, every, Some((2, 2))));
+            runs.push(replay(bench.as_ref(), protocol, every));
         }
     }
     let total = StatsSnapshot::total(&runs);
@@ -351,13 +349,14 @@ fn exhausted_retry_budget_dies_with_service_context() {
     assert_eq!(stats.rpc_timeouts, 2);
 }
 
-/// Kill a home node and let a survivor trip over it: the store re-elects
-/// the newest quorum replica as the page's home, re-routes, re-syncs, and
-/// the read observes the last released write.  Counters are exact: one
-/// failed node, at least the written page resynced, and the re-elected home
-/// is the replica holder — not an arbitrary survivor.
+/// Kill a home node and let a survivor trip over it: the store elects the
+/// lowest-id live node as the page's home, re-routes, re-syncs, and the
+/// read observes the last released write.  The only node that read and
+/// wrote the page is not the lowest live one, and it does not inherit the
+/// page: the election reads no access history.  Counters are exact: one
+/// failed node, each page the dead node homed resynced once.
 #[test]
-fn killed_home_is_reelected_from_the_newest_quorum_replica() {
+fn a_killed_home_goes_to_the_lowest_live_node_and_recovers_once() {
     let spec = FaultSpec {
         seed: 7,
         kill: Some(FaultKill {
@@ -366,96 +365,58 @@ fn killed_home_is_reelected_from_the_newest_quorum_replica() {
         }),
         ..FaultSpec::default()
     };
-    let transport = TransportConfig {
-        replication: Some((2, 2)),
-        ..TransportConfig::default()
-    };
-    let (dsm, addrs) = build_faulty_dsm(3, spec, &transport);
+    let (dsm, addrs) = build_faulty_dsm(4, spec, &TransportConfig::default());
     let page = addrs[0].page();
+    let store = dsm.store();
+    let homed_by_0 = (0..store.allocator().num_pages() as u64)
+        .filter(|&p| store.home_of(PageId(p)) == NodeId(0))
+        .count() as u64;
 
-    // Node 0 (the home) seeds the page; node 1 reads it — becoming a
-    // replica holder — then writes and releases, which quorum-stamps its
-    // replica at version 1.  All of this happens before the kill instant.
+    // Node 0 (the home) seeds the page; node 3 reads it, then writes and
+    // releases.  All of this happens before the kill instant.
     let mut clock0 = ThreadClock::new();
     dsm.put(NodeId(0), &mut clock0, addrs[0], 7);
-    let mut clock1 = ThreadClock::new();
-    assert_eq!(dsm.get(NodeId(1), &mut clock1, addrs[0]), 7);
-    dsm.put(NodeId(1), &mut clock1, addrs[0], 42);
-    dsm.update_main_memory(NodeId(1), &mut clock1);
+    let mut clock3 = ThreadClock::new();
+    assert_eq!(dsm.get(NodeId(3), &mut clock3, addrs[0]), 7);
+    dsm.put(NodeId(3), &mut clock3, addrs[0], 42);
+    dsm.update_main_memory(NodeId(3), &mut clock3);
     assert!(
-        clock1.now() < VTime::from_us(500),
+        clock3.now() < VTime::from_us(500),
         "workload outran the kill"
     );
 
     // Node 2 arrives after the kill instant: its fetch hits the dead home,
-    // triggers recovery, and completes against the re-elected home.
+    // triggers recovery, and completes against the elected home.
     let mut clock2 = ThreadClock::new();
     clock2.advance(VTime::from_us(1_000));
     assert_eq!(dsm.get(NodeId(2), &mut clock2, addrs[0]), 42);
 
     let stats = dsm.cluster().node_stats(NodeId(2));
-    assert_eq!(stats.nodes_failed, 1);
-    assert!(
-        stats.pages_resynced >= 1,
-        "recovery resynced no pages: {stats:?}"
-    );
+    assert_eq!((stats.nodes_failed, stats.pages_resynced), (1, homed_by_0));
     assert_eq!(
-        dsm.store().home_of(page),
+        store.home_of(page),
         NodeId(1),
-        "the quorum holder must win the election"
+        "the lowest live node must win the election, not the page's reader"
     );
 
     // The re-homed page keeps working: node 2 writes through the new home
     // and node 1 (now the home) observes the value in main memory.
     dsm.put(NodeId(2), &mut clock2, addrs[0], 1234);
     dsm.update_main_memory(NodeId(2), &mut clock2);
-    let mut clock1b = ThreadClock::new();
-    clock1b.advance(VTime::from_us(2_000));
-    dsm.invalidate_cache(NodeId(1), &mut clock1b);
-    assert_eq!(dsm.get(NodeId(1), &mut clock1b, addrs[0]), 1234);
-
-    // Recovery ran once; the second observer re-routed without repeating it.
-    let mut clock1c = ThreadClock::new();
-    clock1c.advance(VTime::from_us(2_000));
-    assert_eq!(dsm.get(NodeId(1), &mut clock1c, addrs[0]), 1234);
-    let total = dsm.cluster().node_stats(NodeId(1));
-    assert_eq!(total.nodes_failed, 0, "only the first observer accounts");
-}
-
-/// A page never replicated still recovers: the election falls back to the
-/// lowest-id live node, which re-syncs from the authoritative frame.
-#[test]
-fn unreplicated_pages_fall_back_to_the_lowest_live_node() {
-    let spec = FaultSpec {
-        seed: 8,
-        kill: Some(FaultKill {
-            node: 1,
-            at: VTime::ZERO,
-        }),
-        ..FaultSpec::default()
-    };
-    let transport = TransportConfig {
-        replication: Some((2, 2)),
-        ..TransportConfig::default()
-    };
-    let (dsm, addrs) = build_faulty_dsm(3, spec, &transport);
-    let page = addrs[1].page();
-
-    // Node 1 seeds its own page locally (home writes need no RPC), then is
-    // dead to everyone from virtual time zero.
     let mut clock1 = ThreadClock::new();
-    dsm.put(NodeId(1), &mut clock1, addrs[1], 77);
+    clock1.advance(VTime::from_us(2_000));
+    dsm.invalidate_cache(NodeId(1), &mut clock1);
+    assert_eq!(dsm.get(NodeId(1), &mut clock1, addrs[0]), 1234);
 
-    let mut clock2 = ThreadClock::new();
-    assert_eq!(dsm.get(NodeId(2), &mut clock2, addrs[1]), 77);
-    assert_eq!(
-        dsm.store().home_of(page),
-        NodeId(0),
-        "with no replicas the lowest live node inherits the page"
-    );
-    let stats = dsm.cluster().node_stats(NodeId(2));
-    assert_eq!(stats.nodes_failed, 1);
-    assert!(stats.pages_resynced >= 1);
+    // Recovery ran once; the next observer re-routed without repeating it.
+    clock3.advance(VTime::from_us(2_000));
+    dsm.invalidate_cache(NodeId(3), &mut clock3);
+    assert_eq!(dsm.get(NodeId(3), &mut clock3, addrs[0]), 1234);
+    for node in [1, 3] {
+        let stats = dsm.cluster().node_stats(NodeId(node));
+        assert_eq!(stats.nodes_failed, 0, "only the first observer accounts");
+    }
+    assert_eq!(dsm.cluster().total_stats().pages_resynced, homed_by_0);
 }
 
 /// A re-homing breaks the page's change history: the new home starts a
@@ -472,14 +433,10 @@ fn a_rehomed_page_is_shipped_whole_to_the_holder_of_an_older_copy() {
         }),
         ..FaultSpec::default()
     };
-    let transport = TransportConfig {
-        replication: Some((2, 2)),
-        ..TransportConfig::default()
-    };
-    let (dsm, addrs) = build_faulty_dsm(3, spec, &transport);
+    let (dsm, addrs) = build_faulty_dsm(3, spec, &TransportConfig::default());
     let (mut clock1, mut clock2) = (ThreadClock::new(), ThreadClock::new());
-    // Node 1 registers as the first replica holder, so it is the one the
-    // quorum writes keep current and the election picks.
+    // Node 1, the lowest live node once node 0 is dead, writes; node 2
+    // holds the older copy.
     assert_eq!(dsm.get(NodeId(1), &mut clock1, addrs[0]), 0);
     assert_eq!(dsm.get(NodeId(2), &mut clock2, addrs[0]), 0);
     // Before the kill a missed write arrives by patch...
@@ -492,7 +449,7 @@ fn a_rehomed_page_is_shipped_whole_to_the_holder_of_an_older_copy() {
     dsm.update_main_memory(NodeId(1), &mut clock1);
     assert!(clock1.now().max(clock2.now()) < VTime::from_us(500));
 
-    // ...after it, from the re-elected home, the page does.
+    // ...after it, from the elected home, the page does.
     clock2.advance(VTime::from_us(1_000));
     dsm.invalidate_cache(NodeId(2), &mut clock2);
     let before = dsm.cluster().node_stats(NodeId(2));
