@@ -137,8 +137,7 @@ pub struct FigureRow {
     pub digest: f64,
     /// Cluster-wide event statistics.
     pub stats: StatsSnapshot,
-    /// Transport backend that carried the RPCs (`"sim"`, `"unix-socket"` or
-    /// `"tcp-socket"`).
+    /// Transport backend that carried the RPCs (`"sim"` or `"unix-socket"`).
     pub transport: &'static str,
     /// Per-service wire counters, `(service name, counters)` — empty under
     /// the in-process simulator, populated by socket backends with the real

@@ -4,7 +4,7 @@
 //! ```text
 //! figures [--fig N]... [--tables] [--claims] [--scale quick|harness|paper]
 //!         [--quick] [--json] [--baseline PATH] [--out DIR]
-//!         [--transport sim|socket|tcp] [--fault SPEC] [--audit]
+//!         [--transport sim|socket] [--fault SPEC] [--audit]
 //! ```
 //!
 //! * `--fig N`     regenerate figure N: 1–5 from the paper, 6 and 9 the
@@ -32,7 +32,7 @@
 //! * `--out DIR`   additionally write one CSV per figure into DIR.
 //! * `--transport B` run the modeled-vs-measured sweep with every RPC
 //!   carried by backend B (`socket` = per-node Unix-domain socket servers,
-//!   `tcp` = localhost TCP, `sim` = the in-process cost model) and print a
+//!   `sim` = the in-process cost model) and print a
 //!   one-page report of modeled virtual-time RPC cost next to measured
 //!   wall-clock socket round trips; the report is also written to
 //!   `MODELED_VS_MEASURED_<run>.md` for the CI artifact upload.
@@ -126,7 +126,7 @@ fn parse_args() -> Options {
                 let s = args.next().unwrap_or_default();
                 opts.transport = Some(
                     TransportBackend::parse(&s)
-                        .unwrap_or_else(|| die("--transport must be sim, socket (unix) or tcp")),
+                        .unwrap_or_else(|| die("--transport must be sim or socket (unix)")),
                 );
                 any_selector = true;
             }
@@ -150,7 +150,7 @@ fn parse_args() -> Options {
                 println!(
                     "figures [--fig N]... [--tables] [--claims] [--scale quick|harness|paper] \
                      [--quick] [--json] [--baseline PATH] [--out DIR] \
-                     [--transport sim|socket|tcp] [--fault SPEC] [--audit]"
+                     [--transport sim|socket] [--fault SPEC] [--audit]"
                 );
                 std::process::exit(0);
             }

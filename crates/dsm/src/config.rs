@@ -6,10 +6,11 @@
 //! combination is a typed [`PolicyError`] before any cluster state
 //! exists).  The engine reads them directly: the protocol and its
 //! parameters select the access detection ([`crate::detection`]), the
-//! transport the backend and the retry and fault schedules.
+//! transport the backend and the fault schedule.  The RPC path's retry
+//! schedule is fixed, not configured ([`hyperion_pm2::RPC_ATTEMPTS`]).
 
 use hyperion_model::VTime;
-use hyperion_pm2::{FaultSpec, NodeId, RetryPolicy, TransportBackend};
+use hyperion_pm2::{FaultSpec, NodeId, TransportBackend};
 
 /// Which access-detection technique a run uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -91,7 +92,7 @@ impl AdaptiveParams {
 }
 
 /// Configuration of the transport layer: which backend carries the RPCs,
-/// and the retry and fault settings around it.
+/// and the fault schedule around it.
 ///
 /// The wire path itself has one behaviour.  A fetch is a split
 /// transaction: an explicit prefetch (`loadIntoCache`), every page a
@@ -109,34 +110,18 @@ impl AdaptiveParams {
 /// Every setting here is semantics-preserving — it changes how the bytes
 /// travel and what a failure costs, never what a program computes — so all
 /// of them apply to every protocol.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TransportConfig {
     /// Which [`hyperion_pm2::Transport`] implementation carries the RPCs:
-    /// the in-process cost model (default) or a real Unix-domain/TCP
-    /// socket per node.  Semantics-preserving by construction — the wire
+    /// the in-process cost model (default) or a real Unix-domain socket
+    /// per node.  Semantics-preserving by construction — the wire
     /// payloads and the virtual-time charging are identical across
     /// backends, only the physical carrier differs.
     pub backend: TransportBackend,
-    /// Retry schedule of the DSM's RPC path: bounded attempts with
-    /// exponential backoff under a deadline, every retry charged to the
-    /// calling thread's virtual clock (and counted in `rpc_retries` /
-    /// `rpc_timeouts`).  On a fault-free run the first attempt always
-    /// succeeds and the schedule charges nothing.
-    pub retry: RetryPolicy,
     /// Deterministic fault schedule replayed by a
     /// [`hyperion_pm2::FaultyTransport`] wrapped around the chosen backend;
     /// `None` (default) leaves the transport untouched.
     pub fault: Option<FaultSpec>,
-}
-
-impl Default for TransportConfig {
-    fn default() -> Self {
-        TransportConfig {
-            backend: TransportBackend::Sim,
-            retry: RetryPolicy::default(),
-            fault: None,
-        }
-    }
 }
 
 /// An illegal run description, rejected at config-build time.

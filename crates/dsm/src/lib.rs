@@ -36,9 +36,9 @@
 //! * [`notices`] — write notices: what an acquire learns along the
 //!   synchronisation edges, so it drops only the cached copies some
 //!   happening-before write changed;
-//! * [`recover`] — the fault plane's DSM side: bounded retry with
-//!   exponential backoff on the RPC path and node-failure recovery
-//!   (re-homing a dead node's pages onto the lowest-id live node).
+//! * [`recover`] — the fault plane's DSM side: the fixed retry schedule
+//!   of the RPC path and the recovery from the one node a run can lose
+//!   (re-homing its pages onto the lowest-id live node).
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

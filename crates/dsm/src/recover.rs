@@ -1,5 +1,5 @@
-//! The DSM side of the fault plane: bounded retry with exponential backoff
-//! on the RPC path, and node-failure recovery (re-homing a dead node's
+//! The DSM side of the fault plane: the fixed retry schedule of the RPC
+//! path, and the recovery from the one node a run can lose (re-homing its
 //! pages onto the lowest-id live node).
 //!
 //! ## Retry contract
@@ -7,15 +7,14 @@
 //! Every protocol RPC goes through `DsmSystem::rpc_to_home`: per-attempt
 //! failures classified retryable by
 //! [`TransportError::is_retryable`] (lost frames, broken sockets, handler
-//! panics) are re-issued under the [`crate::config::TransportConfig::retry`]
-//! schedule — each timed-out attempt charges the configured `rpc_timeout` to
-//! the caller's *virtual* clock and bumps `rpc_timeouts`, each re-issue
-//! charges the doubling backoff and bumps `rpc_retries` — until the attempt
-//! budget or the deadline runs out.  Non-retryable errors return
-//! immediately: a [`TransportError::NodeDown`] triggers
-//! `DsmSystem::recover_node` and a re-route to the page's new home;
-//! everything else propagates as a typed [`RpcFailure`] with service-name
-//! context.
+//! panics) are re-issued under one fixed schedule — each timed-out attempt
+//! charges [`RPC_TIMEOUT`] (500 µs) to the caller's *virtual* clock and
+//! bumps `rpc_timeouts`, each re-issue charges [`retry_backoff`] (100 µs,
+//! doubling) and bumps `rpc_retries` — until [`RPC_ATTEMPTS`] (5) attempts
+//! are spent.  Non-retryable errors return immediately: a
+//! [`TransportError::NodeDown`] triggers `DsmSystem::recover_node` and one
+//! re-issue to the page's new home; everything else propagates as a typed
+//! [`RpcFailure`] with service-name context.
 //!
 //! On a fault-free run the first attempt of every RPC succeeds, so the
 //! schedule charges nothing and all fault counters stay zero — the
@@ -23,7 +22,8 @@
 //!
 //! ## Recovery walkthrough
 //!
-//! A node is killed fail-stop *as a server* (its own threads keep
+//! At most one node is killed per run ([`hyperion_pm2::FaultSpec::kill`] is
+//! one `Option`), fail-stop *as a server* (its own threads keep
 //! computing).  The first survivor whose RPC fails with `NodeDown` marks
 //! the node failed and
 //!
@@ -41,13 +41,18 @@
 //!    the wire, all visible in `pages_resynced`.
 //!
 //! Recovery is idempotent: exactly one observer performs it
-//! (`mark_failed` returns true once), and later observers simply re-route.
+//! (`mark_failed` returns true once, and panics if a later call names a
+//! second node), and later observers simply re-route.  The re-issue goes
+//! to a live home, so it gives the call's final answer.
 //! One caller at a time is inside the DSM, so no handler runs while the
 //! pages change hands: no diff lands on a dead home's frame after it was
 //! snapshotted.
 
 use hyperion_model::{NodeStats, ThreadClock, VTime};
-use hyperion_pm2::{Node, NodeId, PageId, ServiceId, TransportError, PAGE_BYTES};
+use hyperion_pm2::{
+    retry_backoff, Node, NodeId, PageId, ServiceId, TransportError, PAGE_BYTES, RPC_ATTEMPTS,
+    RPC_TIMEOUT,
+};
 
 use crate::engine::DsmSystem;
 
@@ -119,9 +124,8 @@ impl DsmSystem {
         }
     }
 
-    /// Issue one RPC under the retry schedule of
-    /// [`crate::config::TransportConfig::retry`] (see the module docs for
-    /// the exact charging contract).
+    /// Issue one RPC under the fixed retry schedule (see the module docs
+    /// for the exact charging contract).
     pub(crate) fn rpc_retry(
         &self,
         clock: &mut ThreadClock,
@@ -131,8 +135,6 @@ impl DsmSystem {
         service: ServiceId,
         payload: &[u8],
     ) -> Result<(Vec<u8>, VTime), RpcFailure> {
-        let policy = &self.transport.retry;
-        let deadline = clock.now() + policy.deadline;
         let mut retries = 0u32;
         loop {
             let error = match self.cluster.rpc_split(clock, from, to, service, payload) {
@@ -142,10 +144,9 @@ impl DsmSystem {
             if matches!(error, TransportError::TimedOut { .. }) {
                 // The loss is only detected by waiting the full timeout out.
                 NodeStats::bump(&node_ref.stats.rpc_timeouts);
-                clock.advance(policy.rpc_timeout);
+                clock.advance(RPC_TIMEOUT);
             }
-            let out_of_budget = retries + 1 >= policy.max_attempts || clock.now() >= deadline;
-            if !error.is_retryable() || out_of_budget {
+            if !error.is_retryable() || retries + 1 >= RPC_ATTEMPTS {
                 return Err(RpcFailure {
                     service: self.cluster.service_name(service),
                     from,
@@ -154,17 +155,17 @@ impl DsmSystem {
                     error,
                 });
             }
-            clock.advance(policy.backoff(retries));
+            clock.advance(retry_backoff(retries));
             retries += 1;
             NodeStats::bump(&node_ref.stats.rpc_retries);
         }
     }
 
     /// Issue one RPC to the current home of `anchor`, retrying per
-    /// [`DsmSystem::rpc_retry`] and recovering + re-routing when the home
-    /// turns out to be dead.  Payloads address pages by id and carry
-    /// absolute slot values, so the identical bytes are valid against the
-    /// re-elected home.
+    /// [`DsmSystem::rpc_retry`]; when the home turns out to be dead,
+    /// recover it and re-issue once to the page's new home.  Payloads
+    /// address pages by id and carry absolute slot values, so the identical
+    /// bytes are valid against the re-elected home.
     pub(crate) fn rpc_to_home(
         &self,
         clock: &mut ThreadClock,
@@ -174,22 +175,17 @@ impl DsmSystem {
         service: ServiceId,
         payload: &[u8],
     ) -> Result<(Vec<u8>, VTime), RpcFailure> {
-        let mut hops = 0usize;
-        loop {
-            let home = self.store.home_of(anchor);
-            let failure = match self.rpc_retry(clock, node_ref, node, home, service, payload) {
-                Ok(ok) => return Ok(ok),
-                Err(failure) => failure,
-            };
-            match failure.error {
-                // Each hop buries one node; after n-1 of them there is
-                // nobody left to re-route to.
-                TransportError::NodeDown { peer } if hops + 1 < self.cluster.num_nodes() => {
-                    self.recover_node(node_ref, clock, peer);
-                    hops += 1;
-                }
-                _ => return Err(failure),
+        let home = self.store.home_of(anchor);
+        match self.rpc_retry(clock, node_ref, node, home, service, payload) {
+            Err(RpcFailure {
+                error: TransportError::NodeDown { peer },
+                ..
+            }) => {
+                self.recover_node(node_ref, clock, peer);
+                let home = self.store.home_of(anchor);
+                self.rpc_retry(clock, node_ref, node, home, service, payload)
             }
+            done => done,
         }
     }
 

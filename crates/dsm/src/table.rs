@@ -5,8 +5,8 @@
 //! the page; the other nodes' frames are caches.  Frame tables grow lazily as
 //! pages are allocated.
 
-use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, RwLock};
+use std::collections::HashMap;
+use std::sync::{Arc, OnceLock, RwLock};
 
 use hyperion_model::sync::{read, write};
 use hyperion_pm2::{IsoAllocator, NodeId, PageId};
@@ -62,10 +62,9 @@ pub struct DsmStore {
     /// the failure-free common case of [`DsmStore::home_of`] stays a plain
     /// array index.
     num_overrides: std::sync::atomic::AtomicUsize,
-    /// Nodes that have failed fail-stop and been recovered from.  Like
-    /// `home_overrides`, only inserted into and looked up, never iterated
-    /// ([`DsmStore::first_live_node`] scans `0..n`).
-    failed: RwLock<HashSet<u32>>,
+    /// The node that failed fail-stop and was recovered from, once it has:
+    /// a run has at most one kill (`hyperion_pm2::FaultSpec::kill`).
+    failed: OnceLock<NodeId>,
     /// The handler running on one of the store's home frames, if any (debug
     /// builds; see `crate::oracle::OneCaller`).
     pub(crate) serving: OneCaller,
@@ -81,7 +80,7 @@ impl DsmStore {
             nodes: (0..num_nodes).map(|_| NodeFrames::new()).collect(),
             home_overrides: RwLock::new(HashMap::new()),
             num_overrides: std::sync::atomic::AtomicUsize::new(0),
-            failed: RwLock::new(HashSet::new()),
+            failed: OnceLock::new(),
             serving: OneCaller::default(),
         })
     }
@@ -235,21 +234,26 @@ impl DsmStore {
 
     /// Mark `node` failed fail-stop.  Returns `true` the first time —
     /// exactly one caller performs the recovery of the node's pages.
+    ///
+    /// # Panics
+    /// Panics if another node was marked failed before: a run has at most
+    /// one kill.
     pub fn mark_failed(&self, node: NodeId) -> bool {
-        write(&self.failed).insert(node.0)
+        let first = self.failed.set(node).is_ok();
+        let failed = self.failed.get();
+        assert_eq!(failed, Some(&node), "a run loses at most one node");
+        first
     }
 
     /// The lowest-id node not marked failed: the one recovery elects as
-    /// the next home of every page a failed node owned.
+    /// the next home of every page the failed node owned.
     ///
     /// # Panics
-    /// Panics if every node has failed.
+    /// Panics if the cluster has one node and it has failed.
     pub fn first_live_node(&self) -> NodeId {
-        let failed = read(&self.failed);
-        (0..self.nodes.len() as u32)
-            .find(|n| !failed.contains(n))
-            .map(NodeId)
-            .expect("at least one live node")
+        let lowest = NodeId(u32::from(self.failed.get() == Some(&NodeId(0))));
+        assert!(lowest.index() < self.nodes.len(), "at least one live node");
+        lowest
     }
 
     fn grow_table(&self, node: NodeId, page: PageId) {
@@ -385,6 +389,7 @@ mod tests {
 
         // Node 0 fails: only its first observer recovers it, and the
         // election passes over it.
+        assert_eq!(store.first_live_node(), NodeId(0));
         assert!(store.mark_failed(NodeId(0)));
         assert!(
             !store.mark_failed(NodeId(0)),
@@ -399,6 +404,15 @@ mod tests {
         assert!(new.is_home() && !new.has_dirty_slots());
         assert_eq!((new.load_slot(3), new.load_slot(5)), (33, 55));
         assert!(new.stamp() > handed_out, "no older copy can validate");
+    }
+
+    #[test]
+    #[should_panic(expected = "a run loses at most one node")]
+    fn marking_a_second_node_failed_panics() {
+        let (_, store) = store(3);
+        assert!(store.mark_failed(NodeId(1)));
+        assert_eq!(store.first_live_node(), NodeId(0));
+        store.mark_failed(NodeId(2));
     }
 
     #[test]

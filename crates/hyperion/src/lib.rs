@@ -86,9 +86,7 @@ pub use hyperion_model::{
     myrinet_200, sci_450, ClusterSpec, MachineModel, Op, OpCounts, StatsSnapshot, VTime,
     WireServiceSnapshot, WorkEstimate,
 };
-pub use hyperion_pm2::{
-    FaultKill, FaultSpec, GlobalAddr, NodeId, RetryPolicy, ThreadId, TransportBackend,
-};
+pub use hyperion_pm2::{FaultKill, FaultSpec, GlobalAddr, NodeId, ThreadId, TransportBackend};
 
 /// Everything an application kernel typically imports.
 pub mod prelude {

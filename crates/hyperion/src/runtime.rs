@@ -41,7 +41,7 @@ pub struct HyperionConfig {
     /// [`ProtocolKind::JavaAd`]): where its switching band sits, as a
     /// multiple of the machine model's break-even.
     pub adaptive: AdaptiveParams,
-    /// Transport configuration: backend, retry schedule and faults.
+    /// Transport configuration: backend and faults.
     /// Applies to every protocol (each setting is semantics-preserving).
     pub transport: TransportConfig,
     /// Application threads per node.  The paper uses one ("we used only one
@@ -130,10 +130,6 @@ impl HyperionConfig {
                 bound: SOCKET_FAN_IN_BOUND,
             });
         }
-        self.transport
-            .retry
-            .validate()
-            .map_err(ConfigError::InvalidTransport)?;
         if let Some(fault) = &self.transport.fault {
             fault
                 .validate(self.nodes)
@@ -426,8 +422,8 @@ pub struct RunReport {
     pub main_thread_time: VTime,
     /// Per-node statistics, indexed by node id.
     pub node_stats: Vec<StatsSnapshot>,
-    /// Name of the transport backend that carried the RPCs ("sim",
-    /// "unix-socket" or "tcp-socket").
+    /// Name of the transport backend that carried the RPCs ("sim" or
+    /// "unix-socket").
     pub transport: &'static str,
     /// Per-service wire-traffic counters, `(service name, counters)` —
     /// empty under the in-process [`hyperion_pm2::SimTransport`], populated
@@ -992,15 +988,14 @@ mod tests {
             degree: 65,
             bound: 64,
         };
-        for backend in [TransportBackend::UnixSocket, TransportBackend::Tcp] {
-            assert_eq!(on(65, backend).validate(), Err(too_many.clone()));
-            // The runtime refuses before it builds a cluster: no socket opens.
-            assert_eq!(
-                HyperionRuntime::new(on(65, backend)).err(),
-                Some(too_many.clone())
-            );
-            assert_eq!(on(64, backend).validate(), Ok(()));
-        }
+        let unix = TransportBackend::UnixSocket;
+        assert_eq!(on(65, unix).validate(), Err(too_many.clone()));
+        // The runtime refuses before it builds a cluster: no socket opens.
+        assert_eq!(
+            HyperionRuntime::new(on(65, unix)).err(),
+            Some(too_many.clone())
+        );
+        assert_eq!(on(64, unix).validate(), Ok(()));
         assert_eq!(on(65, TransportBackend::Sim).validate(), Ok(()));
         assert!(too_many
             .to_string()
@@ -1044,15 +1039,11 @@ mod tests {
 
     #[test]
     fn a_run_is_described_once_and_the_engine_builds_what_the_flags_say() {
-        let retry = hyperion_pm2::RetryPolicy {
-            max_attempts: 2,
-            ..Default::default()
-        };
-        let retrying = TransportConfig {
-            retry,
+        let faulty = TransportConfig {
+            fault: Some(hyperion_pm2::FaultSpec::parse("seed=3,drop=1000").unwrap()),
             ..TransportConfig::default()
         };
-        for transport in [TransportConfig::default(), retrying] {
+        for transport in [TransportConfig::default(), faulty] {
             for protocol in ProtocolKind::all_extended() {
                 let cfg = config(2, protocol).with_transport(transport.clone());
                 let rt = HyperionRuntime::new(cfg).unwrap();

@@ -62,7 +62,7 @@ impl Cluster {
     }
 
     /// Build a cluster for a [`TransportBackend`] selector: the simulated
-    /// transport, or per-node Unix-domain/TCP(localhost) socket servers.
+    /// transport, or per-node Unix-domain socket servers.
     ///
     /// # Panics
     /// Panics if `num_nodes` is zero, or if a socket backend cannot bind its
@@ -72,14 +72,7 @@ impl Cluster {
         num_nodes: usize,
         backend: TransportBackend,
     ) -> Arc<Self> {
-        match backend {
-            TransportBackend::Sim => Self::new(machine, num_nodes),
-            TransportBackend::UnixSocket | TransportBackend::Tcp => Self::with_transport(
-                machine,
-                num_nodes,
-                Arc::new(SocketTransport::for_backend(backend)),
-            ),
-        }
+        Self::for_backend_with_faults(machine, num_nodes, backend, None)
     }
 
     /// Like [`Cluster::for_backend`], with the chosen transport wrapped in a
@@ -96,21 +89,14 @@ impl Cluster {
         backend: TransportBackend,
         fault: Option<crate::fault::FaultSpec>,
     ) -> Arc<Self> {
-        let spec = match fault {
-            Some(spec) if !spec.is_noop() => spec,
-            _ => return Self::for_backend(machine, num_nodes, backend),
-        };
-        let inner: Arc<dyn Transport> = match backend {
+        let mut transport: Arc<dyn Transport> = match backend {
             TransportBackend::Sim => Arc::new(SimTransport),
-            TransportBackend::UnixSocket | TransportBackend::Tcp => {
-                Arc::new(SocketTransport::for_backend(backend))
-            }
+            TransportBackend::UnixSocket => Arc::new(SocketTransport::unix()),
         };
-        Self::with_transport(
-            machine,
-            num_nodes,
-            Arc::new(crate::fault::FaultyTransport::new(inner, spec)),
-        )
+        if let Some(spec) = fault.filter(|spec| !spec.is_noop()) {
+            transport = Arc::new(crate::fault::FaultyTransport::new(transport, spec));
+        }
+        Self::with_transport(machine, num_nodes, transport)
     }
 
     /// The machine model shared by every node.

@@ -1,4 +1,4 @@
-//! Deterministic fault injection and the retry-policy knobs of the RPC path.
+//! Deterministic fault injection and the retry schedule of the RPC path.
 //!
 //! [`FaultyTransport`] wraps any [`Transport`] (the in-process
 //! [`crate::SimTransport`] or the socket-backed
@@ -12,7 +12,7 @@
 //!
 //! * **drop** — the request frame never reaches the handler.  The handler
 //!   does not execute; the caller gets [`TransportError::TimedOut`] (the
-//!   retry layer charges the configured detection timeout) and the caller
+//!   retry layer charges the [`RPC_TIMEOUT`] detection wait) and the caller
 //!   node's `frames_dropped_injected` counter is bumped.
 //! * **panic** — the handler is modeled as panicking before doing any work:
 //!   the caller gets [`TransportError::Remote`], exactly what a caught
@@ -35,9 +35,12 @@
 //! workload draws the same faults, and the run repeats bit for bit
 //! (`tests/chaos_recovery.rs`, `identical_specs_replay_identical_fault_counters`).
 //!
-//! [`RetryPolicy`] is plain data: the DSM layer uses it to bound retries in
-//! *virtual* time on the RPC path, and [`crate::SocketTransport`] reuses the
-//! same schedule shape to bound its *wall-clock* redial loop.
+//! The retry schedule is one fixed set of constants, not a setting:
+//! [`RPC_ATTEMPTS`] attempts, each lost one charged [`RPC_TIMEOUT`], and a
+//! [`retry_backoff`] of 100 µs doubling per retry.  The DSM layer charges it
+//! to the caller's *virtual* clock on the RPC path, and
+//! [`crate::SocketTransport`] reuses it to bound its *wall-clock* redial
+//! loop.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -49,68 +52,17 @@ use crate::comm::ServiceId;
 use crate::node::NodeId;
 use crate::transport::{charge_round_trip, Transport, TransportError};
 
-/// Per-service retry schedule for the RPC path: bounded attempts with
-/// exponential backoff under a total deadline.
-///
-/// All fields are integral virtual times so configurations stay `Eq` and
-/// hashable.  The DSM layer charges these costs to the calling thread's
-/// *virtual* clock; the socket layer reuses the same schedule for its
-/// wall-clock redial loop (satellite of the fault plane: bounded backoff
-/// instead of reconnect-once).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct RetryPolicy {
-    /// Total attempts per RPC, first try included (≥ 1; 1 disables retry).
-    pub max_attempts: u32,
-    /// Virtual time charged per timed-out attempt (the loss-detection wait).
-    pub rpc_timeout: VTime,
-    /// Backoff before the first retry; doubled after every further failure.
-    pub base_backoff: VTime,
-    /// Ceiling the doubling backoff saturates at.
-    pub max_backoff: VTime,
-    /// Total virtual-time budget across all attempts of one RPC; once
-    /// exceeded the last error is returned instead of retrying further.
-    pub deadline: VTime,
-}
+/// Attempts per RPC, the first try included.
+pub const RPC_ATTEMPTS: u32 = 5;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 5,
-            rpc_timeout: VTime::from_us(500),
-            base_backoff: VTime::from_us(100),
-            max_backoff: VTime::from_us(3_200),
-            deadline: VTime::from_us(50_000),
-        }
-    }
-}
+/// Virtual time charged per timed-out attempt: the loss-detection wait.
+pub const RPC_TIMEOUT: VTime = VTime::from_us(500);
 
-impl RetryPolicy {
-    /// Reject schedules that can never make progress or never terminate.
-    pub fn validate(&self) -> Result<(), &'static str> {
-        if self.max_attempts == 0 {
-            return Err("retry max_attempts must be at least 1 (1 disables retry)");
-        }
-        if self.rpc_timeout == VTime::ZERO {
-            return Err("retry rpc_timeout must be positive (it is the loss-detection wait)");
-        }
-        if self.base_backoff > self.max_backoff {
-            return Err("retry base_backoff must not exceed max_backoff");
-        }
-        if self.deadline < self.rpc_timeout {
-            return Err("retry deadline must cover at least one rpc_timeout");
-        }
-        Ok(())
-    }
-
-    /// The backoff charged before retry number `retry` (0-based): the base
-    /// doubled per retry, saturating at `max_backoff`.
-    pub fn backoff(&self, retry: u32) -> VTime {
-        let doubled = self
-            .base_backoff
-            .as_ps()
-            .saturating_mul(1u64 << retry.min(32));
-        VTime::from_ps(doubled.min(self.max_backoff.as_ps()))
-    }
+/// The backoff charged before retry number `retry` (0-based): 100 µs,
+/// doubled per retry.  Five attempts take at most four of them
+/// (100 + 200 + 400 + 800 µs).
+pub fn retry_backoff(retry: u32) -> VTime {
+    VTime::from_us(100 << retry)
 }
 
 /// Kill one named node at a named virtual time (fail-stop as a server).
@@ -151,7 +103,8 @@ pub struct FaultSpec {
     pub dup_ppm: u32,
     /// Probability (ppm) that the handler is forced to panic.
     pub panic_ppm: u32,
-    /// Kill a named node at a named virtual time.
+    /// Kill a named node at a named virtual time.  At most one kill per
+    /// run: recovery tracks the one node a run can lose.
     pub kill: Option<FaultKill>,
 }
 
@@ -517,38 +470,14 @@ mod tests {
     }
 
     #[test]
-    fn retry_policy_validates_and_backs_off_geometrically() {
-        let policy = RetryPolicy::default();
-        assert!(policy.validate().is_ok());
-        assert_eq!(policy.backoff(0), policy.base_backoff);
-        assert_eq!(policy.backoff(1), policy.base_backoff + policy.base_backoff);
-        assert_eq!(policy.backoff(30), policy.max_backoff);
-
-        assert!(RetryPolicy {
-            max_attempts: 0,
-            ..policy
-        }
-        .validate()
-        .is_err());
-        assert!(RetryPolicy {
-            rpc_timeout: VTime::ZERO,
-            ..policy
-        }
-        .validate()
-        .is_err());
-        assert!(RetryPolicy {
-            base_backoff: VTime::from_us(10),
-            max_backoff: VTime::from_us(1),
-            ..policy
-        }
-        .validate()
-        .is_err());
-        assert!(RetryPolicy {
-            deadline: VTime::ZERO,
-            ..policy
-        }
-        .validate()
-        .is_err());
+    fn retry_backoff_doubles_from_100us_over_the_four_retries() {
+        let backoffs: Vec<_> = (0..RPC_ATTEMPTS - 1).map(retry_backoff).collect();
+        assert_eq!(
+            backoffs,
+            [100, 200, 400, 800].map(VTime::from_us),
+            "one fixed schedule: 5 attempts, 100 us doubling"
+        );
+        assert_eq!(RPC_TIMEOUT, VTime::from_us(500));
     }
 
     #[test]

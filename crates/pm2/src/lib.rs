@@ -20,15 +20,15 @@
 //!   replicated (§3.1 of the paper).
 //! * [`threads`] — thread identity and per-node thread registry (the paper's
 //!   "threads subsystem"; actual scheduling uses native OS threads).
-//! * [`transport`] / [`socket`] — the pluggable transport layer: the
-//!   in-process cost-model [`SimTransport`] (default) and the
-//!   Unix-domain/TCP(localhost) [`SocketTransport`] that serves each node's
-//!   handler table from behind a real socket.
+//! * [`transport`] / [`socket`] — the transport layer: the in-process
+//!   cost-model [`SimTransport`] (default) and the Unix-domain
+//!   [`SocketTransport`] that serves each node's handler table from behind
+//!   a real socket.
 //! * [`fault`] — the fault plane: [`FaultyTransport`] wraps either backend
 //!   with a deterministic, seeded [`FaultSpec`] schedule (drop / delay /
 //!   duplicate frames, forced handler panics, a named node killed at a
-//!   named virtual time), and [`RetryPolicy`] carries the bounded
-//!   exponential-backoff knobs the RPC path retries under.
+//!   named virtual time), and the one fixed retry schedule the RPC path
+//!   retries under ([`RPC_ATTEMPTS`], [`RPC_TIMEOUT`], [`retry_backoff`]).
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -44,7 +44,7 @@ pub mod transport;
 
 pub use cluster::Cluster;
 pub use comm::{RpcHandler, RpcReply, ServiceId};
-pub use fault::{FaultKill, FaultSpec, FaultyTransport, RetryPolicy};
+pub use fault::{retry_backoff, FaultKill, FaultSpec, FaultyTransport, RPC_ATTEMPTS, RPC_TIMEOUT};
 pub use iso::{GlobalAddr, IsoAllocator, PageId, PAGE_BYTES, SLOTS_PER_PAGE, SLOT_BYTES};
 pub use node::{Node, NodeId};
 pub use socket::SocketTransport;

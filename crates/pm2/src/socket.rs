@@ -1,5 +1,5 @@
 //! Socket-backed transport: each node's registered RPC handler table served
-//! from behind a real Unix-domain or TCP(localhost) socket.
+//! from behind a real Unix-domain socket.
 //!
 //! While [`crate::transport::SimTransport`] executes handlers inline, this
 //! backend makes the communication *physical*: every node gets its own
@@ -42,9 +42,9 @@
 //!
 //! ## Failure handling
 //!
-//! A client connection that hits an I/O error is re-dialled under a bounded
-//! deterministic backoff schedule — the same [`RetryPolicy`] shape the DSM
-//! layer retries RPCs under, here applied to *wall-clock* sleeps — and the
+//! A client connection that hits an I/O error is re-dialled under the fixed
+//! backoff schedule the DSM layer retries RPCs under ([`RPC_ATTEMPTS`],
+//! [`retry_backoff`]), here applied to *wall-clock* sleeps — and the
 //! request retried on each fresh connection; exhausting the schedule
 //! surfaces as [`TransportError::Io`].  Server side, a handler panic is
 //! caught and answered with an error frame (the node keeps serving), and
@@ -57,7 +57,6 @@
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -70,9 +69,9 @@ use hyperion_model::{ThreadClock, VTime, WireServiceSnapshot, WireStats};
 
 use crate::cluster::Cluster;
 use crate::comm::{RpcReply, ServiceId};
-use crate::fault::RetryPolicy;
+use crate::fault::{retry_backoff, RPC_ATTEMPTS};
 use crate::node::NodeId;
-use crate::transport::{charge_round_trip, Transport, TransportBackend, TransportError};
+use crate::transport::{charge_round_trip, Transport, TransportError};
 
 /// Bytes of a frame header, after the 4-byte length prefix.
 pub const FRAME_HEADER_BYTES: usize = 21;
@@ -215,80 +214,9 @@ fn decode_error_payload(service: ServiceId, payload: &[u8]) -> TransportError {
     }
 }
 
-/// A connected stream of either flavour.
-#[derive(Debug)]
-enum Stream {
-    Unix(UnixStream),
-    Tcp(TcpStream),
-}
-
-impl Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Unix(s) => s.read(buf),
-            Stream::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Stream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Unix(s) => s.write(buf),
-            Stream::Tcp(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Stream::Unix(s) => s.flush(),
-            Stream::Tcp(s) => s.flush(),
-        }
-    }
-}
-
-/// Where a node's server listens.
-#[derive(Clone, Debug)]
-enum Addr {
-    Unix(PathBuf),
-    Tcp(SocketAddr),
-}
-
-impl Addr {
-    fn connect(&self) -> std::io::Result<Stream> {
-        match self {
-            Addr::Unix(path) => UnixStream::connect(path).map(Stream::Unix),
-            Addr::Tcp(addr) => {
-                let s = TcpStream::connect(addr)?;
-                // Frames are small request/reply pairs; Nagle only adds
-                // latency to the measured round trips.
-                let _ = s.set_nodelay(true);
-                Ok(Stream::Tcp(s))
-            }
-        }
-    }
-}
-
-enum Listener {
-    Unix(UnixListener),
-    Tcp(TcpListener),
-}
-
-impl Listener {
-    fn accept(&self) -> std::io::Result<Stream> {
-        match self {
-            Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
-            Listener::Tcp(l) => l.accept().map(|(s, _)| {
-                let _ = s.set_nodelay(true);
-                Stream::Tcp(s)
-            }),
-        }
-    }
-}
-
 /// Read one length-prefixed frame body; `Ok(None)` is a clean EOF before
 /// any length byte (the peer closed the connection).
-fn read_frame(stream: &mut Stream) -> std::io::Result<Option<Vec<u8>>> {
+fn read_frame(stream: &mut UnixStream) -> std::io::Result<Option<Vec<u8>>> {
     let mut len = [0u8; 4];
     match stream.read_exact(&mut len) {
         Ok(()) => {}
@@ -324,7 +252,7 @@ static NEXT_INSTANCE: AtomicU64 = AtomicU64::new(0);
 #[derive(Default)]
 struct ServerState {
     started: bool,
-    addrs: Vec<Addr>,
+    /// Each node's socket file, indexed by node id.
     socket_files: Vec<PathBuf>,
     accept_threads: Vec<JoinHandle<()>>,
     conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
@@ -333,10 +261,7 @@ struct ServerState {
 /// The socket-backed [`Transport`].  See the module docs for the frame
 /// layout, timing contract and failure handling.
 pub struct SocketTransport {
-    backend: TransportBackend,
     wire: WireStats,
-    /// Wall-clock redial schedule for broken client connections.
-    redial: RetryPolicy,
     shutting_down: Arc<AtomicBool>,
     state: Mutex<ServerState>,
     /// One persistent client connection per `(from, to)` node pair, dialled
@@ -347,47 +272,24 @@ pub struct SocketTransport {
 
 /// A client connection shared between the round-trip path (which locks it
 /// for the duration of one RPC) and the reconnect path.
-type SharedStream = Arc<Mutex<Stream>>;
+type SharedStream = Arc<Mutex<UnixStream>>;
 
 impl SocketTransport {
     /// A transport backed by per-node Unix-domain sockets in the system
     /// temporary directory.
     pub fn unix() -> Self {
-        Self::for_backend(TransportBackend::UnixSocket)
-    }
-
-    /// A transport backed by per-node TCP servers on `127.0.0.1`.
-    pub fn tcp() -> Self {
-        Self::for_backend(TransportBackend::Tcp)
-    }
-
-    /// Build the transport for a socket-flavoured backend.
-    ///
-    /// # Panics
-    /// Panics on [`TransportBackend::Sim`] — that is
-    /// [`crate::transport::SimTransport`]'s job.
-    pub fn for_backend(backend: TransportBackend) -> Self {
-        assert!(
-            backend != TransportBackend::Sim,
-            "SimTransport handles the sim backend"
-        );
         SocketTransport {
-            backend,
             wire: WireStats::default(),
-            redial: RetryPolicy::default(),
             shutting_down: Arc::new(AtomicBool::new(false)),
             state: Mutex::new(ServerState::default()),
             conns: Mutex::new(HashMap::new()),
         }
     }
 
-    fn dial(&self, to: NodeId) -> std::io::Result<Stream> {
-        let addr = {
-            let state = lock(&self.state);
-            state.addrs.get(to.index()).cloned()
-        };
-        match addr {
-            Some(addr) => addr.connect(),
+    fn dial(&self, to: NodeId) -> std::io::Result<UnixStream> {
+        let path = lock(&self.state).socket_files.get(to.index()).cloned();
+        match path {
+            Some(path) => UnixStream::connect(path),
             None => Err(std::io::Error::new(
                 std::io::ErrorKind::NotConnected,
                 "socket transport has no server for this node (not started?)",
@@ -395,7 +297,7 @@ impl SocketTransport {
         }
     }
 
-    fn connection(&self, from: NodeId, to: NodeId) -> Result<Arc<Mutex<Stream>>, TransportError> {
+    fn connection(&self, from: NodeId, to: NodeId) -> Result<SharedStream, TransportError> {
         let key = (from.0, to.0);
         if let Some(conn) = lock(&self.conns).get(&key) {
             return Ok(Arc::clone(conn));
@@ -410,7 +312,7 @@ impl SocketTransport {
         Ok(Arc::clone(entry))
     }
 
-    fn exchange(stream: &mut Stream, frame: &[u8]) -> std::io::Result<Vec<u8>> {
+    fn exchange(stream: &mut UnixStream, frame: &[u8]) -> std::io::Result<Vec<u8>> {
         stream.write_all(frame)?;
         stream.flush()?;
         match read_frame(stream)? {
@@ -454,8 +356,8 @@ impl SocketTransport {
                 // races.)  Exhausting the schedule reports the last error.
                 let mut last = first;
                 let mut recovered = None;
-                for retry in 0..self.redial.max_attempts.saturating_sub(1) {
-                    let backoff = self.redial.backoff(retry).as_ps() / 1_000;
+                for retry in 0..RPC_ATTEMPTS - 1 {
+                    let backoff = retry_backoff(retry).as_ps() / 1_000;
                     std::thread::sleep(std::time::Duration::from_nanos(backoff));
                     match self.dial(to) {
                         Ok(fresh) => *stream = fresh,
@@ -503,7 +405,7 @@ impl SocketTransport {
 
 /// Serve one accepted connection: read request frames, dispatch to the
 /// node's handler table, write reply (or error) frames, until EOF.
-fn serve_connection(mut stream: Stream, node: u32, cluster: Weak<Cluster>) {
+fn serve_connection(mut stream: UnixStream, node: u32, cluster: Weak<Cluster>) {
     // A clean EOF or an I/O error both end the connection.
     while let Ok(Some(body)) = read_frame(&mut stream) {
         let reply = match decode_frame(&body) {
@@ -587,7 +489,7 @@ fn dispatch(cluster: &Weak<Cluster>, node: u32, header: FrameHeader, payload: &[
 }
 
 fn accept_loop(
-    listener: Listener,
+    listener: UnixListener,
     node: u32,
     cluster: Weak<Cluster>,
     shutting_down: Arc<AtomicBool>,
@@ -599,7 +501,7 @@ fn accept_loop(
             break;
         }
         match stream {
-            Ok(stream) => {
+            Ok((stream, _)) => {
                 let cluster = cluster.clone();
                 let handle = std::thread::spawn(move || serve_connection(stream, node, cluster));
                 lock(&conn_threads).push(handle);
@@ -651,28 +553,13 @@ impl Transport for SocketTransport {
         state.started = true;
         let instance = NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed);
         for node in 0..cluster.num_nodes() as u32 {
-            let listener = match self.backend {
-                TransportBackend::UnixSocket => {
-                    let path = std::env::temp_dir().join(format!(
-                        "hyperion-pm2-{}-{instance}-{node}.sock",
-                        std::process::id()
-                    ));
-                    let _ = std::fs::remove_file(&path);
-                    let listener =
-                        UnixListener::bind(&path).expect("bind per-node unix socket server");
-                    state.socket_files.push(path.clone());
-                    state.addrs.push(Addr::Unix(path));
-                    Listener::Unix(listener)
-                }
-                TransportBackend::Tcp => {
-                    let listener = TcpListener::bind(("127.0.0.1", 0))
-                        .expect("bind per-node localhost TCP server");
-                    let addr = listener.local_addr().expect("local TCP address");
-                    state.addrs.push(Addr::Tcp(addr));
-                    Listener::Tcp(listener)
-                }
-                TransportBackend::Sim => unreachable!("rejected in for_backend"),
-            };
+            let path = std::env::temp_dir().join(format!(
+                "hyperion-pm2-{}-{instance}-{node}.sock",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_file(&path);
+            let listener = UnixListener::bind(&path).expect("bind per-node unix socket server");
+            state.socket_files.push(path);
             let weak = Arc::downgrade(cluster);
             let shutting_down = Arc::clone(&self.shutting_down);
             let conn_threads = Arc::clone(&state.conn_threads);
@@ -692,8 +579,8 @@ impl Transport for SocketTransport {
         let mut state = lock(&self.state);
         // Unblock each accept loop with a throwaway connection; the loop
         // re-checks the flag right after `accept` returns.
-        for addr in &state.addrs {
-            let _ = addr.connect();
+        for path in &state.socket_files {
+            let _ = UnixStream::connect(path);
         }
         for handle in state.accept_threads.drain(..) {
             let _ = handle.join();
@@ -708,11 +595,7 @@ impl Transport for SocketTransport {
     }
 
     fn name(&self) -> &'static str {
-        match self.backend {
-            TransportBackend::UnixSocket => "unix-socket",
-            TransportBackend::Tcp => "tcp-socket",
-            TransportBackend::Sim => "sim",
-        }
+        "unix-socket"
     }
 
     fn wire_stats(&self) -> Option<Vec<WireServiceSnapshot>> {
@@ -723,7 +606,6 @@ impl Transport for SocketTransport {
 impl std::fmt::Debug for SocketTransport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SocketTransport")
-            .field("backend", &self.backend)
             .field("shutting_down", &self.shutting_down.load(Ordering::SeqCst))
             .finish()
     }
@@ -736,11 +618,8 @@ mod tests {
     use crate::node::Node;
     use hyperion_model::myrinet_200;
 
-    fn socket_cluster(
-        nodes: usize,
-        backend: TransportBackend,
-    ) -> (Arc<Cluster>, Arc<SocketTransport>) {
-        let transport = Arc::new(SocketTransport::for_backend(backend));
+    fn socket_cluster(nodes: usize) -> (Arc<Cluster>, Arc<SocketTransport>) {
+        let transport = Arc::new(SocketTransport::unix());
         let cluster = Cluster::with_transport(
             myrinet_200().machine,
             nodes,
@@ -798,7 +677,7 @@ mod tests {
 
     #[test]
     fn unix_socket_rpc_round_trips_and_counts_wire_traffic() {
-        let (c, _t) = socket_cluster(2, TransportBackend::UnixSocket);
+        let (c, _t) = socket_cluster(2);
         let svc = echo_service(&c);
         let mut clock = ThreadClock::new();
         let out = c
@@ -820,21 +699,9 @@ mod tests {
     }
 
     #[test]
-    fn tcp_socket_rpc_round_trips() {
-        let (c, _t) = socket_cluster(2, TransportBackend::Tcp);
-        let svc = echo_service(&c);
-        let mut clock = ThreadClock::new();
-        let out = c
-            .rpc(&mut clock, NodeId(1), NodeId(0), svc, &[5])
-            .expect("tcp rpc");
-        assert_eq!(out, vec![1, 5]);
-        assert_eq!(c.transport().name(), "tcp-socket");
-    }
-
-    #[test]
     fn socket_and_sim_backends_charge_identical_virtual_time() {
         let sim = Cluster::new(myrinet_200().machine, 2);
-        let (sock, _t) = socket_cluster(2, TransportBackend::UnixSocket);
+        let (sock, _t) = socket_cluster(2);
         let svc_sim = echo_service(&sim);
         let svc_sock = echo_service(&sock);
 
@@ -855,7 +722,7 @@ mod tests {
 
     #[test]
     fn unknown_service_is_a_typed_error_over_the_socket() {
-        let (c, _t) = socket_cluster(1, TransportBackend::UnixSocket);
+        let (c, _t) = socket_cluster(1);
         let mut clock = ThreadClock::new();
         let err = c
             .rpc(&mut clock, NodeId(0), NodeId(0), ServiceId(42), &[])
@@ -878,7 +745,7 @@ mod tests {
 
     #[test]
     fn handler_panic_is_caught_and_the_node_keeps_serving() {
-        let (c, _t) = socket_cluster(2, TransportBackend::UnixSocket);
+        let (c, _t) = socket_cluster(2);
         let boom = c.register_service(Arc::new(|_n: &Node, _c: NodeId, p: &[u8]| {
             if p == b"boom" {
                 panic!("intentional test panic");
@@ -900,7 +767,7 @@ mod tests {
 
     #[test]
     fn malformed_frames_get_an_error_frame_back() {
-        let (c, transport) = socket_cluster(1, TransportBackend::UnixSocket);
+        let (c, transport) = socket_cluster(1);
         let svc = echo_service(&c);
         assert_eq!(c.transport().name(), "unix-socket");
         // Talk to the server directly, bypassing the client-side encoder.
@@ -947,7 +814,7 @@ mod tests {
 
     #[test]
     fn shutdown_is_idempotent_and_removes_socket_files() {
-        let (c, transport) = socket_cluster(2, TransportBackend::UnixSocket);
+        let (c, transport) = socket_cluster(2);
         let svc = echo_service(&c);
         let mut clock = ThreadClock::new();
         c.rpc(&mut clock, NodeId(0), NodeId(1), svc, &[1]).unwrap();

@@ -9,7 +9,7 @@
 //!   OS thread, exactly as the original single-process simulator did.  No
 //!   real I/O takes place.
 //! * [`crate::socket::SocketTransport`]: each node runs a real
-//!   Unix-domain/TCP(localhost) socket server; the request and reply cross
+//!   Unix-domain socket server; the request and reply cross
 //!   the wire as length-prefixed frames and the handler runs on the target
 //!   node's server thread.
 //!
@@ -42,8 +42,6 @@ pub enum TransportBackend {
     Sim,
     /// Per-node Unix-domain-socket servers (this machine only).
     UnixSocket,
-    /// Per-node TCP servers bound to `127.0.0.1`.
-    Tcp,
 }
 
 impl TransportBackend {
@@ -52,7 +50,6 @@ impl TransportBackend {
         match self {
             TransportBackend::Sim => "sim",
             TransportBackend::UnixSocket => "unix",
-            TransportBackend::Tcp => "tcp",
         }
     }
 
@@ -61,7 +58,6 @@ impl TransportBackend {
         match s {
             "sim" => Some(TransportBackend::Sim),
             "unix" | "uds" | "socket" => Some(TransportBackend::UnixSocket),
-            "tcp" => Some(TransportBackend::Tcp),
             _ => None,
         }
     }
@@ -394,11 +390,7 @@ mod tests {
 
     #[test]
     fn backend_names_and_parsing_round_trip() {
-        for b in [
-            TransportBackend::Sim,
-            TransportBackend::UnixSocket,
-            TransportBackend::Tcp,
-        ] {
+        for b in [TransportBackend::Sim, TransportBackend::UnixSocket] {
             assert_eq!(TransportBackend::parse(b.name()), Some(b));
             assert_eq!(format!("{b}"), b.name());
         }
@@ -406,6 +398,7 @@ mod tests {
             TransportBackend::parse("socket"),
             Some(TransportBackend::UnixSocket)
         );
+        assert_eq!(TransportBackend::parse("tcp"), None);
         assert_eq!(TransportBackend::parse("carrier-pigeon"), None);
         assert_eq!(TransportBackend::default(), TransportBackend::Sim);
     }

@@ -21,8 +21,7 @@ use hyperion_workspace::apps::{asp, barnes, jacobi, kvstore, pi, tsp};
 use hyperion_workspace::dsm::{AdaptiveParams, DsmStore, DsmSystem};
 use hyperion_workspace::model::{myrinet_200, StatsSnapshot, ThreadClock, VTime};
 use hyperion_workspace::pm2::{
-    Cluster, FaultKill, FaultSpec, GlobalAddr, IsoAllocator, NodeId, PageId, RetryPolicy,
-    TransportBackend,
+    Cluster, FaultKill, FaultSpec, GlobalAddr, IsoAllocator, NodeId, PageId, TransportBackend,
 };
 use hyperion_workspace::prelude::*;
 use hyperion_workspace::{HyperionConfig, ProtocolKind, TransportConfig};
@@ -248,11 +247,7 @@ fn identical_specs_replay_identical_fault_counters() {
 
 /// A DSM system over a fault-injecting transport, with one page homed on
 /// each node.
-fn build_faulty_dsm(
-    nodes: usize,
-    spec: FaultSpec,
-    transport: &TransportConfig,
-) -> (Arc<DsmSystem>, Vec<GlobalAddr>) {
+fn build_faulty_dsm(nodes: usize, spec: FaultSpec) -> (Arc<DsmSystem>, Vec<GlobalAddr>) {
     let cluster = Cluster::for_backend_with_faults(
         myrinet_200().machine,
         nodes,
@@ -266,7 +261,7 @@ fn build_faulty_dsm(
         store,
         ProtocolKind::JavaIc,
         &AdaptiveParams::default(),
-        transport,
+        &TransportConfig::default(),
     );
     let addrs = (0..nodes)
         .map(|home| alloc.alloc_page_aligned(4, NodeId(home as u32)))
@@ -275,34 +270,35 @@ fn build_faulty_dsm(
 }
 
 /// `drop_first=2` drops exactly the first two remote frames: the demand
-/// fetch retries twice under the backoff schedule and every retry is
-/// accounted once — no more, no less.
+/// fetch retries twice under the fixed schedule and every retry is
+/// accounted once — no more, no less.  Against a fault-free twin the
+/// caller is exactly two timeouts and the first two backoffs later.
 #[test]
 fn dropped_frames_are_retried_and_counted_exactly() {
-    let spec = FaultSpec {
+    let fetch_at = |spec: FaultSpec| {
+        let (dsm, addrs) = build_faulty_dsm(2, spec);
+        let mut clock0 = ThreadClock::new();
+        dsm.put(NodeId(0), &mut clock0, addrs[0], 9);
+        let mut clock1 = ThreadClock::new();
+        assert_eq!(dsm.get(NodeId(1), &mut clock1, addrs[0]), 9);
+        (dsm, addrs, clock1)
+    };
+    let (_, _, clean) = fetch_at(FaultSpec::default());
+    let (dsm, addrs, mut clock1) = fetch_at(FaultSpec {
         seed: 5,
         drop_first: 2,
         ..FaultSpec::default()
-    };
-    let transport = TransportConfig::default();
-    let (dsm, addrs) = build_faulty_dsm(2, spec, &transport);
-    let mut clock0 = ThreadClock::new();
-    dsm.put(NodeId(0), &mut clock0, addrs[0], 9);
-
-    let mut clock1 = ThreadClock::new();
-    assert_eq!(dsm.get(NodeId(1), &mut clock1, addrs[0]), 9);
+    });
     let stats = dsm.cluster().node_stats(NodeId(1));
     assert_eq!(stats.frames_dropped_injected, 2);
     assert_eq!(stats.rpc_timeouts, 2);
     assert_eq!(stats.rpc_retries, 2);
-    // Each lost frame charged the full RPC timeout plus its backoff slot
-    // (100us, then 200us) to the caller's virtual clock.
-    let policy = RetryPolicy::default();
-    let charged = policy.rpc_timeout + policy.rpc_timeout + policy.backoff(0) + policy.backoff(1);
-    assert!(
-        clock1.now() >= charged,
-        "caller clock {:?} below the mandatory retry charge {charged:?}",
-        clock1.now()
+    // Each lost frame charged the 500 us RPC timeout plus its backoff slot
+    // (100 us, then 200 us) to the caller's virtual clock, and nothing else.
+    assert_eq!(
+        clock1.now(),
+        clean.now() + VTime::from_us(2 * 500 + 100 + 200),
+        "the drop-2 fetch is exactly two timeouts and two backoffs late"
     );
 
     // The fault plane stays out of the way once the schedule is spent: a
@@ -313,9 +309,9 @@ fn dropped_frames_are_retried_and_counted_exactly() {
     assert_eq!(stats.rpc_retries, 2);
 }
 
-/// When every attempt is dropped, the retry budget runs out and the typed
-/// failure surfaces through the single top-level die with service-name
-/// context.
+/// When every attempt is dropped, the five attempts of the fixed schedule
+/// run out and the typed failure surfaces through the single top-level die
+/// with service-name context.
 #[test]
 fn exhausted_retry_budget_dies_with_service_context() {
     let spec = FaultSpec {
@@ -323,14 +319,7 @@ fn exhausted_retry_budget_dies_with_service_context() {
         drop_ppm: 1_000_000,
         ..FaultSpec::default()
     };
-    let transport = TransportConfig {
-        retry: RetryPolicy {
-            max_attempts: 2,
-            ..RetryPolicy::default()
-        },
-        ..TransportConfig::default()
-    };
-    let (dsm, addrs) = build_faulty_dsm(2, spec, &transport);
+    let (dsm, addrs) = build_faulty_dsm(2, spec);
     let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let mut clock = ThreadClock::new();
         dsm.get(NodeId(1), &mut clock, addrs[0])
@@ -341,12 +330,12 @@ fn exhausted_retry_budget_dies_with_service_context() {
         .cloned()
         .unwrap_or_else(|| "<non-string panic>".into());
     assert!(
-        msg.contains("dsm.page_fetch") && msg.contains("2 attempts"),
+        msg.contains("dsm.page_fetch") && msg.contains("5 attempts"),
         "panic lost its service context: {msg}"
     );
     let stats = dsm.cluster().node_stats(NodeId(1));
-    assert_eq!(stats.rpc_retries, 1);
-    assert_eq!(stats.rpc_timeouts, 2);
+    assert_eq!(stats.rpc_retries, 4);
+    assert_eq!(stats.rpc_timeouts, 5);
 }
 
 /// Kill a home node and let a survivor trip over it: the store elects the
@@ -365,7 +354,7 @@ fn a_killed_home_goes_to_the_lowest_live_node_and_recovers_once() {
         }),
         ..FaultSpec::default()
     };
-    let (dsm, addrs) = build_faulty_dsm(4, spec, &TransportConfig::default());
+    let (dsm, addrs) = build_faulty_dsm(4, spec);
     let page = addrs[0].page();
     let store = dsm.store();
     let homed_by_0 = (0..store.allocator().num_pages() as u64)
@@ -433,7 +422,7 @@ fn a_rehomed_page_is_shipped_whole_to_the_holder_of_an_older_copy() {
         }),
         ..FaultSpec::default()
     };
-    let (dsm, addrs) = build_faulty_dsm(3, spec, &TransportConfig::default());
+    let (dsm, addrs) = build_faulty_dsm(3, spec);
     let (mut clock1, mut clock2) = (ThreadClock::new(), ThreadClock::new());
     // Node 1, the lowest live node once node 0 is dead, writes; node 2
     // holds the older copy.
@@ -476,7 +465,7 @@ fn a_killed_homes_put_survives_the_recovery_that_demotes_its_page() {
         }),
         ..FaultSpec::default()
     };
-    let (dsm, addrs) = build_faulty_dsm(3, spec, &TransportConfig::default());
+    let (dsm, addrs) = build_faulty_dsm(3, spec);
     let (page, mut dead, mut reader) = (addrs[0], ThreadClock::new(), ThreadClock::new());
     assert_eq!(dsm.get(NodeId(2), &mut reader, page), 0);
     dead.advance(VTime::from_us(1_000));
