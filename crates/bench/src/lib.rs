@@ -13,8 +13,8 @@
 //!   the crate/module of this reproduction that implements it.
 //! * **Table 2** — [`table2_primitives`] lists the DSM primitives together
 //!   with their micro-measured virtual cost on a two-node cluster.
-//! * **§4.3 claims** — [`improvement_summary`] derives the
-//!   `java_ic` → `java_pf` improvement percentages the paper discusses.
+//! * **§4.3 claims** — [`claims_text`] derives the `java_ic` → `java_pf`
+//!   improvement percentages the paper discusses (`bench/paper.txt`).
 //! * **Figures 6 and 9 (extensions)** — [`FIGURES`] is the registry:
 //!   number, CSV slug, heading, sweep and table columns of the
 //!   adaptive-protocol and serving-workload comparisons.
@@ -38,12 +38,13 @@ use hyperion_apps::common::{protocols_under_test, Benchmark, BenchmarkName};
 use hyperion_apps::{asp, barnes, graph, jacobi, kvstore, pi, tsp};
 
 /// Problem-size scale of a sweep.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Scale {
     /// Tiny instances (seconds for the full sweep; used by CI and benches).
     Quick,
     /// Default harness scale: large enough that the paper's qualitative
     /// behaviour is visible, small enough to run the full sweep on a laptop.
+    #[default]
     Harness,
     /// The paper's problem sizes (§4.1).  Slow: use for single data points.
     Paper,
@@ -746,6 +747,45 @@ pub fn improvement_summary(rows: &[FigureRow]) -> Vec<Improvement> {
         }
     }
     out
+}
+
+/// The §4.3 claims as `figures --claims` prints them: one line per
+/// (app, cluster, node count) with both protocols' virtual seconds to the
+/// picosecond, then the per-cluster averages.  `bench/paper.txt` holds the
+/// text for figures 1–5 at quick scale, byte for byte.
+pub fn claims_text(rows: &[FigureRow]) -> String {
+    let mut text =
+        String::from("== Derived §4.3 claims: java_ic -> java_pf improvement, (ic-pf)/ic ==\n");
+    text += &format!(
+        "{:<12} {:<16} {:>6} {:>14} {:>14} {:>12}\n",
+        "App", "Cluster", "Nodes", "ic (s)", "pf (s)", "improvement"
+    );
+    let improvements = improvement_summary(rows);
+    for imp in &improvements {
+        text += &format!(
+            "{:<12} {:<16} {:>6} {:>14.9} {:>14.9} {:>11.1}%\n",
+            imp.app.to_string(),
+            imp.cluster,
+            imp.nodes,
+            imp.ic_seconds,
+            imp.pf_seconds,
+            imp.percent()
+        );
+    }
+    // Aggregate per cluster (the paper quotes a 21% average on SCI).
+    for cluster in ["200MHz/Myrinet", "450MHz/SCI"] {
+        let subset: Vec<f64> = (improvements.iter())
+            .filter(|i| i.cluster == cluster && i.app != BenchmarkName::Pi)
+            .map(Improvement::percent)
+            .collect();
+        if !subset.is_empty() {
+            let avg = subset.iter().sum::<f64>() / subset.len() as f64;
+            text += &format!(
+                "average improvement on {cluster} (excluding Pi, all apps and node counts): {avg:.1}%\n"
+            );
+        }
+    }
+    text + "\n"
 }
 
 /// Table 1 of the paper: Hyperion's runtime modules, with the part of this

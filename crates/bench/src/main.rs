@@ -47,13 +47,13 @@ use std::io::Write;
 
 use hyperion::prelude::*;
 use hyperion::FaultSpec;
-use hyperion_apps::common::BenchmarkName;
 use hyperion_bench::{
-    bench_report_rows, extension_figure, figure_numbers, improvement_summary, paper_figure, report,
+    bench_report_rows, claims_text, extension_figure, figure_numbers, paper_figure, report,
     sweep_audit, sweep_chaos, sweep_figure, sweep_modeled_vs_measured, table1_modules,
     table2_primitives, FigureRow, Scale,
 };
 
+#[derive(Default)]
 struct Options {
     figures: Vec<usize>,
     tables: bool,
@@ -68,18 +68,7 @@ struct Options {
 }
 
 fn parse_args() -> Options {
-    let mut opts = Options {
-        figures: Vec::new(),
-        tables: false,
-        claims: false,
-        json: false,
-        baseline: None,
-        audit: false,
-        scale: Scale::Harness,
-        out_dir: None,
-        transport: None,
-        fault: None,
-    };
+    let mut opts = Options::default();
     let mut args = std::env::args().skip(1);
     let mut any_selector = false;
     while let Some(arg) = args.next() {
@@ -137,9 +126,7 @@ fn parse_args() -> Options {
                 }));
                 any_selector = true;
             }
-            "--quick" => {
-                opts.scale = Scale::Quick;
-            }
+            "--quick" => opts.scale = Scale::Quick,
             "--out" => {
                 opts.out_dir = Some(
                     args.next()
@@ -331,41 +318,6 @@ fn print_figure(rows: &[FigureRow]) {
     println!();
 }
 
-fn print_claims(all_rows: &[FigureRow]) {
-    println!("== Derived §4.3 claims: java_ic -> java_pf improvement, (ic-pf)/ic ==");
-    println!(
-        "{:<12} {:<16} {:>6} {:>12} {:>12} {:>12}",
-        "App", "Cluster", "Nodes", "ic (s)", "pf (s)", "improvement"
-    );
-    let improvements = improvement_summary(all_rows);
-    for imp in &improvements {
-        println!(
-            "{:<12} {:<16} {:>6} {:>12.3} {:>12.3} {:>11.1}%",
-            imp.app.to_string(),
-            imp.cluster,
-            imp.nodes,
-            imp.ic_seconds,
-            imp.pf_seconds,
-            imp.percent()
-        );
-    }
-    // Aggregate per cluster (the paper quotes a 21% average on SCI).
-    for cluster in ["200MHz/Myrinet", "450MHz/SCI"] {
-        let subset: Vec<f64> = improvements
-            .iter()
-            .filter(|i| i.cluster == cluster && i.app != BenchmarkName::Pi)
-            .map(|i| i.percent())
-            .collect();
-        if !subset.is_empty() {
-            let avg = subset.iter().sum::<f64>() / subset.len() as f64;
-            println!(
-                "average improvement on {cluster} (excluding Pi, all apps and node counts): {avg:.1}%"
-            );
-        }
-    }
-    println!();
-}
-
 fn write_csv(dir: &str, rows: &[FigureRow]) {
     let fig = rows.first().map(|r| r.figure).unwrap_or(0);
     let slug = match extension_figure(fig) {
@@ -416,7 +368,7 @@ fn main() {
     }
 
     if opts.claims && !all_rows.is_empty() {
-        print_claims(&all_rows);
+        print!("{}", claims_text(&all_rows));
     }
 
     if let Some(backend) = opts.transport {

@@ -388,11 +388,24 @@ pub fn chaos_markdown(spec: &str, pairs: &[crate::ChaosPair]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{bench_report_rows, Point, Scale};
+    use crate::{bench_report_rows, claims_text, paper_figure, sweep_figure, Point, Scale};
     use hyperion::prelude::*;
     use hyperion_apps::common::BenchmarkName;
 
     const BASELINE: &str = include_str!("../../../bench/baseline.json");
+    const PAPER: &str = include_str!("../../../bench/paper.txt");
+
+    #[test]
+    fn claims_are_byte_for_byte_the_committed_paper_rows() {
+        let figure = |fig| sweep_figure(paper_figure(fig).expect("figures 1-5"), Scale::Quick);
+        let rows: Vec<_> = (1..=5).flat_map(figure).collect();
+        assert_eq!(
+            claims_text(&rows),
+            PAPER,
+            "bench/paper.txt is not what `figures --claims --fig 1 --fig 2 --fig 3 --fig 4 \
+             --fig 5 --scale quick` prints from `== Derived` on; regenerate it if intended"
+        );
+    }
 
     #[test]
     fn report_rows_are_byte_for_byte_the_committed_baseline() {
