@@ -417,15 +417,15 @@ impl DsmSystem {
 
     /// The one invalidation routine: drop the present copies `named` names
     /// at an older stamp — every cached copy for `None` — flushing a dirty
-    /// copy first, and index each copy it re-protects whose last answer
-    /// fitted a grant (`NodeFetchState`; the next answer likely fits too).
-    /// A grant from `granter` patches its pages' protection-detected copies
-    /// in one loop (`patch_by_grant`): the stale open ones, which stay open,
-    /// and the dropped ones the index held, which the request names at 16
-    /// bytes each and which reopen at one `mprotect` per run.  The `java_ad`
-    /// epoch of a page closes when a notice outdates its copy and no patch
-    /// keeps it open (every page's at `invalidateCache`): when a detection
-    /// miss is paid, or would be.  Returns how many dropped copies reopened.
+    /// copy first, and index each dropped copy whose last answer fitted a
+    /// grant (`NodeFetchState`; the next answer likely fits too).  A grant
+    /// from `granter` patches its pages' copies, whatever detects them, in
+    /// one loop (`patch_by_grant`): the stale open ones, which stay open, and
+    /// the dropped ones the index held, which the request names at 16 bytes
+    /// each and which reopen at one `mprotect` per run of protected pages.
+    /// The `java_ad` epoch of a page closes when a notice outdates its copy
+    /// and no patch keeps it open (every page's at `invalidateCache`): when
+    /// a detection miss is paid, or would be.  Returns how many reopened.
     fn drop_copies(
         &self,
         node: NodeId,
@@ -439,7 +439,7 @@ impl DsmSystem {
         let requested: Vec<_> = (granter.map(|home| fetch_state.take_dropped(home)))
             .into_iter()
             .flatten()
-            .filter(|(_, frame)| !frame.is_home() && !frame.is_present() && protect(frame))
+            .filter(|(_, frame)| !frame.is_home() && !frame.is_present())
             .map(|(page, frame)| (PageId(page), frame, None))
             .collect();
         clock.advance(machine.net.transfer(16 * requested.len() as u64));
@@ -463,8 +463,7 @@ impl DsmSystem {
                         continue;
                     }
                     let present = frame.is_present();
-                    let rides =
-                        present && granter == Some(self.store.home_of(page)) && protect(&frame);
+                    let rides = present && granter == Some(self.store.home_of(page));
                     if !rides {
                         self.close_epoch(node_ref, clock, &frame);
                     }
@@ -493,8 +492,9 @@ impl DsmSystem {
                 let patched = self.patch_by_grant(node_ref, clock, granter, page, &frame, stamp);
                 if stamp.is_none() {
                     reopened += u64::from(patched);
-                    reopen_runs += u64::from(patched && run_end != Some(page.0));
-                    run_end = patched.then_some(page.0 + 1);
+                    let unprotect = patched && protect(&frame);
+                    reopen_runs += u64::from(unprotect && run_end != Some(page.0));
+                    run_end = unprotect.then_some(page.0 + 1);
                 } else if !patched {
                     self.close_epoch(node_ref, clock, &frame);
                     stale.push((page, frame, None));
@@ -507,7 +507,7 @@ impl DsmSystem {
         for (page, frame, _) in &stale {
             let reprotect = protect(frame);
             runs += u64::from(reprotect && run_end != Some(page.0));
-            if reprotect && frame.fits_grant() {
+            if frame.fits_grant() {
                 fetch_state.note_dropped(self.store.home_of(*page), *page, frame);
             }
             run_end = reprotect.then_some(page.0 + 1);

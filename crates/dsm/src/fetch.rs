@@ -46,8 +46,8 @@ pub(crate) struct NodeFetchState {
     pub(crate) speculation: Windowed,
     /// Acquires (and explicit invalidations) begun on this node.
     acquires: AtomicU64,
-    /// Per home: the copies this node dropped, re-protected and retains
-    /// whose last answer fitted a grant — what its next acquire there names.
+    /// Per home: the copies this node dropped and retains whose last answer
+    /// fitted a grant, whatever detects them — what its next acquire names.
     dropped: Vec<Mutex<BTreeMap<u64, Arc<PageFrame>>>>,
 }
 

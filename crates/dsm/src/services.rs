@@ -91,9 +91,9 @@ pub(crate) fn answer_page(
 }
 
 /// The grant's cost rule: `answer` rides a monitor's grant only if its wire
-/// bytes plus the home's copy cycles cost at most one `mprotect`, the drop
-/// (or the reopen) it spares.  Its cost if it does.  A page never does; a
-/// "not modified" does.  Sized from the answer's shape, not its encoding:
+/// bytes plus the home's copy cycles cost at most one `mprotect`: one
+/// break-even, whatever detects the copy.  Its cost if it does.  A page
+/// never does; a "not modified" does.  Sized from the answer's shape:
 /// a grant patch applies it, and every applied answer tells the copy
 /// whether the next is worth naming in a request (`apply_answer`).
 pub(crate) fn grant_cost(machine: &MachineModel, answer: &PageReply<'_>) -> Option<VTime> {

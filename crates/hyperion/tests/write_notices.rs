@@ -49,7 +49,7 @@
 //!   take_dropped` hands a grant every home's dropped copies): the charge
 //!   in `the_request_costs_exactly_sixteen_bytes_per_named_copy`;
 //! * name every dropped copy regardless of its last answer
-//!   (`DsmSystem::drop_copies` indexes a re-protected copy without asking
+//!   (`DsmSystem::drop_copies` indexes a dropped copy without asking
 //!   `PageFrame::fits_grant`): the entry charge in
 //!   `a_dropped_copy_refused_once_is_not_named_at_the_next_grant` and in
 //!   `a_dropped_copy_whose_last_answer_was_the_page_is_not_named`;
@@ -405,6 +405,18 @@ fn grant_section(
     q_too: bool,
     dirty: bool,
 ) -> Vec<(String, ProtocolKind, Vec<u64>, [StatsSnapshot; 3])> {
+    grant_section_cached(PROTECTED, p_slots, q_too, dirty)
+}
+
+/// [`grant_section`] with the reader caching each page by `accesses` reads
+/// in one epoch (`cache`): [`PROTECTED`], or 1 to keep a `java_ad` page in
+/// its Check epoch.
+fn grant_section_cached(
+    accesses: usize,
+    p_slots: usize,
+    q_too: bool,
+    dirty: bool,
+) -> Vec<(String, ProtocolKind, Vec<u64>, [StatsSnapshot; 3])> {
     let mut out = Vec::new();
     for (label, config) in configs(3) {
         let protocol = config.protocol;
@@ -426,7 +438,7 @@ fn grant_section(
                 });
             });
             let reader = ctx.spawn_on(NodeId(2), move |t| {
-                cache_protected(t, &[p, q]);
+                cache(t, &[p, q], accesses);
                 if dirty {
                     p.put(t, SLOTS - 1, 99);
                 }
@@ -454,13 +466,18 @@ fn grant_section(
     out
 }
 
-/// Cache `pages` on the calling thread's node such that their copies are
-/// detected by page protection under `java_ad` too, as under `java_pf`:
-/// 5 000 accesses in one epoch are well past the break-even of ≈ 1 067, so
-/// closing the epoch (the explicit `invalidateCache`) switches the pages.
-fn cache_protected(t: &mut ThreadCtx, pages: &[HArray<u64>]) {
+/// Reads of a page in one epoch that make `java_ad` detect its copy by page
+/// protection, as under `java_pf`: 5 000 are well past the break-even of
+/// ≈ 1 067, so closing the epoch (the explicit `invalidateCache`) switches
+/// the page.
+const PROTECTED: usize = 5_000;
+
+/// Cache `pages` on the calling thread's node after reading each `accesses`
+/// times in one epoch, which the explicit `invalidateCache` then closes:
+/// the last answer for each copy is a "not modified".
+fn cache(t: &mut ThreadCtx, pages: &[HArray<u64>], accesses: usize) {
     for page in pages {
-        (0..5_000).for_each(|_| assert_eq!(page.get(t, 0), 0));
+        (0..accesses).for_each(|_| assert_eq!(page.get(t, 0), 0));
     }
     hyperion::memory::invalidate_cache(t);
     pages.iter().for_each(|page| assert_eq!(page.get(t, 0), 0));
@@ -493,46 +510,45 @@ fn a_remote_grant_makes_its_homes_page_current() {
 }
 
 /// The same notices name a page homed on a third node: the grant cannot
-/// carry it, so that copy is dropped and refetched as ever.
+/// carry it, so under every protocol that copy alone is dropped and
+/// refetched, while P's rides the grant.
 #[test]
 fn a_page_the_grants_node_does_not_home_is_still_dropped_and_refetched() {
-    for (label, protocol, values, [before, _, read]) in grant_section(1, true, false) {
+    for (label, _, values, [before, _, read]) in grant_section(1, true, false) {
         assert_eq!(values, [1, 7], "{label}");
         let (_, loads, _, dropped, _) = section_cost(before, read);
-        let expected = 1 + u64::from(protocol == ProtocolKind::JavaIc);
-        assert_eq!((loads, dropped), (expected, expected), "{label}");
+        assert_eq!((loads, dropped), (1, 1), "{label}");
     }
 }
 
-/// Under `java_ic` a dropped copy re-protects nothing, so no patch is worth
-/// its bytes and nothing rides the grant: the copy is dropped and
-/// refetched.
+/// The grant patches whatever detects the copy: under `java_ic` the stale
+/// copy rides the grant as under `java_pf`, and the section reads the write
+/// at no fault, no page load and no `mprotect`, with nothing dropped.
 #[test]
-fn under_java_ic_nothing_rides_the_grant() {
+fn under_java_ic_the_stale_copy_rides_the_grant() {
     for (label, protocol, values, [before, _, read]) in grant_section(1, false, false) {
         assert_eq!(values, [1, 0], "{label}");
-        let (faults, loads, mprotects, dropped, _) = section_cost(before, read);
-        let ic = protocol == ProtocolKind::JavaIc;
-        assert_eq!((loads, dropped), (u64::from(ic), u64::from(ic)), "{label}");
-        if ic {
+        let (faults, loads, mprotects, dropped, patched) = section_cost(before, read);
+        assert_eq!((loads, dropped, patched), (0, 0, 1), "{label}");
+        if protocol == ProtocolKind::JavaIc {
             assert_eq!((faults, mprotects), (0, 0), "{label}");
         }
     }
 }
 
 /// A patch rides the grant only while its bytes on the wire plus the home's
-/// copy cycles cost no more than the one `mprotect` the drop would pay: on
-/// `myrinet_200` (10 µs, 125 MB/s, 1.5 cycles a slot at 200 MHz) 113 slots
-/// do, 114 do not — that copy is dropped and refetched.
+/// copy cycles cost no more than one `mprotect`, whatever detects the copy:
+/// on `myrinet_200` (10 µs, 125 MB/s, 1.5 cycles a slot at 200 MHz) 113
+/// slots do, 114 do not — that copy is dropped and refetched, under every
+/// protocol.
 #[test]
 fn a_patch_dearer_than_an_mprotect_is_dropped() {
     for (slots, rides) in [(113, true), (114, false)] {
-        for (label, protocol, values, [before, _, read]) in grant_section(slots, false, false) {
+        for (label, _, values, [before, _, read]) in grant_section(slots, false, false) {
             let written: Vec<u64> = (1..=slots as u64).chain([0]).collect();
             assert_eq!(values, written, "{label}: {slots} slots");
             let (_, loads, _, dropped, _) = section_cost(before, read);
-            let dropped_too = !rides || protocol == ProtocolKind::JavaIc;
-            let expected = (u64::from(dropped_too), u64::from(dropped_too));
+            let expected = (u64::from(!rides), u64::from(!rides));
             assert_eq!((loads, dropped), expected, "{label}: {slots} slots");
         }
     }
@@ -567,6 +583,15 @@ type Round = (Vec<u64>, VTime, [StatsSnapshot; 3]);
 /// Then it enters M1 and reads P's slots, then Q's slot 0.  Returns, per
 /// transport label and protocol, each round's [`Round`].
 fn granted_rounds(writes: &[usize]) -> Vec<(String, ProtocolKind, Vec<Round>)> {
+    granted_rounds_cached(PROTECTED, writes)
+}
+
+/// [`granted_rounds`] with the reader caching each page by `accesses` reads
+/// in one epoch, as in [`grant_section_cached`].
+fn granted_rounds_cached(
+    accesses: usize,
+    writes: &[usize],
+) -> Vec<(String, ProtocolKind, Vec<Round>)> {
     let mut out = Vec::new();
     for (label, config) in configs(4) {
         let protocol = config.protocol;
@@ -589,7 +614,7 @@ fn granted_rounds(writes: &[usize]) -> Vec<(String, ProtocolKind, Vec<Round>)> {
                 }
             });
             let reader = ctx.spawn_on(NodeId(2), move |t| {
-                cache_protected(t, &[p, q]);
+                cache(t, &[p, q], accesses);
                 let stats = || cluster.node_stats(NodeId(2));
                 let mut rounds = Vec::new();
                 for (r, n) in reads.into_iter().enumerate() {
@@ -684,15 +709,16 @@ fn a_dropped_copy_whose_patch_is_dearer_than_an_mprotect_is_refetched() {
     }
 }
 
-/// Under `java_ic` a dropped copy was never re-protected, so it is not
-/// indexed, the request names nothing and the grant reopens nothing: the
-/// read refetches the copy, by a fetch answered with the patch.
+/// Under `java_ic` a dropped copy whose last answer fitted a grant is
+/// indexed as under `java_pf`: the request names it and the grant patches
+/// and reopens it, so the read loads nothing, and the reopened copy was
+/// never re-protected, so it costs no `mprotect`.
 #[test]
-fn under_java_ic_no_dropped_copy_is_reopened() {
+fn under_java_ic_the_dropped_copy_is_reopened() {
     for (label, protocol, values, _, [before, read_p, _]) in dropped_then_granted(1) {
         assert_eq!(values, [1, 7], "{label}");
         if protocol == ProtocolKind::JavaIc {
-            assert_eq!(section_cost(before, read_p), (0, 1, 0, 0, 1), "{label}");
+            assert_eq!(section_cost(before, read_p), (0, 0, 0, 0, 1), "{label}");
             assert_eq!(
                 read_p.pages_revalidated, before.pages_revalidated,
                 "{label}"
@@ -718,14 +744,41 @@ fn a_dropped_copy_of_a_third_nodes_page_is_not_named_in_the_request() {
 /// copy to the acquire, and nothing else: with P's patch refused, the
 /// entry to M1 costs its round trip, the home's service and the local
 /// monitor work — M1 was never released, so no notice, wait or patch rides
-/// it — plus exactly `transfer(16 B × n)`, n = 1 (P, not Q) wherever copies
-/// are protection-detected, 0 under `java_ic`.
+/// it — plus exactly `transfer(16 B × n)`, n = 1 (P, not Q) under every
+/// protocol.
 #[test]
 fn the_request_costs_exactly_sixteen_bytes_per_named_copy() {
     let net = myrinet_200().machine.net;
-    for (label, protocol, _, entry, _) in dropped_then_granted(114) {
-        let named = u64::from(protocol != ProtocolKind::JavaIc);
-        assert_eq!(entry, entry_base() + net.transfer(16 * named), "{label}");
+    for (label, _, _, entry, _) in dropped_then_granted(114) {
+        assert_eq!(entry, entry_base() + net.transfer(16), "{label}");
+    }
+}
+
+/// A copy detected by the in-line check — every `java_ic` copy, and a
+/// `java_ad` page in its Check epoch (cached by one read, far below the
+/// break-even) — is patched by a grant at no `mprotect`: a stale open copy
+/// rides the grant (one patch, no load), and a dropped copy the request
+/// named reopens with `mprotect_calls` unchanged, where `java_pf` pays one.
+/// Debug builds check every patched copy against its home (`stale copy
+/// revalidated`).
+#[test]
+fn a_reopened_check_copy_costs_no_mprotect() {
+    for (label, protocol, values, [before, _, read]) in grant_section_cached(1, 1, false, false) {
+        assert_eq!(values, [1, 0], "{label}");
+        assert_eq!(read.protocol_switches, before.protocol_switches, "{label}");
+        assert_eq!(section_cost(before, read), (0, 0, 0, 0, 1), "{label}");
+        let checked = read.locality_checks > before.locality_checks;
+        assert_eq!(checked, protocol != ProtocolKind::JavaPf, "{label}");
+    }
+    for (label, protocol, rounds) in granted_rounds_cached(1, &[1]) {
+        let (values, _, [before, read_p, _]) = &rounds[0];
+        assert_eq!(values, &[1, 7], "{label}");
+        let mprotects = u64::from(protocol == ProtocolKind::JavaPf);
+        assert_eq!(
+            section_cost(*before, *read_p),
+            (0, 0, mprotects, 0, 1),
+            "{label}"
+        );
     }
 }
 
