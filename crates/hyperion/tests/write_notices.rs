@@ -53,6 +53,16 @@
 //!   `PageFrame::fits_grant`): the entry charge in
 //!   `a_dropped_copy_refused_once_is_not_named_at_the_next_grant` and in
 //!   `a_dropped_copy_whose_last_answer_was_the_page_is_not_named`;
+//! * the grant's patch kept to protection-detected copies (`DsmSystem::
+//!   drop_copies` lets a copy ride only if its technique is `Protect`):
+//!   `under_java_ic_the_stale_copy_rides_the_grant`,
+//!   `a_reopened_check_copy_costs_no_mprotect` and two more; the index kept
+//!   to them (a drop indexes only a re-protected copy):
+//!   `under_java_ic_the_dropped_copy_is_reopened`,
+//!   `the_request_costs_exactly_sixteen_bytes_per_named_copy` and the same;
+//! * a reopened Check copy charged an `mprotect` (`reopen_runs` counting
+//!   every reopened copy): `a_reopened_check_copy_costs_no_mprotect`, also
+//!   when only `java_ad`'s Check copies are charged;
 //! * a release that carried diffs reaching the home at the releaser's clock
 //!   instead of when the home applied them (`MonitorState::release` ignores
 //!   the ride): the grant comes early —
