@@ -18,7 +18,9 @@ use hyperion::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::common::{block_range, node_of_thread, Benchmark, BenchmarkName};
+use crate::common::{
+    benchmark, block_owner, block_range, node_of_thread, Benchmark, BenchmarkName,
+};
 
 /// "No edge" marker: a large distance that never overflows when two of them
 /// are added.
@@ -153,17 +155,7 @@ pub fn run(config: HyperionConfig, params: &AspParams) -> RunOutcome<AspResult> 
 
     runtime.run(move |ctx| {
         // The distance matrix: block-of-rows distribution.
-        let owner_of_row = move |r: usize| {
-            let mut owner = threads - 1;
-            for t in 0..threads {
-                let (s, e) = block_range(n, threads, t);
-                if r >= s && r < e {
-                    owner = t;
-                    break;
-                }
-            }
-            node_of_thread(owner, nodes)
-        };
+        let owner_of_row = block_owner(n, threads, nodes);
         let dist: HMatrix<i64> = ctx.alloc_matrix(n, n, owner_of_row);
         let barrier = JBarrier::new(ctx, threads, NodeId(0));
 
@@ -255,16 +247,7 @@ pub fn run(config: HyperionConfig, params: &AspParams) -> RunOutcome<AspResult> 
     })
 }
 
-impl Benchmark for AspParams {
-    fn name(&self) -> BenchmarkName {
-        BenchmarkName::Asp
-    }
-
-    fn execute(&self, config: HyperionConfig) -> (f64, RunReport) {
-        let out = run(config, self);
-        (out.result.distance_sum as f64, out.report)
-    }
-}
+benchmark!(AspParams, Asp, |result| result.distance_sum as f64);
 
 #[cfg(test)]
 mod tests {

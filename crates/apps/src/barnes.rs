@@ -30,7 +30,9 @@ use hyperion::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::common::{block_range, node_of_thread, Benchmark, BenchmarkName};
+use crate::common::{
+    benchmark, block_owner, block_range, node_of_thread, Benchmark, BenchmarkName,
+};
 
 /// Opening criterion of the Barnes-Hut approximation.
 pub const THETA: f64 = 0.6;
@@ -519,17 +521,7 @@ pub fn run(config: HyperionConfig, params: &BarnesParams) -> RunOutcome<BarnesRe
         // Each body is an object (one row of a Java-style 2-D array) homed on
         // the node of the thread that owns its block — the SPLASH-2 style
         // body distribution.
-        let owner_of_body = move |b: usize| {
-            let mut owner = threads - 1;
-            for t in 0..threads {
-                let (s, e) = block_range(n, threads, t);
-                if b >= s && b < e {
-                    owner = t;
-                    break;
-                }
-            }
-            node_of_thread(owner, nodes)
-        };
+        let owner_of_body = block_owner(n, threads, nodes);
         let bodies_m: HMatrix<f64> = ctx.alloc_matrix(n, BODY_SLOTS, owner_of_body);
 
         // The shared octree (rebuilt every step by thread 0, homed on node 0).
@@ -674,16 +666,7 @@ pub fn run(config: HyperionConfig, params: &BarnesParams) -> RunOutcome<BarnesRe
     })
 }
 
-impl Benchmark for BarnesParams {
-    fn name(&self) -> BenchmarkName {
-        BenchmarkName::Barnes
-    }
-
-    fn execute(&self, config: HyperionConfig) -> (f64, RunReport) {
-        let out = run(config, self);
-        (out.result.position_digest, out.report)
-    }
-}
+benchmark!(BarnesParams, Barnes, |result| result.position_digest);
 
 #[cfg(test)]
 mod tests {

@@ -28,6 +28,19 @@ pub fn node_of_thread(idx: usize, nodes: usize) -> NodeId {
     NodeId((idx % nodes) as u32)
 }
 
+/// Where item `i` of `total`, split over `threads` workers by
+/// [`block_range`], is homed: on the node of the worker whose block holds it
+/// (the block-of-rows distribution).
+pub fn block_owner(total: usize, threads: usize, nodes: usize) -> impl Fn(usize) -> NodeId + Copy {
+    move |i| {
+        let holds = |&t: &usize| {
+            let (s, e) = block_range(total, threads, t);
+            (s..e).contains(&i)
+        };
+        node_of_thread((0..threads).find(holds).unwrap_or(threads - 1), nodes)
+    }
+}
+
 /// Parse a protocol name as used on example, bench and CI command lines.
 ///
 /// Accepts the paper's full names (`java_ic`, `java_pf`, the extension's
@@ -99,17 +112,12 @@ pub enum BenchmarkName {
 impl BenchmarkName {
     /// The paper's five benchmarks in figure order.
     ///
-    /// The serving extension apps are deliberately excluded: the fig6–8
-    /// gates reproduce the paper's figures over exactly these five, and the
+    /// The serving extension apps are deliberately excluded: the fig6 gate
+    /// reproduces the paper's figures over exactly these five, and the
     /// serving family has its own sweep ([`BenchmarkName::serving`]).
     pub fn all() -> [BenchmarkName; 5] {
-        [
-            BenchmarkName::Pi,
-            BenchmarkName::Jacobi,
-            BenchmarkName::Barnes,
-            BenchmarkName::Tsp,
-            BenchmarkName::Asp,
-        ]
+        use BenchmarkName::*;
+        [Pi, Jacobi, Barnes, Tsp, Asp]
     }
 
     /// The serving-workload extension apps (figure 9).
@@ -119,15 +127,8 @@ impl BenchmarkName {
 
     /// Every benchmark the harness knows: the paper's five plus serving.
     pub fn all_extended() -> [BenchmarkName; 7] {
-        [
-            BenchmarkName::Pi,
-            BenchmarkName::Jacobi,
-            BenchmarkName::Barnes,
-            BenchmarkName::Tsp,
-            BenchmarkName::Asp,
-            BenchmarkName::KvStore,
-            BenchmarkName::PageRank,
-        ]
+        use BenchmarkName::*;
+        [Pi, Jacobi, Barnes, Tsp, Asp, KvStore, PageRank]
     }
 
     /// The figure number for this benchmark (the paper's 1–5; the serving
@@ -174,6 +175,25 @@ pub trait Benchmark: Send + Sync {
     /// the run report.
     fn execute(&self, config: HyperionConfig) -> (f64, RunReport);
 }
+
+/// Implement [`Benchmark`] for a program's parameters: the program's name
+/// and its `run`, reduced to the digest of its result.
+macro_rules! benchmark {
+    ($params:ty, $name:ident, |$result:ident| $digest:expr) => {
+        impl Benchmark for $params {
+            fn name(&self) -> BenchmarkName {
+                BenchmarkName::$name
+            }
+
+            fn execute(&self, config: HyperionConfig) -> (f64, RunReport) {
+                let out = run(config, self);
+                let $result = out.result;
+                ($digest, out.report)
+            }
+        }
+    };
+}
+pub(crate) use benchmark;
 
 #[cfg(test)]
 mod tests {

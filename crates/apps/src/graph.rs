@@ -23,7 +23,7 @@ use hyperion::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::common::{block_range, node_of_thread, Benchmark, BenchmarkName};
+use crate::common::{benchmark, block_range, node_of_thread, Benchmark, BenchmarkName};
 
 /// PageRank damping factor.
 const DAMPING: f64 = 0.85;
@@ -291,16 +291,7 @@ pub fn run(config: HyperionConfig, params: &PageRankParams) -> RunOutcome<PageRa
     })
 }
 
-impl Benchmark for PageRankParams {
-    fn name(&self) -> BenchmarkName {
-        BenchmarkName::PageRank
-    }
-
-    fn execute(&self, config: HyperionConfig) -> (f64, RunReport) {
-        let out = run(config, self);
-        (out.result.digest, out.report)
-    }
-}
+benchmark!(PageRankParams, PageRank, |result| result.digest);
 
 #[cfg(test)]
 mod tests {

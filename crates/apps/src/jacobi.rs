@@ -17,7 +17,9 @@
 
 use hyperion::prelude::*;
 
-use crate::common::{block_range, node_of_thread, AccessMode, Benchmark, BenchmarkName};
+use crate::common::{
+    benchmark, block_owner, block_range, node_of_thread, AccessMode, Benchmark, BenchmarkName,
+};
 
 /// Parameters of the Jacobi benchmark.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -166,17 +168,7 @@ pub fn run_with(
     runtime.run(move |ctx| {
         // Both buffers are distributed by blocks of rows: row r is homed on
         // the node of the thread that owns it.
-        let owner_of_row = move |r: usize| {
-            let mut owner = threads - 1;
-            for t in 0..threads {
-                let (s, e) = block_range(n, threads, t);
-                if r >= s && r < e {
-                    owner = t;
-                    break;
-                }
-            }
-            node_of_thread(owner, nodes)
-        };
+        let owner_of_row = block_owner(n, threads, nodes);
         let a: HMatrix<f64> = ctx.alloc_matrix(n, n, owner_of_row);
         let b: HMatrix<f64> = ctx.alloc_matrix(n, n, owner_of_row);
         let barrier = JBarrier::new(ctx, threads, NodeId(0));
@@ -186,6 +178,8 @@ pub fn run_with(
             let barrier = barrier.clone();
             handles.push(ctx.spawn_on(node_of_thread(t, nodes), move |worker| {
                 let (row_start, row_end) = block_range(n, threads, t);
+                // The interior rows of the block: the stencil's range.
+                let (lo, hi) = (row_start.max(1), row_end.min(n - 1));
                 let per_cell = worker.estimate(&cell_mix());
                 let init_mix = worker.estimate(
                     &OpCounts::new()
@@ -215,8 +209,6 @@ pub fn run_with(
                         // DSM each step (after every barrier invalidation).
                         let (mut cur, mut next) = (a, b);
                         for _step in 0..steps {
-                            let lo = row_start.max(1);
-                            let hi = row_end.min(n - 1);
                             for r in lo..hi {
                                 // Row references are hoisted out of the inner
                                 // loop, as the Java source would.
@@ -268,8 +260,6 @@ pub fn run_with(
                             if row_end < n {
                                 cur.row(row_end).prefetch(worker);
                             }
-                            let lo = row_start.max(1);
-                            let hi = row_end.min(n - 1);
                             for r in lo..hi {
                                 // The two block-boundary neighbours are
                                 // remote: pin each once per step with one
@@ -331,16 +321,7 @@ pub fn run_with(
     })
 }
 
-impl Benchmark for JacobiParams {
-    fn name(&self) -> BenchmarkName {
-        BenchmarkName::Jacobi
-    }
-
-    fn execute(&self, config: HyperionConfig) -> (f64, RunReport) {
-        let out = run(config, self);
-        (out.result.interior_sum, out.report)
-    }
-}
+benchmark!(JacobiParams, Jacobi, |result| result.interior_sum);
 
 #[cfg(test)]
 mod tests {

@@ -27,7 +27,7 @@ use hyperion::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::common::{node_of_thread, Benchmark, BenchmarkName};
+use crate::common::{benchmark, node_of_thread, Benchmark, BenchmarkName};
 
 /// A seeded Zipf(s) sampler over ranks `0..n` (rank 0 is the hottest).
 ///
@@ -321,16 +321,7 @@ pub fn run(config: HyperionConfig, params: &KvStoreParams) -> RunOutcome<KvStore
     })
 }
 
-impl Benchmark for KvStoreParams {
-    fn name(&self) -> BenchmarkName {
-        BenchmarkName::KvStore
-    }
-
-    fn execute(&self, config: HyperionConfig) -> (f64, RunReport) {
-        let out = run(config, self);
-        (out.result.digest, out.report)
-    }
-}
+benchmark!(KvStoreParams, KvStore, |result| result.digest);
 
 #[cfg(test)]
 mod tests {

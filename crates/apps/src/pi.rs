@@ -14,7 +14,7 @@
 
 use hyperion::prelude::*;
 
-use crate::common::{block_range, node_of_thread, Benchmark, BenchmarkName};
+use crate::common::{benchmark, block_range, node_of_thread, Benchmark, BenchmarkName};
 
 hyperion::object_layout! {
     /// The shared accumulator object (a Java class with one `double` field).
@@ -127,17 +127,7 @@ pub fn run(config: HyperionConfig, params: &PiParams) -> RunOutcome<PiResult> {
     })
 }
 
-/// Adapter so the figure harness can treat Pi like every other benchmark.
-impl Benchmark for PiParams {
-    fn name(&self) -> BenchmarkName {
-        BenchmarkName::Pi
-    }
-
-    fn execute(&self, config: HyperionConfig) -> (f64, RunReport) {
-        let out = run(config, self);
-        (out.result.estimate, out.report)
-    }
-}
+benchmark!(PiParams, Pi, |result| result.estimate);
 
 #[cfg(test)]
 mod tests {

@@ -18,7 +18,7 @@ use hyperion::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::common::{node_of_thread, Benchmark, BenchmarkName};
+use crate::common::{benchmark, node_of_thread, Benchmark, BenchmarkName};
 
 hyperion::object_layout! {
     /// The centrally stored best solution seen so far.
@@ -346,16 +346,7 @@ fn branch_and_bound(
     }
 }
 
-impl Benchmark for TspParams {
-    fn name(&self) -> BenchmarkName {
-        BenchmarkName::Tsp
-    }
-
-    fn execute(&self, config: HyperionConfig) -> (f64, RunReport) {
-        let out = run(config, self);
-        (out.result.best_tour as f64, out.report)
-    }
-}
+benchmark!(TspParams, Tsp, |result| result.best_tour as f64);
 
 #[cfg(test)]
 mod tests {

@@ -42,11 +42,8 @@ impl ProtocolKind {
 
     /// The paper's two protocols plus the adaptive extension.
     pub fn all_extended() -> [ProtocolKind; 3] {
-        [
-            ProtocolKind::JavaIc,
-            ProtocolKind::JavaPf,
-            ProtocolKind::JavaAd,
-        ]
+        use ProtocolKind::*;
+        [JavaIc, JavaPf, JavaAd]
     }
 }
 

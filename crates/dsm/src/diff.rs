@@ -18,7 +18,7 @@ use hyperion_pm2::{PageId, SLOTS_PER_PAGE};
 
 pub use crate::fetch_wire::{
     decode_fetch_reply, decode_fetch_request, encode_fetch_request, push_page_reply, FetchRequest,
-    PageReply,
+    PageReply, NO_ANSWER,
 };
 
 /// One modified slot: `(slot index within the page, new value)`.

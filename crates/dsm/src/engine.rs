@@ -108,8 +108,7 @@ impl DsmSystem {
         let service = |fetch| {
             cluster.register_service(Arc::new(HomeService {
                 store: Arc::clone(&store),
-                cpu: cluster.machine().cpu.clone(),
-                dsm: cluster.machine().dsm.clone(),
+                machine: cluster.machine().clone(),
                 fetch,
             }))
         };
@@ -168,8 +167,7 @@ impl DsmSystem {
         NodeStats::bump(&node_ref.stats.field_reads);
         let page = addr.page();
         let frame = self.store.frame(node, page);
-        let access = self.ensure_access(node, node_ref, clock, page, &frame, 1);
-        self.unwrap_rpc(access);
+        self.unwrap_rpc(self.ensure_access(node_ref, clock, page, &frame, 1));
         frame.load_slot(addr.slot())
     }
 
@@ -183,8 +181,7 @@ impl DsmSystem {
         NodeStats::bump(&node_ref.stats.field_writes);
         let page = addr.page();
         let frame = self.store.frame(node, page);
-        let access = self.ensure_access(node, node_ref, clock, page, &frame, 1);
-        self.unwrap_rpc(access);
+        self.unwrap_rpc(self.ensure_access(node_ref, clock, page, &frame, 1));
         if frame.store_slot(addr.slot(), value) {
             self.written[node.index()].push([(page, u64::MAX)]);
         }
@@ -239,8 +236,7 @@ impl DsmSystem {
             // Pages this slice is still certain to touch, counting the
             // current one — the batching hint for `java_ad` fetches.
             let bulk_pages = 1 + (out.len() - done - run).div_ceil(SLOTS_PER_PAGE);
-            let access = self.ensure_access(node, node_ref, clock, a.page(), &frame, bulk_pages);
-            self.unwrap_rpc(access);
+            self.unwrap_rpc(self.ensure_access(node_ref, clock, a.page(), &frame, bulk_pages));
             for k in 0..run {
                 out[done + k] = frame.load_slot(slot + k);
             }
@@ -276,8 +272,7 @@ impl DsmSystem {
             let run = (SLOTS_PER_PAGE - slot).min(values.len() - done);
             let frame = self.store.frame(node, a.page());
             let bulk_pages = 1 + (values.len() - done - run).div_ceil(SLOTS_PER_PAGE);
-            let access = self.ensure_access(node, node_ref, clock, a.page(), &frame, bulk_pages);
-            self.unwrap_rpc(access);
+            self.unwrap_rpc(self.ensure_access(node_ref, clock, a.page(), &frame, bulk_pages));
             for k in 0..run {
                 if frame.store_slot(slot + k, values[done + k]) {
                     self.written[node.index()].push([(a.page(), u64::MAX)]);
@@ -299,8 +294,7 @@ impl DsmSystem {
         }
         // An explicit prefetch is not an access: it leaves the page's epoch
         // statistics alone.
-        let fetched = self.fetch_pages(node, node_ref, clock, page, &frame, 1, false, true);
-        self.unwrap_rpc(fetched);
+        self.unwrap_rpc(self.fetch_pages(node_ref, clock, page, &frame, 1, false, true));
     }
 
     /// Prefetch every absent page of the `pages` consecutive pages starting
@@ -321,8 +315,7 @@ impl DsmSystem {
                 continue;
             }
             let span = (pages - k) as usize;
-            let fetched = self.fetch_pages(node, node_ref, clock, page, &frame, span, false, false);
-            self.unwrap_rpc(fetched);
+            self.unwrap_rpc(self.fetch_pages(node_ref, clock, page, &frame, span, false, false));
         }
     }
 
@@ -436,12 +429,7 @@ impl DsmSystem {
         let (node_ref, machine) = (self.cluster.node(node), self.cluster.machine());
         let fetch_state = &self.fetch_state[node.index()];
         let protect = |frame: &PageFrame| self.detection.technique(frame) == AdMode::Protect;
-        let requested: Vec<_> = (granter.map(|home| fetch_state.take_dropped(home)))
-            .into_iter()
-            .flatten()
-            .filter(|(_, frame)| !frame.is_home() && !frame.is_present())
-            .map(|(page, frame)| (PageId(page), frame, None))
-            .collect();
+        let requested = granter.map_or_else(Vec::new, |home| fetch_state.take_dropped(home));
         clock.advance(machine.net.transfer(16 * requested.len() as u64));
         // The present copies to drop, each with the stamp a patch riding the
         // grant must bring it to instead (`None`: nothing rides for it).
@@ -486,20 +474,18 @@ impl DsmSystem {
         let (riders, mut stale): (Vec<_>, Vec<_>) = (stale.into_iter())
             .filter(|(_, frame, _)| !frame.is_home())
             .partition(|(_, _, stamp)| stamp.is_some());
-        let (mut reopened, mut reopen_runs, mut run_end) = (0u64, 0u64, None);
+        let (mut reopened, mut reopen_runs) = (0, 0);
         if let Some(granter) = granter {
-            for (page, frame, stamp) in riders.into_iter().chain(requested) {
-                let patched = self.patch_by_grant(node_ref, clock, granter, page, &frame, stamp);
-                if stamp.is_none() {
-                    reopened += u64::from(patched);
-                    let unprotect = patched && protect(&frame);
-                    reopen_runs += u64::from(unprotect && run_end != Some(page.0));
-                    run_end = unprotect.then_some(page.0 + 1);
-                } else if !patched {
+            for (page, frame, stamp) in riders {
+                if !self.patch_by_grant(node_ref, clock, granter, page, &frame, stamp) {
                     self.close_epoch(node_ref, clock, &frame);
                     stale.push((page, frame, None));
                 }
             }
+            (reopened, reopen_runs) = self.reopen_dropped(requested.iter().map(|(page, frame)| {
+                let patched = self.patch_by_grant(node_ref, clock, granter, *page, frame, None);
+                (*page, &**frame, patched)
+            }));
         }
         stale.sort_unstable_by_key(|(page, _, _)| page.0);
 
@@ -580,14 +566,14 @@ impl DsmSystem {
         if gone || frame.has_inflight() {
             return false;
         }
-        let reply = &mut Vec::new();
-        // No answer but the page appends nothing, which decodes as nothing.
-        answer_page(&self.store, page, retained, false, reply);
-        let Ok(mut answers) = decode_fetch_reply(reply, &[retained]) else {
+        let (reply, machine) = (&mut Vec::new(), self.cluster.machine());
+        // No answer that fits appends nothing, which decodes as nothing.
+        answer_page(&self.store, page, retained, Some(machine), reply);
+        let Ok((mut answers, _)) = decode_fetch_reply(reply, &[retained], &[]) else {
             return false;
         };
         let answer = answers.remove(0);
-        let Some(cost) = grant_cost(self.cluster.machine(), &answer) else {
+        let Some(cost) = grant_cost(machine, &answer) else {
             return false;
         };
         clock.advance(cost);
@@ -644,7 +630,6 @@ impl DsmSystem {
     /// detection (`java_ad`) consults it, to size batched fetches.
     pub(crate) fn ensure_access(
         &self,
-        node: NodeId,
         node_ref: &Node,
         clock: &mut ThreadClock,
         page: PageId,
@@ -658,7 +643,7 @@ impl DsmSystem {
         if !self.detection.on_access(&node_ref.stats, clock, frame) {
             return Ok(());
         }
-        self.fetch_pages(node, node_ref, clock, page, frame, bulk_pages, true, true)
+        self.fetch_pages(node_ref, clock, page, frame, bulk_pages, true, true)
     }
 
     /// Flush the dirty slots of `dirty` (page-id ordered) to their home

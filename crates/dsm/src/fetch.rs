@@ -6,7 +6,9 @@
 //! paths go through [`DsmSystem::fetch_run`], which names the version
 //! each frame retains and, through [`DsmSystem::apply_answer`] — which a
 //! monitor's grant shares — either re-opens the retained copy, patches it
-//! or installs the shipped one.
+//! or installs the shipped one.  A demand fetch also names the node's
+//! indexed dropped copies of that home as riders, and reopens those the
+//! reply answers as a grant would ([`DsmSystem::reopen_dropped`]).
 //!
 //! This is a second `impl DsmSystem` block (split out of `engine.rs` to
 //! keep the engine readable): everything here is mechanism — RPC framing,
@@ -47,7 +49,8 @@ pub(crate) struct NodeFetchState {
     /// Acquires (and explicit invalidations) begun on this node.
     acquires: AtomicU64,
     /// Per home: the copies this node dropped and retains whose last answer
-    /// fitted a grant, whatever detects them — what its next acquire names.
+    /// fitted a grant, whatever detects them — what its next acquire (or
+    /// demand fetch) from there names.
     dropped: Vec<Mutex<BTreeMap<u64, Arc<PageFrame>>>>,
 }
 
@@ -67,9 +70,12 @@ impl NodeFetchState {
         lock(&self.dropped[home.index()]).insert(page.0, Arc::clone(frame));
     }
 
-    /// Take every copy indexed for `home`: a grant from there takes the lot.
-    pub(crate) fn take_dropped(&self, home: NodeId) -> BTreeMap<u64, Arc<PageFrame>> {
-        std::mem::take(&mut *lock(&self.dropped[home.index()]))
+    /// Take every copy indexed for `home` that is still dropped (neither
+    /// home nor present), in page order: a grant or a fetch takes the lot.
+    pub(crate) fn take_dropped(&self, home: NodeId) -> Vec<(PageId, Arc<PageFrame>)> {
+        let taken = std::mem::take(&mut *lock(&self.dropped[home.index()])).into_iter();
+        let dropped = taken.filter(|(_, f)| !f.is_home() && !f.is_present());
+        dropped.map(|(page, f)| (PageId(page), f)).collect()
     }
 
     /// Count one acquire; every [`GATE_WINDOW`] of them both gates' records
@@ -92,11 +98,12 @@ impl NodeFetchState {
 
 impl DsmSystem {
     /// One conditional fetch RPC to `home` for the contiguous run of its pages
-    /// starting at `first`, whose frames on this node are `frames`.  Each
-    /// frame either has its retained copy re-opened ("not modified") or
-    /// patched, or a fresh copy installed.  Returns whether the run starts
-    /// where this node's previous fetch from `home` ended (it continues a
-    /// scan) and the instant the reply arrives.
+    /// starting at `first`, whose frames on this node are `frames`, naming
+    /// the dropped copies `riders`.  Each frame either has its retained copy
+    /// re-opened ("not modified") or patched, or a fresh copy installed, as
+    /// has each rider answered.  Returns whether the run starts where this
+    /// node's previous fetch from `home` ended (it continues a scan), the
+    /// instant the reply arrives and the riders' runs to `mprotect`.
     fn fetch_run(
         &self,
         node_ref: &Node,
@@ -104,14 +111,18 @@ impl DsmSystem {
         home: NodeId,
         first: PageId,
         frames: &[&PageFrame],
-    ) -> Result<(bool, VTime), RpcFailure> {
+        riders: &[(PageId, Arc<PageFrame>)],
+    ) -> Result<(bool, VTime, u64), RpcFailure> {
         let node = node_ref.id();
         let retained: Vec<u64> = frames.iter().map(|f| f.version()).collect();
-        let payload = encode_fetch_request(first, &retained);
+        let named: Vec<_> = riders.iter().map(|(p, f)| (*p, f.version())).collect();
+        let payload = encode_fetch_request(first, &retained, &named);
         let (bytes, completion) =
             self.rpc_to_home(clock, node, node_ref, first, self.page_fetch, &payload)?;
         let malformed = |why| self.malformed_reply(node, first, self.page_fetch, why);
-        let replies = decode_fetch_reply(&bytes, &retained).map_err(malformed)?;
+        let stamps: Vec<u64> = named.iter().map(|&(_, v)| v).collect();
+        let (replies, answers) =
+            decode_fetch_reply(&bytes, &retained, &stamps).map_err(malformed)?;
         let scan = self.fetch_state[node.index()].continues_scan(home, first, frames.len());
         let mut opened = 0i64;
         for (k, (frame, reply)) in frames.iter().zip(replies).enumerate() {
@@ -125,8 +136,31 @@ impl DsmSystem {
             let page = PageId(first.0 + k as u64);
             opened += i64::from(self.apply_answer(node_ref, page, frame, reply));
         }
-        self.store.note_cached(node, opened);
-        Ok((scan, completion))
+        let (reopened, runs) =
+            self.reopen_dropped(riders.iter().zip(answers).map(|((page, frame), answer)| {
+                let answer = answer.filter(|_| !frame.is_home());
+                let open = answer.map(|a| self.apply_answer(node_ref, *page, frame, a));
+                (*page, &**frame, open.is_some())
+            }));
+        self.store.note_cached(node, opened + reopened as i64);
+        Ok((scan, completion, runs))
+    }
+
+    /// Count the dropped copies a grant or a fetch's riders reopen, given in
+    /// page order with whether each reopened, and the runs among them that
+    /// page protection detects — one `mprotect` each; a Check copy is free.
+    pub(crate) fn reopen_dropped<'a>(
+        &self,
+        reopened: impl IntoIterator<Item = (PageId, &'a PageFrame, bool)>,
+    ) -> (u64, u64) {
+        let (mut count, mut runs, mut run_end) = (0, 0, None);
+        for (page, frame, reopened) in reopened {
+            count += u64::from(reopened);
+            let unprotect = reopened && self.detection.technique(frame) == AdMode::Protect;
+            runs += u64::from(unprotect && run_end != Some(page.0));
+            run_end = unprotect.then_some(page.0 + 1);
+        }
+        (count, runs)
     }
 
     /// Act on the home's `answer` for `page`, whose frame on this node is
@@ -202,7 +236,8 @@ impl DsmSystem {
                 continue;
             }
             let unprotect = self.detection.technique(&frame) == AdMode::Protect;
-            let Ok((_, mut completion)) = self.fetch_run(node_ref, clock, home, page, &[&frame])
+            let Ok((_, mut completion, _)) =
+                self.fetch_run(node_ref, clock, home, page, &[&frame], &[])
             else {
                 // The prefetch is an optimisation, so it degrades gracefully:
                 // a page the transport cannot serve is simply not issued, and
@@ -235,7 +270,9 @@ impl DsmSystem {
     /// `demand` distinguishes a fetch triggered by an access (the access is
     /// the first use, so the transaction completes on the spot and the full
     /// round trip is charged) from an explicit prefetch, which records an
-    /// in-flight ticket and lets the caller keep computing.
+    /// in-flight ticket and lets the caller keep computing.  A demand fetch
+    /// names the node's other indexed dropped copies of the same home as
+    /// riders (`fetch_run`).
     ///
     /// A successor page joins the batch only when it shares the demanded
     /// page's home, is currently absent, and is either *certain* to be
@@ -249,7 +286,6 @@ impl DsmSystem {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn fetch_pages(
         &self,
-        node: NodeId,
         node_ref: &Node,
         clock: &mut ThreadClock,
         page: PageId,
@@ -258,8 +294,8 @@ impl DsmSystem {
         demand: bool,
         speculate: bool,
     ) -> Result<(), RpcFailure> {
+        let (node, home) = (node_ref.id(), self.store.home_of(page));
         let unprotect = self.detection.technique(frame) == AdMode::Protect;
-        let home = self.store.home_of(page);
         let max_batch = self.detection.batch_ceiling();
 
         // Speculation is throttled by its own measured accuracy: while more
@@ -303,7 +339,13 @@ impl DsmSystem {
         let run: Vec<&PageFrame> = std::iter::once(frame)
             .chain(candidates.iter().map(|(qf, _)| &**qf))
             .collect();
-        let (scan, wire_completion) = self.fetch_run(node_ref, clock, home, page, &run)?;
+        let in_run = page.0..page.0 + count as u64;
+        let taken = demand.then(|| self.fetch_state[node.index()].take_dropped(home));
+        let riders: Vec<_> = (taken.into_iter().flatten())
+            .filter(|(p, f)| !in_run.contains(&p.0) && !f.has_inflight())
+            .collect();
+        let (scan, wire_completion, rider_runs) =
+            self.fetch_run(node_ref, clock, home, page, &run, &riders)?;
         let issue = clock.now();
         // A frame of the run promoted to home mid-fetch was left alone by
         // `fetch_run`: it has nothing to open and takes no ticket below.
@@ -330,15 +372,14 @@ impl DsmSystem {
             gate.tried(speculative_pages);
         }
 
-        // One mprotect call opens the whole contiguous run.
+        // One mprotect call opens the whole contiguous run, one each riders'.
         let needs_mprotect = (unprotect && !promoted) || batch_protected;
-        NodeStats::bump_by(&node_ref.stats.mprotect_calls, u64::from(needs_mprotect));
+        let calls = u64::from(needs_mprotect) + rider_runs;
+        NodeStats::bump_by(&node_ref.stats.mprotect_calls, calls);
         let mprotect = machine.dsm.mprotect_call;
         if demand {
             clock.merge(wire_completion);
-            if needs_mprotect {
-                clock.advance(mprotect);
-            }
+            clock.advance(mprotect.times(calls));
             // The demanded page completed here, but the rest of the batch is
             // live split transactions finishing with it.  The thread stalled
             // for the whole round trip on the demanded page, so the batch hid

@@ -5,24 +5,28 @@
 
 use std::sync::Arc;
 
-use hyperion_model::{CpuModel, DsmCostModel, MachineModel, VTime};
+use hyperion_model::{MachineModel, VTime};
 use hyperion_pm2::{Node, NodeId, PageId, RpcHandler, RpcReply, PAGE_BYTES, SLOTS_PER_PAGE};
 
 use crate::diff::{
     decode_diff_message, decode_fetch_request, encode_diff_reply, push_page_reply, FetchRequest,
-    PageReply, WireError, MAX_PATCH_ENTRIES,
+    PageReply, WireError, MAX_PATCH_ENTRIES, NO_ANSWER,
 };
 use crate::page::SlotSet;
 use crate::table::DsmStore;
 
 /// Answer `request` out of the authoritative home frames, page by page
-/// ([`answer_page`]): the encoded answers and the slots they ship.
+/// ([`answer_page`]), then each rider this home homes as a grant would, or
+/// with [`NO_ANSWER`]: the encoded answers and the slots they ship.
 pub(crate) fn serve_fetch(
     store: &DsmStore,
+    machine: &MachineModel,
     home: NodeId,
     request: &FetchRequest,
 ) -> Result<(Vec<u8>, usize), WireError> {
-    let FetchRequest { first, versions } = request;
+    let FetchRequest {
+        first, versions, ..
+    } = request;
     let count = versions.len();
     let num_pages = store.allocator().num_pages();
     let in_range = (first.0 as usize)
@@ -38,8 +42,15 @@ pub(crate) fn serve_fetch(
             store.home_of(page) == home || store.page_rehomed(page),
             "page fetch sent to a node that is not the page's home"
         );
-        let slots = answer_page(store, page, retained, true, &mut reply);
+        let slots = answer_page(store, page, retained, None, &mut reply);
         shipped += slots.expect("a fetch may be answered with the page");
+    }
+    for &(page, retained) in &request.riders {
+        let ours = page.index() < num_pages && store.home_of(page) == home;
+        match ours.then(|| answer_page(store, page, retained, Some(machine), &mut reply)) {
+            Some(Some(slots)) => shipped += slots,
+            Some(None) | None => reply.push(NO_ANSWER),
+        }
     }
     Ok((reply, shipped))
 }
@@ -48,14 +59,16 @@ pub(crate) fn serve_fetch(
 /// (0 = none), appended to `reply`, and the slots it ships: "not modified"
 /// if the copy is at the home's current stamp; else the slots that changed
 /// since, if the page's history still holds every step in between and they
-/// encode shorter than the page; else the page — `None`, and nothing
-/// appended, if `whole` does not allow that.  A fetch's handler and a
-/// monitor's grant (`DsmSystem::acquire`) both answer through here.
+/// encode shorter than the page; else the page.  Under a grant's rule —
+/// `grant` names the machine that prices it — the answer must fit a grant
+/// (`grant_cost`) instead, or there is none: `None`, and nothing appended.
+/// A fetch's pages are answered without it; a monitor's grant
+/// (`DsmSystem::acquire`) and a fetch's riders with it.
 pub(crate) fn answer_page(
     store: &DsmStore,
     page: PageId,
     retained: u64,
-    whole: bool,
+    grant: Option<&MachineModel>,
     reply: &mut Vec<u8>,
 ) -> Option<usize> {
     // Serve the *current* home's copy: normally that is the node the request
@@ -79,12 +92,15 @@ pub(crate) fn answer_page(
             (PageReply::NotModified(stamp), 0)
         } else if let Some((slots, changed)) = patch {
             (PageReply::Patch(stamp, f.load_slots(&changed)), slots)
-        } else if whole {
+        } else if grant.is_none() {
             bytes = f.data().snapshot_bytes();
             (PageReply::Full(stamp, &bytes), SLOTS_PER_PAGE)
         } else {
             return None;
         };
+        if grant.is_some_and(|machine| grant_cost(machine, &answer).is_none()) {
+            return None;
+        }
         push_page_reply(reply, &answer);
         Some(slots)
     })
@@ -94,8 +110,9 @@ pub(crate) fn answer_page(
 /// bytes plus the home's copy cycles cost at most one `mprotect`: one
 /// break-even, whatever detects the copy.  Its cost if it does.  A page
 /// never does; a "not modified" does.  Sized from the answer's shape:
-/// a grant patch applies it, and every applied answer tells the copy
-/// whether the next is worth naming in a request (`apply_answer`).
+/// a grant patch applies it, a fetch's rider is answered by it, and every
+/// applied answer tells the copy whether the next is worth naming in a
+/// request (`apply_answer`).
 pub(crate) fn grant_cost(machine: &MachineModel, answer: &PageReply<'_>) -> Option<VTime> {
     let (bytes, slots) = match answer {
         PageReply::NotModified(_) => (9, 0),
@@ -107,33 +124,23 @@ pub(crate) fn grant_cost(machine: &MachineModel, answer: &PageReply<'_>) -> Opti
     (cost <= machine.dsm.mprotect_call).then_some(cost)
 }
 
-/// What applying one diff message to the home frames produced: the slot
-/// counts that price the service time and the acknowledgement's versions.
-pub(crate) struct DiffOutcome {
-    /// Diff slots applied across all pages of the message.
-    pub(crate) slots: usize,
-    /// Post-apply home stamp of every page of the message, in order (0 for
-    /// a page that carried no entries).
-    pub(crate) versions: Vec<u64>,
-}
-
-/// Apply one encoded diff message to the authoritative home frames.
+/// Apply one encoded diff message to the authoritative home frames: the
+/// post-apply home stamp of every page of the message, in order (0 for a
+/// page that carried no entries), and the diff slots applied, as
+/// [`serve_fetch`] returns its answers and the slots they ship.
 pub(crate) fn apply_diff_message(
     store: &DsmStore,
     nominal_home: NodeId,
     payload: &[u8],
-) -> Result<DiffOutcome, WireError> {
+) -> Result<(Vec<u64>, usize), WireError> {
     let diffs = decode_diff_message(payload)?;
     let num_pages = store.allocator().num_pages() as u64;
     if diffs.iter().any(|(page, _)| page.0 >= num_pages) {
         return Err(WireError::Invalid("diff page range"));
     }
-    let mut out = DiffOutcome {
-        slots: 0,
-        versions: Vec::with_capacity(diffs.len()),
-    };
+    let (mut versions, mut slots) = (Vec::with_capacity(diffs.len()), 0);
     for (page, entries) in &diffs {
-        out.slots += entries.len();
+        slots += entries.len();
         // Apply to the *current* home frame (see `answer_page` on why this
         // may differ from the addressed node after a recovery).
         let home_now = store.home_of(*page);
@@ -150,9 +157,9 @@ pub(crate) fn apply_diff_message(
         } else {
             store.with_frame(home_now, *page, |f| f.apply_diff(entries))
         };
-        out.versions.push(post);
+        versions.push(post);
     }
-    Ok(out)
+    Ok((versions, slots))
 }
 
 /// A home's RPC service: answer a conditional page fetch (`fetch`), or
@@ -160,32 +167,31 @@ pub(crate) fn apply_diff_message(
 /// pages' new versions.
 pub(crate) struct HomeService {
     pub(crate) store: Arc<DsmStore>,
-    pub(crate) cpu: CpuModel,
-    pub(crate) dsm: DsmCostModel,
+    pub(crate) machine: MachineModel,
     /// True for the page fetch, false for the diff apply.
     pub(crate) fetch: bool,
 }
 
 impl HomeService {
     /// Serve one request, at a home-side service time of copy cycles per
-    /// slot shipped (a fetch) or apply cycles per slot written (an apply),
-    /// plus batching overhead per page beyond the first.
+    /// slot shipped (a fetch, riders included) or apply cycles per slot
+    /// written (an apply), plus batching overhead per page beyond the first.
     fn serve(&self, target: &Node, payload: &[u8]) -> Result<RpcReply, WireError> {
-        let (dsm, home) = (&self.dsm, target.id());
+        let (cpu, dsm, home) = (&self.machine.cpu, &self.machine.dsm, target.id());
         if !self.fetch {
-            let out = apply_diff_message(&self.store, home, payload)?;
-            let extra = out.versions.len() - 1;
-            let service = dsm.diff_apply_cycles_per_slot * out.slots as f64
+            let (versions, slots) = apply_diff_message(&self.store, home, payload)?;
+            let extra = versions.len() - 1;
+            let service = dsm.diff_apply_cycles_per_slot * slots as f64
                 + dsm.batch_flush_cycles * extra as f64;
-            let reply = encode_diff_reply(&out.versions);
-            return Ok(RpcReply::with_data(reply, self.cpu.cycles(service)));
+            let reply = encode_diff_reply(&versions);
+            return Ok(RpcReply::with_data(reply, cpu.cycles(service)));
         }
         let request = decode_fetch_request(payload)?;
-        let (reply, slots) = serve_fetch(&self.store, home, &request)?;
+        let (reply, slots) = serve_fetch(&self.store, &self.machine, home, &request)?;
         let copy = dsm.page_copy_cycles_per_slot * slots as f64;
         let extra = (request.versions.len() - 1) as f64;
         let service = copy + dsm.batch_page_cycles * extra;
-        Ok(RpcReply::with_data(reply, self.cpu.cycles(service)))
+        Ok(RpcReply::with_data(reply, cpu.cycles(service)))
     }
 }
 
@@ -219,9 +225,9 @@ mod tests {
     };
     use crate::{DsmStore, DsmSystem, ProtocolKind};
 
-    /// For one retained stamp, a monitor's grant carries exactly the answer
-    /// a fetch gets — the same entries at the same stamp — and a copy
-    /// patched by the grant ends where a copy patched by a fetch does.
+    /// For one retained stamp, a monitor's grant and a fetch's rider carry
+    /// exactly the answer a fetch gets — the same entries at the same stamp
+    /// — and a copy patched by the grant ends where one a fetch patched does.
     #[test]
     fn a_grant_patch_and_a_fetch_reply_carry_identical_entries() {
         let cluster = Cluster::new(myrinet_200().machine, 3);
@@ -239,21 +245,26 @@ mod tests {
             dsm.put(home, &mut t, addr.offset(slot), slot + 1);
         }
         let (_, written, _) = dsm.release(home, &mut t, &mut cursor, None);
+        // The fetch names the same copy as a rider too: a rider is answered
+        // as the grant is, byte for byte, after the page's answer.
         let request = FetchRequest {
             first: page,
             versions: vec![retained],
+            riders: vec![(page, retained)],
         };
-        let fetch = serve_fetch(store, home, &request).expect("in range");
+        let machine = cluster.machine();
+        let fetch = serve_fetch(store, machine, home, &request).expect("in range");
         let mut grant = Vec::new();
-        let slots = answer_page(store, page, retained, false, &mut grant);
-        assert_eq!((&grant, slots, fetch.1), (&fetch.0, Some(3), 3));
+        let slots = answer_page(store, page, retained, Some(machine), &mut grant);
+        let twice = [&grant[..], &grant[..]].concat();
+        assert_eq!((&twice, slots, fetch.1), (&fetch.0, Some(3), 6));
         let patch = PageReply::Patch(retained + 1, vec![(3, 4), (70, 71), (500, 501)]);
         assert_eq!(
-            decode_fetch_reply(&grant, &[retained]),
-            Ok(vec![patch.clone()])
+            decode_fetch_reply(&grant, &[retained], &[]),
+            Ok((vec![patch.clone()], vec![]))
         );
         // The grant's cost rule sizes the answer as its encoding does.
-        let (machine, slots) = (cluster.machine(), 3.0);
+        let slots = 3.0;
         let copy = machine.dsm.page_copy_cycles_per_slot * slots;
         let cost = machine.net.transfer(grant.len() as u64) + machine.cpu.cycles(copy);
         assert_eq!(grant_cost(machine, &patch), Some(cost));
@@ -282,18 +293,18 @@ mod tests {
             let store = DsmStore::new(Arc::clone(&alloc), 4);
             let dsm = DsmSystem::new(Arc::clone(&cluster), store, ProtocolKind::JavaPf);
             let addr = alloc.alloc(8, NodeId(0));
-            let page = addr.page();
+            let (page, other) = (addr.page(), alloc.alloc_page_aligned(8, NodeId(1)).page());
             let unallocated = hyperion_pm2::PageId(1 << 30);
 
             let mut clock = ThreadClock::new();
             let mut call = |service, payload: &[u8]| {
                 cluster.rpc(&mut clock, NodeId(1), NodeId(0), service, payload)
             };
-            let fetch = encode_fetch_request(page, &[0]);
+            let fetch = encode_fetch_request(page, &[0], &[]);
             let bad: Vec<(_, Vec<u8>)> = vec![
                 (dsm.page_fetch, vec![1, 2, 3]),
                 (dsm.page_fetch, fetch[..fetch.len() - 1].to_vec()),
-                (dsm.page_fetch, encode_fetch_request(unallocated, &[0])),
+                (dsm.page_fetch, encode_fetch_request(unallocated, &[0], &[])),
                 (dsm.page_fetch, [&fetch[..], &[1, 0]].concat()),
                 (dsm.diff_apply, vec![0xFF; 7]),
                 (dsm.diff_apply, encode_diff(unallocated, &[(0, 1)])),
@@ -311,10 +322,15 @@ mod tests {
             assert_eq!(reply.len(), 9 + hyperion_pm2::PAGE_BYTES, "{backend}");
             // The page at the stamp just handed out is not modified.
             let stamp = u64::from_le_bytes(reply[1..9].try_into().expect("stamp"));
-            let asking = encode_fetch_request(page, &[stamp]);
+            let asking = encode_fetch_request(page, &[stamp], &[]);
             let answered = call(dsm.page_fetch, &asking).expect("well-formed fetch");
-            let answered = decode_fetch_reply(&answered, &[stamp]).expect("decodes");
-            assert_eq!(answered, [PageReply::NotModified(stamp)], "{backend}");
+            let answered = decode_fetch_reply(&answered, &[stamp], &[]).expect("decodes");
+            assert_eq!(answered.0, [PageReply::NotModified(stamp)], "{backend}");
+            // A rider the home does not home gets no answer.
+            let named = encode_fetch_request(page, &[stamp], &[(other, 1)]);
+            let rode = call(dsm.page_fetch, &named).expect("well-formed fetch");
+            let rode = decode_fetch_reply(&rode, &[stamp], &[1]).expect("decodes");
+            assert_eq!(rode, (answered.0, vec![None]), "{backend}");
             // A diff is acknowledged with its pages' new stamps and not a
             // byte more, and a copy from before it is brought up to date
             // with the diff's slot, not the page: the same bytes over
@@ -324,14 +340,14 @@ mod tests {
             let acked = decode_diff_reply(&ack, 1).expect("versions only");
             assert_eq!(acked[0], stamp + 1, "{backend}");
             let patch = call(dsm.page_fetch, &asking).expect("well-formed fetch");
-            let decoded = decode_fetch_reply(&patch, &[stamp]).expect("decodes");
+            let decoded = decode_fetch_reply(&patch, &[stamp], &[]).expect("decodes");
             let expected = PageReply::Patch(stamp + 1, vec![(0, 7)]);
-            assert_eq!((patch.len(), &decoded[0]), (9 + 4 + 10, &expected));
+            assert_eq!((patch.len(), &decoded.0[0]), (9 + 4 + 10, &expected));
             // And the requester side rejects a reply it cannot decode, or
             // that would move its stamp backwards, or patch a copy it does
             // not hold, with the same typed error instead of panicking.
             for (bytes, retained) in [(&reply[..100], 0), (&reply[..], stamp + 1), (&patch, 0)] {
-                let why = decode_fetch_reply(bytes, &[retained]).unwrap_err();
+                let why = decode_fetch_reply(bytes, &[retained], &[]).unwrap_err();
                 let failure = dsm.malformed_reply(NodeId(1), page, dsm.page_fetch, why);
                 assert!(matches!(failure.error, TransportError::MalformedFrame(_)));
                 assert!(failure.to_string().contains("dsm.page_fetch reply"));

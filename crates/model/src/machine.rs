@@ -264,22 +264,11 @@ pub fn sci_450() -> ClusterSpec {
                 send_overhead: VTime::from_us(2),
                 recv_overhead: VTime::from_us(2),
             },
+            // The protocol software takes the same cycles on either cluster.
             dsm: DsmCostModel {
                 page_fault: VTime::from_us(12),
                 mprotect_call: VTime::from_us(6),
-                protocol_request_cycles: 450.0,
-                protocol_server_cycles: 600.0,
-                page_copy_cycles_per_slot: 1.5,
-                diff_apply_cycles_per_slot: 3.0,
-                diff_record_cycles_per_slot: 2.0,
-                monitor_local_cycles: 120.0,
-                invalidate_cycles_per_page: 12.0,
-                barrier_cycles: 200.0,
-                thread_create_cycles: 2_000.0,
-                protocol_switch_cycles: 40.0,
-                batch_page_cycles: 60.0,
-                batch_flush_cycles: 50.0,
-                resync_page_cycles: 800.0,
+                ..myrinet_200().machine.dsm
             },
         },
         max_nodes: 6,

@@ -94,6 +94,16 @@ struct AllocState {
     slots_allocated: u64,
 }
 
+impl AllocState {
+    /// Home `slots` slots' worth of fresh pages on `home`: the first page
+    /// and how many.
+    fn fresh_pages(&mut self, slots: usize, home: NodeId) -> (u64, usize) {
+        let (first, pages) = (self.page_homes.len(), slots.div_ceil(SLOTS_PER_PAGE));
+        self.page_homes.resize(first + pages, home);
+        (first as u64, pages)
+    }
+}
+
 /// The iso-address allocator: assigns global addresses and home nodes.
 ///
 /// Allocation is a setup-time activity in all of the paper's benchmarks, so
@@ -113,13 +123,7 @@ impl IsoAllocator {
         assert!(num_nodes > 0, "allocator needs at least one node");
         // Page 0 exists but slot 0 is reserved for NULL; it belongs to node 0
         // and only node 0 may pack further small objects into it.
-        let mut open_pages = vec![
-            OpenPage {
-                page: None,
-                next_slot: 0,
-            };
-            num_nodes
-        ];
+        let mut open_pages = vec![OpenPage::default(); num_nodes];
         open_pages[0] = OpenPage {
             page: Some(PageId(0)),
             next_slot: 1,
@@ -168,23 +172,13 @@ impl IsoAllocator {
             }
         }
 
-        // Start on fresh pages.
-        let pages_needed = slots.div_ceil(SLOTS_PER_PAGE);
-        let first_page = st.page_homes.len() as u64;
-        for _ in 0..pages_needed {
-            st.page_homes.push(home);
-        }
+        // Start on fresh pages, the last one left open if it has room.
+        let (first_page, pages_needed) = st.fresh_pages(slots, home);
         let used_in_last = slots - (pages_needed - 1) * SLOTS_PER_PAGE;
-        st.open_pages[home.index()] = if used_in_last < SLOTS_PER_PAGE {
-            OpenPage {
-                page: Some(PageId(first_page + pages_needed as u64 - 1)),
-                next_slot: used_in_last,
-            }
-        } else {
-            OpenPage {
-                page: None,
-                next_slot: 0,
-            }
+        let open = used_in_last < SLOTS_PER_PAGE;
+        st.open_pages[home.index()] = OpenPage {
+            page: open.then_some(PageId(first_page + pages_needed as u64 - 1)),
+            next_slot: if open { used_in_last } else { 0 },
         };
         GlobalAddr(first_page * SLOTS_PER_PAGE as u64)
     }
@@ -197,14 +191,9 @@ impl IsoAllocator {
         assert!(home.index() < self.num_nodes, "home out of range");
         let mut st = lock(&self.state);
         st.slots_allocated += slots as u64;
-        let pages_needed = slots.div_ceil(SLOTS_PER_PAGE);
-        let first_page = st.page_homes.len() as u64;
-        for _ in 0..pages_needed {
-            st.page_homes.push(home);
-        }
         // Page-aligned allocations never leave an open page behind: the
         // remainder of the last page stays unused to avoid false sharing.
-        GlobalAddr(first_page * SLOTS_PER_PAGE as u64)
+        GlobalAddr(st.fresh_pages(slots, home).0 * SLOTS_PER_PAGE as u64)
     }
 
     /// Home node of a page.

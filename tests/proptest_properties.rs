@@ -766,8 +766,8 @@ fn block_range_tiles_any_size() {
 
 /// Every byte-precise wire form in `dsm::diff` survives an encode → decode
 /// round trip — the one conditional fetch request (single, batched,
-/// retained versions zero and non-zero; anything after the versions and a
-/// first page with bit 63 set are rejected), single and batched
+/// retained versions zero and non-zero, with and without riders; a byte
+/// after the last field and a first page with bit 63 set are rejected), single and batched
 /// field-granularity diffs, and the versioned diff acknowledgement — and
 /// every truncation of every form, and an acknowledgement with anything
 /// after its last version, decodes to an error, never a panic.
@@ -806,7 +806,7 @@ fn diff_wire_encodings_round_trip() {
 
     property(64, |seed, rng| {
         // The one fetch request form: 1..64 pages, each retained version
-        // either "none" (0) or a real stamp.
+        // either "none" (0) or a real stamp, and 0..8 riders at real stamps.
         let page = random_page(rng);
         let versions: Vec<u64> = (0..rng.gen_range(1usize..64))
             .map(|_| {
@@ -817,11 +817,14 @@ fn diff_wire_encodings_round_trip() {
                 }
             })
             .collect();
-        let wire = encode_fetch_request(page, &versions);
+        let riders: Vec<(PageId, u64)> = (0..rng.gen_range(0usize..8))
+            .map(|_| (random_page(rng), rng.gen_range(1u64..u64::MAX)))
+            .collect();
+        let wire = encode_fetch_request(page, &versions, &riders);
         let request = decode_fetch_request(&wire).expect("well-formed request");
         assert_eq!(
-            (request.first, &request.versions),
-            (page, &versions),
+            (request.first, &request.versions, &request.riders),
+            (page, &versions, &riders),
             "seed {seed}"
         );
         prefixes_fail(seed, "fetch request", &wire, |b| {
@@ -897,15 +900,26 @@ fn diff_wire_encodings_round_trip() {
 }
 
 /// Page-fetch replies — any mix of "not modified", patches and shipped
-/// pages — parse back to exactly what went in; truncated, extended and
-/// garbage replies are errors, never panics.
+/// pages, then any mix of riders' answers ("no answer", "not modified",
+/// patches) — parse back to exactly what went in; truncated, extended and
+/// garbage replies, and a page shipped to a rider, are errors, never panics.
 #[test]
 fn fetch_reply_forms_round_trip_and_reject_garbage() {
     use hyperion_workspace::dsm::diff::{
         decode_fetch_reply, push_page_reply, DiffEntry, PageReply, WireError, MAX_PATCH_ENTRIES,
+        NO_ANSWER,
     };
     use hyperion_workspace::pm2::PAGE_BYTES;
 
+    // Up to a patch's most entries, slots ascending.
+    let random_patch = |rng: &mut StdRng| {
+        let mut entries: Vec<DiffEntry> = (0..rng.gen_range(0..MAX_PATCH_ENTRIES + 1))
+            .map(|_| (rng.gen_range(0u16..512), rng.gen_range(0..u64::MAX)))
+            .collect();
+        entries.sort_unstable_by_key(|e| e.0);
+        entries.dedup_by_key(|e| e.0);
+        entries
+    };
     property(64, |seed, rng| {
         // Per page the version the requester retains and the home's
         // answer: not modified at it, a patch from it, or the page whatever
@@ -925,15 +939,24 @@ fn fetch_reply_forms_round_trip_and_reject_garbage() {
                 match rng.gen_range(0u32..3) {
                     0 => (version, PageReply::NotModified(version)),
                     1 => (rng.gen_range(0..version), PageReply::Full(version, bytes)),
+                    _ => (
+                        rng.gen_range(1..version),
+                        PageReply::Patch(version, random_patch(rng)),
+                    ),
+                }
+            })
+            .unzip();
+        // Per rider the version it was named at and the home's answer: none,
+        // not modified at it, or a patch from it.
+        let (riders, rode): (Vec<u64>, Vec<Option<PageReply<'_>>>) = (0..rng.gen_range(0..6))
+            .map(|_| {
+                let version = rng.gen_range(2u64..u64::MAX);
+                match rng.gen_range(0u32..3) {
+                    0 => (version, None),
+                    1 => (version, Some(PageReply::NotModified(version))),
                     _ => {
-                        let mut entries: Vec<DiffEntry> = (0..rng
-                            .gen_range(0..MAX_PATCH_ENTRIES + 1))
-                            .map(|_| (rng.gen_range(0u16..512), rng.gen_range(0..u64::MAX)))
-                            .collect();
-                        entries.sort_unstable_by_key(|e| e.0);
-                        entries.dedup_by_key(|e| e.0);
-                        let kept = rng.gen_range(1..version);
-                        (kept, PageReply::Patch(version, entries))
+                        let patch = PageReply::Patch(version, random_patch(rng));
+                        (rng.gen_range(1..version), Some(patch))
                     }
                 }
             })
@@ -942,14 +965,20 @@ fn fetch_reply_forms_round_trip_and_reject_garbage() {
         for page in &expected {
             push_page_reply(&mut reply, page);
         }
-        let got = decode_fetch_reply(&reply, &retained).expect("well-formed reply");
-        assert_eq!(got, expected, "seed {seed}: page answers corrupted");
+        for answer in &rode {
+            match answer {
+                Some(answer) => push_page_reply(&mut reply, answer),
+                None => reply.push(NO_ANSWER),
+            }
+        }
+        let got = decode_fetch_reply(&reply, &retained, &riders).expect("well-formed reply");
+        assert_eq!(got, (expected, rode), "seed {seed}: answers corrupted");
 
         // Every truncation is an error, and so is any byte after the last
-        // answer (where rider answers and a hint trailer used to be parsed).
+        // answer (where a hint trailer used to be parsed).
         for cut in 0..reply.len() {
             assert!(
-                decode_fetch_reply(&reply[..cut], &retained).is_err(),
+                decode_fetch_reply(&reply[..cut], &retained, &riders).is_err(),
                 "seed {seed}: reply truncated to {cut} bytes decoded"
             );
         }
@@ -957,7 +986,7 @@ fn fetch_reply_forms_round_trip_and_reject_garbage() {
             let mut long = reply.clone();
             long.extend((0..extra).map(|_| rng.gen_range(0u32..256) as u8));
             assert_eq!(
-                decode_fetch_reply(&long, &retained),
+                decode_fetch_reply(&long, &retained, &riders),
                 Err(WireError::TrailingBytes("fetch reply")),
                 "seed {seed}: {extra} trailing bytes decoded"
             );
@@ -966,9 +995,17 @@ fn fetch_reply_forms_round_trip_and_reject_garbage() {
         let garbage: Vec<u8> = (0..reply.len().min(64))
             .map(|_| rng.gen_range(0u8..u8::MAX))
             .collect();
-        let _ = decode_fetch_reply(&garbage, &retained);
+        let _ = decode_fetch_reply(&garbage, &retained, &riders);
         let one_more = [&retained[..], &[0]].concat();
-        assert!(decode_fetch_reply(&reply, &one_more).is_err());
+        assert!(decode_fetch_reply(&reply, &one_more, &riders).is_err());
+        // A rider is never answered with the page.
+        push_page_reply(&mut reply, &PageReply::Full(7, &shipped[0]));
+        let named = [&riders[..], &[7]].concat();
+        assert_eq!(
+            decode_fetch_reply(&reply, &retained, &named),
+            Err(WireError::Invalid("fetch reply rider answer")),
+            "seed {seed}"
+        );
     });
 }
 
