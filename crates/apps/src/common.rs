@@ -60,35 +60,6 @@ pub fn protocols_under_test() -> [ProtocolKind; 3] {
     ProtocolKind::all_extended()
 }
 
-/// How a kernel accesses shared data through the runtime.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum AccessMode {
-    /// Per-element accesses with the row indirection re-read through the
-    /// DSM — the faithful compiled-Java behaviour the paper studies.
-    Element,
-    /// Locality-aware: row handles cached once per thread
-    /// (`HMatrix::rows_view`) and communication performed with bulk slice
-    /// transfers, so access detection is paid per page instead of per
-    /// element.
-    Bulk,
-}
-
-impl AccessMode {
-    /// Short lower-case name for logs and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            AccessMode::Element => "element",
-            AccessMode::Bulk => "bulk",
-        }
-    }
-}
-
-impl std::fmt::Display for AccessMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Names of the benchmarks: the paper's five (in figure order) plus the
 /// serving-workload extension family (figure 9).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

@@ -18,7 +18,7 @@
 use hyperion::prelude::*;
 
 use crate::common::{
-    benchmark, block_owner, block_range, node_of_thread, AccessMode, Benchmark, BenchmarkName,
+    benchmark, block_owner, block_range, node_of_thread, Benchmark, BenchmarkName,
 };
 
 /// Parameters of the Jacobi benchmark.
@@ -120,9 +120,9 @@ pub fn sequential(params: &JacobiParams) -> (f64, f64) {
     (sum, cur[n / 2][n / 2])
 }
 
-/// A stencil neighbour row in the bulk kernel: either a pinned local
-/// snapshot (a remote boundary row fetched once per step) or a cached row
-/// handle whose elements are read through the DSM (a locally owned row).
+/// A stencil neighbour row: either a pinned local snapshot (a remote
+/// boundary row fetched once per step) or a cached row handle whose
+/// elements are read through the DSM (a locally owned row).
 enum NeighbourRow {
     View(ArrayView<f64>),
     Dsm(HArray<f64>),
@@ -138,26 +138,14 @@ impl NeighbourRow {
     }
 }
 
-/// Run the Jacobi benchmark under `config` with the default locality-aware
-/// access mode ([`AccessMode::Bulk`]).
-pub fn run(config: HyperionConfig, params: &JacobiParams) -> RunOutcome<JacobiResult> {
-    run_with(config, params, AccessMode::Bulk)
-}
-
-/// Run the Jacobi benchmark under `config` with an explicit access mode.
+/// Run the Jacobi benchmark under `config`.
 ///
-/// [`AccessMode::Element`] re-reads the row indirection through the DSM on
-/// every access, as the seed runtime (and un-hoisted compiled Java) did.
-/// [`AccessMode::Bulk`] caches the row handles once per thread and performs
-/// the per-step boundary exchange as bulk row reads, so the DSM sees per-page
-/// instead of per-element traffic for the communication; the interior
-/// stencil still pays the paper's per-access detection, keeping the
-/// `java_ic` / `java_pf` comparison meaningful.
-pub fn run_with(
-    config: HyperionConfig,
-    params: &JacobiParams,
-    mode: AccessMode,
-) -> RunOutcome<JacobiResult> {
+/// Each thread caches the row handles once and performs the per-step
+/// boundary exchange as bulk row reads, so the DSM sees per-page instead of
+/// per-element traffic for the communication; the interior stencil still
+/// pays the paper's per-access detection, keeping the `java_ic` /
+/// `java_pf` comparison meaningful.
+pub fn run(config: HyperionConfig, params: &JacobiParams) -> RunOutcome<JacobiResult> {
     assert!(params.size >= 4, "mesh must be at least 4x4");
     let runtime = HyperionRuntime::new(config).expect("invalid Hyperion configuration");
     let threads = runtime.config().total_app_threads();
@@ -188,109 +176,62 @@ pub fn run_with(
                         .with(Op::Branch, 1.0),
                 );
 
-                match mode {
-                    AccessMode::Element => {
-                        // Each thread initialises its own rows (in both
-                        // buffers), element by element.
-                        for r in row_start..row_end {
-                            let row_a = a.row(worker, r);
-                            let row_b = b.row(worker, r);
-                            for c in 0..n {
-                                let v = initial_value(r, c, n);
-                                row_a.put(worker, c, v);
-                                row_b.put(worker, c, v);
-                            }
-                            worker.charge_iters(&init_mix, 2 * n as u64);
-                        }
-                        barrier.arrive(worker);
+                // Row handles are fetched once per thread: the row references
+                // never change, so the cache stays valid across every barrier.
+                let rows_a = a.rows_view(worker);
+                let rows_b = b.rows_view(worker);
 
-                        // Timestep loop: read `cur`, write `next`, swap,
-                        // barrier.  Row references are re-fetched through the
-                        // DSM each step (after every barrier invalidation).
-                        let (mut cur, mut next) = (a, b);
-                        for _step in 0..steps {
-                            for r in lo..hi {
-                                // Row references are hoisted out of the inner
-                                // loop, as the Java source would.
-                                let north = cur.row(worker, r - 1);
-                                let here = cur.row(worker, r);
-                                let south = cur.row(worker, r + 1);
-                                let out = next.row(worker, r);
-                                for c in 1..n - 1 {
-                                    let v = 0.25
-                                        * (north.get(worker, c)
-                                            + south.get(worker, c)
-                                            + here.get(worker, c - 1)
-                                            + here.get(worker, c + 1));
-                                    out.put(worker, c, v);
-                                }
-                                worker.charge_iters(&per_cell, (n - 2) as u64);
-                            }
-                            std::mem::swap(&mut cur, &mut next);
-                            barrier.arrive(worker);
-                        }
+                // Initialisation writes whole rows in bulk.
+                for r in row_start..row_end {
+                    let vals: Vec<f64> = (0..n).map(|c| initial_value(r, c, n)).collect();
+                    rows_a.row(r).write_slice(worker, 0, &vals);
+                    rows_b.row(r).write_slice(worker, 0, &vals);
+                    worker.charge_iters(&init_mix, 2 * n as u64);
+                }
+                barrier.arrive(worker);
+
+                let (mut cur, mut next) = (&rows_a, &rows_b);
+                for _step in 0..steps {
+                    // Issue both boundary-row fetches right after the
+                    // barrier's acquire: by the time the south neighbour is
+                    // pinned (after the whole block's stencil), the split
+                    // transaction has hidden its round trip entirely, and
+                    // most of the north one behind the first rows.
+                    if row_start >= 1 {
+                        cur.row(row_start - 1).prefetch(worker);
                     }
-                    AccessMode::Bulk => {
-                        // Row handles are fetched once per thread: the row
-                        // references never change, so the cache stays valid
-                        // across every barrier.
-                        let rows_a = a.rows_view(worker);
-                        let rows_b = b.rows_view(worker);
-
-                        // Initialisation writes whole rows in bulk.
-                        for r in row_start..row_end {
-                            let vals: Vec<f64> = (0..n).map(|c| initial_value(r, c, n)).collect();
-                            rows_a.row(r).write_slice(worker, 0, &vals);
-                            rows_b.row(r).write_slice(worker, 0, &vals);
-                            worker.charge_iters(&init_mix, 2 * n as u64);
-                        }
-                        barrier.arrive(worker);
-
-                        let (mut cur, mut next) = (&rows_a, &rows_b);
-                        for _step in 0..steps {
-                            // Issue both boundary-row fetches right after
-                            // the barrier's acquire: by the time the south
-                            // neighbour is pinned (after the whole block's
-                            // stencil), the split transaction has hidden
-                            // its round trip entirely, and most of the
-                            // north one behind the first rows.
-                            if row_start >= 1 {
-                                cur.row(row_start - 1).prefetch(worker);
-                            }
-                            if row_end < n {
-                                cur.row(row_end).prefetch(worker);
-                            }
-                            for r in lo..hi {
-                                // The two block-boundary neighbours are
-                                // remote: pin each once per step with one
-                                // bulk read.  In-block neighbours are owned
-                                // rows read through the DSM per element.
-                                let north = if r == row_start {
-                                    NeighbourRow::View(cur.row_view(worker, r - 1))
-                                } else {
-                                    NeighbourRow::Dsm(cur.row(r - 1))
-                                };
-                                let south = if r + 1 == row_end {
-                                    NeighbourRow::View(cur.row_view(worker, r + 1))
-                                } else {
-                                    NeighbourRow::Dsm(cur.row(r + 1))
-                                };
-                                let here = cur.row(r);
-                                let out = next.row(r);
-                                for c in 1..n - 1 {
-                                    let v = 0.25
-                                        * (north.get(worker, c)
-                                            + south.get(worker, c)
-                                            + here.get(worker, c - 1)
-                                            + here.get(worker, c + 1));
-                                    out.put(worker, c, v);
-                                }
-                                worker.charge_iters(&per_cell, (n - 2) as u64);
-                            }
-                            std::mem::swap(&mut cur, &mut next);
-                            barrier.arrive(worker);
-                        }
+                    if row_end < n {
+                        cur.row(row_end).prefetch(worker);
                     }
+                    for r in lo..hi {
+                        // The two block-boundary neighbours are remote: pin
+                        // each once per step with one bulk read.  In-block
+                        // neighbours are owned rows read through the DSM per
+                        // element.
+                        let north = if r == row_start {
+                            NeighbourRow::View(cur.row_view(worker, r - 1))
+                        } else {
+                            NeighbourRow::Dsm(cur.row(r - 1))
+                        };
+                        let south = if r + 1 == row_end {
+                            NeighbourRow::View(cur.row_view(worker, r + 1))
+                        } else {
+                            NeighbourRow::Dsm(cur.row(r + 1))
+                        };
+                        let here = cur.row(r);
+                        let out = next.row(r);
+                        for c in 1..n - 1 {
+                            let v = 0.25
+                                * (north.get(worker, c)
+                                    + south.get(worker, c)
+                                    + here.get(worker, c - 1)
+                                    + here.get(worker, c + 1));
+                            out.put(worker, c, v);
+                        }
+                        worker.charge_iters(&per_cell, (n - 2) as u64);
+                    }
+                    std::mem::swap(&mut cur, &mut next);
+                    barrier.arrive(worker);
                 }
             }));
         }
@@ -384,81 +325,15 @@ mod tests {
     }
 
     #[test]
-    fn both_access_modes_agree_for_both_protocols() {
-        let params = JacobiParams::quick();
-        let (expected_sum, _) = sequential(&params);
-        for protocol in ProtocolKind::all() {
-            for mode in [AccessMode::Element, AccessMode::Bulk] {
-                let out = run_with(config(3, protocol), &params, mode);
-                assert!(
-                    (out.result.interior_sum - expected_sum).abs() < 1e-6,
-                    "{protocol:?}/{mode}: {} vs {expected_sum}",
-                    out.result.interior_sum
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn bulk_boundary_exchange_reduces_protocol_traffic() {
-        let params = JacobiParams::quick();
-
-        // java_pf: the bulk exchange (cached row handles + per-page boundary
-        // reads) must produce strictly fewer protocol messages — page
-        // fetches and invalidated pages — than the per-element kernel.
-        let elem = run_with(
-            config(4, ProtocolKind::JavaPf),
-            &params,
-            AccessMode::Element,
-        );
-        let bulk = run_with(config(4, ProtocolKind::JavaPf), &params, AccessMode::Bulk);
-        assert_eq!(
-            bulk.result, elem.result,
-            "access modes must compute identical results"
-        );
-        let te = elem.report.total_stats();
-        let tb = bulk.report.total_stats();
-        assert!(
-            tb.page_loads < te.page_loads,
-            "bulk must fetch strictly fewer pages: {} vs {}",
-            tb.page_loads,
-            te.page_loads
-        );
-        assert!(
-            tb.pages_invalidated < te.pages_invalidated,
-            "bulk must invalidate strictly fewer pages: {} vs {}",
-            tb.pages_invalidated,
-            te.pages_invalidated
-        );
-
-        // java_ic: same results, far fewer in-line checks.
-        let elem_ic = run_with(
-            config(4, ProtocolKind::JavaIc),
-            &params,
-            AccessMode::Element,
-        );
-        let bulk_ic = run_with(config(4, ProtocolKind::JavaIc), &params, AccessMode::Bulk);
-        assert_eq!(bulk_ic.result, elem_ic.result);
-        assert!(
-            bulk_ic.report.total_stats().locality_checks
-                < elem_ic.report.total_stats().locality_checks
-        );
-
-        // And the two protocols agree with each other under bulk access.
-        assert_eq!(bulk.result, bulk_ic.result);
-    }
-
-    #[test]
-    fn element_mode_boundary_rows_complete_stride_fetches_in_flight() {
+    fn boundary_rows_complete_stride_fetches_in_flight() {
         // At size 80 with 4 threads each block holds 20 rows of 80 slots,
-        // so boundary rows span two pages.  Element-mode workers demand-miss
-        // neighbouring pages of one home in ascending order; where a miss
-        // starts at the page after the node's last fetch from that home, the
-        // stride prefetch puts the next page in flight and the later demand
-        // miss completes an RPC that is already under way.
+        // so a row can span two pages.  Where a fetch from a home starts at
+        // the page after the node's last fetch from that home, the stride
+        // prefetch puts the next page in flight and the later fetch of that
+        // page completes an RPC that is already under way.
         let params = JacobiParams { size: 80, steps: 5 };
         let config = HyperionConfig::new(myrinet_200(), 4, ProtocolKind::JavaPf);
-        let out = run_with(config, &params, AccessMode::Element);
+        let out = run(config, &params);
         let (expected_sum, _) = sequential(&params);
         assert!(
             (out.result.interior_sum - expected_sum).abs() < 1e-6,
@@ -468,7 +343,7 @@ mod tests {
         let total = out.report.total_stats();
         assert!(
             total.stride_fetches_completed > 0,
-            "demand misses must complete stride fetches in flight"
+            "boundary fetches must complete stride fetches in flight"
         );
         assert!(
             total.stride_fetches_wasted * 8 <= total.stride_fetches_issued.max(16),

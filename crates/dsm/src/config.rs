@@ -193,9 +193,8 @@ pub struct DeferredFlush {
 /// observing node.
 ///
 /// This is the distinction the paper's two protocols *detect* on every
-/// access; promoting it into the API lets programs ask once and then take a
-/// fast path (bulk transfers, pinned views) that elides the per-access
-/// detection entirely.
+/// access; [`crate::DsmSystem::locality`] reports it without detecting
+/// anything, so tests can observe a copy's state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Locality {
     /// The observing node is the page's home: every access is local.

@@ -55,6 +55,7 @@ use crate::diff::{
     decode_diff_reply, decode_fetch_reply, encode_diff, encode_diff_batch, DiffEntry,
 };
 use crate::fetch::NodeFetchState;
+use crate::fetch_wire::NAMED_COPY_BYTES;
 use crate::notices::{NodeLog, Notices};
 use crate::oracle::OneCaller;
 use crate::page::PageFrame;
@@ -189,8 +190,8 @@ impl DsmSystem {
 
     /// Classify the current locality of `page` as seen from `node`.
     ///
-    /// A pure query: it charges nothing and touches no protocol state.  The
-    /// runtime layer charges the paper's in-line check on top.
+    /// A pure query: it charges nothing and touches no protocol state, so
+    /// tests can observe a copy's state with it.
     pub fn locality(&self, node: NodeId, page: PageId) -> Locality {
         let _one = self.caller.enter("DsmSystem::locality");
         self.store.with_frame(node, page, |f| {
@@ -414,8 +415,9 @@ impl DsmSystem {
     /// grant (`NodeFetchState`; the next answer likely fits too).  A grant
     /// from `granter` patches its pages' copies, whatever detects them, in
     /// one loop (`patch_by_grant`): the stale open ones, which stay open, and
-    /// the dropped ones the index held, which the request names at 16 bytes
-    /// each and which reopen at one `mprotect` per run of protected pages.
+    /// the dropped ones the index held, which the request names at
+    /// `NAMED_COPY_BYTES` each and which reopen at one `mprotect` per run of
+    /// protected pages.
     /// The `java_ad` epoch of a page closes when a notice outdates its copy
     /// and no patch keeps it open (every page's at `invalidateCache`): when
     /// a detection miss is paid, or would be.  Returns how many reopened.
@@ -430,7 +432,8 @@ impl DsmSystem {
         let fetch_state = &self.fetch_state[node.index()];
         let protect = |frame: &PageFrame| self.detection.technique(frame) == AdMode::Protect;
         let requested = granter.map_or_else(Vec::new, |home| fetch_state.take_dropped(home));
-        clock.advance(machine.net.transfer(16 * requested.len() as u64));
+        let request_bytes = NAMED_COPY_BYTES * requested.len();
+        clock.advance(machine.net.transfer(request_bytes as u64));
         // The present copies to drop, each with the stamp a patch riding the
         // grant must bring it to instead (`None`: nothing rides for it).
         let mut stale = Vec::new();

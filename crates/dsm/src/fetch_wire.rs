@@ -40,6 +40,10 @@ pub const NO_ANSWER: u8 = 3;
 /// The page count's flag that a rider section follows the versions.
 const RIDERS: u32 = 1 << 31;
 
+/// One named copy, `page u64 · retained version u64`: a rider of a fetch
+/// request, and a dropped copy an acquire's request names to the granter.
+pub(crate) const NAMED_COPY_BYTES: usize = 16;
+
 /// Encode a fetch request for the `versions.len()` contiguous pages starting
 /// at `first`, all homed on the target node, naming `riders`.
 ///
@@ -47,7 +51,7 @@ const RIDERS: u32 = 1 << 31;
 /// Panics if `versions` is empty.
 pub fn encode_fetch_request(first: PageId, versions: &[u64], riders: &[(PageId, u64)]) -> Vec<u8> {
     assert!(!versions.is_empty(), "a fetch requests at least one page");
-    let mut out = Vec::with_capacity(16 + versions.len() * 8 + riders.len() * 16);
+    let mut out = Vec::with_capacity(16 + versions.len() * 8 + riders.len() * NAMED_COPY_BYTES);
     out.extend_from_slice(&first.0.to_le_bytes());
     let flag = if riders.is_empty() { 0 } else { RIDERS };
     out.extend_from_slice(&(versions.len() as u32 | flag).to_le_bytes());
@@ -87,7 +91,7 @@ pub fn decode_fetch_request(payload: &[u8]) -> Wire<FetchRequest> {
     if riders && n == 0 {
         return Err(WireError::Invalid("fetch request rider count"));
     }
-    r.fits(n, 16, "fetch request riders")?;
+    r.fits(n, NAMED_COPY_BYTES, "fetch request riders")?;
     let riders = (0..n)
         .map(|_| {
             let page = u64::from_le_bytes(r.le("fetch request rider")?);
@@ -116,6 +120,17 @@ pub enum PageReply<'a> {
     /// The slots that changed since the version the requester retains, in
     /// ascending order, and the version they bring its copy up to.
     Patch(u64, Vec<DiffEntry>),
+}
+
+impl PageReply<'_> {
+    /// How many bytes [`push_page_reply`] appends for this answer.
+    pub fn encoded_len(&self) -> usize {
+        9 + match self {
+            PageReply::NotModified(_) => 0,
+            PageReply::Full(..) => PAGE_BYTES,
+            PageReply::Patch(_, patch) => 4 + 10 * patch.len(),
+        }
+    }
 }
 
 /// Append one page's answer to a fetch reply (panics if a shipped page's
@@ -193,6 +208,12 @@ mod tests {
             PageReply::Patch(6, vec![(0, 1), (511, u64::MAX)]),
         ];
         let retained = [4, 0, 5];
+        // The codec alone sizes an answer: what it appends, in every shape.
+        for p in pages.iter().chain([&PageReply::Patch(5, vec![])]) {
+            let mut one = Vec::new();
+            push_page_reply(&mut one, p);
+            assert_eq!(p.encoded_len(), one.len(), "{p:?}");
+        }
         let mut reply = Vec::new();
         pages.iter().for_each(|p| push_page_reply(&mut reply, p));
         assert_eq!(reply.len(), 9 + 9 + PAGE_BYTES + 9 + 4 + 20, "no trailer");
@@ -247,9 +268,10 @@ mod tests {
         assert_eq!(err(PageReply::Patch(8, vec![(512, 1)]), 7), slot);
         // The longest patch is one entry short of a page; one more entry
         // (hand-encoded: the encoder refuses) is an error.
-        let longest = (0..MAX_PATCH_ENTRIES as u16).map(|s| (s, 1)).collect();
+        let longest = PageReply::Patch(8, (0..MAX_PATCH_ENTRIES as u16).map(|s| (s, 1)).collect());
         let mut reply = Vec::new();
-        push_page_reply(&mut reply, &PageReply::Patch(8, longest));
+        push_page_reply(&mut reply, &longest);
+        assert_eq!(longest.encoded_len(), reply.len());
         let longest_ok = decode_fetch_reply(&reply, &[7], &[]).is_ok();
         assert!(longest_ok && (9 + PAGE_BYTES - 10..9 + PAGE_BYTES).contains(&reply.len()));
         reply[9..13].copy_from_slice(&(MAX_PATCH_ENTRIES as u32 + 1).to_le_bytes());

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use hyperion_model::{MachineModel, VTime};
-use hyperion_pm2::{Node, NodeId, PageId, RpcHandler, RpcReply, PAGE_BYTES, SLOTS_PER_PAGE};
+use hyperion_pm2::{Node, NodeId, PageId, RpcHandler, RpcReply, SLOTS_PER_PAGE};
 
 use crate::diff::{
     decode_diff_message, decode_fetch_request, encode_diff_reply, push_page_reply, FetchRequest,
@@ -109,18 +109,18 @@ pub(crate) fn answer_page(
 /// The grant's cost rule: `answer` rides a monitor's grant only if its wire
 /// bytes plus the home's copy cycles cost at most one `mprotect`: one
 /// break-even, whatever detects the copy.  Its cost if it does.  A page
-/// never does; a "not modified" does.  Sized from the answer's shape:
-/// a grant patch applies it, a fetch's rider is answered by it, and every
-/// applied answer tells the copy whether the next is worth naming in a
-/// request (`apply_answer`).
+/// never does; a "not modified" does.  Sized by the codec
+/// ([`PageReply::encoded_len`]): a grant patch applies it, a fetch's rider
+/// is answered by it, and every applied answer tells the copy whether the
+/// next is worth naming in a request (`apply_answer`).
 pub(crate) fn grant_cost(machine: &MachineModel, answer: &PageReply<'_>) -> Option<VTime> {
-    let (bytes, slots) = match answer {
-        PageReply::NotModified(_) => (9, 0),
-        PageReply::Full(..) => (9 + PAGE_BYTES, SLOTS_PER_PAGE),
-        PageReply::Patch(_, entries) => (13 + 10 * entries.len(), entries.len()),
+    let slots = match answer {
+        PageReply::NotModified(_) => 0,
+        PageReply::Full(..) => SLOTS_PER_PAGE,
+        PageReply::Patch(_, entries) => entries.len(),
     };
     let copy = machine.dsm.page_copy_cycles_per_slot * slots as f64;
-    let cost = machine.net.transfer(bytes as u64) + machine.cpu.cycles(copy);
+    let cost = machine.net.transfer(answer.encoded_len() as u64) + machine.cpu.cycles(copy);
     (cost <= machine.dsm.mprotect_call).then_some(cost)
 }
 

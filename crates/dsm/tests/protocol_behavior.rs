@@ -299,10 +299,12 @@ fn locality_classification_tracks_protocol_state() {
 
     f.dsm.invalidate_cache(NodeId(0), &mut clock);
     assert_eq!(f.dsm.locality(NodeId(0), page), Locality::Remote);
-    // The query itself never charges anything.
+    // The query itself never charges anything, and under java_pf neither
+    // it nor the access counts an in-line check.
     let before = clock.now();
     let _ = f.dsm.locality(NodeId(0), page);
     assert_eq!(clock.now(), before);
+    assert_eq!(f.cluster.total_stats().locality_checks, 0);
     assert!(Locality::Local.is_resident());
     assert!(Locality::CachedRemote.is_resident());
     assert!(!Locality::Remote.is_resident());

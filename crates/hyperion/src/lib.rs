@@ -73,14 +73,13 @@ pub mod thread;
 pub use api::{arraycopy, JBarrier, SharedCounter};
 pub use layout::{Field, HStruct, ObjectLayout};
 pub use monitor::HMonitor;
-pub use object::{ArrayView, ArrayViewMut, HArray, HMatrix, HObject, MatrixRows, SlotValue};
+pub use object::{ArrayView, HArray, HMatrix, HObject, MatrixRows, SlotValue};
 pub use runtime::{ConfigError, HyperionConfig, HyperionRuntime, RunOutcome, RunReport, ThreadCtx};
 pub use thread::{HThreadHandle, LoadBalancer};
 
 // Re-export the pieces of the lower layers that appear in this crate's API.
 pub use hyperion_dsm::{
-    AdaptiveParams, DeferredFlush, HomeFlushMark, Locality, PolicyError, ProtocolKind,
-    TransportConfig,
+    AdaptiveParams, DeferredFlush, HomeFlushMark, PolicyError, ProtocolKind, TransportConfig,
 };
 pub use hyperion_model::{
     myrinet_200, sci_450, ClusterSpec, MachineModel, Op, OpCounts, StatsSnapshot, VTime,
@@ -93,13 +92,9 @@ pub mod prelude {
     pub use crate::api::{arraycopy, JBarrier, SharedCounter};
     pub use crate::layout::{Field, HStruct, ObjectLayout};
     pub use crate::monitor::HMonitor;
-    pub use crate::object::{
-        ArrayView, ArrayViewMut, HArray, HMatrix, HObject, MatrixRows, SlotValue,
-    };
+    pub use crate::object::{ArrayView, HArray, HMatrix, HObject, MatrixRows, SlotValue};
     pub use crate::runtime::{HyperionConfig, HyperionRuntime, RunOutcome, RunReport, ThreadCtx};
-    pub use hyperion_dsm::{
-        AdaptiveParams, DeferredFlush, Locality, ProtocolKind, TransportConfig,
-    };
+    pub use hyperion_dsm::{AdaptiveParams, DeferredFlush, ProtocolKind, TransportConfig};
     pub use hyperion_model::{
         myrinet_200, sci_450, ClusterSpec, Op, OpCounts, VTime, WorkEstimate,
     };

@@ -25,8 +25,6 @@
 //!   range through the DSM with per-page detection;
 //! * [`HArray::view`] pins a range into an [`ArrayView`] — a local snapshot
 //!   whose reads cost nothing at all;
-//! * [`HArray::view_mut`] yields an [`ArrayViewMut`] write buffer whose
-//!   [`ArrayViewMut::commit`] flushes the modified range per page;
 //! * [`HMatrix::rows_view`] fetches the row-reference vector once into a
 //!   [`MatrixRows`] handle cache, instead of re-reading the row-base slot
 //!   through the DSM on every `get`/`put`.
@@ -305,24 +303,6 @@ impl<T: SlotValue> HArray<T> {
         }
     }
 
-    /// Pin `range` into a local read-modify-write buffer.
-    ///
-    /// The current contents are bulk-read on creation; writes stay local
-    /// until [`ArrayViewMut::commit`] flushes the touched sub-range back
-    /// through one bulk write.
-    pub fn view_mut(&self, ctx: &mut ThreadCtx, range: impl RangeBounds<usize>) -> ArrayViewMut<T> {
-        let (start, end) = self.resolve_range(range);
-        let mut raw = vec![0u64; end - start];
-        ctx.read_slots(self.base.offset(start as u64), &mut raw);
-        ArrayViewMut {
-            array: *self,
-            start,
-            written: vec![false; raw.len()],
-            raw,
-            _marker: PhantomData,
-        }
-    }
-
     /// Write `value` into every element (one bulk write).
     pub fn fill(&self, ctx: &mut ThreadCtx, value: T) {
         let values = vec![value; self.len];
@@ -387,102 +367,6 @@ impl<T: SlotValue> std::fmt::Debug for ArrayView<T> {
         f.debug_struct("ArrayView")
             .field("start", &self.start)
             .field("len", &self.raw.len())
-            .finish()
-    }
-}
-
-/// A pinned read-modify-write buffer over a range of an [`HArray`].
-///
-/// Created by [`HArray::view_mut`].  Writes are local until
-/// [`ArrayViewMut::commit`]; dropping an uncommitted view discards its
-/// writes (there is no implicit flush — a drop cannot charge a clock).
-/// Indices are relative to the start of the viewed range.
-pub struct ArrayViewMut<T: SlotValue> {
-    array: HArray<T>,
-    start: usize,
-    raw: Vec<u64>,
-    /// One flag per element: set since creation / last commit.  Only set
-    /// elements are flushed, so a commit can never clobber a concurrent
-    /// writer's update to a slot this view merely snapshotted.
-    written: Vec<bool>,
-    _marker: PhantomData<fn() -> T>,
-}
-
-impl<T: SlotValue> ArrayViewMut<T> {
-    /// Number of elements in the view.
-    pub fn len(&self) -> usize {
-        self.raw.len()
-    }
-
-    /// True if the view covers no elements.
-    pub fn is_empty(&self) -> bool {
-        self.raw.is_empty()
-    }
-
-    /// Index (in the parent array) of the view's first element.
-    pub fn start(&self) -> usize {
-        self.start
-    }
-
-    /// Read element `i` of the view (observes local writes).
-    ///
-    /// # Panics
-    /// Panics if `i` is out of bounds.
-    #[inline]
-    pub fn get(&self, i: usize) -> T {
-        T::from_slot(self.raw[i])
-    }
-
-    /// Write element `i` of the view locally.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of bounds.
-    #[inline]
-    pub fn set(&mut self, i: usize, value: T) {
-        self.raw[i] = value.to_slot();
-        self.written[i] = true;
-    }
-
-    /// True if any element has been modified since creation / last commit.
-    pub fn is_dirty(&self) -> bool {
-        self.written.iter().any(|&w| w)
-    }
-
-    /// Flush the modified elements back, one bulk write per contiguous run
-    /// of [`ArrayViewMut::set`] elements, and return the view for further
-    /// use.  A clean view flushes nothing.
-    ///
-    /// Only elements actually written through this view are flushed — slots
-    /// the view merely snapshotted are left alone, preserving the DSM's
-    /// field-granularity no-clobber guarantee exactly as an element-wise
-    /// sequence of `put`s would.
-    pub fn commit(mut self, ctx: &mut ThreadCtx) -> Self {
-        let mut i = 0usize;
-        while i < self.written.len() {
-            if !self.written[i] {
-                i += 1;
-                continue;
-            }
-            let run_start = i;
-            while i < self.written.len() && self.written[i] {
-                i += 1;
-            }
-            ctx.write_slots(
-                self.array.base.offset((self.start + run_start) as u64),
-                &self.raw[run_start..i],
-            );
-        }
-        self.written.fill(false);
-        self
-    }
-}
-
-impl<T: SlotValue> std::fmt::Debug for ArrayViewMut<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ArrayViewMut")
-            .field("start", &self.start)
-            .field("len", &self.raw.len())
-            .field("dirty", &self.is_dirty())
             .finish()
     }
 }
@@ -834,59 +718,6 @@ mod tests {
     }
 
     #[test]
-    fn mutable_views_buffer_writes_until_commit() {
-        let rt = runtime(2);
-        rt.run(|ctx| {
-            let arr: HArray<i64> = ctx.alloc_array(10, NodeId(0));
-            arr.fill(ctx, 7);
-            let mut vm = arr.view_mut(ctx, 2..8);
-            assert!(!vm.is_dirty());
-            assert_eq!(vm.get(0), 7, "view_mut reads current contents");
-            vm.set(1, -1);
-            vm.set(3, -3);
-            assert!(vm.is_dirty());
-            // Not yet visible through the DSM.
-            assert_eq!(arr.get(ctx, 3), 7);
-            let vm = vm.commit(ctx);
-            assert!(!vm.is_dirty());
-            assert_eq!(arr.get(ctx, 3), -1);
-            assert_eq!(arr.get(ctx, 5), -3);
-            assert_eq!(arr.get(ctx, 2), 7, "untouched elements keep their value");
-            // A clean commit flushes nothing.
-            let writes_before = ctx.shared.cluster.total_stats().bulk_writes;
-            let _ = vm.commit(ctx);
-            assert_eq!(ctx.shared.cluster.total_stats().bulk_writes, writes_before);
-        });
-    }
-
-    #[test]
-    fn commit_flushes_only_written_slots_and_never_clobbers_others() {
-        let rt = runtime(2);
-        rt.run(|ctx| {
-            let arr: HArray<i64> = ctx.alloc_array(10, NodeId(0));
-            arr.fill(ctx, 1);
-            // Snapshot the whole array, then write only the two ends.
-            let mut vm = arr.view_mut(ctx, ..);
-            vm.set(0, 100);
-            vm.set(9, 900);
-            // A concurrent thread on another node updates a middle slot and
-            // flushes it home (thread exit is a release point).
-            let worker = ctx.spawn_on(NodeId(1), move |t| {
-                arr.put(t, 5, 555);
-            });
-            ctx.join(worker);
-            assert_eq!(arr.get(ctx, 5), 555);
-            // Committing the view must flush exactly the two written slots:
-            // the stale snapshot of slot 5 must NOT be written back.
-            let _ = vm.commit(ctx);
-            assert_eq!(arr.get(ctx, 0), 100);
-            assert_eq!(arr.get(ctx, 9), 900);
-            assert_eq!(arr.get(ctx, 5), 555, "commit clobbered a concurrent write");
-            assert_eq!(arr.get(ctx, 4), 1, "untouched slots keep their value");
-        });
-    }
-
-    #[test]
     fn rows_view_caches_row_handles() {
         let rt = runtime(3);
         let out = rt.run(|ctx| {
@@ -916,9 +747,7 @@ mod tests {
             }
             let rv = rows.row_view(ctx, 2);
             let total: i64 = rv.iter().sum();
-            let mut rvm = rows.row(3).view_mut(ctx, ..);
-            rvm.set(0, 999);
-            let _ = rvm.commit(ctx);
+            rows.row(3).write_slice(ctx, 0, &[999]);
             assert_eq!(m.get(ctx, 3, 0), 999);
             total
         });

@@ -4,16 +4,16 @@
 //! A [`HyperionRuntime`] is the Rust analogue of "one distributed JVM over
 //! the cluster": it owns the cluster model, the iso-address allocator, the
 //! DSM system configured with one of the two access-detection protocols, the
-//! thread registry and the load balancer.  [`HyperionRuntime::run`] executes
+//! thread-id counter and the load balancer.  [`HyperionRuntime::run`] executes
 //! a program — a closure playing the role of `main` — on node 0 and returns
 //! both the program's result and a [`RunReport`] with the virtual execution
 //! time and the per-node event statistics.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use hyperion_dsm::{
-    AdaptiveParams, DsmStore, DsmSystem, Locality, Notices, PolicyError, ProtocolKind,
-    TransportConfig,
+    AdaptiveParams, DsmStore, DsmSystem, Notices, PolicyError, ProtocolKind, TransportConfig,
 };
 use hyperion_model::sync::lock;
 use hyperion_model::vtime::TimeWatermark;
@@ -21,9 +21,7 @@ use hyperion_model::{
     ClusterSpec, CpuModel, MachineModel, NodeStats, OpCounts, StatsSnapshot, ThreadClock, VTime,
     WireServiceSnapshot, WorkEstimate,
 };
-use hyperion_pm2::{
-    Cluster, GlobalAddr, IsoAllocator, NodeId, ThreadId, ThreadRegistry, TransportBackend,
-};
+use hyperion_pm2::{Cluster, GlobalAddr, IsoAllocator, NodeId, ThreadId, TransportBackend};
 
 use crate::order::{Baton, Key};
 use crate::thread::{HThreadHandle, LoadBalancer};
@@ -223,7 +221,8 @@ pub(crate) struct RuntimeShared {
     pub(crate) cluster: Arc<Cluster>,
     pub(crate) allocator: Arc<IsoAllocator>,
     pub(crate) dsm: Arc<DsmSystem>,
-    pub(crate) registry: ThreadRegistry,
+    /// The id the next started thread gets; also how many have started.
+    pub(crate) next_thread: AtomicU64,
     pub(crate) balancer: LoadBalancer,
     pub(crate) finish: TimeWatermark,
     /// Which application thread runs: one at a time, in virtual-time order
@@ -267,7 +266,7 @@ impl HyperionRuntime {
                 cluster,
                 allocator,
                 dsm,
-                registry: ThreadRegistry::new(),
+                next_thread: AtomicU64::new(0),
                 balancer,
                 finish: TimeWatermark::new(),
                 baton: Baton::default(),
@@ -314,7 +313,7 @@ impl HyperionRuntime {
     pub fn run<R>(&self, main: impl FnOnce(&mut ThreadCtx) -> R) -> RunOutcome<R> {
         let shared = &self.shared;
         let main_node = NodeId(0);
-        let tid = shared.registry.register(main_node);
+        let tid = ThreadId(shared.next_thread.fetch_add(1, Ordering::Relaxed));
         NodeStats::bump(&shared.cluster.node(main_node).stats.threads_spawned);
         shared.baton.begin(tid);
         let known = Notices::default();
@@ -328,7 +327,6 @@ impl HyperionRuntime {
         // Wait for threads the program did not join; their final virtual
         // times are already folded into the finish watermark.
         shared.baton.drain(tid);
-        shared.registry.mark_terminated(tid);
         shared.finish.record(ctx.clock.now());
         ctx.merge_serving_latencies();
 
@@ -355,7 +353,7 @@ impl HyperionRuntime {
             protocol: shared.config.protocol,
             cluster_label: shared.config.cluster.label().to_string(),
             nodes: shared.config.nodes,
-            threads: shared.registry.total(),
+            threads: shared.next_thread.load(Ordering::Relaxed) as usize,
             execution_time: shared.finish.max(),
             main_thread_time: ctx.clock.now(),
             node_stats,
@@ -414,7 +412,8 @@ pub struct RunReport {
     pub cluster_label: String,
     /// Number of nodes used.
     pub nodes: usize,
-    /// Number of threads created (including `main`).
+    /// Number of threads started, `main` included: the last thread id
+    /// handed out plus one.
     pub threads: usize,
     /// Virtual execution time: the latest finishing time over all threads.
     pub execution_time: VTime,
@@ -749,28 +748,6 @@ impl ThreadCtx {
             .prefetch_span(self.node, &mut self.clock, first, last.0 - first.0 + 1);
     }
 
-    /// Classify the locality of `addr` as seen from this thread's node.
-    ///
-    /// Under `java_ic` this *is* one in-line locality check and is charged
-    /// (and counted) as such — the program performs exactly the check the
-    /// compiled code would, but keeps the answer.  Under `java_pf` and
-    /// `java_ad` locality is a free page-table lookup (those runtimes
-    /// already maintain per-page state, so resident accesses cost nothing).
-    ///
-    /// A [`Locality::is_resident`] answer is a *snapshot*: it stays valid
-    /// until this node's next cache invalidation (monitor entry, `join`),
-    /// after which remote pages must be re-detected.
-    pub fn locality(&mut self, addr: GlobalAddr) -> Locality {
-        let loc = self.shared.dsm.locality(self.node, addr.page());
-        if self.shared.config.protocol == ProtocolKind::JavaIc {
-            let node_ref = self.shared.cluster.node(self.node);
-            NodeStats::bump(&node_ref.stats.locality_checks);
-            let check = self.shared.cluster.machine().cpu.locality_check();
-            self.clock.advance(check);
-        }
-        loc
-    }
-
     /// Bulk read of `out.len()` consecutive slots starting at `addr`,
     /// paying access detection once per touched page instead of once per
     /// slot (the raw form of [`crate::object::HArray::read_slice`]).
@@ -846,7 +823,7 @@ impl ThreadCtx {
         // Child-side initialisation before user code runs.
         start += create_cost;
 
-        let tid = self.shared.registry.register(node);
+        let tid = ThreadId(self.shared.next_thread.fetch_add(1, Ordering::Relaxed));
         NodeStats::bump(&self.shared.cluster.node(node).stats.threads_spawned);
 
         let shared = Arc::clone(&self.shared);
@@ -866,7 +843,6 @@ impl ThreadCtx {
                 crate::jmm::release(&mut ctx, None);
                 let end = ctx.clock.now();
                 ctx.merge_serving_latencies();
-                shared.registry.mark_terminated(tid);
                 shared.finish.record(end);
                 (end, std::mem::take(&mut ctx.knowledge))
             })
@@ -1069,27 +1045,30 @@ mod tests {
 
     #[test]
     fn locality_query_classifies_and_charges_per_protocol() {
-        // java_pf: the query is free.
+        use hyperion_dsm::Locality::{CachedRemote, Local, Remote};
+        // java_pf: classification is a free page-table lookup, and neither
+        // it nor the access counts an in-line check.
         let rt = HyperionRuntime::new(config(2, ProtocolKind::JavaPf)).unwrap();
-        rt.run(|ctx| {
-            let local = ctx.alloc_slots(4, NodeId(0));
-            let remote = ctx.alloc_slots(4, NodeId(1));
+        let dsm = Arc::clone(rt.dsm());
+        rt.run(move |ctx| {
+            let (local, remote) = (ctx.alloc_slots(4, NodeId(0)), ctx.alloc_slots(4, NodeId(1)));
             let t0 = ctx.now();
-            assert_eq!(ctx.locality(local), Locality::Local);
-            assert_eq!(ctx.locality(remote), Locality::Remote);
+            assert_eq!(dsm.locality(ctx.node(), local.page()), Local);
+            assert_eq!(dsm.locality(ctx.node(), remote.page()), Remote);
             assert_eq!(ctx.now(), t0, "pf locality queries are free");
             let _ = ctx.get_slot(remote); // fault + fetch
-            assert_eq!(ctx.locality(remote), Locality::CachedRemote);
+            assert_eq!(dsm.locality(ctx.node(), remote.page()), CachedRemote);
         });
         assert_eq!(rt.cluster().total_stats().locality_checks, 0);
-
-        // java_ic: the query is one in-line check, charged and counted.
+        // java_ic: the access pays the one in-line check; the query does not.
         let rt = HyperionRuntime::new(config(2, ProtocolKind::JavaIc)).unwrap();
-        rt.run(|ctx| {
+        let dsm = Arc::clone(rt.dsm());
+        rt.run(move |ctx| {
             let remote = ctx.alloc_slots(4, NodeId(1));
             let t0 = ctx.now();
-            assert_eq!(ctx.locality(remote), Locality::Remote);
-            assert!(ctx.now() > t0, "ic locality queries cost one check");
+            assert_eq!(dsm.locality(ctx.node(), remote.page()), Remote);
+            assert_eq!(ctx.now(), t0, "the DSM query charges nothing");
+            let _ = ctx.get_slot(remote);
         });
         assert_eq!(rt.cluster().total_stats().locality_checks, 1);
     }

@@ -18,8 +18,8 @@
 //! * [`iso`] — iso-address allocation: every node sees every object at the
 //!   same global address, so references remain valid wherever the object is
 //!   replicated (§3.1 of the paper).
-//! * [`threads`] — thread identity and per-node thread registry (the paper's
-//!   "threads subsystem"; actual scheduling uses native OS threads).
+//! * [`threads`] — thread identity (the paper's "threads subsystem"; actual
+//!   scheduling uses native OS threads).
 //! * [`transport`] / [`socket`] — the transport layer: the in-process
 //!   cost-model [`SimTransport`] (default) and the Unix-domain
 //!   [`SocketTransport`] that serves each node's handler table from behind
@@ -48,7 +48,7 @@ pub use fault::{retry_backoff, FaultKill, FaultSpec, FaultyTransport, RPC_ATTEMP
 pub use iso::{GlobalAddr, IsoAllocator, PageId, PAGE_BYTES, SLOTS_PER_PAGE, SLOT_BYTES};
 pub use node::{Node, NodeId};
 pub use socket::SocketTransport;
-pub use threads::{ThreadId, ThreadRegistry};
+pub use threads::ThreadId;
 pub use transport::{
     idle_round_trip, reply_leg, SimTransport, Transport, TransportBackend, TransportError,
 };

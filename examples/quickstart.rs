@@ -71,7 +71,7 @@ fn workload(protocol: ProtocolKind) -> RunOutcome<f64> {
         // Checksum so both protocols can be compared for correctness too.
         // Main reads the final state through pinned views: detection is
         // paid once per page, and the element reads are free.
-        assert_eq!(ctx.locality(smoothed.base()), Locality::Local);
+        assert_eq!(ctx.home_of(smoothed.base()), NodeId(0));
         let smoothed_view = smoothed.view(ctx, ..);
         let hist_view = histogram.view(ctx, ..);
         let mut sum: f64 = smoothed_view.iter().sum();
