@@ -588,17 +588,6 @@ fn threshold_ablation_text(scale: Scale) -> String {
     text
 }
 
-/// The keep-or-cut audit (`figures --audit`): every app under every
-/// protocol, once each (a run repeats exactly), on the Myrinet cluster at
-/// [`ADAPTIVE_NODES`] nodes.  Built at two commits, its two tables are a
-/// before/after comparison with nothing but the public API on either side.
-/// `each` sees every cell as it completes.
-pub fn sweep_audit(scale: Scale, mut each: impl FnMut(&FigureRow)) {
-    for point in Point::grid(BenchmarkName::all_extended(), scale) {
-        each(&point.run());
-    }
-}
-
 /// The modeled-vs-measured sweep behind `figures --transport socket`: all
 /// five apps under all three protocols on the Myrinet cluster at
 /// [`ADAPTIVE_NODES`] nodes, with every RPC carried by `backend` instead of

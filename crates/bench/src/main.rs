@@ -49,8 +49,8 @@ use hyperion::prelude::*;
 use hyperion::FaultSpec;
 use hyperion_bench::{
     bench_report_rows, claims_text, extension_figure, figure_numbers, paper_figure, report,
-    sweep_audit, sweep_chaos, sweep_figure, sweep_modeled_vs_measured, table1_modules,
-    table2_primitives, FigureRow, Scale,
+    sweep_chaos, sweep_figure, sweep_modeled_vs_measured, table1_modules, table2_primitives,
+    FigureRow, Scale,
 };
 
 #[derive(Default)]
@@ -157,8 +157,10 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// The `--audit` path: one line per (app, protocol) cell, printed as the
-/// cell completes.
+/// The keep-or-cut audit (`--audit`): one line per (app, protocol) cell of
+/// [`bench_report_rows`], each run once (a run repeats exactly), printed
+/// once the sweep ends.  Built at two commits, its two tables are a
+/// before/after comparison with nothing but the public API on either side.
 fn run_audit(scale: Scale) {
     println!(
         "== Audit: app x protocol, {} nodes ==",
@@ -168,7 +170,7 @@ fn run_audit(scale: Scale) {
         "{:<11} {:<8} {:>12} {:>24} {:>11} {:>7} {:>9} {:>7}",
         "App", "protocol", "seconds", "digest", "page_loads", "stride", "completed", "wasted"
     );
-    sweep_audit(scale, |row| {
+    for row in bench_report_rows(scale) {
         println!(
             "{:<11} {:<8} {:>12.6} {:>24} {:>11} {:>7} {:>9} {:>7}",
             row.app.to_string(),
@@ -180,7 +182,7 @@ fn run_audit(scale: Scale) {
             row.stats.stride_fetches_completed,
             row.stats.stride_fetches_wasted,
         );
-    });
+    }
     println!();
 }
 

@@ -141,10 +141,12 @@ impl std::fmt::Display for PolicyError {
 impl std::error::Error for PolicyError {}
 
 /// One home's contribution to a deferred release flush: when its flush RPC
-/// was issued and when it completes.  Keeping the record *per home* is what
-/// lets the monitor layer account hidden overlap per home instead of
-/// parking every flush behind the single slowest completion (the per-home
-/// watermark follow-on of the deferred-flush PR).
+/// was issued and when it completes.  A deferred flush is its marks, one per
+/// home (empty if nothing was deferred): the monitor that performed the
+/// release stores them and merges every `completion` into its next
+/// acquirer's clock, and keeping them *per home* lets it credit each home's
+/// hidden overlap instead of parking every flush behind the single slowest
+/// completion.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HomeFlushMark {
     /// The home node the diff batch was flushed to.
@@ -166,66 +168,5 @@ impl HomeFlushMark {
             }
             None => marks.push(self),
         }
-    }
-}
-
-/// The record a deferred release flush leaves behind: the virtual instant
-/// the flush RPCs were issued and the instant the last of them completes,
-/// plus one [`HomeFlushMark`] per home flushed.  The monitor that performed
-/// the release stores it and merges every home's `completion` into the next
-/// acquirer's clock (see [`TransportConfig`]) — merging all homes equals
-/// merging the max, so the JMM edge is unchanged, but the per-home issue
-/// stamps let hidden-overlap accounting credit each home's flush window
-/// individually.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DeferredFlush {
-    /// Virtual time at which the releasing thread finished issuing the
-    /// flush RPCs (everything before this was charged at the release).
-    pub issue: VTime,
-    /// Virtual time at which the last flush RPC completes; the next acquire
-    /// of the same monitor can not happen before this.
-    pub completion: VTime,
-    /// Per-home issue/completion watermarks.
-    pub homes: Vec<HomeFlushMark>,
-}
-
-/// Where the page behind an address currently lives, relative to an
-/// observing node.
-///
-/// This is the distinction the paper's two protocols *detect* on every
-/// access; [`crate::DsmSystem::locality`] reports it without detecting
-/// anything, so tests can observe a copy's state.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Locality {
-    /// The observing node is the page's home: every access is local.
-    Local,
-    /// A remote page with a valid, unprotected cached copy on the node:
-    /// accesses are served locally until the next cache invalidation.
-    CachedRemote,
-    /// A remote page with no usable local copy: the next access pays the
-    /// full detection-plus-fetch path.
-    Remote,
-}
-
-impl Locality {
-    /// True if an access right now would be served without DSM traffic
-    /// (home page or valid cached copy).
-    pub fn is_resident(self) -> bool {
-        !matches!(self, Locality::Remote)
-    }
-
-    /// Short lower-case name for logs and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Locality::Local => "local",
-            Locality::CachedRemote => "cached-remote",
-            Locality::Remote => "remote",
-        }
-    }
-}
-
-impl std::fmt::Display for Locality {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
     }
 }

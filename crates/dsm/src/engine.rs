@@ -47,9 +47,7 @@ use hyperion_pm2::{
     reply_leg, Cluster, GlobalAddr, Node, NodeId, PageId, ServiceId, SLOTS_PER_PAGE,
 };
 
-use crate::config::{
-    AdaptiveParams, DeferredFlush, HomeFlushMark, Locality, ProtocolKind, TransportConfig,
-};
+use crate::config::{AdaptiveParams, HomeFlushMark, ProtocolKind, TransportConfig};
 use crate::detection::{AdMode, Detection, FLUSH_BATCH_PAGES};
 use crate::diff::{
     decode_diff_reply, decode_fetch_reply, encode_diff, encode_diff_batch, DiffEntry,
@@ -186,23 +184,6 @@ impl DsmSystem {
         if frame.store_slot(addr.slot(), value) {
             self.written[node.index()].push([(page, u64::MAX)]);
         }
-    }
-
-    /// Classify the current locality of `page` as seen from `node`.
-    ///
-    /// A pure query: it charges nothing and touches no protocol state, so
-    /// tests can observe a copy's state with it.
-    pub fn locality(&self, node: NodeId, page: PageId) -> Locality {
-        let _one = self.caller.enter("DsmSystem::locality");
-        self.store.with_frame(node, page, |f| {
-            if f.is_home() {
-                Locality::Local
-            } else if f.is_present() && !f.is_protected() {
-                Locality::CachedRemote
-            } else {
-                Locality::Remote
-            }
-        })
     }
 
     /// Bulk read of `out.len()` consecutive slots starting at `addr`: the
@@ -374,20 +355,21 @@ impl DsmSystem {
     /// releases a monitor on `home`: the diffs for pages `home` homes ride
     /// the release, and the instant the home has applied them is returned
     /// last (none if nothing rode); the other diffs are deferred to the
-    /// monitor's next acquire (the returned [`DeferredFlush`]).
+    /// monitor's next acquire (the returned per-home marks, empty if none
+    /// was).
     pub fn release(
         &self,
         node: NodeId,
         clock: &mut ThreadClock,
         cursor: &mut u64,
         monitor: Option<NodeId>,
-    ) -> (Option<DeferredFlush>, Notices, Option<VTime>) {
+    ) -> (Vec<HomeFlushMark>, Notices, Option<VTime>) {
         let _one = self.caller.enter("DsmSystem::release");
         let (node_ref, dirty) = (self.cluster.node(node), self.collect_dirty(node));
         let flushed = self.flush_frames(node, node_ref, clock, &dirty, monitor.is_some(), monitor);
         let (flushed, rode) = self.unwrap_rpc(flushed);
         let store = &self.store;
-        let stamp_of = |page| store.with_frame(store.home_of(page), page, PageFrame::written_stamp);
+        let stamp_of = |page| store.frame(store.home_of(page), page).written_stamp();
         let written = self.written[node.index()].since(cursor).into_iter();
         let resolved = written.map(|(p, s)| (p, if s == u64::MAX { stamp_of(p) } else { s }));
         let written = Notices::from_pairs(resolved.collect());
@@ -608,15 +590,15 @@ impl DsmSystem {
 
     /// Deferred-release form of [`DsmSystem::update_main_memory`]: the diffs
     /// are issued as split transactions, the caller pays only their issue,
-    /// and the returned [`DeferredFlush`] names the instant the last one
-    /// completes, which the *next acquire of the same monitor* must merge —
-    /// exactly the happens-before edge the JMM requires of a release.
-    /// With nothing dirty `None` is returned.
+    /// and the returned per-home marks name the instant each home's last
+    /// one completes, which the *next acquire of the same monitor* must
+    /// merge — exactly the happens-before edge the JMM requires of a
+    /// release.  With nothing dirty they are empty.
     pub fn update_main_memory_deferred(
         &self,
         node: NodeId,
         clock: &mut ThreadClock,
-    ) -> Option<DeferredFlush> {
+    ) -> Vec<HomeFlushMark> {
         let _one = self.caller.enter("DsmSystem::update_main_memory_deferred");
         let (node_ref, dirty) = (self.cluster.node(node), self.collect_dirty(node));
         let flushed = self.flush_frames(node, node_ref, clock, &dirty, true, None);
@@ -657,8 +639,8 @@ impl DsmSystem {
     /// split transaction (only the issue path is charged to `clock`), and
     /// the instant the home has applied the last of them is returned beside
     /// the flush.  With `deferred` set, every other diff RPC is issued that
-    /// way too and the per-home completion watermarks are returned as a
-    /// [`DeferredFlush`]; blocking mode merges each completion on the spot.
+    /// way too and the per-home completion watermarks are returned; blocking
+    /// mode merges each completion on the spot.
     pub(crate) fn flush_frames(
         &self,
         node: NodeId,
@@ -667,7 +649,7 @@ impl DsmSystem {
         dirty: &[(PageId, Arc<PageFrame>)],
         deferred: bool,
         monitor: Option<NodeId>,
-    ) -> Result<(Option<DeferredFlush>, Option<VTime>), crate::recover::RpcFailure> {
+    ) -> Result<(Vec<HomeFlushMark>, Option<VTime>), crate::recover::RpcFailure> {
         let machine = self.cluster.machine();
         let (mut marks, mut rode): (Vec<HomeFlushMark>, Option<VTime>) = (Vec::new(), None);
         let mut i = 0usize;
@@ -752,13 +734,7 @@ impl DsmSystem {
             self.written[node.index()].push(acked);
             i = j;
         }
-        let completion = marks.iter().map(|m| m.completion).max();
-        let flushed = completion.map(|completion| DeferredFlush {
-            issue: clock.now(),
-            completion,
-            homes: marks,
-        });
-        Ok((flushed, rode))
+        Ok((marks, rode))
     }
 }
 

@@ -38,7 +38,9 @@
 //!   happening-before write changed;
 //! * [`recover`] — the fault plane's DSM side: the fixed retry schedule
 //!   of the RPC path and the recovery from the one node a run can lose
-//!   (re-homing its pages onto the lowest-id live node).
+//!   (re-homing its pages onto the lowest-id live node, which from then on
+//!   homes every page the allocator gave the lost one — a rule, not a
+//!   per-page record).
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -57,10 +59,7 @@ pub mod recover;
 mod services;
 pub mod table;
 
-pub use config::{
-    AdaptiveParams, DeferredFlush, HomeFlushMark, Locality, PolicyError, ProtocolKind,
-    TransportConfig,
-};
+pub use config::{AdaptiveParams, HomeFlushMark, PolicyError, ProtocolKind, TransportConfig};
 pub use detection::AdMode;
 pub use engine::DsmSystem;
 pub use hyperion_pm2::TransportBackend;

@@ -72,10 +72,9 @@ impl DsmSystem {
             return;
         }
         let home = self.store.home_of(page);
-        let differing = self.store.with_frame(home, page, |h| {
-            (0..hyperion_pm2::SLOTS_PER_PAGE)
-                .find(|&s| !frame.slot_is_dirty(s) && frame.load_slot(s) != h.load_slot(s))
-        });
+        let h = self.store.frame(home, page);
+        let differing = (0..hyperion_pm2::SLOTS_PER_PAGE)
+            .find(|&s| !frame.slot_is_dirty(s) && frame.load_slot(s) != h.load_slot(s));
         if let Some(slot) = differing {
             panic!(
                 "stale copy revalidated: {page:?} slot {slot} differs from home {home} \

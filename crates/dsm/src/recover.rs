@@ -29,16 +29,20 @@
 //!
 //! 1. elects the new home, once: the lowest-id live node
 //!    ([`crate::table::DsmStore::first_live_node`]);
-//! 2. re-homes every page the dead node homed onto it
-//!    (`DsmStore::rehome`, the one re-homing there is): the dead node's
-//!    frame is demoted (later writes by its still-running threads become
-//!    ordinary dirty bits that flush to the new home) and snapshotted —
-//!    the authoritative copy, standing in for the stable storage a
-//!    production home would recover from — and the winner's frame is
-//!    promoted from the snapshot (local writes the winner had pending
-//!    survive) under a stamp no older copy can validate against;
+//! 2. re-homes every page whose *static* home (the allocator's) is the dead
+//!    node onto it (`DsmStore::rehome`, the one re-homing there is): the
+//!    dead node's frame is demoted (later writes by its still-running
+//!    threads become ordinary dirty bits that flush to the new home) and
+//!    snapshotted — the authoritative copy, standing in for the stable
+//!    storage a production home would recover from — and the winner's
+//!    frame is promoted from the snapshot (local writes the winner had
+//!    pending survive) under a stamp no older copy can validate against;
 //! 3. charges the re-sync: `resync_page_cycles` plus one page transfer on
-//!    the wire, all visible in `pages_resynced`.
+//!    the wire, all visible in `pages_resynced`;
+//! 4. switches the home rule on (`DsmStore::rehomed_all`): from here on
+//!    `home_of` names the winner for every page whose static home is the
+//!    dead node — the pages just moved, and any page allocated there
+//!    later, which the winner homes from its first touch.
 //!
 //! Recovery is idempotent: exactly one observer performs it
 //! (`mark_failed` returns true once, and panics if a later call names a
@@ -205,12 +209,12 @@ impl DsmSystem {
         let mut resynced = 0u64;
         for p in 0..self.store.allocator().num_pages() {
             let page = PageId(p as u64);
-            if self.store.home_of(page) != peer {
+            if self.store.allocator().home_of(page) != peer {
                 continue;
             }
             // The dead node's frame is the authoritative copy, standing in
             // for the stable storage a production home would recover from.
-            self.store.rehome(page, winner);
+            self.store.rehome(page, peer, winner);
             resynced += 1;
         }
         if resynced > 0 {
@@ -222,5 +226,6 @@ impl DsmSystem {
             );
             clock.advance(machine.net.transfer(resynced * PAGE_BYTES as u64));
         }
+        self.store.rehomed_all(peer, winner);
     }
 }

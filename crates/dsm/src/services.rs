@@ -39,7 +39,7 @@ pub(crate) fn serve_fetch(
     for (k, &retained) in versions.iter().enumerate() {
         let page = PageId(first.0 + k as u64);
         debug_assert!(
-            store.home_of(page) == home || store.page_rehomed(page),
+            store.home_of(page) == home || store.allocator().home_of(page) == home,
             "page fetch sent to a node that is not the page's home"
         );
         let slots = answer_page(store, page, retained, None, &mut reply);
@@ -77,33 +77,31 @@ pub(crate) fn answer_page(
     // the transport's kill check), in which case the new home's
     // authoritative frame answers (the shared store gives the modelled
     // handler direct access to it).
-    store.with_frame(store.home_of(page), page, |f| {
-        // Stamp first, values second — for a patch as for a page: the copy
-        // may end up stamped older than its bytes, never newer (see
-        // `crate::page`).
-        let (stamp, changed) = f.changes_since(retained);
-        debug_assert_ne!(stamp, 0, "home stamps start at 1");
-        let count = |set: &SlotSet| set.iter().map(|w| w.count_ones() as usize).sum::<usize>();
-        let patch = changed
-            .map(|set| (count(&set), set))
-            .filter(|&(slots, _)| slots <= MAX_PATCH_ENTRIES);
-        let bytes;
-        let (answer, slots) = if retained == stamp {
-            (PageReply::NotModified(stamp), 0)
-        } else if let Some((slots, changed)) = patch {
-            (PageReply::Patch(stamp, f.load_slots(&changed)), slots)
-        } else if grant.is_none() {
-            bytes = f.data().snapshot_bytes();
-            (PageReply::Full(stamp, &bytes), SLOTS_PER_PAGE)
-        } else {
-            return None;
-        };
-        if grant.is_some_and(|machine| grant_cost(machine, &answer).is_none()) {
-            return None;
-        }
-        push_page_reply(reply, &answer);
-        Some(slots)
-    })
+    let f = store.frame(store.home_of(page), page);
+    // Stamp first, values second — for a patch as for a page: the copy may
+    // end up stamped older than its bytes, never newer (see `crate::page`).
+    let (stamp, changed) = f.changes_since(retained);
+    debug_assert_ne!(stamp, 0, "home stamps start at 1");
+    let count = |set: &SlotSet| set.iter().map(|w| w.count_ones() as usize).sum::<usize>();
+    let patch = changed
+        .map(|set| (count(&set), set))
+        .filter(|&(slots, _)| slots <= MAX_PATCH_ENTRIES);
+    let bytes;
+    let (answer, slots) = if retained == stamp {
+        (PageReply::NotModified(stamp), 0)
+    } else if let Some((slots, changed)) = patch {
+        (PageReply::Patch(stamp, f.load_slots(&changed)), slots)
+    } else if grant.is_none() {
+        bytes = f.data().snapshot_bytes();
+        (PageReply::Full(stamp, &bytes), SLOTS_PER_PAGE)
+    } else {
+        return None;
+    };
+    if grant.is_some_and(|machine| grant_cost(machine, &answer).is_none()) {
+        return None;
+    }
+    push_page_reply(reply, &answer);
+    Some(slots)
 }
 
 /// The grant's cost rule: `answer` rides a monitor's grant only if its wire
@@ -145,7 +143,7 @@ pub(crate) fn apply_diff_message(
         // may differ from the addressed node after a recovery).
         let home_now = store.home_of(*page);
         debug_assert!(
-            home_now == nominal_home || store.page_rehomed(*page),
+            home_now == nominal_home || store.allocator().home_of(*page) == nominal_home,
             "diff sent to a node that is not the page's home"
         );
         // A page with nothing to apply (the wire allows it; this DSM never
@@ -155,7 +153,7 @@ pub(crate) fn apply_diff_message(
         let post = if entries.is_empty() {
             0
         } else {
-            store.with_frame(home_now, *page, |f| f.apply_diff(entries))
+            store.frame(home_now, *page).apply_diff(entries)
         };
         versions.push(post);
     }

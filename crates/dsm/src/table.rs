@@ -4,8 +4,13 @@
 //! global address space.  The home node's frame *is* the main-memory copy of
 //! the page; the other nodes' frames are caches.  Frame tables grow lazily as
 //! pages are allocated.
+//!
+//! A page's home is derived, never stored per page: the allocator's static
+//! home, or — once a recovery has re-homed the failed node's pages — the
+//! elected survivor when that static home is the failed node.  So a page
+//! allocated on the failed node after its recovery is homed by the survivor
+//! too ([`DsmStore::home_of`]).
 
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock, RwLock};
 
 use hyperion_model::sync::{read, write};
@@ -54,17 +59,12 @@ impl NodeFrames {
 pub struct DsmStore {
     allocator: Arc<IsoAllocator>,
     nodes: Vec<NodeFrames>,
-    /// Pages a node-failure recovery has re-homed away from the allocator's
-    /// static assignment, with their present home.  Only inserted into and
-    /// looked up, never iterated, so its hash order reaches no result.
-    home_overrides: RwLock<HashMap<u64, NodeId>>,
-    /// Number of entries in `home_overrides`, readable without the lock so
-    /// the failure-free common case of [`DsmStore::home_of`] stays a plain
-    /// array index.
-    num_overrides: std::sync::atomic::AtomicUsize,
     /// The node that failed fail-stop and was recovered from, once it has:
     /// a run has at most one kill (`hyperion_pm2::FaultSpec::kill`).
     failed: OnceLock<NodeId>,
+    /// `(failed, elected)` once the recovery has re-homed every page whose
+    /// static home failed: the one rule [`DsmStore::home_of`] applies.
+    rehomed: OnceLock<(NodeId, NodeId)>,
     /// The handler running on one of the store's home frames, if any (debug
     /// builds; see `crate::oracle::OneCaller`).
     pub(crate) serving: OneCaller,
@@ -78,9 +78,8 @@ impl DsmStore {
         Arc::new(DsmStore {
             allocator,
             nodes: (0..num_nodes).map(|_| NodeFrames::new()).collect(),
-            home_overrides: RwLock::new(HashMap::new()),
-            num_overrides: std::sync::atomic::AtomicUsize::new(0),
             failed: OnceLock::new(),
+            rehomed: OnceLock::new(),
             serving: OneCaller::default(),
         })
     }
@@ -95,25 +94,19 @@ impl DsmStore {
         self.nodes.len()
     }
 
-    /// Home node of `page`: the allocator's static assignment unless a
-    /// recovery has re-homed the page.  Until the first node failure this
-    /// is a lock-free array index.
+    /// Home node of `page`: the allocator's static assignment, or the
+    /// elected survivor once a recovery has re-homed the pages of the node
+    /// that static home names.
     #[inline]
     pub fn home_of(&self, page: PageId) -> NodeId {
-        if self
-            .num_overrides
-            .load(std::sync::atomic::Ordering::Acquire)
-            > 0
-        {
-            let overrides = read(&self.home_overrides);
-            if let Some(&home) = overrides.get(&page.0) {
-                return home;
-            }
+        let home = self.allocator.home_of(page);
+        match self.rehomed.get() {
+            Some(&(failed, elected)) if failed == home => elected,
+            _ => home,
         }
-        self.allocator.home_of(page)
     }
 
-    /// Move `page`'s home to node `to`.
+    /// Move `page`'s home from node `from` to node `to`.
     ///
     /// The old home is demoted first, so writes its own threads issue from
     /// here on are dirty-tracked and flush to the new home like any other
@@ -121,57 +114,31 @@ impl DsmStore {
     /// (local writes it has pending survive) a whole [`REHOME_STRIDE`]
     /// above the old home's stamp, so no copy fetched before the move
     /// validates against the new home.
-    pub(crate) fn rehome(&self, page: PageId, to: NodeId) {
-        let from = self.home_of(page);
-        let (stamp, snapshot) = self.with_frame(from, page, |f| {
-            (f.demote_from_home(), f.data().snapshot_bytes())
-        });
-        let was_cached = self.with_frame(to, page, |f| f.is_present());
-        self.with_frame(to, page, |f| {
-            f.promote_to_home(&snapshot, stamp + REHOME_STRIDE)
-        });
+    pub(crate) fn rehome(&self, page: PageId, from: NodeId, to: NodeId) {
+        let old = self.frame(from, page);
+        let stamp = old.demote_from_home();
+        let new = self.frame(to, page);
+        let was_cached = new.is_present();
+        new.promote_to_home(&old.data().snapshot_bytes(), stamp + REHOME_STRIDE);
         self.note_cached(from, 1);
         self.note_cached(to, -i64::from(was_cached));
-        let mut overrides = write(&self.home_overrides);
-        overrides.insert(page.0, to);
-        self.num_overrides
-            .store(overrides.len(), std::sync::atomic::Ordering::Release);
     }
 
-    /// Number of pages a recovery has re-homed.
-    pub fn rehomed_pages(&self) -> usize {
-        self.num_overrides
-            .load(std::sync::atomic::Ordering::Acquire)
+    /// From here on every page whose static home is `failed` is homed by
+    /// `elected`.  Called once, after [`DsmStore::rehome`] has moved each
+    /// such page: until then `home_of` still names the static home, so the
+    /// frames the moves materialise take their static roles.
+    pub(crate) fn rehomed_all(&self, failed: NodeId, elected: NodeId) {
+        let set = self.rehomed.set((failed, elected));
+        set.expect("a run loses at most one node");
     }
 
-    /// True if a recovery has re-homed `page` (used to scope the handler
-    /// routing assertions: a stale route is only legitimate for a page that
-    /// actually moved).
-    pub fn page_rehomed(&self, page: PageId) -> bool {
-        self.rehomed_pages() > 0 && read(&self.home_overrides).contains_key(&page.0)
-    }
-
-    /// Run `f` on node `node`'s frame for `page`, creating the frame (and any
-    /// missing lower-numbered frames) on first touch.
+    /// Clone the `Arc` of node `node`'s frame for `page`, creating the frame
+    /// (and any missing lower-numbered frames) on first touch.  No table
+    /// lock is held once it returns, so the engine may perform RPCs with it.
     ///
     /// # Panics
     /// Panics if `page` has not been allocated or `node` is out of range.
-    pub fn with_frame<R>(&self, node: NodeId, page: PageId, f: impl FnOnce(&PageFrame) -> R) -> R {
-        let table = &self.nodes[node.index()];
-        {
-            let frames = read(&table.frames);
-            if let Some(frame) = frames.get(page.index()) {
-                return f(frame);
-            }
-        }
-        self.grow_table(node, page);
-        let frames = read(&table.frames);
-        f(&frames[page.index()])
-    }
-
-    /// Clone the `Arc` of node `node`'s frame for `page`, creating it on
-    /// first touch.  Used by the access fast path so that no table lock is
-    /// held while the protocol engine performs RPCs.
     pub fn frame(&self, node: NodeId, page: PageId) -> Arc<PageFrame> {
         {
             let frames = read(&self.nodes[node.index()].frames);
@@ -303,9 +270,9 @@ mod tests {
         let a = alloc.alloc(4, NodeId(1));
         let page = a.page();
 
-        assert!(store.with_frame(NodeId(1), page, |f| f.is_home()));
-        assert!(!store.with_frame(NodeId(0), page, |f| f.is_home()));
-        assert!(!store.with_frame(NodeId(2), page, |f| f.is_home()));
+        assert!(store.frame(NodeId(1), page).is_home());
+        assert!(!store.frame(NodeId(0), page).is_home());
+        assert!(!store.frame(NodeId(2), page).is_home());
         assert_eq!(store.home_of(page), NodeId(1));
     }
 
@@ -316,7 +283,7 @@ mod tests {
         let b = alloc.alloc(600, NodeId(1));
         // Touch only the last page; earlier frames must exist afterwards.
         let last = b.offset(599).page();
-        store.with_frame(NodeId(0), last, |_| ());
+        store.frame(NodeId(0), last);
         assert_eq!(store.frames_on(NodeId(0)), last.index() + 1);
         // Other nodes are independent.
         assert_eq!(store.frames_on(NodeId(1)), 0);
@@ -326,7 +293,7 @@ mod tests {
     #[should_panic(expected = "before being allocated")]
     fn touching_unallocated_page_panics() {
         let (_alloc, store) = store(1);
-        store.with_frame(NodeId(0), PageId(99), |_| ());
+        store.frame(NodeId(0), PageId(99));
     }
 
     #[test]
@@ -335,7 +302,8 @@ mod tests {
         let a = alloc.alloc(4, NodeId(0));
         let frame = store.frame(NodeId(1), a.page());
         frame.install_copy(&crate::page::PageData::zeroed().snapshot_bytes(), 1);
-        assert!(store.with_frame(NodeId(1), a.page(), |f| f.is_present()));
+        assert!(Arc::ptr_eq(&frame, &store.frame(NodeId(1), a.page())));
+        assert!(store.frame(NodeId(1), a.page()).is_present());
     }
 
     #[test]
@@ -343,8 +311,8 @@ mod tests {
         let (alloc, store) = store(2);
         let a = alloc.alloc(4, NodeId(0));
         let b = alloc.alloc(4, NodeId(1));
-        store.with_frame(NodeId(0), a.page(), |_| ());
-        store.with_frame(NodeId(0), b.page(), |_| ());
+        store.frame(NodeId(0), a.page());
+        store.frame(NodeId(0), b.page());
         let mut seen = Vec::new();
         store.for_each_frame(NodeId(0), |pid, f| seen.push((pid, f.is_home())));
         assert!(seen.len() >= 2);
@@ -362,11 +330,11 @@ mod tests {
         let (alloc, store) = store(2);
         let first = alloc.alloc(4, NodeId(0)).page();
         let later = alloc.alloc_page_aligned(4, NodeId(1)).page();
-        store.with_frame(NodeId(0), first, |_| ());
+        store.frame(NodeId(0), first);
         let mut kept = Vec::new();
         std::thread::scope(|s| {
             store.for_each_frame(NodeId(0), |_, frame| {
-                s.spawn(|| store.with_frame(NodeId(0), later, |_| ()));
+                s.spawn(|| store.frame(NodeId(0), later));
                 std::thread::sleep(std::time::Duration::from_millis(20));
                 kept.push(Arc::clone(frame));
             });
@@ -382,13 +350,13 @@ mod tests {
         let page = addr.page();
         let old = store.frame(NodeId(0), page);
         old.store_slot(3, 33);
-        // Node 2 holds a pending local write the promotion must keep.
-        let new = store.frame(NodeId(2), page);
+        // Node 1 holds a pending local write the promotion must keep.
+        let new = store.frame(NodeId(1), page);
         new.store_slot(5, 55);
         let handed_out = old.stamp();
 
         // Node 0 fails: only its first observer recovers it, and the
-        // election passes over it.
+        // election passes over it, so its page goes to node 1.
         assert_eq!(store.first_live_node(), NodeId(0));
         assert!(store.mark_failed(NodeId(0)));
         assert!(
@@ -397,9 +365,9 @@ mod tests {
         );
         assert_eq!(store.first_live_node(), NodeId(1));
 
-        store.rehome(page, NodeId(2));
-        assert_eq!(store.home_of(page), NodeId(2));
-        assert!(store.page_rehomed(page));
+        store.rehome(page, NodeId(0), NodeId(1));
+        store.rehomed_all(NodeId(0), NodeId(1));
+        assert_eq!(store.home_of(page), NodeId(1));
         assert!(!old.is_home() && old.is_present());
         assert!(new.is_home() && !new.has_dirty_slots());
         assert_eq!((new.load_slot(3), new.load_slot(5)), (33, 55));
@@ -427,9 +395,8 @@ mod tests {
                 let store = &store;
                 s.spawn(move || {
                     for p in 0..=last.index() {
-                        store.with_frame(NodeId(n), PageId(p as u64), |f| {
-                            assert_eq!(f.is_home(), n == 0);
-                        });
+                        let frame = store.frame(NodeId(n), PageId(p as u64));
+                        assert_eq!(frame.is_home(), n == 0);
                     }
                 });
             }

@@ -30,7 +30,7 @@
 //! actions so the monitor, `Thread.start` / `join` and the barrier all apply
 //! identical semantics.
 
-use hyperion_dsm::{DeferredFlush, Notices};
+use hyperion_dsm::{HomeFlushMark, Notices};
 use hyperion_model::VTime;
 use hyperion_pm2::NodeId;
 
@@ -58,15 +58,15 @@ pub fn acquire(ctx: &mut ThreadCtx, learned: &Notices, granter: Option<NodeId>) 
 /// home homes along with the release message, charging only their issue,
 /// and returns the instant the home has applied them: the release reaches
 /// the home then.  Its other diffs are issued the same way, and the returned
-/// [`DeferredFlush`] must be stored on the monitor so its *next acquire*
-/// merges the completion — the JMM's release/acquire edge is per-monitor,
-/// which is exactly why both are legal.  A thread-level edge blocks, and
+/// per-home [`HomeFlushMark`]s (empty if none was) must be stored on the
+/// monitor so its *next acquire* merges their completions — the JMM's
+/// release/acquire edge is per-monitor, which is exactly why both are legal.  A thread-level edge blocks, and
 /// first waits for what rode the thread's monitor releases to arrive: no
 /// successor outside those monitors acts before the diffs are home.
 pub fn release(
     ctx: &mut ThreadCtx,
     monitor: Option<NodeId>,
-) -> (Option<DeferredFlush>, Option<VTime>) {
+) -> (Vec<HomeFlushMark>, Option<VTime>) {
     if monitor.is_none() {
         ctx.clock.merge(ctx.rode);
     }

@@ -78,9 +78,7 @@ pub use runtime::{ConfigError, HyperionConfig, HyperionRuntime, RunOutcome, RunR
 pub use thread::{HThreadHandle, LoadBalancer};
 
 // Re-export the pieces of the lower layers that appear in this crate's API.
-pub use hyperion_dsm::{
-    AdaptiveParams, DeferredFlush, HomeFlushMark, PolicyError, ProtocolKind, TransportConfig,
-};
+pub use hyperion_dsm::{AdaptiveParams, HomeFlushMark, PolicyError, ProtocolKind, TransportConfig};
 pub use hyperion_model::{
     myrinet_200, sci_450, ClusterSpec, MachineModel, Op, OpCounts, StatsSnapshot, VTime,
     WireServiceSnapshot, WorkEstimate,
@@ -94,7 +92,7 @@ pub mod prelude {
     pub use crate::monitor::HMonitor;
     pub use crate::object::{ArrayView, HArray, HMatrix, HObject, MatrixRows, SlotValue};
     pub use crate::runtime::{HyperionConfig, HyperionRuntime, RunOutcome, RunReport, ThreadCtx};
-    pub use hyperion_dsm::{AdaptiveParams, DeferredFlush, ProtocolKind, TransportConfig};
+    pub use hyperion_dsm::{AdaptiveParams, ProtocolKind, TransportConfig};
     pub use hyperion_model::{
         myrinet_200, sci_450, ClusterSpec, Op, OpCounts, VTime, WorkEstimate,
     };

@@ -72,11 +72,12 @@ struct MonitorState {
     /// their nodes: not runnable until a release hands the monitor to them.
     parked: Vec<(Key, NodeId)>,
     waiting: Vec<Waiting>,
-    /// Deferred release flushing: per-home `(issue, completion)` watermarks
-    /// of flush RPCs handed off by previous releases of this monitor and
-    /// not yet absorbed by an acquire.  Kept per home so one slow home's
-    /// completion does not mask how much of every *other* home's round
-    /// trip the overlap hid.  Empty means nothing is pending.
+    /// Deferred release flushing: the per-home marks `jmm::release` returned
+    /// to previous releases of this monitor, stacked one per home
+    /// (`HomeFlushMark::stack_onto`) and not yet absorbed by an acquire.
+    /// Kept per home so one slow home's completion does not mask how much
+    /// of every *other* home's round trip the overlap hid.  Empty means
+    /// nothing is pending.
     deferred: Vec<hyperion_dsm::HomeFlushMark>,
     /// What every release of this monitor knew had been written: the write
     /// notices its next acquirer learns.
@@ -94,7 +95,7 @@ impl MonitorState {
         &mut self,
         ctx: &mut ThreadCtx,
         home: NodeId,
-        (deferred, rode): (Option<hyperion_dsm::DeferredFlush>, Option<VTime>),
+        (deferred, rode): (Vec<hyperion_dsm::HomeFlushMark>, Option<VTime>),
     ) {
         let deposited = self.knowledge.merge(&ctx.knowledge);
         let transfer = deposited.transfer(ctx.machine(), ctx.node(), home);
@@ -109,7 +110,7 @@ impl MonitorState {
             reached = ctx.now() + ctx.shared.cluster.control_message_cost() - send;
         }
         self.last_release = self.last_release.max(reached);
-        for mark in deferred.into_iter().flat_map(|d| d.homes) {
+        for mark in deferred {
             mark.stack_onto(&mut self.deferred);
         }
         let next = self.parked.iter().copied().min();

@@ -1045,29 +1045,32 @@ mod tests {
 
     #[test]
     fn locality_query_classifies_and_charges_per_protocol() {
-        use hyperion_dsm::Locality::{CachedRemote, Local, Remote};
-        // java_pf: classification is a free page-table lookup, and neither
-        // it nor the access counts an in-line check.
+        // Where a page lives for a node is its frame's state: the home, an
+        // open cached copy, or neither.  java_pf: reading it is free, and
+        // neither it nor the access counts an in-line check.
+        let open = |f: &hyperion_dsm::PageFrame| f.is_present() && !f.is_protected();
         let rt = HyperionRuntime::new(config(2, ProtocolKind::JavaPf)).unwrap();
         let dsm = Arc::clone(rt.dsm());
         rt.run(move |ctx| {
             let (local, remote) = (ctx.alloc_slots(4, NodeId(0)), ctx.alloc_slots(4, NodeId(1)));
             let t0 = ctx.now();
-            assert_eq!(dsm.locality(ctx.node(), local.page()), Local);
-            assert_eq!(dsm.locality(ctx.node(), remote.page()), Remote);
-            assert_eq!(ctx.now(), t0, "pf locality queries are free");
+            assert!(dsm.store().frame(ctx.node(), local.page()).is_home());
+            let copy = dsm.store().frame(ctx.node(), remote.page());
+            assert!(!copy.is_home() && !open(&copy));
+            assert_eq!(ctx.now(), t0, "pf frame state is free to read");
             let _ = ctx.get_slot(remote); // fault + fetch
-            assert_eq!(dsm.locality(ctx.node(), remote.page()), CachedRemote);
+            assert!(open(&copy));
         });
         assert_eq!(rt.cluster().total_stats().locality_checks, 0);
-        // java_ic: the access pays the one in-line check; the query does not.
+        // java_ic: the access pays the one in-line check; reading the frame
+        // does not.
         let rt = HyperionRuntime::new(config(2, ProtocolKind::JavaIc)).unwrap();
         let dsm = Arc::clone(rt.dsm());
         rt.run(move |ctx| {
             let remote = ctx.alloc_slots(4, NodeId(1));
             let t0 = ctx.now();
-            assert_eq!(dsm.locality(ctx.node(), remote.page()), Remote);
-            assert_eq!(ctx.now(), t0, "the DSM query charges nothing");
+            assert!(!open(&dsm.store().frame(ctx.node(), remote.page())));
+            assert_eq!(ctx.now(), t0, "reading frame state charges nothing");
             let _ = ctx.get_slot(remote);
         });
         assert_eq!(rt.cluster().total_stats().locality_checks, 1);
