@@ -16,8 +16,11 @@
 //!   beyond the raw access.  Pages of remote objects are access-protected,
 //!   so the first access after initialisation or after a cache invalidation
 //!   takes a (simulated) page fault, fetches the page, and pays an `mprotect`
-//!   to open it; dropping copies pays an `mprotect` per contiguous run of
-//!   them to re-protect it.
+//!   to open it; dropping copies pays one to re-protect them per maximal
+//!   address range of pages protected already or now, and reopening them
+//!   one per range of pages open already or now
+//!   (`DsmStore::protection_ranges`): a page that keeps the other
+//!   protection ends a range, not a gap in the list of pages changed.
 //! * **`java_ad`** — an adaptive extension beyond the paper: every cached
 //!   page runs its own state machine between the two techniques above.  A
 //!   page tracks how often it is re-accessed after each invalidation and is
@@ -320,7 +323,7 @@ impl DsmSystem {
     /// the parent's): drop every present copy they name at an older stamp,
     /// and keep every other copy open at no cost.  Each learned notice costs
     /// `invalidate_cycles_per_page`, and re-protecting the dropped copies one
-    /// `mprotect` per run of contiguous pages.
+    /// `mprotect` per range of pages that are protected already or now.
     ///
     /// `granter`, a monitor's home, sent the grant that brought them.  As it
     /// would answer their refetch, its grant patches the node's stale copies
@@ -398,8 +401,10 @@ impl DsmSystem {
     /// from `granter` patches its pages' copies, whatever detects them, in
     /// one loop (`patch_by_grant`): the stale open ones, which stay open, and
     /// the dropped ones the index held, which the request names at
-    /// `NAMED_COPY_BYTES` each and which reopen at one `mprotect` per run of
-    /// protected pages.
+    /// `NAMED_COPY_BYTES` each and which reopen at one `mprotect` per range
+    /// of pages open already or now; the copies dropped here are then
+    /// re-protected at one per range of pages protected already or now
+    /// (`DsmStore::protection_ranges`).
     /// The `java_ad` epoch of a page closes when a notice outdates its copy
     /// and no patch keeps it open (every page's at `invalidateCache`): when
     /// a detection miss is paid, or would be.  Returns how many reopened.
@@ -459,7 +464,7 @@ impl DsmSystem {
         let (riders, mut stale): (Vec<_>, Vec<_>) = (stale.into_iter())
             .filter(|(_, frame, _)| !frame.is_home())
             .partition(|(_, _, stamp)| stamp.is_some());
-        let (mut reopened, mut reopen_runs) = (0, 0);
+        let (mut reopened, mut unprotected) = (0, Vec::new());
         if let Some(granter) = granter {
             for (page, frame, stamp) in riders {
                 if !self.patch_by_grant(node_ref, clock, granter, page, &frame, stamp) {
@@ -467,21 +472,23 @@ impl DsmSystem {
                     stale.push((page, frame, None));
                 }
             }
-            (reopened, reopen_runs) = self.reopen_dropped(requested.iter().map(|(page, frame)| {
+            (reopened, unprotected) = self.reopen_dropped(requested.iter().map(|(page, frame)| {
                 let patched = self.patch_by_grant(node_ref, clock, granter, *page, frame, None);
                 (*page, &**frame, patched)
             }));
         }
+        let reopen_ranges = self.store.protection_ranges(node, &unprotected, false);
         stale.sort_unstable_by_key(|(page, _, _)| page.0);
 
-        let (mut runs, mut run_end, mut stride_waste, mut dropped) = (0u64, None, 0u64, 0i64);
+        let (mut reprotected, mut stride_waste, mut dropped) = (Vec::new(), 0u64, 0i64);
         for (page, frame, _) in &stale {
             let reprotect = protect(frame);
-            runs += u64::from(reprotect && run_end != Some(page.0));
+            if reprotect {
+                reprotected.push(*page);
+            }
             if frame.fits_grant() {
                 fetch_state.note_dropped(self.store.home_of(*page), *page, frame);
             }
-            run_end = reprotect.then_some(page.0 + 1);
             // A stride ticket still pending here was a wasted prefetch: the
             // count feeds the throttle in `issue_stride_fetches`.
             stride_waste += u64::from(frame.inflight_is_stride());
@@ -496,14 +503,16 @@ impl DsmSystem {
         NodeStats::bump_by(&node_ref.stats.pages_invalidated, n);
         // One `mprotect` covers the whole (iso-address, hence contiguous-ish)
         // cached region when every copy goes; once part of it stays open,
-        // one per run of contiguous pages.  The bookkeeping is per dropped
+        // one per range of pages protected already or now
+        // (`DsmStore::protection_ranges`).  The bookkeeping is per dropped
         // copy then, per learned notice otherwise (see `acquire`).
-        let mut calls = reopen_runs + runs;
-        if named.is_none() {
+        let calls = if named.is_none() {
             let per_page = machine.dsm.invalidate_cycles_per_page;
             clock.advance(machine.cpu.cycles(per_page * n as f64));
-            calls = runs.min(1);
-        }
+            reprotected.len().min(1) as u64
+        } else {
+            reopen_ranges + self.store.protection_ranges(node, &reprotected, true)
+        };
         if calls > 0 {
             NodeStats::bump_by(&node_ref.stats.mprotect_calls, calls);
             clock.advance(machine.dsm.mprotect_call.times(calls));

@@ -103,7 +103,7 @@ impl DsmSystem {
     /// re-opened ("not modified") or patched, or a fresh copy installed, as
     /// has each rider answered.  Returns whether the run starts where this
     /// node's previous fetch from `home` ended (it continues a scan), the
-    /// instant the reply arrives and the riders' runs to `mprotect`.
+    /// instant the reply arrives and the protected riders it reopened.
     fn fetch_run(
         &self,
         node_ref: &Node,
@@ -112,7 +112,7 @@ impl DsmSystem {
         first: PageId,
         frames: &[&PageFrame],
         riders: &[(PageId, Arc<PageFrame>)],
-    ) -> Result<(bool, VTime, u64), RpcFailure> {
+    ) -> Result<(bool, VTime, Vec<PageId>), RpcFailure> {
         let node = node_ref.id();
         let retained: Vec<u64> = frames.iter().map(|f| f.version()).collect();
         let named: Vec<_> = riders.iter().map(|(p, f)| (*p, f.version())).collect();
@@ -136,31 +136,32 @@ impl DsmSystem {
             let page = PageId(first.0 + k as u64);
             opened += i64::from(self.apply_answer(node_ref, page, frame, reply));
         }
-        let (reopened, runs) =
+        let (reopened, unprotected) =
             self.reopen_dropped(riders.iter().zip(answers).map(|((page, frame), answer)| {
                 let answer = answer.filter(|_| !frame.is_home());
                 let open = answer.map(|a| self.apply_answer(node_ref, *page, frame, a));
                 (*page, &**frame, open.is_some())
             }));
         self.store.note_cached(node, opened + reopened as i64);
-        Ok((scan, completion, runs))
+        Ok((scan, completion, unprotected))
     }
 
     /// Count the dropped copies a grant or a fetch's riders reopen, given in
-    /// page order with whether each reopened, and the runs among them that
-    /// page protection detects — one `mprotect` each; a Check copy is free.
+    /// page order with whether each reopened, and list those that page
+    /// protection detects: their opening is the caller's `mprotect` ranges
+    /// (`DsmStore::protection_ranges`); a Check copy is free.
     pub(crate) fn reopen_dropped<'a>(
         &self,
         reopened: impl IntoIterator<Item = (PageId, &'a PageFrame, bool)>,
-    ) -> (u64, u64) {
-        let (mut count, mut runs, mut run_end) = (0, 0, None);
+    ) -> (u64, Vec<PageId>) {
+        let (mut count, mut unprotected) = (0, Vec::new());
         for (page, frame, reopened) in reopened {
             count += u64::from(reopened);
-            let unprotect = reopened && self.detection.technique(frame) == AdMode::Protect;
-            runs += u64::from(unprotect && run_end != Some(page.0));
-            run_end = unprotect.then_some(page.0 + 1);
+            if reopened && self.detection.technique(frame) == AdMode::Protect {
+                unprotected.push(page);
+            }
         }
-        (count, runs)
+        (count, unprotected)
     }
 
     /// Act on the home's `answer` for `page`, whose frame on this node is
@@ -272,7 +273,8 @@ impl DsmSystem {
     /// round trip is charged) from an explicit prefetch, which records an
     /// in-flight ticket and lets the caller keep computing.  A demand fetch
     /// names the node's other indexed dropped copies of the same home as
-    /// riders (`fetch_run`).
+    /// riders (`fetch_run`).  The protected pages it opens, the run's and
+    /// the reopened riders', cost one `mprotect` per range of open pages.
     ///
     /// A successor page joins the batch only when it shares the demanded
     /// page's home, is currently absent, and is either *certain* to be
@@ -344,23 +346,27 @@ impl DsmSystem {
         let riders: Vec<_> = (taken.into_iter().flatten())
             .filter(|(p, f)| !in_run.contains(&p.0) && !f.has_inflight())
             .collect();
-        let (scan, wire_completion, rider_runs) =
+        let (scan, wire_completion, mut opened) =
             self.fetch_run(node_ref, clock, home, page, &run, &riders)?;
         let issue = clock.now();
         // A frame of the run promoted to home mid-fetch was left alone by
         // `fetch_run`: it has nothing to open and takes no ticket below.
         let promoted = frame.is_home();
+        if unprotect && !promoted {
+            opened.push(page);
+        }
         // Opening a batched page that was protection-detected clears its
         // access protection, which costs an mprotect just as the demanded
         // page's fault path does — without it java_ad's modeled cost would be
         // understated for exactly the pages the prefetcher targets.
-        let mut batch_protected = false;
         let mut speculative_pages = 0u64;
-        for (qf, speculative) in &candidates {
+        for (k, (qf, speculative)) in (1..).zip(&candidates) {
             if qf.is_home() {
                 continue;
             }
-            batch_protected |= self.detection.technique(qf) == AdMode::Protect;
+            if self.detection.technique(qf) == AdMode::Protect {
+                opened.push(PageId(page.0 + k));
+            }
             if *speculative {
                 qf.ad().mark_prefetched();
                 speculative_pages += 1;
@@ -372,14 +378,14 @@ impl DsmSystem {
             gate.tried(speculative_pages);
         }
 
-        // One mprotect call opens the whole contiguous run, one each riders'.
-        let needs_mprotect = (unprotect && !promoted) || batch_protected;
-        let calls = u64::from(needs_mprotect) + rider_runs;
+        // The run and its reopened riders open by one mprotect per range.
+        opened.sort_unstable();
+        let calls = self.store.protection_ranges(node, &opened, false);
         NodeStats::bump_by(&node_ref.stats.mprotect_calls, calls);
-        let mprotect = machine.dsm.mprotect_call;
+        let mprotect = machine.dsm.mprotect_call.times(calls);
         if demand {
             clock.merge(wire_completion);
-            clock.advance(mprotect.times(calls));
+            clock.advance(mprotect);
             // The demanded page completed here, but the rest of the batch is
             // live split transactions finishing with it.  The thread stalled
             // for the whole round trip on the demanded page, so the batch hid
@@ -394,7 +400,8 @@ impl DsmSystem {
                 }
             }
         } else {
-            let completion = wire_completion + mprotect.times(u64::from(needs_mprotect));
+            // No riders: the calls open the run alone.
+            let completion = wire_completion + mprotect;
             if !promoted {
                 frame.begin_inflight(issue.as_ps(), completion.as_ps(), false);
             }

@@ -182,6 +182,27 @@ impl DsmStore {
             .collect()
     }
 
+    /// The `mprotect` calls that gave `node`'s pages `flipped` (ascending,
+    /// each just set to `protected` by one operation) that protection: one
+    /// per maximal range of pages each of which flipped or already has it.
+    /// So a gap between two flipped pages joins them unless it holds a page
+    /// of the other protection: for a re-protect an open copy or a home page
+    /// (never protected), for a reopen a page that stays protected.  Each
+    /// gap is walked with early exit, all under one table lock; every
+    /// flipped page, hence every gap, is materialised.
+    pub(crate) fn protection_ranges(
+        &self,
+        node: NodeId,
+        flipped: &[PageId],
+        protected: bool,
+    ) -> u64 {
+        let frames = read(&self.nodes[node.index()].frames);
+        let bridges = |p: usize| frames[p].is_protected() == protected;
+        let joined = |w: &[PageId]| (w[0].index() + 1..w[1].index()).all(bridges);
+        let splits = flipped.windows(2).filter(|w| !joined(w)).count();
+        (flipped.len().min(1) + splits) as u64
+    }
+
     /// Count `delta` non-home frames of `node` made present (positive) or
     /// dropped (negative).  The engine reports every such transition it
     /// causes, re-homing its own.

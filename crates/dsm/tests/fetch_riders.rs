@@ -10,20 +10,22 @@
 //!
 //! * no riders (`DsmSystem::fetch_pages` takes nothing from
 //!   `NodeFetchState::take_dropped`): `a_fault_reopens_a_dropped_copy_of_the_same_home`,
-//!   `a_rider_dearer_than_an_mprotect_stays_dropped` (113 slots) and
-//!   `a_rider_is_named_only_to_its_own_home`, and beyond this file
-//!   `adaptive_history_prefetch_needs_a_stable_streak`,
+//!   `a_rider_dearer_than_an_mprotect_stays_dropped` (113 slots),
+//!   `a_rider_is_named_only_to_its_own_home` and
+//!   `a_dropped_copy_between_keeps_the_rider_a_call_of_its_own`, and beyond
+//!   this file `a_fault_and_its_adjacent_rider_open_in_one_call`
+//!   (`protection_runs.rs`), `adaptive_history_prefetch_needs_a_stable_streak`,
 //!   `golden_counters_match_the_parent_commit` and the byte-for-byte
 //!   baseline and paper rows;
 //! * riders answered whatever their cost (`serve_fetch` answers a rider
 //!   with any patch, its `grant_cost` unchecked):
 //!   `a_rider_dearer_than_an_mprotect_stays_dropped` (114 slots), and the
 //!   paper rows;
-//! * no `mprotect` for reopened protected riders (`fetch_pages` leaves
-//!   the runs `fetch_run` returns unpaid):
-//!   `a_fault_reopens_a_dropped_copy_of_the_same_home` and
-//!   `a_rider_dearer_than_an_mprotect_stays_dropped` (under `java_pf`), and
-//!   the golden counters, the baseline and the paper rows.
+//! * no `mprotect` for reopened protected riders (`fetch_run` returns none
+//!   of them to `fetch_pages`' ranges):
+//!   `a_dropped_copy_between_keeps_the_rider_a_call_of_its_own` (under
+//!   `java_pf`; where Q is P's neighbour, P's own range covers it), and
+//!   the golden counters and the baseline.
 
 use std::sync::Arc;
 
@@ -39,7 +41,8 @@ const OTHER_HOME: NodeId = NodeId(2);
 /// The two protocols the paper compares.
 const PROTOCOLS: [ProtocolKind; 2] = [ProtocolKind::JavaPf, ProtocolKind::JavaIc];
 
-/// A run on three nodes: pages P and Q homed on node 0, R on node 2.
+/// A run on three nodes: pages P and Q homed on node 0, R on node 2 (or
+/// another layout of three adjacent pages).
 struct Run {
     cluster: Arc<Cluster>,
     dsm: Arc<DsmSystem>,
@@ -54,12 +57,18 @@ impl Run {
     /// of Q and flushes them home, and the reader drops every copy: each is
     /// indexed under its home as a dropped copy.
     fn dropped(kind: ProtocolKind, q_slots: usize) -> Run {
+        Run::dropped_on(kind, [HOME, HOME, OTHER_HOME], q_slots)
+    }
+
+    /// `dropped` with the three pages homed on `homes`, page 1 the one
+    /// written.
+    fn dropped_on(kind: ProtocolKind, homes: [NodeId; 3], q_slots: usize) -> Run {
         let cluster = Cluster::new(myrinet_200().machine, 3);
         let alloc = Arc::new(IsoAllocator::new(3));
         let store = DsmStore::new(Arc::clone(&alloc), 3);
         let dsm = DsmSystem::new(Arc::clone(&cluster), store, kind);
         let page = |home| alloc.alloc_page_aligned(SLOTS_PER_PAGE, home);
-        let pages = [page(HOME), page(HOME), page(OTHER_HOME)];
+        let pages = homes.map(page);
         let mut clock = ThreadClock::new();
         for _ in 0..2 {
             dsm.invalidate_cache(READER, &mut clock);
@@ -106,8 +115,9 @@ fn cost(from: StatsSnapshot, to: StatsSnapshot) -> (u64, u64, u64, u64, u64) {
 
 /// The fault on P names Q, dropped with one slot changed since: the reply
 /// confirms P and patches Q, for one page load.  Under `java_pf` that is
-/// one fault and two `mprotect`s (P's, then Q's run); under `java_ic` no
-/// fault and no `mprotect`.  Q then reads the new value at no cost.
+/// one fault and one `mprotect` (P and Q are adjacent, so P's open and Q's
+/// reopen are one range); under `java_ic` no fault and no `mprotect`.  Q
+/// then reads the new value at no cost.
 #[test]
 fn a_fault_reopens_a_dropped_copy_of_the_same_home() {
     for kind in PROTOCOLS {
@@ -115,7 +125,7 @@ fn a_fault_reopens_a_dropped_copy_of_the_same_home() {
         let pf = u64::from(kind == ProtocolKind::JavaPf);
         let (value, before, after) = run.read(0, 0);
         assert_eq!(value, 0, "{kind}");
-        assert_eq!(cost(before, after), (pf, 1, 2 * pf, 1, 1), "{kind}");
+        assert_eq!(cost(before, after), (pf, 1, pf, 1, 1), "{kind}");
         let (value, before, after) = run.read(1, 0);
         assert_eq!(value, 1, "{kind}");
         assert_eq!(cost(before, after), (0, 0, 0, 0, 0), "{kind}");
@@ -133,7 +143,7 @@ fn a_rider_dearer_than_an_mprotect_stays_dropped() {
             let mut run = Run::dropped(kind, slots);
             let (pf, rode) = (u64::from(kind == ProtocolKind::JavaPf), u64::from(rides));
             let (_, before, after) = run.read(0, 0);
-            let reopened = (pf, 1, pf * (1 + rode), rode, 1);
+            let reopened = (pf, 1, pf, rode, 1);
             assert_eq!(cost(before, after), reopened, "{kind}: {slots} slots");
             let (value, before, after) = run.read(1, slots as u64 - 1);
             assert_eq!(value, slots as u64, "{kind}: {slots} slots");
@@ -160,6 +170,30 @@ fn a_rider_is_named_only_to_its_own_home() {
         assert_eq!(cost(before, after), (0, 0, 0, 0, 0), "{kind}");
         let (_, before, after) = run.read(2, 0);
         assert_eq!(cost(before, after), (pf, 1, pf, 0, 1), "{kind}");
+    }
+}
+
+/// P and Q, homed on node 0, have S of node 2 between them.  While S stays
+/// dropped (the fault on P names Q alone), P's open and Q's reopen are two
+/// `mprotect` ranges; once S is open again, they are one.
+#[test]
+fn a_dropped_copy_between_keeps_the_rider_a_call_of_its_own() {
+    for kind in PROTOCOLS {
+        let pf = u64::from(kind == ProtocolKind::JavaPf);
+        for (s_open, calls) in [(false, 2 * pf), (true, pf)] {
+            let mut run = Run::dropped_on(kind, [HOME, OTHER_HOME, HOME], 0);
+            if s_open {
+                assert_eq!(run.read(1, 0).0, 0, "{kind}");
+            }
+            let (_, before, after) = run.read(0, 0);
+            assert_eq!(
+                cost(before, after),
+                (pf, 1, calls, 0, 2),
+                "{kind}: {s_open}"
+            );
+            let (_, before, after) = run.read(2, 0);
+            assert_eq!(cost(before, after), (0, 0, 0, 0, 0), "{kind}: {s_open}");
+        }
     }
 }
 

@@ -11,15 +11,13 @@
 //! * [`JBarrier`] — a cyclic barrier built from a monitor and a shared state
 //!   object (`wait`/`notifyAll` underneath), used by Jacobi and ASP;
 //! * [`SharedCounter`] — a monitor-protected counter, used for the dynamic
-//!   body assignment in Barnes-Hut and the central work queue index in TSP;
-//! * [`arraycopy`] — the `System.arraycopy` analogue.
+//!   body assignment in Barnes-Hut and the central work queue index in TSP.
 
-use hyperion_model::{NodeStats, Op, OpCounts, VTime};
+use hyperion_model::{NodeStats, VTime};
 use hyperion_pm2::NodeId;
 
 use crate::layout::HStruct;
 use crate::monitor::HMonitor;
-use crate::object::{HArray, SlotValue};
 use crate::object_layout;
 use crate::runtime::ThreadCtx;
 
@@ -189,38 +187,6 @@ impl SharedCounter {
     }
 }
 
-/// `System.arraycopy`: copy `len` elements from `src[src_pos..]` to
-/// `dst[dst_pos..]`, charging one load and one store of local work per
-/// element on top of the DSM access costs.
-///
-/// Implemented on the bulk slice transfers, so access detection is paid per
-/// touched *page* — the runtime-internal fast path a native `arraycopy`
-/// would use — while the per-element copy work is still charged.
-///
-/// # Panics
-/// Panics if either range is out of bounds.
-pub fn arraycopy<T: SlotValue>(
-    ctx: &mut ThreadCtx,
-    src: &HArray<T>,
-    src_pos: usize,
-    dst: &HArray<T>,
-    dst_pos: usize,
-    len: usize,
-) {
-    assert!(src_pos + len <= src.len(), "arraycopy source out of bounds");
-    assert!(
-        dst_pos + len <= dst.len(),
-        "arraycopy destination out of bounds"
-    );
-    if len == 0 {
-        return;
-    }
-    let per_element = ctx.estimate(&OpCounts::new().with(Op::Load, 1.0).with(Op::Store, 1.0));
-    let values = src.read_slice(ctx, src_pos..src_pos + len);
-    dst.write_slice(ctx, dst_pos, &values);
-    ctx.charge_iters(&per_element, len as u64);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,36 +306,5 @@ mod tests {
             (first, second, counter.get(ctx))
         });
         assert_eq!(out.result, (10, 15, 120));
-    }
-
-    #[test]
-    fn arraycopy_copies_and_charges() {
-        let rt = runtime(2, ProtocolKind::JavaIc);
-        let out = rt.run(|ctx| {
-            let src = ctx.alloc_array::<i64>(16, NodeId(0));
-            let dst = ctx.alloc_array::<i64>(16, NodeId(1));
-            for i in 0..16 {
-                src.put(ctx, i, i as i64 * 3);
-            }
-            let before = ctx.now();
-            arraycopy(ctx, &src, 4, &dst, 0, 8);
-            let elapsed = ctx.now() - before;
-            (dst.to_vec(ctx), elapsed)
-        });
-        let (dst, elapsed) = out.result;
-        assert_eq!(&dst[0..8], &[12, 15, 18, 21, 24, 27, 30, 33]);
-        assert!(dst[8..].iter().all(|&x| x == 0));
-        assert!(elapsed > VTime::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn arraycopy_checks_bounds() {
-        let rt = runtime(1, ProtocolKind::JavaIc);
-        rt.run(|ctx| {
-            let a = ctx.alloc_array::<i64>(4, NodeId(0));
-            let b = ctx.alloc_array::<i64>(4, NodeId(0));
-            arraycopy(ctx, &a, 2, &b, 0, 3);
-        });
     }
 }

@@ -28,8 +28,7 @@
 //!   every synchronisation edge.
 //! * [`memory`] — the raw Table 2 primitives (`get`, `put`, `loadIntoCache`,
 //!   `invalidateCache`, `updateMainMemory`).
-//! * [`api`] — the small "Java API subsystem": barrier, shared counter,
-//!   `arraycopy`.
+//! * [`api`] — the small "Java API subsystem": barrier and shared counter.
 //! * [`thread`] — the round-robin load balancer and thread handles.
 //!
 //! ## Quick start
@@ -70,7 +69,7 @@ mod order;
 pub mod runtime;
 pub mod thread;
 
-pub use api::{arraycopy, JBarrier, SharedCounter};
+pub use api::{JBarrier, SharedCounter};
 pub use layout::{Field, HStruct, ObjectLayout};
 pub use monitor::HMonitor;
 pub use object::{ArrayView, HArray, HMatrix, HObject, MatrixRows, SlotValue};
@@ -87,7 +86,7 @@ pub use hyperion_pm2::{FaultKill, FaultSpec, GlobalAddr, NodeId, ThreadId, Trans
 
 /// Everything an application kernel typically imports.
 pub mod prelude {
-    pub use crate::api::{arraycopy, JBarrier, SharedCounter};
+    pub use crate::api::{JBarrier, SharedCounter};
     pub use crate::layout::{Field, HStruct, ObjectLayout};
     pub use crate::monitor::HMonitor;
     pub use crate::object::{ArrayView, HArray, HMatrix, HObject, MatrixRows, SlotValue};

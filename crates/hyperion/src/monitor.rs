@@ -14,12 +14,14 @@
 //!   notices and drops the cached copies the newly learned ones name.
 //!   Every other copy stays open (see [`crate::jmm`]).  Under `java_pf`
 //!   re-protecting dropped pages, and opening them again, is where the
-//!   protocol's `mprotect` traffic comes from.  The notices ride the grant
-//!   and the release, paying their bytes when the monitor lives on another
-//!   node.  That node homes the object the monitor guards: the entry's
-//!   request names the dropped copies of its pages whose last answer fitted
-//!   a grant (16 bytes each), and the grant patches those and the stale open
-//!   ones — a dropped one reopens — where a patch costs at most an `mprotect`.
+//!   protocol's `mprotect` traffic comes from: one call per address range
+//!   of pages that change protection or already have the new one.  The
+//!   notices ride the grant and the release, paying their bytes when the
+//!   monitor lives on another node.  That node homes the object the monitor
+//!   guards: the entry's request names the dropped copies of its pages
+//!   whose last answer fitted a grant (16 bytes each), and the grant patches
+//!   those and the stale open ones — a dropped one reopens — where a patch
+//!   costs at most an `mprotect`.
 //! * **Virtual-time ordering** — *a monitor is granted in increasing
 //!   (arrival, thread id), so a clock is moved to a previous release only
 //!   when the two sections really overlap in virtual time.*  The arrival is
