@@ -252,10 +252,7 @@ benchmark!(AspParams, Asp, |result| result.distance_sum as f64);
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn config(nodes: usize, protocol: ProtocolKind) -> HyperionConfig {
-        HyperionConfig::new(myrinet_200(), nodes, protocol)
-    }
+    use crate::common::config;
 
     #[test]
     fn graph_generation_is_deterministic() {

@@ -671,10 +671,7 @@ benchmark!(BarnesParams, Barnes, |result| result.position_digest);
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn config(nodes: usize, protocol: ProtocolKind) -> HyperionConfig {
-        HyperionConfig::new(myrinet_200(), nodes, protocol)
-    }
+    use crate::common::config;
 
     #[test]
     fn generated_bodies_are_deterministic_and_bounded() {

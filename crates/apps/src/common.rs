@@ -166,6 +166,12 @@ macro_rules! benchmark {
 }
 pub(crate) use benchmark;
 
+/// The apps' test configuration: `nodes` nodes of the Myrinet cluster.
+#[cfg(test)]
+pub(crate) fn config(nodes: usize, protocol: ProtocolKind) -> hyperion::HyperionConfig {
+    hyperion::HyperionConfig::new(hyperion::myrinet_200(), nodes, protocol)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -296,10 +296,7 @@ benchmark!(PageRankParams, PageRank, |result| result.digest);
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn config(nodes: usize, protocol: ProtocolKind) -> HyperionConfig {
-        HyperionConfig::new(myrinet_200(), nodes, protocol)
-    }
+    use crate::common::config;
 
     #[test]
     fn edge_generation_is_seed_deterministic() {

@@ -267,10 +267,7 @@ benchmark!(JacobiParams, Jacobi, |result| result.interior_sum);
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn config(nodes: usize, protocol: ProtocolKind) -> HyperionConfig {
-        HyperionConfig::new(myrinet_200(), nodes, protocol)
-    }
+    use crate::common::config;
 
     #[test]
     fn sequential_heat_flows_from_the_hot_edge() {

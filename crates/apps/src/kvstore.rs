@@ -326,10 +326,7 @@ benchmark!(KvStoreParams, KvStore, |result| result.digest);
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn config(nodes: usize, protocol: ProtocolKind) -> HyperionConfig {
-        HyperionConfig::new(myrinet_200(), nodes, protocol)
-    }
+    use crate::common::config;
 
     #[test]
     fn zipf_sampler_is_deterministic_and_skewed() {

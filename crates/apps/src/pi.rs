@@ -132,10 +132,7 @@ benchmark!(PiParams, Pi, |result| result.estimate);
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn config(nodes: usize, protocol: ProtocolKind) -> HyperionConfig {
-        HyperionConfig::new(myrinet_200(), nodes, protocol)
-    }
+    use crate::common::config;
 
     #[test]
     fn sequential_estimate_converges_to_pi() {

@@ -351,10 +351,7 @@ benchmark!(TspParams, Tsp, |result| result.best_tour as f64);
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn config(nodes: usize, protocol: ProtocolKind) -> HyperionConfig {
-        HyperionConfig::new(myrinet_200(), nodes, protocol)
-    }
+    use crate::common::config;
 
     #[test]
     #[allow(clippy::needless_range_loop)]

@@ -7,7 +7,8 @@
 //! [`AdMode::Protect`] (page protection, a fault on the first access to an
 //! absent page) under `java_pf`, and the page's own mode under `java_ad`,
 //! whose home pages count as `Protect` (raw access).  `java_ic` is the one
-//! protocol that charges its check on a home page too.  From the technique
+//! protocol that charges its check on a home page too (a `Protect` access
+//! pays one only while its node has a pending drop).  From the technique
 //! follow the access cost, whether installing a fetched copy ends with an
 //! `mprotect` that opens it, and whether invalidating a copy revokes its
 //! access rights (both exactly the `Protect` pages).  Only `java_ad` closes
@@ -22,9 +23,9 @@
 //!   path, which installs the happens-before-carrying copy.  An acquire
 //!   drops the copies its write notices outdate, so this is what makes a
 //!   post-acquire read see the home's released values.
-//! * Invalidating a `Protect` page must revoke its access rights: an open
-//!   stale copy would satisfy the next access without the fault that the
-//!   acquire's invalidation demands.
+//! * Invalidating a `Protect` page must revoke its access rights, or every
+//!   access must pay an in-line check that catches the open stale copy, as
+//!   while a monitor's drop is pending (`DsmSystem::settle`).
 //! * A page changes technique only at epoch close, which runs when a notice
 //!   outdates its copy, *before* the copy is dropped: no access can observe
 //!   a half-switched page.
@@ -192,13 +193,17 @@ impl Detection {
 
     /// Detect one access to `frame`: charge its cost to `clock`, count it on
     /// `stats`, and return true if the page must be fetched first (false:
-    /// the access proceeds on the local copy).
+    /// the access proceeds on the local copy).  While the node has a pending
+    /// drop (`pending`, see `DsmSystem::settle`) a `Protect` access also
+    /// pays one in-line check, the one that asks whether its copy is
+    /// pending; a `Check` access's own check asks that.
     #[inline]
     pub(crate) fn on_access(
         &self,
         stats: &NodeStats,
         clock: &mut ThreadClock,
         frame: &PageFrame,
+        pending: bool,
     ) -> bool {
         if self.kind == ProtocolKind::JavaAd && !frame.is_home() {
             frame.ad().record_access();
@@ -210,6 +215,9 @@ impl Detection {
                 !frame.is_home() && !frame.is_present()
             }
             AdMode::Protect => {
+                if pending {
+                    clock.advance(self.check);
+                }
                 let open = frame.is_home() || (frame.is_present() && !frame.is_protected());
                 if !open {
                     // Simulated SIGSEGV: fault cost, then the fetch.

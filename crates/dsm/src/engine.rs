@@ -7,7 +7,10 @@
 //! are detected (§3.2, §3.3).  The invalidation at an acquire is the lazy
 //! form of the paper's: it drops the cached copies the acquirer's learned
 //! write notices name at an older stamp ([`DsmSystem::acquire`],
-//! `notices.rs`), while the explicit `invalidateCache` drops them all.
+//! `notices.rs`), while the explicit `invalidateCache` drops them all.  A
+//! monitor's acquire leaves the copies page protection detects open until
+//! its exit has handed the monitor on, and the section's access to one
+//! drops it first ([`DsmSystem::settle`]).
 //!
 //! * **`java_ic`** — every `get`/`put` performs an explicit in-line locality
 //!   check; a miss triggers a page fetch.  No page protection, no faults, no
@@ -43,8 +46,10 @@
 //! batching), while all mechanism — RPC framing, ticket bookkeeping,
 //! batching loops — lives here and in `fetch.rs` / the RPC services.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 
+use hyperion_model::sync::lock;
 use hyperion_model::{NodeStats, ThreadClock, VTime};
 use hyperion_pm2::{
     reply_leg, Cluster, GlobalAddr, Node, NodeId, PageId, ServiceId, SLOTS_PER_PAGE,
@@ -79,6 +84,9 @@ pub struct DsmSystem {
     /// Per node: the pages its threads made visible, for their releases to
     /// name (see `notices.rs`).
     written: Vec<NodeLog>,
+    /// Per node: the stale copies a monitor's acquire left open until its
+    /// exit settles them ([`DsmSystem::settle`]).
+    pub(crate) pending: Vec<PendingDrop>,
     pub(crate) page_fetch: ServiceId,
     pub(crate) diff_apply: ServiceId,
     /// The one caller inside, checked by debug builds at every public entry
@@ -123,6 +131,7 @@ impl DsmSystem {
             transport: transport.clone(),
             fetch_state: (0..nodes).map(|_| NodeFetchState::new(nodes)).collect(),
             written: (0..nodes).map(|_| NodeLog::default()).collect(),
+            pending: (0..nodes).map(|_| PendingDrop::default()).collect(),
             page_fetch,
             diff_apply,
             caller: OneCaller::default(),
@@ -314,6 +323,7 @@ impl DsmSystem {
     /// `mprotect` call (§3.3).
     pub fn invalidate_cache(&self, node: NodeId, clock: &mut ThreadClock) {
         let _one = self.caller.enter("DsmSystem::invalidate_cache");
+        self.settle_pending(node, clock);
         self.begin_acquire(node);
         self.drop_copies(node, clock, None, None);
     }
@@ -328,7 +338,9 @@ impl DsmSystem {
     /// `granter`, a monitor's home, sent the grant that brought them.  As it
     /// would answer their refetch, its grant patches the node's stale copies
     /// of its pages instead: open ones named here, and dropped ones, which
-    /// reopen (`drop_copies`).
+    /// reopen (`drop_copies`).  The other stale copies it names that page
+    /// protection detects are the node's pending drop: dropped, and their
+    /// `mprotect`s paid, when the monitor is handed on ([`DsmSystem::settle`]).
     pub fn acquire(
         &self,
         node: NodeId,
@@ -337,12 +349,14 @@ impl DsmSystem {
         granter: Option<NodeId>,
     ) {
         let _one = self.caller.enter("DsmSystem::acquire");
+        self.settle_pending(node, clock);
+        self.assert_no_pending_drop(node, "another acquire");
         self.begin_acquire(node);
         let machine = self.cluster.machine();
         let per_notice = machine.dsm.invalidate_cycles_per_page;
         clock.advance(machine.cpu.cycles(per_notice * learned.len() as f64));
-        let reopened = self.drop_copies(node, clock, Some(learned), granter);
-        let kept = self.store.cached_on(node).saturating_sub(reopened);
+        let not_kept = self.drop_copies(node, clock, Some(learned), granter);
+        let kept = self.store.cached_on(node).saturating_sub(not_kept);
         NodeStats::bump_by(&self.cluster.node(node).stats.pages_kept, kept);
     }
 
@@ -368,6 +382,9 @@ impl DsmSystem {
         monitor: Option<NodeId>,
     ) -> (Vec<HomeFlushMark>, Notices, Option<VTime>) {
         let _one = self.caller.enter("DsmSystem::release");
+        if monitor.is_none() {
+            self.settle_pending(node, clock);
+        }
         let (node_ref, dirty) = (self.cluster.node(node), self.collect_dirty(node));
         let flushed = self.flush_frames(node, node_ref, clock, &dirty, monitor.is_some(), monitor);
         let (flushed, rode) = self.unwrap_rpc(flushed);
@@ -404,10 +421,14 @@ impl DsmSystem {
     /// `NAMED_COPY_BYTES` each and which reopen at one `mprotect` per range
     /// of pages open already or now; the copies dropped here are then
     /// re-protected at one per range of pages protected already or now
-    /// (`DsmStore::protection_ranges`).
+    /// (`DsmStore::protection_ranges`).  Under a grant, the stale copies
+    /// page protection detects are not dropped here but left open as the
+    /// node's pending drop, which the monitor's exit settles after the
+    /// hand-off ([`DsmSystem::settle`]).
     /// The `java_ad` epoch of a page closes when a notice outdates its copy
     /// and no patch keeps it open (every page's at `invalidateCache`): when
-    /// a detection miss is paid, or would be.  Returns how many reopened.
+    /// a detection miss is paid, or would be.  Returns how many copies it
+    /// reopened or left to the node's pending drop: copies not kept open.
     fn drop_copies(
         &self,
         node: NodeId,
@@ -478,11 +499,54 @@ impl DsmSystem {
             }));
         }
         let reopen_ranges = self.store.protection_ranges(node, &unprotected, false);
+        self.store.note_cached(node, reopened as i64);
         stale.sort_unstable_by_key(|(page, _, _)| page.0);
+        let stale = stale.into_iter().map(|(page, frame, _)| (page, frame));
+        let mut deferred = 0;
 
-        let (mut reprotected, mut stride_waste, mut dropped) = (Vec::new(), 0u64, 0i64);
-        for (page, frame, _) in &stale {
-            let reprotect = protect(frame);
+        // One `mprotect` covers the whole (iso-address, hence contiguous-ish)
+        // cached region when every copy goes; once part of it stays open,
+        // one per range of pages protected already or now
+        // (`DsmStore::protection_ranges`).  The bookkeeping is per dropped
+        // copy then, per learned notice otherwise (see `acquire`).
+        let calls = if named.is_none() {
+            let (n, calls) = self.drop_stale(node_ref, &stale.collect::<Vec<_>>(), true);
+            let per_page = machine.dsm.invalidate_cycles_per_page;
+            clock.advance(machine.cpu.cycles(per_page * n as f64));
+            calls.min(1)
+        } else {
+            // A grant leaves the copies whose drop re-protects to the node's
+            // pending drop, which the monitor's exit settles once it has
+            // handed the monitor on; a Check copy's drop is free, so it goes.
+            let (later, now): (Vec<_>, Vec<_>) =
+                stale.partition(|(_, frame)| granter.is_some() && protect(frame));
+            deferred = later.len() as u64;
+            if deferred > 0 {
+                self.pending[node.index()].defer(later);
+            }
+            reopen_ranges + self.drop_stale(node_ref, &now, true).1
+        };
+        self.charge_mprotect(node_ref, clock, calls);
+        reopened + deferred
+    }
+
+    /// The drop of the copies `stale` (page order) that are still present
+    /// copies: invalidate each, re-protecting those page protection detects
+    /// if `reprotect`, index each whose last answer fitted a grant
+    /// (`NodeFetchState`; the next answer likely fits too) and count them.
+    /// Returns how many dropped and the `mprotect`s that re-protect them,
+    /// one per range of pages protected already or now, which the caller
+    /// charges.
+    fn drop_stale(
+        &self,
+        node_ref: &Node,
+        stale: &[(PageId, Arc<PageFrame>)],
+        reprotect: bool,
+    ) -> (u64, u64) {
+        let (node, fetch_state) = (node_ref.id(), &self.fetch_state[node_ref.id().index()]);
+        let (mut reprotected, mut stride_waste, mut dropped) = (Vec::new(), 0u64, 0u64);
+        for (page, frame) in stale.iter().filter(|(_, f)| !f.is_home() && f.is_present()) {
+            let reprotect = reprotect && self.detection.technique(frame) == AdMode::Protect;
             if reprotect {
                 reprotected.push(*page);
             }
@@ -492,32 +556,49 @@ impl DsmSystem {
             // A stride ticket still pending here was a wasted prefetch: the
             // count feeds the throttle in `issue_stride_fetches`.
             stride_waste += u64::from(frame.inflight_is_stride());
-            dropped += i64::from(frame.invalidate(reprotect));
+            dropped += u64::from(frame.invalidate(reprotect));
         }
-        self.store.note_cached(node, reopened as i64 - dropped);
+        self.store.note_cached(node, -(dropped as i64));
         if stride_waste > 0 {
             NodeStats::bump_by(&node_ref.stats.stride_fetches_wasted, stride_waste);
             fetch_state.stride.outcome(stride_waste);
         }
-        let n = stale.len() as u64;
-        NodeStats::bump_by(&node_ref.stats.pages_invalidated, n);
-        // One `mprotect` covers the whole (iso-address, hence contiguous-ish)
-        // cached region when every copy goes; once part of it stays open,
-        // one per range of pages protected already or now
-        // (`DsmStore::protection_ranges`).  The bookkeeping is per dropped
-        // copy then, per learned notice otherwise (see `acquire`).
-        let calls = if named.is_none() {
-            let per_page = machine.dsm.invalidate_cycles_per_page;
-            clock.advance(machine.cpu.cycles(per_page * n as f64));
-            reprotected.len().min(1) as u64
-        } else {
-            reopen_ranges + self.store.protection_ranges(node, &reprotected, true)
-        };
+        NodeStats::bump_by(&node_ref.stats.pages_invalidated, dropped);
+        (
+            dropped,
+            self.store.protection_ranges(node, &reprotected, true),
+        )
+    }
+
+    /// Charge `calls` `mprotect`s to `clock`.
+    fn charge_mprotect(&self, node_ref: &Node, clock: &mut ThreadClock, calls: u64) {
         if calls > 0 {
             NodeStats::bump_by(&node_ref.stats.mprotect_calls, calls);
-            clock.advance(machine.dsm.mprotect_call.times(calls));
+            clock.advance(self.cluster.machine().dsm.mprotect_call.times(calls));
         }
-        reopened
+    }
+
+    /// Settle `node`'s pending drop: drop the stale copies a monitor's
+    /// acquire left open, at one `mprotect` per range (also counted in
+    /// `mprotect_calls_settled`).  A monitor's exit and `wait` call it once
+    /// the monitor is handed on; every other acquire, thread-level release,
+    /// `invalidateCache` and recovery on the node settles first.
+    pub fn settle(&self, node: NodeId, clock: &mut ThreadClock) {
+        let _one = self.caller.enter("DsmSystem::settle");
+        let calls = self.settle_pending(node, clock);
+        NodeStats::bump_by(&self.cluster.node(node).stats.mprotect_calls_settled, calls);
+    }
+
+    /// The drop of [`DsmSystem::settle`]; returns its `mprotect` calls.
+    pub(crate) fn settle_pending(&self, node: NodeId, clock: &mut ThreadClock) -> u64 {
+        let copies = self.pending[node.index()].take();
+        if copies.is_empty() {
+            return 0;
+        }
+        let node_ref = self.cluster.node(node);
+        let (_, calls) = self.drop_stale(node_ref, &copies, true);
+        self.charge_mprotect(node_ref, clock, calls);
+        calls
     }
 
     /// Close `frame`'s `java_ad` epoch (see `Detection::close_epoch`),
@@ -630,11 +711,23 @@ impl DsmSystem {
         frame: &PageFrame,
         bulk_pages: usize,
     ) -> Result<(), crate::recover::RpcFailure> {
+        // While the node has a pending drop (`DsmSystem::settle`), a pending
+        // copy is dropped alone first, and the access takes the ordinary
+        // miss; the miss opens the page, so the drop does not re-protect it.
+        let pending = &self.pending[node_ref.id().index()];
+        let pending_set = pending.is_set();
+        let stale = pending_set.then(|| pending.take_page(page, false));
+        if let Some(stale) = stale.flatten() {
+            self.drop_stale(node_ref, &[(page, stale)], false);
+        }
         // First real use of an overlapped fetch completes the transaction:
         // merge the completion timestamp (the residual latency) before the
         // access proceeds.
         self.complete_inflight(node_ref, clock, frame);
-        if !self.detection.on_access(&node_ref.stats, clock, frame) {
+        if !self
+            .detection
+            .on_access(&node_ref.stats, clock, frame, pending_set)
+        {
             return Ok(());
         }
         self.fetch_pages(node_ref, clock, page, frame, bulk_pages, true, true)
@@ -744,6 +837,45 @@ impl DsmSystem {
             i = j;
         }
         Ok((marks, rode))
+    }
+}
+
+/// A node's pending drop: the stale copies (page order) a monitor's acquire
+/// left open, and the flag the access path reads.
+#[derive(Debug, Default)]
+pub(crate) struct PendingDrop {
+    set: AtomicBool,
+    copies: Mutex<Vec<(PageId, Arc<PageFrame>)>>,
+}
+
+impl PendingDrop {
+    pub(crate) fn is_set(&self) -> bool {
+        self.set.load(Ordering::Relaxed)
+    }
+
+    /// Leave `copies` (page order) to be dropped later; nothing is pending.
+    fn defer(&self, copies: Vec<(PageId, Arc<PageFrame>)>) {
+        debug_assert!(!self.is_set(), "an acquire settles first");
+        *lock(&self.copies) = copies;
+        self.set.store(true, Ordering::Relaxed);
+    }
+
+    /// Take every copy: the drop settles.
+    fn take(&self) -> Vec<(PageId, Arc<PageFrame>)> {
+        self.set.store(false, Ordering::Relaxed);
+        std::mem::take(&mut *lock(&self.copies))
+    }
+
+    /// Take the copy of `page` alone, if it is pending (`keep`: only look).
+    pub(crate) fn take_page(&self, page: PageId, keep: bool) -> Option<Arc<PageFrame>> {
+        let mut copies = lock(&self.copies);
+        let at = copies.binary_search_by_key(&page.0, |(p, _)| p.0).ok()?;
+        if keep {
+            return Some(Arc::clone(&copies[at].1));
+        }
+        let (_, frame) = copies.remove(at);
+        self.set.store(!copies.is_empty(), Ordering::Relaxed);
+        Some(frame)
     }
 }
 

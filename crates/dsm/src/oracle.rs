@@ -84,17 +84,20 @@ impl DsmSystem {
     }
 
     /// Every present copy on `node` of a page `known` names carries at
-    /// least the stamp named: what a thread on `node` knows, its node's
-    /// cache never hides (see `crate::page`, the invariant).  Release builds
-    /// check nothing.
+    /// least the stamp named, or is in the node's pending drop, which the
+    /// access path drops before any use (`DsmSystem::settle`): what a thread
+    /// on `node` knows, its node's cache never hides (see `crate::page`, the
+    /// invariant).  Release builds check nothing.
     pub fn assert_knowledge_held(&self, node: NodeId, known: &Notices) {
         if !cfg!(debug_assertions) {
             return;
         }
         let _one = self.caller.enter("DsmSystem::assert_knowledge_held");
         let frames = self.store.existing_frames(node, known.iter().map(|e| e.0));
+        let pending = &self.pending[node.index()];
         for ((page, stamp), frame) in known.iter().zip(frames) {
             let held = frame.is_home() || !frame.is_present() || frame.version() >= stamp;
+            let held = held || pending.take_page(page, true).is_some();
             assert!(
                 held,
                 "stale copy kept: {page:?} on {node} at version {} although a write at {stamp} \
@@ -102,6 +105,14 @@ impl DsmSystem {
                 frame.version()
             );
         }
+    }
+
+    /// `node` has no pending drop: none outlives a monitor's hand-off, a
+    /// thread's end or another acquire on its node (`DsmSystem::settle`).
+    /// Release builds check nothing.
+    pub fn assert_no_pending_drop(&self, node: NodeId, past: &str) {
+        let left = cfg!(debug_assertions) && self.pending[node.index()].is_set();
+        assert!(!left, "a pending drop on {node} outlived {past}");
     }
 }
 

@@ -204,6 +204,7 @@ impl DsmSystem {
             return;
         }
         NodeStats::bump(&node_ref.stats.nodes_failed);
+        self.settle_pending(node_ref.id(), clock);
         let machine = self.cluster.machine();
         let winner = self.store.first_live_node();
         let mut resynced = 0u64;

@@ -16,9 +16,12 @@
 //!   node drops the cached copies the notices it just learned name at an
 //!   older stamp — or, for the pages a remote monitor's node homes, has its
 //!   grant patch them and reopen the dropped copies whose last answer fitted
-//!   a grant.  Every other copy stays as it was: no write that
-//!   happens-before the acquire changed it.  So a copy is open only as
-//!   shipped, patched (by a fetch or a grant) or confirmed by its home.
+//!   a grant.  A monitor's acquire drops the copies page protection
+//!   detects only once the monitor is handed on, or at the section's first
+//!   access to one ([`settle`]).  Every other copy stays as it was: no
+//!   write that happens-before the acquire changed it.  So a copy is used
+//!   only as shipped, patched (by a fetch or a grant) or confirmed by its
+//!   home.
 //!   This is the lazy form of the paper's `invalidateCache`, which drops
 //!   every copy and remains the explicit Table 2 primitive
 //!   ([`crate::memory::invalidate_cache`]).
@@ -46,6 +49,15 @@ pub fn acquire(ctx: &mut ThreadCtx, learned: &Notices, granter: Option<NodeId>) 
     let shared = std::sync::Arc::clone(&ctx.shared);
     shared.dsm.acquire(node, ctx.clock_mut(), learned, granter);
     shared.dsm.assert_knowledge_held(node, &ctx.knowledge);
+}
+
+/// Drop the stale copies the calling thread's monitor acquire left open,
+/// once its exit or `wait` has handed the monitor on
+/// ([`hyperion_dsm::DsmSystem::settle`]).
+pub fn settle(ctx: &mut ThreadCtx) {
+    let (node, shared) = (ctx.node(), std::sync::Arc::clone(&ctx.shared));
+    shared.dsm.settle(node, ctx.clock_mut());
+    shared.dsm.assert_no_pending_drop(node, "a hand-off");
 }
 
 /// Perform the release action for the calling thread: flush all recorded

@@ -268,7 +268,7 @@ impl HyperionRuntime {
                 dsm,
                 next_thread: AtomicU64::new(0),
                 balancer,
-                finish: TimeWatermark::new(),
+                finish: TimeWatermark::default(),
                 baton: Baton::default(),
                 serving_latencies: Mutex::new(Vec::new()),
             }),
@@ -841,6 +841,7 @@ impl ThreadCtx {
                 // Thread termination is a release point: the child's writes
                 // must reach main memory so a joining thread can observe them.
                 crate::jmm::release(&mut ctx, None);
+                shared.dsm.assert_no_pending_drop(node, "a thread end");
                 let end = ctx.clock.now();
                 ctx.merge_serving_latencies();
                 shared.finish.record(end);

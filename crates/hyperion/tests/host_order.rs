@@ -526,6 +526,79 @@ fn nested_monitors_and_a_wait_notify_ping_pong_stay_in_order() {
     assert_eq!(result, (3 * ROUNDS, 2 * ROUNDS));
 }
 
+/// Copies a `java_pf` holder's entry finds stale, each in an address range
+/// of its own.
+const STALE: usize = 4;
+
+/// A holder on node 1, the monitor's home, learns [`STALE`] write notices
+/// at its entry, for copies of node 2's pages that an open copy between
+/// each two keeps in separate address ranges, and a waiter on node 0 (where
+/// no other thread learns them) parks behind it.  The drop's `mprotect`s
+/// are the holder's, paid once its exit has handed the monitor on: the
+/// waiter is granted at the holder's release plus the grant's flight, and
+/// the holder leaves the exit [`STALE`] calls after that release.
+/// Mutation on record: settling the drop before `MonitorState::release`
+/// (in `HMonitor::exit`) fails the grant's assertion by exactly those calls.
+#[test]
+fn a_waiter_is_granted_before_the_holders_stale_copies_are_re_protected() {
+    let (home, arrival, section) = (NodeId(1), VTime::from_ms(5), VTime::from_ms(1));
+    let waiter_arrival = arrival + VTime::from_us(500);
+    let (left, waited, settled) = the_same_under_every_seed(|seed| {
+        let out = runtime(3).run(move |ctx| {
+            let slots = 2 * STALE * SLOTS_PER_PAGE;
+            let pages = ctx.alloc_array_page_aligned::<u64>(slots, NodeId(2));
+            let monitor = ctx.new_monitor(home);
+            let wm = monitor.clone();
+            let writer = ctx.spawn_on(NodeId(2), move |t| {
+                t.observe(VTime::from_ms(1));
+                wm.synchronized(t, |t| {
+                    (0..STALE).for_each(|k| pages.put(t, 2 * k * SLOTS_PER_PAGE, 1));
+                });
+            });
+            let (hm, left) = (monitor.clone(), Arc::new(Mutex::new(VTime::ZERO)));
+            let out = Arc::clone(&left);
+            let holder = ctx.spawn_on(home, move |t| {
+                let mut jitter = Jitter::of(seed, 0);
+                (0..2 * STALE).for_each(|k| assert_eq!(pages.get(t, k * SLOTS_PER_PAGE), 0));
+                t.observe(arrival);
+                hm.enter(t);
+                jitter.sleep();
+                t.charge(section);
+                hm.exit(t);
+                *lock(&out) = t.now();
+                jitter.sleep();
+            });
+            let waiter = ctx.spawn_on(HOME, move |t| {
+                let mut jitter = Jitter::of(seed, 1);
+                t.observe(waiter_arrival);
+                jitter.sleep();
+                monitor.synchronized(t, |_| ());
+            });
+            for h in [writer, holder, waiter] {
+                ctx.join(h);
+            }
+            let left = *lock(&left);
+            left
+        });
+        let stats = &out.report.node_stats;
+        let (waited, settled) = (stats[0].monitor_wait_ps, stats[1].mprotect_calls_settled);
+        (out.result, waited, settled)
+    });
+    let control = runtime(3).cluster().control_message_cost();
+    let machine = myrinet_200().machine;
+    let trip = control.times(2) + machine.cpu.cycles(machine.dsm.protocol_server_cycles);
+    let drop = machine.dsm.mprotect_call.times(STALE as u64);
+    assert_eq!(
+        settled, STALE as u64,
+        "one call per range, after the hand-off"
+    );
+    assert_eq!(
+        waiter_arrival + trip + VTime::from_ps(waited),
+        left - drop + control,
+        "the grant leaves at the holder's release, before its drop"
+    );
+}
+
 #[test]
 #[should_panic(expected = "blocked for good: the program deadlocked")]
 fn a_wait_nobody_notifies_panics_instead_of_hanging() {

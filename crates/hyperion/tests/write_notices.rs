@@ -70,7 +70,13 @@
 //! * thread end not waiting for the ride (`jmm::release` without its merge
 //!   of the thread's last `R`): the join leaves before the diff is home —
 //!   `a_join_on_the_releasers_node_waits_for_what_rode_the_release` (and
-//!   the exit litmus above, which reads `R` off the releaser's end).
+//!   the exit litmus above, which reads `R` off the releaser's end);
+//! * the access path skipping its pending check (`DsmSystem::ensure_access`
+//!   never looks at the node's pending drop, so a section reads the stale
+//!   copy its monitor's acquire left open):
+//!   `a_section_reads_a_page_its_acquire_left_pending_and_sees_the_write`,
+//!   its write twin, `a_second_thread_of_the_node_reads_a_pending_copy_after_dropping_it`
+//!   and seven older litmus tests (the message-passing pair among them).
 
 use std::sync::mpsc::channel;
 use std::sync::Arc;
@@ -824,6 +830,194 @@ fn a_dropped_copy_refused_once_is_not_named_at_the_next_grant() {
         let pf = u64::from(protocol != ProtocolKind::JavaIc);
         assert_eq!((faults, loads, patched), (pf, 1, 1), "{label}");
     }
+}
+
+// ----- the pending drop -------------------------------------------------------
+//
+// A monitor's acquire leaves the stale copies page protection detects open,
+// as its node's pending drop, and its exit drops them once the monitor is
+// handed on.  Until then the access path catches a pending copy and drops
+// it alone; another acquire on the node drops them all first.
+
+/// A reader on node 2 caches a page homed on node 0; a writer on node 0
+/// writes slot 7 under a monitor of node 1, whose grant therefore carries no
+/// patch for the page; the reader then enters the monitor and, if `nested`,
+/// a monitor of its own node inside it, writes slot 8 there if `write` and
+/// reads slot 7.  Returns, per protocol, the value read and the reader
+/// node's counters before the entry, after the (last) entry, after the
+/// section's accesses and after the exits.
+fn pending_section(
+    nested: bool,
+    write: bool,
+) -> Vec<(String, ProtocolKind, u64, [StatsSnapshot; 4])> {
+    let mut out = Vec::new();
+    for (label, config) in configs(3) {
+        let protocol = config.protocol;
+        let rt = HyperionRuntime::new(config).unwrap();
+        let cluster = Arc::clone(rt.cluster());
+        let run = rt.run(move |ctx| {
+            let data = ctx.alloc_array_page_aligned::<u64>(SLOTS, NodeId(0));
+            let m = ctx.new_monitor(NodeId(1));
+            let (seen_tx, seen) = channel();
+            let wm = m.clone();
+            let writer = ctx.spawn_on(NodeId(0), move |t| {
+                t.observe(VTime::from_ms(1));
+                wm.synchronized(t, |t| data.put(t, 7, 41));
+            });
+            let reader = ctx.spawn_on(NodeId(2), move |t| {
+                cache(t, &[data], PROTECTED);
+                let inner = t.new_monitor(NodeId(2));
+                t.observe(VTime::from_ms(5));
+                let stats = || cluster.node_stats(NodeId(2));
+                let before = stats();
+                m.enter(t);
+                if nested {
+                    inner.enter(t);
+                }
+                let entered = stats();
+                if write {
+                    data.put(t, 8, 43);
+                }
+                let seen = data.get(t, 7);
+                let done = stats();
+                if nested {
+                    inner.exit(t);
+                }
+                m.exit(t);
+                seen_tx
+                    .send((seen, [before, entered, done, stats()]))
+                    .unwrap();
+            });
+            ctx.join(writer);
+            ctx.join(reader);
+            let home = data.get(ctx, 8);
+            let (seen, stats) = seen.recv().unwrap();
+            (seen, stats, home)
+        });
+        let (seen, stats, home) = run.result;
+        assert_eq!(
+            home,
+            if write { 43 } else { 0 },
+            "{label}: the write is home"
+        );
+        out.push((label, protocol, seen, stats));
+    }
+    out
+}
+
+/// The reader's entry leaves its stale copy pending under page protection
+/// (`java_pf`, and `java_ad`'s page made dense), the section's read drops
+/// it, faults and refetches it — one `mprotect`, to open it: the copy is
+/// not closed first — and sees the write; the exit has nothing to settle.  A Check copy
+/// (`java_ic`) is dropped by the entry.  Mutation on record: the access path
+/// skipping its pending check (`DsmSystem::ensure_access` never calls
+/// `access_pending`) reads 0 here under `java_pf` and `java_ad`.
+#[test]
+fn a_section_reads_a_page_its_acquire_left_pending_and_sees_the_write() {
+    for (label, protocol, seen, [before, entered, read, exited]) in pending_section(false, false) {
+        assert_eq!(seen, 41, "{label}");
+        let protect = protocol != ProtocolKind::JavaIc;
+        let (at_entry, at_read) = if protect { (0, 1) } else { (1, 0) };
+        let cost = section_cost(before, entered);
+        assert_eq!(cost.3, at_entry, "{label}: dropped at the entry");
+        let cost = section_cost(entered, read);
+        assert_eq!(
+            (cost.0, cost.3),
+            (at_read, at_read),
+            "{label}: dropped at the read"
+        );
+        assert_eq!(cost.2, at_read, "{label}: opened again, never closed");
+        assert_eq!(exited.mprotect_calls_settled, 0, "{label}");
+    }
+}
+
+/// [`a_section_reads_a_page_its_acquire_left_pending_and_sees_the_write`]
+/// with the section writing the page first: the write drops the pending
+/// copy, so the read sees the writer's slot, and the write reaches the home.
+#[test]
+fn a_section_writes_a_page_its_acquire_left_pending_and_sees_the_write() {
+    for (label, protocol, seen, [_, entered, written, _]) in pending_section(false, true) {
+        assert_eq!(seen, 41, "{label}");
+        let at_write = u64::from(protocol != ProtocolKind::JavaIc);
+        assert_eq!(section_cost(entered, written).3, at_write, "{label}");
+    }
+}
+
+/// A second monitor entered inside the section drops the first one's
+/// pending copy before its own acquire: the copy is gone, re-protected at
+/// one `mprotect`, when the section starts, and no exit settles anything.
+#[test]
+fn a_second_monitor_entered_inside_the_section_settles_the_first_ones_drop() {
+    for (label, protocol, seen, [before, entered, read, exited]) in pending_section(true, false) {
+        assert_eq!(seen, 41, "{label}");
+        let protect = u64::from(protocol != ProtocolKind::JavaIc);
+        let (faults, loads, mprotects, dropped, _) = section_cost(before, entered);
+        assert_eq!((faults, loads, dropped), (0, 0, 1), "{label}");
+        assert_eq!(mprotects, protect, "{label}: the drop's re-protect");
+        assert_eq!(section_cost(entered, read).3, 0, "{label}");
+        assert_eq!(exited.mprotect_calls_settled, 0, "{label}");
+    }
+}
+
+/// Two threads of one node take turns inside one DSM (as the baton has
+/// them): the first acquires a monitor grant whose notice outdates its
+/// node's copy, the second reads that pending copy before anything
+/// settles.  It drops the copy and reads the write, and the node's debug
+/// oracle holds before and after; the exit's settle finds nothing left.
+#[test]
+fn a_second_thread_of_the_node_reads_a_pending_copy_after_dropping_it() {
+    for protocol in ProtocolKind::all_extended() {
+        let cluster = Cluster::new(myrinet_200().machine, 3);
+        let alloc = Arc::new(IsoAllocator::new(3));
+        let store = DsmStore::new(Arc::clone(&alloc), 3);
+        let dsm = DsmSystem::new(Arc::clone(&cluster), store, protocol);
+        let addr = alloc.alloc_page_aligned(SLOTS, NodeId(0));
+        let (reader, mut first, mut second) = (NodeId(2), ThreadClock::new(), ThreadClock::new());
+        let (mut home, mut cursor) = (ThreadClock::new(), 0);
+        assert_eq!(dsm.get(reader, &mut first, addr), 0);
+        dsm.put(NodeId(0), &mut home, addr, 41);
+        let written = dsm.release(NodeId(0), &mut home, &mut cursor, None).1;
+        dsm.acquire(reader, &mut first, &written, Some(NodeId(1)));
+        dsm.assert_knowledge_held(reader, &written);
+        assert_eq!(dsm.get(reader, &mut second, addr), 41, "{protocol}");
+        dsm.assert_knowledge_held(reader, &written);
+        dsm.settle(reader, &mut first);
+        dsm.assert_no_pending_drop(reader, "the settle");
+        let s = cluster.node_stats(reader);
+        assert_eq!(
+            (s.pages_invalidated, s.mprotect_calls_settled),
+            (1, 0),
+            "{protocol}"
+        );
+    }
+}
+
+/// The oracle exempts the pending copies and nothing else: a stale copy no
+/// acquire named is still caught.
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "stale copy kept")]
+fn the_oracle_exempts_only_the_pending_copies() {
+    let cluster = Cluster::new(myrinet_200().machine, 3);
+    let alloc = Arc::new(IsoAllocator::new(3));
+    let store = DsmStore::new(Arc::clone(&alloc), 3);
+    let dsm = DsmSystem::new(cluster, store, ProtocolKind::JavaPf);
+    let (pending, stale) = (
+        alloc.alloc_page_aligned(SLOTS, NodeId(0)),
+        alloc.alloc_page_aligned(SLOTS, NodeId(0)),
+    );
+    let (reader, mut clock, mut home, mut cursor) =
+        (NodeId(2), ThreadClock::new(), ThreadClock::new(), 0);
+    dsm.get(reader, &mut clock, pending);
+    dsm.get(reader, &mut clock, stale);
+    dsm.put(NodeId(0), &mut home, pending, 1);
+    let first = dsm.release(NodeId(0), &mut home, &mut cursor, None).1;
+    dsm.put(NodeId(0), &mut home, stale, 1);
+    let mut both = dsm.release(NodeId(0), &mut home, &mut cursor, None).1;
+    both.merge(&first);
+    dsm.acquire(reader, &mut clock, &first, Some(NodeId(1)));
+    dsm.assert_knowledge_held(reader, &first);
+    dsm.assert_knowledge_held(reader, &both);
 }
 
 // ----- what a release carries -------------------------------------------------

@@ -36,11 +36,6 @@ macro_rules! define_stats {
                     $($field: self.$field.load(Ordering::Relaxed),)+
                 }
             }
-
-            /// Reset every counter to zero.
-            pub fn reset(&self) {
-                $(self.$field.store(0, Ordering::Relaxed);)+
-            }
         }
 
         impl StatsSnapshot {
@@ -156,6 +151,8 @@ define_stats! {
     pages_kept,
     /// Picoseconds by which monitor `enter` / re-acquire moved threads of this node forward to a previous holder's release (two critical sections that overlapped in virtual time).
     monitor_wait_ps,
+    /// `mprotect` calls (of `mprotect_calls`) that re-protected a monitor acquire's stale copies after its exit or `wait` had handed the monitor on (`DsmSystem::settle`).
+    mprotect_calls_settled,
 }
 
 impl NodeStats {
@@ -280,11 +277,6 @@ impl WireStats {
             .copied()
             .collect()
     }
-
-    /// Reset all counters (between experiment runs).
-    pub fn reset(&self) {
-        lock(&self.services).clear();
-    }
 }
 
 #[cfg(test)]
@@ -309,8 +301,6 @@ mod tests {
         assert!((snap[0].measured_us_per_rpc() - 3.0).abs() < 1e-9);
         assert!((snap[0].modeled_us_per_rpc() - 4.0).abs() < 1e-9);
         assert_eq!(snap[1].service, 3);
-        w.reset();
-        assert!(w.snapshot().is_empty());
         assert_eq!(WireServiceSnapshot::default().measured_us_per_rpc(), 0.0);
     }
 
@@ -326,18 +316,6 @@ mod tests {
         assert_eq!(snap.bytes_sent, 4096);
         assert_eq!(snap.page_faults, 1);
         assert_eq!(snap.mprotect_calls, 0);
-    }
-
-    #[test]
-    fn reset_zeroes_everything() {
-        let s = NodeStats::default();
-        NodeStats::bump_by(&s.field_reads, 10);
-        NodeStats::bump_by(&s.field_writes, 5);
-        s.reset();
-        let snap = s.snapshot();
-        assert_eq!(snap.field_reads, 0);
-        assert_eq!(snap.field_writes, 0);
-        assert_eq!(snap.field_accesses(), 0);
     }
 
     #[test]
@@ -378,7 +356,7 @@ mod tests {
         ] {
             assert!(names.contains(&expected), "missing {expected}");
         }
-        assert_eq!(names.len(), 48);
+        assert_eq!(names.len(), 49);
         for added in [
             "batched_flushes",
             "rpc_retries",
@@ -402,6 +380,7 @@ mod tests {
             "rpc_queue_wait_ps",
             "pages_kept",
             "monitor_wait_ps",
+            "mprotect_calls_settled",
         ] {
             assert!(names.contains(&added), "missing {added}");
         }

@@ -56,21 +56,6 @@ impl VTime {
         VTime(ms * 1_000_000_000)
     }
 
-    /// Construct from a floating-point number of seconds (saturating, never
-    /// negative).
-    #[inline]
-    pub fn from_secs_f64(secs: f64) -> Self {
-        if secs <= 0.0 {
-            return VTime::ZERO;
-        }
-        let ps = secs * 1e12;
-        if ps >= u64::MAX as f64 {
-            VTime::MAX
-        } else {
-            VTime(ps as u64)
-        }
-    }
-
     /// Construct from a floating-point number of nanoseconds (saturating,
     /// never negative).
     #[inline]
@@ -110,12 +95,6 @@ impl VTime {
         self.0 as f64 / 1e12
     }
 
-    /// Saturating addition.
-    #[inline]
-    pub fn saturating_add(self, rhs: VTime) -> VTime {
-        VTime(self.0.saturating_add(rhs.0))
-    }
-
     /// Saturating subtraction (clamps at zero).
     #[inline]
     pub fn saturating_sub(self, rhs: VTime) -> VTime {
@@ -143,7 +122,7 @@ impl std::ops::Add for VTime {
     type Output = VTime;
     #[inline]
     fn add(self, rhs: VTime) -> VTime {
-        self.saturating_add(rhs)
+        VTime(self.0.saturating_add(rhs.0))
     }
 }
 
@@ -380,11 +359,6 @@ impl ServerClock {
         let start = self.calendar().book(arrival.as_ps(), service.as_ps());
         VTime::from_ps(start.saturating_add(service.as_ps()))
     }
-
-    /// Reset the server to idle at time zero (between experiment runs).
-    pub fn reset(&self) {
-        self.calendar().len = 0;
-    }
 }
 
 /// A shared monotone watermark of virtual time, used to compute the maximum
@@ -396,13 +370,6 @@ pub struct TimeWatermark {
 }
 
 impl TimeWatermark {
-    /// New watermark at time zero.
-    pub fn new() -> Self {
-        TimeWatermark {
-            max_ps: AtomicU64::new(0),
-        }
-    }
-
     /// Record an observed time; keeps the maximum.
     pub fn record(&self, t: VTime) {
         self.max_ps.fetch_max(t.as_ps(), Ordering::AcqRel);
@@ -411,11 +378,6 @@ impl TimeWatermark {
     /// The maximum time recorded so far.
     pub fn max(&self) -> VTime {
         VTime::from_ps(self.max_ps.load(Ordering::Acquire))
-    }
-
-    /// Reset to zero.
-    pub fn reset(&self) {
-        self.max_ps.store(0, Ordering::Release);
     }
 }
 
@@ -428,8 +390,7 @@ mod tests {
         assert_eq!(VTime::from_ns(1).as_ps(), 1_000);
         assert_eq!(VTime::from_us(3).as_ns(), 3_000);
         assert_eq!(VTime::from_ms(2).as_us(), 2_000);
-        assert!((VTime::from_secs_f64(1.5).as_secs_f64() - 1.5).abs() < 1e-9);
-        assert_eq!(VTime::from_secs_f64(-1.0), VTime::ZERO);
+        assert!((VTime::from_ms(1500).as_secs_f64() - 1.5).abs() < 1e-9);
         assert_eq!(VTime::from_ns_f64(-5.0), VTime::ZERO);
         assert!((VTime::from_ns_f64(2.5).as_ps()) == 2_500);
     }
@@ -440,7 +401,7 @@ mod tests {
         assert_eq!(max + VTime::from_ns(1), VTime::MAX);
         assert_eq!(VTime::ZERO - VTime::from_ns(1), VTime::ZERO);
         assert_eq!(VTime::MAX.times(3), VTime::MAX);
-        assert_eq!(VTime::from_secs_f64(1e20), VTime::MAX);
+        assert_eq!(VTime::from_ns_f64(1e20), VTime::MAX);
     }
 
     #[test]
@@ -458,7 +419,7 @@ mod tests {
         assert_eq!(format!("{}", VTime::from_ns(120)), "120 ns");
         assert_eq!(format!("{}", VTime::from_us(12)), "12.000 us");
         assert_eq!(format!("{}", VTime::from_ms(12)), "12.000 ms");
-        assert_eq!(format!("{}", VTime::from_secs_f64(2.0)), "2.000 s");
+        assert_eq!(format!("{}", VTime::from_ms(2000)), "2.000 s");
     }
 
     #[test]
@@ -507,8 +468,6 @@ mod tests {
         let end3 = s.serve(VTime::from_us(100), VTime::from_us(1));
         assert_eq!(end3, VTime::from_us(101));
         assert_eq!(s.free_at(), VTime::from_us(101));
-        s.reset();
-        assert_eq!(s.free_at(), VTime::ZERO);
     }
 
     #[test]
@@ -697,12 +656,10 @@ mod tests {
 
     #[test]
     fn watermark_tracks_maximum() {
-        let w = TimeWatermark::new();
+        let w = TimeWatermark::default();
         w.record(VTime::from_us(3));
         w.record(VTime::from_us(1));
         w.record(VTime::from_us(9));
         assert_eq!(w.max(), VTime::from_us(9));
-        w.reset();
-        assert_eq!(w.max(), VTime::ZERO);
     }
 }

@@ -247,13 +247,6 @@ impl Cluster {
     pub fn total_stats(&self) -> StatsSnapshot {
         StatsSnapshot::total(self.all_stats().iter())
     }
-
-    /// Reset every node's per-run state (between experiment runs).
-    pub fn reset(&self) {
-        for n in &self.nodes {
-            n.reset();
-        }
-    }
 }
 
 impl Drop for Cluster {
@@ -418,36 +411,22 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_all_node_state() {
-        let c = test_cluster(2);
-        let svc = c.register_service(Arc::new(|_n: &Node, _c: NodeId, _p: &[u8]| {
-            RpcReply::ack(VTime::from_us(1))
-        }));
-        let mut clock = ThreadClock::new();
-        c.rpc(&mut clock, NodeId(0), NodeId(1), svc, &[1, 2, 3])
-            .unwrap();
-        assert!(c.total_stats().rpc_requests > 0);
-        c.reset();
-        assert_eq!(c.total_stats().rpc_requests, 0);
-        assert_eq!(c.node(NodeId(1)).server.free_at(), VTime::ZERO);
-        // Services survive a reset.
-        assert_eq!(c.num_services(), 1);
-    }
-
-    #[test]
     fn rpc_split_defers_the_completion_merge() {
-        let c = test_cluster(2);
-        let svc = c.register_service(Arc::new(|_n: &Node, _c: NodeId, _p: &[u8]| {
-            RpcReply::with_data(vec![7u8; 64], VTime::from_us(5))
-        }));
+        let serving = || {
+            let c = test_cluster(2);
+            let svc = c.register_service(Arc::new(|_n: &Node, _c: NodeId, _p: &[u8]| {
+                RpcReply::with_data(vec![7u8; 64], VTime::from_us(5))
+            }));
+            (c, svc)
+        };
 
         // Blocking reference call.
         let mut blocking = ThreadClock::new();
+        let (c, svc) = serving();
         let _ = c.rpc(&mut blocking, NodeId(0), NodeId(1), svc, &[1]);
 
-        // Split call from a fresh, identical state (reset the server clock
-        // so both calls see an idle home).
-        c.reset();
+        // Split call from a fresh, identical state: both see an idle home.
+        let (c, svc) = serving();
         let mut split = ThreadClock::new();
         let (data, completion) = c
             .rpc_split(&mut split, NodeId(0), NodeId(1), svc, &[1])

@@ -65,12 +65,6 @@ impl GlobalAddr {
     pub fn offset(self, n: u64) -> GlobalAddr {
         GlobalAddr(self.0 + n)
     }
-
-    /// True for the null address.
-    #[inline]
-    pub fn is_null(self) -> bool {
-        self.0 == 0
-    }
 }
 
 impl std::fmt::Display for GlobalAddr {
@@ -248,8 +242,7 @@ mod tests {
         assert_eq!(a.page(), PageId(3));
         assert_eq!(a.slot(), 17);
         assert_eq!(a.offset(5).slot(), 22);
-        assert!(GlobalAddr::NULL.is_null());
-        assert!(!a.is_null());
+        assert_ne!(a, GlobalAddr::NULL);
         assert_eq!(PageId(3).index(), 3);
     }
 
@@ -311,7 +304,7 @@ mod tests {
         for i in 0..100 {
             let home = NodeId(i % 3);
             let a = alloc.alloc(3, home);
-            assert!(!a.is_null());
+            assert_ne!(a, GlobalAddr::NULL);
         }
     }
 

@@ -48,18 +48,11 @@ impl Node {
     pub fn id(&self) -> NodeId {
         self.id
     }
-
-    /// Reset per-run state (server clock and statistics).
-    pub fn reset(&self) {
-        self.server.reset();
-        self.stats.reset();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hyperion_model::VTime;
 
     #[test]
     fn node_id_display_and_index() {
@@ -67,16 +60,5 @@ mod tests {
         assert_eq!(id.index(), 3);
         assert_eq!(format!("{id}"), "node3");
         assert!(NodeId(1) < NodeId(2));
-    }
-
-    #[test]
-    fn node_reset_clears_state() {
-        let n = Node::new(NodeId(0));
-        assert_eq!(n.id(), NodeId(0));
-        n.server.serve(VTime::from_us(5), VTime::from_us(5));
-        hyperion_model::NodeStats::bump(&n.stats.page_loads);
-        n.reset();
-        assert_eq!(n.server.free_at(), VTime::ZERO);
-        assert_eq!(n.stats.snapshot().page_loads, 0);
     }
 }

@@ -10,6 +10,9 @@
 //! * runs every app under every protocol at quick scale over `SimTransport`
 //!   a few times and asserts identical `execution_time` and `StatsSnapshot`
 //!   on every row;
+//! * runs Jacobi, ASP and Barnes-Hut on 12 nodes under `java_pf`, where
+//!   most barrier wakes hand a monitor on before the waker's pending drop
+//!   is settled, and asserts the same of them;
 //! * runs the serving apps over Unix-domain sockets and asserts the same
 //!   modeled time and every counter as their `SimTransport` twins.
 
@@ -38,8 +41,17 @@ fn benchmark(name: BenchmarkName) -> Box<dyn Benchmark> {
 type Outcome = (VTime, StatsSnapshot);
 
 fn run(name: BenchmarkName, protocol: ProtocolKind, backend: TransportBackend) -> Outcome {
+    run_on(NODES, name, protocol, backend)
+}
+
+fn run_on(
+    nodes: usize,
+    name: BenchmarkName,
+    protocol: ProtocolKind,
+    backend: TransportBackend,
+) -> Outcome {
     let config =
-        HyperionConfig::new(myrinet_200(), NODES, protocol).with_transport(TransportConfig {
+        HyperionConfig::new(myrinet_200(), nodes, protocol).with_transport(TransportConfig {
             backend,
             ..TransportConfig::default()
         });
@@ -66,6 +78,22 @@ fn every_app_under_every_protocol_run_again() {
         }
     }
     assert_eq!(rows, 21, "every app × protocol row repeats exactly");
+}
+
+#[test]
+fn the_barrier_apps_on_twelve_nodes_under_java_pf_run_again() {
+    let apps = [
+        BenchmarkName::Jacobi,
+        BenchmarkName::Asp,
+        BenchmarkName::Barnes,
+    ];
+    for name in apps {
+        let once = || run_on(12, name, ProtocolKind::JavaPf, TransportBackend::Sim);
+        let first = once();
+        for again in 1..RUNS {
+            assert_eq!(once(), first, "{name} on 12 nodes, run {again}");
+        }
+    }
 }
 
 #[test]
