@@ -799,7 +799,7 @@ pub fn table1_modules() -> Vec<(&'static str, &'static str, &'static str)> {
         (
             "Memory subsystem",
             "Single shared address space under the Java Memory Model, two protocols",
-            "hyperion-dsm::engine::DsmSystem + hyperion::memory",
+            "hyperion-dsm::engine::DsmSystem + hyperion::runtime::ThreadCtx",
         ),
         (
             "Load balancer",
@@ -838,7 +838,7 @@ pub fn table2_primitives(cluster: &ClusterSpec, protocol: ProtocolKind) -> Vec<P
         // a split transaction, so its cost is the issue plus the residual
         // the first use pays, less that use's own cost as a cached get.
         let t0 = ctx.now();
-        ctx.load_into_cache(remote.base());
+        ctx.load_into_cache(remote.base(), 1);
         let _: u64 = remote.get(ctx, 0);
         let loaded = ctx.now() - t0;
 
@@ -856,12 +856,12 @@ pub fn table2_primitives(cluster: &ClusterSpec, protocol: ProtocolKind) -> Vec<P
 
         // updateMainMemory with one dirty slot.
         let t0 = ctx.now();
-        hyperion::memory::update_main_memory(ctx);
+        ctx.update_main_memory();
         costs.push(("updateMainMemory", ctx.now() - t0));
 
         // invalidateCache with one cached page.
         let t0 = ctx.now();
-        hyperion::memory::invalidate_cache(ctx);
+        ctx.invalidate_cache();
         costs.push(("invalidateCache", ctx.now() - t0));
 
         costs

@@ -35,10 +35,10 @@
 //!   pages, either because an in-flight bulk access is certain to touch them
 //!   or because their epoch history shows stable re-access.
 //!
-//! The engine exposes exactly the primitives of the paper's Table 2:
-//! [`DsmSystem::load_into_cache`], [`DsmSystem::invalidate_cache`],
-//! [`DsmSystem::update_main_memory`], [`DsmSystem::get`] and
-//! [`DsmSystem::put`].
+//! The engine exposes exactly the primitives of the paper's Table 2, one
+//! entry each: [`DsmSystem::load_into_cache`]`(node, clock, first, pages)`,
+//! [`DsmSystem::invalidate_cache`], [`DsmSystem::update_main_memory`],
+//! [`DsmSystem::get`] and [`DsmSystem::put`].
 //!
 //! Every protocol-variable decision is the access detection's
 //! ([`crate::detection`]): the engine holds the run's `Detection` and asks
@@ -215,27 +215,11 @@ impl DsmSystem {
         out: &mut [u64],
     ) {
         let _one = self.caller.enter("DsmSystem::read_slice");
-        if out.is_empty() {
-            return;
-        }
-        let node_ref = self.cluster.node(node);
-        NodeStats::bump(&node_ref.stats.bulk_reads);
-        NodeStats::bump_by(&node_ref.stats.field_reads, out.len() as u64);
-        let mut done = 0usize;
-        while done < out.len() {
-            let a = addr.offset(done as u64);
-            let slot = a.slot();
-            let run = (SLOTS_PER_PAGE - slot).min(out.len() - done);
-            let frame = self.store.frame(node, a.page());
-            // Pages this slice is still certain to touch, counting the
-            // current one — the batching hint for `java_ad` fetches.
-            let bulk_pages = 1 + (out.len() - done - run).div_ceil(SLOTS_PER_PAGE);
-            self.unwrap_rpc(self.ensure_access(node_ref, clock, a.page(), &frame, bulk_pages));
-            for k in 0..run {
-                out[done + k] = frame.load_slot(slot + k);
+        self.walk_slice(node, clock, addr, out.len(), false, |_, frame, slot, at| {
+            for (value, slot) in out[at].iter_mut().zip(slot..) {
+                *value = frame.load_slot(slot);
             }
-            done += run;
-        }
+        });
     }
 
     /// Bulk write of `values` to consecutive slots starting at `addr`: the
@@ -253,54 +237,81 @@ impl DsmSystem {
         values: &[u64],
     ) {
         let _one = self.caller.enter("DsmSystem::write_slice");
-        if values.is_empty() {
+        self.walk_slice(
+            node,
+            clock,
+            addr,
+            values.len(),
+            true,
+            |page, frame, slot, at| {
+                for (&value, slot) in values[at].iter().zip(slot..) {
+                    if frame.store_slot(slot, value) {
+                        self.written[node.index()].push([(page, u64::MAX)]);
+                    }
+                }
+            },
+        );
+    }
+
+    /// The walk of a bulk transfer of `len` slots from `addr`, counted as
+    /// one bulk read (or `write`) of `len` fields: access detection once per
+    /// touched page, then `copy(page, frame, first slot, slice range)` over
+    /// the page's run.
+    fn walk_slice(
+        &self,
+        node: NodeId,
+        clock: &mut ThreadClock,
+        addr: GlobalAddr,
+        len: usize,
+        write: bool,
+        mut copy: impl FnMut(PageId, &PageFrame, usize, std::ops::Range<usize>),
+    ) {
+        if len == 0 {
             return;
         }
         let node_ref = self.cluster.node(node);
-        NodeStats::bump(&node_ref.stats.bulk_writes);
-        NodeStats::bump_by(&node_ref.stats.field_writes, values.len() as u64);
+        let stats = &node_ref.stats;
+        let (bulk, fields) = match write {
+            false => (&stats.bulk_reads, &stats.field_reads),
+            true => (&stats.bulk_writes, &stats.field_writes),
+        };
+        NodeStats::bump(bulk);
+        NodeStats::bump_by(fields, len as u64);
         let mut done = 0usize;
-        while done < values.len() {
+        while done < len {
             let a = addr.offset(done as u64);
-            let slot = a.slot();
-            let run = (SLOTS_PER_PAGE - slot).min(values.len() - done);
+            let run = (SLOTS_PER_PAGE - a.slot()).min(len - done);
             let frame = self.store.frame(node, a.page());
-            let bulk_pages = 1 + (values.len() - done - run).div_ceil(SLOTS_PER_PAGE);
+            // Pages this slice is still certain to touch, counting the
+            // current one — the batching hint for `java_ad` fetches.
+            let bulk_pages = 1 + (len - done - run).div_ceil(SLOTS_PER_PAGE);
             self.unwrap_rpc(self.ensure_access(node_ref, clock, a.page(), &frame, bulk_pages));
-            for k in 0..run {
-                if frame.store_slot(slot + k, values[done + k]) {
-                    self.written[node.index()].push([(a.page(), u64::MAX)]);
-                }
-            }
+            copy(a.page(), &frame, a.slot(), done..done + run);
             done += run;
         }
     }
 
-    /// Explicitly load a page into the local cache (the `loadIntoCache`
-    /// primitive of Table 2).  A no-op for home pages and pages already
-    /// cached.
-    pub fn load_into_cache(&self, node: NodeId, clock: &mut ThreadClock, page: PageId) {
-        let _one = self.caller.enter("DsmSystem::load_into_cache");
-        let node_ref = self.cluster.node(node);
-        let frame = self.store.frame(node, page);
-        if frame.is_home() || (frame.is_present() && !frame.is_protected()) {
-            return;
-        }
-        // An explicit prefetch is not an access: it leaves the page's epoch
-        // statistics alone.
-        self.unwrap_rpc(self.fetch_pages(node_ref, clock, page, &frame, 1, false, true));
-    }
-
-    /// Prefetch every absent page of the `pages` consecutive pages starting
-    /// at `first`: the span form of [`DsmSystem::load_into_cache`].
+    /// Explicitly load every absent page of the `pages` consecutive pages
+    /// starting at `first` into `node`'s cache: the `loadIntoCache`
+    /// primitive of Table 2.  Home pages and pages already cached are
+    /// skipped.  The fetches are split transactions: the caller pays their
+    /// issue, and the first real use of a page the residual latency.
     ///
     /// The whole span is *certain* to be touched (the caller said so), so
     /// under `java_ad` the remaining span rides along in batched fetches on
     /// certainty alone — history speculation is suppressed, because piling
     /// speculative pages onto an explicit prefetch would compound two
-    /// guesses and inflate page traffic the program never asked for.
-    pub fn prefetch_span(&self, node: NodeId, clock: &mut ThreadClock, first: PageId, pages: u64) {
-        let _one = self.caller.enter("DsmSystem::prefetch_span");
+    /// guesses and inflate page traffic the program never asked for.  An
+    /// explicit prefetch is not an access: it leaves the pages' epoch
+    /// statistics alone.
+    pub fn load_into_cache(
+        &self,
+        node: NodeId,
+        clock: &mut ThreadClock,
+        first: PageId,
+        pages: u64,
+    ) {
+        let _one = self.caller.enter("DsmSystem::load_into_cache");
         let node_ref = self.cluster.node(node);
         for k in 0..pages {
             let page = PageId(first.0 + k);
@@ -309,7 +320,7 @@ impl DsmSystem {
                 continue;
             }
             let span = (pages - k) as usize;
-            self.unwrap_rpc(self.fetch_pages(node_ref, clock, page, &frame, span, false, false));
+            self.unwrap_rpc(self.fetch_pages(node_ref, clock, page, &frame, span, false));
         }
     }
 
@@ -386,7 +397,7 @@ impl DsmSystem {
             self.settle_pending(node, clock);
         }
         let (node_ref, dirty) = (self.cluster.node(node), self.collect_dirty(node));
-        let flushed = self.flush_frames(node, node_ref, clock, &dirty, monitor.is_some(), monitor);
+        let flushed = self.flush_frames(node, node_ref, clock, &dirty, monitor);
         let (flushed, rode) = self.unwrap_rpc(flushed);
         let store = &self.store;
         let stamp_of = |page| store.frame(store.home_of(page), page).written_stamp();
@@ -479,7 +490,7 @@ impl DsmSystem {
             .filter(|(_, frame, _)| frame.has_dirty_slots())
             .map(|(page, frame, _)| (*page, Arc::clone(frame)))
             .collect();
-        let flushed = self.flush_frames(node, node_ref, clock, &dirty, false, None);
+        let flushed = self.flush_frames(node, node_ref, clock, &dirty, None);
         self.unwrap_rpc(flushed);
         // A flush that found its home dead may have promoted a frame to home.
         let (riders, mut stale): (Vec<_>, Vec<_>) = (stale.into_iter())
@@ -662,7 +673,7 @@ impl DsmSystem {
     pub fn update_main_memory(&self, node: NodeId, clock: &mut ThreadClock) {
         let _one = self.caller.enter("DsmSystem::update_main_memory");
         let (node_ref, dirty) = (self.cluster.node(node), self.collect_dirty(node));
-        let flushed = self.flush_frames(node, node_ref, clock, &dirty, false, None);
+        let flushed = self.flush_frames(node, node_ref, clock, &dirty, None);
         self.unwrap_rpc(flushed);
     }
 
@@ -676,23 +687,6 @@ impl DsmSystem {
             }
         });
         dirty
-    }
-
-    /// Deferred-release form of [`DsmSystem::update_main_memory`]: the diffs
-    /// are issued as split transactions, the caller pays only their issue,
-    /// and the returned per-home marks name the instant each home's last
-    /// one completes, which the *next acquire of the same monitor* must
-    /// merge — exactly the happens-before edge the JMM requires of a
-    /// release.  With nothing dirty they are empty.
-    pub fn update_main_memory_deferred(
-        &self,
-        node: NodeId,
-        clock: &mut ThreadClock,
-    ) -> Vec<HomeFlushMark> {
-        let _one = self.caller.enter("DsmSystem::update_main_memory_deferred");
-        let (node_ref, dirty) = (self.cluster.node(node), self.collect_dirty(node));
-        let flushed = self.flush_frames(node, node_ref, clock, &dirty, true, None);
-        self.unwrap_rpc(flushed).0
     }
 
     // ----- internal helpers ------------------------------------------------
@@ -716,7 +710,7 @@ impl DsmSystem {
         // miss; the miss opens the page, so the drop does not re-protect it.
         let pending = &self.pending[node_ref.id().index()];
         let pending_set = pending.is_set();
-        let stale = pending_set.then(|| pending.take_page(page, false));
+        let stale = pending_set.then(|| pending.take_page(page));
         if let Some(stale) = stale.flatten() {
             self.drop_stale(node_ref, &[(page, stale)], false);
         }
@@ -730,7 +724,7 @@ impl DsmSystem {
         {
             return Ok(());
         }
-        self.fetch_pages(node_ref, clock, page, frame, bulk_pages, true, true)
+        self.fetch_pages(node_ref, clock, page, frame, bulk_pages, true)
     }
 
     /// Flush the dirty slots of `dirty` (page-id ordered) to their home
@@ -740,16 +734,15 @@ impl DsmSystem {
     /// for `monitor`'s home rides that monitor's release: it is issued as a
     /// split transaction (only the issue path is charged to `clock`), and
     /// the instant the home has applied the last of them is returned beside
-    /// the flush.  With `deferred` set, every other diff RPC is issued that
-    /// way too and the per-home completion watermarks are returned; blocking
-    /// mode merges each completion on the spot.
+    /// the flush.  Under a monitor every other diff RPC is issued that way
+    /// too and the per-home completion watermarks are returned; without one
+    /// the flush blocks, merging each completion on the spot.
     pub(crate) fn flush_frames(
         &self,
         node: NodeId,
         node_ref: &Node,
         clock: &mut ThreadClock,
         dirty: &[(PageId, Arc<PageFrame>)],
-        deferred: bool,
         monitor: Option<NodeId>,
     ) -> Result<(Vec<HomeFlushMark>, Option<VTime>), crate::recover::RpcFailure> {
         let machine = self.cluster.machine();
@@ -801,7 +794,7 @@ impl DsmSystem {
                 // plane re-routed completes like a blocking flush.
                 NodeStats::bump(&node_ref.stats.release_diffs);
                 rode = rode.max(Some(completion - reply_leg(machine, reply.len())));
-            } else if deferred && !rides {
+            } else if monitor.is_some() && !rides {
                 // Hand the transaction to the deferred queue: the caller
                 // stores the completion watermark on the releasing monitor
                 // and the next acquire of that monitor merges it.  Marks
@@ -866,13 +859,16 @@ impl PendingDrop {
         std::mem::take(&mut *lock(&self.copies))
     }
 
-    /// Take the copy of `page` alone, if it is pending (`keep`: only look).
-    pub(crate) fn take_page(&self, page: PageId, keep: bool) -> Option<Arc<PageFrame>> {
+    /// Whether the copy of `page` is pending.
+    pub(crate) fn holds(&self, page: PageId) -> bool {
+        let copies = lock(&self.copies);
+        copies.binary_search_by_key(&page.0, |(p, _)| p.0).is_ok()
+    }
+
+    /// Take the copy of `page` alone, if it is pending.
+    fn take_page(&self, page: PageId) -> Option<Arc<PageFrame>> {
         let mut copies = lock(&self.copies);
         let at = copies.binary_search_by_key(&page.0, |(p, _)| p.0).ok()?;
-        if keep {
-            return Some(Arc::clone(&copies[at].1));
-        }
         let (_, frame) = copies.remove(at);
         self.set.store(!copies.is_empty(), Ordering::Relaxed);
         Some(frame)

@@ -279,13 +279,12 @@ impl DsmSystem {
     /// A successor page joins the batch only when it shares the demanded
     /// page's home, is currently absent, and is either *certain* to be
     /// touched (it lies inside the `bulk_pages` of the access that triggered
-    /// the miss) or *predicted* to be touched (`speculate` is set — span
-    /// prefetches clear it — and the detection predicts re-access from its
+    /// the miss, or of the explicit prefetch) or, for a demand fetch,
+    /// *predicted* to be touched (the detection predicts re-access from its
     /// epoch history).  The second condition is what keeps batched fetches
     /// from inflating page loads: only pages with demonstrated per-epoch
     /// re-access are speculated on.  Without batching detection the window
     /// is the demanded page alone.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn fetch_pages(
         &self,
         node_ref: &Node,
@@ -294,7 +293,6 @@ impl DsmSystem {
         frame: &PageFrame,
         bulk_pages: usize,
         demand: bool,
-        speculate: bool,
     ) -> Result<(), RpcFailure> {
         let (node, home) = (node_ref.id(), self.store.home_of(page));
         let unprotect = self.detection.technique(frame) == AdMode::Protect;
@@ -308,7 +306,7 @@ impl DsmSystem {
         // dilute the bound.  This keeps a mispredicting workload (e.g.
         // dynamic work reassignment) from inflating page traffic noticeably.
         let gate = &self.fetch_state[node.index()].speculation;
-        let may_speculate = speculate && gate.wastes_little(16);
+        let may_speculate = demand && gate.wastes_little(16);
 
         // Candidate phase: grow the contiguous window page by page.
         let num_pages = self.store.allocator().num_pages();

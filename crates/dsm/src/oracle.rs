@@ -97,7 +97,7 @@ impl DsmSystem {
         let pending = &self.pending[node.index()];
         for ((page, stamp), frame) in known.iter().zip(frames) {
             let held = frame.is_home() || !frame.is_present() || frame.version() >= stamp;
-            let held = held || pending.take_page(page, true).is_some();
+            let held = held || pending.holds(page);
             assert!(
                 held,
                 "stale copy kept: {page:?} on {node} at version {} although a write at {stamp} \

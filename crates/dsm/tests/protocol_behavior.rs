@@ -4,7 +4,9 @@
 
 use std::sync::Arc;
 
-use hyperion_dsm::{AdaptiveParams, DsmStore, DsmSystem, ProtocolKind, TransportConfig};
+use hyperion_dsm::{
+    AdaptiveParams, DsmStore, DsmSystem, HomeFlushMark, ProtocolKind, TransportConfig,
+};
 use hyperion_model::{myrinet_200, ThreadClock, VTime};
 use hyperion_pm2::{
     Cluster, FaultKill, FaultSpec, GlobalAddr, IsoAllocator, NodeId, PageId, SLOTS_PER_PAGE,
@@ -267,7 +269,7 @@ fn explicit_load_into_cache_prefetches() {
         let f = fixture(2, kind);
         let addr = f.alloc.alloc(8, NodeId(1));
         let mut clock = ThreadClock::new();
-        f.dsm.load_into_cache(NodeId(0), &mut clock, addr.page());
+        f.dsm.load_into_cache(NodeId(0), &mut clock, addr.page(), 1);
         assert!(resident(&f.dsm, NodeId(0), addr.page()));
         let loads_before = f.cluster.node_stats(NodeId(0)).page_loads;
         let faults_before = f.cluster.node_stats(NodeId(0)).page_faults;
@@ -279,8 +281,8 @@ fn explicit_load_into_cache_prefetches() {
         );
         assert_eq!(s.page_faults, faults_before);
         // Loading an already-cached or home page is a no-op.
-        f.dsm.load_into_cache(NodeId(0), &mut clock, addr.page());
-        f.dsm.load_into_cache(NodeId(1), &mut clock, addr.page());
+        f.dsm.load_into_cache(NodeId(0), &mut clock, addr.page(), 1);
+        f.dsm.load_into_cache(NodeId(1), &mut clock, addr.page(), 1);
         assert_eq!(f.cluster.node_stats(NodeId(0)).page_loads, loads_before);
         assert_eq!(f.cluster.node_stats(NodeId(1)).page_loads, 0);
     }
@@ -560,6 +562,32 @@ fn adaptive_history_prefetch_needs_a_stable_streak() {
     assert_eq!(f.cluster.node_stats(NodeId(0)).page_loads, loads_before);
 }
 
+/// An explicit prefetch is certain, never speculative: a one-page
+/// `load_into_cache` fetches its page alone, although the next page's
+/// streak would let a demand miss on the page batch it.
+#[test]
+fn adaptive_explicit_prefetch_of_one_page_never_speculates() {
+    let f = fixture(2, ProtocolKind::JavaAd);
+    let addr = f.alloc.alloc_page_aligned(SLOTS_PER_PAGE * 2, NodeId(1));
+    let second = addr.offset(SLOTS_PER_PAGE as u64);
+    let mut clock = ThreadClock::new();
+    // Three epochs of access to the second page: a streak of 3.
+    for _ in 0..3 {
+        let _ = f.dsm.get(NodeId(0), &mut clock, second);
+        f.dsm.invalidate_cache(NodeId(0), &mut clock);
+    }
+    let before = f.cluster.node_stats(NodeId(0));
+    f.dsm.load_into_cache(NodeId(0), &mut clock, addr.page(), 1);
+    let s = f.cluster.node_stats(NodeId(0));
+    assert_eq!(s.page_loads, before.page_loads + 1, "the page alone");
+    assert_eq!(
+        (s.batched_fetches, s.pages_prefetch_speculative),
+        (before.batched_fetches, before.pages_prefetch_speculative)
+    );
+    assert!(resident(&f.dsm, NodeId(0), addr.page()));
+    assert!(!resident(&f.dsm, NodeId(0), second.page()));
+}
+
 #[test]
 fn adaptive_batch_never_crosses_a_home_boundary() {
     let f = fixture(3, ProtocolKind::JavaAd);
@@ -657,7 +685,7 @@ fn overlapped_prefetch_hides_latency_behind_compute() {
             let a = f.alloc.alloc(8, NodeId(1));
             f.dsm.put(NodeId(1), &mut ThreadClock::new(), a, 11);
             let mut clock = ThreadClock::new();
-            f.dsm.load_into_cache(NodeId(0), &mut clock, a.page());
+            f.dsm.load_into_cache(NodeId(0), &mut clock, a.page(), 1);
             clock.advance(window);
             assert_eq!(f.dsm.get(NodeId(0), &mut clock, a), 11, "{kind:?}");
             (clock.now(), f.cluster.node_stats(NodeId(0)))
@@ -688,7 +716,7 @@ fn overlapped_ticket_completes_exactly_once_and_clears_on_invalidate() {
 
     // Prefetch and never use: the invalidation abandons the ticket and
     // no hidden cycles are recorded.
-    f.dsm.load_into_cache(NodeId(0), &mut clock, addr.page());
+    f.dsm.load_into_cache(NodeId(0), &mut clock, addr.page(), 1);
     let frame = f.dsm.store().frame(NodeId(0), addr.page());
     assert!(frame.has_inflight());
     f.dsm.invalidate_cache(NodeId(0), &mut clock);
@@ -700,7 +728,7 @@ fn overlapped_ticket_completes_exactly_once_and_clears_on_invalidate() {
 
     // Prefetch and use twice: the ticket is consumed exactly once (the
     // second access is an ordinary cached hit).
-    f.dsm.load_into_cache(NodeId(0), &mut clock, addr.page());
+    f.dsm.load_into_cache(NodeId(0), &mut clock, addr.page(), 1);
     clock.advance(VTime::from_us(5));
     let _ = f.dsm.get(NodeId(0), &mut clock, addr);
     let hidden = f.cluster.node_stats(NodeId(0)).fetch_overlap_cycles_hidden;
@@ -1036,6 +1064,16 @@ fn stride_fetches_never_change_observed_values() {
 
 // ----- deferred release flushing -----------------------------------------
 
+/// A release of a monitor homed on node 0 by node 0, with a dirty copy of a
+/// page homed on node 1: the diff does not ride the release, it is deferred
+/// to the monitor's next acquire.
+fn release_deferring(f: &Fixture, clock: &mut ThreadClock) -> Vec<HomeFlushMark> {
+    let mut cursor = 0;
+    (f.dsm
+        .release(NodeId(0), clock, &mut cursor, Some(NodeId(0))))
+    .0
+}
+
 #[test]
 fn deferred_flush_returns_a_watermark_and_applies_the_diffs() {
     let f = fixture(2, ProtocolKind::JavaIc);
@@ -1043,7 +1081,7 @@ fn deferred_flush_returns_a_watermark_and_applies_the_diffs() {
     let mut w = ThreadClock::new();
     f.dsm.put(NodeId(0), &mut w, addr, 41);
 
-    let marks = f.dsm.update_main_memory_deferred(NodeId(0), &mut w);
+    let marks = release_deferring(&f, &mut w);
     assert!(!marks.is_empty(), "dirty pages under a deferred transport");
     // Only the issue path was charged; each completion lies ahead.
     for m in &marks {
@@ -1057,10 +1095,7 @@ fn deferred_flush_returns_a_watermark_and_applies_the_diffs() {
     let mut h = ThreadClock::new();
     assert_eq!(f.dsm.get(NodeId(1), &mut h, addr), 41);
     // Nothing dirty: a second deferred flush is a no-op.
-    assert!(f
-        .dsm
-        .update_main_memory_deferred(NodeId(0), &mut w)
-        .is_empty());
+    assert!(release_deferring(&f, &mut w).is_empty());
 }
 
 #[test]
@@ -1071,7 +1106,7 @@ fn deferred_flush_issue_path_is_cheaper_than_blocking() {
         let mut w = ThreadClock::new();
         f.dsm.put(NodeId(0), &mut w, addr, 1);
         if defer {
-            let _ = f.dsm.update_main_memory_deferred(NodeId(0), &mut w);
+            release_deferring(&f, &mut w);
         } else {
             f.dsm.update_main_memory(NodeId(0), &mut w);
         }
@@ -1661,7 +1696,7 @@ fn golden_run(kind: ProtocolKind, transport: &TransportConfig) -> [String; 3] {
     let span = f.alloc.alloc_page_aligned(3 * SLOTS_PER_PAGE, n2);
     let mut t = [ThreadClock::new(), ThreadClock::new(), ThreadClock::new()];
     let mut out = vec![0u64; 4 * SLOTS_PER_PAGE];
-    let mut pending: Vec<hyperion_dsm::HomeFlushMark> = Vec::new();
+    let (mut pending, mut cursor): (Vec<HomeFlushMark>, _) = (Vec::new(), 0);
     for round in 0..10u64 {
         // Page-mate writers: nodes 1 and 2 write their own slots of a page
         // homed at node 0.
@@ -1692,11 +1727,12 @@ fn golden_run(kind: ProtocolKind, transport: &TransportConfig) -> [String; 3] {
         let tail = page(bulk, 2).offset(SLOTS_PER_PAGE as u64 - 2);
         f.dsm.write_slice(n0, c, tail, &[round; 3]);
         if round % 2 == 0 {
-            f.dsm.load_into_cache(n0, c, page(span, 1).page());
+            f.dsm.load_into_cache(n0, c, page(span, 1).page(), 1);
         } else {
-            f.dsm.prefetch_span(n0, c, span.page(), 3);
+            f.dsm.load_into_cache(n0, c, span.page(), 3);
         }
-        pending = f.dsm.update_main_memory_deferred(n0, c);
+        // A release of a monitor node 0 homes: every diff is deferred.
+        pending = f.dsm.release(n0, c, &mut cursor, Some(n0)).0;
         // A second reader of the scan's head.
         let c = &mut t[2];
         f.dsm.invalidate_cache(n2, c);

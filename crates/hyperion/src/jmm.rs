@@ -24,7 +24,7 @@
 //!   home.
 //!   This is the lazy form of the paper's `invalidateCache`, which drops
 //!   every copy and remains the explicit Table 2 primitive
-//!   ([`crate::memory::invalidate_cache`]).
+//!   ([`ThreadCtx::invalidate_cache`]).
 //!
 //! Knowledge is merged, never replaced, so it is transitive exactly as
 //! happens-before is.  The access-detection protocols share these actions;

@@ -18,7 +18,9 @@
 //!
 //! * [`runtime`] — [`HyperionRuntime`], [`HyperionConfig`], [`ThreadCtx`],
 //!   [`RunReport`]: build a cluster, run a program, read the virtual
-//!   execution time and the per-node event statistics.
+//!   execution time and the per-node event statistics.  [`ThreadCtx`] is
+//!   the one surface of the Table 2 primitives (`get_slot`, `put_slot`,
+//!   `load_into_cache`, `invalidate_cache`, `update_main_memory`).
 //! * [`object`] — typed shared objects, arrays, Java-style 2-D arrays and
 //!   the locality-aware view/bulk-transfer layer.
 //! * [`layout`] — typed field layouts ([`object_layout!`], [`HStruct`]).
@@ -26,8 +28,6 @@
 //!   granted in virtual-time order.
 //! * [`jmm`] — the acquire/release actions themselves: write notices along
 //!   every synchronisation edge.
-//! * [`memory`] — the raw Table 2 primitives (`get`, `put`, `loadIntoCache`,
-//!   `invalidateCache`, `updateMainMemory`).
 //! * [`api`] — the small "Java API subsystem": barrier and shared counter.
 //! * [`thread`] — the round-robin load balancer and thread handles.
 //!
@@ -62,7 +62,6 @@
 pub mod api;
 pub mod jmm;
 pub mod layout;
-pub mod memory;
 pub mod monitor;
 pub mod object;
 mod order;

@@ -553,7 +553,7 @@ mod tests {
             // The blocking reference: the page is cached from here on.
             cell.put(ctx, 0, 4u64);
             let t0 = ctx.now();
-            crate::memory::update_main_memory(ctx);
+            ctx.update_main_memory();
             let flush = ctx.now() - t0;
 
             monitor.enter(ctx);

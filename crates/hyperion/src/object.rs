@@ -248,14 +248,15 @@ impl<T: SlotValue> HArray<T> {
         (start, end)
     }
 
-    /// Prefetch every page this array's elements live on (`loadIntoCache`
-    /// per touched page).  A no-op for local and already-cached pages.
+    /// Prefetch every page this array's elements live on (one
+    /// `loadIntoCache` over their span).  A no-op for local and
+    /// already-cached pages.
     ///
     /// The fetches are issued as split transactions, so calling this right
     /// after an acquire point hides the transfer latency behind whatever
     /// computation runs before the data's first real use.
     pub fn prefetch(&self, ctx: &mut ThreadCtx) {
-        ctx.prefetch_slots(self.base, self.len);
+        ctx.load_into_cache(self.base, self.len);
     }
 
     /// Bulk-read `range` into a local vector, paying access detection once
@@ -301,12 +302,6 @@ impl<T: SlotValue> HArray<T> {
             raw,
             _marker: PhantomData,
         }
-    }
-
-    /// Write `value` into every element (one bulk write).
-    pub fn fill(&self, ctx: &mut ThreadCtx, value: T) {
-        let values = vec![value; self.len];
-        self.write_slice(ctx, 0, &values);
     }
 
     /// Read the whole array into a local `Vec` (one bulk read).
@@ -635,7 +630,7 @@ mod tests {
             let arr: HArray<f64> = ctx.alloc_array(10, NodeId(1));
             assert_eq!(arr.len(), 10);
             assert!(!arr.is_empty());
-            arr.fill(ctx, 2.5);
+            arr.write_slice(ctx, 0, &[2.5; 10]);
             arr.put(ctx, 3, -1.0);
             let v = arr.to_vec(ctx);
             assert_eq!(v.len(), 10);

@@ -722,30 +722,37 @@ impl ThreadCtx {
         self.shared.dsm.put(self.node, &mut self.clock, addr, value);
     }
 
-    /// Explicitly prefetch the page containing `addr` (`loadIntoCache`).
-    pub fn load_into_cache(&mut self, addr: GlobalAddr) {
-        self.shared
-            .dsm
-            .load_into_cache(self.node, &mut self.clock, addr.page());
-    }
-
-    /// Prefetch every page of the `slots` consecutive slots starting at
-    /// `addr`: one `loadIntoCache` per touched page.
+    /// Explicitly prefetch every page of the `slots` consecutive slots
+    /// starting at `addr` (`loadIntoCache` of Table 2).
     ///
     /// The fetches are issued as split transactions and only their
     /// *residual* latency is charged when the data is first really used —
     /// this is the call a latency-hiding kernel places as early as its
     /// consistency window allows (right after the acquire that invalidated
     /// the cache).
-    pub fn prefetch_slots(&mut self, addr: GlobalAddr, slots: usize) {
+    pub fn load_into_cache(&mut self, addr: GlobalAddr, slots: usize) {
         if slots == 0 {
             return;
         }
         let first = addr.page();
-        let last = addr.offset(slots as u64 - 1).page();
-        self.shared
-            .dsm
-            .prefetch_span(self.node, &mut self.clock, first, last.0 - first.0 + 1);
+        let pages = addr.offset(slots as u64 - 1).page().0 - first.0 + 1;
+        let dsm = &self.shared.dsm;
+        dsm.load_into_cache(self.node, &mut self.clock, first, pages);
+    }
+
+    /// Invalidate every cached (non-home) page on this thread's node
+    /// (`invalidateCache` of Table 2).  Monitor entry performs its lazy
+    /// form, which drops only the copies the write notices it learns name
+    /// (see [`crate::jmm`]).
+    pub fn invalidate_cache(&mut self) {
+        self.shared.dsm.invalidate_cache(self.node, &mut self.clock);
+    }
+
+    /// Flush every recorded modification to its home node
+    /// (`updateMainMemory` of Table 2): a thread-level release
+    /// ([`crate::jmm::release`]).  Monitor exit performs it too.
+    pub fn update_main_memory(&mut self) {
+        crate::jmm::release(self, None);
     }
 
     /// Bulk read of `out.len()` consecutive slots starting at `addr`,
@@ -831,12 +838,10 @@ impl ThreadCtx {
             .name(format!("hyperion-{}", tid))
             .spawn(move || {
                 shared.baton.await_turn(tid);
-                let mut ctx = ThreadCtx::new(Arc::clone(&shared), tid, node, start, known);
+                let mut ctx = ThreadCtx::new(Arc::clone(&shared), tid, node, start, known.clone());
                 // ...which is an acquire on the child's node: what the parent
                 // knows others wrote, no copy there may hide.
-                shared
-                    .dsm
-                    .acquire(node, &mut ctx.clock, &ctx.knowledge, None);
+                crate::jmm::acquire(&mut ctx, &known, None);
                 body(&mut ctx);
                 // Thread termination is a release point: the child's writes
                 // must reach main memory so a joining thread can observe them.
@@ -1075,6 +1080,28 @@ mod tests {
             let _ = ctx.get_slot(remote);
         });
         assert_eq!(rt.cluster().total_stats().locality_checks, 1);
+    }
+
+    #[test]
+    fn table2_primitives_compose_into_a_producer_consumer_exchange() {
+        for protocol in ProtocolKind::all() {
+            let rt = HyperionRuntime::new(config(2, protocol)).unwrap();
+            let out = rt.run(|ctx| {
+                let addr = ctx.alloc_slots(4, NodeId(1));
+                // Producer side (running on node 0, writing remote memory).
+                ctx.load_into_cache(addr, 2);
+                ctx.put_slot(addr, 7);
+                ctx.put_slot(addr.offset(1), 8);
+                ctx.update_main_memory();
+                // Consumer side re-reads from main memory.
+                ctx.invalidate_cache();
+                ctx.get_slot(addr) + ctx.get_slot(addr.offset(1))
+            });
+            assert_eq!(out.result, 15, "{protocol:?}");
+            let total = out.report.total_stats();
+            assert!(total.page_loads >= 1);
+            assert_eq!(total.diff_slots_flushed, 2);
+        }
     }
 
     #[test]

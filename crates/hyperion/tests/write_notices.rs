@@ -369,7 +369,7 @@ fn an_acquire_keeps_every_copy_no_notice_outdates_at_no_cost() {
                 gate.synchronized(t, |_| ());
                 // Fetched again after the first write: `current` is at the
                 // stamp the monitor's notice names.
-                hyperion::memory::invalidate_cache(t);
+                t.invalidate_cache();
                 assert_eq!(read_all(t), [0, 1, 0]);
                 t.observe(VTime::from_ms(5));
                 let before = cluster.node_stats(NodeId(2));
@@ -495,7 +495,7 @@ fn cache(t: &mut ThreadCtx, pages: &[HArray<u64>], accesses: usize) {
     for page in pages {
         (0..accesses).for_each(|_| assert_eq!(page.get(t, 0), 0));
     }
-    hyperion::memory::invalidate_cache(t);
+    t.invalidate_cache();
     pages.iter().for_each(|page| assert_eq!(page.get(t, 0), 0));
 }
 

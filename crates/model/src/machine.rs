@@ -275,11 +275,6 @@ pub fn sci_450() -> ClusterSpec {
     }
 }
 
-/// All cluster presets evaluated in the paper, in figure order.
-pub fn paper_clusters() -> Vec<ClusterSpec> {
-    vec![myrinet_200(), sci_450()]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,15 +341,13 @@ mod tests {
 
     #[test]
     fn paper_clusters_returns_both_presets() {
-        let all = paper_clusters();
-        assert_eq!(all.len(), 2);
-        assert_eq!(all[0].label(), "200MHz/Myrinet");
-        assert_eq!(all[1].label(), "450MHz/SCI");
+        assert_eq!(myrinet_200().label(), "200MHz/Myrinet");
+        assert_eq!(sci_450().label(), "450MHz/SCI");
     }
 
     #[test]
     fn page_fault_dearer_than_mprotect_on_both_clusters() {
-        for spec in paper_clusters() {
+        for spec in [myrinet_200(), sci_450()] {
             assert!(spec.machine.dsm.page_fault >= spec.machine.dsm.mprotect_call);
         }
     }

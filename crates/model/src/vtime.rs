@@ -14,7 +14,7 @@
 //!   without the order in which OS threads happen to run leaking into them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 
 use crate::sync::lock;
 
@@ -339,16 +339,6 @@ impl ServerClock {
         Self::default()
     }
 
-    fn calendar(&self) -> MutexGuard<'_, Calendar> {
-        lock(&self.calendar)
-    }
-
-    /// End of the latest booking: the server is idle from here on.
-    pub fn free_at(&self) -> VTime {
-        let cal = self.calendar();
-        VTime::from_ps(cal.busy[..cal.len].last().map_or(0, |b| b.end))
-    }
-
     /// Reserve `service` time in the earliest idle gap that starts no
     /// earlier than `arrival`.
     ///
@@ -356,7 +346,7 @@ impl ServerClock {
     /// `completion - service`.  Linearisable: concurrent callers each obtain
     /// a disjoint service interval.
     pub fn serve(&self, arrival: VTime, service: VTime) -> VTime {
-        let start = self.calendar().book(arrival.as_ps(), service.as_ps());
+        let start = lock(&self.calendar).book(arrival.as_ps(), service.as_ps());
         VTime::from_ps(start.saturating_add(service.as_ps()))
     }
 }
@@ -467,7 +457,9 @@ mod tests {
         // Third request arrives long after the server is idle.
         let end3 = s.serve(VTime::from_us(100), VTime::from_us(1));
         assert_eq!(end3, VTime::from_us(101));
-        assert_eq!(s.free_at(), VTime::from_us(101));
+        // The server is busy until 101us, and idle from then on.
+        let end4 = s.serve(VTime::from_us(100), VTime::from_us(1));
+        assert_eq!(end4, VTime::from_us(102));
     }
 
     #[test]
@@ -622,7 +614,8 @@ mod tests {
         assert_eq!(s.serve(us(105), us(5)), us(115));
         // Simultaneous arrivals serialise.
         assert_eq!(s.serve(us(100), us(10)), us(125));
-        assert_eq!(s.free_at(), us(220));
+        // The latest booking ends at 220: a request inside it waits for it.
+        assert_eq!(s.serve(us(219), us(1)), us(221));
     }
 
     #[test]

@@ -225,11 +225,10 @@ fn dsm_matches_the_consistency_specification() {
     assert!(patched.get() > 0, "no sequence crossed a patch");
 }
 
-/// The model check of [`dsm_matches_the_consistency_specification`], with
-/// every flush taking the deferred path: stride prefetches install pages
-/// ahead of the demand misses and deferred flushing re-times the release
-/// RPCs, but every read must still observe exactly the values the
-/// consistency specification predicts, under all three protocols.
+/// The model check of [`dsm_matches_the_consistency_specification`] under
+/// all three protocols: stride prefetches install pages ahead of the demand
+/// misses and `java_ad` batches fetches, but every read must still observe
+/// exactly the values the consistency specification predicts.
 #[test]
 fn dsm_matches_the_consistency_specification_under_directory_transport() {
     property(32, |seed, rng| {
@@ -278,17 +277,12 @@ fn dsm_matches_the_consistency_specification_under_directory_transport() {
                         let expected = spec.get(node, slot);
                         assert_eq!(
                             real, expected,
-                            "seed {seed}: {protocol:?} deferred-flush read mismatch at slot \
-                             {slot}"
+                            "seed {seed}: {protocol:?} read mismatch at slot {slot}"
                         );
                     }
                     DsmOp::Flush { node } => {
                         let node = node as usize;
-                        // Exercise the deferred path: values must land at the
-                        // homes immediately (only the latency accounting is
-                        // deferred to the monitor hand-off).
-                        let _ =
-                            dsm.update_main_memory_deferred(NodeId(node as u32), &mut clocks[node]);
+                        dsm.update_main_memory(NodeId(node as u32), &mut clocks[node]);
                         spec.flush(node);
                     }
                     DsmOp::Invalidate { node } => {
