@@ -432,6 +432,6 @@ mod tests {
         assert_eq!(params.name().figure(), 9);
         let (digest, report) = params.execute(config(2, ProtocolKind::JavaIc));
         assert_eq!(digest, sequential(&params, 2).digest);
-        assert!(report.serving_ops() > 0);
+        assert!(report.total_stats().serving_ops > 0);
     }
 }

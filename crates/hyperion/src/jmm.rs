@@ -72,9 +72,10 @@ pub fn settle(ctx: &mut ThreadCtx) {
 /// the home then.  Its other diffs are issued the same way, and the returned
 /// per-home [`HomeFlushMark`]s (empty if none was) must be stored on the
 /// monitor so its *next acquire* merges their completions — the JMM's
-/// release/acquire edge is per-monitor, which is exactly why both are legal.  A thread-level edge blocks, and
-/// first waits for what rode the thread's monitor releases to arrive: no
-/// successor outside those monitors acts before the diffs are home.
+/// release/acquire edge is per-monitor, which is exactly why both are legal.
+/// A thread-level edge blocks, and first waits for every diff the thread's
+/// monitor releases sent, riding or deferred, to arrive: no successor
+/// outside those monitors acts before the diffs are home.
 pub fn release(
     ctx: &mut ThreadCtx,
     monitor: Option<NodeId>,
@@ -86,7 +87,8 @@ pub fn release(
     let cursor = &mut ctx.log_cursor;
     let (flushed, written, rode) = shared.dsm.release(node, &mut ctx.clock, cursor, monitor);
     ctx.knowledge.merge(&written);
-    ctx.rode = ctx.rode.max(rode.unwrap_or(VTime::ZERO));
+    let deferred = flushed.iter().map(|mark| mark.completion);
+    ctx.rode = deferred.chain(rode).fold(ctx.rode, VTime::max);
     (flushed, rode)
 }
 
@@ -125,6 +127,29 @@ mod tests {
             assert!(total.diff_messages >= 1);
             assert_eq!(total.diff_slots_flushed, 1);
             assert_eq!((total.pages_invalidated, total.pages_kept), (0, 1));
+        }
+    }
+
+    /// A monitor release defers the diff for a page a third node homes to
+    /// the monitor's next acquire; a thread-level release after it (a
+    /// thread end, `Thread.start`) must still wait for that diff to be home.
+    #[test]
+    fn a_thread_level_release_waits_for_the_diffs_a_monitor_release_deferred() {
+        for protocol in ProtocolKind::all() {
+            let rt = HyperionRuntime::new(HyperionConfig::new(myrinet_200(), 3, protocol));
+            let out = rt.unwrap().run(|ctx| {
+                let cell = ctx.alloc_object(1, NodeId(2));
+                cell.put(ctx, 0, 5u64);
+                let (marks, rode) = release(ctx, Some(NodeId(1)));
+                release(ctx, None);
+                (marks, rode, ctx.now())
+            });
+            let (marks, rode, now) = out.result;
+            assert_eq!((marks.len(), rode), (1, None), "{protocol:?}: deferred");
+            assert!(
+                now >= marks[0].completion,
+                "{protocol:?}: {now} before {marks:?}"
+            );
         }
     }
 

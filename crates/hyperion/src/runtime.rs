@@ -446,12 +446,6 @@ impl RunReport {
         self.execution_time.as_secs_f64()
     }
 
-    /// Serving operations completed cluster-wide (zero unless the program
-    /// recorded operations via [`ThreadCtx::record_serving_op`]).
-    pub fn serving_ops(&self) -> u64 {
-        self.total_stats().serving_ops
-    }
-
     /// Each home's utilisation: the service time remote requests booked on
     /// its protocol processor as a share of the run's modeled time, indexed
     /// by node id.
@@ -538,8 +532,9 @@ pub struct ThreadCtx {
     /// This thread's place in its node's write log: its next release names
     /// what the node made visible from here on.
     pub(crate) log_cursor: u64,
-    /// When the diffs that rode this thread's monitor releases have all
-    /// reached their homes (see [`crate::jmm::release`]).
+    /// When the diffs this thread's monitor releases sent, those that rode
+    /// them and those they deferred, have all reached their homes (see
+    /// [`crate::jmm::release`]).
     pub(crate) rode: VTime,
 }
 
@@ -608,12 +603,6 @@ impl ThreadCtx {
     #[inline]
     pub fn num_nodes(&self) -> usize {
         self.shared.config.nodes
-    }
-
-    /// Application threads per node configured for this run.
-    #[inline]
-    pub fn threads_per_node(&self) -> usize {
-        self.shared.config.threads_per_node
     }
 
     /// The machine model of the cluster.

@@ -83,12 +83,6 @@ impl VTime {
         self.0 / 1_000
     }
 
-    /// Whole microseconds (truncating).
-    #[inline]
-    pub const fn as_us(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// Seconds as a float.
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
@@ -379,7 +373,7 @@ mod tests {
     fn vtime_conversions_round_trip() {
         assert_eq!(VTime::from_ns(1).as_ps(), 1_000);
         assert_eq!(VTime::from_us(3).as_ns(), 3_000);
-        assert_eq!(VTime::from_ms(2).as_us(), 2_000);
+        assert_eq!(VTime::from_ms(2).as_ns(), 2_000_000);
         assert!((VTime::from_ms(1500).as_secs_f64() - 1.5).abs() < 1e-9);
         assert_eq!(VTime::from_ns_f64(-5.0), VTime::ZERO);
         assert!((VTime::from_ns_f64(2.5).as_ps()) == 2_500);

@@ -288,11 +288,6 @@ impl FaultyTransport {
         }
     }
 
-    /// The schedule this transport replays.
-    pub fn spec(&self) -> &FaultSpec {
-        &self.spec
-    }
-
     /// True if the scheduled kill has fired.
     pub fn kill_fired(&self) -> bool {
         self.killed.load(Ordering::Acquire)

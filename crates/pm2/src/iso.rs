@@ -215,11 +215,6 @@ impl IsoAllocator {
     pub fn slots_allocated(&self) -> u64 {
         lock(&self.state).slots_allocated
     }
-
-    /// Snapshot of every page's home node, indexed by page id.
-    pub fn page_homes(&self) -> Vec<NodeId> {
-        lock(&self.state).page_homes.clone()
-    }
 }
 
 impl std::fmt::Debug for IsoAllocator {
@@ -316,7 +311,6 @@ mod tests {
         alloc.alloc(20, NodeId(0));
         assert_eq!(alloc.slots_allocated(), before + 30);
         assert!(alloc.num_pages() >= 1);
-        assert_eq!(alloc.page_homes().len(), alloc.num_pages());
     }
 
     #[test]
