@@ -668,8 +668,8 @@ impl DsmSystem {
     }
 
     /// Flush all locally recorded modifications to the corresponding home
-    /// nodes: the `updateMainMemory` primitive of Table 2, executed on
-    /// monitor exit.
+    /// nodes, blocking: the `updateMainMemory` primitive of Table 2.  A
+    /// monitor's exit flushes through [`DsmSystem::release`] instead.
     pub fn update_main_memory(&self, node: NodeId, clock: &mut ThreadClock) {
         let _one = self.caller.enter("DsmSystem::update_main_memory");
         let (node_ref, dirty) = (self.cluster.node(node), self.collect_dirty(node));

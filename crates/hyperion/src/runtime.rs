@@ -737,9 +737,9 @@ impl ThreadCtx {
         self.shared.dsm.invalidate_cache(self.node, &mut self.clock);
     }
 
-    /// Flush every recorded modification to its home node
-    /// (`updateMainMemory` of Table 2): a thread-level release
-    /// ([`crate::jmm::release`]).  Monitor exit performs it too.
+    /// Flush every recorded modification to its home node (`updateMainMemory`
+    /// of Table 2): a thread-level release ([`crate::jmm::release`]); a
+    /// monitor's exit releases with the monitor's home instead.
     pub fn update_main_memory(&mut self) {
         crate::jmm::release(self, None);
     }
