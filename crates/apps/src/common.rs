@@ -54,12 +54,6 @@ pub fn parse_protocol(s: &str) -> Option<ProtocolKind> {
     }
 }
 
-/// The protocols every app is exercised under by the adaptive comparison
-/// (Figure 6) and the CI bench gate: the paper's two plus `java_ad`.
-pub fn protocols_under_test() -> [ProtocolKind; 3] {
-    ProtocolKind::all_extended()
-}
-
 /// Names of the benchmarks: the paper's five (in figure order) plus the
 /// serving-workload extension family (figure 9).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -219,7 +213,6 @@ mod tests {
         assert_eq!(parse_protocol("ad"), Some(ProtocolKind::JavaAd));
         assert_eq!(parse_protocol("adaptive"), Some(ProtocolKind::JavaAd));
         assert_eq!(parse_protocol("java_xx"), None);
-        assert_eq!(protocols_under_test().len(), 3);
     }
 
     #[test]

@@ -21,20 +21,23 @@
 //! * **CI gate** — [`report`] turns a sweep into `BENCH_<run>.json` and
 //!   compares it against the committed `bench/baseline.json`; its
 //!   [`report::METRICS`] table is the one place a tracked metric is named.
+//!   The same quick rows carry the figure 6 and 9 gates (`src/gates.rs`,
+//!   asserted by `cargo test`).
 //!
 //! Every data point is a [`Point`].  The `figures` binary (`src/main.rs`)
-//! is the command-line front end; the targets under `benches/` are gates
-//! over the modeled results of the same sweeps (`benchmark/` measures host
-//! time).
+//! is the command-line front end; `benches/ablation.rs` prints the §3.3
+//! trade-off (`benchmark/` measures host time).
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
+#[cfg(test)]
+mod gates;
 pub mod report;
 
 use hyperion::prelude::*;
 use hyperion::{FaultSpec, StatsSnapshot, WireServiceSnapshot};
-use hyperion_apps::common::{protocols_under_test, Benchmark, BenchmarkName};
+use hyperion_apps::common::{Benchmark, BenchmarkName};
 use hyperion_apps::{asp, barnes, graph, jacobi, kvstore, pi, tsp};
 
 /// Problem-size scale of a sweep.
@@ -359,7 +362,7 @@ impl Point {
     pub fn grid(apps: impl IntoIterator<Item = BenchmarkName>, scale: Scale) -> Vec<Point> {
         let mut points = Vec::new();
         for app in apps {
-            for protocol in protocols_under_test() {
+            for protocol in ProtocolKind::all_extended() {
                 points.push(Point::new(app, scale, protocol));
             }
         }

@@ -409,7 +409,14 @@ mod tests {
 
     #[test]
     fn report_rows_are_byte_for_byte_the_committed_baseline() {
-        let measured = report_to_json("local", "quick", &bench_report_rows(Scale::Quick));
+        let quick = bench_report_rows(Scale::Quick);
+        let violations = crate::gates::violations(&quick);
+        assert!(
+            violations.is_empty(),
+            "the figure 6 / 9 gates fail on the quick rows:\n{}",
+            violations.join("\n")
+        );
+        let measured = report_to_json("local", "quick", &quick);
         let findings = compare_to_baseline(&measured, BASELINE);
         assert!(
             findings.is_empty(),

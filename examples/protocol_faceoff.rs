@@ -13,7 +13,7 @@
 //! ```
 
 use hyperion::prelude::*;
-use hyperion_apps::common::{parse_protocol, protocols_under_test};
+use hyperion_apps::common::parse_protocol;
 use hyperion_apps::{asp, barnes, common::Benchmark, jacobi, pi, tsp};
 
 fn main() {
@@ -28,7 +28,7 @@ fn main() {
                 std::process::exit(1);
             }
         },
-        None => protocols_under_test().to_vec(),
+        None => ProtocolKind::all_extended().to_vec(),
     };
 
     let bench: Box<dyn Benchmark> = match (app, scale) {

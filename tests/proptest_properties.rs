@@ -12,7 +12,7 @@
 //! operations, executed against the real protocol engine, must observe
 //! exactly the values predicted by a tiny executable specification of
 //! home-based Java consistency (per-node caches over a single main memory).
-//! Both protocols must satisfy it — they are two *detection* mechanisms for
+//! All three protocols must satisfy it — they are *detection* mechanisms for
 //! the same consistency model.  A second model check drives the bulk
 //! `read_slice` / `write_slice` path against the element-wise loop and
 //! demands identical values *and* compatible statistics.
@@ -23,7 +23,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use hyperion_workspace::dsm::{DsmStore, DsmSystem, ProtocolKind, TransportConfig};
+use hyperion_workspace::dsm::{DsmStore, DsmSystem, ProtocolKind};
 use hyperion_workspace::model::sync::lock;
 use hyperion_workspace::model::{myrinet_200, StatsSnapshot, ThreadClock, VTime};
 use hyperion_workspace::pm2::{Cluster, GlobalAddr, IsoAllocator, NodeId, PageId};
@@ -158,13 +158,17 @@ fn build_dsm(
 }
 
 /// The real protocol engines agree with the executable specification on
-/// every read, for arbitrary operation sequences, under both protocols.
+/// every read, for arbitrary operation sequences, under all three
+/// protocols: `java_ad` switches detection per page and batches fetches,
+/// and the stride prefetch installs pages ahead of the demand misses, but
+/// every read must still observe exactly the values the specification
+/// predicts.
 #[test]
 fn dsm_matches_the_consistency_specification() {
     let patched = std::cell::Cell::new(0u64);
     property(48, |seed, rng| {
         let ops = random_ops(rng, 3, 12, 120);
-        for protocol in [ProtocolKind::JavaIc, ProtocolKind::JavaPf] {
+        for protocol in ProtocolKind::all_extended() {
             let nodes = 3usize;
             let slots_per_home = 4usize;
             let (dsm, addrs, homes) = build_dsm(protocol, nodes, slots_per_home);
@@ -213,7 +217,7 @@ fn dsm_matches_the_consistency_specification() {
                 let real = dsm.get(NodeId(home as u32), &mut clocks[home], *addr);
                 assert_eq!(
                     real, spec.main[slot],
-                    "seed {seed}: final state, slot {slot}"
+                    "seed {seed}: {protocol:?} final state, slot {slot}"
                 );
             }
             let stats = dsm.cluster().total_stats();
@@ -223,90 +227,6 @@ fn dsm_matches_the_consistency_specification() {
     // Every patched copy above was compared with its home slot for slot
     // (debug builds); the programs have to get there at all.
     assert!(patched.get() > 0, "no sequence crossed a patch");
-}
-
-/// The model check of [`dsm_matches_the_consistency_specification`] under
-/// all three protocols: stride prefetches install pages ahead of the demand
-/// misses and `java_ad` batches fetches, but every read must still observe
-/// exactly the values the consistency specification predicts.
-#[test]
-fn dsm_matches_the_consistency_specification_under_directory_transport() {
-    property(32, |seed, rng| {
-        let ops = random_ops(rng, 3, 12, 120);
-        for protocol in [
-            ProtocolKind::JavaIc,
-            ProtocolKind::JavaPf,
-            ProtocolKind::JavaAd,
-        ] {
-            let nodes = 3usize;
-            let slots_per_home = 4usize;
-            let cluster = Cluster::new(myrinet_200().machine, nodes);
-            let alloc = Arc::new(IsoAllocator::new(nodes));
-            let store = DsmStore::new(Arc::clone(&alloc), nodes);
-            let dsm = DsmSystem::with_config(
-                cluster,
-                store,
-                protocol,
-                &hyperion_workspace::dsm::AdaptiveParams::default(),
-                &TransportConfig::default(),
-            );
-            let mut addrs = Vec::new();
-            let mut homes = Vec::new();
-            for home in 0..nodes {
-                let base = alloc.alloc_page_aligned(slots_per_home, NodeId(home as u32));
-                for s in 0..slots_per_home {
-                    addrs.push(base.offset(s as u64));
-                    homes.push(home);
-                }
-            }
-            let mut spec = SpecMemory::new(nodes, addrs.len(), homes);
-            let mut clocks: Vec<ThreadClock> = (0..nodes).map(|_| ThreadClock::new()).collect();
-
-            for op in &ops {
-                match *op {
-                    DsmOp::Put { node, slot, value } => {
-                        let node = node as usize;
-                        let slot = slot as usize % addrs.len();
-                        dsm.put(NodeId(node as u32), &mut clocks[node], addrs[slot], value);
-                        spec.put(node, slot, value);
-                    }
-                    DsmOp::Get { node, slot } => {
-                        let node = node as usize;
-                        let slot = slot as usize % addrs.len();
-                        let real = dsm.get(NodeId(node as u32), &mut clocks[node], addrs[slot]);
-                        let expected = spec.get(node, slot);
-                        assert_eq!(
-                            real, expected,
-                            "seed {seed}: {protocol:?} read mismatch at slot {slot}"
-                        );
-                    }
-                    DsmOp::Flush { node } => {
-                        let node = node as usize;
-                        dsm.update_main_memory(NodeId(node as u32), &mut clocks[node]);
-                        spec.flush(node);
-                    }
-                    DsmOp::Invalidate { node } => {
-                        let node = node as usize;
-                        dsm.invalidate_cache(NodeId(node as u32), &mut clocks[node]);
-                        spec.invalidate(node);
-                    }
-                }
-            }
-
-            for (node, clock) in clocks.iter_mut().enumerate() {
-                dsm.update_main_memory(NodeId(node as u32), clock);
-                spec.flush(node);
-            }
-            for (slot, addr) in addrs.iter().enumerate() {
-                let home = spec.homes[slot];
-                let real = dsm.get(NodeId(home as u32), &mut clocks[home], *addr);
-                assert_eq!(
-                    real, spec.main[slot],
-                    "seed {seed}: {protocol:?} deferred-flush final state, slot {slot}"
-                );
-            }
-        }
-    });
 }
 
 /// One step of a thread's random program for the monitor-level check.
@@ -442,7 +362,7 @@ fn every_read_in_a_section_sees_the_last_write_in_monitor_order() {
 /// patterns actually draw them: three nodes compute exactly what one node,
 /// with nothing on the wire, computes.
 #[test]
-fn app_digests_are_invariant_under_the_directory_transport() {
+fn three_nodes_match_one_node_on_random_jacobi_and_asp_sizes() {
     use hyperion_workspace::apps::{asp, jacobi};
     use hyperion_workspace::HyperionConfig;
 

@@ -1,57 +1,40 @@
-//! Protocol-equivalence properties of the adaptive protocol `java_ad`.
+//! Protocol equivalence: every app computes the same answer under
+//! `java_ic`, `java_pf` and the adaptive `java_ad`, on the in-process
+//! simulator and over Unix-domain sockets, and the adaptive protocol never
+//! costs more than the worse of the paper's two.
 //!
-//! The adaptive protocol re-decides the access-detection technique per page
-//! at every invalidation and speculatively batches page fetches — none of
-//! which may be observable at the application level.  For each of the five
-//! benchmark programs these tests assert that:
-//!
-//! 1. `java_ic`, `java_pf` and `java_ad` compute the same answer;
-//! 2. `java_ad`'s total modeled cost (virtual execution time) does not
-//!    exceed the worse of the two fixed protocols;
-//! 3. `java_ad` never inflates the modeled page traffic beyond the worse of
-//!    the two fixed protocols.
-//!
-//! Every run repeats exactly, so each property is checked on one run, on
-//! the one transport there is (overlapped fetches with their stride
-//! prefetch, batched and deferred release flushes).
+//! `java_ad` re-decides the access-detection technique per page at every
+//! invalidation and speculatively batches page fetches; the one transport
+//! overlaps fetches with their stride prefetch and batches and defers
+//! release flushes.  None of it may be observable at the application
+//! level.  Every run repeats exactly, so each configuration runs once: one
+//! test runs every app under the three protocols in process, one over
+//! sockets, and both compare each answer with the app's reference — a
+//! one-node run (no page is remote, so nothing is on the wire) for the
+//! paper's five, the sequential replay for the serving apps.
 
 use hyperion_workspace::apps::common::{Benchmark, BenchmarkName};
 use hyperion_workspace::apps::{asp, barnes, graph, jacobi, kvstore, pi, tsp};
+use hyperion_workspace::hyperion::StatsSnapshot;
 use hyperion_workspace::prelude::*;
 use hyperion_workspace::{HyperionConfig, ProtocolKind, TransportBackend, TransportConfig};
 
 const NODES: usize = 3;
 
-fn all_benchmarks() -> Vec<Box<dyn Benchmark>> {
-    vec![
-        Box::new(pi::PiParams::quick()),
-        Box::new(jacobi::JacobiParams::quick()),
-        Box::new(barnes::BarnesParams::quick()),
-        Box::new(tsp::TspParams::quick()),
-        Box::new(asp::AspParams::quick()),
-    ]
+fn transport(backend: TransportBackend) -> TransportConfig {
+    TransportConfig {
+        backend,
+        ..TransportConfig::default()
+    }
 }
 
-/// The serving-style workloads (figure 9).  They share the digest and
-/// mechanism-bound properties with the paper's batch kernels but not the
-/// adaptive cost/traffic dominance ones: a Zipf-skewed request stream gives
-/// the adaptive protocol's speculative warm-up a page or two of genuine
-/// overhead over the better fixed protocol, which the serving gate prices
-/// in throughput (see `fig9_serving`) rather than in raw page loads.
-fn serving_benchmarks() -> Vec<Box<dyn Benchmark>> {
-    vec![
-        Box::new(kvstore::KvStoreParams::quick()),
-        Box::new(graph::PageRankParams::quick()),
-    ]
-}
-
-fn execute_with(
+fn execute(
     bench: &dyn Benchmark,
     protocol: ProtocolKind,
-    transport: &TransportConfig,
+    backend: TransportBackend,
 ) -> (f64, RunReport) {
     let config =
-        HyperionConfig::new(myrinet_200(), NODES, protocol).with_transport(transport.clone());
+        HyperionConfig::new(myrinet_200(), NODES, protocol).with_transport(transport(backend));
     bench.execute(config)
 }
 
@@ -62,14 +45,7 @@ fn same_digest(a: f64, b: f64) -> bool {
     (a - b).abs() <= a.abs().max(1.0) * 1e-9
 }
 
-/// `bench` under `protocol` on the in-process simulator.
-fn execute(bench: &dyn Benchmark, protocol: ProtocolKind) -> (f64, RunReport) {
-    execute_with(bench, protocol, &TransportConfig::default())
-}
-
-/// `bench` under `java_ic` on one node: no page is remote, so no fetch,
-/// flush or ticket is ever on the wire — the answer every multi-node run
-/// must reproduce.
+/// `bench` under `java_ic` on one node, which puts nothing on the wire.
 fn one_node_digest(bench: &dyn Benchmark) -> f64 {
     let config = HyperionConfig::new(myrinet_200(), 1, ProtocolKind::JavaIc);
     let (digest, report) = bench.execute(config);
@@ -77,140 +53,92 @@ fn one_node_digest(bench: &dyn Benchmark) -> f64 {
     digest
 }
 
-#[test]
-fn all_three_protocols_compute_identical_results() {
-    for bench in all_benchmarks() {
-        let (ic, _) = execute(bench.as_ref(), ProtocolKind::JavaIc);
-        let (pf, _) = execute(bench.as_ref(), ProtocolKind::JavaPf);
-        let (ad, _) = execute(bench.as_ref(), ProtocolKind::JavaAd);
-        assert!(same_digest(ic, pf), "{}: ic {ic} vs pf {pf}", bench.name());
-        assert!(same_digest(ic, ad), "{}: ic {ic} vs ad {ad}", bench.name());
-    }
+/// One app's runs at [`NODES`] nodes under `java_ic`, `java_pf` and
+/// `java_ad`, in that order, with each run's counters summed over nodes.
+struct AppRuns {
+    name: BenchmarkName,
+    runs: [(f64, RunReport); 3],
+    stats: [StatsSnapshot; 3],
 }
 
-#[test]
-fn serving_apps_preserve_digests_across_protocols_and_backends() {
-    // The serving workloads draw their request streams from seeded
-    // generators and commit every write under a monitor, so the digest must
-    // be bit-for-bit reproducible across all three protocols and across the
-    // in-process simulator vs the Unix-domain socket backend — and every
-    // run must actually report serving ops with a non-zero modeled p99.
-    let socket = TransportConfig {
-        backend: TransportBackend::UnixSocket,
-        ..TransportConfig::default()
-    };
-    for bench in serving_benchmarks() {
-        let (reference, _) = execute(bench.as_ref(), ProtocolKind::JavaIc);
-        for protocol in ProtocolKind::all_extended() {
-            for (label, transport) in [
-                ("sim", TransportConfig::default()),
-                ("socket", socket.clone()),
-            ] {
-                let (digest, report) = execute_with(bench.as_ref(), protocol, &transport);
+/// Every app's quick instance under the three protocols over `backend`,
+/// each answer checked against the app's reference and against `java_ic`'s.
+fn run_every_app(backend: TransportBackend) -> Vec<AppRuns> {
+    let kv = kvstore::KvStoreParams::quick();
+    let pagerank = graph::PageRankParams::quick();
+    let paper: [Box<dyn Benchmark>; 5] = [
+        Box::new(pi::PiParams::quick()),
+        Box::new(jacobi::JacobiParams::quick()),
+        Box::new(barnes::BarnesParams::quick()),
+        Box::new(tsp::TspParams::quick()),
+        Box::new(asp::AspParams::quick()),
+    ];
+    let mut apps: Vec<(Box<dyn Benchmark>, f64)> = paper
+        .into_iter()
+        .map(|bench| {
+            let reference = one_node_digest(bench.as_ref());
+            (bench, reference)
+        })
+        .collect();
+    // One client per node.
+    apps.push((Box::new(kv), kvstore::sequential(&kv, NODES).digest));
+    apps.push((Box::new(pagerank), graph::sequential(&pagerank).digest));
+    apps.into_iter()
+        .map(|(bench, reference)| {
+            let name = bench.name();
+            let runs = ProtocolKind::all_extended().map(|p| execute(bench.as_ref(), p, backend));
+            let ic = runs[0].0;
+            for (digest, report) in &runs {
+                let label = format!("{name}/{} ({backend:?})", report.protocol.name());
                 assert!(
-                    same_digest(digest, reference),
-                    "{}/{} ({label}): digest {digest} diverged from the ic/sim \
-                     reference {reference}",
-                    bench.name(),
-                    protocol.name()
+                    same_digest(reference, *digest),
+                    "{label}: {digest} vs the reference {reference}"
                 );
-                let total = report.total_stats();
                 assert!(
-                    total.serving_ops > 0,
-                    "{}/{} ({label}): no serving ops recorded",
-                    bench.name(),
-                    protocol.name()
-                );
-                assert!(
-                    report.serving_p99 > VTime::ZERO,
-                    "{}/{} ({label}): zero modeled p99 over {} ops",
-                    bench.name(),
-                    protocol.name(),
-                    total.serving_ops
+                    same_digest(ic, *digest),
+                    "{label}: {digest} vs java_ic's {ic}"
                 );
             }
-        }
-    }
+            let stats = [0, 1, 2].map(|i| runs[i].1.total_stats());
+            AppRuns { name, runs, stats }
+        })
+        .collect()
 }
 
-#[test]
-fn adaptive_cost_never_exceeds_the_worse_fixed_protocol() {
-    for bench in all_benchmarks() {
-        let (_, ic) = execute(bench.as_ref(), ProtocolKind::JavaIc);
-        let (_, pf) = execute(bench.as_ref(), ProtocolKind::JavaPf);
-        let (_, ad) = execute(bench.as_ref(), ProtocolKind::JavaAd);
-        let worst = ic.execution_time.max(pf.execution_time);
-        assert!(
-            ad.execution_time <= worst,
-            "{}: java_ad cost {} exceeds the worse of ic/pf {worst}",
-            bench.name(),
-            ad.execution_time
-        );
-    }
+/// What a serving run must report: ops, and a modeled p99 over them.
+fn assert_serving(name: BenchmarkName, report: &RunReport) {
+    let label = format!("{name}/{} ({})", report.protocol.name(), report.transport);
+    let ops = report.total_stats().serving_ops;
+    assert!(ops > 0, "{label}: no serving ops recorded");
+    assert!(
+        report.serving_p99 > VTime::ZERO,
+        "{label}: zero modeled p99 over {ops} ops"
+    );
 }
 
-/// Page loads no write notice forced: every load but the refetches of
-/// copies an acquire dropped, a speculative copy dropped untouched counting
-/// as unforced.  How many refetches a run makes depends on the virtual-time
-/// order of its synchronisation (a barrier's first arriver keeps the
-/// barrier's page), which the protocols' detection costs reorder; the
-/// adaptive protocol's own ways to load a page show in the rest.
-fn unforced_loads(report: &RunReport) -> u64 {
-    let s = report.total_stats();
-    (s.page_loads + s.pages_prefetch_wasted).saturating_sub(s.pages_invalidated)
+/// The fetch ledger on quick KV under `java_pf`, one client per node:
+/// every fault ends in a fetch, the acquires keep cached copies open, and
+/// the answer is exactly the sequential replay's.
+fn assert_kv_fetch_ledger(every_app: &[AppRuns]) {
+    let kv = every_app
+        .iter()
+        .find(|app| app.name == BenchmarkName::KvStore);
+    let (digest, report) = &kv.expect("the KV store ran").runs[1];
+    let (backend, t) = (report.transport, report.total_stats());
+    assert_eq!(
+        t.page_faults, t.page_loads,
+        "{backend}: a fault that did not end in a fetch"
+    );
+    assert!(t.pages_kept > 0, "{backend}: no acquire kept a copy open");
+    let sequential = kvstore::sequential(&kvstore::KvStoreParams::quick(), NODES);
+    assert_eq!(
+        *digest, sequential.digest,
+        "{backend}: the transport changed the KV digest"
+    );
 }
 
-#[test]
-fn adaptive_page_loads_never_exceed_the_worse_fixed_protocol() {
-    for bench in all_benchmarks() {
-        let (_, ic) = execute(bench.as_ref(), ProtocolKind::JavaIc);
-        let (_, pf) = execute(bench.as_ref(), ProtocolKind::JavaPf);
-        let (_, ad) = execute(bench.as_ref(), ProtocolKind::JavaAd);
-        let worst = unforced_loads(&ic).max(unforced_loads(&pf));
-        assert!(
-            unforced_loads(&ad) <= worst,
-            "{}: java_ad unforced page loads {} exceed the worse of ic/pf {worst}",
-            bench.name(),
-            unforced_loads(&ad)
-        );
-    }
-}
-
-#[test]
-fn all_three_protocols_compute_identical_results_under_latency_hiding_transport() {
-    // Overlapped fetches, the stride prefetch, batched and deferred release
-    // flushes: the transport may change *when* latency is charged and *how
-    // many* RPCs carry the bytes, never what a program computes.  Every
-    // protocol must reproduce the one-node answer, whose run puts nothing on
-    // the wire, and the mechanisms' counters must balance.
-    for bench in all_benchmarks() {
-        let reference = one_node_digest(bench.as_ref());
-        for protocol in ProtocolKind::all_extended() {
-            let (digest, report) = execute(bench.as_ref(), protocol);
-            assert!(
-                same_digest(reference, digest),
-                "{}/{}: one-node {reference} vs {digest}",
-                bench.name(),
-                protocol.name()
-            );
-            let t = report.total_stats();
-            let label = format!("{}/{}: {t:?}", bench.name(), protocol.name());
-            assert!(
-                t.stride_fetches_completed + t.stride_fetches_wasted <= t.stride_fetches_issued,
-                "{label}"
-            );
-            assert!(t.stride_fetches_issued <= t.page_loads, "{label}");
-            assert!(
-                t.deferred_flushes + t.release_diffs <= t.diff_messages,
-                "{label}"
-            );
-            assert!(t.batched_flushes <= t.diff_messages, "{label}");
-        }
-    }
-}
-
-/// `java_pf` modeled time of each app of `all_benchmarks()` at [`NODES`]
-/// nodes under the blocking transport this one replaced, in picoseconds
+/// `java_pf` modeled time of the paper's five apps at [`NODES`] nodes under
+/// the blocking transport the one transport replaced, in picoseconds
 /// (blocking fetches, no deferred flushes; measured at the last commit that
 /// had it).
 const BLOCKING_PF_PS: [(BenchmarkName, u64); 5] = [
@@ -222,18 +150,40 @@ const BLOCKING_PF_PS: [(BenchmarkName, u64); 5] = [
 ];
 
 #[test]
-fn overlapped_transport_never_costs_wall_time_over_blocking() {
-    // The split transactions only defer when latency is charged, so no app
-    // may run longer than it did under the blocking transport.  Jacobi and
-    // ASP open prefetch windows right after their acquires, so they hide
-    // latency and run strictly faster; Pi, TSP and Barnes-Hut open none
-    // under `java_pf`, and the run proves it by hiding nothing.
-    for (bench, (name, blocking_ps)) in all_benchmarks().into_iter().zip(BLOCKING_PF_PS) {
-        assert_eq!(bench.name(), name);
-        let (_, report) = execute(bench.as_ref(), ProtocolKind::JavaPf);
+fn all_three_protocols_compute_identical_results() {
+    let every_app = run_every_app(TransportBackend::Sim);
+    let (paper, serving) = every_app.split_at(BLOCKING_PF_PS.len());
+    for (app, (name, blocking_ps)) in paper.iter().zip(BLOCKING_PF_PS) {
+        assert_eq!(app.name, name);
+        let [(_, ic), (_, pf), (_, ad)] = &app.runs;
+        let [ic_stats, pf_stats, ad_stats] = &app.stats;
+        // java_ad's modeled cost and the page loads no write notice forced
+        // (every load but the refetches of copies an acquire dropped, a
+        // speculative copy dropped untouched counting as unforced) never
+        // exceed the worse of the fixed protocols.
+        let worst = ic.execution_time.max(pf.execution_time);
+        assert!(
+            ad.execution_time <= worst,
+            "{name}: java_ad cost {} exceeds {worst}",
+            ad.execution_time
+        );
+        let unforced = |s: &StatsSnapshot| {
+            (s.page_loads + s.pages_prefetch_wasted).saturating_sub(s.pages_invalidated)
+        };
+        let worst = unforced(ic_stats).max(unforced(pf_stats));
+        assert!(
+            unforced(ad_stats) <= worst,
+            "{name}: java_ad unforced page loads {} exceed the worse of ic/pf {worst}",
+            unforced(ad_stats)
+        );
+        // The split transactions only defer when latency is charged, so no
+        // app runs longer under java_pf than it did under the blocking
+        // transport.  Jacobi and ASP open prefetch windows right after their
+        // acquires, so they hide latency and run strictly faster; Pi, TSP and
+        // Barnes-Hut open none, and the run proves it by hiding nothing.
         let (ps, hidden) = (
-            report.execution_time.as_ps(),
-            report.total_stats().fetch_overlap_cycles_hidden,
+            pf.execution_time.as_ps(),
+            pf_stats.fetch_overlap_cycles_hidden,
         );
         if matches!(name, BenchmarkName::Jacobi | BenchmarkName::Asp) {
             assert!(hidden > 0, "{name}: no latency hidden");
@@ -249,31 +199,14 @@ fn overlapped_transport_never_costs_wall_time_over_blocking() {
             );
         }
     }
-}
-
-#[test]
-fn all_three_protocols_compute_identical_results_under_directory_transport() {
-    // What the directory preset added to the latency-hiding one, now part
-    // of the one transport: the stride prefetch (in-flight tickets ahead of
-    // a scan) and deferred release flushing.  Both only move *when* latency
-    // is charged; neither may be observable at the application level — and
-    // each protocol's agreement with `java_ic` must be proved with both
-    // mechanisms live in its runs.
-    for protocol in ProtocolKind::all_extended() {
-        let (mut stride, mut deferred) = (0, 0);
-        for bench in all_benchmarks() {
-            let (ic, _) = execute(bench.as_ref(), ProtocolKind::JavaIc);
-            let (digest, report) = execute(bench.as_ref(), protocol);
-            assert!(
-                same_digest(ic, digest),
-                "{}: ic {ic} vs {} {digest}",
-                bench.name(),
-                protocol.name()
-            );
-            let total = report.total_stats();
-            stride += total.stride_fetches_issued;
-            deferred += total.deferred_flushes;
-        }
+    // Each protocol's agreement is proved with the stride prefetch and
+    // deferred release flushing live in its runs of the paper's five.
+    for (i, protocol) in ProtocolKind::all_extended().into_iter().enumerate() {
+        let stride: u64 = paper
+            .iter()
+            .map(|app| app.stats[i].stride_fetches_issued)
+            .sum();
+        let deferred: u64 = paper.iter().map(|app| app.stats[i].deferred_flushes).sum();
         assert!(
             stride > 0,
             "{}: no app issued a stride fetch",
@@ -281,131 +214,102 @@ fn all_three_protocols_compute_identical_results_under_directory_transport() {
         );
         assert!(deferred > 0, "{}: no app deferred a flush", protocol.name());
     }
-}
-
-#[test]
-fn stride_prefetch_waste_stays_within_an_eighth_of_what_it_issued() {
-    // The bound over every app: stride
-    // fetches invalidated untouched must stay within 1/8 of those issued —
-    // what the gate in `issue_stride_fetches` itself holds a node to (floor
-    // of 32: on a sample that small a few unlucky prefetches must not trip
-    // the ratio).
-    for bench in all_benchmarks().into_iter().chain(serving_benchmarks()) {
-        let (_, report) = execute(bench.as_ref(), ProtocolKind::JavaPf);
-        let total = report.total_stats();
+    for app in &every_app {
+        let name = app.name;
+        for t in &app.stats {
+            // The mechanisms' counters balance.
+            let label = format!("{name}: {t:?}");
+            assert!(
+                t.stride_fetches_completed + t.stride_fetches_wasted <= t.stride_fetches_issued,
+                "{label}"
+            );
+            assert!(t.stride_fetches_issued <= t.page_loads, "{label}");
+            assert!(
+                t.deferred_flushes + t.release_diffs <= t.diff_messages,
+                "{label}"
+            );
+            assert!(t.batched_flushes <= t.diff_messages, "{label}");
+        }
+        let [_, pf, ad] = &app.stats;
+        // Stride fetches invalidated untouched stay within 1/8 of those
+        // issued — what the gate in `issue_stride_fetches` itself holds a
+        // node to (floor of 32: on a sample that small a few unlucky
+        // prefetches must not trip the ratio).
         assert!(
-            total.stride_fetches_wasted * 8 <= total.stride_fetches_issued.max(32),
-            "{}: stride waste {} exceeds 1/8 of {} issued",
-            bench.name(),
-            total.stride_fetches_wasted,
-            total.stride_fetches_issued,
+            pf.stride_fetches_wasted * 8 <= pf.stride_fetches_issued.max(32),
+            "{name}: stride waste {} exceeds 1/8 of {} issued",
+            pf.stride_fetches_wasted,
+            pf.stride_fetches_issued,
         );
-        // Completions plus waste can never exceed what was issued.
+        // The waste-feedback throttle keeps java_ad's speculation from
+        // running away: wasted prefetches stay within a sixteenth of the
+        // speculative ones (bulk-covered riders never waste), plus each
+        // node's start-up allowance and one last in-flight batch that may
+        // complete after the throttle trips.  Every batched fetch carried
+        // at least one extra page, and speculative riders are a subset of
+        // all riders.
         assert!(
-            total.stride_fetches_completed + total.stride_fetches_wasted
-                <= total.stride_fetches_issued
+            ad.pages_prefetch_wasted <= ad.pages_prefetch_speculative / 16 + 9 * NODES as u64,
+            "{name}: wasted {} of {} speculative prefetches",
+            ad.pages_prefetch_wasted,
+            ad.pages_prefetch_speculative,
+        );
+        assert!(ad.pages_prefetched >= ad.batched_fetches, "{name}");
+        assert!(
+            ad.pages_prefetch_speculative <= ad.pages_prefetched,
+            "{name}"
         );
     }
-    // TSP at harness scale (the instance the audit measured the home-side
-    // directory slower on): every monitor and every shared page live on node
-    // 0, so the grants of the queue's and the bound's monitors patch the
-    // workers' stale copies in place.  With fewer demand fetches left (36
-    // page loads), neighbouring same-home fetches come back to back, and the
-    // rule issues 16 stride fetches (none before grants carried patches) —
-    // every one of them used, none wasted.  (The quick instance's short work
-    // queue draws one pair per node, wasted, and then the gate is shut.)
-    let tsp = tsp::TspParams::harness();
-    let (_, report) = execute(&tsp, ProtocolKind::JavaPf);
-    let s = report.total_stats();
-    let stride = (s.stride_fetches_issued, s.stride_fetches_completed);
-    assert_eq!((stride, s.stride_fetches_wasted), ((16, 16), 0));
+    for app in serving {
+        for (_, report) in &app.runs {
+            assert_serving(app.name, report);
+        }
+    }
+    assert_kv_fetch_ledger(&every_app);
 }
 
 #[test]
 fn socket_transport_preserves_every_digest() {
-    // The Unix-domain socket backend serves each node's RPC handler table
-    // from behind a real socket, but it carries the same byte-precise wire
-    // payloads and charges the same caller-side virtual-time costs as the
-    // in-process simulator — so every app must produce the same digest
-    // under every protocol, and the run must report real wire traffic.
-    let socket = TransportConfig {
-        backend: TransportBackend::UnixSocket,
-        ..TransportConfig::default()
-    };
-    for bench in all_benchmarks() {
-        for protocol in ProtocolKind::all_extended() {
-            let (sock_digest, report) = execute_with(bench.as_ref(), protocol, &socket);
-            let (sim_digest, _) = execute(bench.as_ref(), protocol);
-            assert!(
-                same_digest(sim_digest, sock_digest),
-                "{}/{}: sim digest {sim_digest} vs socket digest {sock_digest}",
-                bench.name(),
-                protocol.name()
-            );
-            assert_eq!(report.transport, "unix-socket");
-            // Every RPC round trip crossed the socket and was counted.
+    // The socket backend serves each node's RPC handler table from behind a
+    // real socket, with the byte-precise wire payloads and caller-side
+    // virtual-time costs of the simulator: every RPC round trip crossed the
+    // socket and was counted.
+    let every_app = run_every_app(TransportBackend::UnixSocket);
+    for app in &every_app {
+        for (_, report) in &app.runs {
+            let label = format!("{}/{}", app.name, report.protocol.name());
+            assert_eq!(report.transport, "unix-socket", "{label}");
             let wire_rpcs: u64 = report.wire.iter().map(|(_, w)| w.messages).sum();
             assert_eq!(
                 wire_rpcs,
                 report.total_stats().rpc_requests,
-                "{}/{}: wire round trips must match modeled RPC requests",
-                bench.name(),
-                protocol.name()
+                "{label}: wire round trips must match modeled RPC requests"
             );
+            if BenchmarkName::serving().contains(&app.name) {
+                assert_serving(app.name, report);
+            }
         }
     }
+    assert_kv_fetch_ledger(&every_app);
 }
 
 #[test]
-fn deferred_release_flushing_preserves_every_answer() {
-    // Deferred flushing re-times the release-side diff RPCs (completion at
-    // the next acquire of the same monitor); the bytes, their application
-    // order at the homes, and therefore every answer must be the one-node
-    // answer, on apps that do defer flushes.
-    let mut deferred = 0;
-    for bench in all_benchmarks() {
-        let (digest, report) = execute(bench.as_ref(), ProtocolKind::JavaPf);
-        let reference = one_node_digest(bench.as_ref());
-        assert!(
-            same_digest(reference, digest),
-            "{}: deferred flushing changed the answer ({reference} vs {digest})",
-            bench.name()
-        );
-        // Diff traffic is identical in count — only its completion moved.
-        let total = report.total_stats();
-        assert!(
-            total.deferred_flushes <= total.diff_messages,
-            "{}: deferred flushes exceed diff messages",
-            bench.name()
-        );
-        deferred += total.deferred_flushes;
-    }
-    assert!(deferred > 0, "no app deferred a flush");
-}
-
-#[test]
-fn adaptive_speculation_waste_stays_throttled() {
-    // The waste-feedback throttle must keep speculative prefetching from
-    // running away on every app: wasted prefetches are bounded by a
-    // sixteenth of the *speculative* prefetches (bulk-covered riders never
-    // waste and are excluded from the ratio), plus each node's start-up
-    // allowance and one last in-flight batch that may complete after the
-    // throttle trips.
-    for bench in all_benchmarks().into_iter().chain(serving_benchmarks()) {
-        let (_, report) = execute(bench.as_ref(), ProtocolKind::JavaAd);
-        let total = report.total_stats();
-        assert!(
-            total.pages_prefetch_wasted <= total.pages_prefetch_speculative / 16 + 9 * NODES as u64,
-            "{}: wasted {} of {} speculative prefetches",
-            bench.name(),
-            total.pages_prefetch_wasted,
-            total.pages_prefetch_speculative,
-        );
-        // Consistency: every batched fetch carried at least one extra page,
-        // and speculative riders are a subset of all riders.
-        assert!(total.pages_prefetched >= total.batched_fetches);
-        assert!(total.pages_prefetch_speculative <= total.pages_prefetched);
-    }
+fn tsp_at_harness_scale_uses_every_stride_fetch_it_issues() {
+    // Every monitor and every shared page live on node 0, so the grants of
+    // the queue's and the bound's monitors patch the workers' stale copies
+    // in place.  With fewer demand fetches left (36 page loads),
+    // neighbouring same-home fetches come back to back, and the rule issues
+    // 16 stride fetches (none before grants carried patches) — every one of
+    // them used, none wasted.  (The quick instance's short work queue draws
+    // one pair per node, wasted, and then the gate is shut.)
+    let (_, report) = execute(
+        &tsp::TspParams::harness(),
+        ProtocolKind::JavaPf,
+        TransportBackend::Sim,
+    );
+    let s = report.total_stats();
+    let stride = (s.stride_fetches_issued, s.stride_fetches_completed);
+    assert_eq!((stride, s.stride_fetches_wasted), ((16, 16), 0));
 }
 
 /// A fixed, single-threaded access pattern: two remote multi-page arrays
@@ -415,10 +319,10 @@ fn adaptive_speculation_waste_stays_throttled() {
 /// With one OS thread the whole event sequence is deterministic, so two
 /// runs of equivalent configurations must agree in *every* stat counter,
 /// not just in aggregate.
-fn deterministic_workload(protocol: ProtocolKind, transport: &TransportConfig) -> (u64, RunReport) {
+fn deterministic_workload(protocol: ProtocolKind, backend: TransportBackend) -> (u64, RunReport) {
     use hyperion_workspace::pm2::SLOTS_PER_PAGE;
     let config =
-        HyperionConfig::new(myrinet_200(), NODES, protocol).with_transport(transport.clone());
+        HyperionConfig::new(myrinet_200(), NODES, protocol).with_transport(transport(backend));
     let rt = HyperionRuntime::new(config).expect("valid test runtime");
     let outcome = rt.run(|ctx| {
         let slots = (3 * SLOTS_PER_PAGE) as u64;
@@ -447,42 +351,12 @@ fn deterministic_workload(protocol: ProtocolKind, transport: &TransportConfig) -
 }
 
 #[test]
-fn the_fetch_ledger_balances_and_agrees_across_backends() {
-    // The fetch ledger on quick KV under `java_pf`, one client per node and
-    // the default transport, over the simulator and over Unix sockets: every
-    // fault ends in an RPC, and the acquires keep cached copies open.
-    let kv = kvstore::KvStoreParams::quick();
-    let mut digests = Vec::new();
-    for backend in [TransportBackend::Sim, TransportBackend::UnixSocket] {
-        let transport = TransportConfig {
-            backend,
-            ..TransportConfig::default()
-        };
-        let (digest, report) = execute_with(&kv, ProtocolKind::JavaPf, &transport);
-        let t = report.total_stats();
-        assert_eq!(
-            t.page_faults, t.page_loads,
-            "{backend:?}: a fault that did not end in a fetch"
-        );
-        assert!(t.pages_kept > 0, "{backend:?}: no acquire kept a copy open");
-        digests.push(digest);
-    }
-    assert_eq!(digests[0], digests[1], "transport changed the KV digest");
-
-    // KV's clients interleave as the host schedules them, so which pages a
-    // home finds changed differs from run to run on either backend.  With
-    // one thread the event sequence is fixed, and the two backends must
-    // agree on the modeled time and on every counter.
+fn one_thread_runs_agree_on_every_counter_across_backends() {
+    // With one thread the event sequence is fixed, and the two backends
+    // must agree on the modeled time and on every counter.
     for protocol in ProtocolKind::all_extended() {
-        let run = |backend| {
-            let transport = TransportConfig {
-                backend,
-                ..TransportConfig::default()
-            };
-            deterministic_workload(protocol, &transport)
-        };
-        let (sim_result, sim) = run(TransportBackend::Sim);
-        let (unix_result, unix) = run(TransportBackend::UnixSocket);
+        let (sim_result, sim) = deterministic_workload(protocol, TransportBackend::Sim);
+        let (unix_result, unix) = deterministic_workload(protocol, TransportBackend::UnixSocket);
         assert_eq!(sim_result, unix_result, "{protocol:?}");
         assert_eq!(sim.execution_time, unix.execution_time, "{protocol:?}");
         assert_eq!(sim.node_stats, unix.node_stats, "{protocol:?}");

@@ -16,7 +16,7 @@
 //! * runs the serving apps over Unix-domain sockets and asserts the same
 //!   modeled time and every counter as their `SimTransport` twins.
 
-use hyperion_workspace::apps::common::{protocols_under_test, Benchmark, BenchmarkName};
+use hyperion_workspace::apps::common::{Benchmark, BenchmarkName};
 use hyperion_workspace::apps::{asp, barnes, graph, jacobi, kvstore, pi, tsp};
 use hyperion_workspace::hyperion::StatsSnapshot;
 use hyperion_workspace::prelude::*;
@@ -64,7 +64,7 @@ fn run_on(
 fn every_app_under_every_protocol_run_again() {
     let mut rows = 0;
     for name in BenchmarkName::all_extended() {
-        for protocol in protocols_under_test() {
+        for protocol in ProtocolKind::all_extended() {
             let first = run(name, protocol, TransportBackend::Sim);
             for again in 1..RUNS {
                 assert_eq!(
@@ -99,7 +99,7 @@ fn the_barrier_apps_on_twelve_nodes_under_java_pf_run_again() {
 #[test]
 fn the_serving_apps_over_unix_sockets_repeat_their_sim_twins() {
     for name in [BenchmarkName::KvStore, BenchmarkName::PageRank] {
-        for protocol in protocols_under_test() {
+        for protocol in ProtocolKind::all_extended() {
             assert_eq!(
                 run(name, protocol, TransportBackend::UnixSocket),
                 run(name, protocol, TransportBackend::Sim),
