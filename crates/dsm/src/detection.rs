@@ -196,7 +196,9 @@ impl Detection {
     /// the access proceeds on the local copy).  While the node has a pending
     /// drop (`pending`, see `DsmSystem::settle`) a `Protect` access also
     /// pays one in-line check, the one that asks whether its copy is
-    /// pending; a `Check` access's own check asks that.
+    /// pending; a `Check` access's own check asks that.  A copy that check
+    /// `found` pending was dropped without being closed: its miss traps
+    /// nothing, so it costs no fault.
     #[inline]
     pub(crate) fn on_access(
         &self,
@@ -204,6 +206,7 @@ impl Detection {
         clock: &mut ThreadClock,
         frame: &PageFrame,
         pending: bool,
+        found: bool,
     ) -> bool {
         if self.kind == ProtocolKind::JavaAd && !frame.is_home() {
             frame.ad().record_access();
@@ -216,10 +219,13 @@ impl Detection {
             }
             AdMode::Protect => {
                 if pending {
+                    NodeStats::bump(&stats.pending_checks);
                     clock.advance(self.check);
                 }
                 let open = frame.is_home() || (frame.is_present() && !frame.is_protected());
-                if !open {
+                if found {
+                    NodeStats::bump(&stats.pending_misses);
+                } else if !open {
                     // Simulated SIGSEGV: fault cost, then the fetch.
                     NodeStats::bump(&stats.page_faults);
                     clock.advance(self.fault);

@@ -706,12 +706,13 @@ impl DsmSystem {
         bulk_pages: usize,
     ) -> Result<(), crate::recover::RpcFailure> {
         // While the node has a pending drop (`DsmSystem::settle`), a pending
-        // copy is dropped alone first, and the access takes the ordinary
-        // miss; the miss opens the page, so the drop does not re-protect it.
+        // copy is dropped alone first, without being closed, and the access
+        // takes the miss its check found: no fault, and nothing to open.
         let pending = &self.pending[node_ref.id().index()];
         let pending_set = pending.is_set();
-        let stale = pending_set.then(|| pending.take_page(page));
-        if let Some(stale) = stale.flatten() {
+        let stale = pending_set.then(|| pending.take_page(page)).flatten();
+        let found = stale.is_some();
+        if let Some(stale) = stale {
             self.drop_stale(node_ref, &[(page, stale)], false);
         }
         // First real use of an overlapped fetch completes the transaction:
@@ -720,7 +721,7 @@ impl DsmSystem {
         self.complete_inflight(node_ref, clock, frame);
         if !self
             .detection
-            .on_access(&node_ref.stats, clock, frame, pending_set)
+            .on_access(&node_ref.stats, clock, frame, pending_set, found)
         {
             return Ok(());
         }

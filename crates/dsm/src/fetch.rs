@@ -295,7 +295,9 @@ impl DsmSystem {
         demand: bool,
     ) -> Result<(), RpcFailure> {
         let (node, home) = (node_ref.id(), self.store.home_of(page));
-        let unprotect = self.detection.technique(frame) == AdMode::Protect;
+        // A copy dropped without being closed (see `ensure_access`) opens
+        // at no `mprotect`.
+        let unprotect = self.detection.technique(frame) == AdMode::Protect && frame.is_protected();
         let max_batch = self.detection.batch_ceiling();
 
         // Speculation is throttled by its own measured accuracy: while more

@@ -486,9 +486,9 @@ mod tests {
 
             // The home writes the page under the monitor, a millisecond
             // before this thread enters again: the entry learns its notice
-            // and leaves the copy pending; the section's read drops it
-            // without re-protecting it, since the miss (one more fault) opens
-            // it again at one mprotect.
+            // and leaves the copy pending; the section's read finds it by
+            // the pending check and drops it without re-protecting it, so
+            // the miss is no fault and opens nothing.
             let m = monitor.clone();
             let writer = ctx.spawn_on(NodeId(1), move |t| {
                 m.synchronized(t, |t| arr.put(t, 2, 9));
@@ -502,8 +502,9 @@ mod tests {
         let s = out.report.node_stats[0];
         assert_eq!(
             (s.pages_invalidated, s.page_faults, s.mprotect_calls),
-            (1, 2, 2)
+            (1, 1, 1)
         );
+        assert_eq!((s.pending_misses, s.page_loads), (1, 2));
         assert_eq!(s.diff_messages, 1);
         assert_eq!(s.diff_slots_flushed, 1);
     }

@@ -906,9 +906,10 @@ fn pending_section(
 }
 
 /// The reader's entry leaves its stale copy pending under page protection
-/// (`java_pf`, and `java_ad`'s page made dense), the section's read drops
-/// it, faults and refetches it — one `mprotect`, to open it: the copy is
-/// not closed first — and sees the write; the exit has nothing to settle.  A Check copy
+/// (`java_pf`, and `java_ad`'s page made dense), the section's read finds
+/// it by the pending check, drops it and refetches it — no fault and no
+/// `mprotect`: the copy was never closed — and sees the write; the exit has
+/// nothing to settle.  A Check copy
 /// (`java_ic`) is dropped by the entry.  Mutation on record: the access path
 /// skipping its pending check (`DsmSystem::ensure_access` never calls
 /// `access_pending`) reads 0 here under `java_pf` and `java_ad`.
@@ -923,10 +924,13 @@ fn a_section_reads_a_page_its_acquire_left_pending_and_sees_the_write() {
         let cost = section_cost(entered, read);
         assert_eq!(
             (cost.0, cost.3),
-            (at_read, at_read),
+            (0, at_read),
             "{label}: dropped at the read"
         );
-        assert_eq!(cost.2, at_read, "{label}: opened again, never closed");
+        assert_eq!(cost.1, 1, "{label}: refetched");
+        assert_eq!(cost.2, 0, "{label}: never closed, so nothing to open");
+        let found = read.pending_misses - entered.pending_misses;
+        assert_eq!(found, at_read, "{label}: the check found the miss");
         assert_eq!(exited.mprotect_calls_settled, 0, "{label}");
     }
 }

@@ -153,6 +153,10 @@ define_stats! {
     monitor_wait_ps,
     /// `mprotect` calls (of `mprotect_calls`) that re-protected a monitor acquire's stale copies after its exit or `wait` had handed the monitor on (`DsmSystem::settle`).
     mprotect_calls_settled,
+    /// Page-protection accesses that paid the in-line check asking whether their copy is one of the node's open stale copies (`java_pf` / `java_ad`; a `java_ic` access's own check asks it).
+    pending_checks,
+    /// Misses that check found: an access to an open stale copy, dropped and fetched without a fault or an `mprotect` to open it (of `page_loads`, beside `page_faults`).
+    pending_misses,
 }
 
 impl NodeStats {
@@ -356,7 +360,7 @@ mod tests {
         ] {
             assert!(names.contains(&expected), "missing {expected}");
         }
-        assert_eq!(names.len(), 49);
+        assert_eq!(names.len(), 51);
         for added in [
             "batched_flushes",
             "rpc_retries",
@@ -381,6 +385,8 @@ mod tests {
             "pages_kept",
             "monitor_wait_ps",
             "mprotect_calls_settled",
+            "pending_checks",
+            "pending_misses",
         ] {
             assert!(names.contains(&added), "missing {added}");
         }
