@@ -8,7 +8,7 @@
 //! absent page) under `java_pf`, and the page's own mode under `java_ad`,
 //! whose home pages count as `Protect` (raw access).  `java_ic` is the one
 //! protocol that charges its check on a home page too (a `Protect` access
-//! pays one only while its node has a pending drop).  From the technique
+//! pays one only while its node holds open stale copies).  From the technique
 //! follow the access cost, whether installing a fetched copy ends with an
 //! `mprotect` that opens it, and whether invalidating a copy revokes its
 //! access rights (both exactly the `Protect` pages).  Only `java_ad` closes
@@ -25,7 +25,7 @@
 //!   post-acquire read see the home's released values.
 //! * Invalidating a `Protect` page must revoke its access rights, or every
 //!   access must pay an in-line check that catches the open stale copy, as
-//!   while a monitor's drop is pending (`DsmSystem::settle`).
+//!   while a monitor's acquire leaves one open (`pending.rs`).
 //! * A page changes technique only at epoch close, which runs when a notice
 //!   outdates its copy, *before* the copy is dropped: no access can observe
 //!   a half-switched page.
@@ -139,7 +139,7 @@ impl AdState {
 #[derive(Debug)]
 pub(crate) struct Detection {
     pub(crate) kind: ProtocolKind,
-    check: VTime,
+    pub(crate) check: VTime,
     fault: VTime,
     /// Check → Protect when the smoothed accesses-per-epoch reach this.
     hi: u64,
@@ -193,12 +193,11 @@ impl Detection {
 
     /// Detect one access to `frame`: charge its cost to `clock`, count it on
     /// `stats`, and return true if the page must be fetched first (false:
-    /// the access proceeds on the local copy).  While the node has a pending
-    /// drop (`pending`, see `DsmSystem::settle`) a `Protect` access also
-    /// pays one in-line check, the one that asks whether its copy is
-    /// pending; a `Check` access's own check asks that.  A copy that check
-    /// `found` pending was dropped without being closed: its miss traps
-    /// nothing, so it costs no fault.
+    /// the access proceeds on the local copy).  While the node holds open
+    /// stale copies (`pending`, see `pending.rs`) a `Protect` access also
+    /// pays the in-line check that asks whether its copy is one (a `Check`
+    /// access's own check asks that); a copy it `found` was never closed,
+    /// so its miss traps nothing and costs no fault.
     #[inline]
     pub(crate) fn on_access(
         &self,

@@ -8,32 +8,18 @@
 //! form of the paper's: it drops the cached copies the acquirer's learned
 //! write notices name at an older stamp ([`DsmSystem::acquire`],
 //! `notices.rs`), while the explicit `invalidateCache` drops them all.  A
-//! monitor's acquire leaves the copies page protection detects open until
-//! its exit has handed the monitor on, and the section's access to one
-//! drops it first ([`DsmSystem::settle`]).
+//! monitor's acquire leaves the copies page protection detects open behind
+//! an in-line check until their home patches them or re-protecting them
+//! costs less than the checks (`pending.rs`).
 //!
-//! * **`java_ic`** — every `get`/`put` performs an explicit in-line locality
-//!   check; a miss triggers a page fetch.  No page protection, no faults, no
-//!   `mprotect`.
-//! * **`java_pf`** — `get`/`put` on a present, unprotected page cost nothing
-//!   beyond the raw access.  Pages of remote objects are access-protected,
-//!   so the first access after initialisation or after a cache invalidation
-//!   takes a (simulated) page fault, fetches the page, and pays an `mprotect`
-//!   to open it; dropping copies pays one to re-protect them per maximal
-//!   address range of pages protected already or now, and reopening them
-//!   one per range of pages open already or now
-//!   (`DsmStore::protection_ranges`): a page that keeps the other
-//!   protection ends a range, not a gap in the list of pages changed.
-//! * **`java_ad`** — an adaptive extension beyond the paper: every cached
-//!   page runs its own state machine between the two techniques above.  A
-//!   page tracks how often it is re-accessed after each invalidation and is
-//!   flipped — at invalidation time, when its copy is dropped anyway — to
-//!   the technique that would have been cheaper, with hysteresis around the
-//!   cost-model break-even `n* = ⌈(t_fault + t_mprotect) / t_check⌉` (see
-//!   [`hyperion_model::MachineModel::adaptive_break_even`]).  `java_ad` also
-//!   batches page fetches: one RPC may carry a run of contiguous same-home
-//!   pages, either because an in-flight bulk access is certain to touch them
-//!   or because their epoch history shows stable re-access.
+//! The protocols differ in access detection alone (`crate::detection`):
+//! `java_ic` checks in line on every access; `java_pf` takes a (simulated)
+//! page fault on a protected page and pays `mprotect`s to open copies and
+//! to re-protect dropped ones, one per maximal address range of pages that
+//! have or now take the protection (`DsmStore::protection_ranges`); and
+//! `java_ad`, beyond the paper, picks one of the two per page, flipping at
+//! invalidation time around the break-even `n* = ⌈(t_fault + t_mprotect) /
+//! t_check⌉`, and batches fetches of contiguous same-home pages.
 //!
 //! The engine exposes exactly the primitives of the paper's Table 2, one
 //! entry each: [`DsmSystem::load_into_cache`]`(node, clock, first, pages)`,
@@ -46,10 +32,8 @@
 //! batching), while all mechanism — RPC framing, ticket bookkeeping,
 //! batching loops — lives here and in `fetch.rs` / the RPC services.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use hyperion_model::sync::lock;
 use hyperion_model::{NodeStats, ThreadClock, VTime};
 use hyperion_pm2::{
     reply_leg, Cluster, GlobalAddr, Node, NodeId, PageId, ServiceId, SLOTS_PER_PAGE,
@@ -65,6 +49,7 @@ use crate::fetch_wire::NAMED_COPY_BYTES;
 use crate::notices::{NodeLog, Notices};
 use crate::oracle::OneCaller;
 use crate::page::PageFrame;
+use crate::pending::StaleCopies;
 use crate::services::{answer_page, grant_cost, HomeService};
 use crate::table::DsmStore;
 
@@ -84,9 +69,8 @@ pub struct DsmSystem {
     /// Per node: the pages its threads made visible, for their releases to
     /// name (see `notices.rs`).
     written: Vec<NodeLog>,
-    /// Per node: the stale copies a monitor's acquire left open until its
-    /// exit settles them ([`DsmSystem::settle`]).
-    pub(crate) pending: Vec<PendingDrop>,
+    /// Per node: the stale copies it retains, open or dropped (`pending.rs`).
+    pub(crate) stale: Vec<StaleCopies>,
     pub(crate) page_fetch: ServiceId,
     pub(crate) diff_apply: ServiceId,
     /// The one caller inside, checked by debug builds at every public entry
@@ -131,7 +115,7 @@ impl DsmSystem {
             transport: transport.clone(),
             fetch_state: (0..nodes).map(|_| NodeFetchState::new(nodes)).collect(),
             written: (0..nodes).map(|_| NodeLog::default()).collect(),
-            pending: (0..nodes).map(|_| PendingDrop::default()).collect(),
+            stale: (0..nodes).map(|_| StaleCopies::new(nodes)).collect(),
             page_fetch,
             diff_apply,
             caller: OneCaller::default(),
@@ -316,7 +300,9 @@ impl DsmSystem {
         for k in 0..pages {
             let page = PageId(first.0 + k);
             let frame = self.store.frame(node, page);
-            if frame.is_home() || (frame.is_present() && !frame.is_protected()) {
+            // An open stale copy is dropped alone, and fetched like an absent one.
+            let open = frame.is_present() && !frame.is_protected();
+            if frame.is_home() || (open && !self.drop_if_stale(node_ref, page, &frame)) {
                 continue;
             }
             let span = (pages - k) as usize;
@@ -334,7 +320,7 @@ impl DsmSystem {
     /// `mprotect` call (§3.3).
     pub fn invalidate_cache(&self, node: NodeId, clock: &mut ThreadClock) {
         let _one = self.caller.enter("DsmSystem::invalidate_cache");
-        self.settle_pending(node, clock);
+        self.settle(node, clock);
         self.begin_acquire(node);
         self.drop_copies(node, clock, None, None);
     }
@@ -348,10 +334,9 @@ impl DsmSystem {
     ///
     /// `granter`, a monitor's home, sent the grant that brought them.  As it
     /// would answer their refetch, its grant patches the node's stale copies
-    /// of its pages instead: open ones named here, and dropped ones, which
-    /// reopen (`drop_copies`).  The other stale copies it names that page
-    /// protection detects are the node's pending drop: dropped, and their
-    /// `mprotect`s paid, when the monitor is handed on ([`DsmSystem::settle`]).
+    /// of its pages instead, open or dropped (`drop_copies`); the other stale
+    /// copies it names that page protection detects stay open (`pending.rs`).
+    /// A thread-level acquire (`granter` is `None`) re-protects those first.
     pub fn acquire(
         &self,
         node: NodeId,
@@ -360,8 +345,9 @@ impl DsmSystem {
         granter: Option<NodeId>,
     ) {
         let _one = self.caller.enter("DsmSystem::acquire");
-        self.settle_pending(node, clock);
-        self.assert_no_pending_drop(node, "another acquire");
+        if granter.is_none() {
+            self.settle(node, clock);
+        }
         self.begin_acquire(node);
         let machine = self.cluster.machine();
         let per_notice = machine.dsm.invalidate_cycles_per_page;
@@ -394,7 +380,7 @@ impl DsmSystem {
     ) -> (Vec<HomeFlushMark>, Notices, Option<VTime>) {
         let _one = self.caller.enter("DsmSystem::release");
         if monitor.is_none() {
-            self.settle_pending(node, clock);
+            self.settle(node, clock);
         }
         let (node_ref, dirty) = (self.cluster.node(node), self.collect_dirty(node));
         let flushed = self.flush_frames(node, node_ref, clock, &dirty, monitor);
@@ -424,22 +410,18 @@ impl DsmSystem {
 
     /// The one invalidation routine: drop the present copies `named` names
     /// at an older stamp — every cached copy for `None` — flushing a dirty
-    /// copy first, and index each dropped copy whose last answer fitted a
-    /// grant (`NodeFetchState`; the next answer likely fits too).  A grant
-    /// from `granter` patches its pages' copies, whatever detects them, in
-    /// one loop (`patch_by_grant`): the stale open ones, which stay open, and
-    /// the dropped ones the index held, which the request names at
-    /// `NAMED_COPY_BYTES` each and which reopen at one `mprotect` per range
-    /// of pages open already or now; the copies dropped here are then
-    /// re-protected at one per range of pages protected already or now
-    /// (`DsmStore::protection_ranges`).  Under a grant, the stale copies
-    /// page protection detects are not dropped here but left open as the
-    /// node's pending drop, which the monitor's exit settles after the
-    /// hand-off ([`DsmSystem::settle`]).
+    /// copy first.  A grant from `granter` patches its pages' stale copies,
+    /// whatever detects them (`patch_by_grant`): those named here, and the
+    /// node's others (`pending.rs`), which the request names at
+    /// `NAMED_COPY_BYTES` each; a dropped one reopens at one `mprotect` per
+    /// range of pages open already or now.  Under a grant the stale copies
+    /// page protection detects stay open behind the pending check; the
+    /// others are re-protected at one `mprotect` per range of pages
+    /// protected already or now (`DsmStore::protection_ranges`).
     /// The `java_ad` epoch of a page closes when a notice outdates its copy
     /// and no patch keeps it open (every page's at `invalidateCache`): when
     /// a detection miss is paid, or would be.  Returns how many copies it
-    /// reopened or left to the node's pending drop: copies not kept open.
+    /// reopened or left open and stale: copies not kept open.
     fn drop_copies(
         &self,
         node: NodeId,
@@ -448,11 +430,8 @@ impl DsmSystem {
         granter: Option<NodeId>,
     ) -> u64 {
         let (node_ref, machine) = (self.cluster.node(node), self.cluster.machine());
-        let fetch_state = &self.fetch_state[node.index()];
+        let stale_copies = &self.stale[node.index()];
         let protect = |frame: &PageFrame| self.detection.technique(frame) == AdMode::Protect;
-        let requested = granter.map_or_else(Vec::new, |home| fetch_state.take_dropped(home));
-        let request_bytes = NAMED_COPY_BYTES * requested.len();
-        clock.advance(machine.net.transfer(request_bytes as u64));
         // The present copies to drop, each with the stamp a patch riding the
         // grant must bring it to instead (`None`: nothing rides for it).
         let mut stale = Vec::new();
@@ -483,6 +462,13 @@ impl DsmSystem {
                 }
             }
         }
+        // The request names the granter's other stale copies: a copy a
+        // notice of this grant names rides it anyway.
+        let mut requested = granter.map_or_else(Vec::new, |home| stale_copies.take_named(home));
+        let riding = |page: &PageId| stale.binary_search_by_key(&page.0, |(p, _, _)| p.0).is_ok();
+        requested.retain(|(page, frame)| !frame.is_present() || !riding(page));
+        let request_bytes = NAMED_COPY_BYTES * requested.len();
+        clock.advance(machine.net.transfer(request_bytes as u64));
 
         // Flush what is pending before a drop or a patch, batched.
         let dirty: Vec<(PageId, Arc<PageFrame>)> = stale
@@ -499,21 +485,25 @@ impl DsmSystem {
         let (mut reopened, mut unprotected) = (0, Vec::new());
         if let Some(granter) = granter {
             for (page, frame, stamp) in riders {
-                if !self.patch_by_grant(node_ref, clock, granter, page, &frame, stamp) {
+                if self.patch_by_grant(node_ref, clock, granter, page, &frame, stamp) {
+                    stale_copies.set(&self.store, page, None);
+                } else {
                     self.close_epoch(node_ref, clock, &frame);
                     stale.push((page, frame, None));
                 }
             }
-            (reopened, unprotected) = self.reopen_dropped(requested.iter().map(|(page, frame)| {
+            let answered = requested.iter().map(|(page, frame)| {
+                let open = frame.is_present();
                 let patched = self.patch_by_grant(node_ref, clock, granter, *page, frame, None);
-                (*page, &**frame, patched)
-            }));
+                (*page, &**frame, open, patched)
+            });
+            (reopened, unprotected) = self.answered(node, answered);
         }
         let reopen_ranges = self.store.protection_ranges(node, &unprotected, false);
         self.store.note_cached(node, reopened as i64);
         stale.sort_unstable_by_key(|(page, _, _)| page.0);
         let stale = stale.into_iter().map(|(page, frame, _)| (page, frame));
-        let mut deferred = 0;
+        let mut left_open = 0;
 
         // One `mprotect` covers the whole (iso-address, hence contiguous-ish)
         // cached region when every copy goes; once part of it stays open,
@@ -526,44 +516,42 @@ impl DsmSystem {
             clock.advance(machine.cpu.cycles(per_page * n as f64));
             calls.min(1)
         } else {
-            // A grant leaves the copies whose drop re-protects to the node's
-            // pending drop, which the monitor's exit settles once it has
-            // handed the monitor on; a Check copy's drop is free, so it goes.
-            let (later, now): (Vec<_>, Vec<_>) =
+            // A grant leaves the copies whose drop re-protects open behind
+            // the pending check; a Check copy's drop is free, so it goes.
+            let (open, now): (Vec<_>, Vec<_>) =
                 stale.partition(|(_, frame)| granter.is_some() && protect(frame));
-            deferred = later.len() as u64;
-            if deferred > 0 {
-                self.pending[node.index()].defer(later);
+            left_open = open.len() as u64;
+            for (page, frame) in &open {
+                stale_copies.set(&self.store, *page, Some((frame, true)));
             }
             reopen_ranges + self.drop_stale(node_ref, &now, true).1
         };
         self.charge_mprotect(node_ref, clock, calls);
-        reopened + deferred
+        reopened + left_open
     }
 
-    /// The drop of the copies `stale` (page order) that are still present
-    /// copies: invalidate each, re-protecting those page protection detects
-    /// if `reprotect`, index each whose last answer fitted a grant
-    /// (`NodeFetchState`; the next answer likely fits too) and count them.
-    /// Returns how many dropped and the `mprotect`s that re-protect them,
-    /// one per range of pages protected already or now, which the caller
-    /// charges.
-    fn drop_stale(
+    /// The drop of the copies `stale` (page order) that are still present:
+    /// invalidate each, re-protecting those page protection detects if
+    /// `reprotect`, and index each whose last answer fitted a grant (the next
+    /// likely fits too; `pending.rs`).  Returns how many dropped and the
+    /// `mprotect`s that re-protect them, one per range, for the caller.
+    pub(crate) fn drop_stale(
         &self,
         node_ref: &Node,
         stale: &[(PageId, Arc<PageFrame>)],
         reprotect: bool,
     ) -> (u64, u64) {
-        let (node, fetch_state) = (node_ref.id(), &self.fetch_state[node_ref.id().index()]);
+        let node = node_ref.id();
+        let (fetch_state, stale_copies) =
+            (&self.fetch_state[node.index()], &self.stale[node.index()]);
         let (mut reprotected, mut stride_waste, mut dropped) = (Vec::new(), 0u64, 0u64);
         for (page, frame) in stale.iter().filter(|(_, f)| !f.is_home() && f.is_present()) {
             let reprotect = reprotect && self.detection.technique(frame) == AdMode::Protect;
             if reprotect {
                 reprotected.push(*page);
             }
-            if frame.fits_grant() {
-                fetch_state.note_dropped(self.store.home_of(*page), *page, frame);
-            }
+            let indexed = frame.fits_grant().then_some((frame, false));
+            stale_copies.set(&self.store, *page, indexed);
             // A stride ticket still pending here was a wasted prefetch: the
             // count feeds the throttle in `issue_stride_fetches`.
             stride_waste += u64::from(frame.inflight_is_stride());
@@ -582,34 +570,11 @@ impl DsmSystem {
     }
 
     /// Charge `calls` `mprotect`s to `clock`.
-    fn charge_mprotect(&self, node_ref: &Node, clock: &mut ThreadClock, calls: u64) {
+    pub(crate) fn charge_mprotect(&self, node_ref: &Node, clock: &mut ThreadClock, calls: u64) {
         if calls > 0 {
             NodeStats::bump_by(&node_ref.stats.mprotect_calls, calls);
             clock.advance(self.cluster.machine().dsm.mprotect_call.times(calls));
         }
-    }
-
-    /// Settle `node`'s pending drop: drop the stale copies a monitor's
-    /// acquire left open, at one `mprotect` per range (also counted in
-    /// `mprotect_calls_settled`).  A monitor's exit and `wait` call it once
-    /// the monitor is handed on; every other acquire, thread-level release,
-    /// `invalidateCache` and recovery on the node settles first.
-    pub fn settle(&self, node: NodeId, clock: &mut ThreadClock) {
-        let _one = self.caller.enter("DsmSystem::settle");
-        let calls = self.settle_pending(node, clock);
-        NodeStats::bump_by(&self.cluster.node(node).stats.mprotect_calls_settled, calls);
-    }
-
-    /// The drop of [`DsmSystem::settle`]; returns its `mprotect` calls.
-    pub(crate) fn settle_pending(&self, node: NodeId, clock: &mut ThreadClock) -> u64 {
-        let copies = self.pending[node.index()].take();
-        if copies.is_empty() {
-            return 0;
-        }
-        let node_ref = self.cluster.node(node);
-        let (_, calls) = self.drop_stale(node_ref, &copies, true);
-        self.charge_mprotect(node_ref, clock, calls);
-        calls
     }
 
     /// Close `frame`'s `java_ad` epoch (see `Detection::close_epoch`),
@@ -705,24 +670,22 @@ impl DsmSystem {
         frame: &PageFrame,
         bulk_pages: usize,
     ) -> Result<(), crate::recover::RpcFailure> {
-        // While the node has a pending drop (`DsmSystem::settle`), a pending
-        // copy is dropped alone first, without being closed, and the access
-        // takes the miss its check found: no fault, and nothing to open.
-        let pending = &self.pending[node_ref.id().index()];
-        let pending_set = pending.is_set();
-        let stale = pending_set.then(|| pending.take_page(page)).flatten();
-        let found = stale.is_some();
-        if let Some(stale) = stale {
-            self.drop_stale(node_ref, &[(page, stale)], false);
-        }
+        // While the node holds open stale copies (`pending.rs`), a `Protect`
+        // access pays the check that asks whether its copy is one: a copy
+        // that is is dropped alone, never closed, and the access takes the
+        // miss the check found — no fault, and nothing to open.
+        let pending = self.stale[node_ref.id().index()].any_open();
+        let found = pending && self.drop_if_stale(node_ref, page, frame);
         // First real use of an overlapped fetch completes the transaction:
         // merge the completion timestamp (the residual latency) before the
         // access proceeds.
         self.complete_inflight(node_ref, clock, frame);
-        if !self
-            .detection
-            .on_access(&node_ref.stats, clock, frame, pending_set, found)
-        {
+        let stats = &node_ref.stats;
+        let miss = (self.detection).on_access(stats, clock, frame, pending, found);
+        if pending && self.detection.technique(frame) == AdMode::Protect {
+            self.pay_rent(node_ref, clock);
+        }
+        if !miss {
             return Ok(());
         }
         self.fetch_pages(node_ref, clock, page, frame, bulk_pages, true)
@@ -831,48 +794,6 @@ impl DsmSystem {
             i = j;
         }
         Ok((marks, rode))
-    }
-}
-
-/// A node's pending drop: the stale copies (page order) a monitor's acquire
-/// left open, and the flag the access path reads.
-#[derive(Debug, Default)]
-pub(crate) struct PendingDrop {
-    set: AtomicBool,
-    copies: Mutex<Vec<(PageId, Arc<PageFrame>)>>,
-}
-
-impl PendingDrop {
-    pub(crate) fn is_set(&self) -> bool {
-        self.set.load(Ordering::Relaxed)
-    }
-
-    /// Leave `copies` (page order) to be dropped later; nothing is pending.
-    fn defer(&self, copies: Vec<(PageId, Arc<PageFrame>)>) {
-        debug_assert!(!self.is_set(), "an acquire settles first");
-        *lock(&self.copies) = copies;
-        self.set.store(true, Ordering::Relaxed);
-    }
-
-    /// Take every copy: the drop settles.
-    fn take(&self) -> Vec<(PageId, Arc<PageFrame>)> {
-        self.set.store(false, Ordering::Relaxed);
-        std::mem::take(&mut *lock(&self.copies))
-    }
-
-    /// Whether the copy of `page` is pending.
-    pub(crate) fn holds(&self, page: PageId) -> bool {
-        let copies = lock(&self.copies);
-        copies.binary_search_by_key(&page.0, |(p, _)| p.0).is_ok()
-    }
-
-    /// Take the copy of `page` alone, if it is pending.
-    fn take_page(&self, page: PageId) -> Option<Arc<PageFrame>> {
-        let mut copies = lock(&self.copies);
-        let at = copies.binary_search_by_key(&page.0, |(p, _)| p.0).ok()?;
-        let (_, frame) = copies.remove(at);
-        self.set.store(!copies.is_empty(), Ordering::Relaxed);
-        Some(frame)
     }
 }
 

@@ -16,11 +16,9 @@
 //! decisions (batch ceiling, re-access prediction, the technique that says
 //! whether an installed copy must be opened; see [`crate::detection`]).
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use hyperion_model::sync::lock;
 use hyperion_model::{NodeStats, ThreadClock, VTime};
 use hyperion_pm2::{Node, NodeId, PageId};
 
@@ -48,10 +46,6 @@ pub(crate) struct NodeFetchState {
     pub(crate) speculation: Windowed,
     /// Acquires (and explicit invalidations) begun on this node.
     acquires: AtomicU64,
-    /// Per home: the copies this node dropped and retains whose last answer
-    /// fitted a grant, whatever detects them — what its next acquire (or
-    /// demand fetch) from there names.
-    dropped: Vec<Mutex<BTreeMap<u64, Arc<PageFrame>>>>,
 }
 
 impl NodeFetchState {
@@ -61,21 +55,7 @@ impl NodeFetchState {
             stride: Windowed::default(),
             speculation: Windowed::default(),
             acquires: AtomicU64::new(0),
-            dropped: (0..homes).map(|_| Mutex::default()).collect(),
         }
-    }
-
-    /// Index `frame`, the dropped copy of `page`, homed on `home`.
-    pub(crate) fn note_dropped(&self, home: NodeId, page: PageId, frame: &Arc<PageFrame>) {
-        lock(&self.dropped[home.index()]).insert(page.0, Arc::clone(frame));
-    }
-
-    /// Take every copy indexed for `home` that is still dropped (neither
-    /// home nor present), in page order: a grant or a fetch takes the lot.
-    pub(crate) fn take_dropped(&self, home: NodeId) -> Vec<(PageId, Arc<PageFrame>)> {
-        let taken = std::mem::take(&mut *lock(&self.dropped[home.index()])).into_iter();
-        let dropped = taken.filter(|(_, f)| !f.is_home() && !f.is_present());
-        dropped.map(|(page, f)| (PageId(page), f)).collect()
     }
 
     /// Count one acquire; every [`GATE_WINDOW`] of them both gates' records
@@ -99,9 +79,10 @@ impl NodeFetchState {
 impl DsmSystem {
     /// One conditional fetch RPC to `home` for the contiguous run of its pages
     /// starting at `first`, whose frames on this node are `frames`, naming
-    /// the dropped copies `riders`.  Each frame either has its retained copy
+    /// the stale copies `riders`.  Each frame either has its retained copy
     /// re-opened ("not modified") or patched, or a fresh copy installed, as
-    /// has each rider answered.  Returns whether the run starts where this
+    /// has each rider answered: a dropped one reopens, an open one is
+    /// current again.  Returns whether the run starts where this
     /// node's previous fetch from `home` ended (it continues a scan), the
     /// instant the reply arrives and the protected riders it reopened.
     fn fetch_run(
@@ -136,32 +117,14 @@ impl DsmSystem {
             let page = PageId(first.0 + k as u64);
             opened += i64::from(self.apply_answer(node_ref, page, frame, reply));
         }
-        let (reopened, unprotected) =
-            self.reopen_dropped(riders.iter().zip(answers).map(|((page, frame), answer)| {
-                let answer = answer.filter(|_| !frame.is_home());
-                let open = answer.map(|a| self.apply_answer(node_ref, *page, frame, a));
-                (*page, &**frame, open.is_some())
-            }));
+        let answered = riders.iter().zip(answers).map(|((page, frame), answer)| {
+            let (answer, open) = (answer.filter(|_| !frame.is_home()), frame.is_present());
+            let applied = answer.map(|a| self.apply_answer(node_ref, *page, frame, a));
+            (*page, &**frame, open, applied.is_some())
+        });
+        let (reopened, unprotected) = self.answered(node, answered);
         self.store.note_cached(node, opened + reopened as i64);
         Ok((scan, completion, unprotected))
-    }
-
-    /// Count the dropped copies a grant or a fetch's riders reopen, given in
-    /// page order with whether each reopened, and list those that page
-    /// protection detects: their opening is the caller's `mprotect` ranges
-    /// (`DsmStore::protection_ranges`); a Check copy is free.
-    pub(crate) fn reopen_dropped<'a>(
-        &self,
-        reopened: impl IntoIterator<Item = (PageId, &'a PageFrame, bool)>,
-    ) -> (u64, Vec<PageId>) {
-        let (mut count, mut unprotected) = (0, Vec::new());
-        for (page, frame, reopened) in reopened {
-            count += u64::from(reopened);
-            if reopened && self.detection.technique(frame) == AdMode::Protect {
-                unprotected.push(page);
-            }
-        }
-        (count, unprotected)
     }
 
     /// Act on the home's `answer` for `page`, whose frame on this node is
@@ -233,10 +196,13 @@ impl DsmSystem {
                 return;
             }
             let frame = self.store.frame(node, page);
-            if frame.is_home() || frame.is_present() {
+            // An open stale copy is dropped alone and fetched as absent.
+            let open = frame.is_present() && !self.drop_if_stale(node_ref, page, &frame);
+            if frame.is_home() || open {
                 continue;
             }
-            let unprotect = self.detection.technique(&frame) == AdMode::Protect;
+            let unprotect =
+                self.detection.technique(&frame) == AdMode::Protect && frame.is_protected();
             let Ok((_, mut completion, _)) =
                 self.fetch_run(node_ref, clock, home, page, &[&frame], &[])
             else {
@@ -342,7 +308,7 @@ impl DsmSystem {
             .chain(candidates.iter().map(|(qf, _)| &**qf))
             .collect();
         let in_run = page.0..page.0 + count as u64;
-        let taken = demand.then(|| self.fetch_state[node.index()].take_dropped(home));
+        let taken = demand.then(|| self.stale[node.index()].take_named(home));
         let riders: Vec<_> = (taken.into_iter().flatten())
             .filter(|(p, f)| !in_run.contains(&p.0) && !f.has_inflight())
             .collect();

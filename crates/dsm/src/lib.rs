@@ -33,6 +33,9 @@
 //!   throttle themselves on in `gate`, and its RPC services in
 //!   `services`), which asks the detection at every decision point and
 //!   reads the flush placement off the transport;
+//! * `pending` — the stale copies a node retains, open behind the pending
+//!   check or dropped, and the rent-or-buy rule that re-protects the open
+//!   ones;
 //! * [`notices`] — write notices: what an acquire learns along the
 //!   synchronisation edges, so it drops only the cached copies some
 //!   happening-before write changed;
@@ -55,6 +58,7 @@ mod gate;
 pub mod notices;
 mod oracle;
 pub mod page;
+mod pending;
 pub mod recover;
 mod services;
 pub mod table;

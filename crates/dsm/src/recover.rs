@@ -204,7 +204,7 @@ impl DsmSystem {
             return;
         }
         NodeStats::bump(&node_ref.stats.nodes_failed);
-        self.settle_pending(node_ref.id(), clock);
+        self.settle(node_ref.id(), clock);
         let machine = self.cluster.machine();
         let winner = self.store.first_live_node();
         let mut resynced = 0u64;
@@ -228,5 +228,8 @@ impl DsmSystem {
             clock.advance(machine.net.transfer(resynced * PAGE_BYTES as u64));
         }
         self.store.rehomed_all(peer, winner);
+        self.stale
+            .iter()
+            .for_each(|stale| stale.rehome(peer, winner));
     }
 }

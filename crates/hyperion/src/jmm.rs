@@ -16,9 +16,10 @@
 //!   node drops the cached copies the notices it just learned name at an
 //!   older stamp — or, for the pages a remote monitor's node homes, has its
 //!   grant patch them and reopen the dropped copies whose last answer fitted
-//!   a grant.  A monitor's acquire drops the copies page protection
-//!   detects only once the monitor is handed on, or at the section's first
-//!   access to one ([`settle`]).  Every other copy stays as it was: no
+//!   a grant.  A monitor's acquire leaves the copies page protection
+//!   detects open behind an in-line check until their home patches them,
+//!   an access drops one, or the checks cost what re-protecting them would
+//!   (`hyperion_dsm`'s `pending.rs`).  Every other copy stays as it was: no
 //!   write that happens-before the acquire changed it.  So a copy is used
 //!   only as shipped, patched (by a fetch or a grant) or confirmed by its
 //!   home.
@@ -49,15 +50,6 @@ pub fn acquire(ctx: &mut ThreadCtx, learned: &Notices, granter: Option<NodeId>) 
     let shared = std::sync::Arc::clone(&ctx.shared);
     shared.dsm.acquire(node, ctx.clock_mut(), learned, granter);
     shared.dsm.assert_knowledge_held(node, &ctx.knowledge);
-}
-
-/// Drop the stale copies the calling thread's monitor acquire left open,
-/// once its exit or `wait` has handed the monitor on
-/// ([`hyperion_dsm::DsmSystem::settle`]).
-pub fn settle(ctx: &mut ThreadCtx) {
-    let (node, shared) = (ctx.node(), std::sync::Arc::clone(&ctx.shared));
-    shared.dsm.settle(node, ctx.clock_mut());
-    shared.dsm.assert_no_pending_drop(node, "a hand-off");
 }
 
 /// Perform the release action for the calling thread: flush all recorded

@@ -288,8 +288,6 @@ impl HMonitor {
             "exit of a monitor that is not held"
         );
         st.release(ctx, self.inner.home, released);
-        drop(st);
-        jmm::settle(ctx);
     }
 
     /// Execute `body` inside the monitor (a `synchronized` block).
@@ -323,7 +321,6 @@ impl HMonitor {
             });
             st.release(ctx, self.inner.home, released);
         }
-        jmm::settle(ctx);
         // Runnable again once a notify has woken us.
         ctx.shared.baton.block(me);
         let notified = {

@@ -775,7 +775,7 @@ impl ThreadCtx {
 
     /// Home node of the page containing `addr`.
     pub fn home_of(&self, addr: GlobalAddr) -> NodeId {
-        self.shared.allocator.home_of_addr(addr)
+        self.shared.allocator.home_of(addr.page())
     }
 
     // ----- thread management -------------------------------------------------

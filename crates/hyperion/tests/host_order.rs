@@ -533,12 +533,11 @@ const STALE: usize = 4;
 /// A holder on node 1, the monitor's home, learns [`STALE`] write notices
 /// at its entry, for copies of node 2's pages that an open copy between
 /// each two keeps in separate address ranges, and a waiter on node 0 (where
-/// no other thread learns them) parks behind it.  The drop's `mprotect`s
-/// are the holder's, paid once its exit has handed the monitor on: the
-/// waiter is granted at the holder's release plus the grant's flight, and
-/// the holder leaves the exit [`STALE`] calls after that release.
-/// Mutation on record: settling the drop before `MonitorState::release`
-/// (in `HMonitor::exit`) fails the grant's assertion by exactly those calls.
+/// no other thread learns them) parks behind it.  The stale copies stay
+/// open past the holder's exit, which re-protects nothing: the waiter is
+/// granted at the holder's release plus the grant's flight, and the holder
+/// leaves the exit at that release.  The holder's end, a thread-level
+/// release, re-protects them: [`STALE`] calls, one per range.
 #[test]
 fn a_waiter_is_granted_before_the_holders_stale_copies_are_re_protected() {
     let (home, arrival, section) = (NodeId(1), VTime::from_ms(5), VTime::from_ms(1));
@@ -587,15 +586,11 @@ fn a_waiter_is_granted_before_the_holders_stale_copies_are_re_protected() {
     let control = runtime(3).cluster().control_message_cost();
     let machine = myrinet_200().machine;
     let trip = control.times(2) + machine.cpu.cycles(machine.dsm.protocol_server_cycles);
-    let drop = machine.dsm.mprotect_call.times(STALE as u64);
-    assert_eq!(
-        settled, STALE as u64,
-        "one call per range, after the hand-off"
-    );
+    assert_eq!(settled, STALE as u64, "one call per range, at the end");
     assert_eq!(
         waiter_arrival + trip + VTime::from_ps(waited),
-        left - drop + control,
-        "the grant leaves at the holder's release, before its drop"
+        left + control,
+        "the grant leaves at the holder's release, which drops nothing"
     );
 }
 

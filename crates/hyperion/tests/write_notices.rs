@@ -688,12 +688,12 @@ fn entry_base() -> VTime {
         + cpu.cycles(machine.dsm.monitor_local_cycles)
 }
 
-/// The copy of P that M0's grant dropped is patched and reopened by the
+/// The copy of P that M0's grant left open and stale is patched by the
 /// next grant from P's home: the request named it, the grant carried the
-/// one changed slot, and the section reads the write at no fault and no
-/// page load, paying one `mprotect` to reopen the copy.  That patch fitted
-/// a grant, so when M0's grant drops the copy again the next round's
-/// request names it again, and it is reopened again.
+/// one changed slot, and the section reads the write at no fault, no page
+/// load and no `mprotect` — the copy was never closed.  That patch fitted
+/// a grant, so when M0's grant leaves the copy stale again the next
+/// round's request names it again, and it is patched again.
 #[test]
 fn a_copy_dropped_by_another_nodes_grant_is_reopened_by_its_homes_grant() {
     for (label, protocol, rounds) in granted_rounds(&[1, 1]) {
@@ -705,22 +705,24 @@ fn a_copy_dropped_by_another_nodes_grant_is_reopened_by_its_homes_grant() {
             );
             if protocol != ProtocolKind::JavaIc {
                 let cost = section_cost(before, read_p);
-                assert_eq!(cost, (0, 0, 1, 0, 1), "{label} round {r}");
+                assert_eq!(cost, (0, 0, 0, 0, 1), "{label} round {r}");
             }
         }
     }
 }
 
 /// 114 changed slots cost more on the wire than the `mprotect` they would
-/// save: the grant leaves the copy dropped, and the read faults and
-/// refetches it (the fetch's answer is the same patch).
+/// save: the grant leaves the copy open and stale, and the read's pending
+/// check finds it, drops it and refetches it (the fetch's answer is the
+/// same patch) — no fault, and nothing to open.
 #[test]
 fn a_dropped_copy_whose_patch_is_dearer_than_an_mprotect_is_refetched() {
     for (label, protocol, values, _, [before, read_p, _]) in dropped_then_granted(114) {
         let written: Vec<u64> = (1..=114).chain([7]).collect();
         assert_eq!(values, written, "{label}");
         if protocol != ProtocolKind::JavaIc {
-            assert_eq!(section_cost(before, read_p), (1, 1, 1, 0, 1), "{label}");
+            assert_eq!(section_cost(before, read_p), (0, 1, 0, 1, 1), "{label}");
+            assert_eq!(read_p.pending_misses - before.pending_misses, 1, "{label}");
         }
     }
 }
@@ -743,16 +745,19 @@ fn under_java_ic_the_dropped_copy_is_reopened() {
     }
 }
 
-/// Q's copy was dropped too, but Q is homed on node 3: M1's request does
+/// Q's copy went stale too, but Q is homed on node 3: M1's request does
 /// not name it, M1's grant leaves it alone, and the read refetches it (a
-/// fault and a fetch answered with the patch).
+/// miss the pending check finds under page protection, not a fault, and a
+/// fetch answered with the patch).
 #[test]
 fn a_dropped_copy_of_a_third_nodes_page_is_not_named_in_the_request() {
     for (label, protocol, values, _, [_, read_p, read_q]) in dropped_then_granted(1) {
         assert_eq!(values, [1, 7], "{label}");
         let (faults, loads, _, _, patched) = section_cost(read_p, read_q);
         let pf = u64::from(protocol != ProtocolKind::JavaIc);
-        assert_eq!((faults, loads, patched), (pf, 1, 1), "{label}");
+        assert_eq!((faults, loads, patched), (0, 1, 1), "{label}");
+        let found = read_q.pending_misses - read_p.pending_misses;
+        assert_eq!(found, pf, "{label}");
     }
 }
 
@@ -774,7 +779,8 @@ fn the_request_costs_exactly_sixteen_bytes_per_named_copy() {
 /// `java_ad` page in its Check epoch (cached by one read, far below the
 /// break-even) — is patched by a grant at no `mprotect`: a stale open copy
 /// rides the grant (one patch, no load), and a dropped copy the request
-/// named reopens with `mprotect_calls` unchanged, where `java_pf` pays one.
+/// named reopens with `mprotect_calls` unchanged.  `java_pf` pays none
+/// either: its copy was never closed, and the request names it open.
 /// Debug builds check every patched copy against its home (`stale copy
 /// revalidated`).
 #[test]
@@ -786,24 +792,20 @@ fn a_reopened_check_copy_costs_no_mprotect() {
         let checked = read.locality_checks > before.locality_checks;
         assert_eq!(checked, protocol != ProtocolKind::JavaPf, "{label}");
     }
-    for (label, protocol, rounds) in granted_rounds_cached(1, &[1]) {
+    for (label, _, rounds) in granted_rounds_cached(1, &[1]) {
         let (values, _, [before, read_p, _]) = &rounds[0];
         assert_eq!(values, &[1, 7], "{label}");
-        let mprotects = u64::from(protocol == ProtocolKind::JavaPf);
-        assert_eq!(
-            section_cost(*before, *read_p),
-            (0, 0, mprotects, 0, 1),
-            "{label}"
-        );
+        assert_eq!(section_cost(*before, *read_p), (0, 0, 0, 0, 1), "{label}");
     }
 }
 
 /// The acquirer names a dropped copy only if its last answer fitted a
 /// grant.  In the first round 512 changed slots are more than a patch
 /// carries: the grant refuses the copy and the read refetches the page
-/// whole.  In the second, M0's grant drops that copy again and M1's request
-/// does not name it: the entry costs exactly the base, with `transfer(0)`,
-/// and the read faults and refetches the one changed slot.
+/// whole.  In the second, M0's grant leaves that copy stale again and M1's
+/// request does not name it: the entry costs exactly the base, with
+/// `transfer(0)`, and the read refetches the one changed slot, a miss the
+/// pending check finds under page protection, not a fault.
 #[test]
 fn a_dropped_copy_whose_last_answer_was_the_page_is_not_named() {
     let net = myrinet_200().machine.net;
@@ -812,7 +814,8 @@ fn a_dropped_copy_whose_last_answer_was_the_page_is_not_named() {
         assert_eq!(entry, entry_base() + net.transfer(0), "{label}");
         let (faults, loads, _, _, patched) = section_cost(before, read_p);
         let pf = u64::from(protocol != ProtocolKind::JavaIc);
-        assert_eq!((faults, loads, patched), (pf, 1, 1), "{label}");
+        assert_eq!((faults, loads, patched), (0, 1, 1), "{label}");
+        assert_eq!(read_p.pending_misses - before.pending_misses, pf, "{label}");
     }
 }
 
@@ -820,7 +823,8 @@ fn a_dropped_copy_whose_last_answer_was_the_page_is_not_named() {
 /// patch the grant refused once (114 slots), and whose refetch brought
 /// the same patch, is not named at the next grant from its home, though
 /// that grant's patch would fit.  The second entry costs exactly the base,
-/// and the read faults and refetches.
+/// and the read refetches: under page protection a miss the pending check
+/// finds, not a fault.
 #[test]
 fn a_dropped_copy_refused_once_is_not_named_at_the_next_grant() {
     for (label, protocol, values, entry, [before, read_p, _]) in round_of(&[114, 1], 1) {
@@ -828,16 +832,18 @@ fn a_dropped_copy_refused_once_is_not_named_at_the_next_grant() {
         assert_eq!(entry, entry_base(), "{label}");
         let (faults, loads, _, _, patched) = section_cost(before, read_p);
         let pf = u64::from(protocol != ProtocolKind::JavaIc);
-        assert_eq!((faults, loads, patched), (pf, 1, 1), "{label}");
+        assert_eq!((faults, loads, patched), (0, 1, 1), "{label}");
+        assert_eq!(read_p.pending_misses - before.pending_misses, pf, "{label}");
     }
 }
 
 // ----- the pending drop -------------------------------------------------------
 //
 // A monitor's acquire leaves the stale copies page protection detects open,
-// as its node's pending drop, and its exit drops them once the monitor is
-// handed on.  Until then the access path catches a pending copy and drops
-// it alone; another acquire on the node drops them all first.
+// among its node's open stale copies, past its exit.  The access path
+// catches such a copy and drops it alone; a grant or fetch from its home
+// patches it; a thread-level acquire or release drops them all first, and
+// so does the access at which the checks paid cost as much as that drop.
 
 /// A reader on node 2 caches a page homed on node 0; a writer on node 0
 /// writes slot 7 under a monitor of node 1, whose grant therefore carries no
@@ -947,18 +953,24 @@ fn a_section_writes_a_page_its_acquire_left_pending_and_sees_the_write() {
     }
 }
 
-/// A second monitor entered inside the section drops the first one's
-/// pending copy before its own acquire: the copy is gone, re-protected at
-/// one `mprotect`, when the section starts, and no exit settles anything.
+/// A second monitor entered inside the section leaves the first one's
+/// copy open and stale: a monitor's acquire settles nothing, so the copy
+/// is still there when the section starts, and the read's pending check
+/// finds it — dropped at the read, no fault and no `mprotect`.
 #[test]
 fn a_second_monitor_entered_inside_the_section_settles_the_first_ones_drop() {
     for (label, protocol, seen, [before, entered, read, exited]) in pending_section(true, false) {
         assert_eq!(seen, 41, "{label}");
         let protect = u64::from(protocol != ProtocolKind::JavaIc);
         let (faults, loads, mprotects, dropped, _) = section_cost(before, entered);
-        assert_eq!((faults, loads, dropped), (0, 0, 1), "{label}");
-        assert_eq!(mprotects, protect, "{label}: the drop's re-protect");
-        assert_eq!(section_cost(entered, read).3, 0, "{label}");
+        assert_eq!((faults, loads, mprotects), (0, 0, 0), "{label}");
+        assert_eq!(
+            dropped,
+            1 - protect,
+            "{label}: only a Check copy goes at the entry"
+        );
+        let (faults, _, mprotects, dropped, _) = section_cost(entered, read);
+        assert_eq!((faults, mprotects, dropped), (0, 0, protect), "{label}");
         assert_eq!(exited.mprotect_calls_settled, 0, "{label}");
     }
 }
@@ -985,7 +997,8 @@ fn a_second_thread_of_the_node_reads_a_pending_copy_after_dropping_it() {
         dsm.assert_knowledge_held(reader, &written);
         assert_eq!(dsm.get(reader, &mut second, addr), 41, "{protocol}");
         dsm.assert_knowledge_held(reader, &written);
-        dsm.settle(reader, &mut first);
+        // A thread-level release settles first: nothing is left open.
+        dsm.release(reader, &mut first, &mut 0, None);
         dsm.assert_no_pending_drop(reader, "the settle");
         let s = cluster.node_stats(reader);
         assert_eq!(

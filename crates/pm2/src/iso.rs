@@ -201,11 +201,6 @@ impl IsoAllocator {
             .unwrap_or_else(|| panic!("page {page:?} was never allocated"))
     }
 
-    /// Home node of the page containing `addr`.
-    pub fn home_of_addr(&self, addr: GlobalAddr) -> NodeId {
-        self.home_of(addr.page())
-    }
-
     /// Number of pages allocated so far (including the reserved page 0).
     pub fn num_pages(&self) -> usize {
         lock(&self.state).page_homes.len()
