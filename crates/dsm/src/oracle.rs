@@ -97,7 +97,7 @@ impl DsmSystem {
         let stale = &self.stale[node.index()];
         for ((page, stamp), frame) in known.iter().zip(frames) {
             let held = frame.is_home() || !frame.is_present() || frame.version() >= stamp;
-            let held = held || stale.holds_open(&self.store, page);
+            let held = held || stale.holds_open(page);
             assert!(
                 held,
                 "stale copy kept: {page:?} on {node} at version {} although a write at {stamp} \

@@ -16,7 +16,7 @@
 //! Thread-level acquires and releases, `invalidateCache` and recovery
 //! settle first.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -29,25 +29,34 @@ use crate::engine::DsmSystem;
 use crate::page::PageFrame;
 use crate::table::DsmStore;
 
-/// One node's index of the stale copies it retains, per home (module docs).
+/// One node's index of the stale copies it retains (module docs).
 #[derive(Debug, Default)]
 pub(crate) struct StaleCopies {
-    /// Open entries, the runs of consecutive open pages (the price's
-    /// ranges) and the checks paid since no entry was open (the rent).
+    /// Open copies (what the access path reads first), the runs of
+    /// consecutive open pages (the price's ranges) and the checks paid
+    /// since none was open (the rent).
     open: AtomicU64,
     runs: AtomicU64,
     checks: AtomicU64,
-    /// Per home: page → the copy, and whether it is open.
-    homes: Mutex<Vec<Homed>>,
+    index: Mutex<Index>,
 }
 
-type Homed = BTreeMap<u64, (Arc<PageFrame>, bool)>;
+/// Per home: page → its stale copy; and the pages whose copy is open.
+#[derive(Debug, Default)]
+struct Index {
+    homes: Vec<BTreeMap<u64, Arc<PageFrame>>>,
+    open: BTreeSet<u64>,
+}
 
 impl StaleCopies {
     pub(crate) fn new(homes: usize) -> Self {
-        let homes = Mutex::new(vec![BTreeMap::new(); homes]);
-        StaleCopies {
+        let homes = vec![BTreeMap::new(); homes];
+        let index = Mutex::new(Index {
             homes,
+            ..Index::default()
+        });
+        StaleCopies {
+            index,
             ..Self::default()
         }
     }
@@ -59,13 +68,8 @@ impl StaleCopies {
     }
 
     /// Whether `page`'s copy is open and stale.
-    pub(crate) fn holds_open(&self, store: &DsmStore, page: PageId) -> bool {
-        if !self.any_open() || page.index() >= store.allocator().num_pages() {
-            return false;
-        }
-        let homes = lock(&self.homes);
-        let entry = homes[store.home_of(page).index()].get(&page.0);
-        entry.is_some_and(|e| e.1)
+    pub(crate) fn holds_open(&self, page: PageId) -> bool {
+        self.any_open() && lock(&self.index).open.contains(&page.0)
     }
 
     /// Set `page`'s entry to `frame`, open or dropped, or to none (its copy
@@ -76,26 +80,33 @@ impl StaleCopies {
         page: PageId,
         entry: Option<(&Arc<PageFrame>, bool)>,
     ) {
-        let mut homes = lock(&self.homes);
-        let map = &mut homes[store.home_of(page).index()];
-        let was = match entry {
-            Some((frame, open)) => map.insert(page.0, (Arc::clone(frame), open)),
+        let mut index = lock(&self.index);
+        let open = entry.is_some_and(|e| e.1);
+        let was_open = if open {
+            !index.open.insert(page.0)
+        } else {
+            index.open.remove(&page.0)
+        };
+        if entry.is_none() && !was_open {
+            return;
+        }
+        let map = &mut index.homes[store.home_of(page).index()];
+        match entry {
+            Some((frame, _)) => map.insert(page.0, Arc::clone(frame)),
             None => map.remove(&page.0),
         };
-        let (was_open, open) = (was.is_some_and(|e| e.1), entry.is_some_and(|e| e.1));
-        drop(homes);
         if was_open == open {
             return;
         }
-        let below = page.0 > 0 && self.holds_open(store, PageId(page.0 - 1));
-        let neighbours = i64::from(below) + i64::from(self.holds_open(store, PageId(page.0 + 1)));
+        let near = |p: u64| index.open.contains(&p);
+        let neighbours = i64::from(page.0 > 0 && near(page.0 - 1)) + i64::from(near(page.0 + 1));
         // An opened page joins its open neighbours' runs into one; a
         // closed one leaves its run split in as many.  (Counts wrap: -1.)
         let sign = if open { 1 } else { -1 };
         self.runs
             .fetch_add((sign * (1 - neighbours)) as u64, Ordering::Relaxed);
-        let count = self.open.fetch_add(sign as u64, Ordering::Relaxed);
-        if count.wrapping_add(sign as u64) == 0 {
+        self.open.store(index.open.len() as u64, Ordering::Relaxed);
+        if index.open.is_empty() {
             self.checks.store(0, Ordering::Relaxed);
         }
     }
@@ -104,35 +115,30 @@ impl StaleCopies {
     /// entries still dropped, which leave the index, and the open ones whose
     /// last answer fitted a grant, which stay until patched.
     pub(crate) fn take_named(&self, home: NodeId) -> Vec<(PageId, Arc<PageFrame>)> {
-        let mut named = Vec::new();
-        lock(&self.homes)[home.index()].retain(|&page, (frame, open)| {
-            let dropped = !*open && !frame.is_home() && !frame.is_present();
-            if dropped || (*open && frame.fits_grant()) {
-                named.push((PageId(page), Arc::clone(frame)));
+        let (mut named, mut index) = (Vec::new(), lock(&self.index));
+        let Index { homes, open } = &mut *index;
+        homes[home.index()].retain(|page, frame| {
+            let (is_open, present) = (open.contains(page), frame.is_present());
+            if is_open && frame.fits_grant() || !is_open && !present && !frame.is_home() {
+                named.push((PageId(*page), Arc::clone(frame)));
             }
-            *open
+            is_open
         });
         named
     }
 
-    /// Take `home`'s open entries (all homes' for `None`), in page order.
-    fn take_open(&self, home: Option<NodeId>) -> Vec<(PageId, Arc<PageFrame>)> {
-        let mut open = Vec::new();
-        for (h, map) in lock(&self.homes).iter_mut().enumerate() {
-            if home.map_or(true, |home| home.index() == h) {
-                let entries = map.iter().filter(|e| e.1 .1);
-                open.extend(entries.map(|(&p, (frame, _))| (PageId(p), Arc::clone(frame))));
-                map.retain(|_, e| !e.1);
-            }
+    /// Take every open copy, in page order: a settle closes them.  (A
+    /// recovery re-homes pages, so each is looked up under every home.)
+    fn take_open(&self) -> Vec<(PageId, Arc<PageFrame>)> {
+        let mut index = lock(&self.index);
+        let pages = std::mem::take(&mut index.open).into_iter();
+        let mut remove = |p: u64| index.homes.iter_mut().find_map(|map| map.remove(&p));
+        let copies = pages.filter_map(|p| remove(p).map(|frame| (PageId(p), frame)));
+        let copies = copies.collect();
+        for count in [&self.open, &self.runs, &self.checks] {
+            count.store(0, Ordering::Relaxed);
         }
-        open.sort_unstable_by_key(|e| e.0 .0);
-        open
-    }
-
-    /// `failed`'s pages are homed on `elected` now: their open entries move.
-    pub(crate) fn rehome(&self, failed: NodeId, elected: NodeId) {
-        let moved = self.take_open(Some(failed)).into_iter();
-        lock(&self.homes)[elected.index()].extend(moved.map(|(p, f)| (p.0, (f, true))));
+        copies
     }
 }
 
@@ -141,7 +147,7 @@ impl DsmSystem {
     /// copies, without closing it: the caller fetches it at once.
     pub(crate) fn drop_if_stale(&self, node_ref: &Node, page: PageId, frame: &PageFrame) -> bool {
         let stale = &self.stale[node_ref.id().index()];
-        let found = frame.is_present() && !frame.is_home() && stale.holds_open(&self.store, page);
+        let found = frame.is_present() && !frame.is_home() && stale.holds_open(page);
         if found {
             let copy = self.store.frame(node_ref.id(), page);
             self.drop_stale(node_ref, &[(page, copy)], false);
@@ -170,10 +176,7 @@ impl DsmSystem {
         if !stale.any_open() {
             return;
         }
-        let copies = stale.take_open(None);
-        for count in [&stale.open, &stale.runs, &stale.checks] {
-            count.store(0, Ordering::Relaxed);
-        }
+        let copies = stale.take_open();
         let node_ref = self.cluster.node(node);
         let (_, calls) = self.drop_stale(node_ref, &copies, true);
         self.charge_mprotect(node_ref, clock, calls);

@@ -228,8 +228,5 @@ impl DsmSystem {
             clock.advance(machine.net.transfer(resynced * PAGE_BYTES as u64));
         }
         self.store.rehomed_all(peer, winner);
-        self.stale
-            .iter()
-            .for_each(|stale| stale.rehome(peer, winner));
     }
 }
