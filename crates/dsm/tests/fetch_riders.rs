@@ -9,7 +9,7 @@
 //! suite run under it, and the tests named failed:
 //!
 //! * no riders (`DsmSystem::fetch_pages` takes nothing from
-//!   `NodeFetchState::take_dropped`): `a_fault_reopens_a_dropped_copy_of_the_same_home`,
+//!   `StaleCopies::take_named`; re-run on it): `a_fault_reopens_a_dropped_copy_of_the_same_home`,
 //!   `a_rider_dearer_than_an_mprotect_stays_dropped` (113 slots),
 //!   `a_rider_is_named_only_to_its_own_home` and
 //!   `a_dropped_copy_between_keeps_the_rider_a_call_of_its_own`, and beyond

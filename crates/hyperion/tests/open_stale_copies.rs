@@ -12,17 +12,21 @@
 //! write.  Under `java_ic` the entry drops the copy; under page protection
 //! it stays open.
 //!
-//! Mutations on record, each applied to a copy of the tree and this suite
-//! run under it:
+//! Mutations on record, each applied to a copy of the tree and this file,
+//! `write_notices.rs` and `fetch_riders.rs` run under it:
 //!
 //! * the access path skipping its pending check (`DsmSystem::ensure_access`
-//!   never calls `drop_if_stale`): (a), (b), (e) and the prefetch test read
-//!   0 under `java_pf` and `java_ad`; (c) and (d) pass, since the grant's
-//!   patch and the start's settle make the copy current without the check;
-//! * a grant that forgets a named open copy without patching it
-//!   (`DsmSystem::answered_open` forgets either way): (c) reads 0;
-//! * with the check skipped, a thread-level acquire that settles nothing
-//!   (`DsmSystem::acquire` never calls `settle`): (d) reads 0 as well.
+//!   never calls `drop_if_stale`): (a), (b) and (e) fail, as do 19
+//!   `write_notices.rs` tests (the pending-section ones, the message-passing
+//!   pair and the barrier round among them); (c), (d), (f) and the prefetch
+//!   test pass — the grant's patch, the start's settle and the prefetch's
+//!   own lookup make the copy current without the access's check;
+//! * a grant that takes a named open copy for patched without patching it
+//!   (`DsmSystem::drop_copies`): (c) fails, and 8 `write_notices.rs` tests;
+//! * the check skipped and neither thread-level edge settling
+//!   (`DsmSystem::acquire` and `DsmSystem::release` with no `settle`): (d)
+//!   fails too.  With only the acquire's settle gone it passes: the
+//!   parent's release at `Thread.start` settles the node first.
 
 use std::sync::mpsc::channel;
 use std::sync::Arc;

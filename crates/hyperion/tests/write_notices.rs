@@ -45,9 +45,12 @@
 //!   patch_by_grant` applies the answer's stamp without its slots): the
 //!   debug oracle's `stale copy revalidated` in
 //!   `a_copy_dropped_by_another_nodes_grant_is_reopened_by_its_homes_grant`;
-//! * a request index that ignores the page's home (`NodeFetchState::
-//!   take_dropped` hands a grant every home's dropped copies): the charge
-//!   in `the_request_costs_exactly_sixteen_bytes_per_named_copy`;
+//! * a request index that ignores the page's home (`StaleCopies::
+//!   take_named` hands a grant every home's stale copies; re-run on the
+//!   index of open and dropped copies): the charge in
+//!   `the_request_costs_exactly_sixteen_bytes_per_named_copy`,
+//!   `a_dropped_copy_whose_last_answer_was_the_page_is_not_named` and
+//!   `a_dropped_copy_refused_once_is_not_named_at_the_next_grant`;
 //! * name every dropped copy regardless of its last answer
 //!   (`DsmSystem::drop_copies` indexes a dropped copy without asking
 //!   `PageFrame::fits_grant`): the entry charge in
@@ -72,11 +75,12 @@
 //!   `a_join_on_the_releasers_node_waits_for_what_rode_the_release` (and
 //!   the exit litmus above, which reads `R` off the releaser's end);
 //! * the access path skipping its pending check (`DsmSystem::ensure_access`
-//!   never looks at the node's pending drop, so a section reads the stale
-//!   copy its monitor's acquire left open):
-//!   `a_section_reads_a_page_its_acquire_left_pending_and_sees_the_write`,
+//!   never drops an open stale copy, so a section reads the stale copy a
+//!   monitor's acquire left open; re-run once the copies stay open past the
+//!   exit): `a_section_reads_a_page_its_acquire_left_pending_and_sees_the_write`,
 //!   its write twin, `a_second_thread_of_the_node_reads_a_pending_copy_after_dropping_it`
-//!   and seven older litmus tests (the message-passing pair among them).
+//!   and 16 more, the message-passing pair and the grant rounds among them
+//!   (`open_stale_copies.rs` lists its own).
 
 use std::sync::mpsc::channel;
 use std::sync::Arc;

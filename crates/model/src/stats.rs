@@ -151,7 +151,7 @@ define_stats! {
     pages_kept,
     /// Picoseconds by which monitor `enter` / re-acquire moved threads of this node forward to a previous holder's release (two critical sections that overlapped in virtual time).
     monitor_wait_ps,
-    /// `mprotect` calls (of `mprotect_calls`) that re-protected a monitor acquire's stale copies after its exit or `wait` had handed the monitor on (`DsmSystem::settle`).
+    /// `mprotect` calls (of `mprotect_calls`) that re-protected a node's open stale copies at a settle: the access at which the rent reached the price, a thread-level acquire or release, `invalidateCache` or a recovery (`crates/dsm/src/pending.rs`).
     mprotect_calls_settled,
     /// Page-protection accesses that paid the in-line check asking whether their copy is one of the node's open stale copies (`java_pf` / `java_ad`; a `java_ic` access's own check asks it).
     pending_checks,

@@ -11,8 +11,8 @@
 //!   a few times and asserts identical `execution_time` and `StatsSnapshot`
 //!   on every row;
 //! * runs Jacobi, ASP and Barnes-Hut on 12 nodes under `java_pf`, where
-//!   most barrier wakes hand a monitor on before the waker's pending drop
-//!   is settled, and asserts the same of them;
+//!   most barrier wakes leave stale copies open behind the pending check,
+//!   and asserts the same of them;
 //! * runs the serving apps over Unix-domain sockets and asserts the same
 //!   modeled time and every counter as their `SimTransport` twins.
 
