@@ -72,8 +72,8 @@ impl StaleCopies {
         self.any_open() && lock(&self.index).open.contains(&page.0)
     }
 
-    /// Set `page`'s entry to `frame`, open or dropped, or to none (its copy
-    /// is current, or its last answer did not fit a grant).
+    /// Set `page`'s entry to `frame`, open or dropped, or clear an open one
+    /// (a dropped entry whose copy is back is skipped when it is named).
     pub(crate) fn set(
         &self,
         store: &DsmStore,
