@@ -8,29 +8,24 @@
 //! form of the paper's: it drops the cached copies the acquirer's learned
 //! write notices name at an older stamp ([`DsmSystem::acquire`],
 //! `notices.rs`), while the explicit `invalidateCache` drops them all.  A
-//! monitor's acquire leaves the copies page protection detects open behind
-//! an in-line check until their home patches them or re-protecting them
-//! costs less than the checks (`pending.rs`).
+//! monitor's acquire leaves the copies page protection detects unclosed,
+//! behind an in-line check (`pending.rs`).
 //!
-//! The protocols differ in access detection alone (`crate::detection`):
-//! `java_ic` checks in line on every access; `java_pf` takes a (simulated)
-//! page fault on a protected page and pays `mprotect`s to open copies and
-//! to re-protect dropped ones, one per maximal address range of pages that
-//! have or now take the protection (`DsmStore::protection_ranges`); and
-//! `java_ad`, beyond the paper, picks one of the two per page, flipping at
-//! invalidation time around the break-even `n* = ⌈(t_fault + t_mprotect) /
-//! t_check⌉`, and batches fetches of contiguous same-home pages.
+//! The protocols differ in access detection alone (`crate::detection`,
+//! which the engine asks at every decision point; all mechanism lives here,
+//! in `fetch.rs` and in the RPC services): `java_ic` checks in line on
+//! every access; `java_pf` takes a (simulated) page fault on a protected
+//! page and pays `mprotect`s to open copies and to re-protect dropped ones,
+//! one per maximal address range of pages that have or now take the
+//! protection (`DsmStore::protection_ranges`); and `java_ad`, beyond the
+//! paper, picks one of the two per page, flipping at invalidation time
+//! around the break-even `n* = ⌈(t_fault + t_mprotect) / t_check⌉`, and
+//! batches fetches of contiguous same-home pages.
 //!
 //! The engine exposes exactly the primitives of the paper's Table 2, one
 //! entry each: [`DsmSystem::load_into_cache`]`(node, clock, first, pages)`,
 //! [`DsmSystem::invalidate_cache`], [`DsmSystem::update_main_memory`],
 //! [`DsmSystem::get`] and [`DsmSystem::put`].
-//!
-//! Every protocol-variable decision is the access detection's
-//! ([`crate::detection`]): the engine holds the run's `Detection` and asks
-//! it at the decision points (access, install, invalidation, epoch close,
-//! batching), while all mechanism — RPC framing, ticket bookkeeping,
-//! batching loops — lives here and in `fetch.rs` / the RPC services.
 
 use std::sync::Arc;
 
@@ -300,9 +295,7 @@ impl DsmSystem {
         for k in 0..pages {
             let page = PageId(first.0 + k);
             let frame = self.store.frame(node, page);
-            // An open stale copy is dropped alone, and fetched like an absent one.
-            let open = frame.is_present() && !frame.is_protected();
-            if frame.is_home() || (open && !self.drop_if_stale(node_ref, page, &frame)) {
+            if frame.is_home() || frame.is_present() {
                 continue;
             }
             let span = (pages - k) as usize;
@@ -334,9 +327,9 @@ impl DsmSystem {
     ///
     /// `granter`, a monitor's home, sent the grant that brought them.  As it
     /// would answer their refetch, its grant patches the node's stale copies
-    /// of its pages instead, open or dropped (`drop_copies`); the other stale
-    /// copies it names that page protection detects stay open (`pending.rs`).
-    /// A thread-level acquire (`granter` is `None`) re-protects those first.
+    /// of its pages instead (`drop_copies`); it leaves the others page
+    /// protection detects unclosed (`pending.rs`).  A thread-level acquire
+    /// (`granter` is `None`) re-protects the unclosed ones first.
     pub fn acquire(
         &self,
         node: NodeId,
@@ -408,16 +401,16 @@ impl DsmSystem {
         self.fetch_state[node.index()].begin_acquire();
     }
 
-    /// The one invalidation routine: drop the present copies `named` names
-    /// at an older stamp — every cached copy for `None` — flushing a dirty
-    /// copy first.  A grant from `granter` patches its pages' stale copies,
-    /// whatever detects them (`patch_by_grant`): those named here, and the
-    /// node's others (`pending.rs`), which the request names at
-    /// `NAMED_COPY_BYTES` each; a dropped one reopens at one `mprotect` per
-    /// range of pages open already or now.  Under a grant the stale copies
-    /// page protection detects stay open behind the pending check; the
-    /// others are re-protected at one `mprotect` per range of pages
-    /// protected already or now (`DsmStore::protection_ranges`).
+    /// The one invalidation routine: drop the held copies (present or open)
+    /// `named` names at an older stamp — every cached copy for `None` —
+    /// flushing a dirty copy first.  A grant from `granter` patches its
+    /// pages' stale copies, whatever detects them (`patch_by_grant`): those
+    /// named here, and the node's others (`pending.rs`), which the request
+    /// names at `NAMED_COPY_BYTES` each; a closed one reopens at one
+    /// `mprotect` per range of pages open already or now.  Under a grant the
+    /// copies page protection detects are left unclosed; the others are
+    /// re-protected at one `mprotect` per range of pages protected already
+    /// or now (`DsmStore::protection_ranges`).
     /// The `java_ad` epoch of a page closes when a notice outdates its copy
     /// and no patch keeps it open (every page's at `invalidateCache`): when
     /// a detection miss is paid, or would be.  Returns how many copies it
@@ -432,7 +425,7 @@ impl DsmSystem {
         let (node_ref, machine) = (self.cluster.node(node), self.cluster.machine());
         let stale_copies = &self.stale[node.index()];
         let protect = |frame: &PageFrame| self.detection.technique(frame) == AdMode::Protect;
-        // The present copies to drop, each with the stamp a patch riding the
+        // The held copies to drop, each with the stamp a patch riding the
         // grant must bring it to instead (`None`: nothing rides for it).
         let mut stale = Vec::new();
         match named {
@@ -451,12 +444,12 @@ impl DsmSystem {
                     if frame.is_home() || frame.version() >= stamp {
                         continue;
                     }
-                    let present = frame.is_present();
-                    let rides = present && granter == Some(self.store.home_of(page));
+                    let held = frame.is_present() || stale_copies.holds_open(page, &frame);
+                    let rides = held && granter == Some(self.store.home_of(page));
                     if !rides {
                         self.close_epoch(node_ref, clock, &frame);
                     }
-                    if present {
+                    if held {
                         stale.push((page, frame, rides.then_some(stamp)));
                     }
                 }
@@ -466,7 +459,7 @@ impl DsmSystem {
         // notice of this grant names rides it anyway.
         let mut requested = granter.map_or_else(Vec::new, |home| stale_copies.take_named(home));
         let riding = |page: &PageId| stale.binary_search_by_key(&page.0, |(p, _, _)| p.0).is_ok();
-        requested.retain(|(page, frame)| !frame.is_present() || !riding(page));
+        requested.retain(|(page, _)| !riding(page));
         let request_bytes = NAMED_COPY_BYTES * requested.len();
         clock.advance(machine.net.transfer(request_bytes as u64));
 
@@ -493,9 +486,8 @@ impl DsmSystem {
                 }
             }
             let answered = requested.iter().map(|(page, frame)| {
-                let open = frame.is_present();
                 let patched = self.patch_by_grant(node_ref, clock, granter, *page, frame, None);
-                (*page, &**frame, open, patched)
+                (*page, &**frame, patched)
             });
             (reopened, unprotected) = self.answered(node, answered);
         }
@@ -516,13 +508,14 @@ impl DsmSystem {
             clock.advance(machine.cpu.cycles(per_page * n as f64));
             calls.min(1)
         } else {
-            // A grant leaves the copies whose drop re-protects open behind
-            // the pending check; a Check copy's drop is free, so it goes.
+            // A grant leaves the copies whose drop re-protects unclosed,
+            // behind the pending check; a Check copy's drop is free.
             let (open, now): (Vec<_>, Vec<_>) =
                 stale.partition(|(_, frame)| granter.is_some() && protect(frame));
             left_open = open.len() as u64;
             for (page, frame) in &open {
                 stale_copies.set(&self.store, *page, Some((frame, true)));
+                frame.drop_unclosed();
             }
             reopen_ranges + self.drop_stale(node_ref, &now, true).1
         };
@@ -530,7 +523,7 @@ impl DsmSystem {
         reopened + left_open
     }
 
-    /// The drop of the copies `stale` (page order) that are still present:
+    /// The drop of the copies `stale` (page order) still held, present or open:
     /// invalidate each, re-protecting those page protection detects if
     /// `reprotect`, and index each whose last answer fitted a grant (the next
     /// likely fits too; `pending.rs`).  Returns how many dropped and the
@@ -545,7 +538,10 @@ impl DsmSystem {
         let (fetch_state, stale_copies) =
             (&self.fetch_state[node.index()], &self.stale[node.index()]);
         let (mut reprotected, mut stride_waste, mut dropped) = (Vec::new(), 0u64, 0u64);
-        for (page, frame) in stale.iter().filter(|(_, f)| !f.is_home() && f.is_present()) {
+        let held = |(page, f): &&(PageId, Arc<PageFrame>)| {
+            !f.is_home() && (f.is_present() || stale_copies.holds_open(*page, f))
+        };
+        for (page, frame) in stale.iter().filter(held) {
             let reprotect = reprotect && self.detection.technique(frame) == AdMode::Protect;
             if reprotect {
                 reprotected.push(*page);
@@ -555,7 +551,8 @@ impl DsmSystem {
             // A stride ticket still pending here was a wasted prefetch: the
             // count feeds the throttle in `issue_stride_fetches`.
             stride_waste += u64::from(frame.inflight_is_stride());
-            dropped += u64::from(frame.invalidate(reprotect));
+            frame.invalidate(reprotect);
+            dropped += 1;
         }
         self.store.note_cached(node, -(dropped as i64));
         if stride_waste > 0 {
@@ -593,10 +590,10 @@ impl DsmSystem {
         }
     }
 
-    /// Bring the copy `frame` of `page` — open, flushed and named at `stamp`
-    /// by a notice the grant from `granter` brought, or dropped (`None`) —
+    /// Bring the copy `frame` of `page` — held, flushed and named at `stamp`
+    /// by a notice the grant from `granter` brought, or indexed (`None`) —
     /// up to date with the answer a fetch from `granter`, its home, would get
-    /// (`answer_page`).  True if the copy is open afterwards: the flush's
+    /// (`answer_page`).  True if the copy is current afterwards: the flush's
     /// write-ack made it current, or the answer fits a grant (`grant_cost`).
     /// A copy with a fetch in flight, or of a page whose home is not
     /// `granter` or was killed by the fault plane, is not patched.
@@ -671,11 +668,11 @@ impl DsmSystem {
         bulk_pages: usize,
     ) -> Result<(), crate::recover::RpcFailure> {
         // While the node holds open stale copies (`pending.rs`), a `Protect`
-        // access pays the check that asks whether its copy is one: a copy
-        // that is is dropped alone, never closed, and the access takes the
-        // miss the check found — no fault, and nothing to open.
+        // access pays the check that asks whether its copy is one, and takes
+        // the miss the check found: no fault, and nothing to open.
         let pending = self.stale[node_ref.id().index()].any_open();
         let found = pending && self.drop_if_stale(node_ref, page, frame);
+        self.assert_open_copy_found(node_ref.id(), page, frame);
         // First real use of an overlapped fetch completes the transaction:
         // merge the completion timestamp (the residual latency) before the
         // access proceeds.

@@ -8,7 +8,7 @@
 //! monitor's grant shares — either re-opens the retained copy, patches it
 //! or installs the shipped one.  A demand fetch also names the node's
 //! indexed dropped copies of that home as riders, and reopens those the
-//! reply answers as a grant would ([`DsmSystem::reopen_dropped`]).
+//! reply answers as a grant would ([`DsmSystem::answered`]).
 //!
 //! This is a second `impl DsmSystem` block (split out of `engine.rs` to
 //! keep the engine readable): everything here is mechanism — RPC framing,
@@ -79,10 +79,10 @@ impl NodeFetchState {
 impl DsmSystem {
     /// One conditional fetch RPC to `home` for the contiguous run of its pages
     /// starting at `first`, whose frames on this node are `frames`, naming
-    /// the stale copies `riders`.  Each frame either has its retained copy
+    /// the stale copies `riders`, after ending the frames' open stale copies
+    /// (`pending.rs`).  Each frame either has its retained copy
     /// re-opened ("not modified") or patched, or a fresh copy installed, as
-    /// has each rider answered: a dropped one reopens, an open one is
-    /// current again.  Returns whether the run starts where this
+    /// has each rider answered.  Returns whether the run starts where this
     /// node's previous fetch from `home` ended (it continues a scan), the
     /// instant the reply arrives and the protected riders it reopened.
     fn fetch_run(
@@ -95,6 +95,9 @@ impl DsmSystem {
         riders: &[(PageId, Arc<PageFrame>)],
     ) -> Result<(bool, VTime, Vec<PageId>), RpcFailure> {
         let node = node_ref.id();
+        for (k, frame) in (0..).zip(frames) {
+            self.drop_if_stale(node_ref, PageId(first.0 + k), frame);
+        }
         let retained: Vec<u64> = frames.iter().map(|f| f.version()).collect();
         let named: Vec<_> = riders.iter().map(|(p, f)| (*p, f.version())).collect();
         let payload = encode_fetch_request(first, &retained, &named);
@@ -118,9 +121,9 @@ impl DsmSystem {
             opened += i64::from(self.apply_answer(node_ref, page, frame, reply));
         }
         let answered = riders.iter().zip(answers).map(|((page, frame), answer)| {
-            let (answer, open) = (answer.filter(|_| !frame.is_home()), frame.is_present());
+            let answer = answer.filter(|_| !frame.is_home());
             let applied = answer.map(|a| self.apply_answer(node_ref, *page, frame, a));
-            (*page, &**frame, open, applied.is_some())
+            (*page, &**frame, applied.is_some())
         });
         let (reopened, unprotected) = self.answered(node, answered);
         self.store.note_cached(node, opened + reopened as i64);
@@ -196,9 +199,7 @@ impl DsmSystem {
                 return;
             }
             let frame = self.store.frame(node, page);
-            // An open stale copy is dropped alone and fetched as absent.
-            let open = frame.is_present() && !self.drop_if_stale(node_ref, page, &frame);
-            if frame.is_home() || open {
+            if frame.is_home() || frame.is_present() {
                 continue;
             }
             let unprotect =
@@ -261,8 +262,7 @@ impl DsmSystem {
         demand: bool,
     ) -> Result<(), RpcFailure> {
         let (node, home) = (node_ref.id(), self.store.home_of(page));
-        // A copy dropped without being closed (see `ensure_access`) opens
-        // at no `mprotect`.
+        // An open stale copy was never closed: it opens at no `mprotect`.
         let unprotect = self.detection.technique(frame) == AdMode::Protect && frame.is_protected();
         let max_batch = self.detection.batch_ceiling();
 

@@ -12,8 +12,8 @@
 //! Either way the requester goes on to use bytes it did not just receive,
 //! so debug builds (hence `cargo test`) re-read the home frame and compare.
 //! An acquire keeps every copy its learned notices do not name; debug
-//! builds check that no copy the acquirer's node keeps open is older than
-//! anything the acquirer knows.
+//! builds check that no present copy is older than anything the acquirer
+//! knows, nor any open stale copy left unfound by an access's check.
 
 use std::sync::Mutex;
 
@@ -84,20 +84,17 @@ impl DsmSystem {
     }
 
     /// Every present copy on `node` of a page `known` names carries at
-    /// least the stamp named, or is one of the node's open stale copies,
-    /// which the access path drops before any use (`pending.rs`): what a
-    /// thread on `node` knows, its node's cache never hides (see
-    /// `crate::page`, the invariant).  Release builds check nothing.
+    /// least the stamp named: what a thread on `node` knows, its node's
+    /// cache never hides (see `crate::page`, the invariant).  Release builds
+    /// check nothing.
     pub fn assert_knowledge_held(&self, node: NodeId, known: &Notices) {
         if !cfg!(debug_assertions) {
             return;
         }
         let _one = self.caller.enter("DsmSystem::assert_knowledge_held");
         let frames = self.store.existing_frames(node, known.iter().map(|e| e.0));
-        let stale = &self.stale[node.index()];
         for ((page, stamp), frame) in known.iter().zip(frames) {
             let held = frame.is_home() || !frame.is_present() || frame.version() >= stamp;
-            let held = held || stale.holds_open(page);
             assert!(
                 held,
                 "stale copy kept: {page:?} on {node} at version {} although a write at {stamp} \
@@ -107,11 +104,19 @@ impl DsmSystem {
         }
     }
 
+    /// After an access's pending check, `frame` (`page` on `node`) is no open
+    /// stale copy, which a real runtime would read, since it is unprotected.
+    /// Release builds check nothing.
+    pub(crate) fn assert_open_copy_found(&self, node: NodeId, page: PageId, frame: &PageFrame) {
+        let open = cfg!(debug_assertions) && self.stale[node.index()].holds_open(page, frame);
+        assert!(!open, "open stale copy read unchecked: {page:?} on {node}");
+    }
+
     /// `node` holds no open stale copy: none outlives a thread's end
     /// (`pending.rs`).  Release builds check nothing.
-    pub fn assert_no_pending_drop(&self, node: NodeId, past: &str) {
+    pub fn assert_no_open_stale_copies(&self, node: NodeId, past: &str) {
         let left = cfg!(debug_assertions) && self.stale[node.index()].any_open();
-        assert!(!left, "a pending drop on {node} outlived {past}");
+        assert!(!left, "an open stale copy on {node} outlived {past}");
     }
 }
 

@@ -42,8 +42,8 @@
 //! for the pages the writes that happen-before it changed, and drops
 //! exactly the present copies they name at an older stamp — or, for a page
 //! homed where the monitor's grant came from, patches them to the home's
-//! stamp.  The explicit `invalidateCache` drops every copy, which keeps the
-//! invariant trivially.
+//! stamp (a copy it leaves open behind the pending check is still dropped;
+//! `pending.rs`).  `invalidateCache` drops every copy.
 //!
 //! ## Home writes
 //!
@@ -435,10 +435,10 @@ impl PageFrame {
 
     /// Drop the cached copy: `invalidateCache` for this frame.  For the
     /// page-fault protocol the frame is also re-protected so the next access
-    /// faults.  Home frames are never invalidated.  True if it was present.
-    pub fn invalidate(&self, reprotect: bool) -> bool {
+    /// faults.  Home frames are never invalidated.
+    pub fn invalidate(&self, reprotect: bool) {
         debug_assert!(!self.is_home(), "home frames are never invalidated");
-        let was_present = self.present.swap(false, Ordering::AcqRel);
+        self.drop_unclosed();
         // A fetch still in flight for this copy is abandoned with it: the
         // issue costs were already charged, and nobody will use the data.
         self.inflight_completion_ps.store(0, Ordering::Release);
@@ -446,7 +446,12 @@ impl PageFrame {
         if reprotect {
             self.protected.store(true, Ordering::Release);
         }
-        was_present
+    }
+
+    /// Drop the cached copy alone, leaving its protection and in-flight
+    /// ticket as they are: an open stale copy (`pending.rs`).
+    pub(crate) fn drop_unclosed(&self) {
+        self.present.store(false, Ordering::Release);
     }
 
     /// Read a slot of this frame.

@@ -1,12 +1,13 @@
 //! The stale copies a node retains, open or dropped, and the rent-or-buy
 //! rule that re-protects the open ones.
 //!
-//! A monitor's acquire leaves the stale copies page protection detects
-//! open.  While any is, every `Protect` access on the node pays one in-line
-//! check asking whether its copy is one (`Detection::on_access`): if so it
-//! is dropped alone, never closed, and the access takes the miss the check
-//! found.  A grant or a demand fetch from its home names it with the node's
-//! dropped copies, and a patch that fits a grant makes it current at no
+//! A monitor's acquire drops the stale copies page protection detects
+//! without closing them: absent, but not re-protected, they stay *open*.
+//! While any is, every `Protect` access on the node pays one in-line check
+//! (`Detection::on_access`), which asks of an absent, unprotected copy
+//! whether it is one: if so the access takes the miss the check found.  A
+//! grant or a demand fetch from its home names it with the node's dropped
+//! copies, and a patch that fits a grant makes it current at no
 //! `mprotect`.  The access path *rents* until the checks paid since the
 //! node last held no open stale copy cost what re-protecting them would,
 //! `locality_check() × checks ≥ mprotect_call × ranges`, then *buys*: the
@@ -50,13 +51,12 @@ struct Index {
 
 impl StaleCopies {
     pub(crate) fn new(homes: usize) -> Self {
-        let homes = vec![BTreeMap::new(); homes];
-        let index = Mutex::new(Index {
-            homes,
+        let index = Index {
+            homes: vec![BTreeMap::new(); homes],
             ..Index::default()
-        });
+        };
         StaleCopies {
-            index,
+            index: Mutex::new(index),
             ..Self::default()
         }
     }
@@ -67,19 +67,23 @@ impl StaleCopies {
         self.open.load(Ordering::Relaxed) > 0
     }
 
-    /// Whether `page`'s copy is open and stale.
-    pub(crate) fn holds_open(&self, page: PageId) -> bool {
-        self.any_open() && lock(&self.index).open.contains(&page.0)
+    /// Whether `frame`, `page`'s copy, is open: absent, unprotected and in
+    /// the open set (a `java_ad` copy dropped under `Check` that flipped to
+    /// `Protect` is absent and unprotected too, but not open).
+    pub(crate) fn holds_open(&self, page: PageId, frame: &PageFrame) -> bool {
+        let unclosed = !frame.is_present() && !frame.is_protected();
+        unclosed && self.any_open() && lock(&self.index).open.contains(&page.0)
     }
 
     /// Set `page`'s entry to `frame`, open or dropped, or clear an open one
     /// (a dropped entry whose copy is back is skipped when it is named).
+    /// Returns whether the copy was open.
     pub(crate) fn set(
         &self,
         store: &DsmStore,
         page: PageId,
         entry: Option<(&Arc<PageFrame>, bool)>,
-    ) {
+    ) -> bool {
         let mut index = lock(&self.index);
         let open = entry.is_some_and(|e| e.1);
         let was_open = if open {
@@ -88,7 +92,7 @@ impl StaleCopies {
             index.open.remove(&page.0)
         };
         if entry.is_none() && !was_open {
-            return;
+            return false;
         }
         let map = &mut index.homes[store.home_of(page).index()];
         match entry {
@@ -96,7 +100,7 @@ impl StaleCopies {
             None => map.remove(&page.0),
         };
         if was_open == open {
-            return;
+            return was_open;
         }
         let near = |p: u64| index.open.contains(&p);
         let neighbours = i64::from(page.0 > 0 && near(page.0 - 1)) + i64::from(near(page.0 + 1));
@@ -109,45 +113,31 @@ impl StaleCopies {
         if index.open.is_empty() {
             self.checks.store(0, Ordering::Relaxed);
         }
+        was_open
     }
 
     /// What a grant or a demand fetch from `home` names, in page order: the
-    /// entries still dropped, which leave the index, and the open ones whose
-    /// last answer fitted a grant, which stay until patched.
+    /// absent copies whose last answer fitted a grant.  The dropped entries
+    /// leave the index; the open ones stay until patched or closed.
     pub(crate) fn take_named(&self, home: NodeId) -> Vec<(PageId, Arc<PageFrame>)> {
         let (mut named, mut index) = (Vec::new(), lock(&self.index));
         let Index { homes, open } = &mut *index;
         homes[home.index()].retain(|page, frame| {
-            let (is_open, present) = (open.contains(page), frame.is_present());
-            if is_open && frame.fits_grant() || !is_open && !present && !frame.is_home() {
+            if frame.fits_grant() && !frame.is_present() && !frame.is_home() {
                 named.push((PageId(*page), Arc::clone(frame)));
             }
-            is_open
+            open.contains(page)
         });
         named
-    }
-
-    /// Take every open copy, in page order: a settle closes them.  (A
-    /// recovery re-homes pages, so each is looked up under every home.)
-    fn take_open(&self) -> Vec<(PageId, Arc<PageFrame>)> {
-        let mut index = lock(&self.index);
-        let pages = std::mem::take(&mut index.open).into_iter();
-        let mut remove = |p: u64| index.homes.iter_mut().find_map(|map| map.remove(&p));
-        let copies = pages.filter_map(|p| remove(p).map(|frame| (PageId(p), frame)));
-        let copies = copies.collect();
-        for count in [&self.open, &self.runs, &self.checks] {
-            count.store(0, Ordering::Relaxed);
-        }
-        copies
     }
 }
 
 impl DsmSystem {
-    /// Drop `page`'s copy alone if it is one of the node's open stale
-    /// copies, without closing it: the caller fetches it at once.
+    /// End `page`'s copy if it is one of the node's open stale copies: it
+    /// leaves the open set, and its in-flight ticket is abandoned.  The
+    /// caller fetches it at once.
     pub(crate) fn drop_if_stale(&self, node_ref: &Node, page: PageId, frame: &PageFrame) -> bool {
-        let stale = &self.stale[node_ref.id().index()];
-        let found = frame.is_present() && !frame.is_home() && stale.holds_open(page);
+        let found = self.stale[node_ref.id().index()].holds_open(page, frame);
         if found {
             let copy = self.store.frame(node_ref.id(), page);
             self.drop_stale(node_ref, &[(page, copy)], false);
@@ -169,14 +159,16 @@ impl DsmSystem {
         }
     }
 
-    /// Settle `node`'s open stale copies: drop them all, at one `mprotect`
+    /// Settle `node`'s open stale copies: close them all, at one `mprotect`
     /// per range, also counted in `mprotect_calls_settled`.
     pub(crate) fn settle(&self, node: NodeId, clock: &mut ThreadClock) {
         let stale = &self.stale[node.index()];
         if !stale.any_open() {
             return;
         }
-        let copies = stale.take_open();
+        let open = lock(&stale.index).open.clone();
+        let frame = |p| (PageId(p), self.store.frame(node, PageId(p)));
+        let copies: Vec<_> = open.into_iter().map(frame).collect();
         let node_ref = self.cluster.node(node);
         let (_, calls) = self.drop_stale(node_ref, &copies, true);
         self.charge_mprotect(node_ref, clock, calls);
@@ -184,21 +176,19 @@ impl DsmSystem {
     }
 
     /// Act on the answers to the copies a grant or a fetch named, `(page,
-    /// frame, open, patched)` in page order: a patched open copy is current,
-    /// a refused one not named again until an answer fits.  Returns how
-    /// many dropped ones reopened, and those whose opening is an `mprotect`.
+    /// frame, patched)` in page order: a patched open copy is current, a
+    /// refused copy not named again until an answer fits.  Returns how many
+    /// dropped ones reopened, and those whose opening is an `mprotect`.
     pub(crate) fn answered<'a>(
         &self,
         node: NodeId,
-        answers: impl IntoIterator<Item = (PageId, &'a PageFrame, bool, bool)>,
+        answers: impl IntoIterator<Item = (PageId, &'a PageFrame, bool)>,
     ) -> (u64, Vec<PageId>) {
         let (mut reopened, mut unprotected) = (0, Vec::new());
-        for (page, frame, open, patched) in answers {
-            if open && patched {
-                self.stale[node.index()].set(&self.store, page, None);
-            } else if open {
+        for (page, frame, patched) in answers {
+            if !patched {
                 frame.set_fits_grant(false);
-            } else if patched {
+            } else if !self.stale[node.index()].set(&self.store, page, None) {
                 reopened += 1;
                 if self.detection.technique(frame) == AdMode::Protect {
                     unprotected.push(page);

@@ -216,6 +216,9 @@ impl DsmSystem {
             // The dead node's frame is the authoritative copy, standing in
             // for the stable storage a production home would recover from.
             self.store.rehome(page, peer, winner);
+            // An open stale copy the winner held is its home page now.
+            let was_open = self.stale[winner.index()].set(&self.store, page, None);
+            self.store.note_cached(winner, -i64::from(was_open));
             resynced += 1;
         }
         if resynced > 0 {

@@ -29,7 +29,7 @@ const REHOME_STRIDE: u64 = 1 << 32;
 #[derive(Debug, Default)]
 pub struct NodeFrames {
     frames: RwLock<Vec<Arc<PageFrame>>>,
-    /// Non-home frames currently present (see [`DsmStore::note_cached`]).
+    /// Non-home frames present or open (see [`DsmStore::note_cached`]).
     cached: std::sync::atomic::AtomicI64,
 }
 
@@ -204,15 +204,15 @@ impl DsmStore {
     }
 
     /// Count `delta` non-home frames of `node` made present (positive) or
-    /// dropped (negative).  The engine reports every such transition it
-    /// causes, re-homing its own.
+    /// dropped (negative), an open stale copy once it closes or is fetched.
+    /// The engine reports every such transition it causes, re-homing its own.
     pub(crate) fn note_cached(&self, node: NodeId, delta: i64) {
         self.nodes[node.index()]
             .cached
             .fetch_add(delta, std::sync::atomic::Ordering::Relaxed);
     }
 
-    /// Non-home frames currently present on `node`.
+    /// Non-home frames currently present on `node`, or open (`pending.rs`).
     pub fn cached_on(&self, node: NodeId) -> u64 {
         self.nodes[node.index()]
             .cached

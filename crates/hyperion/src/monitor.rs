@@ -16,13 +16,13 @@
 //!   re-protecting dropped pages, and opening them again, is where the
 //!   protocol's `mprotect` traffic comes from: one call per address range
 //!   of pages that change protection or already have the new one.  The
-//!   entry's drop is re-protected after the exit (or `wait`) has handed the
-//!   monitor on, so no waiter's grant waits for it.  The
+//!   entry leaves the copies page protection detects unclosed, past the
+//!   exit and any `wait` (`hyperion_dsm`'s `pending.rs`).  The
 //!   notices ride the grant and the release, paying their bytes when the
 //!   monitor lives on another node.  That node homes the object the monitor
 //!   guards: the entry's request names the dropped copies of its pages
 //!   whose last answer fitted a grant (16 bytes each), and the grant patches
-//!   those and the stale open ones — a dropped one reopens — where a patch
+//!   those and the open stale ones — a closed one reopens — where a patch
 //!   costs at most an `mprotect`.
 //! * **Virtual-time ordering** — *a monitor is granted in increasing
 //!   (arrival, thread id), so a clock is moved to a previous release only

@@ -835,7 +835,7 @@ impl ThreadCtx {
                 // Thread termination is a release point: the child's writes
                 // must reach main memory so a joining thread can observe them.
                 crate::jmm::release(&mut ctx, None);
-                shared.dsm.assert_no_pending_drop(node, "a thread end");
+                shared.dsm.assert_no_open_stale_copies(node, "a thread end");
                 let end = ctx.clock.now();
                 ctx.merge_serving_latencies();
                 shared.finish.record(end);

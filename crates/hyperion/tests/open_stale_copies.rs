@@ -1,39 +1,49 @@
 //! The open stale copies a monitor's acquire leaves behind the pending
 //! check (`hyperion_dsm`'s `pending.rs`), litmus by litmus, under every
-//! protocol: a copy stays open and stale past the monitor's exit, and every
-//! read that happens after the write that outdated it sees that write —
-//! because the access's check finds the copy, a grant from its home patches
-//! it, or a thread-level acquire re-protects it first.
+//! protocol: a copy is dropped but stays open (unprotected) past the
+//! monitor's exit, and every read that happens after the write that
+//! outdated it sees that write — because the access's check finds the
+//! copy, a grant from its home patches it, or a thread-level acquire
+//! re-protects it first.
 //!
 //! The world: a page homed on node 0, a writer on node 0 that writes slot 7
 //! under monitor A (homed on node 1, so A's grant patches nothing of the
 //! page), and a reader on node 2 that cached the page densely (so `java_ad`
 //! detects it by page protection too) and enters and exits A after the
-//! write.  Under `java_ic` the entry drops the copy; under page protection
-//! it stays open.
+//! write.  Under `java_ic` the entry drops and closes the copy; under page
+//! protection it stays open.
 //!
-//! Mutations on record, each applied to a copy of the tree and this file,
-//! `write_notices.rs` and `fetch_riders.rs` run under it:
+//! Mutations on record, each applied to a copy of the tree, with the
+//! `hyperion` and `hyperion-dsm` test suites run under it:
 //!
 //! * the access path skipping its pending check (`DsmSystem::ensure_access`
-//!   never calls `drop_if_stale`): (a), (b) and (e) fail, as do 19
-//!   `write_notices.rs` tests (the pending-section ones, the message-passing
-//!   pair and the barrier round among them); (c), (d), (f) and the prefetch
-//!   test pass — the grant's patch, the start's settle and the prefetch's
-//!   own lookup make the copy current without the access's check;
+//!   never calls `drop_if_stale`): the debug oracle's `open stale copy read
+//!   unchecked` fails (a), (b), (e) and rule 3's test here, 20
+//!   `write_notices.rs` tests (the open-copy section, the message-passing
+//!   pair and the barrier round among them), a `host_order.rs` test and
+//!   two `monitor.rs` unit tests; (c), (d), (f), rules 1 and 2 and the
+//!   prefetch test pass — the grant's patch, the start's settle, the
+//!   release's close and the fetch's own end of the copy need no check;
 //! * a grant that takes a named open copy for patched without patching it
-//!   (`DsmSystem::drop_copies`): (c) fails, and 8 `write_notices.rs` tests;
+//!   (`DsmSystem::drop_copies`): (c) fails, and 3 `write_notices.rs` tests;
 //! * the check skipped and neither thread-level edge settling
 //!   (`DsmSystem::acquire` and `DsmSystem::release` with no `settle`): (d)
-//!   fails too.  With only the acquire's settle gone it passes: the
-//!   parent's release at `Thread.start` settles the node first.
+//!   fails too.  With only the acquire's settle gone it passed (recorded
+//!   before open copies were absent): the parent's release at
+//!   `Thread.start` settles the node first;
+//! * each of the three rules below broken alone: its own test fails (rule
+//!   1: an acquire's notices hold only present copies, which fails rule 2's
+//!   test too; rule 2: a release's drop ignores open copies; rule 3: the
+//!   unclosed drop abandons the ticket).
 
 use std::sync::mpsc::channel;
 use std::sync::Arc;
 
 use hyperion::prelude::*;
 use hyperion::StatsSnapshot;
-use hyperion_pm2::Cluster;
+use hyperion_dsm::{DsmStore, DsmSystem, Notices, PageFrame};
+use hyperion_model::ThreadClock;
+use hyperion_pm2::{Cluster, GlobalAddr, IsoAllocator};
 
 const SLOTS: usize = 512;
 
@@ -254,4 +264,193 @@ fn a_prefetch_of_a_pending_copy_fetches_it() {
         assert_eq!(to.page_faults, from.page_faults, "{protocol}");
         assert_eq!(to.pending_misses, from.pending_misses, "{protocol}");
     }
+}
+
+// ----- what keeps an open copy's numbers ---------------------------------------
+//
+// An open copy is absent, and three rules make it count as the present copy
+// it was: a later acquire's notices hold it, a release's drop closes it, and
+// its in-flight ticket stays.  Driven on the DSM directly: node 0 homes the
+// pages, node 1 writes them (each release a diff, so each write a notice of
+// its own), and the reader is node 2.
+
+/// The node whose copies are left open.
+const READER: NodeId = NodeId(2);
+
+/// The protocols under which a monitor's acquire leaves a copy open.
+const OPENING: [ProtocolKind; 2] = [ProtocolKind::JavaPf, ProtocolKind::JavaAd];
+
+/// A DSM of three nodes under `protocol` and `pages` consecutive pages
+/// homed on node 0, from the returned address on.
+fn dsm_world(protocol: ProtocolKind, pages: usize) -> (Arc<DsmSystem>, Arc<Cluster>, GlobalAddr) {
+    let cluster = Cluster::new(myrinet_200().machine, 3);
+    let alloc = Arc::new(IsoAllocator::new(3));
+    let store = DsmStore::new(Arc::clone(&alloc), 3);
+    let dsm = DsmSystem::new(Arc::clone(&cluster), store, protocol);
+    (
+        dsm,
+        cluster,
+        alloc.alloc_page_aligned(SLOTS * pages, NodeId(0)),
+    )
+}
+
+/// Node 1 writes `value` at `addr` and releases, with `writer`'s clock and
+/// write-log cursor: the notices its release names.
+fn writes(
+    dsm: &DsmSystem,
+    writer: &mut (ThreadClock, u64),
+    addr: GlobalAddr,
+    value: u64,
+) -> Notices {
+    dsm.put(NodeId(1), &mut writer.0, addr, value);
+    dsm.release(NodeId(1), &mut writer.0, &mut writer.1, None).1
+}
+
+/// The reader learns `notices` from a grant of `granter`.
+fn granted(dsm: &DsmSystem, reader: &mut ThreadClock, notices: &Notices, granter: u32) {
+    dsm.acquire(READER, reader, notices, Some(NodeId(granter)));
+}
+
+/// Whether `frame` is an open copy: absent and not protected.
+fn is_open(frame: &PageFrame) -> bool {
+    !frame.is_present() && !frame.is_protected()
+}
+
+/// Rule 1: an open copy that a later acquire's notices name is held.  A
+/// grant from its home patches it at the notice's stamp, though the
+/// request does not name it (its last answer was the whole page), and the
+/// reads after load nothing.
+#[test]
+fn a_later_grant_from_its_home_patches_an_open_copy_its_notices_name() {
+    for protocol in OPENING {
+        let (dsm, cluster, addr) = dsm_world(protocol, 1);
+        let (mut reader, mut writer) = (ThreadClock::new(), (ThreadClock::new(), 0));
+        (0..PROTECTED).for_each(|_| assert_eq!(dsm.get(READER, &mut reader, addr), 0));
+        let first = writes(&dsm, &mut writer, addr.offset(7), 41);
+        granted(&dsm, &mut reader, &first, 1);
+        let frame = dsm.store().frame(READER, addr.page());
+        assert!(is_open(&frame), "{protocol}: left open");
+        let second = writes(&dsm, &mut writer, addr.offset(8), 43);
+        let before = cluster.node_stats(READER);
+        granted(&dsm, &mut reader, &second, 0);
+        let stamp = second.iter().map(|(_, stamp)| stamp).max().unwrap();
+        assert!(frame.is_present(), "{protocol}: patched");
+        assert_eq!(frame.version(), stamp, "{protocol}: at the notice's stamp");
+        dsm.assert_no_open_stale_copies(READER, "the patch");
+        assert_eq!(
+            dsm.get(READER, &mut reader, addr.offset(7)),
+            41,
+            "{protocol}"
+        );
+        assert_eq!(
+            dsm.get(READER, &mut reader, addr.offset(8)),
+            43,
+            "{protocol}"
+        );
+        let after = cluster.node_stats(READER);
+        assert_eq!(after.pages_patched - before.pages_patched, 1, "{protocol}");
+        let cost = |s: &StatsSnapshot| (s.page_loads, s.pending_misses, s.mprotect_calls);
+        assert_eq!(
+            cost(&after),
+            cost(&before),
+            "{protocol}: nothing loaded or opened"
+        );
+    }
+}
+
+/// Rule 2: a release's drop holds an open copy.  The reader's own write,
+/// flushed by the acquire that left its copy open, is named by the
+/// reader's monitor release, which closes the copy at one `mprotect` (no
+/// settle); the next read faults.
+#[test]
+fn a_release_that_names_an_open_copy_closes_it_at_one_mprotect() {
+    for protocol in OPENING {
+        let (dsm, cluster, addr) = dsm_world(protocol, 1);
+        let (mut reader, mut writer) = (ThreadClock::new(), (ThreadClock::new(), 0));
+        (0..PROTECTED).for_each(|_| assert_eq!(dsm.get(READER, &mut reader, addr), 0));
+        let mut cursor = dsm.write_log_end(READER);
+        dsm.put(READER, &mut reader, addr.offset(9), 5);
+        let written = writes(&dsm, &mut writer, addr.offset(7), 41);
+        granted(&dsm, &mut reader, &written, 1);
+        let frame = dsm.store().frame(READER, addr.page());
+        assert!(is_open(&frame), "{protocol}: left open");
+        let before = cluster.node_stats(READER);
+        dsm.release(READER, &mut reader, &mut cursor, Some(NodeId(1)));
+        let closed = cluster.node_stats(READER);
+        assert!(
+            !frame.is_present() && frame.is_protected(),
+            "{protocol}: closed"
+        );
+        dsm.assert_no_open_stale_copies(READER, "the release");
+        let cost = |s: &StatsSnapshot| {
+            (
+                s.mprotect_calls,
+                s.mprotect_calls_settled,
+                s.pages_invalidated,
+            )
+        };
+        let (from, to) = (cost(&before), cost(&closed));
+        assert_eq!(
+            (to.0 - from.0, to.1 - from.1, to.2 - from.2),
+            (1, 0, 1),
+            "{protocol}"
+        );
+        assert_eq!(
+            dsm.get(READER, &mut reader, addr.offset(7)),
+            41,
+            "{protocol}"
+        );
+        assert_eq!(
+            dsm.get(READER, &mut reader, addr.offset(9)),
+            5,
+            "{protocol}"
+        );
+        let read = cluster.node_stats(READER);
+        assert_eq!(
+            read.page_faults - closed.page_faults,
+            1,
+            "{protocol}: closed, so it faults"
+        );
+        assert_eq!(read.pending_misses, closed.pending_misses, "{protocol}");
+    }
+}
+
+/// Rule 3: an open copy keeps its in-flight ticket.  A stride prefetch put
+/// the reader's copy in flight; the acquire that leaves the copy open
+/// keeps the ticket, which makes a later grant from the home refuse the
+/// patch, and the access that finds the copy counts the ticket wasted.
+#[test]
+fn an_open_copy_keeps_its_stride_ticket_until_the_access_finds_it() {
+    let (dsm, cluster, addr) = dsm_world(ProtocolKind::JavaPf, 4);
+    let page = |k: u64| addr.offset(k * SLOTS as u64);
+    let (mut reader, mut writer) = (ThreadClock::new(), (ThreadClock::new(), 0));
+    dsm.get(READER, &mut reader, page(0));
+    // Continues the scan: pages 2 and 3 go in flight.
+    dsm.get(READER, &mut reader, page(1));
+    let frame = dsm.store().frame(READER, page(2).page());
+    assert!(frame.is_present() && frame.has_inflight(), "prefetched");
+    let first = writes(&dsm, &mut writer, page(2).offset(7), 41);
+    granted(&dsm, &mut reader, &first, 1);
+    assert!(
+        is_open(&frame) && frame.has_inflight(),
+        "left open, ticket kept"
+    );
+    let second = writes(&dsm, &mut writer, page(2).offset(8), 43);
+    let before = cluster.node_stats(READER);
+    granted(&dsm, &mut reader, &second, 0);
+    let refused = cluster.node_stats(READER);
+    assert_eq!(
+        refused.pages_patched, before.pages_patched,
+        "the ticket blocks the patch"
+    );
+    assert!(is_open(&frame), "still open");
+    assert_eq!(dsm.get(READER, &mut reader, page(2).offset(7)), 41);
+    assert_eq!(dsm.get(READER, &mut reader, page(2).offset(8)), 43);
+    let read = cluster.node_stats(READER);
+    assert_eq!(
+        read.stride_fetches_wasted - refused.stride_fetches_wasted,
+        1
+    );
+    assert_eq!(read.pending_misses - refused.pending_misses, 1);
+    assert_eq!(read.page_loads - refused.page_loads, 1);
 }

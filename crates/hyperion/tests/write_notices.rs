@@ -75,11 +75,11 @@
 //!   `a_join_on_the_releasers_node_waits_for_what_rode_the_release` (and
 //!   the exit litmus above, which reads `R` off the releaser's end);
 //! * the access path skipping its pending check (`DsmSystem::ensure_access`
-//!   never drops an open stale copy, so a section reads the stale copy a
-//!   monitor's acquire left open; re-run once the copies stay open past the
-//!   exit): `a_section_reads_a_page_its_acquire_left_pending_and_sees_the_write`,
+//!   never calls `drop_if_stale`; re-run once an open copy was absent, so
+//!   the debug oracle's `open stale copy read unchecked` catches it):
+//!   `a_section_reads_a_page_its_acquire_left_pending_and_sees_the_write`,
 //!   its write twin, `a_second_thread_of_the_node_reads_a_pending_copy_after_dropping_it`
-//!   and 16 more, the message-passing pair and the grant rounds among them
+//!   and 17 more, the message-passing pair and the grant rounds among them
 //!   (`open_stale_copies.rs` lists its own).
 
 use std::sync::mpsc::channel;
@@ -841,13 +841,13 @@ fn a_dropped_copy_refused_once_is_not_named_at_the_next_grant() {
     }
 }
 
-// ----- the pending drop -------------------------------------------------------
+// ----- open stale copies --------------------------------------------------------
 //
-// A monitor's acquire leaves the stale copies page protection detects open,
-// among its node's open stale copies, past its exit.  The access path
-// catches such a copy and drops it alone; a grant or fetch from its home
-// patches it; a thread-level acquire or release drops them all first, and
-// so does the access at which the checks paid cost as much as that drop.
+// A monitor's acquire drops the stale copies page protection detects
+// without closing them: its node's open stale copies, past its exit.  The
+// access path's check finds such a copy; a grant or fetch from its home
+// patches it; a thread-level acquire or release closes them all first, and
+// so does the access at which the checks paid cost as much as closing them.
 
 /// A reader on node 2 caches a page homed on node 0; a writer on node 0
 /// writes slot 7 under a monitor of node 1, whose grant therefore carries no
@@ -915,14 +915,13 @@ fn pending_section(
     out
 }
 
-/// The reader's entry leaves its stale copy pending under page protection
+/// The reader's entry leaves its stale copy open under page protection
 /// (`java_pf`, and `java_ad`'s page made dense), the section's read finds
-/// it by the pending check, drops it and refetches it — no fault and no
-/// `mprotect`: the copy was never closed — and sees the write; the exit has
-/// nothing to settle.  A Check copy
-/// (`java_ic`) is dropped by the entry.  Mutation on record: the access path
-/// skipping its pending check (`DsmSystem::ensure_access` never calls
-/// `access_pending`) reads 0 here under `java_pf` and `java_ad`.
+/// it by the pending check and refetches it — no fault and no `mprotect`:
+/// the copy was never closed — and sees the write; the exit has nothing to
+/// settle.  A Check copy (`java_ic`) is closed by the entry.  Mutation on
+/// record: the access path skipping its pending check
+/// (`DsmSystem::ensure_access` never calls `drop_if_stale`) fails here.
 #[test]
 fn a_section_reads_a_page_its_acquire_left_pending_and_sees_the_write() {
     for (label, protocol, seen, [before, entered, read, exited]) in pending_section(false, false) {
@@ -1003,7 +1002,7 @@ fn a_second_thread_of_the_node_reads_a_pending_copy_after_dropping_it() {
         dsm.assert_knowledge_held(reader, &written);
         // A thread-level release settles first: nothing is left open.
         dsm.release(reader, &mut first, &mut 0, None);
-        dsm.assert_no_pending_drop(reader, "the settle");
+        dsm.assert_no_open_stale_copies(reader, "the settle");
         let s = cluster.node_stats(reader);
         assert_eq!(
             (s.pages_invalidated, s.mprotect_calls_settled),
@@ -1013,12 +1012,12 @@ fn a_second_thread_of_the_node_reads_a_pending_copy_after_dropping_it() {
     }
 }
 
-/// The oracle exempts the pending copies and nothing else: a stale copy no
-/// acquire named is still caught.
+/// An open stale copy is absent, so the oracle needs no exemption for it,
+/// and a present stale copy no acquire named is caught.
 #[test]
 #[cfg(debug_assertions)]
 #[should_panic(expected = "stale copy kept")]
-fn the_oracle_exempts_only_the_pending_copies() {
+fn the_oracle_catches_a_stale_copy_beside_an_open_one() {
     let cluster = Cluster::new(myrinet_200().machine, 3);
     let alloc = Arc::new(IsoAllocator::new(3));
     let store = DsmStore::new(Arc::clone(&alloc), 3);
