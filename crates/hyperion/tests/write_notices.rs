@@ -1012,12 +1012,13 @@ fn a_second_thread_of_the_node_reads_a_pending_copy_after_dropping_it() {
     }
 }
 
-/// An open stale copy is absent, so the oracle needs no exemption for it,
-/// and a present stale copy no acquire named is caught.
+/// The oracle passes the copies an acquire named and nothing else: an open
+/// stale copy is absent, so it needs no exemption, and a present stale copy
+/// no acquire named is caught.
 #[test]
 #[cfg(debug_assertions)]
 #[should_panic(expected = "stale copy kept")]
-fn the_oracle_catches_a_stale_copy_beside_an_open_one() {
+fn the_oracle_exempts_only_the_pending_copies() {
     let cluster = Cluster::new(myrinet_200().machine, 3);
     let alloc = Arc::new(IsoAllocator::new(3));
     let store = DsmStore::new(Arc::clone(&alloc), 3);
