@@ -1,8 +1,9 @@
 //! The modeled-result gates of the extension figures 6 (adaptive protocol)
-//! and 9 (serving workloads), checked on the 21 quick rows the baseline
-//! test computes (`report_rows_are_byte_for_byte_the_committed_baseline`):
-//! seven apps under `java_ic`, `java_pf` and `java_ad` on 4 Myrinet nodes.
-//! That test asserts them before it compares the rows with
+//! and 9 (serving workloads), checked on the 21 quick rows of the bench
+//! report: seven apps under `java_ic`, `java_pf` and `java_ad` on 4 Myrinet
+//! nodes.  The root package's baseline pin (`tests/integration_suite.rs`,
+//! `pins::report_rows_are_byte_for_byte_the_committed_baseline`) asserts
+//! them before it compares the rows with
 //! `bench/baseline.json`, so a regenerated baseline cannot hide a violation.
 //! A run repeats exactly, so each gate holds on one run.
 //!
@@ -35,7 +36,7 @@ const KV_QUEUE_WAIT_BOUND: f64 = 0.05;
 
 /// Every gate `rows` (app by app, each under `java_ic`, `java_pf`,
 /// `java_ad` in that order) violate, one line each.
-pub(crate) fn violations(rows: &[FigureRow]) -> Vec<String> {
+pub fn violations(rows: &[FigureRow]) -> Vec<String> {
     let expected = BenchmarkName::all_extended()
         .into_iter()
         .flat_map(|app| ProtocolKind::all_extended().map(|protocol| (app, protocol)));

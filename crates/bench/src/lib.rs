@@ -31,8 +31,7 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-#[cfg(test)]
-mod gates;
+pub mod gates;
 pub mod report;
 
 use hyperion::prelude::*;
@@ -141,6 +140,8 @@ pub struct FigureRow {
     pub digest: f64,
     /// Cluster-wide event statistics.
     pub stats: StatsSnapshot,
+    /// Application threads the run started, main included.
+    pub threads: usize,
     /// Transport backend that carried the RPCs (`"sim"` or `"unix-socket"`).
     pub transport: &'static str,
     /// Per-service wire counters, `(service name, counters)` — empty under
@@ -321,7 +322,7 @@ pub const ADAPTIVE_NODES: usize = 4;
 /// uses — the Myrinet cluster at [`ADAPTIVE_NODES`] nodes, default adaptive
 /// parameters, default transport, no labels — so a sweep says only where it
 /// differs: `Point { nodes: 2, ..Point::new(app, scale, protocol) }.run()`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Point {
     /// The benchmark program.
     pub app: BenchmarkName,
@@ -390,6 +391,7 @@ impl Point {
             seconds: report.seconds(),
             digest,
             stats: report.total_stats(),
+            threads: report.threads,
             transport: report.transport,
             wire: report.wire,
             serving_p99_us: report.serving_p99.as_ps() as f64 / 1e6,
@@ -402,20 +404,24 @@ impl Point {
 /// Regenerate one of the paper's figures: sweep both clusters, both
 /// protocols and the paper's node counts for the benchmark behind `figure`.
 pub fn sweep_figure(name: BenchmarkName, scale: Scale) -> Vec<FigureRow> {
-    let mut rows = Vec::new();
+    figure_points(name, scale).iter().map(Point::run).collect()
+}
+
+/// The points [`sweep_figure`] runs, in the order it runs them.
+pub fn figure_points(name: BenchmarkName, scale: Scale) -> Vec<Point> {
+    let mut points = Vec::new();
     for cluster in [myrinet_200(), sci_450()] {
         for protocol in ProtocolKind::all() {
             for nodes in paper_node_counts(&cluster) {
-                let point = Point {
+                points.push(Point {
                     cluster: cluster.clone(),
                     nodes,
                     ..Point::new(name, scale, protocol)
-                };
-                rows.push(point.run());
+                });
             }
         }
     }
-    rows
+    points
 }
 
 /// Figure 6 (extension): every app under `java_ic`, `java_pf` and `java_ad`

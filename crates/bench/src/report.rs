@@ -388,53 +388,13 @@ pub fn chaos_markdown(spec: &str, pairs: &[crate::ChaosPair]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{bench_report_rows, claims_text, paper_figure, sweep_figure, Point, Scale};
+    use crate::{Point, Scale};
     use hyperion::prelude::*;
     use hyperion_apps::common::BenchmarkName;
 
+    /// Pinned to the quick sweep by the root package's
+    /// `pins::report_rows_are_byte_for_byte_the_committed_baseline`.
     const BASELINE: &str = include_str!("../../../bench/baseline.json");
-    const PAPER: &str = include_str!("../../../bench/paper.txt");
-
-    #[test]
-    fn claims_are_byte_for_byte_the_committed_paper_rows() {
-        let figure = |fig| sweep_figure(paper_figure(fig).expect("figures 1-5"), Scale::Quick);
-        let rows: Vec<_> = (1..=5).flat_map(figure).collect();
-        assert_eq!(
-            claims_text(&rows),
-            PAPER,
-            "bench/paper.txt is not what `figures --claims --fig 1 --fig 2 --fig 3 --fig 4 \
-             --fig 5 --scale quick` prints from `== Derived` on; regenerate it if intended"
-        );
-    }
-
-    #[test]
-    fn report_rows_are_byte_for_byte_the_committed_baseline() {
-        let quick = bench_report_rows(Scale::Quick);
-        let violations = crate::gates::violations(&quick);
-        assert!(
-            violations.is_empty(),
-            "the figure 6 / 9 gates fail on the quick rows:\n{}",
-            violations.join("\n")
-        );
-        let measured = report_to_json("local", "quick", &quick);
-        let findings = compare_to_baseline(&measured, BASELINE);
-        assert!(
-            findings.is_empty(),
-            "bench/baseline.json is not what `figures --quick --json` writes; if the \
-             change is intended, regenerate it with `figures --quick --json && cp \
-             BENCH_local.json bench/baseline.json`:\n{}",
-            findings.join("\n")
-        );
-        assert_eq!(rows(&measured).len(), 21);
-        // The header is no part of the gate: a CI run labels its report
-        // with its run id.
-        let ci = BASELINE.replacen("\"run\": \"local\"", "\"run\": \"12345\"", 1);
-        assert_ne!(ci, BASELINE);
-        assert!(compare_to_baseline(&ci, BASELINE).is_empty());
-        // Strings are written as JSON strings.
-        assert_eq!(quote("Pi \"q\""), r#""Pi \"q\"""#);
-        assert_eq!(quote("a\\b\nc"), r#""a\\b\nc""#);
-    }
 
     #[test]
     fn report_round_trips_through_json() {
@@ -460,12 +420,20 @@ mod tests {
             assert!(fields(line).all(|(_, value)| !value.is_empty()), "{key}");
         }
         assert!(compare_to_baseline(&json, &json).is_empty());
+        // Strings are written as JSON strings.
+        assert_eq!(quote("Pi \"q\""), r#""Pi \"q\"""#);
+        assert_eq!(quote("a\\b\nc"), r#""a\\b\nc""#);
     }
 
     #[test]
     fn gate_flags_regressions_and_dropped_rows() {
-        // The committed baseline stands in for a fresh sweep (the test above
-        // holds them equal); each edit of it must fail, naming the row.
+        // The header is no part of the gate: a CI run labels its report
+        // with its run id.
+        let ci = BASELINE.replacen("\"run\": \"local\"", "\"run\": \"12345\"", 1);
+        assert_ne!(ci, BASELINE);
+        assert!(compare_to_baseline(&ci, BASELINE).is_empty());
+        // The committed baseline stands in for a fresh sweep (the pin holds
+        // them equal); each edit of it must fail, naming the row.
         let (key, row) = rows(BASELINE)[3].clone();
         let loads = value(row, "\"page_loads\"").unwrap();
         let field = format!("\"page_loads\": {loads},");

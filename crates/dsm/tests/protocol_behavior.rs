@@ -1543,7 +1543,8 @@ fn litmus_home_local_writes_between_two_fetches_arrive_by_patch() {
 
 /// Litmus (c): what the history cannot vouch for is shipped whole — no copy
 /// to patch, a step the ring has dropped, a patch that would not be shorter
-/// than the page.  (A re-homed page: `tests/chaos_recovery.rs`.)
+/// than the page.  (A re-homed page: the root package's
+/// `tests/integration_suite/chaos_recovery.rs`.)
 #[test]
 fn litmus_a_copy_the_history_cannot_reach_is_shipped_whole() {
     use hyperion_dsm::diff::MAX_PATCH_ENTRIES;

@@ -8,16 +8,18 @@
 //! seeded, hence replayable) [`FaultSpec`] schedules that drop, delay and
 //! duplicate frames, inject handler panics, and kill at most one node at a
 //! virtual instant.  Each faulted digest is compared against the fault-free run
-//! of the same configuration.  The failing seed is part of every assertion
-//! message; re-running a failure needs nothing but that seed.
+//! of the same configuration, the quick matrix's row.  The failing seed is
+//! part of every assertion message; re-running a failure needs nothing but
+//! that seed.
 
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use hyperion_workspace::apps::common::Benchmark;
-use hyperion_workspace::apps::{asp, barnes, jacobi, kvstore, pi, tsp};
+use hyperion_bench::{benchmark_at, Point, Scale};
+use hyperion_workspace::apps::common::{Benchmark, BenchmarkName};
+use hyperion_workspace::apps::jacobi;
 use hyperion_workspace::dsm::{AdaptiveParams, DsmStore, DsmSystem};
 use hyperion_workspace::model::{myrinet_200, StatsSnapshot, ThreadClock, VTime};
 use hyperion_workspace::pm2::{
@@ -26,8 +28,11 @@ use hyperion_workspace::pm2::{
 use hyperion_workspace::prelude::*;
 use hyperion_workspace::{HyperionConfig, ProtocolKind, TransportConfig};
 
+use crate::matrix;
+
 /// Node count of the chaos app runs: enough that every protocol has real
-/// remote traffic and a kill leaves several survivors.
+/// remote traffic and a kill leaves several survivors.  The fault-free runs
+/// are the quick matrix's, which has every app under every protocol here.
 const NODES: usize = 4;
 
 /// Run `body` once per seed, labelling failures with the seed.
@@ -36,16 +41,6 @@ fn property(cases: u64, body: impl Fn(u64, &mut StdRng)) {
         let mut rng = StdRng::seed_from_u64(0xC0FFEE ^ seed);
         body(seed, &mut rng);
     }
-}
-
-fn all_benchmarks() -> Vec<Box<dyn Benchmark>> {
-    vec![
-        Box::new(pi::PiParams::quick()),
-        Box::new(jacobi::JacobiParams::quick()),
-        Box::new(barnes::BarnesParams::quick()),
-        Box::new(tsp::TspParams::quick()),
-        Box::new(asp::AspParams::quick()),
-    ]
 }
 
 /// Host-time limit of one app run (they take well under a second): a run
@@ -81,10 +76,10 @@ fn execute(
 ) -> (f64, RunReport) {
     let config =
         HyperionConfig::new(myrinet_200(), NODES, protocol).with_transport(transport.clone());
-    let label = match &transport.fault {
-        Some(spec) => format!("{} under {} with `{spec}`", bench.name(), protocol.name()),
-        None => format!("{} under {} fault-free", bench.name(), protocol.name()),
-    };
+    let spec = transport
+        .fault
+        .expect("a fault-free run is the quick matrix's");
+    let label = format!("{} under {} with `{spec}`", bench.name(), protocol.name());
     watchdog(&label, || bench.execute(config))
 }
 
@@ -119,14 +114,10 @@ fn random_spec(rng: &mut StdRng) -> FaultSpec {
 /// its pages are re-homed onto a survivor mid-run.
 #[test]
 fn seeded_fault_schedules_preserve_all_digests() {
-    let protocols = [
-        ProtocolKind::JavaIc,
-        ProtocolKind::JavaPf,
-        ProtocolKind::JavaAd,
-    ];
-    for bench in all_benchmarks() {
-        for protocol in protocols {
-            let (reference, _) = execute(bench.as_ref(), protocol, &TransportConfig::default());
+    for app in BenchmarkName::all() {
+        let bench = benchmark_at(app, Scale::Quick);
+        for protocol in ProtocolKind::all_extended() {
+            let reference = matrix::row(&Point::new(app, Scale::Quick, protocol)).digest;
             // Pi's global sum accumulates thread contributions in monitor
             // acquisition order, so its digest is only reproducible to
             // floating-point re-association; every other app is
@@ -171,9 +162,13 @@ fn seeded_fault_schedules_preserve_all_digests() {
 /// may neither drop nor double-count a serving operation.
 #[test]
 fn kv_store_kill_schedules_preserve_digest_and_op_count() {
-    let bench = kvstore::KvStoreParams::quick();
-    let (reference, clean) = execute(&bench, ProtocolKind::JavaAd, &TransportConfig::default());
-    let expected_ops = clean.total_stats().serving_ops;
+    let bench = benchmark_at(BenchmarkName::KvStore, Scale::Quick);
+    let clean = matrix::row(&Point::new(
+        BenchmarkName::KvStore,
+        Scale::Quick,
+        ProtocolKind::JavaAd,
+    ));
+    let (reference, expected_ops) = (clean.digest, clean.stats.serving_ops);
     assert!(expected_ops > 0, "quick KV run recorded no serving ops");
     property(3, |seed, rng| {
         let mut spec = random_spec(rng);
@@ -185,7 +180,7 @@ fn kv_store_kill_schedules_preserve_digest_and_op_count() {
             fault: Some(spec),
             ..TransportConfig::default()
         };
-        let (digest, report) = execute(&bench, ProtocolKind::JavaAd, &transport);
+        let (digest, report) = execute(bench.as_ref(), ProtocolKind::JavaAd, &transport);
         assert!(
             (digest - reference).abs() <= reference.abs().max(1.0) * 1e-9,
             "KVStore diverged with seed {seed} / spec `{spec}`: \
@@ -231,7 +226,8 @@ fn identical_specs_replay_identical_fault_counters() {
     let every = "seed=7,drop=20000,dup=10000,panic=5000,delay=20000@10us,kill=2@600us";
     let every = FaultSpec::parse(every).expect("valid spec");
     let mut runs = Vec::new();
-    for bench in all_benchmarks() {
+    for app in BenchmarkName::all() {
+        let bench = benchmark_at(app, Scale::Quick);
         for protocol in ProtocolKind::all_extended() {
             runs.push(replay(bench.as_ref(), protocol, every));
         }

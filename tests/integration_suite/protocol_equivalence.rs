@@ -10,14 +10,18 @@
 //! level.  Every run repeats exactly, so each configuration runs once: one
 //! test runs every app under the three protocols in process, one over
 //! sockets, and both compare each answer with the app's reference — a
-//! one-node run (no page is remote, so nothing is on the wire) for the
-//! paper's five, the sequential replay for the serving apps.
+//! one-node run (no page is remote, so nothing is on the wire; the quick
+//! matrix's) for the paper's five, the sequential replay for the serving
+//! apps.
 
+use hyperion_bench::{benchmark_at, Point, Scale};
 use hyperion_workspace::apps::common::{Benchmark, BenchmarkName};
-use hyperion_workspace::apps::{asp, barnes, graph, jacobi, kvstore, pi, tsp};
+use hyperion_workspace::apps::{graph, kvstore, tsp};
 use hyperion_workspace::hyperion::StatsSnapshot;
 use hyperion_workspace::prelude::*;
 use hyperion_workspace::{HyperionConfig, ProtocolKind, TransportBackend, TransportConfig};
+
+use crate::matrix;
 
 const NODES: usize = 3;
 
@@ -45,12 +49,14 @@ fn same_digest(a: f64, b: f64) -> bool {
     (a - b).abs() <= a.abs().max(1.0) * 1e-9
 }
 
-/// `bench` under `java_ic` on one node, which puts nothing on the wire.
-fn one_node_digest(bench: &dyn Benchmark) -> f64 {
-    let config = HyperionConfig::new(myrinet_200(), 1, ProtocolKind::JavaIc);
-    let (digest, report) = bench.execute(config);
-    assert_eq!(report.total_stats().rpc_requests, 0, "{}", bench.name());
-    digest
+/// `app` under `java_ic` on one node, which puts nothing on the wire.
+fn one_node_digest(app: BenchmarkName) -> f64 {
+    let row = matrix::row(&Point {
+        nodes: 1,
+        ..Point::new(app, Scale::Quick, ProtocolKind::JavaIc)
+    });
+    assert_eq!(row.stats.rpc_requests, 0, "{app}");
+    row.digest
 }
 
 /// One app's runs at [`NODES`] nodes under `java_ic`, `java_pf` and
@@ -64,28 +70,20 @@ struct AppRuns {
 /// Every app's quick instance under the three protocols over `backend`,
 /// each answer checked against the app's reference and against `java_ic`'s.
 fn run_every_app(backend: TransportBackend) -> Vec<AppRuns> {
-    let kv = kvstore::KvStoreParams::quick();
-    let pagerank = graph::PageRankParams::quick();
-    let paper: [Box<dyn Benchmark>; 5] = [
-        Box::new(pi::PiParams::quick()),
-        Box::new(jacobi::JacobiParams::quick()),
-        Box::new(barnes::BarnesParams::quick()),
-        Box::new(tsp::TspParams::quick()),
-        Box::new(asp::AspParams::quick()),
-    ];
-    let mut apps: Vec<(Box<dyn Benchmark>, f64)> = paper
+    BenchmarkName::all_extended()
         .into_iter()
-        .map(|bench| {
-            let reference = one_node_digest(bench.as_ref());
-            (bench, reference)
-        })
-        .collect();
-    // One client per node.
-    apps.push((Box::new(kv), kvstore::sequential(&kv, NODES).digest));
-    apps.push((Box::new(pagerank), graph::sequential(&pagerank).digest));
-    apps.into_iter()
-        .map(|(bench, reference)| {
-            let name = bench.name();
+        .map(|name| {
+            let reference = match name {
+                // One client per node.
+                BenchmarkName::KvStore => {
+                    kvstore::sequential(&kvstore::KvStoreParams::quick(), NODES).digest
+                }
+                BenchmarkName::PageRank => {
+                    graph::sequential(&graph::PageRankParams::quick()).digest
+                }
+                _ => one_node_digest(name),
+            };
+            let bench = benchmark_at(name, Scale::Quick);
             let runs = ProtocolKind::all_extended().map(|p| execute(bench.as_ref(), p, backend));
             let ic = runs[0].0;
             for (digest, report) in &runs {

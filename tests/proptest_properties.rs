@@ -573,7 +573,8 @@ fn bulk_slice_transfers_match_the_elementwise_loop() {
                     assert_eq!(sb.page_faults, se.page_faults, "seed {seed}");
                 }
                 // The loop exercises the paper's protocols; java_ad has its
-                // own equivalence suite in tests/protocol_equivalence.rs
+                // own equivalence suite in tests/integration_suite/
+                // protocol_equivalence.rs
                 // (its speculative prefetching legitimately reshapes the
                 // per-run page traffic this test pins down exactly).
                 ProtocolKind::JavaAd => unreachable!(),
