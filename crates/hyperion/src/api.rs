@@ -13,7 +13,7 @@
 //! * [`SharedCounter`] — a monitor-protected counter, used for the dynamic
 //!   body assignment in Barnes-Hut and the central work queue index in TSP.
 
-use hyperion_model::{NodeStats, VTime};
+use hyperion_model::NodeStats;
 use hyperion_pm2::NodeId;
 
 use crate::layout::HStruct;
@@ -22,9 +22,9 @@ use crate::object_layout;
 use crate::runtime::ThreadCtx;
 
 object_layout! {
-    /// Field layout of the barrier state object (one generation counter and
-    /// a double-buffered arrival watermark, as a hand-written Java barrier
-    /// class would carry).
+    /// Field layout of the barrier state object (an arrival count and a
+    /// generation counter, as a hand-written Java barrier class would
+    /// carry).
     pub struct BarrierState {
         /// Number of parties the barrier waits for.
         PARTIES: u64,
@@ -32,10 +32,6 @@ object_layout! {
         COUNT: u64,
         /// Generation counter (increments when the barrier opens).
         GENERATION: u64,
-        /// Latest virtual arrival time of an even generation (picoseconds).
-        MAX_ARRIVAL_EVEN: u64,
-        /// Latest virtual arrival time of an odd generation (picoseconds).
-        MAX_ARRIVAL_ODD: u64,
     }
 }
 
@@ -63,8 +59,6 @@ impl JBarrier {
         state.put(ctx, BarrierState::PARTIES, parties as u64);
         state.put(ctx, BarrierState::COUNT, 0);
         state.put(ctx, BarrierState::GENERATION, 0);
-        state.put(ctx, BarrierState::MAX_ARRIVAL_EVEN, 0);
-        state.put(ctx, BarrierState::MAX_ARRIVAL_ODD, 0);
         JBarrier {
             monitor: HMonitor::new(home),
             state,
@@ -74,24 +68,16 @@ impl JBarrier {
 
     /// Arrive at the barrier and wait (in both real and virtual time) until
     /// all parties have arrived.
+    ///
+    /// No party leaves before the latest arrival in virtual time: monitors
+    /// are granted in arrival order, so the last arriver enters after every
+    /// earlier arrival's release, and each waiter re-acquires the monitor
+    /// after the last arriver's exit.
     pub fn arrive(&self, ctx: &mut ThreadCtx) {
         let machine = ctx.machine().clone();
         self.monitor.enter(ctx);
 
         let gen = self.state.get(ctx, BarrierState::GENERATION);
-        let max_field = if gen % 2 == 0 {
-            BarrierState::MAX_ARRIVAL_EVEN
-        } else {
-            BarrierState::MAX_ARRIVAL_ODD
-        };
-
-        // Record this thread's virtual arrival time.
-        let arrival = ctx.now().as_ps();
-        let cur = self.state.get(ctx, max_field);
-        if arrival > cur {
-            self.state.put(ctx, max_field, arrival);
-        }
-
         let count = self.state.get(ctx, BarrierState::COUNT) + 1;
         self.state.put(ctx, BarrierState::COUNT, count);
 
@@ -99,15 +85,6 @@ impl JBarrier {
             // Last arrival: open the next generation and wake everyone.
             self.state.put(ctx, BarrierState::COUNT, 0);
             self.state.put(ctx, BarrierState::GENERATION, gen + 1);
-            // Reset the other generation's arrival watermark for reuse.
-            let other = if gen % 2 == 0 {
-                BarrierState::MAX_ARRIVAL_ODD
-            } else {
-                BarrierState::MAX_ARRIVAL_EVEN
-            };
-            self.state.put(ctx, other, 0);
-            let max = self.state.get(ctx, max_field);
-            ctx.observe(VTime::from_ps(max));
             self.monitor.notify_all(ctx);
             self.monitor.exit(ctx);
         } else {
@@ -118,8 +95,6 @@ impl JBarrier {
                     break;
                 }
             }
-            let max = self.state.get(ctx, max_field);
-            ctx.observe(VTime::from_ps(max));
             self.monitor.exit(ctx);
         }
 
@@ -187,7 +162,7 @@ mod tests {
     use super::*;
     use crate::runtime::{HyperionConfig, HyperionRuntime};
     use hyperion_dsm::ProtocolKind;
-    use hyperion_model::myrinet_200;
+    use hyperion_model::{myrinet_200, VTime};
 
     fn runtime(nodes: usize, protocol: ProtocolKind) -> HyperionRuntime {
         HyperionRuntime::new(HyperionConfig::new(myrinet_200(), nodes, protocol)).unwrap()
