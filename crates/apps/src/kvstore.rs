@@ -418,12 +418,7 @@ mod tests {
         let out = run(config(3, ProtocolKind::JavaAd), &params);
         let total = out.report.total_stats();
         assert_eq!(total.serving_ops, out.result.ops);
-        assert!(total.serving_op_ps_total > 0);
         assert!(out.report.serving_p99 > VTime::ZERO);
-        // A 99th percentile sits above the mean unless more than 99% of the
-        // mass is concentrated at the top — impossible for a tail statistic.
-        let mean_ps = total.serving_op_ps_total / total.serving_ops;
-        assert!(out.report.serving_p99.as_ps() >= mean_ps);
     }
 
     #[test]

@@ -314,7 +314,6 @@ impl HyperionRuntime {
         let shared = &self.shared;
         let main_node = NodeId(0);
         let tid = ThreadId(shared.next_thread.fetch_add(1, Ordering::Relaxed));
-        NodeStats::bump(&shared.cluster.node(main_node).stats.threads_spawned);
         shared.baton.begin(tid);
         let known = Notices::default();
         let mut ctx = ThreadCtx::new(Arc::clone(shared), tid, main_node, VTime::ZERO, known);
@@ -679,13 +678,11 @@ impl ThreadCtx {
     /// update) whose modeled latency was `latency` — the span of this
     /// thread's virtual clock across the operation.
     ///
-    /// The counters feed the serving-throughput report rows; the raw
+    /// The count feeds the serving-throughput report rows; the raw
     /// latencies are kept until run end and folded into the exact
     /// 99th-percentile of [`RunReport::serving_p99`].
     pub fn record_serving_op(&mut self, latency: VTime) {
-        let stats = &self.shared.cluster.node(self.node).stats;
-        NodeStats::bump(&stats.serving_ops);
-        NodeStats::bump_by(&stats.serving_op_ps_total, latency.as_ps());
+        NodeStats::bump(&self.shared.cluster.node(self.node).stats.serving_ops);
         self.serving_latencies.push(latency.as_ps());
     }
 
@@ -820,7 +817,6 @@ impl ThreadCtx {
         start += create_cost;
 
         let tid = ThreadId(self.shared.next_thread.fetch_add(1, Ordering::Relaxed));
-        NodeStats::bump(&self.shared.cluster.node(node).stats.threads_spawned);
 
         let shared = Arc::clone(&self.shared);
         let os_handle = std::thread::Builder::new()
@@ -1166,14 +1162,6 @@ mod tests {
         assert_eq!(out.report.threads, 5);
         // Main joined everyone, so its clock includes the slowest worker.
         assert_eq!(out.report.main_thread_time, out.report.execution_time);
-        // One thread was spawned on each node (plus main on node 0).
-        let spawned: Vec<u64> = out
-            .report
-            .node_stats
-            .iter()
-            .map(|s| s.threads_spawned)
-            .collect();
-        assert_eq!(spawned, vec![2, 1, 1, 1]);
     }
 
     #[test]

@@ -87,8 +87,6 @@ define_stats! {
     remote_monitor_acquires,
     /// Barrier episodes completed by threads of this node.
     barrier_waits,
-    /// Threads created on this node.
-    threads_spawned,
     /// Object-field reads performed through the DSM (`get`).
     field_reads,
     /// Object-field writes performed through the DSM (`put`).
@@ -137,8 +135,6 @@ define_stats! {
     pages_resynced,
     /// Serving-style operations completed by threads of this node (KV requests, vertex updates).
     serving_ops,
-    /// Total modeled latency of the serving operations, in picoseconds (divide by `serving_ops` for the mean).
-    serving_op_ps_total,
     /// Page fetches (a subset of `page_loads`) the home answered "not modified": the retained copy was re-opened and no page bytes moved.
     pages_revalidated,
     /// Page fetches (a subset of `page_loads`) the home answered with the slots that changed since the retained copy's stamp: the copy was patched and re-opened, and only those slots moved.
@@ -360,7 +356,7 @@ mod tests {
         ] {
             assert!(names.contains(&expected), "missing {expected}");
         }
-        assert_eq!(names.len(), 51);
+        assert_eq!(names.len(), 49);
         for added in [
             "batched_flushes",
             "rpc_retries",
@@ -377,7 +373,6 @@ mod tests {
             "release_diffs",
             "flush_overlap_cycles_hidden",
             "serving_ops",
-            "serving_op_ps_total",
             "pages_revalidated",
             "pages_patched",
             "rpc_service_ps",
