@@ -25,7 +25,8 @@
 //!   of them to `fetch_pages`' ranges):
 //!   `a_dropped_copy_between_keeps_the_rider_a_call_of_its_own` (under
 //!   `java_pf`; where Q is P's neighbour, P's own range covers it), and
-//!   the golden counters and the baseline.
+//!   the golden counters (re-run since, it no longer moves a row of the
+//!   quick baseline).
 
 use std::sync::Arc;
 

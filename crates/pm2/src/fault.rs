@@ -33,7 +33,7 @@
 //! runs at a time (the `hyperion` runtime's order), so the calls, and the
 //! counter with them, come in one order: the same spec over the same
 //! workload draws the same faults, and the run repeats bit for bit
-//! (`tests/chaos_recovery.rs`, `identical_specs_replay_identical_fault_counters`).
+//! (`chaos_recovery::identical_specs_replay_identical_fault_counters`).
 //!
 //! The retry schedule is one fixed set of constants, not a setting:
 //! [`RPC_ATTEMPTS`] attempts, each lost one charged [`RPC_TIMEOUT`], and a
