@@ -69,16 +69,14 @@ fn watchdog<T: Send>(label: &str, body: impl FnOnce() -> T + Send) -> T {
     })
 }
 
-fn execute(
-    bench: &dyn Benchmark,
-    protocol: ProtocolKind,
-    transport: &TransportConfig,
-) -> (f64, RunReport) {
-    let config =
-        HyperionConfig::new(myrinet_200(), NODES, protocol).with_transport(transport.clone());
-    let spec = transport
-        .fault
-        .expect("a fault-free run is the quick matrix's");
+/// `bench` under `protocol` with the faults of `spec` (a fault-free run is
+/// the quick matrix's).
+fn execute(bench: &dyn Benchmark, protocol: ProtocolKind, spec: FaultSpec) -> (f64, RunReport) {
+    let transport = TransportConfig {
+        fault: Some(spec),
+        ..TransportConfig::default()
+    };
+    let config = HyperionConfig::new(myrinet_200(), NODES, protocol).with_transport(transport);
     let label = format!("{} under {} with `{spec}`", bench.name(), protocol.name());
     watchdog(&label, || bench.execute(config))
 }
@@ -125,11 +123,7 @@ fn seeded_fault_schedules_preserve_all_digests() {
             let tolerance = reference.abs().max(1.0) * 1e-9;
             property(3, |seed, rng| {
                 let spec = random_spec(rng);
-                let transport = TransportConfig {
-                    fault: Some(spec),
-                    ..TransportConfig::default()
-                };
-                let (digest, report) = execute(bench.as_ref(), protocol, &transport);
+                let (digest, report) = execute(bench.as_ref(), protocol, spec);
                 assert!(
                     (digest - reference).abs() <= tolerance,
                     "{} under {} diverged with seed {seed} / spec `{spec}`: \
@@ -176,11 +170,7 @@ fn kv_store_kill_schedules_preserve_digest_and_op_count() {
             node: rng.gen_range(0..NODES as u32),
             at: VTime::from_us(rng.gen_range(100..2_000)),
         });
-        let transport = TransportConfig {
-            fault: Some(spec),
-            ..TransportConfig::default()
-        };
-        let (digest, report) = execute(bench.as_ref(), ProtocolKind::JavaAd, &transport);
+        let (digest, report) = execute(bench.as_ref(), ProtocolKind::JavaAd, spec);
         assert!(
             (digest - reference).abs() <= reference.abs().max(1.0) * 1e-9,
             "KVStore diverged with seed {seed} / spec `{spec}`: \
@@ -203,12 +193,8 @@ fn kv_store_kill_schedules_preserve_digest_and_op_count() {
 #[test]
 fn identical_specs_replay_identical_fault_counters() {
     let replay = |bench: &dyn Benchmark, protocol, spec| {
-        let transport = TransportConfig {
-            fault: Some(spec),
-            ..TransportConfig::default()
-        };
         let run = || {
-            let (digest, report) = execute(bench, protocol, &transport);
+            let (digest, report) = execute(bench, protocol, spec);
             (digest.to_bits(), report.execution_time, report.node_stats)
         };
         let (a, b) = (run(), run());
