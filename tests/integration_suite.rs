@@ -11,6 +11,8 @@
 //! [`chaos_recovery`] runs them under injected faults and
 //! [`protocol_equivalence`] under every protocol and over sockets.
 
+// The modules live in `tests/integration_suite/`, where cargo does not make
+// each a test binary of its own.
 #[path = "integration_suite/chaos_recovery.rs"]
 mod chaos_recovery;
 #[path = "integration_suite/matrix.rs"]
