@@ -796,8 +796,9 @@ mod tests {
     fn benchmark_trait_reports_figure_three() {
         let params = BarnesParams::quick();
         assert_eq!(params.name().figure(), 3);
-        let (digest_value, report) = params.execute(config(2, ProtocolKind::JavaPf));
+        // One node under `java_ad`: a configuration the quick matrix lacks.
+        let (digest_value, report) = params.execute(config(1, ProtocolKind::JavaAd));
         assert!(digest_value.is_finite());
-        assert_eq!(report.nodes, 2);
+        assert_eq!(report.nodes, 1);
     }
 }

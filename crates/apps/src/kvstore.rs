@@ -23,20 +23,26 @@
 //! [`ThreadCtx::record_serving_op`], which feeds the run report's
 //! throughput (`serving_ops / execution seconds`) and exact modeled p99.
 
+use std::sync::Arc;
+
 use hyperion::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::common::{benchmark, node_of_thread, Benchmark, BenchmarkName};
 
-/// A seeded Zipf(s) sampler over ranks `0..n` (rank 0 is the hottest).
-///
-/// Built as a normalised harmonic CDF table sampled by binary search — the
-/// offline-friendly construction, exact for any `s >= 0` (s = 0 degenerates
-/// to the uniform distribution).
+/// A seeded Zipf(s) sampler over ranks `0..n` (rank 0 is the hottest): a
+/// normalised harmonic CDF table, exact for any `s >= 0` (s = 0 is uniform),
+/// searched by Chen and Asau's guide table (Devroye 1986 §III.2.4).
+/// `guide[j]` is the first rank whose CDF is at least `j / m`, `m` the power
+/// of two at or above `n`, and a draw `u` scans forward from
+/// `guide[floor(u m)]`: both are exact in `f64`, so the start never passes
+/// the rank a binary search returns, and a draw compares at most two
+/// entries on average.
 #[derive(Clone, Debug)]
 pub struct Zipf {
     cdf: Vec<f64>,
+    guide: Vec<u32>,
 }
 
 impl Zipf {
@@ -59,19 +65,29 @@ impl Zipf {
         for c in cdf.iter_mut() {
             *c /= acc;
         }
-        Zipf { cdf }
+        // The last entry is `acc / acc`, exactly 1: every scan stops on it.
+        let m = n.next_power_of_two();
+        let mut rank = 0;
+        let guide = (0..m)
+            .map(|j| {
+                while cdf[rank] < j as f64 / m as f64 {
+                    rank += 1;
+                }
+                u32::try_from(rank).expect("Zipf ranks fit a u32")
+            })
+            .collect();
+        Zipf { cdf, guide }
     }
 
     /// Draw one rank.
     pub fn sample(&self, rng: &mut StdRng) -> usize {
         let u: f64 = rng.gen_range(0.0..1.0);
-        match self
-            .cdf
-            .binary_search_by(|c| c.partial_cmp(&u).expect("CDF is finite"))
-        {
-            Ok(i) => i,
-            Err(i) => i.min(self.cdf.len() - 1),
+        let m = self.guide.len();
+        let mut rank = self.guide[((u * m as f64) as usize).min(m - 1)] as usize;
+        while self.cdf[rank] < u {
+            rank += 1;
         }
+        rank
     }
 }
 
@@ -217,6 +233,8 @@ pub fn run(config: HyperionConfig, params: &KvStoreParams) -> RunOutcome<KvStore
     let threads = runtime.config().total_app_threads();
     let nodes = runtime.nodes();
     let params = *params;
+    // One table for every client, built before any of them starts.
+    let zipf = Arc::new(Zipf::new(params.keys, params.zipf_s));
 
     runtime.run(move |ctx| {
         let per_shard = params.keys_per_shard();
@@ -253,8 +271,8 @@ pub fn run(config: HyperionConfig, params: &KvStoreParams) -> RunOutcome<KvStore
         for t in 0..threads {
             let shards: Vec<(HArray<u64>, HMonitor)> = shards.to_vec();
             let start = start.clone();
+            let zipf = Arc::clone(&zipf);
             handles.push(ctx.spawn_on(node_of_thread(t, nodes), move |worker| {
-                let zipf = Zipf::new(params.keys, params.zipf_s);
                 let mut rng = thread_rng(params.seed, t);
                 let per_request = worker.estimate(&request_mix());
                 let mut checksum = 0u64;
@@ -353,6 +371,38 @@ mod tests {
     }
 
     #[test]
+    fn zipf_draws_are_the_ranks_a_binary_search_returns() {
+        let store = |p: KvStoreParams| (p.keys, p.zipf_s);
+        // The benchmark's store, the three scales, one rank, the uniform
+        // case, and s = 3, whose last 54 082 CDF entries tie at 1.0 in f64.
+        let tables = [
+            (262_144, 0.99),
+            store(KvStoreParams::quick()),
+            store(KvStoreParams::harness()),
+            store(KvStoreParams::paper()),
+            (1, 0.99),
+            (1_000, 0.0),
+            (262_144, 3.0),
+        ];
+        for (n, s) in tables {
+            let zipf = Zipf::new(n, s);
+            for seed in [0, 42, 20_260_927] {
+                let mut guided = StdRng::seed_from_u64(seed);
+                let mut searched = guided.clone();
+                for draw in 0..20_000 {
+                    // The sampler before the guide table: a binary search.
+                    let u: f64 = searched.gen_range(0.0..1.0);
+                    let rank = match zipf.cdf.binary_search_by(|c| c.total_cmp(&u)) {
+                        Ok(i) | Err(i) => i.min(n - 1),
+                    };
+                    let drawn = zipf.sample(&mut guided);
+                    assert_eq!(drawn, rank, "Zipf({n}, {s}), seed {seed}, draw {draw}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn zipf_zero_skew_is_roughly_uniform() {
         let zipf = Zipf::new(16, 0.0);
         let mut rng = StdRng::seed_from_u64(3);
@@ -387,15 +437,12 @@ mod tests {
     #[test]
     fn parallel_matches_sequential_for_every_protocol() {
         let params = KvStoreParams::quick();
+        // One client; three, one per node, are `protocol_equivalence`'s
+        // runs in the root package's integration suite.
+        let expected = sequential(&params, 1);
         for protocol in ProtocolKind::all_extended() {
-            for nodes in [1, 3] {
-                let out = run(config(nodes, protocol), &params);
-                let expected = sequential(&params, nodes); // 1 thread per node
-                assert_eq!(
-                    out.result, expected,
-                    "{protocol:?}/{nodes} nodes diverged from the reference"
-                );
-            }
+            let out = run(config(1, protocol), &params);
+            assert_eq!(out.result, expected, "{protocol:?} diverged");
         }
     }
 

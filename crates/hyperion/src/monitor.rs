@@ -443,7 +443,7 @@ mod tests {
                 .map(|arrival| {
                     let (m, times) = (monitor.clone(), Arc::clone(&times));
                     ctx.spawn_on(NodeId(0), move |t| {
-                        t.observe(arrival);
+                        t.charge(arrival - t.now());
                         m.synchronized(t, |t| t.charge(VTime::from_ms(10)));
                         lock(&times).push((arrival, t.now()));
                     })

@@ -9,6 +9,7 @@
 //! both the program's result and a [`RunReport`] with the virtual execution
 //! time and the per-node event statistics.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -228,11 +229,9 @@ pub(crate) struct RuntimeShared {
     /// Which application thread runs: one at a time, in virtual-time order
     /// (see [`crate::order`]).
     pub(crate) baton: Baton,
-    /// Modeled per-operation latencies (picoseconds) recorded by
-    /// [`ThreadCtx::record_serving_op`]: each thread hands over its whole
-    /// sample as it ends; folded into the report's tail percentile when the
-    /// run ends.
-    pub(crate) serving_latencies: Mutex<Vec<Vec<u64>>>,
+    /// Operations recorded by [`ThreadCtx::record_serving_op`], counted per
+    /// modeled latency (picoseconds): each thread adds its counts as it ends.
+    pub(crate) serving_latencies: Mutex<BTreeMap<u64, u64>>,
 }
 
 /// The distributed JVM image for one experiment run.
@@ -270,7 +269,7 @@ impl HyperionRuntime {
                 balancer,
                 finish: TimeWatermark::default(),
                 baton: Baton::default(),
-                serving_latencies: Mutex::new(Vec::new()),
+                serving_latencies: Mutex::default(),
             }),
         })
     }
@@ -347,7 +346,7 @@ impl HyperionRuntime {
                 (name.to_string(), snap)
             })
             .collect();
-        let serving_p99 = serving_p99(&mut lock(&shared.serving_latencies));
+        let serving_p99 = serving_p99(&lock(&shared.serving_latencies));
         let report = RunReport {
             protocol: shared.config.protocol,
             cluster_label: shared.config.cluster.label().to_string(),
@@ -365,22 +364,19 @@ impl HyperionRuntime {
 }
 
 /// Exact 99th percentile (rank `ceil(0.99 n)`) over every serving operation
-/// the program recorded.  The per-thread samples are sorted where they are
-/// and only the top 1 % is merged — op counts are bounded by the workload
-/// parameters, and the samples are never copied into one array.
-fn serving_p99(samples: &mut [Vec<u64>]) -> VTime {
-    let n: usize = samples.iter().map(Vec::len).sum();
-    let rank = (n as f64 * 0.99).ceil() as usize;
-    samples.iter_mut().for_each(|s| s.sort_unstable());
-    let mut largest = 0;
-    for _ in rank.max(1)..=n {
-        let sample = samples
-            .iter_mut()
-            .max_by_key(|s| s.last().copied())
-            .expect("n > 0: some thread recorded an operation");
-        largest = sample.pop().expect("the fullest tail is not empty");
-    }
-    VTime::from_ps(largest)
+/// the program recorded, read off the count of each latency in ascending
+/// order (a run has a few thousand distinct latencies per client).
+fn serving_p99(counts: &BTreeMap<u64, u64>) -> VTime {
+    let n: u64 = counts.values().sum();
+    let rank = ((n as f64 * 0.99).ceil() as u64).max(1);
+    let mut seen = 0;
+    counts
+        .iter()
+        .find(|&(_, &count)| {
+            seen += count;
+            seen >= rank
+        })
+        .map_or(VTime::ZERO, |(&ps, _)| VTime::from_ps(ps))
 }
 
 impl std::fmt::Debug for HyperionRuntime {
@@ -521,9 +517,9 @@ pub struct ThreadCtx {
     pub(crate) thread: ThreadId,
     pub(crate) node: NodeId,
     pub(crate) clock: ThreadClock,
-    /// Latencies this thread recorded via [`ThreadCtx::record_serving_op`],
-    /// handed to the run-wide sample once, when the thread ends.
-    serving_latencies: Vec<u64>,
+    /// This thread's [`ThreadCtx::record_serving_op`] counts per latency
+    /// (picoseconds), added to the run-wide ones when the thread ends.
+    serving_latencies: BTreeMap<u64, u64>,
     /// What this thread knows others have written: the write notices it
     /// learned along the synchronisation edges it crossed, its own writes
     /// included (see [`crate::jmm`]).
@@ -561,7 +557,7 @@ impl ThreadCtx {
             thread,
             node,
             clock: ThreadClock::starting_at(start),
-            serving_latencies: Vec::new(),
+            serving_latencies: BTreeMap::new(),
             knowledge,
             log_cursor,
             rode: VTime::ZERO,
@@ -622,17 +618,6 @@ impl ThreadCtx {
         &mut self.clock
     }
 
-    /// Synchronise this thread's clock with an externally observed virtual
-    /// instant (the clock only ever moves forward).
-    ///
-    /// This is how synchronisation constructs propagate ordering: a thread
-    /// that logically waits for an event occurring at time `t` can never
-    /// proceed before `t`.  Application kernels rarely need it directly.
-    #[inline]
-    pub fn observe(&mut self, t: VTime) {
-        self.clock.merge(t);
-    }
-
     /// Take a turn in the virtual-time order at this thread's clock: run on
     /// at once if no runnable thread is behind it, otherwise let those run
     /// first.  Returns the key.
@@ -678,19 +663,19 @@ impl ThreadCtx {
     /// update) whose modeled latency was `latency` — the span of this
     /// thread's virtual clock across the operation.
     ///
-    /// The count feeds the serving-throughput report rows; the raw
-    /// latencies are kept until run end and folded into the exact
+    /// The count feeds the serving-throughput report rows; the latency is
+    /// counted until run end, and the counts give the exact
     /// 99th-percentile of [`RunReport::serving_p99`].
     pub fn record_serving_op(&mut self, latency: VTime) {
         NodeStats::bump(&self.shared.cluster.node(self.node).stats.serving_ops);
-        self.serving_latencies.push(latency.as_ps());
+        *self.serving_latencies.entry(latency.as_ps()).or_default() += 1;
     }
 
-    /// Hand this thread's recorded latencies to the run-wide sample.
+    /// Add this thread's latency counts to the run-wide ones.
     fn merge_serving_latencies(&mut self) {
-        if !self.serving_latencies.is_empty() {
-            let sample = std::mem::take(&mut self.serving_latencies);
-            lock(&self.shared.serving_latencies).push(sample);
+        let mut counts = lock(&self.shared.serving_latencies);
+        for (ps, n) in std::mem::take(&mut self.serving_latencies) {
+            *counts.entry(ps).or_default() += n;
         }
     }
 
@@ -888,11 +873,19 @@ mod tests {
 
     #[test]
     fn serving_p99_over_thread_samples_is_the_rank_of_the_flat_sample() {
-        assert_eq!(serving_p99(&mut []), VTime::ZERO);
-        assert_eq!(serving_p99(&mut [vec![7]]), VTime::from_ps(7));
+        // Each thread's sample counted into the run-wide map in turn.
+        let counted = |samples: &[Vec<u64>]| {
+            let mut counts = BTreeMap::new();
+            for &ps in samples.iter().flatten() {
+                *counts.entry(ps).or_default() += 1;
+            }
+            serving_p99(&counts)
+        };
+        assert_eq!(counted(&[]), VTime::ZERO);
+        assert_eq!(counted(&[vec![7]]), VTime::from_ps(7));
         // Uneven per-thread samples with ties across threads.
         let mut x = 0x9E37_79B9u64;
-        let mut samples: Vec<Vec<u64>> = [1usize, 250, 0, 999, 37]
+        let samples: Vec<Vec<u64>> = [1usize, 250, 0, 999, 37]
             .iter()
             .map(|&len| {
                 (0..len)
@@ -906,7 +899,7 @@ mod tests {
         let mut flat: Vec<u64> = samples.iter().flatten().copied().collect();
         flat.sort_unstable();
         let rank = (flat.len() as f64 * 0.99).ceil() as usize;
-        assert_eq!(serving_p99(&mut samples), VTime::from_ps(flat[rank - 1]));
+        assert_eq!(counted(&samples), VTime::from_ps(flat[rank - 1]));
     }
 
     #[test]

@@ -142,7 +142,7 @@ fn timed_section(
     on_grant: impl FnOnce(),
 ) -> (VTime, VTime) {
     jitter.sleep();
-    t.observe(arrival);
+    t.charge(arrival - t.now());
     assert_eq!(t.now(), arrival, "arrivals lie after every thread's start");
     monitor.enter(t);
     let entered = t.now();
@@ -335,7 +335,7 @@ fn the_acquire_round_trip_counts_before_the_order_is_decided() {
                 ctx.spawn_on(NodeId(node), move |t| {
                     let mut jitter = Jitter::of(seed, node as usize);
                     jitter.sleep();
-                    t.observe(before);
+                    t.charge(before - t.now());
                     monitor.enter(t);
                     lock(&grants).push((node, t.now()));
                     jitter.sleep();
@@ -376,7 +376,7 @@ fn equal_arrivals_go_to_the_lower_thread_id_every_time() {
                         ctx.spawn_on(HOME, move |t| {
                             let mut jitter = Jitter::of(seed, i);
                             jitter.sleep();
-                            t.observe(arrival);
+                            t.charge(arrival - t.now());
                             monitor.enter(t);
                             lock(&grants).push(t.thread_id());
                             jitter.sleep();
@@ -403,7 +403,7 @@ fn a_barrier_opens_one_section_after_its_latest_arrival() {
     // queue behind: a barrier of one, on the barrier's home.
     let alone = runtime(1).run(move |ctx| {
         let barrier = JBarrier::new(ctx, 1, HOME);
-        ctx.observe(late_arrival);
+        ctx.charge(late_arrival - ctx.now());
         barrier.arrive(ctx);
         ctx.now() - late_arrival
     });
@@ -425,7 +425,7 @@ fn a_barrier_opens_one_section_after_its_latest_arrival() {
                             } else {
                                 VTime::from_ms(10)
                             };
-                            t.observe(arrival);
+                            t.charge(arrival - t.now());
                             barrier.arrive(t);
                             jitter.sleep();
                             lock(&left).push((t.thread_id(), t.now()));
@@ -549,7 +549,7 @@ fn a_waiter_is_granted_before_the_holders_stale_copies_are_re_protected() {
             let monitor = ctx.new_monitor(home);
             let wm = monitor.clone();
             let writer = ctx.spawn_on(NodeId(2), move |t| {
-                t.observe(VTime::from_ms(1));
+                t.charge(VTime::from_ms(1) - t.now());
                 wm.synchronized(t, |t| {
                     (0..STALE).for_each(|k| pages.put(t, 2 * k * SLOTS_PER_PAGE, 1));
                 });
@@ -559,7 +559,7 @@ fn a_waiter_is_granted_before_the_holders_stale_copies_are_re_protected() {
             let holder = ctx.spawn_on(home, move |t| {
                 let mut jitter = Jitter::of(seed, 0);
                 (0..2 * STALE).for_each(|k| assert_eq!(pages.get(t, k * SLOTS_PER_PAGE), 0));
-                t.observe(arrival);
+                t.charge(arrival - t.now());
                 hm.enter(t);
                 jitter.sleep();
                 t.charge(section);
@@ -569,7 +569,7 @@ fn a_waiter_is_granted_before_the_holders_stale_copies_are_re_protected() {
             });
             let waiter = ctx.spawn_on(HOME, move |t| {
                 let mut jitter = Jitter::of(seed, 1);
-                t.observe(waiter_arrival);
+                t.charge(waiter_arrival - t.now());
                 jitter.sleep();
                 monitor.synchronized(t, |_| ());
             });

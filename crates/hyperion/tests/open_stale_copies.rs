@@ -81,7 +81,7 @@ fn world(inside: bool, partner: Option<fn(&mut ThreadCtx, Signal)>, read: Read) 
             let (seen_tx, seen) = channel();
             let wa = a.clone();
             let writer = ctx.spawn_on(NodeId(0), move |t| {
-                t.observe(VTime::from_ms(1));
+                t.charge(VTime::from_ms(1) - t.now());
                 wa.synchronized(t, |t| data.put(t, 7, 41));
             });
             let signal = (w.clone(), flag);
@@ -90,7 +90,7 @@ fn world(inside: bool, partner: Option<fn(&mut ThreadCtx, Signal)>, read: Read) 
                 (0..PROTECTED).for_each(|_| assert_eq!(data.get(t, 0), 0));
                 t.invalidate_cache();
                 assert_eq!(data.get(t, 7), 0);
-                t.observe(VTime::from_ms(5));
+                t.charge(VTime::from_ms(5) - t.now());
                 a.enter(t);
                 if !inside {
                     a.exit(t);
@@ -190,7 +190,7 @@ fn a_read_by_a_thread_started_after_the_exit_sees_the_write() {
 #[test]
 fn a_read_after_wait_and_notify_sees_the_write() {
     let notifier = |t: &mut ThreadCtx, (w, flag): Signal| {
-        t.observe(VTime::from_ms(20));
+        t.charge(VTime::from_ms(20) - t.now());
         w.synchronized(t, |t| {
             flag.put(t, 0, 1);
             w.notify_all(t);

@@ -112,12 +112,12 @@ fn message_passing(writer_node: u32) {
             let (seen_tx, seen) = channel();
             let wm = m.clone();
             let writer = ctx.spawn_on(NodeId(writer_node), move |t| {
-                t.observe(VTime::from_ms(1));
+                t.charge(VTime::from_ms(1) - t.now());
                 wm.synchronized(t, |t| data.put(t, 7, 41));
             });
             let reader = ctx.spawn_on(NodeId(2), move |t| {
                 assert_eq!(data.get(t, 7), 0);
-                t.observe(VTime::from_ms(5));
+                t.charge(VTime::from_ms(5) - t.now());
                 seen_tx.send(m.synchronized(t, |t| data.get(t, 7))).unwrap();
             });
             ctx.join(writer);
@@ -161,17 +161,17 @@ fn a_chain_of_monitors_carries_a_write_to_a_thread_that_never_took_the_first() {
             let (seen_tx, seen) = channel();
             let (am1, bm1, bm2) = (m1.clone(), m1, m2.clone());
             let a = ctx.spawn_on(NodeId(1), move |t| {
-                t.observe(VTime::from_ms(1));
+                t.charge(VTime::from_ms(1) - t.now());
                 am1.synchronized(t, |t| data.put(t, 3, 17));
             });
             let b = ctx.spawn_on(NodeId(0), move |t| {
-                t.observe(VTime::from_ms(5));
+                t.charge(VTime::from_ms(5) - t.now());
                 bm1.synchronized(t, |_| ());
                 bm2.synchronized(t, |_| ());
             });
             let c = ctx.spawn_on(NodeId(2), move |t| {
                 assert_eq!(data.get(t, 3), 0);
-                t.observe(VTime::from_ms(10));
+                t.charge(VTime::from_ms(10) - t.now());
                 seen_tx
                     .send(m2.synchronized(t, |t| data.get(t, 3)))
                     .unwrap();
@@ -282,18 +282,18 @@ fn a_release_names_what_another_thread_of_its_node_flushed_for_it() {
             // turn at 20 ms, T1 flushes at 5 ms, T2 releases at 10 ms.
             let reader = ctx.spawn_on(NodeId(2), move |t| {
                 assert_eq!(data.get(t, 9), 0);
-                t.observe(VTime::from_ms(20));
+                t.charge(VTime::from_ms(20) - t.now());
                 seen_tx
                     .send(rm2.synchronized(t, |t| data.get(t, 9)))
                     .unwrap();
             });
             let t2 = ctx.spawn_on(NodeId(1), move |t| {
                 data.put(t, 9, 5);
-                t.observe(VTime::from_ms(10));
+                t.charge(VTime::from_ms(10) - t.now());
                 m2.synchronized(t, |_| ());
             });
             let t1 = ctx.spawn_on(NodeId(1), move |t| {
-                t.observe(VTime::from_ms(5));
+                t.charge(VTime::from_ms(5) - t.now());
                 m1.synchronized(t, |_| ());
             });
             for h in [t1, t2, reader] {
@@ -357,9 +357,9 @@ fn an_acquire_keeps_every_copy_no_notice_outdates_at_no_cost() {
             let (seen_tx, seen) = channel();
             let wm = m.clone();
             let writer = ctx.spawn_on(NodeId(1), move |t| {
-                t.observe(VTime::from_ms(1));
+                t.charge(VTime::from_ms(1) - t.now());
                 wm.synchronized(t, |t| pages.put(t, current, 1));
-                t.observe(VTime::from_ms(50));
+                t.charge(VTime::from_ms(50) - t.now());
                 wm.synchronized(t, |t| pages.put(t, changed, 2));
             });
             let reader = ctx.spawn_on(NodeId(2), move |t| {
@@ -368,18 +368,18 @@ fn an_acquire_keeps_every_copy_no_notice_outdates_at_no_cost() {
                 assert_eq!(read_all(t), [0, 0, 0]);
                 // At 2 ms, after the writer's first section: take a turn on a
                 // monitor nobody else takes, so the writer runs first.
-                t.observe(VTime::from_ms(2));
+                t.charge(VTime::from_ms(2) - t.now());
                 let gate = t.new_monitor(NodeId(2));
                 gate.synchronized(t, |_| ());
                 // Fetched again after the first write: `current` is at the
                 // stamp the monitor's notice names.
                 t.invalidate_cache();
                 assert_eq!(read_all(t), [0, 1, 0]);
-                t.observe(VTime::from_ms(5));
+                t.charge(VTime::from_ms(5) - t.now());
                 let before = cluster.node_stats(NodeId(2));
                 let values = m.synchronized(t, read_all);
                 let after = cluster.node_stats(NodeId(2));
-                t.observe(VTime::from_ms(100));
+                t.charge(VTime::from_ms(100) - t.now());
                 let later = m.synchronized(t, read_all);
                 seen_tx.send((before, after, values, later)).unwrap();
             });
@@ -449,7 +449,7 @@ fn grant_section_cached(
             let (seen_tx, seen) = channel();
             let wm = m.clone();
             let writer = ctx.spawn_on(NodeId(0), move |t| {
-                t.observe(VTime::from_ms(1));
+                t.charge(VTime::from_ms(1) - t.now());
                 wm.synchronized(t, |t| {
                     (0..p_slots).for_each(|s| p.put(t, s, s as u64 + 1));
                     if q_too {
@@ -462,7 +462,7 @@ fn grant_section_cached(
                 if dirty {
                     p.put(t, SLOTS - 1, 99);
                 }
-                t.observe(VTime::from_ms(5));
+                t.charge(VTime::from_ms(5) - t.now());
                 let stats = || cluster.node_stats(NodeId(2));
                 let before = stats();
                 m.enter(t);
@@ -626,7 +626,7 @@ fn granted_rounds_cached(
             let wm = m0.clone();
             let writer = ctx.spawn_on(NodeId(0), move |t| {
                 for (r, n) in writes.into_iter().enumerate() {
-                    t.observe(VTime::from_ms(1 + 10 * r as u64));
+                    t.charge(VTime::from_ms(1 + 10 * r as u64) - t.now());
                     wm.synchronized(t, |t| {
                         (0..n).for_each(|s| p.put(t, s, (1000 * r + s + 1) as u64));
                         q.put(t, 0, 7 + r as u64);
@@ -638,7 +638,7 @@ fn granted_rounds_cached(
                 let stats = || cluster.node_stats(NodeId(2));
                 let mut rounds = Vec::new();
                 for (r, n) in reads.into_iter().enumerate() {
-                    t.observe(VTime::from_ms(5 + 10 * r as u64));
+                    t.charge(VTime::from_ms(5 + 10 * r as u64) - t.now());
                     m0.synchronized(t, |_| ());
                     let (before, arrived) = (stats(), t.now());
                     m1.enter(t);
@@ -871,13 +871,13 @@ fn pending_section(
             let (seen_tx, seen) = channel();
             let wm = m.clone();
             let writer = ctx.spawn_on(NodeId(0), move |t| {
-                t.observe(VTime::from_ms(1));
+                t.charge(VTime::from_ms(1) - t.now());
                 wm.synchronized(t, |t| data.put(t, 7, 41));
             });
             let reader = ctx.spawn_on(NodeId(2), move |t| {
                 cache(t, &[data], PROTECTED);
                 let inner = t.new_monitor(NodeId(2));
-                t.observe(VTime::from_ms(5));
+                t.charge(VTime::from_ms(5) - t.now());
                 let stats = || cluster.node_stats(NodeId(2));
                 let before = stats();
                 m.enter(t);
@@ -1066,7 +1066,7 @@ fn a_diff_that_rode_an_exit_is_seen_by_the_next_acquirer_on_a_third_node() {
             let (seen_tx, seen) = channel();
             let wm = m.clone();
             let writer = ctx.spawn_on(NodeId(1), move |t| {
-                t.observe(VTime::from_ms(1));
+                t.charge(VTime::from_ms(1) - t.now());
                 wm.synchronized(t, |t| {
                     data.put(t, 7, 41);
                     t.charge(VTime::from_ms(1));
@@ -1074,7 +1074,7 @@ fn a_diff_that_rode_an_exit_is_seen_by_the_next_acquirer_on_a_third_node() {
             });
             let reader = ctx.spawn_on(NodeId(2), move |t| {
                 assert_eq!(data.get(t, 7), 0);
-                t.observe(VTime::from_us(1_500));
+                t.charge(VTime::from_us(1_500) - t.now());
                 let arrived = t.now() + trip;
                 let value = m.synchronized(t, |t| data.get(t, 7));
                 let waited = VTime::from_ps(cluster.node_stats(NodeId(2)).monitor_wait_ps);
@@ -1105,7 +1105,7 @@ fn a_diff_that_rode_a_wait_is_seen_inside_the_notifiers_section() {
             let (seen_tx, seen) = channel();
             let wm = m.clone();
             let waiter = ctx.spawn_on(NodeId(1), move |t| {
-                t.observe(VTime::from_ms(1));
+                t.charge(VTime::from_ms(1) - t.now());
                 wm.enter(t);
                 data.put(t, 3, 17);
                 wm.wait_monitor(t);
@@ -1113,7 +1113,7 @@ fn a_diff_that_rode_a_wait_is_seen_inside_the_notifiers_section() {
             });
             let notifier = ctx.spawn_on(NodeId(2), move |t| {
                 assert_eq!(data.get(t, 3), 0);
-                t.observe(VTime::from_ms(5));
+                t.charge(VTime::from_ms(5) - t.now());
                 m.enter(t);
                 seen_tx.send(data.get(t, 3)).unwrap();
                 m.notify_all(t);
@@ -1143,7 +1143,7 @@ fn a_join_on_the_releasers_node_waits_for_what_rode_the_release() {
             let joiner = ctx.spawn_on(NodeId(1), move |t| {
                 let wm = m.clone();
                 let releaser = t.spawn_on(NodeId(1), move |t| {
-                    t.observe(VTime::from_ms(1));
+                    t.charge(VTime::from_ms(1) - t.now());
                     wm.synchronized(t, |t| data.put(t, 5, 23));
                 });
                 t.join(releaser);
