@@ -467,15 +467,6 @@ const B_POS: usize = 1;
 const B_VEL: usize = 4;
 const B_ACC: usize = 7;
 
-hyperion::object_layout! {
-    /// Metadata of the published octree.
-    pub struct TreeMeta {
-        /// Number of serialised tree nodes currently valid in the shared
-        /// tree arrays.
-        SIZE: u64,
-    }
-}
-
 /// Tree reader over the shared arrays: every slot read is a DSM access on the
 /// calling thread's node, and the walk's compute cost is charged per visited
 /// node / interaction.
@@ -527,7 +518,8 @@ pub fn run(config: HyperionConfig, params: &BarnesParams) -> RunOutcome<BarnesRe
         // The shared octree (rebuilt every step by thread 0, homed on node 0).
         let tree_f: HArray<f64> = ctx.alloc_array(max_tree_nodes * NODE_F_SLOTS, NodeId(0));
         let tree_i: HArray<i64> = ctx.alloc_array(max_tree_nodes * NODE_I_SLOTS, NodeId(0));
-        let tree_size: HStruct<TreeMeta> = ctx.alloc_struct(NodeId(0));
+        // The number of serialised tree nodes currently valid in them.
+        let tree_size = ctx.alloc_array::<u64>(1, NodeId(0));
 
         // Work distribution and synchronisation.
         let barrier = JBarrier::new(ctx, threads, NodeId(0));
@@ -590,7 +582,7 @@ pub fn run(config: HyperionConfig, params: &BarnesParams) -> RunOutcome<BarnesRe
                         // writer now pays detection per page, not per slot.
                         tree_f.write_slice(worker, 0, &tf);
                         tree_i.write_slice(worker, 0, &ti);
-                        tree_size.put(worker, TreeMeta::SIZE, tree.len() as u64);
+                        tree_size.put(worker, 0, tree.len() as u64);
                     }
                     barrier.arrive(worker);
 

@@ -16,14 +16,6 @@ use hyperion::prelude::*;
 
 use crate::common::{benchmark, block_range, node_of_thread, Benchmark, BenchmarkName};
 
-hyperion::object_layout! {
-    /// The shared accumulator object (a Java class with one `double` field).
-    pub struct GlobalSum {
-        /// Sum of the partial sums published so far.
-        SUM: f64,
-    }
-}
-
 /// Parameters of the Pi benchmark.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PiParams {
@@ -90,8 +82,8 @@ pub fn run(config: HyperionConfig, params: &PiParams) -> RunOutcome<PiResult> {
 
     runtime.run(move |ctx| {
         // Shared accumulator (a Java `double` field) and its monitor.
-        let accumulator: HStruct<GlobalSum> = ctx.alloc_struct(NodeId(0));
-        accumulator.put(ctx, GlobalSum::SUM, 0.0);
+        let accumulator = ctx.alloc_array::<f64>(1, NodeId(0));
+        accumulator.put(ctx, 0, 0.0);
         let sum_monitor = ctx.new_monitor(NodeId(0));
 
         let per_interval = ctx.estimate(&interval_mix());
@@ -113,8 +105,8 @@ pub fn run(config: HyperionConfig, params: &PiParams) -> RunOutcome<PiResult> {
 
                 // Global sum: the only coordination in the program.
                 monitor.synchronized(worker, |worker| {
-                    let global = accumulator.get(worker, GlobalSum::SUM);
-                    accumulator.put(worker, GlobalSum::SUM, global + partial);
+                    let global = accumulator.get(worker, 0);
+                    accumulator.put(worker, 0, global + partial);
                 });
             }));
         }
@@ -122,7 +114,7 @@ pub fn run(config: HyperionConfig, params: &PiParams) -> RunOutcome<PiResult> {
             ctx.join(h);
         }
 
-        let estimate = accumulator.get(ctx, GlobalSum::SUM) * h;
+        let estimate = accumulator.get(ctx, 0) * h;
         PiResult { estimate }
     })
 }

@@ -20,14 +20,6 @@ use rand::{Rng, SeedableRng};
 
 use crate::common::{benchmark, node_of_thread, Benchmark, BenchmarkName};
 
-hyperion::object_layout! {
-    /// The centrally stored best solution seen so far.
-    pub struct BestBound {
-        /// Length of the shortest complete tour found so far.
-        BEST: i64,
-    }
-}
-
 /// Parameters of the TSP benchmark.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TspParams {
@@ -201,9 +193,9 @@ pub fn run(config: HyperionConfig, params: &TspParams) -> RunOutcome<TspResult> 
         let queue_head = SharedCounter::new(ctx, NodeId(0), 0);
         let num_seeds = seeds.len() as u64;
 
-        // The global best bound.
-        let best: HStruct<BestBound> = ctx.alloc_struct(NodeId(0));
-        best.put(ctx, BestBound::BEST, i64::MAX);
+        // The global best bound: the shortest complete tour found so far.
+        let best = ctx.alloc_array::<i64>(1, NodeId(0));
+        best.put(ctx, 0, i64::MAX);
         let best_monitor = ctx.new_monitor(NodeId(0));
 
         let expanded = ctx.alloc_array::<u64>(threads.max(1), NodeId(0));
@@ -242,8 +234,7 @@ pub fn run(config: HyperionConfig, params: &TspParams) -> RunOutcome<TspResult> 
                         .collect();
 
                     // Read the current global bound (under its monitor).
-                    let mut local_best: i64 =
-                        best_monitor.synchronized(worker, |w| best.get(w, BestBound::BEST));
+                    let mut local_best: i64 = best_monitor.synchronized(worker, |w| best.get(w, 0));
 
                     // Depth-first expansion.  The recursion state is local;
                     // every distance lookup goes through the DSM.
@@ -271,9 +262,9 @@ pub fn run(config: HyperionConfig, params: &TspParams) -> RunOutcome<TspResult> 
 
                     // Publish an improved bound.
                     best_monitor.synchronized(worker, |w| {
-                        let global = best.get(w, BestBound::BEST);
+                        let global = best.get(w, 0);
                         if local_best < global {
-                            best.put(w, BestBound::BEST, local_best);
+                            best.put(w, 0, local_best);
                         } else {
                             local_best = global;
                         }
@@ -286,7 +277,7 @@ pub fn run(config: HyperionConfig, params: &TspParams) -> RunOutcome<TspResult> 
             ctx.join(h);
         }
 
-        let best_tour: i64 = best_monitor.synchronized(ctx, |c| best.get(c, BestBound::BEST));
+        let best_tour: i64 = best_monitor.synchronized(ctx, |c| best.get(c, 0));
         let tours_expanded: u64 = expanded.read_slice(ctx, ..).iter().sum();
         TspResult {
             best_tour,

@@ -955,7 +955,7 @@ mod tests {
         let row = Point {
             cluster: sci_450(),
             nodes: 2,
-            ..Point::new(BenchmarkName::Pi, Scale::Quick, ProtocolKind::JavaPf)
+            ..Point::new(BenchmarkName::Pi, Scale::Quick, ProtocolKind::JavaAd)
         }
         .run();
         assert_eq!(row.figure, 1);
@@ -963,7 +963,7 @@ mod tests {
         assert_eq!(row.cluster, "450MHz/SCI");
         assert!(row.seconds > 0.0);
         assert!((row.digest - std::f64::consts::PI).abs() < 1e-3);
-        assert!(row.to_csv().starts_with("1,Pi,450MHz/SCI,java_pf,2,"));
+        assert!(row.to_csv().starts_with("1,Pi,450MHz/SCI,java_ad,2,"));
         assert!(FigureRow::csv_header().starts_with("figure,app,cluster"));
     }
 
@@ -1018,7 +1018,7 @@ mod tests {
         assert!(FigureRow::csv_header().ends_with("pages_kept,monitor_wait_ps"));
 
         // Batch kernels record no serving operations.
-        let pi = two_nodes(BenchmarkName::Pi, ProtocolKind::JavaPf);
+        let pi = two_nodes(BenchmarkName::Pi, ProtocolKind::JavaAd);
         assert_eq!(pi.stats.serving_ops, 0);
         assert_eq!(pi.serving_ops_per_s(), 0.0);
         assert_eq!(pi.serving_p99_us, 0.0);
@@ -1030,8 +1030,7 @@ mod tests {
             .into_iter()
             .map(|protocol| {
                 Point {
-                    cluster: sci_450(),
-                    nodes: 1,
+                    nodes: 3,
                     ..Point::new(BenchmarkName::Pi, Scale::Quick, protocol)
                 }
                 .run()
@@ -1040,7 +1039,7 @@ mod tests {
         let imps = improvement_summary(&rows);
         assert_eq!(imps.len(), 1);
         let imp = &imps[0];
-        assert_eq!(imp.nodes, 1);
+        assert_eq!(imp.nodes, 3);
         // Pi is nearly identical under both protocols.
         assert!(imp.percent().abs() < 5.0);
     }
@@ -1062,9 +1061,8 @@ mod tests {
                 .iter()
                 .all(|b| b.slug != a.slug && b.number != a.number));
         }
-        // One column list feeds both the CSV header and the rows.
+        // One column list feeds both the CSV header and the rows (a row's
+        // count: `adaptive_point_tracks_switches_and_batches`).
         assert_eq!(FigureRow::csv_header().split(',').count(), 29);
-        let row = two_nodes(BenchmarkName::Pi, ProtocolKind::JavaIc);
-        assert_eq!(row.to_csv().split(',').count(), 29);
     }
 }

@@ -400,7 +400,10 @@ mod tests {
     fn report_round_trips_through_json() {
         // The gate reads a row back by splitting it on `", "`: every row the
         // writer emits must split into its identity and one field per metric.
-        let pi = |protocol| Point::new(BenchmarkName::Pi, Scale::Quick, protocol).run();
+        let pi = |protocol| {
+            let point = Point::new(BenchmarkName::Pi, Scale::Quick, protocol);
+            Point { nodes: 5, ..point }.run()
+        };
         let json = report_to_json(
             "12345",
             "quick",
@@ -413,7 +416,7 @@ mod tests {
             .collect();
         let read = rows(&json);
         let keys: Vec<&str> = read.iter().map(|(key, _)| key.as_str()).collect();
-        assert_eq!(keys, ["Pi/java_ic @ 4 nodes", "Pi/java_pf @ 4 nodes"]);
+        assert_eq!(keys, ["Pi/java_ic @ 5 nodes", "Pi/java_pf @ 5 nodes"]);
         for (key, line) in read.into_iter().chain(rows(BASELINE)) {
             let split: Vec<&str> = fields(line).map(|(name, _)| name).collect();
             assert_eq!(split, names, "{key}");

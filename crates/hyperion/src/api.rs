@@ -9,31 +9,24 @@
 //! would:
 //!
 //! * [`JBarrier`] — a cyclic barrier built from a monitor and a shared state
-//!   object (`wait`/`notifyAll` underneath), used by Jacobi and ASP;
+//!   object (`wait`/`notifyAll` underneath), used by ASP, Barnes-Hut,
+//!   PageRank, Jacobi, the KV store and TSP;
 //! * [`SharedCounter`] — a monitor-protected counter, used for the dynamic
 //!   body assignment in Barnes-Hut and the central work queue index in TSP.
 
 use hyperion_model::NodeStats;
 use hyperion_pm2::NodeId;
 
-use crate::layout::HStruct;
 use crate::monitor::HMonitor;
-use crate::object_layout;
+use crate::object::HArray;
 use crate::runtime::ThreadCtx;
 
-object_layout! {
-    /// Field layout of the barrier state object (an arrival count and a
-    /// generation counter, as a hand-written Java barrier class would
-    /// carry).
-    pub struct BarrierState {
-        /// Number of parties the barrier waits for.
-        PARTIES: u64,
-        /// Parties arrived in the current generation.
-        COUNT: u64,
-        /// Generation counter (increments when the barrier opens).
-        GENERATION: u64,
-    }
-}
+// The fields of the barrier's state object, as a Java barrier class would
+// carry them: parties it waits for, parties arrived in this generation, and
+// the generation (it increments when the barrier opens).
+const PARTIES: usize = 0;
+const COUNT: usize = 1;
+const GENERATION: usize = 2;
 
 /// A cyclic barrier for a fixed number of parties.
 ///
@@ -44,7 +37,7 @@ object_layout! {
 #[derive(Clone, Debug)]
 pub struct JBarrier {
     monitor: HMonitor,
-    state: HStruct<BarrierState>,
+    state: HArray<u64>,
     parties: u64,
 }
 
@@ -55,10 +48,10 @@ impl JBarrier {
     /// Panics if `parties` is zero.
     pub fn new(ctx: &mut ThreadCtx, parties: usize, home: NodeId) -> Self {
         assert!(parties > 0, "a barrier needs at least one party");
-        let state: HStruct<BarrierState> = ctx.alloc_struct(home);
-        state.put(ctx, BarrierState::PARTIES, parties as u64);
-        state.put(ctx, BarrierState::COUNT, 0);
-        state.put(ctx, BarrierState::GENERATION, 0);
+        let state = ctx.alloc_array::<u64>(3, home);
+        state.put(ctx, PARTIES, parties as u64);
+        state.put(ctx, COUNT, 0);
+        state.put(ctx, GENERATION, 0);
         JBarrier {
             monitor: HMonitor::new(home),
             state,
@@ -77,20 +70,20 @@ impl JBarrier {
         let machine = ctx.machine().clone();
         self.monitor.enter(ctx);
 
-        let gen = self.state.get(ctx, BarrierState::GENERATION);
-        let count = self.state.get(ctx, BarrierState::COUNT) + 1;
-        self.state.put(ctx, BarrierState::COUNT, count);
+        let gen = self.state.get(ctx, GENERATION);
+        let count = self.state.get(ctx, COUNT) + 1;
+        self.state.put(ctx, COUNT, count);
 
         if count == self.parties {
             // Last arrival: open the next generation and wake everyone.
-            self.state.put(ctx, BarrierState::COUNT, 0);
-            self.state.put(ctx, BarrierState::GENERATION, gen + 1);
+            self.state.put(ctx, COUNT, 0);
+            self.state.put(ctx, GENERATION, gen + 1);
             self.monitor.notify_all(ctx);
             self.monitor.exit(ctx);
         } else {
             loop {
                 self.monitor.wait_monitor(ctx);
-                let now_gen = self.state.get(ctx, BarrierState::GENERATION);
+                let now_gen = self.state.get(ctx, GENERATION);
                 if now_gen != gen {
                     break;
                 }
@@ -104,27 +97,20 @@ impl JBarrier {
     }
 }
 
-object_layout! {
-    /// Field layout of the shared counter cell.
-    pub struct CounterState {
-        /// The counter value.
-        VALUE: u64,
-    }
-}
-
 /// A monitor-protected shared counter (the Java idiom
 /// `synchronized (lock) { return next++; }`).
 #[derive(Clone, Debug)]
 pub struct SharedCounter {
     monitor: HMonitor,
-    cell: HStruct<CounterState>,
+    // The counter value: a Java object with one `long` field.
+    cell: HArray<u64>,
 }
 
 impl SharedCounter {
     /// Create a counter homed on `home` with an initial value.
     pub fn new(ctx: &mut ThreadCtx, home: NodeId, initial: u64) -> Self {
-        let cell: HStruct<CounterState> = ctx.alloc_struct(home);
-        cell.put(ctx, CounterState::VALUE, initial);
+        let cell = ctx.alloc_array::<u64>(1, home);
+        cell.put(ctx, 0, initial);
         SharedCounter {
             monitor: HMonitor::new(home),
             cell,
@@ -139,8 +125,8 @@ impl SharedCounter {
     /// Atomically return the current value and add `chunk`.
     pub fn next_chunk(&self, ctx: &mut ThreadCtx, chunk: u64) -> u64 {
         self.monitor.synchronized(ctx, |ctx| {
-            let v = self.cell.get(ctx, CounterState::VALUE);
-            self.cell.put(ctx, CounterState::VALUE, v + chunk);
+            let v = self.cell.get(ctx, 0);
+            self.cell.put(ctx, 0, v + chunk);
             v
         })
     }
@@ -152,8 +138,7 @@ impl SharedCounter {
 
     /// Read the current value (under the monitor, as Java code would).
     pub fn get(&self, ctx: &mut ThreadCtx) -> u64 {
-        self.monitor
-            .synchronized(ctx, |ctx| self.cell.get(ctx, CounterState::VALUE))
+        self.monitor.synchronized(ctx, |ctx| self.cell.get(ctx, 0))
     }
 }
 

@@ -100,7 +100,7 @@ mod tests {
         for protocol in ProtocolKind::all() {
             let rt = runtime(protocol);
             let out = rt.run(|ctx| {
-                let cell = ctx.alloc_object(1, NodeId(1));
+                let cell = ctx.alloc_array::<u64>(1, NodeId(1));
                 // Cache the page locally, then write through the cache.
                 cell.put(ctx, 0, 41u64);
                 cell.put(ctx, 0, 42u64);
@@ -112,7 +112,7 @@ mod tests {
                 assert_eq!(known.len(), 1);
                 let learned = Notices::default().merge(&known);
                 acquire(ctx, &learned, None);
-                cell.get::<u64>(ctx, 0)
+                cell.get(ctx, 0)
             });
             assert_eq!(out.result, 42, "{protocol:?}");
             let total = out.report.total_stats();
@@ -130,7 +130,7 @@ mod tests {
         for protocol in ProtocolKind::all() {
             let rt = HyperionRuntime::new(HyperionConfig::new(myrinet_200(), 3, protocol));
             let out = rt.unwrap().run(|ctx| {
-                let cell = ctx.alloc_object(1, NodeId(2));
+                let cell = ctx.alloc_array::<u64>(1, NodeId(2));
                 cell.put(ctx, 0, 5u64);
                 let (marks, rode) = release(ctx, Some(NodeId(1)));
                 release(ctx, None);

@@ -21,9 +21,9 @@
 //!   execution time and the per-node event statistics.  [`ThreadCtx`] is
 //!   the one surface of the Table 2 primitives (`get_slot`, `put_slot`,
 //!   `load_into_cache`, `invalidate_cache`, `update_main_memory`).
-//! * [`object`] — typed shared objects, arrays, Java-style 2-D arrays and
-//!   the locality-aware view/bulk-transfer layer.
-//! * [`layout`] — typed field layouts ([`object_layout!`], [`HStruct`]).
+//! * [`object`] — shared arrays (every shared object is an [`HArray`], a
+//!   Java object's fields being its slots), Java-style 2-D arrays and the
+//!   locality-aware view/bulk-transfer layer.
 //! * [`monitor`] — Java monitors with acquire/release consistency actions,
 //!   granted in virtual-time order.
 //! * [`jmm`] — the acquire/release actions themselves: write notices along
@@ -61,7 +61,6 @@
 
 pub mod api;
 pub mod jmm;
-pub mod layout;
 pub mod monitor;
 pub mod object;
 mod order;
@@ -69,9 +68,8 @@ pub mod runtime;
 pub mod thread;
 
 pub use api::{JBarrier, SharedCounter};
-pub use layout::{Field, HStruct, ObjectLayout};
 pub use monitor::HMonitor;
-pub use object::{ArrayView, HArray, HMatrix, HObject, MatrixRows, SlotValue};
+pub use object::{ArrayView, HArray, HMatrix, MatrixRows, SlotValue};
 pub use runtime::{ConfigError, HyperionConfig, HyperionRuntime, RunOutcome, RunReport, ThreadCtx};
 pub use thread::{HThreadHandle, LoadBalancer};
 
@@ -86,9 +84,8 @@ pub use hyperion_pm2::{FaultKill, FaultSpec, GlobalAddr, NodeId, ThreadId, Trans
 /// Everything an application kernel typically imports.
 pub mod prelude {
     pub use crate::api::{JBarrier, SharedCounter};
-    pub use crate::layout::{Field, HStruct, ObjectLayout};
     pub use crate::monitor::HMonitor;
-    pub use crate::object::{ArrayView, HArray, HMatrix, HObject, MatrixRows, SlotValue};
+    pub use crate::object::{ArrayView, HArray, HMatrix, MatrixRows, SlotValue};
     pub use crate::runtime::{HyperionConfig, HyperionRuntime, RunOutcome, RunReport, ThreadCtx};
     pub use hyperion_dsm::{AdaptiveParams, ProtocolKind, TransportConfig};
     pub use hyperion_model::{

@@ -390,7 +390,7 @@ mod tests {
         for protocol in ProtocolKind::all() {
             let rt = runtime(4, protocol);
             let out = rt.run(|ctx| {
-                let cell = ctx.alloc_object(1, NodeId(0));
+                let cell = ctx.alloc_array::<u64>(1, NodeId(0));
                 let monitor = ctx.new_monitor(NodeId(0));
                 let mut handles = Vec::new();
                 for i in 0..4u32 {
@@ -407,7 +407,7 @@ mod tests {
                 for h in handles {
                     ctx.join(h);
                 }
-                monitor.synchronized(ctx, |ctx| cell.get::<u64>(ctx, 0))
+                monitor.synchronized(ctx, |ctx| cell.get(ctx, 0))
             });
             assert_eq!(out.result, 200, "{protocol:?}");
             let total = out.report.total_stats();
@@ -510,14 +510,14 @@ mod tests {
     fn wait_and_notify_hand_off_virtual_time() {
         let rt = runtime(2, ProtocolKind::JavaIc);
         let out = rt.run(|ctx| {
-            let flag = ctx.alloc_object(1, NodeId(0));
+            let flag = ctx.alloc_array::<u64>(1, NodeId(0));
             let monitor = ctx.new_monitor(NodeId(0));
             let m_waiter = monitor.clone();
             let m_notifier = monitor.clone();
 
             let waiter = ctx.spawn_on(NodeId(1), move |t| {
                 m_waiter.enter(t);
-                while flag.get::<u64>(t, 0) == 0 {
+                while flag.get(t, 0) == 0 {
                     m_waiter.wait_monitor(t);
                 }
                 m_waiter.exit(t);
@@ -546,7 +546,7 @@ mod tests {
         // same home.  The exit must not wait for it, and the next acquire
         // must end exactly at it plus the monitor's local bookkeeping.
         let out = runtime(2, ProtocolKind::JavaPf).run(|ctx| {
-            let cell = ctx.alloc_object(1, NodeId(1));
+            let cell = ctx.alloc_array::<u64>(1, NodeId(1));
             let monitor = ctx.new_monitor(NodeId(0));
             // The blocking reference: the page is cached from here on.
             cell.put(ctx, 0, 4u64);
@@ -594,7 +594,7 @@ mod tests {
         let rounds = 25u64;
         let run = |protocol| {
             let out = runtime(2, protocol).run(|ctx| {
-                let cell = ctx.alloc_object(1, cell_home);
+                let cell = ctx.alloc_array::<u64>(1, cell_home);
                 let monitor = ctx.new_monitor(NodeId(0));
                 let workers: Vec<_> = (0..2u32)
                     .map(|node| {
@@ -612,7 +612,7 @@ mod tests {
                 for h in workers {
                     ctx.join(h);
                 }
-                monitor.synchronized(ctx, |ctx| cell.get::<u64>(ctx, 0))
+                monitor.synchronized(ctx, |ctx| cell.get(ctx, 0))
             });
             assert_eq!(out.result, 2 * rounds, "{protocol:?}");
             out.report.total_stats()

@@ -2,12 +2,12 @@
 //!
 //! The 2001 system compiled Java classes to C structs whose field accesses
 //! were rewritten into the runtime's `get`/`put` primitives.  The
-//! reproduction plays the role of that generated code with a small set of
-//! typed handles:
+//! reproduction plays the role of that generated code with two typed
+//! handles:
 //!
-//! * [`HObject`] — a fixed number of named-by-index fields (a Java object;
-//!   see [`crate::layout`] for the typed field-layout layer on top);
-//! * [`HArray<T>`] — a one-dimensional array of slot-sized elements;
+//! * [`HArray<T>`] — a one-dimensional array of slot-sized elements, and
+//!   so every shared object: a Java object's fields are its slots, read
+//!   and written by index;
 //! * [`HMatrix<T>`] — a Java-style two-dimensional array: an array of row
 //!   references whose row objects can each live on a different home node
 //!   (this is how the benchmarks express their block distributions).
@@ -101,54 +101,6 @@ impl SlotValue for GlobalAddr {
     }
     fn from_slot(raw: u64) -> Self {
         GlobalAddr(raw)
-    }
-}
-
-/// A shared object with `fields` slot-sized fields.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HObject {
-    base: GlobalAddr,
-    fields: usize,
-}
-
-impl HObject {
-    /// View an existing allocation as an object (used when object references
-    /// are stored in other objects' fields).
-    pub fn from_raw(base: GlobalAddr, fields: usize) -> Self {
-        HObject { base, fields }
-    }
-
-    /// Base address of the object.
-    pub fn base(&self) -> GlobalAddr {
-        self.base
-    }
-
-    /// Number of fields.
-    pub fn num_fields(&self) -> usize {
-        self.fields
-    }
-
-    /// Address of field `idx`.
-    ///
-    /// # Panics
-    /// Panics if `idx` is out of bounds.
-    pub fn field_addr(&self, idx: usize) -> GlobalAddr {
-        assert!(
-            idx < self.fields,
-            "field {idx} out of bounds for object with {} fields",
-            self.fields
-        );
-        self.base.offset(idx as u64)
-    }
-
-    /// Read field `idx`.
-    pub fn get<T: SlotValue>(&self, ctx: &mut ThreadCtx, idx: usize) -> T {
-        T::from_slot(ctx.get_slot(self.field_addr(idx)))
-    }
-
-    /// Write field `idx`.
-    pub fn put<T: SlotValue>(&self, ctx: &mut ThreadCtx, idx: usize, value: T) {
-        ctx.put_slot(self.field_addr(idx), value.to_slot());
     }
 }
 
@@ -506,15 +458,6 @@ impl<T: SlotValue> std::fmt::Debug for MatrixRows<T> {
 }
 
 impl ThreadCtx {
-    /// Allocate a shared object with `fields` fields, homed on `home`.
-    pub fn alloc_object(&mut self, fields: usize, home: NodeId) -> HObject {
-        let base = self.alloc_slots(fields.max(1), home);
-        HObject {
-            base,
-            fields: fields.max(1),
-        }
-    }
-
     /// Allocate a shared array of `len` elements homed on `home`.
     pub fn alloc_array<T: SlotValue>(&mut self, len: usize, home: NodeId) -> HArray<T> {
         assert!(len > 0, "cannot allocate an empty array");
@@ -595,32 +538,6 @@ mod tests {
             GlobalAddr::from_slot(GlobalAddr(99).to_slot()),
             GlobalAddr(99)
         );
-    }
-
-    #[test]
-    fn object_fields_are_independent() {
-        let rt = runtime(2);
-        rt.run(|ctx| {
-            let obj = ctx.alloc_object(4, NodeId(1));
-            assert_eq!(obj.num_fields(), 4);
-            obj.put(ctx, 0, 1.5f64);
-            obj.put(ctx, 1, -9i64);
-            obj.put(ctx, 2, true);
-            assert_eq!(obj.get::<f64>(ctx, 0), 1.5);
-            assert_eq!(obj.get::<i64>(ctx, 1), -9);
-            assert!(obj.get::<bool>(ctx, 2));
-            assert_eq!(obj.get::<i64>(ctx, 3), 0);
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn object_field_bounds_are_checked() {
-        let rt = runtime(1);
-        rt.run(|ctx| {
-            let obj = ctx.alloc_object(2, NodeId(0));
-            obj.put(ctx, 2, 1u64);
-        });
     }
 
     #[test]

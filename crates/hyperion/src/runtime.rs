@@ -582,12 +582,6 @@ impl ThreadCtx {
         self.clock.now()
     }
 
-    /// Virtual time explicitly charged to this thread (excludes waiting).
-    #[inline]
-    pub fn charged(&self) -> VTime {
-        self.clock.charged()
-    }
-
     /// The access-detection protocol of this run.
     #[inline]
     pub fn protocol(&self) -> ProtocolKind {

@@ -172,7 +172,6 @@ impl std::fmt::Display for VTime {
 #[derive(Clone, Debug)]
 pub struct ThreadClock {
     now: VTime,
-    charged: VTime,
 }
 
 impl ThreadClock {
@@ -184,10 +183,7 @@ impl ThreadClock {
     /// A clock starting at the given instant (used when a thread is created
     /// by another thread part-way through a run).
     pub fn starting_at(start: VTime) -> Self {
-        ThreadClock {
-            now: start,
-            charged: VTime::ZERO,
-        }
+        ThreadClock { now: start }
     }
 
     /// Current virtual time of this thread.
@@ -196,18 +192,10 @@ impl ThreadClock {
         self.now
     }
 
-    /// Total duration explicitly charged to this clock (excludes idle time
-    /// introduced by `merge`, i.e. time spent waiting on other threads).
-    #[inline]
-    pub fn charged(&self) -> VTime {
-        self.charged
-    }
-
     /// Advance the clock by `d` units of local work.
     #[inline]
     pub fn advance(&mut self, d: VTime) {
         self.now += d;
-        self.charged += d;
     }
 
     /// Merge with an externally observed timestamp: the clock jumps forward
@@ -417,17 +405,14 @@ mod tests {
         let mut c = ThreadClock::new();
         c.advance(VTime::from_us(10));
         assert_eq!(c.now(), VTime::from_us(10));
-        assert_eq!(c.charged(), VTime::from_us(10));
 
         // Merging with an earlier timestamp is a no-op.
         c.merge(VTime::from_us(5));
         assert_eq!(c.now(), VTime::from_us(10));
 
-        // Merging with a later timestamp jumps forward but does not count as
-        // charged (it is time spent waiting).
+        // Merging with a later timestamp jumps forward.
         c.merge(VTime::from_us(25));
         assert_eq!(c.now(), VTime::from_us(25));
-        assert_eq!(c.charged(), VTime::from_us(10));
     }
 
     #[test]
@@ -436,7 +421,6 @@ mod tests {
         assert_eq!(c.now(), VTime::from_ms(1));
         c.advance(VTime::from_ms(1));
         assert_eq!(c.now(), VTime::from_ms(2));
-        assert_eq!(c.charged(), VTime::from_ms(1));
     }
 
     #[test]
