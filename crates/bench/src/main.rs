@@ -31,7 +31,7 @@
 //!   between the two sides.
 //! * `--out DIR`   additionally write one CSV per figure into DIR.
 //! * `--transport B` run the modeled-vs-measured sweep with every RPC
-//!   carried by backend B (`socket` = per-node Unix-domain socket servers,
+//!   carried by backend B (`socket` = a Unix-domain socket pair per node,
 //!   `sim` = the in-process cost model) and print a
 //!   one-page report of modeled virtual-time RPC cost next to measured
 //!   wall-clock socket round trips; the report is also written to

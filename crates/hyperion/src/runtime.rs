@@ -22,7 +22,7 @@ use hyperion_model::{
     ClusterSpec, CpuModel, MachineModel, NodeStats, OpCounts, StatsSnapshot, ThreadClock, VTime,
     WireServiceSnapshot, WorkEstimate,
 };
-use hyperion_pm2::{Cluster, GlobalAddr, IsoAllocator, NodeId, ThreadId, TransportBackend};
+use hyperion_pm2::{Cluster, GlobalAddr, IsoAllocator, NodeId, ThreadId};
 
 use crate::order::{Baton, Key};
 use crate::thread::{HThreadHandle, LoadBalancer};
@@ -101,10 +101,10 @@ impl HyperionConfig {
 
     /// Check the configuration for obvious mistakes.
     ///
-    /// Structural errors (node counts, cluster size, backend limits) keep
-    /// their dedicated variants.  The one policy-level error — an adaptive
-    /// hysteresis band — is a typed [`PolicyError`] wrapped in
-    /// [`ConfigError::Policy`], produced by [`AdaptiveParams::validate`].
+    /// Structural errors (node counts, cluster size) keep their dedicated
+    /// variants.  The one policy-level error — an adaptive hysteresis band —
+    /// is a typed [`PolicyError`] wrapped in [`ConfigError::Policy`],
+    /// produced by [`AdaptiveParams::validate`].
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.nodes == 0 {
             return Err(ConfigError::ZeroNodes);
@@ -121,14 +121,6 @@ impl HyperionConfig {
         // Adaptive tunables are checked whichever protocol runs (a sweep
         // harness sharing one `AdaptiveParams` should fail fast).
         self.adaptive.validate()?;
-        // Socket backends keep a connection per peer a node talks to, and
-        // every node talks to every other node.
-        if self.transport.backend != TransportBackend::Sim && self.nodes > SOCKET_FAN_IN_BOUND {
-            return Err(ConfigError::SocketFanIn {
-                degree: self.nodes,
-                bound: SOCKET_FAN_IN_BOUND,
-            });
-        }
         if let Some(fault) = &self.transport.fault {
             fault
                 .validate(self.nodes)
@@ -157,19 +149,7 @@ pub enum ConfigError {
     Policy(PolicyError),
     /// The transport parameters are out of range.
     InvalidTransport(&'static str),
-    /// A socket backend asked for more nodes than a node can keep
-    /// connections to (one per peer); the simulator has no such limit.
-    SocketFanIn {
-        /// Connections one node would have to keep open.
-        degree: usize,
-        /// The backend's per-node connection bound.
-        bound: usize,
-    },
 }
-
-/// Largest per-node connection fan-in the socket backends accept; every
-/// node connects to every peer, so this caps a socket cluster's node count.
-const SOCKET_FAN_IN_BOUND: usize = 64;
 
 impl From<PolicyError> for ConfigError {
     fn from(err: PolicyError) -> Self {
@@ -197,12 +177,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::InvalidTransport(reason) => {
                 write!(f, "invalid transport parameters: {reason}")
             }
-            ConfigError::SocketFanIn { degree, bound } => write!(
-                f,
-                "socket backends keep one connection per peer and support at most {bound} \
-                 nodes, {degree} nodes were requested; run fewer nodes or use the simulated \
-                 backend"
-            ),
         }
     }
 }
@@ -922,38 +896,6 @@ mod tests {
         );
         // Errors render.
         assert!(format!("{}", ConfigError::ZeroNodes).contains("at least one node"));
-    }
-
-    #[test]
-    fn socket_backends_cap_the_node_count_and_the_simulator_does_not() {
-        let wide = ClusterSpec {
-            max_nodes: 65,
-            ..myrinet_200()
-        };
-        let on = |nodes, backend| {
-            HyperionConfig::new(wide.clone(), nodes, ProtocolKind::JavaPf).with_transport(
-                TransportConfig {
-                    backend,
-                    ..TransportConfig::default()
-                },
-            )
-        };
-        let too_many = ConfigError::SocketFanIn {
-            degree: 65,
-            bound: 64,
-        };
-        let unix = TransportBackend::UnixSocket;
-        assert_eq!(on(65, unix).validate(), Err(too_many.clone()));
-        // The runtime refuses before it builds a cluster: no socket opens.
-        assert_eq!(
-            HyperionRuntime::new(on(65, unix)).err(),
-            Some(too_many.clone())
-        );
-        assert_eq!(on(64, unix).validate(), Ok(()));
-        assert_eq!(on(65, TransportBackend::Sim).validate(), Ok(()));
-        assert!(too_many
-            .to_string()
-            .contains("at most 64 nodes, 65 nodes were requested"));
     }
 
     #[test]

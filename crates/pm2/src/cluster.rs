@@ -62,11 +62,10 @@ impl Cluster {
     }
 
     /// Build a cluster for a [`TransportBackend`] selector: the simulated
-    /// transport, or per-node Unix-domain socket servers.
+    /// transport, or one Unix-domain socket pair per called node.
     ///
     /// # Panics
-    /// Panics if `num_nodes` is zero, or if a socket backend cannot bind its
-    /// per-node servers.
+    /// Panics if `num_nodes` is zero.
     pub fn for_backend(
         machine: MachineModel,
         num_nodes: usize,
@@ -81,8 +80,7 @@ impl Cluster {
     /// path stays byte-identical to [`Cluster::for_backend`].
     ///
     /// # Panics
-    /// Panics if `num_nodes` is zero, or if a socket backend cannot bind its
-    /// per-node servers.
+    /// Panics if `num_nodes` is zero.
     pub fn for_backend_with_faults(
         machine: MachineModel,
         num_nodes: usize,

@@ -38,9 +38,8 @@
 //! The retry schedule is one fixed set of constants, not a setting:
 //! [`RPC_ATTEMPTS`] attempts, each lost one charged [`RPC_TIMEOUT`], and a
 //! [`retry_backoff`] of 100 µs doubling per retry.  The DSM layer charges it
-//! to the caller's *virtual* clock on the RPC path, and
-//! [`crate::SocketTransport`] reuses it to bound its *wall-clock* redial
-//! loop.
+//! to the caller's *virtual* clock on the RPC path, whichever backend
+//! carries the frames.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;

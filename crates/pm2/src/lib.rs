@@ -22,8 +22,8 @@
 //!   scheduling uses native OS threads).
 //! * [`transport`] / [`socket`] — the transport layer: the in-process
 //!   cost-model [`SimTransport`] (default) and the Unix-domain
-//!   [`SocketTransport`] that serves each node's handler table from behind
-//!   a real socket.
+//!   [`SocketTransport`] that serves each called node's handler table from
+//!   one thread behind a socket pair.
 //! * [`fault`] — the fault plane: [`FaultyTransport`] wraps either backend
 //!   with a deterministic, seeded [`FaultSpec`] schedule (drop / delay /
 //!   duplicate frames, forced handler panics, a named node killed at a

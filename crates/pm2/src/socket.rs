@@ -2,8 +2,10 @@
 //! from behind a real Unix-domain socket.
 //!
 //! While [`crate::transport::SimTransport`] executes handlers inline, this
-//! backend makes the communication *physical*: every node gets its own
-//! listening socket and accept thread; requests and replies cross the wire
+//! backend makes the communication *physical*: the first call to a node
+//! opens one socket pair for it, whose far end one server thread serves
+//! for the rest of the run, and every caller shares the near end, holding
+//! it for one round trip.  Requests and replies cross the wire
 //! as length-prefixed frames whose payloads are the already byte-precise DSM
 //! wire forms (`dsm/diff.rs` diff batches, batched fetch requests and
 //! replies, diff acknowledgements).  Nodes run as per-node
@@ -42,24 +44,22 @@
 //!
 //! ## Failure handling
 //!
-//! A client connection that hits an I/O error is re-dialled under the fixed
-//! backoff schedule the DSM layer retries RPCs under ([`RPC_ATTEMPTS`],
-//! [`retry_backoff`]), here applied to *wall-clock* sleeps — and the
-//! request retried on each fresh connection; exhausting the schedule
-//! surfaces as [`TransportError::Io`].  Server side, a handler panic is
+//! A socket pair has no connection set-up to race, so nothing is re-tried
+//! here: an I/O error surfaces as [`TransportError::Io`] (and drops that
+//! node's pair, so the next call opens a fresh one) for the DSM's fixed
+//! retry schedule to handle.  Server side, a handler panic is
 //! caught and answered with an error frame (the node keeps serving), and
 //! malformed frames are rejected — never panicked on.  A peer that is
 //! draining answers [`ERR_SHUTDOWN`], which decodes to the dedicated
 //! [`TransportError::Shutdown`] variant so callers can tell an orderly exit
 //! apart from peer death.  [`SocketTransport::shutdown`] (called from `Drop
-//! for Cluster`) closes every connection, unblocks the accept loops, joins
-//! all threads and removes the socket files; it is idempotent.
+//! for Cluster`) drops every pair's near end, so each server thread reads
+//! EOF, and joins them; it is idempotent, and a call after it fails with
+//! [`TransportError::Io`].
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
-use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::os::unix::net::UnixStream;
 use std::sync::{Arc, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -69,7 +69,6 @@ use hyperion_model::{ThreadClock, VTime, WireServiceSnapshot, WireStats};
 
 use crate::cluster::Cluster;
 use crate::comm::{RpcReply, ServiceId};
-use crate::fault::{retry_backoff, RPC_ATTEMPTS};
 use crate::node::NodeId;
 use crate::transport::{charge_round_trip, Transport, TransportError};
 
@@ -245,77 +244,69 @@ fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Distinguishes concurrently running clusters' socket files within one
-/// process (tests run many clusters in parallel).
-static NEXT_INSTANCE: AtomicU64 = AtomicU64::new(0);
-
+/// The socket pairs of one cluster's called nodes.
 #[derive(Default)]
-struct ServerState {
-    started: bool,
-    /// Each node's socket file, indexed by node id.
-    socket_files: Vec<PathBuf>,
-    accept_threads: Vec<JoinHandle<()>>,
-    conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
+struct Pairs {
+    /// The cluster whose handler tables the servers run: set by `start`,
+    /// taken by `shutdown`.  No pair opens without it.
+    cluster: Option<Weak<Cluster>>,
+    /// The near end of each called node's pair, keyed by node id.  Its
+    /// mutex is held across a full round trip, which is sound because
+    /// handlers never issue nested RPCs.
+    clients: BTreeMap<u32, Arc<Mutex<UnixStream>>>,
+    /// The server thread of every pair opened.
+    servers: Vec<JoinHandle<()>>,
 }
 
 /// The socket-backed [`Transport`].  See the module docs for the frame
 /// layout, timing contract and failure handling.
+#[derive(Default)]
 pub struct SocketTransport {
     wire: WireStats,
-    shutting_down: Arc<AtomicBool>,
-    state: Mutex<ServerState>,
-    /// One persistent client connection per `(from, to)` node pair, dialled
-    /// lazily.  The per-connection mutex is held across a full round trip,
-    /// which is sound because handlers never issue nested RPCs.
-    conns: Mutex<HashMap<(u32, u32), SharedStream>>,
+    pairs: Mutex<Pairs>,
 }
 
-/// A client connection shared between the round-trip path (which locks it
-/// for the duration of one RPC) and the reconnect path.
-type SharedStream = Arc<Mutex<UnixStream>>;
+/// Open a socket pair to `node` and start the thread that serves its far
+/// end; the near end is returned.
+fn open(node: u32, cluster: Weak<Cluster>) -> std::io::Result<(UnixStream, JoinHandle<()>)> {
+    let (near, far) = UnixStream::pair()?;
+    let server = std::thread::Builder::new()
+        .name(format!("pm2-socket-{node}"))
+        .spawn(move || serve_connection(far, node, cluster))?;
+    Ok((near, server))
+}
 
 impl SocketTransport {
-    /// A transport backed by per-node Unix-domain sockets in the system
-    /// temporary directory.
+    /// A transport that carries each RPC over a Unix-domain socket pair.
     pub fn unix() -> Self {
-        SocketTransport {
-            wire: WireStats::default(),
-            shutting_down: Arc::new(AtomicBool::new(false)),
-            state: Mutex::new(ServerState::default()),
-            conns: Mutex::new(HashMap::new()),
-        }
+        SocketTransport::default()
     }
 
-    fn dial(&self, to: NodeId) -> std::io::Result<UnixStream> {
-        let path = lock(&self.state).socket_files.get(to.index()).cloned();
-        match path {
-            Some(path) => UnixStream::connect(path),
-            None => Err(std::io::Error::new(
+    /// The near end of `to`'s pair, opened on the first call to `to`.
+    fn client(&self, to: NodeId) -> std::io::Result<Arc<Mutex<UnixStream>>> {
+        let mut pairs = lock(&self.pairs);
+        if let Some(client) = pairs.clients.get(&to.0) {
+            return Ok(Arc::clone(client));
+        }
+        let cluster = pairs.cluster.clone().ok_or_else(|| {
+            std::io::Error::new(
                 std::io::ErrorKind::NotConnected,
-                "socket transport has no server for this node (not started?)",
-            )),
-        }
+                "socket transport is not running",
+            )
+        })?;
+        let (near, server) = open(to.0, cluster)?;
+        let client = Arc::new(Mutex::new(near));
+        pairs.servers.push(server);
+        pairs.clients.insert(to.0, Arc::clone(&client));
+        Ok(client)
     }
 
-    fn connection(&self, from: NodeId, to: NodeId) -> Result<SharedStream, TransportError> {
-        let key = (from.0, to.0);
-        if let Some(conn) = lock(&self.conns).get(&key) {
-            return Ok(Arc::clone(conn));
-        }
-        let stream = self
-            .dial(to)
-            .map_err(|error| TransportError::Io { peer: to, error })?;
-        let mut conns = lock(&self.conns);
-        let entry = conns
-            .entry(key)
-            .or_insert_with(|| Arc::new(Mutex::new(stream)));
-        Ok(Arc::clone(entry))
-    }
-
-    fn exchange(stream: &mut UnixStream, frame: &[u8]) -> std::io::Result<Vec<u8>> {
+    fn exchange(&self, to: NodeId, frame: &[u8]) -> std::io::Result<Vec<u8>> {
+        let client = self.client(to)?;
+        let mut stream = lock(&client);
         stream.write_all(frame)?;
         stream.flush()?;
-        match read_frame(stream)? {
+        match read_frame(&mut stream)? {
             Some(body) => Ok(body),
             None => Err(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
@@ -343,49 +334,12 @@ impl SocketTransport {
             },
             payload,
         );
-        let conn = self.connection(from, to)?;
-        let mut stream = lock(&conn);
-        let body = match Self::exchange(&mut stream, &frame) {
-            Ok(body) => body,
-            Err(first) => {
-                // Re-dial under the bounded backoff schedule, retrying the
-                // request on each fresh connection.  (A request whose reply
-                // was lost may execute more than once on this path; the
-                // DSM's handlers are idempotent at page granularity, and in
-                // practice the retry only ever fires on connection-setup
-                // races.)  Exhausting the schedule reports the last error.
-                let mut last = first;
-                let mut recovered = None;
-                for retry in 0..RPC_ATTEMPTS - 1 {
-                    let backoff = retry_backoff(retry).as_ps() / 1_000;
-                    std::thread::sleep(std::time::Duration::from_nanos(backoff));
-                    match self.dial(to) {
-                        Ok(fresh) => *stream = fresh,
-                        Err(error) => {
-                            last = error;
-                            continue;
-                        }
-                    }
-                    match Self::exchange(&mut stream, &frame) {
-                        Ok(body) => {
-                            recovered = Some(body);
-                            break;
-                        }
-                        Err(error) => last = error,
-                    }
-                }
-                match recovered {
-                    Some(body) => body,
-                    None => {
-                        return Err(TransportError::Io {
-                            peer: to,
-                            error: last,
-                        })
-                    }
-                }
-            }
-        };
-        drop(stream);
+        let body = self.exchange(to, &frame).map_err(|error| {
+            // A pair that failed mid-frame is out of step: the next call
+            // opens a fresh one.
+            lock(&self.pairs).clients.remove(&to.0);
+            TransportError::Io { peer: to, error }
+        })?;
         let (header, reply_payload) =
             decode_frame(&body).map_err(TransportError::MalformedFrame)?;
         match header.kind {
@@ -403,8 +357,8 @@ impl SocketTransport {
     }
 }
 
-/// Serve one accepted connection: read request frames, dispatch to the
-/// node's handler table, write reply (or error) frames, until EOF.
+/// Serve the far end of one node's pair: read request frames, dispatch to
+/// the node's handler table, write reply (or error) frames, until EOF.
 fn serve_connection(mut stream: UnixStream, node: u32, cluster: Weak<Cluster>) {
     // A clean EOF or an I/O error both end the connection.
     while let Ok(Some(body)) = read_frame(&mut stream) {
@@ -488,32 +442,6 @@ fn dispatch(cluster: &Weak<Cluster>, node: u32, header: FrameHeader, payload: &[
     }
 }
 
-fn accept_loop(
-    listener: UnixListener,
-    node: u32,
-    cluster: Weak<Cluster>,
-    shutting_down: Arc<AtomicBool>,
-    conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    loop {
-        let stream = listener.accept();
-        if shutting_down.load(Ordering::SeqCst) {
-            break;
-        }
-        match stream {
-            Ok((stream, _)) => {
-                let cluster = cluster.clone();
-                let handle = std::thread::spawn(move || serve_connection(stream, node, cluster));
-                lock(&conn_threads).push(handle);
-            }
-            Err(_) => {
-                // Spurious accept failure; keep serving unless shutting down.
-                continue;
-            }
-        }
-    }
-}
-
 impl Transport for SocketTransport {
     fn rpc_split(
         &self,
@@ -548,49 +476,21 @@ impl Transport for SocketTransport {
     }
 
     fn start(&self, cluster: &Arc<Cluster>) {
-        let mut state = lock(&self.state);
-        assert!(!state.started, "socket transport started twice");
-        state.started = true;
-        let instance = NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed);
-        for node in 0..cluster.num_nodes() as u32 {
-            let path = std::env::temp_dir().join(format!(
-                "hyperion-pm2-{}-{instance}-{node}.sock",
-                std::process::id()
-            ));
-            let _ = std::fs::remove_file(&path);
-            let listener = UnixListener::bind(&path).expect("bind per-node unix socket server");
-            state.socket_files.push(path);
-            let weak = Arc::downgrade(cluster);
-            let shutting_down = Arc::clone(&self.shutting_down);
-            let conn_threads = Arc::clone(&state.conn_threads);
-            state.accept_threads.push(std::thread::spawn(move || {
-                accept_loop(listener, node, weak, shutting_down, conn_threads)
-            }));
-        }
+        let mut pairs = lock(&self.pairs);
+        assert!(pairs.cluster.is_none(), "socket transport started twice");
+        pairs.cluster = Some(Arc::downgrade(cluster));
     }
 
     fn shutdown(&self) {
-        if self.shutting_down.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Drop every pooled client connection first: the per-connection
-        // server threads see EOF and exit.
-        lock(&self.conns).clear();
-        let mut state = lock(&self.state);
-        // Unblock each accept loop with a throwaway connection; the loop
-        // re-checks the flag right after `accept` returns.
-        for path in &state.socket_files {
-            let _ = UnixStream::connect(path);
-        }
-        for handle in state.accept_threads.drain(..) {
-            let _ = handle.join();
-        }
-        let conn_threads = Arc::clone(&state.conn_threads);
-        for handle in lock(&conn_threads).drain(..) {
-            let _ = handle.join();
-        }
-        for path in state.socket_files.drain(..) {
-            let _ = std::fs::remove_file(path);
+        let servers = {
+            let mut pairs = lock(&self.pairs);
+            pairs.cluster = None;
+            // Dropping the near ends makes every server thread read EOF.
+            pairs.clients.clear();
+            std::mem::take(&mut pairs.servers)
+        };
+        for server in servers {
+            let _ = server.join();
         }
     }
 
@@ -600,14 +500,6 @@ impl Transport for SocketTransport {
 
     fn wire_stats(&self) -> Option<Vec<WireServiceSnapshot>> {
         Some(self.wire.snapshot())
-    }
-}
-
-impl std::fmt::Debug for SocketTransport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SocketTransport")
-            .field("shutting_down", &self.shutting_down.load(Ordering::SeqCst))
-            .finish()
     }
 }
 
@@ -700,14 +592,15 @@ mod tests {
 
     #[test]
     fn socket_and_sim_backends_charge_identical_virtual_time() {
-        let sim = Cluster::new(myrinet_200().machine, 2);
-        let (sock, _t) = socket_cluster(2);
+        let sim = Cluster::new(myrinet_200().machine, 3);
+        let (sock, transport) = socket_cluster(3);
         let svc_sim = echo_service(&sim);
         let svc_sock = echo_service(&sock);
 
         let mut clock_sim = ThreadClock::new();
         let mut clock_sock = ThreadClock::new();
-        for (from, to) in [(0u32, 1u32), (0, 0), (1, 0)] {
+        // Nodes 0 and 2 both call node 1 and share its one pair.
+        for (from, to) in [(0u32, 1u32), (0, 0), (2, 1), (1, 0), (2, 1)] {
             let a = sim
                 .rpc(&mut clock_sim, NodeId(from), NodeId(to), svc_sim, &[1, 2])
                 .unwrap();
@@ -718,6 +611,10 @@ mod tests {
             assert_eq!(clock_sim.now(), clock_sock.now());
         }
         assert_eq!(sim.total_stats(), sock.total_stats());
+        // One server for each called node (0 and 1), none for node 2.
+        let pairs = lock(&transport.pairs);
+        assert_eq!(pairs.clients.keys().copied().collect::<Vec<_>>(), [0, 1]);
+        assert_eq!(pairs.servers.len(), 2);
     }
 
     #[test]
@@ -767,11 +664,11 @@ mod tests {
 
     #[test]
     fn malformed_frames_get_an_error_frame_back() {
-        let (c, transport) = socket_cluster(1);
+        let (c, _t) = socket_cluster(1);
         let svc = echo_service(&c);
         assert_eq!(c.transport().name(), "unix-socket");
-        // Talk to the server directly, bypassing the client-side encoder.
-        let mut stream = transport.dial(NodeId(0)).expect("dial node 0");
+        // Talk to a server directly, bypassing the client-side encoder.
+        let (mut stream, _server) = open(0, Arc::downgrade(&c)).expect("open a pair to node 0");
         // A correctly-lengthed body with an unknown kind tag: the server
         // answers with an error frame and keeps the connection open.
         let mut garbage = vec![99u8]; // bad kind
@@ -790,7 +687,7 @@ mod tests {
 
         // A frame announcing an impossible length cannot be resynchronised;
         // the server drops that connection (and only that connection).
-        let mut bad_len = transport.dial(NodeId(0)).expect("dial node 0 again");
+        let (mut bad_len, server) = open(0, Arc::downgrade(&c)).expect("open another pair");
         bad_len.write_all(&5u32.to_le_bytes()).unwrap();
         // The server may drop it as soon as it has read the length, so the
         // body's write may find the connection gone — and only that way.
@@ -806,6 +703,7 @@ mod tests {
             Ok(None) | Err(_) => {} // connection closed, no panic
             Ok(Some(_)) => panic!("expected the connection to be dropped"),
         }
+        server.join().expect("its server ends without a panic");
 
         // The node still answers well-formed requests.
         let mut clock = ThreadClock::new();
@@ -813,16 +711,23 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_is_idempotent_and_removes_socket_files() {
+    fn shutdown_is_idempotent_and_joins_every_server() {
         let (c, transport) = socket_cluster(2);
         let svc = echo_service(&c);
         let mut clock = ThreadClock::new();
         c.rpc(&mut clock, NodeId(0), NodeId(1), svc, &[1]).unwrap();
-        let paths: Vec<PathBuf> = lock(&transport.state).socket_files.clone();
-        assert_eq!(paths.len(), 2);
-        assert!(paths.iter().all(|p| p.exists()));
+        c.rpc(&mut clock, NodeId(1), NodeId(0), svc, &[1]).unwrap();
+        assert_eq!(lock(&transport.pairs).servers.len(), 2);
         c.transport().shutdown();
         c.transport().shutdown(); // idempotent
-        assert!(paths.iter().all(|p| !p.exists()));
+        let pairs = lock(&transport.pairs);
+        assert!(pairs.servers.is_empty() && pairs.clients.is_empty());
+        drop(pairs);
+        // A call after shutdown opens no pair: it fails instead of hanging.
+        match c.rpc(&mut clock, NodeId(0), NodeId(1), svc, &[1]) {
+            Err(TransportError::Io { peer, .. }) => assert_eq!(peer, NodeId(1)),
+            other => panic!("expected Io, got {other:?}"),
+        }
+        assert!(lock(&transport.pairs).servers.is_empty());
     }
 }

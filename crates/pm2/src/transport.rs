@@ -8,8 +8,8 @@
 //! * [`SimTransport`] (the default): the handler runs inline on the calling
 //!   OS thread, exactly as the original single-process simulator did.  No
 //!   real I/O takes place.
-//! * [`crate::socket::SocketTransport`]: each node runs a real
-//!   Unix-domain socket server; the request and reply cross
+//! * [`crate::socket::SocketTransport`]: each called node is served by one
+//!   thread behind a Unix-domain socket pair; the request and reply cross
 //!   the wire as length-prefixed frames and the handler runs on the target
 //!   node's server thread.
 //!
@@ -40,7 +40,8 @@ pub enum TransportBackend {
     /// In-process cost-model simulation (the default; no real I/O).
     #[default]
     Sim,
-    /// Per-node Unix-domain-socket servers (this machine only).
+    /// One server thread per called node behind a Unix-domain socket pair
+    /// (this process only).
     UnixSocket,
 }
 
@@ -87,8 +88,8 @@ pub enum TransportError {
     },
     /// A frame could not be decoded (truncated, bad kind tag, bad lengths).
     MalformedFrame(String),
-    /// Socket-level I/O failure that persisted through the bounded redial
-    /// schedule the socket backend runs.
+    /// Socket-level I/O failure (or a call to a socket transport that is
+    /// not running); the RPC path retries it under its fixed schedule.
     Io {
         /// The node whose server could not be reached.
         peer: NodeId,
@@ -186,13 +187,14 @@ pub trait Transport: Send + Sync {
     ) -> Result<(Vec<u8>, VTime), TransportError>;
 
     /// Called once by [`Cluster::with_transport`](crate::Cluster::with_transport)
-    /// after the cluster is fully constructed: start any server machinery.
-    /// Backends that need a handle back to the cluster should keep a
-    /// [`std::sync::Weak`] — the cluster owns the transport, not vice versa.
+    /// after the cluster is fully constructed.  Backends that need a handle
+    /// back to the cluster record a [`std::sync::Weak`] here (the cluster
+    /// owns the transport, not vice versa); the socket backend opens
+    /// nothing until the first call to a node.
     fn start(&self, _cluster: &Arc<Cluster>) {}
 
-    /// Stop servers and release resources.  Must be idempotent; called from
-    /// `Drop for Cluster`.
+    /// Stop any server threads and release resources.  Must be idempotent;
+    /// called from `Drop for Cluster`.
     fn shutdown(&self) {}
 
     /// Backend name for diagnostics and report labels.
