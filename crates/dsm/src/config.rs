@@ -4,10 +4,12 @@
 //! [`ProtocolKind`], its [`AdaptiveParams`] and a [`TransportConfig`] are
 //! plain data, checked here ([`AdaptiveParams::validate`]: an illegal
 //! combination is a typed [`PolicyError`] before any cluster state
-//! exists).  The engine reads them directly: the protocol and its
-//! parameters select the access detection ([`crate::detection`]), the
-//! transport the backend and the fault schedule.  The RPC path's retry
-//! schedule is fixed, not configured ([`hyperion_pm2::RPC_ATTEMPTS`]).
+//! exists).  The engine reads the protocol and its parameters: they select
+//! the access detection ([`crate::detection`]).  The transport's backend
+//! and fault schedule build the cluster's transport
+//! ([`hyperion_pm2::Cluster::for_backend_with_faults`]), which the engine
+//! only calls through.  The RPC path's retry schedule is fixed, not
+//! configured ([`hyperion_pm2::RPC_ATTEMPTS`]).
 
 use hyperion_model::VTime;
 use hyperion_pm2::{FaultSpec, NodeId, TransportBackend};

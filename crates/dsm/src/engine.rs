@@ -34,7 +34,7 @@ use hyperion_pm2::{
     reply_leg, Cluster, GlobalAddr, Node, NodeId, PageId, ServiceId, SLOTS_PER_PAGE,
 };
 
-use crate::config::{AdaptiveParams, HomeFlushMark, ProtocolKind, TransportConfig};
+use crate::config::{AdaptiveParams, HomeFlushMark, ProtocolKind};
 use crate::detection::{AdMode, Detection, FLUSH_BATCH_PAGES};
 use crate::diff::{
     decode_diff_reply, decode_fetch_reply, encode_diff, encode_diff_batch, DiffEntry,
@@ -57,7 +57,6 @@ pub struct DsmSystem {
     pub(crate) cluster: Arc<Cluster>,
     pub(crate) store: Arc<DsmStore>,
     pub(crate) detection: Detection,
-    pub(crate) transport: TransportConfig,
     /// Per node: what the fetch mechanics remember between fetches (scan
     /// ends per home, windowed accuracy gates; see `fetch.rs`).
     pub(crate) fetch_state: Vec<NodeFetchState>,
@@ -76,22 +75,21 @@ pub struct DsmSystem {
 impl DsmSystem {
     /// Build a DSM system over an existing cluster and store, registering the
     /// page-fetch and diff-apply services with the communication subsystem.
-    /// `java_ad` runs with the default [`AdaptiveParams`] and the transport
-    /// is the default one; [`DsmSystem::with_config`] sets both.
+    /// `java_ad` runs with the default [`AdaptiveParams`];
+    /// [`DsmSystem::with_config`] sets them.  The RPCs travel over whatever
+    /// transport the cluster was built with.
     pub fn new(cluster: Arc<Cluster>, store: Arc<DsmStore>, kind: ProtocolKind) -> Arc<Self> {
-        let (params, transport) = (AdaptiveParams::default(), TransportConfig::default());
-        Self::with_config(cluster, store, kind, &params, &transport)
+        Self::with_config(cluster, store, kind, &AdaptiveParams::default())
     }
 
     /// Build a DSM system with explicit adaptive-protocol parameters (they
     /// are resolved against the cluster's machine model and ignored by
-    /// `java_ic` / `java_pf`) and an explicit transport configuration.
+    /// `java_ic` / `java_pf`).
     pub fn with_config(
         cluster: Arc<Cluster>,
         store: Arc<DsmStore>,
         kind: ProtocolKind,
         params: &AdaptiveParams,
-        transport: &TransportConfig,
     ) -> Arc<Self> {
         let detection = Detection::new(kind, params, cluster.machine());
         let service = |fetch| {
@@ -107,7 +105,6 @@ impl DsmSystem {
             cluster,
             store,
             detection,
-            transport: transport.clone(),
             fetch_state: (0..nodes).map(|_| NodeFetchState::new(nodes)).collect(),
             written: (0..nodes).map(|_| NodeLog::default()).collect(),
             stale: (0..nodes).map(|_| StaleCopies::new(nodes)).collect(),
@@ -128,11 +125,6 @@ impl DsmSystem {
     /// reported for every protocol).
     pub fn adaptive_thresholds(&self) -> (u64, u64) {
         self.detection.marks()
-    }
-
-    /// The transport configuration of this system.
-    pub fn transport(&self) -> &TransportConfig {
-        &self.transport
     }
 
     /// The cluster this system runs on.

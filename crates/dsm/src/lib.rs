@@ -24,15 +24,15 @@
 //! * [`diff`] — wire encoding of field-granularity diffs and (from
 //!   `fetch_wire`) of page fetches;
 //! * [`config`] — protocol / transport configuration data and its
-//!   validation: the one place a run is described;
+//!   validation: the one place a run is described (the transport part
+//!   builds the cluster, not the engine);
 //! * [`detection`] — how each protocol detects remote accesses, the one
 //!   thing they differ in (one technique per page, the `java_ad` state
 //!   machine, and the JMM obligations every decision keeps);
 //! * [`engine`] — the [`DsmSystem`] protocol engine (with its fetch
 //!   mechanics in `fetch`, the accuracy gate its speculative fetches
 //!   throttle themselves on in `gate`, and its RPC services in
-//!   `services`), which asks the detection at every decision point and
-//!   reads the flush placement off the transport;
+//!   `services`), which asks the detection at every decision point;
 //! * `pending` — the stale copies a node retains, open behind the pending
 //!   check or dropped, and the rent-or-buy rule that re-protects the open
 //!   ones;

@@ -21,9 +21,7 @@
 
 use std::sync::Arc;
 
-use hyperion_dsm::{
-    AdaptiveParams, DsmStore, DsmSystem, Notices, PageFrame, ProtocolKind, TransportConfig,
-};
+use hyperion_dsm::{AdaptiveParams, DsmStore, DsmSystem, Notices, PageFrame, ProtocolKind};
 use hyperion_model::{myrinet_200, ThreadClock};
 use hyperion_pm2::{Cluster, GlobalAddr, IsoAllocator, NodeId, SLOTS_PER_PAGE};
 
@@ -53,8 +51,7 @@ impl Run {
         let cluster = Cluster::new(myrinet_200().machine, 3);
         let alloc = Arc::new(IsoAllocator::new(3));
         let store = DsmStore::new(Arc::clone(&alloc), 3);
-        let transport = TransportConfig::default();
-        let dsm = DsmSystem::with_config(Arc::clone(&cluster), store, kind, params, &transport);
+        let dsm = DsmSystem::with_config(Arc::clone(&cluster), store, kind, params);
         let pages: Vec<_> = (homes.iter())
             .map(|&home| alloc.alloc_page_aligned(SLOTS_PER_PAGE, home))
             .collect();

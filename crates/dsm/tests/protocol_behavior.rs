@@ -38,7 +38,7 @@ fn fixture_with(
         Cluster::for_backend_with_faults(machine, nodes, transport.backend, transport.fault);
     let alloc = Arc::new(IsoAllocator::new(nodes));
     let store = DsmStore::new(Arc::clone(&alloc), nodes);
-    let dsm = DsmSystem::with_config(Arc::clone(&cluster), store, kind, params, transport);
+    let dsm = DsmSystem::with_config(Arc::clone(&cluster), store, kind, params);
     Fixture {
         cluster,
         alloc,
@@ -1310,16 +1310,11 @@ fn litmus_no_retained_copy_validates_against_a_re_elected_home() {
         );
         let alloc = Arc::new(IsoAllocator::new(3));
         let store = DsmStore::new(Arc::clone(&alloc), 3);
-        let transport = TransportConfig {
-            fault: Some(spec),
-            ..TransportConfig::default()
-        };
         let dsm = DsmSystem::with_config(
             Arc::clone(&cluster),
             store,
             kind,
             &AdaptiveParams::default(),
-            &transport,
         );
         let addr = alloc.alloc(8, NodeId(0));
         let (mut h, mut r) = (ThreadClock::new(), ThreadClock::new());

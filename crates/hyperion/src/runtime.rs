@@ -230,7 +230,6 @@ impl HyperionRuntime {
             store,
             config.protocol,
             &config.adaptive,
-            &config.transport,
         );
         let balancer = LoadBalancer::new(config.nodes);
         Ok(HyperionRuntime {
@@ -935,17 +934,28 @@ mod tests {
 
     #[test]
     fn a_run_is_described_once_and_the_engine_builds_what_the_flags_say() {
-        let faulty = TransportConfig {
-            fault: Some(hyperion_pm2::FaultSpec::parse("seed=3,drop=1000").unwrap()),
-            ..TransportConfig::default()
-        };
-        for transport in [TransportConfig::default(), faulty] {
-            for protocol in ProtocolKind::all_extended() {
-                let cfg = config(2, protocol).with_transport(transport.clone());
-                let rt = HyperionRuntime::new(cfg).unwrap();
-                assert_eq!(rt.dsm().kind(), protocol);
-                // The engine was built from the configured value.
-                assert_eq!(rt.dsm().transport(), &transport);
+        use hyperion_pm2::{FaultSpec, TransportBackend};
+        // `dropfirst=1` loses the first remote frame: the one remote read
+        // below counts a dropped frame exactly when the fault plane is on.
+        let faults = [None, Some(FaultSpec::parse("dropfirst=1").unwrap())];
+        for backend in [TransportBackend::Sim, TransportBackend::UnixSocket] {
+            for fault in faults {
+                for protocol in ProtocolKind::all_extended() {
+                    let transport = TransportConfig { backend, fault };
+                    let cfg = config(2, protocol).with_transport(transport);
+                    let rt = HyperionRuntime::new(cfg).unwrap();
+                    assert_eq!(rt.dsm().kind(), protocol);
+                    // The cluster carries the configured backend and faults.
+                    let name = rt.cluster().transport().name();
+                    let sim = backend == TransportBackend::Sim;
+                    assert_eq!(name, if sim { "sim" } else { "unix-socket" });
+                    let out = rt.run(|ctx| {
+                        let remote = ctx.alloc_slots(1, NodeId(1));
+                        ctx.get_slot(remote)
+                    });
+                    let dropped = out.report.total_stats().frames_dropped_injected;
+                    assert_eq!(dropped, u64::from(fault.is_some()), "{name} {protocol}");
+                }
             }
         }
     }

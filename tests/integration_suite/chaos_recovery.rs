@@ -243,7 +243,6 @@ fn build_faulty_dsm(nodes: usize, spec: FaultSpec) -> (Arc<DsmSystem>, Vec<Globa
         store,
         ProtocolKind::JavaIc,
         &AdaptiveParams::default(),
-        &TransportConfig::default(),
     );
     let addrs = (0..nodes)
         .map(|home| alloc.alloc_page_aligned(4, NodeId(home as u32)))
