@@ -21,12 +21,11 @@ use crate::monitor::HMonitor;
 use crate::object::HArray;
 use crate::runtime::ThreadCtx;
 
-// The fields of the barrier's state object, as a Java barrier class would
-// carry them: parties it waits for, parties arrived in this generation, and
-// the generation (it increments when the barrier opens).
-const PARTIES: usize = 0;
-const COUNT: usize = 1;
-const GENERATION: usize = 2;
+// The fields of the barrier's shared state: parties arrived in this
+// generation, and the generation (it increments when the barrier opens).
+// The party count is fixed, so it stays in the handle.
+const COUNT: usize = 0;
+const GENERATION: usize = 1;
 
 /// A cyclic barrier for a fixed number of parties.
 ///
@@ -48,8 +47,7 @@ impl JBarrier {
     /// Panics if `parties` is zero.
     pub fn new(ctx: &mut ThreadCtx, parties: usize, home: NodeId) -> Self {
         assert!(parties > 0, "a barrier needs at least one party");
-        let state = ctx.alloc_array::<u64>(3, home);
-        state.put(ctx, PARTIES, parties as u64);
+        let state = ctx.alloc_array::<u64>(2, home);
         state.put(ctx, COUNT, 0);
         state.put(ctx, GENERATION, 0);
         JBarrier {
