@@ -45,9 +45,8 @@
 //! ## Failure handling
 //!
 //! A socket pair has no connection set-up to race, so nothing is re-tried
-//! here: an I/O error surfaces as [`TransportError::Io`] (and drops that
-//! node's pair, so the next call opens a fresh one) for the DSM's fixed
-//! retry schedule to handle.  Server side, a handler panic is
+//! here: an I/O error surfaces as [`TransportError::Io`] for the DSM's
+//! fixed retry schedule to handle.  Server side, a handler panic is
 //! caught and answered with an error frame (the node keeps serving), and
 //! malformed frames are rejected — never panicked on.  A peer that is
 //! draining answers [`ERR_SHUTDOWN`], which decodes to the dedicated
@@ -260,7 +259,6 @@ struct Pairs {
 
 /// The socket-backed [`Transport`].  See the module docs for the frame
 /// layout, timing contract and failure handling.
-#[derive(Default)]
 pub struct SocketTransport {
     wire: WireStats,
     pairs: Mutex<Pairs>,
@@ -279,7 +277,10 @@ fn open(node: u32, cluster: Weak<Cluster>) -> std::io::Result<(UnixStream, JoinH
 impl SocketTransport {
     /// A transport that carries each RPC over a Unix-domain socket pair.
     pub fn unix() -> Self {
-        SocketTransport::default()
+        SocketTransport {
+            wire: WireStats::default(),
+            pairs: Mutex::default(),
+        }
     }
 
     /// The near end of `to`'s pair, opened on the first call to `to`.
@@ -334,12 +335,9 @@ impl SocketTransport {
             },
             payload,
         );
-        let body = self.exchange(to, &frame).map_err(|error| {
-            // A pair that failed mid-frame is out of step: the next call
-            // opens a fresh one.
-            lock(&self.pairs).clients.remove(&to.0);
-            TransportError::Io { peer: to, error }
-        })?;
+        let body = self
+            .exchange(to, &frame)
+            .map_err(|error| TransportError::Io { peer: to, error })?;
         let (header, reply_payload) =
             decode_frame(&body).map_err(TransportError::MalformedFrame)?;
         match header.kind {
@@ -668,7 +666,7 @@ mod tests {
         let svc = echo_service(&c);
         assert_eq!(c.transport().name(), "unix-socket");
         // Talk to a server directly, bypassing the client-side encoder.
-        let (mut stream, _server) = open(0, Arc::downgrade(&c)).expect("open a pair to node 0");
+        let (mut stream, server) = open(0, Arc::downgrade(&c)).expect("open a pair to node 0");
         // A correctly-lengthed body with an unknown kind tag: the server
         // answers with an error frame and keeps the connection open.
         let mut garbage = vec![99u8]; // bad kind
@@ -684,6 +682,9 @@ mod tests {
         let (header, payload) = decode_frame(&body).expect("decodable error frame");
         assert_eq!(header.kind, FrameKind::Error);
         assert_eq!(payload[0], ERR_MALFORMED);
+        // Closing the near end ends its server.
+        drop(stream);
+        server.join().expect("its server ends without a panic");
 
         // A frame announcing an impossible length cannot be resynchronised;
         // the server drops that connection (and only that connection).
