@@ -40,9 +40,11 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 
-use hyperion_model::{MachineModel, NodeStats, ThreadClock, VTime};
+use hyperion_model::{NodeStats, ThreadClock, VTime};
+use hyperion_pm2::{Cluster, Node, NodeId, PageId};
 
 use crate::config::{AdaptiveParams, ProtocolKind};
+use crate::dense::Dense;
 use crate::page::PageFrame;
 
 /// Which technique detects accesses to a page.
@@ -60,9 +62,9 @@ pub enum AdMode {
     Protect,
 }
 
-/// The `java_ad` state of one frame (unused under `java_ic` / `java_pf`).
-/// Fresh frames start in [`AdMode::Check`], the cheap technique for a page
-/// whose re-access density is unknown.
+/// The `java_ad` state of one page on one node, which the detection keeps
+/// (under `java_ad` alone).  A page starts in [`AdMode::Check`], the cheap
+/// technique for a page whose re-access density is unknown.
 #[derive(Debug, Default)]
 pub struct AdState {
     /// The page's technique: 0 = `Check`, 1 = `Protect`.
@@ -145,6 +147,9 @@ pub(crate) struct Detection {
     hi: u64,
     /// Protect → Check when they drop to this or below.
     lo: u64,
+    /// Per node: the [`AdState`] of each page up to the highest it asked
+    /// about (`java_ad` only; empty otherwise).
+    ad: Vec<Dense<AdState>>,
 }
 
 /// Largest number of pages one `java_ad` fetch RPC may carry.
@@ -160,9 +165,10 @@ const MIN_PREFETCH_STREAK: u64 = 3;
 
 impl Detection {
     /// Resolve `params` (they only steer `java_ad`, but every protocol
-    /// reports the marks they resolve to) against `machine`: the high mark
-    /// at `hi_multiple · n*`, the low one at half that.
-    pub(crate) fn new(kind: ProtocolKind, params: &AdaptiveParams, machine: &MachineModel) -> Self {
+    /// reports the marks they resolve to) against `cluster`'s machine: the
+    /// high mark at `hi_multiple · n*`, the low one at half that.
+    pub(crate) fn new(kind: ProtocolKind, params: &AdaptiveParams, cluster: &Cluster) -> Self {
+        let machine = cluster.machine();
         let break_even = machine.adaptive_break_even() as f64;
         let hi = (break_even * params.hi_multiple).ceil().max(1.0) as u64;
         let lo = ((break_even * params.hi_multiple / 2.0).floor() as u64).min(hi - 1);
@@ -172,7 +178,18 @@ impl Detection {
             fault: machine.dsm.page_fault,
             hi,
             lo,
+            ad: match kind {
+                ProtocolKind::JavaAd => (0..cluster.num_nodes()).map(|_| Dense::new()).collect(),
+                _ => Vec::new(),
+            },
         }
+    }
+
+    /// `java_ad`'s state of `page` on `node`.
+    pub(crate) fn ad(&self, node: NodeId, page: PageId) -> &AdState {
+        let states = &self.ad[node.index()];
+        let grow = || states.grow(page.index(), |_, _| ());
+        states.get(page.index()).unwrap_or_else(grow)
     }
 
     /// The `(hi, lo)` switching marks in absolute accesses-per-epoch.
@@ -180,37 +197,41 @@ impl Detection {
         (self.hi, self.lo)
     }
 
-    /// The technique that detects accesses to `frame` (module docs).
+    /// The technique that detects accesses to `frame`, `page`'s frame on
+    /// `node` (module docs).
     #[inline]
-    pub(crate) fn technique(&self, frame: &PageFrame) -> AdMode {
+    pub(crate) fn technique(&self, node: NodeId, page: PageId, frame: &PageFrame) -> AdMode {
         match self.kind {
             ProtocolKind::JavaIc => AdMode::Check,
             ProtocolKind::JavaPf => AdMode::Protect,
             ProtocolKind::JavaAd if frame.is_home() => AdMode::Protect,
-            ProtocolKind::JavaAd => frame.ad().mode(),
+            ProtocolKind::JavaAd => self.ad(node, page).mode(),
         }
     }
 
-    /// Detect one access to `frame`: charge its cost to `clock`, count it on
-    /// `stats`, and return true if the page must be fetched first (false:
-    /// the access proceeds on the local copy).  While the node holds open
-    /// stale copies (`pending`, see `pending.rs`) a `Protect` access also
-    /// pays the in-line check that asks whether its copy is one (a `Check`
-    /// access's own check asks that); a copy it `found` was never closed,
-    /// so its miss traps nothing and costs no fault.
+    /// Detect one access to `frame`, `page`'s frame on `node_ref`: charge its
+    /// cost to `clock`, count it on the node's stats, and return true if the
+    /// page must be fetched first (false: the access proceeds on the local
+    /// copy).  While the node holds open stale copies (`pending`, see
+    /// `pending.rs`) a `Protect` access also pays the in-line check that
+    /// asks whether its copy is one (a `Check` access's own check asks
+    /// that); a copy it `found` was never closed, so its miss traps nothing
+    /// and costs no fault.
     #[inline]
     pub(crate) fn on_access(
         &self,
-        stats: &NodeStats,
+        node_ref: &Node,
         clock: &mut ThreadClock,
+        page: PageId,
         frame: &PageFrame,
         pending: bool,
         found: bool,
     ) -> bool {
+        let (node, stats) = (node_ref.id(), &node_ref.stats);
         if self.kind == ProtocolKind::JavaAd && !frame.is_home() {
-            frame.ad().record_access();
+            self.ad(node, page).record_access();
         }
-        match self.technique(frame) {
+        match self.technique(node, page, frame) {
             AdMode::Check => {
                 NodeStats::bump(&stats.locality_checks);
                 clock.advance(self.check);
@@ -243,24 +264,25 @@ impl Detection {
         }
     }
 
-    /// True if `frame`'s epoch history predicts it will be re-accessed next
-    /// epoch — the speculation predicate for batched fetches.
-    pub(crate) fn predicts_reaccess(&self, frame: &PageFrame) -> bool {
-        let ad = frame.ad();
+    /// True if `page`'s epoch history on `node` predicts it will be
+    /// re-accessed next epoch — the speculation predicate for batched fetches.
+    pub(crate) fn predicts_reaccess(&self, node: NodeId, page: PageId) -> bool {
+        let ad = || self.ad(node, page);
         self.kind == ProtocolKind::JavaAd
-            && ad.epoch_streak.load(Ordering::Relaxed) >= MIN_PREFETCH_STREAK
-            && ad.last_epoch_accesses.load(Ordering::Relaxed) > 0
+            && ad().epoch_streak.load(Ordering::Relaxed) >= MIN_PREFETCH_STREAK
+            && ad().last_epoch_accesses.load(Ordering::Relaxed) > 0
     }
 
-    /// Close `frame`'s epoch when its copy is outdated (`java_ad` only):
-    /// rotate its statistics and flip its technique if the smoothed density
-    /// crossed a mark.  Returns `(switched, wasted_prefetch)`.  A retained,
-    /// untouched copy closes a zero epoch, which resets its prefetch streak.
-    pub(crate) fn close_epoch(&self, frame: &PageFrame) -> (bool, bool) {
+    /// Close `page`'s epoch on `node` when its copy is outdated (`java_ad`
+    /// only): rotate its statistics and flip its technique if the smoothed
+    /// density crossed a mark.  Returns `(switched, wasted_prefetch)`.  A
+    /// retained, untouched copy closes a zero epoch, which resets its
+    /// prefetch streak.
+    pub(crate) fn close_epoch(&self, node: NodeId, page: PageId) -> (bool, bool) {
         if self.kind != ProtocolKind::JavaAd {
             return (false, false);
         }
-        let ad = frame.ad();
+        let ad = self.ad(node, page);
         let avg = ad.rotate_epoch();
         let wasted = ad.take_wasted_prefetch();
         let flip = match ad.mode() {

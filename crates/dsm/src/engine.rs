@@ -91,7 +91,7 @@ impl DsmSystem {
         kind: ProtocolKind,
         params: &AdaptiveParams,
     ) -> Arc<Self> {
-        let detection = Detection::new(kind, params, cluster.machine());
+        let detection = Detection::new(kind, params, &cluster);
         let service = |fetch| {
             cluster.register_service(Arc::new(HomeService {
                 store: Arc::clone(&store),
@@ -149,7 +149,7 @@ impl DsmSystem {
         NodeStats::bump(&node_ref.stats.field_reads);
         let page = addr.page();
         let frame = self.store.frame(node, page);
-        self.unwrap_rpc(self.ensure_access(node_ref, clock, page, &frame, 1));
+        self.unwrap_rpc(self.ensure_access(node_ref, clock, page, frame, 1));
         frame.load_slot(addr.slot())
     }
 
@@ -163,7 +163,7 @@ impl DsmSystem {
         NodeStats::bump(&node_ref.stats.field_writes);
         let page = addr.page();
         let frame = self.store.frame(node, page);
-        self.unwrap_rpc(self.ensure_access(node_ref, clock, page, &frame, 1));
+        self.unwrap_rpc(self.ensure_access(node_ref, clock, page, frame, 1));
         if frame.store_slot(addr.slot(), value) {
             self.written[node.index()].push([(page, u64::MAX)]);
         }
@@ -256,8 +256,8 @@ impl DsmSystem {
             // Pages this slice is still certain to touch, counting the
             // current one — the batching hint for `java_ad` fetches.
             let bulk_pages = 1 + (len - done - run).div_ceil(SLOTS_PER_PAGE);
-            self.unwrap_rpc(self.ensure_access(node_ref, clock, a.page(), &frame, bulk_pages));
-            copy(a.page(), &frame, a.slot(), done..done + run);
+            self.unwrap_rpc(self.ensure_access(node_ref, clock, a.page(), frame, bulk_pages));
+            copy(a.page(), frame, a.slot(), done..done + run);
             done += run;
         }
     }
@@ -291,7 +291,7 @@ impl DsmSystem {
                 continue;
             }
             let span = (pages - k) as usize;
-            self.unwrap_rpc(self.fetch_pages(node_ref, clock, page, &frame, span, false));
+            self.unwrap_rpc(self.fetch_pages(node_ref, clock, page, frame, span, false));
         }
     }
 
@@ -416,16 +416,16 @@ impl DsmSystem {
     ) -> u64 {
         let (node_ref, machine) = (self.cluster.node(node), self.cluster.machine());
         let stale_copies = &self.stale[node.index()];
-        let protect = |frame: &PageFrame| self.detection.technique(frame) == AdMode::Protect;
+        let protect = |page, frame| self.detection.technique(node, page, frame) == AdMode::Protect;
         // The held copies to drop, each with the stamp a patch riding the
         // grant must bring it to instead (`None`: nothing rides for it).
         let mut stale = Vec::new();
         match named {
             None => self.store.for_each_frame(node, |page, frame| {
                 if !frame.is_home() {
-                    self.close_epoch(node_ref, clock, frame);
+                    self.close_epoch(node_ref, clock, page);
                     if frame.is_present() {
-                        stale.push((page, Arc::clone(frame), None));
+                        stale.push((page, frame, None));
                     }
                 }
             }),
@@ -436,10 +436,10 @@ impl DsmSystem {
                     if frame.is_home() || frame.version() >= stamp {
                         continue;
                     }
-                    let held = frame.is_present() || stale_copies.holds_open(page, &frame);
+                    let held = frame.is_present() || stale_copies.holds_open(page, frame);
                     let rides = held && granter == Some(self.store.home_of(page));
                     if !rides {
-                        self.close_epoch(node_ref, clock, &frame);
+                        self.close_epoch(node_ref, clock, page);
                     }
                     if held {
                         stale.push((page, frame, rides.then_some(stamp)));
@@ -449,18 +449,15 @@ impl DsmSystem {
         }
         // The request names the granter's other stale copies: a copy a
         // notice of this grant names rides it anyway.
-        let mut requested = granter.map_or_else(Vec::new, |home| stale_copies.take_named(home));
+        let mut requested = granter.map_or_else(Vec::new, |home| self.take_named(node, home));
         let riding = |page: &PageId| stale.binary_search_by_key(&page.0, |(p, _, _)| p.0).is_ok();
         requested.retain(|(page, _)| !riding(page));
         let request_bytes = NAMED_COPY_BYTES * requested.len();
         clock.advance(machine.net.transfer(request_bytes as u64));
 
         // Flush what is pending before a drop or a patch, batched.
-        let dirty: Vec<(PageId, Arc<PageFrame>)> = stale
-            .iter()
-            .filter(|(_, frame, _)| frame.has_dirty_slots())
-            .map(|(page, frame, _)| (*page, Arc::clone(frame)))
-            .collect();
+        let dirty = stale.iter().map(|&(page, frame, _)| (page, frame));
+        let dirty: Vec<_> = dirty.filter(|(_, frame)| frame.has_dirty_slots()).collect();
         let flushed = self.flush_frames(node, node_ref, clock, &dirty, None);
         self.unwrap_rpc(flushed);
         // A flush that found its home dead may have promoted a frame to home.
@@ -470,16 +467,16 @@ impl DsmSystem {
         let (mut reopened, mut unprotected) = (0, Vec::new());
         if let Some(granter) = granter {
             for (page, frame, stamp) in riders {
-                if self.patch_by_grant(node_ref, clock, granter, page, &frame, stamp) {
+                if self.patch_by_grant(node_ref, clock, granter, page, frame, stamp) {
                     stale_copies.set(&self.store, page, None);
                 } else {
-                    self.close_epoch(node_ref, clock, &frame);
+                    self.close_epoch(node_ref, clock, page);
                     stale.push((page, frame, None));
                 }
             }
-            let answered = requested.iter().map(|(page, frame)| {
-                let patched = self.patch_by_grant(node_ref, clock, granter, *page, frame, None);
-                (*page, &**frame, patched)
+            let answered = requested.iter().map(|&(page, frame)| {
+                let patched = self.patch_by_grant(node_ref, clock, granter, page, frame, None);
+                (page, frame, patched)
             });
             (reopened, unprotected) = self.answered(node, answered);
         }
@@ -503,10 +500,10 @@ impl DsmSystem {
             // A grant leaves the copies whose drop re-protects unclosed,
             // behind the pending check; a Check copy's drop is free.
             let (open, now): (Vec<_>, Vec<_>) =
-                stale.partition(|(_, frame)| granter.is_some() && protect(frame));
+                stale.partition(|&(page, frame)| granter.is_some() && protect(page, frame));
             left_open = open.len() as u64;
-            for (page, frame) in &open {
-                stale_copies.set(&self.store, *page, Some((frame, true)));
+            for &(page, frame) in &open {
+                stale_copies.set(&self.store, page, Some((frame, true)));
                 frame.drop_unclosed();
             }
             reopen_ranges + self.drop_stale(node_ref, &now, true).1
@@ -523,23 +520,24 @@ impl DsmSystem {
     pub(crate) fn drop_stale(
         &self,
         node_ref: &Node,
-        stale: &[(PageId, Arc<PageFrame>)],
+        stale: &[(PageId, &PageFrame)],
         reprotect: bool,
     ) -> (u64, u64) {
         let node = node_ref.id();
         let (fetch_state, stale_copies) =
             (&self.fetch_state[node.index()], &self.stale[node.index()]);
         let (mut reprotected, mut stride_waste, mut dropped) = (Vec::new(), 0u64, 0u64);
-        let held = |(page, f): &&(PageId, Arc<PageFrame>)| {
-            !f.is_home() && (f.is_present() || stale_copies.holds_open(*page, f))
+        let held = |&&(page, f): &&(PageId, &PageFrame)| {
+            !f.is_home() && (f.is_present() || stale_copies.holds_open(page, f))
         };
-        for (page, frame) in stale.iter().filter(held) {
-            let reprotect = reprotect && self.detection.technique(frame) == AdMode::Protect;
+        for &(page, frame) in stale.iter().filter(held) {
+            let reprotect =
+                reprotect && self.detection.technique(node, page, frame) == AdMode::Protect;
             if reprotect {
-                reprotected.push(*page);
+                reprotected.push(page);
             }
             let indexed = frame.fits_grant().then_some((frame, false));
-            stale_copies.set(&self.store, *page, indexed);
+            stale_copies.set(&self.store, page, indexed);
             // A stride ticket still pending here was a wasted prefetch: the
             // count feeds the throttle in `issue_stride_fetches`.
             stride_waste += u64::from(frame.inflight_is_stride());
@@ -566,11 +564,11 @@ impl DsmSystem {
         }
     }
 
-    /// Close `frame`'s `java_ad` epoch (see `Detection::close_epoch`),
-    /// charging a switch of technique and counting a speculatively batched
-    /// copy nobody touched.
-    fn close_epoch(&self, node_ref: &Node, clock: &mut ThreadClock, frame: &PageFrame) {
-        let (switched, wasted) = self.detection.close_epoch(frame);
+    /// Close the `java_ad` epoch of `page` on `node_ref` (see
+    /// `Detection::close_epoch`), charging a switch of technique and
+    /// counting a speculatively batched copy nobody touched.
+    fn close_epoch(&self, node_ref: &Node, clock: &mut ThreadClock, page: PageId) {
+        let (switched, wasted) = self.detection.close_epoch(node_ref.id(), page);
         if switched {
             NodeStats::bump(&node_ref.stats.protocol_switches);
             clock.advance(self.cluster.machine().protocol_switch());
@@ -633,11 +631,11 @@ impl DsmSystem {
 
     /// All non-home frames of `node` holding unflushed modifications, in
     /// page-id order (the shape `flush_frames` batches over).
-    fn collect_dirty(&self, node: NodeId) -> Vec<(PageId, Arc<PageFrame>)> {
-        let mut dirty: Vec<(PageId, Arc<PageFrame>)> = Vec::new();
+    fn collect_dirty(&self, node: NodeId) -> Vec<(PageId, &PageFrame)> {
+        let mut dirty = Vec::new();
         self.store.for_each_frame(node, |page, frame| {
             if !frame.is_home() && frame.has_dirty_slots() {
-                dirty.push((page, Arc::clone(frame)));
+                dirty.push((page, frame));
             }
         });
         dirty
@@ -669,9 +667,9 @@ impl DsmSystem {
         // merge the completion timestamp (the residual latency) before the
         // access proceeds.
         self.complete_inflight(node_ref, clock, frame);
-        let stats = &node_ref.stats;
-        let miss = (self.detection).on_access(stats, clock, frame, pending, found);
-        if pending && self.detection.technique(frame) == AdMode::Protect {
+        let miss = (self.detection).on_access(node_ref, clock, page, frame, pending, found);
+        let protect = || self.detection.technique(node_ref.id(), page, frame) == AdMode::Protect;
+        if pending && protect() {
             self.pay_rent(node_ref, clock);
         }
         if !miss {
@@ -695,7 +693,7 @@ impl DsmSystem {
         node: NodeId,
         node_ref: &Node,
         clock: &mut ThreadClock,
-        dirty: &[(PageId, Arc<PageFrame>)],
+        dirty: &[(PageId, &PageFrame)],
         monitor: Option<NodeId>,
     ) -> Result<(Vec<HomeFlushMark>, Option<VTime>), crate::recover::RpcFailure> {
         let machine = self.cluster.machine();

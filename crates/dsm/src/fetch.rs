@@ -17,7 +17,6 @@
 //! whether an installed copy must be opened; see [`crate::detection`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use hyperion_model::{NodeStats, ThreadClock, VTime};
 use hyperion_pm2::{Node, NodeId, PageId};
@@ -92,7 +91,7 @@ impl DsmSystem {
         home: NodeId,
         first: PageId,
         frames: &[&PageFrame],
-        riders: &[(PageId, Arc<PageFrame>)],
+        riders: &[(PageId, &PageFrame)],
     ) -> Result<(bool, VTime, Vec<PageId>), RpcFailure> {
         let node = node_ref.id();
         for (k, frame) in (0..).zip(frames) {
@@ -120,10 +119,10 @@ impl DsmSystem {
             let page = PageId(first.0 + k as u64);
             opened += i64::from(self.apply_answer(node_ref, page, frame, reply));
         }
-        let answered = riders.iter().zip(answers).map(|((page, frame), answer)| {
+        let answered = riders.iter().zip(answers).map(|(&(page, frame), answer)| {
             let answer = answer.filter(|_| !frame.is_home());
-            let applied = answer.map(|a| self.apply_answer(node_ref, *page, frame, a));
-            (*page, &**frame, applied.is_some())
+            let applied = answer.map(|a| self.apply_answer(node_ref, page, frame, a));
+            (page, frame, applied.is_some())
         });
         let (reopened, unprotected) = self.answered(node, answered);
         self.store.note_cached(node, opened + reopened as i64);
@@ -202,10 +201,10 @@ impl DsmSystem {
             if frame.is_home() || frame.is_present() {
                 continue;
             }
-            let unprotect =
-                self.detection.technique(&frame) == AdMode::Protect && frame.is_protected();
+            let technique = self.detection.technique(node, page, frame);
+            let unprotect = technique == AdMode::Protect && frame.is_protected();
             let Ok((_, mut completion, _)) =
-                self.fetch_run(node_ref, clock, home, page, &[&frame], &[])
+                self.fetch_run(node_ref, clock, home, page, &[frame], &[])
             else {
                 // The prefetch is an optimisation, so it degrades gracefully:
                 // a page the transport cannot serve is simply not issued, and
@@ -263,7 +262,8 @@ impl DsmSystem {
     ) -> Result<(), RpcFailure> {
         let (node, home) = (node_ref.id(), self.store.home_of(page));
         // An open stale copy was never closed: it opens at no `mprotect`.
-        let unprotect = self.detection.technique(frame) == AdMode::Protect && frame.is_protected();
+        let technique = self.detection.technique(node, page, frame);
+        let unprotect = technique == AdMode::Protect && frame.is_protected();
         let max_batch = self.detection.batch_ceiling();
 
         // Speculation is throttled by its own measured accuracy: while more
@@ -278,7 +278,7 @@ impl DsmSystem {
 
         // Candidate phase: grow the contiguous window page by page.
         let num_pages = self.store.allocator().num_pages();
-        let mut candidates: Vec<(Arc<PageFrame>, bool)> = Vec::new();
+        let mut candidates: Vec<(&PageFrame, bool)> = Vec::new();
         for k in 1..max_batch as u64 {
             let q = PageId(page.0 + k);
             if q.index() >= num_pages || self.store.home_of(q) != home {
@@ -289,7 +289,7 @@ impl DsmSystem {
                 break;
             }
             let certain = (k as usize) < bulk_pages;
-            let predicted = may_speculate && self.detection.predicts_reaccess(&qf);
+            let predicted = may_speculate && self.detection.predicts_reaccess(node, q);
             if !certain && !predicted {
                 break;
             }
@@ -305,10 +305,10 @@ impl DsmSystem {
             clock.advance(machine.batch_request_overhead((count - 1) as u64));
         }
         let run: Vec<&PageFrame> = std::iter::once(frame)
-            .chain(candidates.iter().map(|(qf, _)| &**qf))
+            .chain(candidates.iter().map(|&(qf, _)| qf))
             .collect();
         let in_run = page.0..page.0 + count as u64;
-        let taken = demand.then(|| self.stale[node.index()].take_named(home));
+        let taken = demand.then(|| self.take_named(node, home));
         let riders: Vec<_> = (taken.into_iter().flatten())
             .filter(|(p, f)| !in_run.contains(&p.0) && !f.has_inflight())
             .collect();
@@ -326,15 +326,15 @@ impl DsmSystem {
         // page's fault path does — without it java_ad's modeled cost would be
         // understated for exactly the pages the prefetcher targets.
         let mut speculative_pages = 0u64;
-        for (k, (qf, speculative)) in (1..).zip(&candidates) {
+        for (q, &(qf, speculative)) in (page.0 + 1..).map(PageId).zip(&candidates) {
             if qf.is_home() {
                 continue;
             }
-            if self.detection.technique(qf) == AdMode::Protect {
-                opened.push(PageId(page.0 + k));
+            if self.detection.technique(node, q, qf) == AdMode::Protect {
+                opened.push(q);
             }
-            if *speculative {
-                qf.ad().mark_prefetched();
+            if speculative {
+                self.detection.ad(node, q).mark_prefetched();
                 speculative_pages += 1;
             }
         }

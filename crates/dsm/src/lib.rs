@@ -20,7 +20,7 @@
 //! Module map:
 //!
 //! * [`page`] — page frames, presence/protection bits, dirty-slot bitmaps;
-//! * [`table`] — per-node frame tables and the cluster-wide [`DsmStore`];
+//! * [`table`] — per-node frame tables (`dense`) and the [`DsmStore`];
 //! * [`diff`] — wire encoding of field-granularity diffs and (from
 //!   `fetch_wire`) of page fetches;
 //! * [`config`] — protocol / transport configuration data and its
@@ -49,6 +49,7 @@
 #![deny(unsafe_code)]
 
 pub mod config;
+mod dense;
 pub mod detection;
 pub mod diff;
 pub mod engine;

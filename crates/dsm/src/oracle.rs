@@ -120,7 +120,8 @@ impl DsmSystem {
     }
 }
 
-#[cfg(test)]
+// Release builds check nothing, so the one test runs in debug builds.
+#[cfg(all(test, debug_assertions))]
 mod tests {
     use std::sync::Arc;
 
@@ -132,7 +133,6 @@ mod tests {
     /// A second caller entering while one is inside (here: a release that
     /// has not returned) panics, naming both entry points.
     #[test]
-    #[cfg(debug_assertions)]
     #[should_panic(expected = "DsmSystem::get entered while DsmSystem::release is running")]
     fn two_overlapping_entries_into_one_dsm_panic() {
         let alloc = Arc::new(IsoAllocator::new(2));

@@ -12,6 +12,13 @@
 //! `unsafe`; the request and its reply, not the orderings of the frame's
 //! atomics, order the caller's accesses and the handler's.
 //!
+//! A node has a frame for every page up to the highest it touched, most
+//! never accessed, so a frame holds only what every protocol needs, in 80
+//! bytes: roles, version, in-flight ticket and three lazy boxes — the
+//! page's slots ([`PageData`], at the first access), the dirty bitmap (at
+//! the first write that records a slot) and the home's change history.
+//! `java_ad`'s per-page state is the detection's.
+//!
 //! ## Page versions
 //!
 //! Every frame carries one `version` word.  On the **home** frame it is the
@@ -87,8 +94,6 @@ use std::sync::{Mutex, OnceLock};
 
 use hyperion_model::sync::lock;
 use hyperion_pm2::SLOTS_PER_PAGE;
-
-use crate::detection::AdState;
 
 /// Number of 64-bit words in the per-page dirty bitmap.
 pub const DIRTY_WORDS: usize = SLOTS_PER_PAGE / 64;
@@ -178,28 +183,29 @@ impl PageData {
     }
 }
 
-/// The per-(node, page) replication state used by both protocols.
-#[derive(Debug)]
+/// The per-(node, page) replication state used by every protocol.  The
+/// default frame, all zeros, is a non-home node's: absent and (for
+/// `java_pf`) access-protected, exactly as §3.3 describes the initial state.
+#[derive(Debug, Default)]
 pub struct PageFrame {
     /// True if this node is the page's home (the reference copy).  Atomic
     /// because node-failure recovery may promote/demote a frame mid-run.
     home: AtomicBool,
     /// True if the node currently holds a valid copy of the page.
     present: AtomicBool,
-    /// True if the page is access-protected on this node (`java_pf` only:
-    /// an access while protected takes a simulated page fault).
-    protected: AtomicBool,
+    /// False while the page is access-protected on this node (`java_pf`
+    /// only: an access while protected takes a simulated page fault).
+    unprotected: AtomicBool,
     /// Lazily allocated backing store.
     data: OnceLock<PageData>,
+    /// Dirty bitmap, allocated by the first write that records a slot.
+    /// Cached frame: one bit per slot modified since the last flush.  Home
+    /// frame with a history: one bit per slot the home itself wrote since
+    /// the last step of the stamp.
+    dirty: OnceLock<Box<[AtomicU64; DIRTY_WORDS]>>,
     /// Home frame: the page's change stamp.  Cached frame: the stamp of the
     /// retained copy, 0 = none.  See the module docs ("Page versions").
     version: AtomicU64,
-    /// Dirty bitmap.  Cached frame: one bit per slot modified since the
-    /// last flush.  Home frame with a history: one bit per slot the home
-    /// itself wrote since the last step of the stamp.
-    dirty: [AtomicU64; DIRTY_WORDS],
-    /// `java_ad`'s per-page detection state (see `crate::detection`).
-    ad: AdState,
     /// Split-transaction transport: virtual completion time (picoseconds) of
     /// an in-flight fetch whose data is installed but whose latency has not
     /// been charged yet.  Zero means no transaction is in flight.
@@ -207,10 +213,10 @@ pub struct PageFrame {
     /// Split-transaction transport: virtual issue time of the in-flight
     /// fetch (valid only while `inflight_completion_ps` is non-zero).
     inflight_issue_ps: AtomicU64,
-    /// True if the current in-flight ticket was issued by the requester's
-    /// stride prefetch (valid only while `inflight_completion_ps` is
-    /// non-zero).  A stride ticket still pending at invalidation time means
-    /// the prefetch was wasted.
+    /// True if the in-flight ticket was issued by the requester's stride
+    /// prefetch (valid only while `inflight_completion_ps` is non-zero).  A
+    /// stride ticket still pending at invalidation time means the prefetch
+    /// was wasted.
     inflight_stride: AtomicBool,
     /// Cached frames: true if the home's last answer for this copy, a
     /// fetch's or a grant's, fitted a grant — so, likely, will the next.
@@ -228,34 +234,19 @@ pub struct PageFrame {
 }
 
 impl PageFrame {
-    fn new(home: bool, present: bool, protected: bool) -> Self {
-        PageFrame {
-            home: AtomicBool::new(home),
-            present: AtomicBool::new(present),
-            protected: AtomicBool::new(protected),
-            data: OnceLock::new(),
-            version: AtomicU64::new(u64::from(home)),
-            dirty: std::array::from_fn(|_| AtomicU64::new(0)),
-            ad: AdState::default(),
-            inflight_completion_ps: AtomicU64::new(0),
-            inflight_issue_ps: AtomicU64::new(0),
-            inflight_stride: AtomicBool::new(false),
-            fits_grant: AtomicBool::new(false),
-            home_wrote: AtomicU8::new(0),
-            history: OnceLock::new(),
-        }
-    }
-
     /// Create the frame for a page on its home node: present, unprotected.
     pub fn new_home() -> Self {
-        Self::new(true, true, false)
+        let frame = Self::default();
+        frame.take_home_role();
+        frame
     }
 
-    /// Create the frame for a page on a non-home node: absent and (for
-    /// `java_pf`) access-protected, exactly as §3.3 describes the initial
-    /// state.
-    pub fn new_remote() -> Self {
-        Self::new(false, false, true)
+    /// Give a frame that has just materialised on its page's home the home
+    /// role: present, unprotected, at the first stamp.
+    pub(crate) fn take_home_role(&self) {
+        self.home.store(true, Ordering::Release);
+        self.version.store(1, Ordering::Release);
+        self.reopen();
     }
 
     /// True if this node is the page's home.
@@ -273,7 +264,7 @@ impl PageFrame {
     /// True if the page is access-protected on this node.
     #[inline]
     pub fn is_protected(&self) -> bool {
-        self.protected.load(Ordering::Acquire)
+        !self.unprotected.load(Ordering::Acquire)
     }
 
     /// Backing store (allocated on first use).
@@ -318,7 +309,7 @@ impl PageFrame {
     /// present and unprotected again, bytes and stamp untouched.  True if
     /// it was absent.
     pub fn reopen(&self) -> bool {
-        self.protected.store(false, Ordering::Release);
+        self.unprotected.store(true, Ordering::Release);
         !self.present.swap(true, Ordering::AcqRel)
     }
 
@@ -442,9 +433,8 @@ impl PageFrame {
         // A fetch still in flight for this copy is abandoned with it: the
         // issue costs were already charged, and nobody will use the data.
         self.inflight_completion_ps.store(0, Ordering::Release);
-        self.inflight_stride.store(false, Ordering::Relaxed);
         if reprotect {
-            self.protected.store(true, Ordering::Release);
+            self.unprotected.store(false, Ordering::Release);
         }
     }
 
@@ -477,25 +467,22 @@ impl PageFrame {
             }
             return false;
         }
-        self.dirty[slot / 64].fetch_or(1u64 << (slot % 64), Ordering::Relaxed);
+        let dirty = self.dirty.get_or_init(Box::default);
+        dirty[slot / 64].fetch_or(1u64 << (slot % 64), Ordering::Relaxed);
         home && self.home_wrote.fetch_or(HOME_TRACKED, Ordering::Relaxed) & HOME_TRACKED == 0
     }
 
     /// True if any slot has been modified since the last flush.
     pub fn has_dirty_slots(&self) -> bool {
-        self.dirty.iter().any(|w| w.load(Ordering::Relaxed) != 0)
+        let dirty = self.dirty.get();
+        dirty.is_some_and(|d| d.iter().any(|w| w.load(Ordering::Relaxed) != 0))
     }
 
     /// True if `slot` has been modified since the last flush (the
     /// revalidation oracle skips such slots: the local value is newer).
     pub fn slot_is_dirty(&self, slot: usize) -> bool {
-        self.dirty[slot / 64].load(Ordering::Relaxed) & (1u64 << (slot % 64)) != 0
-    }
-
-    /// The frame's `java_ad` detection state.
-    #[inline]
-    pub(crate) fn ad(&self) -> &AdState {
-        &self.ad
+        let word = (self.dirty.get()).map_or(0, |d| d[slot / 64].load(Ordering::Relaxed));
+        word & (1u64 << (slot % 64)) != 0
     }
 
     // ----- split-transaction transport --------------------------------------
@@ -524,7 +511,7 @@ impl PageFrame {
         Some((
             self.inflight_issue_ps.load(Ordering::Relaxed),
             completion,
-            self.inflight_stride.swap(false, Ordering::Relaxed),
+            self.inflight_stride.load(Ordering::Relaxed),
         ))
     }
 
@@ -554,30 +541,18 @@ impl PageFrame {
     /// snapshot value.  The dirty bitmap is cleared afterwards: a home frame
     /// never flushes, its writes *are* main memory.
     pub fn promote_to_home(&self, snapshot: &[u8], version: u64) {
-        assert_eq!(
-            snapshot.len(),
-            SLOTS_PER_PAGE * 8,
-            "page snapshot has the wrong length"
-        );
+        let local = self.take_dirty();
+        self.data().fill_from_bytes(snapshot);
+        for (slot, value) in local {
+            self.data().store(slot as usize, value);
+        }
         self.home.store(true, Ordering::Release);
-        let data = self.data();
-        for (i, chunk) in snapshot.chunks_exact(8).enumerate() {
-            let word = &self.dirty[i / 64];
-            if word.load(Ordering::Relaxed) & (1u64 << (i % 64)) == 0 {
-                let v = u64::from_le_bytes(chunk.try_into().expect("chunk of 8"));
-                data.store(i, v);
-            }
-        }
-        for word in &self.dirty {
-            word.store(0, Ordering::Relaxed);
-        }
         self.version.store(version, Ordering::Release);
         // Copies of the page exist elsewhere, so from here on the new
         // home's own writes are noticed (module docs).
         let _ = self.history();
         self.inflight_completion_ps.store(0, Ordering::Release);
-        self.inflight_stride.store(false, Ordering::Relaxed);
-        self.protected.store(false, Ordering::Release);
+        self.unprotected.store(true, Ordering::Release);
         self.present.store(true, Ordering::Release);
     }
 
@@ -591,7 +566,7 @@ impl PageFrame {
         // this slot", and the home's own pending bits must not become that.
         let stamp = self.stamp();
         self.home.store(false, Ordering::Release);
-        self.protected.store(false, Ordering::Release);
+        self.unprotected.store(true, Ordering::Release);
         self.present.store(true, Ordering::Release);
         stamp
     }
@@ -602,7 +577,10 @@ impl PageFrame {
     }
 
     fn take_dirty_bits(&self) -> SlotSet {
-        std::array::from_fn(|w| self.dirty[w].swap(0, Ordering::Relaxed))
+        let Some(dirty) = self.dirty.get() else {
+            return [0; DIRTY_WORDS];
+        };
+        std::array::from_fn(|w| dirty[w].swap(0, Ordering::Relaxed))
     }
 
     /// The current values of `slots`, as ascending `(slot, value)` pairs.
@@ -624,6 +602,11 @@ impl PageFrame {
 mod tests {
     use super::*;
 
+    /// `(home, present, protected)`.
+    fn roles(frame: &PageFrame) -> (bool, bool, bool) {
+        (frame.is_home(), frame.is_present(), frame.is_protected())
+    }
+
     #[test]
     fn page_data_round_trips_through_bytes() {
         let p = PageData::zeroed();
@@ -635,10 +618,8 @@ mod tests {
 
         let q = PageData::zeroed();
         q.fill_from_bytes(&bytes);
-        assert_eq!(q.load(0), 0xDEAD_BEEF);
-        assert_eq!(q.load(511), u64::MAX);
-        assert_eq!(q.load(17), 42);
-        assert_eq!(q.load(100), 0);
+        let loaded = [q.load(0), q.load(511), q.load(17), q.load(100)];
+        assert_eq!(loaded, [0xDEAD_BEEF, u64::MAX, 42, 0]);
     }
 
     #[test]
@@ -649,32 +630,23 @@ mod tests {
 
     #[test]
     fn home_and_remote_frames_start_in_paper_initial_state() {
-        let home = PageFrame::new_home();
-        assert!(home.is_home());
-        assert!(home.is_present());
-        assert!(!home.is_protected());
-
-        let remote = PageFrame::new_remote();
-        assert!(!remote.is_home());
-        assert!(!remote.is_present());
-        assert!(remote.is_protected());
+        assert_eq!(roles(&PageFrame::new_home()), (true, true, false));
+        assert_eq!(roles(&PageFrame::default()), (false, false, true));
     }
 
     #[test]
     fn install_copy_makes_frame_accessible() {
-        let remote = PageFrame::new_remote();
+        let remote = PageFrame::default();
         let src = PageData::zeroed();
         src.store(3, 77);
         remote.install_copy(&src.snapshot_bytes(), 7);
-        assert!(remote.is_present());
-        assert!(!remote.is_protected());
-        assert_eq!(remote.load_slot(3), 77);
-        assert_eq!(remote.version(), 7);
+        assert_eq!(roles(&remote), (false, true, false));
+        assert_eq!((remote.load_slot(3), remote.version()), (77, 7));
     }
 
     #[test]
     fn invalidation_retains_bytes_and_stamp_and_reopen_restores_access() {
-        let remote = PageFrame::new_remote();
+        let remote = PageFrame::default();
         assert_eq!(remote.version(), 0, "no copy retained yet");
         let src = PageData::zeroed();
         src.store(9, 1234);
@@ -736,7 +708,7 @@ mod tests {
         assert!(home.changes_since(4).1.is_some());
         assert_eq!(home.changes_since(3).1, None);
 
-        let copy = PageFrame::new_remote();
+        let copy = PageFrame::default();
         copy.store_slot(9, 99);
         copy.apply_patch(&[(5, 50), (511, 1)], 4);
         assert!(copy.is_present() && copy.slot_is_dirty(9));
@@ -746,31 +718,29 @@ mod tests {
 
     #[test]
     fn write_ack_forwards_the_stamp_only_one_step_past_the_retained_copy() {
-        let remote = PageFrame::new_remote();
+        let remote = PageFrame::default();
         remote.install_copy(&PageData::zeroed().snapshot_bytes(), 4);
         remote.forward_version(4, 6); // someone else wrote in between
         assert_eq!(remote.version(), 4);
         remote.forward_version(4, 5); // only this node's diff
         assert_eq!(remote.version(), 5);
         // A frame without a retained copy never acquires a stamp this way.
-        let empty = PageFrame::new_remote();
+        let empty = PageFrame::default();
         empty.forward_version(0, 1);
         assert_eq!(empty.version(), 0);
     }
 
     #[test]
     fn invalidate_with_and_without_reprotection() {
-        let remote = PageFrame::new_remote();
+        let remote = PageFrame::default();
         remote.install_copy(&PageData::zeroed().snapshot_bytes(), 1);
 
         remote.invalidate(false); // java_ic style
-        assert!(!remote.is_present());
-        assert!(!remote.is_protected());
+        assert_eq!(roles(&remote), (false, false, false));
 
         remote.install_copy(&PageData::zeroed().snapshot_bytes(), 1);
         remote.invalidate(true); // java_pf style
-        assert!(!remote.is_present());
-        assert!(remote.is_protected());
+        assert_eq!(roles(&remote), (false, false, true));
     }
 
     #[test]
@@ -780,7 +750,7 @@ mod tests {
         assert!(!home.has_dirty_slots());
         assert!(home.take_dirty().is_empty());
 
-        let remote = PageFrame::new_remote();
+        let remote = PageFrame::default();
         remote.store_slot(5, 123);
         remote.store_slot(64, 456);
         remote.store_slot(511, 789);
@@ -795,7 +765,7 @@ mod tests {
 
     #[test]
     fn inflight_tickets_distinguish_stride_from_plain() {
-        let frame = PageFrame::new_remote();
+        let frame = PageFrame::default();
         assert!(frame.take_inflight().is_none());
 
         frame.begin_inflight(10, 20, false);
@@ -818,7 +788,7 @@ mod tests {
 
     #[test]
     fn take_dirty_reports_latest_value_per_slot() {
-        let remote = PageFrame::new_remote();
+        let remote = PageFrame::default();
         remote.store_slot(9, 1);
         remote.store_slot(9, 2);
         remote.store_slot(9, 3);

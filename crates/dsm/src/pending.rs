@@ -17,9 +17,9 @@
 //! Thread-level acquires and releases, `invalidateCache` and recovery
 //! settle first.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use hyperion_model::sync::lock;
 use hyperion_model::{NodeStats, ThreadClock};
@@ -42,23 +42,20 @@ pub(crate) struct StaleCopies {
     index: Mutex<Index>,
 }
 
-/// Per home: page → its stale copy; and the pages whose copy is open.
+/// Per home, what a grant or a demand fetch from it names: the dropped
+/// copies, and the open ones whose last answer fitted a grant (an answer
+/// reopens a copy, so none makes an open copy fit); and the open pages.
 #[derive(Debug, Default)]
 struct Index {
-    homes: Vec<BTreeMap<u64, Arc<PageFrame>>>,
+    named: Vec<BTreeSet<u64>>,
     open: BTreeSet<u64>,
 }
 
 impl StaleCopies {
     pub(crate) fn new(homes: usize) -> Self {
-        let index = Index {
-            homes: vec![BTreeMap::new(); homes],
-            ..Index::default()
-        };
-        StaleCopies {
-            index: Mutex::new(index),
-            ..Self::default()
-        }
+        let stale = Self::default();
+        lock(&stale.index).named = vec![BTreeSet::new(); homes];
+        stale
     }
 
     /// Whether the node holds an open stale copy.
@@ -75,29 +72,29 @@ impl StaleCopies {
         unclosed && self.any_open() && lock(&self.index).open.contains(&page.0)
     }
 
-    /// Set `page`'s entry to `frame`, open or dropped, or clear an open one
-    /// (a dropped entry whose copy is back is skipped when it is named).
-    /// Returns whether the copy was open.
+    /// Set `page`'s entry `to` its copy `frame`, open or dropped, or clear
+    /// an open one (a dropped entry whose copy is back is skipped when it is
+    /// named).  Returns whether the copy was open.
     pub(crate) fn set(
         &self,
         store: &DsmStore,
         page: PageId,
-        entry: Option<(&Arc<PageFrame>, bool)>,
+        to: Option<(&PageFrame, bool)>,
     ) -> bool {
         let mut index = lock(&self.index);
-        let open = entry.is_some_and(|e| e.1);
+        let open = to.is_some_and(|e| e.1);
         let was_open = if open {
             !index.open.insert(page.0)
         } else {
             index.open.remove(&page.0)
         };
-        if entry.is_none() && !was_open {
+        if to.is_none() && !was_open {
             return false;
         }
-        let map = &mut index.homes[store.home_of(page).index()];
-        match entry {
-            Some((frame, _)) => map.insert(page.0, Arc::clone(frame)),
-            None => map.remove(&page.0),
+        let named = &mut index.named[store.home_of(page).index()];
+        match to {
+            Some((frame, _)) if frame.fits_grant() => named.insert(page.0),
+            _ => named.remove(&page.0),
         };
         if was_open == open {
             return was_open;
@@ -115,32 +112,33 @@ impl StaleCopies {
         }
         was_open
     }
-
-    /// What a grant or a demand fetch from `home` names, in page order: the
-    /// absent copies whose last answer fitted a grant.  The dropped entries
-    /// leave the index; the open ones stay until patched or closed.
-    pub(crate) fn take_named(&self, home: NodeId) -> Vec<(PageId, Arc<PageFrame>)> {
-        let (mut named, mut index) = (Vec::new(), lock(&self.index));
-        let Index { homes, open } = &mut *index;
-        homes[home.index()].retain(|page, frame| {
-            if frame.fits_grant() && !frame.is_present() && !frame.is_home() {
-                named.push((PageId(*page), Arc::clone(frame)));
-            }
-            open.contains(page)
-        });
-        named
-    }
 }
 
 impl DsmSystem {
+    /// What a grant or a demand fetch from `home` names of `node`'s copies,
+    /// in page order: the absent copies whose last answer fitted a grant.
+    /// The dropped entries leave the index; the open ones stay until
+    /// patched, closed or refused.
+    pub(crate) fn take_named(&self, node: NodeId, home: NodeId) -> Vec<(PageId, &PageFrame)> {
+        let mut named = Vec::new();
+        let Index { named: homes, open } = &mut *lock(&self.stale[node.index()].index);
+        homes[home.index()].retain(|&page| {
+            let frame = self.store.frame(node, PageId(page));
+            if frame.fits_grant() && !frame.is_present() && !frame.is_home() {
+                named.push((PageId(page), frame));
+            }
+            open.contains(&page) && frame.fits_grant()
+        });
+        named
+    }
+
     /// End `page`'s copy if it is one of the node's open stale copies: it
     /// leaves the open set, and its in-flight ticket is abandoned.  The
     /// caller fetches it at once.
     pub(crate) fn drop_if_stale(&self, node_ref: &Node, page: PageId, frame: &PageFrame) -> bool {
         let found = self.stale[node_ref.id().index()].holds_open(page, frame);
         if found {
-            let copy = self.store.frame(node_ref.id(), page);
-            self.drop_stale(node_ref, &[(page, copy)], false);
+            self.drop_stale(node_ref, &[(page, frame)], false);
         }
         found
     }
@@ -190,7 +188,7 @@ impl DsmSystem {
                 frame.set_fits_grant(false);
             } else if !self.stale[node.index()].set(&self.store, page, None) {
                 reopened += 1;
-                if self.detection.technique(frame) == AdMode::Protect {
+                if self.detection.technique(node, page, frame) == AdMode::Protect {
                     unprotected.push(page);
                 }
             }

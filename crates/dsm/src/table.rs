@@ -1,21 +1,27 @@
-//! Per-node page tables and the cluster-wide DSM store.
+//! Per-node frame tables and the cluster-wide DSM store.
 //!
-//! Every node keeps one [`PageFrame`] per page of the
-//! global address space.  The home node's frame *is* the main-memory copy of
-//! the page; the other nodes' frames are caches.  Frame tables grow lazily as
-//! pages are allocated.
+//! Every node keeps one [`PageFrame`] per page of the global address space
+//! up to the highest page it has touched: its frames run densely from page
+//! 0, so touching page `k` materialises frames `0..=k`.  The home node's
+//! frame *is* the main-memory copy of the page; the other nodes' frames are
+//! caches.  A frame takes its home or remote role when it materialises,
+//! from the page's home at that moment.
 //!
-//! A page's home is derived, never stored per page: the allocator's static
-//! home, or — once a recovery has re-homed the failed node's pages — the
-//! elected survivor when that static home is the failed node.  So a page
-//! allocated on the failed node after its recovery is homed by the survivor
-//! too ([`DsmStore::home_of`]).
+//! A frame table is an append-only table (`crate::dense`): frames sit inline
+//! in chunks that never move, so [`DsmStore::frame`] hands out a
+//! `&PageFrame` borrowed from the store.  Finding a materialised frame
+//! takes no lock and only reads.
+//!
+//! A page's home is derived, never stored per page ([`DsmStore::home_of`]),
+//! so a page allocated on the failed node after its recovery is homed by
+//! the elected survivor too.
 
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::{Arc, OnceLock};
 
-use hyperion_model::sync::{read, write};
 use hyperion_pm2::{IsoAllocator, NodeId, PageId};
 
+use crate::dense::Dense;
 use crate::oracle::OneCaller;
 use crate::page::PageFrame;
 
@@ -25,31 +31,6 @@ use crate::page::PageFrame;
 /// after it.
 const REHOME_STRIDE: u64 = 1 << 32;
 
-/// The frame table of a single node.
-#[derive(Debug, Default)]
-pub struct NodeFrames {
-    frames: RwLock<Vec<Arc<PageFrame>>>,
-    /// Non-home frames present or open (see [`DsmStore::note_cached`]).
-    cached: std::sync::atomic::AtomicI64,
-}
-
-impl NodeFrames {
-    /// An empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of pages this node currently has frames for.
-    pub fn len(&self) -> usize {
-        read(&self.frames).len()
-    }
-
-    /// True if no frames exist yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// The cluster-wide DSM store: one frame table per node plus the allocator
 /// that knows each page's home.
 ///
@@ -58,7 +39,11 @@ impl NodeFrames {
 /// home frames and apply diffs to them).
 pub struct DsmStore {
     allocator: Arc<IsoAllocator>,
-    nodes: Vec<NodeFrames>,
+    /// Per node: its frame table.
+    frames: Vec<Dense<PageFrame>>,
+    /// Per node: its non-home frames present or open (see
+    /// [`DsmStore::note_cached`]).
+    cached: Vec<AtomicI64>,
     /// The node that failed fail-stop and was recovered from, once it has:
     /// a run has at most one kill (`hyperion_pm2::FaultSpec::kill`).
     failed: OnceLock<NodeId>,
@@ -77,7 +62,8 @@ impl DsmStore {
         assert!(num_nodes > 0, "DSM store needs at least one node");
         Arc::new(DsmStore {
             allocator,
-            nodes: (0..num_nodes).map(|_| NodeFrames::new()).collect(),
+            frames: (0..num_nodes).map(|_| Dense::new()).collect(),
+            cached: (0..num_nodes).map(|_| AtomicI64::new(0)).collect(),
             failed: OnceLock::new(),
             rehomed: OnceLock::new(),
             serving: OneCaller::default(),
@@ -87,11 +73,6 @@ impl DsmStore {
     /// The iso-address allocator behind this store.
     pub fn allocator(&self) -> &IsoAllocator {
         &self.allocator
-    }
-
-    /// Number of nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
     }
 
     /// Home node of `page`: the allocator's static assignment, or the
@@ -133,53 +114,47 @@ impl DsmStore {
         set.expect("a run loses at most one node");
     }
 
-    /// Clone the `Arc` of node `node`'s frame for `page`, creating the frame
-    /// (and any missing lower-numbered frames) on first touch.  No table
-    /// lock is held once it returns, so the engine may perform RPCs with it.
+    /// Node `node`'s frame for `page`, materialising it (and every missing
+    /// lower-numbered frame) on first touch.  A materialised frame is found
+    /// without a lock; the frame lives as long as the store.
     ///
     /// # Panics
     /// Panics if `page` has not been allocated or `node` is out of range.
-    pub fn frame(&self, node: NodeId, page: PageId) -> Arc<PageFrame> {
-        {
-            let frames = read(&self.nodes[node.index()].frames);
-            if let Some(frame) = frames.get(page.index()) {
-                return Arc::clone(frame);
-            }
-        }
-        self.grow_table(node, page);
-        let frames = read(&self.nodes[node.index()].frames);
-        Arc::clone(&frames[page.index()])
+    #[inline]
+    pub fn frame(&self, node: NodeId, page: PageId) -> &PageFrame {
+        let frames = &self.frames[node.index()];
+        frames
+            .get(page.index())
+            .unwrap_or_else(|| self.grow_table(node, page))
     }
 
-    /// Visit every currently materialised frame of `node` together with its
-    /// page id (used by `invalidateCache` and `updateMainMemory`).  The
-    /// visit holds the node's table lock: a visitor that keeps a frame
-    /// clones the `Arc` it is handed, it never asks [`DsmStore::frame`]
-    /// (a reader queued behind a waiting `grow_table` would deadlock).
-    pub fn for_each_frame(&self, node: NodeId, mut f: impl FnMut(PageId, &Arc<PageFrame>)) {
-        let frames = read(&self.nodes[node.index()].frames);
-        for (i, frame) in frames.iter().enumerate() {
-            f(PageId(i as u64), frame);
+    /// Visit every materialised frame of `node` with its page id, in page
+    /// order (used by `invalidateCache` and `updateMainMemory`).
+    pub fn for_each_frame<'a>(&'a self, node: NodeId, mut f: impl FnMut(PageId, &'a PageFrame)) {
+        let mut page = PageId(0);
+        for chunk in self.frames[node.index()].slices() {
+            for frame in chunk {
+                f(page, frame);
+                page.0 += 1;
+            }
         }
     }
 
     /// Number of frames currently materialised on `node`.
     pub fn frames_on(&self, node: NodeId) -> usize {
-        self.nodes[node.index()].len()
+        self.frames[node.index()].len()
     }
 
     /// `node`'s frames of `pages` (ascending), up to the first page it has
     /// materialised no frame for — a page the node never touched (nor any
-    /// page above it) holds no copy to drop.  One table lock for the lot.
-    pub(crate) fn existing_frames(
-        &self,
+    /// page above it) holds no copy to drop.
+    pub(crate) fn existing_frames<'a>(
+        &'a self,
         node: NodeId,
-        pages: impl Iterator<Item = PageId>,
-    ) -> Vec<Arc<PageFrame>> {
-        let frames = read(&self.nodes[node.index()].frames);
-        pages
-            .map_while(|p| frames.get(p.index()).map(Arc::clone))
-            .collect()
+        pages: impl Iterator<Item = PageId> + 'a,
+    ) -> impl Iterator<Item = &'a PageFrame> {
+        let frames = &self.frames[node.index()];
+        pages.map_while(|p| frames.get(p.index()))
     }
 
     /// The `mprotect` calls that gave `node`'s pages `flipped` (ascending,
@@ -188,16 +163,16 @@ impl DsmStore {
     /// So a gap between two flipped pages joins them unless it holds a page
     /// of the other protection: for a re-protect an open copy or a home page
     /// (never protected), for a reopen a page that stays protected.  Each
-    /// gap is walked with early exit, all under one table lock; every
-    /// flipped page, hence every gap, is materialised.
+    /// gap is walked with early exit; every flipped page, hence every gap,
+    /// is materialised.
     pub(crate) fn protection_ranges(
         &self,
         node: NodeId,
         flipped: &[PageId],
         protected: bool,
     ) -> u64 {
-        let frames = read(&self.nodes[node.index()].frames);
-        let bridges = |p: usize| frames[p].is_protected() == protected;
+        let frames = &self.frames[node.index()];
+        let bridges = |p: usize| frames.get(p).is_some_and(|f| f.is_protected() == protected);
         let joined = |w: &[PageId]| (w[0].index() + 1..w[1].index()).all(bridges);
         let splits = flipped.windows(2).filter(|w| !joined(w)).count();
         (flipped.len().min(1) + splits) as u64
@@ -207,17 +182,12 @@ impl DsmStore {
     /// dropped (negative), an open stale copy once it closes or is fetched.
     /// The engine reports every such transition it causes, re-homing its own.
     pub(crate) fn note_cached(&self, node: NodeId, delta: i64) {
-        self.nodes[node.index()]
-            .cached
-            .fetch_add(delta, std::sync::atomic::Ordering::Relaxed);
+        self.cached[node.index()].fetch_add(delta, Ordering::Relaxed);
     }
 
     /// Non-home frames currently present on `node`, or open (`pending.rs`).
     pub fn cached_on(&self, node: NodeId) -> u64 {
-        self.nodes[node.index()]
-            .cached
-            .load(std::sync::atomic::Ordering::Relaxed)
-            .max(0) as u64
+        self.cached[node.index()].load(Ordering::Relaxed).max(0) as u64
     }
 
     /// Mark `node` failed fail-stop.  Returns `true` the first time —
@@ -240,36 +210,33 @@ impl DsmStore {
     /// Panics if the cluster has one node and it has failed.
     pub fn first_live_node(&self) -> NodeId {
         let lowest = NodeId(u32::from(self.failed.get() == Some(&NodeId(0))));
-        assert!(lowest.index() < self.nodes.len(), "at least one live node");
+        assert!(lowest.index() < self.frames.len(), "at least one live node");
         lowest
     }
 
-    fn grow_table(&self, node: NodeId, page: PageId) {
+    #[cold]
+    fn grow_table(&self, node: NodeId, page: PageId) -> &PageFrame {
         let allocated = self.allocator.num_pages();
         assert!(
             page.index() < allocated,
             "page {page:?} accessed before being allocated ({allocated} pages exist)"
         );
-        let mut frames = write(&self.nodes[node.index()].frames);
-        while frames.len() <= page.index() {
-            let pid = frames.len();
+        let frames = &self.frames[node.index()];
+        frames.grow(page.index(), |k, frame| {
             // Consult the current home, not the allocator's static table:
             // a node materialising its frame after a recovery must see the
             // page's present-day home.
-            let frame = if self.home_of(PageId(pid as u64)) == node {
-                PageFrame::new_home()
-            } else {
-                PageFrame::new_remote()
-            };
-            frames.push(Arc::new(frame));
-        }
+            if self.home_of(PageId(k as u64)) == node {
+                frame.take_home_role();
+            }
+        })
     }
 }
 
 impl std::fmt::Debug for DsmStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DsmStore")
-            .field("num_nodes", &self.nodes.len())
+            .field("num_nodes", &self.frames.len())
             .field("pages_allocated", &self.allocator.num_pages())
             .finish()
     }
@@ -278,6 +245,7 @@ impl std::fmt::Debug for DsmStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hyperion_pm2::SLOTS_PER_PAGE;
 
     fn store(nodes: usize) -> (Arc<IsoAllocator>, Arc<DsmStore>) {
         let alloc = Arc::new(IsoAllocator::new(nodes));
@@ -295,6 +263,19 @@ mod tests {
         assert!(!store.frame(NodeId(0), page).is_home());
         assert!(!store.frame(NodeId(2), page).is_home());
         assert_eq!(store.home_of(page), NodeId(1));
+
+        // Every call hands out the one frame, and none grows the table.
+        let frame = store.frame(NodeId(2), page);
+        assert!(std::ptr::eq(frame, store.frame(NodeId(2), page)));
+        assert_eq!(store.frames_on(NodeId(2)), page.index() + 1);
+
+        // Node 1 fails and node 0 is elected: a frame of node 1's page that
+        // materialises from then on is a home frame on node 0 alone.
+        let later = alloc.alloc_page_aligned(4, NodeId(1)).page();
+        assert!(store.mark_failed(NodeId(1)));
+        store.rehomed_all(NodeId(1), store.first_live_node());
+        let home = |n| store.frame(NodeId(n), later).is_home();
+        assert_eq!((home(0), home(1), home(2)), (true, false, false));
     }
 
     #[test]
@@ -308,6 +289,17 @@ mod tests {
         assert_eq!(store.frames_on(NodeId(0)), last.index() + 1);
         // Other nodes are independent.
         assert_eq!(store.frames_on(NodeId(1)), 0);
+        // Touching page k materialises exactly frames 0..=k, across chunks,
+        // each in its page's role.
+        let top = alloc.alloc(SLOTS_PER_PAGE * 300, NodeId(1)).page().index() + 299;
+        for k in [0, 15, 16, 63, 64, 95, 96, 200, top as u64] {
+            store.frame(NodeId(1), PageId(k));
+            let mut seen = Vec::new();
+            store.for_each_frame(NodeId(1), |p, f| seen.push((p, f.is_home())));
+            let role = |p| (PageId(p), store.home_of(PageId(p)) == NodeId(1));
+            assert!(seen.into_iter().eq((0..=k).map(role)), "touching page {k}");
+            assert_eq!(store.frames_on(NodeId(1)), k as usize + 1);
+        }
     }
 
     #[test]
@@ -315,16 +307,6 @@ mod tests {
     fn touching_unallocated_page_panics() {
         let (_alloc, store) = store(1);
         store.frame(NodeId(0), PageId(99));
-    }
-
-    #[test]
-    fn frame_arc_is_shared_with_table() {
-        let (alloc, store) = store(2);
-        let a = alloc.alloc(4, NodeId(0));
-        let frame = store.frame(NodeId(1), a.page());
-        frame.install_copy(&crate::page::PageData::zeroed().snapshot_bytes(), 1);
-        assert!(Arc::ptr_eq(&frame, &store.frame(NodeId(1), a.page())));
-        assert!(store.frame(NodeId(1), a.page()).is_present());
     }
 
     #[test]
@@ -339,29 +321,6 @@ mod tests {
         assert!(seen.len() >= 2);
         assert!(seen.iter().any(|(pid, home)| *pid == a.page() && *home));
         assert!(seen.iter().any(|(pid, home)| *pid == b.page() && !*home));
-    }
-
-    #[test]
-    fn a_visit_that_keeps_frames_finishes_while_a_grower_waits() {
-        // A visitor that re-locked the table (`frame` instead of cloning
-        // what it is handed) would queue behind the waiting writer while
-        // holding the read lock the writer waits for: both threads hang.
-        // The sleep lets the grower reach the write lock; nothing
-        // observable says it has.
-        let (alloc, store) = store(2);
-        let first = alloc.alloc(4, NodeId(0)).page();
-        let later = alloc.alloc_page_aligned(4, NodeId(1)).page();
-        store.frame(NodeId(0), first);
-        let mut kept = Vec::new();
-        std::thread::scope(|s| {
-            store.for_each_frame(NodeId(0), |_, frame| {
-                s.spawn(|| store.frame(NodeId(0), later));
-                std::thread::sleep(std::time::Duration::from_millis(20));
-                kept.push(Arc::clone(frame));
-            });
-        });
-        assert_eq!(kept.len(), 1);
-        assert_eq!(store.frames_on(NodeId(0)), later.index() + 1);
     }
 
     #[test]
@@ -407,10 +366,8 @@ mod tests {
     #[test]
     fn concurrent_growth_is_safe() {
         let (alloc, store) = store(4);
-        let addr = alloc.alloc(hyperion_pm2::SLOTS_PER_PAGE * 8, NodeId(0));
-        let last = addr
-            .offset(hyperion_pm2::SLOTS_PER_PAGE as u64 * 8 - 1)
-            .page();
+        let addr = alloc.alloc(SLOTS_PER_PAGE * 8, NodeId(0));
+        let last = addr.offset(SLOTS_PER_PAGE as u64 * 8 - 1).page();
         std::thread::scope(|s| {
             for n in 0..4u32 {
                 let store = &store;

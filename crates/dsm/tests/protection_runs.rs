@@ -102,7 +102,7 @@ impl Run {
     }
 
     /// The reader's frame of page `k`.
-    fn frame(&self, k: usize) -> Arc<PageFrame> {
+    fn frame(&self, k: usize) -> &PageFrame {
         self.dsm.store().frame(READER, self.pages[k].page())
     }
 

@@ -59,13 +59,17 @@ fn resident(dsm: &DsmSystem, node: NodeId, page: PageId) -> bool {
     dsm.store().frame(node, page).is_home() || cached(dsm, node, page)
 }
 
-/// A frame exists per page per node, so per-copy state has to fit what a
-/// frame already takes: the grant bit (`fits_grant`) sits in the padding of
-/// its 168 bytes (64-bit Linux).
+/// A frame exists per page per node up to the highest page the node
+/// touched, most of them never accessed, so per-copy state has to fit what
+/// a frame already takes: 80 bytes on 64-bit Linux (168 while the frame
+/// held `java_ad`'s state and its own dirty bitmap), at most 120 anywhere.
 #[test]
-#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
-fn a_page_frame_stays_168_bytes() {
-    assert_eq!(std::mem::size_of::<hyperion_dsm::PageFrame>(), 168);
+fn a_page_frame_fits_in_80_bytes() {
+    let size = std::mem::size_of::<hyperion_dsm::PageFrame>();
+    assert!(size <= 120, "a page frame takes {size} bytes");
+    if cfg!(all(target_os = "linux", target_pointer_width = "64")) {
+        assert_eq!(size, 80);
+    }
 }
 
 #[test]

@@ -491,8 +491,9 @@ pub struct ThreadCtx {
     pub(crate) node: NodeId,
     pub(crate) clock: ThreadClock,
     /// This thread's [`ThreadCtx::record_serving_op`] counts per latency
-    /// (picoseconds), added to the run-wide ones when the thread ends.
-    serving_latencies: BTreeMap<u64, u64>,
+    /// (picoseconds), direct-mapped: a repeated latency bumps its slot, a
+    /// displaced one and, at thread end, all spill into the run-wide counts.
+    serving_latencies: Box<[(u64, u64)]>,
     /// What this thread knows others have written: the write notices it
     /// learned along the synchronisation edges it crossed, its own writes
     /// included (see [`crate::jmm`]).
@@ -530,7 +531,7 @@ impl ThreadCtx {
             thread,
             node,
             clock: ThreadClock::starting_at(start),
-            serving_latencies: BTreeMap::new(),
+            serving_latencies: vec![(0, 0); 251].into_boxed_slice(),
             knowledge,
             log_cursor,
             rode: VTime::ZERO,
@@ -635,13 +636,19 @@ impl ThreadCtx {
     /// 99th-percentile of [`RunReport::serving_p99`].
     pub fn record_serving_op(&mut self, latency: VTime) {
         NodeStats::bump(&self.shared.cluster.node(self.node).stats.serving_ops);
-        *self.serving_latencies.entry(latency.as_ps()).or_default() += 1;
+        let ps = latency.as_ps();
+        let (held, count) = &mut self.serving_latencies[ps as usize % self.serving_latencies.len()];
+        if *held != ps && *count > 0 {
+            let mut counts = lock(&self.shared.serving_latencies);
+            *counts.entry(*held).or_default() += std::mem::replace(count, 0);
+        }
+        (*held, *count) = (ps, *count + 1);
     }
 
     /// Add this thread's latency counts to the run-wide ones.
     fn merge_serving_latencies(&mut self) {
         let mut counts = lock(&self.shared.serving_latencies);
-        for (ps, n) in std::mem::take(&mut self.serving_latencies) {
+        for &(ps, n) in self.serving_latencies.iter().filter(|e| e.1 > 0) {
             *counts.entry(ps).or_default() += n;
         }
     }
@@ -986,10 +993,10 @@ mod tests {
             let t0 = ctx.now();
             assert!(dsm.store().frame(ctx.node(), local.page()).is_home());
             let copy = dsm.store().frame(ctx.node(), remote.page());
-            assert!(!copy.is_home() && !open(&copy));
+            assert!(!copy.is_home() && !open(copy));
             assert_eq!(ctx.now(), t0, "pf frame state is free to read");
             let _ = ctx.get_slot(remote); // fault + fetch
-            assert!(open(&copy));
+            assert!(open(copy));
         });
         assert_eq!(rt.cluster().total_stats().locality_checks, 0);
         // java_ic: the access pays the one in-line check; reading the frame
@@ -999,7 +1006,7 @@ mod tests {
         rt.run(move |ctx| {
             let remote = ctx.alloc_slots(4, NodeId(1));
             let t0 = ctx.now();
-            assert!(!open(&dsm.store().frame(ctx.node(), remote.page())));
+            assert!(!open(dsm.store().frame(ctx.node(), remote.page())));
             assert_eq!(ctx.now(), t0, "reading frame state charges nothing");
             let _ = ctx.get_slot(remote);
         });

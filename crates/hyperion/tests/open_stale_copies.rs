@@ -329,7 +329,7 @@ fn a_later_grant_from_its_home_patches_an_open_copy_its_notices_name() {
         let first = writes(&dsm, &mut writer, addr.offset(7), 41);
         granted(&dsm, &mut reader, &first, 1);
         let frame = dsm.store().frame(READER, addr.page());
-        assert!(is_open(&frame), "{protocol}: left open");
+        assert!(is_open(frame), "{protocol}: left open");
         let second = writes(&dsm, &mut writer, addr.offset(8), 43);
         let before = cluster.node_stats(READER);
         granted(&dsm, &mut reader, &second, 0);
@@ -373,7 +373,7 @@ fn a_release_that_names_an_open_copy_closes_it_at_one_mprotect() {
         let written = writes(&dsm, &mut writer, addr.offset(7), 41);
         granted(&dsm, &mut reader, &written, 1);
         let frame = dsm.store().frame(READER, addr.page());
-        assert!(is_open(&frame), "{protocol}: left open");
+        assert!(is_open(frame), "{protocol}: left open");
         let before = cluster.node_stats(READER);
         dsm.release(READER, &mut reader, &mut cursor, Some(NodeId(1)));
         let closed = cluster.node_stats(READER);
@@ -432,7 +432,7 @@ fn an_open_copy_keeps_its_stride_ticket_until_the_access_finds_it() {
     let first = writes(&dsm, &mut writer, page(2).offset(7), 41);
     granted(&dsm, &mut reader, &first, 1);
     assert!(
-        is_open(&frame) && frame.has_inflight(),
+        is_open(frame) && frame.has_inflight(),
         "left open, ticket kept"
     );
     let second = writes(&dsm, &mut writer, page(2).offset(8), 43);
@@ -443,7 +443,7 @@ fn an_open_copy_keeps_its_stride_ticket_until_the_access_finds_it() {
         refused.pages_patched, before.pages_patched,
         "the ticket blocks the patch"
     );
-    assert!(is_open(&frame), "still open");
+    assert!(is_open(frame), "still open");
     assert_eq!(dsm.get(READER, &mut reader, page(2).offset(7)), 41);
     assert_eq!(dsm.get(READER, &mut reader, page(2).offset(8)), 43);
     let read = cluster.node_stats(READER);

@@ -46,10 +46,10 @@
 //!
 //! A socket pair has no connection set-up to race, so nothing is re-tried
 //! here: an I/O error surfaces as [`TransportError::Io`] for the DSM's
-//! fixed retry schedule to handle.  Server side, a handler panic is
-//! caught and answered with an error frame (the node keeps serving), and
-//! malformed frames are rejected — never panicked on.  A peer that is
-//! draining answers [`ERR_SHUTDOWN`], which decodes to the dedicated
+//! fixed retry schedule to handle.  Server side, a handler panic or a reply
+//! too large for a frame is answered with an error frame (the node keeps
+//! serving), and malformed frames are rejected — never panicked on.  A peer
+//! that is draining answers [`ERR_SHUTDOWN`], which decodes to the dedicated
 //! [`TransportError::Shutdown`] variant so callers can tell an orderly exit
 //! apart from peer death.  [`SocketTransport::shutdown`] (called from `Drop
 //! for Cluster`) drops every pair's near end, so each server thread reads
@@ -82,7 +82,8 @@ pub const MAX_FRAME_BYTES: usize = 16 << 20;
 
 /// Error-frame code: the requested service index is not registered.
 pub const ERR_UNKNOWN_SERVICE: u8 = 1;
-/// Error-frame code: the handler panicked (caught; the node keeps serving).
+/// Error-frame code: the handler panicked, or its reply does not fit a
+/// frame (caught; the node keeps serving).
 pub const ERR_HANDLER_PANIC: u8 = 2;
 /// Error-frame code: the request frame could not be decoded or addressed.
 pub const ERR_MALFORMED: u8 = 3;
@@ -417,8 +418,8 @@ fn dispatch(cluster: &Weak<Cluster>, node: u32, header: FrameHeader, payload: &[
     };
     let target = cluster.node(NodeId(header.to));
     let caller = NodeId(header.from);
-    // A panicking handler answers with an error frame instead of taking the
-    // server thread (and the node) down with it.
+    // A panicking handler, or a reply too large for a frame, answers with
+    // an error frame instead of taking the server thread (and the node) down.
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         handler.handle(target, caller, payload)
     }));
@@ -426,6 +427,10 @@ fn dispatch(cluster: &Weak<Cluster>, node: u32, header: FrameHeader, payload: &[
         Ok(RpcReply {
             error: Some(why), ..
         }) => encode_error_frame(header, ERR_MALFORMED, 0, &why),
+        Ok(reply) if FRAME_HEADER_BYTES + reply.data.len() > MAX_FRAME_BYTES => {
+            let why = format!("a reply of {} bytes does not fit a frame", reply.data.len());
+            encode_error_frame(header, ERR_HANDLER_PANIC, 0, &why)
+        }
         Ok(reply) => encode_frame(
             FrameHeader {
                 kind: FrameKind::Reply,
@@ -645,19 +650,23 @@ mod tests {
             if p == b"boom" {
                 panic!("intentional test panic");
             }
-            RpcReply::ack(VTime::ZERO)
+            // A reply one byte over the frame limit is answered like a panic.
+            let len = if p == b"big" { MAX_FRAME_BYTES + 1 } else { 0 };
+            RpcReply::with_data(vec![0; len], VTime::ZERO)
         }));
         let mut clock = ThreadClock::new();
-        let err = c
-            .rpc(&mut clock, NodeId(0), NodeId(1), boom, b"boom")
-            .unwrap_err();
-        match err {
-            TransportError::Remote(msg) => assert!(msg.contains("intentional test panic")),
-            other => panic!("expected Remote, got {other}"),
+        for (payload, why) in [
+            (&b"boom"[..], "intentional test panic"),
+            (b"big", "fit a frame"),
+        ] {
+            match c.rpc(&mut clock, NodeId(0), NodeId(1), boom, payload) {
+                Err(TransportError::Remote(msg)) => assert!(msg.contains(why), "{msg}"),
+                other => panic!("expected Remote, got {other:?}"),
+            }
+            // Same connection, same service: the server thread survived.
+            let out = c.rpc(&mut clock, NodeId(0), NodeId(1), boom, b"fine");
+            assert!(out.is_ok());
         }
-        // Same connection, same service: the server thread survived.
-        let out = c.rpc(&mut clock, NodeId(0), NodeId(1), boom, b"fine");
-        assert!(out.is_ok());
     }
 
     #[test]
