@@ -82,8 +82,7 @@ impl<T: Default> Dense<T> {
         for i in from..=k {
             let (chunk, at) = locate(i);
             let entries = self.chunks[chunk].get_or_init(|| {
-                let octave = chunk as u32 >> SPLIT_BITS;
-                let len = 1 << (octave + FIRST_BITS - SPLIT_BITS);
+                let len = 1 << ((chunk as u32 >> SPLIT_BITS) + FIRST_BITS - SPLIT_BITS);
                 (0..len).map(|_| T::default()).collect()
             });
             materialise(i, &entries[at]);

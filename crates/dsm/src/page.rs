@@ -234,13 +234,6 @@ pub struct PageFrame {
 }
 
 impl PageFrame {
-    /// Create the frame for a page on its home node: present, unprotected.
-    pub fn new_home() -> Self {
-        let frame = Self::default();
-        frame.take_home_role();
-        frame
-    }
-
     /// Give a frame that has just materialised on its page's home the home
     /// role: present, unprotected, at the first stamp.
     pub(crate) fn take_home_role(&self) {
@@ -433,6 +426,7 @@ impl PageFrame {
         // A fetch still in flight for this copy is abandoned with it: the
         // issue costs were already charged, and nobody will use the data.
         self.inflight_completion_ps.store(0, Ordering::Release);
+        self.inflight_stride.store(false, Ordering::Relaxed);
         if reprotect {
             self.unprotected.store(false, Ordering::Release);
         }
@@ -511,7 +505,7 @@ impl PageFrame {
         Some((
             self.inflight_issue_ps.load(Ordering::Relaxed),
             completion,
-            self.inflight_stride.load(Ordering::Relaxed),
+            self.inflight_stride.swap(false, Ordering::Relaxed),
         ))
     }
 
@@ -552,6 +546,7 @@ impl PageFrame {
         // home's own writes are noticed (module docs).
         let _ = self.history();
         self.inflight_completion_ps.store(0, Ordering::Release);
+        self.inflight_stride.store(false, Ordering::Relaxed);
         self.unprotected.store(true, Ordering::Release);
         self.present.store(true, Ordering::Release);
     }
@@ -630,8 +625,10 @@ mod tests {
 
     #[test]
     fn home_and_remote_frames_start_in_paper_initial_state() {
-        assert_eq!(roles(&PageFrame::new_home()), (true, true, false));
-        assert_eq!(roles(&PageFrame::default()), (false, false, true));
+        let frame = PageFrame::default();
+        assert_eq!(roles(&frame), (false, false, true));
+        frame.take_home_role();
+        assert_eq!(roles(&frame), (true, true, false));
     }
 
     #[test]
@@ -661,7 +658,8 @@ mod tests {
 
     #[test]
     fn home_stamp_folds_home_writes_lazily_and_moves_on_diffs() {
-        let home = PageFrame::new_home();
+        let home = PageFrame::default();
+        home.take_home_role();
         assert_eq!(home.stamp(), 1, "home stamps start above the cached 0");
         // Any number of home writes fold into one step at the next stamp.
         home.store_slot(1, 10);
@@ -683,7 +681,8 @@ mod tests {
             slots.iter().for_each(|s| set[s / 64] |= 1 << (s % 64));
             Some(set)
         };
-        let home = PageFrame::new_home();
+        let home = PageFrame::default();
+        home.take_home_role();
         // A write from before the history existed recorded no slot: the
         // step that folds it is a break.
         home.store_slot(1, 10);
@@ -745,7 +744,8 @@ mod tests {
 
     #[test]
     fn dirty_tracking_only_on_non_home_frames() {
-        let home = PageFrame::new_home();
+        let home = PageFrame::default();
+        home.take_home_role();
         home.store_slot(5, 123);
         assert!(!home.has_dirty_slots());
         assert!(home.take_dirty().is_empty());

@@ -123,9 +123,8 @@ impl DsmStore {
     #[inline]
     pub fn frame(&self, node: NodeId, page: PageId) -> &PageFrame {
         let frames = &self.frames[node.index()];
-        frames
-            .get(page.index())
-            .unwrap_or_else(|| self.grow_table(node, page))
+        let grow = || self.grow_table(node, page);
+        frames.get(page.index()).unwrap_or_else(grow)
     }
 
     /// Visit every materialised frame of `node` with its page id, in page
@@ -172,7 +171,8 @@ impl DsmStore {
         protected: bool,
     ) -> u64 {
         let frames = &self.frames[node.index()];
-        let bridges = |p: usize| frames.get(p).is_some_and(|f| f.is_protected() == protected);
+        let gap = |p: usize| frames.get(p).expect("every gap page is materialised");
+        let bridges = |p: usize| gap(p).is_protected() == protected;
         let joined = |w: &[PageId]| (w[0].index() + 1..w[1].index()).all(bridges);
         let splits = flipped.windows(2).filter(|w| !joined(w)).count();
         (flipped.len().min(1) + splits) as u64

@@ -105,12 +105,18 @@ impl SlotValue for GlobalAddr {
 }
 
 /// A shared one-dimensional array of slot-sized elements.
-#[derive(Clone, Copy)]
 pub struct HArray<T: SlotValue> {
     base: GlobalAddr,
     len: usize,
     _marker: PhantomData<fn() -> T>,
 }
+
+impl<T: SlotValue> Clone for HArray<T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+impl<T: SlotValue> Copy for HArray<T> {}
 
 impl<T: SlotValue> std::fmt::Debug for HArray<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -323,12 +329,18 @@ impl<T: SlotValue> std::fmt::Debug for ArrayView<T> {
 /// synchronisation epoch instead: the row references are immutable after
 /// allocation, so caching them is exactly the row-hoisting a Java compiler
 /// (or programmer) would do.
-#[derive(Clone, Copy)]
 pub struct HMatrix<T: SlotValue> {
     rows: HArray<GlobalAddr>,
     cols: usize,
     _marker: PhantomData<fn() -> T>,
 }
+
+impl<T: SlotValue> Clone for HMatrix<T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+impl<T: SlotValue> Copy for HMatrix<T> {}
 
 impl<T: SlotValue> std::fmt::Debug for HMatrix<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

@@ -491,9 +491,8 @@ pub struct ThreadCtx {
     pub(crate) node: NodeId,
     pub(crate) clock: ThreadClock,
     /// This thread's [`ThreadCtx::record_serving_op`] counts per latency
-    /// (picoseconds), direct-mapped: a repeated latency bumps its slot, a
-    /// displaced one and, at thread end, all spill into the run-wide counts.
-    serving_latencies: Box<[(u64, u64)]>,
+    /// (picoseconds), added to the run-wide ones when the thread ends.
+    serving_latencies: BTreeMap<u64, u64>,
     /// What this thread knows others have written: the write notices it
     /// learned along the synchronisation edges it crossed, its own writes
     /// included (see [`crate::jmm`]).
@@ -531,7 +530,7 @@ impl ThreadCtx {
             thread,
             node,
             clock: ThreadClock::starting_at(start),
-            serving_latencies: vec![(0, 0); 251].into_boxed_slice(),
+            serving_latencies: BTreeMap::new(),
             knowledge,
             log_cursor,
             rode: VTime::ZERO,
@@ -636,19 +635,13 @@ impl ThreadCtx {
     /// 99th-percentile of [`RunReport::serving_p99`].
     pub fn record_serving_op(&mut self, latency: VTime) {
         NodeStats::bump(&self.shared.cluster.node(self.node).stats.serving_ops);
-        let ps = latency.as_ps();
-        let (held, count) = &mut self.serving_latencies[ps as usize % self.serving_latencies.len()];
-        if *held != ps && *count > 0 {
-            let mut counts = lock(&self.shared.serving_latencies);
-            *counts.entry(*held).or_default() += std::mem::replace(count, 0);
-        }
-        (*held, *count) = (ps, *count + 1);
+        *self.serving_latencies.entry(latency.as_ps()).or_default() += 1;
     }
 
     /// Add this thread's latency counts to the run-wide ones.
     fn merge_serving_latencies(&mut self) {
         let mut counts = lock(&self.shared.serving_latencies);
-        for &(ps, n) in self.serving_latencies.iter().filter(|e| e.1 > 0) {
+        for (ps, n) in std::mem::take(&mut self.serving_latencies) {
             *counts.entry(ps).or_default() += n;
         }
     }
