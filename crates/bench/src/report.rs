@@ -73,7 +73,6 @@ pub static METRICS: &[Metric] = &[
     Metric::counter("stride_fetches_completed"),
     Metric::counter("stride_fetches_wasted"),
     Metric::counter("deferred_flushes"),
-    Metric::counter("flush_overlap_cycles_hidden"),
     // Non-zero on the serving rows (KV store, PageRank) only.
     Metric::counter("serving_ops"),
     Metric::of_row("serving_ops_per_s", 3, FigureRow::serving_ops_per_s),
@@ -488,6 +487,6 @@ mod tests {
                 assert!(fields.iter().any(|(name, _)| *name == m.key), "{}", m.key);
             }
         }
-        assert_eq!(METRICS.len(), 27);
+        assert_eq!(METRICS.len(), 26);
     }
 }

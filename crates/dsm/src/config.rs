@@ -11,8 +11,7 @@
 //! only calls through.  The RPC path's retry schedule is fixed, not
 //! configured ([`hyperion_pm2::RPC_ATTEMPTS`]).
 
-use hyperion_model::VTime;
-use hyperion_pm2::{FaultSpec, NodeId, TransportBackend};
+use hyperion_pm2::{FaultSpec, TransportBackend};
 
 /// Which access-detection technique a run uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -101,9 +100,10 @@ impl AdaptiveParams {
 /// contiguous same-home dirty pages into one diff RPC of up to 8 pages
 /// (`detection::FLUSH_BATCH_PAGES`); a monitor release sends the diffs for
 /// the monitor's home along with the release, and issues the others as
-/// split transactions that the *next acquire of the same monitor* completes
-/// (the JMM's release/acquire edge is per monitor, so deferring to the
-/// hand-off keeps happens-before).  Release points with thread-level edges
+/// split transactions whose latest completion — one instant, whatever
+/// homes they went to — the *next acquire of the same monitor* merges (the
+/// JMM's release/acquire edge is per monitor, so deferring to the hand-off
+/// keeps happens-before).  Release points with thread-level edges
 /// (`Thread.start`, thread end, program exit) flush blocking.
 ///
 /// Every setting here is semantics-preserving — it changes how the bytes
@@ -141,34 +141,3 @@ impl std::fmt::Display for PolicyError {
 }
 
 impl std::error::Error for PolicyError {}
-
-/// One home's contribution to a deferred release flush: when its flush RPC
-/// was issued and when it completes.  A deferred flush is its marks, one per
-/// home (empty if nothing was deferred): the monitor that performed the
-/// release stores them and merges every `completion` into its next
-/// acquirer's clock, and keeping them *per home* lets it credit each home's
-/// hidden overlap instead of parking every flush behind the single slowest
-/// completion.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HomeFlushMark {
-    /// The home node the diff batch was flushed to.
-    pub home: NodeId,
-    /// Virtual time at which this home's flush RPC left the releaser.
-    pub issue: VTime,
-    /// Virtual time at which this home's flush RPC completes.
-    pub completion: VTime,
-}
-
-impl HomeFlushMark {
-    /// Stack this mark onto `marks`, one per home: a home already there
-    /// keeps the later issue and the later completion of the two.
-    pub fn stack_onto(self, marks: &mut Vec<HomeFlushMark>) {
-        match marks.iter_mut().find(|m| m.home == self.home) {
-            Some(m) => {
-                m.issue = m.issue.max(self.issue);
-                m.completion = m.completion.max(self.completion);
-            }
-            None => marks.push(self),
-        }
-    }
-}

@@ -15,12 +15,13 @@ use std::sync::{Mutex, OnceLock};
 use hyperion_model::sync::lock;
 
 /// The first octave's entries, and the chunks of each octave, as powers of
-/// two; and the octaves of a table.
+/// two; and the octaves of a table, whose chunk slots every table builds.
 const FIRST_BITS: u32 = 6;
 const SPLIT_BITS: u32 = 2;
-const OCTAVES: u32 = 24;
+const OCTAVES: u32 = 14;
 
-/// Entries a table holds at most: `2^30 − 64` (pages: 4 TiB).
+/// Entries a table holds at most: `2^20 − 64` (pages: 4 GiB), 128 times the
+/// ~8 K pages of the largest run (ASP at paper scale).
 pub(crate) const CAPACITY: usize = ((1 << OCTAVES) - 1) << FIRST_BITS;
 
 /// An append-only table of `T`s (module docs).

@@ -9,7 +9,10 @@
 //! write notices name at an older stamp ([`DsmSystem::acquire`],
 //! `notices.rs`), while the explicit `invalidateCache` drops them all.  A
 //! monitor's acquire leaves the copies page protection detects unclosed,
-//! behind an in-line check (`pending.rs`).
+//! behind an in-line check (`pending.rs`).  A monitor's release sends the
+//! diffs for the monitor's home along with it and defers the others: it
+//! returns the one instant the last of them is home, for the monitor's
+//! next acquire to merge ([`DsmSystem::release`]).
 //!
 //! The protocols differ in access detection alone (`crate::detection`,
 //! which the engine asks at every decision point; all mechanism lives here,
@@ -34,7 +37,7 @@ use hyperion_pm2::{
     reply_leg, Cluster, GlobalAddr, Node, NodeId, PageId, ServiceId, SLOTS_PER_PAGE,
 };
 
-use crate::config::{AdaptiveParams, HomeFlushMark, ProtocolKind};
+use crate::config::{AdaptiveParams, ProtocolKind};
 use crate::detection::{AdMode, Detection, FLUSH_BATCH_PAGES};
 use crate::diff::{
     decode_diff_reply, decode_fetch_reply, encode_diff, encode_diff_batch, DiffEntry,
@@ -354,15 +357,15 @@ impl DsmSystem {
     /// releases a monitor on `home`: the diffs for pages `home` homes ride
     /// the release, and the instant the home has applied them is returned
     /// last (none if nothing rode); the other diffs are deferred to the
-    /// monitor's next acquire (the returned per-home marks, empty if none
-    /// was).
+    /// monitor's next acquire, which merges the instant returned first: the
+    /// latest of their completions (`VTime::ZERO` if none was deferred).
     pub fn release(
         &self,
         node: NodeId,
         clock: &mut ThreadClock,
         cursor: &mut u64,
         monitor: Option<NodeId>,
-    ) -> (Vec<HomeFlushMark>, Notices, Option<VTime>) {
+    ) -> (VTime, Notices, Option<VTime>) {
         let _one = self.caller.enter("DsmSystem::release");
         if monitor.is_none() {
             self.settle(node, clock);
@@ -684,10 +687,11 @@ impl DsmSystem {
     /// coalesce the opposite direction.  A diff
     /// for `monitor`'s home rides that monitor's release: it is issued as a
     /// split transaction (only the issue path is charged to `clock`), and
-    /// the instant the home has applied the last of them is returned beside
-    /// the flush.  Under a monitor every other diff RPC is issued that way
-    /// too and the per-home completion watermarks are returned; without one
-    /// the flush blocks, merging each completion on the spot.
+    /// the instant the home has applied the last of them is returned second.
+    /// Under a monitor every other diff RPC is issued that way too, and the
+    /// latest of their completions is returned first (`VTime::ZERO` if none
+    /// was deferred); without one the flush blocks, merging each completion
+    /// on the spot.
     pub(crate) fn flush_frames(
         &self,
         node: NodeId,
@@ -695,9 +699,9 @@ impl DsmSystem {
         clock: &mut ThreadClock,
         dirty: &[(PageId, &PageFrame)],
         monitor: Option<NodeId>,
-    ) -> Result<(Vec<HomeFlushMark>, Option<VTime>), crate::recover::RpcFailure> {
+    ) -> Result<(VTime, Option<VTime>), crate::recover::RpcFailure> {
         let machine = self.cluster.machine();
-        let (mut marks, mut rode): (Vec<HomeFlushMark>, Option<VTime>) = (Vec::new(), None);
+        let (mut deferred, mut rode) = (VTime::ZERO, None);
         let mut i = 0usize;
         while i < dirty.len() {
             let first = dirty[i].0;
@@ -746,19 +750,10 @@ impl DsmSystem {
                 NodeStats::bump(&node_ref.stats.release_diffs);
                 rode = rode.max(Some(completion - reply_leg(machine, reply.len())));
             } else if monitor.is_some() && !rides {
-                // Hand the transaction to the deferred queue: the caller
-                // stores the completion watermark on the releasing monitor
-                // and the next acquire of that monitor merges it.  Marks
-                // are kept per home so one slow home's completion does not
-                // park every other home's flush behind it.
+                // Deferred: the caller leaves the latest completion on the
+                // releasing monitor, and its next acquire merges it.
                 NodeStats::bump(&node_ref.stats.deferred_flushes);
-                let issue = clock.now();
-                HomeFlushMark {
-                    home,
-                    issue,
-                    completion,
-                }
-                .stack_onto(&mut marks);
+                deferred = deferred.max(completion);
             } else {
                 clock.merge(completion);
             }
@@ -780,7 +775,7 @@ impl DsmSystem {
             self.written[node.index()].push(acked);
             i = j;
         }
-        Ok((marks, rode))
+        Ok((deferred, rode))
     }
 }
 

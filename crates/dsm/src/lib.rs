@@ -64,7 +64,7 @@ pub mod recover;
 mod services;
 pub mod table;
 
-pub use config::{AdaptiveParams, HomeFlushMark, PolicyError, ProtocolKind, TransportConfig};
+pub use config::{AdaptiveParams, PolicyError, ProtocolKind, TransportConfig};
 pub use detection::AdMode;
 pub use engine::DsmSystem;
 pub use hyperion_pm2::TransportBackend;

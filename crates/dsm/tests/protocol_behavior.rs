@@ -4,9 +4,7 @@
 
 use std::sync::Arc;
 
-use hyperion_dsm::{
-    AdaptiveParams, DsmStore, DsmSystem, HomeFlushMark, ProtocolKind, TransportConfig,
-};
+use hyperion_dsm::{AdaptiveParams, DsmStore, DsmSystem, ProtocolKind, TransportConfig};
 use hyperion_model::{myrinet_200, ThreadClock, VTime};
 use hyperion_pm2::{
     Cluster, FaultKill, FaultSpec, GlobalAddr, IsoAllocator, NodeId, PageId, SLOTS_PER_PAGE,
@@ -1070,8 +1068,8 @@ fn stride_fetches_never_change_observed_values() {
 
 /// A release of a monitor homed on node 0 by node 0, with a dirty copy of a
 /// page homed on node 1: the diff does not ride the release, it is deferred
-/// to the monitor's next acquire.
-fn release_deferring(f: &Fixture, clock: &mut ThreadClock) -> Vec<HomeFlushMark> {
+/// to the monitor's next acquire, which merges the instant returned.
+fn release_deferring(f: &Fixture, clock: &mut ThreadClock) -> VTime {
     let mut cursor = 0;
     (f.dsm
         .release(NodeId(0), clock, &mut cursor, Some(NodeId(0))))
@@ -1085,12 +1083,9 @@ fn deferred_flush_returns_a_watermark_and_applies_the_diffs() {
     let mut w = ThreadClock::new();
     f.dsm.put(NodeId(0), &mut w, addr, 41);
 
-    let marks = release_deferring(&f, &mut w);
-    assert!(!marks.is_empty(), "dirty pages under a deferred transport");
-    // Only the issue path was charged; each completion lies ahead.
-    for m in &marks {
-        assert!(m.issue <= w.now() && w.now() < m.completion, "{m:?}");
-    }
+    let deferred = release_deferring(&f, &mut w);
+    // Only the issue path was charged; the completion lies ahead.
+    assert!(w.now() < deferred, "{} vs {deferred}", w.now());
     let s0 = f.cluster.node_stats(NodeId(0));
     assert_eq!(s0.deferred_flushes, 1);
     assert_eq!(s0.diff_messages, 1);
@@ -1098,8 +1093,8 @@ fn deferred_flush_returns_a_watermark_and_applies_the_diffs() {
     // latency accounting is deferred).
     let mut h = ThreadClock::new();
     assert_eq!(f.dsm.get(NodeId(1), &mut h, addr), 41);
-    // Nothing dirty: a second deferred flush is a no-op.
-    assert!(release_deferring(&f, &mut w).is_empty());
+    // Nothing dirty: a second release defers nothing.
+    assert_eq!(release_deferring(&f, &mut w), VTime::ZERO);
 }
 
 #[test]
@@ -1696,7 +1691,7 @@ fn golden_run(kind: ProtocolKind, transport: &TransportConfig) -> [String; 3] {
     let span = f.alloc.alloc_page_aligned(3 * SLOTS_PER_PAGE, n2);
     let mut t = [ThreadClock::new(), ThreadClock::new(), ThreadClock::new()];
     let mut out = vec![0u64; 4 * SLOTS_PER_PAGE];
-    let (mut pending, mut cursor): (Vec<HomeFlushMark>, _) = (Vec::new(), 0);
+    let (mut deferred, mut cursor) = (VTime::ZERO, 0);
     for round in 0..10u64 {
         // Page-mate writers: nodes 1 and 2 write their own slots of a page
         // homed at node 0.
@@ -1708,9 +1703,7 @@ fn golden_run(kind: ProtocolKind, transport: &TransportConfig) -> [String; 3] {
             f.dsm.update_main_memory(n, c);
         }
         let c = &mut t[0];
-        for mark in std::mem::take(&mut pending) {
-            c.merge(mark.completion);
-        }
+        c.merge(deferred);
         f.dsm.invalidate_cache(n0, c);
         let mut sum = f.dsm.get(n0, c, mate.offset(round));
         for k in 0..16 {
@@ -1732,7 +1725,7 @@ fn golden_run(kind: ProtocolKind, transport: &TransportConfig) -> [String; 3] {
             f.dsm.load_into_cache(n0, c, span.page(), 3);
         }
         // A release of a monitor node 0 homes: every diff is deferred.
-        pending = f.dsm.release(n0, c, &mut cursor, Some(n0)).0;
+        deferred = f.dsm.release(n0, c, &mut cursor, Some(n0)).0;
         // A second reader of the scan's head.
         let c = &mut t[2];
         f.dsm.invalidate_cache(n2, c);

@@ -9,7 +9,9 @@
 //!   objects' home nodes with field granularity, and the thread's
 //!   *knowledge* — the write notices it holds, `(page, stamp)` for every
 //!   page a write that happened-before it changed — gains the pages its
-//!   node made visible;
+//!   node made visible.  A monitor's release waits for none of its diffs:
+//!   those for the monitor's home ride it, and the monitor's next acquire
+//!   merges the one instant the last of the others is home;
 //! * **acquire** (monitor entry, re-entry after `wait`, `Thread.join`, the
 //!   start of a thread): the thread merges in the knowledge the matching
 //!   release left (a monitor's, a joined thread's, the parent's) and its
@@ -34,7 +36,7 @@
 //! actions so the monitor, `Thread.start` / `join` and the barrier all apply
 //! identical semantics.
 
-use hyperion_dsm::{HomeFlushMark, Notices};
+use hyperion_dsm::Notices;
 use hyperion_model::VTime;
 use hyperion_pm2::NodeId;
 
@@ -61,27 +63,23 @@ pub fn acquire(ctx: &mut ThreadCtx, learned: &Notices, granter: Option<NodeId>) 
 /// `updateMainMemory`).  A monitor release sends its diffs for pages that
 /// home homes along with the release message, charging only their issue,
 /// and returns the instant the home has applied them: the release reaches
-/// the home then.  Its other diffs are issued the same way, and the returned
-/// per-home [`HomeFlushMark`]s (empty if none was) must be stored on the
-/// monitor so its *next acquire* merges their completions — the JMM's
-/// release/acquire edge is per-monitor, which is exactly why both are legal.
-/// A thread-level edge blocks, and first waits for every diff the thread's
-/// monitor releases sent, riding or deferred, to arrive: no successor
-/// outside those monitors acts before the diffs are home.
-pub fn release(
-    ctx: &mut ThreadCtx,
-    monitor: Option<NodeId>,
-) -> (Vec<HomeFlushMark>, Option<VTime>) {
+/// the home then.  Its other diffs are issued the same way, and the instant
+/// the last of them is home, returned first (`VTime::ZERO` if none was
+/// deferred), must be left on the monitor for its *next acquire* to merge —
+/// the JMM's release/acquire edge is per-monitor, which is exactly why both
+/// are legal.  A thread-level edge blocks, and first waits for every diff
+/// the thread's monitor releases sent, riding or deferred, to arrive: no
+/// successor outside those monitors acts before the diffs are home.
+pub fn release(ctx: &mut ThreadCtx, monitor: Option<NodeId>) -> (VTime, Option<VTime>) {
     if monitor.is_none() {
         ctx.clock.merge(ctx.rode);
     }
     let (node, shared) = (ctx.node(), std::sync::Arc::clone(&ctx.shared));
     let cursor = &mut ctx.log_cursor;
-    let (flushed, written, rode) = shared.dsm.release(node, &mut ctx.clock, cursor, monitor);
+    let (deferred, written, rode) = shared.dsm.release(node, &mut ctx.clock, cursor, monitor);
     ctx.knowledge.merge(&written);
-    let deferred = flushed.iter().map(|mark| mark.completion);
-    ctx.rode = deferred.chain(rode).fold(ctx.rode, VTime::max);
-    (flushed, rode)
+    ctx.rode = ctx.rode.max(deferred).max(rode.unwrap_or_default());
+    (deferred, rode)
 }
 
 #[cfg(test)]
@@ -132,16 +130,15 @@ mod tests {
             let out = rt.unwrap().run(|ctx| {
                 let cell = ctx.alloc_array::<u64>(1, NodeId(2));
                 cell.put(ctx, 0, 5u64);
-                let (marks, rode) = release(ctx, Some(NodeId(1)));
+                let (deferred, rode) = release(ctx, Some(NodeId(1)));
+                let released = ctx.now();
                 release(ctx, None);
-                (marks, rode, ctx.now())
+                (deferred, rode, released, ctx.now())
             });
-            let (marks, rode, now) = out.result;
-            assert_eq!((marks.len(), rode), (1, None), "{protocol:?}: deferred");
-            assert!(
-                now >= marks[0].completion,
-                "{protocol:?}: {now} before {marks:?}"
-            );
+            let (deferred, rode, released, now) = out.result;
+            assert_eq!(rode, None, "{protocol:?}: nothing rode");
+            assert!(released < deferred, "{protocol:?}: {deferred} not deferred");
+            assert!(now >= deferred, "{protocol:?}: {now} before {deferred}");
         }
     }
 

@@ -74,7 +74,7 @@ pub use runtime::{ConfigError, HyperionConfig, HyperionRuntime, RunOutcome, RunR
 pub use thread::{HThreadHandle, LoadBalancer};
 
 // Re-export the pieces of the lower layers that appear in this crate's API.
-pub use hyperion_dsm::{AdaptiveParams, HomeFlushMark, PolicyError, ProtocolKind, TransportConfig};
+pub use hyperion_dsm::{AdaptiveParams, PolicyError, ProtocolKind, TransportConfig};
 pub use hyperion_model::{
     myrinet_200, sci_450, ClusterSpec, MachineModel, Op, OpCounts, StatsSnapshot, VTime,
     WireServiceSnapshot, WorkEstimate,

@@ -9,21 +9,23 @@
 //!
 //! * **Consistency actions** — exit performs the release action (flush
 //!   field-granularity diffs, §3.1) and leaves the releaser's write notices
-//!   — what it wrote and what it knew others had written — with the
-//!   monitor; entry performs the acquire action: it learns the monitor's
-//!   notices and drops the cached copies the newly learned ones name.
-//!   Every other copy stays open (see [`crate::jmm`]).  Under `java_pf`
-//!   re-protecting dropped pages, and opening them again, is where the
-//!   protocol's `mprotect` traffic comes from: one call per address range
-//!   of pages that change protection or already have the new one.  The
-//!   entry leaves the copies page protection detects unclosed, past the
-//!   exit and any `wait` (`hyperion_dsm`'s `pending.rs`).  The
-//!   notices ride the grant and the release, paying their bytes when the
-//!   monitor lives on another node.  That node homes the object the monitor
-//!   guards: the entry's request names the dropped copies of its pages
-//!   whose last answer fitted a grant (16 bytes each), and the grant patches
-//!   those and the open stale ones — a closed one reopens — where a patch
-//!   costs at most an `mprotect`.
+//!   — what it wrote and what it knew others had written — with the monitor;
+//!   entry performs the acquire action: it learns the monitor's notices and
+//!   drops the cached copies the newly learned ones name.  Every other copy
+//!   stays open (see [`crate::jmm`]).  The exit waits for none of its diffs:
+//!   the monitor keeps one instant, when the last diff its releases deferred
+//!   is home, and the next entry merges it.  Under `java_pf` re-protecting
+//!   dropped pages, and opening them again, is where the protocol's
+//!   `mprotect` traffic comes from: one call per address range of pages that
+//!   change protection or already have the new one.  The entry leaves the
+//!   copies page protection detects unclosed, past the exit and any `wait`
+//!   (`hyperion_dsm`'s `pending.rs`).  The notices ride the grant and the
+//!   release, paying their bytes when the monitor lives on another
+//!   node.  That node homes the object the monitor guards: the entry's
+//!   request names the dropped copies of its pages whose last answer fitted
+//!   a grant (16 bytes each), and the grant patches those and the open stale
+//!   ones — a closed one reopens — where a patch costs at most an
+//!   `mprotect`.
 //! * **Virtual-time ordering** — *a monitor is granted in increasing
 //!   (arrival, thread id), so a clock is moved to a previous release only
 //!   when the two sections really overlap in virtual time.*  The arrival is
@@ -76,13 +78,9 @@ struct MonitorState {
     /// their nodes: not runnable until a release hands the monitor to them.
     parked: Vec<(Key, NodeId)>,
     waiting: Vec<Waiting>,
-    /// Deferred release flushing: the per-home marks `jmm::release` returned
-    /// to previous releases of this monitor, stacked one per home
-    /// (`HomeFlushMark::stack_onto`) and not yet absorbed by an acquire.
-    /// Kept per home so one slow home's completion does not mask how much
-    /// of every *other* home's round trip the overlap hid.  Empty means
-    /// nothing is pending.
-    deferred: Vec<hyperion_dsm::HomeFlushMark>,
+    /// Deferred release flushing: when the last diff the releases since the
+    /// latest acquire deferred is home (`VTime::ZERO` if none was).
+    deferred: VTime,
     /// What every release of this monitor knew had been written: the write
     /// notices its next acquirer learns.
     knowledge: Notices,
@@ -91,15 +89,15 @@ struct MonitorState {
 impl MonitorState {
     /// Give the monitor up (the holder `ctx`'s `exit` or `wait`, on `home`):
     /// leave the holder's write notices, paying the bytes of the ones the
-    /// monitor did not have if it lives on another node, stack its deferred
-    /// flush onto the pending marks, record when the release reaches the
+    /// monitor did not have if it lives on another node, raise the pending
+    /// deferred flush to its own, record when the release reaches the
     /// home and hand the monitor directly to the smallest parked key: that
     /// thread is runnable again once the grant has reached it.
     fn release(
         &mut self,
         ctx: &mut ThreadCtx,
         home: NodeId,
-        (deferred, rode): (Vec<hyperion_dsm::HomeFlushMark>, Option<VTime>),
+        (deferred, rode): (VTime, Option<VTime>),
     ) {
         let deposited = self.knowledge.merge(&ctx.knowledge);
         let transfer = deposited.transfer(ctx.machine(), ctx.node(), home);
@@ -114,9 +112,7 @@ impl MonitorState {
             reached = ctx.now() + ctx.shared.cluster.control_message_cost() - send;
         }
         self.last_release = self.last_release.max(reached);
-        for mark in deferred {
-            mark.stack_onto(&mut self.deferred);
-        }
+        self.deferred = self.deferred.max(deferred);
         let next = self.parked.iter().copied().min();
         self.parked.retain(|&parked| Some(parked) != next);
         self.holder = next.map(|((_, thread), _)| thread);
@@ -141,34 +137,6 @@ fn charge_monitor_local(ctx: &mut ThreadCtx) {
     let machine = ctx.machine();
     let local = machine.cpu.cycles(machine.dsm.monitor_local_cycles);
     ctx.charge(local);
-}
-
-/// Merge the pending deferred-flush completions into the acquiring thread's
-/// clock, crediting per home the cycles the overlap hid (the part of each
-/// home's flush round trip that elapsed before the hand-off).
-fn absorb_deferred(ctx: &mut ThreadCtx, marks: Vec<hyperion_dsm::HomeFlushMark>) {
-    if marks.is_empty() {
-        return;
-    }
-    let now = ctx.now();
-    let mut hidden_ps = 0u64;
-    let mut completion = VTime::ZERO;
-    for m in &marks {
-        hidden_ps += now
-            .as_ps()
-            .min(m.completion.as_ps())
-            .saturating_sub(m.issue.as_ps());
-        completion = completion.max(m.completion);
-    }
-    if hidden_ps > 0 {
-        let cycles = hidden_ps as f64 / ctx.cpu().ps_per_cycle();
-        let node_ref = ctx.shared.cluster.node(ctx.node());
-        NodeStats::bump_by(
-            &node_ref.stats.flush_overlap_cycles_hidden,
-            (cycles as u64).max(1),
-        );
-    }
-    ctx.clock_mut().merge(completion);
 }
 
 #[derive(Debug)]
@@ -196,7 +164,7 @@ impl HMonitor {
                     last_release: VTime::ZERO,
                     parked: Vec::new(),
                     waiting: Vec::new(),
-                    deferred: Vec::new(),
+                    deferred: VTime::ZERO,
                     knowledge: Notices::default(),
                 }),
             }),
@@ -247,9 +215,9 @@ impl HMonitor {
         st.holder = Some(me);
         // Deferred release flushing: a flush handed off by a previous release
         // of *this* monitor must complete no later than this acquire — merge
-        // its completions here, charging the residual.
+        // its completion here, charging the residual.
         let learned = ctx.knowledge.merge(&st.knowledge);
-        let (released, pending) = (st.last_release, std::mem::take(&mut st.deferred));
+        let (released, deferred) = (st.last_release, std::mem::take(&mut st.deferred));
         drop(st);
         // The grant leaves the home once the release has reached it.
         let release = released + leg(ctx, self.inner.home, ctx.node());
@@ -258,8 +226,7 @@ impl HMonitor {
             let node_ref = ctx.shared.cluster.node(ctx.node());
             NodeStats::bump_by(&node_ref.stats.monitor_wait_ps, waited.as_ps());
         }
-        ctx.clock_mut().merge(release);
-        absorb_deferred(ctx, pending);
+        ctx.clock_mut().merge(release.max(deferred));
         charge_monitor_local(ctx);
         // The grant carries the notices the caller did not know.
         let transfer = learned.transfer(ctx.machine(), self.inner.home, ctx.node());
@@ -580,10 +547,6 @@ mod tests {
         assert_eq!(after_acquire, completion + monitor_local);
         let s = out.report.total_stats();
         assert_eq!(s.deferred_flushes, 1);
-        assert!(
-            s.flush_overlap_cycles_hidden > 0,
-            "2us of compute hid part of the flush"
-        );
     }
 
     /// Two workers on two nodes alternate through a monitor on node 0, each
@@ -623,10 +586,9 @@ mod tests {
     #[test]
     fn deferred_release_preserves_happens_before_in_a_two_node_ping_pong() {
         // Node 0's diffs go to node 1, which does not home the monitor: they
-        // are deferred, and the hand-off credits hidden flush latency.
+        // are deferred to the monitor's next acquire.
         for total in deferred_ping_pong(NodeId(1)) {
             assert!(total.deferred_flushes > 0, "{total:?}");
-            assert!(total.flush_overlap_cycles_hidden > 0, "{total:?}");
         }
     }
 

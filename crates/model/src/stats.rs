@@ -121,8 +121,6 @@ define_stats! {
     deferred_flushes,
     /// Diff messages that rode a monitor's release to its home instead of a blocking round trip.
     release_diffs,
-    /// Flush round-trip cycles hidden by deferred release flushing (residual charged at next acquire).
-    flush_overlap_cycles_hidden,
     /// RPC attempts re-issued after a retryable transport failure.
     rpc_retries,
     /// RPC attempts that timed out (each charged the configured rpc_timeout).
@@ -356,7 +354,7 @@ mod tests {
         ] {
             assert!(names.contains(&expected), "missing {expected}");
         }
-        assert_eq!(names.len(), 49);
+        assert_eq!(names.len(), 48);
         for added in [
             "batched_flushes",
             "rpc_retries",
@@ -371,7 +369,6 @@ mod tests {
             "stride_fetches_wasted",
             "deferred_flushes",
             "release_diffs",
-            "flush_overlap_cycles_hidden",
             "serving_ops",
             "pages_revalidated",
             "pages_patched",

@@ -84,8 +84,6 @@ struct AllocState {
     page_homes: Vec<NodeId>,
     /// Per-home-node partially filled page for small-object packing.
     open_pages: Vec<OpenPage>,
-    /// Total slots handed out (for reporting).
-    slots_allocated: u64,
 }
 
 impl AllocState {
@@ -126,7 +124,6 @@ impl IsoAllocator {
             state: Mutex::new(AllocState {
                 page_homes: vec![NodeId(0)],
                 open_pages,
-                slots_allocated: 1,
             }),
             num_nodes,
         }
@@ -154,8 +151,6 @@ impl IsoAllocator {
             self.num_nodes
         );
         let mut st = lock(&self.state);
-        st.slots_allocated += slots as u64;
-
         let open = st.open_pages[home.index()];
         if let Some(page) = open.page {
             if slots <= SLOTS_PER_PAGE - open.next_slot {
@@ -184,7 +179,6 @@ impl IsoAllocator {
         assert!(slots > 0, "cannot allocate zero slots");
         assert!(home.index() < self.num_nodes, "home out of range");
         let mut st = lock(&self.state);
-        st.slots_allocated += slots as u64;
         // Page-aligned allocations never leave an open page behind: the
         // remainder of the last page stays unused to avoid false sharing.
         GlobalAddr(st.fresh_pages(slots, home).0 * SLOTS_PER_PAGE as u64)
@@ -205,11 +199,6 @@ impl IsoAllocator {
     pub fn num_pages(&self) -> usize {
         lock(&self.state).page_homes.len()
     }
-
-    /// Total slots handed out so far.
-    pub fn slots_allocated(&self) -> u64 {
-        lock(&self.state).slots_allocated
-    }
 }
 
 impl std::fmt::Debug for IsoAllocator {
@@ -217,7 +206,6 @@ impl std::fmt::Debug for IsoAllocator {
         f.debug_struct("IsoAllocator")
             .field("num_nodes", &self.num_nodes)
             .field("num_pages", &self.num_pages())
-            .field("slots_allocated", &self.slots_allocated())
             .finish()
     }
 }
@@ -296,16 +284,6 @@ mod tests {
             let a = alloc.alloc(3, home);
             assert_ne!(a, GlobalAddr::NULL);
         }
-    }
-
-    #[test]
-    fn slots_allocated_accumulates() {
-        let alloc = IsoAllocator::new(1);
-        let before = alloc.slots_allocated();
-        alloc.alloc(10, NodeId(0));
-        alloc.alloc(20, NodeId(0));
-        assert_eq!(alloc.slots_allocated(), before + 30);
-        assert!(alloc.num_pages() >= 1);
     }
 
     #[test]
