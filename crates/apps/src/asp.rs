@@ -351,8 +351,8 @@ mod tests {
     fn benchmark_trait_reports_figure_five() {
         let params = AspParams::quick();
         assert_eq!(params.name().figure(), 5);
-        // One node under `java_ad`: a configuration the quick matrix lacks.
-        let (digest_value, _) = params.execute(config(1, ProtocolKind::JavaAd));
+        // One node under `java_pf`.
+        let (digest_value, _) = params.execute(config(1, ProtocolKind::JavaPf));
         assert_eq!(digest_value, sequential(&params).distance_sum as f64);
     }
 }

@@ -788,8 +788,8 @@ mod tests {
     fn benchmark_trait_reports_figure_three() {
         let params = BarnesParams::quick();
         assert_eq!(params.name().figure(), 3);
-        // One node under `java_ad`: a configuration the quick matrix lacks.
-        let (digest_value, report) = params.execute(config(1, ProtocolKind::JavaAd));
+        // One node under `java_pf`.
+        let (digest_value, report) = params.execute(config(1, ProtocolKind::JavaPf));
         assert!(digest_value.is_finite());
         assert_eq!(report.nodes, 1);
     }

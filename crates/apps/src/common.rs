@@ -43,13 +43,12 @@ pub fn block_owner(total: usize, threads: usize, nodes: usize) -> impl Fn(usize)
 
 /// Parse a protocol name as used on example, bench and CI command lines.
 ///
-/// Accepts the paper's full names (`java_ic`, `java_pf`, the extension's
-/// `java_ad`) and the short forms `ic` / `pf` / `ad` / `adaptive`.
+/// Accepts the paper's full names (`java_ic`, `java_pf`) and the short
+/// forms `ic` / `pf`.
 pub fn parse_protocol(s: &str) -> Option<ProtocolKind> {
     match s {
         "ic" | "java_ic" => Some(ProtocolKind::JavaIc),
         "pf" | "java_pf" => Some(ProtocolKind::JavaPf),
-        "ad" | "java_ad" | "adaptive" => Some(ProtocolKind::JavaAd),
         _ => None,
     }
 }
@@ -210,9 +209,10 @@ mod tests {
         assert_eq!(parse_protocol("java_ic"), Some(ProtocolKind::JavaIc));
         assert_eq!(parse_protocol("pf"), Some(ProtocolKind::JavaPf));
         assert_eq!(parse_protocol("java_pf"), Some(ProtocolKind::JavaPf));
-        assert_eq!(parse_protocol("ad"), Some(ProtocolKind::JavaAd));
-        assert_eq!(parse_protocol("adaptive"), Some(ProtocolKind::JavaAd));
-        assert_eq!(parse_protocol("java_xx"), None);
+        // No protocol answers to these.
+        for gone in ["ad", "java_ad", "adaptive", "java_xx"] {
+            assert_eq!(parse_protocol(gone), None, "{gone}");
+        }
     }
 
     #[test]

@@ -343,7 +343,7 @@ mod tests {
     fn parallel_matches_sequential_for_every_protocol() {
         let params = PageRankParams::quick();
         let expected = sequential(&params);
-        for protocol in ProtocolKind::all_extended() {
+        for protocol in ProtocolKind::all() {
             for nodes in [1, 3] {
                 let out = run(config(nodes, protocol), &params);
                 let tolerance = expected.digest.abs().max(1.0) * 1e-12;
@@ -388,7 +388,7 @@ mod tests {
     fn benchmark_trait_reports_figure_nine() {
         let params = PageRankParams::quick();
         assert_eq!(params.name().figure(), 9);
-        let (digest, _) = params.execute(config(2, ProtocolKind::JavaAd));
+        let (digest, _) = params.execute(config(2, ProtocolKind::JavaPf));
         let expected = sequential(&params);
         assert!((digest - expected.digest).abs() <= expected.digest.abs() * 1e-12);
     }

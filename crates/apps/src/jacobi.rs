@@ -395,8 +395,8 @@ mod tests {
     fn benchmark_trait_reports_figure_two() {
         let params = JacobiParams::quick();
         assert_eq!(params.name().figure(), 2);
-        // One node under `java_ad`: a configuration the quick matrix lacks.
-        let (digest, _) = params.execute(config(1, ProtocolKind::JavaAd));
+        // One node under `java_pf`.
+        let (digest, _) = params.execute(config(1, ProtocolKind::JavaPf));
         let (expected, _) = sequential(&params);
         assert!((digest - expected).abs() < 1e-6);
     }

@@ -440,7 +440,7 @@ mod tests {
         // One client; three, one per node, are `protocol_equivalence`'s
         // runs in the root package's integration suite.
         let expected = sequential(&params, 1);
-        for protocol in ProtocolKind::all_extended() {
+        for protocol in ProtocolKind::all() {
             let out = run(config(1, protocol), &params);
             assert_eq!(out.result, expected, "{protocol:?} diverged");
         }
@@ -462,7 +462,7 @@ mod tests {
     #[test]
     fn serving_metrics_are_reported() {
         let params = KvStoreParams::quick();
-        let out = run(config(3, ProtocolKind::JavaAd), &params);
+        let out = run(config(3, ProtocolKind::JavaPf), &params);
         let total = out.report.total_stats();
         assert_eq!(total.serving_ops, out.result.ops);
         assert!(out.report.serving_p99 > VTime::ZERO);

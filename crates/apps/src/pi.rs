@@ -207,8 +207,8 @@ mod tests {
     fn benchmark_trait_reports_figure_one() {
         let params = PiParams::quick();
         assert_eq!(params.name().figure(), 1);
-        // One node under `java_ad`: a configuration the quick matrix lacks.
-        let (digest, report) = params.execute(config(1, ProtocolKind::JavaAd));
+        // One node under `java_pf`.
+        let (digest, report) = params.execute(config(1, ProtocolKind::JavaPf));
         assert!((digest - std::f64::consts::PI).abs() < 1e-3);
         assert_eq!(report.nodes, 1);
     }

@@ -467,8 +467,8 @@ mod tests {
     fn benchmark_trait_reports_figure_four() {
         let params = TspParams::quick();
         assert_eq!(params.name().figure(), 4);
-        // One node under `java_ad`: a configuration the quick matrix lacks.
-        let (digest, _) = params.execute(config(1, ProtocolKind::JavaAd));
+        // One node under `java_pf`.
+        let (digest, _) = params.execute(config(1, ProtocolKind::JavaPf));
         assert_eq!(digest, sequential(&params) as f64);
     }
 }

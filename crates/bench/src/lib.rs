@@ -15,14 +15,14 @@
 //!   with their micro-measured virtual cost on a two-node cluster.
 //! * **§4.3 claims** — [`claims_text`] derives the `java_ic` → `java_pf`
 //!   improvement percentages the paper discusses (`bench/paper.txt`).
-//! * **Figures 6 and 9 (extensions)** — [`FIGURES`] is the registry:
-//!   number, CSV slug, heading, sweep and table columns of the
-//!   adaptive-protocol and serving-workload comparisons.
+//! * **Figure 9 (extension)** — [`FIGURES`] is the registry: number, CSV
+//!   slug, heading, sweep and table columns of the serving-workload
+//!   comparison.
 //! * **CI gate** — [`report`] turns a sweep into `BENCH_<run>.json` and
 //!   compares it against the committed `bench/baseline.json`; its
 //!   [`report::METRICS`] table is the one place a tracked metric is named.
-//!   The same quick rows carry the figure 6 and 9 gates (`src/gates.rs`,
-//!   asserted by `cargo test`).
+//!   The same quick rows carry the gates (`src/gates.rs`, asserted by
+//!   `cargo test`).
 //!
 //! Every data point is a [`Point`].  The `figures` binary (`src/main.rs`)
 //! is the command-line front end; `benches/ablation.rs` prints the §3.3
@@ -119,7 +119,7 @@ pub fn paper_node_counts(cluster: &ClusterSpec) -> Vec<usize> {
 #[derive(Clone, Debug)]
 pub struct FigureRow {
     /// Figure the row belongs to: the app's own (1–5 for the paper's
-    /// kernels), or the extension figure (6 or 9) whose table shows the
+    /// kernels), or the extension figure (9) whose table shows the
     /// row — [`Figure::report`] stamps its number on what its sweep returns.
     pub figure: usize,
     /// Benchmark name.
@@ -164,7 +164,7 @@ pub struct FigureRow {
 }
 
 impl FigureRow {
-    /// Protocol plus transport-variant label (`java_pf+ov`, `java_ad`...).
+    /// Protocol plus transport-variant label (`java_pf`, `java_ic+chaos`...).
     pub fn protocol_label(&self) -> String {
         format!("{}{}", self.protocol.name(), self.variant)
     }
@@ -178,18 +178,6 @@ impl FigureRow {
         } else {
             self.stats.serving_ops as f64 / self.seconds
         }
-    }
-
-    /// Page loads no write notice forced: every load but the refetches of
-    /// copies an acquire dropped, a speculative copy dropped untouched
-    /// counting as unforced.  How many refetches a run makes depends on the
-    /// virtual-time order of its synchronisation (a barrier's first arriver
-    /// keeps the barrier's page), which the protocols' detection costs
-    /// reorder; `java_ad`'s own ways to load a page — batches and their
-    /// speculation — show in the rest.
-    pub fn unforced_loads(&self) -> u64 {
-        let s = &self.stats;
-        (s.page_loads + s.pages_prefetch_wasted).saturating_sub(s.pages_invalidated)
     }
 
     /// True if `other` computed the same answer: digests equal up to a
@@ -291,9 +279,6 @@ static CSV_COLUMNS: &[Column] = &[
     csv!("bytes_moved", |r| r.stats.bytes_moved().to_string()),
     csv!(remote_monitor_acquires),
     csv!(barrier_waits),
-    csv!(batched_fetches),
-    csv!(pages_prefetched),
-    csv!(protocol_switches),
     csv!(batched_flushes),
     csv!(fetch_overlap_cycles_hidden),
     csv!(pages_revalidated),
@@ -313,15 +298,14 @@ static CSV_COLUMNS: &[Column] = &[
     csv!(monitor_wait_ps),
 ];
 
-/// Node count the extension figures, the audit and the CI bench gate run
+/// Node count the extension figure, the audit and the CI bench gate run
 /// at: large enough that remote traffic dominates, small enough for quick
 /// CI sweeps, and available on both modelled clusters.
-pub const ADAPTIVE_NODES: usize = 4;
+pub const REPORT_NODES: usize = 4;
 
 /// One data point to run.  [`Point::new`] fills in what nearly every sweep
-/// uses — the Myrinet cluster at [`ADAPTIVE_NODES`] nodes, default adaptive
-/// parameters, default transport, no labels — so a sweep says only where it
-/// differs: `Point { nodes: 2, ..Point::new(app, scale, protocol) }.run()`.
+/// uses — the Myrinet cluster at [`REPORT_NODES`] nodes, default transport,
+/// no labels — so a sweep says only where it differs: `Point { nodes: 2, ..Point::new(app, scale, protocol) }.run()`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Point {
     /// The benchmark program.
@@ -334,9 +318,6 @@ pub struct Point {
     pub protocol: ProtocolKind,
     /// Number of nodes.
     pub nodes: usize,
-    /// Adaptive-protocol parameters (ignored unless `protocol` is
-    /// `java_ad`).
-    pub adaptive: AdaptiveParams,
     /// Transport configuration.
     pub transport: TransportConfig,
     /// Becomes the row's [`FigureRow::variant`].
@@ -351,19 +332,18 @@ impl Point {
             scale,
             cluster: myrinet_200(),
             protocol,
-            nodes: ADAPTIVE_NODES,
-            adaptive: AdaptiveParams::default(),
+            nodes: REPORT_NODES,
             transport: TransportConfig::default(),
             variant: String::new(),
         }
     }
 
-    /// Every app of `apps` under each of the three protocols, at the
+    /// Every app of `apps` under each of the two protocols, at the
     /// defaults of [`Point::new`] — the grid most sweeps walk.
     pub fn grid(apps: impl IntoIterator<Item = BenchmarkName>, scale: Scale) -> Vec<Point> {
         let mut points = Vec::new();
         for app in apps {
-            for protocol in ProtocolKind::all_extended() {
+            for protocol in ProtocolKind::all() {
                 points.push(Point::new(app, scale, protocol));
             }
         }
@@ -375,7 +355,6 @@ impl Point {
     /// result as a row.
     pub fn run(&self) -> FigureRow {
         let config = HyperionConfig::new(self.cluster.clone(), self.nodes, self.protocol)
-            .with_adaptive(self.adaptive.clone())
             .with_transport(self.transport.clone());
         let (digest, report) = benchmark_at(self.app, self.scale).execute(config);
         let peak = |shares: Vec<f64>| shares.into_iter().fold(0.0, f64::max);
@@ -424,24 +403,11 @@ pub fn figure_points(name: BenchmarkName, scale: Scale) -> Vec<Point> {
     points
 }
 
-/// Figure 6 (extension): every app under `java_ic`, `java_pf` and `java_ad`
-/// on both clusters at [`ADAPTIVE_NODES`] nodes.
-pub fn sweep_adaptive(scale: Scale) -> Vec<FigureRow> {
-    let mut rows = Vec::new();
-    for cluster in [myrinet_200(), sci_450()] {
-        for point in Point::grid(BenchmarkName::all(), scale) {
-            let cluster = cluster.clone();
-            rows.push(Point { cluster, ..point }.run());
-        }
-    }
-    rows
-}
-
-/// The CI-tracked sweep behind `BENCH_<run>.json`: all five apps under all
-/// three protocols on the Myrinet cluster at [`ADAPTIVE_NODES`] nodes, plus
-/// the figure-9 serving rows (KV store and PageRank under all three
-/// protocols, with throughput and modeled p99), so their deltas are tracked
-/// by the baseline gate too.
+/// The CI-tracked sweep behind `BENCH_<run>.json`: all five apps under both
+/// protocols on the Myrinet cluster at [`REPORT_NODES`] nodes, plus the
+/// figure-9 serving rows (KV store and PageRank under both protocols, with
+/// throughput and modeled p99), so their deltas are tracked by the baseline
+/// gate too.
 pub fn bench_report_rows(scale: Scale) -> Vec<FigureRow> {
     let grid = Point::grid(BenchmarkName::all(), scale);
     let mut rows: Vec<FigureRow> = grid.iter().map(Point::run).collect();
@@ -450,8 +416,8 @@ pub fn bench_report_rows(scale: Scale) -> Vec<FigureRow> {
 }
 
 /// Figure 9 (extension): the serving-workload family — the sharded KV store
-/// and the PageRank kernel — under `java_ic`, `java_pf` and `java_ad` on
-/// the Myrinet cluster at [`ADAPTIVE_NODES`] nodes.  Serving rows carry
+/// and the PageRank kernel — under `java_ic` and `java_pf` on the Myrinet
+/// cluster at [`REPORT_NODES`] nodes.  Serving rows carry
 /// throughput ([`FigureRow::serving_ops_per_s`]) and modeled p99 per
 /// operation ([`FigureRow::serving_p99_us`]) on top of the usual event
 /// counters.
@@ -460,7 +426,7 @@ pub fn sweep_serving(scale: Scale) -> Vec<FigureRow> {
     grid.iter().map(Point::run).collect()
 }
 
-/// One extension figure (6 or 9) of the `figures` binary.  [`FIGURES`] is the
+/// One extension figure (9) of the `figures` binary.  [`FIGURES`] is the
 /// registry the binary reads its `--fig` range, tables, headings and CSV
 /// file names from.
 #[derive(Clone, Copy, Debug)]
@@ -475,61 +441,38 @@ pub struct Figure {
     pub sweep: fn(Scale) -> Vec<FigureRow>,
     /// The columns of the printed table.
     pub columns: &'static [Column],
-    /// Text printed under the table (figure 6's threshold ablation).
-    pub epilogue: Option<fn(Scale) -> String>,
 }
 
 /// The extension figures, by number.
-pub static FIGURES: &[Figure] = &[
-    Figure {
-        number: 6,
-        slug: "adaptive",
-        heading: "java_ic vs java_pf vs java_ad",
-        sweep: sweep_adaptive,
-        columns: &[
-            Column::text("App", 12, |r| r.app.to_string()),
-            Column::text("Cluster", 16, |r| r.cluster.clone()),
-            Column::text("protocol", 8, |r| r.protocol.to_string()),
-            Column::number("exec (s)", 12, |r| format!("{:.4}", r.seconds)),
-            count!("page_loads", 12, page_loads),
-            count!("checks", 10, locality_checks),
-            count!("faults", 10, page_faults),
-            count!("batches", 9, batched_fetches),
-            count!("switches", 9, protocol_switches),
-        ],
-        epilogue: Some(threshold_ablation_text),
-    },
-    Figure {
-        number: 9,
-        slug: "serving",
-        heading: "serving workloads (Zipf KV store, PageRank)",
-        sweep: sweep_serving,
-        columns: &[
-            Column::text("App", 10, |r| r.app.to_string()),
-            Column::text("variant", 14, FigureRow::protocol_label),
-            Column::number("exec (s)", 12, |r| format!("{:.4}", r.seconds)),
-            count!("ops", 12, serving_ops),
-            Column::number("ops/s", 12, |r| format!("{:.0}", r.serving_ops_per_s())),
-            Column::number("p99 (us)", 12, |r| format!("{:.1}", r.serving_p99_us)),
-            count!("page_loads", 11, page_loads),
-            count!("revalidated", 12, pages_revalidated),
-            count!("patched", 8, pages_patched),
-            count!("kept", 10, pages_kept),
-            count!("stride", 7, stride_fetches_issued),
-            count!("wasted", 8, stride_fetches_wasted),
-            Column::number("home busy", 10, |r| {
-                format!("{:.2}%", r.peak_home_util * 100.0)
-            }),
-            Column::number("queue wait", 10, |r| {
-                format!("{:.2}%", r.peak_home_queue_wait * 100.0)
-            }),
-            Column::number("mon wait (ms)", 14, |r| {
-                format!("{:.3}", r.stats.monitor_wait_ps as f64 / 1e9)
-            }),
-        ],
-        epilogue: None,
-    },
-];
+pub static FIGURES: &[Figure] = &[Figure {
+    number: 9,
+    slug: "serving",
+    heading: "serving workloads (Zipf KV store, PageRank)",
+    sweep: sweep_serving,
+    columns: &[
+        Column::text("App", 10, |r| r.app.to_string()),
+        Column::text("variant", 14, FigureRow::protocol_label),
+        Column::number("exec (s)", 12, |r| format!("{:.4}", r.seconds)),
+        count!("ops", 12, serving_ops),
+        Column::number("ops/s", 12, |r| format!("{:.0}", r.serving_ops_per_s())),
+        Column::number("p99 (us)", 12, |r| format!("{:.1}", r.serving_p99_us)),
+        count!("page_loads", 11, page_loads),
+        count!("revalidated", 12, pages_revalidated),
+        count!("patched", 8, pages_patched),
+        count!("kept", 10, pages_kept),
+        count!("stride", 7, stride_fetches_issued),
+        count!("wasted", 8, stride_fetches_wasted),
+        Column::number("home busy", 10, |r| {
+            format!("{:.2}%", r.peak_home_util * 100.0)
+        }),
+        Column::number("queue wait", 10, |r| {
+            format!("{:.2}%", r.peak_home_queue_wait * 100.0)
+        }),
+        Column::number("mon wait (ms)", 14, |r| {
+            format!("{:.3}", r.stats.monitor_wait_ps as f64 / 1e9)
+        }),
+    ],
+}];
 
 /// The figure numbers `--fig` accepts: the paper's 1–5 and [`FIGURES`].
 pub fn figure_numbers() -> Vec<usize> {
@@ -543,15 +486,14 @@ pub fn paper_figure(number: usize) -> Option<BenchmarkName> {
         .find(|b| b.figure() == number)
 }
 
-/// The extension figure `number` (6 or 9).
+/// The extension figure `number` (9).
 pub fn extension_figure(number: usize) -> Option<&'static Figure> {
     FIGURES.iter().find(|f| f.number == number)
 }
 
 impl Figure {
     /// Run the sweep and render the figure as `figures --fig N` prints it:
-    /// heading, column header, one line per row, a blank line, the
-    /// epilogue.  Returns the text and the rows (stamped with the figure's
+    /// heading, column header, one line per row and a blank line.  Returns the text and the rows (stamped with the figure's
     /// number).
     pub fn report(&self, scale: Scale) -> (String, Vec<FigureRow>) {
         let mut rows = (self.sweep)(scale);
@@ -563,7 +505,7 @@ impl Figure {
             cells.join(" ") + "\n"
         };
         let mut text = format!(
-            "== Figure {} (extension): {}, {ADAPTIVE_NODES} nodes ==\n",
+            "== Figure {} (extension): {}, {REPORT_NODES} nodes ==\n",
             self.number, self.heading
         );
         text += &line(&|c| c.label.to_string());
@@ -571,35 +513,13 @@ impl Figure {
             text += &line(&|c| (c.cell)(row));
         }
         text.push('\n');
-        if let Some(epilogue) = self.epilogue {
-            text += &epilogue(scale);
-        }
         (text, rows)
     }
 }
 
-/// Figure 6's epilogue: a small ablation of the adaptive switching
-/// threshold on Jacobi.
-fn threshold_ablation_text(scale: Scale) -> String {
-    let mut text = String::from(
-        "-- switching-threshold ablation (java_ad, Jacobi, hi multiple of break-even) --\n",
-    );
-    for (hi, row) in threshold_ablation(BenchmarkName::Jacobi, scale, &[0.25, 0.5, 1.0, 2.0, 4.0]) {
-        text += &format!(
-            "hi = {hi:>5.2} * n_star: exec {:>10.4}s  checks {:>8}  faults {:>6}  switches {:>4}\n",
-            row.seconds,
-            row.stats.locality_checks,
-            row.stats.page_faults,
-            row.stats.protocol_switches,
-        );
-    }
-    text.push('\n');
-    text
-}
-
 /// The modeled-vs-measured sweep behind `figures --transport socket`: all
-/// five apps under all three protocols on the Myrinet cluster at
-/// [`ADAPTIVE_NODES`] nodes, with every RPC carried by `backend` instead of
+/// five apps under both protocols on the Myrinet cluster at
+/// [`REPORT_NODES`] nodes, with every RPC carried by `backend` instead of
 /// the in-process simulator.  Each returned row's [`FigureRow::wire`] table
 /// holds, per RPC service, the modeled virtual-time round-trip span next to
 /// the measured wall-clock span of the real socket exchange (plus real byte
@@ -642,8 +562,8 @@ impl ChaosPair {
     }
 }
 
-/// The chaos sweep behind `figures --fault <spec>`: all five apps under all
-/// three protocols on the Myrinet cluster at [`ADAPTIVE_NODES`] nodes, each
+/// The chaos sweep behind `figures --fault <spec>`: all five apps under both
+/// protocols on the Myrinet cluster at [`REPORT_NODES`] nodes, each
 /// point run twice — once fault-free as the digest reference, once with the
 /// seeded `spec` injected at the transport (a killed home's pages move to
 /// the lowest-id live node).  Both runs ride `backend`
@@ -677,26 +597,6 @@ pub fn sweep_chaos(scale: Scale, spec: FaultSpec, backend: TransportBackend) -> 
                 baseline: baseline.run(),
                 faulted: faulted.run(),
             }
-        })
-        .collect()
-}
-
-/// Ablation of the adaptive switching threshold: run `app` under `java_ad`
-/// with the check→protect hysteresis placed at each multiple of the machine
-/// model's break-even (the protect→check mark follows at half of it).
-pub fn threshold_ablation(
-    app: BenchmarkName,
-    scale: Scale,
-    hi_multiples: &[f64],
-) -> Vec<(f64, FigureRow)> {
-    hi_multiples
-        .iter()
-        .map(|&hi| {
-            let point = Point {
-                adaptive: AdaptiveParams { hi_multiple: hi },
-                ..Point::new(app, scale, ProtocolKind::JavaAd)
-            };
-            (hi, point.run())
         })
         .collect()
 }
@@ -955,7 +855,7 @@ mod tests {
         let row = Point {
             cluster: sci_450(),
             nodes: 2,
-            ..Point::new(BenchmarkName::Pi, Scale::Quick, ProtocolKind::JavaAd)
+            ..Point::new(BenchmarkName::Pi, Scale::Quick, ProtocolKind::JavaPf)
         }
         .run();
         assert_eq!(row.figure, 1);
@@ -963,7 +863,7 @@ mod tests {
         assert_eq!(row.cluster, "450MHz/SCI");
         assert!(row.seconds > 0.0);
         assert!((row.digest - std::f64::consts::PI).abs() < 1e-3);
-        assert!(row.to_csv().starts_with("1,Pi,450MHz/SCI,java_ad,2,"));
+        assert!(row.to_csv().starts_with("1,Pi,450MHz/SCI,java_pf,2,"));
         assert!(FigureRow::csv_header().starts_with("figure,app,cluster"));
     }
 
@@ -977,34 +877,8 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_point_tracks_switches_and_batches() {
-        let row = two_nodes(BenchmarkName::Jacobi, ProtocolKind::JavaAd);
-        assert_eq!(row.protocol, ProtocolKind::JavaAd);
-        assert!(row.seconds > 0.0);
-        // The CSV row carries the new counters.
-        let csv = row.to_csv();
-        assert_eq!(
-            csv.matches(',').count(),
-            FigureRow::csv_header().matches(',').count()
-        );
-    }
-
-    #[test]
-    fn threshold_ablation_sweeps_the_hysteresis() {
-        let points = threshold_ablation(BenchmarkName::Pi, Scale::Quick, &[0.5, 2.0]);
-        assert_eq!(points.len(), 2);
-        assert_eq!(points[0].0, 0.5);
-        assert_eq!(points[1].0, 2.0);
-        for (_, row) in &points {
-            assert_eq!(row.nodes, ADAPTIVE_NODES);
-            assert_eq!(row.protocol, ProtocolKind::JavaAd);
-            assert!((row.digest - std::f64::consts::PI).abs() < 1e-3);
-        }
-    }
-
-    #[test]
     fn serving_rows_carry_throughput_and_p99() {
-        let row = two_nodes(BenchmarkName::KvStore, ProtocolKind::JavaAd);
+        let row = two_nodes(BenchmarkName::KvStore, ProtocolKind::JavaPf);
         assert_eq!(row.figure, 9);
         assert!(row.stats.serving_ops > 0);
         assert!(row.serving_ops_per_s() > 0.0);
@@ -1018,7 +892,7 @@ mod tests {
         assert!(FigureRow::csv_header().ends_with("pages_kept,monitor_wait_ps"));
 
         // Batch kernels record no serving operations.
-        let pi = two_nodes(BenchmarkName::Pi, ProtocolKind::JavaAd);
+        let pi = two_nodes(BenchmarkName::Pi, ProtocolKind::JavaPf);
         assert_eq!(pi.stats.serving_ops, 0);
         assert_eq!(pi.serving_ops_per_s(), 0.0);
         assert_eq!(pi.serving_p99_us, 0.0);
@@ -1047,7 +921,7 @@ mod tests {
     #[test]
     fn figure_registry_resolves_every_number_once() {
         // Every `--fig` number is a paper figure or an extension, never both.
-        assert_eq!(figure_numbers(), [1, 2, 3, 4, 5, 6, 9]);
+        assert_eq!(figure_numbers(), [1, 2, 3, 4, 5, 9]);
         for n in 1..=9 {
             let (paper, extension) = (paper_figure(n).is_some(), extension_figure(n).is_some());
             assert!(!(paper && extension), "figure {n}");
@@ -1062,7 +936,7 @@ mod tests {
                 .all(|b| b.slug != a.slug && b.number != a.number));
         }
         // One column list feeds both the CSV header and the rows (a row's
-        // count: `adaptive_point_tracks_switches_and_batches`).
-        assert_eq!(FigureRow::csv_header().split(',').count(), 29);
+        // count: `serving_rows_carry_throughput_and_p99`).
+        assert_eq!(FigureRow::csv_header().split(',').count(), 26);
     }
 }

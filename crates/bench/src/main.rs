@@ -1,5 +1,5 @@
 //! `figures` — regenerate every table and figure of the paper, plus the
-//! adaptive-protocol comparison and the CI bench report.
+//! serving-workload comparison and the CI bench report.
 //!
 //! ```text
 //! figures [--fig N]... [--tables] [--claims] [--scale quick|harness|paper]
@@ -7,17 +7,17 @@
 //!         [--transport sim|socket] [--fault SPEC] [--audit]
 //! ```
 //!
-//! * `--fig N`     regenerate figure N: 1–5 from the paper, 6 and 9 the
-//!   extension figures of the `hyperion_bench::FIGURES` registry (adaptive
-//!   protocol, serving workloads); may be repeated.  Default: all of 1–5.
+//! * `--fig N`     regenerate figure N: 1–5 from the paper, 9 the extension
+//!   figure of the `hyperion_bench::FIGURES` registry (serving workloads);
+//!   may be repeated.  Default: all of 1–5.
 //! * `--tables`    print Table 1 (module inventory) and Table 2 (primitives).
 //! * `--claims`    print the derived `java_ic` → `java_pf` improvements that
 //!   correspond to the quantitative claims of §4.3.
 //! * `--scale`     problem-size scale (default `harness`).
 //! * `--quick`     shorthand for `--scale quick` (the CI invocation).
-//! * `--json`      run the CI-tracked sweep (five apps × three protocols
-//!   and the figure-9 serving rows with their throughput/p99 fields) and write it to `BENCH_<run>.json`
-//!   (`<run>` is `$GITHUB_RUN_ID`, or `local`).
+//! * `--json`      run the CI-tracked sweep (five apps × two protocols and
+//!   the figure-9 serving rows with their throughput/p99 fields) and write
+//!   it to `BENCH_<run>.json` (`<run>` is `$GITHUB_RUN_ID`, or `local`).
 //! * `--baseline PATH` run the CI-tracked sweep and exit non-zero unless
 //!   every row of the committed baseline report is byte for byte the row
 //!   the sweep writes (no row missing, none extra); each differing field is
@@ -164,7 +164,7 @@ fn die(msg: &str) -> ! {
 fn run_audit(scale: Scale) {
     println!(
         "== Audit: app x protocol, {} nodes ==",
-        hyperion_bench::ADAPTIVE_NODES
+        hyperion_bench::REPORT_NODES
     );
     println!(
         "{:<11} {:<8} {:>12} {:>24} {:>11} {:>7} {:>9} {:>7}",
@@ -238,7 +238,7 @@ fn run_modeled_vs_measured(scale: Scale, backend: TransportBackend) {
     println!(
         "== Modeled vs measured: {} backend, {} nodes ==\n",
         backend,
-        hyperion_bench::ADAPTIVE_NODES
+        hyperion_bench::REPORT_NODES
     );
     let rows = sweep_modeled_vs_measured(scale, backend);
     let markdown = report::modeled_vs_measured_markdown(&rows);
@@ -257,7 +257,7 @@ fn run_chaos(scale: Scale, spec: FaultSpec, backend: TransportBackend) -> bool {
     let spec_str = spec.to_string();
     println!(
         "== Chaos sweep: fault schedule `{spec_str}`, {} nodes, {backend} backend ==\n",
-        hyperion_bench::ADAPTIVE_NODES
+        hyperion_bench::REPORT_NODES
     );
     let pairs = sweep_chaos(scale, spec, backend);
     let markdown = report::chaos_markdown(&spec_str, &pairs);

@@ -1,7 +1,8 @@
 //! The CI bench report: JSON emission and the exact baseline gate.
 //!
 //! The CI pipeline runs `figures --quick --json`, which sweeps the five
-//! apps under all three protocols (plus the serving rows), writes the tracked metrics to `BENCH_<run>.json` and —
+//! apps under both protocols (plus the serving rows), writes the tracked
+//! metrics to `BENCH_<run>.json` and —
 //! when `--baseline bench/baseline.json` is given — fails the build unless
 //! every row of the committed baseline is, byte for byte, the row the sweep
 //! just wrote.  Modeled time and counters are a pure function of the
@@ -64,8 +65,6 @@ pub static METRICS: &[Metric] = &[
     Metric::counter("page_faults"),
     Metric::counter("locality_checks"),
     Metric::counter("mprotect_calls"),
-    Metric::counter("batched_fetches"),
-    Metric::counter("protocol_switches"),
     Metric::counter("diff_messages"),
     Metric::counter("batched_flushes"),
     Metric::counter("fetch_overlap_cycles_hidden"),
@@ -487,6 +486,6 @@ mod tests {
                 assert!(fields.iter().any(|(name, _)| *name == m.key), "{}", m.key);
             }
         }
-        assert_eq!(METRICS.len(), 26);
+        assert_eq!(METRICS.len(), 24);
     }
 }

@@ -1,8 +1,7 @@
 //! An append-only table indexed densely from 0, whose lookups take no lock.
 //!
-//! A node's frames (`crate::table`) and `java_ad`'s page states
-//! (`crate::detection`) live in such tables: entry `k` exists once the
-//! table has grown past it, and then for good.  Entries sit inline in
+//! A node's frames (`crate::table`) live in such a table: entry `k` exists
+//! once the table has grown past it, and then for good.  Entries sit inline in
 //! chunks allocated whole when the table first grows into them and never
 //! moved, so a reference to one lives as long as the table.  The `o`-th
 //! octave of indices (`64·(2^o − 1)` up to `64·(2^(o+1) − 1)`) is four

@@ -1,5 +1,4 @@
-//! The consistency-protocol engine behind `java_ic`, `java_pf` and
-//! `java_ad`.
+//! The consistency-protocol engine behind `java_ic` and `java_pf`.
 //!
 //! All protocols implement the Java Memory Model the same way (home-based
 //! caching, invalidate on monitor entry, flush field-granularity diffs on
@@ -20,10 +19,7 @@
 //! every access; `java_pf` takes a (simulated) page fault on a protected
 //! page and pays `mprotect`s to open copies and to re-protect dropped ones,
 //! one per maximal address range of pages that have or now take the
-//! protection (`DsmStore::protection_ranges`); and `java_ad`, beyond the
-//! paper, picks one of the two per page, flipping at invalidation time
-//! around the break-even `n* = ⌈(t_fault + t_mprotect) / t_check⌉`, and
-//! batches fetches of contiguous same-home pages.
+//! protection (`DsmStore::protection_ranges`).
 //!
 //! The engine exposes exactly the primitives of the paper's Table 2, one
 //! entry each: [`DsmSystem::load_into_cache`]`(node, clock, first, pages)`,
@@ -37,8 +33,8 @@ use hyperion_pm2::{
     reply_leg, Cluster, GlobalAddr, Node, NodeId, PageId, ServiceId, SLOTS_PER_PAGE,
 };
 
-use crate::config::{AdaptiveParams, ProtocolKind};
-use crate::detection::{AdMode, Detection, FLUSH_BATCH_PAGES};
+use crate::config::ProtocolKind;
+use crate::detection::{Detection, Technique, FLUSH_BATCH_PAGES};
 use crate::diff::{
     decode_diff_reply, decode_fetch_reply, encode_diff, encode_diff_batch, DiffEntry,
 };
@@ -78,23 +74,9 @@ pub struct DsmSystem {
 impl DsmSystem {
     /// Build a DSM system over an existing cluster and store, registering the
     /// page-fetch and diff-apply services with the communication subsystem.
-    /// `java_ad` runs with the default [`AdaptiveParams`];
-    /// [`DsmSystem::with_config`] sets them.  The RPCs travel over whatever
-    /// transport the cluster was built with.
+    /// The RPCs travel over whatever transport the cluster was built with.
     pub fn new(cluster: Arc<Cluster>, store: Arc<DsmStore>, kind: ProtocolKind) -> Arc<Self> {
-        Self::with_config(cluster, store, kind, &AdaptiveParams::default())
-    }
-
-    /// Build a DSM system with explicit adaptive-protocol parameters (they
-    /// are resolved against the cluster's machine model and ignored by
-    /// `java_ic` / `java_pf`).
-    pub fn with_config(
-        cluster: Arc<Cluster>,
-        store: Arc<DsmStore>,
-        kind: ProtocolKind,
-        params: &AdaptiveParams,
-    ) -> Arc<Self> {
-        let detection = Detection::new(kind, params, &cluster);
+        let detection = Detection::new(kind, &cluster);
         let service = |fetch| {
             cluster.register_service(Arc::new(HomeService {
                 store: Arc::clone(&store),
@@ -123,13 +105,6 @@ impl DsmSystem {
         self.detection.kind
     }
 
-    /// The resolved `java_ad` switching thresholds `(hi, lo)` in absolute
-    /// accesses-per-epoch (for tests, tools and the ablation benchmarks;
-    /// reported for every protocol).
-    pub fn adaptive_thresholds(&self) -> (u64, u64) {
-        self.detection.marks()
-    }
-
     /// The cluster this system runs on.
     #[inline]
     pub fn cluster(&self) -> &Arc<Cluster> {
@@ -152,7 +127,7 @@ impl DsmSystem {
         NodeStats::bump(&node_ref.stats.field_reads);
         let page = addr.page();
         let frame = self.store.frame(node, page);
-        self.unwrap_rpc(self.ensure_access(node_ref, clock, page, frame, 1));
+        self.unwrap_rpc(self.ensure_access(node_ref, clock, page, frame));
         frame.load_slot(addr.slot())
     }
 
@@ -166,7 +141,7 @@ impl DsmSystem {
         NodeStats::bump(&node_ref.stats.field_writes);
         let page = addr.page();
         let frame = self.store.frame(node, page);
-        self.unwrap_rpc(self.ensure_access(node_ref, clock, page, frame, 1));
+        self.unwrap_rpc(self.ensure_access(node_ref, clock, page, frame));
         if frame.store_slot(addr.slot(), value) {
             self.written[node.index()].push([(page, u64::MAX)]);
         }
@@ -256,10 +231,7 @@ impl DsmSystem {
             let a = addr.offset(done as u64);
             let run = (SLOTS_PER_PAGE - a.slot()).min(len - done);
             let frame = self.store.frame(node, a.page());
-            // Pages this slice is still certain to touch, counting the
-            // current one — the batching hint for `java_ad` fetches.
-            let bulk_pages = 1 + (len - done - run).div_ceil(SLOTS_PER_PAGE);
-            self.unwrap_rpc(self.ensure_access(node_ref, clock, a.page(), frame, bulk_pages));
+            self.unwrap_rpc(self.ensure_access(node_ref, clock, a.page(), frame));
             copy(a.page(), frame, a.slot(), done..done + run);
             done += run;
         }
@@ -270,14 +242,6 @@ impl DsmSystem {
     /// primitive of Table 2.  Home pages and pages already cached are
     /// skipped.  The fetches are split transactions: the caller pays their
     /// issue, and the first real use of a page the residual latency.
-    ///
-    /// The whole span is *certain* to be touched (the caller said so), so
-    /// under `java_ad` the remaining span rides along in batched fetches on
-    /// certainty alone — history speculation is suppressed, because piling
-    /// speculative pages onto an explicit prefetch would compound two
-    /// guesses and inflate page traffic the program never asked for.  An
-    /// explicit prefetch is not an access: it leaves the pages' epoch
-    /// statistics alone.
     pub fn load_into_cache(
         &self,
         node: NodeId,
@@ -293,8 +257,7 @@ impl DsmSystem {
             if frame.is_home() || frame.is_present() {
                 continue;
             }
-            let span = (pages - k) as usize;
-            self.unwrap_rpc(self.fetch_pages(node_ref, clock, page, frame, span, false));
+            self.unwrap_rpc(self.fetch_page(node_ref, clock, page, frame, false));
         }
     }
 
@@ -405,10 +368,7 @@ impl DsmSystem {
     /// `mprotect` per range of pages open already or now.  Under a grant the
     /// copies page protection detects are left unclosed; the others are
     /// re-protected at one `mprotect` per range of pages protected already
-    /// or now (`DsmStore::protection_ranges`).
-    /// The `java_ad` epoch of a page closes when a notice outdates its copy
-    /// and no patch keeps it open (every page's at `invalidateCache`): when
-    /// a detection miss is paid, or would be.  Returns how many copies it
+    /// or now (`DsmStore::protection_ranges`).  Returns how many copies it
     /// reopened or left open and stale: copies not kept open.
     fn drop_copies(
         &self,
@@ -419,17 +379,14 @@ impl DsmSystem {
     ) -> u64 {
         let (node_ref, machine) = (self.cluster.node(node), self.cluster.machine());
         let stale_copies = &self.stale[node.index()];
-        let protect = |page, frame| self.detection.technique(node, page, frame) == AdMode::Protect;
+        let protect = self.detection.technique() == Technique::Protect;
         // The held copies to drop, each with the stamp a patch riding the
         // grant must bring it to instead (`None`: nothing rides for it).
         let mut stale = Vec::new();
         match named {
             None => self.store.for_each_frame(node, |page, frame| {
-                if !frame.is_home() {
-                    self.close_epoch(node_ref, clock, page);
-                    if frame.is_present() {
-                        stale.push((page, frame, None));
-                    }
+                if !frame.is_home() && frame.is_present() {
+                    stale.push((page, frame, None));
                 }
             }),
             Some(named) => {
@@ -441,9 +398,6 @@ impl DsmSystem {
                     }
                     let held = frame.is_present() || stale_copies.holds_open(page, frame);
                     let rides = held && granter == Some(self.store.home_of(page));
-                    if !rides {
-                        self.close_epoch(node_ref, clock, page);
-                    }
                     if held {
                         stale.push((page, frame, rides.then_some(stamp)));
                     }
@@ -473,7 +427,6 @@ impl DsmSystem {
                 if self.patch_by_grant(node_ref, clock, granter, page, frame, stamp) {
                     stale_copies.set(&self.store, page, None);
                 } else {
-                    self.close_epoch(node_ref, clock, page);
                     stale.push((page, frame, None));
                 }
             }
@@ -502,8 +455,7 @@ impl DsmSystem {
         } else {
             // A grant leaves the copies whose drop re-protects unclosed,
             // behind the pending check; a Check copy's drop is free.
-            let (open, now): (Vec<_>, Vec<_>) =
-                stale.partition(|&(page, frame)| granter.is_some() && protect(page, frame));
+            let (open, now): (Vec<_>, Vec<_>) = stale.partition(|_| granter.is_some() && protect);
             left_open = open.len() as u64;
             for &(page, frame) in &open {
                 stale_copies.set(&self.store, page, Some((frame, true)));
@@ -534,8 +486,7 @@ impl DsmSystem {
             !f.is_home() && (f.is_present() || stale_copies.holds_open(page, f))
         };
         for &(page, frame) in stale.iter().filter(held) {
-            let reprotect =
-                reprotect && self.detection.technique(node, page, frame) == AdMode::Protect;
+            let reprotect = reprotect && self.detection.technique() == Technique::Protect;
             if reprotect {
                 reprotected.push(page);
             }
@@ -564,22 +515,6 @@ impl DsmSystem {
         if calls > 0 {
             NodeStats::bump_by(&node_ref.stats.mprotect_calls, calls);
             clock.advance(self.cluster.machine().dsm.mprotect_call.times(calls));
-        }
-    }
-
-    /// Close the `java_ad` epoch of `page` on `node_ref` (see
-    /// `Detection::close_epoch`), charging a switch of technique and
-    /// counting a speculatively batched copy nobody touched.
-    fn close_epoch(&self, node_ref: &Node, clock: &mut ThreadClock, page: PageId) {
-        let (switched, wasted) = self.detection.close_epoch(node_ref.id(), page);
-        if switched {
-            NodeStats::bump(&node_ref.stats.protocol_switches);
-            clock.advance(self.cluster.machine().protocol_switch());
-        }
-        if wasted {
-            NodeStats::bump(&node_ref.stats.pages_prefetch_wasted);
-            let gate = &self.fetch_state[node_ref.id().index()].speculation;
-            gate.outcome(1);
         }
     }
 
@@ -647,18 +582,12 @@ impl DsmSystem {
     // ----- internal helpers ------------------------------------------------
 
     /// Apply the protocol's access detection for one access.
-    ///
-    /// `bulk_pages` is the number of consecutive pages (including this one)
-    /// the caller is certain to touch — 1 for scalar `get`/`put`, the
-    /// remaining page span for bulk slice transfers.  Only batching
-    /// detection (`java_ad`) consults it, to size batched fetches.
     pub(crate) fn ensure_access(
         &self,
         node_ref: &Node,
         clock: &mut ThreadClock,
         page: PageId,
         frame: &PageFrame,
-        bulk_pages: usize,
     ) -> Result<(), crate::recover::RpcFailure> {
         // While the node holds open stale copies (`pending.rs`), a `Protect`
         // access pays the check that asks whether its copy is one, and takes
@@ -670,23 +599,21 @@ impl DsmSystem {
         // merge the completion timestamp (the residual latency) before the
         // access proceeds.
         self.complete_inflight(node_ref, clock, frame);
-        let miss = (self.detection).on_access(node_ref, clock, page, frame, pending, found);
-        let protect = || self.detection.technique(node_ref.id(), page, frame) == AdMode::Protect;
-        if pending && protect() {
+        let miss = (self.detection).on_access(node_ref, clock, frame, pending, found);
+        if pending && self.detection.technique() == Technique::Protect {
             self.pay_rent(node_ref, clock);
         }
         if !miss {
             return Ok(());
         }
-        self.fetch_pages(node_ref, clock, page, frame, bulk_pages, true)
+        self.fetch_page(node_ref, clock, page, frame, true)
     }
 
     /// Flush the dirty slots of `dirty` (page-id ordered) to their home
     /// nodes, coalescing runs of contiguous same-home pages into one diff
-    /// RPC (up to [`FLUSH_BATCH_PAGES`]) exactly like batched page fetches
-    /// coalesce the opposite direction.  A diff
-    /// for `monitor`'s home rides that monitor's release: it is issued as a
-    /// split transaction (only the issue path is charged to `clock`), and
+    /// RPC (up to [`FLUSH_BATCH_PAGES`]).  A diff for `monitor`'s home rides
+    /// that monitor's release: it is issued as a split transaction (only the
+    /// issue path is charged to `clock`), and
     /// the instant the home has applied the last of them is returned second.
     /// Under a monitor every other diff RPC is issued that way too, and the
     /// latest of their completions is returned first (`VTime::ZERO` if none

@@ -1,27 +1,26 @@
 //! Requester-side page-fetch mechanics of the [`DsmSystem`] engine: the
-//! (possibly batched) fetch path, the stride prefetch and in-flight
-//! transaction completion.
+//! fetch path, the stride prefetch and in-flight transaction completion.
 //!
 //! Every fetch is conditional (see [`crate::page`], "Page versions"): both
-//! paths go through [`DsmSystem::fetch_run`], which names the version
-//! each frame retains and, through [`DsmSystem::apply_answer`] — which a
+//! paths go through [`DsmSystem::fetch_rpc`], which names the version the
+//! frame retains and, through [`DsmSystem::apply_answer`] — which a
 //! monitor's grant shares — either re-opens the retained copy, patches it
-//! or installs the shipped one.  A demand fetch also names the node's
-//! indexed dropped copies of that home as riders, and reopens those the
-//! reply answers as a grant would ([`DsmSystem::answered`]).
+//! or installs the shipped one.  A fetch carries one page; the wire form
+//! (`fetch_wire.rs`) keeps its run of pages.  A demand fetch also names the
+//! node's indexed dropped copies of that home as riders, and reopens those
+//! the reply answers as a grant would ([`DsmSystem::answered`]).
 //!
 //! This is a second `impl DsmSystem` block (split out of `engine.rs` to
 //! keep the engine readable): everything here is mechanism — RPC framing,
-//! batching, ticket bookkeeping — parameterised by the detection's
-//! decisions (batch ceiling, re-access prediction, the technique that says
-//! whether an installed copy must be opened; see [`crate::detection`]).
+//! ticket bookkeeping — parameterised by the detection's technique, which
+//! says whether an installed copy must be opened ([`crate::detection`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use hyperion_model::{NodeStats, ThreadClock, VTime};
 use hyperion_pm2::{Node, NodeId, PageId};
 
-use crate::detection::AdMode;
+use crate::detection::Technique;
 use crate::diff::{decode_fetch_reply, encode_fetch_request, PageReply};
 use crate::engine::DsmSystem;
 use crate::gate::{Windowed, GATE_WINDOW};
@@ -41,8 +40,6 @@ pub(crate) struct NodeFetchState {
     scan_next: Vec<AtomicU64>,
     /// Stride-prefetch fetches issued / invalidated with the ticket pending.
     pub(crate) stride: Windowed,
-    /// Speculatively batched pages installed / invalidated untouched.
-    pub(crate) speculation: Windowed,
     /// Acquires (and explicit invalidations) begun on this node.
     acquires: AtomicU64,
 }
@@ -52,80 +49,69 @@ impl NodeFetchState {
         NodeFetchState {
             scan_next: (0..homes).map(|_| AtomicU64::new(0)).collect(),
             stride: Windowed::default(),
-            speculation: Windowed::default(),
             acquires: AtomicU64::new(0),
         }
     }
 
-    /// Count one acquire; every [`GATE_WINDOW`] of them both gates' records
-    /// fade by half.
+    /// Count one acquire; every [`GATE_WINDOW`] of them the stride gate's
+    /// record fades by half.
     pub(crate) fn begin_acquire(&self) {
         if (self.acquires.fetch_add(1, Ordering::Relaxed) + 1) % GATE_WINDOW == 0 {
             self.stride.halve();
-            self.speculation.halve();
         }
     }
 
-    /// Note a fetch of `count` pages of `home` starting at `first`; true if
-    /// it starts where the node's previous fetch from that home ended.
-    pub(crate) fn continues_scan(&self, home: NodeId, first: PageId, count: usize) -> bool {
-        let end = first.0 + count as u64;
-        let prev = self.scan_next[home.index()].swap(end, Ordering::Relaxed);
-        prev != 0 && prev == first.0
+    /// Note a fetch of `page` from `home`; true if it is the page after the
+    /// node's previous fetch from that home.
+    pub(crate) fn continues_scan(&self, home: NodeId, page: PageId) -> bool {
+        let prev = self.scan_next[home.index()].swap(page.0 + 1, Ordering::Relaxed);
+        prev != 0 && prev == page.0
     }
 }
 
 impl DsmSystem {
-    /// One conditional fetch RPC to `home` for the contiguous run of its pages
-    /// starting at `first`, whose frames on this node are `frames`, naming
-    /// the stale copies `riders`, after ending the frames' open stale copies
-    /// (`pending.rs`).  Each frame either has its retained copy
-    /// re-opened ("not modified") or patched, or a fresh copy installed, as
-    /// has each rider answered.  Returns whether the run starts where this
-    /// node's previous fetch from `home` ended (it continues a scan), the
-    /// instant the reply arrives and the protected riders it reopened.
-    fn fetch_run(
+    /// One conditional fetch RPC to `home` for `page`, whose frame on this
+    /// node is `frame`, naming the stale copies `riders`, after ending the
+    /// page's open stale copy (`pending.rs`).  The frame either has its
+    /// retained copy re-opened ("not modified") or patched, or a fresh copy
+    /// installed, as has each rider answered.  Returns whether the page
+    /// follows this node's previous fetch from `home` (it continues a scan),
+    /// the instant the reply arrives and the protected riders it reopened.
+    fn fetch_rpc(
         &self,
         node_ref: &Node,
         clock: &mut ThreadClock,
         home: NodeId,
-        first: PageId,
-        frames: &[&PageFrame],
+        page: PageId,
+        frame: &PageFrame,
         riders: &[(PageId, &PageFrame)],
     ) -> Result<(bool, VTime, Vec<PageId>), RpcFailure> {
         let node = node_ref.id();
-        for (k, frame) in (0..).zip(frames) {
-            self.drop_if_stale(node_ref, PageId(first.0 + k), frame);
-        }
-        let retained: Vec<u64> = frames.iter().map(|f| f.version()).collect();
+        self.drop_if_stale(node_ref, page, frame);
+        let retained = [frame.version()];
         let named: Vec<_> = riders.iter().map(|(p, f)| (*p, f.version())).collect();
-        let payload = encode_fetch_request(first, &retained, &named);
+        let payload = encode_fetch_request(page, &retained, &named);
         let (bytes, completion) =
-            self.rpc_to_home(clock, node, node_ref, first, self.page_fetch, &payload)?;
-        let malformed = |why| self.malformed_reply(node, first, self.page_fetch, why);
+            self.rpc_to_home(clock, node, node_ref, page, self.page_fetch, &payload)?;
+        let malformed = |why| self.malformed_reply(node, page, self.page_fetch, why);
         let stamps: Vec<u64> = named.iter().map(|&(_, v)| v).collect();
         let (replies, answers) =
             decode_fetch_reply(&bytes, &retained, &stamps).map_err(malformed)?;
-        let scan = self.fetch_state[node.index()].continues_scan(home, first, frames.len());
-        let mut opened = 0i64;
-        for (k, (frame, reply)) in frames.iter().zip(replies).enumerate() {
-            if frame.is_home() {
-                // A recovery promoted this frame to home mid-fetch: the
-                // (pre-recovery) snapshot would erase newer home writes.  The
-                // round trip stays charged — it really happened.
-                continue;
-            }
-            // The decoder vouched for every stamp against `retained[k]`.
-            let page = PageId(first.0 + k as u64);
-            opened += i64::from(self.apply_answer(node_ref, page, frame, reply));
-        }
+        let scan = self.fetch_state[node.index()].continues_scan(home, page);
+        // A recovery that promoted the frame to home mid-fetch leaves it
+        // alone: the (pre-recovery) snapshot would erase newer home writes.
+        // The round trip stays charged — it really happened.  The decoder
+        // vouched for the stamp against `retained`.
+        let reply = replies.into_iter().next().filter(|_| !frame.is_home());
+        let opened = reply.is_some_and(|r| self.apply_answer(node_ref, page, frame, r));
         let answered = riders.iter().zip(answers).map(|(&(page, frame), answer)| {
             let answer = answer.filter(|_| !frame.is_home());
             let applied = answer.map(|a| self.apply_answer(node_ref, page, frame, a));
             (page, frame, applied.is_some())
         });
         let (reopened, unprotected) = self.answered(node, answered);
-        self.store.note_cached(node, opened + reopened as i64);
+        self.store
+            .note_cached(node, i64::from(opened) + reopened as i64);
         Ok((scan, completion, unprotected))
     }
 
@@ -194,17 +180,17 @@ impl DsmSystem {
             // before any further misprediction is tolerated, and until it
             // has, it takes a pair of tickets per fetch — a first wrong run
             // (or a re-probe's) costs two fetches, not a window of them.
-            if !gate.wastes_little(8) || (issued_now >= 2 && !gate.proven(8)) {
+            if !gate.wastes_little() || (issued_now >= 2 && !gate.proven()) {
                 return;
             }
             let frame = self.store.frame(node, page);
             if frame.is_home() || frame.is_present() {
                 continue;
             }
-            let technique = self.detection.technique(node, page, frame);
-            let unprotect = technique == AdMode::Protect && frame.is_protected();
+            let unprotect =
+                self.detection.technique() == Technique::Protect && frame.is_protected();
             let Ok((_, mut completion, _)) =
-                self.fetch_run(node_ref, clock, home, page, &[frame], &[])
+                self.fetch_rpc(node_ref, clock, home, page, frame, &[])
             else {
                 // The prefetch is an optimisation, so it degrades gracefully:
                 // a page the transport cannot serve is simply not issued, and
@@ -217,7 +203,7 @@ impl DsmSystem {
             gate.tried(1);
             issued_now += 1;
             if frame.is_home() {
-                // Promoted mid-fetch (see `fetch_run`): charge the round
+                // Promoted mid-fetch (see `fetch_rpc`): charge the round
                 // trip, open nothing.
                 clock.merge(completion);
                 continue;
@@ -230,121 +216,42 @@ impl DsmSystem {
         }
     }
 
-    /// Bring `page` into the local cache from its home node and, under
-    /// batching detection (`java_ad`), opportunistically batch a run
-    /// of contiguous successor pages into the same RPC.
+    /// Bring `page` into the local cache from its home node.
     ///
     /// `demand` distinguishes a fetch triggered by an access (the access is
     /// the first use, so the transaction completes on the spot and the full
     /// round trip is charged) from an explicit prefetch, which records an
     /// in-flight ticket and lets the caller keep computing.  A demand fetch
     /// names the node's other indexed dropped copies of the same home as
-    /// riders (`fetch_run`).  The protected pages it opens, the run's and
-    /// the reopened riders', cost one `mprotect` per range of open pages.
-    ///
-    /// A successor page joins the batch only when it shares the demanded
-    /// page's home, is currently absent, and is either *certain* to be
-    /// touched (it lies inside the `bulk_pages` of the access that triggered
-    /// the miss, or of the explicit prefetch) or, for a demand fetch,
-    /// *predicted* to be touched (the detection predicts re-access from its
-    /// epoch history).  The second condition is what keeps batched fetches
-    /// from inflating page loads: only pages with demonstrated per-epoch
-    /// re-access are speculated on.  Without batching detection the window
-    /// is the demanded page alone.
-    pub(crate) fn fetch_pages(
+    /// riders (`fetch_rpc`).  The protected pages it opens, the page and the
+    /// reopened riders, cost one `mprotect` per range of open pages.
+    pub(crate) fn fetch_page(
         &self,
         node_ref: &Node,
         clock: &mut ThreadClock,
         page: PageId,
         frame: &PageFrame,
-        bulk_pages: usize,
         demand: bool,
     ) -> Result<(), RpcFailure> {
         let (node, home) = (node_ref.id(), self.store.home_of(page));
         // An open stale copy was never closed: it opens at no `mprotect`.
-        let technique = self.detection.technique(node, page, frame);
-        let unprotect = technique == AdMode::Protect && frame.is_protected();
-        let max_batch = self.detection.batch_ceiling();
-
-        // Speculation is throttled by its own measured accuracy: while more
-        // than 1/16 of the node's recent *speculative* prefetches turned out
-        // wasted (invalidated untouched), only pages certain to be accessed
-        // may ride along.  Certain (bulk-covered) pages are deliberately not
-        // in the denominator — they can never be wasted and would otherwise
-        // dilute the bound.  This keeps a mispredicting workload (e.g.
-        // dynamic work reassignment) from inflating page traffic noticeably.
-        let gate = &self.fetch_state[node.index()].speculation;
-        let may_speculate = demand && gate.wastes_little(16);
-
-        // Candidate phase: grow the contiguous window page by page.
-        let num_pages = self.store.allocator().num_pages();
-        let mut candidates: Vec<(&PageFrame, bool)> = Vec::new();
-        for k in 1..max_batch as u64 {
-            let q = PageId(page.0 + k);
-            if q.index() >= num_pages || self.store.home_of(q) != home {
-                break;
-            }
-            let qf = self.store.frame(node, q);
-            if qf.is_home() || qf.is_present() {
-                break;
-            }
-            let certain = (k as usize) < bulk_pages;
-            let predicted = may_speculate && self.detection.predicts_reaccess(node, q);
-            if !certain && !predicted {
-                break;
-            }
-            candidates.push((qf, !certain));
-        }
-        let count = 1 + candidates.len();
-
+        let unprotect = self.detection.technique() == Technique::Protect && frame.is_protected();
         let machine = self.cluster.machine();
-        NodeStats::bump_by(&node_ref.stats.page_loads, count as u64);
-        if count > 1 {
-            NodeStats::bump(&node_ref.stats.batched_fetches);
-            NodeStats::bump_by(&node_ref.stats.pages_prefetched, (count - 1) as u64);
-            clock.advance(machine.batch_request_overhead((count - 1) as u64));
-        }
-        let run: Vec<&PageFrame> = std::iter::once(frame)
-            .chain(candidates.iter().map(|&(qf, _)| qf))
-            .collect();
-        let in_run = page.0..page.0 + count as u64;
+        NodeStats::bump(&node_ref.stats.page_loads);
         let taken = demand.then(|| self.take_named(node, home));
         let riders: Vec<_> = (taken.into_iter().flatten())
-            .filter(|(p, f)| !in_run.contains(&p.0) && !f.has_inflight())
+            .filter(|(p, f)| *p != page && !f.has_inflight())
             .collect();
         let (scan, wire_completion, mut opened) =
-            self.fetch_run(node_ref, clock, home, page, &run, &riders)?;
+            self.fetch_rpc(node_ref, clock, home, page, frame, &riders)?;
         let issue = clock.now();
-        // A frame of the run promoted to home mid-fetch was left alone by
-        // `fetch_run`: it has nothing to open and takes no ticket below.
+        // A frame promoted to home mid-fetch was left alone by `fetch_rpc`:
+        // it has nothing to open and takes no ticket below.
         let promoted = frame.is_home();
         if unprotect && !promoted {
             opened.push(page);
         }
-        // Opening a batched page that was protection-detected clears its
-        // access protection, which costs an mprotect just as the demanded
-        // page's fault path does — without it java_ad's modeled cost would be
-        // understated for exactly the pages the prefetcher targets.
-        let mut speculative_pages = 0u64;
-        for (q, &(qf, speculative)) in (page.0 + 1..).map(PageId).zip(&candidates) {
-            if qf.is_home() {
-                continue;
-            }
-            if self.detection.technique(node, q, qf) == AdMode::Protect {
-                opened.push(q);
-            }
-            if speculative {
-                self.detection.ad(node, q).mark_prefetched();
-                speculative_pages += 1;
-            }
-        }
-        if speculative_pages > 0 {
-            let stats = &node_ref.stats;
-            NodeStats::bump_by(&stats.pages_prefetch_speculative, speculative_pages);
-            gate.tried(speculative_pages);
-        }
-
-        // The run and its reopened riders open by one mprotect per range.
+        // The page and its reopened riders open by one mprotect per range.
         opened.sort_unstable();
         let calls = self.store.protection_ranges(node, &opened, false);
         NodeStats::bump_by(&node_ref.stats.mprotect_calls, calls);
@@ -352,33 +259,13 @@ impl DsmSystem {
         if demand {
             clock.merge(wire_completion);
             clock.advance(mprotect);
-            // The demanded page completed here, but the rest of the batch is
-            // live split transactions finishing with it.  The thread stalled
-            // for the whole round trip on the demanded page, so the batch hid
-            // nothing — its tickets carry `done` as both issue and completion
-            // (zero residual, zero hidden), and only make a slower thread
-            // that touches one of its pages first wait until the batch had
-            // actually arrived.
-            let done = clock.now();
-            for (qf, _) in &candidates {
-                if !qf.is_home() {
-                    qf.begin_inflight(done.as_ps(), done.as_ps(), false);
-                }
-            }
-        } else {
-            // No riders: the calls open the run alone.
+        } else if !promoted {
+            // No riders: the calls open the page alone.
             let completion = wire_completion + mprotect;
-            if !promoted {
-                frame.begin_inflight(issue.as_ps(), completion.as_ps(), false);
-            }
-            for (qf, _) in &candidates {
-                if !qf.is_home() {
-                    qf.begin_inflight(issue.as_ps(), completion.as_ps(), false);
-                }
-            }
+            frame.begin_inflight(issue.as_ps(), completion.as_ps(), false);
         }
         if scan {
-            self.issue_stride_fetches(node_ref, clock, home, PageId(page.0 + count as u64));
+            self.issue_stride_fetches(node_ref, clock, home, PageId(page.0 + 1));
         }
         Ok(())
     }

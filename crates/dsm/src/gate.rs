@@ -1,5 +1,4 @@
-//! The windowed accuracy gate the speculative fetch mechanisms throttle
-//! themselves on: the stride prefetch and `java_ad`'s speculative batching
+//! The windowed accuracy gate the stride prefetch throttles itself on
 //! (`fetch.rs`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -8,11 +7,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// `NodeFetchState::begin_acquire`).
 pub(crate) const GATE_WINDOW: u64 = 256;
 
-/// Trials of a speculative fetch mechanism on one node and how they turned
-/// out, over a sliding window: both counts are halved every
-/// [`GATE_WINDOW`] acquires.  A mechanism that throttles itself on
-/// these cannot latch off — once it stops trying, its record fades and it
-/// probes again.
+/// Trials a record counts at least: an early waste bites at once, and a
+/// record of fewer trials proves nothing.
+const FLOOR: u64 = 8;
+
+/// Trials of the stride prefetch on one node and how they turned out, over
+/// a sliding window: both counts are halved every [`GATE_WINDOW`]
+/// acquires.  A prefetch that throttles itself on these cannot latch off —
+/// once it stops trying, its record fades and it probes again.
 #[derive(Debug, Default)]
 pub(crate) struct Windowed {
     trials: AtomicU64,
@@ -35,17 +37,16 @@ impl Windowed {
         }
     }
 
-    /// At least `floor` trials are on record.
-    pub(crate) fn proven(&self, floor: u64) -> bool {
-        self.trials.load(Ordering::Relaxed) >= floor
+    /// At least [`FLOOR`] trials are on record.
+    pub(crate) fn proven(&self) -> bool {
+        self.trials.load(Ordering::Relaxed) >= FLOOR
     }
 
     /// Outcomes are *wasted* trials: true while at most 1 trial in 16 was
-    /// wasted, counting at least `floor` trials so that an early waste
-    /// bites at once.
-    pub(crate) fn wastes_little(&self, floor: u64) -> bool {
+    /// wasted, counting at least [`FLOOR`] trials.
+    pub(crate) fn wastes_little(&self) -> bool {
         let wasted = self.outcomes.load(Ordering::Relaxed);
-        wasted.saturating_mul(16) <= self.trials.load(Ordering::Relaxed).max(floor)
+        wasted.saturating_mul(16) <= self.trials.load(Ordering::Relaxed).max(FLOOR)
     }
 }
 
@@ -57,19 +58,19 @@ mod tests {
     fn a_gate_closes_on_its_record_and_reopens_once_that_has_faded() {
         // One early waste bites at once, and fades instead of latching; a
         // record below the floor proves nothing either way.
-        let stride = Windowed::default();
-        stride.tried(1);
-        stride.outcome(1);
-        assert!(!stride.wastes_little(8) && !stride.proven(8));
-        stride.halve();
-        assert!(stride.wastes_little(8), "not latched");
-        let speculation = Windowed::default();
-        speculation.tried(16);
-        speculation.outcome(2);
-        assert!(!speculation.wastes_little(16) && speculation.proven(16));
-        speculation.halve();
-        speculation.halve();
-        assert!(speculation.wastes_little(16), "not latched");
+        let early = Windowed::default();
+        early.tried(1);
+        early.outcome(1);
+        assert!(!early.wastes_little() && !early.proven());
+        early.halve();
+        assert!(early.wastes_little(), "not latched");
+        let proven = Windowed::default();
+        proven.tried(16);
+        proven.outcome(2);
+        assert!(!proven.wastes_little() && proven.proven());
+        proven.halve();
+        proven.halve();
+        assert!(proven.wastes_little(), "not latched");
     }
 
     #[test]
@@ -79,8 +80,8 @@ mod tests {
         node.stride.tried(1);
         node.stride.outcome(1);
         (1..GATE_WINDOW).for_each(|_| node.begin_acquire());
-        assert!(!node.stride.wastes_little(8), "shut until the window ends");
+        assert!(!node.stride.wastes_little(), "shut until the window ends");
         node.begin_acquire();
-        assert!(node.stride.wastes_little(8), "faded by the window");
+        assert!(node.stride.wastes_little(), "faded by the window");
     }
 }

@@ -7,15 +7,12 @@
 //! paper's Table 2 (`loadIntoCache`, `invalidateCache`, `updateMainMemory`,
 //! `get`, `put`).
 //!
-//! Three protocols implement Java consistency:
+//! The paper's two protocols implement Java consistency:
 //!
 //! * [`ProtocolKind::JavaIc`] — access detection by explicit in-line
 //!   locality checks (§3.2);
 //! * [`ProtocolKind::JavaPf`] — access detection by page faults on protected
-//!   pages (§3.3);
-//! * [`ProtocolKind::JavaAd`] — adaptive per-page selection between the two
-//!   techniques with batched contiguous page fetches (extension beyond the
-//!   paper; see [`AdaptiveParams`]).
+//!   pages (§3.3).
 //!
 //! Module map:
 //!
@@ -23,16 +20,16 @@
 //! * [`table`] — per-node frame tables (`dense`) and the [`DsmStore`];
 //! * [`diff`] — wire encoding of field-granularity diffs and (from
 //!   `fetch_wire`) of page fetches;
-//! * [`config`] — protocol / transport configuration data and its
-//!   validation: the one place a run is described (the transport part
-//!   builds the cluster, not the engine);
+//! * [`config`] — protocol / transport configuration data: the one place a
+//!   run is described (the transport part builds the cluster, not the
+//!   engine);
 //! * [`detection`] — how each protocol detects remote accesses, the one
-//!   thing they differ in (one technique per page, the `java_ad` state
-//!   machine, and the JMM obligations every decision keeps);
+//!   thing they differ in (one technique per protocol, and the JMM
+//!   obligations every decision keeps);
 //! * [`engine`] — the [`DsmSystem`] protocol engine (with its fetch
-//!   mechanics in `fetch`, the accuracy gate its speculative fetches
-//!   throttle themselves on in `gate`, and its RPC services in
-//!   `services`), which asks the detection at every decision point;
+//!   mechanics in `fetch`, the accuracy gate its stride prefetch throttles
+//!   itself on in `gate`, and its RPC services in `services`), which asks
+//!   the detection at every decision point;
 //! * `pending` — the stale copies a node retains, open behind the pending
 //!   check or dropped, and the rent-or-buy rule that re-protects the open
 //!   ones;
@@ -64,8 +61,8 @@ pub mod recover;
 mod services;
 pub mod table;
 
-pub use config::{AdaptiveParams, PolicyError, ProtocolKind, TransportConfig};
-pub use detection::AdMode;
+pub use config::{ProtocolKind, TransportConfig};
+pub use detection::Technique;
 pub use engine::DsmSystem;
 pub use hyperion_pm2::TransportBackend;
 pub use notices::Notices;

@@ -17,7 +17,6 @@
 //! bytes: roles, version, in-flight ticket and three lazy boxes — the
 //! page's slots ([`PageData`], at the first access), the dirty bitmap (at
 //! the first write that records a slot) and the home's change history.
-//! `java_ad`'s per-page state is the detection's.
 //!
 //! ## Page versions
 //!

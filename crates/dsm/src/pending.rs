@@ -25,7 +25,7 @@ use hyperion_model::sync::lock;
 use hyperion_model::{NodeStats, ThreadClock};
 use hyperion_pm2::{Node, NodeId, PageId};
 
-use crate::detection::AdMode;
+use crate::detection::Technique;
 use crate::engine::DsmSystem;
 use crate::page::PageFrame;
 use crate::table::DsmStore;
@@ -65,8 +65,8 @@ impl StaleCopies {
     }
 
     /// Whether `frame`, `page`'s copy, is open: absent, unprotected and in
-    /// the open set (a `java_ad` copy dropped under `Check` that flipped to
-    /// `Protect` is absent and unprotected too, but not open).
+    /// the open set (a copy dropped under `Check` is absent and unprotected
+    /// too, but not open).
     pub(crate) fn holds_open(&self, page: PageId, frame: &PageFrame) -> bool {
         let unclosed = !frame.is_present() && !frame.is_protected();
         unclosed && self.any_open() && lock(&self.index).open.contains(&page.0)
@@ -188,7 +188,7 @@ impl DsmSystem {
                 frame.set_fits_grant(false);
             } else if !self.stale[node.index()].set(&self.store, page, None) {
                 reopened += 1;
-                if self.detection.technique(node, page, frame) == AdMode::Protect {
+                if self.detection.technique() == Technique::Protect {
                     unprotected.push(page);
                 }
             }

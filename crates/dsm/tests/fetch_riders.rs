@@ -8,21 +8,21 @@
 //! Mutations on record — each applied to a copy of the tree, the whole
 //! suite run under it, and the tests named failed:
 //!
-//! * no riders (`DsmSystem::fetch_pages` takes nothing from
+//! * no riders (`DsmSystem::fetch_page` takes nothing from
 //!   `StaleCopies::take_named`; re-run on it): `a_fault_reopens_a_dropped_copy_of_the_same_home`,
 //!   `a_rider_dearer_than_an_mprotect_stays_dropped` (113 slots),
-//!   `a_rider_is_named_only_to_its_own_home` and
-//!   `a_dropped_copy_between_keeps_the_rider_a_call_of_its_own`, and beyond
-//!   this file `a_fault_and_its_adjacent_rider_open_in_one_call`
-//!   (`protection_runs.rs`), `adaptive_history_prefetch_needs_a_stable_streak`,
-//!   `golden_counters_match_the_parent_commit` and the byte-for-byte
-//!   baseline and paper rows;
+//!   `a_rider_is_named_only_to_its_own_home`,
+//!   `a_dropped_copy_between_keeps_the_rider_a_call_of_its_own` and
+//!   `one_reply_ships_a_page_patches_a_rider_and_confirms_another`, and
+//!   beyond this file `a_fault_and_its_adjacent_rider_open_in_one_call`
+//!   (`protection_runs.rs`), `golden_counters_match_the_parent_commit` and
+//!   the byte-for-byte baseline and paper rows;
 //! * riders answered whatever their cost (`serve_fetch` answers a rider
 //!   with any patch, its `grant_cost` unchecked):
 //!   `a_rider_dearer_than_an_mprotect_stays_dropped` (114 slots), and the
 //!   paper rows;
-//! * no `mprotect` for reopened protected riders (`fetch_run` returns none
-//!   of them to `fetch_pages`' ranges):
+//! * no `mprotect` for reopened protected riders (`fetch_rpc` returns none
+//!   of them to `fetch_page`'s ranges):
 //!   `a_dropped_copy_between_keeps_the_rider_a_call_of_its_own` (under
 //!   `java_pf`; where Q is P's neighbour, P's own range covers it), and
 //!   the golden counters (re-run since, it no longer moves a row of the
@@ -194,6 +194,34 @@ fn a_dropped_copy_between_keeps_the_rider_a_call_of_its_own() {
             );
             let (_, before, after) = run.read(2, 0);
             assert_eq!(cost(before, after), (0, 0, 0, 0, 0), "{kind}: {s_open}");
+        }
+    }
+}
+
+/// One reply mixes all three answers a fetch can get.  Node 2 rewrites P
+/// whole after the reader dropped it, so the fault on P ships the page;
+/// Q, one slot changed, rides as a patch; and R, also of node 0 and
+/// unchanged, as a confirmation.  That is one RPC and one page of bytes,
+/// and Q and R then read their home's values at no cost.
+#[test]
+fn one_reply_ships_a_page_patches_a_rider_and_confirms_another() {
+    for kind in PROTOCOLS {
+        let mut run = Run::dropped_on(kind, [HOME; 3], 1);
+        let mut writer = ThreadClock::new();
+        let whole = [7; SLOTS_PER_PAGE];
+        (run.dsm).write_slice(NodeId(2), &mut writer, run.pages[0], &whole);
+        run.dsm.update_main_memory(NodeId(2), &mut writer);
+        let (value, before, after) = run.read(0, 0);
+        assert_eq!(value, 7, "{kind}");
+        let pf = u64::from(kind == ProtocolKind::JavaPf);
+        assert_eq!(cost(before, after), (pf, 1, pf, 1, 1), "{kind}");
+        assert_eq!(after.rpc_requests, before.rpc_requests + 1, "{kind}");
+        let shipped = after.bytes_received - before.bytes_received;
+        assert!((4096..2 * 4096).contains(&shipped), "{kind}: one page");
+        for (k, want) in [(1, 1), (2, 0)] {
+            let (value, before, after) = run.read(k, 0);
+            assert_eq!(value, want, "{kind}: page {k}");
+            assert_eq!(cost(before, after), (0, 0, 0, 0, 0), "{kind}: page {k}");
         }
     }
 }

@@ -3,10 +3,10 @@
 //! changes to the target protection in that operation or already has it
 //! (`DsmStore::protection_ranges`).  A re-protect of dropped copies runs
 //! across pages that are protected already (dropped earlier, or never
-//! fetched) and stops at an unprotected one (an open copy, a home page, a
-//! `java_ad` Check-mode copy); a reopen runs across open pages and stops at
-//! one that stays protected.  `invalidateCache` keeps its single call, and
-//! `java_ic` pays none anywhere.
+//! fetched) and stops at an unprotected one (an open copy, a home page); a
+//! reopen runs across open pages and stops at one that stays protected.
+//! `invalidateCache` keeps its single call, and `java_ic` pays none
+//! anywhere.
 //!
 //! Mutation on record — applied to a copy of the tree, the whole suite run
 //! under it, and the tests named failed:
@@ -21,7 +21,7 @@
 
 use std::sync::Arc;
 
-use hyperion_dsm::{AdaptiveParams, DsmStore, DsmSystem, Notices, PageFrame, ProtocolKind};
+use hyperion_dsm::{DsmStore, DsmSystem, Notices, PageFrame, ProtocolKind};
 use hyperion_model::{myrinet_200, ThreadClock};
 use hyperion_pm2::{Cluster, GlobalAddr, IsoAllocator, NodeId, SLOTS_PER_PAGE};
 
@@ -44,14 +44,10 @@ struct Run {
 
 impl Run {
     fn new(kind: ProtocolKind, homes: &[NodeId]) -> Run {
-        Run::with_params(kind, &AdaptiveParams::default(), homes)
-    }
-
-    fn with_params(kind: ProtocolKind, params: &AdaptiveParams, homes: &[NodeId]) -> Run {
         let cluster = Cluster::new(myrinet_200().machine, 3);
         let alloc = Arc::new(IsoAllocator::new(3));
         let store = DsmStore::new(Arc::clone(&alloc), 3);
-        let dsm = DsmSystem::with_config(Arc::clone(&cluster), store, kind, params);
+        let dsm = DsmSystem::new(Arc::clone(&cluster), store, kind);
         let pages: Vec<_> = (homes.iter())
             .map(|&home| alloc.alloc_page_aligned(SLOTS_PER_PAGE, home))
             .collect();
@@ -145,28 +141,6 @@ fn a_re_protect_stops_at_an_open_copy_and_at_a_home_page() {
         home.read(&[0, 1, 2]);
         assert_eq!(home.calls(|r| r.drop(&[0, 2])), 2 * pf, "{kind}");
     }
-}
-
-/// Under `java_ad` a Check-mode copy is never protected, dropped or not: a
-/// re-protect of the Protect-mode copies on either side of it is two calls.
-/// A high mark of one access per epoch turns the pages read four times an
-/// epoch to Protect at the first `invalidateCache`; the page read once
-/// stays Check.
-#[test]
-fn a_check_mode_copy_ends_a_re_protect_range() {
-    let eager = AdaptiveParams { hi_multiple: 1e-9 };
-    let mut run = Run::with_params(ProtocolKind::JavaAd, &eager, &[HOME; 3]);
-    run.read(&[0, 0, 0, 0, 1, 2, 2, 2, 2]);
-    run.dsm.invalidate_cache(READER, &mut run.clock);
-    run.read(&[0, 1, 2]);
-    assert_eq!(
-        run.calls(|r| r.drop(&[1])),
-        0,
-        "a Check copy drops for free"
-    );
-    assert!(!run.frame(1).is_present() && !run.frame(1).is_protected());
-    assert_eq!(run.calls(|r| r.drop(&[0, 2])), 2);
-    assert!(run.frame(0).is_protected() && run.frame(2).is_protected());
 }
 
 /// A grant reopens the dropped copies of its home's pages: across a page of

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use hyperion_dsm::{AdaptiveParams, DsmStore, DsmSystem, ProtocolKind, TransportConfig};
+use hyperion_dsm::{DsmStore, DsmSystem, ProtocolKind, TransportConfig};
 use hyperion_model::{myrinet_200, ThreadClock, VTime};
 use hyperion_pm2::{
     Cluster, FaultKill, FaultSpec, GlobalAddr, IsoAllocator, NodeId, PageId, SLOTS_PER_PAGE,
@@ -17,26 +17,16 @@ struct Fixture {
 }
 
 fn fixture(nodes: usize, kind: ProtocolKind) -> Fixture {
-    fixture_with(
-        nodes,
-        kind,
-        &AdaptiveParams::default(),
-        &TransportConfig::default(),
-    )
+    fixture_with(nodes, kind, &TransportConfig::default())
 }
 
-fn fixture_with(
-    nodes: usize,
-    kind: ProtocolKind,
-    params: &AdaptiveParams,
-    transport: &TransportConfig,
-) -> Fixture {
+fn fixture_with(nodes: usize, kind: ProtocolKind, transport: &TransportConfig) -> Fixture {
     let machine = myrinet_200().machine;
     let cluster =
         Cluster::for_backend_with_faults(machine, nodes, transport.backend, transport.fault);
     let alloc = Arc::new(IsoAllocator::new(nodes));
     let store = DsmStore::new(Arc::clone(&alloc), nodes);
-    let dsm = DsmSystem::with_config(Arc::clone(&cluster), store, kind, params);
+    let dsm = DsmSystem::new(Arc::clone(&cluster), store, kind);
     Fixture {
         cluster,
         alloc,
@@ -60,7 +50,8 @@ fn resident(dsm: &DsmSystem, node: NodeId, page: PageId) -> bool {
 /// A frame exists per page per node up to the highest page the node
 /// touched, most of them never accessed, so per-copy state has to fit what
 /// a frame already takes: 80 bytes on 64-bit Linux (168 while the frame
-/// held `java_ad`'s state and its own dirty bitmap), at most 120 anywhere.
+/// held a per-page adaptive-detection state and its own dirty bitmap), at
+/// most 120 anywhere.
 #[test]
 fn a_page_frame_fits_in_80_bytes() {
     let size = std::mem::size_of::<hyperion_dsm::PageFrame>();
@@ -74,11 +65,8 @@ fn a_page_frame_fits_in_80_bytes() {
 fn protocol_kind_names_match_paper() {
     assert_eq!(ProtocolKind::JavaIc.name(), "java_ic");
     assert_eq!(ProtocolKind::JavaPf.name(), "java_pf");
-    assert_eq!(ProtocolKind::JavaAd.name(), "java_ad");
     assert_eq!(ProtocolKind::all().len(), 2);
-    assert_eq!(ProtocolKind::all_extended().len(), 3);
     assert_eq!(format!("{}", ProtocolKind::JavaPf), "java_pf");
-    assert_eq!(format!("{}", ProtocolKind::JavaAd), "java_ad");
 }
 
 #[test]
@@ -116,7 +104,7 @@ fn ic_charges_checks_even_on_home_pages_pf_does_not() {
 
 #[test]
 fn remote_read_fetches_page_and_sees_home_values() {
-    for kind in ProtocolKind::all_extended() {
+    for kind in ProtocolKind::all() {
         let f = fixture(2, kind);
         let addr = f.alloc.alloc(8, NodeId(1));
         // The home node writes a value directly.
@@ -141,19 +129,13 @@ fn remote_read_fetches_page_and_sees_home_values() {
                 assert_eq!(s0.mprotect_calls, 1);
                 assert_eq!(s0.locality_checks, 0);
             }
-            // A fresh page starts in check mode: ic mechanics.
-            ProtocolKind::JavaAd => {
-                assert_eq!(s0.page_faults, 0);
-                assert_eq!(s0.mprotect_calls, 0);
-                assert_eq!(s0.locality_checks, 1);
-            }
         }
         // Second read hits the cache: no further page loads.
         let before = clock.now();
         let _ = f.dsm.get(NodeId(0), &mut clock, addr);
         assert_eq!(f.cluster.node_stats(NodeId(0)).page_loads, 1);
         match kind {
-            ProtocolKind::JavaIc | ProtocolKind::JavaAd => assert!(clock.now() > before),
+            ProtocolKind::JavaIc => assert!(clock.now() > before),
             ProtocolKind::JavaPf => assert_eq!(clock.now(), before),
         }
     }
@@ -213,7 +195,7 @@ fn diff_flush_propagates_writes_to_home() {
 
 #[test]
 fn invalidate_forces_refetch_and_charges_mprotect_only_under_pf() {
-    for kind in ProtocolKind::all_extended() {
+    for kind in ProtocolKind::all() {
         let f = fixture(2, kind);
         let addr = f.alloc.alloc(8, NodeId(1));
         let mut clock = ThreadClock::new();
@@ -231,9 +213,6 @@ fn invalidate_forces_refetch_and_charges_mprotect_only_under_pf() {
         match kind {
             ProtocolKind::JavaIc => assert_eq!(s.mprotect_calls, mprotect_before),
             ProtocolKind::JavaPf => assert_eq!(s.mprotect_calls, mprotect_before + 1),
-            // One sparse access leaves the page in check mode, so no
-            // re-protection is due.
-            ProtocolKind::JavaAd => assert_eq!(s.mprotect_calls, mprotect_before),
         }
 
         // The next access loads the page again.
@@ -422,255 +401,6 @@ fn field_granularity_flush_does_not_clobber_concurrent_home_writes() {
     assert_eq!(f.dsm.get(NodeId(1), &mut c1, addr.offset(1)), 111);
 }
 
-// ----- java_ad -----------------------------------------------------------
-
-#[test]
-fn adaptive_home_accesses_are_free_like_pf() {
-    let f = fixture(1, ProtocolKind::JavaAd);
-    let addr = f.alloc.alloc(4, NodeId(0));
-    let mut clock = ThreadClock::new();
-    for i in 0..100 {
-        f.dsm.put(NodeId(0), &mut clock, addr, i);
-    }
-    assert_eq!(clock.now(), VTime::ZERO);
-    let s = f.cluster.node_stats(NodeId(0));
-    assert_eq!(s.locality_checks, 0);
-    assert_eq!(s.page_faults, 0);
-}
-
-#[test]
-fn adaptive_dense_page_switches_to_protection_and_back() {
-    let f = fixture(2, ProtocolKind::JavaAd);
-    let addr = f.alloc.alloc(8, NodeId(1));
-    let (hi, lo) = f.dsm.adaptive_thresholds();
-    assert!(hi > 1, "break-even must exceed one access");
-    assert!(lo < hi);
-
-    // Epoch 1: very dense re-access (checks all the way, ic mechanics).
-    // 4·hi accesses push the smoothed average to exactly hi in a single
-    // epoch (avg ← closed / 4 from a cold start).
-    let mut clock = ThreadClock::new();
-    for _ in 0..4 * hi {
-        let _ = f.dsm.get(NodeId(0), &mut clock, addr);
-    }
-    let s = f.cluster.node_stats(NodeId(0));
-    assert_eq!(s.locality_checks, 4 * hi);
-    assert_eq!(s.page_faults, 0);
-    assert_eq!(s.protocol_switches, 0);
-
-    // The invalidation closes the epoch and flips the page: the cached
-    // region is re-protected, which costs one mprotect like java_pf.
-    f.dsm.invalidate_cache(NodeId(0), &mut clock);
-    let s = f.cluster.node_stats(NodeId(0));
-    assert_eq!(s.protocol_switches, 1);
-    assert_eq!(s.mprotect_calls, 1);
-
-    // Epoch 2: the page is protection-detected — one fault, then free.
-    let checks_before = s.locality_checks;
-    for _ in 0..hi {
-        let _ = f.dsm.get(NodeId(0), &mut clock, addr);
-    }
-    let s = f.cluster.node_stats(NodeId(0));
-    assert_eq!(
-        s.locality_checks, checks_before,
-        "no checks in protect mode"
-    );
-    assert_eq!(s.page_faults, 1);
-
-    // Sparse epochs decay the smoothed average below the low-water mark
-    // and flip the page back — the hysteresis means it takes a few.
-    f.dsm.invalidate_cache(NodeId(0), &mut clock);
-    for _ in 0..8 {
-        if f.cluster.node_stats(NodeId(0)).protocol_switches == 2 {
-            break;
-        }
-        let _ = f.dsm.get(NodeId(0), &mut clock, addr);
-        f.dsm.invalidate_cache(NodeId(0), &mut clock);
-    }
-    let s = f.cluster.node_stats(NodeId(0));
-    assert_eq!(s.protocol_switches, 2, "sparse access must flip it back");
-    let faults_before = s.page_faults;
-    let checks_before = s.locality_checks;
-    let _ = f.dsm.get(NodeId(0), &mut clock, addr);
-    let s = f.cluster.node_stats(NodeId(0));
-    assert_eq!(s.page_faults, faults_before, "back to ic mechanics");
-    assert_eq!(s.locality_checks, checks_before + 1);
-}
-
-#[test]
-fn adaptive_bulk_read_batches_contiguous_pages_into_one_rpc() {
-    let ad = fixture(2, ProtocolKind::JavaAd);
-    let ic = fixture(2, ProtocolKind::JavaIc);
-    let slots = SLOTS_PER_PAGE * 3; // three whole pages
-    let a_ad = ad.alloc.alloc_page_aligned(slots, NodeId(1));
-    let a_ic = ic.alloc.alloc_page_aligned(slots, NodeId(1));
-
-    let mut c_ad = ThreadClock::new();
-    let mut c_ic = ThreadClock::new();
-    let mut out = vec![0u64; slots];
-    ad.dsm.read_slice(NodeId(0), &mut c_ad, a_ad, &mut out);
-    ic.dsm.read_slice(NodeId(0), &mut c_ic, a_ic, &mut out);
-
-    let s_ad = ad.cluster.node_stats(NodeId(0));
-    let s_ic = ic.cluster.node_stats(NodeId(0));
-    // Identical page traffic, but one RPC instead of three.
-    assert_eq!(s_ad.page_loads, 3);
-    assert_eq!(s_ic.page_loads, 3);
-    assert_eq!(s_ad.batched_fetches, 1);
-    assert_eq!(s_ad.pages_prefetched, 2);
-    assert_eq!(s_ad.rpc_requests, 1);
-    assert_eq!(s_ic.rpc_requests, 3);
-    assert!(
-        c_ad.now() < c_ic.now(),
-        "batching must beat three round trips: {} vs {}",
-        c_ad.now(),
-        c_ic.now()
-    );
-}
-
-#[test]
-fn adaptive_history_prefetch_needs_a_stable_streak() {
-    let f = fixture(2, ProtocolKind::JavaAd);
-    let slots = SLOTS_PER_PAGE * 2;
-    let addr = f.alloc.alloc_page_aligned(slots, NodeId(1));
-    let second = addr.offset(SLOTS_PER_PAGE as u64);
-    let mut clock = ThreadClock::new();
-
-    // Three epochs of scalar access to both pages: no prefetch yet (the
-    // streak is built from *completed* epochs), each page loads alone —
-    // but for the third epoch's second page.  Its copy, dropped with its
-    // last answer a "not modified" (which fits a grant), rides the first
-    // page's fetch as a rider and is reopened: no load, no prefetch.
-    for loads in [2, 4, 5] {
-        let _ = f.dsm.get(NodeId(0), &mut clock, addr);
-        let _ = f.dsm.get(NodeId(0), &mut clock, second);
-        f.dsm.invalidate_cache(NodeId(0), &mut clock);
-        assert_eq!(f.cluster.node_stats(NodeId(0)).page_loads, loads);
-    }
-    let s = f.cluster.node_stats(NodeId(0));
-    assert_eq!((s.batched_fetches, s.pages_prefetched), (0, 0));
-    assert_eq!((s.page_faults, s.pages_revalidated), (0, 4));
-
-    // Fourth epoch: both pages now have a streak of 3, so the miss on
-    // the first page pulls the second one into the same fetch.
-    let _ = f.dsm.get(NodeId(0), &mut clock, addr);
-    let s = f.cluster.node_stats(NodeId(0));
-    assert_eq!(s.batched_fetches, 1);
-    assert_eq!(s.pages_prefetched, 1);
-    assert_eq!(s.page_loads, 7);
-    // The prefetched neighbour is served without any further load.
-    let loads_before = s.page_loads;
-    let _ = f.dsm.get(NodeId(0), &mut clock, second);
-    assert_eq!(f.cluster.node_stats(NodeId(0)).page_loads, loads_before);
-}
-
-/// An explicit prefetch is certain, never speculative: a one-page
-/// `load_into_cache` fetches its page alone, although the next page's
-/// streak would let a demand miss on the page batch it.
-#[test]
-fn adaptive_explicit_prefetch_of_one_page_never_speculates() {
-    let f = fixture(2, ProtocolKind::JavaAd);
-    let addr = f.alloc.alloc_page_aligned(SLOTS_PER_PAGE * 2, NodeId(1));
-    let second = addr.offset(SLOTS_PER_PAGE as u64);
-    let mut clock = ThreadClock::new();
-    // Three epochs of access to the second page: a streak of 3.
-    for _ in 0..3 {
-        let _ = f.dsm.get(NodeId(0), &mut clock, second);
-        f.dsm.invalidate_cache(NodeId(0), &mut clock);
-    }
-    let before = f.cluster.node_stats(NodeId(0));
-    f.dsm.load_into_cache(NodeId(0), &mut clock, addr.page(), 1);
-    let s = f.cluster.node_stats(NodeId(0));
-    assert_eq!(s.page_loads, before.page_loads + 1, "the page alone");
-    assert_eq!(
-        (s.batched_fetches, s.pages_prefetch_speculative),
-        (before.batched_fetches, before.pages_prefetch_speculative)
-    );
-    assert!(resident(&f.dsm, NodeId(0), addr.page()));
-    assert!(!resident(&f.dsm, NodeId(0), second.page()));
-}
-
-#[test]
-fn adaptive_batch_never_crosses_a_home_boundary() {
-    let f = fixture(3, ProtocolKind::JavaAd);
-    // Page on node 1 followed in the address space by a page on node 2.
-    let a = f.alloc.alloc_page_aligned(SLOTS_PER_PAGE, NodeId(1));
-    let b = f.alloc.alloc_page_aligned(SLOTS_PER_PAGE, NodeId(2));
-    assert_eq!(b.page().index(), a.page().index() + 1);
-
-    let mut clock = ThreadClock::new();
-    // Build a streak on both pages.
-    for _ in 0..3 {
-        let _ = f.dsm.get(NodeId(0), &mut clock, a);
-        let _ = f.dsm.get(NodeId(0), &mut clock, b);
-        f.dsm.invalidate_cache(NodeId(0), &mut clock);
-    }
-    let _ = f.dsm.get(NodeId(0), &mut clock, a);
-    // The neighbour is homed elsewhere: it must not ride along.
-    let s = f.cluster.node_stats(NodeId(0));
-    assert_eq!(s.batched_fetches, 0);
-    assert_eq!(s.pages_prefetched, 0);
-}
-
-#[test]
-fn adaptive_batch_pays_mprotect_for_protect_mode_members() {
-    let f = fixture(2, ProtocolKind::JavaAd);
-    let slots = SLOTS_PER_PAGE * 2;
-    let addr = f.alloc.alloc_page_aligned(slots, NodeId(1));
-    let second = addr.offset(SLOTS_PER_PAGE as u64);
-    let (hi, _) = f.dsm.adaptive_thresholds();
-    let mut clock = ThreadClock::new();
-
-    // Three epochs: the first page stays sparse (check mode), the second
-    // is dense enough to flip to protection while building its streak.
-    for _ in 0..3 {
-        let _ = f.dsm.get(NodeId(0), &mut clock, addr);
-        for _ in 0..4 * hi {
-            let _ = f.dsm.get(NodeId(0), &mut clock, second);
-        }
-        f.dsm.invalidate_cache(NodeId(0), &mut clock);
-    }
-    let before = f.cluster.node_stats(NodeId(0));
-    assert!(before.protocol_switches >= 1);
-
-    // Fourth epoch: the check-mode miss on the first page prefetches the
-    // protection-detected neighbour — opening it costs one mprotect even
-    // though the demanded page itself needs none.
-    let _ = f.dsm.get(NodeId(0), &mut clock, addr);
-    let s = f.cluster.node_stats(NodeId(0));
-    assert_eq!(s.batched_fetches, before.batched_fetches + 1);
-    assert_eq!(
-        s.pages_prefetch_speculative,
-        before.pages_prefetch_speculative + 1
-    );
-    assert_eq!(s.mprotect_calls, before.mprotect_calls + 1);
-    // The opened member is then accessed for free, like any pf-resident
-    // page.
-    let t = clock.now();
-    let _ = f.dsm.get(NodeId(0), &mut clock, second);
-    assert_eq!(clock.now(), t);
-    assert_eq!(f.cluster.node_stats(NodeId(0)).page_loads, s.page_loads);
-}
-
-#[test]
-fn adaptive_custom_params_shift_the_thresholds() {
-    let n_star = myrinet_200().machine.adaptive_break_even();
-    let marks = |hi_multiple| {
-        let tuned = AdaptiveParams { hi_multiple };
-        let f = fixture_with(2, ProtocolKind::JavaAd, &tuned, &TransportConfig::default());
-        f.dsm.adaptive_thresholds()
-    };
-    // The low mark is half the high one.
-    assert_eq!(marks(4.0), (4 * n_star, 2 * n_star));
-    assert_eq!(
-        marks(0.5),
-        ((n_star as f64 * 0.5).ceil() as u64, n_star / 4)
-    );
-    // Default parameters sit at the break-even itself.
-    assert_eq!(AdaptiveParams::default().hi_multiple, 1.0);
-    assert_eq!(marks(1.0), (n_star, n_star / 2));
-}
-
 // ----- split-transaction transport --------------------------------------
 
 #[test]
@@ -681,7 +411,7 @@ fn overlapped_prefetch_hides_latency_behind_compute() {
     // exactly the window is booked as hidden.
     let compute = VTime::from_us(20);
     let ps_per_cycle = myrinet_200().machine.cpu.ps_per_cycle();
-    for kind in ProtocolKind::all_extended() {
+    for kind in ProtocolKind::all() {
         let run = |window: VTime| {
             let f = fixture(2, kind);
             let a = f.alloc.alloc(8, NodeId(1));
@@ -830,7 +560,7 @@ fn earn_stride_credit(f: &Fixture, node: NodeId, home: NodeId, clock: &mut Threa
 
 #[test]
 fn litmus_a_scan_has_tickets_in_flight_from_its_second_miss() {
-    for kind in ProtocolKind::all_extended() {
+    for kind in ProtocolKind::all() {
         let f = fixture(2, kind);
         let pages = 8;
         let addr = f
@@ -983,7 +713,7 @@ fn unused_stride_fetches_are_counted_as_waste_at_invalidation() {
 
 #[test]
 fn litmus_a_ticket_abandoned_at_an_acquire_is_wasted_and_not_reissued() {
-    for kind in ProtocolKind::all_extended() {
+    for kind in ProtocolKind::all() {
         let f = fixture(3, kind);
         let mut c1 = ThreadClock::new();
         // A healthy record: one waste does not shut the gate, so nothing
@@ -1121,7 +851,7 @@ fn deferred_flush_issue_path_is_cheaper_than_blocking() {
 
 // ----- page versions & conditional fetch: litmus tests ----------------------
 //
-// Each runs under java_ic, java_pf and java_ad.  `acquire` / `release` are
+// Each runs under java_ic and java_pf.  `acquire` / `release` are
 // the DSM halves of a monitor entry / exit.  In debug builds every "not
 // modified" answer below is additionally checked slot-for-slot against the
 // home frame by the engine's own oracle.
@@ -1142,7 +872,7 @@ fn fetch_counters(f: &Fixture, node: u32) -> (u64, u64, u64) {
 
 #[test]
 fn litmus_remote_write_under_a_monitor_ships_the_page_to_the_next_acquirer() {
-    for kind in ProtocolKind::all_extended() {
+    for kind in ProtocolKind::all() {
         let f = fixture(3, kind);
         let addr = f.alloc.alloc(8, NodeId(0));
         let (mut w, mut r) = (ThreadClock::new(), ThreadClock::new());
@@ -1171,7 +901,7 @@ fn litmus_remote_write_under_a_monitor_ships_the_page_to_the_next_acquirer() {
 
 #[test]
 fn litmus_home_write_without_a_diff_reaches_the_holders_next_acquire() {
-    for kind in ProtocolKind::all_extended() {
+    for kind in ProtocolKind::all() {
         let f = fixture(2, kind);
         let addr = f.alloc.alloc(8, NodeId(0));
         let (mut h, mut r) = (ThreadClock::new(), ThreadClock::new());
@@ -1194,7 +924,7 @@ fn litmus_home_write_without_a_diff_reaches_the_holders_next_acquire() {
 
 #[test]
 fn litmus_unchanged_page_is_revalidated_without_moving_page_bytes() {
-    for kind in ProtocolKind::all_extended() {
+    for kind in ProtocolKind::all() {
         let f = fixture(2, kind);
         let addr = f.alloc.alloc(8, NodeId(0));
         let mut h = ThreadClock::new();
@@ -1236,7 +966,7 @@ fn litmus_unchanged_page_is_revalidated_without_moving_page_bytes() {
 
 #[test]
 fn litmus_sole_writer_keeps_its_copy_until_someone_else_writes() {
-    for kind in ProtocolKind::all_extended() {
+    for kind in ProtocolKind::all() {
         let f = fixture(3, kind);
         let addr = f.alloc.alloc(8, NodeId(0));
         let (mut h, mut w, mut o) = (ThreadClock::new(), ThreadClock::new(), ThreadClock::new());
@@ -1292,7 +1022,7 @@ fn litmus_sole_writer_keeps_its_copy_until_someone_else_writes() {
 #[test]
 fn litmus_no_retained_copy_validates_against_a_re_elected_home() {
     use hyperion_pm2::{FaultKill, FaultSpec, TransportBackend};
-    for kind in ProtocolKind::all_extended() {
+    for kind in ProtocolKind::all() {
         let spec = FaultSpec {
             seed: 3,
             kill: Some(FaultKill {
@@ -1309,12 +1039,7 @@ fn litmus_no_retained_copy_validates_against_a_re_elected_home() {
         );
         let alloc = Arc::new(IsoAllocator::new(3));
         let store = DsmStore::new(Arc::clone(&alloc), 3);
-        let dsm = DsmSystem::with_config(
-            Arc::clone(&cluster),
-            store,
-            kind,
-            &AdaptiveParams::default(),
-        );
+        let dsm = DsmSystem::new(Arc::clone(&cluster), store, kind);
         let addr = alloc.alloc(8, NodeId(0));
         let (mut h, mut r) = (ThreadClock::new(), ThreadClock::new());
         dsm.put(NodeId(0), &mut h, addr, 5);
@@ -1367,12 +1092,7 @@ fn a_page_allocated_on_the_failed_node_after_recovery_is_served_by_the_survivor(
         fault: Some(spec),
         ..TransportConfig::default()
     };
-    let f = fixture_with(
-        3,
-        ProtocolKind::JavaPf,
-        &AdaptiveParams::default(),
-        &transport,
-    );
+    let f = fixture_with(3, ProtocolKind::JavaPf, &transport);
     let (n0, n1) = (NodeId(0), NodeId(1));
     let before = f.alloc.alloc_page_aligned(SLOTS_PER_PAGE, n1);
     let (mut r, mut w) = (ThreadClock::new(), ThreadClock::new());
@@ -1399,7 +1119,7 @@ fn a_page_allocated_on_the_failed_node_after_recovery_is_served_by_the_survivor(
 /// notice the writer's release left, not by a blanket drop.
 #[test]
 fn litmus_an_acquire_outdates_a_confirmation_nobody_used() {
-    for kind in ProtocolKind::all_extended() {
+    for kind in ProtocolKind::all() {
         let f = fixture(3, kind);
         let b = f.alloc.alloc_page_aligned(SLOTS_PER_PAGE, NodeId(0));
         let (mut h, mut r, mut w) = (ThreadClock::new(), ThreadClock::new(), ThreadClock::new());
@@ -1455,7 +1175,7 @@ fn next_fetch_is_a_patch(f: &Fixture, node: u32, fetch: impl FnOnce()) -> Option
 /// before it is dropped, and the refetch holds both writes.
 #[test]
 fn litmus_a_dirty_copy_a_notice_outdates_is_flushed_before_the_drop() {
-    for kind in ProtocolKind::all_extended() {
+    for kind in ProtocolKind::all() {
         let f = fixture(3, kind);
         let addr = f.alloc.alloc_page_aligned(16, NodeId(0));
         let (mut t1, mut t2, mut w) = (ThreadClock::new(), ThreadClock::new(), ThreadClock::new());
@@ -1479,7 +1199,7 @@ fn litmus_a_dirty_copy_a_notice_outdates_is_flushed_before_the_drop() {
 /// yet survives, which a shipped page would have overwritten.
 #[test]
 fn litmus_a_remote_diff_arrives_as_a_patch_of_exactly_its_slot() {
-    for kind in ProtocolKind::all_extended() {
+    for kind in ProtocolKind::all() {
         let f = fixture(3, kind);
         let addr = f.alloc.alloc_page_aligned(16, NodeId(0));
         let (mut r, mut w, mut h) = (ThreadClock::new(), ThreadClock::new(), ThreadClock::new());
@@ -1510,7 +1230,7 @@ fn litmus_a_remote_diff_arrives_as_a_patch_of_exactly_its_slot() {
 /// two fetches of a holder arrive by patch too, all of them in one step.
 #[test]
 fn litmus_home_local_writes_between_two_fetches_arrive_by_patch() {
-    for kind in ProtocolKind::all_extended() {
+    for kind in ProtocolKind::all() {
         let f = fixture(2, kind);
         let addr = f.alloc.alloc_page_aligned(16, NodeId(0));
         let (mut h, mut r) = (ThreadClock::new(), ThreadClock::new());
@@ -1543,7 +1263,7 @@ fn litmus_home_local_writes_between_two_fetches_arrive_by_patch() {
 fn litmus_a_copy_the_history_cannot_reach_is_shipped_whole() {
     use hyperion_dsm::diff::MAX_PATCH_ENTRIES;
     use hyperion_dsm::page::HISTORY_DEPTH;
-    for kind in ProtocolKind::all_extended() {
+    for kind in ProtocolKind::all() {
         let f = fixture(3, kind);
         let addr = f.alloc.alloc_page_aligned(SLOTS_PER_PAGE, NodeId(0));
         let (mut r, mut w) = (ThreadClock::new(), ThreadClock::new());
@@ -1598,7 +1318,7 @@ fn litmus_a_copy_the_history_cannot_reach_is_shipped_whole() {
 /// mismatches and delivers the slot the first one missed.
 #[test]
 fn litmus_a_diff_between_the_stamp_and_the_values_is_caught_by_the_next_fetch() {
-    for kind in ProtocolKind::all_extended() {
+    for kind in ProtocolKind::all() {
         let f = fixture(3, kind);
         let addr = f.alloc.alloc_page_aligned(16, NodeId(0));
         let (mut r, mut w) = (ThreadClock::new(), ThreadClock::new());
@@ -1641,47 +1361,14 @@ fn litmus_a_diff_between_the_stamp_and_the_values_is_caught_by_the_next_fetch() 
     }
 }
 
-/// Litmus (e): one batched `java_ad` reply mixes all three answers.
-#[test]
-fn litmus_a_batched_reply_mixes_confirmation_patch_and_page() {
-    let f = fixture(3, ProtocolKind::JavaAd);
-    let addr = f.alloc.alloc_page_aligned(3 * SLOTS_PER_PAGE, NodeId(0));
-    let page = |k: usize| addr.offset((k * SLOTS_PER_PAGE) as u64);
-    let (mut r, mut w) = (ThreadClock::new(), ThreadClock::new());
-    let mut seen = vec![0u64; 3 * SLOTS_PER_PAGE];
-    f.dsm.read_slice(NodeId(1), &mut r, addr, &mut seen);
-
-    acquire(&f, 2, &mut w);
-    f.dsm.put(NodeId(2), &mut w, page(1).offset(7), 17);
-    f.dsm
-        .write_slice(NodeId(2), &mut w, page(2), &[2; SLOTS_PER_PAGE]);
-    release(&f, 2, &mut w);
-
-    acquire(&f, 1, &mut r);
-    let before = f.cluster.node_stats(NodeId(1));
-    f.dsm.read_slice(NodeId(1), &mut r, addr, &mut seen);
-    let after = f.cluster.node_stats(NodeId(1));
-    assert_eq!(after.rpc_requests, before.rpc_requests + 1, "one batch");
-    assert_eq!(after.page_loads, before.page_loads + 3);
-    assert_eq!(after.pages_revalidated, before.pages_revalidated + 1);
-    assert_eq!(after.pages_patched, before.pages_patched + 1);
-    let shipped = after.bytes_received - before.bytes_received;
-    assert!((4096..2 * 4096).contains(&shipped), "one page of three");
-    let mut expected = vec![0u64; 3 * SLOTS_PER_PAGE];
-    expected[SLOTS_PER_PAGE + 7] = 17;
-    expected[2 * SLOTS_PER_PAGE..].fill(2);
-    assert_eq!(seen, expected);
-}
-
 /// One deterministic single-thread run on 3 nodes that reaches every
 /// decision the protocols differ in: a page-mate writer, a scan long enough
-/// for the stride prefetch, a `read_slice` `java_ad` batches, a page dense
-/// enough for `java_ad` to switch it (and sparse enough later to switch it
-/// back), explicit prefetches, and deferred release flushes, under
-/// `transport`'s faults.  Renders each node's final clock and every
+/// for the stride prefetch, a multi-page `read_slice`, a page read densely
+/// for four rounds and not at all after, explicit prefetches, and deferred
+/// release flushes, under `transport`'s faults.  Renders each node's final clock and every
 /// non-zero counter.
 fn golden_run(kind: ProtocolKind, transport: &TransportConfig) -> [String; 3] {
-    let f = fixture_with(3, kind, &AdaptiveParams::default(), transport);
+    let f = fixture_with(3, kind, transport);
     let (n0, n1, n2) = (NodeId(0), NodeId(1), NodeId(2));
     let page = |addr: GlobalAddr, k: u64| addr.offset(k * SLOTS_PER_PAGE as u64);
     let mate = f.alloc.alloc_page_aligned(SLOTS_PER_PAGE, n0);
@@ -1784,22 +1471,6 @@ const GOLDEN: &[(&str, [&str; 3])] = &[
             "clock=2336563492 page_faults=20 mprotect_calls=64 page_loads=22 pages_invalidated=57 cache_invalidations=20 diff_messages=10 diff_slots_flushed=10 rpc_requests=32 rpc_served=32 bytes_sent=34874 bytes_received=51747 field_reads=10 field_writes=10 diff_bytes=220 stride_fetches_issued=2 stride_fetches_wasted=2 pages_revalidated=30 pages_patched=20 rpc_service_ps=125830000 rpc_queue_wait_ps=5320000",
         ],
     ),
-    (
-        "java_ad/default",
-        [
-            "clock=2546659000 locality_checks=6230 mprotect_calls=14 page_loads=137 pages_invalidated=212 cache_invalidations=10 diff_messages=20 diff_slots_flushed=40 rpc_requests=76 rpc_served=40 bytes_sent=20524 bytes_received=108932 field_reads=32650 field_writes=50 bulk_reads=10 bulk_writes=10 protocol_switches=2 batched_fetches=18 pages_prefetched=81 pages_prefetch_speculative=49 batched_flushes=10 diff_bytes=720 fetch_overlap_cycles_hidden=120735 stride_fetches_issued=22 stride_fetches_completed=22 deferred_flushes=20 pages_revalidated=212 rpc_service_ps=128250000 rpc_queue_wait_ps=8817000",
-            "clock=651738000 locality_checks=10 page_loads=10 pages_invalidated=9 cache_invalidations=10 diff_messages=10 diff_slots_flushed=10 rpc_requests=20 rpc_served=64 bytes_sent=118251 bytes_received=13082 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=310545000 rpc_queue_wait_ps=62191006",
-            "clock=1316059000 locality_checks=20 page_loads=22 pages_invalidated=32 cache_invalidations=20 diff_messages=10 diff_slots_flushed=10 rpc_requests=32 rpc_served=24 bytes_sent=33906 bytes_received=50667 field_reads=10 field_writes=10 diff_bytes=220 stride_fetches_issued=2 stride_fetches_wasted=2 pages_revalidated=13 pages_patched=11 rpc_service_ps=111430000 rpc_queue_wait_ps=378000",
-        ],
-    ),
-    (
-        "java_ad/kill",
-        [
-            "clock=2298284000 locality_checks=3077 page_loads=63 pages_invalidated=59 cache_invalidations=10 diff_messages=11 diff_slots_flushed=31 rpc_requests=42 rpc_served=53 bytes_sent=58137 bytes_received=106935 field_reads=32650 field_writes=50 bulk_reads=10 bulk_writes=10 batched_fetches=11 pages_prefetched=32 batched_flushes=10 diff_bytes=522 fetch_overlap_cycles_hidden=75222 stride_fetches_issued=10 stride_fetches_completed=10 deferred_flushes=11 nodes_failed=1 pages_resynced=17 pages_revalidated=59 rpc_service_ps=202672500 rpc_queue_wait_ps=25120996",
-            "clock=664501996 locality_checks=10 page_loads=10 pages_invalidated=26 cache_invalidations=10 diff_messages=10 diff_slots_flushed=10 rpc_requests=20 rpc_served=17 bytes_sent=72573 bytes_received=7190 field_writes=10 diff_bytes=220 pages_patched=9 rpc_service_ps=116280000 rpc_queue_wait_ps=14310000",
-            "clock=1280133492 locality_checks=20 page_loads=22 pages_invalidated=57 cache_invalidations=20 diff_messages=10 diff_slots_flushed=10 rpc_requests=32 rpc_served=24 bytes_sent=34362 bytes_received=50947 field_reads=10 field_writes=10 diff_bytes=220 stride_fetches_issued=2 stride_fetches_wasted=2 pages_revalidated=30 pages_patched=20 rpc_service_ps=111430000 rpc_queue_wait_ps=5638000",
-        ],
-    ),
 ];
 
 #[test]
@@ -1818,7 +1489,7 @@ fn golden_counters_match_the_parent_commit() {
     };
     let presets = [("default", TransportConfig::default()), ("kill", kill)];
     let mut rendered = Vec::new();
-    for kind in ProtocolKind::all_extended() {
+    for kind in ProtocolKind::all() {
         for (preset, transport) in &presets {
             rendered.push((format!("{kind}/{preset}"), golden_run(kind, transport)));
         }

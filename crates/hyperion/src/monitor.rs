@@ -580,7 +580,7 @@ mod tests {
             assert_eq!(out.result, 2 * rounds, "{protocol:?}");
             out.report.total_stats()
         };
-        ProtocolKind::all_extended().into_iter().map(run).collect()
+        ProtocolKind::all().into_iter().map(run).collect()
     }
 
     #[test]

@@ -13,9 +13,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use hyperion_dsm::{
-    AdaptiveParams, DsmStore, DsmSystem, Notices, PolicyError, ProtocolKind, TransportConfig,
-};
+use hyperion_dsm::{DsmStore, DsmSystem, Notices, ProtocolKind, TransportConfig};
 use hyperion_model::sync::lock;
 use hyperion_model::vtime::TimeWatermark;
 use hyperion_model::{
@@ -34,12 +32,8 @@ pub struct HyperionConfig {
     pub cluster: ClusterSpec,
     /// How many of the cluster's nodes to use for this run.
     pub nodes: usize,
-    /// Access-detection protocol (`java_ic`, `java_pf` or `java_ad`).
+    /// Access-detection protocol (`java_ic` or `java_pf`).
     pub protocol: ProtocolKind,
-    /// Policy knob of the adaptive protocol (ignored unless `protocol` is
-    /// [`ProtocolKind::JavaAd`]): where its switching band sits, as a
-    /// multiple of the machine model's break-even.
-    pub adaptive: AdaptiveParams,
     /// Transport configuration: backend and faults.
     /// Applies to every protocol (each setting is semantics-preserving).
     pub transport: TransportConfig,
@@ -51,7 +45,7 @@ pub struct HyperionConfig {
 
 impl HyperionConfig {
     /// A configuration with one application thread per node and the default
-    /// adaptive and transport settings; the `with_*` methods override those.
+    /// transport settings; the `with_*` methods override those.
     ///
     /// Nothing is checked until [`HyperionConfig::validate`], which
     /// [`HyperionRuntime::new`] calls.
@@ -69,7 +63,6 @@ impl HyperionConfig {
             cluster,
             nodes,
             protocol,
-            adaptive: AdaptiveParams::default(),
             transport: TransportConfig::default(),
             threads_per_node: 1,
         }
@@ -78,12 +71,6 @@ impl HyperionConfig {
     /// Builder-style override of [`HyperionConfig::threads_per_node`].
     pub fn with_threads_per_node(mut self, threads: usize) -> Self {
         self.threads_per_node = threads;
-        self
-    }
-
-    /// Builder-style override of [`HyperionConfig::adaptive`].
-    pub fn with_adaptive(mut self, adaptive: AdaptiveParams) -> Self {
-        self.adaptive = adaptive;
         self
     }
 
@@ -99,12 +86,8 @@ impl HyperionConfig {
         self.nodes * self.threads_per_node
     }
 
-    /// Check the configuration for obvious mistakes.
-    ///
-    /// Structural errors (node counts, cluster size) keep their dedicated
-    /// variants.  The one policy-level error — an adaptive hysteresis band —
-    /// is a typed [`PolicyError`] wrapped in [`ConfigError::Policy`],
-    /// produced by [`AdaptiveParams::validate`].
+    /// Check the configuration for obvious mistakes: node counts, cluster
+    /// size and the fault schedule.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.nodes == 0 {
             return Err(ConfigError::ZeroNodes);
@@ -118,9 +101,6 @@ impl HyperionConfig {
                 available: self.cluster.max_nodes,
             });
         }
-        // Adaptive tunables are checked whichever protocol runs (a sweep
-        // harness sharing one `AdaptiveParams` should fail fast).
-        self.adaptive.validate()?;
         if let Some(fault) = &self.transport.fault {
             fault
                 .validate(self.nodes)
@@ -144,17 +124,8 @@ pub enum ConfigError {
         /// Nodes available in the cluster model.
         available: usize,
     },
-    /// An illegal adaptive tunable: the typed verdict of
-    /// [`AdaptiveParams::validate`].
-    Policy(PolicyError),
     /// The transport parameters are out of range.
     InvalidTransport(&'static str),
-}
-
-impl From<PolicyError> for ConfigError {
-    fn from(err: PolicyError) -> Self {
-        ConfigError::Policy(err)
-    }
 }
 
 impl std::fmt::Display for ConfigError {
@@ -171,9 +142,6 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "requested {requested} nodes but the modelled cluster has only {available}"
             ),
-            ConfigError::Policy(err) => {
-                write!(f, "invalid policy selection: {err}")
-            }
             ConfigError::InvalidTransport(reason) => {
                 write!(f, "invalid transport parameters: {reason}")
             }
@@ -181,14 +149,7 @@ impl std::fmt::Display for ConfigError {
     }
 }
 
-impl std::error::Error for ConfigError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ConfigError::Policy(err) => Some(err),
-            _ => None,
-        }
-    }
-}
+impl std::error::Error for ConfigError {}
 
 /// The state shared by every thread of a run (the "single JVM image").
 pub(crate) struct RuntimeShared {
@@ -225,12 +186,7 @@ impl HyperionRuntime {
         );
         let allocator = Arc::new(IsoAllocator::new(config.nodes));
         let store = DsmStore::new(Arc::clone(&allocator), config.nodes);
-        let dsm = DsmSystem::with_config(
-            Arc::clone(&cluster),
-            store,
-            config.protocol,
-            &config.adaptive,
-        );
+        let dsm = DsmSystem::new(Arc::clone(&cluster), store, config.protocol);
         let balancer = LoadBalancer::new(config.nodes);
         Ok(HyperionRuntime {
             shared: Arc::new(RuntimeShared {
@@ -898,41 +854,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_params_flow_from_the_config_to_the_dsm_engine() {
-        let tuned = AdaptiveParams { hi_multiple: 2.0 };
-        let configured = config(2, ProtocolKind::JavaAd).with_adaptive(tuned.clone());
-        assert_eq!(configured.adaptive, tuned);
-        let rt = HyperionRuntime::new(configured).unwrap();
-        let n_star = myrinet_200().machine.adaptive_break_even();
-        let (hi, lo) = rt.dsm().adaptive_thresholds();
-        assert_eq!(hi, 2 * n_star);
-        assert_eq!(lo, n_star);
-
-        // Defaults apply when `with_adaptive` is not called.
-        assert_eq!(
-            config(2, ProtocolKind::JavaAd).adaptive,
-            AdaptiveParams::default()
-        );
-    }
-
-    #[test]
-    fn adaptive_param_validation_rejects_nonsense() {
-        let mut c = config(2, ProtocolKind::JavaAd);
-        for hi_multiple in [0.0, -1.0, f64::NAN] {
-            c.adaptive.hi_multiple = hi_multiple;
-            assert_eq!(
-                c.validate(),
-                Err(ConfigError::Policy(PolicyError::InvalidHysteresis)),
-                "{hi_multiple}"
-            );
-        }
-        assert!(format!("{}", c.validate().unwrap_err()).contains("hysteresis"));
-        // The wrapped policy error is exposed as the error's source.
-        use std::error::Error as _;
-        assert!(c.validate().unwrap_err().source().is_some());
-    }
-
-    #[test]
     fn a_run_is_described_once_and_the_engine_builds_what_the_flags_say() {
         use hyperion_pm2::{FaultSpec, TransportBackend};
         // `dropfirst=1` loses the first remote frame: the one remote read
@@ -940,7 +861,7 @@ mod tests {
         let faults = [None, Some(FaultSpec::parse("dropfirst=1").unwrap())];
         for backend in [TransportBackend::Sim, TransportBackend::UnixSocket] {
             for fault in faults {
-                for protocol in ProtocolKind::all_extended() {
+                for protocol in ProtocolKind::all() {
                     let transport = TransportConfig { backend, fault };
                     let cfg = config(2, protocol).with_transport(transport);
                     let rt = HyperionRuntime::new(cfg).unwrap();
@@ -958,19 +879,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn adaptive_runtime_runs_programs_end_to_end() {
-        let rt = HyperionRuntime::new(config(2, ProtocolKind::JavaAd)).unwrap();
-        assert_eq!(rt.protocol(), ProtocolKind::JavaAd);
-        let out = rt.run(|ctx| {
-            let a = ctx.alloc_slots(4, NodeId(1));
-            ctx.put_slot(a, 77);
-            ctx.get_slot(a)
-        });
-        assert_eq!(out.result, 77);
-        assert!(out.report.summary().contains("java_ad"));
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //!
 //! The world: a page homed on node 0, a writer on node 0 that writes slot 7
 //! under monitor A (homed on node 1, so A's grant patches nothing of the
-//! page), and a reader on node 2 that cached the page densely (so `java_ad`
-//! detects it by page protection too) and enters and exits A after the
-//! write.  Under `java_ic` the entry drops and closes the copy; under page
+//! page), and a reader on node 2 that cached the page and enters and exits
+//! A after the write.  Under `java_ic` the entry drops and closes the copy; under page
 //! protection it stays open.
 //!
 //! Mutations on record, each applied to a copy of the tree, with the
@@ -47,10 +46,6 @@ use hyperion_pm2::{Cluster, GlobalAddr, IsoAllocator};
 
 const SLOTS: usize = 512;
 
-/// Reads that make `java_ad` detect a page by protection (well past its
-/// break-even), as `write_notices.rs` does.
-const PROTECTED: usize = 5_000;
-
 /// What one litmus run returns: protocol, the value read, and the reader
 /// node's counters before and after the read.
 type Litmus = (ProtocolKind, u64, [StatsSnapshot; 2]);
@@ -71,7 +66,7 @@ fn after_exit(partner: Option<fn(&mut ThreadCtx, Signal)>, read: Read) -> Vec<Li
 /// [`after_exit`], with `read` inside A's section if `inside`.
 fn world(inside: bool, partner: Option<fn(&mut ThreadCtx, Signal)>, read: Read) -> Vec<Litmus> {
     let mut out = Vec::new();
-    for protocol in ProtocolKind::all_extended() {
+    for protocol in ProtocolKind::all() {
         let rt = HyperionRuntime::new(HyperionConfig::new(myrinet_200(), 4, protocol)).unwrap();
         let cluster: Arc<Cluster> = Arc::clone(rt.cluster());
         let run = rt.run(move |ctx| {
@@ -87,7 +82,7 @@ fn world(inside: bool, partner: Option<fn(&mut ThreadCtx, Signal)>, read: Read) 
             let signal = (w.clone(), flag);
             let partner = partner.map(|body| ctx.spawn_on(NodeId(3), move |t| body(t, signal)));
             let reader = ctx.spawn_on(NodeId(2), move |t| {
-                (0..PROTECTED).for_each(|_| assert_eq!(data.get(t, 0), 0));
+                assert_eq!(data.get(t, 0), 0);
                 t.invalidate_cache();
                 assert_eq!(data.get(t, 7), 0);
                 t.charge(VTime::from_ms(5) - t.now());
@@ -277,8 +272,8 @@ fn a_prefetch_of_a_pending_copy_fetches_it() {
 /// The node whose copies are left open.
 const READER: NodeId = NodeId(2);
 
-/// The protocols under which a monitor's acquire leaves a copy open.
-const OPENING: [ProtocolKind; 2] = [ProtocolKind::JavaPf, ProtocolKind::JavaAd];
+/// The protocol under which a monitor's acquire leaves a copy open.
+const OPENING: [ProtocolKind; 1] = [ProtocolKind::JavaPf];
 
 /// A DSM of three nodes under `protocol` and `pages` consecutive pages
 /// homed on node 0, from the returned address on.
@@ -325,7 +320,7 @@ fn a_later_grant_from_its_home_patches_an_open_copy_its_notices_name() {
     for protocol in OPENING {
         let (dsm, cluster, addr) = dsm_world(protocol, 1);
         let (mut reader, mut writer) = (ThreadClock::new(), (ThreadClock::new(), 0));
-        (0..PROTECTED).for_each(|_| assert_eq!(dsm.get(READER, &mut reader, addr), 0));
+        assert_eq!(dsm.get(READER, &mut reader, addr), 0);
         let first = writes(&dsm, &mut writer, addr.offset(7), 41);
         granted(&dsm, &mut reader, &first, 1);
         let frame = dsm.store().frame(READER, addr.page());
@@ -367,7 +362,7 @@ fn a_release_that_names_an_open_copy_closes_it_at_one_mprotect() {
     for protocol in OPENING {
         let (dsm, cluster, addr) = dsm_world(protocol, 1);
         let (mut reader, mut writer) = (ThreadClock::new(), (ThreadClock::new(), 0));
-        (0..PROTECTED).for_each(|_| assert_eq!(dsm.get(READER, &mut reader, addr), 0));
+        assert_eq!(dsm.get(READER, &mut reader, addr), 0);
         let mut cursor = dsm.write_log_end(READER);
         dsm.put(READER, &mut reader, addr.offset(9), 5);
         let written = writes(&dsm, &mut writer, addr.offset(7), 41);

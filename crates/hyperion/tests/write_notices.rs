@@ -3,9 +3,9 @@
 //! drops exactly the cached copies those notices outdate — or, for a page
 //! the grant's node homes, patches them with what the grant carries, and
 //! reopens the dropped copies of such pages that the request named (those
-//! whose last answer from the home fitted a grant) — under
-//! `java_ic`, `java_pf` and `java_ad` (with their deferred release flushing
-//! and stride prefetch).  A release to a monitor's home carries the diffs for that home's pages; the
+//! whose last answer from the home fitted a grant) — under `java_ic` and
+//! `java_pf` (with their deferred release flushing and stride prefetch).  A
+//! release to a monitor's home carries the diffs for that home's pages; the
 //! litmus tests of that ride have a section of their own.
 //!
 //! Each litmus first lets the reading node cache the page, so a stale copy
@@ -64,8 +64,7 @@
 //!   `under_java_ic_the_dropped_copy_is_reopened`,
 //!   `the_request_costs_exactly_sixteen_bytes_per_named_copy` and the same;
 //! * a reopened Check copy charged an `mprotect` (`reopen_runs` counting
-//!   every reopened copy): `a_reopened_check_copy_costs_no_mprotect`, also
-//!   when only `java_ad`'s Check copies are charged;
+//!   every reopened copy): `a_reopened_check_copy_costs_no_mprotect`;
 //! * a release that carried diffs reaching the home at the releaser's clock
 //!   instead of when the home applied them (`MonitorState::release` ignores
 //!   the ride): the grant comes early —
@@ -96,7 +95,7 @@ const SLOTS: usize = 512;
 /// Every protocol, labelled by name.
 fn configs(nodes: usize) -> Vec<(String, HyperionConfig)> {
     let config = |protocol| HyperionConfig::new(myrinet_200(), nodes, protocol);
-    let all = ProtocolKind::all_extended().into_iter();
+    let all = ProtocolKind::all().into_iter();
     all.map(|protocol| (protocol.to_string(), config(protocol)))
         .collect()
 }
@@ -414,25 +413,12 @@ fn an_acquire_keeps_every_copy_no_notice_outdates_at_no_cost() {
 /// A monitor on node 1 guarding page P (homed on node 1, with the monitor)
 /// and page Q (homed on node 0).  A writer on node 0 writes slots
 /// `0..p_slots` of P under the monitor — and slot 0 of Q if `q_too`.  A
-/// reader on node 2 cached both pages first (protection-detected under
-/// `java_ad` as well: `cache_protected`), wrote slot 511 of its copy of P if
-/// `dirty`, and then runs a section of the monitor that reads what the
+/// reader on node 2 cached both pages first (`cache`), wrote slot 511 of
+/// its copy of P if `dirty`, and then runs a section of the monitor that reads what the
 /// writer wrote.  Returns, per transport label and protocol, the values
 /// read (P's slots, Q's slot 0, then P's slot 511 if `dirty`) and the
 /// reader node's counters before the entry, after it and after the reads.
 fn grant_section(
-    p_slots: usize,
-    q_too: bool,
-    dirty: bool,
-) -> Vec<(String, ProtocolKind, Vec<u64>, [StatsSnapshot; 3])> {
-    grant_section_cached(PROTECTED, p_slots, q_too, dirty)
-}
-
-/// [`grant_section`] with the reader caching each page by `accesses` reads
-/// in one epoch (`cache`): [`PROTECTED`], or 1 to keep a `java_ad` page in
-/// its Check epoch.
-fn grant_section_cached(
-    accesses: usize,
     p_slots: usize,
     q_too: bool,
     dirty: bool,
@@ -458,7 +444,7 @@ fn grant_section_cached(
                 });
             });
             let reader = ctx.spawn_on(NodeId(2), move |t| {
-                cache(t, &[p, q], accesses);
+                cache(t, &[p, q]);
                 if dirty {
                     p.put(t, SLOTS - 1, 99);
                 }
@@ -486,19 +472,11 @@ fn grant_section_cached(
     out
 }
 
-/// Reads of a page in one epoch that make `java_ad` detect its copy by page
-/// protection, as under `java_pf`: 5 000 are well past the break-even of
-/// ≈ 1 067, so closing the epoch (the explicit `invalidateCache`) switches
-/// the page.
-const PROTECTED: usize = 5_000;
-
-/// Cache `pages` on the calling thread's node after reading each `accesses`
-/// times in one epoch, which the explicit `invalidateCache` then closes:
-/// the last answer for each copy is a "not modified".
-fn cache(t: &mut ThreadCtx, pages: &[HArray<u64>], accesses: usize) {
-    for page in pages {
-        (0..accesses).for_each(|_| assert_eq!(page.get(t, 0), 0));
-    }
+/// Cache `pages` on the calling thread's node, drop them (the explicit
+/// `invalidateCache`) and cache them again: the last answer for each copy
+/// is a "not modified".
+fn cache(t: &mut ThreadCtx, pages: &[HArray<u64>]) {
+    pages.iter().for_each(|page| assert_eq!(page.get(t, 0), 0));
     t.invalidate_cache();
     pages.iter().for_each(|page| assert_eq!(page.get(t, 0), 0));
 }
@@ -596,22 +574,13 @@ type Round = (Vec<u64>, VTime, [StatsSnapshot; 3]);
 
 /// A monitor M1 on node 1 guarding page P, homed there too; page Q homed on
 /// node 3; a monitor M0 on node 0, which homes neither.  A reader on node 2
-/// caches both pages (`cache_protected`: the last answer for each is a "not
+/// caches both pages (`cache`: the last answer for each is a "not
 /// modified").  Then, round `r` by round, a writer on node 0 writes slots
 /// `0..writes[r]` of P and slot 0 of Q under M0, and the reader takes M0,
 /// whose grant cannot patch them: both copies are dropped and retained.
 /// Then it enters M1 and reads P's slots, then Q's slot 0.  Returns, per
 /// transport label and protocol, each round's [`Round`].
 fn granted_rounds(writes: &[usize]) -> Vec<(String, ProtocolKind, Vec<Round>)> {
-    granted_rounds_cached(PROTECTED, writes)
-}
-
-/// [`granted_rounds`] with the reader caching each page by `accesses` reads
-/// in one epoch, as in [`grant_section_cached`].
-fn granted_rounds_cached(
-    accesses: usize,
-    writes: &[usize],
-) -> Vec<(String, ProtocolKind, Vec<Round>)> {
     let mut out = Vec::new();
     for (label, config) in configs(4) {
         let protocol = config.protocol;
@@ -634,7 +603,7 @@ fn granted_rounds_cached(
                 }
             });
             let reader = ctx.spawn_on(NodeId(2), move |t| {
-                cache(t, &[p, q], accesses);
+                cache(t, &[p, q]);
                 let stats = || cluster.node_stats(NodeId(2));
                 let mut rounds = Vec::new();
                 for (r, n) in reads.into_iter().enumerate() {
@@ -779,9 +748,8 @@ fn the_request_costs_exactly_sixteen_bytes_per_named_copy() {
     }
 }
 
-/// A copy detected by the in-line check — every `java_ic` copy, and a
-/// `java_ad` page in its Check epoch (cached by one read, far below the
-/// break-even) — is patched by a grant at no `mprotect`: a stale open copy
+/// A copy detected by the in-line check — every `java_ic` copy — is
+/// patched by a grant at no `mprotect`: a stale open copy
 /// rides the grant (one patch, no load), and a dropped copy the request
 /// named reopens with `mprotect_calls` unchanged.  `java_pf` pays none
 /// either: its copy was never closed, and the request names it open.
@@ -789,14 +757,13 @@ fn the_request_costs_exactly_sixteen_bytes_per_named_copy() {
 /// revalidated`).
 #[test]
 fn a_reopened_check_copy_costs_no_mprotect() {
-    for (label, protocol, values, [before, _, read]) in grant_section_cached(1, 1, false, false) {
+    for (label, protocol, values, [before, _, read]) in grant_section(1, false, false) {
         assert_eq!(values, [1, 0], "{label}");
-        assert_eq!(read.protocol_switches, before.protocol_switches, "{label}");
         assert_eq!(section_cost(before, read), (0, 0, 0, 0, 1), "{label}");
         let checked = read.locality_checks > before.locality_checks;
         assert_eq!(checked, protocol != ProtocolKind::JavaPf, "{label}");
     }
-    for (label, _, rounds) in granted_rounds_cached(1, &[1]) {
+    for (label, _, rounds) in granted_rounds(&[1]) {
         let (values, _, [before, read_p, _]) = &rounds[0];
         assert_eq!(values, &[1, 7], "{label}");
         assert_eq!(section_cost(*before, *read_p), (0, 0, 0, 0, 1), "{label}");
@@ -875,7 +842,7 @@ fn pending_section(
                 wm.synchronized(t, |t| data.put(t, 7, 41));
             });
             let reader = ctx.spawn_on(NodeId(2), move |t| {
-                cache(t, &[data], PROTECTED);
+                cache(t, &[data]);
                 let inner = t.new_monitor(NodeId(2));
                 t.charge(VTime::from_ms(5) - t.now());
                 let stats = || cluster.node_stats(NodeId(2));
@@ -916,7 +883,7 @@ fn pending_section(
 }
 
 /// The reader's entry leaves its stale copy open under page protection
-/// (`java_pf`, and `java_ad`'s page made dense), the section's read finds
+/// (`java_pf`), the section's read finds
 /// it by the pending check and refetches it — no fault and no `mprotect`:
 /// the copy was never closed — and sees the write; the exit has nothing to
 /// settle.  A Check copy (`java_ic`) is closed by the entry.  Mutation on
@@ -985,7 +952,7 @@ fn a_second_monitor_entered_inside_the_section_settles_the_first_ones_drop() {
 /// oracle holds before and after; the exit's settle finds nothing left.
 #[test]
 fn a_second_thread_of_the_node_reads_a_pending_copy_after_dropping_it() {
-    for protocol in ProtocolKind::all_extended() {
+    for protocol in ProtocolKind::all() {
         let cluster = Cluster::new(myrinet_200().machine, 3);
         let alloc = Arc::new(IsoAllocator::new(3));
         let store = DsmStore::new(Arc::clone(&alloc), 3);

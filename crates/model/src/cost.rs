@@ -162,31 +162,6 @@ impl CpuModel {
 }
 
 impl MachineModel {
-    /// Break-even accesses-per-epoch between the two detection techniques
-    /// for one cached page: the smallest `n` for which `n` in-line checks
-    /// cost more than one page fault plus the `mprotect` that re-opens the
-    /// page, i.e. `n* = ⌈(t_fault + t_mprotect) / t_check⌉`.
-    ///
-    /// This is the pivot of the `java_ad` per-page state machine: pages that
-    /// see more than `n*` accesses per invalidation epoch are cheaper under
-    /// page protection, pages below it are cheaper under in-line checks.
-    pub fn adaptive_break_even(&self) -> u64 {
-        let check_ps = self.cpu.locality_check().as_ps().max(1);
-        let miss_ps = (self.dsm.page_fault + self.dsm.mprotect_call).as_ps();
-        miss_ps.div_ceil(check_ps).max(1)
-    }
-
-    /// Duration of one `java_ad` detection-mode switch on a page.
-    pub fn protocol_switch(&self) -> VTime {
-        self.cpu.cycles(self.dsm.protocol_switch_cycles)
-    }
-
-    /// Requester-side marshalling overhead of a batched page fetch carrying
-    /// `extra` pages beyond the demanded one.
-    pub fn batch_request_overhead(&self, extra: u64) -> VTime {
-        self.cpu.cycles(self.dsm.batch_page_cycles * extra as f64)
-    }
-
     /// Requester-side marshalling overhead of a batched diff flush carrying
     /// `extra` pages beyond the first one.
     pub fn batch_flush_overhead(&self, extra: u64) -> VTime {
@@ -240,22 +215,6 @@ mod tests {
             est.for_iterations(1000).as_ps(),
             est.per_iteration().as_ps() * 1000
         );
-    }
-
-    #[test]
-    fn adaptive_break_even_matches_the_cost_ratio() {
-        // Myrinet: (22us fault + 10us mprotect) / (6 cycles @ 200MHz = 30ns)
-        // = 32_000 / 30 ≈ 1067 accesses per epoch.
-        let myri = myrinet_200().machine;
-        let n = myri.adaptive_break_even();
-        assert!((1000..1100).contains(&n), "myrinet break-even {n}");
-        // SCI: cheaper checks push the break-even much higher.
-        let sci = crate::machine::sci_450().machine;
-        assert!(sci.adaptive_break_even() > n);
-        // Switch and batch overheads are small but non-zero.
-        assert!(myri.protocol_switch() > VTime::ZERO);
-        assert_eq!(myri.batch_request_overhead(0), VTime::ZERO);
-        assert!(myri.batch_request_overhead(3) > myri.batch_request_overhead(1));
     }
 
     #[test]

@@ -95,16 +95,6 @@ define_stats! {
     bulk_reads,
     /// Bulk slice writes performed (`write_slice` / view commits), one per call.
     bulk_writes,
-    /// Per-page detection-mode switches performed by `java_ad` (check ↔ protect).
-    protocol_switches,
-    /// Page-fetch RPCs that carried more than one page (`java_ad` batching).
-    batched_fetches,
-    /// Pages installed beyond the demanded page by batched fetches.
-    pages_prefetched,
-    /// Prefetched pages installed on history speculation alone (no bulk cover).
-    pages_prefetch_speculative,
-    /// Prefetched pages invalidated untouched (`java_ad` speculation throttle).
-    pages_prefetch_wasted,
     /// Diff RPCs that carried more than one page (batched flushing).
     batched_flushes,
     /// Payload bytes of diff messages sent by this node.
@@ -147,7 +137,7 @@ define_stats! {
     monitor_wait_ps,
     /// `mprotect` calls (of `mprotect_calls`) that re-protected a node's open stale copies at a settle: the access at which the rent reached the price, a thread-level acquire or release, `invalidateCache` or a recovery (`crates/dsm/src/pending.rs`).
     mprotect_calls_settled,
-    /// Page-protection accesses that paid the in-line check asking whether their copy is one of the node's open stale copies (`java_pf` / `java_ad`; a `java_ic` access's own check asks it).
+    /// Page-protection accesses that paid the in-line check asking whether their copy is one of the node's open stale copies (`java_pf`; a `java_ic` access's own check asks it).
     pending_checks,
     /// Misses that check found: an access to an open stale copy, dropped and fetched without a fault or an `mprotect` to open it (of `page_loads`, beside `page_faults`).
     pending_misses,
@@ -354,7 +344,7 @@ mod tests {
         ] {
             assert!(names.contains(&expected), "missing {expected}");
         }
-        assert_eq!(names.len(), 48);
+        assert_eq!(names.len(), 43);
         for added in [
             "batched_flushes",
             "rpc_retries",

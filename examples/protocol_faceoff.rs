@@ -9,7 +9,7 @@
 //! ```text
 //! cargo run --release --example protocol_faceoff -- [pi|jacobi|barnes|tsp|asp] [scale] [protocol]
 //!   scale:    quick (default) | harness | paper
-//!   protocol: ic | pf | ad (default: all three)
+//!   protocol: ic | pf (default: both)
 //! ```
 
 use hyperion::prelude::*;
@@ -24,11 +24,11 @@ fn main() {
         Some(name) => match parse_protocol(name) {
             Some(p) => vec![p],
             None => {
-                eprintln!("unknown protocol '{name}'; use ic|pf|ad (or java_ic|java_pf|java_ad)");
+                eprintln!("unknown protocol '{name}'; use ic|pf (or java_ic|java_pf)");
                 std::process::exit(1);
             }
         },
-        None => ProtocolKind::all_extended().to_vec(),
+        None => ProtocolKind::all().to_vec(),
     };
 
     let bench: Box<dyn Benchmark> = match (app, scale) {

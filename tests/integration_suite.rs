@@ -63,7 +63,7 @@ fn every_benchmark_computes_the_same_answer_under_every_configuration() {
         ..myrinet_200()
     };
     let mut legs = Vec::new();
-    for protocol in ProtocolKind::all_extended() {
+    for protocol in ProtocolKind::all() {
         legs.push((wide.clone(), protocol, 16));
     }
     legs.push((wide, ProtocolKind::JavaPf, 64));
@@ -155,11 +155,8 @@ fn cross_layer_statistics_are_consistent() {
         let (t, label) = (&row.stats, label(row));
         // Monitors are always exited as often as they are entered.
         assert_eq!(t.monitor_enters, t.monitor_exits, "{label}");
-        // Every page load is an RPC, and diffs are RPCs too — unless
-        // `java_ad` batched fetches, which load several pages in one.
-        if t.batched_fetches == 0 {
-            assert!(t.rpc_requests >= t.page_loads + t.diff_messages, "{label}");
-        }
+        // Every page load is an RPC, and diffs are RPCs too.
+        assert!(t.rpc_requests >= t.page_loads + t.diff_messages, "{label}");
         assert_eq!(t.rpc_requests, t.rpc_served, "{label}");
         // What one node sends another receives.
         assert_eq!(t.bytes_sent, t.bytes_received, "{label}");

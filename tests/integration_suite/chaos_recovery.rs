@@ -20,7 +20,7 @@ use rand::{Rng, SeedableRng};
 use hyperion_bench::{benchmark_at, Point, Scale};
 use hyperion_workspace::apps::common::{Benchmark, BenchmarkName};
 use hyperion_workspace::apps::jacobi;
-use hyperion_workspace::dsm::{AdaptiveParams, DsmStore, DsmSystem};
+use hyperion_workspace::dsm::{DsmStore, DsmSystem};
 use hyperion_workspace::model::{myrinet_200, StatsSnapshot, ThreadClock, VTime};
 use hyperion_workspace::pm2::{
     Cluster, FaultKill, FaultSpec, GlobalAddr, IsoAllocator, NodeId, PageId, TransportBackend,
@@ -107,14 +107,14 @@ fn random_spec(rng: &mut StdRng) -> FaultSpec {
 }
 
 /// The tentpole chaos property: random seeded fault schedules across all
-/// five apps and all three protocols preserve every digest.  Faults change
+/// five apps and both protocols preserve every digest.  Faults change
 /// timing and traffic, never values — even when a home node is killed and
 /// its pages are re-homed onto a survivor mid-run.
 #[test]
 fn seeded_fault_schedules_preserve_all_digests() {
     for app in BenchmarkName::all() {
         let bench = benchmark_at(app, Scale::Quick);
-        for protocol in ProtocolKind::all_extended() {
+        for protocol in ProtocolKind::all() {
             let reference = matrix::row(&Point::new(app, Scale::Quick, protocol)).digest;
             // Pi's global sum accumulates thread contributions in monitor
             // acquisition order, so its digest is only reproducible to
@@ -160,7 +160,7 @@ fn kv_store_kill_schedules_preserve_digest_and_op_count() {
     let clean = matrix::row(&Point::new(
         BenchmarkName::KvStore,
         Scale::Quick,
-        ProtocolKind::JavaAd,
+        ProtocolKind::JavaPf,
     ));
     let (reference, expected_ops) = (clean.digest, clean.stats.serving_ops);
     assert!(expected_ops > 0, "quick KV run recorded no serving ops");
@@ -170,7 +170,7 @@ fn kv_store_kill_schedules_preserve_digest_and_op_count() {
             node: rng.gen_range(0..NODES as u32),
             at: VTime::from_us(rng.gen_range(100..2_000)),
         });
-        let (digest, report) = execute(bench.as_ref(), ProtocolKind::JavaAd, spec);
+        let (digest, report) = execute(bench.as_ref(), ProtocolKind::JavaPf, spec);
         assert!(
             (digest - reference).abs() <= reference.abs().max(1.0) * 1e-9,
             "KVStore diverged with seed {seed} / spec `{spec}`: \
@@ -214,7 +214,7 @@ fn identical_specs_replay_identical_fault_counters() {
     let mut runs = Vec::new();
     for app in BenchmarkName::all() {
         let bench = benchmark_at(app, Scale::Quick);
-        for protocol in ProtocolKind::all_extended() {
+        for protocol in ProtocolKind::all() {
             runs.push(replay(bench.as_ref(), protocol, every));
         }
     }
@@ -238,12 +238,7 @@ fn build_faulty_dsm(nodes: usize, spec: FaultSpec) -> (Arc<DsmSystem>, Vec<Globa
     );
     let alloc = Arc::new(IsoAllocator::new(nodes));
     let store = DsmStore::new(Arc::clone(&alloc), nodes);
-    let dsm = DsmSystem::with_config(
-        cluster,
-        store,
-        ProtocolKind::JavaIc,
-        &AdaptiveParams::default(),
-    );
+    let dsm = DsmSystem::new(cluster, store, ProtocolKind::JavaIc);
     let addrs = (0..nodes)
         .map(|home| alloc.alloc_page_aligned(4, NodeId(home as u32)))
         .collect();

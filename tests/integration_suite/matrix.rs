@@ -1,7 +1,7 @@
 //! The quick matrix: every quick-scale configuration whose rows are
 //! committed — figures 1–5 (`bench/paper.txt`: both clusters, `java_ic` and
 //! `java_pf`, the paper's node counts) and the bench report
-//! (`bench/baseline.json`: the seven apps under the three protocols on 4
+//! (`bench/baseline.json`: the seven apps under both protocols on 4
 //! Myrinet nodes) — run once per test binary, by the first test that asks,
 //! and never changed after.  A run repeats exactly, so a test that asserts
 //! something of one of these configurations reads its row here instead of
@@ -65,9 +65,8 @@ pub fn claims() -> &'static [FigureRow] {
     &rows()[..CLAIMS]
 }
 
-/// The bench report's points — every app under `java_ic`, `java_pf` and
-/// `java_ad` on 4 Myrinet nodes — in the order `bench_report_rows` runs
-/// them.
+/// The bench report's points — every app under `java_ic` and `java_pf` on
+/// 4 Myrinet nodes — in the order `bench_report_rows` runs them.
 pub fn report_points() -> Vec<Point> {
     Point::grid(BenchmarkName::all_extended(), Scale::Quick)
 }

@@ -1,6 +1,6 @@
 //! The committed quick rows, byte for byte, read off the quick matrix:
 //! `bench/paper.txt` (figures 1–5's §4.3 claims) and `bench/baseline.json`
-//! (the bench report, once the figure 6 / 9 gates hold on its rows).
+//! (the bench report, once the gates hold on its rows).
 
 use hyperion_bench::report::{compare_to_baseline, report_to_json};
 use hyperion_bench::{claims_text, gates, FigureRow};
@@ -26,11 +26,11 @@ fn report_rows_are_byte_for_byte_the_committed_baseline() {
         .iter()
         .map(|point| matrix::row(point).clone())
         .collect();
-    assert_eq!(quick.len(), 21);
+    assert_eq!(quick.len(), 14);
     let violations = gates::violations(&quick);
     assert!(
         violations.is_empty(),
-        "the figure 6 / 9 gates fail on the quick rows:\n{}",
+        "the gates fail on the quick rows:\n{}",
         violations.join("\n")
     );
     let measured = report_to_json("local", "quick", &quick);

@@ -1,15 +1,12 @@
 //! Protocol equivalence: every app computes the same answer under
-//! `java_ic`, `java_pf` and the adaptive `java_ad`, on the in-process
-//! simulator and over Unix-domain sockets, and the adaptive protocol never
-//! costs more than the worse of the paper's two.
+//! `java_ic` and `java_pf`, on the in-process simulator and over
+//! Unix-domain sockets.
 //!
-//! `java_ad` re-decides the access-detection technique per page at every
-//! invalidation and speculatively batches page fetches; the one transport
-//! overlaps fetches with their stride prefetch and batches and defers
-//! release flushes.  None of it may be observable at the application
-//! level.  Every run repeats exactly, so each configuration runs once: one
-//! test runs every app under the three protocols in process, one over
-//! sockets, and both compare each answer with the app's reference — a
+//! The one transport overlaps fetches with their stride prefetch and
+//! batches and defers release flushes.  None of it may be observable at
+//! the application level.  Every run repeats exactly, so each configuration
+//! runs once: one test runs every app under both protocols in process, one
+//! over sockets, and both compare each answer with the app's reference — a
 //! one-node run (no page is remote, so nothing is on the wire; the quick
 //! matrix's) for the paper's five, the sequential replay for the serving
 //! apps.
@@ -59,15 +56,15 @@ fn one_node_digest(app: BenchmarkName) -> f64 {
     row.digest
 }
 
-/// One app's runs at [`NODES`] nodes under `java_ic`, `java_pf` and
-/// `java_ad`, in that order, with each run's counters summed over nodes.
+/// One app's runs at [`NODES`] nodes under `java_ic` and `java_pf`, in
+/// that order, with each run's counters summed over nodes.
 struct AppRuns {
     name: BenchmarkName,
-    runs: [(f64, RunReport); 3],
-    stats: [StatsSnapshot; 3],
+    runs: [(f64, RunReport); 2],
+    stats: [StatsSnapshot; 2],
 }
 
-/// Every app's quick instance under the three protocols over `backend`,
+/// Every app's quick instance under both protocols over `backend`,
 /// each answer checked against the app's reference and against `java_ic`'s.
 fn run_every_app(backend: TransportBackend) -> Vec<AppRuns> {
     BenchmarkName::all_extended()
@@ -84,7 +81,7 @@ fn run_every_app(backend: TransportBackend) -> Vec<AppRuns> {
                 _ => one_node_digest(name),
             };
             let bench = benchmark_at(name, Scale::Quick);
-            let runs = ProtocolKind::all_extended().map(|p| execute(bench.as_ref(), p, backend));
+            let runs = ProtocolKind::all().map(|p| execute(bench.as_ref(), p, backend));
             let ic = runs[0].0;
             for (digest, report) in &runs {
                 let label = format!("{name}/{} ({backend:?})", report.protocol.name());
@@ -97,7 +94,7 @@ fn run_every_app(backend: TransportBackend) -> Vec<AppRuns> {
                     "{label}: {digest} vs java_ic's {ic}"
                 );
             }
-            let stats = [0, 1, 2].map(|i| runs[i].1.total_stats());
+            let stats = [0, 1].map(|i| runs[i].1.total_stats());
             AppRuns { name, runs, stats }
         })
         .collect()
@@ -152,32 +149,13 @@ const BLOCKING_PF_PS: [(BenchmarkName, u64); 5] = [
 ];
 
 #[test]
-fn all_three_protocols_compute_identical_results() {
+fn both_protocols_compute_identical_results() {
     let every_app = run_every_app(TransportBackend::Sim);
     let (paper, serving) = every_app.split_at(BLOCKING_PF_PS.len());
     for (app, (name, blocking_ps)) in paper.iter().zip(BLOCKING_PF_PS) {
         assert_eq!(app.name, name);
-        let [(_, ic), (_, pf), (_, ad)] = &app.runs;
-        let [ic_stats, pf_stats, ad_stats] = &app.stats;
-        // java_ad's modeled cost and the page loads no write notice forced
-        // (every load but the refetches of copies an acquire dropped, a
-        // speculative copy dropped untouched counting as unforced) never
-        // exceed the worse of the fixed protocols.
-        let worst = ic.execution_time.max(pf.execution_time);
-        assert!(
-            ad.execution_time <= worst,
-            "{name}: java_ad cost {} exceeds {worst}",
-            ad.execution_time
-        );
-        let unforced = |s: &StatsSnapshot| {
-            (s.page_loads + s.pages_prefetch_wasted).saturating_sub(s.pages_invalidated)
-        };
-        let worst = unforced(ic_stats).max(unforced(pf_stats));
-        assert!(
-            unforced(ad_stats) <= worst,
-            "{name}: java_ad unforced page loads {} exceed the worse of ic/pf {worst}",
-            unforced(ad_stats)
-        );
+        let [_, (_, pf)] = &app.runs;
+        let [_, pf_stats] = &app.stats;
         // The split transactions only defer when latency is charged, so no
         // app runs longer under java_pf than it did under the blocking
         // transport.  Jacobi and ASP open prefetch windows right after their
@@ -203,7 +181,7 @@ fn all_three_protocols_compute_identical_results() {
     }
     // Each protocol's agreement is proved with the stride prefetch and
     // deferred release flushing live in its runs of the paper's five.
-    for (i, protocol) in ProtocolKind::all_extended().into_iter().enumerate() {
+    for (i, protocol) in ProtocolKind::all().into_iter().enumerate() {
         let stride: u64 = paper
             .iter()
             .map(|app| app.stats[i].stride_fetches_issued)
@@ -232,7 +210,7 @@ fn all_three_protocols_compute_identical_results() {
             );
             assert!(t.batched_flushes <= t.diff_messages, "{label}");
         }
-        let [_, pf, ad] = &app.stats;
+        let [_, pf] = &app.stats;
         // Stride fetches invalidated untouched stay within 1/8 of those
         // issued — what the gate in `issue_stride_fetches` itself holds a
         // node to (floor of 32: on a sample that small a few unlucky
@@ -242,24 +220,6 @@ fn all_three_protocols_compute_identical_results() {
             "{name}: stride waste {} exceeds 1/8 of {} issued",
             pf.stride_fetches_wasted,
             pf.stride_fetches_issued,
-        );
-        // The waste-feedback throttle keeps java_ad's speculation from
-        // running away: wasted prefetches stay within a sixteenth of the
-        // speculative ones (bulk-covered riders never waste), plus each
-        // node's start-up allowance and one last in-flight batch that may
-        // complete after the throttle trips.  Every batched fetch carried
-        // at least one extra page, and speculative riders are a subset of
-        // all riders.
-        assert!(
-            ad.pages_prefetch_wasted <= ad.pages_prefetch_speculative / 16 + 9 * NODES as u64,
-            "{name}: wasted {} of {} speculative prefetches",
-            ad.pages_prefetch_wasted,
-            ad.pages_prefetch_speculative,
-        );
-        assert!(ad.pages_prefetched >= ad.batched_fetches, "{name}");
-        assert!(
-            ad.pages_prefetch_speculative <= ad.pages_prefetched,
-            "{name}"
         );
     }
     for app in serving {
@@ -316,8 +276,7 @@ fn tsp_at_harness_scale_uses_every_stride_fetch_it_issues() {
 
 /// A fixed, single-threaded access pattern: two remote multi-page arrays
 /// read and written across four monitor epochs.  It exercises page
-/// fetches, field-granularity diffs, invalidation epochs and — under
-/// `java_ad` — per-page mode switches and batched speculative fetches.
+/// fetches, field-granularity diffs and invalidation epochs.
 /// With one OS thread the whole event sequence is deterministic, so two
 /// runs of equivalent configurations must agree in *every* stat counter,
 /// not just in aggregate.
@@ -335,8 +294,7 @@ fn deterministic_workload(protocol: ProtocolKind, backend: TransportBackend) -> 
         for epoch in 1..=4u64 {
             mon.enter(ctx);
             // A strided sweep (re-fetches everything invalidated at the
-            // acquire) plus a dense tail on the far array (drives java_ad
-            // towards page faults and batched fetches on those pages).
+            // acquire) plus a dense tail on the far array.
             for k in (0..slots).step_by(97) {
                 acc = acc.wrapping_add(ctx.get_slot(near.offset(k)));
                 ctx.put_slot(near.offset(k), epoch.wrapping_mul(k + 1));
@@ -356,7 +314,7 @@ fn deterministic_workload(protocol: ProtocolKind, backend: TransportBackend) -> 
 fn one_thread_runs_agree_on_every_counter_across_backends() {
     // With one thread the event sequence is fixed, and the two backends
     // must agree on the modeled time and on every counter.
-    for protocol in ProtocolKind::all_extended() {
+    for protocol in ProtocolKind::all() {
         let (sim_result, sim) = deterministic_workload(protocol, TransportBackend::Sim);
         let (unix_result, unix) = deterministic_workload(protocol, TransportBackend::UnixSocket);
         assert_eq!(sim_result, unix_result, "{protocol:?}");

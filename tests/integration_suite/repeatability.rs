@@ -56,7 +56,7 @@ fn runs_again(point: &Point) {
 fn every_app_under_every_protocol_run_again() {
     let points = matrix::report_points();
     points.iter().for_each(runs_again);
-    assert_eq!(points.len(), 21, "every app × protocol row repeats exactly");
+    assert_eq!(points.len(), 14, "every app × protocol row repeats exactly");
 }
 
 #[test]

@@ -12,7 +12,7 @@
 //! operations, executed against the real protocol engine, must observe
 //! exactly the values predicted by a tiny executable specification of
 //! home-based Java consistency (per-node caches over a single main memory).
-//! All three protocols must satisfy it — they are *detection* mechanisms for
+//! Both protocols must satisfy it — they are *detection* mechanisms for
 //! the same consistency model.  A second model check drives the bulk
 //! `read_slice` / `write_slice` path against the element-wise loop and
 //! demands identical values *and* compatible statistics.
@@ -158,9 +158,8 @@ fn build_dsm(
 }
 
 /// The real protocol engines agree with the executable specification on
-/// every read, for arbitrary operation sequences, under all three
-/// protocols: `java_ad` switches detection per page and batches fetches,
-/// and the stride prefetch installs pages ahead of the demand misses, but
+/// every read, for arbitrary operation sequences, under both protocols:
+/// the stride prefetch installs pages ahead of the demand misses, but
 /// every read must still observe exactly the values the specification
 /// predicts.
 #[test]
@@ -168,7 +167,7 @@ fn dsm_matches_the_consistency_specification() {
     let patched = std::cell::Cell::new(0u64);
     property(48, |seed, rng| {
         let ops = random_ops(rng, 3, 12, 120);
-        for protocol in ProtocolKind::all_extended() {
+        for protocol in ProtocolKind::all() {
             let nodes = 3usize;
             let slots_per_home = 4usize;
             let (dsm, addrs, homes) = build_dsm(protocol, nodes, slots_per_home);
@@ -331,7 +330,7 @@ fn every_read_in_a_section_sees_the_last_write_in_monitor_order() {
     let (kept, dropped) = (std::cell::Cell::new(0), std::cell::Cell::new(0));
     property(48, |seed, rng| {
         let program = random_program(rng, 0);
-        for protocol in ProtocolKind::all_extended() {
+        for protocol in ProtocolKind::all() {
             let config = HyperionConfig::new(myrinet_200(), 3, protocol);
             let rt = HyperionRuntime::new(config).expect("valid configuration");
             let program = program.clone();
@@ -572,12 +571,6 @@ fn bulk_slice_transfers_match_the_elementwise_loop() {
                     assert!(sb.mprotect_calls >= sb.page_faults, "seed {seed}");
                     assert_eq!(sb.page_faults, se.page_faults, "seed {seed}");
                 }
-                // The loop exercises the paper's protocols; java_ad has its
-                // own equivalence suite in tests/integration_suite/
-                // protocol_equivalence.rs
-                // (its speculative prefetching legitimately reshapes the
-                // per-run page traffic this test pins down exactly).
-                ProtocolKind::JavaAd => unreachable!(),
             }
         }
     });
@@ -624,7 +617,6 @@ fn protocol_costs_are_monotone_and_protocol_specific() {
                     assert_eq!(stats.locality_checks, 0, "seed {seed}");
                     assert!(stats.mprotect_calls >= stats.page_faults, "seed {seed}");
                 }
-                ProtocolKind::JavaAd => unreachable!(),
             }
         }
     });
