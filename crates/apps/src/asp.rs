@@ -108,22 +108,18 @@ pub fn digest(d: &[Vec<i64>]) -> (i64, u64) {
     (sum, unreachable)
 }
 
-/// Sequential Floyd-Warshall reference.
-#[allow(clippy::needless_range_loop)]
+/// Sequential Floyd-Warshall reference.  Every row relaxes against a copy
+/// of pivot row `k`, which is exact: `d[k][k]` is 0, so row `k` does not
+/// change in its own iteration.
 pub fn sequential(params: &AspParams) -> AspResult {
-    let n = params.vertices;
     let mut d = generate_graph(params);
-    for k in 0..n {
-        for i in 0..n {
-            let dik = d[i][k];
-            if dik >= INFINITY {
-                continue;
-            }
-            for j in 0..n {
-                let via = dik + d[k][j];
-                if via < d[i][j] {
-                    d[i][j] = via;
-                }
+    let mut pivot = vec![0; params.vertices];
+    for k in 0..params.vertices {
+        pivot.copy_from_slice(&d[k]);
+        for row in d.iter_mut().filter(|row| row[k] < INFINITY) {
+            let dik = row[k];
+            for (cell, dkj) in row.iter_mut().zip(&pivot) {
+                *cell = (*cell).min(dik + dkj);
             }
         }
     }

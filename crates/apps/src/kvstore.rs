@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use hyperion::prelude::*;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 use crate::common::{benchmark, node_of_thread, Benchmark, BenchmarkName};
 
@@ -38,7 +38,8 @@ use crate::common::{benchmark, node_of_thread, Benchmark, BenchmarkName};
 /// of two at or above `n`, and a draw `u` scans forward from
 /// `guide[floor(u m)]`: both are exact in `f64`, so the start never passes
 /// the rank a binary search returns, and a draw compares at most two
-/// entries on average.
+/// entries on average.  `u` is `gen_range(0.0..1.0)`'s 53 bits over 2^53,
+/// so `floor(u m)` is the top `log2 m` of those bits.
 #[derive(Clone, Debug)]
 pub struct Zipf {
     cdf: Vec<f64>,
@@ -81,9 +82,10 @@ impl Zipf {
 
     /// Draw one rank.
     pub fn sample(&self, rng: &mut StdRng) -> usize {
-        let u: f64 = rng.gen_range(0.0..1.0);
-        let m = self.guide.len();
-        let mut rank = self.guide[((u * m as f64) as usize).min(m - 1)] as usize;
+        let bits = rng.next_u64() >> 11;
+        let u = bits as f64 / (1u64 << 53) as f64;
+        let top = bits >> (53 - self.guide.len().trailing_zeros());
+        let mut rank = self.guide[top as usize] as usize;
         while self.cdf[rank] < u {
             rank += 1;
         }

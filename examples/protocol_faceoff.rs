@@ -12,6 +12,8 @@
 //!   protocol: ic | pf (default: both)
 //! ```
 
+use std::io::{self, ErrorKind, Write};
+
 use hyperion::prelude::*;
 use hyperion_apps::common::parse_protocol;
 use hyperion_apps::{asp, barnes, common::Benchmark, jacobi, pi, tsp};
@@ -53,24 +55,38 @@ fn main() {
         }
     };
 
-    println!(
+    // A reader that stops early (`| head`) ends the sweep quietly.
+    match sweep(bench.as_ref(), scale, &protocols) {
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => {}
+        result => result.expect("writing the sweep to stdout"),
+    }
+}
+
+/// Run `bench` over both clusters, `protocols` and the node counts, one CSV
+/// row per run on stdout.
+fn sweep(bench: &dyn Benchmark, scale: &str, protocols: &[ProtocolKind]) -> io::Result<()> {
+    let mut out = io::stdout().lock();
+    writeln!(
+        out,
         "# {} ({scale} scale) — execution times are virtual seconds",
         bench.name()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "cluster,protocol,nodes,exec_s,checks,faults,mprotect,page_loads,diff_msgs,bytes,remote_monitor"
-    );
+    )?;
     for cluster in [myrinet_200(), sci_450()] {
         let node_counts: Vec<usize> = [1usize, 2, 4, 6, 8, 12]
             .into_iter()
             .filter(|&n| n <= cluster.max_nodes)
             .collect();
-        for &protocol in &protocols {
+        for &protocol in protocols {
             for &nodes in &node_counts {
                 let config = HyperionConfig::new(cluster.clone(), nodes, protocol);
                 let (_digest, report) = bench.execute(config);
                 let t = report.total_stats();
-                println!(
+                writeln!(
+                    out,
                     "{},{},{},{:.4},{},{},{},{},{},{},{}",
                     report.cluster_label,
                     protocol,
@@ -83,8 +99,9 @@ fn main() {
                     t.diff_messages,
                     t.bytes_moved(),
                     t.remote_monitor_acquires,
-                );
+                )?;
             }
         }
     }
+    Ok(())
 }

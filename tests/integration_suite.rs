@@ -10,6 +10,8 @@
 //! `bench/baseline.json`, [`repeatability`] runs configurations again,
 //! [`chaos_recovery`] runs them under injected faults and
 //! [`protocol_equivalence`] under every protocol and over sockets.
+//! [`oracles`] holds the sequential references to their plain
+//! nested-index form, bit for bit.
 
 // The modules live in `tests/integration_suite/`, where cargo does not make
 // each a test binary of its own.
@@ -17,6 +19,8 @@
 mod chaos_recovery;
 #[path = "integration_suite/matrix.rs"]
 mod matrix;
+#[path = "integration_suite/oracles.rs"]
+mod oracles;
 #[path = "integration_suite/pins.rs"]
 mod pins;
 #[path = "integration_suite/protocol_equivalence.rs"]
