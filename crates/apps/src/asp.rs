@@ -75,55 +75,96 @@ pub struct AspResult {
     pub unreachable_pairs: u64,
 }
 
+/// The sequential reference's "no edge": the paper's distances are Java
+/// `int`s, and 32-bit lanes let the relaxation vectorise.
+const UNREACHABLE: i32 = 1 << 29;
+
+/// The heaviest edge: weights are drawn from `1..=MAX_WEIGHT`.
+const MAX_WEIGHT: u8 = 99;
+
+/// The seeded graph's cells in row-major order, `unreachable` where no edge
+/// was drawn: the one generator of the run's matrix and the reference's.
+fn graph_of<T: Copy + From<u8>>(params: &AspParams, unreachable: T) -> impl Iterator<Item = T> {
+    let AspParams {
+        vertices: n,
+        seed,
+        edge_percent,
+    } = *params;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut diagonal = 0;
+    (0..n * n).map(move |cell| {
+        if cell == diagonal {
+            diagonal += n + 1;
+            T::from(0)
+        } else if rng.gen_range(0..100) < edge_percent {
+            T::from(rng.gen_range(1..MAX_WEIGHT + 1))
+        } else {
+            unreachable
+        }
+    })
+}
+
 /// Generate the dense adjacency matrix of a random directed graph.
 pub fn generate_graph(params: &AspParams) -> Vec<Vec<i64>> {
     let n = params.vertices;
-    let mut rng = StdRng::seed_from_u64(params.seed);
-    let mut d = vec![vec![INFINITY; n]; n];
-    for (i, row) in d.iter_mut().enumerate() {
-        for (j, cell) in row.iter_mut().enumerate() {
-            if i == j {
-                *cell = 0;
-            } else if rng.gen_range(0..100) < params.edge_percent {
-                *cell = rng.gen_range(1..100);
-            }
-        }
-    }
-    d
+    let mut cells = graph_of(params, INFINITY);
+    (0..n).map(|_| cells.by_ref().take(n).collect()).collect()
 }
 
 /// Digest of a distance matrix: (sum of finite distances, unreachable pairs).
 pub fn digest(d: &[Vec<i64>]) -> (i64, u64) {
-    let mut sum = 0i64;
-    let mut unreachable = 0u64;
-    for row in d {
-        for &v in row {
-            if v >= INFINITY {
-                unreachable += 1;
-            } else {
-                sum += v;
-            }
-        }
-    }
-    (sum, unreachable)
+    digest_of(d.iter().flatten().copied(), INFINITY)
 }
 
-/// Sequential Floyd-Warshall reference.  Every row relaxes against a copy
-/// of pivot row `k`, which is exact: `d[k][k]` is 0, so row `k` does not
-/// change in its own iteration.
+/// [`digest`] of any cells, `unreachable` and above counted as unreachable.
+fn digest_of<T: Copy + PartialOrd + Into<i64>>(
+    cells: impl Iterator<Item = T>,
+    unreachable: T,
+) -> (i64, u64) {
+    let mut sum = 0i64;
+    let mut unreachable_pairs = 0u64;
+    for v in cells {
+        if v >= unreachable {
+            unreachable_pairs += 1;
+        } else {
+            sum += v.into();
+        }
+    }
+    (sum, unreachable_pairs)
+}
+
+/// Whether every distance of a graph on `vertices` fits the reference's
+/// `i32` cells: a shortest path has fewer than `vertices` edges, so it is
+/// below `UNREACHABLE`, and a finite distance plus `UNREACHABLE` stays
+/// below `2^30`.
+fn fits_in_i32(vertices: usize) -> bool {
+    vertices
+        .checked_mul(MAX_WEIGHT.into())
+        .is_some_and(|longest| longest < UNREACHABLE as usize)
+}
+
+/// Sequential Floyd-Warshall reference, in `i32` over one flat `n × n`
+/// buffer.  The run's `i64` matrix holds the same distances and `INFINITY`
+/// where this holds `UNREACHABLE` (`min` keeps an unreachable cell exactly
+/// at it), so both digests agree.  SSE2 compares 32-bit lanes but not
+/// 64-bit ones, so only the `i32` relaxation vectorises.
+/// Every row relaxes against a copy of pivot row `k`, which is exact:
+/// `d[k][k]` is 0, so row `k` does not change in its own iteration.
 pub fn sequential(params: &AspParams) -> AspResult {
-    let mut d = generate_graph(params);
-    let mut pivot = vec![0; params.vertices];
-    for k in 0..params.vertices {
-        pivot.copy_from_slice(&d[k]);
-        for row in d.iter_mut().filter(|row| row[k] < INFINITY) {
+    let n = params.vertices;
+    assert!(fits_in_i32(n), "{n} vertices overflow the i32 reference");
+    let mut d: Vec<i32> = graph_of(params, UNREACHABLE).collect();
+    let mut pivot = vec![0; n];
+    for k in 0..n {
+        pivot.copy_from_slice(&d[k * n..][..n]);
+        for row in d.chunks_exact_mut(n).filter(|row| row[k] < UNREACHABLE) {
             let dik = row[k];
             for (cell, dkj) in row.iter_mut().zip(&pivot) {
                 *cell = (*cell).min(dik + dkj);
             }
         }
     }
-    let (distance_sum, unreachable_pairs) = digest(&d);
+    let (distance_sum, unreachable_pairs) = digest_of(d.into_iter(), UNREACHABLE);
     AspResult {
         distance_sum,
         unreachable_pairs,
@@ -341,6 +382,12 @@ mod tests {
             4 * (params.vertices + 1),
             "one barrier per pivot iteration plus the initial one"
         );
+    }
+
+    #[test]
+    fn the_paper_graph_fits_the_i32_reference() {
+        assert!(fits_in_i32(AspParams::paper().vertices));
+        assert!(!fits_in_i32(UNREACHABLE as usize / 99 + 1));
     }
 
     #[test]

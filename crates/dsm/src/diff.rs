@@ -140,8 +140,7 @@ pub fn encode_diff(page: PageId, entries: &[DiffEntry]) -> Vec<u8> {
 }
 
 /// Encode a batched diff message: the diffs of `pages.len()` *contiguous*
-/// pages starting at `first`, all homed on the target node — the flush-side
-/// counterpart of a multi-page fetch request.
+/// pages starting at `first`, all homed on the target node.
 ///
 /// # Panics
 /// Panics if `pages` is empty.

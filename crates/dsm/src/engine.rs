@@ -545,10 +545,9 @@ impl DsmSystem {
         let (reply, machine) = (&mut Vec::new(), self.cluster.machine());
         // No answer that fits appends nothing, which decodes as nothing.
         answer_page(&self.store, page, retained, Some(machine), reply);
-        let Ok((mut answers, _)) = decode_fetch_reply(reply, &[retained], &[]) else {
+        let Ok((answer, _)) = decode_fetch_reply(reply, retained, &[]) else {
             return false;
         };
-        let answer = answers.remove(0);
         let Some(cost) = grant_cost(machine, &answer) else {
             return false;
         };

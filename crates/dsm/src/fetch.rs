@@ -5,8 +5,8 @@
 //! paths go through [`DsmSystem::fetch_rpc`], which names the version the
 //! frame retains and, through [`DsmSystem::apply_answer`] — which a
 //! monitor's grant shares — either re-opens the retained copy, patches it
-//! or installs the shipped one.  A fetch carries one page; the wire form
-//! (`fetch_wire.rs`) keeps its run of pages.  A demand fetch also names the
+//! or installs the shipped one.  A fetch carries one page, as does its
+//! wire form (`fetch_wire.rs`).  A demand fetch also names the
 //! node's indexed dropped copies of that home as riders, and reopens those
 //! the reply answers as a grant would ([`DsmSystem::answered`]).
 //!
@@ -88,22 +88,20 @@ impl DsmSystem {
     ) -> Result<(bool, VTime, Vec<PageId>), RpcFailure> {
         let node = node_ref.id();
         self.drop_if_stale(node_ref, page, frame);
-        let retained = [frame.version()];
+        let retained = frame.version();
         let named: Vec<_> = riders.iter().map(|(p, f)| (*p, f.version())).collect();
-        let payload = encode_fetch_request(page, &retained, &named);
+        let payload = encode_fetch_request(page, retained, &named);
         let (bytes, completion) =
             self.rpc_to_home(clock, node, node_ref, page, self.page_fetch, &payload)?;
         let malformed = |why| self.malformed_reply(node, page, self.page_fetch, why);
         let stamps: Vec<u64> = named.iter().map(|&(_, v)| v).collect();
-        let (replies, answers) =
-            decode_fetch_reply(&bytes, &retained, &stamps).map_err(malformed)?;
+        let (reply, answers) = decode_fetch_reply(&bytes, retained, &stamps).map_err(malformed)?;
         let scan = self.fetch_state[node.index()].continues_scan(home, page);
         // A recovery that promoted the frame to home mid-fetch leaves it
         // alone: the (pre-recovery) snapshot would erase newer home writes.
         // The round trip stays charged — it really happened.  The decoder
         // vouched for the stamp against `retained`.
-        let reply = replies.into_iter().next().filter(|_| !frame.is_home());
-        let opened = reply.is_some_and(|r| self.apply_answer(node_ref, page, frame, r));
+        let opened = !frame.is_home() && self.apply_answer(node_ref, page, frame, reply);
         let answered = riders.iter().zip(answers).map(|(&(page, frame), answer)| {
             let answer = answer.filter(|_| !frame.is_home());
             let applied = answer.map(|a| self.apply_answer(node_ref, page, frame, a));

@@ -15,36 +15,27 @@ use crate::diff::{
 use crate::page::SlotSet;
 use crate::table::DsmStore;
 
-/// Answer `request` out of the authoritative home frames, page by page
-/// ([`answer_page`]), then each rider this home homes as a grant would, or
-/// with [`NO_ANSWER`]: the encoded answers and the slots they ship.
+/// Answer `request` out of the authoritative home frame ([`answer_page`]),
+/// then each rider this home homes as a grant would, or with
+/// [`NO_ANSWER`]: the encoded answers and the slots they ship.
 pub(crate) fn serve_fetch(
     store: &DsmStore,
     machine: &MachineModel,
     home: NodeId,
     request: &FetchRequest,
 ) -> Result<(Vec<u8>, usize), WireError> {
-    let FetchRequest {
-        first, versions, ..
-    } = request;
-    let count = versions.len();
+    let FetchRequest { page, retained, .. } = *request;
     let num_pages = store.allocator().num_pages();
-    let in_range = (first.0 as usize)
-        .checked_add(count)
-        .is_some_and(|end| end <= num_pages);
-    if !in_range {
+    if page.index() >= num_pages {
         return Err(WireError::Invalid("fetch request page range"));
     }
-    let (mut reply, mut shipped) = (Vec::with_capacity(count * 9), 0);
-    for (k, &retained) in versions.iter().enumerate() {
-        let page = PageId(first.0 + k as u64);
-        debug_assert!(
-            store.home_of(page) == home || store.allocator().home_of(page) == home,
-            "page fetch sent to a node that is not the page's home"
-        );
-        let slots = answer_page(store, page, retained, None, &mut reply);
-        shipped += slots.expect("a fetch may be answered with the page");
-    }
+    debug_assert!(
+        store.home_of(page) == home || store.allocator().home_of(page) == home,
+        "page fetch sent to a node that is not the page's home"
+    );
+    let mut reply = Vec::with_capacity(9);
+    let slots = answer_page(store, page, retained, None, &mut reply);
+    let mut shipped = slots.expect("a fetch may be answered with the page");
     for &(page, retained) in &request.riders {
         let ours = page.index() < num_pages && store.home_of(page) == home;
         match ours.then(|| answer_page(store, page, retained, Some(machine), &mut reply)) {
@@ -172,8 +163,8 @@ pub(crate) struct HomeService {
 
 impl HomeService {
     /// Serve one request, at a home-side service time of copy cycles per
-    /// slot shipped (a fetch, riders included) or apply cycles per slot
-    /// written (an apply), plus batching overhead per page beyond the first.
+    /// slot shipped (a fetch, riders included), or of apply cycles per slot
+    /// written plus batching overhead per page beyond the first (an apply).
     fn serve(&self, target: &Node, payload: &[u8]) -> Result<RpcReply, WireError> {
         let (cpu, dsm, home) = (&self.machine.cpu, &self.machine.dsm, target.id());
         if !self.fetch {
@@ -187,9 +178,7 @@ impl HomeService {
         let request = decode_fetch_request(payload)?;
         let (reply, slots) = serve_fetch(&self.store, &self.machine, home, &request)?;
         let copy = dsm.page_copy_cycles_per_slot * slots as f64;
-        let extra = (request.versions.len() - 1) as f64;
-        let service = copy + dsm.batch_page_cycles * extra;
-        Ok(RpcReply::with_data(reply, cpu.cycles(service)))
+        Ok(RpcReply::with_data(reply, cpu.cycles(copy)))
     }
 }
 
@@ -246,8 +235,8 @@ mod tests {
         // The fetch names the same copy as a rider too: a rider is answered
         // as the grant is, byte for byte, after the page's answer.
         let request = FetchRequest {
-            first: page,
-            versions: vec![retained],
+            page,
+            retained,
             riders: vec![(page, retained)],
         };
         let machine = cluster.machine();
@@ -258,8 +247,8 @@ mod tests {
         assert_eq!((&twice, slots, fetch.1), (&fetch.0, Some(3), 6));
         let patch = PageReply::Patch(retained + 1, vec![(3, 4), (70, 71), (500, 501)]);
         assert_eq!(
-            decode_fetch_reply(&grant, &[retained], &[]),
-            Ok((vec![patch.clone()], vec![]))
+            decode_fetch_reply(&grant, retained, &[]),
+            Ok((patch.clone(), vec![]))
         );
         // The grant's cost rule sizes the answer as its encoding does.
         let slots = 3.0;
@@ -298,11 +287,11 @@ mod tests {
             let mut call = |service, payload: &[u8]| {
                 cluster.rpc(&mut clock, NodeId(1), NodeId(0), service, payload)
             };
-            let fetch = encode_fetch_request(page, &[0], &[]);
+            let fetch = encode_fetch_request(page, 0, &[]);
             let bad: Vec<(_, Vec<u8>)> = vec![
                 (dsm.page_fetch, vec![1, 2, 3]),
                 (dsm.page_fetch, fetch[..fetch.len() - 1].to_vec()),
-                (dsm.page_fetch, encode_fetch_request(unallocated, &[0], &[])),
+                (dsm.page_fetch, encode_fetch_request(unallocated, 0, &[])),
                 (dsm.page_fetch, [&fetch[..], &[1, 0]].concat()),
                 (dsm.diff_apply, vec![0xFF; 7]),
                 (dsm.diff_apply, encode_diff(unallocated, &[(0, 1)])),
@@ -320,14 +309,14 @@ mod tests {
             assert_eq!(reply.len(), 9 + hyperion_pm2::PAGE_BYTES, "{backend}");
             // The page at the stamp just handed out is not modified.
             let stamp = u64::from_le_bytes(reply[1..9].try_into().expect("stamp"));
-            let asking = encode_fetch_request(page, &[stamp], &[]);
+            let asking = encode_fetch_request(page, stamp, &[]);
             let answered = call(dsm.page_fetch, &asking).expect("well-formed fetch");
-            let answered = decode_fetch_reply(&answered, &[stamp], &[]).expect("decodes");
-            assert_eq!(answered.0, [PageReply::NotModified(stamp)], "{backend}");
+            let answered = decode_fetch_reply(&answered, stamp, &[]).expect("decodes");
+            assert_eq!(answered.0, PageReply::NotModified(stamp), "{backend}");
             // A rider the home does not home gets no answer.
-            let named = encode_fetch_request(page, &[stamp], &[(other, 1)]);
+            let named = encode_fetch_request(page, stamp, &[(other, 1)]);
             let rode = call(dsm.page_fetch, &named).expect("well-formed fetch");
-            let rode = decode_fetch_reply(&rode, &[stamp], &[1]).expect("decodes");
+            let rode = decode_fetch_reply(&rode, stamp, &[1]).expect("decodes");
             assert_eq!(rode, (answered.0, vec![None]), "{backend}");
             // A diff is acknowledged with its pages' new stamps and not a
             // byte more, and a copy from before it is brought up to date
@@ -338,14 +327,14 @@ mod tests {
             let acked = decode_diff_reply(&ack, 1).expect("versions only");
             assert_eq!(acked[0], stamp + 1, "{backend}");
             let patch = call(dsm.page_fetch, &asking).expect("well-formed fetch");
-            let decoded = decode_fetch_reply(&patch, &[stamp], &[]).expect("decodes");
+            let decoded = decode_fetch_reply(&patch, stamp, &[]).expect("decodes");
             let expected = PageReply::Patch(stamp + 1, vec![(0, 7)]);
-            assert_eq!((patch.len(), &decoded.0[0]), (9 + 4 + 10, &expected));
+            assert_eq!((patch.len(), &decoded.0), (9 + 4 + 10, &expected));
             // And the requester side rejects a reply it cannot decode, or
             // that would move its stamp backwards, or patch a copy it does
             // not hold, with the same typed error instead of panicking.
             for (bytes, retained) in [(&reply[..100], 0), (&reply[..], stamp + 1), (&patch, 0)] {
-                let why = decode_fetch_reply(bytes, &[retained], &[]).unwrap_err();
+                let why = decode_fetch_reply(bytes, retained, &[]).unwrap_err();
                 let failure = dsm.malformed_reply(NodeId(1), page, dsm.page_fetch, why);
                 assert!(matches!(failure.error, TransportError::MalformedFrame(_)));
                 assert!(failure.to_string().contains("dsm.page_fetch reply"));

@@ -133,10 +133,6 @@ pub struct DsmCostModel {
     /// Cycles charged on the parent for creating a thread, and on the child
     /// before it starts running (remote creation additionally pays an RPC).
     pub thread_create_cycles: f64,
-    /// Home-side marshalling cycles per *extra* page a multi-page fetch
-    /// request carries (the first page is covered by the ordinary
-    /// per-request protocol cycles).
-    pub batch_page_cycles: f64,
     /// Requester- and home-side marshalling cycles per *extra* page carried
     /// by a batched diff-flush RPC (the first page is covered by the
     /// ordinary per-request protocol cycles).
@@ -220,7 +216,6 @@ pub fn myrinet_200() -> ClusterSpec {
                 invalidate_cycles_per_page: 12.0,
                 barrier_cycles: 200.0,
                 thread_create_cycles: 2_000.0,
-                batch_page_cycles: 60.0,
                 batch_flush_cycles: 50.0,
                 resync_page_cycles: 800.0,
             },

@@ -7,8 +7,8 @@
 //! for the rest of the run, and every caller shares the near end, holding
 //! it for one round trip.  Requests and replies cross the wire
 //! as length-prefixed frames whose payloads are the already byte-precise DSM
-//! wire forms (`dsm/diff.rs` diff batches, batched fetch requests and
-//! replies, diff acknowledgements).  Nodes run as per-node
+//! wire forms (`dsm/diff.rs` diff batches, fetch requests and replies,
+//! diff acknowledgements).  Nodes run as per-node
 //! server *threads* inside one process (process-per-node can follow); the
 //! frame format carries explicit `from`/`to` node ids so nothing about it
 //! assumes shared memory.
@@ -75,8 +75,8 @@ use crate::transport::{charge_round_trip, Transport, TransportError};
 pub const FRAME_HEADER_BYTES: usize = 21;
 
 /// Upper bound accepted for one frame body (header + payload).  Far above
-/// any legitimate DSM message (the largest are multi-page batched-fetch
-/// replies); a peer announcing more than this is talking garbage and the
+/// any legitimate DSM message (the largest are batched diff flushes and
+/// fetch replies of a page and its riders' patches); a peer announcing more than this is talking garbage and the
 /// connection is dropped instead of allocating unbounded memory.
 pub const MAX_FRAME_BYTES: usize = 16 << 20;
 

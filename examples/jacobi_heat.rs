@@ -10,6 +10,8 @@
 //! cargo run --release --example jacobi_heat -- [nodes] [size] [steps]
 //! ```
 
+use std::io::{self, ErrorKind, Write};
+
 use hyperion::prelude::*;
 use hyperion_apps::jacobi::{self, JacobiParams};
 
@@ -18,29 +20,43 @@ fn main() {
     let nodes: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(4);
     let size: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(96);
     let steps: usize = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(20);
-    let params = JacobiParams { size, steps };
+    // A reader that stops early (`| head`) ends the runs quietly.
+    match heat(nodes, JacobiParams { size, steps }) {
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => {}
+        result => result.expect("writing the runs to stdout"),
+    }
+}
 
-    println!("Jacobi: {size}x{size} plate, {steps} timesteps, {nodes} nodes (200MHz/Myrinet)\n");
+/// Run `params` on `nodes` nodes under both protocols, checked against the
+/// sequential reference, and print the reports and the comparison.
+fn heat(nodes: usize, params: JacobiParams) -> io::Result<()> {
+    let JacobiParams { size, steps } = params;
+    let mut out = io::stdout().lock();
+    writeln!(
+        out,
+        "Jacobi: {size}x{size} plate, {steps} timesteps, {nodes} nodes (200MHz/Myrinet)\n"
+    )?;
 
     let (seq_sum, seq_center) = jacobi::sequential(&params);
 
     let mut times = Vec::new();
     for protocol in ProtocolKind::all() {
         let config = HyperionConfig::new(myrinet_200(), nodes, protocol);
-        let out = jacobi::run(config, &params);
+        let run = jacobi::run(config, &params);
         assert!(
-            (out.result.interior_sum - seq_sum).abs() < 1e-6,
+            (run.result.interior_sum - seq_sum).abs() < 1e-6,
             "distributed result diverged from the sequential reference"
         );
-        println!("{}", out.report.summary());
-        times.push((protocol, out.report.seconds()));
+        writeln!(out, "{}", run.report.summary())?;
+        times.push((protocol, run.report.seconds()));
         if protocol == ProtocolKind::JavaPf {
-            println!(
+            writeln!(
+                out,
                 "  centre temperature: {:.4} (sequential reference: {:.4})",
-                out.result.center, seq_center
-            );
+                run.result.center, seq_center
+            )?;
         }
-        println!();
+        writeln!(out)?;
     }
 
     let ic = times
@@ -53,8 +69,9 @@ fn main() {
         .find(|(p, _)| *p == ProtocolKind::JavaPf)
         .unwrap()
         .1;
-    println!(
+    writeln!(
+        out,
         "java_pf improvement over java_ic: {:.1}% (paper reports ~38% for Jacobi on this cluster)",
         (ic - pf) / ic * 100.0
-    );
+    )
 }

@@ -9,6 +9,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use std::io::{self, ErrorKind, Write};
+
 use hyperion::prelude::*;
 
 /// A small shared-memory workload: every worker increments a shared
@@ -81,31 +83,41 @@ fn workload(protocol: ProtocolKind) -> RunOutcome<f64> {
 }
 
 fn main() {
-    println!("Hyperion-RS quickstart: 4 nodes of the 200MHz/Myrinet cluster\n");
+    // A reader that stops early (`| head`) ends the comparison quietly.
+    match compare() {
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => {}
+        result => result.expect("writing the comparison to stdout"),
+    }
+}
+
+/// Run the workload under both protocols and print their reports, the
+/// shared checksum and which protocol won.
+fn compare() -> io::Result<()> {
+    let mut out = io::stdout().lock();
+    writeln!(
+        out,
+        "Hyperion-RS quickstart: 4 nodes of the 200MHz/Myrinet cluster\n"
+    )?;
     let mut results = Vec::new();
     for protocol in ProtocolKind::all() {
-        let out = workload(protocol);
-        println!("{}", out.report.summary());
-        println!();
-        results.push((protocol, out.result, out.report.seconds()));
+        let run = workload(protocol);
+        writeln!(out, "{}\n", run.report.summary())?;
+        results.push((protocol, run.result, run.report.seconds()));
     }
     let (p0, sum0, t0) = &results[0];
     let (p1, sum1, t1) = &results[1];
     assert_eq!(sum0, sum1, "both protocols must compute the same answer");
-    println!("checksum (identical under both protocols): {sum0:.3}");
-    if t1 < t0 {
-        println!(
-            "{} is {:.1}% faster than {} on this workload",
-            p1.name(),
-            (t0 - t1) / t0 * 100.0,
-            p0.name()
-        );
+    writeln!(out, "checksum (identical under both protocols): {sum0:.3}")?;
+    let ((fast, t_fast), (slow, t_slow)) = if t1 < t0 {
+        ((p1, t1), (p0, t0))
     } else {
-        println!(
-            "{} is {:.1}% faster than {} on this workload",
-            p0.name(),
-            (t1 - t0) / t1 * 100.0,
-            p1.name()
-        );
-    }
+        ((p0, t0), (p1, t1))
+    };
+    writeln!(
+        out,
+        "{} is {:.1}% faster than {} on this workload",
+        fast.name(),
+        (t_slow - t_fast) / t_slow * 100.0,
+        slow.name()
+    )
 }

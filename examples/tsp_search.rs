@@ -9,6 +9,8 @@
 //! cargo run --release --example tsp_search -- [nodes] [cities]
 //! ```
 
+use std::io::{self, ErrorKind, Write};
+
 use hyperion::prelude::*;
 use hyperion_apps::tsp::{self, TspParams};
 
@@ -21,28 +23,42 @@ fn main() {
         seed: 2001,
         queue_depth: 2,
     };
+    // A reader that stops early (`| head`) ends the search quietly.
+    match search(nodes, &params) {
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => {}
+        result => result.expect("writing the search to stdout"),
+    }
+}
 
-    println!("TSP: {cities} cities, {nodes} nodes (200MHz/Myrinet), central queue on node 0\n");
+/// Solve `params` on `nodes` nodes under both protocols, checked against
+/// the sequential optimum, and print the reports and the comparison.
+fn search(nodes: usize, params: &TspParams) -> io::Result<()> {
+    let mut out = io::stdout().lock();
+    writeln!(
+        out,
+        "TSP: {} cities, {nodes} nodes (200MHz/Myrinet), central queue on node 0\n",
+        params.cities
+    )?;
 
-    let optimal = tsp::sequential(&params);
-    println!("sequential branch-and-bound optimum: {optimal}\n");
+    let optimal = tsp::sequential(params);
+    writeln!(out, "sequential branch-and-bound optimum: {optimal}\n")?;
 
     let mut times = Vec::new();
     for protocol in ProtocolKind::all() {
         let config = HyperionConfig::new(myrinet_200(), nodes, protocol);
-        let out = tsp::run(config, &params);
+        let run = tsp::run(config, params);
         assert_eq!(
-            out.result.best_tour, optimal,
+            run.result.best_tour, optimal,
             "distributed search must find the same optimal tour"
         );
-        println!(
-            "{} -> optimal tour {} after expanding {} queue entries",
-            out.report.summary(),
-            out.result.best_tour,
-            out.result.tours_expanded
-        );
-        println!();
-        times.push((protocol, out.report.seconds()));
+        writeln!(
+            out,
+            "{} -> optimal tour {} after expanding {} queue entries\n",
+            run.report.summary(),
+            run.result.best_tour,
+            run.result.tours_expanded
+        )?;
+        times.push((protocol, run.report.seconds()));
     }
 
     let ic = times
@@ -55,8 +71,9 @@ fn main() {
         .find(|(p, _)| *p == ProtocolKind::JavaPf)
         .unwrap()
         .1;
-    println!(
+    writeln!(
+        out,
         "java_pf improvement over java_ic: {:.1}%",
         (ic - pf) / ic * 100.0
-    );
+    )
 }

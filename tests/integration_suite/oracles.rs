@@ -1,8 +1,9 @@
-//! The sequential references, bit for bit: `jacobi::sequential` and
-//! `asp::sequential` walk row slices, and each must return exactly what the
-//! nested-index loops below return.  Those loops are the references as they
-//! were written first, kept verbatim so that a faster kernel is held to the
-//! plain one's output, not to itself.
+//! The sequential references, bit for bit: `jacobi::sequential` walks row
+//! slices and `asp::sequential` relaxes `i32` rows of one flat buffer, and
+//! each must return exactly what the nested-index loops below return.
+//! Those loops are the references as they were written first, kept
+//! verbatim so that a faster kernel is held to the plain one's output, not
+//! to itself.
 
 use hyperion_workspace::apps::asp::{self, AspParams, AspResult, INFINITY};
 use hyperion_workspace::apps::jacobi::{self, JacobiParams};
@@ -98,11 +99,29 @@ fn asp_reference_is_the_nested_loops_exactly() {
         edge_percent: 2,
         ..quick
     };
+    // The benchmark's shape (`asp_ic`) at its two seeds, and graphs with
+    // no edge (every off-diagonal pair unreachable) and with every edge.
+    let benchmark = AspParams {
+        vertices: 256,
+        seed: 42,
+        edge_percent: 30,
+    };
+    let [empty, full] = [0, 100].map(|edge_percent| AspParams {
+        edge_percent,
+        ..quick
+    });
     let cases = [
         quick,
         AspParams { seed: 20, ..quick },
         sparse,
         AspParams::harness(),
+        benchmark,
+        AspParams {
+            seed: 20260927,
+            ..benchmark
+        },
+        empty,
+        full,
     ];
     for params in cases {
         assert_eq!(
@@ -115,4 +134,10 @@ fn asp_reference_is_the_nested_loops_exactly() {
         nested_floyd(&sparse).unreachable_pairs > 0,
         "the sparse graph must leave pairs unreachable"
     );
+    let n = quick.vertices as u64;
+    let none = AspResult {
+        distance_sum: 0,
+        unreachable_pairs: n * (n - 1),
+    };
+    assert_eq!(asp::sequential(&empty), none, "no edge, no path");
 }

@@ -672,8 +672,8 @@ fn block_range_tiles_any_size() {
 }
 
 /// Every byte-precise wire form in `dsm::diff` survives an encode → decode
-/// round trip — the one conditional fetch request (single, batched,
-/// retained versions zero and non-zero, with and without riders; a byte
+/// round trip — the one conditional fetch request (one page, its retained
+/// version zero or non-zero, with and without riders; a byte
 /// after the last field and a first page with bit 63 set are rejected), single and batched
 /// field-granularity diffs, and the versioned diff acknowledgement — and
 /// every truncation of every form, and an acknowledgement with anything
@@ -712,26 +712,21 @@ fn diff_wire_encodings_round_trip() {
     }
 
     property(64, |seed, rng| {
-        // The one fetch request form: 1..64 pages, each retained version
-        // either "none" (0) or a real stamp, and 0..8 riders at real stamps.
+        // The one fetch request form: one page, its retained version either
+        // "none" (0) or a real stamp, and 0..8 riders at real stamps.
         let page = random_page(rng);
-        let versions: Vec<u64> = (0..rng.gen_range(1usize..64))
-            .map(|_| {
-                if rng.gen_range(0u32..3) == 0 {
-                    0
-                } else {
-                    rng.gen_range(1u64..u64::MAX)
-                }
-            })
-            .collect();
+        let retained = match rng.gen_range(0u32..3) {
+            0 => 0,
+            _ => rng.gen_range(1u64..u64::MAX),
+        };
         let riders: Vec<(PageId, u64)> = (0..rng.gen_range(0usize..8))
             .map(|_| (random_page(rng), rng.gen_range(1u64..u64::MAX)))
             .collect();
-        let wire = encode_fetch_request(page, &versions, &riders);
+        let wire = encode_fetch_request(page, retained, &riders);
         let request = decode_fetch_request(&wire).expect("well-formed request");
         assert_eq!(
-            (request.first, &request.versions, &request.riders),
-            (page, &versions, &riders),
+            (request.page, request.retained, &request.riders),
+            (page, retained, &riders),
             "seed {seed}"
         );
         prefixes_fail(seed, "fetch request", &wire, |b| {
@@ -806,8 +801,8 @@ fn diff_wire_encodings_round_trip() {
     });
 }
 
-/// Page-fetch replies — any mix of "not modified", patches and shipped
-/// pages, then any mix of riders' answers ("no answer", "not modified",
+/// Page-fetch replies — the page's answer ("not modified", a patch or the
+/// page), then any mix of riders' answers ("no answer", "not modified",
 /// patches) — parse back to exactly what went in; truncated, extended and
 /// garbage replies, and a page shipped to a rider, are errors, never panics.
 #[test]
@@ -828,31 +823,24 @@ fn fetch_reply_forms_round_trip_and_reject_garbage() {
         entries
     };
     property(64, |seed, rng| {
-        // Per page the version the requester retains and the home's
-        // answer: not modified at it, a patch from it, or the page whatever
-        // it was (0 = no copy).
-        let shipped: Vec<Vec<u8>> = (0..3)
-            .map(|_| {
-                (0..PAGE_BYTES)
-                    .map(|_| rng.gen_range(0u8..u8::MAX))
-                    .collect()
-            })
+        // The version the requester retains and the home's answer: not
+        // modified at it, a patch from it, or the page whatever it was
+        // (0 = no copy).
+        let shipped: Vec<u8> = (0..PAGE_BYTES)
+            .map(|_| rng.gen_range(0u8..u8::MAX))
             .collect();
-        let (retained, expected): (Vec<u64>, Vec<PageReply<'_>>) = shipped
-            [..rng.gen_range(1usize..4)]
-            .iter()
-            .map(|bytes| {
-                let version = rng.gen_range(2u64..u64::MAX);
-                match rng.gen_range(0u32..3) {
-                    0 => (version, PageReply::NotModified(version)),
-                    1 => (rng.gen_range(0..version), PageReply::Full(version, bytes)),
-                    _ => (
-                        rng.gen_range(1..version),
-                        PageReply::Patch(version, random_patch(rng)),
-                    ),
-                }
-            })
-            .unzip();
+        let version = rng.gen_range(2u64..u64::MAX);
+        let (retained, expected) = match rng.gen_range(0u32..3) {
+            0 => (version, PageReply::NotModified(version)),
+            1 => (
+                rng.gen_range(0..version),
+                PageReply::Full(version, &shipped),
+            ),
+            _ => (
+                rng.gen_range(1..version),
+                PageReply::Patch(version, random_patch(rng)),
+            ),
+        };
         // Per rider the version it was named at and the home's answer: none,
         // not modified at it, or a patch from it.
         let (riders, rode): (Vec<u64>, Vec<Option<PageReply<'_>>>) = (0..rng.gen_range(0..6))
@@ -869,23 +857,21 @@ fn fetch_reply_forms_round_trip_and_reject_garbage() {
             })
             .unzip();
         let mut reply = Vec::new();
-        for page in &expected {
-            push_page_reply(&mut reply, page);
-        }
+        push_page_reply(&mut reply, &expected);
         for answer in &rode {
             match answer {
                 Some(answer) => push_page_reply(&mut reply, answer),
                 None => reply.push(NO_ANSWER),
             }
         }
-        let got = decode_fetch_reply(&reply, &retained, &riders).expect("well-formed reply");
+        let got = decode_fetch_reply(&reply, retained, &riders).expect("well-formed reply");
         assert_eq!(got, (expected, rode), "seed {seed}: answers corrupted");
 
         // Every truncation is an error, and so is any byte after the last
         // answer (where a hint trailer used to be parsed).
         for cut in 0..reply.len() {
             assert!(
-                decode_fetch_reply(&reply[..cut], &retained, &riders).is_err(),
+                decode_fetch_reply(&reply[..cut], retained, &riders).is_err(),
                 "seed {seed}: reply truncated to {cut} bytes decoded"
             );
         }
@@ -893,7 +879,7 @@ fn fetch_reply_forms_round_trip_and_reject_garbage() {
             let mut long = reply.clone();
             long.extend((0..extra).map(|_| rng.gen_range(0u32..256) as u8));
             assert_eq!(
-                decode_fetch_reply(&long, &retained, &riders),
+                decode_fetch_reply(&long, retained, &riders),
                 Err(WireError::TrailingBytes("fetch reply")),
                 "seed {seed}: {extra} trailing bytes decoded"
             );
@@ -902,14 +888,13 @@ fn fetch_reply_forms_round_trip_and_reject_garbage() {
         let garbage: Vec<u8> = (0..reply.len().min(64))
             .map(|_| rng.gen_range(0u8..u8::MAX))
             .collect();
-        let _ = decode_fetch_reply(&garbage, &retained, &riders);
-        let one_more = [&retained[..], &[0]].concat();
-        assert!(decode_fetch_reply(&reply, &one_more, &riders).is_err());
-        // A rider is never answered with the page.
-        push_page_reply(&mut reply, &PageReply::Full(7, &shipped[0]));
+        let _ = decode_fetch_reply(&garbage, retained, &riders);
         let named = [&riders[..], &[7]].concat();
+        assert!(decode_fetch_reply(&reply, retained, &named).is_err());
+        // A rider is never answered with the page.
+        push_page_reply(&mut reply, &PageReply::Full(7, &shipped));
         assert_eq!(
-            decode_fetch_reply(&reply, &retained, &named),
+            decode_fetch_reply(&reply, retained, &named),
             Err(WireError::Invalid("fetch reply rider answer")),
             "seed {seed}"
         );
