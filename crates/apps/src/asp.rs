@@ -18,9 +18,7 @@ use hyperion::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::common::{
-    benchmark, block_owner, block_range, node_of_thread, Benchmark, BenchmarkName,
-};
+use crate::common::{benchmark, block_owner, block_range, Benchmark, BenchmarkName};
 
 /// "No edge" marker: a large distance that never overflows when two of them
 /// are added.
@@ -185,14 +183,13 @@ fn inner_mix() -> OpCounts {
 /// Run the ASP benchmark under `config`.
 pub fn run(config: HyperionConfig, params: &AspParams) -> RunOutcome<AspResult> {
     let runtime = HyperionRuntime::new(config).expect("invalid Hyperion configuration");
-    let threads = runtime.config().total_app_threads();
-    let nodes = runtime.nodes();
+    let threads = runtime.nodes();
     let n = params.vertices;
     let graph = generate_graph(params);
 
     runtime.run(move |ctx| {
         // The distance matrix: block-of-rows distribution.
-        let owner_of_row = block_owner(n, threads, nodes);
+        let owner_of_row = block_owner(n, threads);
         let dist: HMatrix<i64> = ctx.alloc_matrix(n, n, owner_of_row);
         let barrier = JBarrier::new(ctx, threads, NodeId(0));
 
@@ -203,7 +200,7 @@ pub fn run(config: HyperionConfig, params: &AspParams) -> RunOutcome<AspResult> 
             // (the Java program reads the input file on every node).
             let (row_start, row_end) = block_range(n, threads, t);
             let my_rows: Vec<Vec<i64>> = graph[row_start..row_end].to_vec();
-            handles.push(ctx.spawn_on(node_of_thread(t, nodes), move |worker| {
+            handles.push(ctx.spawn_on(NodeId(t as u32), move |worker| {
                 let per_inner = worker.estimate(&inner_mix());
                 let init_mix = worker.estimate(
                     &OpCounts::new()

@@ -30,9 +30,7 @@ use hyperion::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::common::{
-    benchmark, block_owner, block_range, node_of_thread, Benchmark, BenchmarkName,
-};
+use crate::common::{benchmark, block_owner, block_range, Benchmark, BenchmarkName};
 
 /// Opening criterion of the Barnes-Hut approximation.
 pub const THETA: f64 = 0.6;
@@ -497,8 +495,7 @@ impl TreeReader for DsmTreeReader<'_, '_> {
 #[allow(clippy::needless_range_loop)]
 pub fn run(config: HyperionConfig, params: &BarnesParams) -> RunOutcome<BarnesResult> {
     let runtime = HyperionRuntime::new(config).expect("invalid Hyperion configuration");
-    let threads = runtime.config().total_app_threads();
-    let nodes = runtime.nodes();
+    let threads = runtime.nodes();
     let n = params.bodies;
     let steps = params.steps;
     let initial = generate_bodies(params);
@@ -512,7 +509,7 @@ pub fn run(config: HyperionConfig, params: &BarnesParams) -> RunOutcome<BarnesRe
         // Each body is an object (one row of a Java-style 2-D array) homed on
         // the node of the thread that owns its block — the SPLASH-2 style
         // body distribution.
-        let owner_of_body = block_owner(n, threads, nodes);
+        let owner_of_body = block_owner(n, threads);
         let bodies_m: HMatrix<f64> = ctx.alloc_matrix(n, BODY_SLOTS, owner_of_body);
 
         // The shared octree (rebuilt every step by thread 0, homed on node 0).
@@ -543,7 +540,7 @@ pub fn run(config: HyperionConfig, params: &BarnesParams) -> RunOutcome<BarnesRe
         for t in 0..threads {
             let barrier = barrier.clone();
             let chunk_counters = chunk_counters.clone();
-            handles.push(ctx.spawn_on(node_of_thread(t, nodes), move |worker| {
+            handles.push(ctx.spawn_on(NodeId(t as u32), move |worker| {
                 let per_visit = worker.estimate(&visit_mix());
                 let per_interact = worker.estimate(&interact_mix());
                 let per_insert = worker.estimate(&insert_mix());

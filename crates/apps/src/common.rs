@@ -21,23 +21,16 @@ pub fn block_range(total: usize, parts: usize, idx: usize) -> (usize, usize) {
     (start, start + len)
 }
 
-/// Node that worker thread `idx` is placed on in the standard SPMD setup
-/// (one computation thread per node, wrapping round-robin when more threads
-/// than nodes are requested).
-pub fn node_of_thread(idx: usize, nodes: usize) -> NodeId {
-    NodeId((idx % nodes) as u32)
-}
-
-/// Where item `i` of `total`, split over `threads` workers by
-/// [`block_range`], is homed: on the node of the worker whose block holds it
-/// (the block-of-rows distribution).
-pub fn block_owner(total: usize, threads: usize, nodes: usize) -> impl Fn(usize) -> NodeId + Copy {
+/// Where item `i` of `total`, split over the `nodes` workers by
+/// [`block_range`], is homed: on node `t` when worker `t`'s block holds it
+/// (the block-of-rows distribution; worker `t` runs on node `t`).
+pub fn block_owner(total: usize, nodes: usize) -> impl Fn(usize) -> NodeId + Copy {
     move |i| {
         let holds = |&t: &usize| {
-            let (s, e) = block_range(total, threads, t);
+            let (s, e) = block_range(total, nodes, t);
             (s..e).contains(&i)
         };
-        node_of_thread((0..threads).find(holds).unwrap_or(threads - 1), nodes)
+        NodeId((0..nodes).find(holds).unwrap_or(nodes - 1) as u32)
     }
 }
 
@@ -213,13 +206,6 @@ mod tests {
         for gone in ["ad", "java_ad", "adaptive", "java_xx"] {
             assert_eq!(parse_protocol(gone), None, "{gone}");
         }
-    }
-
-    #[test]
-    fn node_of_thread_wraps() {
-        assert_eq!(node_of_thread(0, 4), NodeId(0));
-        assert_eq!(node_of_thread(3, 4), NodeId(3));
-        assert_eq!(node_of_thread(5, 4), NodeId(1));
     }
 
     #[test]

@@ -23,7 +23,7 @@ use hyperion::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::common::{benchmark, block_range, node_of_thread, Benchmark, BenchmarkName};
+use crate::common::{benchmark, block_range, Benchmark, BenchmarkName};
 
 /// PageRank damping factor.
 const DAMPING: f64 = 0.85;
@@ -177,12 +177,11 @@ pub fn sequential(params: &PageRankParams) -> PageRankResult {
 pub fn run(config: HyperionConfig, params: &PageRankParams) -> RunOutcome<PageRankResult> {
     assert!(params.vertices >= 4 && params.iterations > 0);
     let runtime = HyperionRuntime::new(config).expect("invalid Hyperion configuration");
-    let threads = runtime.config().total_app_threads();
-    let nodes = runtime.nodes();
+    let threads = runtime.nodes();
     let params = *params;
 
     assert!(
-        params.vertices >= runtime.config().total_app_threads(),
+        params.vertices >= threads,
         "every thread needs at least one vertex"
     );
 
@@ -196,9 +195,9 @@ pub fn run(config: HyperionConfig, params: &PageRankParams) -> RunOutcome<PageRa
         // in another thread's block — the irregular access this app exists
         // to produce.
         let rank_a: HMatrix<f64> =
-            ctx.alloc_matrix(threads, n.div_ceil(threads), |t| node_of_thread(t, nodes));
+            ctx.alloc_matrix(threads, n.div_ceil(threads), |t| NodeId(t as u32));
         let rank_b: HMatrix<f64> =
-            ctx.alloc_matrix(threads, n.div_ceil(threads), |t| node_of_thread(t, nodes));
+            ctx.alloc_matrix(threads, n.div_ceil(threads), |t| NodeId(t as u32));
         // The adjacency structure is read-only after this init; each block's
         // slice is homed on its owner so only rank reads travel.
         let offsets = ctx.alloc_array::<u64>(n + 1, NodeId(0));
@@ -232,7 +231,7 @@ pub fn run(config: HyperionConfig, params: &PageRankParams) -> RunOutcome<PageRa
         let mut handles = Vec::with_capacity(threads);
         for t in 0..threads {
             let barrier = barrier.clone();
-            handles.push(ctx.spawn_on(node_of_thread(t, nodes), move |worker| {
+            handles.push(ctx.spawn_on(NodeId(t as u32), move |worker| {
                 let (start, end) = block_range(n, threads, t);
                 let per_edge = worker.estimate(&edge_mix());
                 // Every thread initialises its own block in both buffers.

@@ -17,9 +17,7 @@
 
 use hyperion::prelude::*;
 
-use crate::common::{
-    benchmark, block_owner, block_range, node_of_thread, Benchmark, BenchmarkName,
-};
+use crate::common::{benchmark, block_owner, block_range, Benchmark, BenchmarkName};
 
 /// Parameters of the Jacobi benchmark.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -152,15 +150,14 @@ impl NeighbourRow {
 pub fn run(config: HyperionConfig, params: &JacobiParams) -> RunOutcome<JacobiResult> {
     assert!(params.size >= 4, "mesh must be at least 4x4");
     let runtime = HyperionRuntime::new(config).expect("invalid Hyperion configuration");
-    let threads = runtime.config().total_app_threads();
-    let nodes = runtime.nodes();
+    let threads = runtime.nodes();
     let n = params.size;
     let steps = params.steps;
 
     runtime.run(move |ctx| {
         // Both buffers are distributed by blocks of rows: row r is homed on
         // the node of the thread that owns it.
-        let owner_of_row = block_owner(n, threads, nodes);
+        let owner_of_row = block_owner(n, threads);
         let a: HMatrix<f64> = ctx.alloc_matrix(n, n, owner_of_row);
         let b: HMatrix<f64> = ctx.alloc_matrix(n, n, owner_of_row);
         let barrier = JBarrier::new(ctx, threads, NodeId(0));
@@ -168,7 +165,7 @@ pub fn run(config: HyperionConfig, params: &JacobiParams) -> RunOutcome<JacobiRe
         let mut handles = Vec::with_capacity(threads);
         for t in 0..threads {
             let barrier = barrier.clone();
-            handles.push(ctx.spawn_on(node_of_thread(t, nodes), move |worker| {
+            handles.push(ctx.spawn_on(NodeId(t as u32), move |worker| {
                 let (row_start, row_end) = block_range(n, threads, t);
                 // The interior rows of the block: the stencil's range.
                 let (lo, hi) = (row_start.max(1), row_end.min(n - 1));

@@ -29,7 +29,7 @@ use hyperion::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-use crate::common::{benchmark, node_of_thread, Benchmark, BenchmarkName};
+use crate::common::{benchmark, Benchmark, BenchmarkName};
 
 /// A seeded Zipf(s) sampler over ranks `0..n` (rank 0 is the hottest): a
 /// normalised harmonic CDF table, exact for any `s >= 0` (s = 0 is uniform),
@@ -232,8 +232,7 @@ pub fn run(config: HyperionConfig, params: &KvStoreParams) -> RunOutcome<KvStore
     assert!(params.shards > 0 && params.keys >= params.shards);
     assert!(params.write_per_mille <= 1000);
     let runtime = HyperionRuntime::new(config).expect("invalid Hyperion configuration");
-    let threads = runtime.config().total_app_threads();
-    let nodes = runtime.nodes();
+    let threads = runtime.nodes();
     let params = *params;
     // One table for every client, built before any of them starts.
     let zipf = Arc::new(Zipf::new(params.keys, params.zipf_s));
@@ -245,7 +244,7 @@ pub fn run(config: HyperionConfig, params: &KvStoreParams) -> RunOutcome<KvStore
         // placement (`key % shards`) keeps the Zipf head off any one shard.
         let shards: Vec<(HArray<u64>, HMonitor)> = (0..params.shards)
             .map(|s| {
-                let home = NodeId((s % nodes) as u32);
+                let home = NodeId((s % threads) as u32);
                 let arr = ctx.alloc_array_page_aligned::<u64>(per_shard, home);
                 (arr, ctx.new_monitor(home))
             })
@@ -274,7 +273,7 @@ pub fn run(config: HyperionConfig, params: &KvStoreParams) -> RunOutcome<KvStore
             let shards: Vec<(HArray<u64>, HMonitor)> = shards.to_vec();
             let start = start.clone();
             let zipf = Arc::clone(&zipf);
-            handles.push(ctx.spawn_on(node_of_thread(t, nodes), move |worker| {
+            handles.push(ctx.spawn_on(NodeId(t as u32), move |worker| {
                 let mut rng = thread_rng(params.seed, t);
                 let per_request = worker.estimate(&request_mix());
                 let mut checksum = 0u64;

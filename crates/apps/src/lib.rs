@@ -41,4 +41,4 @@ pub mod kvstore;
 pub mod pi;
 pub mod tsp;
 
-pub use common::{block_range, node_of_thread, Benchmark, BenchmarkName};
+pub use common::{block_range, Benchmark, BenchmarkName};

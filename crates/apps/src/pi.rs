@@ -14,7 +14,7 @@
 
 use hyperion::prelude::*;
 
-use crate::common::{benchmark, block_range, node_of_thread, Benchmark, BenchmarkName};
+use crate::common::{benchmark, block_range, Benchmark, BenchmarkName};
 
 /// Parameters of the Pi benchmark.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -76,8 +76,7 @@ pub fn sequential(intervals: u64) -> f64 {
 /// Run the Pi benchmark under `config`.
 pub fn run(config: HyperionConfig, params: &PiParams) -> RunOutcome<PiResult> {
     let runtime = HyperionRuntime::new(config).expect("invalid Hyperion configuration");
-    let threads = runtime.config().total_app_threads();
-    let nodes = runtime.nodes();
+    let threads = runtime.nodes();
     let intervals = params.intervals;
 
     runtime.run(move |ctx| {
@@ -92,7 +91,7 @@ pub fn run(config: HyperionConfig, params: &PiParams) -> RunOutcome<PiResult> {
         let mut handles = Vec::with_capacity(threads);
         for t in 0..threads {
             let monitor = sum_monitor.clone();
-            handles.push(ctx.spawn_on(node_of_thread(t, nodes), move |worker| {
+            handles.push(ctx.spawn_on(NodeId(t as u32), move |worker| {
                 let (start, end) = block_range(intervals as usize, threads, t);
                 // The whole integration runs on stack-local values: no
                 // DSM traffic, just compute time.

@@ -18,7 +18,7 @@ use hyperion::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::common::{benchmark, node_of_thread, Benchmark, BenchmarkName};
+use crate::common::{benchmark, Benchmark, BenchmarkName};
 
 /// Parameters of the TSP benchmark.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -166,8 +166,7 @@ pub fn run(config: HyperionConfig, params: &TspParams) -> RunOutcome<TspResult> 
         "queue depth must leave work for the search phase"
     );
     let runtime = HyperionRuntime::new(config).expect("invalid Hyperion configuration");
-    let threads = runtime.config().total_app_threads();
-    let nodes = runtime.nodes();
+    let threads = runtime.nodes();
     let n = params.cities;
     let distances = generate_distances(params);
     let seeds = initial_tours(n, params.queue_depth);
@@ -210,7 +209,7 @@ pub fn run(config: HyperionConfig, params: &TspParams) -> RunOutcome<TspResult> 
             let queue_head = queue_head.clone();
             let best_monitor = best_monitor.clone();
             let start_barrier = start_barrier.clone();
-            handles.push(ctx.spawn_on(node_of_thread(t, nodes), move |worker| {
+            handles.push(ctx.spawn_on(NodeId(t as u32), move |worker| {
                 let per_edge = worker.estimate(&edge_mix());
                 let mut my_expanded = 0u64;
                 start_barrier.arrive(worker);

@@ -698,7 +698,7 @@ pub fn table1_modules() -> Vec<(&'static str, &'static str, &'static str)> {
         (
             "Threads subsystem",
             "Java thread creation/synchronisation mapped onto PM2 operations",
-            "hyperion::runtime::ThreadCtx::{spawn,join} + hyperion-pm2::threads",
+            "hyperion::runtime::ThreadCtx::{spawn_on,join} + hyperion-pm2::threads",
         ),
         (
             "Communication subsystem",
@@ -713,7 +713,8 @@ pub fn table1_modules() -> Vec<(&'static str, &'static str, &'static str)> {
         (
             "Load balancer",
             "Round-robin distribution of newly created threads over the nodes",
-            "hyperion::thread::LoadBalancer",
+            "hyperion::runtime::ThreadCtx::spawn_on + hyperion-apps::common::block_owner \
+             (worker t and its block on node t)",
         ),
         (
             "Java API subsystem",

@@ -43,14 +43,14 @@
 //!   CI artifact upload.  Combine with `--transport` to run the chaos sweep
 //!   over a socket backend.
 
-use std::io::Write;
+use std::io::{self, ErrorKind, Write};
 
 use hyperion::prelude::*;
 use hyperion::FaultSpec;
 use hyperion_bench::{
     bench_report_rows, claims_text, extension_figure, figure_numbers, paper_figure, report,
     sweep_chaos, sweep_figure, sweep_modeled_vs_measured, table1_modules, table2_primitives,
-    FigureRow, Scale,
+    FigureRow, Scale, REPORT_NODES,
 };
 
 #[derive(Default)]
@@ -161,17 +161,16 @@ fn die(msg: &str) -> ! {
 /// [`bench_report_rows`], each run once (a run repeats exactly), printed
 /// once the sweep ends.  Built at two commits, its two tables are a
 /// before/after comparison with nothing but the public API on either side.
-fn run_audit(scale: Scale) {
-    println!(
-        "== Audit: app x protocol, {} nodes ==",
-        hyperion_bench::REPORT_NODES
-    );
-    println!(
+fn run_audit(out: &mut impl Write, scale: Scale) -> io::Result<()> {
+    writeln!(out, "== Audit: app x protocol, {REPORT_NODES} nodes ==")?;
+    writeln!(
+        out,
         "{:<11} {:<8} {:>12} {:>24} {:>11} {:>7} {:>9} {:>7}",
         "App", "protocol", "seconds", "digest", "page_loads", "stride", "completed", "wasted"
-    );
+    )?;
     for row in bench_report_rows(scale) {
-        println!(
+        writeln!(
+            out,
             "{:<11} {:<8} {:>12.6} {:>24} {:>11} {:>7} {:>9} {:>7}",
             row.app.to_string(),
             row.protocol.to_string(),
@@ -181,15 +180,15 @@ fn run_audit(scale: Scale) {
             row.stats.stride_fetches_issued,
             row.stats.stride_fetches_completed,
             row.stats.stride_fetches_wasted,
-        );
+        )?;
     }
-    println!();
+    writeln!(out)
 }
 
 /// The `--json` / `--baseline` path: run the CI-tracked sweep, optionally
 /// write `BENCH_<run>.json`, optionally gate against a committed baseline.
 /// Returns `true` if the baseline gate failed.
-fn run_bench_report(opts: &Options) -> bool {
+fn run_bench_report(out: &mut impl Write, opts: &Options) -> io::Result<bool> {
     let rows = bench_report_rows(opts.scale);
     let run = std::env::var("GITHUB_RUN_ID").unwrap_or_else(|_| "local".to_string());
     let json = report::report_to_json(&run, opts.scale.name(), &rows);
@@ -199,13 +198,13 @@ fn run_bench_report(opts: &Options) -> bool {
         eprintln!("wrote {path}");
     }
     let Some(baseline_path) = &opts.baseline else {
-        return false;
+        return Ok(false);
     };
     let baseline = match std::fs::read_to_string(baseline_path) {
         Ok(text) => text,
         Err(e) => {
             eprintln!("figures: cannot read baseline {baseline_path}: {e}");
-            return true;
+            return Ok(true);
         }
     };
     let findings = report::compare_to_baseline(&json, &baseline);
@@ -223,79 +222,94 @@ fn run_bench_report(opts: &Options) -> bool {
     let listed: String = findings.iter().map(|f| format!("- {f}\n")).collect();
     report::append_step_summary(&format!("## Bench gate\n\n{verdict}\n\n{listed}\n"));
     if findings.is_empty() {
-        println!("baseline gate: {verdict}");
-        false
+        writeln!(out, "baseline gate: {verdict}")?;
+        Ok(false)
     } else {
         eprint!("baseline gate FAILED: {verdict}\n{listed}");
-        true
+        Ok(true)
     }
 }
 
 /// The `--transport` path: run every app × protocol over the requested
 /// backend, print the one-page modeled-vs-measured report and write it to
 /// `MODELED_VS_MEASURED_<run>.md` for the CI artifact upload.
-fn run_modeled_vs_measured(scale: Scale, backend: TransportBackend) {
-    println!(
-        "== Modeled vs measured: {} backend, {} nodes ==\n",
-        backend,
-        hyperion_bench::REPORT_NODES
-    );
-    let rows = sweep_modeled_vs_measured(scale, backend);
+fn run_modeled_vs_measured(out: &mut impl Write, opts: &Options) -> io::Result<()> {
+    let Some(backend) = opts.transport else {
+        return Ok(());
+    };
+    let heading = format!("== Modeled vs measured: {backend} backend, {REPORT_NODES} nodes ==");
+    writeln!(out, "{heading}\n")?;
+    let rows = sweep_modeled_vs_measured(opts.scale, backend);
     let markdown = report::modeled_vs_measured_markdown(&rows);
-    println!("{markdown}");
+    writeln!(out, "{markdown}")?;
     let run = std::env::var("GITHUB_RUN_ID").unwrap_or_else(|_| "local".to_string());
     let path = format!("MODELED_VS_MEASURED_{run}.md");
     std::fs::write(&path, &markdown).expect("write modeled-vs-measured report");
     eprintln!("wrote {path}");
+    Ok(())
 }
 
 /// The `--fault` path: run the chaos sweep under the given seeded schedule,
 /// print the digest/recovery-cost report and write it to `CHAOS_<run>.md`
 /// for the CI artifact upload.  Returns `true` if any digest diverged from
 /// its fault-free reference.
-fn run_chaos(scale: Scale, spec: FaultSpec, backend: TransportBackend) -> bool {
+fn run_chaos(out: &mut impl Write, opts: &Options, spec: FaultSpec) -> io::Result<bool> {
+    let backend = opts.transport.unwrap_or(TransportBackend::Sim);
     let spec_str = spec.to_string();
-    println!(
-        "== Chaos sweep: fault schedule `{spec_str}`, {} nodes, {backend} backend ==\n",
-        hyperion_bench::REPORT_NODES
-    );
-    let pairs = sweep_chaos(scale, spec, backend);
+    writeln!(
+        out,
+        "== Chaos sweep: fault schedule `{spec_str}`, {REPORT_NODES} nodes, {backend} backend ==\n",
+    )?;
+    let pairs = sweep_chaos(opts.scale, spec, backend);
     let markdown = report::chaos_markdown(&spec_str, &pairs);
-    println!("{markdown}");
+    writeln!(out, "{markdown}")?;
     let run = std::env::var("GITHUB_RUN_ID").unwrap_or_else(|_| "local".to_string());
     let path = format!("CHAOS_{run}.md");
     std::fs::write(&path, &markdown).expect("write chaos report");
     eprintln!("wrote {path}");
-    pairs.iter().any(|p| !p.digests_match())
+    Ok(pairs.iter().any(|p| !p.digests_match()))
 }
 
-fn print_tables() {
-    println!("== Table 1: Hyperion runtime modules and their Hyperion-RS implementations ==");
-    println!("{:<26} {:<66} Implemented by", "Module", "Role (paper)");
+fn print_tables(out: &mut impl Write) -> io::Result<()> {
+    let title = "Hyperion runtime modules and their Hyperion-RS implementations";
+    writeln!(out, "== Table 1: {title} ==")?;
+    writeln!(
+        out,
+        "{:<26} {:<66} Implemented by",
+        "Module", "Role (paper)"
+    )?;
     for (module, role, implementation) in table1_modules() {
-        println!("{module:<26} {role:<66} {implementation}");
+        writeln!(out, "{module:<26} {role:<66} {implementation}")?;
     }
-    println!();
-    println!("== Table 2: key DSM primitives (micro-measured, 2 nodes) ==");
-    println!(
+    writeln!(out)?;
+    writeln!(
+        out,
+        "== Table 2: key DSM primitives (micro-measured, 2 nodes) =="
+    )?;
+    writeln!(
+        out,
         "{:<20} {:<64} {:>16} {:>16}",
         "Primitive", "Description", "java_ic (us)", "java_pf (us)"
-    );
+    )?;
     let ic = table2_primitives(&myrinet_200(), ProtocolKind::JavaIc);
     let pf = table2_primitives(&myrinet_200(), ProtocolKind::JavaPf);
     for (row_ic, row_pf) in ic.iter().zip(pf.iter()) {
-        println!(
+        writeln!(
+            out,
             "{:<20} {:<64} {:>16.2} {:>16.2}",
             row_ic.name, row_ic.description, row_ic.micros, row_pf.micros
-        );
+        )?;
     }
-    println!();
+    writeln!(out)
 }
 
-fn print_figure(rows: &[FigureRow]) {
+fn print_figure(out: &mut impl Write, rows: &[FigureRow]) -> io::Result<()> {
     let fig = rows.first().map(|r| r.figure).unwrap_or(0);
     let app = rows.first().map(|r| r.app.to_string()).unwrap_or_default();
-    println!("== Figure {fig}: {app} — execution time (virtual seconds) vs number of nodes ==");
+    writeln!(
+        out,
+        "== Figure {fig}: {app} — execution time (virtual seconds) vs number of nodes =="
+    )?;
     // Series layout mirroring the paper's plots: one line per
     // (cluster, protocol), node counts across the columns.
     let mut series: Vec<(String, ProtocolKind)> = Vec::new();
@@ -315,9 +329,9 @@ fn print_figure(rows: &[FigureRow]) {
         for p in points {
             line.push_str(&format!("  {:>2}n:{:>9.3}s", p.nodes, p.seconds));
         }
-        println!("{line}");
+        writeln!(out, "{line}")?;
     }
-    println!();
+    writeln!(out)
 }
 
 fn write_csv(dir: &str, rows: &[FigureRow]) {
@@ -341,26 +355,35 @@ fn write_csv(dir: &str, rows: &[FigureRow]) {
 
 fn main() {
     let opts = parse_args();
-    println!(
+    // A reader that stops early (`| head`) ends the run quietly.
+    match run(&opts, &mut io::stdout().lock()) {
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => {}
+        result => result.expect("writing to stdout"),
+    }
+}
+
+fn run(opts: &Options, out: &mut impl Write) -> io::Result<()> {
+    writeln!(
+        out,
         "# Hyperion-RS figure harness — scale: {:?}; times are virtual seconds on the modelled clusters\n",
         opts.scale
-    );
+    )?;
 
     if opts.tables {
-        print_tables();
+        print_tables(out)?;
     }
 
     let mut all_rows = Vec::new();
     for &fig in &opts.figures {
         let rows = if let Some(figure) = extension_figure(fig) {
             let (text, rows) = figure.report(opts.scale);
-            print!("{text}");
+            write!(out, "{text}")?;
             rows
         } else {
             let app =
                 paper_figure(fig).expect("--fig numbers are the paper's figures plus FIGURES");
             let rows = sweep_figure(app, opts.scale);
-            print_figure(&rows);
+            print_figure(out, &rows)?;
             rows
         };
         if let Some(dir) = &opts.out_dir {
@@ -370,26 +393,24 @@ fn main() {
     }
 
     if opts.claims && !all_rows.is_empty() {
-        print!("{}", claims_text(&all_rows));
+        write!(out, "{}", claims_text(&all_rows))?;
     }
 
-    if let Some(backend) = opts.transport {
-        run_modeled_vs_measured(opts.scale, backend);
-    }
+    run_modeled_vs_measured(out, opts)?;
 
     if let Some(spec) = opts.fault {
-        let backend = opts.transport.unwrap_or(TransportBackend::Sim);
-        if run_chaos(opts.scale, spec, backend) {
+        if run_chaos(out, opts, spec)? {
             eprintln!("figures: chaos sweep digest mismatch");
             std::process::exit(1);
         }
     }
 
     if opts.audit {
-        run_audit(opts.scale);
+        run_audit(out, opts.scale)?;
     }
 
-    if (opts.json || opts.baseline.is_some()) && run_bench_report(&opts) {
+    if (opts.json || opts.baseline.is_some()) && run_bench_report(out, opts)? {
         std::process::exit(1);
     }
+    Ok(())
 }

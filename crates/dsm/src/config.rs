@@ -50,7 +50,7 @@ impl std::fmt::Display for ProtocolKind {
 /// requester pays only the residual latency at the page's first real use
 /// (`fetch.rs`).  A release coalesces
 /// contiguous same-home dirty pages into one diff RPC of up to 8 pages
-/// (`detection::FLUSH_BATCH_PAGES`); a monitor release sends the diffs for
+/// (`engine::FLUSH_BATCH_PAGES`); a monitor release sends the diffs for
 /// the monitor's home along with the release, and issues the others as
 /// split transactions whose latest completion — one instant, whatever
 /// homes they went to — the *next acquire of the same monitor* merges (the

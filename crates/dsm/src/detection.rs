@@ -1,16 +1,15 @@
 //! Access detection: how a node notices that a `get`/`put` touched a remote
 //! object (§3.2, §3.3 of the paper) — the one thing the protocols differ in.
 //!
-//! Every decision goes through one function, `Detection::technique`: the
-//! technique that detects accesses, a function of the protocol alone.  It
-//! is [`Technique::Check`] (an in-line locality check on every access)
-//! under `java_ic` and [`Technique::Protect`] (page protection, a fault on
-//! the first access to an absent page) under `java_pf`.  `java_ic` charges
-//! its check on a home page too; a `Protect` access pays one only while its
-//! node holds open stale copies.  From the technique follow the access
-//! cost, whether installing a fetched copy ends with an `mprotect` that
-//! opens it, and whether invalidating a copy revokes its access rights
-//! (both exactly under `Protect`).
+//! The technique is the protocol: `java_ic` checks in line on every access,
+//! `java_pf` protects pages and takes a fault on the first access to an
+//! absent one.  `DsmSystem::on_access` detects one access under either,
+//! and is the one detection function.  `java_ic` charges its check on a
+//! home page too; a `java_pf` access pays one only while its node holds
+//! open stale copies.  From the protocol follow the access cost, whether
+//! installing a fetched copy ends with an `mprotect` that opens it, and
+//! whether invalidating a copy revokes its access rights (both exactly
+//! under `java_pf`).
 //!
 //! **JMM obligations**, which these decisions must keep whatever they cost:
 //!
@@ -19,68 +18,26 @@
 //!   path, which installs the happens-before-carrying copy.  An acquire
 //!   drops the copies its write notices outdate, so this is what makes a
 //!   post-acquire read see the home's released values.
-//! * Invalidating a `Protect` page must revoke its access rights, or every
+//! * Invalidating a `java_pf` page must revoke its access rights, or every
 //!   access must pay an in-line check that catches the open stale copy, as
 //!   while a monitor's acquire leaves one open (`pending.rs`).
 //!
-//! Release flushing is no part of detection: every protocol flushes in
-//! batches of up to `FLUSH_BATCH_PAGES` pages and defers a monitor
-//! release's off-home diffs to the next acquire (see
-//! [`crate::config::TransportConfig`]).
+//! Release flushing is no part of detection (the engine's `flush_frames`).
 
-use hyperion_model::{NodeStats, ThreadClock, VTime};
-use hyperion_pm2::{Cluster, Node};
+use hyperion_model::{NodeStats, ThreadClock};
+use hyperion_pm2::Node;
 
 use crate::config::ProtocolKind;
+use crate::engine::DsmSystem;
 use crate::page::PageFrame;
 
-/// Which technique detects accesses to a page.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Technique {
-    /// In-line locality check on every access (`java_ic`).
-    Check,
-    /// Page protection + fault on first access (`java_pf`).
-    Protect,
-}
-
-/// A run's detection: the protocol and the costs it charges.
-#[derive(Debug)]
-pub(crate) struct Detection {
-    pub(crate) kind: ProtocolKind,
-    pub(crate) check: VTime,
-    fault: VTime,
-}
-
-/// Largest number of contiguous same-home dirty pages one diff-flush RPC
-/// carries, under every protocol (the engine's `flush_frames`).
-pub(crate) const FLUSH_BATCH_PAGES: usize = 8;
-
-impl Detection {
-    /// `kind`'s detection, at the costs of `cluster`'s machine.
-    pub(crate) fn new(kind: ProtocolKind, cluster: &Cluster) -> Self {
-        let machine = cluster.machine();
-        Detection {
-            kind,
-            check: machine.cpu.locality_check(),
-            fault: machine.dsm.page_fault,
-        }
-    }
-
-    /// The technique that detects accesses (module docs).
-    #[inline]
-    pub(crate) fn technique(&self) -> Technique {
-        match self.kind {
-            ProtocolKind::JavaIc => Technique::Check,
-            ProtocolKind::JavaPf => Technique::Protect,
-        }
-    }
-
+impl DsmSystem {
     /// Detect one access to `frame`, a page's frame on `node_ref`: charge
     /// its cost to `clock`, count it on the node's stats, and return true if
     /// the page must be fetched first (false: the access proceeds on the local
     /// copy).  While the node holds open stale copies (`pending`, see
-    /// `pending.rs`) a `Protect` access also pays the in-line check that
-    /// asks whether its copy is one (a `Check` access's own check asks
+    /// `pending.rs`) a `java_pf` access also pays the in-line check that
+    /// asks whether its copy is one (a `java_ic` access's own check asks
     /// that); a copy it `found` was never closed, so its miss traps nothing
     /// and costs no fault.
     #[inline]
@@ -93,16 +50,16 @@ impl Detection {
         found: bool,
     ) -> bool {
         let stats = &node_ref.stats;
-        match self.technique() {
-            Technique::Check => {
+        match self.protocol {
+            ProtocolKind::JavaIc => {
                 NodeStats::bump(&stats.locality_checks);
-                clock.advance(self.check);
+                clock.advance(self.check_cost);
                 !frame.is_home() && !frame.is_present()
             }
-            Technique::Protect => {
+            ProtocolKind::JavaPf => {
                 if pending {
                     NodeStats::bump(&stats.pending_checks);
-                    clock.advance(self.check);
+                    clock.advance(self.check_cost);
                 }
                 let open = frame.is_home() || (frame.is_present() && !frame.is_protected());
                 if found {
@@ -110,7 +67,7 @@ impl Detection {
                 } else if !open {
                     // Simulated SIGSEGV: fault cost, then the fetch.
                     NodeStats::bump(&stats.page_faults);
-                    clock.advance(self.fault);
+                    clock.advance(self.fault_cost);
                 }
                 !open
             }

@@ -13,13 +13,13 @@
 //! returns the one instant the last of them is home, for the monitor's
 //! next acquire to merge ([`DsmSystem::release`]).
 //!
-//! The protocols differ in access detection alone (`crate::detection`,
-//! which the engine asks at every decision point; all mechanism lives here,
-//! in `fetch.rs` and in the RPC services): `java_ic` checks in line on
-//! every access; `java_pf` takes a (simulated) page fault on a protected
-//! page and pays `mprotect`s to open copies and to re-protect dropped ones,
-//! one per maximal address range of pages that have or now take the
-//! protection (`DsmStore::protection_ranges`).
+//! The protocols differ in access detection alone (`crate::detection`; the
+//! engine asks the protocol at every decision point, and all mechanism
+//! lives here, in `fetch.rs` and in the RPC services): `java_ic` checks in
+//! line on every access; `java_pf` takes a (simulated) page fault on a
+//! protected page and pays `mprotect`s to open copies and to re-protect
+//! dropped ones, one per maximal address range of pages that have or now
+//! take the protection (`DsmStore::protection_ranges`).
 //!
 //! The engine exposes exactly the primitives of the paper's Table 2, one
 //! entry each: [`DsmSystem::load_into_cache`]`(node, clock, first, pages)`,
@@ -34,7 +34,6 @@ use hyperion_pm2::{
 };
 
 use crate::config::ProtocolKind;
-use crate::detection::{Detection, Technique, FLUSH_BATCH_PAGES};
 use crate::diff::{
     decode_diff_reply, decode_fetch_reply, encode_diff, encode_diff_batch, DiffEntry,
 };
@@ -47,6 +46,10 @@ use crate::pending::StaleCopies;
 use crate::services::{answer_page, grant_cost, HomeService};
 use crate::table::DsmStore;
 
+/// Largest number of contiguous same-home dirty pages one diff-flush RPC
+/// carries, under every protocol ([`DsmSystem::flush_frames`]).
+pub(crate) const FLUSH_BATCH_PAGES: usize = 8;
+
 /// The DSM system of one cluster run: the protocol engine plus its services.
 ///
 /// It takes one caller at a time: no two threads are ever inside its
@@ -55,7 +58,12 @@ use crate::table::DsmStore;
 pub struct DsmSystem {
     pub(crate) cluster: Arc<Cluster>,
     pub(crate) store: Arc<DsmStore>,
-    pub(crate) detection: Detection,
+    /// The protocol, which is the detection technique (`detection.rs`).
+    pub(crate) protocol: ProtocolKind,
+    /// What `java_ic`'s in-line check (and a pending check) costs.
+    pub(crate) check_cost: VTime,
+    /// What a `java_pf` page fault costs.
+    pub(crate) fault_cost: VTime,
     /// Per node: what the fetch mechanics remember between fetches (scan
     /// ends per home, windowed accuracy gates; see `fetch.rs`).
     pub(crate) fetch_state: Vec<NodeFetchState>,
@@ -76,7 +84,6 @@ impl DsmSystem {
     /// page-fetch and diff-apply services with the communication subsystem.
     /// The RPCs travel over whatever transport the cluster was built with.
     pub fn new(cluster: Arc<Cluster>, store: Arc<DsmStore>, kind: ProtocolKind) -> Arc<Self> {
-        let detection = Detection::new(kind, &cluster);
         let service = |fetch| {
             cluster.register_service(Arc::new(HomeService {
                 store: Arc::clone(&store),
@@ -86,10 +93,14 @@ impl DsmSystem {
         };
         let (page_fetch, diff_apply) = (service(true), service(false));
         let nodes = cluster.num_nodes();
+        let machine = cluster.machine();
+        let (check_cost, fault_cost) = (machine.cpu.locality_check(), machine.dsm.page_fault);
         Arc::new(DsmSystem {
             cluster,
             store,
-            detection,
+            protocol: kind,
+            check_cost,
+            fault_cost,
             fetch_state: (0..nodes).map(|_| NodeFetchState::new(nodes)).collect(),
             written: (0..nodes).map(|_| NodeLog::default()).collect(),
             stale: (0..nodes).map(|_| StaleCopies::new(nodes)).collect(),
@@ -102,7 +113,7 @@ impl DsmSystem {
     /// The protocol this system runs.
     #[inline]
     pub fn kind(&self) -> ProtocolKind {
-        self.detection.kind
+        self.protocol
     }
 
     /// The cluster this system runs on.
@@ -379,7 +390,7 @@ impl DsmSystem {
     ) -> u64 {
         let (node_ref, machine) = (self.cluster.node(node), self.cluster.machine());
         let stale_copies = &self.stale[node.index()];
-        let protect = self.detection.technique() == Technique::Protect;
+        let protect = self.protocol == ProtocolKind::JavaPf;
         // The held copies to drop, each with the stamp a patch riding the
         // grant must bring it to instead (`None`: nothing rides for it).
         let mut stale = Vec::new();
@@ -486,7 +497,7 @@ impl DsmSystem {
             !f.is_home() && (f.is_present() || stale_copies.holds_open(page, f))
         };
         for &(page, frame) in stale.iter().filter(held) {
-            let reprotect = reprotect && self.detection.technique() == Technique::Protect;
+            let reprotect = reprotect && self.protocol == ProtocolKind::JavaPf;
             if reprotect {
                 reprotected.push(page);
             }
@@ -588,7 +599,7 @@ impl DsmSystem {
         page: PageId,
         frame: &PageFrame,
     ) -> Result<(), crate::recover::RpcFailure> {
-        // While the node holds open stale copies (`pending.rs`), a `Protect`
+        // While the node holds open stale copies (`pending.rs`), a `java_pf`
         // access pays the check that asks whether its copy is one, and takes
         // the miss the check found: no fault, and nothing to open.
         let pending = self.stale[node_ref.id().index()].any_open();
@@ -598,8 +609,8 @@ impl DsmSystem {
         // merge the completion timestamp (the residual latency) before the
         // access proceeds.
         self.complete_inflight(node_ref, clock, frame);
-        let miss = (self.detection).on_access(node_ref, clock, frame, pending, found);
-        if pending && self.detection.technique() == Technique::Protect {
+        let miss = self.on_access(node_ref, clock, frame, pending, found);
+        if pending && self.protocol == ProtocolKind::JavaPf {
             self.pay_rent(node_ref, clock);
         }
         if !miss {
@@ -708,7 +719,7 @@ impl DsmSystem {
 impl std::fmt::Debug for DsmSystem {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DsmSystem")
-            .field("protocol", &self.detection.kind.name())
+            .field("protocol", &self.protocol.name())
             .field("nodes", &self.cluster.num_nodes())
             .field("pages", &self.store.allocator().num_pages())
             .finish()

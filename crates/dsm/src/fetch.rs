@@ -12,15 +12,15 @@
 //!
 //! This is a second `impl DsmSystem` block (split out of `engine.rs` to
 //! keep the engine readable): everything here is mechanism — RPC framing,
-//! ticket bookkeeping — parameterised by the detection's technique, which
-//! says whether an installed copy must be opened ([`crate::detection`]).
+//! ticket bookkeeping — parameterised by the protocol, which says whether
+//! an installed copy must be opened ([`crate::detection`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use hyperion_model::{NodeStats, ThreadClock, VTime};
 use hyperion_pm2::{Node, NodeId, PageId};
 
-use crate::detection::Technique;
+use crate::config::ProtocolKind;
 use crate::diff::{decode_fetch_reply, encode_fetch_request, PageReply};
 use crate::engine::DsmSystem;
 use crate::gate::{Windowed, GATE_WINDOW};
@@ -185,8 +185,7 @@ impl DsmSystem {
             if frame.is_home() || frame.is_present() {
                 continue;
             }
-            let unprotect =
-                self.detection.technique() == Technique::Protect && frame.is_protected();
+            let unprotect = self.protocol == ProtocolKind::JavaPf && frame.is_protected();
             let Ok((_, mut completion, _)) =
                 self.fetch_rpc(node_ref, clock, home, page, frame, &[])
             else {
@@ -233,7 +232,7 @@ impl DsmSystem {
     ) -> Result<(), RpcFailure> {
         let (node, home) = (node_ref.id(), self.store.home_of(page));
         // An open stale copy was never closed: it opens at no `mprotect`.
-        let unprotect = self.detection.technique() == Technique::Protect && frame.is_protected();
+        let unprotect = self.protocol == ProtocolKind::JavaPf && frame.is_protected();
         let machine = self.cluster.machine();
         NodeStats::bump(&node_ref.stats.page_loads);
         let taken = demand.then(|| self.take_named(node, home));

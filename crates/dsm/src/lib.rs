@@ -24,12 +24,12 @@
 //!   run is described (the transport part builds the cluster, not the
 //!   engine);
 //! * [`detection`] — how each protocol detects remote accesses, the one
-//!   thing they differ in (one technique per protocol, and the JMM
-//!   obligations every decision keeps);
+//!   thing they differ in (the protocol is the technique), and the JMM
+//!   obligations every decision keeps;
 //! * [`engine`] — the [`DsmSystem`] protocol engine (with its fetch
 //!   mechanics in `fetch`, the accuracy gate its stride prefetch throttles
 //!   itself on in `gate`, and its RPC services in `services`), which asks
-//!   the detection at every decision point;
+//!   the protocol at every decision point;
 //! * `pending` — the stale copies a node retains, open behind the pending
 //!   check or dropped, and the rent-or-buy rule that re-protects the open
 //!   ones;
@@ -62,7 +62,6 @@ mod services;
 pub mod table;
 
 pub use config::{ProtocolKind, TransportConfig};
-pub use detection::Technique;
 pub use engine::DsmSystem;
 pub use hyperion_pm2::TransportBackend;
 pub use notices::Notices;

@@ -3,8 +3,8 @@
 //!
 //! A monitor's acquire drops the stale copies page protection detects
 //! without closing them: absent, but not re-protected, they stay *open*.
-//! While any is, every `Protect` access on the node pays one in-line check
-//! (`Detection::on_access`), which asks of an absent, unprotected copy
+//! While any is, every `java_pf` access on the node pays one in-line check
+//! (`DsmSystem::on_access`), which asks of an absent, unprotected copy
 //! whether it is one: if so the access takes the miss the check found.  A
 //! grant or a demand fetch from its home names it with the node's dropped
 //! copies, and a patch that fits a grant makes it current at no
@@ -25,7 +25,7 @@ use hyperion_model::sync::lock;
 use hyperion_model::{NodeStats, ThreadClock};
 use hyperion_pm2::{Node, NodeId, PageId};
 
-use crate::detection::Technique;
+use crate::config::ProtocolKind;
 use crate::engine::DsmSystem;
 use crate::page::PageFrame;
 use crate::table::DsmStore;
@@ -65,8 +65,8 @@ impl StaleCopies {
     }
 
     /// Whether `frame`, `page`'s copy, is open: absent, unprotected and in
-    /// the open set (a copy dropped under `Check` is absent and unprotected
-    /// too, but not open).
+    /// the open set (a copy dropped under `java_ic` is absent and
+    /// unprotected too, but not open).
     pub(crate) fn holds_open(&self, page: PageId, frame: &PageFrame) -> bool {
         let unclosed = !frame.is_present() && !frame.is_protected();
         unclosed && self.any_open() && lock(&self.index).open.contains(&page.0)
@@ -148,8 +148,7 @@ impl DsmSystem {
     pub(crate) fn pay_rent(&self, node_ref: &Node, clock: &mut ThreadClock) {
         let stale = &self.stale[node_ref.id().index()];
         let rent = self
-            .detection
-            .check
+            .check_cost
             .times(stale.checks.fetch_add(1, Ordering::Relaxed) + 1);
         let price = self.cluster.machine().dsm.mprotect_call;
         if rent >= price.times(stale.runs.load(Ordering::Relaxed)) {
@@ -188,7 +187,7 @@ impl DsmSystem {
                 frame.set_fits_grant(false);
             } else if !self.stale[node.index()].set(&self.store, page, None) {
                 reopened += 1;
-                if self.detection.technique() == Technique::Protect {
+                if self.protocol == ProtocolKind::JavaPf {
                     unprotected.push(page);
                 }
             }

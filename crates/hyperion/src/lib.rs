@@ -29,7 +29,7 @@
 //! * [`jmm`] — the acquire/release actions themselves: write notices along
 //!   every synchronisation edge.
 //! * [`api`] — the small "Java API subsystem": barrier and shared counter.
-//! * [`thread`] — the round-robin load balancer and thread handles.
+//! * [`thread`] — thread handles.
 //!
 //! ## Quick start
 //!
@@ -71,7 +71,7 @@ pub use api::{JBarrier, SharedCounter};
 pub use monitor::HMonitor;
 pub use object::{ArrayView, HArray, HMatrix, MatrixRows, SlotValue};
 pub use runtime::{ConfigError, HyperionConfig, HyperionRuntime, RunOutcome, RunReport, ThreadCtx};
-pub use thread::{HThreadHandle, LoadBalancer};
+pub use thread::HThreadHandle;
 
 // Re-export the pieces of the lower layers that appear in this crate's API.
 pub use hyperion_dsm::{ProtocolKind, TransportConfig};

@@ -3,8 +3,8 @@
 //!
 //! A [`HyperionRuntime`] is the Rust analogue of "one distributed JVM over
 //! the cluster": it owns the cluster model, the iso-address allocator, the
-//! DSM system configured with one of the two access-detection protocols, the
-//! thread-id counter and the load balancer.  [`HyperionRuntime::run`] executes
+//! DSM system configured with one of the two access-detection protocols and
+//! the thread-id counter.  [`HyperionRuntime::run`] executes
 //! a program — a closure playing the role of `main` — on node 0 and returns
 //! both the program's result and a [`RunReport`] with the virtual execution
 //! time and the per-node event statistics.
@@ -23,9 +23,13 @@ use hyperion_model::{
 use hyperion_pm2::{Cluster, GlobalAddr, IsoAllocator, NodeId, ThreadId};
 
 use crate::order::{Baton, Key};
-use crate::thread::{HThreadHandle, LoadBalancer};
+use crate::thread::HThreadHandle;
 
 /// Configuration of a Hyperion execution.
+///
+/// The paper used "only one application thread per node" (§4.3), and so do
+/// the benchmark kernels: worker `t` runs on node `t`
+/// ([`ThreadCtx::spawn_on`]).
 #[derive(Clone, Debug)]
 pub struct HyperionConfig {
     /// Which of the paper's clusters (or a custom one) to model.
@@ -37,15 +41,11 @@ pub struct HyperionConfig {
     /// Transport configuration: backend and faults.
     /// Applies to every protocol (each setting is semantics-preserving).
     pub transport: TransportConfig,
-    /// Application threads per node.  The paper uses one ("we used only one
-    /// application thread per node", §4.3); larger values exercise the
-    /// computation/communication-overlap extension.
-    pub threads_per_node: usize,
 }
 
 impl HyperionConfig {
-    /// A configuration with one application thread per node and the default
-    /// transport settings; the `with_*` methods override those.
+    /// A configuration with the default transport settings;
+    /// [`HyperionConfig::with_transport`] overrides them.
     ///
     /// Nothing is checked until [`HyperionConfig::validate`], which
     /// [`HyperionRuntime::new`] calls.
@@ -53,10 +53,9 @@ impl HyperionConfig {
     /// ```
     /// use hyperion::prelude::*;
     ///
-    /// let config = HyperionConfig::new(myrinet_200(), 4, ProtocolKind::JavaPf)
-    ///     .with_threads_per_node(2);
+    /// let config = HyperionConfig::new(myrinet_200(), 4, ProtocolKind::JavaPf);
     /// config.validate().unwrap();
-    /// assert_eq!(config.total_app_threads(), 8);
+    /// assert_eq!(config.nodes, 4);
     /// ```
     pub fn new(cluster: ClusterSpec, nodes: usize, protocol: ProtocolKind) -> Self {
         HyperionConfig {
@@ -64,14 +63,7 @@ impl HyperionConfig {
             nodes,
             protocol,
             transport: TransportConfig::default(),
-            threads_per_node: 1,
         }
-    }
-
-    /// Builder-style override of [`HyperionConfig::threads_per_node`].
-    pub fn with_threads_per_node(mut self, threads: usize) -> Self {
-        self.threads_per_node = threads;
-        self
     }
 
     /// Builder-style override of [`HyperionConfig::transport`].
@@ -80,20 +72,11 @@ impl HyperionConfig {
         self
     }
 
-    /// Total number of application (computation) threads the standard SPMD
-    /// benchmarks create.
-    pub fn total_app_threads(&self) -> usize {
-        self.nodes * self.threads_per_node
-    }
-
     /// Check the configuration for obvious mistakes: node counts, cluster
     /// size and the fault schedule.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.nodes == 0 {
             return Err(ConfigError::ZeroNodes);
-        }
-        if self.threads_per_node == 0 {
-            return Err(ConfigError::ZeroThreadsPerNode);
         }
         if self.nodes > self.cluster.max_nodes {
             return Err(ConfigError::ExceedsCluster {
@@ -115,8 +98,6 @@ impl HyperionConfig {
 pub enum ConfigError {
     /// `nodes` was zero.
     ZeroNodes,
-    /// `threads_per_node` was zero.
-    ZeroThreadsPerNode,
     /// More nodes were requested than the modelled cluster has.
     ExceedsCluster {
         /// Nodes requested by the configuration.
@@ -132,9 +113,6 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::ZeroNodes => write!(f, "a run needs at least one node"),
-            ConfigError::ZeroThreadsPerNode => {
-                write!(f, "a run needs at least one application thread per node")
-            }
             ConfigError::ExceedsCluster {
                 requested,
                 available,
@@ -159,7 +137,6 @@ pub(crate) struct RuntimeShared {
     pub(crate) dsm: Arc<DsmSystem>,
     /// The id the next started thread gets; also how many have started.
     pub(crate) next_thread: AtomicU64,
-    pub(crate) balancer: LoadBalancer,
     pub(crate) finish: TimeWatermark,
     /// Which application thread runs: one at a time, in virtual-time order
     /// (see [`crate::order`]).
@@ -187,7 +164,6 @@ impl HyperionRuntime {
         let allocator = Arc::new(IsoAllocator::new(config.nodes));
         let store = DsmStore::new(Arc::clone(&allocator), config.nodes);
         let dsm = DsmSystem::new(Arc::clone(&cluster), store, config.protocol);
-        let balancer = LoadBalancer::new(config.nodes);
         Ok(HyperionRuntime {
             shared: Arc::new(RuntimeShared {
                 config,
@@ -195,7 +171,6 @@ impl HyperionRuntime {
                 allocator,
                 dsm,
                 next_thread: AtomicU64::new(0),
-                balancer,
                 finish: TimeWatermark::default(),
                 baton: Baton::default(),
                 serving_latencies: Mutex::default(),
@@ -231,8 +206,8 @@ impl HyperionRuntime {
     /// Execute a program.
     ///
     /// `main` runs on node 0 with a fresh virtual clock.  It may allocate
-    /// shared objects, spawn Hyperion threads (which the load balancer places
-    /// round-robin across the nodes, §2.1 Table 1) and join them.  When
+    /// shared objects, spawn Hyperion threads on the nodes it names
+    /// ([`ThreadCtx::spawn_on`]) and join them.  When
     /// `main` returns, the harness waits for any threads that were not
     /// explicitly joined, then assembles the [`RunReport`].
     ///
@@ -685,14 +660,7 @@ impl ThreadCtx {
 
     // ----- thread management -------------------------------------------------
 
-    /// Create a Hyperion thread, letting the load balancer pick its node
-    /// (round-robin, as in the paper's Table 1).
-    pub fn spawn(&mut self, body: impl FnOnce(&mut ThreadCtx) + Send + 'static) -> HThreadHandle {
-        let node = self.shared.balancer.assign();
-        self.spawn_on(node, body)
-    }
-
-    /// Create a Hyperion thread on a specific node.
+    /// Create a Hyperion thread on `node`, the one way to start a thread.
     pub fn spawn_on(
         &mut self,
         node: NodeId,
@@ -838,17 +806,7 @@ mod tests {
                 available: 12
             })
         );
-        let mut c = config(2, ProtocolKind::JavaPf);
-        c.threads_per_node = 0;
-        assert_eq!(c.validate(), Err(ConfigError::ZeroThreadsPerNode));
         assert!(config(12, ProtocolKind::JavaPf).validate().is_ok());
-        assert_eq!(config(4, ProtocolKind::JavaPf).threads_per_node, 1);
-        assert_eq!(
-            config(4, ProtocolKind::JavaIc)
-                .with_threads_per_node(2)
-                .total_app_threads(),
-            8
-        );
         // Errors render.
         assert!(format!("{}", ConfigError::ZeroNodes).contains("at least one node"));
     }
@@ -1015,7 +973,7 @@ mod tests {
     fn unjoined_threads_are_still_waited_for_and_counted() {
         let rt = HyperionRuntime::new(config(2, ProtocolKind::JavaIc)).unwrap();
         let out = rt.run(|ctx| {
-            let _ = ctx.spawn(|worker| {
+            let _ = ctx.spawn_on(NodeId(0), |worker| {
                 worker.charge(VTime::from_ms(25));
             });
             // Dropped handle: main does not join.
@@ -1024,20 +982,6 @@ mod tests {
         assert!(out.report.execution_time >= VTime::from_ms(25));
         // Main's own time does not include the worker.
         assert!(out.report.main_thread_time < out.report.execution_time);
-    }
-
-    #[test]
-    fn load_balancer_places_spawned_threads_round_robin() {
-        let rt = HyperionRuntime::new(config(3, ProtocolKind::JavaIc)).unwrap();
-        let out = rt.run(|ctx| {
-            let handles: Vec<_> = (0..6).map(|_| ctx.spawn(|_| {})).collect();
-            let nodes: Vec<u32> = handles.iter().map(|h| h.node().0).collect();
-            for h in handles {
-                ctx.join(h);
-            }
-            nodes
-        });
-        assert_eq!(out.result, vec![0, 1, 2, 0, 1, 2]);
     }
 
     #[test]

@@ -57,7 +57,7 @@
 //!   `a_dropped_copy_refused_once_is_not_named_at_the_next_grant` and in
 //!   `a_dropped_copy_whose_last_answer_was_the_page_is_not_named`;
 //! * the grant's patch kept to protection-detected copies (`DsmSystem::
-//!   drop_copies` lets a copy ride only if its technique is `Protect`):
+//!   drop_copies` lets a copy ride only under `java_pf`):
 //!   `under_java_ic_the_stale_copy_rides_the_grant`,
 //!   `a_reopened_check_copy_costs_no_mprotect` and two more; the index kept
 //!   to them (a drop indexes only a re-protected copy):

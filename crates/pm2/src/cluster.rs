@@ -354,7 +354,7 @@ mod tests {
     fn concurrent_rpcs_to_one_home_are_serialised() {
         let c = test_cluster(3);
         let svc = c.register_service(Arc::new(|_n: &Node, _c: NodeId, _p: &[u8]| {
-            RpcReply::ack(VTime::from_us(100))
+            RpcReply::with_data(Vec::new(), VTime::from_us(100))
         }));
         // Two different callers target node 2 at the same virtual time; the
         // second to be served must finish at least 100us after the first.
@@ -374,7 +374,7 @@ mod tests {
     fn unknown_service_is_a_typed_error_not_a_panic() {
         let c = test_cluster(1);
         let svc = c.register_service(Arc::new(|_n: &Node, _c: NodeId, _p: &[u8]| {
-            RpcReply::ack(VTime::ZERO)
+            RpcReply::with_data(Vec::new(), VTime::ZERO)
         }));
         let mut clock = ThreadClock::new();
         let err = c
@@ -400,7 +400,7 @@ mod tests {
     fn service_names_are_exposed() {
         let c = test_cluster(1);
         let svc = c.register_service(Arc::new(|_n: &Node, _c: NodeId, _p: &[u8]| {
-            RpcReply::ack(VTime::ZERO)
+            RpcReply::with_data(Vec::new(), VTime::ZERO)
         }));
         assert_eq!(c.service_name(svc), "anonymous-service");
         assert_eq!(c.service_name(ServiceId(7)), "unknown-service");

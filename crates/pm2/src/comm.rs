@@ -49,11 +49,6 @@ pub struct RpcReply {
 }
 
 impl RpcReply {
-    /// An empty acknowledgement with a given service time.
-    pub fn ack(service: VTime) -> Self {
-        RpcReply::with_data(Vec::new(), service)
-    }
-
     /// A reply carrying `data`, with a given service time.
     pub fn with_data(data: Vec<u8>, service: VTime) -> Self {
         RpcReply {
@@ -105,7 +100,7 @@ mod tests {
 
     #[test]
     fn rpc_reply_constructors() {
-        let a = RpcReply::ack(VTime::from_us(1));
+        let a = RpcReply::with_data(Vec::new(), VTime::from_us(1));
         assert!(a.data.is_empty());
         assert_eq!(a.service, VTime::from_us(1));
 

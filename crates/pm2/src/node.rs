@@ -20,7 +20,7 @@ impl std::fmt::Display for NodeId {
     }
 }
 
-/// A cluster node: the unit the load balancer distributes threads over and
+/// A cluster node: the unit application threads are placed on and
 /// the granularity at which the DSM keeps object caches ("at most one copy of
 /// an object may exist on a node", §3.1).
 #[derive(Debug)]

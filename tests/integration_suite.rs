@@ -30,7 +30,7 @@ mod repeatability;
 
 use hyperion_bench::{benchmark_at, FigureRow, Scale};
 use hyperion_workspace::apps::common::{Benchmark, BenchmarkName};
-use hyperion_workspace::apps::{jacobi, kvstore, pi};
+use hyperion_workspace::apps::{kvstore, pi};
 use hyperion_workspace::prelude::*;
 use hyperion_workspace::{HyperionConfig, ProtocolKind};
 
@@ -74,8 +74,10 @@ fn every_benchmark_computes_the_same_answer_under_every_configuration() {
 
     for name in BenchmarkName::all_extended() {
         let mut first = None;
-        let mut check = |leg: String, nodes: usize, seconds: f64, digest: f64| {
+        let mut check = |leg: String, nodes: usize, threads: usize, seconds: f64, digest: f64| {
             assert!(seconds > 0.0, "{leg}: zero execution time");
+            // One worker per node (worker `t` on node `t`), plus main.
+            assert_eq!(threads, nodes + 1, "{leg}: threads started");
             // The reference is the app's first digest — except for the KV
             // store, whose request streams are per client: its answer is a
             // function of the client count, given by its sequential replay.
@@ -91,7 +93,7 @@ fn every_benchmark_computes_the_same_answer_under_every_configuration() {
             );
         };
         for row in matrix::rows().iter().filter(|r| r.app == name) {
-            check(label(row), row.nodes, row.seconds, row.digest);
+            check(label(row), row.nodes, row.threads, row.seconds, row.digest);
         }
         let bench = benchmark_at(name, Scale::Quick);
         let small: &[_] = if BenchmarkName::serving().contains(&name) {
@@ -103,7 +105,7 @@ fn every_benchmark_computes_the_same_answer_under_every_configuration() {
             let config = HyperionConfig::new(cluster.clone(), *nodes, *protocol);
             let (digest, report) = bench.execute(config);
             let leg = format!("{name}/{} @ {nodes} nodes", protocol.name());
-            check(leg, *nodes, report.seconds(), digest);
+            check(leg, *nodes, report.threads, report.seconds(), digest);
         }
     }
 }
@@ -209,22 +211,8 @@ fn faster_cluster_is_faster_in_absolute_terms() {
 }
 
 #[test]
-fn multiple_threads_per_node_still_compute_the_right_answer() {
-    let params = jacobi::JacobiParams::quick();
-    let (expected, _) = jacobi::sequential(&params);
-    let config =
-        HyperionConfig::new(myrinet_200(), 2, ProtocolKind::JavaPf).with_threads_per_node(2);
-    let out = jacobi::run(config, &params);
-    assert!((out.result.interior_sum - expected).abs() < 1e-6);
-    // 2 nodes x 2 threads + main.
-    assert_eq!(out.report.threads, 5);
-}
-
-#[test]
 fn run_report_summary_mentions_the_protocol_and_cluster() {
-    // Two threads per node: a configuration outside the quick matrix.
-    let sci_config =
-        HyperionConfig::new(sci_450(), 2, ProtocolKind::JavaIc).with_threads_per_node(2);
+    let sci_config = HyperionConfig::new(sci_450(), 2, ProtocolKind::JavaIc);
     let (_d, report) = pi::PiParams::quick().execute(sci_config);
     let summary = report.summary();
     assert!(summary.contains("java_ic"));
